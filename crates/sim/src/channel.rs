@@ -119,17 +119,13 @@ impl Channel {
     where
         F: FnMut(&Flit) -> bool,
     {
-        let mut seen: Vec<u64> = Vec::new();
-        for (i, (flit, ready)) in self.queue.iter().enumerate() {
-            if seen.contains(&flit.packet_id) {
-                continue; // an earlier flit of this packet is still queued
-            }
-            seen.push(flit.packet_id);
-            if *ready <= now && deliverable(flit) {
-                return Some(i);
-            }
-        }
-        None
+        // The queue holds at most `capacity` flits, so looking back over the
+        // prefix for an earlier flit of the same packet beats keeping a set.
+        self.queue.iter().enumerate().position(|(i, (flit, ready))| {
+            *ready <= now
+                && !self.queue.iter().take(i).any(|(f, _)| f.packet_id == flit.packet_id)
+                && deliverable(flit)
+        })
     }
 
     /// Flit at `index` (used with [`Channel::scan_deliverable`]).

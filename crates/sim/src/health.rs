@@ -23,7 +23,7 @@
 //! known at every routing site from its input port, and the phase is simply
 //! whether that traversal was a down move under the current labelling.
 
-use crate::topology::{Mesh, Port, DIRS};
+use crate::topology::{Mesh, NeighborTable, Port, DIRS};
 
 /// Route-table sentinel: destination unreachable from this state.
 const UNREACHABLE: u8 = u8::MAX;
@@ -32,6 +32,7 @@ const UNREACHABLE: u8 = u8::MAX;
 #[derive(Debug, Clone)]
 pub struct HealthRouter {
     mesh: Mesh,
+    neighbors: NeighborTable,
     /// Per-directed-link service state, indexed `node * DIRS + dir`.
     link_up: Vec<bool>,
     /// Per-router service state.
@@ -50,6 +51,7 @@ impl HealthRouter {
     pub fn new(mesh: Mesh) -> Self {
         let nodes = mesh.nodes();
         let mut h = HealthRouter {
+            neighbors: NeighborTable::new(&mesh),
             mesh,
             link_up: vec![true; nodes * DIRS],
             router_up: vec![true; nodes],
@@ -66,6 +68,12 @@ impl HealthRouter {
         self.degraded
     }
 
+    /// Neighbor of `r` in direction `dir` (tabulated [`Mesh::neighbor`]).
+    #[inline]
+    pub fn neighbor(&self, r: usize, dir: Port) -> Option<usize> {
+        self.neighbors.get(r, dir)
+    }
+
     /// Whether router `r` is in service.
     pub fn router_up(&self, r: usize) -> bool {
         self.router_up[r]
@@ -74,14 +82,14 @@ impl HealthRouter {
     /// Whether the directed link leaving `r` toward `dir` is in service
     /// (false for mesh-boundary non-links).
     pub fn link_up(&self, r: usize, dir: Port) -> bool {
-        self.mesh.neighbor(r, dir).is_some() && self.link_up[r * DIRS + dir.index()]
+        self.neighbor(r, dir).is_some() && self.link_up[r * DIRS + dir.index()]
     }
 
     /// Sets the service state of the *physical* link `(r, dir)` — both
     /// directions fail and recover together. Call [`Self::rebuild`] after a
     /// batch of changes.
     pub fn set_link(&mut self, r: usize, dir: Port, up: bool) {
-        if let Some(n) = self.mesh.neighbor(r, dir) {
+        if let Some(n) = self.neighbor(r, dir) {
             self.link_up[r * DIRS + dir.index()] = up;
             self.link_up[n * DIRS + dir.opposite().index()] = up;
         }
@@ -98,7 +106,7 @@ impl HealthRouter {
     pub fn usable(&self, r: usize, dir: Port) -> bool {
         self.router_up[r]
             && self.link_up[r * DIRS + dir.index()]
-            && self.mesh.neighbor(r, dir).map(|n| self.router_up[n]).unwrap_or(false)
+            && self.neighbor(r, dir).map(|n| self.router_up[n]).unwrap_or(false)
     }
 
     /// Recomputes labels and route tables from the current health state.
@@ -106,9 +114,9 @@ impl HealthRouter {
         let nodes = self.mesh.nodes();
         self.degraded = !self.router_up.iter().all(|&u| u)
             || (0..nodes).any(|r| {
-                Port::DIRECTIONS.iter().any(|&d| {
-                    self.mesh.neighbor(r, d).is_some() && !self.link_up[r * DIRS + d.index()]
-                })
+                Port::DIRECTIONS
+                    .iter()
+                    .any(|&d| self.neighbor(r, d).is_some() && !self.link_up[r * DIRS + d.index()])
             });
 
         // BFS labelling from the lowest-indexed live router. Disconnected or
@@ -128,7 +136,7 @@ impl HealthRouter {
         while let Some(n) = queue.pop_front() {
             for d in Port::DIRECTIONS {
                 if self.usable(n, d) {
-                    let m = self.mesh.neighbor(n, d).unwrap();
+                    let m = self.neighbor(n, d).unwrap();
                     if self.label[m] == u32::MAX {
                         order += 1;
                         self.label[m] = order;
@@ -165,7 +173,7 @@ impl HealthRouter {
             // up move requires pn = 0 and lands in phase 0, a down move is
             // legal from either phase and lands in phase 1.
             for dir in Port::DIRECTIONS {
-                let n = match self.mesh.neighbor(m, dir) {
+                let n = match self.neighbor(m, dir) {
                     Some(n) => n,
                     None => continue,
                 };
@@ -215,7 +223,7 @@ impl HealthRouter {
                     if !self.usable(n, dir) {
                         continue;
                     }
-                    let m = self.mesh.neighbor(n, dir).unwrap();
+                    let m = self.neighbor(n, dir).unwrap();
                     if self.label[m] == u32::MAX {
                         continue;
                     }
@@ -248,7 +256,7 @@ impl HealthRouter {
         if in_port == Port::Local {
             return 0;
         }
-        match self.mesh.neighbor(here, in_port) {
+        match self.neighbor(here, in_port) {
             // The last traversal was upstream → here; it was a down move iff
             // our label is larger than the upstream label.
             Some(u) if self.label[u] != u32::MAX && self.label[here] > self.label[u] => 1,

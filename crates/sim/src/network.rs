@@ -120,6 +120,10 @@ pub struct Network {
     /// Sampled per-packet journey tracing (`noc-journey`); `None` means
     /// tracing is disabled and every hook site is a single branch.
     journey: Option<JourneyTracker>,
+    /// Scratch list of one router's switch-allocation candidates (output
+    /// port, input port, vc), reused across `sa_phase` calls so the hot
+    /// path allocates nothing.
+    sa_cands: Vec<(Port, u8, u8)>,
 }
 
 impl std::fmt::Debug for Network {
@@ -200,6 +204,7 @@ impl Network {
             profiler: None,
             attribution: None,
             journey: None,
+            sa_cands: Vec::new(),
             cfg,
         }
     }
@@ -478,7 +483,7 @@ impl Network {
     /// The channel feeding input port `port` of router `r` (owned by the
     /// neighbor in that direction), if it exists.
     fn incoming_index(&self, r: usize, port: Port) -> Option<usize> {
-        let up = self.mesh.neighbor(r, port)?;
+        let up = self.health.neighbor(r, port)?;
         Some(self.channel_index(up, port.opposite()))
     }
 
@@ -869,13 +874,43 @@ impl Network {
 
     fn sa_phase(&mut self, r: usize) {
         let now = self.now;
+        let sa_base = self.routers[r].sa_rr;
+        // The round-robin pointer is part of the cycle domain: it advances
+        // on every visit, whether or not anything is granted.
+        self.routers[r].sa_rr = (sa_base + 1) % PORTS;
+        // Gather the SA candidates once — (output, input port, vc) in
+        // round-robin port order, then VC order, which is the order every
+        // output below considers them in. A grant only changes VCs of its
+        // own (from then on skipped) input port, so the list stays valid.
+        let mut cands = std::mem::take(&mut self.sa_cands);
+        cands.clear();
+        for pk in 0..PORTS {
+            let p = (sa_base + pk) % PORTS;
+            for (v, vc) in self.routers[r].inputs()[p].vcs().iter().enumerate() {
+                if vc.sa_candidate(now).is_some() {
+                    cands.push((vc.route(), p as u8, v as u8));
+                }
+            }
+        }
+        if !cands.is_empty() {
+            self.sa_grant(r, sa_base, &cands);
+        }
+        self.sa_cands = cands;
+    }
+
+    /// Switch allocation over the gathered `cands` of router `r`: at most
+    /// one grant per output port and per input port.
+    fn sa_grant(&mut self, r: usize, sa_base: usize, cands: &[(Port, u8, u8)]) {
+        let now = self.now;
         let scheme = self.routers[r].directive.scheme;
         let per_hop = scheme.is_per_hop();
-        let sa_base = self.routers[r].sa_rr;
         let mut granted_inputs = [false; PORTS];
         for k in 0..PORTS {
             let out_idx = (sa_base + k) % PORTS;
             let out_port = Port::from_index(out_idx);
+            if !cands.iter().any(|c| c.0 == out_port) {
+                continue; // nothing wants this output
+            }
             let ch_idx = if out_port == Port::Local {
                 None
             } else if !self.health.usable(r, out_port) {
@@ -886,8 +921,7 @@ impl Network {
                     _ => continue, // boundary or full channel
                 }
             };
-            let downstream =
-                if out_port == Port::Local { None } else { self.mesh.neighbor(r, out_port) };
+            let downstream = self.health.neighbor(r, out_port);
             // A downstream router accepting reservations: powered and not
             // draining toward a proactive gate.
             let down_reservable = downstream
@@ -897,39 +931,35 @@ impl Network {
             // flits toward a powered downstream must win VC allocation (VA)
             // for a downstream input VC; bodies inherit their head's.
             let mut grant: Option<(usize, usize, u8, u64, bool)> = None;
-            'search: for pk in 0..PORTS {
-                let p = (sa_base + pk) % PORTS;
-                if granted_inputs[p] {
+            for &(route, p, v) in cands {
+                let (p, v) = (p as usize, v as usize);
+                if route != out_port || granted_inputs[p] {
                     continue;
                 }
-                for (v, vc) in self.routers[r].inputs()[p].vcs().iter().enumerate() {
-                    if vc.route() != out_port {
-                        continue;
-                    }
-                    let Some(flit) = vc.sa_candidate(now) else { continue };
-                    let dvc = if out_port == Port::Local {
-                        NO_VC
-                    } else if flit.is_head() {
-                        if down_reservable {
-                            let dv = downstream.expect("non-local output");
-                            let in_port = out_port.opposite().index();
-                            match self.routers[dv].inputs()[in_port]
-                                .vcs()
-                                .iter()
-                                .position(InputVc::available)
-                            {
-                                Some(slot) => slot as u8,
-                                None => continue, // VA failed: no free VC
-                            }
-                        } else {
-                            NO_VC
+                let vc = &self.routers[r].inputs()[p].vcs()[v];
+                let flit = vc.sa_candidate(now).expect("gathered as a candidate");
+                let dvc = if out_port == Port::Local {
+                    NO_VC
+                } else if flit.is_head() {
+                    if down_reservable {
+                        let dv = downstream.expect("non-local output");
+                        let in_port = out_port.opposite().index();
+                        match self.routers[dv].inputs()[in_port]
+                            .vcs()
+                            .iter()
+                            .position(InputVc::available)
+                        {
+                            Some(slot) => slot as u8,
+                            None => continue, // VA failed: no free VC
                         }
                     } else {
-                        vc.out_vc()
-                    };
-                    grant = Some((p, v, dvc, flit.packet_id, flit.is_head()));
-                    break 'search;
-                }
+                        NO_VC
+                    }
+                } else {
+                    vc.out_vc()
+                };
+                grant = Some((p, v, dvc, flit.packet_id, flit.is_head()));
+                break;
             }
             let Some((p, v, dvc, packet_id, is_head)) = grant else { continue };
             granted_inputs[p] = true;
@@ -981,13 +1011,17 @@ impl Network {
                 self.eject(r, flit);
             }
         }
-        self.routers[r].sa_rr = (sa_base + 1) % PORTS;
     }
 
     fn bypass_phase(&mut self, r: usize) {
         let now = self.now;
-        let mut out_used = [false; PORTS];
         let rr = self.routers[r].bypass_rr;
+        // Like `sa_rr`, the pointer advances on every visit.
+        self.routers[r].bypass_rr = (rr + 1) % PORTS;
+        if self.nis[r].inject.is_empty() && self.incoming_occupancy(r).0 == 0 {
+            return; // nothing to forward
+        }
+        let mut out_used = [false; PORTS];
         // The bypass is a simple single-flit latch switch (paper §3.3): it
         // forwards at most ONE flit per cycle, round-robin over the inputs.
         // That serialization is the throughput price of power gating.
@@ -1071,7 +1105,6 @@ impl Network {
                 self.channels[out_ci].as_mut().expect("checked").push_delayed(flit, now, 1);
             }
         }
-        self.routers[r].bypass_rr = (rr + 1) % PORTS;
     }
 
     /// Consumes the ready head flit of the incoming channel on direction
@@ -1081,7 +1114,7 @@ impl Network {
     fn bypass_consume(&mut self, r: usize, i: usize) -> Flit {
         let now = self.now;
         let port = Port::from_index(i);
-        let up = self.mesh.neighbor(r, port).expect("incoming channel exists");
+        let up = self.health.neighbor(r, port).expect("incoming channel exists");
         let ci = self.incoming_index(r, port).expect("incoming channel exists");
         let mut flit = {
             let ch = self.channels[ci].as_mut().expect("channel exists");
@@ -1121,7 +1154,7 @@ impl Network {
     fn bypass_eject_consume(&mut self, r: usize, i: usize) -> Option<Flit> {
         let now = self.now;
         let port = Port::from_index(i);
-        let up = self.mesh.neighbor(r, port).expect("incoming channel exists");
+        let up = self.health.neighbor(r, port).expect("incoming channel exists");
         let ci = self.incoming_index(r, port).expect("incoming channel exists");
         let head = *self.channels[ci].as_ref().expect("channel exists").peek_ready(now)?;
         let relaxed = self.channels[ci].as_ref().map(|c| c.relaxed).unwrap_or(false);
@@ -1244,7 +1277,11 @@ impl Network {
         let now = self.now;
         for u in 0..self.mesh.nodes() {
             for dir in Port::DIRECTIONS {
-                let Some(v) = self.mesh.neighbor(u, dir) else { continue };
+                let ci = self.channel_index(u, dir);
+                if !matches!(&self.channels[ci], Some(ch) if ch.occupancy() > 0) {
+                    continue; // boundary, or nothing on the link
+                }
+                let v = self.health.neighbor(u, dir).expect("channel implies neighbor");
                 if !self.health.usable(u, dir) {
                     continue; // link or endpoint outage: stored flits wait
                 }
@@ -1252,7 +1289,6 @@ impl Network {
                     continue; // bypass (phase 1) handles gated routers
                 }
                 let pending = self.routers[v].gate_pending;
-                let ci = self.channel_index(u, dir);
                 let in_port = dir.opposite().index();
                 // Scan channel storage for the first deliverable flit
                 // (order-preserving per packet — the BST dynamic buffer
@@ -1772,7 +1808,7 @@ impl Network {
                 break;
             }
             let p = self.mesh.xy_route(here, r);
-            here = self.mesh.neighbor(here, p).expect("XY route stays on mesh");
+            here = self.health.neighbor(here, p).expect("XY route stays on mesh");
         }
     }
 
@@ -1827,7 +1863,9 @@ impl Network {
                 continue;
             }
             let (incoming, max_incoming) = self.incoming_occupancy(r);
-            let turn_pending = self.incoming_turn_pending(r);
+            // Only the `Gated` arm reads this.
+            let turn_pending =
+                matches!(self.routers[r].gate, GateState::Gated) && self.incoming_turn_pending(r);
             let ni_waiting = !self.nis[r].inject.is_empty();
             let router = &mut self.routers[r];
             router.step.occupancy_sum += router.occupancy() as u64;
@@ -2683,6 +2721,21 @@ mod tests {
         assert_eq!(report.stats.packets_delivered, report.stats.packets_injected);
         assert_eq!(report.stats.corrupted_packets, 0);
         assert_eq!(report.stats.retransmitted_flits, 0);
+    }
+
+    #[test]
+    fn empty_router_still_advances_round_robin_pointers() {
+        // The pointers are cycle-domain state: the early returns of the
+        // empty-router paths must advance them exactly like a full visit.
+        let spec = WorkloadSpec { packets_per_node: 0, ..WorkloadSpec::uniform(0.0, 0) };
+        let mut net = Network::new(quiet_config(), spec, 1);
+        assert!(net.routers[9].is_drained() && net.nis[9].inject.is_empty());
+        for visit in 1..=2 * PORTS {
+            net.sa_phase(9);
+            net.bypass_phase(9);
+            assert_eq!(net.routers[9].sa_rr, visit % PORTS);
+            assert_eq!(net.routers[9].bypass_rr, visit % PORTS);
+        }
     }
 
     #[test]
