@@ -156,6 +156,17 @@ pub fn runner_config_from(args: &Args) -> Result<(RunnerConfig, ChaosOptions), S
     Ok((cfg, chaos))
 }
 
+/// Parses `--error-rate`: a per-bit probability, so finite and in [0, 1].
+/// `NaN` in particular would reach the fault injector as a rate no
+/// comparison is ever true for.
+fn error_rate_from(args: &Args) -> Result<Option<f64>, String> {
+    let Some(r) = args.get("error-rate") else { return Ok(None) };
+    match r.parse::<f64>() {
+        Ok(rate) if (0.0..=1.0).contains(&rate) => Ok(Some(rate)),
+        _ => Err(format!("invalid --error-rate: {r} (need a probability in [0, 1])")),
+    }
+}
+
 /// Journey-tracing sampling period from the command line: `--journeys-every
 /// N` explicitly, else 1 (trace every packet) when any journey artifact
 /// sink is requested, else 0 (off).
@@ -556,10 +567,7 @@ pub fn run(args: &Args) -> CmdResult {
     let mut cfg = ExperimentConfig::new(design, workload)
         .with_seed(args.get_or("seed", 1u64)?)
         .with_time_step(args.get_or("time-step", 1_000u64)?);
-    if let Some(r) = args.get("error-rate") {
-        cfg.error_rate_override =
-            Some(r.parse().map_err(|_| format!("invalid --error-rate: {r}"))?);
-    }
+    cfg.error_rate_override = error_rate_from(args)?;
     cfg.telemetry = telemetry_from(args)?;
     // The flight recorder: a fixed ring of recent telemetry that becomes a
     // post-mortem bundle if the run dies (stall) or a critical alert fires.
@@ -636,10 +644,7 @@ pub fn inspect(args: &Args) -> CmdResult {
     let mut cfg = ExperimentConfig::new(design, workload)
         .with_seed(args.get_or("seed", 1u64)?)
         .with_time_step(args.get_or("time-step", 1_000u64)?);
-    if let Some(r) = args.get("error-rate") {
-        cfg.error_rate_override =
-            Some(r.parse().map_err(|_| format!("invalid --error-rate: {r}"))?);
-    }
+    cfg.error_rate_override = error_rate_from(args)?;
     cfg.telemetry = telemetry_from(args)?;
     cfg.telemetry.attribution = true;
     cfg.telemetry.decisions = design.uses_rl();

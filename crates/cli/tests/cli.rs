@@ -40,6 +40,29 @@ fn run_command_rejects_missing_workload() {
 }
 
 #[test]
+fn error_rate_must_be_a_probability() {
+    // `NaN` used to hang the run (no comparison against it is ever true);
+    // out-of-range rates used to be clamped without a word.
+    for bad in ["NaN", "nan", "inf", "-inf", "-1", "2", "1e-4x"] {
+        for cmd in ["run --design eb", "inspect"] {
+            let line = format!("{cmd} --rate 0.02 --ppn 2 --seed 3 --error-rate {bad}");
+            let args = Args::parse(line.split_whitespace().map(str::to_owned));
+            let res = match args.command.as_deref() {
+                Some("run") => intellinoc_cli::commands::run(&args),
+                _ => intellinoc_cli::commands::inspect(&args),
+            };
+            let err = res.unwrap_err();
+            assert!(err.contains("--error-rate") && err.contains(bad), "{line}: {err}");
+        }
+    }
+    for ok in ["0", "1e-4", "1"] {
+        let line = format!("run --design eb --rate 0.02 --ppn 2 --seed 3 --json --error-rate {ok}");
+        let args = Args::parse(line.split_whitespace().map(str::to_owned));
+        assert!(intellinoc_cli::commands::run(&args).is_ok(), "{line}");
+    }
+}
+
+#[test]
 fn sweep_command_executes() {
     let args = Args::parse(
         "sweep --design secded --rates 0.01,0.02 --ppn 5".split_whitespace().map(str::to_owned),

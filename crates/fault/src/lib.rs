@@ -8,8 +8,9 @@
 //!   bit-error rate (VARIUS substitute, Eq. 3),
 //! * [`AgingModel`]/[`AgingState`] — NBTI + HCI ΔVth accumulation with the
 //!   alpha-power-law delay feedback (Eqs. 4–7),
-//! * [`FaultInjector`] — per-traversal bit-flip sampling feeding the real
-//!   codecs in `noc-ecc`,
+//! * [`FaultInjector`] — per-traversal bit-flip sampling (a Binomial flip
+//!   count from one uniform draw, then exact positions on a hit) feeding
+//!   the real codecs in `noc-ecc`,
 //! * [`extrapolate_mttf`]/[`network_mttf`] — FIT/MTTF extrapolation
 //!   (Fig. 16).
 //!

@@ -67,6 +67,41 @@ proptest! {
         );
     }
 
+    /// One traversal costs exactly one RNG draw whatever it returns: after
+    /// the same number of samples at a rate that never hits and at one that
+    /// always does, two same-seed injectors are at the same point of their
+    /// stream and choose the same positions.
+    #[test]
+    fn injector_draws_once_per_sample(seed in any::<u64>(), samples in 1usize..40, n in 1usize..300) {
+        let mut quiet = FaultInjector::new(seed);
+        let mut noisy = FaultInjector::new(seed);
+        for _ in 0..samples {
+            prop_assert_eq!(quiet.sample_flip_count(n, 1e-9), 0);
+            let k = noisy.sample_flip_count(n, 0.5);
+            prop_assert!(k as usize <= n);
+        }
+        let k = n.min(4) as u32;
+        prop_assert_eq!(quiet.choose_positions(n, k), noisy.choose_positions(n, k));
+    }
+
+    /// The ends of the rate range: a zero (or negative, or NaN) rate draws
+    /// nothing and flips nothing, a rate of one (or beyond) flips every
+    /// bit, and no rate flips more bits than the codeword has.
+    #[test]
+    fn injector_rate_extremes(seed in any::<u64>(), n in 0usize..400, re in -0.5f64..1.5) {
+        let mut inj = FaultInjector::new(seed);
+        let mut untouched = FaultInjector::new(seed);
+        for zero in [0.0, -re.abs(), f64::NAN] {
+            prop_assert_eq!(inj.sample_flip_count(n, zero), 0);
+        }
+        prop_assert_eq!(inj.choose_positions(500, 3), untouched.choose_positions(500, 3));
+        prop_assert_eq!(inj.sample_flip_count(n, 1.0), n as u32);
+        prop_assert_eq!(inj.sample_flip_count(n, 1.0 + re.abs()), n as u32);
+        prop_assert!(inj.sample_flip_count(n, re) as usize <= n);
+        inj.set_rate_override(Some(re));
+        prop_assert!(inj.sample_flip_count(n, 0.0) as usize <= n);
+    }
+
     /// MTTF extrapolation is antitone in stress: more stress, shorter life.
     #[test]
     fn mttf_antitone_in_stress(
