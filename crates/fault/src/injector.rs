@@ -268,14 +268,6 @@ mod tests {
     }
 
     #[test]
-    fn nan_model_rate_draws_nothing() {
-        let mut inj = FaultInjector::new(9);
-        let mut twin = inj.clone();
-        assert_eq!(inj.sample_flip_count(145, f64::NAN), 0);
-        assert_eq!(inj.choose_positions(145, 3), twin.choose_positions(145, 3));
-    }
-
-    #[test]
     fn zero_rate_never_flips() {
         let mut inj = FaultInjector::new(1);
         for _ in 0..1000 {
