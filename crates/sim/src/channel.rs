@@ -10,8 +10,14 @@
 //! dropped: the copy held in the re-transmission buffer (MFAC upper link or
 //! the upstream router buffer) is resent, modeled by pushing the head flit's
 //! `ready_at` out by the re-transmission round-trip latency.
+//!
+//! [`Links`] owns all channels of a mesh and keeps the link half of the
+//! occupancy index (inbound-flit counts, non-empty channel set) in step
+//! with them.
 
+use crate::bitset::BitSet;
 use crate::flit::{Cycle, Flit};
+use crate::topology::{Mesh, Port, DIRS};
 use std::collections::VecDeque;
 
 /// One directed inter-router channel.
@@ -181,6 +187,152 @@ impl Channel {
     }
 }
 
+/// Every inter-router channel of a mesh, indexed `router * DIRS + direction`
+/// (`None` at mesh boundaries), together with the link half of the
+/// occupancy index: per-router counts of flits on incoming channels and the
+/// set of non-empty channels.
+///
+/// `Links` is the only owner of the channels: flits enter and leave through
+/// its methods, each of which updates the index in the same call, so the
+/// index cannot drift from the queues. Readers get `&Channel`.
+#[derive(Debug, Clone)]
+pub(crate) struct Links {
+    channels: Vec<Option<Channel>>,
+    /// Downstream router of each channel slot (unused at boundaries).
+    dest: Vec<u32>,
+    /// Flits on the channels feeding each router.
+    inbound: Vec<u32>,
+    /// Channel slots holding at least one flit.
+    occupied: BitSet,
+}
+
+impl Links {
+    /// Empty channels of `capacity` stages for every link of `mesh`.
+    pub(crate) fn new(mesh: &Mesh, capacity: usize) -> Self {
+        let n = mesh.nodes();
+        let mut channels = Vec::with_capacity(n * DIRS);
+        let mut dest = Vec::with_capacity(n * DIRS);
+        for r in 0..n {
+            for dir in Port::DIRECTIONS {
+                let down = mesh.neighbor(r, dir);
+                channels.push(down.map(|_| Channel::new(capacity)));
+                dest.push(down.unwrap_or(r) as u32);
+            }
+        }
+        Links { channels, dest, inbound: vec![0; n], occupied: BitSet::new(n * DIRS) }
+    }
+
+    /// The channel in slot `ci`, if the slot is a link.
+    #[inline]
+    pub(crate) fn get(&self, ci: usize) -> Option<&Channel> {
+        self.channels[ci].as_ref()
+    }
+
+    /// Whether slot `ci` is a link with room for one more flit.
+    #[inline]
+    pub(crate) fn has_space(&self, ci: usize) -> bool {
+        matches!(&self.channels[ci], Some(ch) if ch.has_space())
+    }
+
+    /// Every existing channel with its slot index, ascending.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (usize, &Channel)> {
+        self.channels.iter().enumerate().filter_map(|(ci, ch)| Some((ci, ch.as_ref()?)))
+    }
+
+    /// Flits on the channels feeding router `r`.
+    #[inline]
+    pub(crate) fn inbound(&self, r: usize) -> usize {
+        self.inbound[r] as usize
+    }
+
+    /// The first non-empty channel slot `>= from` (see
+    /// [`BitSet::next_at_or_after`] for the mid-pass semantics).
+    #[inline]
+    pub(crate) fn next_occupied(&self, from: usize) -> Option<usize> {
+        self.occupied.next_at_or_after(from)
+    }
+
+    fn channel_mut(&mut self, ci: usize) -> &mut Channel {
+        self.channels[ci].as_mut().expect("slot is a link")
+    }
+
+    fn note_removed(&mut self, ci: usize, removed: usize) {
+        self.inbound[self.dest[ci] as usize] -= removed as u32;
+        if self.get(ci).is_some_and(|ch| ch.occupancy() == 0) {
+            self.occupied.set(ci, false);
+        }
+    }
+
+    /// [`Channel::push_delayed`] on slot `ci`.
+    pub(crate) fn push_delayed(&mut self, ci: usize, flit: Flit, now: Cycle, extra: u64) {
+        self.channel_mut(ci).push_delayed(flit, now, extra);
+        self.inbound[self.dest[ci] as usize] += 1;
+        self.occupied.set(ci, true);
+    }
+
+    /// [`Channel::push`] on slot `ci`.
+    pub(crate) fn push(&mut self, ci: usize, flit: Flit, now: Cycle) {
+        self.push_delayed(ci, flit, now, 0);
+    }
+
+    /// [`Channel::pop_ready`] on slot `ci`.
+    pub(crate) fn pop_ready(&mut self, ci: usize, now: Cycle) -> Flit {
+        let flit = self.channel_mut(ci).pop_ready(now);
+        self.note_removed(ci, 1);
+        flit
+    }
+
+    /// [`Channel::remove_at`] on slot `ci`.
+    pub(crate) fn remove_at(&mut self, ci: usize, index: usize) -> Flit {
+        let flit = self.channel_mut(ci).remove_at(index);
+        self.note_removed(ci, 1);
+        flit
+    }
+
+    /// [`Channel::delay_at`] on slot `ci` (moves no flit).
+    pub(crate) fn delay_at(&mut self, ci: usize, index: usize, now: Cycle, delay: u64) {
+        self.channel_mut(ci).delay_at(index, now, delay);
+    }
+
+    /// Sets the timing mode of slot `ci` if it is a link.
+    pub(crate) fn set_relaxed(&mut self, ci: usize, relaxed: bool) {
+        if let Some(ch) = self.channels[ci].as_mut() {
+            ch.relaxed = relaxed;
+        }
+    }
+
+    /// Removes every flit of `packet` from every channel; returns the
+    /// number removed. Only non-empty channels can hold one.
+    pub(crate) fn purge_packet(&mut self, packet: u64) -> usize {
+        let mut total = 0;
+        let mut from = 0;
+        while let Some(ci) = self.occupied.next_at_or_after(from) {
+            from = ci + 1;
+            let removed = self.channel_mut(ci).purge_packet(packet);
+            if removed > 0 {
+                self.note_removed(ci, removed);
+                total += removed;
+            }
+        }
+        total
+    }
+
+    /// Compares the index with a recount of the queues; `Some(what)` names
+    /// the first mismatch.
+    pub(crate) fn index_drift(&self) -> Option<String> {
+        let mut inbound = vec![0u32; self.inbound.len()];
+        for (ci, slot) in self.channels.iter().enumerate() {
+            let occ = slot.as_ref().map_or(0, Channel::occupancy);
+            inbound[self.dest[ci] as usize] += occ as u32;
+            if self.occupied.contains(ci) != (occ > 0) {
+                return Some(format!("channel slot {ci}: occupied bit vs {occ} flit(s) queued"));
+            }
+        }
+        let r = (0..inbound.len()).find(|&r| inbound[r] != self.inbound[r])?;
+        Some(format!("router {r}: inbound count {} vs {} recounted", self.inbound[r], inbound[r]))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,6 +456,36 @@ mod tests {
         ch.delay_at(0, 1, 4);
         assert_eq!(ch.get(0).hop_flips, 0, "retransmitted copy is clean");
         assert_eq!(ch.get(0).retx, 1);
+    }
+
+    #[test]
+    fn links_index_follows_every_entry_and_exit() {
+        // 2x2 mesh: slot 0 is router 0's X+ link into router 1.
+        let mesh = Mesh::new(2, 2);
+        let mut links = Links::new(&mesh, 4);
+        let ci = Port::XPlus.index();
+        assert!(links.get(Port::XMinus.index()).is_none(), "router 0 has no X- link");
+        assert_eq!(links.next_occupied(0), None);
+        let p1 = make_packet(1, 0, 0, 1, 0);
+        let p2 = make_packet(2, 4, 0, 1, 0);
+        links.push(ci, p1[0], 0);
+        links.push_delayed(ci, p1[1], 0, 1);
+        links.push(ci, p2[0], 0);
+        assert_eq!(links.inbound(1), 3);
+        assert_eq!(links.inbound(0), 0);
+        assert_eq!(links.next_occupied(0), Some(ci));
+        assert_eq!(links.index_drift(), None);
+        assert_eq!(links.pop_ready(ci, 5).packet_id, 1);
+        links.delay_at(ci, 0, 5, 3); // a NACK moves no flit
+        assert_eq!(links.inbound(1), 2);
+        assert_eq!(links.purge_packet(1), 1);
+        assert_eq!(links.purge_packet(1), 0);
+        assert_eq!(links.inbound(1), 1);
+        assert_eq!(links.index_drift(), None);
+        assert_eq!(links.remove_at(ci, 0).packet_id, 2);
+        assert_eq!(links.inbound(1), 0);
+        assert_eq!(links.next_occupied(0), None, "the emptied slot left the set");
+        assert_eq!(links.index_drift(), None);
     }
 
     #[test]

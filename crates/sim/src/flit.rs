@@ -90,36 +90,35 @@ impl Flit {
     }
 }
 
-/// Builds the `FLITS_PER_PACKET` flits of one packet.
+/// Builds the `FLITS_PER_PACKET` flits of one packet — by value, so
+/// injecting or re-injecting a packet allocates nothing.
 pub fn make_packet(
     packet_id: u64,
     first_flit_id: u64,
     src: u16,
     dest: u16,
     injected_at: Cycle,
-) -> Vec<Flit> {
-    (0..FLITS_PER_PACKET)
-        .map(|i| Flit {
-            id: first_flit_id + i as u64,
-            packet_id,
-            kind: match i {
-                0 => FlitKind::Head,
-                i if i == FLITS_PER_PACKET - 1 => FlitKind::Tail,
-                _ => FlitKind::Body,
-            },
-            index: i,
-            src,
-            dest,
-            injected_at,
-            hops: 0,
-            e2e_flips: 0,
-            retx: 0,
-            hop_scheme: noc_ecc::EccScheme::None,
-            vc: NO_VC,
-            hop_flips: 0,
-            generation: 0,
-        })
-        .collect()
+) -> [Flit; FLITS_PER_PACKET as usize] {
+    std::array::from_fn(|i| Flit {
+        id: first_flit_id + i as u64,
+        packet_id,
+        kind: match i as u8 {
+            0 => FlitKind::Head,
+            i if i == FLITS_PER_PACKET - 1 => FlitKind::Tail,
+            _ => FlitKind::Body,
+        },
+        index: i as u8,
+        src,
+        dest,
+        injected_at,
+        hops: 0,
+        e2e_flips: 0,
+        retx: 0,
+        hop_scheme: noc_ecc::EccScheme::None,
+        vc: NO_VC,
+        hop_flips: 0,
+        generation: 0,
+    })
 }
 
 fn splitmix64(mut x: u64) -> u64 {

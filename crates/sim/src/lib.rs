@@ -27,6 +27,7 @@
 #![warn(missing_docs)]
 
 mod attribution;
+mod bitset;
 mod channel;
 mod config;
 mod flit;
@@ -35,6 +36,7 @@ mod journey;
 mod latency;
 mod metrics_export;
 mod network;
+mod ni;
 mod router;
 mod stats;
 pub mod topology;

@@ -21,13 +21,25 @@
 //! 5. **Epoch phase** — every `epoch_cycles`: energy is settled, the
 //!    thermal grid steps, aging accumulates, and per-router error rates are
 //!    refreshed.
+//!
+//! # Occupancy index
+//!
+//! No phase finds out whether a router, link or NI holds flits by walking
+//! its queues: [`Router::occupancy`], `Links::inbound` / `next_occupied`
+//! and `Nis::waiting` / `next_waiting` answer in O(1) from counts and
+//! bitsets that the owning types update wherever a flit enters or leaves
+//! (DESIGN.md §7.0). Quiet routers are still visited every cycle — their
+//! round-robin pointers, idle/gate timers and step counters are cycle-domain
+//! state — but the visit is constant-time. The index changes host time
+//! only; debug builds recount it at the end of every [`Network::step_cycle`].
 
 use crate::attribution::Attribution;
-use crate::channel::Channel;
+use crate::channel::Links;
 use crate::config::{RouterDirective, SimConfig};
 use crate::flit::{make_packet, Cycle, Flit, NO_VC};
 use crate::health::HealthRouter;
 use crate::journey::JourneyTracker;
+use crate::ni::Nis;
 use crate::router::{GateState, InputVc, Router};
 use crate::stats::{NetworkStats, RouterObservation, RunReport, StallReport, TxnSummary};
 use crate::topology::{Mesh, Port, DIRS, PORTS};
@@ -38,25 +50,8 @@ use noc_telemetry::{
     AttributionArtifacts, Event, GateEdge, JourneyLog, Profiler, RetxScope, SharedRecorder, Tracer,
 };
 use noc_traffic::{ReqReplyWorkload, TrafficGen, TxnEventKind, TxnStats, Workload, WorkloadSpec};
-use std::collections::HashMap;
-use std::collections::VecDeque;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::time::Instant;
-
-/// Per-packet reassembly state at a destination NI.
-#[derive(Debug, Default, Clone, Copy)]
-struct RecvState {
-    flits: u8,
-    flips: u32,
-    crc_failed: bool,
-}
-
-/// A network interface: injection queue and reassembly buffers.
-#[derive(Debug, Default, Clone)]
-struct Ni {
-    inject: VecDeque<Flit>,
-    recv: HashMap<u64, RecvState>,
-}
 
 /// The simulated network.
 pub struct Network {
@@ -65,8 +60,10 @@ pub struct Network {
     now: Cycle,
     routers: Vec<Router>,
     /// Outgoing channel per (router, direction); `None` at mesh boundaries.
-    channels: Vec<Option<Channel>>,
-    nis: Vec<Ni>,
+    /// Owns the link part of the occupancy index.
+    links: Links,
+    /// Network interfaces; owns the NI part of the occupancy index.
+    nis: Nis,
     traffic: Box<dyn Workload>,
     suite: EccSuite,
     injector: FaultInjector,
@@ -162,12 +159,7 @@ impl Network {
         let n = mesh.nodes();
         let routers: Vec<Router> =
             (0..n).map(|id| Router::new(id, cfg.vcs, cfg.vc_depth, cfg.default_scheme)).collect();
-        let mut channels = Vec::with_capacity(n * DIRS);
-        for r in 0..n {
-            for dir in Port::DIRECTIONS {
-                channels.push(mesh.neighbor(r, dir).map(|_| Channel::new(cfg.channel_capacity)));
-            }
-        }
+        let links = Links::new(&mesh, cfg.channel_capacity);
         let thermal = ThermalGrid::new(cfg.thermal, cfg.width, cfg.height);
         let base_re = cfg.varius.bit_error_rate(thermal.temp_c(0), cfg.vdd, 0.0);
         let health = HealthRouter::new(mesh);
@@ -186,8 +178,8 @@ impl Network {
             mesh,
             now: 0,
             routers,
-            channels,
-            nis: vec![Ni::default(); n],
+            links,
+            nis: Nis::new(n),
             traffic: workload,
             suite: EccSuite::new(),
             injector: FaultInjector::new(cfg.seed),
@@ -645,7 +637,7 @@ impl Network {
             for u in 0..n {
                 for dir in Port::DIRECTIONS {
                     let ci = self.channel_index(u, dir);
-                    let Some(ch) = self.channels[ci].as_ref() else { continue };
+                    let Some(ch) = self.links.get(ci) else { continue };
                     let v = self.mesh.neighbor(u, dir).expect("channel implies neighbor");
                     let dead_path = self.failstop_link_down[ci]
                         || self.failstop_router_down[u]
@@ -694,7 +686,7 @@ impl Network {
             // Partial reassembly state dies with a destination router.
             for r in 0..n {
                 if self.failstop_router_down[r] {
-                    self.nis[r].recv.clear();
+                    self.nis.recv_mut(r).clear();
                 }
             }
         }
@@ -710,7 +702,7 @@ impl Network {
             for u in 0..n {
                 for dir in Port::DIRECTIONS {
                     let ci = self.channel_index(u, dir);
-                    let Some(ch) = self.channels[ci].as_ref() else { continue };
+                    let Some(ch) = self.links.get(ci) else { continue };
                     if !self.health.usable(u, dir) {
                         continue;
                     }
@@ -760,16 +752,11 @@ impl Network {
     /// Removes every in-flight flit of `packet` from channels, input VCs,
     /// NI injection queues, and reassembly buffers.
     fn purge_packet(&mut self, packet: u64) {
-        for ch in self.channels.iter_mut().flatten() {
-            ch.purge_packet(packet);
-        }
+        self.links.purge_packet(packet);
         for router in &mut self.routers {
             router.purge_packet(packet);
         }
-        for ni in &mut self.nis {
-            ni.inject.retain(|f| f.packet_id != packet);
-            ni.recv.remove(&packet);
-        }
+        self.nis.purge_packet(packet);
     }
 
     /// End-to-end recovery for a packet disturbed by a hard fault or out of
@@ -803,7 +790,7 @@ impl Network {
             }
             self.routers[src].counters.crc_ops += crate::flit::FLITS_PER_PACKET as u64;
             self.routers[src].counters.retransmitted_flits += crate::flit::FLITS_PER_PACKET as u64;
-            self.nis[src].inject.extend(flits);
+            self.nis.extend(src, flits);
             if let Some(att) = self.attribution.as_mut() {
                 att.on_e2e_retx(f.packet_id, self.now);
             }
@@ -878,6 +865,9 @@ impl Network {
         // The round-robin pointer is part of the cycle domain: it advances
         // on every visit, whether or not anything is granted.
         self.routers[r].sa_rr = (sa_base + 1) % PORTS;
+        if self.routers[r].is_drained() {
+            return; // nothing buffered: no candidates, O(1)
+        }
         // Gather the SA candidates once — (output, input port, vc) in
         // round-robin port order, then VC order, which is the order every
         // output below considers them in. A grant only changes VCs of its
@@ -916,10 +906,11 @@ impl Network {
             } else if !self.health.usable(r, out_port) {
                 continue; // dead link or dead downstream router: flits wait
             } else {
-                match &self.channels[self.channel_index(r, out_port)] {
-                    Some(ch) if ch.has_space() => Some(self.channel_index(r, out_port)),
-                    _ => continue, // boundary or full channel
+                let ci = self.channel_index(r, out_port);
+                if !self.links.has_space(ci) {
+                    continue; // boundary or full channel
                 }
+                Some(ci)
             };
             let downstream = self.health.neighbor(r, out_port);
             // A downstream router accepting reservations: powered and not
@@ -980,7 +971,7 @@ impl Network {
                 self.routers[dv].input_mut(in_port).vc_mut(dvc as usize).reserve(packet_id);
             }
             let router = &mut self.routers[r];
-            let mut flit = router.input_mut(p).vc_mut(v).pop_granted(now);
+            let mut flit = router.pop_granted(p, v, now);
             if is_head {
                 router.input_mut(p).vc_mut(v).set_out_vc(dvc);
             }
@@ -999,14 +990,14 @@ impl Network {
                 if self.cfg.channel_capacity > 0 {
                     router.counters.channel_stage_ops += 1;
                 }
-                let cost = self.channels[ci].as_ref().expect("channel exists").latency();
+                let cost = self.links.get(ci).expect("channel exists").latency();
                 if let Some(att) = self.attribution.as_mut() {
                     att.on_link_flit(ci, &flit, cost, false);
                 }
                 if let Some(j) = self.journey.as_mut() {
                     j.on_link_flit(ci, &flit, cost, false, now);
                 }
-                self.channels[ci].as_mut().expect("channel exists").push(flit, now);
+                self.links.push(ci, flit, now);
             } else {
                 self.eject(r, flit);
             }
@@ -1018,8 +1009,8 @@ impl Network {
         let rr = self.routers[r].bypass_rr;
         // Like `sa_rr`, the pointer advances on every visit.
         self.routers[r].bypass_rr = (rr + 1) % PORTS;
-        if self.nis[r].inject.is_empty() && self.incoming_occupancy(r).0 == 0 {
-            return; // nothing to forward
+        if !self.nis.waiting(r) && self.links.inbound(r) == 0 {
+            return; // nothing to forward, O(1)
         }
         let mut out_used = [false; PORTS];
         // The bypass is a simple single-flit latch switch (paper §3.3): it
@@ -1034,7 +1025,7 @@ impl Network {
             let i = (rr + k) % PORTS;
             let (dest, is_ni) = if i < DIRS {
                 let Some(ci) = self.incoming_index(r, Port::from_index(i)) else { continue };
-                let Some(ch) = &self.channels[ci] else { continue };
+                let Some(ch) = self.links.get(ci) else { continue };
                 match ch.peek_ready(now) {
                     Some(f) => (f.dest as usize, false),
                     None => continue,
@@ -1060,7 +1051,7 @@ impl Network {
             }
             if route == Port::Local {
                 let flit = if is_ni {
-                    Some(self.nis[r].inject.pop_front().expect("checked nonempty"))
+                    Some(self.nis.pop_front(r).expect("checked nonempty"))
                 } else {
                     self.bypass_eject_consume(r, i)
                 };
@@ -1073,14 +1064,13 @@ impl Network {
                     continue; // outage on the outgoing link: wait it out
                 }
                 let out_ci = self.channel_index(r, route);
-                let ok = matches!(&self.channels[out_ci], Some(ch) if ch.has_space());
-                if !ok {
+                if !self.links.has_space(out_ci) {
                     continue;
                 }
                 let flit = if is_ni {
                     // Locally injected flits enter the mesh unencoded; they
                     // pick up per-hop protection at the first powered router.
-                    let mut f = self.nis[r].inject.pop_front().expect("checked nonempty");
+                    let mut f = self.nis.pop_front(r).expect("checked nonempty");
                     f.hop_scheme = EccScheme::None;
                     f
                 } else {
@@ -1094,7 +1084,7 @@ impl Network {
                 router.step.out_flits[route.index()] += 1;
                 router.counters.link_flits += 1;
                 router.counters.channel_stage_ops += 1;
-                let cost = self.channels[out_ci].as_ref().expect("checked").latency() + 1;
+                let cost = self.links.get(out_ci).expect("checked").latency() + 1;
                 if let Some(att) = self.attribution.as_mut() {
                     att.on_link_flit(out_ci, &flit, cost, true);
                 }
@@ -1102,7 +1092,7 @@ impl Network {
                     j.on_link_flit(out_ci, &flit, cost, true, now);
                 }
                 // The bypass mux/latch adds one cycle on top of the link.
-                self.channels[out_ci].as_mut().expect("checked").push_delayed(flit, now, 1);
+                self.links.push_delayed(out_ci, flit, now, 1);
             }
         }
     }
@@ -1116,11 +1106,8 @@ impl Network {
         let port = Port::from_index(i);
         let up = self.health.neighbor(r, port).expect("incoming channel exists");
         let ci = self.incoming_index(r, port).expect("incoming channel exists");
-        let mut flit = {
-            let ch = self.channels[ci].as_mut().expect("channel exists");
-            ch.pop_ready(now)
-        };
-        let relaxed = self.channels[ci].as_ref().map(|c| c.relaxed).unwrap_or(false);
+        let mut flit = self.links.pop_ready(ci, now);
+        let relaxed = self.links.get(ci).is_some_and(|c| c.relaxed);
         let base = self.re[up];
         let re = if relaxed { (base * base).max(1e-300) } else { base };
         let bits = self.traversal_bits(&flit);
@@ -1156,8 +1143,8 @@ impl Network {
         let port = Port::from_index(i);
         let up = self.health.neighbor(r, port).expect("incoming channel exists");
         let ci = self.incoming_index(r, port).expect("incoming channel exists");
-        let head = *self.channels[ci].as_ref().expect("channel exists").peek_ready(now)?;
-        let relaxed = self.channels[ci].as_ref().map(|c| c.relaxed).unwrap_or(false);
+        let head = *self.links.get(ci).expect("channel exists").peek_ready(now)?;
+        let relaxed = self.links.get(ci).is_some_and(|c| c.relaxed);
         let base = self.re[up];
         let re = if relaxed { (base * base).max(1e-300) } else { base };
         let bits = self.traversal_bits(&head);
@@ -1202,11 +1189,7 @@ impl Network {
                         self.salvage_or_drop(head);
                         return None;
                     }
-                    self.channels[ci].as_mut().expect("channel exists").delay_at(
-                        0,
-                        now,
-                        self.cfg.retx_latency as u64,
-                    );
+                    self.links.delay_at(ci, 0, now, self.cfg.retx_latency as u64);
                     if let Some(att) = self.attribution.as_mut() {
                         att.on_hop_retx(ci, &head, self.cfg.retx_latency as u64);
                     }
@@ -1229,7 +1212,7 @@ impl Network {
                     return None;
                 }
             }
-            let mut flit = self.channels[ci].as_mut().expect("channel exists").pop_ready(now);
+            let mut flit = self.links.pop_ready(ci, now);
             flit.e2e_flips = flit.e2e_flips.saturating_add(extra_flips);
             flit.hop_flips = 0;
             flit.hops += 1;
@@ -1242,7 +1225,7 @@ impl Network {
             });
             return Some(flit);
         }
-        let mut flit = self.channels[ci].as_mut().expect("channel exists").pop_ready(now);
+        let mut flit = self.links.pop_ready(ci, now);
         if k > 0 {
             // Unprotected traversal: corruption flows to the e2e check.
             flit.e2e_flips = flit.e2e_flips.saturating_add(k as u16);
@@ -1275,307 +1258,298 @@ impl Network {
 
     fn delivery_phase(&mut self) {
         let now = self.now;
-        for u in 0..self.mesh.nodes() {
-            for dir in Port::DIRECTIONS {
-                let ci = self.channel_index(u, dir);
-                if !matches!(&self.channels[ci], Some(ch) if ch.occupancy() > 0) {
-                    continue; // boundary, or nothing on the link
-                }
-                let v = self.health.neighbor(u, dir).expect("channel implies neighbor");
-                if !self.health.usable(u, dir) {
-                    continue; // link or endpoint outage: stored flits wait
-                }
-                if !self.routers[v].is_on() {
-                    continue; // bypass (phase 1) handles gated routers
-                }
-                let pending = self.routers[v].gate_pending;
-                let in_port = dir.opposite().index();
-                // Scan channel storage for the first deliverable flit
-                // (order-preserving per packet — the BST dynamic buffer
-                // allocation of §3.1.2).
-                let idx = {
-                    let channels_view = &self.channels;
-                    let health = &self.health;
-                    let mesh = self.mesh;
-                    let fault_aware = self.cfg.fault_aware_routing;
-                    let Some(ch) = channels_view[ci].as_ref() else { continue };
-                    let port = &self.routers[v].inputs()[in_port];
-                    let continuation_ok = |flit: &Flit| {
-                        let route = if fault_aware {
-                            health.route(v, flit.dest as usize, dir.opposite())
-                        } else {
-                            Some(mesh.xy_route(v, flit.dest as usize))
-                        };
-                        match route {
-                            Some(Port::Local) => true,
-                            Some(out) => matches!(
-                                &channels_view[v * DIRS + out.index()],
-                                Some(ch) if ch.has_space() && health.usable(v, out)
-                            ),
-                            None => false, // no live route: wait
-                        }
-                    };
-                    ch.scan_deliverable(now, |flit| {
-                        if flit.is_head() {
-                            if flit.vc != NO_VC {
-                                port.vcs()[flit.vc as usize].is_reserved_for(flit.packet_id)
-                            } else {
-                                // Unreserved head (granted while this router
-                                // was gated): bind a free VC, or — to keep
-                                // the channel from wedging on VC exhaustion —
-                                // ride the BST continuation latch onward.
-                                // While draining toward a proactive gate only
-                                // the continuation path is allowed.
-                                let can_bind =
-                                    !pending && port.vcs().iter().any(InputVc::available);
-                                can_bind || continuation_ok(flit)
-                            }
-                        } else if port.vcs().iter().any(|vc| vc.packet() == Some(flit.packet_id)) {
-                            port.vcs()
-                                .iter()
-                                .any(|vc| vc.packet() == Some(flit.packet_id) && vc.has_space())
-                        } else {
-                            // BST continuation (§3.1.2): the head passed this
-                            // router while it was gated (bypass), so no VC is
-                            // bound; the BST still holds the packet's route,
-                            // and the body follows latch-to-channel.
-                            continuation_ok(flit)
-                        }
-                    })
-                };
-                let Some(idx) = idx else { continue };
-                let head = *self.channels[ci].as_ref().expect("channel exists").get(idx);
-                // Route at the receiving router, around any hard faults.
-                // Heads (and BST continuations) need a live route now; a
-                // temporarily unreachable destination (intermittent outage)
-                // leaves them waiting on the channel. Body/tail flits bound
-                // to a VC follow the path their head already took, so a
-                // missing route must not block them.
-                let bound_body = !head.is_head()
-                    && self.routers[v].inputs()[in_port]
-                        .vcs()
-                        .iter()
-                        .any(|vc| vc.packet() == Some(head.packet_id));
-                let t_rc = self.prof_now();
-                let routed = self.route_via(v, head.dest as usize, dir.opposite());
-                self.span_leaf("route.compute", t_rc, 0);
-                let route = match routed {
-                    Some(route) => route,
-                    None if bound_body => Port::Local, // unused: follows the VC binding
-                    None => continue,
-                };
-                // The flit physically traverses the link now: sample faults.
-                let scheme = head.hop_scheme;
-                let re = {
-                    let base = self.re[u];
-                    let relaxed = self.channels[ci].as_ref().map(|c| c.relaxed).unwrap_or(false);
-                    if relaxed {
-                        (base * base).max(1e-300)
+        // Non-empty channels in ascending (router, direction) order. The
+        // set is re-read for every step, so a channel filled mid-pass by a
+        // BST-continuation push ahead of the cursor is visited this cycle
+        // and one behind it is not — what a scan of every slot would do.
+        let mut next_slot = 0;
+        while let Some(ci) = self.links.next_occupied(next_slot) {
+            next_slot = ci + 1;
+            let (u, dir) = (ci / DIRS, Port::from_index(ci % DIRS));
+            let v = self.health.neighbor(u, dir).expect("channel implies neighbor");
+            if !self.health.usable(u, dir) {
+                continue; // link or endpoint outage: stored flits wait
+            }
+            if !self.routers[v].is_on() {
+                continue; // bypass (phase 1) handles gated routers
+            }
+            let pending = self.routers[v].gate_pending;
+            let in_port = dir.opposite().index();
+            // Scan channel storage for the first deliverable flit
+            // (order-preserving per packet — the BST dynamic buffer
+            // allocation of §3.1.2).
+            let idx = {
+                let links = &self.links;
+                let health = &self.health;
+                let mesh = self.mesh;
+                let fault_aware = self.cfg.fault_aware_routing;
+                let Some(ch) = links.get(ci) else { continue };
+                let port = &self.routers[v].inputs()[in_port];
+                let continuation_ok = |flit: &Flit| {
+                    let route = if fault_aware {
+                        health.route(v, flit.dest as usize, dir.opposite())
                     } else {
-                        base
+                        Some(mesh.xy_route(v, flit.dest as usize))
+                    };
+                    match route {
+                        Some(Port::Local) => true,
+                        Some(out) => {
+                            links.has_space(v * DIRS + out.index()) && health.usable(v, out)
+                        }
+                        None => false, // no live route: wait
                     }
                 };
-                let bits = self.traversal_bits(&head);
-                let k_link = self.sample_flips(bits, re);
-                let bucket = (k_link as usize).min(3);
-                self.routers[u].step.error_hist[bucket] += 1;
-                if k_link > 0 {
-                    self.stats.faulty_traversals += 1;
-                }
-                // Corruption accumulated while bypassing gated routers is
-                // still in the codeword and decodes here.
-                let k = k_link + head.hop_flips as u32;
-                let mut extra_flips = 0u16;
-                if k > 0 {
-                    if scheme.is_per_hop() {
-                        let payload = head.payload();
-                        let t_enc = self.prof_now();
-                        let mut cw = self.suite.encode(scheme, payload);
-                        self.span_leaf("ecc.encode", t_enc, 1);
-                        let k = k.min(bits as u32);
-                        for pos in self.injector.choose_positions(bits, k) {
-                            cw.flip_bit(pos);
+                ch.scan_deliverable(now, |flit| {
+                    if flit.is_head() {
+                        if flit.vc != NO_VC {
+                            port.vcs()[flit.vc as usize].is_reserved_for(flit.packet_id)
+                        } else {
+                            // Unreserved head (granted while this router
+                            // was gated): bind a free VC, or — to keep
+                            // the channel from wedging on VC exhaustion —
+                            // ride the BST continuation latch onward.
+                            // While draining toward a proactive gate only
+                            // the continuation path is allowed.
+                            let can_bind = !pending && port.vcs().iter().any(InputVc::available);
+                            can_bind || continuation_ok(flit)
                         }
-                        let t_dec = self.prof_now();
-                        let (data, status) = self.suite.decode(scheme, &cw);
-                        self.span_leaf("ecc.decode", t_dec, 1);
-                        match status {
-                            DecodeStatus::Clean => extra_flips = k as u16,
-                            DecodeStatus::Corrected(_) => {
-                                if data == payload {
-                                    self.stats.corrected_bits += k as u64;
-                                    self.trace(Event::EccCorrected {
-                                        cycle: now,
-                                        router: v as u32,
-                                        packet: head.packet_id,
-                                        bits: k,
-                                    });
-                                    if let Some(j) = self.journey.as_mut() {
-                                        j.on_ecc_corrected(head.packet_id, v as u16, now);
-                                    }
-                                } else {
-                                    extra_flips = k as u16;
-                                }
-                            }
-                            DecodeStatus::Detected => {
-                                let t_retx = self.prof_now();
-                                if self.cfg.max_retx > 0
-                                    && u32::from(head.retx) >= self.cfg.max_retx
-                                {
-                                    // Hop-retry budget exhausted: escalate to
-                                    // end-to-end recovery (or accounted drop).
-                                    self.salvage_or_drop(head);
-                                    self.span_leaf("retx.ladder", t_retx, 1);
-                                    continue;
-                                }
-                                // NACK: the stored copy re-traverses the link.
-                                self.channels[ci].as_mut().expect("channel exists").delay_at(
-                                    idx,
-                                    now,
-                                    self.cfg.retx_latency as u64,
-                                );
-                                if let Some(att) = self.attribution.as_mut() {
-                                    att.on_hop_retx(ci, &head, self.cfg.retx_latency as u64);
-                                }
-                                if let Some(j) = self.journey.as_mut() {
-                                    j.on_hop_retx(ci, &head, self.cfg.retx_latency as u64, now);
-                                }
-                                self.stats.hop_retx_events += 1;
-                                self.stats.retransmitted_flits += 1;
-                                self.trace(Event::Retransmission {
+                    } else if port.vcs().iter().any(|vc| vc.packet() == Some(flit.packet_id)) {
+                        port.vcs()
+                            .iter()
+                            .any(|vc| vc.packet() == Some(flit.packet_id) && vc.has_space())
+                    } else {
+                        // BST continuation (§3.1.2): the head passed this
+                        // router while it was gated (bypass), so no VC is
+                        // bound; the BST still holds the packet's route,
+                        // and the body follows latch-to-channel.
+                        continuation_ok(flit)
+                    }
+                })
+            };
+            let Some(idx) = idx else { continue };
+            let head = *self.links.get(ci).expect("channel exists").get(idx);
+            // Route at the receiving router, around any hard faults.
+            // Heads (and BST continuations) need a live route now; a
+            // temporarily unreachable destination (intermittent outage)
+            // leaves them waiting on the channel. Body/tail flits bound
+            // to a VC follow the path their head already took, so a
+            // missing route must not block them.
+            let bound_body = !head.is_head()
+                && self.routers[v].inputs()[in_port]
+                    .vcs()
+                    .iter()
+                    .any(|vc| vc.packet() == Some(head.packet_id));
+            let t_rc = self.prof_now();
+            let routed = self.route_via(v, head.dest as usize, dir.opposite());
+            self.span_leaf("route.compute", t_rc, 0);
+            let route = match routed {
+                Some(route) => route,
+                None if bound_body => Port::Local, // unused: follows the VC binding
+                None => continue,
+            };
+            // The flit physically traverses the link now: sample faults.
+            let scheme = head.hop_scheme;
+            let re = {
+                let base = self.re[u];
+                let relaxed = self.links.get(ci).is_some_and(|c| c.relaxed);
+                if relaxed {
+                    (base * base).max(1e-300)
+                } else {
+                    base
+                }
+            };
+            let bits = self.traversal_bits(&head);
+            let k_link = self.sample_flips(bits, re);
+            let bucket = (k_link as usize).min(3);
+            self.routers[u].step.error_hist[bucket] += 1;
+            if k_link > 0 {
+                self.stats.faulty_traversals += 1;
+            }
+            // Corruption accumulated while bypassing gated routers is
+            // still in the codeword and decodes here.
+            let k = k_link + head.hop_flips as u32;
+            let mut extra_flips = 0u16;
+            if k > 0 {
+                if scheme.is_per_hop() {
+                    let payload = head.payload();
+                    let t_enc = self.prof_now();
+                    let mut cw = self.suite.encode(scheme, payload);
+                    self.span_leaf("ecc.encode", t_enc, 1);
+                    let k = k.min(bits as u32);
+                    for pos in self.injector.choose_positions(bits, k) {
+                        cw.flip_bit(pos);
+                    }
+                    let t_dec = self.prof_now();
+                    let (data, status) = self.suite.decode(scheme, &cw);
+                    self.span_leaf("ecc.decode", t_dec, 1);
+                    match status {
+                        DecodeStatus::Clean => extra_flips = k as u16,
+                        DecodeStatus::Corrected(_) => {
+                            if data == payload {
+                                self.stats.corrected_bits += k as u64;
+                                self.trace(Event::EccCorrected {
                                     cycle: now,
                                     router: v as u32,
                                     packet: head.packet_id,
-                                    scope: RetxScope::Hop,
+                                    bits: k,
                                 });
-                                let up = &mut self.routers[u];
-                                up.step.retransmissions += 1;
-                                up.counters.retransmitted_flits += 1;
-                                up.counters.link_flits += 1;
-                                up.counters.count_ecc_op(scheme); // re-encode
-                                if self.cfg.mfac_retx {
-                                    up.counters.channel_stage_ops += 1;
-                                } else {
-                                    up.counters.buffer_reads += 1;
+                                if let Some(j) = self.journey.as_mut() {
+                                    j.on_ecc_corrected(head.packet_id, v as u16, now);
                                 }
+                            } else {
+                                extra_flips = k as u16;
+                            }
+                        }
+                        DecodeStatus::Detected => {
+                            let t_retx = self.prof_now();
+                            if self.cfg.max_retx > 0 && u32::from(head.retx) >= self.cfg.max_retx {
+                                // Hop-retry budget exhausted: escalate to
+                                // end-to-end recovery (or accounted drop).
+                                self.salvage_or_drop(head);
                                 self.span_leaf("retx.ladder", t_retx, 1);
                                 continue;
                             }
+                            // NACK: the stored copy re-traverses the link.
+                            self.links.delay_at(ci, idx, now, self.cfg.retx_latency as u64);
+                            if let Some(att) = self.attribution.as_mut() {
+                                att.on_hop_retx(ci, &head, self.cfg.retx_latency as u64);
+                            }
+                            if let Some(j) = self.journey.as_mut() {
+                                j.on_hop_retx(ci, &head, self.cfg.retx_latency as u64, now);
+                            }
+                            self.stats.hop_retx_events += 1;
+                            self.stats.retransmitted_flits += 1;
+                            self.trace(Event::Retransmission {
+                                cycle: now,
+                                router: v as u32,
+                                packet: head.packet_id,
+                                scope: RetxScope::Hop,
+                            });
+                            let up = &mut self.routers[u];
+                            up.step.retransmissions += 1;
+                            up.counters.retransmitted_flits += 1;
+                            up.counters.link_flits += 1;
+                            up.counters.count_ecc_op(scheme); // re-encode
+                            if self.cfg.mfac_retx {
+                                up.counters.channel_stage_ops += 1;
+                            } else {
+                                up.counters.buffer_reads += 1;
+                            }
+                            self.span_leaf("retx.ladder", t_retx, 1);
+                            continue;
                         }
-                    } else {
-                        extra_flips = k as u16;
-                    }
-                }
-                // Deliver.
-                let mut flit = self.channels[ci].as_mut().expect("channel exists").remove_at(idx);
-                flit.e2e_flips = flit.e2e_flips.saturating_add(extra_flips);
-                flit.hop_flips = 0; // decoded (and re-encoded at next output)
-                flit.hops += 1;
-                self.trace(Event::HopTraversed {
-                    cycle: now,
-                    router: v as u32,
-                    packet: flit.packet_id,
-                    flit: flit.id,
-                });
-                if flit.is_head() {
-                    if let Some(prof) = self.profiler.as_mut() {
-                        prof.phases.rc += 1; // route computed for a new packet
-                    }
-                    let xy = self.mesh.xy_route(v, flit.dest as usize);
-                    if route != xy {
-                        self.stats.reroutes += 1;
-                        self.trace(Event::Rerouted {
-                            cycle: now,
-                            router: v as u32,
-                            packet: flit.packet_id,
-                            from: xy.index() as u8,
-                            to: route.index() as u8,
-                        });
-                        if let Some(j) = self.journey.as_mut() {
-                            j.on_reroute(flit.packet_id, v as u16, now);
-                        }
-                    }
-                }
-                let ready = now + if flit.is_head() { self.cfg.pipeline_latency as u64 } else { 1 };
-                let vc = if flit.is_head() {
-                    if flit.vc != NO_VC {
-                        Some(flit.vc as usize)
-                    } else if self.routers[v].gate_pending {
-                        None // continuation only while draining toward a gate
-                    } else {
-                        self.routers[v].inputs()[in_port].vcs().iter().position(InputVc::available)
                     }
                 } else {
-                    self.routers[v].inputs()[in_port]
-                        .vcs()
-                        .iter()
-                        .position(|vcs| vcs.packet() == Some(flit.packet_id))
-                };
-                {
-                    let router = &mut self.routers[v];
-                    if scheme.is_per_hop() {
-                        router.counters.count_ecc_op(scheme); // decode
-                    }
-                    router.step.in_flits[in_port] += 1;
+                    extra_flips = k as u16;
                 }
-                match vc {
-                    Some(vc) => {
-                        if flit.is_head() {
-                            if let Some(att) = self.attribution.as_mut() {
-                                att.on_pipeline(flit.packet_id, self.cfg.pipeline_latency as u64);
-                            }
-                            if let Some(j) = self.journey.as_mut() {
-                                j.on_pipeline(
-                                    flit.packet_id,
-                                    v as u16,
-                                    self.cfg.pipeline_latency as u64,
-                                    now,
-                                );
-                            }
-                        }
-                        let router = &mut self.routers[v];
-                        router.counters.buffer_writes += 1;
-                        router.input_mut(in_port).enqueue(vc, flit, route, ready);
-                        self.span_count(1, 1); // buffered into an input VC
+            }
+            // Deliver.
+            let mut flit = self.links.remove_at(ci, idx);
+            flit.e2e_flips = flit.e2e_flips.saturating_add(extra_flips);
+            flit.hop_flips = 0; // decoded (and re-encoded at next output)
+            flit.hops += 1;
+            self.trace(Event::HopTraversed {
+                cycle: now,
+                router: v as u32,
+                packet: flit.packet_id,
+                flit: flit.id,
+            });
+            if flit.is_head() {
+                if let Some(prof) = self.profiler.as_mut() {
+                    prof.phases.rc += 1; // route computed for a new packet
+                }
+                let xy = self.mesh.xy_route(v, flit.dest as usize);
+                if route != xy {
+                    self.stats.reroutes += 1;
+                    self.trace(Event::Rerouted {
+                        cycle: now,
+                        router: v as u32,
+                        packet: flit.packet_id,
+                        from: xy.index() as u8,
+                        to: route.index() as u8,
+                    });
+                    if let Some(j) = self.journey.as_mut() {
+                        j.on_reroute(flit.packet_id, v as u16, now);
                     }
-                    None => {
-                        // BST continuation: forward latch-to-channel.
-                        flit.vc = NO_VC;
-                        if route == Port::Local {
-                            self.eject(v, flit);
-                        } else {
-                            flit.hop_scheme = EccScheme::None;
-                            let out_ci = self.channel_index(v, route);
-                            let router = &mut self.routers[v];
-                            router.step.out_flits[route.index()] += 1;
-                            router.counters.link_flits += 1;
-                            router.counters.channel_stage_ops += 1;
-                            let cost = self.channels[out_ci]
-                                .as_ref()
-                                .expect("route stays on the mesh")
-                                .latency();
-                            if let Some(att) = self.attribution.as_mut() {
-                                att.on_link_flit(out_ci, &flit, cost, false);
-                            }
-                            if let Some(j) = self.journey.as_mut() {
-                                j.on_link_flit(out_ci, &flit, cost, false, now);
-                            }
-                            self.channels[out_ci]
-                                .as_mut()
-                                .expect("route stays on the mesh")
-                                .push(flit, now);
-                            self.span_count(1, 0); // latch-to-channel, no buffer
+                }
+            }
+            let ready = now + if flit.is_head() { self.cfg.pipeline_latency as u64 } else { 1 };
+            let vc = if flit.is_head() {
+                if flit.vc != NO_VC {
+                    Some(flit.vc as usize)
+                } else if self.routers[v].gate_pending {
+                    None // continuation only while draining toward a gate
+                } else {
+                    self.routers[v].inputs()[in_port].vcs().iter().position(InputVc::available)
+                }
+            } else {
+                self.routers[v].inputs()[in_port]
+                    .vcs()
+                    .iter()
+                    .position(|vcs| vcs.packet() == Some(flit.packet_id))
+            };
+            {
+                let router = &mut self.routers[v];
+                if scheme.is_per_hop() {
+                    router.counters.count_ecc_op(scheme); // decode
+                }
+                router.step.in_flits[in_port] += 1;
+            }
+            match vc {
+                Some(vc) => {
+                    if flit.is_head() {
+                        if let Some(att) = self.attribution.as_mut() {
+                            att.on_pipeline(flit.packet_id, self.cfg.pipeline_latency as u64);
                         }
+                        if let Some(j) = self.journey.as_mut() {
+                            j.on_pipeline(
+                                flit.packet_id,
+                                v as u16,
+                                self.cfg.pipeline_latency as u64,
+                                now,
+                            );
+                        }
+                    }
+                    let router = &mut self.routers[v];
+                    router.counters.buffer_writes += 1;
+                    router.enqueue(in_port, vc, flit, route, ready);
+                    self.span_count(1, 1); // buffered into an input VC
+                }
+                None => {
+                    // BST continuation: forward latch-to-channel.
+                    flit.vc = NO_VC;
+                    if route == Port::Local {
+                        self.eject(v, flit);
+                    } else {
+                        flit.hop_scheme = EccScheme::None;
+                        let out_ci = self.channel_index(v, route);
+                        let router = &mut self.routers[v];
+                        router.step.out_flits[route.index()] += 1;
+                        router.counters.link_flits += 1;
+                        router.counters.channel_stage_ops += 1;
+                        let cost =
+                            self.links.get(out_ci).expect("route stays on the mesh").latency();
+                        if let Some(att) = self.attribution.as_mut() {
+                            att.on_link_flit(out_ci, &flit, cost, false);
+                        }
+                        if let Some(j) = self.journey.as_mut() {
+                            j.on_link_flit(out_ci, &flit, cost, false, now);
+                        }
+                        self.links.push(out_ci, flit, now);
+                        self.span_count(1, 0); // latch-to-channel, no buffer
                     }
                 }
             }
         }
-        // NI injection into powered local ports (one flit per cycle).
-        for r in 0..self.mesh.nodes() {
+        // NI injection into powered local ports (one flit per cycle), over
+        // the non-empty injection queues in ascending node order.
+        let mut next_node = 0;
+        while let Some(r) = self.nis.next_waiting(next_node) {
+            next_node = r + 1;
             if !self.routers[r].is_on() {
                 continue;
             }
-            let Some(head) = self.nis[r].inject.front().copied() else { continue };
+            let head = *self.nis[r].inject.front().expect("waiting set implies a queued flit");
             if self.routers[r].gate_pending && head.is_head() {
                 continue; // draining toward a proactive gate
             }
@@ -1597,27 +1571,22 @@ impl Network {
                     continue;
                 }
                 let out_ci = self.channel_index(r, route);
-                let ok = matches!(&self.channels[out_ci], Some(ch) if ch.has_space());
-                if ok {
-                    let mut flit = self.nis[r].inject.pop_front().expect("checked nonempty");
+                if self.links.has_space(out_ci) {
+                    let mut flit = self.nis.pop_front(r).expect("checked nonempty");
                     flit.hop_scheme = EccScheme::None;
                     flit.vc = NO_VC;
                     let router = &mut self.routers[r];
                     router.step.out_flits[route.index()] += 1;
                     router.counters.link_flits += 1;
                     router.counters.channel_stage_ops += 1;
-                    let cost =
-                        self.channels[out_ci].as_ref().expect("route stays on the mesh").latency();
+                    let cost = self.links.get(out_ci).expect("route stays on the mesh").latency();
                     if let Some(att) = self.attribution.as_mut() {
                         att.on_link_flit(out_ci, &flit, cost, false);
                     }
                     if let Some(j) = self.journey.as_mut() {
                         j.on_link_flit(out_ci, &flit, cost, false, now);
                     }
-                    self.channels[out_ci]
-                        .as_mut()
-                        .expect("route stays on the mesh")
-                        .push(flit, now);
+                    self.links.push(out_ci, flit, now);
                 }
                 continue;
             }
@@ -1630,7 +1599,7 @@ impl Network {
             let Some(route) = routed else {
                 continue; // destination unreachable right now: wait
             };
-            let flit = self.nis[r].inject.pop_front().expect("checked nonempty");
+            let flit = self.nis.pop_front(r).expect("checked nonempty");
             if flit.is_head() {
                 if let Some(prof) = self.profiler.as_mut() {
                     prof.phases.rc += 1; // route computed at injection
@@ -1662,7 +1631,7 @@ impl Network {
             let router = &mut self.routers[r];
             router.counters.buffer_writes += 1;
             router.step.in_flits[in_port] += 1;
-            router.input_mut(in_port).enqueue(vc, flit, route, ready);
+            router.enqueue(in_port, vc, flit, route, ready);
             self.span_count(1, 1); // injected into an input VC buffer
         }
     }
@@ -1708,14 +1677,14 @@ impl Network {
                 crc_failed_now = status == DecodeStatus::Detected;
             }
         }
-        let entry = self.nis[r].recv.entry(flit.packet_id).or_default();
+        let entry = self.nis.recv_mut(r).entry(flit.packet_id).or_default();
         entry.flits += 1;
         entry.flips += flit.e2e_flips as u32;
         entry.crc_failed |= crc_failed_now;
         if entry.flits < crate::flit::FLITS_PER_PACKET {
             return;
         }
-        let state = self.nis[r].recv.remove(&flit.packet_id).expect("entry exists");
+        let state = self.nis.recv_mut(r).remove(&flit.packet_id).expect("entry exists");
         if state.crc_failed {
             // Bounded escalation: a packet that keeps failing its e2e CRC
             // past the generation budget is accounted as lost rather than
@@ -1754,7 +1723,7 @@ impl Network {
             // Re-transmissions join the BACK of the source queue: pushing
             // them in front would interleave with a partially injected
             // packet's remaining flits and can deadlock the NI FIFO.
-            self.nis[src].inject.extend(flits);
+            self.nis.extend(src, flits);
             if let Some(att) = self.attribution.as_mut() {
                 att.on_e2e_retx(flit.packet_id, self.now);
             }
@@ -1768,17 +1737,14 @@ impl Network {
         if let Some(att) = self.attribution.as_mut() {
             att.on_complete(flit.packet_id, flit.src, flit.dest, self.now, latency);
         }
-        let bb_installed = self.blackbox.is_some();
         if let Some(j) = self.journey.as_mut() {
             if let Some(journey) = j.on_complete(flit.packet_id, self.now, latency) {
                 // Feed the blackbox's slowest-journeys ring so post-mortem
-                // bundles can name the worst recent journeys.
-                if bb_installed {
-                    let line = journey.to_jsonl_line();
-                    if let Some(bb) = self.blackbox.as_ref() {
-                        if let Ok(mut rec) = bb.lock() {
-                            rec.push_journey(latency, line);
-                        }
+                // bundles can name the worst recent journeys; the ring
+                // renders the record only if it might keep it.
+                if let Some(bb) = self.blackbox.as_ref() {
+                    if let Ok(mut rec) = bb.lock() {
+                        rec.push_journey(latency, || journey.to_jsonl_line());
                     }
                 }
             }
@@ -1816,18 +1782,16 @@ impl Network {
     // Phase 3: gating bookkeeping
     // ------------------------------------------------------------------
 
-    fn incoming_occupancy(&self, r: usize) -> (usize, usize) {
-        let mut total = 0;
-        let mut max_one = 0;
-        for p in Port::DIRECTIONS {
-            if let Some(ci) = self.incoming_index(r, p) {
-                if let Some(ch) = &self.channels[ci] {
-                    total += ch.occupancy();
-                    max_one = max_one.max(ch.occupancy());
-                }
-            }
-        }
-        (total, max_one)
+    /// The fullest channel feeding router `r` — the wake-pressure reading
+    /// of a `Gated` router with inbound flits. (The total is
+    /// `self.links.inbound(r)`.)
+    fn max_incoming_occupancy(&self, r: usize) -> usize {
+        Port::DIRECTIONS
+            .into_iter()
+            .filter_map(|p| self.links.get(self.incoming_index(r, p)?))
+            .map(|ch| ch.occupancy())
+            .max()
+            .unwrap_or(0)
     }
 
     /// Whether any incoming ready flit needs to *turn* at router `r` — a
@@ -1837,7 +1801,7 @@ impl Network {
         let now = self.now;
         for p in Port::DIRECTIONS {
             let Some(ci) = self.incoming_index(r, p) else { continue };
-            let Some(ch) = &self.channels[ci] else { continue };
+            let Some(ch) = self.links.get(ci) else { continue };
             if let Some(flit) = ch.peek_ready(now) {
                 let Some(route) = self.route_via(r, flit.dest as usize, p) else {
                     continue; // unreachable right now: nothing to wake for
@@ -1862,11 +1826,13 @@ impl Network {
                 self.stats.gated_router_cycles += 1;
                 continue;
             }
-            let (incoming, max_incoming) = self.incoming_occupancy(r);
-            // Only the `Gated` arm reads this.
-            let turn_pending =
-                matches!(self.routers[r].gate, GateState::Gated) && self.incoming_turn_pending(r);
-            let ni_waiting = !self.nis[r].inject.is_empty();
+            let incoming = self.links.inbound(r);
+            // Only the `Gated` arm reads these two, and with nothing inbound
+            // both are their zero values: no channel needs walking.
+            let gated_inbound = incoming > 0 && matches!(self.routers[r].gate, GateState::Gated);
+            let max_incoming = if gated_inbound { self.max_incoming_occupancy(r) } else { 0 };
+            let turn_pending = gated_inbound && self.incoming_turn_pending(r);
+            let ni_waiting = self.nis.waiting(r);
             let router = &mut self.routers[r];
             router.step.occupancy_sum += router.occupancy() as u64;
             router.step.cycles += 1;
@@ -1992,7 +1958,7 @@ impl Network {
                     // e2e CRC encode at the source NI.
                     self.routers[node].counters.crc_ops += crate::flit::FLITS_PER_PACKET as u64;
                 }
-                self.nis[node].inject.extend(flits);
+                self.nis.extend(node, flits);
             }
         }
     }
@@ -2111,6 +2077,26 @@ impl Network {
             self.span_exit();
         }
         self.span_exit();
+        debug_assert_eq!(self.occupancy_index_drift(), None, "cycle {}", self.now);
+    }
+
+    /// Compares the occupancy index (per-router buffered counts, per-router
+    /// inbound-flit counts, the non-empty channel set and the non-empty NI
+    /// set) with a from-scratch recount of every queue. `None` means they
+    /// agree; `Some(what)` names the first mismatch. Debug builds assert
+    /// this at the end of every [`Network::step_cycle`].
+    #[doc(hidden)]
+    pub fn occupancy_index_drift(&self) -> Option<String> {
+        let stale = self.routers.iter().find(|r| r.occupancy() != r.recount_occupancy());
+        if let Some(r) = stale {
+            return Some(format!(
+                "router {}: buffered count {} vs {} recounted",
+                r.id,
+                r.occupancy(),
+                r.recount_occupancy()
+            ));
+        }
+        self.links.index_drift().or_else(|| self.nis.index_drift())
     }
 
     /// Runs `n` cycles (or fewer if the workload completes); returns whether
@@ -2143,10 +2129,7 @@ impl Network {
         for (r, d) in directives.iter().enumerate() {
             self.routers[r].directive = *d;
             for dir in Port::DIRECTIONS {
-                let ci = self.channel_index(r, dir);
-                if let Some(ch) = self.channels[ci].as_mut() {
-                    ch.relaxed = d.relaxed;
-                }
+                self.links.set_relaxed(self.channel_index(r, dir), d.relaxed);
             }
         }
     }
@@ -2263,8 +2246,7 @@ impl Network {
                         "ejectable NOW".to_owned()
                     } else {
                         let ci = self.channel_index(r, out);
-                        let ch_full = !matches!(&self.channels[ci], Some(ch) if ch.has_space());
-                        if ch_full {
+                        if !self.links.has_space(ci) {
                             format!("out {out:?} channel full")
                         } else if f.is_head() {
                             let dv = self.mesh.neighbor(r, out);
@@ -2322,8 +2304,7 @@ impl Network {
                         continue;
                     }
                     let ci = self.channel_index(r, out);
-                    let space = matches!(&self.channels[ci], Some(ch) if ch.has_space());
-                    if !space {
+                    if !self.links.has_space(ci) {
                         continue;
                     }
                     if f.is_head() {
@@ -2356,10 +2337,8 @@ impl Network {
                 if !self.routers[v].is_on() {
                     if self.cfg.bypass_enabled {
                         let ci = self.channel_index(u, dir);
-                        if let Some(ch) = &self.channels[ci] {
-                            if ch.peek_ready(now).is_some() {
-                                deliver += 1; // bypass will look at it
-                            }
+                        if self.links.get(ci).is_some_and(|ch| ch.peek_ready(now).is_some()) {
+                            deliver += 1; // bypass will look at it
                         }
                     }
                     continue;
@@ -2367,11 +2346,11 @@ impl Network {
                 let pending = self.routers[v].gate_pending;
                 let ci = self.channel_index(u, dir);
                 let in_port = dir.opposite().index();
-                let channels_view = &self.channels;
+                let links = &self.links;
                 let health = &self.health;
                 let mesh = self.mesh;
                 let fault_aware = self.cfg.fault_aware_routing;
-                let Some(ch) = channels_view[ci].as_ref() else { continue };
+                let Some(ch) = links.get(ci) else { continue };
                 let port = &self.routers[v].inputs()[in_port];
                 let continuation_ok = |flit: &Flit| {
                     let route = if fault_aware {
@@ -2381,10 +2360,7 @@ impl Network {
                     };
                     match route {
                         Some(Port::Local) => true,
-                        Some(out) => matches!(
-                            &channels_view[v * DIRS + out.index()],
-                            Some(ch) if ch.has_space()
-                        ),
+                        Some(out) => links.has_space(v * DIRS + out.index()),
                         None => false,
                     }
                 };
@@ -2464,8 +2440,7 @@ impl Network {
     pub fn snapshot_find_packet(&self, pkt: u64) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        for (ci, ch) in self.channels.iter().enumerate() {
-            let Some(ch) = ch else { continue };
+        for (ci, ch) in self.links.iter() {
             for i in 0..ch.occupancy() {
                 let f = ch.get(i);
                 if f.packet_id == pkt {
@@ -2518,7 +2493,7 @@ impl Network {
         use std::fmt::Write as _;
         let mut out = String::new();
         let ci = self.channel_index(u, dir);
-        let Some(ch) = &self.channels[ci] else {
+        let Some(ch) = self.links.get(ci) else {
             let _ = writeln!(out, "channel {u} {dir:?}: boundary");
             return out;
         };
@@ -2555,7 +2530,7 @@ impl Network {
             for dir in Port::DIRECTIONS {
                 let Some(v) = self.mesh.neighbor(u, dir) else { continue };
                 let ci = self.channel_index(u, dir);
-                let Some(ch) = &self.channels[ci] else { continue };
+                let Some(ch) = self.links.get(ci) else { continue };
                 if ch.occupancy() == 0 {
                     continue;
                 }
@@ -2627,7 +2602,7 @@ impl Network {
                 .count();
             let mut ch_occ = 0;
             for dir in Port::DIRECTIONS {
-                if let Some(ch) = &self.channels[self.channel_index(r, dir)] {
+                if let Some(ch) = self.links.get(self.channel_index(r, dir)) {
                     ch_occ += ch.occupancy();
                 }
             }
@@ -2739,6 +2714,51 @@ mod tests {
     }
 
     #[test]
+    fn stuffed_ni_and_purged_packets_leave_the_occupancy_index_consistent() {
+        let mut cfg = quiet_config();
+        cfg.width = 4;
+        cfg.height = 4;
+        let spec = WorkloadSpec { packets_per_node: 0, ..WorkloadSpec::uniform(0.0, 0) };
+        let mut net = Network::new(cfg, spec, 1);
+        // Hand-stuff two packets into node 0's NI, as the tests below do.
+        net.stats.packets_injected = 2;
+        net.outstanding[0] = 2;
+        net.nis.extend(0, make_packet(0, 0, 0, 3, 0));
+        net.nis.extend(0, make_packet(1, 4, 0, 15, 0));
+        assert!(net.nis.waiting(0) && !net.nis.waiting(1));
+        assert_eq!(net.occupancy_index_drift(), None);
+        // Step (every step re-checks the index in debug builds) until flits
+        // sit in all three kinds of queue at once: NI, input VCs, channels.
+        let in_network = |net: &Network| {
+            let buffered: usize = net.routers.iter().map(Router::occupancy).sum();
+            let on_links: usize = (0..16).map(|r| net.links.inbound(r)).sum();
+            (buffered, on_links)
+        };
+        let spread = |net: &Network| {
+            let (buffered, on_links) = in_network(net);
+            buffered > 0 && on_links > 0 && net.nis.waiting(0)
+        };
+        for _ in 0..20 {
+            if spread(&net) {
+                break;
+            }
+            net.step_cycle();
+        }
+        assert!(spread(&net), "{:?} in the network", in_network(&net));
+        // Purge both mid-flight, the way hard-fault salvage does.
+        net.purge_packet(0);
+        assert_eq!(net.occupancy_index_drift(), None);
+        net.purge_packet(1);
+        assert_eq!(net.occupancy_index_drift(), None);
+        assert_eq!(in_network(&net), (0, 0));
+        assert_eq!(net.links.next_occupied(0), None);
+        assert_eq!(net.nis.next_waiting(0), None);
+        // A purged network is quiescent and stays consistent.
+        net.step_cycle();
+        assert_eq!(net.occupancy_index_drift(), None);
+    }
+
+    #[test]
     fn single_packet_minimum_latency() {
         // One packet from node 0 to node 1 (one hop): latency should be
         // injection + pipeline + link + serialization, within a small bound.
@@ -2751,7 +2771,7 @@ mod tests {
         let flits = make_packet(0, 0, 0, 1, 0);
         net.stats.packets_injected = 1;
         net.outstanding[0] = 1;
-        net.nis[0].inject.extend(flits);
+        net.nis.extend(0, flits);
         for _ in 0..60 {
             net.step_cycle();
         }
@@ -2937,7 +2957,7 @@ mod tests {
         let mut net = Network::new(cfg, spec, 1);
         net.stats.packets_injected = 1;
         net.outstanding[0] = 1;
-        net.nis[0].inject.extend(make_packet(0, 0, 0, 1, 0));
+        net.nis.extend(0, make_packet(0, 0, 0, 1, 0));
 
         let done = net.run_cycles(10_000);
         assert!(done, "a stalled run must terminate via the watchdog");

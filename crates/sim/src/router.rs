@@ -122,8 +122,9 @@ impl InputVc {
 
     /// Removes every trace of `packet` from this VC: queued flits, the
     /// binding, and any reservation. Returns the number of flits removed.
-    /// Used by hard-fault salvage/drop handling.
-    pub fn purge_packet(&mut self, packet: u64) -> usize {
+    /// Reached only through [`Router::purge_packet`], which keeps the
+    /// router's buffered-flit count in step.
+    fn purge_packet(&mut self, packet: u64) -> usize {
         let mut removed = 0;
         if self.packet == Some(packet) {
             removed = self.queue.len();
@@ -146,12 +147,9 @@ impl InputVc {
         self.route = route;
     }
 
-    /// Removes the head flit after a switch-allocation grant.
-    ///
-    /// # Panics
-    ///
-    /// Panics if there is no eligible head flit.
-    pub fn pop_granted(&mut self, now: Cycle) -> Flit {
+    /// Removes the head flit after a switch-allocation grant (reached only
+    /// through [`Router::pop_granted`]).
+    fn pop_granted(&mut self, now: Cycle) -> Flit {
         match self.queue.front() {
             Some((_, ready)) if *ready <= now => {
                 let (flit, _) = self.queue.pop_front().expect("head exists");
@@ -206,14 +204,9 @@ impl InputPort {
         }
     }
 
-    /// Enqueues `flit` into `vc` with SA eligibility at `ready`.
-    ///
-    /// For head flits, binds the VC to the packet with output `route`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the VC has no space or (for heads) is not available.
-    pub fn enqueue(&mut self, vc: usize, flit: Flit, route: Port, ready: Cycle) {
+    /// Enqueues `flit` into `vc` (reached only through
+    /// [`Router::enqueue`]).
+    fn enqueue(&mut self, vc: usize, flit: Flit, route: Port, ready: Cycle) {
         let slot = &mut self.vcs[vc];
         assert!(slot.has_space(), "VC overflow");
         if flit.is_head() {
@@ -277,6 +270,11 @@ pub struct Router {
     /// Node index.
     pub id: usize,
     inputs: Vec<InputPort>,
+    /// Flits buffered across all input VCs — the router's share of the
+    /// occupancy index. Only [`Router::enqueue`], [`Router::pop_granted`]
+    /// and [`Router::purge_packet`] add or remove flits, so it cannot drift
+    /// from the queues.
+    buffered: usize,
     /// Gating state.
     pub gate: GateState,
     /// Pending proactive gate request (waiting for buffers to drain).
@@ -301,6 +299,7 @@ impl Router {
         Router {
             id,
             inputs: (0..PORTS).map(|_| InputPort::new(vcs, depth)).collect(),
+            buffered: 0,
             gate: GateState::On,
             gate_pending: false,
             idle_cycles: 0,
@@ -317,7 +316,10 @@ impl Router {
         &self.inputs
     }
 
-    /// Mutable access to one input port.
+    /// Mutable access to one input port — for VC bookkeeping that moves no
+    /// flit (reservations, `out_vc`, route rebinds). Flits enter and leave
+    /// through [`Router::enqueue`] / [`Router::pop_granted`] /
+    /// [`Router::purge_packet`] only.
     ///
     /// # Panics
     ///
@@ -326,8 +328,40 @@ impl Router {
         &mut self.inputs[port]
     }
 
-    /// Total flits buffered across all ports.
+    /// Enqueues `flit` into VC `vc` of input `port` with SA eligibility at
+    /// `ready`.
+    ///
+    /// For head flits, binds the VC to the packet with output `route`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the VC has no space or (for heads) is not available.
+    pub fn enqueue(&mut self, port: usize, vc: usize, flit: Flit, route: Port, ready: Cycle) {
+        self.inputs[port].enqueue(vc, flit, route, ready);
+        self.buffered += 1;
+    }
+
+    /// Removes the head flit of VC `vc` of input `port` after a
+    /// switch-allocation grant.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there is no eligible head flit.
+    pub fn pop_granted(&mut self, port: usize, vc: usize, now: Cycle) -> Flit {
+        let flit = self.inputs[port].vcs[vc].pop_granted(now);
+        self.buffered -= 1;
+        flit
+    }
+
+    /// Total flits buffered across all ports (O(1): the maintained count).
     pub fn occupancy(&self) -> usize {
+        self.buffered
+    }
+
+    /// [`Router::occupancy`] recounted from the VC queues — what the
+    /// occupancy-index consistency check compares the maintained count to.
+    #[doc(hidden)]
+    pub fn recount_occupancy(&self) -> usize {
         self.inputs.iter().map(InputPort::occupancy).sum()
     }
 
@@ -355,11 +389,14 @@ impl Router {
     /// Removes every trace of `packet` from all input VCs (hard-fault
     /// salvage/drop support). Returns the number of flits removed.
     pub fn purge_packet(&mut self, packet: u64) -> usize {
-        self.inputs
+        let removed: usize = self
+            .inputs
             .iter_mut()
             .flat_map(|p| p.vcs.iter_mut())
             .map(|vc| vc.purge_packet(packet))
-            .sum()
+            .sum();
+        self.buffered -= removed;
+        removed
     }
 }
 
@@ -376,9 +413,9 @@ mod tests {
     fn head_claims_available_vc() {
         let mut r = router();
         let flits = make_packet(1, 0, 0, 5, 0);
-        let port = r.input_mut(0);
-        let vc = port.accept_target(&flits[0]).unwrap();
-        port.enqueue(vc, flits[0], Port::XPlus, 4);
+        let vc = r.inputs()[0].accept_target(&flits[0]).unwrap();
+        r.enqueue(0, vc, flits[0], Port::XPlus, 4);
+        let port = &r.inputs()[0];
         assert_eq!(port.vcs()[vc].packet(), Some(1));
         assert_eq!(port.vcs()[vc].route(), Port::XPlus);
         assert!(!port.vcs()[vc].available());
@@ -388,8 +425,8 @@ mod tests {
     fn body_follows_heads_vc() {
         let mut r = router();
         let flits = make_packet(1, 0, 0, 5, 0);
-        let port = r.input_mut(0);
-        port.enqueue(0, flits[0], Port::XPlus, 4);
+        r.enqueue(0, 0, flits[0], Port::XPlus, 4);
+        let port = &r.inputs()[0];
         assert_eq!(port.accept_target(&flits[1]), Some(0));
         // A different packet's body can't enter.
         let other = make_packet(2, 10, 0, 5, 0);
@@ -402,18 +439,17 @@ mod tests {
     fn vc_depth_backpressures() {
         let mut r = router();
         let flits = make_packet(1, 0, 0, 5, 0);
-        let port = r.input_mut(0);
-        port.enqueue(0, flits[0], Port::XPlus, 4);
-        port.enqueue(0, flits[1], Port::XPlus, 5);
+        r.enqueue(0, 0, flits[0], Port::XPlus, 4);
+        r.enqueue(0, 0, flits[1], Port::XPlus, 5);
         // Depth 2: third flit refused on this VC.
-        assert_eq!(port.accept_target(&flits[2]), None);
+        assert_eq!(r.inputs()[0].accept_target(&flits[2]), None);
     }
 
     #[test]
     fn sa_eligibility_respects_pipeline_timing() {
         let mut r = router();
         let flits = make_packet(1, 0, 0, 5, 0);
-        r.input_mut(0).enqueue(0, flits[0], Port::XPlus, 4);
+        r.enqueue(0, 0, flits[0], Port::XPlus, 4);
         let vc = &r.inputs()[0].vcs()[0];
         assert!(vc.sa_candidate(3).is_none());
         assert!(vc.sa_candidate(4).is_some());
@@ -423,21 +459,18 @@ mod tests {
     fn tail_departure_frees_vc() {
         let mut r = router();
         let flits = make_packet(1, 0, 0, 5, 0);
-        let port = r.input_mut(0);
-        port.enqueue(0, flits[0], Port::XPlus, 0);
-        let vc = port.vc_mut(0);
-        let _ = vc.pop_granted(0);
-        assert!(!vc.available(), "packet still bound until tail");
-        port.enqueue(0, flits[1], Port::XPlus, 0);
-        port.enqueue(0, flits[2], Port::XPlus, 0);
-        let vc = port.vc_mut(0);
-        let _ = vc.pop_granted(0);
-        let _ = vc.pop_granted(0);
-        port.enqueue(0, flits[3], Port::XPlus, 0);
-        let vc = port.vc_mut(0);
-        let tail = vc.pop_granted(0);
+        r.enqueue(0, 0, flits[0], Port::XPlus, 0);
+        let _ = r.pop_granted(0, 0, 0);
+        assert!(!r.inputs()[0].vcs()[0].available(), "packet still bound until tail");
+        r.enqueue(0, 0, flits[1], Port::XPlus, 0);
+        r.enqueue(0, 0, flits[2], Port::XPlus, 0);
+        let _ = r.pop_granted(0, 0, 0);
+        let _ = r.pop_granted(0, 0, 0);
+        r.enqueue(0, 0, flits[3], Port::XPlus, 0);
+        let tail = r.pop_granted(0, 0, 0);
         assert!(tail.is_tail());
-        assert!(vc.available(), "tail departure frees the VC");
+        assert!(r.inputs()[0].vcs()[0].available(), "tail departure frees the VC");
+        assert!(r.is_drained());
     }
 
     #[test]
@@ -445,9 +478,28 @@ mod tests {
         let mut r = router();
         assert!(r.is_drained());
         let flits = make_packet(1, 0, 0, 5, 0);
-        r.input_mut(2).enqueue(1, flits[0], Port::Local, 0);
+        r.enqueue(2, 1, flits[0], Port::Local, 0);
         assert_eq!(r.occupancy(), 1);
         assert!(!r.is_drained());
+    }
+
+    #[test]
+    fn purge_keeps_the_buffered_count_equal_to_a_recount() {
+        let mut r = router();
+        let a = make_packet(1, 0, 0, 5, 0);
+        let b = make_packet(2, 4, 0, 5, 0);
+        r.enqueue(0, 0, a[0], Port::XPlus, 0);
+        r.enqueue(0, 0, a[1], Port::XPlus, 1);
+        r.enqueue(3, 1, b[0], Port::Local, 0);
+        r.input_mut(1).vc_mut(0).reserve(1); // a reservation holds no flit
+        assert_eq!(r.purge_packet(1), 2);
+        assert_eq!(r.occupancy(), 1);
+        assert_eq!(r.occupancy(), r.recount_occupancy());
+        assert!(r.inputs()[1].vcs()[0].available(), "the reservation is gone too");
+        assert_eq!(r.purge_packet(1), 0, "purging again removes nothing");
+        let _ = r.pop_granted(3, 1, 0);
+        assert!(r.is_drained());
+        assert_eq!(r.recount_occupancy(), 0);
     }
 
     #[test]

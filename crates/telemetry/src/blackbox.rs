@@ -225,13 +225,25 @@ impl FlightRecorder {
         self.open_spans = open;
     }
 
-    /// Offers a finished journey (`line` is its JSONL record) to the
-    /// slowest-journeys ring: the `capacity` slowest sampled journeys are
-    /// kept, everything faster is evicted. Ties break on the record text
-    /// so the retained set is execution-order independent.
-    pub fn push_journey(&mut self, latency: u64, line: String) {
+    /// Offers a finished journey to the slowest-journeys ring: the
+    /// `capacity` slowest sampled journeys are kept, everything faster is
+    /// evicted. Ties break on the record text so the retained set is
+    /// execution-order independent.
+    ///
+    /// `render` produces the journey's JSONL record and runs only when the
+    /// text can matter — the ring has room, or `latency` reaches the
+    /// slowest-k floor (a tie needs the text to break). A journey faster
+    /// than a full ring's floor is counted and dropped unrendered; counters
+    /// and the retained set are those of rendering every record.
+    pub fn push_journey(&mut self, latency: u64, render: impl FnOnce() -> String) {
         self.counters.journeys_recorded += 1;
-        let entry = (latency, line);
+        let below_floor = self.journeys.len() >= self.capacity
+            && self.journeys.last().is_some_and(|(floor, _)| latency < *floor);
+        if below_floor {
+            self.counters.journeys_dropped += 1;
+            return;
+        }
+        let entry = (latency, render());
         let at = self
             .journeys
             .binary_search_by(|probe| entry.cmp(probe))
@@ -832,6 +844,49 @@ mod tests {
         }
         assert_eq!(r.events().len(), 2 * EVENT_RING_FACTOR);
         assert_eq!(r.counters().events_dropped, 3);
+    }
+
+    /// The journey ring renders a record only when its text can matter,
+    /// yet counts and retains exactly what rendering every record would.
+    #[test]
+    fn journey_ring_renders_lazily_with_the_eager_result() {
+        const CAP: usize = 3;
+        // Rising, falling, ties with the floor (40, 30), below the floor.
+        let latencies = [30u64, 10, 20, 40, 5, 20, 40, 30, 30, 7, 50, 30, 1];
+        let line = |i: usize| format!("{{\"packet\":{}}}", (i * 7) % 13);
+
+        // Eager reference: render everything, insert or drop on the full key.
+        let mut kept: Vec<(u64, String)> = Vec::new();
+        let mut dropped = 0u64;
+        for (i, &latency) in latencies.iter().enumerate() {
+            let entry = (latency, line(i));
+            let at = kept.binary_search_by(|probe| entry.cmp(probe)).unwrap_or_else(|at| at);
+            if at >= CAP {
+                dropped += 1;
+                continue;
+            }
+            kept.insert(at, entry);
+            if kept.len() > CAP {
+                kept.pop();
+                dropped += 1;
+            }
+        }
+
+        let mut r = FlightRecorder::new(CAP);
+        let mut rendered = Vec::new();
+        for (i, &latency) in latencies.iter().enumerate() {
+            r.push_journey(latency, || {
+                rendered.push(i);
+                line(i)
+            });
+        }
+        assert_eq!(r.journeys(), kept.as_slice());
+        assert_eq!(r.counters().journeys_recorded, latencies.len() as u64);
+        assert_eq!(r.counters().journeys_dropped, dropped);
+        // Unrendered: 5 (floor 20), 7 (floor 30), the last 30 and 1 (floor
+        // 40). The 20 arriving at floor 20 and the two 30s arriving at
+        // floor 30 are ties and need their text.
+        assert_eq!(rendered, [0, 1, 2, 3, 5, 6, 7, 8, 10]);
     }
 
     #[test]

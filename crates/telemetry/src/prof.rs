@@ -69,10 +69,17 @@ pub struct SpanTree {
 }
 
 impl SpanTree {
-    /// Records one completed span occurrence at `path`.
+    /// Records one completed span occurrence at `path`. Only the first
+    /// occurrence of a path allocates (its key); every later one is a
+    /// borrowed-slice lookup.
     pub(crate) fn record(&mut self, path: &[&'static str], stats: SpanStats) {
-        let depth = path.len().min(MAX_SPAN_DEPTH);
-        self.nodes.entry(path[..depth].to_vec()).or_default().absorb(&stats);
+        let path = &path[..path.len().min(MAX_SPAN_DEPTH)];
+        match self.nodes.get_mut(path) {
+            Some(node) => node.absorb(&stats),
+            None => {
+                self.nodes.insert(path.to_vec(), stats);
+            }
+        }
     }
 
     pub(crate) fn note_truncated_enter(&mut self) {

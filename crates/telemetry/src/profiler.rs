@@ -44,11 +44,11 @@ pub struct RunRow {
     pub millis: f64,
 }
 
-/// One open frame on the span stack: name, entry time, and the
-/// cycle-domain counts charged while it was innermost.
+/// One open frame on the span stack: entry time and the cycle-domain
+/// counts charged while it was innermost (its name lives in
+/// `Profiler::path`).
 #[derive(Debug, Clone, Copy)]
 struct OpenSpan {
-    name: &'static str,
     t0: Instant,
     flits: u64,
     allocs: u64,
@@ -74,6 +74,9 @@ pub struct Profiler {
     spans: SpanTree,
     /// Currently open spans, innermost last.
     stack: Vec<OpenSpan>,
+    /// Names of the open spans, outermost first — `stack`'s names kept as a
+    /// ready-made lookup key, so closing a span allocates nothing.
+    path: Vec<&'static str>,
 }
 
 impl Profiler {
@@ -108,7 +111,8 @@ impl Profiler {
         if self.stack.len() >= MAX_SPAN_DEPTH {
             self.spans.note_truncated_enter();
         }
-        self.stack.push(OpenSpan { name, t0: Instant::now(), flits: 0, allocs: 0 });
+        self.path.push(name);
+        self.stack.push(OpenSpan { t0: Instant::now(), flits: 0, allocs: 0 });
     }
 
     /// Charges `flits` handled and `allocs` buffer allocations to the
@@ -133,10 +137,8 @@ impl Profiler {
             debug_assert!(false, "span_exit without a matching span_enter");
             return;
         };
-        let mut path: Vec<&'static str> = self.stack.iter().map(|f| f.name).collect();
-        path.push(top.name);
         self.spans.record(
-            &path,
+            &self.path,
             SpanStats {
                 nanos: top.t0.elapsed().as_nanos(),
                 calls: 1,
@@ -144,6 +146,7 @@ impl Profiler {
                 allocs: top.allocs,
             },
         );
+        self.path.pop();
     }
 
     /// Records one completed child span of the current path directly, with
@@ -151,9 +154,10 @@ impl Profiler {
     /// sites that already hold a timer and never nest further.
     #[inline]
     pub fn span_leaf(&mut self, name: &'static str, elapsed: Duration, flits: u64, allocs: u64) {
-        let mut path: Vec<&'static str> = self.stack.iter().map(|f| f.name).collect();
-        path.push(name);
-        self.spans.record(&path, SpanStats { nanos: elapsed.as_nanos(), calls: 1, flits, allocs });
+        self.path.push(name);
+        self.spans
+            .record(&self.path, SpanStats { nanos: elapsed.as_nanos(), calls: 1, flits, allocs });
+        self.path.pop();
     }
 
     /// Closes every still-open span (graceful shutdown of an interrupted
@@ -180,7 +184,7 @@ impl Profiler {
     /// "where were we" path captured into flight-recorder snapshots.
     #[must_use]
     pub fn open_span_path(&self) -> Vec<&'static str> {
-        self.stack.iter().map(|f| f.name).collect()
+        self.path.clone()
     }
 
     /// Folds another profiler's aggregates into this one: sections, span
