@@ -29,6 +29,10 @@ pub struct FaultInjector {
     rate_override: Option<f64>,
     injected_bits: u64,
     faulty_flits: u64,
+    /// The zero-flip mass `(1 - p)^n` of the last `(n, p.to_bits())`
+    /// sampled: codeword size and rate repeat from one traversal to the
+    /// next far more often than they change.
+    zero_mass: ((u32, u64), f64),
 }
 
 impl FaultInjector {
@@ -39,6 +43,7 @@ impl FaultInjector {
             rate_override: None,
             injected_bits: 0,
             faulty_flits: 0,
+            zero_mass: ((0, 0f64.to_bits()), 1.0),
         }
     }
 
@@ -81,17 +86,27 @@ impl FaultInjector {
         let k = if re >= 1.0 {
             n
         } else if re <= 0.5 {
-            binomial_inverse(n, re, u)
+            binomial_inverse(n, re, u, self.zero_mass(n, re))
         } else {
             // Count the bits that do *not* flip, reading the same draw from
             // the other end: (1 - re)^n underflows long before re^n does.
-            n - binomial_inverse(n, 1.0 - re, 1.0 - u)
+            let keep = 1.0 - re;
+            n - binomial_inverse(n, keep, 1.0 - u, self.zero_mass(n, keep))
         };
         if k > 0 {
             self.injected_bits += k as u64;
             self.faulty_flits += 1;
         }
         k
+    }
+
+    /// `(1 - p)^n`, recomputed only when `(n, p)` differs from the last call.
+    fn zero_mass(&mut self, n: u32, p: f64) -> f64 {
+        let key = (n, p.to_bits());
+        if self.zero_mass.0 != key {
+            self.zero_mass = (key, (1.0 - p).powi(n as i32));
+        }
+        self.zero_mass.1
     }
 
     /// Chooses `k` distinct bit positions in `[0, n_bits)` to flip.
@@ -123,9 +138,13 @@ impl FaultInjector {
 }
 
 /// The smallest `k` with `u < P(X <= k)` for `X ~ Binomial(n, p)`, `p < 1`
-/// (`n` if rounding leaves the walked CDF short of `u`).
-fn binomial_inverse(n: u32, p: f64, u: f64) -> u32 {
-    let mut pmf = (1.0 - p).powi(n as i32);
+/// (`n` if rounding leaves the walked CDF short of `u`), given
+/// `zero_mass = P(X = 0) = (1 - p)^n`.
+fn binomial_inverse(n: u32, p: f64, u: f64, zero_mass: f64) -> u32 {
+    if u < zero_mass {
+        return 0;
+    }
+    let mut pmf = zero_mass;
     let mut cdf = pmf;
     let odds = p / (1.0 - p);
     let mut k = 0;
@@ -331,6 +350,20 @@ mod tests {
         assert_eq!(any, 50);
         inj.set_rate_override(None);
         assert_eq!(inj.sample_flip_count(145, 0.0), 0);
+    }
+
+    #[test]
+    fn remembered_zero_mass_never_changes_a_draw() {
+        // Sizes and rates that repeat, alternate and cross 1/2: an injector
+        // that forgets the mass before every call must agree draw for draw.
+        let mut kept = FaultInjector::new(9);
+        let mut forgetful = FaultInjector::new(9);
+        let mix = [(145, 0.02), (145, 0.02), (137, 0.02), (145, 0.3), (145, 0.7), (145, 0.02)];
+        for &(n, re) in mix.iter().cycle().take(6_000) {
+            forgetful.zero_mass = ((0, 0), 1.0);
+            assert_eq!(kept.sample_flip_count(n, re), forgetful.sample_flip_count(n, re));
+        }
+        assert!(kept.injected_bits() > 0);
     }
 
     #[test]

@@ -1,7 +1,10 @@
 //! Inter-router channels with on-link storage (MFAC / iDEAL / elastic
 //! buffers) and relaxed-timing support.
 //!
-//! A channel is a FIFO of in-flight flits. Entry stamps each flit with the
+//! A channel is a FIFO of in-flight flits, kept in one contiguous buffer
+//! that grows on first use and never past `capacity` (at most 8 stages in
+//! the paper's designs), so the BST scan walks a slice and removing a flit
+//! moves a handful of elements. Entry stamps each flit with the
 //! cycle at which it reaches the downstream end (`ready_at`): one cycle for
 //! normal links, two under relaxed timing (operation mode 4). A plain wire
 //! (`channel_capacity = 0` designs) still pipelines one in-flight flit.
@@ -18,12 +21,11 @@
 use crate::bitset::BitSet;
 use crate::flit::{Cycle, Flit};
 use crate::topology::{Mesh, Port, DIRS};
-use std::collections::VecDeque;
 
 /// One directed inter-router channel.
 #[derive(Debug, Clone)]
 pub struct Channel {
-    queue: VecDeque<(Flit, Cycle)>,
+    queue: Vec<(Flit, Cycle)>,
     capacity: usize,
     /// Relaxed-timing mode (set by the upstream router's directive).
     pub relaxed: bool,
@@ -33,7 +35,7 @@ impl Channel {
     /// Creates a channel with `channel_capacity` storage stages (a value of
     /// 0 becomes a single wire latch).
     pub fn new(channel_capacity: usize) -> Self {
-        Channel { queue: VecDeque::new(), capacity: channel_capacity.max(1), relaxed: false }
+        Channel { queue: Vec::new(), capacity: channel_capacity.max(1), relaxed: false }
     }
 
     /// Flits currently on the channel.
@@ -78,12 +80,12 @@ impl Channel {
     /// Panics if the channel is full.
     pub fn push_delayed(&mut self, flit: Flit, now: Cycle, extra: u64) {
         assert!(self.has_space(), "channel overflow");
-        self.queue.push_back((flit, now + self.latency() + extra));
+        self.queue.push((flit, now + self.latency() + extra));
     }
 
     /// The head flit, if it has reached the downstream end by `now`.
     pub fn peek_ready(&self, now: Cycle) -> Option<&Flit> {
-        match self.queue.front() {
+        match self.queue.first() {
             Some((flit, ready)) if *ready <= now => Some(flit),
             _ => None,
         }
@@ -96,22 +98,8 @@ impl Channel {
     /// Panics if the head is absent or not ready (callers must check
     /// [`Channel::peek_ready`]).
     pub fn pop_ready(&mut self, now: Cycle) -> Flit {
-        match self.queue.front() {
-            Some((_, ready)) if *ready <= now => self.queue.pop_front().expect("head exists").0,
-            _ => panic!("no ready flit to pop"),
-        }
-    }
-
-    /// Delays the head flit by `delay` cycles (per-hop re-transmission after
-    /// a NACK: the stored copy re-traverses the link).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the channel is empty.
-    pub fn delay_head(&mut self, now: Cycle, delay: u64) {
-        let head = self.queue.front_mut().expect("cannot delay empty channel");
-        head.1 = now + delay;
-        head.0.retx += 1;
+        assert!(self.peek_ready(now).is_some(), "no ready flit to pop");
+        self.queue.remove(0).0
     }
 
     /// Finds the first flit (front to back) that has arrived by `now`, is
@@ -129,7 +117,7 @@ impl Channel {
         // prefix for an earlier flit of the same packet beats keeping a set.
         self.queue.iter().enumerate().position(|(i, (flit, ready))| {
             *ready <= now
-                && !self.queue.iter().take(i).any(|(f, _)| f.packet_id == flit.packet_id)
+                && !self.queue[..i].iter().any(|(f, _)| f.packet_id == flit.packet_id)
                 && deliverable(flit)
         })
     }
@@ -149,7 +137,7 @@ impl Channel {
     ///
     /// Panics if `index` is out of range.
     pub fn remove_at(&mut self, index: usize) -> Flit {
-        self.queue.remove(index).expect("index in range").0
+        self.queue.remove(index).0
     }
 
     /// Delays the flit at `index` by `delay` cycles (per-hop NACK
@@ -165,17 +153,6 @@ impl Channel {
         // The re-transmitted copy comes from the clean re-transmission
         // buffer, so accumulated codeword corruption is gone.
         entry.0.hop_flips = 0;
-    }
-
-    /// Number of flits stored past their arrival time (waiting for the
-    /// downstream router), i.e. flits occupying storage stages.
-    pub fn stored(&self, now: Cycle) -> usize {
-        self.queue.iter().filter(|(_, ready)| *ready <= now).count()
-    }
-
-    /// Drains every flit (used only by tests and teardown accounting).
-    pub fn drain_all(&mut self) -> Vec<Flit> {
-        self.queue.drain(..).map(|(f, _)| f).collect()
     }
 
     /// Removes every flit of `packet` (hard-fault salvage/drop support).
@@ -379,28 +356,6 @@ mod tests {
     }
 
     #[test]
-    fn delay_head_models_retransmission() {
-        let mut ch = Channel::new(2);
-        ch.push(flit(1), 0);
-        assert!(ch.peek_ready(1).is_some());
-        ch.delay_head(1, 4);
-        assert!(ch.peek_ready(4).is_none());
-        let f = ch.pop_ready(5);
-        assert_eq!(f.retx, 1);
-    }
-
-    #[test]
-    fn stored_counts_arrived_flits() {
-        let mut ch = Channel::new(8);
-        ch.push(flit(1), 0);
-        ch.push(flit(2), 0);
-        ch.push(flit(3), 5);
-        assert_eq!(ch.stored(1), 2);
-        assert_eq!(ch.stored(6), 3);
-        assert_eq!(ch.stored(0), 0);
-    }
-
-    #[test]
     #[should_panic(expected = "channel overflow")]
     fn overflow_panics() {
         let mut ch = Channel::new(1);
@@ -456,6 +411,8 @@ mod tests {
         ch.delay_at(0, 1, 4);
         assert_eq!(ch.get(0).hop_flips, 0, "retransmitted copy is clean");
         assert_eq!(ch.get(0).retx, 1);
+        assert!(ch.peek_ready(4).is_none(), "the copy re-traverses the link");
+        assert!(ch.peek_ready(5).is_some());
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Simulation configuration.
 
+use crate::router::MAX_VC_ROWS;
+use crate::topology::PORTS;
 use noc_ecc::EccScheme;
 use noc_fault::{AgingModel, HardFaultScenario, ThermalModel, VariusModel};
 use noc_power::{EnergyModel, LeakageModel};
@@ -161,7 +163,7 @@ impl SimConfig {
 
     /// Total router-buffer flit slots per router (all ports and VCs).
     pub fn buffer_slots_per_router(&self) -> u32 {
-        (crate::topology::PORTS * self.vcs * self.vc_depth) as u32
+        (PORTS * self.vcs * self.vc_depth) as u32
     }
 
     /// Channel stages attached to one router's four output channels.
@@ -177,6 +179,13 @@ impl SimConfig {
     pub fn validate(&self) {
         assert!(self.width >= 2 && self.height >= 2, "mesh must be at least 2x2");
         assert!(self.vcs >= 1, "need at least one VC");
+        let max_vcs = MAX_VC_ROWS / PORTS;
+        assert!(
+            self.vcs <= max_vcs,
+            "at most {max_vcs} VCs per port ({PORTS} ports x vcs rows of a router's VC table \
+             must fit its {MAX_VC_ROWS}-bit readiness masks), got {}",
+            self.vcs
+        );
         assert!(self.vc_depth >= 1, "VC depth must be nonzero");
         assert!(self.pipeline_latency >= 1, "pipeline must be at least 1 cycle");
         assert!(self.retx_latency >= 1, "retransmission latency must be nonzero");
@@ -255,6 +264,13 @@ mod tests {
     #[should_panic(expected = "at least 2x2")]
     fn tiny_mesh_rejected() {
         SimConfig { width: 1, ..SimConfig::default() }.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 12 VCs per port")]
+    fn more_vcs_than_the_readiness_masks_index_are_rejected() {
+        SimConfig { vcs: 12, ..SimConfig::default() }.validate();
+        SimConfig { vcs: 13, ..SimConfig::default() }.validate();
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub use metrics_export::{
     export_runtime_metrics, NETWORK_METRICS, RUNTIME_METRICS, TXN_METRICS,
 };
 pub use network::Network;
-pub use router::{GateState, InputPort, InputVc, Router, StepStats};
+pub use router::{GateState, Router, StepStats, VcEntry};
 pub use stats::{NetworkStats, RouterObservation, RunReport, StallReport, TxnSummary};
 pub use topology::{Mesh, Port, DIRS, PORTS};
 

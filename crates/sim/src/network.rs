@@ -32,6 +32,12 @@
 //! round-robin pointers, idle/gate timers and step counters are cycle-domain
 //! state — but the visit is constant-time. The index changes host time
 //! only; debug builds recount it at the end of every [`Network::step_cycle`].
+//!
+//! Each [`Router`] extends it into a *readiness index*: one flat VC table
+//! plus bitmasks of which VCs hold an SA-eligible flit, which output each
+//! bound VC requests and which VCs are free, so switch/VC allocation is a
+//! few mask operations per output and link delivery looks VCs up in the
+//! table instead of polling `PORTS x vcs` queues (DESIGN.md §7.0).
 
 use crate::attribution::Attribution;
 use crate::channel::Links;
@@ -40,7 +46,7 @@ use crate::flit::{make_packet, Cycle, Flit, NO_VC};
 use crate::health::HealthRouter;
 use crate::journey::JourneyTracker;
 use crate::ni::Nis;
-use crate::router::{GateState, InputVc, Router};
+use crate::router::{set_bits, GateState, Router};
 use crate::stats::{NetworkStats, RouterObservation, RunReport, StallReport, TxnSummary};
 use crate::topology::{Mesh, Port, DIRS, PORTS};
 use noc_ecc::{DecodeStatus, EccScheme, EccSuite};
@@ -52,6 +58,17 @@ use noc_telemetry::{
 use noc_traffic::{ReqReplyWorkload, TrafficGen, TxnEventKind, TxnStats, Workload, WorkloadSpec};
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::time::Instant;
+
+/// One switch-allocation grant: the head-of-queue flit of VC `vc` of input
+/// `port` crosses to output `out`, bound for downstream VC `dvc` ([`NO_VC`]
+/// when ejecting or when the downstream router takes no reservation).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SaGrant {
+    port: usize,
+    vc: usize,
+    out: Port,
+    dvc: u8,
+}
 
 /// The simulated network.
 pub struct Network {
@@ -117,10 +134,6 @@ pub struct Network {
     /// Sampled per-packet journey tracing (`noc-journey`); `None` means
     /// tracing is disabled and every hook site is a single branch.
     journey: Option<JourneyTracker>,
-    /// Scratch list of one router's switch-allocation candidates (output
-    /// port, input port, vc), reused across `sa_phase` calls so the hot
-    /// path allocates nothing.
-    sa_cands: Vec<(Port, u8, u8)>,
 }
 
 impl std::fmt::Debug for Network {
@@ -196,7 +209,6 @@ impl Network {
             profiler: None,
             attribution: None,
             journey: None,
-            sa_cands: Vec::new(),
             cfg,
         }
     }
@@ -653,8 +665,9 @@ impl Network {
             // VC-resident flits: dead router, dead bound output, or dead dest.
             for r in 0..n {
                 let router_dead = self.failstop_router_down[r];
-                for port in self.routers[r].inputs() {
-                    for vc in port.vcs() {
+                let router = &self.routers[r];
+                for p in 0..PORTS {
+                    for (vi, vc) in router.port_vcs(p).iter().enumerate() {
                         let route = vc.route();
                         let route_dead = route != Port::Local
                             && (self.failstop_link_down[r * DIRS + route.index()]
@@ -663,9 +676,9 @@ impl Network {
                                     .neighbor(r, route)
                                     .map(|nb| self.failstop_router_down[nb])
                                     .unwrap_or(false));
-                        for f in vc.flits() {
+                        for f in router.flits(p, vi) {
                             if router_dead
-                                || (route_dead && vc.packet() == Some(f.packet_id))
+                                || (route_dead && vc.is_bound_to(f.packet_id))
                                 || self.fs_split(r, f.dest as usize)
                             {
                                 disturbed.entry(f.packet_id).or_insert(*f);
@@ -722,10 +735,11 @@ impl Network {
                 if !self.health.router_up(r) {
                     continue;
                 }
-                for (p, port) in self.routers[r].inputs().iter().enumerate() {
-                    for (vi, vc) in port.vcs().iter().enumerate() {
-                        let Some(head) = vc.flits().next().copied() else { continue };
-                        if vc.packet() != Some(head.packet_id) || !head.is_head() {
+                let router = &self.routers[r];
+                for p in 0..PORTS {
+                    for (vi, vc) in router.port_vcs(p).iter().enumerate() {
+                        let Some(head) = router.flits(p, vi).next().copied() else { continue };
+                        if !vc.is_bound_to(head.packet_id) || !head.is_head() {
                             continue; // body flits must follow their head's path
                         }
                         match self.health.route(r, head.dest as usize, Port::from_index(p)) {
@@ -741,7 +755,7 @@ impl Network {
                 }
             }
             for (r, p, vi, route) in rebinds {
-                self.routers[r].input_mut(p).vc_mut(vi).rebind_route(route);
+                self.routers[r].rebind_route(p, vi, route);
             }
         }
         for (_, f) in disturbed {
@@ -860,7 +874,6 @@ impl Network {
     // ------------------------------------------------------------------
 
     fn sa_phase(&mut self, r: usize) {
-        let now = self.now;
         let sa_base = self.routers[r].sa_rr;
         // The round-robin pointer is part of the cycle domain: it advances
         // on every visit, whether or not anything is granted.
@@ -868,140 +881,124 @@ impl Network {
         if self.routers[r].is_drained() {
             return; // nothing buffered: no candidates, O(1)
         }
-        // Gather the SA candidates once — (output, input port, vc) in
-        // round-robin port order, then VC order, which is the order every
-        // output below considers them in. A grant only changes VCs of its
-        // own (from then on skipped) input port, so the list stays valid.
-        let mut cands = std::mem::take(&mut self.sa_cands);
-        cands.clear();
-        for pk in 0..PORTS {
-            let p = (sa_base + pk) % PORTS;
-            for (v, vc) in self.routers[r].inputs()[p].vcs().iter().enumerate() {
-                if vc.sa_candidate(now).is_some() {
-                    cands.push((vc.route(), p as u8, v as u8));
-                }
-            }
+        self.routers[r].promote_ready(self.now);
+        // Allocation reads nothing a commit of the same cycle changes except
+        // which input ports are taken, which it tracks itself: each output
+        // has its own channel and its own downstream router.
+        for grant in self.sa_allocate(r, sa_base).into_iter().flatten() {
+            self.sa_commit(r, grant);
         }
-        if !cands.is_empty() {
-            self.sa_grant(r, sa_base, &cands);
-        }
-        self.sa_cands = cands;
     }
 
-    /// Switch allocation over the gathered `cands` of router `r`: at most
-    /// one grant per output port and per input port.
-    fn sa_grant(&mut self, r: usize, sa_base: usize, cands: &[(Port, u8, u8)]) {
-        let now = self.now;
-        let scheme = self.routers[r].directive.scheme;
-        let per_hop = scheme.is_per_hop();
-        let mut granted_inputs = [false; PORTS];
-        for k in 0..PORTS {
-            let out_idx = (sa_base + k) % PORTS;
-            let out_port = Port::from_index(out_idx);
-            if !cands.iter().any(|c| c.0 == out_port) {
+    /// Switch + VC allocation for router `r` from its readiness masks: at
+    /// most one grant per output port (slot `k` is output `sa_base + k`)
+    /// and per input port.
+    fn sa_allocate(&self, r: usize, sa_base: usize) -> [Option<SaGrant>; PORTS] {
+        let router = &self.routers[r];
+        // Table rows are port-major, so splitting a mask at the first row of
+        // port `sa_base` and reading the high part first visits candidates
+        // in round-robin port order, then VC order.
+        let split = sa_base * router.vcs();
+        let mut granted_rows = 0u64; // every row of an already granted input port
+        let mut grants = [None; PORTS];
+        for (k, slot) in grants.iter_mut().enumerate() {
+            let out = Port::from_index((sa_base + k) % PORTS);
+            let cands = router.sa_requests(out) & !granted_rows;
+            if cands == 0 {
                 continue; // nothing wants this output
             }
-            let ch_idx = if out_port == Port::Local {
-                None
-            } else if !self.health.usable(r, out_port) {
-                continue; // dead link or dead downstream router: flits wait
+            // The downstream VC a head flit would get (any flit, when
+            // ejecting): `NO_VC` when ejecting or when the downstream router
+            // takes no reservation (gated,
+            // waking, or draining toward a proactive gate), `None` when VA
+            // fails. One lookup serves the whole output: only this router's
+            // single grant per output reserves on that downstream port.
+            let head_dvc = if out == Port::Local {
+                Some(NO_VC)
             } else {
-                let ci = self.channel_index(r, out_port);
-                if !self.links.has_space(ci) {
+                if !self.health.usable(r, out) {
+                    continue; // dead link or dead downstream router: flits wait
+                }
+                if !self.links.has_space(self.channel_index(r, out)) {
                     continue; // boundary or full channel
                 }
-                Some(ci)
-            };
-            let downstream = self.health.neighbor(r, out_port);
-            // A downstream router accepting reservations: powered and not
-            // draining toward a proactive gate.
-            let down_reservable = downstream
-                .map(|v| self.routers[v].is_on() && !self.routers[v].gate_pending)
-                .unwrap_or(false);
-            // Find a candidate (input port, vc) in round-robin order. Head
-            // flits toward a powered downstream must win VC allocation (VA)
-            // for a downstream input VC; bodies inherit their head's.
-            let mut grant: Option<(usize, usize, u8, u64, bool)> = None;
-            for &(route, p, v) in cands {
-                let (p, v) = (p as usize, v as usize);
-                if route != out_port || granted_inputs[p] {
-                    continue;
-                }
-                let vc = &self.routers[r].inputs()[p].vcs()[v];
-                let flit = vc.sa_candidate(now).expect("gathered as a candidate");
-                let dvc = if out_port == Port::Local {
-                    NO_VC
-                } else if flit.is_head() {
-                    if down_reservable {
-                        let dv = downstream.expect("non-local output");
-                        let in_port = out_port.opposite().index();
-                        match self.routers[dv].inputs()[in_port]
-                            .vcs()
-                            .iter()
-                            .position(InputVc::available)
-                        {
-                            Some(slot) => slot as u8,
-                            None => continue, // VA failed: no free VC
-                        }
-                    } else {
-                        NO_VC
-                    }
+                let down = &self.routers[self.health.neighbor(r, out).expect("usable link")];
+                if down.is_on() && !down.gate_pending {
+                    down.free_vc(out.opposite().index()).map(|vc| vc as u8)
                 } else {
-                    vc.out_vc()
-                };
-                grant = Some((p, v, dvc, flit.packet_id, flit.is_head()));
-                break;
-            }
-            let Some((p, v, dvc, packet_id, is_head)) = grant else { continue };
-            granted_inputs[p] = true;
-            if let Some(prof) = self.profiler.as_mut() {
-                prof.phases.sa += 1; // switch allocation granted
-                prof.phases.st += 1; // the grant traverses the crossbar
-                if is_head && dvc != NO_VC {
-                    prof.phases.va += 1; // head won a downstream VC
+                    Some(NO_VC)
                 }
-                // Span counting hook: one flit granted; a downstream VC
-                // reservation counts as an allocation.
-                prof.span_count(1, u64::from(is_head && dvc != NO_VC));
-            }
-            // Commit the downstream VC reservation for head flits.
-            if is_head && dvc != NO_VC {
-                let dv = downstream.expect("non-local output");
-                let in_port = out_port.opposite().index();
-                self.routers[dv].input_mut(in_port).vc_mut(dvc as usize).reserve(packet_id);
-            }
-            let router = &mut self.routers[r];
-            let mut flit = router.pop_granted(p, v, now);
-            if is_head {
-                router.input_mut(p).vc_mut(v).set_out_vc(dvc);
-            }
-            flit.vc = dvc;
-            router.counters.buffer_reads += 1;
-            router.counters.xbar_traversals += 1;
-            router.counters.alloc_ops += 1;
-            router.step.out_flits[out_idx] += 1;
-            if let Some(ci) = ch_idx {
-                flit.hop_scheme = if per_hop { scheme } else { EccScheme::None };
-                let router = &mut self.routers[r];
-                router.counters.link_flits += 1;
-                if per_hop {
-                    router.counters.count_ecc_op(scheme); // encode
-                }
-                if self.cfg.channel_capacity > 0 {
-                    router.counters.channel_stage_ops += 1;
-                }
-                let cost = self.links.get(ci).expect("channel exists").latency();
-                if let Some(att) = self.attribution.as_mut() {
-                    att.on_link_flit(ci, &flit, cost, false);
-                }
-                if let Some(j) = self.journey.as_mut() {
-                    j.on_link_flit(ci, &flit, cost, false, now);
-                }
-                self.links.push(ci, flit, now);
-            } else {
-                self.eject(r, flit);
-            }
+            };
+            // The first candidate wins unless it is a head and VA failed;
+            // bodies inherit the downstream VC their head won.
+            let high = cands >> split << split;
+            let winner = set_bits(high).chain(set_bits(cands ^ high)).find_map(|row| {
+                let entry = router.row(row);
+                let inherits = out != Port::Local && !entry.holds_head();
+                Some((row, if inherits { entry.out_vc() } else { head_dvc? }))
+            });
+            let Some((row, dvc)) = winner else { continue }; // only heads, and no free VC
+            let (port, vc) = (row / router.vcs(), row % router.vcs());
+            granted_rows |= router.port_mask(port);
+            *slot = Some(SaGrant { port, vc, out, dvc });
         }
+        grants
+    }
+
+    /// Carries out one grant of router `r`: reserves the downstream VC a
+    /// head won, pops the flit and sends it onto its channel or ejects it.
+    fn sa_commit(&mut self, r: usize, grant: SaGrant) {
+        let now = self.now;
+        let SaGrant { port: p, vc: v, out, dvc } = grant;
+        let scheme = self.routers[r].directive.scheme;
+        let per_hop = scheme.is_per_hop();
+        let router = &mut self.routers[r];
+        let mut flit = router.pop_granted(p, v, now);
+        let reserves = flit.is_head() && dvc != NO_VC;
+        if flit.is_head() {
+            router.set_out_vc(p, v, dvc);
+        }
+        flit.vc = dvc;
+        router.counters.buffer_reads += 1;
+        router.counters.xbar_traversals += 1;
+        router.counters.alloc_ops += 1;
+        router.step.out_flits[out.index()] += 1;
+        if let Some(prof) = self.profiler.as_mut() {
+            prof.phases.sa += 1; // switch allocation granted
+            prof.phases.st += 1; // the grant traverses the crossbar
+            if reserves {
+                prof.phases.va += 1; // head won a downstream VC
+            }
+            // Span counting hook: one flit granted; a downstream VC
+            // reservation counts as an allocation.
+            prof.span_count(1, u64::from(reserves));
+        }
+        if reserves {
+            let dv = self.health.neighbor(r, out).expect("non-local output");
+            self.routers[dv].reserve(out.opposite().index(), dvc as usize, flit.packet_id);
+        }
+        if out == Port::Local {
+            self.eject(r, flit);
+            return;
+        }
+        let ci = self.channel_index(r, out);
+        flit.hop_scheme = if per_hop { scheme } else { EccScheme::None };
+        let router = &mut self.routers[r];
+        router.counters.link_flits += 1;
+        if per_hop {
+            router.counters.count_ecc_op(scheme); // encode
+        }
+        if self.cfg.channel_capacity > 0 {
+            router.counters.channel_stage_ops += 1;
+        }
+        let cost = self.links.get(ci).expect("channel exists").latency();
+        if let Some(att) = self.attribution.as_mut() {
+            att.on_link_flit(ci, &flit, cost, false);
+        }
+        if let Some(j) = self.journey.as_mut() {
+            j.on_link_flit(ci, &flit, cost, false, now);
+        }
+        self.links.push(ci, flit, now);
     }
 
     fn bypass_phase(&mut self, r: usize) {
@@ -1284,7 +1281,7 @@ impl Network {
                 let mesh = self.mesh;
                 let fault_aware = self.cfg.fault_aware_routing;
                 let Some(ch) = links.get(ci) else { continue };
-                let port = &self.routers[v].inputs()[in_port];
+                let down = &self.routers[v];
                 let continuation_ok = |flit: &Flit| {
                     let route = if fault_aware {
                         health.route(v, flit.dest as usize, dir.opposite())
@@ -1302,7 +1299,7 @@ impl Network {
                 ch.scan_deliverable(now, |flit| {
                     if flit.is_head() {
                         if flit.vc != NO_VC {
-                            port.vcs()[flit.vc as usize].is_reserved_for(flit.packet_id)
+                            down.vc(in_port, flit.vc as usize).is_reserved_for(flit.packet_id)
                         } else {
                             // Unreserved head (granted while this router
                             // was gated): bind a free VC, or — to keep
@@ -1310,13 +1307,11 @@ impl Network {
                             // ride the BST continuation latch onward.
                             // While draining toward a proactive gate only
                             // the continuation path is allowed.
-                            let can_bind = !pending && port.vcs().iter().any(InputVc::available);
+                            let can_bind = !pending && down.free_vc(in_port).is_some();
                             can_bind || continuation_ok(flit)
                         }
-                    } else if port.vcs().iter().any(|vc| vc.packet() == Some(flit.packet_id)) {
-                        port.vcs()
-                            .iter()
-                            .any(|vc| vc.packet() == Some(flit.packet_id) && vc.has_space())
+                    } else if down.bound_vc(in_port, flit.packet_id).is_some() {
+                        down.accept_target(in_port, flit).is_some()
                     } else {
                         // BST continuation (§3.1.2): the head passed this
                         // router while it was gated (bypass), so no VC is
@@ -1334,18 +1329,16 @@ impl Network {
             // leaves them waiting on the channel. Body/tail flits bound
             // to a VC follow the path their head already took, so a
             // missing route must not block them.
-            let bound_body = !head.is_head()
-                && self.routers[v].inputs()[in_port]
-                    .vcs()
-                    .iter()
-                    .any(|vc| vc.packet() == Some(head.packet_id));
-            let t_rc = self.prof_now();
-            let routed = self.route_via(v, head.dest as usize, dir.opposite());
-            self.span_leaf("route.compute", t_rc, 0);
-            let route = match routed {
-                Some(route) => route,
-                None if bound_body => Port::Local, // unused: follows the VC binding
-                None => continue,
+            let bound_body =
+                !head.is_head() && self.routers[v].bound_vc(in_port, head.packet_id).is_some();
+            let route = if bound_body {
+                Port::Local // unused: the flit follows its VC's binding
+            } else {
+                let t_rc = self.prof_now();
+                let routed = self.route_via(v, head.dest as usize, dir.opposite());
+                self.span_leaf("route.compute", t_rc, 0);
+                let Some(route) = routed else { continue };
+                route
             };
             // The flit physically traverses the link now: sample faults.
             let scheme = head.hop_scheme;
@@ -1480,13 +1473,10 @@ impl Network {
                 } else if self.routers[v].gate_pending {
                     None // continuation only while draining toward a gate
                 } else {
-                    self.routers[v].inputs()[in_port].vcs().iter().position(InputVc::available)
+                    self.routers[v].free_vc(in_port)
                 }
             } else {
-                self.routers[v].inputs()[in_port]
-                    .vcs()
-                    .iter()
-                    .position(|vcs| vcs.packet() == Some(flit.packet_id))
+                self.routers[v].bound_vc(in_port, flit.packet_id)
             };
             {
                 let router = &mut self.routers[v];
@@ -1554,10 +1544,7 @@ impl Network {
                 continue; // draining toward a proactive gate
             }
             let in_port = Port::Local.index();
-            let bound = self.routers[r].inputs()[in_port]
-                .vcs()
-                .iter()
-                .any(|vc| vc.packet() == Some(head.packet_id));
+            let bound = self.routers[r].bound_vc(in_port, head.packet_id).is_some();
             if !head.is_head() && !bound {
                 // BST continuation: the packet's head was injected through
                 // the bypass while the router was gated.
@@ -1590,7 +1577,7 @@ impl Network {
                 }
                 continue;
             }
-            let Some(vc) = self.routers[r].inputs()[in_port].accept_target(&head) else {
+            let Some(vc) = self.routers[r].accept_target(in_port, &head) else {
                 continue;
             };
             let t_rc = self.prof_now();
@@ -2080,23 +2067,21 @@ impl Network {
         debug_assert_eq!(self.occupancy_index_drift(), None, "cycle {}", self.now);
     }
 
-    /// Compares the occupancy index (per-router buffered counts, per-router
-    /// inbound-flit counts, the non-empty channel set and the non-empty NI
-    /// set) with a from-scratch recount of every queue. `None` means they
+    /// Compares the occupancy index (per-router buffered counts, VC tables
+    /// and readiness masks, per-router inbound-flit counts, the non-empty
+    /// channel set and the non-empty NI set) with a from-scratch recount of
+    /// every queue. `None` means they
     /// agree; `Some(what)` names the first mismatch. Debug builds assert
     /// this at the end of every [`Network::step_cycle`].
     #[doc(hidden)]
     pub fn occupancy_index_drift(&self) -> Option<String> {
-        let stale = self.routers.iter().find(|r| r.occupancy() != r.recount_occupancy());
-        if let Some(r) = stale {
-            return Some(format!(
-                "router {}: buffered count {} vs {} recounted",
-                r.id,
-                r.occupancy(),
-                r.recount_occupancy()
-            ));
-        }
-        self.links.index_drift().or_else(|| self.nis.index_drift())
+        // `ready` bits were promoted during the cycle that just ended.
+        let promoted_at = self.now.saturating_sub(1);
+        self.routers
+            .iter()
+            .find_map(|r| r.index_drift(promoted_at))
+            .or_else(|| self.links.index_drift())
+            .or_else(|| self.nis.index_drift())
     }
 
     /// Runs `n` cycles (or fewer if the workload completes); returns whether
@@ -2235,11 +2220,11 @@ impl Network {
         let r = router;
         let _ = writeln!(buf, "router {r} gate={:?}:", self.routers[r].gate);
         for p in 0..PORTS {
-            for (vi, vc) in self.routers[r].inputs()[p].vcs().iter().enumerate() {
+            for (vi, vc) in self.routers[r].port_vcs(p).iter().enumerate() {
                 if vc.occupancy() == 0 {
                     continue;
                 }
-                let front = vc.sa_candidate(now);
+                let front = self.routers[r].sa_candidate(p, vi, now);
                 let out = vc.route();
                 let reason = if let Some(f) = front {
                     if out == Port::Local {
@@ -2253,11 +2238,7 @@ impl Network {
                             match dv {
                                 Some(dv) if self.routers[dv].is_on() => {
                                     let in_port = out.opposite().index();
-                                    let free = self.routers[dv].inputs()[in_port]
-                                        .vcs()
-                                        .iter()
-                                        .any(InputVc::available);
-                                    if free {
+                                    if self.routers[dv].free_vc(in_port).is_some() {
                                         "head grantable NOW".to_owned()
                                     } else {
                                         format!("no free VC at {dv}")
@@ -2296,8 +2277,8 @@ impl Network {
                 continue;
             }
             for p in 0..PORTS {
-                for vc in self.routers[r].inputs()[p].vcs() {
-                    let Some(f) = vc.sa_candidate(now) else { continue };
+                for (vi, vc) in self.routers[r].port_vcs(p).iter().enumerate() {
+                    let Some(f) = self.routers[r].sa_candidate(p, vi, now) else { continue };
                     let out = vc.route();
                     if out == Port::Local {
                         sa += 1;
@@ -2314,10 +2295,7 @@ impl Network {
                                 if self.routers[dv].is_on() && !self.routers[dv].gate_pending =>
                             {
                                 let in_port = out.opposite().index();
-                                self.routers[dv].inputs()[in_port]
-                                    .vcs()
-                                    .iter()
-                                    .any(InputVc::available)
+                                self.routers[dv].free_vc(in_port).is_some()
                             }
                             _ => true, // NO_VC path
                         };
@@ -2351,7 +2329,7 @@ impl Network {
                 let mesh = self.mesh;
                 let fault_aware = self.cfg.fault_aware_routing;
                 let Some(ch) = links.get(ci) else { continue };
-                let port = &self.routers[v].inputs()[in_port];
+                let down = &self.routers[v];
                 let continuation_ok = |flit: &Flit| {
                     let route = if fault_aware {
                         health.route(v, flit.dest as usize, dir.opposite())
@@ -2368,16 +2346,13 @@ impl Network {
                     .scan_deliverable(now, |flit| {
                         if flit.is_head() {
                             if flit.vc != NO_VC {
-                                port.vcs()[flit.vc as usize].is_reserved_for(flit.packet_id)
+                                down.vc(in_port, flit.vc as usize).is_reserved_for(flit.packet_id)
                             } else {
-                                let can_bind =
-                                    !pending && port.vcs().iter().any(InputVc::available);
+                                let can_bind = !pending && down.free_vc(in_port).is_some();
                                 can_bind || continuation_ok(flit)
                             }
-                        } else if port.vcs().iter().any(|vc| vc.packet() == Some(flit.packet_id)) {
-                            port.vcs()
-                                .iter()
-                                .any(|vc| vc.packet() == Some(flit.packet_id) && vc.has_space())
+                        } else if down.bound_vc(in_port, flit.packet_id).is_some() {
+                            down.accept_target(in_port, flit).is_some()
                         } else {
                             continuation_ok(flit)
                         }
@@ -2394,9 +2369,7 @@ impl Network {
                     && self.nis[r]
                         .inject
                         .front()
-                        .map(|h| {
-                            self.routers[r].inputs()[Port::Local.index()].accept_target(h).is_some()
-                        })
+                        .map(|h| self.routers[r].accept_target(Port::Local.index(), h).is_some())
                         .unwrap_or(false)
             })
             .count();
@@ -2415,12 +2388,12 @@ impl Network {
         use std::fmt::Write as _;
         let mut out = String::new();
         for p in 0..PORTS {
-            for (vi, vc) in self.routers[r].inputs()[p].vcs().iter().enumerate() {
+            for (vi, vc) in self.routers[r].port_vcs(p).iter().enumerate() {
                 let _ = writeln!(
                     out,
                     "router {r} port {p} vc {vi}: packet={:?} reserved={:?} occ={} route={:?}",
                     vc.packet(),
-                    vc.reserved_by_debug(),
+                    vc.reserved_by(),
                     vc.occupancy(),
                     vc.route()
                 );
@@ -2457,13 +2430,13 @@ impl Network {
         }
         for r in 0..self.mesh.nodes() {
             for p in 0..PORTS {
-                for (vi, vc) in self.routers[r].inputs()[p].vcs().iter().enumerate() {
-                    if vc.packet() == Some(pkt) || vc.reserved_by_debug() == Some(pkt) {
+                for (vi, vc) in self.routers[r].port_vcs(p).iter().enumerate() {
+                    if vc.is_bound_to(pkt) || vc.is_reserved_for(pkt) {
                         let _ = writeln!(
                             out,
                             "pkt {pkt}: router {r} port {p} vc {vi} bound={:?} reserved={:?} occ={}",
                             vc.packet(),
-                            vc.reserved_by_debug(),
+                            vc.reserved_by(),
                             vc.occupancy()
                         );
                     }
@@ -2502,8 +2475,7 @@ impl Network {
         for i in 0..ch.occupancy() {
             let f = ch.get(i);
             let in_port = dir.opposite().index();
-            let port = &self.routers[v].inputs()[in_port];
-            let bound = port.vcs().iter().position(|vc| vc.packet() == Some(f.packet_id));
+            let bound = self.routers[v].bound_vc(in_port, f.packet_id);
             let _ = writeln!(
                 out,
                 "  [{i}] pkt={} kind={:?} vc={} dest={} src={} retx={} bound_at={:?}",
@@ -2535,10 +2507,9 @@ impl Network {
                     continue;
                 }
                 let in_port = dir.opposite().index();
-                let port = &self.routers[v].inputs()[in_port];
                 let f = ch.get(0);
-                let vcs: Vec<String> = port
-                    .vcs()
+                let vcs: Vec<String> = self.routers[v]
+                    .port_vcs(in_port)
                     .iter()
                     .map(|vc| {
                         format!(
@@ -2588,18 +2559,9 @@ impl Network {
             let occ = router.occupancy();
             let ni = self.nis[r].inject.len();
             let recv = self.nis[r].recv.len();
-            let reserved: usize = router
-                .inputs()
-                .iter()
-                .flat_map(|p| p.vcs())
-                .filter(|vc| !vc.is_idle() && vc.occupancy() == 0 && vc.packet().is_none())
-                .count();
-            let bound: usize = router
-                .inputs()
-                .iter()
-                .flat_map(|p| p.vcs())
-                .filter(|vc| vc.packet().is_some())
-                .count();
+            let vcs = || (0..PORTS).flat_map(|p| router.port_vcs(p));
+            let reserved = vcs().filter(|vc| vc.reserved_by().is_some()).count();
+            let bound = vcs().filter(|vc| vc.packet().is_some()).count();
             let mut ch_occ = 0;
             for dir in Port::DIRECTIONS {
                 if let Some(ch) = self.links.get(self.channel_index(r, dir)) {
@@ -2710,6 +2672,190 @@ mod tests {
             net.bypass_phase(9);
             assert_eq!(net.routers[9].sa_rr, visit % PORTS);
             assert_eq!(net.routers[9].bypass_rr, visit % PORTS);
+        }
+    }
+
+    /// The gather-and-scan switch allocator that `sa_allocate` replaced, kept
+    /// as the reference: poll every VC's head for eligibility in round-robin
+    /// port order, then per output rescan that list for the first candidate
+    /// of a not-yet-granted input port, walking the downstream port's VCs
+    /// for a free one. Reads entries and queues, never the masks.
+    fn sa_allocate_by_polling(net: &Network, r: usize, sa_base: usize) -> [Option<SaGrant>; PORTS] {
+        let now = net.now;
+        let router = &net.routers[r];
+        let mut cands = Vec::new();
+        for pk in 0..PORTS {
+            let p = (sa_base + pk) % PORTS;
+            for (v, vc) in router.port_vcs(p).iter().enumerate() {
+                if router.sa_candidate(p, v, now).is_some() {
+                    cands.push((vc.route(), p, v));
+                }
+            }
+        }
+        let mut granted_inputs = [false; PORTS];
+        let mut grants = [None; PORTS];
+        for (k, slot) in grants.iter_mut().enumerate() {
+            let out = Port::from_index((sa_base + k) % PORTS);
+            if !cands.iter().any(|c| c.0 == out) {
+                continue;
+            }
+            if out != Port::Local
+                && !(net.health.usable(r, out) && net.links.has_space(net.channel_index(r, out)))
+            {
+                continue;
+            }
+            let down = net.health.neighbor(r, out).map(|dv| &net.routers[dv]);
+            let down_reservable = down.is_some_and(|d| d.is_on() && !d.gate_pending);
+            for &(route, p, v) in &cands {
+                if route != out || granted_inputs[p] {
+                    continue;
+                }
+                let flit = router.sa_candidate(p, v, now).expect("gathered as a candidate");
+                let dvc = if out == Port::Local {
+                    NO_VC
+                } else if !flit.is_head() {
+                    router.vc(p, v).out_vc()
+                } else if down_reservable {
+                    let free = down.expect("non-local output").port_vcs(out.opposite().index());
+                    match free.iter().position(|vc| vc.available()) {
+                        Some(vc) => vc as u8,
+                        None => continue, // VA failed: no free VC
+                    }
+                } else {
+                    NO_VC
+                };
+                granted_inputs[p] = true;
+                *slot = Some(SaGrant { port: p, vc: v, out, dvc });
+                break;
+            }
+        }
+        grants
+    }
+
+    /// What one VC of the router under test holds in the allocator proptest:
+    /// `(kind, route, flits - 1, head-ready offset, out_vc)`, kind 0 = free,
+    /// 1 = reserved, 2 = head flit first, 3 = head departed.
+    type VcSeed = (u8, u8, u8, u64, u8);
+
+    /// What lies beyond one output of the router under test: `(link dead
+    /// if 0, channel full if 0, downstream gate 0-1 on / 2 gated / 3 waking,
+    /// gate_pending if 0, downstream VCs taken as a bit per VC)`.
+    type OutputSeed = (u8, u8, u8, u8, u8);
+
+    /// Builds the centre router of a 3x3 mesh (four neighbours) from the
+    /// seeds and checks the mask allocator against the polling one, then
+    /// that `sa_phase` carries out exactly those grants.
+    fn check_allocation(
+        (vcs, depth, sa_rr): (usize, usize, usize),
+        rows: &[VcSeed],
+        outputs: &[OutputSeed],
+    ) {
+        let (r, now) = (4, 10);
+        let mut cfg = quiet_config();
+        (cfg.width, cfg.height, cfg.vcs, cfg.vc_depth, cfg.channel_capacity) =
+            (3, 3, vcs, depth, 2);
+        let spec = WorkloadSpec { packets_per_node: 0, ..WorkloadSpec::uniform(0.0, 0) };
+        let mut net = Network::new(cfg, spec, 1);
+        net.now = now;
+        net.routers[r].sa_rr = sa_rr;
+        for (row, &(kind, route, extra, ready_in, out_vc)) in
+            rows.iter().take(PORTS * vcs).enumerate()
+        {
+            let (p, v) = (row / vcs, row % vcs);
+            let packet = 100 + row as u64;
+            let route = Port::from_index(route as usize);
+            // Only flits that are home may be routed to the local port.
+            let dest = if route == Port::Local { r as u16 } else { 0 };
+            let flits = make_packet(packet, packet * 4, 0, dest, 0);
+            let ready = now - 2 + ready_in; // eligible now for offsets 0..=2
+            let queued = 1 + (extra as usize).min(depth - 1);
+            let router = &mut net.routers[r];
+            match kind {
+                0 => {}
+                1 => router.reserve(p, v, packet),
+                2 => {
+                    for (i, f) in flits.iter().take(queued).enumerate() {
+                        router.enqueue(p, v, *f, route, ready + i as u64);
+                    }
+                }
+                _ => {
+                    // The head came and went; bodies stream behind it.
+                    router.enqueue(p, v, flits[0], route, 0);
+                    let _ = router.pop_granted(p, v, now);
+                    router.set_out_vc(p, v, if out_vc == 4 { NO_VC } else { out_vc });
+                    for (i, f) in flits[1..].iter().take(queued).enumerate() {
+                        router.enqueue(p, v, *f, route, ready + i as u64);
+                    }
+                }
+            }
+        }
+        for (dir, &(dead, full, gate, gate_pending, taken)) in
+            Port::DIRECTIONS.into_iter().zip(outputs)
+        {
+            if dead == 0 {
+                net.health.set_link(r, dir, false);
+            }
+            let ci = net.channel_index(r, dir);
+            while full == 0 && net.links.has_space(ci) {
+                net.links.push(ci, make_packet(900, 3600, 0, 1, 0)[0], now);
+            }
+            let down = &mut net.routers[net.mesh.neighbor(r, dir).expect("centre router")];
+            down.gate = match gate {
+                0 | 1 => GateState::On,
+                2 => GateState::Gated,
+                _ => GateState::Waking(now + 3),
+            };
+            down.gate_pending = gate_pending == 0;
+            for vc in (0..vcs).filter(|vc| taken >> vc & 1 == 1) {
+                down.reserve(dir.opposite().index(), vc, 700 + vc as u64);
+            }
+        }
+        // Promote in two steps, as consecutive cycles would.
+        net.routers[r].promote_ready(now - 1);
+        net.routers[r].promote_ready(now);
+        assert_eq!(net.routers[r].index_drift(now), None);
+        let want = sa_allocate_by_polling(&net, r, sa_rr);
+        assert_eq!(net.sa_allocate(r, sa_rr), want);
+
+        let before = net.routers[r].occupancy();
+        let granted: Vec<(SaGrant, Flit)> = want
+            .iter()
+            .flatten()
+            .map(|g| {
+                let flit = net.routers[r].sa_candidate(g.port, g.vc, now);
+                (*g, *flit.expect("granted VCs hold an eligible flit"))
+            })
+            .collect();
+        net.sa_phase(r);
+        assert_eq!(net.routers[r].sa_rr, (sa_rr + 1) % PORTS);
+        assert_eq!(net.routers[r].occupancy(), before - granted.len());
+        for (g, flit) in granted {
+            if flit.is_head() && g.dvc != NO_VC {
+                let dv = net.mesh.neighbor(r, g.out).expect("centre router");
+                let reserved = net.routers[dv].vc(g.out.opposite().index(), g.dvc as usize);
+                assert!(reserved.is_reserved_for(flit.packet_id), "{g:?}: {reserved:?}");
+            }
+        }
+        net.now += 1; // the drift check expects the cycle to have ended
+        assert_eq!(net.occupancy_index_drift(), None);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(400))]
+
+        /// Mask-based allocation grants exactly what the polling allocator
+        /// grants — same `(input port, vc, out, dvc)` per output — for any
+        /// table state: free, reserved and bound VCs, heads and bodies,
+        /// heads eligible now or later, every round-robin offset, full and
+        /// dead outputs, gated, waking and gate-pending downstream routers
+        /// with any subset of their VCs taken.
+        #[test]
+        fn mask_allocation_grants_what_polling_grants(
+            shape in (1usize..5, 1usize..4, 0usize..PORTS),
+            rows in proptest::collection::vec((0u8..4, 0u8..5, 0u8..3, 0u64..4, 0u8..5), 20),
+            outputs in proptest::collection::vec((0u8..6, 0u8..4, 0u8..4, 0u8..5, 0u8..16), DIRS),
+        ) {
+            check_allocation(shape, &rows, &outputs);
         }
     }
 

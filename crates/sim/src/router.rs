@@ -9,22 +9,40 @@
 //! their head at one per cycle.
 
 use crate::config::RouterDirective;
-use crate::flit::{Cycle, Flit};
+use crate::flit::{Cycle, Flit, NO_VC};
 use crate::topology::{Port, PORTS};
 use noc_ecc::EccScheme;
 use noc_power::ActivityCounters;
 use std::collections::VecDeque;
 
-/// One virtual channel of an input port.
-#[derive(Debug, Clone)]
-pub struct InputVc {
-    queue: VecDeque<(Flit, Cycle)>,
-    depth: usize,
-    /// Packet currently holding this VC (atomic VC allocation).
-    packet: Option<u64>,
-    /// Packet that has reserved this VC from the upstream router's VA stage
-    /// but whose head flit has not yet arrived.
-    reserved_by: Option<u64>,
+/// Who holds a VC (atomic VC allocation: one packet from head arrival until
+/// tail departure).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum VcState {
+    /// No binding, no reservation, no flits: a new head may claim it.
+    Free,
+    /// Reserved by the upstream router's VA stage for a packet whose head
+    /// flit has not arrived yet.
+    Reserved,
+    /// Bound to a packet until its tail departs.
+    Bound,
+}
+
+/// One row of a router's VC table: everything allocation needs to know
+/// about a VC without touching its flit queue.
+#[derive(Debug, Clone, Copy)]
+pub struct VcEntry {
+    /// Cycle at which the head-of-queue flit becomes eligible for switch
+    /// allocation (meaningful while `len > 0`).
+    head_ready: Cycle,
+    /// The reserving or bound packet (meaningful unless `Free`).
+    owner: u64,
+    /// Flits queued.
+    len: u32,
+    state: VcState,
+    /// Whether the head-of-queue flit is the packet's head flit (it still
+    /// has to win a downstream VC).
+    head_queued: bool,
     /// Output port of the current packet (set by route computation).
     route: Port,
     /// Downstream input VC allocated to the current packet by this router's
@@ -32,74 +50,47 @@ pub struct InputVc {
     out_vc: u8,
 }
 
-impl InputVc {
-    fn new(depth: usize) -> Self {
-        InputVc {
-            queue: VecDeque::new(),
-            depth,
-            packet: None,
-            reserved_by: None,
-            route: Port::Local,
-            out_vc: crate::flit::NO_VC,
-        }
-    }
+impl VcEntry {
+    const EMPTY: VcEntry = VcEntry {
+        head_ready: 0,
+        owner: 0,
+        len: 0,
+        state: VcState::Free,
+        head_queued: false,
+        route: Port::Local,
+        out_vc: NO_VC,
+    };
 
     /// Whether a new packet's head flit may claim this VC (not bound, not
-    /// reserved, empty).
+    /// reserved, empty) — also the per-VC condition for power-gating.
     pub fn available(&self) -> bool {
-        self.packet.is_none() && self.reserved_by.is_none() && self.queue.is_empty()
-    }
-
-    /// Whether this VC is reserved for `packet`.
-    pub fn is_reserved_for(&self, packet: u64) -> bool {
-        self.reserved_by == Some(packet)
-    }
-
-    /// The reserving packet, if any (debugging aid).
-    #[doc(hidden)]
-    pub fn reserved_by_debug(&self) -> Option<u64> {
-        self.reserved_by
-    }
-
-    /// Whether this VC is idle (no binding, no reservation, no flits) —
-    /// the per-VC condition for power-gating the router.
-    pub fn is_idle(&self) -> bool {
-        self.available()
-    }
-
-    /// Reserves this VC for an in-flight head flit (upstream VA).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the VC is not available.
-    pub fn reserve(&mut self, packet: u64) {
-        assert!(self.available(), "reserving a busy VC");
-        self.reserved_by = Some(packet);
-    }
-
-    /// Downstream VC allocated to the current packet.
-    pub fn out_vc(&self) -> u8 {
-        self.out_vc
-    }
-
-    /// Records the downstream VC allocated to the current packet.
-    pub fn set_out_vc(&mut self, vc: u8) {
-        self.out_vc = vc;
-    }
-
-    /// Whether the VC has a free buffer slot.
-    pub fn has_space(&self) -> bool {
-        self.queue.len() < self.depth
-    }
-
-    /// Current occupancy in flits.
-    pub fn occupancy(&self) -> usize {
-        self.queue.len()
+        self.state == VcState::Free
     }
 
     /// The packet bound to this VC, if any.
     pub fn packet(&self) -> Option<u64> {
-        self.packet
+        (self.state == VcState::Bound).then_some(self.owner)
+    }
+
+    /// The packet that reserved this VC from upstream, if its head flit has
+    /// not arrived yet.
+    pub fn reserved_by(&self) -> Option<u64> {
+        (self.state == VcState::Reserved).then_some(self.owner)
+    }
+
+    /// Whether this VC is bound to `packet`.
+    pub fn is_bound_to(&self, packet: u64) -> bool {
+        self.state == VcState::Bound && self.owner == packet
+    }
+
+    /// Whether this VC is reserved for `packet`.
+    pub fn is_reserved_for(&self, packet: u64) -> bool {
+        self.state == VcState::Reserved && self.owner == packet
+    }
+
+    /// Current occupancy in flits.
+    pub fn occupancy(&self) -> usize {
+        self.len as usize
     }
 
     /// Output port of the bound packet.
@@ -107,121 +98,15 @@ impl InputVc {
         self.route
     }
 
-    /// Head flit if it is eligible for switch allocation at `now`.
-    pub fn sa_candidate(&self, now: Cycle) -> Option<&Flit> {
-        match self.queue.front() {
-            Some((flit, ready)) if *ready <= now => Some(flit),
-            _ => None,
-        }
+    /// Downstream VC allocated to the current packet.
+    pub fn out_vc(&self) -> u8 {
+        self.out_vc
     }
 
-    /// Iterates the queued flits in order (purge/diagnostic support).
-    pub fn flits(&self) -> impl Iterator<Item = &Flit> {
-        self.queue.iter().map(|(f, _)| f)
-    }
-
-    /// Removes every trace of `packet` from this VC: queued flits, the
-    /// binding, and any reservation. Returns the number of flits removed.
-    /// Reached only through [`Router::purge_packet`], which keeps the
-    /// router's buffered-flit count in step.
-    fn purge_packet(&mut self, packet: u64) -> usize {
-        let mut removed = 0;
-        if self.packet == Some(packet) {
-            removed = self.queue.len();
-            self.queue.clear();
-            self.packet = None;
-            self.out_vc = crate::flit::NO_VC;
-            self.route = Port::Local;
-        }
-        if self.reserved_by == Some(packet) {
-            self.reserved_by = None;
-        }
-        removed
-    }
-
-    /// Rebinds the output route of the bound packet after a health-map
-    /// rebuild. Only legal while the head flit is still queued (body flits
-    /// must follow the path their head already took).
-    pub fn rebind_route(&mut self, route: Port) {
-        debug_assert!(self.packet.is_some(), "rebind on unbound VC");
-        self.route = route;
-    }
-
-    /// Removes the head flit after a switch-allocation grant (reached only
-    /// through [`Router::pop_granted`]).
-    fn pop_granted(&mut self, now: Cycle) -> Flit {
-        match self.queue.front() {
-            Some((_, ready)) if *ready <= now => {
-                let (flit, _) = self.queue.pop_front().expect("head exists");
-                if flit.is_tail() {
-                    self.packet = None;
-                }
-                flit
-            }
-            _ => panic!("no granted flit to pop"),
-        }
-    }
-}
-
-/// One input port: a set of VCs.
-#[derive(Debug, Clone)]
-pub struct InputPort {
-    vcs: Vec<InputVc>,
-}
-
-impl InputPort {
-    fn new(vcs: usize, depth: usize) -> Self {
-        InputPort { vcs: (0..vcs).map(|_| InputVc::new(depth)).collect() }
-    }
-
-    /// The VCs of this port.
-    pub fn vcs(&self) -> &[InputVc] {
-        &self.vcs
-    }
-
-    /// Mutable access to one VC.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vc` is out of range.
-    pub fn vc_mut(&mut self, vc: usize) -> &mut InputVc {
-        &mut self.vcs[vc]
-    }
-
-    /// Total flits buffered on this port.
-    pub fn occupancy(&self) -> usize {
-        self.vcs.iter().map(InputVc::occupancy).sum()
-    }
-
-    /// Whether the given flit can be accepted right now: a head flit needs a
-    /// free VC; a body/tail flit needs its packet's VC to have space.
-    /// Returns the VC index it would enter.
-    pub fn accept_target(&self, flit: &Flit) -> Option<usize> {
-        if flit.is_head() {
-            self.vcs.iter().position(InputVc::available)
-        } else {
-            self.vcs.iter().position(|vc| vc.packet() == Some(flit.packet_id) && vc.has_space())
-        }
-    }
-
-    /// Enqueues `flit` into `vc` (reached only through
-    /// [`Router::enqueue`]).
-    fn enqueue(&mut self, vc: usize, flit: Flit, route: Port, ready: Cycle) {
-        let slot = &mut self.vcs[vc];
-        assert!(slot.has_space(), "VC overflow");
-        if flit.is_head() {
-            assert!(
-                slot.available() || slot.is_reserved_for(flit.packet_id),
-                "VC not available for new packet"
-            );
-            slot.reserved_by = None;
-            slot.packet = Some(flit.packet_id);
-            slot.route = route;
-            slot.out_vc = crate::flit::NO_VC;
-        } else {
-            assert_eq!(slot.packet, Some(flit.packet_id), "body flit on wrong VC");
-        }
-        slot.queue.push_back((flit, ready));
+    /// Whether the head-of-queue flit is the packet's head flit, which
+    /// still has to win a downstream VC.
+    pub(crate) fn holds_head(&self) -> bool {
+        self.head_queued
     }
 }
 
@@ -265,15 +150,38 @@ pub struct StepStats {
 }
 
 /// One router instance.
+///
+/// VC state lives in one flat, port-major table (`port * vcs + vc`), the
+/// readiness index: a [`VcEntry`] per VC plus four bitmasks over the table
+/// that say what can move without looking at any queue. Bit `i` of
+///
+/// - `pending` — VC `i` holds flits, its head not yet known SA-eligible;
+/// - `ready` — VC `i`'s head flit is SA-eligible (promoted from `pending`
+///   by [`Router::promote_ready`], cleared when the flit is popped);
+/// - `request[out]` — VC `i` is bound to a packet routed to output `out`;
+/// - `free` — VC `i` is [`VcEntry::available`].
+///
+/// Only [`Router::enqueue`], [`Router::pop_granted`], [`Router::reserve`],
+/// [`Router::rebind_route`] and [`Router::purge_packet`] change entries,
+/// masks or queues, each updating all three in the same call, so they
+/// cannot drift apart ([`Router::index_drift`] recounts them). Flit queues
+/// are allocated on first use: most VCs of a lightly loaded mesh never
+/// hold a flit.
 #[derive(Debug, Clone)]
 pub struct Router {
     /// Node index.
     pub id: usize,
-    inputs: Vec<InputPort>,
+    vcs: usize,
+    depth: u32,
+    table: Vec<VcEntry>,
+    /// Queued flits per table row, each with its SA-eligible cycle.
+    queues: Vec<VecDeque<(Flit, Cycle)>>,
+    pending: u64,
+    ready: u64,
+    free: u64,
+    request: [u64; PORTS],
     /// Flits buffered across all input VCs — the router's share of the
-    /// occupancy index. Only [`Router::enqueue`], [`Router::pop_granted`]
-    /// and [`Router::purge_packet`] add or remove flits, so it cannot drift
-    /// from the queues.
+    /// occupancy index.
     buffered: usize,
     /// Gating state.
     pub gate: GateState,
@@ -293,12 +201,48 @@ pub struct Router {
     pub step: StepStats,
 }
 
+/// Rows a VC table can have: one bit each in a 64-bit readiness mask.
+pub(crate) const MAX_VC_ROWS: usize = u64::BITS as usize;
+
+/// A mask of the `n` lowest bits.
+fn low_bits(n: usize) -> u64 {
+    if n >= MAX_VC_ROWS {
+        !0
+    } else {
+        (1 << n) - 1
+    }
+}
+
+/// The set bits of `mask` in ascending order.
+pub(crate) fn set_bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let i = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            i
+        })
+    })
+}
+
 impl Router {
     /// Creates a powered-on router with empty buffers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `PORTS * vcs` exceeds the 64 bits of a readiness mask.
     pub fn new(id: usize, vcs: usize, depth: usize, scheme: EccScheme) -> Self {
+        let rows = PORTS * vcs;
+        assert!(rows <= MAX_VC_ROWS, "{PORTS} ports x {vcs} VCs exceed {MAX_VC_ROWS} table rows");
         Router {
             id,
-            inputs: (0..PORTS).map(|_| InputPort::new(vcs, depth)).collect(),
+            vcs,
+            depth: u32::try_from(depth).expect("VC depth fits u32"),
+            table: vec![VcEntry::EMPTY; rows],
+            queues: vec![VecDeque::new(); rows],
+            pending: 0,
+            ready: 0,
+            free: low_bits(rows),
+            request: [0; PORTS],
             buffered: 0,
             gate: GateState::On,
             gate_pending: false,
@@ -311,21 +255,65 @@ impl Router {
         }
     }
 
-    /// The input ports.
-    pub fn inputs(&self) -> &[InputPort] {
-        &self.inputs
+    /// VCs per input port.
+    pub fn vcs(&self) -> usize {
+        self.vcs
     }
 
-    /// Mutable access to one input port — for VC bookkeeping that moves no
-    /// flit (reservations, `out_vc`, route rebinds). Flits enter and leave
-    /// through [`Router::enqueue`] / [`Router::pop_granted`] /
-    /// [`Router::purge_packet`] only.
+    /// The table rows of input `port`, in VC order.
     ///
     /// # Panics
     ///
     /// Panics if `port` is out of range.
-    pub fn input_mut(&mut self, port: usize) -> &mut InputPort {
-        &mut self.inputs[port]
+    pub fn port_vcs(&self, port: usize) -> &[VcEntry] {
+        &self.table[port * self.vcs..(port + 1) * self.vcs]
+    }
+
+    /// The table row of VC `vc` of input `port`.
+    pub fn vc(&self, port: usize, vc: usize) -> &VcEntry {
+        &self.table[port * self.vcs + vc]
+    }
+
+    /// The flits queued in VC `vc` of input `port`, head first.
+    pub fn flits(&self, port: usize, vc: usize) -> impl Iterator<Item = &Flit> {
+        self.queues[port * self.vcs + vc].iter().map(|(f, _)| f)
+    }
+
+    /// Head flit of VC `vc` of input `port` if it is eligible for switch
+    /// allocation at `now` (read from the entry, not the masks, so it is
+    /// right between promotions too).
+    pub fn sa_candidate(&self, port: usize, vc: usize, now: Cycle) -> Option<&Flit> {
+        let i = port * self.vcs + vc;
+        let e = &self.table[i];
+        (e.len > 0 && e.head_ready <= now).then(|| &self.queues[i][0].0)
+    }
+
+    /// The table-row mask covering every VC of input `port`.
+    pub(crate) fn port_mask(&self, port: usize) -> u64 {
+        low_bits(self.vcs) << (port * self.vcs)
+    }
+
+    /// The lowest free VC of input `port`.
+    pub fn free_vc(&self, port: usize) -> Option<usize> {
+        let slice = (self.free >> (port * self.vcs)) & low_bits(self.vcs);
+        (slice != 0).then(|| slice.trailing_zeros() as usize)
+    }
+
+    /// The VC of input `port` bound to `packet`, if any.
+    pub fn bound_vc(&self, port: usize, packet: u64) -> Option<usize> {
+        self.port_vcs(port).iter().position(|e| e.is_bound_to(packet))
+    }
+
+    /// Whether `flit` can enter input `port` right now: a head flit needs a
+    /// free VC; a body/tail flit needs its packet's VC to have space.
+    /// Returns the VC index it would enter.
+    pub fn accept_target(&self, port: usize, flit: &Flit) -> Option<usize> {
+        if flit.is_head() {
+            self.free_vc(port)
+        } else {
+            let depth = self.depth;
+            self.port_vcs(port).iter().position(|e| e.is_bound_to(flit.packet_id) && e.len < depth)
+        }
     }
 
     /// Enqueues `flit` into VC `vc` of input `port` with SA eligibility at
@@ -337,32 +325,120 @@ impl Router {
     ///
     /// Panics if the VC has no space or (for heads) is not available.
     pub fn enqueue(&mut self, port: usize, vc: usize, flit: Flit, route: Port, ready: Cycle) {
-        self.inputs[port].enqueue(vc, flit, route, ready);
+        let i = port * self.vcs + vc;
+        let bit = 1u64 << i;
+        let e = &mut self.table[i];
+        assert!(e.len < self.depth, "VC overflow");
+        if flit.is_head() {
+            assert!(
+                e.available() || e.is_reserved_for(flit.packet_id),
+                "VC not available for new packet"
+            );
+            e.state = VcState::Bound;
+            e.owner = flit.packet_id;
+            e.route = route;
+            e.out_vc = NO_VC;
+            self.free &= !bit;
+            self.request[route.index()] |= bit;
+        } else {
+            assert!(e.is_bound_to(flit.packet_id), "body flit on wrong VC");
+        }
+        if e.len == 0 {
+            e.head_ready = ready;
+            e.head_queued = flit.is_head();
+            self.pending |= bit;
+        }
+        e.len += 1;
+        self.queues[i].push_back((flit, ready));
         self.buffered += 1;
     }
 
     /// Removes the head flit of VC `vc` of input `port` after a
-    /// switch-allocation grant.
+    /// switch-allocation grant; a tail frees the VC.
     ///
     /// # Panics
     ///
     /// Panics if there is no eligible head flit.
     pub fn pop_granted(&mut self, port: usize, vc: usize, now: Cycle) -> Flit {
-        let flit = self.inputs[port].vcs[vc].pop_granted(now);
+        let i = port * self.vcs + vc;
+        let bit = 1u64 << i;
+        let e = &mut self.table[i];
+        assert!(e.len > 0 && e.head_ready <= now, "no granted flit to pop");
+        let (flit, _) = self.queues[i].pop_front().expect("len counts the queue");
+        e.len -= 1;
+        e.head_queued = false;
+        self.ready &= !bit;
+        self.pending &= !bit;
+        if let Some(&(_, next)) = self.queues[i].front() {
+            e.head_ready = next;
+            self.pending |= bit;
+        }
+        if flit.is_tail() {
+            e.state = VcState::Free;
+            self.free |= bit;
+            self.request[e.route.index()] &= !bit;
+        }
         self.buffered -= 1;
         flit
+    }
+
+    /// Reserves VC `vc` of input `port` for the in-flight head flit of
+    /// `packet` (the upstream router's VA stage).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the VC is not available.
+    pub fn reserve(&mut self, port: usize, vc: usize, packet: u64) {
+        let i = port * self.vcs + vc;
+        let e = &mut self.table[i];
+        assert!(e.available(), "reserving a busy VC");
+        e.state = VcState::Reserved;
+        e.owner = packet;
+        self.free &= !(1u64 << i);
+    }
+
+    /// Records the downstream VC allocated to the packet bound to VC `vc`
+    /// of input `port`.
+    pub fn set_out_vc(&mut self, port: usize, vc: usize, out_vc: u8) {
+        self.table[port * self.vcs + vc].out_vc = out_vc;
+    }
+
+    /// Rebinds the output route of the packet bound to VC `vc` of input
+    /// `port` after a health-map rebuild. Only legal while the head flit is
+    /// still queued (body flits must follow the path their head took).
+    pub fn rebind_route(&mut self, port: usize, vc: usize, route: Port) {
+        let i = port * self.vcs + vc;
+        let e = &mut self.table[i];
+        debug_assert!(e.state == VcState::Bound, "rebind on unbound VC");
+        self.request[e.route.index()] &= !(1u64 << i);
+        self.request[route.index()] |= 1u64 << i;
+        e.route = route;
+    }
+
+    /// Moves every VC whose head flit has become SA-eligible by `now` from
+    /// `pending` to `ready` — O(|pending|).
+    pub(crate) fn promote_ready(&mut self, now: Cycle) {
+        for i in set_bits(self.pending) {
+            if self.table[i].head_ready <= now {
+                self.pending &= !(1u64 << i);
+                self.ready |= 1u64 << i;
+            }
+        }
+    }
+
+    /// The SA-eligible VCs requesting output `out`, as a table-row mask.
+    pub(crate) fn sa_requests(&self, out: Port) -> u64 {
+        self.request[out.index()] & self.ready
+    }
+
+    /// Table row `row` (`port * vcs + vc`), as the masks number them.
+    pub(crate) fn row(&self, row: usize) -> &VcEntry {
+        &self.table[row]
     }
 
     /// Total flits buffered across all ports (O(1): the maintained count).
     pub fn occupancy(&self) -> usize {
         self.buffered
-    }
-
-    /// [`Router::occupancy`] recounted from the VC queues — what the
-    /// occupancy-index consistency check compares the maintained count to.
-    #[doc(hidden)]
-    pub fn recount_occupancy(&self) -> usize {
-        self.inputs.iter().map(InputPort::occupancy).sum()
     }
 
     /// Whether all input buffers are empty.
@@ -373,7 +449,7 @@ impl Router {
     /// Whether every VC is idle (no flits, bindings, or reservations) —
     /// the safe condition for power-gating.
     pub fn is_gateable(&self) -> bool {
-        self.inputs.iter().all(|p| p.vcs().iter().all(InputVc::is_idle))
+        self.free == low_bits(self.table.len())
     }
 
     /// Whether the router core is currently powered (not gated/waking).
@@ -386,17 +462,72 @@ impl Router {
         !self.is_on()
     }
 
-    /// Removes every trace of `packet` from all input VCs (hard-fault
-    /// salvage/drop support). Returns the number of flits removed.
+    /// Removes every trace of `packet` from all input VCs — queued flits,
+    /// the binding, any reservation (hard-fault salvage/drop support).
+    /// Returns the number of flits removed.
     pub fn purge_packet(&mut self, packet: u64) -> usize {
-        let removed: usize = self
-            .inputs
-            .iter_mut()
-            .flat_map(|p| p.vcs.iter_mut())
-            .map(|vc| vc.purge_packet(packet))
-            .sum();
+        let mut removed = 0;
+        for i in set_bits(!self.free & low_bits(self.table.len())) {
+            let e = &mut self.table[i];
+            if e.owner != packet {
+                continue;
+            }
+            let bit = 1u64 << i;
+            if e.state == VcState::Bound {
+                removed += e.len as usize;
+                self.queues[i].clear();
+                self.request[e.route.index()] &= !bit;
+                self.pending &= !bit;
+                self.ready &= !bit;
+                *e = VcEntry::EMPTY;
+            } else {
+                e.state = VcState::Free;
+            }
+            self.free |= bit;
+        }
         self.buffered -= removed;
         removed
+    }
+
+    /// Compares table, masks and buffered count with a recount from the
+    /// flit queues at cycle `now`; `Some(what)` names the first mismatch.
+    #[doc(hidden)]
+    pub fn index_drift(&self, now: Cycle) -> Option<String> {
+        let mut total = 0;
+        for (i, (e, q)) in self.table.iter().zip(&self.queues).enumerate() {
+            let at = |what: &str| Some(format!("router {} row {i}: {what}; {e:?}", self.id));
+            let bit = |mask: u64| mask >> i & 1 == 1;
+            total += q.len();
+            if e.len as usize != q.len() {
+                return at(&format!("len vs {} flit(s) queued", q.len()));
+            }
+            if let Some((head, ready)) = q.front() {
+                if e.head_ready != *ready || e.head_queued != head.is_head() {
+                    return at(&format!("head entry vs queued {:?} ready at {ready}", head.kind));
+                }
+                if q.iter().any(|(f, _)| !e.is_bound_to(f.packet_id)) {
+                    return at("queued flit of a packet the VC is not bound to");
+                }
+            }
+            if u8::from(bit(self.ready)) + u8::from(bit(self.pending)) != u8::from(!q.is_empty()) {
+                return at("a VC holding flits is in exactly one of pending/ready, an empty one in neither");
+            }
+            if bit(self.ready) && e.head_ready > now {
+                return at(&format!("ready bit before the head is eligible at cycle {now}"));
+            }
+            if bit(self.free) != e.available() {
+                return at("free bit vs entry state");
+            }
+            for out in Port::ALL {
+                let wants = e.state == VcState::Bound && e.route == out;
+                if bit(self.request[out.index()]) != wants {
+                    return at(&format!("request[{out:?}] bit vs bound route"));
+                }
+            }
+        }
+        (total != self.buffered).then(|| {
+            format!("router {}: buffered count {} vs {total} recounted", self.id, self.buffered)
+        })
     }
 }
 
@@ -413,12 +544,12 @@ mod tests {
     fn head_claims_available_vc() {
         let mut r = router();
         let flits = make_packet(1, 0, 0, 5, 0);
-        let vc = r.inputs()[0].accept_target(&flits[0]).unwrap();
+        let vc = r.accept_target(0, &flits[0]).unwrap();
         r.enqueue(0, vc, flits[0], Port::XPlus, 4);
-        let port = &r.inputs()[0];
-        assert_eq!(port.vcs()[vc].packet(), Some(1));
-        assert_eq!(port.vcs()[vc].route(), Port::XPlus);
-        assert!(!port.vcs()[vc].available());
+        assert_eq!(r.vc(0, vc).packet(), Some(1));
+        assert_eq!(r.vc(0, vc).route(), Port::XPlus);
+        assert!(!r.vc(0, vc).available());
+        assert_eq!(r.index_drift(0), None);
     }
 
     #[test]
@@ -426,13 +557,12 @@ mod tests {
         let mut r = router();
         let flits = make_packet(1, 0, 0, 5, 0);
         r.enqueue(0, 0, flits[0], Port::XPlus, 4);
-        let port = &r.inputs()[0];
-        assert_eq!(port.accept_target(&flits[1]), Some(0));
+        assert_eq!(r.accept_target(0, &flits[1]), Some(0));
         // A different packet's body can't enter.
         let other = make_packet(2, 10, 0, 5, 0);
-        assert_eq!(port.accept_target(&other[1]), None);
+        assert_eq!(r.accept_target(0, &other[1]), None);
         // But its head can take the other VC.
-        assert_eq!(port.accept_target(&other[0]), Some(1));
+        assert_eq!(r.accept_target(0, &other[0]), Some(1));
     }
 
     #[test]
@@ -442,7 +572,7 @@ mod tests {
         r.enqueue(0, 0, flits[0], Port::XPlus, 4);
         r.enqueue(0, 0, flits[1], Port::XPlus, 5);
         // Depth 2: third flit refused on this VC.
-        assert_eq!(r.inputs()[0].accept_target(&flits[2]), None);
+        assert_eq!(r.accept_target(0, &flits[2]), None);
     }
 
     #[test]
@@ -450,9 +580,16 @@ mod tests {
         let mut r = router();
         let flits = make_packet(1, 0, 0, 5, 0);
         r.enqueue(0, 0, flits[0], Port::XPlus, 4);
-        let vc = &r.inputs()[0].vcs()[0];
-        assert!(vc.sa_candidate(3).is_none());
-        assert!(vc.sa_candidate(4).is_some());
+        assert!(r.sa_candidate(0, 0, 3).is_none());
+        assert!(r.sa_candidate(0, 0, 4).is_some());
+        // The masks say the same once promoted, for the requested output only.
+        r.promote_ready(3);
+        assert_eq!(r.sa_requests(Port::XPlus), 0);
+        r.promote_ready(4);
+        assert_eq!(r.sa_requests(Port::XPlus), 1);
+        assert_eq!(r.sa_requests(Port::Local), 0);
+        assert!(r.row(0).holds_head());
+        assert_eq!(r.index_drift(4), None);
     }
 
     #[test]
@@ -461,16 +598,20 @@ mod tests {
         let flits = make_packet(1, 0, 0, 5, 0);
         r.enqueue(0, 0, flits[0], Port::XPlus, 0);
         let _ = r.pop_granted(0, 0, 0);
-        assert!(!r.inputs()[0].vcs()[0].available(), "packet still bound until tail");
+        assert!(!r.vc(0, 0).available(), "packet still bound until tail");
+        assert_eq!(r.free_vc(0), Some(1));
         r.enqueue(0, 0, flits[1], Port::XPlus, 0);
         r.enqueue(0, 0, flits[2], Port::XPlus, 0);
         let _ = r.pop_granted(0, 0, 0);
         let _ = r.pop_granted(0, 0, 0);
         r.enqueue(0, 0, flits[3], Port::XPlus, 0);
+        assert!(!r.is_gateable());
         let tail = r.pop_granted(0, 0, 0);
         assert!(tail.is_tail());
-        assert!(r.inputs()[0].vcs()[0].available(), "tail departure frees the VC");
-        assert!(r.is_drained());
+        assert!(r.vc(0, 0).available(), "tail departure frees the VC");
+        assert_eq!(r.free_vc(0), Some(0));
+        assert!(r.is_drained() && r.is_gateable());
+        assert_eq!(r.index_drift(0), None);
     }
 
     #[test]
@@ -491,15 +632,40 @@ mod tests {
         r.enqueue(0, 0, a[0], Port::XPlus, 0);
         r.enqueue(0, 0, a[1], Port::XPlus, 1);
         r.enqueue(3, 1, b[0], Port::Local, 0);
-        r.input_mut(1).vc_mut(0).reserve(1); // a reservation holds no flit
+        r.reserve(1, 0, 1); // a reservation holds no flit
+        assert_eq!(r.free_vc(1), Some(1));
         assert_eq!(r.purge_packet(1), 2);
         assert_eq!(r.occupancy(), 1);
-        assert_eq!(r.occupancy(), r.recount_occupancy());
-        assert!(r.inputs()[1].vcs()[0].available(), "the reservation is gone too");
+        assert_eq!(r.index_drift(0), None);
+        assert!(r.vc(1, 0).available(), "the reservation is gone too");
+        assert_eq!(r.free_vc(1), Some(0), "and the dropped reservation is free again");
         assert_eq!(r.purge_packet(1), 0, "purging again removes nothing");
         let _ = r.pop_granted(3, 1, 0);
-        assert!(r.is_drained());
-        assert_eq!(r.recount_occupancy(), 0);
+        assert!(r.is_drained() && !r.is_gateable(), "packet 2 still holds its VC");
+        assert_eq!(r.index_drift(0), None);
+    }
+
+    #[test]
+    fn rebind_moves_the_request_to_the_new_output() {
+        let mut r = router();
+        let flits = make_packet(1, 0, 0, 5, 0);
+        r.enqueue(2, 1, flits[0], Port::XPlus, 0);
+        r.promote_ready(0);
+        r.rebind_route(2, 1, Port::YMinus);
+        assert_eq!(r.vc(2, 1).route(), Port::YMinus);
+        assert_eq!(r.sa_requests(Port::XPlus), 0);
+        assert_eq!(r.sa_requests(Port::YMinus), 1 << (2 * 2 + 1));
+        assert_eq!(r.index_drift(0), None);
+    }
+
+    #[test]
+    fn index_drift_names_a_stale_mask() {
+        let mut r = router();
+        let flits = make_packet(1, 0, 0, 5, 0);
+        r.enqueue(0, 0, flits[0], Port::XPlus, 4);
+        (r.pending, r.ready) = (0, 1); // claims eligibility the head does not have yet
+        let drift = r.index_drift(3).expect("drift reported");
+        assert!(drift.contains("router 0 row 0") && drift.contains("ready bit"), "{drift}");
     }
 
     #[test]

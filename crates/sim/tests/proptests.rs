@@ -52,9 +52,10 @@ fn design_config(design: u8) -> SimConfig {
 }
 
 proptest! {
-    /// The occupancy index (buffered counts, inbound counts, non-empty
-    /// channel and NI sets) equals a from-scratch recount after every cycle
-    /// of runs that exercise every place a flit enters or leaves a queue:
+    /// The occupancy index (buffered counts, every router's VC table and
+    /// readiness masks, inbound counts, non-empty channel and NI sets)
+    /// equals a from-scratch recount after every cycle of runs that exercise
+    /// every place a flit enters or leaves a queue or a VC changes hands:
     /// all five designs' buffering/gating/bypass settings, loads from idle
     /// to past saturation, link errors with a tight retry budget (hop NACKs,
     /// end-to-end re-injection), a router dying mid-run (`purge_packet`,
