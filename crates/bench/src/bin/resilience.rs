@@ -8,11 +8,12 @@
 //! output path the reroute-enabled grid is also written as CSV.
 
 use intellinoc::{
-    run_campaign_runner, CampaignConfig, CampaignRunReport, ChaosOptions, RunnerConfig,
+    run_campaign_runner, CampaignConfig, CampaignRunReport, ChaosOptions, RunnerConfig, UnitSinks,
 };
 
 fn run_grid(cfg: &CampaignConfig, rcfg: &RunnerConfig) -> CampaignRunReport {
-    run_campaign_runner(cfg, rcfg, &ChaosOptions::default()).expect("journal-less campaign")
+    run_campaign_runner(cfg, rcfg, &ChaosOptions::default(), UnitSinks::default())
+        .expect("journal-less campaign")
 }
 
 fn print_grid(title: &str, report: &CampaignRunReport) {

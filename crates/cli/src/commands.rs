@@ -3,20 +3,19 @@
 use crate::args::Args;
 use intellinoc::{
     classify_timeout, compare as compare_outcomes, compare_bench, intellinoc_rl_config,
-    pretrain_intellinoc, record_bench_instrumented, render_inspect_report,
-    run_campaign_runner_instrumented, run_chaos_harness, run_experiment,
-    run_experiment_instrumented, run_experiment_profiled, run_load_sweep_instrumented, run_units,
+    pretrain_intellinoc, record_bench, render_inspect_report, run_campaign_runner,
+    run_chaos_harness, run_experiment, run_experiment_instrumented, run_load_sweep, run_units,
     BackoffPolicy, BenchBaseline, BenchSpec, BlackboxConfig, CampaignConfig, ChaosHarnessConfig,
     ChaosKill, ChaosOptions, Daemon, Design, ExperimentConfig, ExperimentOutcome, FleetObserver,
     FleetProgress, GateOptions, MetricsOptions, RewardKind, RunnerConfig, RunnerReport,
-    ServeConfig, TelemetryArtifacts, TelemetryOptions, UnitCtx, UnitVerdict,
+    ServeConfig, TelemetryArtifacts, TelemetryOptions, UnitCtx, UnitSinks, UnitVerdict,
 };
 use noc_power::AreaModel;
 use noc_sim::{
     bundle_file_name, parse_bundle, parse_rules, render_exposition, render_report,
     runner_events_jsonl, shared_recorder, AlertEdge, BundleCause, BundleHead, EventKind,
     JourneyLog, MetricsHub, MetricsRegistry, MetricsServer, Network, Profiler, RunnerEvent,
-    SharedRecorder, TraceFilter, DEFAULT_BLACKBOX_CAPACITY,
+    SharedRecorder, SpanTree, TraceFilter, DEFAULT_BLACKBOX_CAPACITY,
 };
 use noc_traffic::{
     capture_trace, read_trace, write_trace, ParsecBenchmark, ReqReplySpec, TraceReplay,
@@ -194,27 +193,34 @@ fn journeys_dir_from(args: &Args) -> Result<Option<(PathBuf, u64)>, String> {
     Ok(Some((PathBuf::from(dir), every)))
 }
 
-/// Whether the command line asks for span profiling, and the fleet-wide
-/// sink the grid's units merge their span trees into when it does.
-fn prof_sink_from(args: &Args) -> Option<Mutex<Profiler>> {
-    let wanted = args.has_flag("profile")
-        || args.get("profile-out").is_some()
-        || args.get("prof-out").is_some()
-        || args.get("flame-out").is_some();
-    wanted.then(|| Mutex::new(Profiler::new()))
+/// Whether the command line asks for span profiling.
+fn profile_wanted(args: &Args) -> bool {
+    args.has_flag("profile")
+        || ["profile-out", "prof-out", "flame-out"].iter().any(|k| args.get(k).is_some())
 }
 
-/// Drains a fleet profiler sink and writes the span-tree artifacts: the
-/// deterministic cycle-domain table (`--prof-out`) and the collapsed-stack
-/// flamegraph (`--flame-out`, inferno/speedscope-loadable).
-fn emit_fleet_profile(
-    args: &Args,
-    label: &str,
-    sink: Option<Mutex<Profiler>>,
-) -> Result<Option<Profiler>, String> {
-    let Some(sink) = sink else { return Ok(None) };
-    let prof = sink.into_inner().expect("profiler sink lock");
-    let tree = prof.span_tree();
+/// The fleet-wide sink a grid's units merge their span trees into, when
+/// the command line asks for span profiling.
+fn prof_sink_from(args: &Args) -> Option<Mutex<Profiler>> {
+    profile_wanted(args).then(|| Mutex::new(Profiler::new()))
+}
+
+/// The [`UnitSinks`] view of the command line's fleet profiler and
+/// journey directory.
+fn unit_sinks<'a>(
+    prof: &'a Option<Mutex<Profiler>>,
+    journeys: &'a Option<(PathBuf, u64)>,
+) -> UnitSinks<'a> {
+    UnitSinks {
+        prof: prof.as_ref(),
+        journeys: journeys.as_ref().map(|(dir, every)| (dir.as_path(), *every)),
+    }
+}
+
+/// Writes the span-tree artifacts: the deterministic cycle-domain table
+/// (`--prof-out`) and the collapsed-stack flamegraph (`--flame-out`,
+/// inferno/speedscope-loadable).
+fn emit_span_tree(args: &Args, label: &str, tree: &SpanTree) -> Result<(), String> {
     if let Some(path) = args.get("prof-out") {
         std::fs::write(path, tree.tree_table()).map_err(|e| format!("writing {path}: {e}"))?;
         eprintln!("{label}: cycle-domain span table ({} spans) written to {path}", tree.len());
@@ -223,6 +229,32 @@ fn emit_fleet_profile(
         std::fs::write(path, tree.flamegraph()).map_err(|e| format!("writing {path}: {e}"))?;
         eprintln!("{label}: collapsed-stack flamegraph ({} stacks) written to {path}", tree.len());
     }
+    Ok(())
+}
+
+/// Emits the wall-clock profile table when asked for: `--profile-out` to a
+/// file, else `--profile` to stdout.
+fn emit_profile_table(args: &Args, label: &str, prof: &Profiler) -> Result<(), String> {
+    match args.get("profile-out") {
+        Some(path) => {
+            std::fs::write(path, prof.table()).map_err(|e| format!("writing {path}: {e}"))?;
+            eprintln!("{label}: profile table written to {path}");
+        }
+        None if args.has_flag("profile") => print!("{}", prof.table()),
+        None => {}
+    }
+    Ok(())
+}
+
+/// Drains a fleet profiler sink, writing its span-tree artifacts.
+fn emit_fleet_profile(
+    args: &Args,
+    label: &str,
+    sink: Option<Mutex<Profiler>>,
+) -> Result<Option<Profiler>, String> {
+    let Some(sink) = sink else { return Ok(None) };
+    let prof = sink.into_inner().expect("profiler sink lock");
+    emit_span_tree(args, label, prof.span_tree())?;
     Ok(Some(prof))
 }
 
@@ -327,13 +359,7 @@ fn emit_runner<T>(
         if let Some(p) = prof {
             wall.merge(p);
         }
-        match args.get("profile-out") {
-            Some(path) => {
-                std::fs::write(path, wall.table()).map_err(|e| format!("writing {path}: {e}"))?;
-                eprintln!("{label}: profile table written to {path}");
-            }
-            None => print!("{}", wall.table()),
-        }
+        emit_profile_table(args, label, &wall)?;
     }
     eprintln!("{label}: {}", report.summary());
     Ok(())
@@ -414,10 +440,7 @@ pub fn telemetry_from(args: &Args) -> Result<TelemetryOptions, String> {
         trace_filter,
         trace_capacity: args.get_or("trace-capacity", 0usize)?,
         timeline: args.get("timeline-out").is_some(),
-        profile: args.has_flag("profile")
-            || args.get("profile-out").is_some()
-            || args.get("prof-out").is_some()
-            || args.get("flame-out").is_some(),
+        profile: profile_wanted(args),
         attribution: args.has_flag("attribution"),
         decisions: args.has_flag("decisions"),
         journeys_every: journeys_every_from(args)?,
@@ -515,15 +538,7 @@ fn emit_telemetry(args: &Args, artifacts: &TelemetryArtifacts) -> Result<(), Str
             }
             None => print!("{}", profiler.table()),
         }
-        let tree = profiler.span_tree();
-        if let Some(path) = args.get("prof-out") {
-            std::fs::write(path, tree.tree_table()).map_err(|e| format!("writing {path}: {e}"))?;
-            eprintln!("profile: cycle-domain span table ({} spans) written to {path}", tree.len());
-        }
-        if let Some(path) = args.get("flame-out") {
-            std::fs::write(path, tree.flamegraph()).map_err(|e| format!("writing {path}: {e}"))?;
-            eprintln!("profile: flamegraph ({} stacks) written to {path}", tree.len());
-        }
+        emit_span_tree(args, "profile", profiler.span_tree())?;
     }
     if let Some(log) = &artifacts.journeys {
         eprintln!(
@@ -745,7 +760,7 @@ pub fn sweep(args: &Args) -> CmdResult {
     let server = attach_fleet_observer(args, "sweep", &mut rcfg)?;
     let sink = prof_sink_from(args);
     let jsink = journeys_dir_from(args)?;
-    let report = run_load_sweep_instrumented(
+    let report = run_load_sweep(
         design,
         &rates,
         ppn,
@@ -753,8 +768,7 @@ pub fn sweep(args: &Args) -> CmdResult {
         &rcfg,
         &chaos,
         reqreply.as_ref(),
-        sink.as_ref(),
-        jsink.as_ref().map(|(d, e)| (d.as_path(), *e)),
+        unit_sinks(&sink, &jsink),
     )?;
     if let Some((dir, _)) = &jsink {
         eprintln!("sweep: journey logs collected in {}", dir.display());
@@ -865,13 +879,7 @@ pub fn campaign(args: &Args) -> CmdResult {
     let sink = prof_sink_from(args);
     let jsink = journeys_dir_from(args)?;
 
-    let report = run_campaign_runner_instrumented(
-        &cfg,
-        &rcfg,
-        &chaos,
-        sink.as_ref(),
-        jsink.as_ref().map(|(d, e)| (d.as_path(), *e)),
-    )?;
+    let report = run_campaign_runner(&cfg, &rcfg, &chaos, unit_sinks(&sink, &jsink))?;
     if let Some((dir, _)) = &jsink {
         eprintln!("campaign: journey logs collected in {}", dir.display());
     }
@@ -1011,38 +1019,21 @@ fn bench_record_cmd(args: &Args) -> CmdResult {
         spec.seeds
     );
     let jsink = journeys_dir_from(args)?;
-    let baseline = record_bench_instrumented(
-        &name,
-        &spec,
-        &rcfg,
-        &chaos,
-        sink.as_ref(),
-        jsink.as_ref().map(|(d, e)| (d.as_path(), *e)),
-    )?;
+    let baseline = record_bench(&name, &spec, &rcfg, &chaos, unit_sinks(&sink, &jsink))?;
     if let Some((dir, _)) = &jsink {
         eprintln!("bench record: journey logs collected in {}", dir.display());
     }
     if let Some(prof) = emit_fleet_profile(args, "bench", sink)? {
-        match args.get("profile-out") {
-            Some(path) => {
-                std::fs::write(path, prof.table()).map_err(|e| format!("writing {path}: {e}"))?;
-                eprintln!("bench: profile table written to {path}");
-            }
-            None if args.has_flag("profile") => print!("{}", prof.table()),
-            None => {}
-        }
+        emit_profile_table(args, "bench", &prof)?;
     }
     drop(server);
     let out = args.get("out").map(str::to_owned).unwrap_or_else(|| format!("BENCH_{name}.json"));
     std::fs::write(&out, baseline.to_json()?).map_err(|e| format!("writing {out}: {e}"))?;
     eprintln!("bench record: {} cells written to {out}", baseline.cells.len());
-    println!(
-        "{:<24} {:>12} {:>12} {:>14} {:>12}",
-        "cell", "avg_lat", "p99_lat", "energy_pJ/flit", "kcyc/s"
-    );
+    println!("{:<24} {:>12} {:>12} {:>14}", "cell", "avg_lat", "p99_lat", "energy_pJ/flit");
     for c in &baseline.cells {
         println!(
-            "{:<24} {:>7.2}±{:<4.2} {:>7.2}±{:<4.2} {:>9.3}±{:<4.3} {:>12.2}",
+            "{:<24} {:>7.2}±{:<4.2} {:>7.2}±{:<4.2} {:>9.3}±{:<4.3}",
             c.id(),
             c.avg_latency.mean,
             c.avg_latency.ci95,
@@ -1050,7 +1041,6 @@ fn bench_record_cmd(args: &Args) -> CmdResult {
             c.p99_latency.ci95,
             c.energy_per_flit_pj.mean,
             c.energy_per_flit_pj.ci95,
-            c.cycles_per_sec.mean / 1e3,
         );
     }
     Ok(CmdOutcome::Done)
@@ -1068,16 +1058,12 @@ fn bench_compare_cmd(args: &Args) -> CmdResult {
         baseline.name,
         baseline.spec.keys().len()
     );
-    let fresh =
-        record_bench_instrumented(&baseline.name, &baseline.spec, &rcfg, &chaos, None, None)?;
+    let fresh = record_bench(&baseline.name, &baseline.spec, &rcfg, &chaos, UnitSinks::default())?;
     if let Some(out) = args.get("fresh-out") {
         std::fs::write(out, fresh.to_json()?).map_err(|e| format!("writing {out}: {e}"))?;
         eprintln!("bench compare: fresh recording written to {out}");
     }
-    let opts = GateOptions {
-        gate_throughput: args.has_flag("gate-throughput"),
-        force_regress: args.has_flag("force-regress"),
-    };
+    let opts = GateOptions { force_regress: args.has_flag("force-regress") };
     let cmp = compare_bench(&baseline, &fresh, &opts)?;
     if args.has_flag("json") {
         let s = serde_json::to_string_pretty(&cmp).map_err(|e| e.to_string())?;
@@ -1116,13 +1102,9 @@ pub fn profile(args: &Args) -> CmdResult {
     );
     let report = run_units(spec.master_seed, &keys, &rcfg, &chaos, |ctx: &UnitCtx| {
         let idx = keys.iter().position(|k| k == ctx.key).expect("key from supplied list");
-        let (design, rate) = spec.cell_of(idx);
-        let mut cfg = ExperimentConfig::new(design, WorkloadSpec::uniform(rate, spec.ppn))
-            .with_seed(ctx.seed)
-            .with_deadline(ctx.deadline_cycles);
-        cfg.telemetry.blackbox = ctx.recorder.clone();
+        let cfg = spec.unit_config(idx, ctx);
         let budget = cfg.max_cycles;
-        let o = run_experiment_profiled(cfg, Some(&sink));
+        let o = UnitSinks { prof: Some(&sink), journeys: None }.run(cfg, ctx.key);
         match classify_timeout(&o.report, budget) {
             Some(timeout) => UnitVerdict::TimedOut { partial: Some(()), report: timeout },
             None => UnitVerdict::Ok(()),
@@ -1130,6 +1112,7 @@ pub fn profile(args: &Args) -> CmdResult {
     })?;
     let prof = sink.into_inner().expect("profiler sink lock");
     let tree = prof.span_tree();
+    emit_span_tree(args, "profile", tree)?;
     print!("{}", tree.tree_table());
     let top_n = args.get_or("top", 10usize)?;
     println!();
@@ -1143,32 +1126,7 @@ pub fn profile(args: &Args) -> CmdResult {
             s.flits
         );
     }
-    if let Some(path) = args.get("prof-out") {
-        std::fs::write(path, tree.tree_table()).map_err(|e| format!("writing {path}: {e}"))?;
-        eprintln!("profile: cycle-domain span table ({} spans) written to {path}", tree.len());
-    }
-    if let Some(path) = args.get("flame-out") {
-        std::fs::write(path, tree.flamegraph()).map_err(|e| format!("writing {path}: {e}"))?;
-        eprintln!("profile: collapsed-stack flamegraph ({} stacks) written to {path}", tree.len());
-    }
-    if let Some(path) = args.get("profile-out") {
-        std::fs::write(path, prof.table()).map_err(|e| format!("writing {path}: {e}"))?;
-        eprintln!("profile: profile table written to {path}");
-    }
-    if let Some(path) = args.get("runner-log") {
-        let mut events = report.events.clone();
-        events.push(RunnerEvent::ProfileNote {
-            key: "profile".to_owned(),
-            trace_drops: prof.trace_drops().unwrap_or(0),
-            span_truncations: tree.truncated_enters(),
-            unbalanced_exits: tree.unbalanced_exits(),
-            recorder_drops: report.recorder_drops,
-        });
-        std::fs::write(path, runner_events_jsonl(&events))
-            .map_err(|e| format!("writing {path}: {e}"))?;
-        eprintln!("profile: {} runner events written to {path}", events.len());
-    }
-    eprintln!("profile: {}", report.summary());
+    emit_runner(args, "profile", &report, Some(&prof))?;
     drop(server);
     Ok(if report.is_clean() { CmdOutcome::Done } else { CmdOutcome::Partial })
 }

@@ -106,7 +106,7 @@ fn usage() {
     eprintln!("           record  [--grid designs|ci] [--designs d1,d2] [--rates r1,r2]");
     eprintln!("                   [--seeds N] [--ppn N] [--seed S] [--name X] [--out F.json]");
     eprintln!("           compare --baseline BENCH_X.json [--fresh-out F.json] [--json]");
-    eprintln!("                   [--gate-throughput] [--force-regress (chaos: prove the gate)]");
+    eprintln!("                   [--force-regress (chaos: prove the gate)]");
     eprintln!("           both accept runner options; compare exits 2 on regression");
     eprintln!("  profile  run a bench grid with span profiling, merge span trees fleet-wide");
     eprintln!("           [--grid designs|ci] [--designs d1,d2] [--rates r1,r2] [--seeds N]");

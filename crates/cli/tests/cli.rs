@@ -152,6 +152,31 @@ fn inspect_on_static_design_skips_rl_sections() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `profile --workload reqreply` used to parse the closed-loop flags and
+/// then profile open-loop traffic. Same seed: the closed-loop cycle-domain
+/// span table is reproducible and differs from the open-loop one.
+#[test]
+fn profile_honours_the_closed_loop_workload() {
+    let dir = std::env::temp_dir().join("intellinoc-cli-profile-reqreply");
+    std::fs::create_dir_all(&dir).unwrap();
+    let table = |name: &str, workload: &str| {
+        let out = dir.join(name);
+        let line = format!(
+            "profile --designs secded --rates 0.02 --seeds 1 --ppn 4 --seed 5 {workload} \
+             --prof-out {}",
+            out.display()
+        );
+        let args = Args::parse(line.split_whitespace().map(str::to_owned));
+        assert_eq!(intellinoc_cli::commands::profile(&args), Ok(CmdOutcome::Done), "{line}");
+        std::fs::read_to_string(out).unwrap()
+    };
+    let open = table("open.txt", "");
+    let closed = table("closed.txt", "--workload reqreply --reply-timeout 600");
+    assert_eq!(closed, table("closed2.txt", "--workload reqreply --reply-timeout 600"));
+    assert_ne!(open, closed, "--workload reqreply must change what is profiled");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn trace_capture_then_replay() {
     let dir = std::env::temp_dir().join("intellinoc-cli-test");

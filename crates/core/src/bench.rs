@@ -3,18 +3,18 @@
 //!
 //! `record` runs an N-seed × design × injection-rate grid through the
 //! `noc-runner` engine and aggregates each cell's metrics (avg/p99
-//! latency, energy per flit, the retired-flit MTTF proxy, wall-clock
-//! cycles/sec) into mean, sample stddev, and a 95% confidence interval,
+//! latency, energy per flit, the retired-flit MTTF proxy, transaction
+//! completion tails) into mean, sample stddev, and a 95% confidence interval,
 //! serialized as a canonical `BENCH_<name>.json`. `compare` re-runs the
 //! same grid (seeds derive from `(master_seed, key)` alone, so a re-run is
 //! bit-identical) and gates with the CI-separation rule: a metric
 //! regresses only when the fresh interval lies strictly on the worse side
 //! of the baseline interval *and* the relative delta clears a float-noise
-//! epsilon. Wall-clock throughput is recorded but machine-dependent, so it
-//! gates only behind an explicit opt-in.
+//! epsilon. Every recorded metric is cycle-domain and therefore gated;
+//! wall-clock throughput is `BENCHMARK.json`'s business, not a baseline's.
 
 use crate::designs::Design;
-use crate::experiment::ExperimentConfig;
+use crate::experiment::{ExperimentConfig, UnitSinks};
 use crate::runner::{
     classify_timeout, run_units, ChaosOptions, RunnerConfig, UnitCtx, UnitVerdict,
 };
@@ -133,6 +133,25 @@ impl BenchSpec {
         let rate = self.rates[cell % self.rates.len()];
         (design, rate)
     }
+
+    /// The experiment the unit at canonical key index `idx` runs — the one
+    /// place a grid unit's configuration is built (`bench record`, `bench
+    /// compare` and `profile` all run exactly this): design and rate from
+    /// [`BenchSpec::cell_of`], open- or closed-loop workload, and the
+    /// runner's seed, deadline and flight recorder.
+    #[must_use]
+    pub fn unit_config(&self, idx: usize, ctx: &UnitCtx) -> ExperimentConfig {
+        let (design, rate) = self.cell_of(idx);
+        let workload = match &self.reqreply {
+            Some(rr) => WorkloadSpec::reqreply(rate, self.ppn, rr.clone()),
+            None => WorkloadSpec::uniform(rate, self.ppn),
+        };
+        let mut cfg = ExperimentConfig::new(design, workload)
+            .with_seed(ctx.seed)
+            .with_deadline(ctx.deadline_cycles);
+        cfg.telemetry.blackbox = ctx.recorder.clone();
+        cfg
+    }
 }
 
 /// The metrics of one simulation run (one seed of one cell).
@@ -210,14 +229,12 @@ pub struct BenchCell {
     /// p99 transaction completion time — the closed-loop tail the journey
     /// tail report explains (cycles; all-zero on open-loop grids).
     pub txn_p99_latency: MetricStats,
-    /// Simulated cycles per wall-clock second (machine-dependent; gated
-    /// only behind `--gate-throughput`).
-    pub cycles_per_sec: MetricStats,
 }
 
 // Hand-rolled so baselines recorded before the transaction-completion
 // columns existed (no `txn_*` keys in their JSON) still parse; the missing
-// stats default to all-zero, which the gate treats as "no change".
+// stats default to all-zero, which the gate treats as "no change". Keys it
+// does not name (the retired `cycles_per_sec` of old baselines) are ignored.
 impl Deserialize for BenchCell {
     fn deserialize_content(content: &serde::Content) -> Result<Self, serde::Error> {
         let opt_stats = |name: &str| -> Result<MetricStats, serde::Error> {
@@ -236,23 +253,20 @@ impl Deserialize for BenchCell {
             mttf_hours: bench_field(content, "mttf_hours")?,
             txn_p50_latency: opt_stats("txn_p50_latency")?,
             txn_p99_latency: opt_stats("txn_p99_latency")?,
-            cycles_per_sec: bench_field(content, "cycles_per_sec")?,
         })
     }
 }
 
-/// The gated metrics: `(field name, higher is worse, always gated)`.
-/// Throughput is the one opt-in: wall-clock speed is machine-dependent.
-/// The transaction-completion columns are all-zero on open-loop grids,
-/// which the gate reads as "no change" — so they gate unconditionally.
-pub const GATED_METRICS: &[(&str, bool, bool)] = &[
-    ("avg_latency", true, true),
-    ("p99_latency", true, true),
-    ("energy_per_flit_pj", true, true),
-    ("mttf_hours", false, true),
-    ("txn_p50_latency", true, true),
-    ("txn_p99_latency", true, true),
-    ("cycles_per_sec", false, false),
+/// The gated metrics: `(field name, higher is worse)`. The
+/// transaction-completion columns are all-zero on open-loop grids, which
+/// the gate reads as "no change".
+pub const GATED_METRICS: &[(&str, bool)] = &[
+    ("avg_latency", true),
+    ("p99_latency", true),
+    ("energy_per_flit_pj", true),
+    ("mttf_hours", false),
+    ("txn_p50_latency", true),
+    ("txn_p99_latency", true),
 ];
 
 impl BenchCell {
@@ -276,7 +290,6 @@ impl BenchCell {
             "mttf_hours" => &self.mttf_hours,
             "txn_p50_latency" => &self.txn_p50_latency,
             "txn_p99_latency" => &self.txn_p99_latency,
-            "cycles_per_sec" => &self.cycles_per_sec,
             _ => panic!("unknown bench metric `{name}`"),
         }
     }
@@ -324,7 +337,8 @@ impl BenchBaseline {
     }
 }
 
-/// Runs the grid and aggregates per-cell statistics.
+/// Runs the grid and aggregates per-cell statistics; every unit feeds
+/// `sinks`, which never move the recorded (cycle-domain) metrics.
 ///
 /// # Errors
 ///
@@ -336,44 +350,7 @@ pub fn record_bench(
     spec: &BenchSpec,
     rcfg: &RunnerConfig,
     chaos: &ChaosOptions,
-) -> Result<BenchBaseline, String> {
-    record_bench_profiled(name, spec, rcfg, chaos, None)
-}
-
-/// [`record_bench`] with an optional fleet profiler sink: when `prof` is
-/// given, every cell runs with span profiling enabled and merges its span
-/// tree into the sink. The recorded baseline's cycle-domain fields stay
-/// byte-identical either way (only the wall-clock throughput samples move,
-/// and those are machine-dependent by definition).
-///
-/// # Errors
-///
-/// Same as [`record_bench`].
-pub fn record_bench_profiled(
-    name: &str,
-    spec: &BenchSpec,
-    rcfg: &RunnerConfig,
-    chaos: &ChaosOptions,
-    prof: crate::experiment::ProfSink<'_>,
-) -> Result<BenchBaseline, String> {
-    record_bench_instrumented(name, spec, rcfg, chaos, prof, None)
-}
-
-/// [`record_bench_profiled`] with an optional journey sink: when `journeys`
-/// is `Some((dir, every))`, every cell additionally traces 1-in-`every`
-/// packet journeys and writes `journeys-<key>.jsonl` into `dir`. Tracing
-/// never moves the recorded cycle-domain metrics.
-///
-/// # Errors
-///
-/// Same as [`record_bench`].
-pub fn record_bench_instrumented(
-    name: &str,
-    spec: &BenchSpec,
-    rcfg: &RunnerConfig,
-    chaos: &ChaosOptions,
-    prof: crate::experiment::ProfSink<'_>,
-    journeys: crate::campaign::JourneySink<'_>,
+    sinks: UnitSinks<'_>,
 ) -> Result<BenchBaseline, String> {
     if spec.designs.is_empty() || spec.rates.is_empty() || spec.seeds == 0 {
         return Err("bench grid is empty (need ≥1 design, ≥1 rate, ≥1 seed)".to_owned());
@@ -381,34 +358,9 @@ pub fn record_bench_instrumented(
     let keys = spec.keys();
     let report = run_units(spec.master_seed, &keys, rcfg, chaos, |ctx: &UnitCtx| {
         let idx = keys.iter().position(|k| k == ctx.key).expect("key from supplied list");
-        let (design, rate) = spec.cell_of(idx);
-        let workload = match &spec.reqreply {
-            Some(rr) => WorkloadSpec::reqreply(rate, spec.ppn, rr.clone()),
-            None => WorkloadSpec::uniform(rate, spec.ppn),
-        };
-        let mut cfg = ExperimentConfig::new(design, workload)
-            .with_seed(ctx.seed)
-            .with_deadline(ctx.deadline_cycles);
-        cfg.telemetry.blackbox = ctx.recorder.clone();
+        let cfg = spec.unit_config(idx, ctx);
         let budget = cfg.max_cycles;
-        let o = match journeys {
-            None => crate::experiment::run_experiment_profiled(cfg, prof),
-            Some((dir, every)) => {
-                cfg.telemetry.journeys_every = every;
-                cfg.telemetry.profile = prof.is_some();
-                let (o, _, artifacts) = crate::experiment::run_experiment_instrumented(cfg);
-                if let (Some(sink), Some(p)) = (prof, artifacts.profiler) {
-                    sink.lock().expect("profiler sink lock").merge(&p);
-                }
-                if let Some(log) = artifacts.journeys {
-                    let path = dir.join(noc_sim::journey_file_name(ctx.key));
-                    if let Err(e) = std::fs::write(&path, log.to_jsonl()) {
-                        eprintln!("journeys: cannot write {}: {e}", path.display());
-                    }
-                }
-                o
-            }
-        };
+        let o = sinks.run(cfg, ctx.key);
         let r = &o.report;
         let flits = (r.stats.packets_delivered * FLITS_PER_PACKET as u64).max(1);
         let m = BenchRunMetrics {
@@ -439,13 +391,6 @@ pub fn record_bench_instrumented(
             let pick = |f: &dyn Fn(&BenchRunMetrics) -> f64| -> Vec<f64> {
                 chunk.iter().filter_map(|r| r.payload.as_ref()).map(f).collect()
             };
-            // Simulated cycles per wall second; journal-resumed records
-            // carry no wall time and contribute 0 (documented caveat).
-            let throughput: Vec<f64> = chunk
-                .iter()
-                .filter_map(|r| r.payload.as_ref().map(|p| (p, r.wall_ms)))
-                .map(|(p, ms)| if ms > 0.0 { p.exec_cycles as f64 / (ms / 1e3) } else { 0.0 })
-                .collect();
             BenchCell {
                 design: design.label().to_owned(),
                 rate,
@@ -455,7 +400,6 @@ pub fn record_bench_instrumented(
                 mttf_hours: MetricStats::from_samples(&pick(&|m| m.mttf_hours)),
                 txn_p50_latency: MetricStats::from_samples(&pick(&|m| m.txn_p50_latency)),
                 txn_p99_latency: MetricStats::from_samples(&pick(&|m| m.txn_p99_latency)),
-                cycles_per_sec: MetricStats::from_samples(&throughput),
             }
         })
         .collect();
@@ -471,8 +415,6 @@ pub fn record_bench_instrumented(
 /// Gating switches for [`compare_bench`].
 #[derive(Debug, Clone, Default)]
 pub struct GateOptions {
-    /// Also gate wall-clock throughput (off by default: machine-dependent).
-    pub gate_throughput: bool,
     /// Chaos switch: perturb the fresh latency metrics by +25% before
     /// gating, to prove the gate fires (CI exercises this, expecting the
     /// regression exit code).
@@ -516,10 +458,6 @@ pub struct CompareRow {
 pub struct BenchComparison {
     /// Every gated (cell, metric) row, in canonical order.
     pub rows: Vec<CompareRow>,
-    /// Ungated informational rows (e.g. `cycles_per_sec` when
-    /// `--gate-throughput` is off): drift is printed but never fails the
-    /// gate and never counts toward the tallies.
-    pub info_rows: Vec<CompareRow>,
     /// Number of regressed rows.
     pub regressions: usize,
     /// Number of improved rows.
@@ -567,21 +505,6 @@ impl BenchComparison {
             self.improvements,
             self.rows.len() - self.regressions - self.improvements,
         );
-        if !self.info_rows.is_empty() {
-            out.push_str("\ninformational (not gated):\n");
-            for r in &self.info_rows {
-                let _ = writeln!(
-                    out,
-                    "{:<24} {:<21} {:<9} {:>13.4} {:>14.4} {:>+8.3}",
-                    r.cell,
-                    r.metric,
-                    "info",
-                    r.base_mean,
-                    r.new_mean,
-                    r.rel_delta * 100.0,
-                );
-            }
-        }
         out
     }
 }
@@ -637,22 +560,25 @@ pub fn compare_bench(
         ));
     }
     let mut rows = Vec::new();
-    let mut info_rows = Vec::new();
     let mut regressions = 0;
     let mut improvements = 0;
     for (b, f) in base.cells.iter().zip(&fresh.cells) {
         if b.design != f.design || b.rate != f.rate {
             return Err(format!("cell order mismatch: {} vs {}", b.id(), f.id()));
         }
-        for &(name, higher_is_worse, always) in GATED_METRICS {
-            let gated = always || opts.gate_throughput;
+        for &(name, higher_is_worse) in GATED_METRICS {
             let base_m = b.metric(name);
             let mut new_m = f.metric(name).clone();
             if opts.force_regress && (name == "avg_latency" || name == "p99_latency") {
                 new_m.mean *= 1.25;
             }
             let (verdict, rel_delta) = gate(base_m, &new_m, higher_is_worse);
-            let row = CompareRow {
+            match verdict {
+                GateVerdict::Regressed => regressions += 1,
+                GateVerdict::Improved => improvements += 1,
+                GateVerdict::Pass => {}
+            }
+            rows.push(CompareRow {
                 cell: b.id(),
                 metric: name.to_owned(),
                 base_mean: base_m.mean,
@@ -661,22 +587,10 @@ pub fn compare_bench(
                 new_ci95: new_m.ci95,
                 rel_delta,
                 verdict,
-            };
-            if gated {
-                match verdict {
-                    GateVerdict::Regressed => regressions += 1,
-                    GateVerdict::Improved => improvements += 1,
-                    GateVerdict::Pass => {}
-                }
-                rows.push(row);
-            } else {
-                // Ungated drift stays visible (e.g. throughput before it
-                // gates) but cannot fail the build or move the tallies.
-                info_rows.push(row);
-            }
+            });
         }
     }
-    Ok(BenchComparison { rows, info_rows, regressions, improvements })
+    Ok(BenchComparison { rows, regressions, improvements })
 }
 
 #[cfg(test)]
@@ -692,6 +606,11 @@ mod tests {
             master_seed: 7,
             reqreply: None,
         }
+    }
+
+    fn record(name: &str, spec: &BenchSpec) -> BenchBaseline {
+        let (rcfg, chaos) = (RunnerConfig::serial(), ChaosOptions::default());
+        record_bench(name, spec, &rcfg, &chaos, UnitSinks::default()).unwrap()
     }
 
     #[test]
@@ -722,6 +641,26 @@ mod tests {
     }
 
     #[test]
+    fn unit_config_honours_the_closed_loop_spec() {
+        let ctx = UnitCtx {
+            key: "bench/SECDED/r0.02/s1",
+            seed: 99,
+            attempt: 1,
+            deadline_cycles: Some(5_000),
+            recorder: None,
+        };
+        let mut spec = tiny_spec();
+        let open = spec.unit_config(1, &ctx);
+        assert_eq!(open.workload.reqreply, None);
+        assert_eq!((open.design, open.seed, open.max_cycles), (Design::Secded, 99, 5_000));
+        let rr = ReqReplySpec { reply_timeout: 500, ..ReqReplySpec::default() };
+        spec.reqreply = Some(rr.clone());
+        let closed = spec.unit_config(1, &ctx);
+        assert_eq!(closed.workload.reqreply, Some(rr), "a closed-loop grid must run closed-loop");
+        assert_eq!(closed.workload.packets_per_node, spec.ppn);
+    }
+
+    #[test]
     fn gate_separates_only_disjoint_intervals() {
         let base = MetricStats { mean: 100.0, stddev: 5.0, ci95: 4.0, n: 5 };
         // Overlapping: 103 − 2 < 100 + 4 → pass.
@@ -746,19 +685,17 @@ mod tests {
     #[test]
     fn record_then_self_compare_passes_and_chaos_regresses() {
         let spec = tiny_spec();
-        let rcfg = RunnerConfig::serial();
-        let chaos = ChaosOptions::default();
-        let base = record_bench("tiny", &spec, &rcfg, &chaos).unwrap();
+        let base = record("tiny", &spec);
         assert_eq!(base.cells.len(), 1);
         assert!(base.cells[0].avg_latency.mean > 0.0);
 
-        let fresh = record_bench("tiny", &spec, &rcfg, &chaos).unwrap();
+        let fresh = record("tiny", &spec);
         let cmp = compare_bench(&base, &fresh, &GateOptions::default()).unwrap();
         assert!(!cmp.has_regressions(), "{}", cmp.table());
         // Deterministic re-run: every gated mean is exactly equal.
         assert!(cmp.rows.iter().all(|r| r.base_mean == r.new_mean), "{}", cmp.table());
 
-        let forced = GateOptions { force_regress: true, ..GateOptions::default() };
+        let forced = GateOptions { force_regress: true };
         let cmp = compare_bench(&base, &fresh, &forced).unwrap();
         assert!(cmp.has_regressions(), "--force-regress must fire:\n{}", cmp.table());
         assert!(cmp.table().contains("REGRESSED"));
@@ -767,8 +704,7 @@ mod tests {
     #[test]
     fn baseline_json_roundtrip_and_version_check() {
         let spec = tiny_spec();
-        let base =
-            record_bench("tiny", &spec, &RunnerConfig::serial(), &ChaosOptions::default()).unwrap();
+        let base = record("tiny", &spec);
         let json = base.to_json().unwrap();
         let back = BenchBaseline::from_json(&json).unwrap();
         assert_eq!(back, base);
@@ -784,10 +720,8 @@ mod tests {
     #[test]
     fn deterministic_metrics_are_identical_across_recordings() {
         let spec = tiny_spec();
-        let a =
-            record_bench("a", &spec, &RunnerConfig::serial(), &ChaosOptions::default()).unwrap();
-        let b =
-            record_bench("b", &spec, &RunnerConfig::serial(), &ChaosOptions::default()).unwrap();
+        let a = record("a", &spec);
+        let b = record("b", &spec);
         for (ca, cb) in a.cells.iter().zip(&b.cells) {
             // Everything but wall-clock throughput is bit-deterministic.
             assert_eq!(ca.avg_latency, cb.avg_latency);
@@ -799,9 +733,7 @@ mod tests {
 
     #[test]
     fn legacy_baseline_without_reqreply_parses_as_open_loop() {
-        let base =
-            record_bench("tiny", &tiny_spec(), &RunnerConfig::serial(), &ChaosOptions::default())
-                .unwrap();
+        let base = record("tiny", &tiny_spec());
         let json = base.to_json().unwrap();
         // A baseline recorded before the closed-loop era has no `reqreply`
         // key at all; parsing must fall back to the open-loop default.
@@ -814,26 +746,23 @@ mod tests {
 
     #[test]
     fn legacy_baseline_without_txn_columns_parses_as_all_zero() {
-        let base =
-            record_bench("tiny", &tiny_spec(), &RunnerConfig::serial(), &ChaosOptions::default())
-                .unwrap();
+        let base = record("tiny", &tiny_spec());
         let json = base.to_json().unwrap();
-        // Strip the txn stat objects the way a pre-txn-column baseline
-        // would lack them (pretty JSON: key plus its 6-line object).
+        // A pre-txn-column baseline: no `txn_*` stat objects (pretty JSON:
+        // key plus its 6-line object), and each cell ends with the since
+        // retired `cycles_per_sec` stats, which the parser must ignore.
         let legacy: String = {
             let mut out = String::new();
             let mut skip = 0usize;
             for line in json.lines() {
                 if skip > 0 {
                     skip -= 1;
-                    continue;
-                }
-                if line.contains("\"txn_p50_latency\"") || line.contains("\"txn_p99_latency\"") {
+                } else if line.contains("\"txn_p50_latency\"") {
                     skip = 5;
-                    continue;
+                } else {
+                    out.push_str(&line.replace("\"txn_p99_latency\"", "\"cycles_per_sec\""));
+                    out.push('\n');
                 }
-                out.push_str(line);
-                out.push('\n');
             }
             out
         };
@@ -850,15 +779,13 @@ mod tests {
     fn closed_loop_bench_records_and_self_compares_clean() {
         let mut spec = tiny_spec();
         spec.reqreply = Some(ReqReplySpec { reply_timeout: 500, ..ReqReplySpec::default() });
-        let rcfg = RunnerConfig::serial();
-        let chaos = ChaosOptions::default();
-        let base = record_bench("cl", &spec, &rcfg, &chaos).unwrap();
+        let base = record("cl", &spec);
         assert!(
             base.cells[0].txn_p50_latency.mean > 0.0
                 && base.cells[0].txn_p99_latency.mean >= base.cells[0].txn_p50_latency.mean,
             "closed-loop grids must carry transaction completion tails"
         );
-        let fresh = record_bench("cl", &spec, &rcfg, &chaos).unwrap();
+        let fresh = record("cl", &spec);
         let cmp = compare_bench(&base, &fresh, &GateOptions::default()).unwrap();
         assert!(!cmp.has_regressions(), "{}", cmp.table());
         assert!(cmp.rows.iter().any(|r| r.metric == "txn_p99_latency"));
@@ -869,8 +796,7 @@ mod tests {
     #[test]
     fn compare_rejects_mismatched_grids() {
         let spec = tiny_spec();
-        let base =
-            record_bench("tiny", &spec, &RunnerConfig::serial(), &ChaosOptions::default()).unwrap();
+        let base = record("tiny", &spec);
         let mut other = base.clone();
         other.spec.master_seed = 8;
         let err = compare_bench(&base, &other, &GateOptions::default()).unwrap_err();

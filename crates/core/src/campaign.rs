@@ -12,26 +12,19 @@
 //! each (design, scenario) cell is one experiment unit with a stable run key
 //! and a key-derived seed, so the grid can run on `jobs` worker threads,
 //! survive panicking or hung cells, and resume from a journal — all while
-//! producing merged reports byte-identical to a serial run.
+//! producing merged reports byte-identical to a serial run. It is the one
+//! way to run a campaign; fleet profiling and per-cell journey logs are the
+//! [`UnitSinks`] argument, not separate entry points.
 
 use crate::designs::Design;
-use crate::experiment::{
-    run_experiment_instrumented, run_experiment_profiled, ExperimentConfig, ProfSink,
-};
+use crate::experiment::{ExperimentConfig, UnitSinks};
 use crate::runner::{
     classify_timeout, run_units, ChaosOptions, RunnerConfig, RunnerReport, UnitCtx, UnitVerdict,
 };
-use noc_sim::{journey_file_name, HardFaultScenario};
+use noc_sim::HardFaultScenario;
 use noc_traffic::WorkloadSpec;
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
-use std::path::Path;
-
-/// Per-cell journey-tracing request: write each cell's journey log as
-/// `journeys-<sanitized key>.jsonl` under the directory, sampling one in
-/// `every` packets. Sampling is keyed by the cell's derived seed, so the
-/// files are byte-identical across serial, parallel, and resumed runs.
-pub type JourneySink<'a> = Option<(&'a Path, u64)>;
 
 /// Campaign parameters: the workload, the scenario family, and the routing
 /// policy under test.
@@ -120,58 +113,6 @@ pub struct CampaignRow {
     pub txn_violations: Option<u64>,
 }
 
-/// The full campaign grid plus the config that produced it.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct CampaignReport {
-    /// The campaign parameters (embedded so a report is self-describing).
-    pub config: CampaignConfig,
-    /// One row per (design, scenario) cell, scenario-major.
-    pub rows: Vec<CampaignRow>,
-}
-
-impl CampaignReport {
-    /// Smallest delivery rate across the grid.
-    pub fn min_delivery_rate(&self) -> f64 {
-        self.rows.iter().map(|r| r.delivery_rate).fold(1.0, f64::min)
-    }
-
-    /// Renders the grid as CSV with a header row. Float formatting is fixed
-    /// (6 decimal places) so equal campaigns render byte-identically.
-    #[must_use]
-    pub fn to_csv(&self) -> String {
-        let mut out = String::with_capacity(self.rows.len() * 96 + 128);
-        out.push_str(
-            "design,scenario,injected,delivered,dropped,delivery_rate,\
-             avg_latency,p99_latency,reroutes,hop_retx,e2e_retx,stalled,cycles,mttf_hours,\
-             txn_failed,txn_shed,txn_violations\n",
-        );
-        for r in &self.rows {
-            let _ = writeln!(
-                out,
-                "{},{},{},{},{},{:.6},{:.3},{:.1},{},{},{},{},{},{},{},{},{}",
-                r.design,
-                r.scenario,
-                r.injected,
-                r.delivered,
-                r.dropped,
-                r.delivery_rate,
-                r.avg_latency,
-                r.p99_latency,
-                r.reroutes,
-                r.hop_retx,
-                r.e2e_retx,
-                r.stalled,
-                r.cycles,
-                r.mttf_hours.map_or_else(String::new, |h| format!("{h:.3e}")),
-                r.txn_failed.map_or_else(String::new, |v| v.to_string()),
-                r.txn_shed.map_or_else(String::new, |v| v.to_string()),
-                r.txn_violations.map_or_else(String::new, |v| v.to_string()),
-            );
-        }
-        out
-    }
-}
-
 /// The seeded scenario family a [`CampaignConfig`] describes, as
 /// `(name, scenario)` pairs in a fixed order.
 pub fn campaign_scenarios(cfg: &CampaignConfig) -> Vec<(String, HardFaultScenario)> {
@@ -222,8 +163,7 @@ fn run_campaign_cell(
     scenario: &HardFaultScenario,
     design: Design,
     ctx: &UnitCtx,
-    prof: ProfSink<'_>,
-    journeys: JourneySink<'_>,
+    sinks: UnitSinks<'_>,
 ) -> UnitVerdict<CampaignRow> {
     let workload = match &cfg.reqreply {
         Some(rr) => WorkloadSpec::reqreply(cfg.rate, cfg.ppn, rr.clone()),
@@ -239,24 +179,7 @@ fn run_campaign_cell(
     // The engine's flight recorder rides along so a dying cell leaves a
     // post-mortem bundle; recording never changes cycle-domain behavior.
     ecfg.telemetry.blackbox = ctx.recorder.clone();
-    let o = match journeys {
-        None => run_experiment_profiled(ecfg, prof),
-        Some((dir, every)) => {
-            ecfg.telemetry.journeys_every = every;
-            ecfg.telemetry.profile = prof.is_some();
-            let (o, _, artifacts) = run_experiment_instrumented(ecfg);
-            if let (Some(sink), Some(p)) = (prof, artifacts.profiler) {
-                sink.lock().expect("profiler sink lock").merge(&p);
-            }
-            if let Some(log) = artifacts.journeys {
-                let path = dir.join(journey_file_name(ctx.key));
-                if let Err(e) = std::fs::write(&path, log.to_jsonl()) {
-                    eprintln!("journeys: cannot write {}: {e}", path.display());
-                }
-            }
-            o
-        }
-    };
+    let o = sinks.run(ecfg, ctx.key);
     let s = &o.report.stats;
     let row = CampaignRow {
         design: design.label().to_owned(),
@@ -363,15 +286,6 @@ impl CampaignRunReport {
         }
         out
     }
-
-    /// Converts to the legacy [`CampaignReport`] shape: rows for every cell
-    /// that produced statistics (clean completions and timed-out cells
-    /// with partial payloads), in canonical order.
-    #[must_use]
-    pub fn to_legacy(&self) -> CampaignReport {
-        let rows = self.runner.records.iter().filter_map(|rec| rec.payload.clone()).collect();
-        CampaignReport { config: self.config.clone(), rows }
-    }
 }
 
 /// Runs the campaign grid through the `noc-runner` execution engine.
@@ -379,8 +293,9 @@ impl CampaignRunReport {
 /// Every scenario in [`campaign_scenarios`] order × every design in
 /// [`Design::ALL`] order, executed per `rcfg` (worker count, deadline,
 /// retry, journal/resume) with `chaos` failure injection for robustness
-/// testing. Serial, parallel, and resumed executions produce byte-identical
-/// reports for the same campaign config.
+/// testing; every cell feeds `sinks`. Serial, parallel, and resumed
+/// executions produce byte-identical reports for the same campaign config,
+/// whatever the sinks.
 ///
 /// # Errors
 ///
@@ -390,41 +305,7 @@ pub fn run_campaign_runner(
     cfg: &CampaignConfig,
     rcfg: &RunnerConfig,
     chaos: &ChaosOptions,
-) -> Result<CampaignRunReport, String> {
-    run_campaign_runner_profiled(cfg, rcfg, chaos, None)
-}
-
-/// [`run_campaign_runner`] with an optional fleet profiler sink: when
-/// `prof` is given, every cell runs with span profiling enabled and merges
-/// its span tree into the sink. The report stays byte-identical either way
-/// (cycle-domain behavior is unaffected by profiling).
-///
-/// # Errors
-///
-/// Propagates engine-level errors (journal mismatch or I/O).
-pub fn run_campaign_runner_profiled(
-    cfg: &CampaignConfig,
-    rcfg: &RunnerConfig,
-    chaos: &ChaosOptions,
-    prof: ProfSink<'_>,
-) -> Result<CampaignRunReport, String> {
-    run_campaign_runner_instrumented(cfg, rcfg, chaos, prof, None)
-}
-
-/// [`run_campaign_runner_profiled`] plus an optional per-cell journey
-/// sink. Journey tracing never perturbs cycle-domain state, so the report
-/// is byte-identical with or without it; only the extra `journeys-*.jsonl`
-/// files differ.
-///
-/// # Errors
-///
-/// Propagates engine-level errors (journal mismatch or I/O).
-pub fn run_campaign_runner_instrumented(
-    cfg: &CampaignConfig,
-    rcfg: &RunnerConfig,
-    chaos: &ChaosOptions,
-    prof: ProfSink<'_>,
-    journeys: JourneySink<'_>,
+    sinks: UnitSinks<'_>,
 ) -> Result<CampaignRunReport, String> {
     let scenarios = campaign_scenarios(cfg);
     let units = campaign_unit_keys(cfg);
@@ -435,20 +316,9 @@ pub fn run_campaign_runner_instrumented(
             .find(|(k, _, _)| k == ctx.key)
             .expect("runner only executes supplied keys");
         let (name, scenario) = &scenarios[*si];
-        run_campaign_cell(cfg, name, scenario, *design, ctx, prof, journeys)
+        run_campaign_cell(cfg, name, scenario, *design, ctx, sinks)
     })?;
     Ok(CampaignRunReport { config: cfg.clone(), runner })
-}
-
-/// Runs the full campaign grid serially: every scenario in
-/// [`campaign_scenarios`] order × every design in [`Design::ALL`] order.
-/// Fully deterministic for a given config. Cells the stall watchdog
-/// terminated keep their (partial) rows, exactly as before the engine
-/// existed.
-pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
-    run_campaign_runner(cfg, &RunnerConfig::serial(), &ChaosOptions::default())
-        .expect("serial journal-less campaign cannot hit engine errors")
-        .to_legacy()
 }
 
 #[cfg(test)]
@@ -490,11 +360,16 @@ mod tests {
         assert_eq!(scenarios[4].1.faults.len(), 8);
     }
 
+    fn run_serial(cfg: &CampaignConfig) -> CampaignRunReport {
+        let (rcfg, chaos) = (RunnerConfig::serial(), ChaosOptions::default());
+        run_campaign_runner(cfg, &rcfg, &chaos, UnitSinks::default()).unwrap()
+    }
+
     #[test]
     fn tiny_campaign_full_delivery_and_deterministic() {
-        let report = run_campaign(&tiny());
-        assert_eq!(report.rows.len(), 2 * Design::ALL.len());
-        for row in &report.rows {
+        let report = run_serial(&tiny());
+        assert_eq!(report.runner.records.len(), 2 * Design::ALL.len());
+        for row in report.runner.ok_payloads() {
             assert_eq!(
                 row.delivered + row.dropped,
                 row.injected,
@@ -509,16 +384,17 @@ mod tests {
             );
             assert!(!row.stalled, "{} / {}: stalled", row.design, row.scenario);
         }
-        let again = run_campaign(&tiny());
+        assert_eq!(report.runner.counts().ok, report.runner.records.len());
+        let again = run_serial(&tiny());
         assert_eq!(report.to_csv(), again.to_csv());
         assert_eq!(serde_json::to_string(&report).unwrap(), serde_json::to_string(&again).unwrap());
     }
 
     #[test]
     fn csv_has_header_and_one_row_per_cell() {
-        let report = run_campaign(&tiny());
+        let report = run_serial(&tiny());
         let csv = report.to_csv();
-        assert_eq!(csv.lines().count(), 1 + report.rows.len());
+        assert_eq!(csv.lines().count(), 1 + report.runner.records.len());
         assert!(csv.starts_with("design,scenario,"));
         assert!(report.min_delivery_rate() > 0.999);
     }
@@ -537,14 +413,11 @@ mod tests {
 
     #[test]
     fn runner_csv_carries_status_and_attempts_columns() {
-        let report =
-            run_campaign_runner(&tiny(), &RunnerConfig::serial(), &ChaosOptions::default())
-                .unwrap();
+        let report = run_serial(&tiny());
         let csv = report.to_csv();
         assert!(csv.lines().next().unwrap().ends_with("status,attempts"));
         assert!(csv.lines().skip(1).all(|l| l.ends_with(",ok,1")));
         assert!(report.runner.is_clean());
-        assert_eq!(report.to_legacy().rows.len(), report.runner.records.len());
     }
 
     /// Acceptance: under a fault storm (hard router failure mid-run plus
@@ -571,9 +444,7 @@ mod tests {
                     ..noc_traffic::ReqReplySpec::default()
                 }),
             };
-            let serial =
-                run_campaign_runner(&cfg, &RunnerConfig::serial(), &ChaosOptions::default())
-                    .unwrap();
+            let serial = run_serial(&cfg);
             assert_eq!(
                 serial.conservation_violations(),
                 Vec::<String>::new(),
@@ -587,6 +458,7 @@ mod tests {
                 &cfg,
                 &RunnerConfig { jobs: 4, ..RunnerConfig::serial() },
                 &ChaosOptions::default(),
+                UnitSinks::default(),
             )
             .unwrap();
             assert_eq!(
@@ -601,7 +473,9 @@ mod tests {
     fn forced_panic_cell_renders_empty_metrics_with_named_columns() {
         let chaos =
             ChaosOptions { panic_units: Some("dead-links-1/EB".to_owned()), timeout_units: None };
-        let report = run_campaign_runner(&tiny(), &RunnerConfig::serial(), &chaos).unwrap();
+        let report =
+            run_campaign_runner(&tiny(), &RunnerConfig::serial(), &chaos, UnitSinks::default())
+                .unwrap();
         let csv = report.to_csv();
         let failed: Vec<&str> = csv.lines().filter(|l| l.contains(",failed,")).collect();
         assert_eq!(failed.len(), 1);

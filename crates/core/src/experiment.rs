@@ -2,7 +2,10 @@
 //! its control policy, and produce a comparable outcome.
 //!
 //! This is the entry point the examples, integration tests, and the figure
-//! harness all use.
+//! harness all use. There is one way to run an experiment —
+//! [`run_experiment_instrumented`], with [`run_experiment`] as its
+//! outcome-only shorthand — and one way for a grid unit to feed fleet-level
+//! sinks: [`UnitSinks::run`].
 
 use crate::controller::{intellinoc_rl_config, ControlPolicy, RewardKind, RlControl};
 use crate::designs::Design;
@@ -11,12 +14,13 @@ use noc_sim::{
     declare_network_metrics, declare_runtime_metrics, export_alert_metrics, export_network_metrics,
     export_prof_metrics, export_runtime_metrics, render_exposition, AlertEngine, AlertEvent,
     AlertRule, AttributionArtifacts, DecisionLog, HardFaultScenario, JourneyLog, MetricsHub,
-    MetricsRegistry, Network, Profiler, RouterObservation, RunReport, RunTimeline, SharedRecorder,
-    SimConfig, TimelineSample, TraceFilter, Tracer, DEFAULT_TRACE_CAPACITY,
+    MetricsRegistry, Network, ProbeConfig, Profiler, RouterObservation, RunReport, RunTimeline,
+    SharedRecorder, SimConfig, TimelineSample, TraceFilter, Tracer, DEFAULT_TRACE_CAPACITY,
 };
 use noc_traffic::{ParsecBenchmark, WorkloadSpec};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use std::path::Path;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// The paper's default RL control time step in cycles (§6.3).
@@ -67,7 +71,7 @@ pub struct TelemetryOptions {
     pub trace_capacity: usize,
     /// Sample a per-control-step metrics timeline.
     pub timeline: bool,
-    /// Collect wall-clock section timers and pipeline-phase counters.
+    /// Collect the span profile and pipeline-phase counters.
     pub profile: bool,
     /// Attribute per-packet latency to components and accumulate spatial
     /// (per-link / per-router) heatmaps.
@@ -164,7 +168,7 @@ pub struct TelemetryArtifacts {
     pub tracer: Option<Tracer>,
     /// Per-control-step metrics time-series.
     pub timeline: Option<RunTimeline>,
-    /// Section timers and pipeline-phase counters.
+    /// Span profile and pipeline-phase counters.
     pub profiler: Option<Profiler>,
     /// Latency attribution and spatial heatmaps.
     pub attribution: Option<AttributionArtifacts>,
@@ -253,37 +257,44 @@ impl ExperimentOutcome {
 
 /// Runs one experiment to completion.
 pub fn run_experiment(cfg: ExperimentConfig) -> ExperimentOutcome {
-    let (outcome, _) = run_experiment_keeping_policy(cfg);
-    outcome
+    run_experiment_instrumented(cfg).0
 }
 
-/// A fleet-level profiler sink: units run with span profiling enabled and
-/// merge their trees into it on completion. `None` disables profiling.
-pub type ProfSink<'a> = Option<&'a std::sync::Mutex<Profiler>>;
+/// The fleet-level sinks the units of a grid (`campaign`, `sweep`, `bench`,
+/// `profile`, `serve`) feed besides returning their payload. Neither sink
+/// perturbs cycle-domain state, so a grid's report is byte-identical with
+/// or without them (pinned by integration tests).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct UnitSinks<'a> {
+    /// Fleet profiler: every unit runs with span profiling on and merges
+    /// its profiler into this one at run end.
+    pub prof: Option<&'a Mutex<Profiler>>,
+    /// Journey tracing as `(dir, every)`: every unit samples one in `every`
+    /// packets and writes `journeys-<sanitized key>.jsonl` under `dir`.
+    /// Sampling is keyed by the unit's derived seed, so the files are
+    /// byte-identical across serial, parallel, and resumed runs.
+    pub journeys: Option<(&'a Path, u64)>,
+}
 
-/// Runs one experiment, with span profiling enabled iff `sink` is given;
-/// the unit's profiler merges into the sink at run end. Cycle-domain
-/// behavior — and therefore the outcome — is byte-identical either way
-/// (pinned by integration tests).
-pub fn run_experiment_profiled(mut cfg: ExperimentConfig, sink: ProfSink<'_>) -> ExperimentOutcome {
-    match sink {
-        None => run_experiment(cfg),
-        Some(sink) => {
-            cfg.telemetry.profile = true;
-            let (outcome, _, artifacts) = run_experiment_instrumented(cfg);
-            if let Some(prof) = artifacts.profiler {
-                sink.lock().expect("profiler sink lock").merge(&prof);
-            }
-            outcome
+impl UnitSinks<'_> {
+    /// Runs the unit `key` as `cfg` describes, feeding the sinks.
+    pub fn run(&self, mut cfg: ExperimentConfig, key: &str) -> ExperimentOutcome {
+        cfg.telemetry.profile |= self.prof.is_some();
+        if let Some((_, every)) = self.journeys {
+            cfg.telemetry.journeys_every = every;
         }
+        let (outcome, _, artifacts) = run_experiment_instrumented(cfg);
+        if let (Some(sink), Some(prof)) = (self.prof, artifacts.profiler) {
+            sink.lock().expect("profiler sink lock").merge(&prof);
+        }
+        if let (Some((dir, _)), Some(log)) = (self.journeys, artifacts.journeys) {
+            let path = dir.join(noc_sim::journey_file_name(key));
+            if let Err(e) = std::fs::write(&path, log.to_jsonl()) {
+                eprintln!("journeys: cannot write {}: {e}", path.display());
+            }
+        }
+        outcome
     }
-}
-
-/// Runs one experiment and returns the control policy as well (to extract
-/// trained Q-tables).
-pub fn run_experiment_keeping_policy(cfg: ExperimentConfig) -> (ExperimentOutcome, ControlPolicy) {
-    let (outcome, policy, _) = run_experiment_instrumented(cfg);
-    (outcome, policy)
 }
 
 /// Per-step baseline for delta-valued timeline series.
@@ -417,27 +428,21 @@ pub fn run_experiment_instrumented(
     let workload_name = cfg.workload.name.clone();
     let mut net = Network::new(sim_cfg, cfg.workload, cfg.seed.wrapping_mul(31).wrapping_add(7));
     net.set_error_rate_override(cfg.error_rate_override);
-    if cfg.telemetry.trace {
-        let capacity = if cfg.telemetry.trace_capacity == 0 {
-            DEFAULT_TRACE_CAPACITY
-        } else {
-            cfg.telemetry.trace_capacity
-        };
-        net.install_tracer(Tracer::new(capacity, cfg.telemetry.trace_filter.clone()));
-    }
-    if cfg.telemetry.profile {
-        net.install_profiler(Profiler::new());
-    }
-    if cfg.telemetry.attribution {
-        net.install_attribution();
-    }
-    let blackbox = cfg.telemetry.blackbox.clone();
-    if let Some(bb) = &blackbox {
-        net.install_blackbox(bb.clone());
-    }
-    if cfg.telemetry.journeys_every > 0 {
-        net.install_journeys(cfg.seed, cfg.telemetry.journeys_every);
-    }
+    let telemetry = &cfg.telemetry;
+    let blackbox = telemetry.blackbox.clone();
+    net.install_probe(ProbeConfig {
+        tracer: telemetry.trace.then(|| {
+            let capacity = match telemetry.trace_capacity {
+                0 => DEFAULT_TRACE_CAPACITY,
+                n => n,
+            };
+            Tracer::new(capacity, telemetry.trace_filter.clone())
+        }),
+        profiler: telemetry.profile.then(Profiler::new),
+        attribution: telemetry.attribution,
+        blackbox: blackbox.clone(),
+        journeys: (telemetry.journeys_every > 0).then_some((cfg.seed, telemetry.journeys_every)),
+    });
     let profile = cfg.telemetry.profile;
     let mut timeline = if cfg.telemetry.timeline { Some(RunTimeline::new()) } else { None };
     let mut base = StepBase::default();
@@ -473,6 +478,29 @@ pub fn run_experiment_instrumented(
     } else {
         None
     };
+    // One registry snapshot: export the network state, evaluate the alert
+    // rules on it (their `noc_alert_*` families are cycle-domain and join
+    // it), publish. `prof` joins only the final snapshot: the span tree's
+    // cycle-domain counters are deterministic per seed, so the `noc_prof_*`
+    // families may enter the deterministic file.
+    let mut snapshot_metrics = |net: &Network, prof: Option<&Profiler>| {
+        let Some(reg) = metrics_reg.as_mut() else { return };
+        export_network_metrics(reg, net, &metric_labels).expect("static metric names are valid");
+        if let Some(prof) = prof {
+            export_prof_metrics(reg, prof.span_tree()).expect("static prof names are valid");
+        }
+        if let Some(engine) = alert_engine.as_mut() {
+            alert_events.extend(engine.evaluate(reg, net.now()));
+            export_alert_metrics(reg, engine).expect("static alert names are valid");
+        }
+        if let Some(live) = runtime_reg.as_mut() {
+            export_runtime_metrics(live, net.now(), run_t0.elapsed(), &metric_labels)
+                .expect("static runtime names are valid");
+        }
+        if metrics_opts.enabled() {
+            publish_metrics(&metrics_opts, reg, runtime_reg.as_ref());
+        }
+    };
 
     let mut policy = match cfg.design {
         Design::IntelliNoc => {
@@ -501,9 +529,7 @@ pub fn run_experiment_instrumented(
         let t0 = if profile { Some(Instant::now()) } else { None };
         let directives = policy.decide_traced(&obs, net.now(), net.tracer_mut());
         if let (Some(t0), Some(prof)) = (t0, net.profiler_mut()) {
-            let elapsed = t0.elapsed();
-            prof.add("rl.decide", elapsed);
-            prof.span_leaf("rl.decide", elapsed, 0, 0);
+            prof.span_leaf("rl.decide", t0.elapsed(), 0, 0);
         }
         if let Some(directives) = directives {
             net.apply_directives(&directives);
@@ -515,22 +541,8 @@ pub fn run_experiment_instrumented(
             feed_recorder(bb, &net, &obs, &policy, &mut bb_base);
         }
         step_idx += 1;
-        if let Some(reg) = metrics_reg.as_mut() {
-            if step_idx.is_multiple_of(metrics_every) {
-                export_network_metrics(reg, &net, &metric_labels)
-                    .expect("static metric names are valid");
-                if let Some(engine) = alert_engine.as_mut() {
-                    alert_events.extend(engine.evaluate(reg, net.now()));
-                    export_alert_metrics(reg, engine).expect("static alert names are valid");
-                }
-                if let Some(live) = runtime_reg.as_mut() {
-                    export_runtime_metrics(live, net.now(), run_t0.elapsed(), &metric_labels)
-                        .expect("static runtime names are valid");
-                }
-                if metrics_opts.enabled() {
-                    publish_metrics(&metrics_opts, reg, runtime_reg.as_ref());
-                }
-            }
+        if step_idx.is_multiple_of(metrics_every) {
+            snapshot_metrics(&net, None);
         }
     }
     // Capture the recorder's final state *before* open spans are closed:
@@ -550,27 +562,7 @@ pub fn run_experiment_instrumented(
         tl.push(sample_timeline(&net, &obs, &policy, &mut base));
     }
     // Close the exposition with the final network state.
-    if let Some(reg) = metrics_reg.as_mut() {
-        export_network_metrics(reg, &net, &metric_labels).expect("static metric names are valid");
-        // The span tree's cycle-domain counters are deterministic per seed,
-        // so the `noc_prof_*` families may join the deterministic snapshot.
-        if let Some(prof) = net.profiler() {
-            export_prof_metrics(reg, prof.span_tree()).expect("static prof names are valid");
-        }
-        // Final alert evaluation: rules see the end-of-run state, and the
-        // `noc_alert_*` families (cycle-domain) join the final snapshot.
-        if let Some(engine) = alert_engine.as_mut() {
-            alert_events.extend(engine.evaluate(reg, net.now()));
-            export_alert_metrics(reg, engine).expect("static alert names are valid");
-        }
-        if let Some(live) = runtime_reg.as_mut() {
-            export_runtime_metrics(live, net.now(), run_t0.elapsed(), &metric_labels)
-                .expect("static runtime names are valid");
-        }
-        if metrics_opts.enabled() {
-            publish_metrics(&metrics_opts, reg, runtime_reg.as_ref());
-        }
-    }
+    snapshot_metrics(&net, net.profiler());
 
     let report = net.report();
     let (mode_histogram, mean_qtable_entries) = match &policy {
@@ -587,15 +579,16 @@ pub fn run_experiment_instrumented(
         ControlPolicy::Rl(rl) => rl.take_decision_log(),
         _ => None,
     };
+    let probe = net.take_probe();
     let artifacts = TelemetryArtifacts {
-        tracer: net.take_tracer(),
+        tracer: probe.tracer,
         timeline,
-        profiler: net.take_profiler(),
-        attribution: net.take_attribution(),
+        profiler: probe.profiler,
+        attribution: probe.attribution,
         decisions,
         exposition: metrics_reg.as_ref().map(render_exposition),
         alerts: alert_events,
-        journeys: net.take_journeys(),
+        journeys: probe.journeys,
     };
     (
         ExperimentOutcome {
@@ -654,7 +647,7 @@ pub fn pretrain_intellinoc(
             ..ExperimentConfig::new(Design::IntelliNoc, workload)
         }
         .with_seed(seed.wrapping_add(ep as u64));
-        let (_, policy) = run_experiment_keeping_policy(cfg);
+        let (_, policy, _) = run_experiment_instrumented(cfg);
         tables = Some(match policy {
             ControlPolicy::Rl(rl) => rl.tables(),
             _ => unreachable!("IntelliNoC always uses the RL policy"),

@@ -52,22 +52,20 @@ mod serve;
 mod sweeps;
 
 pub use bench::{
-    compare_bench, record_bench, record_bench_instrumented, record_bench_profiled, BenchBaseline,
-    BenchCell, BenchComparison, BenchRunMetrics, BenchSpec, CompareRow, GateOptions, GateVerdict,
-    MetricStats, BENCH_FORMAT_VERSION, GATED_METRICS, REL_EPSILON,
+    compare_bench, record_bench, BenchBaseline, BenchCell, BenchComparison, BenchRunMetrics,
+    BenchSpec, CompareRow, GateOptions, GateVerdict, MetricStats, BENCH_FORMAT_VERSION,
+    GATED_METRICS, REL_EPSILON,
 };
 pub use campaign::{
-    campaign_scenarios, campaign_unit_keys, run_campaign, run_campaign_runner,
-    run_campaign_runner_instrumented, run_campaign_runner_profiled, CampaignConfig, CampaignReport,
-    CampaignRow, CampaignRunReport, JourneySink,
+    campaign_scenarios, campaign_unit_keys, run_campaign_runner, CampaignConfig, CampaignRow,
+    CampaignRunReport,
 };
 pub use controller::{cpd_decide, intellinoc_rl_config, ControlPolicy, RewardKind, RlControl};
 pub use designs::Design;
 pub use experiment::{
-    pretrain_intellinoc, run_experiment, run_experiment_instrumented,
-    run_experiment_keeping_policy, run_experiment_profiled, ExperimentConfig, ExperimentOutcome,
-    MetricsOptions, ProfSink, TelemetryArtifacts, TelemetryOptions, CONSERVATION_RULE,
-    DEFAULT_TIME_STEP,
+    pretrain_intellinoc, run_experiment, run_experiment_instrumented, ExperimentConfig,
+    ExperimentOutcome, MetricsOptions, TelemetryArtifacts, TelemetryOptions, UnitSinks,
+    CONSERVATION_RULE, DEFAULT_TIME_STEP,
 };
 pub use expert::{expert_decide, ExpertThresholds};
 pub use inspect::render_inspect_report;
@@ -86,6 +84,5 @@ pub use serve::{
 };
 pub use sweeps::{
     epsilon_sweep, error_rate_sweep, gamma_sweep, load_sweep_keys, mesh_scaling, run_load_sweep,
-    run_load_sweep_instrumented, run_load_sweep_profiled, time_step_sweep, HyperPoint, LoadPoint,
-    ScalePoint, SweepPoint,
+    time_step_sweep, HyperPoint, LoadPoint, ScalePoint, SweepPoint,
 };

@@ -513,25 +513,15 @@ impl<T> RunnerReport<T> {
         )
     }
 
-    /// Adds per-run wall-clock rows (and an aggregate `runner.unit`
-    /// section) to a profiler. Journal-reloaded and skipped units carry no
-    /// wall time and are excluded.
+    /// Adds per-run wall-clock rows to a profiler. Journal-reloaded and
+    /// skipped units carry no wall time and are excluded.
     pub fn fill_profiler(&self, prof: &mut Profiler) {
-        let mut total = 0.0;
-        let mut executed = 0u64;
         for r in &self.records {
             if r.from_journal || r.status == RunStatus::Skipped {
                 continue;
             }
             prof.add_run(r.key.clone(), r.status.label(), r.attempts, r.wall_ms);
-            total += r.wall_ms;
-            executed += 1;
         }
-        prof.add_batch(
-            "runner.unit",
-            std::time::Duration::from_nanos((total * 1e6) as u64),
-            executed,
-        );
     }
 }
 
@@ -1492,7 +1482,6 @@ mod tests {
         let mut prof = Profiler::new();
         report.fill_profiler(&mut prof);
         assert_eq!(prof.runs().len(), 2, "skipped units carry no wall-clock row");
-        assert!(prof.section("runner.unit").is_some());
         assert!(prof.table().contains("per-run wall clock"));
     }
 }

@@ -38,7 +38,7 @@
 //! crash path the WAL exists for.
 
 use crate::designs::Design;
-use crate::experiment::{run_experiment_instrumented, ExperimentConfig};
+use crate::experiment::{ExperimentConfig, UnitSinks};
 use crate::runner::{
     classify_timeout, run_units, BlackboxConfig, ChaosOptions, RunStatus, RunnerConfig,
     RunnerReport, UnitCtx, UnitVerdict,
@@ -351,18 +351,12 @@ fn run_spec_units(
         // Feed the runner's flight recorder (if armed) so a unit that
         // stalls or times out leaves a post-mortem ring behind.
         cfg.telemetry.blackbox = ctx.recorder.clone();
-        cfg.telemetry.journeys_every = if journeys.is_some() { spec.journeys_every } else { 0 };
         if spec.max_cycles > 0 {
             cfg.max_cycles = spec.max_cycles;
         }
         let budget = cfg.max_cycles;
-        let (o, _, artifacts) = run_experiment_instrumented(cfg);
-        if let (Some(dir), Some(log)) = (journeys, artifacts.journeys) {
-            let path = dir.join(noc_sim::journey_file_name(ctx.key));
-            if let Err(e) = fs::write(&path, log.to_jsonl()) {
-                eprintln!("journeys: cannot write {}: {e}", path.display());
-            }
-        }
+        let sinks = UnitSinks { prof: None, journeys: journeys.map(|d| (d, spec.journeys_every)) };
+        let o = sinks.run(cfg, ctx.key);
         let r = &o.report;
         let point = ServePoint {
             exec_cycles: r.exec_cycles,

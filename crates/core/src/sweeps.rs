@@ -1,19 +1,16 @@
 //! Reusable parameter sweeps behind the sensitivity figures (Figs. 17–18)
 //! and the scaling study. Each sweep returns plain data so callers (figure
-//! binaries, tests, the CLI) can print or assert on it.
+//! binaries, tests, the CLI) can print or assert on it. [`run_load_sweep`]
+//! is the one runner-engine entry point; open- or closed-loop traffic and
+//! the fleet sinks ([`UnitSinks`]) are its arguments.
 
-use crate::campaign::JourneySink;
 use crate::controller::{intellinoc_rl_config, RewardKind};
 use crate::designs::Design;
-use crate::experiment::{
-    pretrain_intellinoc, run_experiment, run_experiment_instrumented, run_experiment_profiled,
-    ExperimentConfig, ProfSink,
-};
+use crate::experiment::{pretrain_intellinoc, run_experiment, ExperimentConfig, UnitSinks};
 use crate::runner::{
     classify_timeout, run_units, ChaosOptions, RunnerConfig, RunnerReport, UnitCtx, UnitVerdict,
 };
 use noc_rl::QLearningConfig;
-use noc_sim::journey_file_name;
 use noc_traffic::{ParsecBenchmark, WorkloadSpec};
 use serde::{Deserialize, Serialize};
 
@@ -173,14 +170,17 @@ pub fn load_sweep_keys(design: Design, rates: &[f64]) -> Vec<String> {
 }
 
 /// Runs a latency-vs-load sweep through the `noc-runner` engine: one
-/// experiment unit per injection rate, each seeded from `(master_seed, run
-/// key)`, executed per `rcfg` (workers, deadline, retry, journal/resume)
-/// with `chaos` failure injection for robustness testing.
+/// experiment unit per injection rate (closed-loop when `reqreply` is
+/// given), each seeded from `(master_seed, run key)`, executed per `rcfg`
+/// (workers, deadline, retry, journal/resume) with `chaos` failure
+/// injection for robustness testing; every point feeds `sinks`, which never
+/// move the report.
 ///
 /// # Errors
 ///
 /// Propagates engine-level errors (duplicate rates produce duplicate keys;
 /// journal mismatch or I/O); unit-level failures are contained per point.
+#[allow(clippy::too_many_arguments)]
 pub fn run_load_sweep(
     design: Design,
     rates: &[f64],
@@ -188,50 +188,8 @@ pub fn run_load_sweep(
     master_seed: u64,
     rcfg: &RunnerConfig,
     chaos: &ChaosOptions,
-) -> Result<RunnerReport<LoadPoint>, String> {
-    run_load_sweep_profiled(design, rates, ppn, master_seed, rcfg, chaos, None, None)
-}
-
-/// [`run_load_sweep`] with an optional fleet profiler sink: when `prof` is
-/// given, every point runs with span profiling enabled and merges its span
-/// tree into the sink. The report stays byte-identical either way.
-///
-/// # Errors
-///
-/// Same as [`run_load_sweep`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_load_sweep_profiled(
-    design: Design,
-    rates: &[f64],
-    ppn: u64,
-    master_seed: u64,
-    rcfg: &RunnerConfig,
-    chaos: &ChaosOptions,
     reqreply: Option<&noc_traffic::ReqReplySpec>,
-    prof: ProfSink<'_>,
-) -> Result<RunnerReport<LoadPoint>, String> {
-    run_load_sweep_instrumented(design, rates, ppn, master_seed, rcfg, chaos, reqreply, prof, None)
-}
-
-/// [`run_load_sweep_profiled`] plus an optional per-point journey sink
-/// (one `journeys-<sanitized key>.jsonl` per point under the directory).
-/// Journey tracing never perturbs cycle-domain state, so the report is
-/// byte-identical with or without it.
-///
-/// # Errors
-///
-/// Same as [`run_load_sweep`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_load_sweep_instrumented(
-    design: Design,
-    rates: &[f64],
-    ppn: u64,
-    master_seed: u64,
-    rcfg: &RunnerConfig,
-    chaos: &ChaosOptions,
-    reqreply: Option<&noc_traffic::ReqReplySpec>,
-    prof: ProfSink<'_>,
-    journeys: JourneySink<'_>,
+    sinks: UnitSinks<'_>,
 ) -> Result<RunnerReport<LoadPoint>, String> {
     let keys = load_sweep_keys(design, rates);
     run_units(master_seed, &keys, rcfg, chaos, |ctx: &UnitCtx| {
@@ -246,24 +204,7 @@ pub fn run_load_sweep_instrumented(
             .with_deadline(ctx.deadline_cycles);
         cfg.telemetry.blackbox = ctx.recorder.clone();
         let budget = cfg.max_cycles;
-        let o = match journeys {
-            None => run_experiment_profiled(cfg, prof),
-            Some((dir, every)) => {
-                cfg.telemetry.journeys_every = every;
-                cfg.telemetry.profile = prof.is_some();
-                let (o, _, artifacts) = run_experiment_instrumented(cfg);
-                if let (Some(sink), Some(p)) = (prof, artifacts.profiler) {
-                    sink.lock().expect("profiler sink lock").merge(&p);
-                }
-                if let Some(log) = artifacts.journeys {
-                    let path = dir.join(journey_file_name(ctx.key));
-                    if let Err(e) = std::fs::write(&path, log.to_jsonl()) {
-                        eprintln!("journeys: cannot write {}: {e}", path.display());
-                    }
-                }
-                o
-            }
-        };
+        let o = sinks.run(cfg, ctx.key);
         let r = &o.report;
         let point = LoadPoint {
             rate,
@@ -360,6 +301,8 @@ mod tests {
             7,
             &RunnerConfig::serial(),
             &ChaosOptions::default(),
+            None,
+            UnitSinks::default(),
         )
         .unwrap();
         let parallel = run_load_sweep(
@@ -369,6 +312,8 @@ mod tests {
             7,
             &RunnerConfig::serial().with_jobs(2),
             &ChaosOptions::default(),
+            None,
+            UnitSinks::default(),
         )
         .unwrap();
         assert!(serial.is_clean());
@@ -391,6 +336,8 @@ mod tests {
             1,
             &RunnerConfig::serial(),
             &ChaosOptions::default(),
+            None,
+            UnitSinks::default(),
         )
         .unwrap_err();
         assert!(err.contains("duplicate"), "{err}");

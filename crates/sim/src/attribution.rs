@@ -1,6 +1,6 @@
 //! Per-flit latency attribution and spatial accumulators.
 //!
-//! When installed on a [`crate::Network`] (see `Network::install_attribution`),
+//! When installed on a [`crate::Network`] (see `ProbeConfig::attribution`),
 //! this module follows every packet's head flit through the pipeline and
 //! charges each measured delay — link crossings, router pipeline stages,
 //! hop-NACK stalls, bypass latches, wasted end-to-end generations, tail
@@ -152,7 +152,9 @@ impl Attribution {
     }
 
     /// The tail flit ejected and the packet completed with the measured
-    /// end-to-end `latency` (which spans `[injected_at, now + 1)`).
+    /// end-to-end `latency` (which spans `[injected_at, now + 1)`). Returns
+    /// the recorded components — the reference the journey spans are
+    /// checked against — or `None` for a packet it never saw injected.
     pub(crate) fn on_complete(
         &mut self,
         packet: u64,
@@ -160,8 +162,8 @@ impl Attribution {
         dest: u16,
         now: Cycle,
         latency: u64,
-    ) {
-        let Some(span) = self.spans.remove(&packet) else { return };
+    ) -> Option<LatencyComponents> {
+        let span = self.spans.remove(&packet)?;
         let components = LatencyComponents {
             queuing: 0,
             traversal: span.gen_traversal,
@@ -189,6 +191,7 @@ impl Attribution {
             hop_retx: span.hop_retx,
             e2e_retx: span.e2e_retx,
         });
+        Some(components)
     }
 
     /// The packet was dropped; forget its span.
@@ -196,24 +199,17 @@ impl Attribution {
         self.spans.remove(&packet);
     }
 
-    /// One gating-phase sample: which routers are gated/waking/failed.
-    pub(crate) fn on_gate_sample(&mut self, router: usize) {
-        self.router_gated[router] += 1;
-    }
-
-    /// Advances the gated-residency denominator by one cycle.
-    pub(crate) fn on_gate_cycle(&mut self) {
+    /// One gating-phase cycle; `gated` yields the routers that are gated,
+    /// waking or hard-failed in it.
+    pub(crate) fn on_gate_cycle(&mut self, gated: impl Iterator<Item = usize>) {
         self.gate_cycles += 1;
+        gated.for_each(|r| self.router_gated[r] += 1);
     }
 
-    /// One epoch's temperature sample for `router`.
-    pub(crate) fn on_temp_sample(&mut self, router: usize, temp_c: f64) {
-        self.temp_sum[router] += temp_c;
-    }
-
-    /// Marks one epoch's worth of temperature samples complete.
-    pub(crate) fn on_temp_epoch(&mut self) {
+    /// One epoch's temperature sample per router, in router order.
+    pub(crate) fn on_temp_epoch(&mut self, temps_c: impl Iterator<Item = f64>) {
         self.temp_epochs += 1;
+        self.temp_sum.iter_mut().zip(temps_c).for_each(|(sum, t)| *sum += t);
     }
 
     /// Folds the accumulators into renderable artifacts. `cycles` is the

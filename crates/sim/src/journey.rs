@@ -10,9 +10,9 @@
 //! span `[now, now + cost)` and advances the cursor. Because every charge
 //! the attribution engine makes has a disjoint, forward-moving time
 //! window, the spans tile the packet's lifetime exactly and per-cause
-//! sums reproduce the PR-3 components bit-for-bit. A mirror of the
-//! attribution arithmetic runs alongside and `debug_assert!`s that
-//! equality at every completion.
+//! sums reproduce the PR-3 components bit-for-bit; when the attribution
+//! engine is installed too, the probe `debug_assert!`s that equality
+//! against it at every completion.
 //!
 //! End-to-end retransmission reclassifies the failed generation's spans
 //! as `wasted_gen` (keeping their locations, so a Perfetto view still
@@ -25,7 +25,7 @@
 //! resumed executions of one seed.
 
 use crate::flit::{Cycle, Flit};
-use crate::topology::DIRS;
+use crate::topology::{Mesh, Port, DIRS};
 use noc_telemetry::{
     journey_sampled, HopSpan, JourneyCause, JourneyLoc, JourneyLog, PacketJourney, TxnJourney,
     TxnLeg, TxnLegKind, TxnOutcome,
@@ -37,42 +37,20 @@ use std::collections::HashMap;
 /// set is independent of the sampled packet set.
 const TXN_SAMPLE_SALT: u64 = 0xA076_1D64_78BD_642F;
 
-/// Where a tracked packet currently sits (determines the cause of the
-/// next gap-fill wait span).
-#[derive(Debug, Clone, Copy)]
-enum Residence {
-    SourceNi(u16),
-    Router(u16),
-    Link { from: u16, to: u16 },
+/// The directed channel `ci` of `mesh` (`u16::MAX` downstream on the rim).
+fn link_loc(mesh: &Mesh, ci: usize) -> JourneyLoc {
+    let (from, dir) = (ci / DIRS, Port::from_index(ci % DIRS));
+    let to = mesh.neighbor(from, dir).map_or(u16::MAX, |d| d as u16);
+    JourneyLoc::Link { from: from as u16, to }
 }
 
-impl Residence {
-    fn loc(self) -> JourneyLoc {
-        match self {
-            Residence::SourceNi(n) => JourneyLoc::SourceNi(n),
-            Residence::Router(r) => JourneyLoc::Router(r),
-            Residence::Link { from, to } => JourneyLoc::Link { from, to },
-        }
+/// The cause of a wait span gap-filled while the packet's head sits at `at`.
+fn wait_cause(at: JourneyLoc) -> JourneyCause {
+    match at {
+        JourneyLoc::SourceNi(_) => JourneyCause::NiQueue,
+        JourneyLoc::Router(_) => JourneyCause::VcSaWait,
+        JourneyLoc::Link { .. } => JourneyCause::ChannelWait,
     }
-
-    fn wait_cause(self) -> JourneyCause {
-        match self {
-            Residence::SourceNi(_) => JourneyCause::NiQueue,
-            Residence::Router(_) => JourneyCause::VcSaWait,
-            Residence::Link { .. } => JourneyCause::ChannelWait,
-        }
-    }
-}
-
-/// Mirror of the attribution engine's per-packet accumulators, used to
-/// debug-assert that span sums reproduce the components exactly.
-#[derive(Debug, Default, Clone, Copy)]
-struct Mirror {
-    gen_start: Cycle,
-    gen_traversal: u64,
-    gen_bypass: u64,
-    gen_retx: u64,
-    retx_wasted: u64,
 }
 
 /// In-flight journey of one sampled packet.
@@ -85,12 +63,11 @@ struct Track {
     /// One past the end of the last span (time accounted so far).
     cursor: Cycle,
     /// Where the packet's head currently resides.
-    at: Residence,
+    at: JourneyLoc,
     /// Index of the first span of the current e2e generation.
     gen_first_span: usize,
     head_eject: Option<Cycle>,
     spans: Vec<HopSpan>,
-    mirror: Mirror,
 }
 
 impl Track {
@@ -102,8 +79,8 @@ impl Track {
             self.spans.push(HopSpan {
                 start: self.cursor,
                 end: now,
-                loc: self.at.loc(),
-                cause: self.at.wait_cause(),
+                loc: self.at,
+                cause: wait_cause(self.at),
             });
             self.cursor = now;
         }
@@ -160,27 +137,22 @@ impl TxnTrack {
 pub(crate) struct JourneyTracker {
     seed: u64,
     every: u64,
-    /// Per channel index: downstream router, or `u16::MAX` on the mesh rim.
-    link_dest: Vec<u16>,
+    mesh: Mesh,
     tracks: HashMap<u64, Track>,
     txns: HashMap<u64, TxnTrack>,
     log: JourneyLog,
 }
 
 impl JourneyTracker {
-    pub(crate) fn new(label: String, seed: u64, every: u64, link_dest: Vec<u16>) -> Self {
+    pub(crate) fn new(label: String, seed: u64, every: u64, mesh: Mesh) -> Self {
         JourneyTracker {
             seed,
             every,
-            link_dest,
+            mesh,
             tracks: HashMap::new(),
             txns: HashMap::new(),
             log: JourneyLog { label, seed, every, ..JourneyLog::default() },
         }
-    }
-
-    fn link_loc(&self, ci: usize) -> JourneyLoc {
-        JourneyLoc::Link { from: (ci / DIRS) as u16, to: self.link_dest[ci] }
     }
 
     pub(crate) fn on_inject(
@@ -202,11 +174,10 @@ impl JourneyTracker {
                 injected_at: now,
                 txn,
                 cursor: now,
-                at: Residence::SourceNi(src),
+                at: JourneyLoc::SourceNi(src),
                 gen_first_span: 0,
                 head_eject: None,
                 spans: Vec::new(),
-                mirror: Mirror { gen_start: now, ..Mirror::default() },
             },
         );
     }
@@ -225,19 +196,11 @@ impl JourneyTracker {
         if !flit.is_head() {
             return;
         }
-        let loc = self.link_loc(ci);
         if let Some(t) = self.tracks.get_mut(&flit.packet_id) {
+            let loc = link_loc(&self.mesh, ci);
             let cause = if bypass { JourneyCause::Bypass } else { JourneyCause::Link };
             t.charge(now, cost, loc, cause);
-            if bypass {
-                t.mirror.gen_bypass += cost;
-            } else {
-                t.mirror.gen_traversal += cost;
-            }
-            t.at = match loc {
-                JourneyLoc::Link { from, to } => Residence::Link { from, to },
-                _ => unreachable!(),
-            };
+            t.at = loc;
         }
     }
 
@@ -246,8 +209,7 @@ impl JourneyTracker {
     pub(crate) fn on_pipeline(&mut self, packet: u64, router: u16, cost: u64, now: Cycle) {
         if let Some(t) = self.tracks.get_mut(&packet) {
             t.charge(now, cost, JourneyLoc::Router(router), JourneyCause::Pipeline);
-            t.mirror.gen_traversal += cost;
-            t.at = Residence::Router(router);
+            t.at = JourneyLoc::Router(router);
         }
     }
 
@@ -256,14 +218,10 @@ impl JourneyTracker {
         if !flit.is_head() {
             return;
         }
-        let loc = self.link_loc(ci);
         if let Some(t) = self.tracks.get_mut(&flit.packet_id) {
+            let loc = link_loc(&self.mesh, ci);
             t.charge(now, cost, loc, JourneyCause::HopRetx);
-            t.mirror.gen_retx += cost;
-            t.at = match loc {
-                JourneyLoc::Link { from, to } => Residence::Link { from, to },
-                _ => unreachable!(),
-            };
+            t.at = loc;
         }
     }
 
@@ -293,23 +251,17 @@ impl JourneyTracker {
             }
             t.cursor = t.cursor.min(now);
             if now > t.cursor {
-                let loc = t.at.loc();
                 t.spans.push(HopSpan {
                     start: t.cursor,
                     end: now,
-                    loc,
+                    loc: t.at,
                     cause: JourneyCause::WastedGen,
                 });
             }
             t.cursor = now;
             t.gen_first_span = t.spans.len();
-            t.at = Residence::SourceNi(t.src);
+            t.at = JourneyLoc::SourceNi(t.src);
             t.head_eject = None;
-            t.mirror.retx_wasted += now.saturating_sub(t.mirror.gen_start);
-            t.mirror.gen_start = now;
-            t.mirror.gen_traversal = 0;
-            t.mirror.gen_bypass = 0;
-            t.mirror.gen_retx = 0;
         }
     }
 
@@ -319,7 +271,7 @@ impl JourneyTracker {
         if let Some(t) = self.tracks.get_mut(&packet) {
             t.wait_until(now);
             let dest = t.dest;
-            t.at = Residence::Router(dest);
+            t.at = JourneyLoc::Router(dest);
             t.head_eject = Some(now);
         }
     }
@@ -361,27 +313,7 @@ impl JourneyTracker {
             txn: t.txn,
             spans: t.spans,
         };
-        #[cfg(debug_assertions)]
-        {
-            // The span timeline must reproduce the attribution components
-            // exactly (the mirror replicates `Attribution`'s arithmetic).
-            let c = journey.components();
-            let serialization = now.saturating_sub(he);
-            let retransmission = t.mirror.retx_wasted + t.mirror.gen_retx;
-            let non_queuing =
-                t.mirror.gen_traversal + serialization + retransmission + t.mirror.gen_bypass + 1;
-            debug_assert_eq!(c.traversal, t.mirror.gen_traversal, "packet {packet} traversal");
-            debug_assert_eq!(c.serialization, serialization, "packet {packet} serialization");
-            debug_assert_eq!(c.retransmission, retransmission, "packet {packet} retransmission");
-            debug_assert_eq!(c.bypass, t.mirror.gen_bypass, "packet {packet} bypass");
-            debug_assert_eq!(c.ejection, 1, "packet {packet} ejection");
-            debug_assert_eq!(
-                c.queuing,
-                latency.saturating_sub(non_queuing),
-                "packet {packet} queuing residual"
-            );
-            debug_assert_eq!(c.total(), latency, "packet {packet} span tiling");
-        }
+        debug_assert_eq!(journey.components().total(), latency, "packet {packet} span tiling");
         self.log.packets.push(journey);
         self.log.packets.last()
     }
@@ -495,8 +427,7 @@ mod tests {
     use crate::flit::make_packet;
 
     fn tracker(every: u64) -> JourneyTracker {
-        // 2x2 mesh worth of fake link destinations: ci = router*4 + dir.
-        JourneyTracker::new("test".to_owned(), 9, every, vec![u16::MAX; 16])
+        JourneyTracker::new("test".to_owned(), 9, every, Mesh::new(2, 2))
     }
 
     fn head(packet: u64) -> Flit {
@@ -567,7 +498,6 @@ mod tests {
         j.on_pipeline(4, 0, 4, 20);
         j.on_head_eject(4, 30);
         let latency = 30 + 1;
-        // `on_complete` debug-asserts span sums == mirror components.
         let journey = j.on_complete(4, 30, latency).expect("sampled").clone();
         let c = journey.components();
         assert_eq!(c.retransmission, 12, "wasted window is [0, 12) exactly");

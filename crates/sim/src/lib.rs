@@ -37,6 +37,7 @@ mod latency;
 mod metrics_export;
 mod network;
 mod ni;
+mod probe;
 mod router;
 mod stats;
 pub mod topology;
@@ -51,6 +52,7 @@ pub use metrics_export::{
     export_runtime_metrics, NETWORK_METRICS, RUNTIME_METRICS, TXN_METRICS,
 };
 pub use network::Network;
+pub use probe::{ProbeArtifacts, ProbeConfig};
 pub use router::{GateState, Router, StepStats, VcEntry};
 pub use stats::{NetworkStats, RouterObservation, RunReport, StallReport, TxnSummary};
 pub use topology::{Mesh, Port, DIRS, PORTS};
@@ -70,7 +72,7 @@ pub use noc_telemetry::{
     JourneyLoc, JourneyLog, LatencyBreakdown, LatencyComponents, LinkStat, MetricsHub,
     MetricsRegistry, MetricsServer, PacketJourney, PacketLatency, PairBreakdown, ParsedBundle,
     PhaseCounters, Profiler, RecorderCounters, RetxScope, RunRow, RunTimeline, RunnerEvent, Sample,
-    SectionStats, SharedRecorder, SpanStats, SpanTree, TailContribution, TimelineSample,
-    TraceFilter, Tracer, TxnJourney, TxnLeg, TxnLegKind, TxnOutcome, BLACKBOX_FORMAT_VERSION,
-    DEFAULT_BLACKBOX_CAPACITY, DEFAULT_TRACE_CAPACITY, JOURNEY_FORMAT_VERSION, MAX_SPAN_DEPTH,
+    SharedRecorder, SpanStats, SpanTree, TailContribution, TimelineSample, TraceFilter, Tracer,
+    TxnJourney, TxnLeg, TxnLegKind, TxnOutcome, BLACKBOX_FORMAT_VERSION, DEFAULT_BLACKBOX_CAPACITY,
+    DEFAULT_TRACE_CAPACITY, JOURNEY_FORMAT_VERSION, MAX_SPAN_DEPTH,
 };

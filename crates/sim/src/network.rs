@@ -39,25 +39,21 @@
 //! few mask operations per output and link delivery looks VCs up in the
 //! table instead of polling `PORTS x vcs` queues (DESIGN.md §7.0).
 
-use crate::attribution::Attribution;
 use crate::channel::Links;
 use crate::config::{RouterDirective, SimConfig};
 use crate::flit::{make_packet, Cycle, Flit, NO_VC};
 use crate::health::HealthRouter;
-use crate::journey::JourneyTracker;
 use crate::ni::Nis;
+use crate::probe::{Probe, ProbeArtifacts, ProbeConfig};
 use crate::router::{set_bits, GateState, Router};
 use crate::stats::{NetworkStats, RouterObservation, RunReport, StallReport, TxnSummary};
 use crate::topology::{Mesh, Port, DIRS, PORTS};
 use noc_ecc::{DecodeStatus, EccScheme, EccSuite};
 use noc_fault::{network_mttf, AgingState, FaultInjector, HardFaultTarget, ThermalGrid};
 use noc_power::{EnergyLedger, RouterLeakageSpec, CLOCK_PERIOD_NS};
-use noc_telemetry::{
-    AttributionArtifacts, Event, GateEdge, JourneyLog, Profiler, RetxScope, SharedRecorder, Tracer,
-};
-use noc_traffic::{ReqReplyWorkload, TrafficGen, TxnEventKind, TxnStats, Workload, WorkloadSpec};
+use noc_telemetry::{Event, GateEdge, Profiler, RetxScope, Tracer};
+use noc_traffic::{ReqReplyWorkload, TrafficGen, TxnStats, Workload, WorkloadSpec};
 use std::collections::{BTreeMap, HashSet, VecDeque};
-use std::time::Instant;
 
 /// One switch-allocation grant: the head-of-queue flit of VC `vc` of input
 /// `port` crosses to output `out`, bound for downstream VC `dvc` ([`NO_VC`]
@@ -94,15 +90,10 @@ pub struct Network {
     next_packet_id: u64,
     next_flit_id: u64,
     completed: u64,
-    /// Structured event trace; `None` means tracing is disabled and every
-    /// emission site is a single not-taken branch with zero allocation.
-    tracer: Option<Tracer>,
-    /// Self-profiling hooks (section timers + pipeline-phase counters);
-    /// `None` means profiling is disabled.
-    profiler: Option<Profiler>,
-    /// Per-flit latency attribution + spatial accumulators; `None` means
-    /// attribution is disabled and every hook site is a single branch.
-    attribution: Option<Attribution>,
+    /// Every telemetry sink (tracer, profiler, attribution, flight
+    /// recorder, journeys) behind one set of event points; with nothing
+    /// installed each point is a not-taken branch per sink.
+    probe: Probe,
     /// Link/router health map + fault-aware route tables.
     health: HealthRouter,
     /// Current down/up state per scheduled hard fault (transition edges are
@@ -126,14 +117,6 @@ pub struct Network {
     last_score: u64,
     /// Set when the stall watchdog aborted the run.
     stall: Option<StallReport>,
-    /// Flight recorder (`noc-blackbox`): a bounded ring of recent events
-    /// shared with the harness so post-mortem bundles survive panics.
-    /// `None` means recording is disabled and every feed site is a single
-    /// branch.
-    blackbox: Option<SharedRecorder>,
-    /// Sampled per-packet journey tracing (`noc-journey`); `None` means
-    /// tracing is disabled and every hook site is a single branch.
-    journey: Option<JourneyTracker>,
 }
 
 impl std::fmt::Debug for Network {
@@ -187,7 +170,6 @@ impl Network {
             last_progress: 0,
             last_score: 0,
             stall: None,
-            blackbox: None,
             mesh,
             now: 0,
             routers,
@@ -205,10 +187,7 @@ impl Network {
             next_packet_id: 0,
             next_flit_id: 0,
             completed: 0,
-            tracer: None,
-            profiler: None,
-            attribution: None,
-            journey: None,
+            probe: Probe::default(),
             cfg,
         }
     }
@@ -228,171 +207,41 @@ impl Network {
         &self.stats
     }
 
-    /// Installs a structured event tracer; subsequent cycles emit events.
-    pub fn install_tracer(&mut self, tracer: Tracer) {
-        self.tracer = Some(tracer);
-        self.traffic.set_txn_event_recording(true);
+    /// Installs the telemetry sinks `cfg` asks for, replacing any installed
+    /// before; subsequent cycles feed them. Sinks read simulator state but
+    /// never perturb it, so cycle-domain results are identical whatever is
+    /// installed.
+    pub fn install_probe(&mut self, cfg: ProbeConfig) {
+        self.probe = Probe::new(cfg, &self.mesh, self.traffic.name());
+        self.traffic.set_txn_event_recording(self.probe.wants_txn_events());
+    }
+
+    /// Removes every installed sink, closing each at the current cycle.
+    pub fn take_probe(&mut self) -> ProbeArtifacts {
+        self.traffic.set_txn_event_recording(false);
+        std::mem::take(&mut self.probe).finish(&self.mesh, self.now)
     }
 
     /// The installed tracer, if any.
     pub fn tracer(&self) -> Option<&Tracer> {
-        self.tracer.as_ref()
+        self.probe.tracer.as_ref()
     }
 
-    /// Mutable access to the installed tracer (e.g. for control-layer
-    /// events emitted between cycles).
+    /// Mutable access to the installed tracer (for control-layer events
+    /// emitted between cycles).
     pub fn tracer_mut(&mut self) -> Option<&mut Tracer> {
-        self.tracer.as_mut()
+        self.probe.tracer.as_mut()
     }
 
-    /// Removes and returns the tracer, disabling tracing.
-    pub fn take_tracer(&mut self) -> Option<Tracer> {
-        if self.blackbox.is_none() && self.journey.is_none() {
-            self.traffic.set_txn_event_recording(false);
-        }
-        self.tracer.take()
-    }
-
-    /// Installs a self-profiler; subsequent cycles accumulate section
-    /// timings and pipeline-phase counters.
-    pub fn install_profiler(&mut self, profiler: Profiler) {
-        self.profiler = Some(profiler);
-    }
-
-    /// Shared access to the installed profiler (e.g. to read the span tree).
+    /// The installed profiler, if any (e.g. to read the span tree).
     pub fn profiler(&self) -> Option<&Profiler> {
-        self.profiler.as_ref()
+        self.probe.profiler.as_ref()
     }
 
-    /// Mutable access to the installed profiler.
+    /// Mutable access to the installed profiler (for control-layer spans
+    /// recorded between cycles).
     pub fn profiler_mut(&mut self) -> Option<&mut Profiler> {
-        self.profiler.as_mut()
-    }
-
-    /// Removes and returns the profiler, disabling profiling.
-    pub fn take_profiler(&mut self) -> Option<Profiler> {
-        self.profiler.take()
-    }
-
-    /// Installs per-flit latency attribution: subsequent cycles track every
-    /// packet's lifecycle spans and the spatial (per-link / per-router)
-    /// accumulators behind the `inspect` artifacts.
-    pub fn install_attribution(&mut self) {
-        self.attribution = Some(Attribution::new(self.mesh.nodes()));
-    }
-
-    /// Whether attribution is currently installed.
-    pub fn attribution_enabled(&self) -> bool {
-        self.attribution.is_some()
-    }
-
-    /// Removes the attribution engine and folds its accumulators into
-    /// renderable artifacts, disabling further attribution.
-    pub fn take_attribution(&mut self) -> Option<AttributionArtifacts> {
-        self.attribution.take().map(|a| a.finish(&self.mesh, self.now))
-    }
-
-    /// Installs a shared flight recorder; subsequent cycles feed the event
-    /// ring. The handle is shared with the harness (it outlives a panicking
-    /// run), so post-mortem bundles can read back the final moments.
-    pub fn install_blackbox(&mut self, recorder: SharedRecorder) {
-        self.blackbox = Some(recorder);
-        self.traffic.set_txn_event_recording(true);
-    }
-
-    /// The installed flight recorder handle, if any.
-    pub fn blackbox(&self) -> Option<&SharedRecorder> {
-        self.blackbox.as_ref()
-    }
-
-    /// Removes and returns the flight recorder, disabling recording.
-    pub fn take_blackbox(&mut self) -> Option<SharedRecorder> {
-        if self.tracer.is_none() && self.journey.is_none() {
-            self.traffic.set_txn_event_recording(false);
-        }
-        self.blackbox.take()
-    }
-
-    /// Installs `noc-journey` sampled per-packet journey tracing: one in
-    /// `every` packets (and, for closed-loop workloads, one in `every`
-    /// transactions) is selected by a pure hash of `(seed, id)` and its
-    /// full hop-span timeline recorded. Journey tracing reads simulator
-    /// state but never perturbs it, so cycle-domain results are identical
-    /// with tracing on or off.
-    pub fn install_journeys(&mut self, seed: u64, every: u64) {
-        let n = self.mesh.nodes();
-        let mut link_dest = vec![u16::MAX; n * DIRS];
-        for r in 0..n {
-            for dir in Port::DIRECTIONS {
-                if let Some(d) = self.mesh.neighbor(r, dir) {
-                    link_dest[r * DIRS + dir.index()] = d as u16;
-                }
-            }
-        }
-        self.journey =
-            Some(JourneyTracker::new(self.traffic.name().to_owned(), seed, every, link_dest));
-        self.traffic.set_txn_event_recording(true);
-    }
-
-    /// Whether journey tracing is currently installed.
-    pub fn journeys_enabled(&self) -> bool {
-        self.journey.is_some()
-    }
-
-    /// Removes the journey tracker and closes its log at the current
-    /// cycle, disabling further journey tracing.
-    pub fn take_journeys(&mut self) -> Option<JourneyLog> {
-        if self.tracer.is_none() && self.blackbox.is_none() {
-            self.traffic.set_txn_event_recording(false);
-        }
-        self.journey.take().map(|j| j.finish(self.now))
-    }
-
-    /// Records `event` when tracing is enabled; otherwise a single branch.
-    /// Feeds the flight recorder's event ring on the same path, so the
-    /// recorder sees exactly the tracer's event stream (post-filter sites,
-    /// pre-ring-eviction).
-    #[inline]
-    fn trace(&mut self, event: Event) {
-        if let Some(t) = self.tracer.as_mut() {
-            t.record(event);
-        }
-        if let Some(bb) = self.blackbox.as_ref() {
-            if let Ok(mut r) = bb.lock() {
-                r.push_event(event);
-            }
-        }
-    }
-
-    /// Forwards the workload's buffered transaction-lifecycle events into
-    /// the tracer/blackbox event stream. Only called when at least one sink
-    /// is installed; the workload buffers nothing otherwise.
-    fn drain_txn_events(&mut self) {
-        let events = self.traffic.drain_txn_events();
-        for ev in events {
-            if let Some(j) = self.journey.as_mut() {
-                j.on_txn_event(&ev);
-            }
-            let router = ev.node as u32;
-            let peer = ev.peer as u32;
-            let e = match ev.kind {
-                TxnEventKind::Issued => {
-                    Event::TxnIssued { cycle: ev.cycle, router, txn: ev.txn, peer }
-                }
-                TxnEventKind::Completed => {
-                    Event::TxnCompleted { cycle: ev.cycle, router, txn: ev.txn, peer }
-                }
-                TxnEventKind::TimedOut => {
-                    Event::TxnTimedOut { cycle: ev.cycle, router, txn: ev.txn, attempt: ev.attempt }
-                }
-                TxnEventKind::Retried => {
-                    Event::TxnRetried { cycle: ev.cycle, router, txn: ev.txn, attempt: ev.attempt }
-                }
-                TxnEventKind::Failed => Event::TxnFailed { cycle: ev.cycle, router, txn: ev.txn },
-                TxnEventKind::Shed => Event::TxnShed { cycle: ev.cycle, router, txn: ev.txn, peer },
-            };
-            self.trace(e);
-        }
+        self.probe.profiler.as_mut()
     }
 
     /// Per-node transaction accounting for closed-loop workloads; `None`
@@ -407,64 +256,12 @@ impl Network {
         self.traffic.txn_orphans()
     }
 
-    /// Opens a profiling span when a profiler is installed; otherwise a
-    /// single branch (the zero-cost disabled mode of `noc-prof`).
-    #[inline]
-    fn span_enter(&mut self, name: &'static str) {
-        if let Some(p) = self.profiler.as_mut() {
-            p.span_enter(name);
-        }
-    }
-
-    /// Closes the innermost profiling span; single branch when disabled.
-    #[inline]
-    fn span_exit(&mut self) {
-        if let Some(p) = self.profiler.as_mut() {
-            p.span_exit();
-        }
-    }
-
-    /// Charges cycle-domain counts to the innermost open span.
-    #[inline]
-    fn span_count(&mut self, flits: u64, allocs: u64) {
-        if let Some(p) = self.profiler.as_mut() {
-            p.span_count(flits, allocs);
-        }
-    }
-
-    /// A timestamp for a leaf span, taken only when profiling is enabled —
-    /// pair with [`Network::span_leaf`].
-    #[inline]
-    fn prof_now(&self) -> Option<Instant> {
-        if self.profiler.is_some() {
-            Some(Instant::now())
-        } else {
-            None
-        }
-    }
-
-    /// Records one completed leaf span under the current path, using a
-    /// timestamp from [`Network::prof_now`]; no-op when profiling is off.
-    #[inline]
-    fn span_leaf(&mut self, name: &'static str, t0: Option<Instant>, flits: u64) {
-        if let (Some(t0), Some(p)) = (t0, self.profiler.as_mut()) {
-            p.span_leaf(name, t0.elapsed(), flits, 0);
-        }
-    }
-
-    /// Samples link bit flips, charging the time to the `fault.inject`
-    /// profile section (and leaf span) when profiling is enabled.
+    /// Samples link bit flips, as a `fault.inject` leaf span when profiling.
     #[inline]
     fn sample_flips(&mut self, bits: usize, re: f64) -> u32 {
-        if self.profiler.is_none() {
-            return self.injector.sample_flip_count(bits, re);
-        }
-        let t0 = Instant::now();
+        let t0 = self.probe.clock();
         let k = self.injector.sample_flip_count(bits, re);
-        let elapsed = t0.elapsed();
-        let prof = self.profiler.as_mut().expect("profiler checked above");
-        prof.add("fault.inject", elapsed);
-        prof.span_leaf("fault.inject", elapsed, 1, 0);
+        self.probe.span_leaf("fault.inject", t0, 1);
         k
     }
 
@@ -527,7 +324,7 @@ impl Network {
             return;
         }
         for (target, down) in edges {
-            self.trace(match (target, down) {
+            self.probe.event(match (target, down) {
                 (HardFaultTarget::Link { router, dir }, true) => {
                     Event::LinkFailed { cycle: now, router, dir }
                 }
@@ -790,7 +587,7 @@ impl Network {
         if budget_ok && routable {
             self.stats.e2e_retx_packets += 1;
             self.stats.retransmitted_flits += crate::flit::FLITS_PER_PACKET as u64;
-            self.trace(Event::Retransmission {
+            self.probe.event(Event::Retransmission {
                 cycle: self.now,
                 router: src as u32,
                 packet: f.packet_id,
@@ -805,12 +602,7 @@ impl Network {
             self.routers[src].counters.crc_ops += crate::flit::FLITS_PER_PACKET as u64;
             self.routers[src].counters.retransmitted_flits += crate::flit::FLITS_PER_PACKET as u64;
             self.nis.extend(src, flits);
-            if let Some(att) = self.attribution.as_mut() {
-                att.on_e2e_retx(f.packet_id, self.now);
-            }
-            if let Some(j) = self.journey.as_mut() {
-                j.on_e2e_retx(f.packet_id, self.now);
-            }
+            self.probe.e2e_retx(f.packet_id, self.now);
         } else {
             self.account_drop(&f);
         }
@@ -821,16 +613,11 @@ impl Network {
         if !self.dropped_ids.insert(f.packet_id) {
             return;
         }
-        if let Some(att) = self.attribution.as_mut() {
-            att.on_drop(f.packet_id);
-        }
-        if let Some(j) = self.journey.as_mut() {
-            j.on_drop(f.packet_id);
-        }
+        self.probe.drop(f.packet_id);
         let src = f.src as usize;
         self.stats.packets_dropped += 1;
         self.outstanding[src] = self.outstanding[src].saturating_sub(1);
-        self.trace(Event::PacketDropped {
+        self.probe.event(Event::PacketDropped {
             cycle: self.now,
             router: u32::from(f.src),
             packet: f.packet_id,
@@ -858,7 +645,7 @@ impl Network {
         if self.now.saturating_sub(self.last_progress) < self.cfg.stall_window {
             return false;
         }
-        self.trace(Event::WatchdogStall { cycle: self.now, router: 0, state: in_flight });
+        self.probe.event(Event::WatchdogStall { cycle: self.now, router: 0, state: in_flight });
         self.stall = Some(StallReport {
             cycle: self.now,
             window: self.cfg.stall_window,
@@ -963,16 +750,7 @@ impl Network {
         router.counters.xbar_traversals += 1;
         router.counters.alloc_ops += 1;
         router.step.out_flits[out.index()] += 1;
-        if let Some(prof) = self.profiler.as_mut() {
-            prof.phases.sa += 1; // switch allocation granted
-            prof.phases.st += 1; // the grant traverses the crossbar
-            if reserves {
-                prof.phases.va += 1; // head won a downstream VC
-            }
-            // Span counting hook: one flit granted; a downstream VC
-            // reservation counts as an allocation.
-            prof.span_count(1, u64::from(reserves));
-        }
+        self.probe.sa_grant(reserves);
         if reserves {
             let dv = self.health.neighbor(r, out).expect("non-local output");
             self.routers[dv].reserve(out.opposite().index(), dvc as usize, flit.packet_id);
@@ -992,12 +770,7 @@ impl Network {
             router.counters.channel_stage_ops += 1;
         }
         let cost = self.links.get(ci).expect("channel exists").latency();
-        if let Some(att) = self.attribution.as_mut() {
-            att.on_link_flit(ci, &flit, cost, false);
-        }
-        if let Some(j) = self.journey.as_mut() {
-            j.on_link_flit(ci, &flit, cost, false, now);
-        }
+        self.probe.link_flit(ci, &flit, cost, false, now);
         self.links.push(ci, flit, now);
     }
 
@@ -1082,12 +855,7 @@ impl Network {
                 router.counters.link_flits += 1;
                 router.counters.channel_stage_ops += 1;
                 let cost = self.links.get(out_ci).expect("checked").latency() + 1;
-                if let Some(att) = self.attribution.as_mut() {
-                    att.on_link_flit(out_ci, &flit, cost, true);
-                }
-                if let Some(j) = self.journey.as_mut() {
-                    j.on_link_flit(out_ci, &flit, cost, true, now);
-                }
+                self.probe.link_flit(out_ci, &flit, cost, true, now);
                 // The bypass mux/latch adds one cycle on top of the link.
                 self.links.push_delayed(out_ci, flit, now, 1);
             }
@@ -1121,7 +889,7 @@ impl Network {
         }
         self.routers[up].step.error_hist[(k as usize).min(3)] += 1;
         flit.hops += 1;
-        self.trace(Event::HopTraversed {
+        self.probe.event(Event::HopTraversed {
             cycle: now,
             router: r as u32,
             packet: flit.packet_id,
@@ -1166,15 +934,13 @@ impl Network {
                 DecodeStatus::Corrected(_) => {
                     if data == payload {
                         self.stats.corrected_bits += k as u64;
-                        self.trace(Event::EccCorrected {
+                        self.probe.event(Event::EccCorrected {
                             cycle: now,
                             router: r as u32,
                             packet: head.packet_id,
                             bits: k,
                         });
-                        if let Some(j) = self.journey.as_mut() {
-                            j.on_ecc_corrected(head.packet_id, r as u16, now);
-                        }
+                        self.probe.ecc_corrected(head.packet_id, r as u16, now);
                     } else {
                         extra_flips = k as u16;
                     }
@@ -1187,15 +953,10 @@ impl Network {
                         return None;
                     }
                     self.links.delay_at(ci, 0, now, self.cfg.retx_latency as u64);
-                    if let Some(att) = self.attribution.as_mut() {
-                        att.on_hop_retx(ci, &head, self.cfg.retx_latency as u64);
-                    }
-                    if let Some(j) = self.journey.as_mut() {
-                        j.on_hop_retx(ci, &head, self.cfg.retx_latency as u64, now);
-                    }
+                    self.probe.hop_retx(ci, &head, self.cfg.retx_latency as u64, now);
                     self.stats.hop_retx_events += 1;
                     self.stats.retransmitted_flits += 1;
-                    self.trace(Event::Retransmission {
+                    self.probe.event(Event::Retransmission {
                         cycle: now,
                         router: r as u32,
                         packet: head.packet_id,
@@ -1214,7 +975,7 @@ impl Network {
             flit.hop_flips = 0;
             flit.hops += 1;
             self.routers[r].counters.count_ecc_op(scheme); // NI-side decode
-            self.trace(Event::HopTraversed {
+            self.probe.event(Event::HopTraversed {
                 cycle: now,
                 router: r as u32,
                 packet: flit.packet_id,
@@ -1229,7 +990,7 @@ impl Network {
             flit.hop_flips = 0;
         }
         flit.hops += 1;
-        self.trace(Event::HopTraversed {
+        self.probe.event(Event::HopTraversed {
             cycle: now,
             router: r as u32,
             packet: flit.packet_id,
@@ -1334,9 +1095,9 @@ impl Network {
             let route = if bound_body {
                 Port::Local // unused: the flit follows its VC's binding
             } else {
-                let t_rc = self.prof_now();
+                let t_rc = self.probe.clock();
                 let routed = self.route_via(v, head.dest as usize, dir.opposite());
-                self.span_leaf("route.compute", t_rc, 0);
+                self.probe.span_leaf("route.compute", t_rc, 0);
                 let Some(route) = routed else { continue };
                 route
             };
@@ -1365,54 +1126,47 @@ impl Network {
             if k > 0 {
                 if scheme.is_per_hop() {
                     let payload = head.payload();
-                    let t_enc = self.prof_now();
+                    let t_enc = self.probe.clock();
                     let mut cw = self.suite.encode(scheme, payload);
-                    self.span_leaf("ecc.encode", t_enc, 1);
+                    self.probe.span_leaf("ecc.encode", t_enc, 1);
                     let k = k.min(bits as u32);
                     for pos in self.injector.choose_positions(bits, k) {
                         cw.flip_bit(pos);
                     }
-                    let t_dec = self.prof_now();
+                    let t_dec = self.probe.clock();
                     let (data, status) = self.suite.decode(scheme, &cw);
-                    self.span_leaf("ecc.decode", t_dec, 1);
+                    self.probe.span_leaf("ecc.decode", t_dec, 1);
                     match status {
                         DecodeStatus::Clean => extra_flips = k as u16,
                         DecodeStatus::Corrected(_) => {
                             if data == payload {
                                 self.stats.corrected_bits += k as u64;
-                                self.trace(Event::EccCorrected {
+                                self.probe.event(Event::EccCorrected {
                                     cycle: now,
                                     router: v as u32,
                                     packet: head.packet_id,
                                     bits: k,
                                 });
-                                if let Some(j) = self.journey.as_mut() {
-                                    j.on_ecc_corrected(head.packet_id, v as u16, now);
-                                }
+                                self.probe.ecc_corrected(head.packet_id, v as u16, now);
                             } else {
                                 extra_flips = k as u16;
                             }
                         }
                         DecodeStatus::Detected => {
-                            let t_retx = self.prof_now();
+                            let t_retx = self.probe.clock();
                             if self.cfg.max_retx > 0 && u32::from(head.retx) >= self.cfg.max_retx {
                                 // Hop-retry budget exhausted: escalate to
                                 // end-to-end recovery (or accounted drop).
                                 self.salvage_or_drop(head);
-                                self.span_leaf("retx.ladder", t_retx, 1);
+                                self.probe.span_leaf("retx.ladder", t_retx, 1);
                                 continue;
                             }
                             // NACK: the stored copy re-traverses the link.
                             self.links.delay_at(ci, idx, now, self.cfg.retx_latency as u64);
-                            if let Some(att) = self.attribution.as_mut() {
-                                att.on_hop_retx(ci, &head, self.cfg.retx_latency as u64);
-                            }
-                            if let Some(j) = self.journey.as_mut() {
-                                j.on_hop_retx(ci, &head, self.cfg.retx_latency as u64, now);
-                            }
+                            self.probe.hop_retx(ci, &head, self.cfg.retx_latency as u64, now);
                             self.stats.hop_retx_events += 1;
                             self.stats.retransmitted_flits += 1;
-                            self.trace(Event::Retransmission {
+                            self.probe.event(Event::Retransmission {
                                 cycle: now,
                                 router: v as u32,
                                 packet: head.packet_id,
@@ -1428,7 +1182,7 @@ impl Network {
                             } else {
                                 up.counters.buffer_reads += 1;
                             }
-                            self.span_leaf("retx.ladder", t_retx, 1);
+                            self.probe.span_leaf("retx.ladder", t_retx, 1);
                             continue;
                         }
                     }
@@ -1441,29 +1195,25 @@ impl Network {
             flit.e2e_flips = flit.e2e_flips.saturating_add(extra_flips);
             flit.hop_flips = 0; // decoded (and re-encoded at next output)
             flit.hops += 1;
-            self.trace(Event::HopTraversed {
+            self.probe.event(Event::HopTraversed {
                 cycle: now,
                 router: v as u32,
                 packet: flit.packet_id,
                 flit: flit.id,
             });
             if flit.is_head() {
-                if let Some(prof) = self.profiler.as_mut() {
-                    prof.phases.rc += 1; // route computed for a new packet
-                }
+                self.probe.route_computed(); // route computed for a new packet
                 let xy = self.mesh.xy_route(v, flit.dest as usize);
                 if route != xy {
                     self.stats.reroutes += 1;
-                    self.trace(Event::Rerouted {
+                    self.probe.event(Event::Rerouted {
                         cycle: now,
                         router: v as u32,
                         packet: flit.packet_id,
                         from: xy.index() as u8,
                         to: route.index() as u8,
                     });
-                    if let Some(j) = self.journey.as_mut() {
-                        j.on_reroute(flit.packet_id, v as u16, now);
-                    }
+                    self.probe.reroute(flit.packet_id, v as u16, now);
                 }
             }
             let ready = now + if flit.is_head() { self.cfg.pipeline_latency as u64 } else { 1 };
@@ -1488,22 +1238,13 @@ impl Network {
             match vc {
                 Some(vc) => {
                     if flit.is_head() {
-                        if let Some(att) = self.attribution.as_mut() {
-                            att.on_pipeline(flit.packet_id, self.cfg.pipeline_latency as u64);
-                        }
-                        if let Some(j) = self.journey.as_mut() {
-                            j.on_pipeline(
-                                flit.packet_id,
-                                v as u16,
-                                self.cfg.pipeline_latency as u64,
-                                now,
-                            );
-                        }
+                        let fill = self.cfg.pipeline_latency as u64;
+                        self.probe.pipeline(flit.packet_id, v as u16, fill, now);
                     }
                     let router = &mut self.routers[v];
                     router.counters.buffer_writes += 1;
                     router.enqueue(in_port, vc, flit, route, ready);
-                    self.span_count(1, 1); // buffered into an input VC
+                    self.probe.span_count(1, 1); // buffered into an input VC
                 }
                 None => {
                     // BST continuation: forward latch-to-channel.
@@ -1519,14 +1260,9 @@ impl Network {
                         router.counters.channel_stage_ops += 1;
                         let cost =
                             self.links.get(out_ci).expect("route stays on the mesh").latency();
-                        if let Some(att) = self.attribution.as_mut() {
-                            att.on_link_flit(out_ci, &flit, cost, false);
-                        }
-                        if let Some(j) = self.journey.as_mut() {
-                            j.on_link_flit(out_ci, &flit, cost, false, now);
-                        }
+                        self.probe.link_flit(out_ci, &flit, cost, false, now);
                         self.links.push(out_ci, flit, now);
-                        self.span_count(1, 0); // latch-to-channel, no buffer
+                        self.probe.span_count(1, 0); // latch-to-channel, no buffer
                     }
                 }
             }
@@ -1548,9 +1284,9 @@ impl Network {
             if !head.is_head() && !bound {
                 // BST continuation: the packet's head was injected through
                 // the bypass while the router was gated.
-                let t_rc = self.prof_now();
+                let t_rc = self.probe.clock();
                 let routed = self.route_via(r, head.dest as usize, Port::Local);
-                self.span_leaf("route.compute", t_rc, 0);
+                self.probe.span_leaf("route.compute", t_rc, 0);
                 let Some(route) = routed else {
                     continue; // no live route right now: wait in the NI
                 };
@@ -1567,12 +1303,7 @@ impl Network {
                     router.counters.link_flits += 1;
                     router.counters.channel_stage_ops += 1;
                     let cost = self.links.get(out_ci).expect("route stays on the mesh").latency();
-                    if let Some(att) = self.attribution.as_mut() {
-                        att.on_link_flit(out_ci, &flit, cost, false);
-                    }
-                    if let Some(j) = self.journey.as_mut() {
-                        j.on_link_flit(out_ci, &flit, cost, false, now);
-                    }
+                    self.probe.link_flit(out_ci, &flit, cost, false, now);
                     self.links.push(out_ci, flit, now);
                 }
                 continue;
@@ -1580,46 +1311,38 @@ impl Network {
             let Some(vc) = self.routers[r].accept_target(in_port, &head) else {
                 continue;
             };
-            let t_rc = self.prof_now();
+            let t_rc = self.probe.clock();
             let routed = self.route_via(r, head.dest as usize, Port::Local);
-            self.span_leaf("route.compute", t_rc, 0);
+            self.probe.span_leaf("route.compute", t_rc, 0);
             let Some(route) = routed else {
                 continue; // destination unreachable right now: wait
             };
             let flit = self.nis.pop_front(r).expect("checked nonempty");
             if flit.is_head() {
-                if let Some(prof) = self.profiler.as_mut() {
-                    prof.phases.rc += 1; // route computed at injection
-                }
+                self.probe.route_computed(); // route computed at injection
                 let xy = self.mesh.xy_route(r, flit.dest as usize);
                 if route != xy {
                     self.stats.reroutes += 1;
-                    self.trace(Event::Rerouted {
+                    self.probe.event(Event::Rerouted {
                         cycle: now,
                         router: r as u32,
                         packet: flit.packet_id,
                         from: xy.index() as u8,
                         to: route.index() as u8,
                     });
-                    if let Some(j) = self.journey.as_mut() {
-                        j.on_reroute(flit.packet_id, r as u16, now);
-                    }
+                    self.probe.reroute(flit.packet_id, r as u16, now);
                 }
             }
             let ready = now + if flit.is_head() { self.cfg.pipeline_latency as u64 } else { 1 };
             if flit.is_head() {
-                if let Some(att) = self.attribution.as_mut() {
-                    att.on_pipeline(flit.packet_id, self.cfg.pipeline_latency as u64);
-                }
-                if let Some(j) = self.journey.as_mut() {
-                    j.on_pipeline(flit.packet_id, r as u16, self.cfg.pipeline_latency as u64, now);
-                }
+                let fill = self.cfg.pipeline_latency as u64;
+                self.probe.pipeline(flit.packet_id, r as u16, fill, now);
             }
             let router = &mut self.routers[r];
             router.counters.buffer_writes += 1;
             router.step.in_flits[in_port] += 1;
             router.enqueue(in_port, vc, flit, route, ready);
-            self.span_count(1, 1); // injected into an input VC buffer
+            self.probe.span_count(1, 1); // injected into an input VC buffer
         }
     }
 
@@ -1630,20 +1353,15 @@ impl Network {
     /// Ejects `flit` at its destination NI, recorded as an `eject` leaf
     /// span under whichever phase delivered it.
     fn eject(&mut self, r: usize, flit: Flit) {
-        let t0 = self.prof_now();
+        let t0 = self.probe.clock();
         self.eject_inner(r, flit);
-        self.span_leaf("eject", t0, 1);
+        self.probe.span_leaf("eject", t0, 1);
     }
 
     fn eject_inner(&mut self, r: usize, mut flit: Flit) {
         debug_assert_eq!(flit.dest as usize, r, "flit ejected at wrong node");
         if flit.is_head() {
-            if let Some(att) = self.attribution.as_mut() {
-                att.on_head_eject(flit.packet_id, self.now);
-            }
-            if let Some(j) = self.journey.as_mut() {
-                j.on_head_eject(flit.packet_id, self.now);
-            }
+            self.probe.head_eject(flit.packet_id, self.now);
         }
         // A flit ejected straight off the bypass still carries undecoded
         // per-hop codeword corruption; it surfaces at the NI.
@@ -1685,7 +1403,7 @@ impl Network {
             // End-to-end re-transmission: the source NI re-sends the packet.
             self.stats.e2e_retx_packets += 1;
             self.stats.retransmitted_flits += crate::flit::FLITS_PER_PACKET as u64;
-            self.trace(Event::Retransmission {
+            self.probe.event(Event::Retransmission {
                 cycle: self.now,
                 router: r as u32,
                 packet: flit.packet_id,
@@ -1711,31 +1429,12 @@ impl Network {
             // them in front would interleave with a partially injected
             // packet's remaining flits and can deadlock the NI FIFO.
             self.nis.extend(src, flits);
-            if let Some(att) = self.attribution.as_mut() {
-                att.on_e2e_retx(flit.packet_id, self.now);
-            }
-            if let Some(j) = self.journey.as_mut() {
-                j.on_e2e_retx(flit.packet_id, self.now);
-            }
+            self.probe.e2e_retx(flit.packet_id, self.now);
             return;
         }
         // Final delivery.
         let latency = self.now + 1 - flit.injected_at;
-        if let Some(att) = self.attribution.as_mut() {
-            att.on_complete(flit.packet_id, flit.src, flit.dest, self.now, latency);
-        }
-        if let Some(j) = self.journey.as_mut() {
-            if let Some(journey) = j.on_complete(flit.packet_id, self.now, latency) {
-                // Feed the blackbox's slowest-journeys ring so post-mortem
-                // bundles can name the worst recent journeys; the ring
-                // renders the record only if it might keep it.
-                if let Some(bb) = self.blackbox.as_ref() {
-                    if let Ok(mut rec) = bb.lock() {
-                        rec.push_journey(latency, || journey.to_jsonl_line());
-                    }
-                }
-            }
-        }
+        self.probe.complete(&flit, self.now, latency);
         self.stats.packets_delivered += 1;
         self.stats.latency_sum += latency;
         self.stats.latency_max = self.stats.latency_max.max(latency);
@@ -1882,19 +1581,12 @@ impl Network {
                 }
             }
             if let Some(edge) = gate_edge {
-                self.trace(Event::PowerGate { cycle: now, router: r as u32, edge });
+                self.probe.event(Event::PowerGate { cycle: now, router: r as u32, edge });
             }
         }
-        if self.attribution.is_some() {
-            let mut att = self.attribution.take().expect("checked above");
-            att.on_gate_cycle();
-            for r in 0..self.mesh.nodes() {
-                if self.routers[r].is_gated_or_waking() || !self.health.router_up(r) {
-                    att.on_gate_sample(r);
-                }
-            }
-            self.attribution = Some(att);
-        }
+        self.probe.gate_cycle(self.routers.len(), |r| {
+            self.routers[r].is_gated_or_waking() || !self.health.router_up(r)
+        });
     }
 
     // ------------------------------------------------------------------
@@ -1916,19 +1608,10 @@ impl Network {
                 // transaction role BEFORE the reachability check below, so a
                 // drop-at-injection still resolves to its transaction.
                 self.traffic.on_injected(now, node, packet_id, dest);
-                if let Some(att) = self.attribution.as_mut() {
-                    att.on_inject(packet_id, now);
-                }
-                if let Some(j) = self.journey.as_mut() {
-                    j.on_inject(
-                        packet_id,
-                        node as u16,
-                        dest as u16,
-                        now,
-                        self.traffic.packet_txn(packet_id),
-                    );
-                }
-                self.trace(Event::PacketInjected {
+                self.probe.inject(packet_id, node as u16, dest as u16, now, || {
+                    self.traffic.packet_txn(packet_id)
+                });
+                self.probe.event(Event::PacketInjected {
                     cycle: now,
                     router: node as u32,
                     packet: packet_id,
@@ -2000,14 +1683,7 @@ impl Network {
                 self.aging[r].delay_degradation(&self.cfg.aging),
             );
         }
-        if self.attribution.is_some() {
-            let mut att = self.attribution.take().expect("checked above");
-            for r in 0..n {
-                att.on_temp_sample(r, self.thermal.temp_c(r));
-            }
-            att.on_temp_epoch();
-            self.attribution = Some(att);
-        }
+        self.probe.temp_epoch(n, |r| self.thermal.temp_c(r));
     }
 
     // ------------------------------------------------------------------
@@ -2023,47 +1699,49 @@ impl Network {
     /// leaves, `power.gating`, `workload.inject`, `epoch.update`);
     /// disabled, each guard is a single branch.
     pub fn step_cycle(&mut self) {
-        self.span_enter("step_cycle");
-        self.span_enter("fault.hard");
+        self.probe.span_enter("step_cycle");
+        self.probe.span_enter("fault.hard");
         self.apply_hard_faults();
-        self.span_exit();
+        self.probe.span_exit();
         for r in 0..self.mesh.nodes() {
             if !self.health.router_up(r) {
                 continue; // dead routers do no work at all
             }
             if self.routers[r].is_on() {
-                self.span_enter("alloc.vc_sa");
+                self.probe.span_enter("alloc.vc_sa");
                 self.sa_phase(r);
-                self.span_exit();
+                self.probe.span_exit();
             } else if self.cfg.bypass_enabled {
                 let waking = matches!(self.routers[r].gate, GateState::Waking(_));
                 if !waking || self.cfg.bypass_during_wake {
-                    self.span_enter("router.bypass");
+                    self.probe.span_enter("router.bypass");
                     self.bypass_phase(r);
-                    self.span_exit();
+                    self.probe.span_exit();
                 }
             }
         }
-        self.span_enter("link.traverse");
+        self.probe.span_enter("link.traverse");
         self.delivery_phase();
-        self.span_exit();
-        self.span_enter("power.gating");
+        self.probe.span_exit();
+        self.probe.span_enter("power.gating");
         self.gating_phase();
-        self.span_exit();
-        self.span_enter("workload.inject");
+        self.probe.span_exit();
+        self.probe.span_enter("workload.inject");
         self.workload_phase();
-        self.span_exit();
-        if self.tracer.is_some() || self.blackbox.is_some() || self.journey.is_some() {
-            self.drain_txn_events();
+        self.probe.span_exit();
+        if self.probe.wants_txn_events() {
+            for ev in self.traffic.drain_txn_events() {
+                self.probe.txn_event(&ev);
+            }
         }
         self.now += 1;
         self.stats.cycles = self.now;
         if self.now.is_multiple_of(self.cfg.epoch_cycles) {
-            self.span_enter("epoch.update");
+            self.probe.span_enter("epoch.update");
             self.epoch_phase();
-            self.span_exit();
+            self.probe.span_exit();
         }
-        self.span_exit();
+        self.probe.span_exit();
         debug_assert_eq!(self.occupancy_index_drift(), None, "cycle {}", self.now);
     }
 
@@ -2087,8 +1765,6 @@ impl Network {
     /// Runs `n` cycles (or fewer if the workload completes); returns whether
     /// the run is done.
     pub fn run_cycles(&mut self, n: u64) -> bool {
-        let t0 = if self.profiler.is_some() { Some(Instant::now()) } else { None };
-        let start = self.now;
         for _ in 0..n {
             if self.is_done() || self.now >= self.cfg.max_cycles || self.stall.is_some() {
                 break;
@@ -2097,9 +1773,6 @@ impl Network {
             if self.watchdog_check() {
                 break;
             }
-        }
-        if let (Some(t0), Some(prof)) = (t0, self.profiler.as_mut()) {
-            prof.add_batch("sim.step_cycle", t0.elapsed(), self.now - start);
         }
         self.is_done() || self.now >= self.cfg.max_cycles || self.stall.is_some()
     }
@@ -2191,17 +1864,6 @@ impl Network {
             }
         }
         self.report()
-    }
-
-    /// Advances the clock ignoring `max_cycles` (debugging aid).
-    #[doc(hidden)]
-    pub fn probe_cycles(&mut self, n: u64) {
-        for _ in 0..n {
-            if self.is_done() {
-                break;
-            }
-            self.step_cycle();
-        }
     }
 
     /// Explains why each router's SA cannot grant anything (debugging aid).
@@ -3343,10 +3005,11 @@ mod tests {
         use noc_telemetry::{EventKind, TraceFilter};
         let spec = WorkloadSpec::reqreply(0.05, 2, ReqReplySpec::default());
         let mut net = Network::new(small_reqreply_cfg(), spec, 11);
-        net.install_tracer(Tracer::new(1 << 16, TraceFilter::all()));
+        let tracer = Tracer::new(1 << 16, TraceFilter::all());
+        net.install_probe(ProbeConfig { tracer: Some(tracer), ..ProbeConfig::default() });
         let done = net.run_cycles(500_000);
         assert!(done);
-        let tracer = net.take_tracer().expect("tracer installed");
+        let tracer = net.take_probe().tracer.expect("tracer installed");
         let issued = tracer.count_of(EventKind::TxnIssued);
         let completed = tracer.count_of(EventKind::TxnCompleted);
         assert_eq!(issued as u64, net.report().txn.expect("txn").issued);

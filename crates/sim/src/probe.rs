@@ -1,0 +1,429 @@
+//! The one instrumentation seam of the simulator.
+//!
+//! A [`Probe`] owns every sink that *explains* a run — event tracer, span
+//! profiler, latency attribution, flight recorder, journey tracker — behind
+//! a fixed set of event points. [`crate::Network`] holds exactly one probe
+//! and calls one event point per instrumented site; each point fans out to
+//! whichever sinks are installed and is a not-taken branch per absent sink.
+//! Sinks read simulator state but never write it, so cycle-domain results
+//! are identical whatever is installed.
+//!
+//! Only `network.rs` calls the event points, and only from inside
+//! `step_cycle`. Every wall-clock read of the simulator happens here
+//! ([`Probe::clock`], [`Probe::span_enter`]).
+
+use crate::attribution::Attribution;
+use crate::flit::{Cycle, Flit};
+use crate::journey::JourneyTracker;
+use crate::topology::Mesh;
+use noc_telemetry::{AttributionArtifacts, Event, JourneyLog, Profiler, SharedRecorder, Tracer};
+use noc_traffic::{TxnEvent, TxnEventKind};
+use std::time::Instant;
+
+/// Which sinks [`crate::Network::install_probe`] installs. The default
+/// installs nothing.
+#[derive(Debug, Default)]
+pub struct ProbeConfig {
+    /// Structured event tracer.
+    pub tracer: Option<Tracer>,
+    /// Span profiler (span tree + pipeline-phase counters).
+    pub profiler: Option<Profiler>,
+    /// Per-flit latency attribution and the spatial accumulators behind the
+    /// `inspect` artifacts.
+    pub attribution: bool,
+    /// Flight recorder, shared with the harness so post-mortem bundles
+    /// survive a panicking run.
+    pub blackbox: Option<SharedRecorder>,
+    /// Journey tracing as `(seed, every)`: one in `every` packets (and, for
+    /// closed-loop workloads, transactions) is selected by a pure hash of
+    /// `(seed, id)` and its hop-span timeline recorded.
+    pub journeys: Option<(u64, u64)>,
+}
+
+/// What [`crate::Network::take_probe`] hands back: each sink's artifact,
+/// present iff the sink was installed. (The flight recorder is shared; its
+/// owner already holds it.)
+#[derive(Debug, Default)]
+pub struct ProbeArtifacts {
+    /// The event trace.
+    pub tracer: Option<Tracer>,
+    /// The span profiler.
+    pub profiler: Option<Profiler>,
+    /// Latency attribution folded into renderable artifacts.
+    pub attribution: Option<AttributionArtifacts>,
+    /// The journey log, closed at the current cycle.
+    pub journeys: Option<JourneyLog>,
+}
+
+/// The installed sinks and the event points that feed them.
+#[derive(Debug, Default)]
+pub(crate) struct Probe {
+    pub(crate) tracer: Option<Tracer>,
+    pub(crate) profiler: Option<Profiler>,
+    attribution: Option<Attribution>,
+    blackbox: Option<SharedRecorder>,
+    journey: Option<JourneyTracker>,
+}
+
+impl Probe {
+    /// Builds the sinks `cfg` asks for, for a network on `mesh` driven by
+    /// the workload called `workload`.
+    pub(crate) fn new(cfg: ProbeConfig, mesh: &Mesh, workload: &str) -> Self {
+        Probe {
+            tracer: cfg.tracer,
+            profiler: cfg.profiler,
+            attribution: cfg.attribution.then(|| Attribution::new(mesh.nodes())),
+            blackbox: cfg.blackbox,
+            journey: cfg
+                .journeys
+                .map(|(seed, every)| JourneyTracker::new(workload.to_owned(), seed, every, *mesh)),
+        }
+    }
+
+    /// Closes every sink at cycle `now`.
+    pub(crate) fn finish(self, mesh: &Mesh, now: Cycle) -> ProbeArtifacts {
+        ProbeArtifacts {
+            tracer: self.tracer,
+            profiler: self.profiler,
+            attribution: self.attribution.map(|a| a.finish(mesh, now)),
+            journeys: self.journey.map(|j| j.finish(now)),
+        }
+    }
+
+    /// Whether the workload must buffer transaction-lifecycle events: some
+    /// installed sink consumes them. This is the only place that decides.
+    pub(crate) fn wants_txn_events(&self) -> bool {
+        self.tracer.is_some() || self.blackbox.is_some() || self.journey.is_some()
+    }
+
+    /// Records `event` in the tracer and the flight recorder's event ring,
+    /// so the recorder sees exactly the tracer's event stream.
+    #[inline]
+    pub(crate) fn event(&mut self, event: Event) {
+        if let Some(t) = self.tracer.as_mut() {
+            t.record(event);
+        }
+        if let Some(bb) = self.blackbox.as_ref() {
+            if let Ok(mut r) = bb.lock() {
+                r.push_event(event);
+            }
+        }
+    }
+
+    /// One transaction-lifecycle event drained from the workload.
+    pub(crate) fn txn_event(&mut self, ev: &TxnEvent) {
+        if let Some(j) = self.journey.as_mut() {
+            j.on_txn_event(ev);
+        }
+        let (cycle, txn, attempt) = (ev.cycle, ev.txn, ev.attempt);
+        let (router, peer) = (ev.node as u32, ev.peer as u32);
+        self.event(match ev.kind {
+            TxnEventKind::Issued => Event::TxnIssued { cycle, router, txn, peer },
+            TxnEventKind::Completed => Event::TxnCompleted { cycle, router, txn, peer },
+            TxnEventKind::TimedOut => Event::TxnTimedOut { cycle, router, txn, attempt },
+            TxnEventKind::Retried => Event::TxnRetried { cycle, router, txn, attempt },
+            TxnEventKind::Failed => Event::TxnFailed { cycle, router, txn },
+            TxnEventKind::Shed => Event::TxnShed { cycle, router, txn, peer },
+        });
+    }
+
+    /// Feeds one packet-lifecycle hook to the two latency engines — `att`
+    /// to attribution, `jny` to the journey tracker — whichever are installed.
+    #[inline]
+    fn engines(
+        &mut self,
+        att: impl FnOnce(&mut Attribution),
+        jny: impl FnOnce(&mut JourneyTracker),
+    ) {
+        if let Some(a) = self.attribution.as_mut() {
+            att(a);
+        }
+        if let Some(j) = self.journey.as_mut() {
+            jny(j);
+        }
+    }
+
+    /// A packet entered the source NI queue; `txn` looks up its
+    /// transaction tag and runs only when journeys are traced.
+    #[inline]
+    pub(crate) fn inject(
+        &mut self,
+        packet: u64,
+        src: u16,
+        dest: u16,
+        now: Cycle,
+        txn: impl FnOnce() -> Option<(u64, u32, bool)>,
+    ) {
+        self.engines(|a| a.on_inject(packet, now), |j| j.on_inject(packet, src, dest, now, txn()));
+    }
+
+    /// A flit was pushed into directed channel `ci` at `now`, consumable
+    /// downstream `cost` cycles later.
+    #[inline]
+    pub(crate) fn link_flit(
+        &mut self,
+        ci: usize,
+        flit: &Flit,
+        cost: u64,
+        bypass: bool,
+        now: Cycle,
+    ) {
+        self.engines(
+            |a| a.on_link_flit(ci, flit, cost, bypass),
+            |j| j.on_link_flit(ci, flit, cost, bypass, now),
+        );
+    }
+
+    /// A head flit entered an input VC of `router` with `cost` pipeline
+    /// cycles before it can be granted.
+    #[inline]
+    pub(crate) fn pipeline(&mut self, packet: u64, router: u16, cost: u64, now: Cycle) {
+        self.engines(|a| a.on_pipeline(packet, cost), |j| j.on_pipeline(packet, router, cost, now));
+    }
+
+    /// A flit held in channel `ci` was NACKed and stalls `cost` cycles.
+    #[inline]
+    pub(crate) fn hop_retx(&mut self, ci: usize, flit: &Flit, cost: u64, now: Cycle) {
+        self.engines(|a| a.on_hop_retx(ci, flit, cost), |j| j.on_hop_retx(ci, flit, cost, now));
+    }
+
+    /// The packet restarts from its source NI (end-to-end retransmission).
+    #[inline]
+    pub(crate) fn e2e_retx(&mut self, packet: u64, now: Cycle) {
+        self.engines(|a| a.on_e2e_retx(packet, now), |j| j.on_e2e_retx(packet, now));
+    }
+
+    /// The head flit of the current generation ejected at the destination.
+    #[inline]
+    pub(crate) fn head_eject(&mut self, packet: u64, now: Cycle) {
+        self.engines(|a| a.on_head_eject(packet, now), |j| j.on_head_eject(packet, now));
+    }
+
+    /// The tail flit ejected at `now`; the packet completed with measured
+    /// end-to-end `latency`. With both engines installed, debug builds check
+    /// the journey's span sums against the attribution engine's components.
+    #[inline]
+    pub(crate) fn complete(&mut self, tail: &Flit, now: Cycle, latency: u64) {
+        let packet = tail.packet_id;
+        let charged = self
+            .attribution
+            .as_mut()
+            .and_then(|att| att.on_complete(packet, tail.src, tail.dest, now, latency));
+        let Some(journey) = self.journey.as_mut().and_then(|j| j.on_complete(packet, now, latency))
+        else {
+            return;
+        };
+        if let Some(charged) = charged {
+            debug_assert_eq!(journey.components(), charged, "packet {packet}: spans vs engine");
+        }
+        // The slowest-journeys ring renders the record only if it keeps it.
+        if let Some(bb) = self.blackbox.as_ref() {
+            if let Ok(mut rec) = bb.lock() {
+                rec.push_journey(latency, || journey.to_jsonl_line());
+            }
+        }
+    }
+
+    /// The packet was accounted as permanently lost.
+    #[inline]
+    pub(crate) fn drop(&mut self, packet: u64) {
+        self.engines(|a| a.on_drop(packet), |j| j.on_drop(packet));
+    }
+
+    /// The packet left its XY route at `router`.
+    #[inline]
+    pub(crate) fn reroute(&mut self, packet: u64, router: u16, now: Cycle) {
+        if let Some(j) = self.journey.as_mut() {
+            j.on_reroute(packet, router, now);
+        }
+    }
+
+    /// ECC corrected corruption of the packet at `router`.
+    #[inline]
+    pub(crate) fn ecc_corrected(&mut self, packet: u64, router: u16, now: Cycle) {
+        if let Some(j) = self.journey.as_mut() {
+            j.on_ecc_corrected(packet, router, now);
+        }
+    }
+
+    /// One gating-phase cycle: `gated(r)` says whether router `r` is
+    /// gated, waking or hard-failed.
+    #[inline]
+    pub(crate) fn gate_cycle(&mut self, nodes: usize, gated: impl Fn(usize) -> bool) {
+        if let Some(att) = self.attribution.as_mut() {
+            att.on_gate_cycle((0..nodes).filter(|&r| gated(r)));
+        }
+    }
+
+    /// One epoch's temperature sample per router.
+    #[inline]
+    pub(crate) fn temp_epoch(&mut self, nodes: usize, temp_c: impl Fn(usize) -> f64) {
+        if let Some(att) = self.attribution.as_mut() {
+            att.on_temp_epoch((0..nodes).map(temp_c));
+        }
+    }
+
+    /// Switch allocation granted one flit; `reserved` when its head also
+    /// won a downstream VC (counted as the span's allocation).
+    #[inline]
+    pub(crate) fn sa_grant(&mut self, reserved: bool) {
+        if let Some(prof) = self.profiler.as_mut() {
+            prof.phases.sa += 1;
+            prof.phases.st += 1; // the grant traverses the crossbar
+            prof.phases.va += u64::from(reserved);
+            prof.span_count(1, u64::from(reserved));
+        }
+    }
+
+    /// A route was computed for a new packet's head.
+    #[inline]
+    pub(crate) fn route_computed(&mut self) {
+        if let Some(prof) = self.profiler.as_mut() {
+            prof.phases.rc += 1;
+        }
+    }
+
+    /// Opens a profiling span.
+    #[inline]
+    pub(crate) fn span_enter(&mut self, name: &'static str) {
+        if let Some(p) = self.profiler.as_mut() {
+            p.span_enter(name);
+        }
+    }
+
+    /// Closes the innermost profiling span.
+    #[inline]
+    pub(crate) fn span_exit(&mut self) {
+        if let Some(p) = self.profiler.as_mut() {
+            p.span_exit();
+        }
+    }
+
+    /// Charges cycle-domain counts to the innermost open span.
+    #[inline]
+    pub(crate) fn span_count(&mut self, flits: u64, allocs: u64) {
+        if let Some(p) = self.profiler.as_mut() {
+            p.span_count(flits, allocs);
+        }
+    }
+
+    /// A timestamp for a leaf span, read only when profiling — pair with
+    /// [`Probe::span_leaf`].
+    #[inline]
+    pub(crate) fn clock(&self) -> Option<Instant> {
+        self.profiler.as_ref().map(|_| Instant::now())
+    }
+
+    /// Records one completed leaf span under the current path, timed from a
+    /// [`Probe::clock`] reading.
+    #[inline]
+    pub(crate) fn span_leaf(&mut self, name: &'static str, t0: Option<Instant>, flits: u64) {
+        if let (Some(t0), Some(p)) = (t0, self.profiler.as_mut()) {
+            p.span_leaf(name, t0.elapsed(), flits, 0);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::flit::make_packet;
+    use crate::{Network, SimConfig};
+    use noc_telemetry::{shared_recorder, TraceFilter};
+    use noc_traffic::Workload;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+
+    /// An exhausted workload that publishes its txn-event recording switch.
+    #[derive(Debug)]
+    struct Spy(Arc<AtomicBool>);
+
+    impl Workload for Spy {
+        fn poll(&mut self, _: u64, _: usize, _: usize) -> Option<usize> {
+            None
+        }
+        fn is_exhausted(&self) -> bool {
+            true
+        }
+        fn total_packets(&self) -> u64 {
+            0
+        }
+        fn generated(&self) -> u64 {
+            0
+        }
+        fn name(&self) -> &str {
+            "spy"
+        }
+        fn set_txn_event_recording(&mut self, on: bool) {
+            self.0.store(on, Ordering::Relaxed);
+        }
+    }
+
+    #[test]
+    fn workload_buffers_txn_events_iff_a_consuming_sink_is_installed() {
+        for subset in 0..8u8 {
+            let recording = Arc::new(AtomicBool::new(false));
+            let mut net =
+                Network::with_workload(SimConfig::default(), Box::new(Spy(recording.clone())));
+            net.install_probe(ProbeConfig {
+                tracer: (subset & 1 != 0).then(|| Tracer::new(16, TraceFilter::default())),
+                blackbox: (subset & 2 != 0).then(|| shared_recorder(4)),
+                journeys: (subset & 4 != 0).then_some((9, 1)),
+                // Neither of these consumes transaction events.
+                profiler: Some(Profiler::new()),
+                attribution: true,
+            });
+            assert_eq!(recording.load(Ordering::Relaxed), subset != 0, "subset {subset:03b}");
+            let taken = net.take_probe();
+            assert_eq!(taken.tracer.is_some(), subset & 1 != 0);
+            assert_eq!(taken.journeys.is_some(), subset & 4 != 0);
+            assert!(!recording.load(Ordering::Relaxed), "subset {subset:03b} after take_probe");
+        }
+    }
+
+    /// Feeds both latency engines one hook sequence through the probe —
+    /// `complete` cross-checks them in debug builds — and compares the
+    /// recorded components, including an e2e NACK that lands mid-traversal
+    /// (the journey must clip the overshooting charge the engine resets).
+    #[test]
+    fn journey_spans_reproduce_the_attribution_engine() {
+        let mesh = Mesh::new(2, 2);
+        let cfg = ProbeConfig { attribution: true, journeys: Some((9, 1)), ..Default::default() };
+        let mut probe = Probe::new(cfg, &mesh, "test");
+        let flits = |packet| make_packet(packet, packet * 4, 0, 1, 0);
+
+        let (head, tail) = (flits(4)[0], flits(4)[3]);
+        probe.inject(4, 0, 1, 0, || None);
+        probe.pipeline(4, 0, 4, 0);
+        probe.link_flit(0, &head, 5, false, 10); // charge [10, 15)...
+        probe.e2e_retx(4, 12); // ...but the NACK lands at 12
+        probe.pipeline(4, 0, 4, 20);
+        probe.hop_retx(0, &head, 3, 25);
+        probe.link_flit(0, &head, 2, true, 28);
+        probe.head_eject(4, 30);
+        probe.complete(&tail, 33, 34);
+
+        let (head, tail) = (flits(7)[0], flits(7)[3]);
+        probe.inject(7, 0, 1, 100, || None);
+        probe.pipeline(7, 0, 4, 103);
+        probe.link_flit(0, &head, 1, false, 110);
+        probe.reroute(7, 1, 111);
+        probe.ecc_corrected(7, 1, 111);
+        probe.head_eject(7, 120);
+        probe.complete(&tail, 123, 24);
+
+        let art = probe.finish(&mesh, 200);
+        let engine = art.attribution.expect("installed").breakdown.records;
+        let journeys = art.journeys.expect("installed").packets;
+        assert_eq!(engine.len(), 2);
+        for (rec, journey) in engine.iter().zip(&journeys) {
+            assert_eq!(rec.packet, journey.packet);
+            assert_eq!(journey.components(), rec.components, "packet {}", rec.packet);
+            assert_eq!(rec.components.total(), rec.latency);
+        }
+        let clipped = engine[0].components;
+        assert_eq!(clipped.retransmission, 12 + 3, "wasted window [0, 12) plus the hop NACK");
+        assert_eq!(clipped.traversal, 4, "only the delivering generation counts");
+        assert_eq!(clipped.bypass, 2);
+    }
+}

@@ -3,8 +3,16 @@
 //! re-transmission — all through the public `Network` API.
 
 use noc_ecc::EccScheme;
-use noc_sim::{Network, RouterDirective, SimConfig, DIRS};
+use noc_sim::{AttributionArtifacts, Network, ProbeConfig, RouterDirective, SimConfig, DIRS};
 use noc_traffic::WorkloadSpec;
+
+fn install_attribution(net: &mut Network) {
+    net.install_probe(ProbeConfig { attribution: true, ..ProbeConfig::default() });
+}
+
+fn take_attribution(net: &mut Network) -> Option<AttributionArtifacts> {
+    net.take_probe().attribution
+}
 
 fn quiet() -> SimConfig {
     let mut cfg = SimConfig::default();
@@ -18,10 +26,9 @@ fn quiet() -> SimConfig {
 #[test]
 fn components_sum_to_measured_latency() {
     let mut net = Network::new(quiet(), WorkloadSpec::uniform(0.02, 20), 7);
-    net.install_attribution();
-    assert!(net.attribution_enabled());
+    install_attribution(&mut net);
     assert!(net.run_cycles(200_000), "uniform workload must drain");
-    let art = net.take_attribution().expect("attribution installed");
+    let art = take_attribution(&mut net).expect("attribution installed");
     let b = &art.breakdown;
     assert_eq!(b.packets, 64 * 20, "all delivered packets attributed");
     assert_eq!(b.records.len(), b.packets as usize);
@@ -49,9 +56,9 @@ fn components_sum_to_measured_latency() {
 #[test]
 fn spatial_outputs_cover_the_mesh() {
     let mut net = Network::new(quiet(), WorkloadSpec::uniform(0.02, 10), 3);
-    net.install_attribution();
+    install_attribution(&mut net);
     assert!(net.run_cycles(200_000));
-    let art = net.take_attribution().expect("attribution installed");
+    let art = take_attribution(&mut net).expect("attribution installed");
     assert_eq!(art.links.len(), 112, "8x8 mesh has 112 physical links");
     let mut seen = std::collections::BTreeSet::new();
     for l in &art.links {
@@ -83,12 +90,12 @@ fn hop_retransmission_component_appears_under_errors() {
     let mut net = Network::new(cfg, WorkloadSpec::uniform(0.02, 20), 11);
     let d = RouterDirective { gate: None, scheme: EccScheme::Secded, relaxed: false };
     net.apply_directives(&[d; 64]);
-    net.install_attribution();
+    install_attribution(&mut net);
     assert!(net.run_cycles(400_000));
     let hop_retx = net.stats().hop_retx_events;
     let faulty = net.stats().faulty_traversals;
     assert!(hop_retx > 0, "SECDED at 5e-4 must NACK ({faulty} faulty traversals)");
-    let art = net.take_attribution().expect("attribution installed");
+    let art = take_attribution(&mut net).expect("attribution installed");
     for rec in &art.breakdown.records {
         assert_eq!(rec.components.total(), rec.latency);
     }
@@ -112,11 +119,11 @@ fn e2e_retransmission_charges_the_wasted_generation() {
     let mut net = Network::new(cfg, WorkloadSpec::uniform(0.02, 20), 13);
     let d = RouterDirective { gate: None, scheme: EccScheme::Crc, relaxed: false };
     net.apply_directives(&[d; 64]);
-    net.install_attribution();
+    install_attribution(&mut net);
     assert!(net.run_cycles(400_000));
     let e2e = net.stats().e2e_retx_packets;
     assert!(e2e > 0, "e2e CRC at 5e-4 must scrap at least one delivery");
-    let art = net.take_attribution().expect("attribution installed");
+    let art = take_attribution(&mut net).expect("attribution installed");
     let mut retx_packets = 0u64;
     for rec in &art.breakdown.records {
         assert_eq!(rec.components.total(), rec.latency);
@@ -145,9 +152,9 @@ fn gate_residency_and_bypass_show_up_when_gated() {
     let mut net = Network::new(cfg, WorkloadSpec::uniform(0.001, 3), 5);
     let d = RouterDirective { gate: Some(true), scheme: EccScheme::None, relaxed: false };
     net.apply_directives(&[d; 64]);
-    net.install_attribution();
+    install_attribution(&mut net);
     assert!(net.run_cycles(400_000));
-    let art = net.take_attribution().expect("attribution installed");
+    let art = take_attribution(&mut net).expect("attribution installed");
     let gate = art.grid("router_gate_residency").expect("gate grid present");
     assert!(gate.cells.iter().sum::<f64>() > 1.0, "force-gated mesh must show gate residency");
     for rec in &art.breakdown.records {
@@ -161,14 +168,13 @@ fn gate_residency_and_bypass_show_up_when_gated() {
 #[test]
 fn take_disables_and_reinstall_resets() {
     let mut net = Network::new(quiet(), WorkloadSpec::uniform(0.01, 2), 1);
-    assert!(!net.attribution_enabled());
-    assert!(net.take_attribution().is_none());
-    net.install_attribution();
+    assert!(take_attribution(&mut net).is_none());
+    install_attribution(&mut net);
     assert!(net.run_cycles(100_000));
-    let first = net.take_attribution().expect("installed");
+    let first = take_attribution(&mut net).expect("installed");
     assert!(first.breakdown.packets > 0);
-    assert!(!net.attribution_enabled());
-    net.install_attribution();
-    let empty = net.take_attribution().expect("reinstalled");
+    assert!(take_attribution(&mut net).is_none(), "taking the probe uninstalls its sinks");
+    install_attribution(&mut net);
+    let empty = take_attribution(&mut net).expect("reinstalled");
     assert_eq!(empty.breakdown.packets, 0);
 }

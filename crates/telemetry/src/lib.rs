@@ -13,10 +13,9 @@
 //!    step (latency, power, temperature, aging, mode mix, retransmission
 //!    counts), serialized alongside the end-of-run report so figures can be
 //!    regenerated from a single run.
-//! 3. [`Profiler`] — wall-clock section timers plus per-pipeline-phase
-//!    (RC/VA/SA/ST) counters, rendered as a self-profile table at run end.
-//!    PR 6 grows it into `noc-prof`: a nestable span stack aggregated into
-//!    a [`SpanTree`] that records wall-clock time *and* deterministic
+//! 3. [`Profiler`] (`noc-prof`) — per-pipeline-phase (RC/VA/SA/ST)
+//!    counters and a nestable span stack aggregated into a [`SpanTree`]
+//!    that records wall-clock time *and* deterministic
 //!    cycle-domain counters (calls, flits handled, allocations), exported
 //!    as a deterministic tree table, collapsed-stack flamegraph text
 //!    (inferno/speedscope-loadable), and `noc_prof_*` metric families
@@ -75,7 +74,7 @@ pub use metrics::{
     SeriesValue,
 };
 pub use prof::{export_prof_metrics, SpanStats, SpanTree, MAX_SPAN_DEPTH};
-pub use profiler::{PhaseCounters, Profiler, RunRow, SectionStats};
+pub use profiler::{PhaseCounters, Profiler, RunRow};
 pub use runner::{runner_events_jsonl, RunnerEvent};
 pub use serve::{
     accept_backoff_ms, HttpHandler, HttpRequest, HttpResponse, HttpServer, MetricsHub,

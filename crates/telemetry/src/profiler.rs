@@ -1,9 +1,7 @@
-//! Simulator self-profiling: wall-clock section timers, pipeline-phase
-//! counters, and the hierarchical span stack feeding
-//! [`SpanTree`](crate::SpanTree) (`noc-prof`).
+//! Simulator self-profiling: pipeline-phase counters and the hierarchical
+//! span stack feeding [`SpanTree`](crate::SpanTree) (`noc-prof`).
 
 use crate::prof::{SpanStats, SpanTree, MAX_SPAN_DEPTH};
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
@@ -18,15 +16,6 @@ pub struct PhaseCounters {
     pub sa: u64,
     /// Switch traversals (flits crossing the crossbar).
     pub st: u64,
-}
-
-/// Aggregate wall-clock statistics for one named section.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SectionStats {
-    /// Total time spent in the section.
-    pub nanos: u128,
-    /// Number of section entries.
-    pub calls: u64,
 }
 
 /// Wall-clock accounting for one experiment unit executed by the runner
@@ -54,7 +43,7 @@ struct OpenSpan {
     allocs: u64,
 }
 
-/// Collects section timings and phase counters for the end-of-run
+/// Collects phase counters and per-unit wall-clock rows for the end-of-run
 /// self-profile table, plus the hierarchical span stack aggregated into a
 /// [`SpanTree`]. Wall-clock values are nondeterministic, so the profile is
 /// reported separately and never included in the determinism-checked run
@@ -63,7 +52,6 @@ struct OpenSpan {
 /// [`SpanTree::tree_table`].
 #[derive(Debug, Clone, Default)]
 pub struct Profiler {
-    sections: BTreeMap<&'static str, SectionStats>,
     /// Pipeline-phase event counters.
     pub phases: PhaseCounters,
     /// Events the tracer's ring buffer evicted, when a tracer ran alongside.
@@ -84,23 +72,6 @@ impl Profiler {
     #[must_use]
     pub fn new() -> Self {
         Profiler::default()
-    }
-
-    /// Adds one timed entry to `section`.
-    #[inline]
-    pub fn add(&mut self, section: &'static str, elapsed: Duration) {
-        let s = self.sections.entry(section).or_default();
-        s.nanos += elapsed.as_nanos();
-        s.calls += 1;
-    }
-
-    /// Adds `calls` entries totalling `elapsed` to `section` (for callers
-    /// that batch many iterations under one timer read).
-    #[inline]
-    pub fn add_batch(&mut self, section: &'static str, elapsed: Duration, calls: u64) {
-        let s = self.sections.entry(section).or_default();
-        s.nanos += elapsed.as_nanos();
-        s.calls += calls;
     }
 
     /// Opens a nested span. Spans past [`MAX_SPAN_DEPTH`] still balance
@@ -187,18 +158,12 @@ impl Profiler {
         self.path.clone()
     }
 
-    /// Folds another profiler's aggregates into this one: sections, span
-    /// tree, phase counters, warning counters, trace drops, and run rows.
+    /// Folds another profiler's aggregates into this one: span tree, phase counters, warning counters, trace drops, and run rows.
     /// Open frames on `other`'s stack are not merged — close them first
     /// (see [`Profiler::close_open_spans`]). Per-key addition keeps the
     /// merge associative and commutative, so fleet aggregation across
     /// workers is independent of completion order.
     pub fn merge(&mut self, other: &Profiler) {
-        for (name, s) in &other.sections {
-            let dst = self.sections.entry(name).or_default();
-            dst.nanos += s.nanos;
-            dst.calls += s.calls;
-        }
         self.spans.merge(&other.spans);
         self.phases.rc += other.phases.rc;
         self.phases.va += other.phases.va;
@@ -208,16 +173,6 @@ impl Profiler {
             self.trace_drops = Some(self.trace_drops.unwrap_or(0) + dropped);
         }
         self.runs.extend(other.runs.iter().cloned());
-    }
-
-    /// The recorded sections, sorted by name.
-    pub fn sections(&self) -> impl Iterator<Item = (&'static str, &SectionStats)> {
-        self.sections.iter().map(|(k, v)| (*k, v))
-    }
-
-    /// Stats for one section, if recorded.
-    pub fn section(&self, name: &str) -> Option<&SectionStats> {
-        self.sections.get(name)
     }
 
     /// Records how many events the tracer's ring buffer dropped, so the
@@ -252,12 +207,6 @@ impl Profiler {
     pub fn table(&self) -> String {
         let mut out = String::new();
         out.push_str("self-profile\n");
-        out.push_str("  section              calls        total_ms      ns/call\n");
-        for (name, s) in &self.sections {
-            let total_ms = s.nanos as f64 / 1e6;
-            let per_call = if s.calls == 0 { 0.0 } else { s.nanos as f64 / s.calls as f64 };
-            let _ = writeln!(out, "  {name:<20} {:>9} {total_ms:>15.3} {per_call:>12.1}", s.calls);
-        }
         let p = &self.phases;
         let _ = writeln!(
             out,
@@ -308,24 +257,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sections_accumulate() {
-        let mut p = Profiler::new();
-        p.add("sim.step_cycle", Duration::from_micros(5));
-        p.add("sim.step_cycle", Duration::from_micros(7));
-        p.add("rl.decide", Duration::from_micros(1));
-        let s = p.section("sim.step_cycle").unwrap();
-        assert_eq!(s.calls, 2);
-        assert_eq!(s.nanos, 12_000);
-        assert!(p.section("fault.inject").is_none());
-    }
-
-    #[test]
     fn table_lists_everything() {
         let mut p = Profiler::new();
-        p.add_batch("sim.step_cycle", Duration::from_millis(2), 1000);
         p.phases.sa = 42;
         let table = p.table();
-        assert!(table.contains("sim.step_cycle"));
         assert!(table.contains("SA 42"));
         assert!(!table.contains("trace ring drops"));
         p.set_trace_drops(17);
@@ -435,7 +370,6 @@ mod tests {
     fn merge_is_order_independent_across_workers() {
         let make = |n: u64| {
             let mut p = Profiler::new();
-            p.add("sim.step_cycle", Duration::from_nanos(n));
             p.phases.st = n;
             p.span_enter("step_cycle");
             p.span_count(n, 0);
@@ -452,8 +386,6 @@ mod tests {
         right.merge(&c);
         right.merge(&a);
         right.merge(&b);
-        assert_eq!(left.section("sim.step_cycle"), right.section("sim.step_cycle"));
-        assert_eq!(left.section("sim.step_cycle").unwrap().nanos, 7);
         assert_eq!(left.phases.st, 7);
         assert_eq!(left.trace_drops(), Some(7));
         let (ls, rs) = (left.span_tree(), right.span_tree());

@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release -p intellinoc --example rl_training`
 
 use intellinoc::{
-    intellinoc_rl_config, run_experiment_keeping_policy, ControlPolicy, Design, ExperimentConfig,
+    intellinoc_rl_config, run_experiment_instrumented, ControlPolicy, Design, ExperimentConfig,
 };
 use noc_rl::QTable;
 use noc_traffic::ParsecBenchmark;
@@ -23,7 +23,7 @@ fn main() {
                 .with_seed(100 + ep);
         cfg.rl = intellinoc_rl_config();
         cfg.pretrained = tables.take();
-        let (outcome, policy) = run_experiment_keeping_policy(cfg);
+        let (outcome, policy, _) = run_experiment_instrumented(cfg);
         let fr = outcome.mode_fractions();
         println!(
             "{:>4} {:>9} {:>9.1} {:>8.1}  {:>6.2} {:>6.2} {:>6.2} {:>6.2} {:>6.2}",

@@ -7,7 +7,7 @@
 use intellinoc::{
     run_campaign_runner, run_experiment_instrumented, run_units, BlackboxConfig, CampaignConfig,
     ChaosOptions, Design, ExperimentConfig, RunnerConfig, TelemetryOptions, TimeoutReport, UnitCtx,
-    UnitVerdict,
+    UnitSinks, UnitVerdict,
 };
 use noc_sim::{
     parse_bundle, parse_rules, render_report, AlertEdge, Event, RunnerEvent, StallReport,
@@ -150,7 +150,8 @@ fn campaign_reports_identical_with_recorder_on_and_off() {
         reqreply: None,
     };
     let chaos = ChaosOptions::default();
-    let plain = run_campaign_runner(&cfg, &RunnerConfig::serial(), &chaos).unwrap();
+    let plain =
+        run_campaign_runner(&cfg, &RunnerConfig::serial(), &chaos, UnitSinks::default()).unwrap();
     assert!(plain.runner.is_clean());
 
     let dir = temp_dir("clean-campaign");
@@ -158,7 +159,7 @@ fn campaign_reports_identical_with_recorder_on_and_off() {
         blackbox: Some(BlackboxConfig { dir: dir.clone(), capacity: 64 }),
         ..RunnerConfig::serial()
     };
-    let recorded = run_campaign_runner(&cfg, &with_bb, &chaos).unwrap();
+    let recorded = run_campaign_runner(&cfg, &with_bb, &chaos, UnitSinks::default()).unwrap();
     assert_eq!(
         serde_json::to_string(&plain).unwrap(),
         serde_json::to_string(&recorded).unwrap(),

@@ -1,7 +1,10 @@
 //! Integration tests for the fault-campaign harness: cross-design
 //! resilience acceptance and byte-level determinism of campaign reports.
 
-use intellinoc::{run_campaign, run_experiment, CampaignConfig, Design, ExperimentConfig};
+use intellinoc::{
+    run_campaign_runner, run_experiment, CampaignConfig, CampaignRunReport, ChaosOptions, Design,
+    ExperimentConfig, RunnerConfig, UnitSinks,
+};
 use noc_sim::HardFaultScenario;
 use noc_traffic::WorkloadSpec;
 
@@ -19,6 +22,16 @@ fn small_campaign(fault_aware: bool) -> CampaignConfig {
     }
 }
 
+fn run_campaign(cfg: &CampaignConfig) -> CampaignRunReport {
+    run_campaign_runner(
+        cfg,
+        &RunnerConfig::serial(),
+        &ChaosOptions::default(),
+        UnitSinks::default(),
+    )
+    .expect("serial journal-less campaign cannot hit engine errors")
+}
+
 /// Same seed → byte-identical campaign reports, both JSON and CSV. This is
 /// what makes campaign outputs diffable across code revisions.
 #[test]
@@ -29,7 +42,7 @@ fn same_seed_campaigns_are_byte_identical() {
     let json2 = serde_json::to_string_pretty(&r2).expect("report serializes");
     assert_eq!(json1, json2, "campaign JSON must be byte-identical");
     assert_eq!(r1.to_csv(), r2.to_csv(), "campaign CSV must be byte-identical");
-    assert!(!r1.rows.is_empty());
+    assert!(r1.runner.records.iter().any(|rec| rec.payload.is_some()));
 }
 
 /// Acceptance: a single permanent link failure at t=0 on the 8×8 mesh
@@ -87,7 +100,8 @@ fn no_reroute_campaign_completes() {
     let r2 = run_campaign(&small_campaign(false));
     assert_eq!(r1.to_csv(), r2.to_csv());
     // The fault-free cells are untouched by the routing policy switch.
-    for row in r1.rows.iter().filter(|r| r.scenario == "fault-free") {
+    let rows = r1.runner.records.iter().filter_map(|rec| rec.payload.as_ref());
+    for row in rows.filter(|r| r.scenario == "fault-free") {
         assert_eq!(row.delivered, row.injected, "{}: fault-free cell degraded", row.design);
     }
 }

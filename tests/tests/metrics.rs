@@ -6,7 +6,7 @@
 use intellinoc::{
     compare_bench, record_bench, run_experiment, run_experiment_instrumented, BenchBaseline,
     BenchSpec, ChaosOptions, Design, ExperimentConfig, GateOptions, GateVerdict, MetricsOptions,
-    RunnerConfig, TelemetryOptions,
+    RunnerConfig, TelemetryOptions, UnitSinks,
 };
 use noc_telemetry::{parse_exposition, MetricsHub, MetricsServer};
 use noc_traffic::ParsecBenchmark;
@@ -133,13 +133,15 @@ fn tiny_spec() -> BenchSpec {
 fn bench_record_then_self_compare_passes() {
     let rcfg = RunnerConfig::default();
     let chaos = ChaosOptions::default();
-    let base = record_bench("it", &tiny_spec(), &rcfg, &chaos).expect("record baseline");
+    let base = record_bench("it", &tiny_spec(), &rcfg, &chaos, UnitSinks::default())
+        .expect("record baseline");
 
     let json = base.to_json().expect("serialize");
     let reread = BenchBaseline::from_json(&json).expect("parse baseline file");
     assert_eq!(reread.spec, base.spec);
 
-    let fresh = record_bench("it", &tiny_spec(), &rcfg, &chaos).expect("record fresh");
+    let fresh = record_bench("it", &tiny_spec(), &rcfg, &chaos, UnitSinks::default())
+        .expect("record fresh");
     let cmp = compare_bench(&reread, &fresh, &GateOptions::default()).expect("compare");
     assert!(!cmp.has_regressions(), "self-compare must pass:\n{}", cmp.table());
     assert!(cmp.rows.iter().all(|r| r.verdict == GateVerdict::Pass));
@@ -152,10 +154,12 @@ fn bench_record_then_self_compare_passes() {
 fn bench_force_regress_flags_regressions() {
     let rcfg = RunnerConfig::default();
     let chaos = ChaosOptions::default();
-    let base = record_bench("it", &tiny_spec(), &rcfg, &chaos).expect("record baseline");
-    let fresh = record_bench("it", &tiny_spec(), &rcfg, &chaos).expect("record fresh");
+    let base = record_bench("it", &tiny_spec(), &rcfg, &chaos, UnitSinks::default())
+        .expect("record baseline");
+    let fresh = record_bench("it", &tiny_spec(), &rcfg, &chaos, UnitSinks::default())
+        .expect("record fresh");
 
-    let opts = GateOptions { force_regress: true, ..GateOptions::default() };
+    let opts = GateOptions { force_regress: true };
     let cmp = compare_bench(&base, &fresh, &opts).expect("compare");
     assert!(cmp.has_regressions(), "forced regression must be flagged:\n{}", cmp.table());
     assert!(cmp

@@ -4,13 +4,17 @@
 //! into its pipeline sub-spans.
 
 use intellinoc::{
-    run_campaign_runner, run_campaign_runner_profiled, run_experiment_instrumented,
-    run_experiment_profiled, CampaignConfig, ChaosOptions, Design, ExperimentConfig, RunnerConfig,
-    TelemetryOptions,
+    run_campaign_runner, run_experiment_instrumented, CampaignConfig, ChaosOptions, Design,
+    ExperimentConfig, RunnerConfig, TelemetryOptions, UnitSinks,
 };
 use noc_sim::Profiler;
 use noc_traffic::{ParsecBenchmark, WorkloadSpec};
 use std::sync::Mutex;
+
+/// Unit sinks feeding only the fleet profiler.
+fn profiled(sink: &Mutex<Profiler>) -> UnitSinks<'_> {
+    UnitSinks { prof: Some(sink), journeys: None }
+}
 
 fn tiny_campaign() -> CampaignConfig {
     CampaignConfig {
@@ -35,13 +39,14 @@ fn profiling_on_off_campaign_reports_are_byte_identical() {
     let rcfg = RunnerConfig::serial();
     let chaos = ChaosOptions::default();
 
-    let plain = run_campaign_runner(&cfg, &rcfg, &chaos).expect("plain campaign");
+    let plain =
+        run_campaign_runner(&cfg, &rcfg, &chaos, UnitSinks::default()).expect("plain campaign");
     let sink = Mutex::new(Profiler::new());
-    let profiled =
-        run_campaign_runner_profiled(&cfg, &rcfg, &chaos, Some(&sink)).expect("profiled campaign");
+    let with_prof =
+        run_campaign_runner(&cfg, &rcfg, &chaos, profiled(&sink)).expect("profiled campaign");
 
     let a = serde_json::to_string(&plain).expect("report serializes");
-    let b = serde_json::to_string(&profiled).expect("report serializes");
+    let b = serde_json::to_string(&with_prof).expect("report serializes");
     assert_eq!(a, b, "span profiling changed the campaign report");
 
     let prof = sink.into_inner().unwrap();
@@ -57,12 +62,12 @@ fn parallel_profile_merge_matches_serial() {
     let chaos = ChaosOptions::default();
 
     let serial_sink = Mutex::new(Profiler::new());
-    run_campaign_runner_profiled(&cfg, &RunnerConfig::serial(), &chaos, Some(&serial_sink))
+    run_campaign_runner(&cfg, &RunnerConfig::serial(), &chaos, profiled(&serial_sink))
         .expect("serial campaign");
 
     let par_sink = Mutex::new(Profiler::new());
     let rcfg = RunnerConfig { jobs: 2, ..RunnerConfig::serial() };
-    run_campaign_runner_profiled(&cfg, &rcfg, &chaos, Some(&par_sink)).expect("parallel campaign");
+    run_campaign_runner(&cfg, &rcfg, &chaos, profiled(&par_sink)).expect("parallel campaign");
 
     let serial = serial_sink.into_inner().unwrap();
     let parallel = par_sink.into_inner().unwrap();
@@ -82,7 +87,7 @@ fn flamegraph_decomposes_step_cycle_into_subspans() {
     let sink = Mutex::new(Profiler::new());
     let cfg = ExperimentConfig::new(Design::IntelliNoc, ParsecBenchmark::Canneal.workload(20))
         .with_seed(11);
-    run_experiment_profiled(cfg, Some(&sink));
+    profiled(&sink).run(cfg, "flame/IntelliNoC");
 
     let prof = sink.into_inner().unwrap();
     let tree = prof.span_tree();

@@ -4,7 +4,7 @@
 
 use intellinoc::{
     derive_seed, run_campaign_runner, run_load_sweep, CampaignConfig, ChaosOptions, Design,
-    RunStatus, RunnerConfig, CHAOS_DEADLINE_CYCLES,
+    RunStatus, RunnerConfig, UnitSinks, CHAOS_DEADLINE_CYCLES,
 };
 use std::path::PathBuf;
 
@@ -38,10 +38,17 @@ fn campaign_serial_parallel_and_resumed_reports_are_byte_identical() {
     let cfg = tiny_campaign();
     let chaos = ChaosOptions::default();
 
-    let serial = run_campaign_runner(&cfg, &RunnerConfig::serial(), &chaos).unwrap();
+    let serial =
+        run_campaign_runner(&cfg, &RunnerConfig::serial(), &chaos, UnitSinks::default()).unwrap();
     assert!(serial.runner.is_clean());
 
-    let parallel = run_campaign_runner(&cfg, &RunnerConfig::serial().with_jobs(4), &chaos).unwrap();
+    let parallel = run_campaign_runner(
+        &cfg,
+        &RunnerConfig::serial().with_jobs(4),
+        &chaos,
+        UnitSinks::default(),
+    )
+    .unwrap();
     assert_eq!(
         serde_json::to_string(&serial).unwrap(),
         serde_json::to_string(&parallel).unwrap(),
@@ -57,7 +64,7 @@ fn campaign_serial_parallel_and_resumed_reports_are_byte_identical() {
         max_units: Some(3),
         ..RunnerConfig::serial()
     };
-    let partial = run_campaign_runner(&cfg, &interrupted, &chaos).unwrap();
+    let partial = run_campaign_runner(&cfg, &interrupted, &chaos, UnitSinks::default()).unwrap();
     assert_eq!(partial.runner.counts().ok, 3);
     assert_eq!(partial.runner.counts().skipped, serial.runner.records.len() - 3);
 
@@ -67,7 +74,7 @@ fn campaign_serial_parallel_and_resumed_reports_are_byte_identical() {
         jobs: 4,
         ..RunnerConfig::serial()
     };
-    let resumed = run_campaign_runner(&cfg, &resume, &chaos).unwrap();
+    let resumed = run_campaign_runner(&cfg, &resume, &chaos, UnitSinks::default()).unwrap();
     assert_eq!(
         serde_json::to_string(&serial).unwrap(),
         serde_json::to_string(&resumed).unwrap(),
@@ -99,8 +106,13 @@ fn panicking_campaign_cell_is_contained() {
     let chaos =
         ChaosOptions { panic_units: Some("dead-links-1/CPD".to_owned()), timeout_units: None };
     for jobs in [1, 4] {
-        let report =
-            run_campaign_runner(&cfg, &RunnerConfig::serial().with_jobs(jobs), &chaos).unwrap();
+        let report = run_campaign_runner(
+            &cfg,
+            &RunnerConfig::serial().with_jobs(jobs),
+            &chaos,
+            UnitSinks::default(),
+        )
+        .unwrap();
         let c = report.runner.counts();
         assert_eq!(c.failed, 1, "jobs={jobs}");
         assert_eq!(c.ok, 2 * Design::ALL.len() - 1, "jobs={jobs}");
@@ -124,7 +136,8 @@ fn deadline_exceeded_cell_reports_timed_out_with_diagnostics() {
     let cfg = tiny_campaign();
     let chaos =
         ChaosOptions { panic_units: None, timeout_units: Some("fault-free/SECDED".to_owned()) };
-    let report = run_campaign_runner(&cfg, &RunnerConfig::serial(), &chaos).unwrap();
+    let report =
+        run_campaign_runner(&cfg, &RunnerConfig::serial(), &chaos, UnitSinks::default()).unwrap();
     let c = report.runner.counts();
     assert_eq!(c.timed_out, 1);
     assert_eq!(c.ok, 2 * Design::ALL.len() - 1);
@@ -152,7 +165,13 @@ fn campaign_with_panic_and_timeout_completes_all_healthy_units() {
         panic_units: Some("fault-free/EB".to_owned()),
         timeout_units: Some("dead-links-1/CP/".to_owned()),
     };
-    let report = run_campaign_runner(&cfg, &RunnerConfig::serial().with_jobs(2), &chaos).unwrap();
+    let report = run_campaign_runner(
+        &cfg,
+        &RunnerConfig::serial().with_jobs(2),
+        &chaos,
+        UnitSinks::default(),
+    )
+    .unwrap();
     let c = report.runner.counts();
     assert_eq!(c.failed, 1);
     assert_eq!(c.timed_out, 1);
@@ -170,8 +189,17 @@ fn campaign_with_panic_and_timeout_completes_all_healthy_units() {
 fn sweep_resumes_from_journal_byte_identically() {
     let rates = [0.01, 0.02, 0.03];
     let chaos = ChaosOptions::default();
-    let serial =
-        run_load_sweep(Design::Eb, &rates, 4, 11, &RunnerConfig::serial(), &chaos).unwrap();
+    let serial = run_load_sweep(
+        Design::Eb,
+        &rates,
+        4,
+        11,
+        &RunnerConfig::serial(),
+        &chaos,
+        None,
+        UnitSinks::default(),
+    )
+    .unwrap();
     assert!(serial.is_clean());
 
     let journal = temp_journal("sweep-resume.jsonl");
@@ -180,12 +208,16 @@ fn sweep_resumes_from_journal_byte_identically() {
         max_units: Some(1),
         ..RunnerConfig::serial()
     };
-    let partial = run_load_sweep(Design::Eb, &rates, 4, 11, &interrupted, &chaos).unwrap();
+    let partial =
+        run_load_sweep(Design::Eb, &rates, 4, 11, &interrupted, &chaos, None, UnitSinks::default())
+            .unwrap();
     assert_eq!(partial.counts().ok, 1);
 
     let resume =
         RunnerConfig { journal: Some(journal.clone()), resume: true, ..RunnerConfig::serial() };
-    let resumed = run_load_sweep(Design::Eb, &rates, 4, 11, &resume, &chaos).unwrap();
+    let resumed =
+        run_load_sweep(Design::Eb, &rates, 4, 11, &resume, &chaos, None, UnitSinks::default())
+            .unwrap();
     assert_eq!(serde_json::to_string(&serial).unwrap(), serde_json::to_string(&resumed).unwrap());
     let _ = std::fs::remove_file(&journal);
 }
