@@ -194,3 +194,155 @@ fn latency_percentiles_are_ordered() {
     assert!(s.avg_latency() >= p50 * 0.3 && s.avg_latency() <= p99 * 1.2);
     assert_eq!(s.latency_hist.count(), s.packets_delivered);
 }
+
+// ----------------------------------------------------------------------
+// Characterization of the gated-receiver link-traversal arms.
+//
+// A flit crossing a link into a *gated* router takes one of two paths the
+// benchmark workloads barely reach: ejecting at the gated router's own NI
+// (which decodes the per-hop codeword and may NACK) or transiting it
+// through the bypass (no decode: flips ride the still-encoded codeword to
+// the next powered router). These cases pin what the simulator produces
+// there today — stats and the energy ledger, exactly — so a change to the
+// traversal, NACK, escalation or energy-accounting code shows up here. A
+// deliberate model change re-records them like `BENCH_designs.json`.
+// ----------------------------------------------------------------------
+
+/// 400 four-flit packets `src → 7` along row 0, one every 40 cycles from
+/// cycle 100, with only `gated` power-gated (every other router is forced
+/// awake) and `scheme` on every link, under a forced per-bit error rate.
+fn gated_receiver_run(
+    scheme: EccScheme,
+    rate: f64,
+    max_retx: u32,
+    src: usize,
+    gated: usize,
+) -> noc_sim::RunReport {
+    let cfg = SimConfig {
+        bypass_enabled: true,
+        channel_capacity: 8,
+        seed: 7,
+        max_retx,
+        ..SimConfig::default()
+    };
+    let records: Vec<TraceRecord> = (0..400)
+        .map(|i| TraceRecord { cycle: 100 + 40 * i, src, dest: 7, size_flits: 4 })
+        .collect();
+    let replay = TraceReplay::new("gated-receiver", &records, 64, 400);
+    let mut net = Network::with_workload(cfg, Box::new(replay));
+    let mut directives = [RouterDirective { gate: Some(false), scheme, relaxed: false }; 64];
+    directives[gated].gate = Some(true);
+    net.apply_directives(&directives);
+    net.set_error_rate_override(Some(rate));
+    assert!(net.run_cycles(2_000_000), "run must drain");
+    assert!(net.stall().is_none());
+    net.report()
+}
+
+/// The stats a traversal can move, in one comparable tuple: `(delivered,
+/// dropped, corrected_bits, faulty_traversals, hop_retx_events,
+/// retransmitted_flits, e2e_retx_packets, corrupted_packets, latency_sum)`.
+fn traversal_stats(r: &noc_sim::RunReport) -> (u64, u64, u64, u64, u64, u64, u64, u64, u64) {
+    let s = &r.stats;
+    (
+        s.packets_delivered,
+        s.packets_dropped,
+        s.corrected_bits,
+        s.faulty_traversals,
+        s.hop_retx_events,
+        s.retransmitted_flits,
+        s.e2e_retx_packets,
+        s.corrupted_packets,
+        s.latency_sum,
+    )
+}
+
+/// Asserts a run's traversal stats and its energy ledger (as the exact
+/// `Debug` rendering, so every bit of the floats is compared).
+fn assert_pinned(
+    report: &noc_sim::RunReport,
+    stats: (u64, u64, u64, u64, u64, u64, u64, u64, u64),
+    power: &str,
+) {
+    assert_eq!(traversal_stats(report), stats);
+    assert_eq!(format!("{:?}", report.power), power);
+}
+
+/// Gated eject, light corruption, unbounded hop retries: the NI-side decode
+/// corrects most hits, NACKs the rest, and nothing is dropped.
+#[test]
+fn gated_eject_decodes_corrects_and_nacks() {
+    let report = gated_receiver_run(EccScheme::Secded, 2e-3, 0, 6, 7);
+    assert_pinned(
+        &report,
+        (400, 0, 327, 378, 47, 47, 0, 3, 4188),
+        "PowerReport { static_mw: 460.28637714159964, dynamic_mw: 1.4409583074051036, \
+         exec_cycles: 16070 }",
+    );
+}
+
+/// Gated eject, heavy corruption, hop budget 2: NACKs, budget escalation to
+/// end-to-end recovery and accounted drops all fire.
+#[test]
+fn gated_eject_escalates_past_the_hop_budget_and_drops() {
+    let report = gated_receiver_run(EccScheme::Secded, 2e-2, 2, 6, 7);
+    assert_pinned(
+        &report,
+        (379, 21, 674, 3529, 1592, 2552, 240, 364, 11491),
+        "PowerReport { static_mw: 460.276006388636, dynamic_mw: 3.3313408723747973, \
+         exec_cycles: 16094 }",
+    );
+}
+
+/// Gated eject without per-hop protection: no decode, no NACK; every flip
+/// reaches the core as silent corruption.
+#[test]
+fn gated_eject_unprotected_corruption_reaches_the_core() {
+    let report = gated_receiver_run(EccScheme::None, 2e-3, 16, 6, 7);
+    assert_pinned(
+        &report,
+        (400, 0, 0, 332, 0, 0, 0, 254, 4000),
+        "PowerReport { static_mw: 424.5985939036488, dynamic_mw: 1.2581456129433717, \
+         exec_cycles: 16070 }",
+    );
+}
+
+/// Gated transit: flips sampled on the link into gated router 6 ride the
+/// still-encoded codeword through the bypass and decode (or NACK) at
+/// powered router 7, together with that link's own flips.
+#[test]
+fn gated_transit_carries_flips_to_the_next_powered_decoder() {
+    let report = gated_receiver_run(EccScheme::Secded, 2e-3, 0, 5, 6);
+    assert_pinned(
+        &report,
+        (400, 0, 526, 768, 148, 148, 0, 22, 6680),
+        "PowerReport { static_mw: 460.24910686890416, dynamic_mw: 2.8585966658372755, \
+         exec_cycles: 16076 }",
+    );
+}
+
+/// Gated transit under heavy corruption with hop budget 2: carried-in flips
+/// push the powered decoder's NACK ladder into escalation and drops.
+#[test]
+fn gated_transit_escalates_at_the_powered_decoder() {
+    let report = gated_receiver_run(EccScheme::Secded, 2e-2, 2, 5, 6);
+    assert_pinned(
+        &report,
+        (346, 54, 393, 6459, 1991, 3103, 278, 346, 12125),
+        "PowerReport { static_mw: 460.285232528055, dynamic_mw: 5.178029219769975, \
+         exec_cycles: 16085 }",
+    );
+}
+
+/// Gated transit without per-hop protection: flips go straight to the
+/// flit's end-to-end count on both links.
+#[test]
+fn gated_transit_unprotected_flips_accumulate_end_to_end() {
+    let report = gated_receiver_run(EccScheme::None, 2e-3, 16, 5, 6);
+    assert_pinned(
+        &report,
+        (400, 0, 0, 687, 0, 0, 0, 350, 6400),
+        "PowerReport { static_mw: 424.5439743164799, dynamic_mw: 2.515352077631255, \
+         exec_cycles: 16076 }",
+    );
+}
