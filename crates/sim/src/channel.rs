@@ -211,11 +211,6 @@ impl Links {
         matches!(&self.channels[ci], Some(ch) if ch.has_space())
     }
 
-    /// Every existing channel with its slot index, ascending.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (usize, &Channel)> {
-        self.channels.iter().enumerate().filter_map(|(ci, ch)| Some((ci, ch.as_ref()?)))
-    }
-
     /// Flits on the channels feeding router `r`.
     #[inline]
     pub(crate) fn inbound(&self, r: usize) -> usize {
@@ -245,18 +240,6 @@ impl Links {
         self.channel_mut(ci).push_delayed(flit, now, extra);
         self.inbound[self.dest[ci] as usize] += 1;
         self.occupied.set(ci, true);
-    }
-
-    /// [`Channel::push`] on slot `ci`.
-    pub(crate) fn push(&mut self, ci: usize, flit: Flit, now: Cycle) {
-        self.push_delayed(ci, flit, now, 0);
-    }
-
-    /// [`Channel::pop_ready`] on slot `ci`.
-    pub(crate) fn pop_ready(&mut self, ci: usize, now: Cycle) -> Flit {
-        let flit = self.channel_mut(ci).pop_ready(now);
-        self.note_removed(ci, 1);
-        flit
     }
 
     /// [`Channel::remove_at`] on slot `ci`.
@@ -425,14 +408,14 @@ mod tests {
         assert_eq!(links.next_occupied(0), None);
         let p1 = make_packet(1, 0, 0, 1, 0);
         let p2 = make_packet(2, 4, 0, 1, 0);
-        links.push(ci, p1[0], 0);
+        links.push_delayed(ci, p1[0], 0, 0);
         links.push_delayed(ci, p1[1], 0, 1);
-        links.push(ci, p2[0], 0);
+        links.push_delayed(ci, p2[0], 0, 0);
         assert_eq!(links.inbound(1), 3);
         assert_eq!(links.inbound(0), 0);
         assert_eq!(links.next_occupied(0), Some(ci));
         assert_eq!(links.index_drift(), None);
-        assert_eq!(links.pop_ready(ci, 5).packet_id, 1);
+        assert_eq!(links.remove_at(ci, 0).packet_id, 1);
         links.delay_at(ci, 0, 5, 3); // a NACK moves no flit
         assert_eq!(links.inbound(1), 2);
         assert_eq!(links.purge_packet(1), 1);

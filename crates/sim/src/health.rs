@@ -22,8 +22,17 @@
 //! The phase bit is never stored in a flit: a flit's last traversed link is
 //! known at every routing site from its input port, and the phase is simply
 //! whether that traversal was a down move under the current labelling.
+//!
+//! The map also keeps the **fail-stop view** derived from it: which links
+//! and routers a *permanent* fault took down, and the connected components
+//! of what survives them. Intermittent outages only stall traffic; a
+//! fail-stop split makes a destination unreachable for good
+//! ([`HealthRouter::fs_split`]), which is what salvage and drop decisions
+//! key on.
 
 use crate::topology::{Mesh, NeighborTable, Port, DIRS};
+use noc_fault::{HardFault, HardFaultTarget};
+use std::collections::VecDeque;
 
 /// Route-table sentinel: destination unreachable from this state.
 const UNREACHABLE: u8 = u8::MAX;
@@ -44,6 +53,18 @@ pub struct HealthRouter {
     table: Vec<u8>,
     /// Whether any component is currently out of service.
     degraded: bool,
+    /// Whether [`Self::route_via`] detours around faults (the simulator's
+    /// `fault_aware_routing`) or routes strictly XY.
+    fault_aware: bool,
+    /// Links taken down by a currently-active *fail-stop* fault, indexed
+    /// like `link_up`; intermittent outages stall flits but do not purge.
+    failstop_link_down: Vec<bool>,
+    /// Routers taken down by a currently-active fail-stop fault.
+    failstop_router_down: Vec<bool>,
+    /// Connected-component id per router over the fail-stop-surviving
+    /// topology (intermittent outages ignored). Packets whose source and
+    /// destination sit in different components can never be delivered.
+    fs_comp: Vec<u32>,
 }
 
 impl HealthRouter {
@@ -58,9 +79,18 @@ impl HealthRouter {
             label: vec![0; nodes],
             table: vec![0; nodes * nodes * 2],
             degraded: false,
+            fault_aware: true,
+            failstop_link_down: vec![false; nodes * DIRS],
+            failstop_router_down: vec![false; nodes],
+            fs_comp: vec![0; nodes],
         };
         h.rebuild();
         h
+    }
+
+    /// Tells the map, once, whether [`Self::route_via`] is fault-aware.
+    pub(crate) fn set_fault_aware(&mut self, fault_aware: bool) {
+        self.fault_aware = fault_aware;
     }
 
     /// Whether any link or router is currently down.
@@ -130,7 +160,7 @@ impl HealthRouter {
             }
         };
         let mut order = 0u32;
-        let mut queue = std::collections::VecDeque::new();
+        let mut queue = VecDeque::new();
         self.label[root] = order;
         queue.push_back(root);
         while let Some(n) = queue.pop_front() {
@@ -160,7 +190,7 @@ impl HealthRouter {
         let nodes = self.mesh.nodes();
         let idx = |n: usize, ph: usize| n * 2 + ph;
         let mut dist = vec![u32::MAX; nodes * 2];
-        let mut queue = std::collections::VecDeque::new();
+        let mut queue = VecDeque::new();
         dist[idx(dest, 0)] = 0;
         dist[idx(dest, 1)] = 0;
         queue.push_back(idx(dest, 0));
@@ -294,6 +324,107 @@ impl HealthRouter {
         }
         let nodes = self.mesh.nodes();
         self.table[dest * nodes * 2 + src * 2] != UNREACHABLE
+    }
+
+    /// The route the simulator takes `here → dest` given the arrival port:
+    /// [`Self::route`] when routing is fault-aware, plain XY otherwise (in
+    /// which case traffic blocked by a dead link waits until the stall
+    /// watchdog aborts the run). The one place that choice is made.
+    #[inline]
+    pub(crate) fn route_via(&self, here: usize, dest: usize, in_port: Port) -> Option<Port> {
+        if self.fault_aware {
+            self.route(here, dest, in_port)
+        } else {
+            Some(self.mesh.xy_route(here, dest))
+        }
+    }
+
+    /// Recomputes the whole service state — health map, route tables and
+    /// fail-stop view — from the hard faults that are `down` right now.
+    /// From scratch, because faults can overlap (e.g. a flapping link
+    /// inside a dead router), so per-edge incremental updates would be
+    /// wrong.
+    pub(crate) fn apply_faults<'a>(&mut self, down: impl Iterator<Item = &'a HardFault>) {
+        self.link_up.fill(true);
+        self.router_up.fill(true);
+        self.failstop_link_down.fill(false);
+        self.failstop_router_down.fill(false);
+        for fault in down {
+            let fail_stop = !fault.is_intermittent();
+            match fault.target {
+                // A physical link fails in both directions regardless of
+                // which endpoint the scenario named.
+                HardFaultTarget::Link { router, dir } => {
+                    let (r, dir) = (router as usize, Port::from_index(dir as usize));
+                    self.set_link(r, dir, false);
+                    self.failstop_link_down[r * DIRS + dir.index()] |= fail_stop;
+                    if let Some(nb) = self.neighbor(r, dir) {
+                        self.failstop_link_down[nb * DIRS + dir.opposite().index()] |= fail_stop;
+                    }
+                }
+                HardFaultTarget::Router { router } => {
+                    self.set_router(router as usize, false);
+                    self.failstop_router_down[router as usize] |= fail_stop;
+                }
+            }
+        }
+        self.rebuild();
+        self.rebuild_fs_components();
+    }
+
+    /// Labels connected components of the fail-stop-surviving topology.
+    fn rebuild_fs_components(&mut self) {
+        let n = self.mesh.nodes();
+        self.fs_comp = vec![u32::MAX; n];
+        let mut next = 0u32;
+        let mut queue = VecDeque::new();
+        for start in 0..n {
+            if self.fs_comp[start] != u32::MAX || self.failstop_router_down[start] {
+                continue;
+            }
+            self.fs_comp[start] = next;
+            queue.push_back(start);
+            while let Some(u) = queue.pop_front() {
+                for dir in Port::DIRECTIONS {
+                    let Some(v) = self.neighbor(u, dir) else { continue };
+                    if self.failstop_link_down[u * DIRS + dir.index()]
+                        || self.failstop_router_down[v]
+                        || self.fs_comp[v] != u32::MAX
+                    {
+                        continue;
+                    }
+                    self.fs_comp[v] = next;
+                    queue.push_back(v);
+                }
+            }
+            next += 1;
+        }
+    }
+
+    /// Whether a packet at router `at` can never reach `dest` again:
+    /// either endpoint is fail-stop dead or they sit in different
+    /// fail-stop-surviving components. Intermittent outages do not count.
+    pub(crate) fn fs_split(&self, at: usize, dest: usize) -> bool {
+        self.failstop_router_down[at]
+            || self.failstop_router_down[dest]
+            || self.fs_comp[at] != self.fs_comp[dest]
+    }
+
+    /// Whether any fail-stop fault is active.
+    pub(crate) fn any_failstop(&self) -> bool {
+        self.failstop_link_down.iter().any(|&d| d) || self.failstop_router_down.iter().any(|&d| d)
+    }
+
+    /// Whether a fail-stop fault took router `r` down.
+    pub(crate) fn failstop_router_down(&self, r: usize) -> bool {
+        self.failstop_router_down[r]
+    }
+
+    /// Whether the hop `r → dir` is fail-stop dead: the link itself or the
+    /// router at its far end.
+    pub(crate) fn failstop_hop_down(&self, r: usize, dir: Port) -> bool {
+        self.failstop_link_down[r * DIRS + dir.index()]
+            || self.neighbor(r, dir).is_some_and(|nb| self.failstop_router_down[nb])
     }
 }
 

@@ -1,0 +1,268 @@
+//! Recovery: what the network does when the fault model bites harder than
+//! a per-hop retry — hard-fault edges, the purge of what they strand,
+//! end-to-end salvage, accounted drops, and the stall watchdog.
+//!
+//! Owners mutated: [`HealthRouter`](crate::health::HealthRouter) through
+//! `apply_faults` (the map, route tables and fail-stop view are derived
+//! there, not here); [`Links`](crate::channel::Links),
+//! [`Router`](crate::router::Router) and [`Nis`](crate::ni::Nis) through
+//! their `purge_packet`, plus `Router::rebind_route` and `Nis::recv_mut`.
+//! A salvaged packet re-enters through [`Network::reinject`] (`ni_layer`).
+
+use super::Network;
+use crate::flit::Flit;
+use crate::stats::StallReport;
+use crate::topology::{Port, PORTS};
+use noc_fault::HardFaultTarget;
+use noc_telemetry::Event;
+use std::collections::BTreeMap;
+
+impl Network {
+    /// Phase 0: applies scheduled hard-fault transitions at `self.now`. On
+    /// any service-state edge the health map and route tables are rebuilt,
+    /// and packets stranded on fail-stop-dead components are salvaged via
+    /// end-to-end recovery or accounted as dropped. Intermittent outages
+    /// only stall traffic: stored flits wait out the outage.
+    pub(super) fn apply_hard_faults(&mut self) {
+        if self.cfg.hard_faults.is_empty() {
+            return;
+        }
+        let now = self.now;
+        let mut any_edge = false;
+        for (fault, state) in self.cfg.hard_faults.faults.iter().zip(&mut self.fault_state) {
+            let down = fault.is_down(now);
+            if down == *state {
+                continue;
+            }
+            *state = down;
+            any_edge = true;
+            self.probe.event(match (fault.target, down) {
+                (HardFaultTarget::Link { router, dir }, true) => {
+                    Event::LinkFailed { cycle: now, router, dir }
+                }
+                (HardFaultTarget::Link { router, dir }, false) => {
+                    Event::LinkRepaired { cycle: now, router, dir }
+                }
+                (HardFaultTarget::Router { router }, true) => {
+                    Event::RouterFailed { cycle: now, router }
+                }
+                (HardFaultTarget::Router { router }, false) => {
+                    Event::RouterRepaired { cycle: now, router }
+                }
+            });
+        }
+        if !any_edge {
+            return;
+        }
+        let faults = self.cfg.hard_faults.faults.iter().zip(&self.fault_state);
+        self.health.apply_faults(faults.filter(|(_, &down)| down).map(|(fault, _)| fault));
+        self.purge_after_fault();
+    }
+
+    /// Finds every packet disturbed by a health-map transition and salvages
+    /// or drops it: flits stranded on a fail-stop-dead component (or bound
+    /// for a dead destination), plus — under fault-aware routing — packets
+    /// whose head is parked at a position the rebuilt up*/down* table cannot
+    /// continue from. Iteration is in deterministic packet-id order.
+    fn purge_after_fault(&mut self) {
+        let n = self.mesh.nodes();
+        let mut disturbed: BTreeMap<u64, Flit> = BTreeMap::new();
+        if self.health.any_failstop() {
+            // Channel-resident flits on a dead link or feeding a dead router.
+            for u in 0..n {
+                for dir in Port::DIRECTIONS {
+                    let ci = self.channel_index(u, dir);
+                    let Some(ch) = self.links.get(ci) else { continue };
+                    let v = self.mesh.neighbor(u, dir).expect("channel implies neighbor");
+                    let dead_path = self.health.failstop_router_down(u)
+                        || self.health.failstop_hop_down(u, dir);
+                    for i in 0..ch.occupancy() {
+                        let f = *ch.get(i);
+                        if dead_path || self.health.fs_split(v, f.dest as usize) {
+                            disturbed.entry(f.packet_id).or_insert(f);
+                        }
+                    }
+                }
+            }
+            // VC-resident flits: dead router, dead bound output, or dead dest.
+            for r in 0..n {
+                let router_dead = self.health.failstop_router_down(r);
+                let router = &self.routers[r];
+                for p in 0..PORTS {
+                    for (vi, vc) in router.port_vcs(p).iter().enumerate() {
+                        let route = vc.route();
+                        let route_dead =
+                            route != Port::Local && self.health.failstop_hop_down(r, route);
+                        for f in router.flits(p, vi) {
+                            if router_dead
+                                || (route_dead && vc.is_bound_to(f.packet_id))
+                                || self.health.fs_split(r, f.dest as usize)
+                            {
+                                disturbed.entry(f.packet_id).or_insert(*f);
+                            }
+                        }
+                    }
+                }
+            }
+            // NI injection queues: dead source or dead destination.
+            for r in 0..n {
+                let ni_dead = self.health.failstop_router_down(r);
+                for f in &self.nis[r].inject {
+                    if ni_dead || self.health.fs_split(r, f.dest as usize) {
+                        disturbed.entry(f.packet_id).or_insert(*f);
+                    }
+                }
+            }
+            // Partial reassembly state dies with a destination router.
+            for r in 0..n {
+                if self.health.failstop_router_down(r) {
+                    self.nis.recv_mut(r).clear();
+                }
+            }
+        }
+        // A rebuild invalidates routes computed under the previous topology.
+        // The up*/down* table only guarantees progress from legal states; a
+        // packet caught mid-path by the transition can sit at a (node,
+        // arrival-port) pair the new table has no continuation for — it
+        // would wait forever and leak its downstream VC reservation. Rebind
+        // parked heads that still have a legal continuation; salvage the
+        // phase-stranded rest. Targets inside an intermittent outage are
+        // skipped here and re-swept at the repair edge.
+        if self.cfg.fault_aware_routing {
+            for u in 0..n {
+                for dir in Port::DIRECTIONS {
+                    let ci = self.channel_index(u, dir);
+                    let Some(ch) = self.links.get(ci) else { continue };
+                    if !self.health.usable(u, dir) {
+                        continue;
+                    }
+                    let v = self.mesh.neighbor(u, dir).expect("channel implies neighbor");
+                    for i in 0..ch.occupancy() {
+                        let f = *ch.get(i);
+                        if f.is_head()
+                            && self.health.route(v, f.dest as usize, dir.opposite()).is_none()
+                        {
+                            disturbed.entry(f.packet_id).or_insert(f);
+                        }
+                    }
+                }
+            }
+            let mut rebinds: Vec<(usize, usize, usize, Port)> = Vec::new();
+            for r in 0..n {
+                if !self.health.router_up(r) {
+                    continue;
+                }
+                let router = &self.routers[r];
+                for p in 0..PORTS {
+                    for (vi, vc) in router.port_vcs(p).iter().enumerate() {
+                        let Some(head) = router.flits(p, vi).next().copied() else { continue };
+                        if !vc.is_bound_to(head.packet_id) || !head.is_head() {
+                            continue; // body flits must follow their head's path
+                        }
+                        match self.health.route(r, head.dest as usize, Port::from_index(p)) {
+                            None => {
+                                disturbed.entry(head.packet_id).or_insert(head);
+                            }
+                            Some(route) if route != vc.route() => {
+                                rebinds.push((r, p, vi, route));
+                            }
+                            Some(_) => {}
+                        }
+                    }
+                }
+            }
+            for (r, p, vi, route) in rebinds {
+                self.routers[r].rebind_route(p, vi, route);
+            }
+        }
+        for (_, f) in disturbed {
+            self.salvage_or_drop(f);
+        }
+    }
+
+    /// Removes every in-flight flit of `packet` from channels, input VCs,
+    /// NI injection queues, and reassembly buffers.
+    pub(super) fn purge_packet(&mut self, packet: u64) {
+        self.links.purge_packet(packet);
+        for router in &mut self.routers {
+            router.purge_packet(packet);
+        }
+        self.nis.purge_packet(packet);
+    }
+
+    /// End-to-end recovery for a packet disturbed by a hard fault or out of
+    /// hop-retry budget: purges its in-flight flits, then re-injects it
+    /// from the source NI with a bumped generation — or, when the budget is
+    /// exhausted or no route survives, accounts it as dropped.
+    pub(super) fn salvage_or_drop(&mut self, f: Flit) {
+        self.purge_packet(f.packet_id);
+        if self.dropped_ids.contains(&f.packet_id) {
+            return;
+        }
+        // Preserved divergence (DESIGN.md §7, `e2e-retx-carry`): a salvaged
+        // packet restarts with a full hop-retry budget, reported at its
+        // source.
+        self.recover_or_drop(&f, f.src as usize, 0);
+    }
+
+    /// Re-sends the packet of `f` end to end while its generation budget
+    /// lasts and a route survives, and accounts it as dropped otherwise.
+    /// Intermittent outages don't disqualify a re-send: the packet simply
+    /// waits them out in the source NI queue.
+    pub(super) fn recover_or_drop(&mut self, f: &Flit, at: usize, retx: u16) {
+        let budget_ok = self.cfg.max_retx == 0 || u32::from(f.generation) < self.cfg.max_retx;
+        if budget_ok && !self.health.fs_split(f.src as usize, f.dest as usize) {
+            self.reinject(f, at, retx);
+        } else {
+            self.account_drop(f);
+        }
+    }
+
+    /// Accounts a packet as permanently lost. Idempotent per packet id.
+    pub(super) fn account_drop(&mut self, f: &Flit) {
+        if !self.dropped_ids.insert(f.packet_id) {
+            return;
+        }
+        self.probe.drop(f.packet_id);
+        let src = f.src as usize;
+        self.stats.packets_dropped += 1;
+        self.outstanding[src] = self.outstanding[src].saturating_sub(1);
+        self.probe.event(Event::PacketDropped {
+            cycle: self.now,
+            router: u32::from(f.src),
+            packet: f.packet_id,
+            bits: u32::from(f.generation),
+        });
+        self.traffic.on_dropped(self.now, f.packet_id);
+    }
+
+    /// Checks forward progress and arms the stall diagnostic when none was
+    /// made for a full watchdog window while packets are in flight.
+    pub(super) fn watchdog_check(&mut self) -> bool {
+        if self.cfg.stall_window == 0 {
+            return false;
+        }
+        let score = self.stats.packets_delivered + self.stats.packets_dropped;
+        let in_flight = self
+            .stats
+            .packets_injected
+            .saturating_sub(self.stats.packets_delivered + self.stats.packets_dropped);
+        if score != self.last_score || in_flight == 0 {
+            self.last_score = score;
+            self.last_progress = self.now;
+            return false;
+        }
+        if self.now.saturating_sub(self.last_progress) < self.cfg.stall_window {
+            return false;
+        }
+        self.probe.event(Event::WatchdogStall { cycle: self.now, router: 0, state: in_flight });
+        self.stall = Some(StallReport {
+            cycle: self.now,
+            window: self.cfg.stall_window,
+            in_flight,
+            blocked: self.snapshot_blocked(16).lines().map(String::from).collect(),
+            dump: self.snapshot_dump(),
+        });
+        true
+    }
+}

@@ -1,0 +1,572 @@
+//! The router layer: what happens *inside* a router each cycle — switch and
+//! VC allocation at powered routers, the single-flit bypass latch at gated
+//! ones, and the power-gating state machine.
+//!
+//! Owner mutated: [`Router`](crate::router::Router), through
+//! `promote_ready`, `pop_granted`, `set_out_vc` and `reserve` (plus its
+//! public gate/timer/counter fields); the bypass also pops its NI input with
+//! `Nis::pop_front`. Flits leave a router through [`Network::forward`]
+//! (`link_layer`) or [`Network::eject`] (`ni_layer`), and the bypass takes
+//! them off a link with [`Network::traverse`]: no channel is pushed to or
+//! popped from here.
+
+use super::link_layer::{Receiver, Sender};
+use super::Network;
+use crate::flit::NO_VC;
+use crate::router::{set_bits, GateState};
+use crate::topology::{Port, PORTS};
+use noc_ecc::EccScheme;
+use noc_telemetry::{Event, GateEdge};
+
+/// One switch-allocation grant: the head-of-queue flit of VC `vc` of input
+/// `port` crosses to output `out`, bound for downstream VC `dvc` ([`NO_VC`]
+/// when ejecting or when the downstream router takes no reservation).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SaGrant {
+    port: usize,
+    vc: usize,
+    out: Port,
+    dvc: u8,
+}
+
+impl Network {
+    /// Phase 1: every live router moves flits internally — a powered one
+    /// through switch allocation, a gated (or, when the design allows it,
+    /// waking) one through the bypass latch.
+    pub(super) fn router_phase(&mut self) {
+        for r in 0..self.mesh.nodes() {
+            if !self.health.router_up(r) {
+                continue; // dead routers do no work at all
+            }
+            if self.routers[r].is_on() {
+                self.phase("alloc.vc_sa", |net| net.sa_phase(r));
+            } else if self.cfg.bypass_enabled {
+                let waking = matches!(self.routers[r].gate, GateState::Waking(_));
+                if !waking || self.cfg.bypass_during_wake {
+                    self.phase("router.bypass", |net| net.bypass_phase(r));
+                }
+            }
+        }
+    }
+
+    fn sa_phase(&mut self, r: usize) {
+        let sa_base = self.routers[r].sa_rr;
+        // The round-robin pointer is part of the cycle domain: it advances
+        // on every visit, whether or not anything is granted.
+        self.routers[r].sa_rr = (sa_base + 1) % PORTS;
+        if self.routers[r].is_drained() {
+            return; // nothing buffered: no candidates, O(1)
+        }
+        self.routers[r].promote_ready(self.now);
+        // Allocation reads nothing a commit of the same cycle changes except
+        // which input ports are taken, which it tracks itself: each output
+        // has its own channel and its own downstream router.
+        for grant in self.sa_allocate(r, sa_base).into_iter().flatten() {
+            self.sa_commit(r, grant);
+        }
+    }
+
+    /// Switch + VC allocation for router `r` from its readiness masks: at
+    /// most one grant per output port (slot `k` is output `sa_base + k`)
+    /// and per input port.
+    fn sa_allocate(&self, r: usize, sa_base: usize) -> [Option<SaGrant>; PORTS] {
+        let router = &self.routers[r];
+        // Table rows are port-major, so splitting a mask at the first row of
+        // port `sa_base` and reading the high part first visits candidates
+        // in round-robin port order, then VC order.
+        let split = sa_base * router.vcs();
+        let mut granted_rows = 0u64; // every row of an already granted input port
+        let mut grants = [None; PORTS];
+        for (k, slot) in grants.iter_mut().enumerate() {
+            let out = Port::from_index((sa_base + k) % PORTS);
+            let cands = router.sa_requests(out) & !granted_rows;
+            if cands == 0 {
+                continue; // nothing wants this output
+            }
+            // The downstream VC a head flit would get (any flit, when
+            // ejecting): `NO_VC` when ejecting or when the downstream router
+            // takes no reservation (gated,
+            // waking, or draining toward a proactive gate), `None` when VA
+            // fails. One lookup serves the whole output: only this router's
+            // single grant per output reserves on that downstream port.
+            let head_dvc = if out == Port::Local {
+                Some(NO_VC)
+            } else {
+                if !self.health.usable(r, out) {
+                    continue; // dead link or dead downstream router: flits wait
+                }
+                if !self.links.has_space(self.channel_index(r, out)) {
+                    continue; // boundary or full channel
+                }
+                let down = &self.routers[self.health.neighbor(r, out).expect("usable link")];
+                if down.is_on() && !down.gate_pending {
+                    down.free_vc(out.opposite().index()).map(|vc| vc as u8)
+                } else {
+                    Some(NO_VC)
+                }
+            };
+            // The first candidate wins unless it is a head and VA failed;
+            // bodies inherit the downstream VC their head won.
+            let high = cands >> split << split;
+            let winner = set_bits(high).chain(set_bits(cands ^ high)).find_map(|row| {
+                let entry = router.row(row);
+                let inherits = out != Port::Local && !entry.holds_head();
+                Some((row, if inherits { entry.out_vc() } else { head_dvc? }))
+            });
+            let Some((row, dvc)) = winner else { continue }; // only heads, and no free VC
+            let (port, vc) = (row / router.vcs(), row % router.vcs());
+            granted_rows |= router.port_mask(port);
+            *slot = Some(SaGrant { port, vc, out, dvc });
+        }
+        grants
+    }
+
+    /// Carries out one grant of router `r`: reserves the downstream VC a
+    /// head won, pops the flit and sends it onto its channel or ejects it.
+    fn sa_commit(&mut self, r: usize, grant: SaGrant) {
+        let now = self.now;
+        let SaGrant { port: p, vc: v, out, dvc } = grant;
+        let scheme = self.routers[r].directive.scheme;
+        let per_hop = scheme.is_per_hop();
+        let router = &mut self.routers[r];
+        let mut flit = router.pop_granted(p, v, now);
+        let reserves = flit.is_head() && dvc != NO_VC;
+        if flit.is_head() {
+            router.set_out_vc(p, v, dvc);
+        }
+        flit.vc = dvc;
+        router.counters.buffer_reads += 1;
+        router.counters.xbar_traversals += 1;
+        router.counters.alloc_ops += 1;
+        self.probe.sa_grant(reserves);
+        if reserves {
+            let dv = self.health.neighbor(r, out).expect("non-local output");
+            self.routers[dv].reserve(out.opposite().index(), dvc as usize, flit.packet_id);
+        }
+        if out == Port::Local {
+            self.routers[r].step.out_flits[out.index()] += 1;
+            self.eject(r, flit);
+            return;
+        }
+        flit.hop_scheme = if per_hop { scheme } else { EccScheme::None };
+        if per_hop {
+            self.routers[r].counters.count_ecc_op(scheme); // encode
+        }
+        self.forward(r, out, &flit, Sender::Crossbar);
+    }
+
+    fn bypass_phase(&mut self, r: usize) {
+        let now = self.now;
+        let rr = self.routers[r].bypass_rr;
+        // Like `sa_rr`, the pointer advances on every visit.
+        self.routers[r].bypass_rr = (rr + 1) % PORTS;
+        if !self.nis.waiting(r) && self.links.inbound(r) == 0 {
+            return; // nothing to forward, O(1)
+        }
+        let mut out_used = [false; PORTS];
+        // The bypass is a simple single-flit latch switch (paper §3.3): it
+        // forwards at most ONE flit per cycle, round-robin over the inputs.
+        // That serialization is the throughput price of power gating.
+        let mut forwarded = false;
+        // Inputs 0..4 are incoming direction channels; input 4 is the NI.
+        for k in 0..PORTS {
+            if forwarded {
+                break;
+            }
+            let i = (rr + k) % PORTS;
+            let in_port = Port::from_index(i);
+            // The waiting flit's destination and, off a link, its channel.
+            let (dest, in_ci) = if in_port == Port::Local {
+                let Some(f) = self.nis[r].inject.front() else { continue };
+                (f.dest as usize, None)
+            } else {
+                let Some(ci) = self.incoming_index(r, in_port) else { continue };
+                let Some(f) = self.links.get(ci).and_then(|ch| ch.peek_ready(now)) else {
+                    continue;
+                };
+                (f.dest as usize, Some(ci))
+            };
+            let Some(route) = self.health.route_via(r, dest, in_port) else {
+                continue; // no live route right now: the flit waits
+            };
+            if out_used[route.index()] {
+                continue;
+            }
+            // Without the crossbar, the bypass can only continue straight
+            // ahead or eject (paper §3.3 / Fig. 6); a turning flit must wait
+            // for the router to wake (see gating phase).
+            if in_ci.is_some() && route != Port::Local && route != in_port.opposite() {
+                continue;
+            }
+            if route == Port::Local {
+                let flit = match in_ci {
+                    None => self.nis.pop_front(r).expect("checked nonempty"),
+                    // The destination NI decodes; a NACKed flit stays put.
+                    Some(ci) => match self.traverse(ci, 0, Receiver::GatedNi) {
+                        Some(flit) => flit,
+                        None => continue,
+                    },
+                };
+                out_used[Port::Local.index()] = true;
+                self.routers[r].step.in_flits[i] += 1;
+                self.eject(r, flit);
+            } else {
+                if !self.health.usable(r, route) {
+                    continue; // outage on the outgoing link: wait it out
+                }
+                if !self.links.has_space(self.channel_index(r, route)) {
+                    continue;
+                }
+                let flit = match in_ci {
+                    None => {
+                        // Locally injected flits enter the mesh unencoded; they
+                        // pick up per-hop protection at the first powered router.
+                        let mut f = self.nis.pop_front(r).expect("checked nonempty");
+                        f.hop_scheme = EccScheme::None;
+                        f
+                    }
+                    // Forward the still-encoded codeword unchanged.
+                    Some(ci) => self
+                        .traverse(ci, 0, Receiver::GatedTransit)
+                        .expect("a gated transit decodes nothing, so it cannot NACK"),
+                };
+                out_used[route.index()] = true;
+                forwarded = true;
+                self.routers[r].step.in_flits[i] += 1;
+                // The bypass mux/latch adds one cycle on top of the link.
+                self.forward(r, route, &flit, Sender::Bypass);
+            }
+        }
+    }
+
+    /// The fullest channel feeding router `r` — the wake-pressure reading
+    /// of a `Gated` router with inbound flits. (The total is
+    /// `self.links.inbound(r)`.)
+    fn max_incoming_occupancy(&self, r: usize) -> usize {
+        Port::DIRECTIONS
+            .into_iter()
+            .filter_map(|p| self.links.get(self.incoming_index(r, p)?))
+            .map(|ch| ch.occupancy())
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Whether any incoming ready flit needs to *turn* at router `r` — a
+    /// maneuver the crossbar-less bypass cannot perform, so it must wake
+    /// the router.
+    fn incoming_turn_pending(&self, r: usize) -> bool {
+        let now = self.now;
+        for p in Port::DIRECTIONS {
+            let Some(ci) = self.incoming_index(r, p) else { continue };
+            let Some(ch) = self.links.get(ci) else { continue };
+            if let Some(flit) = ch.peek_ready(now) {
+                let Some(route) = self.health.route_via(r, flit.dest as usize, p) else {
+                    continue; // unreachable right now: nothing to wake for
+                };
+                if route != Port::Local && route != p.opposite() {
+                    return true;
+                }
+            }
+        }
+        false
+    }
+
+    /// Phase 3: idle detection, gate and wake transitions, occupancy
+    /// accounting.
+    pub(super) fn gating_phase(&mut self) {
+        let now = self.now;
+        for r in 0..self.mesh.nodes() {
+            if !self.health.router_up(r) {
+                // A dead router draws no dynamic power and makes no gating
+                // transitions; account its cycles as gated.
+                let router = &mut self.routers[r];
+                router.step.cycles += 1;
+                router.step.gated_cycles += 1;
+                self.stats.gated_router_cycles += 1;
+                continue;
+            }
+            let incoming = self.links.inbound(r);
+            // Only the `Gated` arm reads these two, and with nothing inbound
+            // both are their zero values: no channel needs walking.
+            let gated_inbound = incoming > 0 && matches!(self.routers[r].gate, GateState::Gated);
+            let max_incoming = if gated_inbound { self.max_incoming_occupancy(r) } else { 0 };
+            let turn_pending = gated_inbound && self.incoming_turn_pending(r);
+            let ni_waiting = self.nis.waiting(r);
+            let router = &mut self.routers[r];
+            router.step.occupancy_sum += router.occupancy() as u64;
+            router.step.cycles += 1;
+            let mut gate_edge = None;
+            match router.gate {
+                GateState::On => {
+                    let busy = router.occupancy() > 0 || incoming > 0 || ni_waiting;
+                    if busy {
+                        router.idle_cycles = 0;
+                    } else {
+                        router.idle_cycles = router.idle_cycles.saturating_add(1);
+                    }
+                    // Mode 0 is advisory: the PG controller only engages on
+                    // a quiet router (paper §4: triggered when the router is
+                    // underutilized or overheating is predicted).
+                    let forced_ready = router.directive.gate == Some(true)
+                        && router.idle_cycles >= self.cfg.forced_idle_threshold;
+                    let reactive_ready = self.cfg.reactive_gating
+                        && router.directive.gate != Some(false)
+                        && router.idle_cycles >= self.cfg.idle_gate_threshold;
+                    if (forced_ready || reactive_ready)
+                        && router.is_gateable()
+                        && (self.cfg.bypass_enabled || (!busy && !ni_waiting && incoming == 0))
+                    {
+                        router.gate = GateState::Gated;
+                        router.idle_cycles = 0;
+                        gate_edge = Some(GateEdge::On);
+                    }
+                    router.gate_pending = false;
+                }
+                GateState::Gated => {
+                    router.step.gated_cycles += 1;
+                    self.stats.gated_router_cycles += 1;
+                    let forced = router.directive.gate == Some(true);
+                    let policy_wake = router.directive.gate == Some(false);
+                    let turn_wake = turn_pending;
+                    let pressure_wake = if forced {
+                        // Proactive stress-relax mode rides out pressure
+                        // using MFAC storage before powering back on.
+                        max_incoming
+                            >= self.cfg.forced_wake_occupancy.min(self.cfg.channel_capacity.max(1))
+                    } else {
+                        max_incoming
+                            >= self.cfg.wake_occupancy.min(self.cfg.channel_capacity.max(1))
+                    };
+                    let stranded = !self.cfg.bypass_enabled && (incoming > 0 || ni_waiting);
+                    if policy_wake || pressure_wake || stranded || turn_wake {
+                        router.gate = GateState::Waking(now + self.cfg.wakeup_latency as u64);
+                        router.counters.wakeups += 1;
+                    }
+                }
+                GateState::Waking(t) => {
+                    router.step.gated_cycles += 1;
+                    self.stats.gated_router_cycles += 1;
+                    if now >= t {
+                        router.gate = GateState::On;
+                        router.idle_cycles = 0;
+                        gate_edge = Some(GateEdge::Off);
+                    }
+                }
+            }
+            if let Some(edge) = gate_edge {
+                self.probe.event(Event::PowerGate { cycle: now, router: r as u32, edge });
+            }
+        }
+        self.probe.gate_cycle(self.routers.len(), |r| {
+            self.routers[r].is_gated_or_waking() || !self.health.router_up(r)
+        });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::tests::quiet_config;
+    use super::*;
+    use crate::flit::{make_packet, Flit};
+    use crate::topology::DIRS;
+    use noc_traffic::WorkloadSpec;
+
+    #[test]
+    fn empty_router_still_advances_round_robin_pointers() {
+        // The pointers are cycle-domain state: the early returns of the
+        // empty-router paths must advance them exactly like a full visit.
+        let spec = WorkloadSpec { packets_per_node: 0, ..WorkloadSpec::uniform(0.0, 0) };
+        let mut net = Network::new(quiet_config(), spec, 1);
+        assert!(net.routers[9].is_drained() && net.nis[9].inject.is_empty());
+        for visit in 1..=2 * PORTS {
+            net.sa_phase(9);
+            net.bypass_phase(9);
+            assert_eq!(net.routers[9].sa_rr, visit % PORTS);
+            assert_eq!(net.routers[9].bypass_rr, visit % PORTS);
+        }
+    }
+
+    /// The gather-and-scan switch allocator that `sa_allocate` replaced, kept
+    /// as the reference: poll every VC's head for eligibility in round-robin
+    /// port order, then per output rescan that list for the first candidate
+    /// of a not-yet-granted input port, walking the downstream port's VCs
+    /// for a free one. Reads entries and queues, never the masks.
+    fn sa_allocate_by_polling(net: &Network, r: usize, sa_base: usize) -> [Option<SaGrant>; PORTS] {
+        let now = net.now;
+        let router = &net.routers[r];
+        let mut cands = Vec::new();
+        for pk in 0..PORTS {
+            let p = (sa_base + pk) % PORTS;
+            for (v, vc) in router.port_vcs(p).iter().enumerate() {
+                if router.sa_candidate(p, v, now).is_some() {
+                    cands.push((vc.route(), p, v));
+                }
+            }
+        }
+        let mut granted_inputs = [false; PORTS];
+        let mut grants = [None; PORTS];
+        for (k, slot) in grants.iter_mut().enumerate() {
+            let out = Port::from_index((sa_base + k) % PORTS);
+            if !cands.iter().any(|c| c.0 == out) {
+                continue;
+            }
+            if out != Port::Local
+                && !(net.health.usable(r, out) && net.links.has_space(net.channel_index(r, out)))
+            {
+                continue;
+            }
+            let down = net.health.neighbor(r, out).map(|dv| &net.routers[dv]);
+            let down_reservable = down.is_some_and(|d| d.is_on() && !d.gate_pending);
+            for &(route, p, v) in &cands {
+                if route != out || granted_inputs[p] {
+                    continue;
+                }
+                let flit = router.sa_candidate(p, v, now).expect("gathered as a candidate");
+                let dvc = if out == Port::Local {
+                    NO_VC
+                } else if !flit.is_head() {
+                    router.vc(p, v).out_vc()
+                } else if down_reservable {
+                    let free = down.expect("non-local output").port_vcs(out.opposite().index());
+                    match free.iter().position(|vc| vc.available()) {
+                        Some(vc) => vc as u8,
+                        None => continue, // VA failed: no free VC
+                    }
+                } else {
+                    NO_VC
+                };
+                granted_inputs[p] = true;
+                *slot = Some(SaGrant { port: p, vc: v, out, dvc });
+                break;
+            }
+        }
+        grants
+    }
+
+    /// What one VC of the router under test holds in the allocator proptest:
+    /// `(kind, route, flits - 1, head-ready offset, out_vc)`, kind 0 = free,
+    /// 1 = reserved, 2 = head flit first, 3 = head departed.
+    type VcSeed = (u8, u8, u8, u64, u8);
+
+    /// What lies beyond one output of the router under test: `(link dead
+    /// if 0, channel full if 0, downstream gate 0-1 on / 2 gated / 3 waking,
+    /// gate_pending if 0, downstream VCs taken as a bit per VC)`.
+    type OutputSeed = (u8, u8, u8, u8, u8);
+
+    /// Builds the centre router of a 3x3 mesh (four neighbours) from the
+    /// seeds and checks the mask allocator against the polling one, then
+    /// that `sa_phase` carries out exactly those grants.
+    fn check_allocation(
+        (vcs, depth, sa_rr): (usize, usize, usize),
+        rows: &[VcSeed],
+        outputs: &[OutputSeed],
+    ) {
+        let (r, now) = (4, 10);
+        let mut cfg = quiet_config();
+        (cfg.width, cfg.height, cfg.vcs, cfg.vc_depth, cfg.channel_capacity) =
+            (3, 3, vcs, depth, 2);
+        let spec = WorkloadSpec { packets_per_node: 0, ..WorkloadSpec::uniform(0.0, 0) };
+        let mut net = Network::new(cfg, spec, 1);
+        net.now = now;
+        net.routers[r].sa_rr = sa_rr;
+        for (row, &(kind, route, extra, ready_in, out_vc)) in
+            rows.iter().take(PORTS * vcs).enumerate()
+        {
+            let (p, v) = (row / vcs, row % vcs);
+            let packet = 100 + row as u64;
+            let route = Port::from_index(route as usize);
+            // Only flits that are home may be routed to the local port.
+            let dest = if route == Port::Local { r as u16 } else { 0 };
+            let flits = make_packet(packet, packet * 4, 0, dest, 0);
+            let ready = now - 2 + ready_in; // eligible now for offsets 0..=2
+            let queued = 1 + (extra as usize).min(depth - 1);
+            let router = &mut net.routers[r];
+            match kind {
+                0 => {}
+                1 => router.reserve(p, v, packet),
+                2 => {
+                    for (i, f) in flits.iter().take(queued).enumerate() {
+                        router.enqueue(p, v, *f, route, ready + i as u64);
+                    }
+                }
+                _ => {
+                    // The head came and went; bodies stream behind it.
+                    router.enqueue(p, v, flits[0], route, 0);
+                    let _ = router.pop_granted(p, v, now);
+                    router.set_out_vc(p, v, if out_vc == 4 { NO_VC } else { out_vc });
+                    for (i, f) in flits[1..].iter().take(queued).enumerate() {
+                        router.enqueue(p, v, *f, route, ready + i as u64);
+                    }
+                }
+            }
+        }
+        for (dir, &(dead, full, gate, gate_pending, taken)) in
+            Port::DIRECTIONS.into_iter().zip(outputs)
+        {
+            if dead == 0 {
+                net.health.set_link(r, dir, false);
+            }
+            let ci = net.channel_index(r, dir);
+            while full == 0 && net.links.has_space(ci) {
+                net.links.push_delayed(ci, make_packet(900, 3600, 0, 1, 0)[0], now, 0);
+            }
+            let down = &mut net.routers[net.mesh.neighbor(r, dir).expect("centre router")];
+            down.gate = match gate {
+                0 | 1 => GateState::On,
+                2 => GateState::Gated,
+                _ => GateState::Waking(now + 3),
+            };
+            down.gate_pending = gate_pending == 0;
+            for vc in (0..vcs).filter(|vc| taken >> vc & 1 == 1) {
+                down.reserve(dir.opposite().index(), vc, 700 + vc as u64);
+            }
+        }
+        // Promote in two steps, as consecutive cycles would.
+        net.routers[r].promote_ready(now - 1);
+        net.routers[r].promote_ready(now);
+        assert_eq!(net.routers[r].index_drift(now), None);
+        let want = sa_allocate_by_polling(&net, r, sa_rr);
+        assert_eq!(net.sa_allocate(r, sa_rr), want);
+
+        let before = net.routers[r].occupancy();
+        let granted: Vec<(SaGrant, Flit)> = want
+            .iter()
+            .flatten()
+            .map(|g| {
+                let flit = net.routers[r].sa_candidate(g.port, g.vc, now);
+                (*g, *flit.expect("granted VCs hold an eligible flit"))
+            })
+            .collect();
+        net.sa_phase(r);
+        assert_eq!(net.routers[r].sa_rr, (sa_rr + 1) % PORTS);
+        assert_eq!(net.routers[r].occupancy(), before - granted.len());
+        for (g, flit) in granted {
+            if flit.is_head() && g.dvc != NO_VC {
+                let dv = net.mesh.neighbor(r, g.out).expect("centre router");
+                let reserved = net.routers[dv].vc(g.out.opposite().index(), g.dvc as usize);
+                assert!(reserved.is_reserved_for(flit.packet_id), "{g:?}: {reserved:?}");
+            }
+        }
+        net.now += 1; // the drift check expects the cycle to have ended
+        assert_eq!(net.occupancy_index_drift(), None);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(400))]
+
+        /// Mask-based allocation grants exactly what the polling allocator
+        /// grants — same `(input port, vc, out, dvc)` per output — for any
+        /// table state: free, reserved and bound VCs, heads and bodies,
+        /// heads eligible now or later, every round-robin offset, full and
+        /// dead outputs, gated, waking and gate-pending downstream routers
+        /// with any subset of their VCs taken.
+        #[test]
+        fn mask_allocation_grants_what_polling_grants(
+            shape in (1usize..5, 1usize..4, 0usize..PORTS),
+            rows in proptest::collection::vec((0u8..4, 0u8..5, 0u8..3, 0u64..4, 0u8..5), 20),
+            outputs in proptest::collection::vec((0u8..6, 0u8..4, 0u8..4, 0u8..5, 0u8..16), DIRS),
+        ) {
+            check_allocation(shape, &rows, &outputs);
+        }
+    }
+}

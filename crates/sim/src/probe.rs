@@ -8,8 +8,8 @@
 //! Sinks read simulator state but never write it, so cycle-domain results
 //! are identical whatever is installed.
 //!
-//! Only `network.rs` calls the event points, and only from inside
-//! `step_cycle`. Every wall-clock read of the simulator happens here
+//! Only `network.rs` and its layer modules call the event points, and only
+//! from inside `step_cycle`. Every wall-clock read of the simulator happens here
 //! ([`Probe::clock`], [`Probe::span_enter`]).
 
 use crate::attribution::Attribution;

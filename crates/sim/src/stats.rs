@@ -124,9 +124,9 @@ pub struct StallReport {
     /// Packets in flight (injected − delivered − dropped) at the stall.
     pub in_flight: u64,
     /// Human-readable descriptions of the first few blocked flits (from
-    /// `snapshot_blocked`).
+    /// `network/dump.rs`'s `snapshot_blocked`).
     pub blocked: Vec<String>,
-    /// Full network state dump (from `snapshot_dump`).
+    /// Full network state dump (from `snapshot_dump`, same file).
     pub dump: String,
 }
 
