@@ -3,7 +3,7 @@
 //! these files).
 
 use crate::CampaignResults;
-use intellinoc::{Design, NormalizedMetrics};
+use intellinoc::NormalizedMetrics;
 use std::io::{self, Write};
 
 /// The per-figure metric columns exported by [`write_campaign_csv`].
@@ -90,25 +90,17 @@ pub fn write_raw_csv<W: Write>(mut w: W, results: &CampaignResults) -> io::Resul
     Ok(())
 }
 
-/// Convenience: the designs in export order (baseline first).
-pub fn design_order() -> [Design; 5] {
-    Design::ALL
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Campaign;
-    use intellinoc::compare;
+    use intellinoc::RunnerConfig;
     use noc_traffic::ParsecBenchmark;
 
     fn tiny() -> CampaignResults {
-        let campaign = Campaign { packets_per_node: 4, ..Campaign::default() };
-        let outcomes = campaign.run_benchmark(ParsecBenchmark::Swaptions, None);
-        CampaignResults {
-            rows: vec![compare(&outcomes)],
-            raw: vec![(ParsecBenchmark::Swaptions, outcomes)],
-        }
+        Campaign { packets_per_node: 4, ..Campaign::default() }
+            .run(&[ParsecBenchmark::Swaptions], None, &RunnerConfig::serial())
+            .expect("clean grid")
     }
 
     #[test]

@@ -1,25 +1,38 @@
 //! # intellinoc-bench
 //!
-//! Figure/table regeneration harness for the IntelliNoC reproduction.
+//! The paper's evaluation (§7) as one table. [`FIGURES`] lists every
+//! experiment — Figs. 9–18, Table 2 and the extension studies — by the name
+//! DESIGN.md §3 and EXPERIMENTS.md use, each with the function that renders
+//! it; the one binary, `figures`, looks names up here
+//! (`figures --list`, `figures <name>…`, `figures all`).
 //!
-//! Each evaluation figure of the paper has a binary (`fig09_speedup`,
-//! `fig10_latency`, …) built on the campaign utilities here: run every
-//! design on every PARSEC benchmark, normalize to the SECDED baseline, and
-//! print the same rows/series the paper reports. `all_figures` runs the lot.
+//! Studies that are a plain grid of independent runs execute through the
+//! `noc-runner` engine ([`intellinoc::run_units`]) via [`run_grid`] — the
+//! 5 designs × 10 benchmarks campaign behind Figs. 9–16 and the probe, the
+//! load sweep — or through `run_campaign_runner` (the resilience grid), so
+//! `--jobs N` parallelizes them without moving a byte of output. An
+//! [`Evaluation`] carries the campaign parameters and worker count across
+//! the figures of one invocation and runs the campaign at most once, in
+//! memory. Every run keeps the seed its study pins (2019 for the campaign):
+//! Figs. 9–16 normalize each benchmark to SECDED on the *same* traffic, so
+//! the runner's key-derived seeds are deliberately not used here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod csv;
+mod studies;
 
-pub use csv::{design_order, write_campaign_csv, write_raw_csv, METRIC_COLUMNS};
+pub use csv::{write_campaign_csv, write_raw_csv, METRIC_COLUMNS};
+pub use studies::print_headline;
 
 use intellinoc::{
-    compare, pretrain_intellinoc, run_experiment, ComparisonRow, Design, ExperimentConfig,
-    ExperimentOutcome, NormalizedMetrics, RewardKind,
+    compare, pretrain_intellinoc, run_units, ChaosOptions, ComparisonRow, Design, ExperimentConfig,
+    ExperimentOutcome, NormalizedMetrics, RewardKind, RunStatus, RunnerConfig, UnitCtx, UnitSinks,
 };
 use noc_rl::{QLearningConfig, QTable};
 use noc_traffic::ParsecBenchmark;
+use std::io::{self, Write};
 
 /// Default packets-per-node budget for figure campaigns. Keeps full-campaign
 /// wall-clock tractable while exercising thousands of packets per run.
@@ -68,13 +81,14 @@ impl Campaign {
         )
     }
 
-    /// Runs one design on one benchmark.
-    pub fn run_one(
+    /// The experiment of one design on one benchmark under this campaign's
+    /// seed, time step and RL hyperparameters.
+    pub fn config(
         &self,
         design: Design,
         bench: ParsecBenchmark,
         pretrained: Option<&[QTable]>,
-    ) -> ExperimentOutcome {
+    ) -> ExperimentConfig {
         let mut cfg = ExperimentConfig::new(design, bench.workload(self.packets_per_node))
             .with_seed(self.seed)
             .with_time_step(self.time_step);
@@ -82,35 +96,79 @@ impl Campaign {
         if design.uses_rl() {
             cfg.pretrained = pretrained.map(<[QTable]>::to_vec);
         }
-        run_experiment(cfg)
+        cfg
     }
 
-    /// Runs all five designs on one benchmark and returns the raw outcomes.
-    pub fn run_benchmark(
+    /// Runs all five designs on each of `benches` as one [`run_grid`] grid
+    /// (keys `fig/<bench>/<design>`) and normalizes each benchmark to its
+    /// SECDED run.
+    ///
+    /// # Errors
+    ///
+    /// As [`run_grid`]: the first unit that did not finish `ok`, by key.
+    pub fn run(
         &self,
-        bench: ParsecBenchmark,
+        benches: &[ParsecBenchmark],
         pretrained: Option<&[QTable]>,
-    ) -> Vec<ExperimentOutcome> {
-        Design::ALL.iter().map(|&design| self.run_one(design, bench, pretrained)).collect()
-    }
-
-    /// Runs the full paper campaign: all designs × the 10-benchmark test
-    /// set, with IntelliNoC pre-trained on blackscholes.
-    pub fn run_full(&self) -> CampaignResults {
-        let pretrained = self.pretrain();
-        let mut rows = Vec::new();
-        let mut raw = Vec::new();
-        for bench in ParsecBenchmark::TEST_SET {
-            let outcomes = self.run_benchmark(bench, Some(&pretrained));
-            rows.push(compare(&outcomes));
-            raw.push((bench, outcomes));
+        rcfg: &RunnerConfig,
+    ) -> Result<CampaignResults, String> {
+        let cells: Vec<(String, ExperimentConfig)> = benches
+            .iter()
+            .flat_map(|&bench| {
+                Design::ALL.map(|design| {
+                    let key = format!("fig/{}/{}", bench.label(), design.label());
+                    (key, self.config(design, bench, pretrained))
+                })
+            })
+            .collect();
+        let mut outcomes = run_grid(&cells, rcfg)?.into_iter();
+        let mut results = CampaignResults { rows: Vec::new(), raw: Vec::new() };
+        for &bench in benches {
+            let per_design: Vec<ExperimentOutcome> =
+                outcomes.by_ref().take(Design::ALL.len()).collect();
+            results.rows.push(compare(&per_design));
+            results.raw.push((bench, per_design));
         }
-        CampaignResults { rows, raw }
+        Ok(results)
     }
 }
 
-/// Results of a full campaign.
-#[derive(Debug, serde::Serialize, serde::Deserialize)]
+/// Runs `cells` — `(run key, experiment)` pairs — as one `run_units` grid
+/// under `rcfg` and returns the outcomes in cell order. Each experiment
+/// runs under the seed it arrives with (the one its study pins), not the
+/// runner's key-derived one.
+///
+/// # Errors
+///
+/// Engine errors (duplicate keys), and the first unit that did not finish
+/// `ok` — timed out, stalled or panicked — named by its key.
+pub fn run_grid(
+    cells: &[(String, ExperimentConfig)],
+    rcfg: &RunnerConfig,
+) -> Result<Vec<ExperimentOutcome>, String> {
+    let keys: Vec<String> = cells.iter().map(|(key, _)| key.clone()).collect();
+    let report = run_units(0, &keys, rcfg, &ChaosOptions::default(), |ctx: &UnitCtx| {
+        let (_, cfg) = cells
+            .iter()
+            .find(|(key, _)| key == ctx.key)
+            .expect("runner only executes supplied keys");
+        UnitSinks::default().run_unit(cfg.clone(), ctx, ExperimentOutcome::clone)
+    })?;
+    report
+        .records
+        .into_iter()
+        .map(|rec| match (rec.status, rec.payload) {
+            (RunStatus::Ok, Some(outcome)) => Ok(outcome),
+            (status, _) => {
+                let detail = rec.error.unwrap_or_else(|| "out of cycle budget or stalled".into());
+                Err(format!("unit {} {}: {detail}", rec.key, status.label()))
+            }
+        })
+        .collect()
+}
+
+/// Results of a campaign.
+#[derive(Debug)]
 pub struct CampaignResults {
     /// Normalized comparison per benchmark.
     pub rows: Vec<ComparisonRow>,
@@ -118,73 +176,284 @@ pub struct CampaignResults {
     pub raw: Vec<(ParsecBenchmark, Vec<ExperimentOutcome>)>,
 }
 
-/// Default cache location for the full campaign results.
-pub const CAMPAIGN_CACHE: &str = "target/intellinoc-campaign.json";
-
-/// Loads cached campaign results from `path`, or runs the full campaign and
-/// caches it. Figure binaries share one campaign this way; delete the file
-/// (or set `INTELLINOC_FRESH=1`) to force a re-run.
-pub fn load_or_run_campaign(campaign: &Campaign, path: &str) -> CampaignResults {
-    let fresh = std::env::var_os("INTELLINOC_FRESH").is_some();
-    if !fresh {
-        if let Ok(bytes) = std::fs::read(path) {
-            if let Ok(results) = serde_json::from_slice::<CampaignResults>(&bytes) {
-                eprintln!("[campaign] loaded cached results from {path}");
-                return results;
-            }
-        }
+/// Writes `lead`, then one right-aligned column heading per design.
+fn design_columns(w: &mut dyn Write, lead: &str) -> io::Result<()> {
+    write!(w, "{lead}")?;
+    for d in Design::ALL {
+        write!(w, "{:>12}", d.label())?;
     }
-    eprintln!("[campaign] running full campaign (5 designs x 10 benchmarks)...");
-    let results = campaign.run_full();
-    if let Some(dir) = std::path::Path::new(path).parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    match serde_json::to_vec(&results) {
-        Ok(bytes) => {
-            if let Err(e) = std::fs::write(path, bytes) {
-                eprintln!("[campaign] could not cache results: {e}");
-            }
-        }
-        Err(e) => eprintln!("[campaign] could not serialize results: {e}"),
-    }
-    results
+    writeln!(w)
 }
 
 impl CampaignResults {
-    /// Prints a figure table: one row per benchmark, one column per design,
+    /// Writes a figure table: one row per benchmark, one column per design,
     /// using `metric` to extract the plotted value, plus the average row.
-    pub fn print_figure<F>(&self, title: &str, better: &str, metric: F)
-    where
-        F: Fn(&NormalizedMetrics) -> f64 + Copy,
-    {
-        println!("\n=== {title} ({better}) ===");
-        print!("{:<10}", "workload");
-        for d in Design::ALL {
-            print!("{:>12}", d.label());
-        }
-        println!();
+    ///
+    /// # Errors
+    ///
+    /// Returns any I/O error from the writer.
+    pub fn print_figure(
+        &self,
+        w: &mut dyn Write,
+        title: &str,
+        better: &str,
+        metric: fn(&NormalizedMetrics) -> f64,
+    ) -> io::Result<()> {
+        writeln!(w, "\n=== {title} ({better}) ===")?;
+        design_columns(w, &format!("{:<10}", "workload"))?;
         for row in &self.rows {
-            print!("{:<10}", row.workload);
+            write!(w, "{:<10}", row.workload)?;
             for (_, m) in &row.designs {
-                print!("{:>12.3}", metric(m));
+                write!(w, "{:>12.3}", metric(m))?;
             }
-            println!();
+            writeln!(w)?;
         }
-        print!("{:<10}", "average");
+        write!(w, "{:<10}", "average")?;
         for d in Design::ALL {
-            print!("{:>12.3}", intellinoc::geomean(&self.rows, d, metric));
+            write!(w, "{:>12.3}", self.average(d, metric))?;
         }
-        println!();
+        writeln!(w)
     }
 
     /// Geometric-mean value of a metric for one design across benchmarks.
-    pub fn average<F>(&self, design: Design, metric: F) -> f64
-    where
-        F: Fn(&NormalizedMetrics) -> f64 + Copy,
-    {
+    pub fn average(&self, design: Design, metric: fn(&NormalizedMetrics) -> f64) -> f64 {
         intellinoc::geomean(&self.rows, design, metric)
     }
 }
+
+/// What the figures of one `figures` invocation share: the campaign
+/// parameters, the worker count for the grid studies, and the campaign
+/// results — computed on first use, kept in memory, never on disk.
+#[derive(Debug)]
+pub struct Evaluation {
+    /// Campaign parameters ([`Campaign::default`] is the paper's job).
+    pub campaign: Campaign,
+    /// Worker threads for the grid studies (results identical at any count).
+    pub jobs: usize,
+    results: Option<CampaignResults>,
+}
+
+impl Evaluation {
+    /// An evaluation that has run nothing yet.
+    pub fn new(campaign: Campaign, jobs: usize) -> Self {
+        Evaluation { campaign, jobs, results: None }
+    }
+
+    /// The runner configuration of this evaluation's grid studies.
+    pub fn runner(&self) -> RunnerConfig {
+        RunnerConfig::serial().with_jobs(self.jobs)
+    }
+
+    /// The full paper campaign — all designs × the 10-benchmark test set,
+    /// IntelliNoC pre-trained on blackscholes — run on first call.
+    ///
+    /// # Errors
+    ///
+    /// A unit that did not finish `ok` ([`run_grid`]), as an I/O error so
+    /// renderers propagate it with `?`.
+    pub fn results(&mut self) -> io::Result<&CampaignResults> {
+        if self.results.is_none() {
+            eprintln!("[campaign] running 5 designs x 10 benchmarks, {} worker(s)...", self.jobs);
+            let pretrained = self.campaign.pretrain();
+            let results = self
+                .campaign
+                .run(&ParsecBenchmark::TEST_SET, Some(&pretrained), &self.runner())
+                .map_err(io::Error::other)?;
+            self.results = Some(results);
+        }
+        Ok(self.results.as_ref().expect("computed above"))
+    }
+}
+
+/// One entry of the evaluation: a paper figure or table, or an extension
+/// study.
+#[derive(Debug, Clone, Copy)]
+pub struct Figure {
+    /// The key `figures <name>` takes; DESIGN.md §3 and EXPERIMENTS.md
+    /// refer to experiments by it.
+    pub name: &'static str,
+    /// One line on what it shows.
+    pub about: &'static str,
+    /// Runs what it needs and writes the table(s).
+    pub render: fn(&mut Evaluation, &mut dyn Write) -> io::Result<()>,
+}
+
+/// Every experiment of the evaluation, in `figures all` order: the paper's
+/// Figs. 9–18 and Table 2 (DESIGN.md §3), then the extension studies.
+pub const FIGURES: &[Figure] = &[
+    Figure {
+        name: "fig09_speedup",
+        about: "Fig. 9: speed-up of full execution time, normalized to SECDED",
+        render: |e, w| {
+            studies::metric_figure(
+                e,
+                w,
+                "Fig. 9: speed-up of execution time vs SECDED baseline",
+                "higher is better",
+                |m| m.speedup,
+                "paper averages: EB 1.06, CP 0.97, CPD 1.08, IntelliNoC 1.16",
+            )
+        },
+    },
+    Figure {
+        name: "fig10_latency",
+        about: "Fig. 10: average end-to-end packet latency, normalized to SECDED",
+        render: |e, w| {
+            studies::metric_figure(
+                e,
+                w,
+                "Fig. 10: average end-to-end latency vs SECDED baseline",
+                "lower is better",
+                |m| m.latency,
+                "paper averages: EB 0.83, IntelliNoC 0.68",
+            )
+        },
+    },
+    Figure {
+        name: "fig11_static_power",
+        about: "Fig. 11: static power, normalized to SECDED",
+        render: |e, w| {
+            studies::metric_figure(
+                e,
+                w,
+                "Fig. 11: static power vs SECDED baseline",
+                "lower is better",
+                |m| m.static_power,
+                "paper averages: EB 0.86, CP 0.80, CPD 0.77, IntelliNoC lowest",
+            )
+        },
+    },
+    Figure {
+        name: "fig12_dynamic_power",
+        about: "Fig. 12: dynamic power, normalized to SECDED",
+        render: |e, w| {
+            studies::metric_figure(
+                e,
+                w,
+                "Fig. 12: dynamic power vs SECDED baseline",
+                "lower is better",
+                |m| m.dynamic_power,
+                "paper: IntelliNoC outperforms all other techniques",
+            )
+        },
+    },
+    Figure {
+        name: "fig13_energy_efficiency",
+        about: "Fig. 13: energy-efficiency (Eq. 8), normalized to SECDED",
+        render: |e, w| {
+            studies::metric_figure(
+                e,
+                w,
+                "Fig. 13: energy-efficiency (Eq. 8) vs SECDED baseline",
+                "higher is better",
+                |m| m.energy_efficiency,
+                "paper averages: CPD 1.36, IntelliNoC 1.67",
+            )
+        },
+    },
+    Figure {
+        name: "fig14_mode_breakdown",
+        about: "Fig. 14: IntelliNoC operation-mode breakdown per benchmark",
+        render: studies::fig14,
+    },
+    Figure {
+        name: "fig15_retransmissions",
+        about: "Fig. 15: re-transmitted flits, normalized to SECDED, plus absolute counts",
+        render: studies::fig15,
+    },
+    Figure {
+        name: "fig16_mttf",
+        about: "Fig. 16: mean-time-to-failure, normalized to SECDED",
+        render: |e, w| {
+            studies::metric_figure(
+                e,
+                w,
+                "Fig. 16: MTTF vs SECDED baseline",
+                "higher is better",
+                |m| m.mttf,
+                "paper average: IntelliNoC 1.77x baseline",
+            )
+        },
+    },
+    Figure {
+        name: "fig17a_timestep",
+        about: "Fig. 17a: RL control time-step sweep, IntelliNoC vs SECDED on 4 benchmarks",
+        render: studies::fig17a,
+    },
+    Figure {
+        name: "fig17b_error_rate",
+        about: "Fig. 17b: forced bit-error-rate sweep, IntelliNoC vs SECDED on 3 benchmarks",
+        render: studies::fig17b,
+    },
+    Figure {
+        name: "fig18a_gamma",
+        about: "Fig. 18a: discount rate gamma vs EDP and re-transmissions (blackscholes, seed 7)",
+        render: |_, w| {
+            studies::hyper_sweep(
+                w,
+                "Fig. 18a: impact of discount rate gamma",
+                ("gamma", 6, 1),
+                &[0.0, 0.1, 0.2, 0.5, 0.9, 1.0],
+                |rl, gamma| rl.gamma = gamma as f32,
+                "paper: EDP improves with larger gamma up to 0.9; gamma=1 fails to converge",
+            )
+        },
+    },
+    Figure {
+        name: "fig18b_epsilon",
+        about: "Fig. 18b: exploration epsilon vs EDP and re-transmissions (blackscholes, seed 7)",
+        render: |_, w| {
+            studies::hyper_sweep(
+                w,
+                "Fig. 18b: impact of exploration probability epsilon",
+                ("epsilon", 8, 2),
+                &[0.0, 0.01, 0.05, 0.1, 0.2, 0.5, 1.0],
+                |rl, epsilon| rl.epsilon = epsilon,
+                "paper: both extremes (epsilon=0 and epsilon=1) are sub-optimal; 0.05 is best",
+            )
+        },
+    },
+    Figure {
+        name: "table2_area",
+        about: "Table 2: per-router area by component and design (um^2, 32 nm)",
+        render: studies::table2,
+    },
+    Figure {
+        name: "ablations",
+        about: "DESIGN.md §6 ablations D1/D2/D3/D5, IntelliNoC on canneal (seed 5)",
+        render: studies::ablations,
+    },
+    Figure {
+        name: "expert_vs_rl",
+        about: "learned policy vs a hand-written threshold rule on 3 benchmarks (seed 21)",
+        render: studies::expert_vs_rl,
+    },
+    Figure {
+        name: "qtable_faults",
+        about: "soft errors in the Q-tables, IntelliNoC on canneal (seed 31)",
+        render: studies::qtable_faults,
+    },
+    Figure {
+        name: "scaling",
+        about: "4x4 / 8x8 / 16x16 meshes under uniform traffic, SECDED and IntelliNoC (seed 13)",
+        render: studies::scaling,
+    },
+    Figure {
+        name: "load_sweep",
+        about: "latency vs offered load, 8 rates x 5 designs on uniform traffic (seed 42)",
+        render: studies::load_sweep,
+    },
+    Figure {
+        name: "resilience",
+        about: "hard-fault campaign grid, with and without fault-aware rerouting (seed 1)",
+        render: studies::resilience,
+    },
+    Figure {
+        name: "probe",
+        about: "raw campaign metrics of every design on 4 benchmarks (calibration check)",
+        render: studies::probe,
+    },
+];
 
 /// Formats a number with thousands separators for table output.
 pub fn fmt_u64(v: u64) -> String {
@@ -211,12 +480,89 @@ mod tests {
         assert_eq!(fmt_u64(1_234_567), "1,234,567");
     }
 
+    fn tiny_campaign() -> Campaign {
+        Campaign { packets_per_node: 4, ..Campaign::default() }
+    }
+
+    /// A 4-packets-per-node evaluation of one benchmark, not pre-trained.
+    fn tiny_evaluation(jobs: usize) -> Evaluation {
+        let mut eval = Evaluation::new(tiny_campaign(), jobs);
+        let results = eval.campaign.run(&[ParsecBenchmark::Swaptions], None, &eval.runner());
+        eval.results = Some(results.expect("clean grid"));
+        eval
+    }
+
     #[test]
     fn tiny_campaign_runs_one_benchmark() {
-        let campaign = Campaign { packets_per_node: 4, ..Campaign::default() };
-        let outcomes = campaign.run_benchmark(ParsecBenchmark::Swaptions, None);
-        assert_eq!(outcomes.len(), 5);
-        let row = compare(&outcomes);
-        assert_eq!(row.designs.len(), 5);
+        let eval = tiny_evaluation(1);
+        let results = eval.results.as_ref().expect("seeded above");
+        assert_eq!(results.raw[0].1.len(), 5);
+        assert_eq!(results.rows[0].designs.len(), 5);
+    }
+
+    #[test]
+    fn figure_names_are_unique_and_match_design_md() {
+        let names: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
+        assert_eq!(names.len(), 20);
+        let unique: std::collections::BTreeSet<&str> = names.iter().copied().collect();
+        assert_eq!(unique.len(), names.len(), "duplicate figure name");
+        assert!(FIGURES.iter().all(|f| !f.name.is_empty() && !f.about.is_empty()));
+        // DESIGN.md §3 indexes every experiment in tables whose last column
+        // reads `figures <name>`: those rows and the rows here must agree.
+        let design = include_str!("../../../DESIGN.md");
+        let start = design.find("## 3. Experiment index").expect("DESIGN.md section 3");
+        let section = &design[start..];
+        let section = &section[..section.find("\n## 4.").expect("DESIGN.md section 4")];
+        let documented: std::collections::BTreeSet<&str> = section
+            .lines()
+            .filter_map(|line| line.strip_suffix("` |")?.rsplit_once("| `figures ").map(|c| c.1))
+            .collect();
+        assert_eq!(documented, unique, "DESIGN.md section 3 and FIGURES disagree");
+    }
+
+    /// Everything `figures all` derives from the campaign, rendered from
+    /// `eval`: Figs. 9–16, the probe, the headline block, both CSVs.
+    fn render_campaign_entries(eval: &mut Evaluation) -> Vec<u8> {
+        let mut out = Vec::new();
+        for fig in FIGURES {
+            let from_campaign = ("fig09".."fig17").contains(&fig.name) || fig.name == "probe";
+            if from_campaign {
+                let before = out.len();
+                (fig.render)(eval, &mut out).expect("renders");
+                assert!(out.len() > before, "{} rendered nothing", fig.name);
+            }
+        }
+        let before = out.len();
+        print_headline(eval, &mut out).expect("renders");
+        assert!(out.len() > before, "headline rendered nothing");
+        let results = eval.results().expect("seeded");
+        write_campaign_csv(&mut out, results).expect("in-memory write");
+        write_raw_csv(&mut out, results).expect("in-memory write");
+        out
+    }
+
+    #[test]
+    fn campaign_entries_render_identically_at_any_job_count() {
+        let serial = render_campaign_entries(&mut tiny_evaluation(1));
+        let text = String::from_utf8(serial.clone()).expect("utf8");
+        for expected in ["Fig. 9:", "Fig. 14:", "Fig. 16:", "### swaptions ###", "headline"] {
+            assert!(text.contains(expected), "missing {expected}");
+        }
+        let parallel = render_campaign_entries(&mut tiny_evaluation(2));
+        assert!(serial == parallel, "jobs = 1 and jobs = 2 must render the same bytes");
+    }
+
+    #[test]
+    fn a_unit_out_of_budget_fails_the_grid_by_key() {
+        let campaign = tiny_campaign();
+        let mut cells: Vec<(String, ExperimentConfig)> = [Design::Secded, Design::Eb]
+            .map(|d| {
+                (format!("fig/canneal/{d}"), campaign.config(d, ParsecBenchmark::Canneal, None))
+            })
+            .into();
+        // Cut EB off mid-run, with packets still in flight.
+        cells[1].1.max_cycles = 100;
+        let err = run_grid(&cells, &RunnerConfig::serial()).expect_err("EB cannot finish");
+        assert!(err.contains("fig/canneal/EB") && err.contains("timed-out"), "{err}");
     }
 }

@@ -1,0 +1,621 @@
+//! The renderers behind [`crate::FIGURES`]: each runs what its study needs
+//! — the shared campaign, a `run_units` grid of its own, or a short serial
+//! sequence where one run feeds the next (pre-train, then test) — and
+//! writes the table(s). Seeds are the ones each study pins.
+
+use crate::{design_columns, run_grid, Evaluation};
+use intellinoc::{
+    expert_decide, intellinoc_rl_config, mesh_scaling, pretrain_intellinoc, run_campaign_runner,
+    run_experiment, CampaignConfig, CampaignRunReport, ChaosOptions, Design, ExperimentConfig,
+    ExpertThresholds, NormalizedMetrics, RewardKind, RlControl, UnitSinks,
+};
+use noc_ecc::EccScheme;
+use noc_power::{AreaBreakdown, AreaModel};
+use noc_rl::{QLearningConfig, StateKey};
+use noc_sim::{Network, RunReport, SimConfig};
+use noc_traffic::{ParsecBenchmark, WorkloadSpec};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+use std::io::{self, Write};
+
+/// Figs. 9–13 and 16: one normalized metric per (benchmark, design), then
+/// the paper's numbers for comparison.
+pub(crate) fn metric_figure(
+    eval: &mut Evaluation,
+    w: &mut dyn Write,
+    title: &str,
+    better: &str,
+    metric: fn(&NormalizedMetrics) -> f64,
+    paper: &str,
+) -> io::Result<()> {
+    eval.results()?.print_figure(w, title, better, metric)?;
+    writeln!(w, "\n{paper}")
+}
+
+/// Fig. 14 — IntelliNoC operation-mode breakdown per benchmark (fraction of
+/// router-steps spent in each of the five modes).
+pub(crate) fn fig14(eval: &mut Evaluation, w: &mut dyn Write) -> io::Result<()> {
+    let results = eval.results()?;
+    writeln!(w, "\n=== Fig. 14: IntelliNoC operation-mode breakdown ===")?;
+    writeln!(
+        w,
+        "{:<10} {:>8} {:>8} {:>8} {:>8} {:>8}",
+        "workload", "mode0", "mode1", "mode2", "mode3", "mode4"
+    )?;
+    let mut avg = [0.0f64; 5];
+    let mut n = 0.0;
+    for (bench, outcomes) in &results.raw {
+        let Some(o) = outcomes.iter().find(|o| o.design == Design::IntelliNoc) else {
+            continue;
+        };
+        let fr = o.mode_fractions();
+        write!(w, "{:<10}", bench.label())?;
+        for (a, f) in avg.iter_mut().zip(&fr) {
+            write!(w, " {f:>8.3}")?;
+            *a += f;
+        }
+        writeln!(w)?;
+        n += 1.0;
+    }
+    write!(w, "{:<10}", "average")?;
+    for a in avg {
+        write!(w, " {:>8.3}", a / n)?;
+    }
+    writeln!(w)?;
+    writeln!(w, "\npaper averages: mode0 ~0.20, mode1 ~0.55, modes 2-4 ~0.25 together")
+}
+
+/// Fig. 15 — re-transmitted flits, normalized, plus the absolute counts: at
+/// this reproduction's calibrated error rates the baseline's absolute count
+/// is small (see EXPERIMENTS.md).
+pub(crate) fn fig15(eval: &mut Evaluation, w: &mut dyn Write) -> io::Result<()> {
+    let results = eval.results()?;
+    results.print_figure(
+        w,
+        "Fig. 15: re-transmitted flits vs SECDED baseline",
+        "lower is better",
+        |m| m.retransmissions,
+    )?;
+    writeln!(w, "\nabsolute re-transmitted flits:")?;
+    design_columns(w, &format!("{:<10}", "workload"))?;
+    for (bench, outcomes) in &results.raw {
+        write!(w, "{:<10}", bench.label())?;
+        for o in outcomes {
+            write!(w, "{:>12}", o.report.stats.retransmitted_flits)?;
+        }
+        writeln!(w)?;
+    }
+    writeln!(w, "\npaper: baseline highest; IntelliNoC lowest at ~0.55x baseline")
+}
+
+/// Geometric means, over `(IntelliNoC, baseline)` report pairs, of the
+/// execution-time, latency and total-energy ratios (Figs. 17a/17b).
+fn ratio_geomeans(pairs: &[(&RunReport, &RunReport)]) -> [f64; 3] {
+    let mut ln_sums = [0.0f64; 3];
+    for (r, b) in pairs {
+        ln_sums[0] += (r.exec_cycles as f64 / b.exec_cycles as f64).ln();
+        ln_sums[1] += (r.avg_latency() / b.avg_latency()).ln();
+        ln_sums[2] += (r.power.total_energy_pj() / b.power.total_energy_pj()).ln();
+    }
+    ln_sums.map(|s| (s / pairs.len() as f64).exp())
+}
+
+/// Fig. 17a — impact of the RL control time step on IntelliNoC's
+/// system-level metrics, normalized to the SECDED baseline.
+pub(crate) fn fig17a(eval: &mut Evaluation, w: &mut dyn Write) -> io::Result<()> {
+    const BENCHES: [ParsecBenchmark; 4] = [
+        ParsecBenchmark::Canneal,
+        ParsecBenchmark::Fluidanimate,
+        ParsecBenchmark::Swaptions,
+        ParsecBenchmark::X264,
+    ];
+    writeln!(w, "=== Fig. 17a: impact of RL time step (IntelliNoC vs baseline) ===")?;
+    writeln!(w, "{:>10} {:>12} {:>12} {:>12}", "time_step", "exec_time", "e2e_latency", "energy")?;
+    // Baseline metrics are independent of the time step.
+    let baselines = BENCHES.map(|b| run_experiment(eval.campaign.config(Design::Secded, b, None)));
+    for step in [200u64, 500, 1_000, 10_000] {
+        let campaign = crate::Campaign { time_step: step, ..eval.campaign };
+        let pretrained = campaign.pretrain();
+        let runs = BENCHES
+            .map(|b| run_experiment(campaign.config(Design::IntelliNoc, b, Some(&pretrained))));
+        let pairs: Vec<_> =
+            runs.iter().zip(&baselines).map(|(o, b)| (&o.report, &b.report)).collect();
+        let [exec, lat, energy] = ratio_geomeans(&pairs);
+        writeln!(w, "{step:>10} {exec:>12.3} {lat:>12.3} {energy:>12.3}")?;
+    }
+    writeln!(w, "\npaper: 0.2k and 10k cycle steps are sub-optimal; ~1k is best")
+}
+
+/// Fig. 17b — impact of the transient bit-error rate on IntelliNoC's
+/// metrics vs the SECDED baseline. The paper sweeps average rates
+/// 1e-10..1e-7 per bit; this reproduction's calibrated operating point sits
+/// higher, so the sweep extends to 1e-4 (see EXPERIMENTS.md).
+pub(crate) fn fig17b(eval: &mut Evaluation, w: &mut dyn Write) -> io::Result<()> {
+    const BENCHES: [ParsecBenchmark; 3] =
+        [ParsecBenchmark::Canneal, ParsecBenchmark::Fluidanimate, ParsecBenchmark::Swaptions];
+    writeln!(w, "=== Fig. 17b: impact of forced bit-error rate (IntelliNoC vs baseline) ===")?;
+    writeln!(
+        w,
+        "{:>10} {:>12} {:>12} {:>12} {:>14}",
+        "bit_rate", "exec_time", "e2e_latency", "energy", "retx(intelli)"
+    )?;
+    let campaign = eval.campaign;
+    let pretrained = campaign.pretrain();
+    for rate in [1e-10f64, 1e-8, 1e-6, 1e-5, 1e-4] {
+        let run = |design: Design, bench: ParsecBenchmark| {
+            let mut cfg = campaign.config(design, bench, Some(&pretrained));
+            cfg.error_rate_override = Some(rate);
+            run_experiment(cfg)
+        };
+        let runs = BENCHES.map(|b| (run(Design::IntelliNoc, b), run(Design::Secded, b)));
+        let pairs: Vec<_> = runs.iter().map(|(o, b)| (&o.report, &b.report)).collect();
+        let [exec, lat, energy] = ratio_geomeans(&pairs);
+        let retx: u64 = runs.iter().map(|(o, _)| o.report.stats.retransmitted_flits).sum();
+        writeln!(w, "{rate:>10.0e} {exec:>12.3} {lat:>12.3} {energy:>12.3} {retx:>14}")?;
+    }
+    writeln!(w, "\npaper: the proposed design achieves better relative performance")?;
+    writeln!(w, "as the error rate increases")
+}
+
+/// Figs. 18a/18b — impact of one RL hyperparameter on IntelliNoC's
+/// energy–delay product and re-transmission rate, tuned on blackscholes as
+/// in the paper. `column` is the swept value's `(heading, width,
+/// precision)`; `set` writes it into the RL config.
+pub(crate) fn hyper_sweep(
+    w: &mut dyn Write,
+    title: &str,
+    (column, width, precision): (&str, usize, usize),
+    values: &[f64],
+    set: fn(&mut QLearningConfig, f64),
+    paper: &str,
+) -> io::Result<()> {
+    const PPN: u64 = 200;
+    const SEED: u64 = 7;
+    let workload = || ParsecBenchmark::Blackscholes.workload(PPN);
+    writeln!(w, "=== {title} (blackscholes) ===")?;
+    writeln!(w, "{column:>width$} {:>14} {:>16}", "EDP(norm)", "retx_rate(norm)")?;
+    let baseline =
+        run_experiment(ExperimentConfig::new(Design::Secded, workload()).with_seed(SEED)).report;
+    let base_edp = baseline.edp();
+    let base_retx = baseline.stats.retransmitted_flits.max(1) as f64;
+    for &value in values {
+        let mut rl = intellinoc_rl_config();
+        set(&mut rl, value);
+        let tables = pretrain_intellinoc(rl, RewardKind::LogSpace, PPN, 1_000, SEED, 12);
+        let mut cfg = ExperimentConfig::new(Design::IntelliNoc, workload()).with_seed(SEED);
+        cfg.rl = rl;
+        cfg.pretrained = Some(tables);
+        let r = run_experiment(cfg).report;
+        writeln!(
+            w,
+            "{value:>width$.precision$} {:>14.3} {:>16.3}",
+            r.edp() / base_edp,
+            r.stats.retransmitted_flits as f64 / base_retx
+        )?;
+    }
+    writeln!(w, "\n{paper}")
+}
+
+/// Table 2 — per-router area comparison across designs (µm² at 32 nm).
+pub(crate) fn table2(_: &mut Evaluation, w: &mut dyn Write) -> io::Result<()> {
+    let model = AreaModel::default();
+    writeln!(w, "=== Table 2: router area comparison (um^2, 32 nm) ===")?;
+    writeln!(
+        w,
+        "{:<16} {:>10} {:>10} {:>10} {:>10} {:>10}",
+        "component", "Baseline", "EB", "CP", "CPD", "IntelliNoC"
+    )?;
+    let breakdowns = Design::ALL.map(|d| model.router_area(&d.area_spec()));
+    let mut row = |name: &str, component: fn(&AreaBreakdown) -> f64| -> io::Result<()> {
+        write!(w, "{name:<16}")?;
+        for b in &breakdowns {
+            write!(w, " {:>10.1}", component(b))?;
+        }
+        writeln!(w)
+    };
+    row("router buffers", |b| b.buffers)?;
+    row("crossbar", |b| b.crossbar)?;
+    row("channel", |b| b.channel)?;
+    row("ECC", |b| b.ecc)?;
+    row("control", |b| b.control)?;
+    row("Q-table", |b| b.qtable)?;
+    row("total", AreaBreakdown::total)?;
+    let base = breakdowns[0].total();
+    write!(w, "{:<16}", "% change")?;
+    for b in &breakdowns {
+        write!(w, " {:>9.1}%", 100.0 * (b.total() / base - 1.0))?;
+    }
+    writeln!(w)?;
+    writeln!(w, "\npaper: EB -32.7%, CP -29.9%, IntelliNoC -25.4% (CPD not reported)")
+}
+
+/// Ablations of the design decisions called out in DESIGN.md §6: D1 MFAC
+/// channel depth, D2 bypass-while-gated vs plain power gating, D3 adaptive
+/// vs static ECC, D5 log-space (Eq. 1) vs linear reward. (D4, RL vs
+/// heuristic, is the CPD column of the main figures.)
+pub(crate) fn ablations(_: &mut Evaluation, w: &mut dyn Write) -> io::Result<()> {
+    fn run(
+        w: &mut dyn Write,
+        tag: &str,
+        tweak: Option<fn(&mut SimConfig)>,
+        reward: RewardKind,
+    ) -> io::Result<()> {
+        let workload = ParsecBenchmark::Canneal.workload(150);
+        let mut cfg = ExperimentConfig::new(Design::IntelliNoc, workload).with_seed(5);
+        cfg.tweak = tweak;
+        cfg.reward = reward;
+        let r = run_experiment(cfg).report;
+        writeln!(
+            w,
+            "{:<26} exec={:>7} lat={:>7.1} power={:>7.1}mW eff={:>8.4} retx={:>6} mttf={:>9.2e}",
+            tag,
+            r.exec_cycles,
+            r.avg_latency(),
+            r.power.total_mw(),
+            r.energy_efficiency() * 1e6,
+            r.stats.retransmitted_flits,
+            r.mttf_hours.unwrap_or(f64::NAN),
+        )
+    }
+    let log = RewardKind::LogSpace;
+    writeln!(w, "=== Ablations (IntelliNoC on canneal; see DESIGN.md Section 6) ===")?;
+    run(w, "full IntelliNoC", None, log)?;
+    writeln!(w, "\n-- D1: MFAC channel depth --")?;
+    run(w, "channel depth 4", Some(|c| c.channel_capacity = 4), log)?;
+    run(w, "channel depth 2", Some(|c| c.channel_capacity = 2), log)?;
+    writeln!(w, "\n-- D2: disable bypass-while-gated (plain power gating) --")?;
+    let no_bypass: fn(&mut SimConfig) = |c| {
+        c.bypass_enabled = false;
+        c.bypass_during_wake = false;
+    };
+    run(w, "no bypass", Some(no_bypass), log)?;
+    writeln!(w, "\n-- D3: static ECC instead of adaptive (policy still gates) --")?;
+    run(w, "always SECDED", Some(|c| c.default_scheme = EccScheme::Secded), log)?;
+    run(w, "always DECTED", Some(|c| c.default_scheme = EccScheme::Dected), log)?;
+    run(w, "always TECQED (t=3)", Some(|c| c.default_scheme = EccScheme::Tecqed), log)?;
+    writeln!(w, "\n-- D5: linear-space reward instead of Eq. 1 --")?;
+    run(w, "linear reward", None, RewardKind::Linear)?;
+    writeln!(w, "\nNote: D3 rows fix the *initial* scheme; the RL policy may still")?;
+    writeln!(w, "change it. The comparison isolates the starting configuration and")?;
+    writeln!(w, "short-run adaptation; D4 (RL vs heuristic) is CPD in Figs. 9-16.")
+}
+
+/// Ablation D4b: the learned policy vs a hand-written expert threshold rule
+/// over the same observations — the paper's claim that "manually designing
+/// the rules ... often result[s] in sub-optimal solutions".
+pub(crate) fn expert_vs_rl(_: &mut Evaluation, w: &mut dyn Write) -> io::Result<()> {
+    const SEED: u64 = 21;
+    enum Policy {
+        Rl(Box<RlControl>),
+        Expert(ExpertThresholds, [u64; 5]),
+    }
+    fn run(bench: ParsecBenchmark, mut policy: Policy) -> (RunReport, [u64; 5]) {
+        let mut cfg = Design::IntelliNoc.sim_config();
+        cfg.seed = SEED;
+        let mut net = Network::new(cfg, bench.workload(200), SEED);
+        let report = net.run_to_completion(1_000, |obs, _| {
+            Some(match &mut policy {
+                Policy::Rl(rl) => rl.decide(obs),
+                Policy::Expert(t, hist) => expert_decide(t, obs, hist),
+            })
+        });
+        let hist = match &policy {
+            Policy::Rl(rl) => rl.mode_histogram(),
+            Policy::Expert(_, hist) => *hist,
+        };
+        (report, hist)
+    }
+    writeln!(w, "=== expert threshold rule vs Q-learning (IntelliNoC hardware) ===")?;
+    writeln!(
+        w,
+        "{:<14} {:<8} {:>9} {:>9} {:>10} {:>10} {:>7}",
+        "benchmark", "policy", "exec_cyc", "latency", "power_mW", "eff(1/uJ)", "retx"
+    )?;
+    for bench in [ParsecBenchmark::Swaptions, ParsecBenchmark::Canneal, ParsecBenchmark::X264] {
+        let rl = RlControl::new(64, intellinoc_rl_config(), SEED, RewardKind::LogSpace);
+        for (name, policy) in [
+            ("RL", Policy::Rl(Box::new(rl))),
+            ("expert", Policy::Expert(ExpertThresholds::default(), [0; 5])),
+        ] {
+            let (r, hist) = run(bench, policy);
+            writeln!(
+                w,
+                "{:<14} {:<8} {:>9} {:>9.1} {:>10.1} {:>10.4} {:>7}",
+                bench.label(),
+                name,
+                r.exec_cycles,
+                r.avg_latency(),
+                r.power.total_mw(),
+                r.energy_efficiency() * 1e6,
+                r.stats.retransmitted_flits,
+            )?;
+            let total = hist.iter().sum::<u64>().max(1) as f64;
+            let [m0, m1, m2, m3, m4] = hist.map(|h| h as f64 / total);
+            writeln!(w, "               modes: {m0:.2}/{m1:.2}/{m2:.2}/{m3:.2}/{m4:.2}")?;
+        }
+    }
+    writeln!(w, "\nThe expert rule is tuned for this very simulator and still has to")?;
+    writeln!(w, "pick one threshold set for all benchmarks; the RL policy adapts per")?;
+    writeln!(w, "router and per workload (the paper's motivation, Section 1).")
+}
+
+/// Future-work experiment (paper §6): soft errors in the per-router
+/// state–action tables. Sweeps a per-time-step Q-table bit-flip probability
+/// and measures how gracefully the learned policy degrades.
+pub(crate) fn qtable_faults(_: &mut Evaluation, w: &mut dyn Write) -> io::Result<()> {
+    const SEED: u64 = 31;
+    writeln!(w, "=== Q-table soft-error resilience (paper Section 6 future work) ===")?;
+    writeln!(w, "`hit_rate` = expected bit flips per stored table entry per time step\n")?;
+    writeln!(
+        w,
+        "{:>10} {:>10} {:>10} {:>10} {:>10} {:>10}",
+        "hit_rate", "exec_cyc", "latency", "power_mW", "retx", "mode_swaps"
+    )?;
+    let tables =
+        pretrain_intellinoc(intellinoc_rl_config(), RewardKind::LogSpace, 150, 1_000, SEED, 12);
+    for flip_prob in [0.0f64, 0.1, 0.5, 2.0, 8.0] {
+        let mut cfg = Design::IntelliNoc.sim_config();
+        cfg.seed = SEED;
+        let mut net = Network::new(cfg, ParsecBenchmark::Canneal.workload(150), SEED);
+        let mut rl = RlControl::new(64, intellinoc_rl_config(), SEED, RewardKind::LogSpace);
+        rl.load_tables(tables.clone());
+        let mut rng = SmallRng::seed_from_u64(99);
+        let r = net.run_to_completion(1_000, |obs, _| {
+            // Inject soft errors before the agents read their tables.
+            rl.for_each_table(|table| {
+                // Sorted: the table iterates in hash order, which differs
+                // from process to process; the victims must not.
+                let mut states: Vec<StateKey> = table.states().collect();
+                states.sort_unstable();
+                if states.is_empty() {
+                    return;
+                }
+                let n_flips = (flip_prob * states.len() as f64).round() as usize;
+                for _ in 0..n_flips {
+                    let s = states[rng.gen_range(0..states.len())];
+                    let action = rng.gen_range(0..5);
+                    let bit = rng.gen_range(0..32);
+                    table.inject_bit_flip(s, action, bit);
+                }
+            });
+            Some(rl.decide(obs))
+        });
+        let hist = rl.mode_histogram();
+        let swaps = hist.iter().sum::<u64>() - hist.iter().max().copied().unwrap_or(0);
+        writeln!(
+            w,
+            "{:>10.2} {:>10} {:>10.1} {:>10.1} {:>10} {:>10}",
+            flip_prob,
+            r.exec_cycles,
+            r.avg_latency(),
+            r.power.total_mw(),
+            r.stats.retransmitted_flits,
+            swaps
+        )?;
+    }
+    writeln!(w, "\nThe TD update continuously rewrites corrupted entries, so the policy")?;
+    writeln!(w, "should degrade gracefully rather than fail-stop (the property the")?;
+    writeln!(w, "paper defers to future work).")
+}
+
+/// Mesh-size scaling study (beyond the paper's single 8×8 point): latency
+/// and power for the baseline and IntelliNoC at 4×4, 8×8, and 16×16 under
+/// uniform traffic.
+pub(crate) fn scaling(_: &mut Evaluation, w: &mut dyn Write) -> io::Result<()> {
+    writeln!(w, "=== mesh scaling, uniform traffic @ 0.02 packets/node/cycle ===")?;
+    writeln!(
+        w,
+        "{:>6} {:<11} {:>10} {:>12} {:>10}",
+        "mesh", "design", "latency", "power_mW", "delivered"
+    )?;
+    for design in [Design::Secded, Design::IntelliNoc] {
+        for p in mesh_scaling(design, &[4, 8, 16], 0.02, 40) {
+            writeln!(
+                w,
+                "{:>3}x{:<2} {:<11} {:>10.1} {:>12.1} {:>10}",
+                p.side,
+                p.side,
+                design.label(),
+                p.latency,
+                p.power_mw,
+                p.delivered
+            )?;
+        }
+    }
+    writeln!(w, "\nLatency grows with the average hop count (~2/3 of the mesh side);")?;
+    writeln!(w, "power grows with the router count.")
+}
+
+/// Load sweep: classic NoC latency-vs-offered-load curves for all five
+/// designs on uniform random traffic (not a paper figure, but the standard
+/// way to see where each design saturates and why the paper's benchmarks
+/// separate them). One 8 rates × 5 designs grid, every cell at seed 42.
+pub(crate) fn load_sweep(eval: &mut Evaluation, w: &mut dyn Write) -> io::Result<()> {
+    const RATES: [f64; 8] = [0.005, 0.01, 0.02, 0.04, 0.06, 0.08, 0.10, 0.12];
+    let cells: Vec<(String, ExperimentConfig)> = RATES
+        .iter()
+        .flat_map(|&rate| {
+            Design::ALL.map(|design| {
+                let workload = WorkloadSpec::uniform(rate, 60);
+                let cfg = ExperimentConfig::new(design, workload).with_seed(42);
+                (format!("load/r{rate}/{}", design.label()), cfg)
+            })
+        })
+        .collect();
+    let outcomes = run_grid(&cells, &eval.runner()).map_err(io::Error::other)?;
+    let mut table = |heading: &str, precision: usize, metric: fn(&RunReport) -> f64| {
+        writeln!(w, "{heading}")?;
+        design_columns(w, &format!("{:>8}", "rate"))?;
+        for (rate, row) in RATES.iter().zip(outcomes.chunks(Design::ALL.len())) {
+            write!(w, "{rate:>8.3}")?;
+            for o in row {
+                write!(w, "{:>12.precision$}", metric(&o.report))?;
+            }
+            writeln!(w)?;
+        }
+        io::Result::Ok(())
+    };
+    table("average end-to-end latency (cycles) vs offered load (packets/node/cycle)", 1, |r| {
+        r.avg_latency()
+    })?;
+    table("\np99 latency (cycles):", 0, |r| r.stats.latency_percentile(0.99))
+}
+
+/// Resilience study: the deterministic hard-fault campaign across all five
+/// designs — growing dead-link counts, a mid-run router failure, and
+/// intermittently flapping links — with and without fault-aware rerouting.
+/// A cell the watchdog aborts is a result here (its `status` column), not
+/// an error.
+pub(crate) fn resilience(eval: &mut Evaluation, w: &mut dyn Write) -> io::Result<()> {
+    let rcfg = eval.runner();
+    let run = |cfg: &CampaignConfig| {
+        run_campaign_runner(cfg, &rcfg, &ChaosOptions::default(), UnitSinks::default())
+            .map_err(io::Error::other)
+    };
+    let mut print_grid = |title: &str, report: &CampaignRunReport| -> io::Result<()> {
+        writeln!(w, "{title}")?;
+        writeln!(
+            w,
+            "{:<11} {:<20} {:>8} {:>7} {:>9} {:>8} {:>8} {:>8} {:>7} {:>10}",
+            "design",
+            "scenario",
+            "deliver",
+            "drop",
+            "deliv%",
+            "avg_lat",
+            "p99_lat",
+            "reroute",
+            "stalled",
+            "status"
+        )?;
+        for rec in &report.runner.records {
+            let Some(r) = &rec.payload else {
+                writeln!(w, "{:<32} {:>10}", rec.key, rec.status.label())?;
+                continue;
+            };
+            writeln!(
+                w,
+                "{:<11} {:<20} {:>8} {:>7} {:>9.3} {:>8.1} {:>8.0} {:>8} {:>7} {:>10}",
+                r.design,
+                r.scenario,
+                r.delivered,
+                r.dropped,
+                100.0 * r.delivery_rate,
+                r.avg_latency,
+                r.p99_latency,
+                r.reroutes,
+                if r.stalled { "YES" } else { "-" },
+                rec.status.label()
+            )?;
+        }
+        writeln!(w)
+    };
+    let cfg = CampaignConfig { ppn: 20, ..CampaignConfig::default() };
+    let report = run(&cfg)?;
+    print_grid("fault-aware rerouting ON (up*/down* detours):", &report)?;
+    let no_reroute = CampaignConfig {
+        fault_aware_routing: false,
+        // XY traffic wedges against dead links; keep the cells cheap.
+        dead_links: vec![0, 1, 2],
+        router_fail_at: None,
+        flapping: 0,
+        ..cfg
+    };
+    print_grid("fault-aware rerouting OFF (XY + drop/watchdog escalation):", &run(&no_reroute)?)?;
+    writeln!(w, "minimum delivery rate with rerouting: {:.4}", report.min_delivery_rate())
+}
+
+/// Calibration probe: raw (un-normalized) campaign metrics for every design
+/// on four benchmarks, for checking that the result *shape* matches the
+/// paper before reading the normalized figures.
+pub(crate) fn probe(eval: &mut Evaluation, w: &mut dyn Write) -> io::Result<()> {
+    let results = eval.results()?;
+    for bench in [
+        ParsecBenchmark::Swaptions,
+        ParsecBenchmark::Canneal,
+        ParsecBenchmark::Fluidanimate,
+        ParsecBenchmark::X264,
+    ] {
+        let Some((_, outcomes)) = results.raw.iter().find(|(b, _)| *b == bench) else {
+            continue;
+        };
+        writeln!(w, "\n### {bench} ###")?;
+        writeln!(
+            w,
+            "{:<11} {:>9} {:>8} {:>9} {:>9} {:>10} {:>7} {:>8} {:>8} {:>9} {:>7}",
+            "design",
+            "exec_cyc",
+            "lat",
+            "stat_mW",
+            "dyn_mW",
+            "eff(1/uJ)",
+            "retx",
+            "mttf_h",
+            "temp",
+            "gated%",
+            "corrupt"
+        )?;
+        for o in outcomes {
+            let r = &o.report;
+            writeln!(
+                w,
+                "{:<11} {:>9} {:>8.1} {:>9.1} {:>9.1} {:>10.3} {:>7} {:>8.2e} {:>8.1} {:>9.1} {:>7}",
+                o.design.label(),
+                r.exec_cycles,
+                r.avg_latency(),
+                r.power.static_mw,
+                r.power.dynamic_mw,
+                r.energy_efficiency() * 1e6,
+                r.stats.retransmitted_flits,
+                r.mttf_hours.unwrap_or(f64::NAN),
+                r.mean_temp_c,
+                100.0 * r.stats.gated_router_cycles as f64 / (64.0 * r.stats.cycles.max(1) as f64),
+                r.stats.corrupted_packets,
+            )?;
+            if o.design == Design::IntelliNoc {
+                let fr = o.mode_fractions();
+                writeln!(
+                    w,
+                    "            modes: relax {:.2} crc {:.2} secded {:.2} dected {:.2} relaxedtx {:.2}  qtab {:.0}",
+                    fr[0], fr[1], fr[2], fr[3], fr[4], o.mean_qtable_entries
+                )?;
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The `=== headline comparison vs paper ===` block that closes
+/// `figures all`: the campaign's geometric means beside the paper's.
+///
+/// # Errors
+///
+/// A failed campaign unit ([`Evaluation::results`]) or the writer's I/O
+/// error.
+pub fn print_headline(eval: &mut Evaluation, w: &mut dyn Write) -> io::Result<()> {
+    let results = eval.results()?;
+    writeln!(w, "\n=== headline comparison vs paper ===")?;
+    writeln!(
+        w,
+        "energy-efficiency: IntelliNoC {:.2}x (paper 1.67x), CPD {:.2}x (paper 1.36x)",
+        results.average(Design::IntelliNoc, |m| m.energy_efficiency),
+        results.average(Design::Cpd, |m| m.energy_efficiency)
+    )?;
+    writeln!(
+        w,
+        "MTTF:              IntelliNoC {:.2}x (paper 1.77x)",
+        results.average(Design::IntelliNoc, |m| m.mttf)
+    )?;
+    writeln!(
+        w,
+        "latency:           IntelliNoC {:.2}x (paper 0.68x), EB {:.2}x (paper 0.83x)",
+        results.average(Design::IntelliNoc, |m| m.latency),
+        results.average(Design::Eb, |m| m.latency)
+    )?;
+    writeln!(
+        w,
+        "speed-up:          IntelliNoC {:.2}x (paper 1.16x), CP {:.2}x (paper 0.97x)",
+        results.average(Design::IntelliNoc, |m| m.speedup),
+        results.average(Design::Cp, |m| m.speedup)
+    )
+}

@@ -2,13 +2,13 @@
 
 use crate::args::Args;
 use intellinoc::{
-    classify_timeout, compare as compare_outcomes, compare_bench, intellinoc_rl_config,
-    pretrain_intellinoc, record_bench, render_inspect_report, run_campaign_runner,
-    run_chaos_harness, run_experiment, run_experiment_instrumented, run_load_sweep, run_units,
-    BackoffPolicy, BenchBaseline, BenchSpec, BlackboxConfig, CampaignConfig, ChaosHarnessConfig,
-    ChaosKill, ChaosOptions, Daemon, Design, ExperimentConfig, ExperimentOutcome, FleetObserver,
-    FleetProgress, GateOptions, MetricsOptions, RewardKind, RunnerConfig, RunnerReport,
-    ServeConfig, TelemetryArtifacts, TelemetryOptions, UnitCtx, UnitSinks, UnitVerdict,
+    compare as compare_outcomes, compare_bench, intellinoc_rl_config, pretrain_intellinoc,
+    record_bench, render_inspect_report, run_campaign_runner, run_chaos_harness, run_experiment,
+    run_experiment_instrumented, run_load_sweep, run_units, BenchBaseline, BenchSpec,
+    BlackboxConfig, CampaignConfig, ChaosHarnessConfig, ChaosKill, ChaosOptions, Daemon, Design,
+    ExperimentConfig, ExperimentOutcome, FleetObserver, FleetProgress, GateOptions, MetricsOptions,
+    RewardKind, RunnerConfig, RunnerReport, ServeConfig, TelemetryArtifacts, TelemetryOptions,
+    UnitCtx, UnitSinks,
 };
 use noc_power::AreaModel;
 use noc_sim::{
@@ -114,18 +114,10 @@ fn workload_from(args: &Args, ppn: u64) -> Result<WorkloadSpec, String> {
 /// Returns a message naming the malformed option, or `--resume` without a
 /// `--journal` path.
 pub fn runner_config_from(args: &Args) -> Result<(RunnerConfig, ChaosOptions), String> {
-    let backoff = match args.get("retry-backoff").unwrap_or("linear") {
-        "linear" => BackoffPolicy::Linear,
-        "exp" | "exponential" => {
-            BackoffPolicy::Exponential { cap_ms: args.get_or("retry-backoff-cap-ms", 10_000u64)? }
-        }
-        other => return Err(format!("invalid --retry-backoff: {other} (try linear|exp)")),
-    };
     let cfg = RunnerConfig {
         jobs: args.get_or("jobs", 1usize)?,
         max_retries: args.get_or("max-retries", 0u32)?,
         retry_backoff_ms: args.get_or("retry-backoff-ms", 25u64)?,
-        backoff,
         deadline_cycles: match args.get("deadline-cycles") {
             Some(v) => Some(v.parse().map_err(|_| format!("invalid --deadline-cycles: {v}"))?),
             None => None,
@@ -1102,13 +1094,8 @@ pub fn profile(args: &Args) -> CmdResult {
     );
     let report = run_units(spec.master_seed, &keys, &rcfg, &chaos, |ctx: &UnitCtx| {
         let idx = keys.iter().position(|k| k == ctx.key).expect("key from supplied list");
-        let cfg = spec.unit_config(idx, ctx);
-        let budget = cfg.max_cycles;
-        let o = UnitSinks { prof: Some(&sink), journeys: None }.run(cfg, ctx.key);
-        match classify_timeout(&o.report, budget) {
-            Some(timeout) => UnitVerdict::TimedOut { partial: Some(()), report: timeout },
-            None => UnitVerdict::Ok(()),
-        }
+        let sinks = UnitSinks { prof: Some(&sink), journeys: None };
+        sinks.run_unit(spec.unit_config(idx, ctx.seed), ctx, |_| ())
     })?;
     let prof = sink.into_inner().expect("profiler sink lock");
     let tree = prof.span_tree();

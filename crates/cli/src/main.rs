@@ -158,9 +158,7 @@ fn usage() {
     eprintln!("  --jobs N              worker threads (default 1; results identical at any N)");
     eprintln!("  --deadline-cycles N   per-unit simulated-cycle deadline (timed-out status)");
     eprintln!("  --max-retries N       retry retryable failures up to N times");
-    eprintln!("  --retry-backoff-ms M  retry backoff base (default 25)");
-    eprintln!("  --retry-backoff P     linear (default) | exp: capped exponential with");
-    eprintln!("                        deterministic per-key jitter [--retry-backoff-cap-ms C]");
+    eprintln!("  --retry-backoff-ms M  retry backoff base: attempt n waits n x M ms (default 25)");
     eprintln!("  --journal F.jsonl     journal terminal unit records (enables --resume)");
     eprintln!("  --resume              reuse journaled records, run only the rest");
     eprintln!("  --max-units N         dispatch at most N units, skip the tail");

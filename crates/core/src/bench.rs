@@ -15,9 +15,7 @@
 
 use crate::designs::Design;
 use crate::experiment::{ExperimentConfig, UnitSinks};
-use crate::runner::{
-    classify_timeout, run_units, ChaosOptions, RunnerConfig, UnitCtx, UnitVerdict,
-};
+use crate::runner::{run_units, ChaosOptions, RunnerConfig, UnitCtx};
 use noc_sim::FLITS_PER_PACKET;
 use noc_traffic::{ReqReplySpec, WorkloadSpec};
 use serde::{Deserialize, Serialize};
@@ -134,23 +132,18 @@ impl BenchSpec {
         (design, rate)
     }
 
-    /// The experiment the unit at canonical key index `idx` runs — the one
-    /// place a grid unit's configuration is built (`bench record`, `bench
-    /// compare` and `profile` all run exactly this): design and rate from
-    /// [`BenchSpec::cell_of`], open- or closed-loop workload, and the
-    /// runner's seed, deadline and flight recorder.
+    /// The experiment the unit at canonical key index `idx` runs under
+    /// `seed` — the one place a bench unit's configuration is built (`bench
+    /// record`, `bench compare` and `profile` all run exactly this): design
+    /// and rate from [`BenchSpec::cell_of`], open- or closed-loop workload.
     #[must_use]
-    pub fn unit_config(&self, idx: usize, ctx: &UnitCtx) -> ExperimentConfig {
+    pub fn unit_config(&self, idx: usize, seed: u64) -> ExperimentConfig {
         let (design, rate) = self.cell_of(idx);
         let workload = match &self.reqreply {
             Some(rr) => WorkloadSpec::reqreply(rate, self.ppn, rr.clone()),
             None => WorkloadSpec::uniform(rate, self.ppn),
         };
-        let mut cfg = ExperimentConfig::new(design, workload)
-            .with_seed(ctx.seed)
-            .with_deadline(ctx.deadline_cycles);
-        cfg.telemetry.blackbox = ctx.recorder.clone();
-        cfg
+        ExperimentConfig::new(design, workload).with_seed(seed)
     }
 }
 
@@ -358,24 +351,19 @@ pub fn record_bench(
     let keys = spec.keys();
     let report = run_units(spec.master_seed, &keys, rcfg, chaos, |ctx: &UnitCtx| {
         let idx = keys.iter().position(|k| k == ctx.key).expect("key from supplied list");
-        let cfg = spec.unit_config(idx, ctx);
-        let budget = cfg.max_cycles;
-        let o = sinks.run(cfg, ctx.key);
-        let r = &o.report;
-        let flits = (r.stats.packets_delivered * FLITS_PER_PACKET as u64).max(1);
-        let m = BenchRunMetrics {
-            avg_latency: r.avg_latency(),
-            p99_latency: r.stats.latency_percentile(0.99),
-            energy_per_flit_pj: r.power.total_energy_pj() / flits as f64,
-            mttf_hours: r.mttf_hours.unwrap_or(0.0),
-            txn_p50_latency: r.txn.as_ref().map_or(0.0, |t| t.p50_completion as f64),
-            txn_p99_latency: r.txn.as_ref().map_or(0.0, |t| t.p99_completion as f64),
-            exec_cycles: r.exec_cycles,
-        };
-        match classify_timeout(r, budget) {
-            Some(report) => UnitVerdict::TimedOut { partial: Some(m), report },
-            None => UnitVerdict::Ok(m),
-        }
+        sinks.run_unit(spec.unit_config(idx, ctx.seed), ctx, |o| {
+            let r = &o.report;
+            let flits = (r.stats.packets_delivered * FLITS_PER_PACKET as u64).max(1);
+            BenchRunMetrics {
+                avg_latency: r.avg_latency(),
+                p99_latency: r.stats.latency_percentile(0.99),
+                energy_per_flit_pj: r.power.total_energy_pj() / flits as f64,
+                mttf_hours: r.mttf_hours.unwrap_or(0.0),
+                txn_p50_latency: r.txn.as_ref().map_or(0.0, |t| t.p50_completion as f64),
+                txn_p99_latency: r.txn.as_ref().map_or(0.0, |t| t.p99_completion as f64),
+                exec_cycles: r.exec_cycles,
+            }
+        })
     })?;
     if !report.is_clean() {
         return Err(format!("bench grid not clean ({}); refusing to record", report.summary()));
@@ -642,20 +630,13 @@ mod tests {
 
     #[test]
     fn unit_config_honours_the_closed_loop_spec() {
-        let ctx = UnitCtx {
-            key: "bench/SECDED/r0.02/s1",
-            seed: 99,
-            attempt: 1,
-            deadline_cycles: Some(5_000),
-            recorder: None,
-        };
         let mut spec = tiny_spec();
-        let open = spec.unit_config(1, &ctx);
+        let open = spec.unit_config(1, 99);
         assert_eq!(open.workload.reqreply, None);
-        assert_eq!((open.design, open.seed, open.max_cycles), (Design::Secded, 99, 5_000));
+        assert_eq!((open.design, open.seed), (Design::Secded, 99));
         let rr = ReqReplySpec { reply_timeout: 500, ..ReqReplySpec::default() };
         spec.reqreply = Some(rr.clone());
-        let closed = spec.unit_config(1, &ctx);
+        let closed = spec.unit_config(1, 99);
         assert_eq!(closed.workload.reqreply, Some(rr), "a closed-loop grid must run closed-loop");
         assert_eq!(closed.workload.packets_per_node, spec.ppn);
     }

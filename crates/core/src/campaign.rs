@@ -18,9 +18,7 @@
 
 use crate::designs::Design;
 use crate::experiment::{ExperimentConfig, UnitSinks};
-use crate::runner::{
-    classify_timeout, run_units, ChaosOptions, RunnerConfig, RunnerReport, UnitCtx, UnitVerdict,
-};
+use crate::runner::{run_units, ChaosOptions, RunnerConfig, RunnerReport, UnitCtx, UnitVerdict};
 use noc_sim::HardFaultScenario;
 use noc_traffic::WorkloadSpec;
 use serde::{Deserialize, Serialize};
@@ -154,9 +152,8 @@ pub fn campaign_unit_keys(cfg: &CampaignConfig) -> Vec<(String, usize, Design)> 
     out
 }
 
-/// Runs one campaign cell under the runner's contract: key-derived seed,
-/// deadline clamped onto the cycle budget, stall-watchdog aborts and
-/// budget exhaustion classified as timeouts.
+/// Runs one campaign cell as a runner unit ([`UnitSinks::run_unit`]) with
+/// the key-derived seed and the campaign's cycle budget.
 fn run_campaign_cell(
     cfg: &CampaignConfig,
     scenario_name: &str,
@@ -169,41 +166,35 @@ fn run_campaign_cell(
         Some(rr) => WorkloadSpec::reqreply(cfg.rate, cfg.ppn, rr.clone()),
         None => WorkloadSpec::uniform(cfg.rate, cfg.ppn),
     };
-    let mut ecfg =
-        ExperimentConfig { max_cycles: cfg.max_cycles, ..ExperimentConfig::new(design, workload) }
-            .with_seed(ctx.seed)
-            .with_deadline(ctx.deadline_cycles);
-    let budget = ecfg.max_cycles;
-    ecfg.hard_faults = scenario.clone();
-    ecfg.fault_aware_routing = cfg.fault_aware_routing;
-    // The engine's flight recorder rides along so a dying cell leaves a
-    // post-mortem bundle; recording never changes cycle-domain behavior.
-    ecfg.telemetry.blackbox = ctx.recorder.clone();
-    let o = sinks.run(ecfg, ctx.key);
-    let s = &o.report.stats;
-    let row = CampaignRow {
-        design: design.label().to_owned(),
-        scenario: scenario_name.to_owned(),
-        injected: s.packets_injected,
-        delivered: s.packets_delivered,
-        dropped: s.packets_dropped,
-        delivery_rate: s.delivery_ratio(),
-        avg_latency: s.avg_latency(),
-        p99_latency: s.latency_percentile(0.99),
-        reroutes: s.reroutes,
-        hop_retx: s.hop_retx_events,
-        e2e_retx: s.e2e_retx_packets,
-        stalled: o.report.stall.is_some(),
-        cycles: s.cycles,
-        mttf_hours: o.report.mttf_hours,
-        txn_failed: o.report.txn.as_ref().map(|t| t.failed),
-        txn_shed: o.report.txn.as_ref().map(|t| t.shed),
-        txn_violations: o.report.txn.as_ref().map(|t| t.violations),
-    };
-    match classify_timeout(&o.report, budget) {
-        Some(report) => UnitVerdict::TimedOut { partial: Some(row), report },
-        None => UnitVerdict::Ok(row),
+    let ecfg = ExperimentConfig {
+        max_cycles: cfg.max_cycles,
+        hard_faults: scenario.clone(),
+        fault_aware_routing: cfg.fault_aware_routing,
+        ..ExperimentConfig::new(design, workload)
     }
+    .with_seed(ctx.seed);
+    sinks.run_unit(ecfg, ctx, |o| {
+        let s = &o.report.stats;
+        CampaignRow {
+            design: design.label().to_owned(),
+            scenario: scenario_name.to_owned(),
+            injected: s.packets_injected,
+            delivered: s.packets_delivered,
+            dropped: s.packets_dropped,
+            delivery_rate: s.delivery_ratio(),
+            avg_latency: s.avg_latency(),
+            p99_latency: s.latency_percentile(0.99),
+            reroutes: s.reroutes,
+            hop_retx: s.hop_retx_events,
+            e2e_retx: s.e2e_retx_packets,
+            stalled: o.report.stall.is_some(),
+            cycles: s.cycles,
+            mttf_hours: o.report.mttf_hours,
+            txn_failed: o.report.txn.as_ref().map(|t| t.failed),
+            txn_shed: o.report.txn.as_ref().map(|t| t.shed),
+            txn_violations: o.report.txn.as_ref().map(|t| t.violations),
+        }
+    })
 }
 
 /// The full campaign grid as executed by the `noc-runner` engine: the

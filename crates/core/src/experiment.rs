@@ -4,11 +4,12 @@
 //! This is the entry point the examples, integration tests, and the figure
 //! harness all use. There is one way to run an experiment —
 //! [`run_experiment_instrumented`], with [`run_experiment`] as its
-//! outcome-only shorthand — and one way for a grid unit to feed fleet-level
-//! sinks: [`UnitSinks::run`].
+//! outcome-only shorthand — and one way to run it as a unit of a
+//! [`run_units`](crate::run_units) grid: [`UnitSinks::run_unit`].
 
 use crate::controller::{intellinoc_rl_config, ControlPolicy, RewardKind, RlControl};
 use crate::designs::Design;
+use crate::runner::{classify_timeout, UnitCtx, UnitVerdict};
 use noc_rl::{QLearningConfig, QTable};
 use noc_sim::{
     declare_network_metrics, declare_runtime_metrics, export_alert_metrics, export_network_metrics,
@@ -294,6 +295,31 @@ impl UnitSinks<'_> {
             }
         }
         outcome
+    }
+
+    /// Runs `cfg` as the grid unit `ctx` under the runner's contract — the
+    /// one place it is written: the engine's deadline clamped onto the
+    /// cycle budget `cfg` arrives with, the engine's flight recorder
+    /// installed (so a dying unit leaves a post-mortem bundle; recording
+    /// never changes cycle-domain behavior), the sinks fed, the payload
+    /// taken by `measure`, and a stall-watchdog abort or an exhausted budget
+    /// classified as a timeout against the clamped budget. The caller picks
+    /// the seed and sets its own `max_cycles` before the call.
+    pub fn run_unit<T>(
+        &self,
+        cfg: ExperimentConfig,
+        ctx: &UnitCtx,
+        measure: impl FnOnce(&ExperimentOutcome) -> T,
+    ) -> UnitVerdict<T> {
+        let mut cfg = cfg.with_deadline(ctx.deadline_cycles);
+        cfg.telemetry.blackbox = ctx.recorder.clone();
+        let budget = cfg.max_cycles;
+        let outcome = self.run(cfg, ctx.key);
+        let payload = measure(&outcome);
+        match classify_timeout(&outcome.report, budget) {
+            Some(report) => UnitVerdict::TimedOut { partial: Some(payload), report },
+            None => UnitVerdict::Ok(payload),
+        }
     }
 }
 
@@ -719,6 +745,41 @@ mod tests {
         cfg.error_rate_override = Some(1e-4);
         let out = run_experiment(cfg);
         assert!(out.report.stats.faulty_traversals > 0);
+    }
+
+    /// The contract the five grid kinds share: the engine's deadline is
+    /// clamped onto the unit's own budget, an exhausted budget is a timeout
+    /// carrying the partial payload, and the engine's recorder is fed.
+    #[test]
+    fn run_unit_clamps_classifies_and_feeds_the_recorder() {
+        let recorder = noc_sim::shared_recorder(0);
+        let ctx = UnitCtx {
+            key: "unit/a",
+            seed: 0,
+            attempt: 1,
+            deadline_cycles: Some(300),
+            recorder: Some(recorder.clone()),
+        };
+        let sinks = UnitSinks::default();
+        let cfg = small(Design::Secded, 0.05, 50);
+        assert!(cfg.max_cycles > 300);
+        match sinks.run_unit(cfg.clone(), &ctx, |o| o.report.stats.cycles) {
+            UnitVerdict::TimedOut { partial: Some(cycles), report } => {
+                assert_eq!((cycles, report.deadline_cycles, report.cycles_run), (300, 300, 300));
+                assert!(report.in_flight > 0 && report.stall.is_none());
+            }
+            other => panic!("expected a budget timeout, got {other:?}"),
+        }
+        assert_eq!(recorder.lock().expect("recorder lock").last_cycle(), 300);
+        // The unit's own, tighter budget wins over a looser deadline.
+        let own = ExperimentConfig { max_cycles: 200, ..cfg.clone() };
+        match sinks.run_unit(own, &ctx, |_| ()) {
+            UnitVerdict::TimedOut { report, .. } => assert_eq!(report.deadline_cycles, 200),
+            other => panic!("expected a budget timeout, got {other:?}"),
+        }
+        // With no deadline the same unit completes.
+        let free = UnitCtx { deadline_cycles: None, recorder: None, ..ctx };
+        assert!(matches!(sinks.run_unit(cfg, &free, |_| ()), UnitVerdict::Ok(())));
     }
 
     #[test]

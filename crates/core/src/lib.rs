@@ -72,9 +72,9 @@ pub use inspect::render_inspect_report;
 pub use metrics::{compare, geomean, normalize, ComparisonRow, NormalizedMetrics};
 pub use modes::OperationMode;
 pub use runner::{
-    classify_timeout, derive_seed, retry_delay_ms, run_units, BackoffPolicy, BlackboxConfig,
-    ChaosOptions, FleetObserver, FleetProgress, RunStatus, RunnerConfig, RunnerReport,
-    StatusCounts, TimeoutReport, UnitCtx, UnitRecord, UnitVerdict, CHAOS_DEADLINE_CYCLES,
+    classify_timeout, derive_seed, retry_delay_ms, run_units, BlackboxConfig, ChaosOptions,
+    FleetObserver, FleetProgress, RunStatus, RunnerConfig, RunnerReport, StatusCounts,
+    TimeoutReport, UnitCtx, UnitRecord, UnitVerdict, CHAOS_DEADLINE_CYCLES,
 };
 pub use serve::{
     http_request, http_request_full, reference_report_csv, run_chaos_harness, serve_report_csv,
@@ -82,7 +82,4 @@ pub use serve::{
     JobSpec, JobState, JobStatus, JobsSummary, RecoverySummary, ServeConfig, ServePoint,
     SubmitRequest, SubmitResponse, DEFAULT_CHUNK_UNITS, DEFAULT_TENANT_QUOTA, MAX_JOB_UNITS,
 };
-pub use sweeps::{
-    epsilon_sweep, error_rate_sweep, gamma_sweep, load_sweep_keys, mesh_scaling, run_load_sweep,
-    time_step_sweep, HyperPoint, LoadPoint, ScalePoint, SweepPoint,
-};
+pub use sweeps::{load_sweep_keys, mesh_scaling, run_load_sweep, LoadPoint, ScalePoint};

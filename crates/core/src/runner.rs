@@ -35,7 +35,7 @@ use serde::{Content, Deserialize, Serialize};
 use std::collections::HashMap;
 use std::io::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -59,44 +59,12 @@ pub fn derive_seed(master: u64, key: &str) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Retry-delay shape applied between attempts of a retryable unit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BackoffPolicy {
-    /// Attempt `n` sleeps `n * base` milliseconds (the original engine
-    /// behavior, and still the default).
-    #[default]
-    Linear,
-    /// Attempt `n` sleeps `min(base * 2^(n-1), cap)` milliseconds plus a
-    /// deterministic jitter of up to half the delay, derived from the
-    /// unit's run key — so a grid of units failing together fans its
-    /// retries out instead of re-synchronizing into a retry storm, and the
-    /// schedule is still reproducible per unit.
-    Exponential {
-        /// Upper bound on the un-jittered delay (milliseconds).
-        cap_ms: u64,
-    },
-}
-
 /// The delay before retry number `attempt` (1-based: the sleep after the
-/// first failed attempt passes `attempt = 1`) of the unit with run key
-/// `key`, under `policy` with base delay `base_ms`.
-///
-/// Deterministic: depends only on `(policy, base_ms, key, attempt)`.
+/// first failed attempt passes `attempt = 1`): linear in the attempt,
+/// `base_ms × attempt`, saturating.
 #[must_use]
-pub fn retry_delay_ms(policy: BackoffPolicy, base_ms: u64, key: &str, attempt: u32) -> u64 {
-    match policy {
-        BackoffPolicy::Linear => base_ms.saturating_mul(u64::from(attempt)),
-        BackoffPolicy::Exponential { cap_ms } => {
-            let doublings = attempt.saturating_sub(1).min(20);
-            let raw = base_ms.saturating_mul(1u64 << doublings).min(cap_ms);
-            // Jitter in [0, raw/2], keyed so two units with the same
-            // attempt number desynchronize but a unit's own schedule is
-            // stable across runs.
-            let jitter_span = raw / 2 + 1;
-            let jitter = derive_seed(u64::from(attempt), key) % jitter_span;
-            raw.saturating_add(jitter)
-        }
-    }
+pub fn retry_delay_ms(base_ms: u64, attempt: u32) -> u64 {
+    base_ms.saturating_mul(u64::from(attempt))
 }
 
 /// Live fleet-progress snapshot handed to a [`FleetObserver`] each time a
@@ -156,10 +124,8 @@ pub struct RunnerConfig {
     pub jobs: usize,
     /// Extra attempts after a retryable failure (0 = fail immediately).
     pub max_retries: u32,
-    /// Retry backoff base in milliseconds (see [`BackoffPolicy`]).
+    /// Retry backoff base in milliseconds (see [`retry_delay_ms`]).
     pub retry_backoff_ms: u64,
-    /// Shape of the retry delay schedule (default linear).
-    pub backoff: BackoffPolicy,
     /// Per-unit simulated-cycle deadline, clamped onto the unit's
     /// `max_cycles` budget. `None` leaves the unit's own budget in place.
     pub deadline_cycles: Option<u64>,
@@ -182,7 +148,6 @@ impl std::fmt::Debug for RunnerConfig {
             .field("jobs", &self.jobs)
             .field("max_retries", &self.max_retries)
             .field("retry_backoff_ms", &self.retry_backoff_ms)
-            .field("backoff", &self.backoff)
             .field("deadline_cycles", &self.deadline_cycles)
             .field("journal", &self.journal)
             .field("resume", &self.resume)
@@ -199,7 +164,6 @@ impl Default for RunnerConfig {
             jobs: 1,
             max_retries: 0,
             retry_backoff_ms: 25,
-            backoff: BackoffPolicy::Linear,
             deadline_cycles: None,
             journal: None,
             resume: false,
@@ -557,89 +521,93 @@ fn grid_fingerprint(keys: &[String]) -> u64 {
     h
 }
 
-/// Reads a journal back: header check, then one [`UnitRecord`] per line.
-/// A torn trailing line (interrupted process mid-write) is tolerated and
-/// ignored; corruption anywhere else is an error. Any bytes after the
-/// final newline are treated as torn even if they happen to parse — the
-/// `\n` is the commit marker, and appending after an uncommitted tail
-/// would splice two records onto one line.
-///
-/// The second return value is `true` when the file must be recreated
-/// rather than appended to: an empty file or a torn header line with no
-/// records after it — both what a `kill -9` during journal creation
-/// leaves behind. A broken header *followed by* records is still a hard
-/// error (append-only writes cannot produce that shape).
-///
-/// The third return value is the byte length of the valid prefix (header
-/// plus every kept record line, newlines included). Resuming truncates
-/// the file to this length before appending so a torn tail can never
-/// corrupt the record that follows it.
-/// What [`read_journal`] recovers: the records keyed by unit, whether the
-/// file must be recreated, and the byte length of the valid prefix.
-type JournalScan<T> = (HashMap<String, UnitRecord<T>>, bool, u64);
+/// What [`scan_log`] recovers from an append-only JSONL log (one header
+/// line, then one record per line) after a possible crash mid-append.
+pub(crate) struct LogScan<R> {
+    /// Every committed record, in file order.
+    pub records: Vec<R>,
+    /// Whether the file must be recreated rather than appended to: missing,
+    /// empty, or a torn header line with no records after it (all what a
+    /// `kill -9` during creation leaves behind).
+    pub recreate: bool,
+    /// Byte length of the valid prefix (header plus every kept record line,
+    /// newlines included). Appending truncates the file to this length
+    /// first, so a torn tail can never corrupt the record that follows it.
+    pub valid_len: u64,
+}
 
-fn read_journal<T: Deserialize>(
-    path: &PathBuf,
-    expected: &JournalHeader,
-) -> Result<JournalScan<T>, String> {
-    let bytes = std::fs::read(path).map_err(|e| format!("reading journal {path:?}: {e}"))?;
+/// The one torn-tail scan, shared by the runner journal and the serve WAL
+/// (`what` names the log in error messages; `check_header` rejects a log
+/// that belongs to something else before any record is parsed). A torn
+/// trailing line (interrupted process mid-write) is tolerated and ignored;
+/// corruption anywhere else is an error. Any bytes after the final newline
+/// are treated as torn even if they happen to parse — the `\n` is the
+/// commit marker, and appending after an uncommitted tail would splice two
+/// records onto one line. A broken header *followed by* records is a hard
+/// error (append-only writes cannot produce that shape).
+pub(crate) fn scan_log<H: Deserialize, R: Deserialize>(
+    path: &Path,
+    what: &str,
+    check_header: impl FnOnce(&H) -> Result<(), String>,
+) -> Result<LogScan<R>, String> {
+    let recreate = || LogScan { records: Vec::new(), recreate: true, valid_len: 0 };
+    let bytes = match std::fs::read(path) {
+        Ok(bytes) => bytes,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(recreate()),
+        Err(e) => return Err(format!("reading {what} {path:?}: {e}")),
+    };
     // Lossy decoding keeps a tear inside a multi-byte sequence confined to
     // the tail line, which is dropped below anyway.
     let content = String::from_utf8_lossy(&bytes);
-    // Split into newline-committed lines plus an optional torn tail.
-    let (committed, tail): (Vec<&str>, Option<&str>) = match content.rfind('\n') {
-        Some(pos) => (
-            content[..pos].split('\n').collect(),
-            (pos + 1 < content.len()).then(|| &content[pos + 1..]),
-        ),
-        None => (Vec::new(), (!content.is_empty()).then_some(&content[..])),
-    };
-    let Some(header_line) = committed.first() else {
-        // Empty file, or only a torn header line: recreate.
-        return Ok((HashMap::new(), true, 0));
-    };
-    let header: JournalHeader = match serde_json::from_str(header_line) {
-        Ok(h) => h,
+    // Newline-committed lines, then the (possibly empty) torn tail.
+    let Some(end) = content.rfind('\n') else { return Ok(recreate()) };
+    let (committed, tail) = (&content[..end], &content[end + 1..]);
+    let mut lines = committed.split('\n');
+    let header_line = lines.next().expect("split yields at least one item");
+    let rest: Vec<&str> = lines.collect();
+    match serde_json::from_str::<H>(header_line) {
+        Ok(header) => check_header(&header)?,
         Err(e) => {
-            let has_records =
-                committed[1..].iter().copied().chain(tail).any(|l| !l.trim().is_empty());
-            if has_records {
-                return Err(format!("journal {path:?} has an unreadable header: {e}"));
+            if rest.iter().copied().chain([tail]).any(|l| !l.trim().is_empty()) {
+                return Err(format!("{what} {path:?} has an unreadable header: {e}"));
             }
-            return Ok((HashMap::new(), true, 0));
+            return Ok(recreate());
         }
-    };
-    if header != *expected {
-        return Err(format!(
+    }
+    let mut records = Vec::new();
+    let mut valid_len = header_line.len() as u64 + 1;
+    for (i, line) in rest.iter().enumerate() {
+        if !line.trim().is_empty() {
+            match serde_json::from_str(line) {
+                Ok(rec) => records.push(rec),
+                // Only the final committed line may still be torn (append +
+                // flush per record); it is dropped, not kept.
+                Err(_) if i + 1 == rest.len() => break,
+                Err(e) => return Err(format!("{what} {path:?} line {}: {e}", i + 2)),
+            }
+        }
+        valid_len += line.len() as u64 + 1;
+    }
+    Ok(LogScan { records, recreate: false, valid_len })
+}
+
+/// Reads a journal back ([`scan_log`]), refusing one whose header pins a
+/// different grid or seed.
+fn read_journal<T: Deserialize>(
+    path: &Path,
+    expected: &JournalHeader,
+) -> Result<LogScan<UnitRecord<T>>, String> {
+    scan_log(path, "journal", |header: &JournalHeader| {
+        if header == expected {
+            return Ok(());
+        }
+        Err(format!(
             "journal {path:?} belongs to a different grid \
              (seed {} / fingerprint {:#x}, expected seed {} / fingerprint {:#x}); \
              delete it or fix the configuration",
             header.master_seed, header.fingerprint, expected.master_seed, expected.fingerprint
-        ));
-    }
-    let mut pending = committed[1..].to_vec();
-    // Only the final line may be torn (append + flush per record); a torn
-    // tail after the last newline was dropped by the split above.
-    let last_torn = pending
-        .last()
-        .is_some_and(|l| !l.trim().is_empty() && serde_json::from_str::<UnitRecord<T>>(l).is_err());
-    if last_torn {
-        pending.pop();
-    }
-    let mut records = HashMap::new();
-    let mut valid_len = header_line.len() as u64 + 1;
-    for (i, line) in pending.iter().enumerate() {
-        valid_len += line.len() as u64 + 1;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let mut rec: UnitRecord<T> = serde_json::from_str(line)
-            .map_err(|e| format!("journal {path:?} line {}: {e}", i + 2))?;
-        rec.from_journal = true;
-        // Last write wins (a record may be re-journaled by a later run).
-        records.insert(rec.key.clone(), rec);
-    }
-    Ok((records, false, valid_len))
+        ))
+    })
 }
 
 /// Append-mode journal writer, flushed after every record so an
@@ -716,7 +684,8 @@ fn dump_bundle(
     Ok(path)
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// The message a caught panic carried, for `failed` records.
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -872,9 +841,7 @@ where
             });
         }
         std::thread::sleep(std::time::Duration::from_millis(retry_delay_ms(
-            cfg.backoff,
             cfg.retry_backoff_ms,
-            key,
             attempt,
         )));
     }
@@ -980,29 +947,31 @@ where
         fingerprint: grid_fingerprint(keys),
     };
 
-    // Resume: reload terminal records for keys we already ran. A journal
-    // torn during creation (empty file / partial header, the `kill -9`
-    // shapes) yields no records and is recreated below instead of being
-    // appended to headerless.
+    // Resume: reload terminal records for keys we already ran and append
+    // after the journal's valid prefix. A missing journal, or one torn
+    // during creation (empty file / partial header, the `kill -9` shapes),
+    // yields no records and is recreated instead of being appended to
+    // headerless.
     let mut resumed: HashMap<String, UnitRecord<T>> = HashMap::new();
-    let mut recreate_journal = false;
-    let mut journal_valid_len = 0u64;
+    let mut append_at = None;
     if cfg.resume {
         let path = cfg
             .journal
             .as_ref()
             .ok_or("resume requires a journal path (set RunnerConfig::journal)")?;
-        if path.exists() {
-            (resumed, recreate_journal, journal_valid_len) = read_journal(path, &header)?;
+        let scan = read_journal::<T>(path, &header)?;
+        append_at = (!scan.recreate).then_some(scan.valid_len);
+        for mut rec in scan.records {
+            rec.from_journal = true;
+            // Last write wins (a record may be re-journaled by a later run).
+            resumed.insert(rec.key.clone(), rec);
         }
     }
 
-    let journal = match &cfg.journal {
-        Some(path) if cfg.resume && path.exists() && !recreate_journal => {
-            Some(JournalWriter::append(path, journal_valid_len)?)
-        }
-        Some(path) => Some(JournalWriter::create(path, &header)?),
-        None => None,
+    let journal = match (&cfg.journal, append_at) {
+        (Some(path), Some(valid_len)) => Some(JournalWriter::append(path, valid_len)?),
+        (Some(path), None) => Some(JournalWriter::create(path, &header)?),
+        (None, _) => None,
     };
 
     let mut events: Vec<RunnerEvent> = Vec::new();
@@ -1323,25 +1292,12 @@ mod tests {
     }
 
     #[test]
-    fn exponential_backoff_caps_and_jitters_deterministically() {
-        let exp = BackoffPolicy::Exponential { cap_ms: 400 };
-        // Un-jittered ladder: 25, 50, 100, 200, 400, 400, ... with jitter
-        // bounded by half the raw delay.
-        for (attempt, raw) in [(1u32, 25u64), (2, 50), (3, 100), (4, 200), (5, 400), (9, 400)] {
-            let d = retry_delay_ms(exp, 25, "unit/a", attempt);
-            assert!(d >= raw && d <= raw + raw / 2, "attempt {attempt}: {d} vs raw {raw}");
-            // Deterministic per (key, attempt).
-            assert_eq!(d, retry_delay_ms(exp, 25, "unit/a", attempt));
-        }
-        // Different keys desynchronize at the same attempt number (the
-        // anti-retry-storm property) — check across a small key family.
-        let delays: std::collections::HashSet<u64> =
-            (0..16).map(|i| retry_delay_ms(exp, 25, &format!("unit/{i}"), 3)).collect();
-        assert!(delays.len() > 8, "jitter should spread: {delays:?}");
-        // Linear stays the legacy schedule.
-        assert_eq!(retry_delay_ms(BackoffPolicy::Linear, 25, "unit/a", 3), 75);
+    fn retry_delay_is_linear_and_overflow_safe() {
+        assert_eq!(retry_delay_ms(25, 1), 25);
+        assert_eq!(retry_delay_ms(25, 3), 75);
+        assert_eq!(retry_delay_ms(0, 9), 0);
         // Overflow-safe at absurd attempt counts.
-        let _ = retry_delay_ms(exp, u64::MAX, "unit/a", u32::MAX);
+        assert_eq!(retry_delay_ms(u64::MAX, u32::MAX), u64::MAX);
     }
 
     #[test]

@@ -40,12 +40,12 @@
 use crate::designs::Design;
 use crate::experiment::{ExperimentConfig, UnitSinks};
 use crate::runner::{
-    classify_timeout, run_units, BlackboxConfig, ChaosOptions, RunStatus, RunnerConfig,
-    RunnerReport, UnitCtx, UnitVerdict,
+    panic_message, run_units, scan_log, BlackboxConfig, ChaosOptions, LogScan, RunStatus,
+    RunnerConfig, RunnerReport, UnitCtx, UnitRecord,
 };
 use noc_sim::{
-    export_alert_metrics, render_exposition, AlertEngine, AlertRule, HttpRequest, HttpResponse,
-    HttpServer, MetricsHub, MetricsRegistry, DEFAULT_BLACKBOX_CAPACITY,
+    export_alert_metrics, json_str, render_exposition, AlertEngine, AlertRule, HttpRequest,
+    HttpResponse, HttpServer, MetricsHub, MetricsRegistry, DEFAULT_BLACKBOX_CAPACITY,
 };
 use noc_traffic::WorkloadSpec;
 use serde::{Deserialize, Serialize};
@@ -345,30 +345,21 @@ fn run_spec_units(
             Some(rr) => WorkloadSpec::reqreply(unit.rate, spec.ppn, rr.clone()),
             None => WorkloadSpec::uniform(unit.rate, spec.ppn),
         };
-        let mut cfg = ExperimentConfig::new(unit.design, workload)
-            .with_seed(ctx.seed)
-            .with_deadline(ctx.deadline_cycles);
-        // Feed the runner's flight recorder (if armed) so a unit that
-        // stalls or times out leaves a post-mortem ring behind.
-        cfg.telemetry.blackbox = ctx.recorder.clone();
+        let mut cfg = ExperimentConfig::new(unit.design, workload).with_seed(ctx.seed);
         if spec.max_cycles > 0 {
             cfg.max_cycles = spec.max_cycles;
         }
-        let budget = cfg.max_cycles;
         let sinks = UnitSinks { prof: None, journeys: journeys.map(|d| (d, spec.journeys_every)) };
-        let o = sinks.run(cfg, ctx.key);
-        let r = &o.report;
-        let point = ServePoint {
-            exec_cycles: r.exec_cycles,
-            avg_latency: r.avg_latency(),
-            p99_latency: r.stats.latency_percentile(0.99),
-            delivery_rate: r.stats.delivery_ratio(),
-            power_mw: r.power.total_mw(),
-        };
-        match classify_timeout(r, budget) {
-            Some(report) => UnitVerdict::TimedOut { partial: Some(point), report },
-            None => UnitVerdict::Ok(point),
-        }
+        sinks.run_unit(cfg, ctx, |o| {
+            let r = &o.report;
+            ServePoint {
+                exec_cycles: r.exec_cycles,
+                avg_latency: r.avg_latency(),
+                p99_latency: r.stats.latency_percentile(0.99),
+                delivery_rate: r.stats.delivery_ratio(),
+                power_mw: r.power.total_mw(),
+            }
+        })
     })
 }
 
@@ -504,44 +495,24 @@ struct WalRecord {
     error: Option<String>,
 }
 
-/// Reads a WAL tolerantly: a torn trailing line (crash mid-append) is
-/// dropped; an unreadable header with no records behind it (crash during
-/// WAL creation) yields an empty log flagged for re-creation.
+/// Reads the WAL back under the runner journal's torn-tail rule
+/// ([`scan_log`]): a torn trailing line (crash mid-append — its response
+/// was never written, so dropping it is safe) is ignored; a missing file or
+/// an unreadable header with no records behind it (crash during WAL
+/// creation) yields an empty log flagged for re-creation.
 ///
 /// # Errors
 ///
-/// An unreadable header *with* records behind it, an unreadable
-/// non-trailing record, or I/O failure.
-fn read_wal(path: &Path) -> Result<(Vec<WalRecord>, bool), String> {
-    let text = match fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((Vec::new(), true)),
-        Err(e) => return Err(format!("read {}: {e}", path.display())),
-    };
-    let mut lines = text.lines();
-    let Some(header_line) = lines.next() else {
-        return Ok((Vec::new(), true));
-    };
-    let rest: Vec<&str> = lines.filter(|l| !l.trim().is_empty()).collect();
-    match serde_json::from_str::<WalHeader>(header_line) {
-        Ok(h) if h.wal == "intellinoc-serve" && h.version == 1 => {}
-        Ok(h) => return Err(format!("WAL {} has wrong header {h:?}", path.display())),
-        Err(_) if rest.is_empty() => return Ok((Vec::new(), true)),
-        Err(e) => return Err(format!("WAL {} has unreadable header: {e}", path.display())),
-    }
-    let mut records = Vec::new();
-    for (i, line) in rest.iter().enumerate() {
-        match serde_json::from_str::<WalRecord>(line) {
-            Ok(rec) => records.push(rec),
-            // A torn *trailing* record is an interrupted append: the
-            // response for it was never written, so dropping it is safe.
-            Err(_) if i + 1 == rest.len() => break,
-            Err(e) => {
-                return Err(format!("WAL {} record {} unreadable: {e}", path.display(), i + 1))
-            }
+/// A wrong header, an unreadable header *with* records behind it, an
+/// unreadable non-trailing record, or I/O failure.
+fn read_wal(path: &Path) -> Result<LogScan<WalRecord>, String> {
+    scan_log(path, "WAL", |h: &WalHeader| {
+        if h.wal == "intellinoc-serve" && h.version == 1 {
+            Ok(())
+        } else {
+            Err(format!("WAL {} has wrong header {h:?}", path.display()))
         }
-    }
-    Ok((records, false))
+    })
 }
 
 /// Appends fsync'd records to the WAL. Every append reaches the disk
@@ -563,11 +534,14 @@ impl WalWriter {
         Ok(WalWriter { file, path: path.to_path_buf() })
     }
 
-    fn append(path: &Path) -> Result<WalWriter, String> {
+    /// Opens for append, first truncating to `valid_len` — the end of the
+    /// last committed line — so records are never spliced onto a torn tail.
+    fn append(path: &Path, valid_len: u64) -> Result<WalWriter, String> {
         let file = OpenOptions::new()
             .append(true)
             .open(path)
             .map_err(|e| format!("open {}: {e}", path.display()))?;
+        file.set_len(valid_len).map_err(|e| format!("truncate {}: {e}", path.display()))?;
         Ok(WalWriter { file, path: path.to_path_buf() })
     }
 
@@ -704,24 +678,13 @@ fn journeys_dir(state_dir: &Path, id: &str) -> PathBuf {
 }
 
 /// Counts terminal (non-skipped) unit records in a job journal,
-/// tolerating a torn trailing line. Returns 0 for a missing journal.
+/// tolerating a torn trailing line. Returns 0 for a missing journal (and
+/// for one the runner's resume will refuse anyway).
 fn journal_done_count(path: &Path) -> usize {
-    let Ok(text) = fs::read_to_string(path) else { return 0 };
-    let mut keys = BTreeSet::new();
-    for line in text.lines().skip(1) {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let Ok(content) = serde_json::from_str::<serde::Content>(line) else { break };
-        let status: Result<RunStatus, _> = serde::field(&content, "status");
-        let key: Result<String, _> = serde::field(&content, "key");
-        match (key, status) {
-            (Ok(k), Ok(s)) if s != RunStatus::Skipped => {
-                keys.insert(k);
-            }
-            _ => break,
-        }
-    }
+    let Ok(scan) = scan_log(path, "journal", |_: &serde::Content| Ok(())) else { return 0 };
+    let records: Vec<UnitRecord<serde::Content>> = scan.records;
+    let keys: BTreeSet<&str> =
+        records.iter().filter(|r| r.status != RunStatus::Skipped).map(|r| r.key.as_str()).collect();
     keys.len()
 }
 
@@ -1017,19 +980,9 @@ fn scheduler_loop(shared: &Arc<Shared>) {
                 shared,
                 &id,
                 JobState::Failed,
-                Some(format!("worker panic: {}", panic_text(&payload))),
+                Some(format!("worker panic: {}", panic_message(payload.as_ref()))),
             );
         }
-    }
-}
-
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_owned()
     }
 }
 
@@ -1163,11 +1116,6 @@ pub struct JobsSummary {
     pub alerts_firing: Vec<String>,
     /// Every tracked job.
     pub jobs: Vec<JobStatus>,
-}
-
-/// JSON-escapes a string (for hand-built error bodies and log lines).
-fn json_str(s: &str) -> String {
-    serde_json::to_string(&s.to_owned()).unwrap_or_else(|_| "\"?\"".to_owned())
 }
 
 fn error_body(status: u16, msg: &str) -> HttpResponse {
@@ -1614,7 +1562,7 @@ impl Daemon {
             .and_then(|()| fs::create_dir_all(cfg.state_dir.join("reports")))
             .map_err(|e| format!("create state dir {}: {e}", cfg.state_dir.display()))?;
         let wal_p = wal_path(&cfg.state_dir);
-        let (records, recreate) = read_wal(&wal_p)?;
+        let LogScan { records, recreate, valid_len } = read_wal(&wal_p)?;
 
         // Replay: fold the log in order; the job table is exactly the
         // fold of its WAL.
@@ -1695,7 +1643,11 @@ impl Daemon {
             }
         }
 
-        let wal = if recreate { WalWriter::create(&wal_p)? } else { WalWriter::append(&wal_p)? };
+        let wal = if recreate {
+            WalWriter::create(&wal_p)?
+        } else {
+            WalWriter::append(&wal_p, valid_len)?
+        };
         let alerts = Mutex::new(AlertEngine::new(cfg.alert_rules.clone()));
         let shared = Arc::new(Shared {
             cfg,
@@ -2293,9 +2245,9 @@ mod tests {
         let path = wal_path(&dir);
 
         // Missing and empty files re-create.
-        assert!(read_wal(&path).unwrap().1);
+        assert!(read_wal(&path).unwrap().recreate);
         fs::write(&path, "").unwrap();
-        assert!(read_wal(&path).unwrap().1);
+        assert!(read_wal(&path).unwrap().recreate);
 
         // A full log with a torn trailing record drops only the tear.
         let mut w = WalWriter::create(&path).unwrap();
@@ -2321,15 +2273,20 @@ mod tests {
         drop(w);
         let intact = fs::read_to_string(&path).unwrap();
         fs::write(&path, format!("{intact}{{\"action\":\"sub")).unwrap();
-        let (records, recreate) = read_wal(&path).unwrap();
-        assert!(!recreate);
-        assert_eq!(records.len(), 2);
-        assert_eq!(records[1].action, "terminal");
+        let scan = read_wal(&path).unwrap();
+        assert!(!scan.recreate);
+        assert_eq!(scan.records.len(), 2);
+        assert_eq!(scan.records[1].action, "terminal");
+        // Appending truncates the tear away first, so the next record
+        // starts on its own line and the log reads back whole.
+        assert_eq!(scan.valid_len, intact.len() as u64);
+        WalWriter::append(&path, scan.valid_len).unwrap().log(&rec, None).unwrap();
+        assert_eq!(read_wal(&path).unwrap().records.len(), 3);
 
         // A torn header with no records re-creates; with records it is a
         // hard error (the log is unreadable, not merely torn).
         fs::write(&path, "{\"wal\":\"intelli").unwrap();
-        assert!(read_wal(&path).unwrap().1);
+        assert!(read_wal(&path).unwrap().recreate);
         let body = intact.lines().nth(1).unwrap();
         fs::write(&path, format!("{{\"wal\":\"intelli\n{body}\n")).unwrap();
         assert!(read_wal(&path).is_err());

@@ -64,9 +64,9 @@ pub use noc_fault::{HardFault, HardFaultKind, HardFaultScenario, HardFaultTarget
 // profilers without depending on `noc-telemetry` directly.
 pub use noc_telemetry::{
     bundle_file_name, export_alert_metrics, export_prof_metrics, journey_file_name,
-    journey_sampled, link_stats_csv, parse_bundle, parse_exposition, parse_rules, percentile,
-    render_exposition, render_report, runner_events_jsonl, shared_recorder, AlertCmp, AlertEdge,
-    AlertEngine, AlertEvent, AlertRule, AttributionArtifacts, BundleCause, BundleHead,
+    journey_sampled, json_str, link_stats_csv, parse_bundle, parse_exposition, parse_rules,
+    percentile, render_exposition, render_report, runner_events_jsonl, shared_recorder, AlertCmp,
+    AlertEdge, AlertEngine, AlertEvent, AlertRule, AttributionArtifacts, BundleCause, BundleHead,
     ConvergenceSample, DecisionLog, DecisionRecord, Event, EventKind, FlightRecorder, GateEdge,
     HeatGrid, HopSpan, HttpHandler, HttpRequest, HttpResponse, HttpServer, JourneyCause,
     JourneyLoc, JourneyLog, LatencyBreakdown, LatencyComponents, LinkStat, MetricsHub,

@@ -25,6 +25,7 @@
 //! [`export_alert_metrics`].
 
 use crate::exposition::{registry_samples, Sample};
+use crate::json_str;
 use crate::metrics::{is_valid_metric_name, MetricsRegistry};
 use std::fmt::Write as _;
 
@@ -427,27 +428,6 @@ pub fn export_alert_metrics(reg: &mut MetricsRegistry, engine: &AlertEngine) -> 
     }
     reg.counter_set("noc_alert_evaluations_total", &[], engine.evaluations as f64)?;
     Ok(())
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

@@ -21,6 +21,7 @@
 
 use crate::event::Event;
 use crate::inspect::ConvergenceSample;
+use crate::json_str;
 use crate::timeline::TimelineSample;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -751,27 +752,6 @@ fn render_heat_deltas(out: &mut String, b: &ParsedBundle) {
         let _ = writeln!(out, "| {i} | {a:.2} | {z:.2} | {d:+.2} |");
     }
     out.push('\n');
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// A filesystem-safe deterministic bundle file name for a run key.

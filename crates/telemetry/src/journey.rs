@@ -24,6 +24,7 @@
 //! latency to named `(location, cause)` pairs.
 
 use crate::inspect::LatencyComponents;
+use crate::json_str;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -1034,27 +1035,6 @@ fn parse_txn_line(v: &serde::Content) -> Result<TxnJourney, serde::Error> {
             .ok_or_else(|| serde::Error::msg(format!("bad outcome `{outcome}`")))?,
         legs,
     })
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

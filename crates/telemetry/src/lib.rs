@@ -82,3 +82,28 @@ pub use serve::{
 };
 pub use timeline::{RunTimeline, TimelineSample};
 pub use tracer::{TraceFilter, Tracer, DEFAULT_TRACE_CAPACITY};
+
+/// Minimal JSON string escaping (quotes, backslashes, control chars): `s`
+/// as a quoted JSON string, for the hand-built JSONL lines and error bodies
+/// across the workspace.
+#[must_use]
+pub fn json_str(s: &str) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}

@@ -8,6 +8,7 @@
 //! order (nondeterministic under `--jobs N`), and they never enter the
 //! determinism-checked run artifacts.
 
+use crate::json_str;
 use std::fmt::Write as _;
 
 /// One execution-engine lifecycle event.
@@ -157,27 +158,6 @@ pub fn runner_events_jsonl(events: &[RunnerEvent]) -> String {
         out.push_str(&e.to_json());
         out.push('\n');
     }
-    out
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
     out
 }
 

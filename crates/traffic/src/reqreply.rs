@@ -8,10 +8,9 @@
 //! emitting a reply of `reply_packets` packets, and the transaction
 //! completes only when every reply packet is delivered back. Clients gate
 //! new requests on open transactions (not in-flight flits), time out
-//! attempts after `reply_timeout` cycles, and retry with the same
-//! capped-exponential, deterministically-jittered backoff shape as the
-//! runner's `BackoffPolicy::Exponential` — so endpoint retries fan out
-//! instead of re-synchronizing into a storm.
+//! attempts after `reply_timeout` cycles, and retry with a
+//! capped-exponential, deterministically-jittered backoff — so endpoint
+//! retries fan out instead of re-synchronizing into a storm.
 //!
 //! When the recent timeout rate at a client crosses `shed_threshold`, the
 //! client *sheds* new transactions instead of injecting them (admission
@@ -201,9 +200,8 @@ fn jitter_hash(master: u64, key: u64) -> u64 {
 }
 
 /// The capped-exponential retry delay (cycles) before attempt
-/// `attempt + 1`, mirroring `BackoffPolicy::Exponential`: `min(base *
-/// 2^(attempt-1), cap)` plus a deterministic jitter of up to half the
-/// delay keyed on the transaction id.
+/// `attempt + 1`: `min(base * 2^(attempt-1), cap)` plus a deterministic
+/// jitter of up to half the delay keyed on the transaction id.
 fn backoff_delay(base: u64, cap: u64, txn: u64, attempt: u32) -> u64 {
     let doublings = attempt.saturating_sub(1).min(20);
     let raw = base.saturating_mul(1u64 << doublings).min(cap);

@@ -1,20 +1,14 @@
 //! Smoke tests for the figure harness: a miniature campaign produces
 //! well-formed, normalizable results for every figure's metric.
 
-use intellinoc::{compare, geomean, Design};
+use intellinoc::{geomean, Design, ExperimentOutcome, RunnerConfig};
 use intellinoc_bench::{Campaign, CampaignResults};
 use noc_traffic::ParsecBenchmark;
 
 fn mini_campaign() -> CampaignResults {
-    let campaign = Campaign { packets_per_node: 8, ..Campaign::default() };
-    let mut rows = Vec::new();
-    let mut raw = Vec::new();
-    for bench in [ParsecBenchmark::Swaptions, ParsecBenchmark::Dedup] {
-        let outcomes = campaign.run_benchmark(bench, None);
-        rows.push(compare(&outcomes));
-        raw.push((bench, outcomes));
-    }
-    CampaignResults { rows, raw }
+    Campaign { packets_per_node: 8, ..Campaign::default() }
+        .run(&[ParsecBenchmark::Swaptions, ParsecBenchmark::Dedup], None, &RunnerConfig::serial())
+        .expect("clean grid")
 }
 
 #[test]
@@ -37,17 +31,20 @@ fn mini_campaign_covers_all_designs_and_metrics() {
     }
 }
 
+/// The campaign's outcomes are `run_units` payloads, so they must survive
+/// the JSON round trip a runner journal puts them through.
 #[test]
 fn campaign_results_roundtrip_through_json() {
     let results = mini_campaign();
-    let json = serde_json::to_string(&results).expect("serialize");
-    let back: CampaignResults = serde_json::from_str(&json).expect("deserialize");
-    assert_eq!(back.rows.len(), results.rows.len());
-    assert_eq!(back.raw.len(), results.raw.len());
+    let json = serde_json::to_string(&results.raw).expect("serialize");
+    let back: Vec<(ParsecBenchmark, Vec<ExperimentOutcome>)> =
+        serde_json::from_str(&json).expect("deserialize");
+    assert_eq!(back.len(), results.raw.len());
     assert_eq!(
-        back.raw[0].1[0].report.stats.packets_delivered,
+        back[0].1[0].report.stats.packets_delivered,
         results.raw[0].1[0].report.stats.packets_delivered
     );
+    assert_eq!(serde_json::to_string(&back).expect("serialize"), json);
 }
 
 #[test]

@@ -228,8 +228,64 @@ fn wal_truncated_at_trailing_offsets_recovers_without_losing_jobs() {
             );
         }
 
+        // A job acknowledged after the tear must survive the next restart:
+        // its record starts on its own line, not spliced onto the torn one.
+        let (code, body) = submit(&addr, "alice", 0, false, tiny_spec("third"));
+        assert_eq!(code, 202, "offset {offset}: {body}");
+        wait_idle(&addr);
+        assert!(daemon.shutdown(Duration::from_secs(10)));
+        let daemon =
+            Daemon::start(ServeConfig { state_dir: copy.clone(), ..ServeConfig::default() })
+                .unwrap_or_else(|e| panic!("offset {offset}: second restart: {e}"));
+        let summary = wait_idle(&daemon.local_addr().to_string());
+        assert_eq!(summary.accepted, 3, "offset {offset}: {summary:?}");
+        assert_eq!(summary.done, 3, "offset {offset}: {summary:?}");
+
         assert!(daemon.shutdown(Duration::from_secs(10)));
         let _ = std::fs::remove_dir_all(&copy);
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A torn WAL append (what `ChaosPoint::MidWal` leaves: half a record, no
+/// newline) must not corrupt the records acknowledged after the restart
+/// that dropped it — the WAL truncates to its valid prefix before
+/// appending, like the runner journal.
+#[test]
+fn torn_wal_tail_survives_two_restarts() {
+    let dir = tmp_dir("waltwice");
+    let start = || {
+        Daemon::start(ServeConfig { state_dir: dir.clone(), ..ServeConfig::default() })
+            .unwrap_or_else(|e| panic!("daemon start: {e}"))
+    };
+    let daemon = start();
+    let (code, body) = submit(&daemon.local_addr().to_string(), "alice", 0, false, tiny_spec("a"));
+    assert_eq!(code, 202, "{body}");
+    wait_idle(&daemon.local_addr().to_string());
+    assert!(daemon.shutdown(Duration::from_secs(10)));
+
+    // Kill mid-append: half of a submit record reaches the disk.
+    let wal_path = dir.join("wal.jsonl");
+    let wal = std::fs::read_to_string(&wal_path).unwrap();
+    let record = wal.lines().nth(1).unwrap();
+    std::fs::write(&wal_path, format!("{wal}{}", &record[..record.len() / 2])).unwrap();
+
+    // First restart drops the torn tail; two more jobs are acknowledged.
+    let daemon = start();
+    let addr = daemon.local_addr().to_string();
+    assert_eq!(jobs_summary(&addr).accepted, 1);
+    for name in ["b", "c"] {
+        let (code, body) = submit(&addr, "alice", 0, false, tiny_spec(name));
+        assert_eq!(code, 202, "{body}");
+    }
+    wait_idle(&addr);
+    assert!(daemon.shutdown(Duration::from_secs(10)));
+
+    // Second restart: every acknowledged job is still there.
+    let daemon = start();
+    let summary = wait_idle(&daemon.local_addr().to_string());
+    assert_eq!(summary.accepted, 3, "{summary:?}");
+    assert_eq!(summary.done, 3, "{summary:?}");
+    assert!(daemon.shutdown(Duration::from_secs(10)));
     let _ = std::fs::remove_dir_all(&dir);
 }
