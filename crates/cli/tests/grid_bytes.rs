@@ -1,0 +1,148 @@
+//! Characterization of the grid commands, recorded at commit `5129914`: the
+//! exact bytes one tiny grid of each kind renders — campaign (open and
+//! closed loop), sweep, bench record, serve — including the rows of a
+//! timed-out (partial payload), a failed and a skipped (no payload) cell,
+//! plus each grid's run keys and the key-derived seeds of its first and
+//! last cell. Every simulated number in the fixtures depends on those seeds,
+//! so a refactor of how grids build, run or render their cells passes these
+//! tests only if keys, seeds, column sets, float formats and row order all
+//! stayed where they were.
+
+use intellinoc::{derive_seed, reference_report_csv, JobSpec};
+use std::path::{Path, PathBuf};
+use std::process::Command;
+
+/// A fresh scratch directory for one test.
+fn scratch(tag: &str) -> PathBuf {
+    let dir =
+        std::env::temp_dir().join(format!("intellinoc-grid-bytes-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    dir
+}
+
+/// Runs the `intellinoc` binary with `line` split on whitespace, in `cwd`;
+/// returns its exit code and stdout.
+fn intellinoc(cwd: &Path, line: &str) -> (i32, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_intellinoc"))
+        .args(line.split_whitespace())
+        .current_dir(cwd)
+        .output()
+        .expect("spawn intellinoc");
+    (out.status.code().expect("exit code"), String::from_utf8(out.stdout).expect("utf8 stdout"))
+}
+
+fn read(dir: &Path, name: &str) -> String {
+    std::fs::read_to_string(dir.join(name)).unwrap_or_else(|e| panic!("reading {name}: {e}"))
+}
+
+/// The 2-scenario × 5-design campaign every campaign test below runs: one
+/// forced timeout (partial payload), one forced panic and one cell past the
+/// unit cap (no payload).
+const CAMPAIGN: &str = "campaign --ppn 4 --seed 3 --rate 0.01 --dead-links 0,1 --no-router-fail \
+    --flapping 0 --max-cycles 60000 --force-panic dead-links-1/EB \
+    --force-timeout fault-free/SECDED --max-units 9";
+
+#[test]
+fn campaign_csv_table_and_keys_are_pinned() {
+    let dir = scratch("campaign");
+    let (code, stdout) =
+        intellinoc(&dir, &format!("{CAMPAIGN} --csv-out c.csv --runner-log log.jsonl"));
+    assert_eq!(code, 2, "a partial grid exits 2");
+    assert_eq!(read(&dir, "c.csv"), include_str!("fixtures/campaign.csv"));
+    assert_eq!(stdout, include_str!("fixtures/campaign.txt"));
+    // Serial lifecycle events name every key, in canonical order.
+    assert_eq!(read(&dir, "log.jsonl"), include_str!("fixtures/campaign_runner_log.jsonl"));
+    assert_eq!(derive_seed(3, "campaign/fault-free/SECDED/r0.01"), 0xb11a_d863_5ed2_8db6);
+    assert_eq!(derive_seed(3, "campaign/dead-links-1/IntelliNoC/r0.01"), 0xa363_aafc_7b7a_f022);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn closed_loop_campaign_csv_is_pinned() {
+    let dir = scratch("closed");
+    let (code, _) = intellinoc(
+        &dir,
+        &format!(
+            "{CAMPAIGN} --workload reqreply --reply-timeout 400 --max-req-retries 2 --csv-out c.csv"
+        ),
+    );
+    assert_eq!(code, 2);
+    assert_eq!(read(&dir, "c.csv"), include_str!("fixtures/campaign_closed_loop.csv"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn sweep_table_and_keys_are_pinned() {
+    let dir = scratch("sweep");
+    let (code, stdout) = intellinoc(
+        &dir,
+        "sweep --design secded --rates 0.01,0.02,0.04,0.08 --ppn 8 --seed 5 \
+         --force-timeout r0.02 --force-panic r0.04 --max-units 3 --runner-log log.jsonl",
+    );
+    assert_eq!(code, 2);
+    assert_eq!(stdout, include_str!("fixtures/sweep.txt"));
+    assert_eq!(read(&dir, "log.jsonl"), include_str!("fixtures/sweep_runner_log.jsonl"));
+    assert_eq!(derive_seed(5, "sweep/SECDED/r0.01"), 0x375d_d3db_ecf1_16e9);
+    assert_eq!(derive_seed(5, "sweep/SECDED/r0.08"), 0x2e1f_eb59_4f76_a0b6);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn bench_baseline_and_keys_are_pinned() {
+    let dir = scratch("bench");
+    let (code, stdout) = intellinoc(
+        &dir,
+        "bench record --designs secded,intellinoc --rates 0.05 --seeds 2 --ppn 8 --seed 11 \
+         --name pin --out pin.json --journal j.jsonl",
+    );
+    assert_eq!(code, 0);
+    // `--out` is `BenchBaseline::to_json`, byte for byte.
+    assert_eq!(read(&dir, "pin.json"), include_str!("fixtures/bench_pin.json"));
+    assert_eq!(
+        stdout,
+        "cell                          avg_lat      p99_lat energy_pJ/flit\n\
+         SECDED@0.05                49.83±3.91  138.52±26.21    63.685±0.796\n\
+         IntelliNoC@0.05            40.49±0.16   82.17±4.30    41.493±0.025\n"
+    );
+    // The serial journal holds one line per unit after its header, in
+    // canonical (design-major, rate, seed) order.
+    let journal = read(&dir, "j.jsonl");
+    let keys: Vec<&str> = journal
+        .lines()
+        .skip(1)
+        .map(|l| l.strip_prefix("{\"key\":\"").and_then(|l| l.split('"').next()).expect("key"))
+        .collect();
+    assert_eq!(
+        keys,
+        [
+            "bench/SECDED/r0.05/s0",
+            "bench/SECDED/r0.05/s1",
+            "bench/IntelliNoC/r0.05/s0",
+            "bench/IntelliNoC/r0.05/s1",
+        ]
+    );
+    assert_eq!(derive_seed(11, "bench/SECDED/r0.05/s0"), 0x03ce_285b_6346_b316);
+    assert_eq!(derive_seed(11, "bench/IntelliNoC/r0.05/s1"), 0x307b_8479_c8fe_2737);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn serve_reference_report_is_pinned() {
+    // 2 designs × 2 rates; the 600-cycle budget cuts both low-rate cells
+    // off with packets in flight (timed-out rows with partial metrics).
+    let spec = JobSpec {
+        name: "pin".to_owned(),
+        designs: vec!["secded".to_owned(), "intellinoc".to_owned()],
+        rates: vec![0.005, 0.02],
+        ppn: 3,
+        seed: 7,
+        max_cycles: 600,
+        reqreply: None,
+        journeys_every: 0,
+    };
+    // The report's first column is the run key.
+    assert_eq!(reference_report_csv(&spec).unwrap(), include_str!("fixtures/serve.csv"));
+    assert_eq!(derive_seed(7, "serve/SECDED/r0.005"), 0x203c_7711_e6a9_c9c6);
+    assert_eq!(derive_seed(7, "serve/IntelliNoC/r0.02"), 0xb9cb_eb2b_c3c0_998d);
+}
