@@ -6,16 +6,16 @@
 //! it; the one binary, `figures`, looks names up here
 //! (`figures --list`, `figures <name>…`, `figures all`).
 //!
-//! Studies that are a plain grid of independent runs execute through the
-//! `noc-runner` engine ([`intellinoc::run_units`]) via [`run_grid`] — the
-//! 5 designs × 10 benchmarks campaign behind Figs. 9–16 and the probe, the
-//! load sweep — or through `run_campaign_runner` (the resilience grid), so
-//! `--jobs N` parallelizes them without moving a byte of output. An
+//! Studies that are a plain grid of independent runs are cell lists for
+//! [`intellinoc::run_grid`] — the 5 designs × 10 benchmarks campaign behind
+//! Figs. 9–16 and the probe, the load sweep, and (through
+//! `run_campaign_runner`) the resilience grid — so `--jobs N` parallelizes
+//! them without moving a byte of output. An
 //! [`Evaluation`] carries the campaign parameters and worker count across
 //! the figures of one invocation and runs the campaign at most once, in
-//! memory. Every run keeps the seed its study pins (2019 for the campaign):
-//! Figs. 9–16 normalize each benchmark to SECDED on the *same* traffic, so
-//! the runner's key-derived seeds are deliberately not used here.
+//! memory. Every cell carries the seed its study pins (2019 for the
+//! campaign): Figs. 9–16 normalize each benchmark to SECDED on the *same*
+//! traffic, so these cells deliberately do not use key-derived seeds.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,8 +27,8 @@ pub use csv::{write_campaign_csv, write_raw_csv, METRIC_COLUMNS};
 pub use studies::print_headline;
 
 use intellinoc::{
-    compare, pretrain_intellinoc, run_units, ChaosOptions, ComparisonRow, Design, ExperimentConfig,
-    ExperimentOutcome, NormalizedMetrics, RewardKind, RunStatus, RunnerConfig, UnitCtx, UnitSinks,
+    compare, pretrain_intellinoc, run_grid, ChaosOptions, ComparisonRow, Design, ExperimentConfig,
+    ExperimentOutcome, NormalizedMetrics, RewardKind, RunStatus, RunnerConfig, UnitSinks,
 };
 use noc_rl::{QLearningConfig, QTable};
 use noc_traffic::ParsecBenchmark;
@@ -99,13 +99,14 @@ impl Campaign {
         cfg
     }
 
-    /// Runs all five designs on each of `benches` as one [`run_grid`] grid
-    /// (keys `fig/<bench>/<design>`) and normalizes each benchmark to its
-    /// SECDED run.
+    /// Runs all five designs on each of `benches` as one grid (keys
+    /// `fig/<bench>/<design>`) and normalizes each benchmark to its SECDED
+    /// run.
     ///
     /// # Errors
     ///
-    /// As [`run_grid`]: the first unit that did not finish `ok`, by key.
+    /// Engine errors, and the first unit that did not finish `ok` — timed
+    /// out, stalled or panicked — named by its key.
     pub fn run(
         &self,
         benches: &[ParsecBenchmark],
@@ -121,7 +122,7 @@ impl Campaign {
                 })
             })
             .collect();
-        let mut outcomes = run_grid(&cells, rcfg)?.into_iter();
+        let mut outcomes = run_clean_grid(&cells, rcfg)?.into_iter();
         let mut results = CampaignResults { rows: Vec::new(), raw: Vec::new() };
         for &bench in benches {
             let per_design: Vec<ExperimentOutcome> =
@@ -133,27 +134,18 @@ impl Campaign {
     }
 }
 
-/// Runs `cells` — `(run key, experiment)` pairs — as one `run_units` grid
-/// under `rcfg` and returns the outcomes in cell order. Each experiment
-/// runs under the seed it arrives with (the one its study pins), not the
-/// runner's key-derived one.
+/// Runs `cells` as one [`run_grid`] grid under `rcfg` and returns the
+/// outcomes in cell order: a figure needs every cell.
 ///
 /// # Errors
 ///
 /// Engine errors (duplicate keys), and the first unit that did not finish
 /// `ok` — timed out, stalled or panicked — named by its key.
-pub fn run_grid(
+pub(crate) fn run_clean_grid(
     cells: &[(String, ExperimentConfig)],
     rcfg: &RunnerConfig,
 ) -> Result<Vec<ExperimentOutcome>, String> {
-    let keys: Vec<String> = cells.iter().map(|(key, _)| key.clone()).collect();
-    let report = run_units(0, &keys, rcfg, &ChaosOptions::default(), |ctx: &UnitCtx| {
-        let (_, cfg) = cells
-            .iter()
-            .find(|(key, _)| key == ctx.key)
-            .expect("runner only executes supplied keys");
-        UnitSinks::default().run_unit(cfg.clone(), ctx, ExperimentOutcome::clone)
-    })?;
+    let report = run_grid(cells, rcfg, &ChaosOptions::default(), UnitSinks::default())?;
     report
         .records
         .into_iter()
@@ -249,8 +241,8 @@ impl Evaluation {
     ///
     /// # Errors
     ///
-    /// A unit that did not finish `ok` ([`run_grid`]), as an I/O error so
-    /// renderers propagate it with `?`.
+    /// A unit that did not finish `ok` ([`Campaign::run`]), as an I/O error
+    /// so renderers propagate it with `?`.
     pub fn results(&mut self) -> io::Result<&CampaignResults> {
         if self.results.is_none() {
             eprintln!("[campaign] running 5 designs x 10 benchmarks, {} worker(s)...", self.jobs);
@@ -560,9 +552,9 @@ mod tests {
                 (format!("fig/canneal/{d}"), campaign.config(d, ParsecBenchmark::Canneal, None))
             })
             .into();
-        // Cut EB off mid-run, with packets still in flight.
-        cells[1].1.max_cycles = 100;
-        let err = run_grid(&cells, &RunnerConfig::serial()).expect_err("EB cannot finish");
+        // Cut EB off before its first packet: nothing is in flight yet.
+        cells[1].1.max_cycles = 1;
+        let err = run_clean_grid(&cells, &RunnerConfig::serial()).expect_err("EB cannot finish");
         assert!(err.contains("fig/canneal/EB") && err.contains("timed-out"), "{err}");
     }
 }

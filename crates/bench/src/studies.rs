@@ -3,7 +3,7 @@
 //! sequence where one run feeds the next (pre-train, then test) — and
 //! writes the table(s). Seeds are the ones each study pins.
 
-use crate::{design_columns, run_grid, Evaluation};
+use crate::{design_columns, run_clean_grid, Evaluation};
 use intellinoc::{
     expert_decide, intellinoc_rl_config, mesh_scaling, pretrain_intellinoc, run_campaign_runner,
     run_experiment, CampaignConfig, CampaignRunReport, ChaosOptions, Design, ExperimentConfig,
@@ -442,7 +442,7 @@ pub(crate) fn load_sweep(eval: &mut Evaluation, w: &mut dyn Write) -> io::Result
             })
         })
         .collect();
-    let outcomes = run_grid(&cells, &eval.runner()).map_err(io::Error::other)?;
+    let outcomes = run_clean_grid(&cells, &eval.runner()).map_err(io::Error::other)?;
     let mut table = |heading: &str, precision: usize, metric: fn(&RunReport) -> f64| {
         writeln!(w, "{heading}")?;
         design_columns(w, &format!("{:>8}", "rate"))?;
@@ -488,23 +488,22 @@ pub(crate) fn resilience(eval: &mut Evaluation, w: &mut dyn Write) -> io::Result
             "stalled",
             "status"
         )?;
-        for rec in &report.runner.records {
-            let Some(r) = &rec.payload else {
-                writeln!(w, "{:<32} {:>10}", rec.key, rec.status.label())?;
+        for (design, scenario, rec) in report.rows() {
+            let Some(o) = &rec.payload else {
+                writeln!(w, "{design:<11} {scenario:<20} {:>10}", rec.status.label())?;
                 continue;
             };
+            let s = &o.report.stats;
             writeln!(
                 w,
-                "{:<11} {:<20} {:>8} {:>7} {:>9.3} {:>8.1} {:>8.0} {:>8} {:>7} {:>10}",
-                r.design,
-                r.scenario,
-                r.delivered,
-                r.dropped,
-                100.0 * r.delivery_rate,
-                r.avg_latency,
-                r.p99_latency,
-                r.reroutes,
-                if r.stalled { "YES" } else { "-" },
+                "{design:<11} {scenario:<20} {:>8} {:>7} {:>9.3} {:>8.1} {:>8.0} {:>8} {:>7} {:>10}",
+                s.packets_delivered,
+                s.packets_dropped,
+                100.0 * s.delivery_ratio(),
+                s.avg_latency(),
+                s.latency_percentile(0.99),
+                s.reroutes,
+                if o.report.stall.is_some() { "YES" } else { "-" },
                 rec.status.label()
             )?;
         }

@@ -2,20 +2,20 @@
 
 use crate::args::Args;
 use intellinoc::{
-    compare as compare_outcomes, compare_bench, intellinoc_rl_config, pretrain_intellinoc,
-    record_bench, render_inspect_report, run_campaign_runner, run_chaos_harness, run_experiment,
-    run_experiment_instrumented, run_load_sweep, run_units, BenchBaseline, BenchSpec,
-    BlackboxConfig, CampaignConfig, ChaosHarnessConfig, ChaosKill, ChaosOptions, Daemon, Design,
-    ExperimentConfig, ExperimentOutcome, FleetObserver, FleetProgress, GateOptions, MetricsOptions,
-    RewardKind, RunnerConfig, RunnerReport, ServeConfig, TelemetryArtifacts, TelemetryOptions,
-    UnitCtx, UnitSinks,
+    compare as compare_outcomes, compare_bench, dump_bundle, intellinoc_rl_config,
+    load_sweep_cells, pretrain_intellinoc, record_bench, render_inspect_report, run_chaos_harness,
+    run_experiment, run_experiment_instrumented, run_grid, BenchBaseline, BenchSpec,
+    BlackboxConfig, CampaignConfig, CampaignRunReport, ChaosHarnessConfig, ChaosKill, ChaosOptions,
+    Daemon, Design, ExperimentConfig, ExperimentOutcome, FleetObserver, FleetProgress, GateOptions,
+    MetricsOptions, RewardKind, RunnerConfig, RunnerReport, ServeConfig, TelemetryArtifacts,
+    TelemetryOptions, UnitSinks,
 };
 use noc_power::AreaModel;
 use noc_sim::{
-    bundle_file_name, parse_bundle, parse_rules, render_exposition, render_report,
-    runner_events_jsonl, shared_recorder, AlertEdge, BundleCause, BundleHead, EventKind,
-    JourneyLog, MetricsHub, MetricsRegistry, MetricsServer, Network, Profiler, RunnerEvent,
-    SharedRecorder, SpanTree, TraceFilter, DEFAULT_BLACKBOX_CAPACITY,
+    parse_bundle, parse_rules, render_exposition, render_report, runner_events_jsonl,
+    shared_recorder, AlertEdge, BundleCause, EventKind, JourneyLog, MetricsHub, MetricsRegistry,
+    MetricsServer, Network, Profiler, RunnerEvent, SpanTree, TraceFilter,
+    DEFAULT_BLACKBOX_CAPACITY,
 };
 use noc_traffic::{
     capture_trace, read_trace, write_trace, ParsecBenchmark, ReqReplySpec, TraceReplay,
@@ -107,7 +107,7 @@ fn workload_from(args: &Args, ppn: u64) -> Result<WorkloadSpec, String> {
 }
 
 /// Builds the execution-engine configuration and chaos switches shared by
-/// the grid commands (`campaign`, `sweep`) from the command line.
+/// the grid commands from the command line.
 ///
 /// # Errors
 ///
@@ -191,24 +191,6 @@ fn profile_wanted(args: &Args) -> bool {
         || ["profile-out", "prof-out", "flame-out"].iter().any(|k| args.get(k).is_some())
 }
 
-/// The fleet-wide sink a grid's units merge their span trees into, when
-/// the command line asks for span profiling.
-fn prof_sink_from(args: &Args) -> Option<Mutex<Profiler>> {
-    profile_wanted(args).then(|| Mutex::new(Profiler::new()))
-}
-
-/// The [`UnitSinks`] view of the command line's fleet profiler and
-/// journey directory.
-fn unit_sinks<'a>(
-    prof: &'a Option<Mutex<Profiler>>,
-    journeys: &'a Option<(PathBuf, u64)>,
-) -> UnitSinks<'a> {
-    UnitSinks {
-        prof: prof.as_ref(),
-        journeys: journeys.as_ref().map(|(dir, every)| (dir.as_path(), *every)),
-    }
-}
-
 /// Writes the span-tree artifacts: the deterministic cycle-domain table
 /// (`--prof-out`) and the collapsed-stack flamegraph (`--flame-out`,
 /// inferno/speedscope-loadable).
@@ -222,32 +204,6 @@ fn emit_span_tree(args: &Args, label: &str, tree: &SpanTree) -> Result<(), Strin
         eprintln!("{label}: collapsed-stack flamegraph ({} stacks) written to {path}", tree.len());
     }
     Ok(())
-}
-
-/// Emits the wall-clock profile table when asked for: `--profile-out` to a
-/// file, else `--profile` to stdout.
-fn emit_profile_table(args: &Args, label: &str, prof: &Profiler) -> Result<(), String> {
-    match args.get("profile-out") {
-        Some(path) => {
-            std::fs::write(path, prof.table()).map_err(|e| format!("writing {path}: {e}"))?;
-            eprintln!("{label}: profile table written to {path}");
-        }
-        None if args.has_flag("profile") => print!("{}", prof.table()),
-        None => {}
-    }
-    Ok(())
-}
-
-/// Drains a fleet profiler sink, writing its span-tree artifacts.
-fn emit_fleet_profile(
-    args: &Args,
-    label: &str,
-    sink: Option<Mutex<Profiler>>,
-) -> Result<Option<Profiler>, String> {
-    let Some(sink) = sink else { return Ok(None) };
-    let prof = sink.into_inner().expect("profiler sink lock");
-    emit_span_tree(args, label, prof.span_tree())?;
-    Ok(Some(prof))
 }
 
 /// Declares the `noc_runner_*` fleet-progress gauge families.
@@ -320,41 +276,89 @@ fn attach_fleet_observer(
     Ok(server)
 }
 
-/// Emits the runner-level artifacts shared by the grid commands: the
-/// lifecycle-event JSONL (`--runner-log`, with a trailing profile health
-/// note when profiling ran), the wall-clock profile table (`--profile` to
-/// stdout, `--profile-out` to a file), and the status summary line.
-fn emit_runner<T>(
+/// What a grid command (`sweep`, `campaign`, `bench record`, `profile`)
+/// still owes after [`run_grid_command`] and its own rendering:
+/// [`GridEpilogue::finish`].
+struct GridEpilogue {
+    label: &'static str,
+    /// The fleet profiler every unit merged into, when profiling was on.
+    prof: Option<Profiler>,
+    /// The fleet-progress endpoint; serves until the command is done.
+    server: Option<MetricsServer>,
+}
+
+/// Runs `cells` as the grid command `label` — the prologue the grid
+/// commands share: runner options and chaos switches, the fleet observer
+/// (`--progress`, `--metrics-addr`), the fleet profiler (`profiled`), the
+/// per-unit journey directory (`--journeys-dir`), then [`run_grid`].
+fn run_grid_command(
     args: &Args,
-    label: &str,
-    report: &RunnerReport<T>,
-    prof: Option<&Profiler>,
-) -> Result<(), String> {
-    if let Some(path) = args.get("runner-log") {
-        let mut events = report.events.clone();
-        if let Some(p) = prof {
-            events.push(RunnerEvent::ProfileNote {
-                key: label.to_owned(),
-                trace_drops: p.trace_drops().unwrap_or(0),
-                span_truncations: p.span_tree().truncated_enters(),
-                unbalanced_exits: p.span_tree().unbalanced_exits(),
-                recorder_drops: report.recorder_drops,
-            });
-        }
-        std::fs::write(path, runner_events_jsonl(&events))
-            .map_err(|e| format!("writing {path}: {e}"))?;
-        eprintln!("{label}: {} runner events written to {path}", events.len());
+    label: &'static str,
+    cells: &[(String, ExperimentConfig)],
+    profiled: bool,
+) -> Result<(RunnerReport<ExperimentOutcome>, GridEpilogue), String> {
+    let (mut rcfg, chaos) = runner_config_from(args)?;
+    let server = attach_fleet_observer(args, label, &mut rcfg)?;
+    let sink = profiled.then(|| Mutex::new(Profiler::new()));
+    let journeys = journeys_dir_from(args)?;
+    let sinks = UnitSinks {
+        prof: sink.as_ref(),
+        journeys: journeys.as_ref().map(|(dir, every)| (dir.as_path(), *every)),
+    };
+    let report = run_grid(cells, &rcfg, &chaos, sinks)?;
+    if let Some((dir, _)) = &journeys {
+        eprintln!("{label}: journey logs collected in {}", dir.display());
     }
-    if args.has_flag("profile") || args.get("profile-out").is_some() {
-        let mut wall = Profiler::new();
-        report.fill_profiler(&mut wall);
-        if let Some(p) = prof {
-            wall.merge(p);
+    let prof = sink.map(|sink| sink.into_inner().expect("profiler sink lock"));
+    Ok((report, GridEpilogue { label, prof, server }))
+}
+
+impl GridEpilogue {
+    /// The epilogue the grid commands share, once the command has rendered
+    /// `report`: the span-tree artifacts (`--prof-out`, `--flame-out`), the
+    /// lifecycle-event JSONL (`--runner-log`, with a trailing profile health
+    /// note when profiling ran), the wall-clock profile table (`--profile`
+    /// to stdout, `--profile-out` to a file), the status summary line, and
+    /// the exit code: partial unless every unit finished `ok`.
+    fn finish(self, args: &Args, report: &RunnerReport<ExperimentOutcome>) -> CmdResult {
+        let GridEpilogue { label, prof, server } = self;
+        if let Some(p) = &prof {
+            emit_span_tree(args, label, p.span_tree())?;
         }
-        emit_profile_table(args, label, &wall)?;
+        if let Some(path) = args.get("runner-log") {
+            let mut events = report.events.clone();
+            if let Some(p) = &prof {
+                events.push(RunnerEvent::ProfileNote {
+                    key: label.to_owned(),
+                    trace_drops: p.trace_drops().unwrap_or(0),
+                    span_truncations: p.span_tree().truncated_enters(),
+                    unbalanced_exits: p.span_tree().unbalanced_exits(),
+                    recorder_drops: report.recorder_drops,
+                });
+            }
+            std::fs::write(path, runner_events_jsonl(&events))
+                .map_err(|e| format!("writing {path}: {e}"))?;
+            eprintln!("{label}: {} runner events written to {path}", events.len());
+        }
+        if args.has_flag("profile") || args.get("profile-out").is_some() {
+            let mut wall = Profiler::new();
+            report.fill_profiler(&mut wall);
+            if let Some(p) = &prof {
+                wall.merge(p);
+            }
+            match args.get("profile-out") {
+                Some(path) => {
+                    std::fs::write(path, wall.table())
+                        .map_err(|e| format!("writing {path}: {e}"))?;
+                    eprintln!("{label}: profile table written to {path}");
+                }
+                None => print!("{}", wall.table()),
+            }
+        }
+        eprintln!("{label}: {}", report.summary());
+        drop(server);
+        Ok(if report.is_clean() { CmdOutcome::Done } else { CmdOutcome::Partial })
     }
-    eprintln!("{label}: {}", report.summary());
-    Ok(())
 }
 
 fn print_outcome(o: &ExperimentOutcome, json: bool) -> Result<(), String> {
@@ -433,47 +437,20 @@ pub fn telemetry_from(args: &Args) -> Result<TelemetryOptions, String> {
         trace_capacity: args.get_or("trace-capacity", 0usize)?,
         timeline: args.get("timeline-out").is_some(),
         profile: profile_wanted(args),
-        attribution: args.has_flag("attribution"),
-        decisions: args.has_flag("decisions"),
         journeys_every: journeys_every_from(args)?,
         metrics: MetricsOptions {
             hub: None,
             file: args.get("metrics-out").map(str::to_owned),
             every_steps: args.get_or("metrics-every", 1u64)?,
         },
-        blackbox: None,
         alert_rules: match args.get("alert-rules") {
             Some(spec) => parse_rules(spec)?,
             None => Vec::new(),
         },
+        // Attribution and the decision log have no sink here: `inspect`,
+        // the one command that renders them, switches them on itself.
+        ..TelemetryOptions::default()
     })
-}
-
-/// Writes one flight-recorder bundle into `dir`, returning its path.
-fn dump_cli_bundle(
-    dir: &std::path::Path,
-    recorder: &SharedRecorder,
-    cause: BundleCause,
-    key: &str,
-    seed: u64,
-    detail: &str,
-    extras: &[(&str, String)],
-) -> Result<PathBuf, String> {
-    std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
-    let text = {
-        let r = recorder.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let head = BundleHead {
-            cause,
-            key: key.to_owned(),
-            seed,
-            cycle: r.last_cycle(),
-            detail: detail.to_owned(),
-        };
-        r.bundle(&head, extras)
-    };
-    let path = dir.join(bundle_file_name(key));
-    std::fs::write(&path, &text).map_err(|e| format!("writing {}: {e}", path.display()))?;
-    Ok(path)
 }
 
 /// Writes the collected telemetry artifacts to the configured sinks.
@@ -624,13 +601,13 @@ pub fn run(args: &Args) -> CmdResult {
                     ));
                 }
             }
-            let path = dump_cli_bundle(dir, rec, BundleCause::Alert, &key, seed, &detail, &extras)?;
+            let path = dump_bundle(dir, rec, BundleCause::Alert, &key, seed, &detail, &extras)?;
             eprintln!("blackbox: critical-alert bundle written to {}", path.display());
         } else if let Some(stall) = &outcome.report.stall {
             let detail =
                 format!("stall watchdog aborted the run at cycle {}", outcome.report.exec_cycles);
             let extras = [("stall-report", serde_json::to_string(stall).unwrap_or_default())];
-            let path = dump_cli_bundle(dir, rec, BundleCause::Stall, &key, seed, &detail, &extras)?;
+            let path = dump_bundle(dir, rec, BundleCause::Stall, &key, seed, &detail, &extras)?;
             eprintln!("blackbox: stall bundle written to {}", path.display());
         }
     }
@@ -746,63 +723,45 @@ pub fn sweep(args: &Args) -> CmdResult {
         .split(',')
         .map(|r| r.trim().parse().map_err(|_| format!("invalid rate: {r}")))
         .collect::<Result<_, _>>()?;
-    let ppn = args.get_or("ppn", 100u64)?;
-    let reqreply = reqreply_from(args)?;
-    let (mut rcfg, chaos) = runner_config_from(args)?;
-    let server = attach_fleet_observer(args, "sweep", &mut rcfg)?;
-    let sink = prof_sink_from(args);
-    let jsink = journeys_dir_from(args)?;
-    let report = run_load_sweep(
+    let cells = load_sweep_cells(
         design,
         &rates,
-        ppn,
+        args.get_or("ppn", 100u64)?,
         args.get_or("seed", 1u64)?,
-        &rcfg,
-        &chaos,
-        reqreply.as_ref(),
-        unit_sinks(&sink, &jsink),
-    )?;
-    if let Some((dir, _)) = &jsink {
-        eprintln!("sweep: journey logs collected in {}", dir.display());
-    }
+        reqreply_from(args)?.as_ref(),
+    );
+    let (report, epilogue) = run_grid_command(args, "sweep", &cells, profile_wanted(args))?;
     println!(
         "{:>8} {:>10} {:>8} {:>8} {:>8} {:>10} {:>10} {:>4}",
         "rate", "exec_cyc", "avg_lat", "p99_lat", "deliv%", "power_mW", "status", "try"
     );
-    for rec in &report.records {
-        match &rec.payload {
-            Some(p) => println!(
+    for (rate, rec) in rates.iter().zip(&report.records) {
+        match rec.payload.as_ref().map(|o| &o.report) {
+            Some(r) => println!(
                 "{:>8.4} {:>10} {:>8.1} {:>8.0} {:>8.1} {:>10.1} {:>10} {:>4}",
-                p.rate,
-                p.exec_cycles,
-                p.avg_latency,
-                p.p99_latency,
-                100.0 * p.delivery_rate,
-                p.power_mw,
+                rate,
+                r.exec_cycles,
+                r.avg_latency(),
+                r.stats.latency_percentile(0.99),
+                100.0 * r.stats.delivery_ratio(),
+                r.power.total_mw(),
                 rec.status.label(),
                 rec.attempts
             ),
-            None => {
-                // `sweep/<design>/r<rate>` → the rate column, empty metrics.
-                let rate = rec.key.rsplit('/').next().and_then(|s| s.strip_prefix('r'));
-                println!(
-                    "{:>8} {:>10} {:>8} {:>8} {:>8} {:>10} {:>10} {:>4}",
-                    rate.unwrap_or("?"),
-                    "-",
-                    "-",
-                    "-",
-                    "-",
-                    "-",
-                    rec.status.label(),
-                    rec.attempts
-                );
-            }
+            None => println!(
+                "{:>8} {:>10} {:>8} {:>8} {:>8} {:>10} {:>10} {:>4}",
+                rate,
+                "-",
+                "-",
+                "-",
+                "-",
+                "-",
+                rec.status.label(),
+                rec.attempts
+            ),
         }
     }
-    let prof = emit_fleet_profile(args, "sweep", sink)?;
-    emit_runner(args, "sweep", &report, prof.as_ref())?;
-    drop(server);
-    Ok(if report.is_clean() { CmdOutcome::Done } else { CmdOutcome::Partial })
+    epilogue.finish(args, &report)
 }
 
 /// `intellinoc trace capture|replay`.
@@ -866,15 +825,9 @@ pub fn campaign(args: &Args) -> CmdResult {
     };
     cfg.flapping = args.get_or("flapping", cfg.flapping)?;
     cfg.reqreply = reqreply_from(args)?;
-    let (mut rcfg, chaos) = runner_config_from(args)?;
-    let server = attach_fleet_observer(args, "campaign", &mut rcfg)?;
-    let sink = prof_sink_from(args);
-    let jsink = journeys_dir_from(args)?;
-
-    let report = run_campaign_runner(&cfg, &rcfg, &chaos, unit_sinks(&sink, &jsink))?;
-    if let Some((dir, _)) = &jsink {
-        eprintln!("campaign: journey logs collected in {}", dir.display());
-    }
+    let (runner, epilogue) =
+        run_grid_command(args, "campaign", &cfg.cells(), profile_wanted(args))?;
+    let report = CampaignRunReport { config: cfg, runner };
     if args.has_flag("json") {
         let s = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
         println!("{s}");
@@ -894,45 +847,41 @@ pub fn campaign(args: &Args) -> CmdResult {
             "status",
             "try"
         );
-        for rec in &report.runner.records {
+        for (design, scenario, rec) in report.rows() {
             match &rec.payload {
-                Some(r) => println!(
-                    "{:<11} {:<20} {:>8} {:>8} {:>7} {:>9.3} {:>8.1} {:>8.0} {:>8} {:>7} {:>10} {:>4}",
-                    r.design,
-                    r.scenario,
-                    r.injected,
-                    r.delivered,
-                    r.dropped,
-                    100.0 * r.delivery_rate,
-                    r.avg_latency,
-                    r.p99_latency,
-                    r.reroutes,
-                    if r.stalled { "YES" } else { "-" },
-                    rec.status.label(),
-                    rec.attempts
-                ),
-                None => {
-                    // `campaign/<scenario>/<design>/r<rate>` → named columns.
-                    let mut parts = rec.key.split('/');
-                    let _ = parts.next();
-                    let scenario = parts.next().unwrap_or("?");
-                    let design = parts.next().unwrap_or("?");
+                Some(o) => {
+                    let s = &o.report.stats;
                     println!(
-                        "{:<11} {:<20} {:>8} {:>8} {:>7} {:>9} {:>8} {:>8} {:>8} {:>7} {:>10} {:>4}",
+                        "{:<11} {:<20} {:>8} {:>8} {:>7} {:>9.3} {:>8.1} {:>8.0} {:>8} {:>7} {:>10} {:>4}",
                         design,
                         scenario,
-                        "-",
-                        "-",
-                        "-",
-                        "-",
-                        "-",
-                        "-",
-                        "-",
-                        "-",
+                        s.packets_injected,
+                        s.packets_delivered,
+                        s.packets_dropped,
+                        100.0 * s.delivery_ratio(),
+                        s.avg_latency(),
+                        s.latency_percentile(0.99),
+                        s.reroutes,
+                        if o.report.stall.is_some() { "YES" } else { "-" },
                         rec.status.label(),
                         rec.attempts
                     );
                 }
+                None => println!(
+                    "{:<11} {:<20} {:>8} {:>8} {:>7} {:>9} {:>8} {:>8} {:>8} {:>7} {:>10} {:>4}",
+                    design,
+                    scenario,
+                    "-",
+                    "-",
+                    "-",
+                    "-",
+                    "-",
+                    "-",
+                    "-",
+                    "-",
+                    rec.status.label(),
+                    rec.attempts
+                ),
             }
         }
     }
@@ -951,7 +900,7 @@ pub fn campaign(args: &Args) -> CmdResult {
             violations.join(", ")
         ));
     }
-    if cfg.reqreply.is_some() {
+    if report.config.reqreply.is_some() {
         eprintln!("campaign: transaction-conservation auditor clean");
     }
     if let Some(threshold) = args.get("assert-delivery") {
@@ -963,10 +912,7 @@ pub fn campaign(args: &Args) -> CmdResult {
         }
         eprintln!("campaign: min delivery rate {min:.4} >= {threshold:.4}");
     }
-    let prof = emit_fleet_profile(args, "campaign", sink)?;
-    emit_runner(args, "campaign", &report.runner, prof.as_ref())?;
-    drop(server);
-    Ok(if report.runner.is_clean() { CmdOutcome::Done } else { CmdOutcome::Partial })
+    epilogue.finish(args, &report.runner)
 }
 
 /// Builds the bench grid spec from the command line: a named preset
@@ -1000,25 +946,16 @@ fn bench_spec_from(args: &Args) -> Result<BenchSpec, String> {
 fn bench_record_cmd(args: &Args) -> CmdResult {
     let name = args.get("name").unwrap_or("designs").to_owned();
     let spec = bench_spec_from(args)?;
-    let (mut rcfg, chaos) = runner_config_from(args)?;
-    let server = attach_fleet_observer(args, "bench", &mut rcfg)?;
-    let sink = prof_sink_from(args);
-    let units = spec.keys().len();
+    let cells = spec.cells();
     eprintln!(
-        "bench record: {} designs x {} rates x {} seeds = {units} units",
+        "bench record: {} designs x {} rates x {} seeds = {} units",
         spec.designs.len(),
         spec.rates.len(),
-        spec.seeds
+        spec.seeds,
+        cells.len()
     );
-    let jsink = journeys_dir_from(args)?;
-    let baseline = record_bench(&name, &spec, &rcfg, &chaos, unit_sinks(&sink, &jsink))?;
-    if let Some((dir, _)) = &jsink {
-        eprintln!("bench record: journey logs collected in {}", dir.display());
-    }
-    if let Some(prof) = emit_fleet_profile(args, "bench", sink)? {
-        emit_profile_table(args, "bench", &prof)?;
-    }
-    drop(server);
+    let (report, epilogue) = run_grid_command(args, "bench", &cells, profile_wanted(args))?;
+    let baseline = BenchBaseline::from_report(&name, &spec, &report)?;
     let out = args.get("out").map(str::to_owned).unwrap_or_else(|| format!("BENCH_{name}.json"));
     std::fs::write(&out, baseline.to_json()?).map_err(|e| format!("writing {out}: {e}"))?;
     eprintln!("bench record: {} cells written to {out}", baseline.cells.len());
@@ -1035,7 +972,7 @@ fn bench_record_cmd(args: &Args) -> CmdResult {
             c.energy_per_flit_pj.ci95,
         );
     }
-    Ok(CmdOutcome::Done)
+    epilogue.finish(args, &report)
 }
 
 /// `intellinoc bench compare` — re-run the baseline's grid and gate with
@@ -1048,7 +985,7 @@ fn bench_compare_cmd(args: &Args) -> CmdResult {
     eprintln!(
         "bench compare: re-running `{}` ({} units) against {path}",
         baseline.name,
-        baseline.spec.keys().len()
+        baseline.spec.designs.len() * baseline.spec.rates.len() * baseline.spec.seeds as usize
     );
     let fresh = record_bench(&baseline.name, &baseline.spec, &rcfg, &chaos, UnitSinks::default())?;
     if let Some(out) = args.get("fresh-out") {
@@ -1081,25 +1018,16 @@ pub fn bench(args: &Args) -> CmdResult {
 /// the top-N spans by self wall-clock, and the flamegraph/table artifacts.
 pub fn profile(args: &Args) -> CmdResult {
     let spec = bench_spec_from(args)?;
-    let (mut rcfg, chaos) = runner_config_from(args)?;
-    let server = attach_fleet_observer(args, "profile", &mut rcfg)?;
-    let sink = Mutex::new(Profiler::new());
-    let keys = spec.keys();
+    let cells = spec.cells();
     eprintln!(
         "profile: {} designs x {} rates x {} seeds = {} units",
         spec.designs.len(),
         spec.rates.len(),
         spec.seeds,
-        keys.len()
+        cells.len()
     );
-    let report = run_units(spec.master_seed, &keys, &rcfg, &chaos, |ctx: &UnitCtx| {
-        let idx = keys.iter().position(|k| k == ctx.key).expect("key from supplied list");
-        let sinks = UnitSinks { prof: Some(&sink), journeys: None };
-        sinks.run_unit(spec.unit_config(idx, ctx.seed), ctx, |_| ())
-    })?;
-    let prof = sink.into_inner().expect("profiler sink lock");
-    let tree = prof.span_tree();
-    emit_span_tree(args, "profile", tree)?;
+    let (report, epilogue) = run_grid_command(args, "profile", &cells, true)?;
+    let tree = epilogue.prof.as_ref().expect("profile always profiles").span_tree();
     print!("{}", tree.tree_table());
     let top_n = args.get_or("top", 10usize)?;
     println!();
@@ -1113,9 +1041,7 @@ pub fn profile(args: &Args) -> CmdResult {
             s.flits
         );
     }
-    emit_runner(args, "profile", &report, Some(&prof))?;
-    drop(server);
-    Ok(if report.is_clean() { CmdOutcome::Done } else { CmdOutcome::Partial })
+    epilogue.finish(args, &report)
 }
 
 /// `intellinoc postmortem <bundle.jsonl>` — render a flight-recorder

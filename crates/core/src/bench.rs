@@ -1,8 +1,9 @@
 //! Multi-seed baseline recording and noise-aware regression gating — the
 //! quantitative memory behind `intellinoc bench record` / `bench compare`.
 //!
-//! `record` runs an N-seed × design × injection-rate grid through the
-//! `noc-runner` engine and aggregates each cell's metrics (avg/p99
+//! `record` runs an N-seed × design × injection-rate grid
+//! ([`BenchSpec::cells`]) through [`run_grid`] and folds each cell's
+//! outcomes ([`BenchBaseline::from_report`]: avg/p99
 //! latency, energy per flit, the retired-flit MTTF proxy, transaction
 //! completion tails) into mean, sample stddev, and a 95% confidence interval,
 //! serialized as a canonical `BENCH_<name>.json`. `compare` re-runs the
@@ -14,11 +15,11 @@
 //! wall-clock throughput is `BENCHMARK.json`'s business, not a baseline's.
 
 use crate::designs::Design;
-use crate::experiment::{ExperimentConfig, UnitSinks};
-use crate::runner::{run_units, ChaosOptions, RunnerConfig, UnitCtx};
-use noc_sim::FLITS_PER_PACKET;
-use noc_traffic::{ReqReplySpec, WorkloadSpec};
-use serde::{Deserialize, Serialize};
+use crate::experiment::{rate_workload, run_grid, ExperimentConfig, ExperimentOutcome, UnitSinks};
+use crate::runner::{derive_seed, ChaosOptions, RunnerConfig, RunnerReport};
+use noc_sim::{RunReport, FLITS_PER_PACKET};
+use noc_traffic::ReqReplySpec;
+use serde::{field, Deserialize, Serialize};
 
 /// Serialized baseline format version (bumped on incompatible changes).
 pub const BENCH_FORMAT_VERSION: u32 = 1;
@@ -47,26 +48,16 @@ pub struct BenchSpec {
     pub reqreply: Option<ReqReplySpec>,
 }
 
-/// Required-field extraction for the hand-rolled [`BenchSpec`] parser.
-fn bench_field<T: Deserialize>(content: &serde::Content, name: &str) -> Result<T, serde::Error> {
-    match content.get(name) {
-        Some(v) => {
-            T::deserialize_content(v).map_err(|e| serde::Error::msg(format!("field `{name}`: {e}")))
-        }
-        None => Err(serde::Error::msg(format!("missing field `{name}`"))),
-    }
-}
-
 // Hand-rolled so baselines recorded before the closed-loop era (no
 // `reqreply` key in their JSON) still parse as open-loop grids.
 impl Deserialize for BenchSpec {
     fn deserialize_content(content: &serde::Content) -> Result<Self, serde::Error> {
         Ok(BenchSpec {
-            designs: bench_field(content, "designs")?,
-            rates: bench_field(content, "rates")?,
-            seeds: bench_field(content, "seeds")?,
-            ppn: bench_field(content, "ppn")?,
-            master_seed: bench_field(content, "master_seed")?,
+            designs: field(content, "designs")?,
+            rates: field(content, "rates")?,
+            seeds: field(content, "seeds")?,
+            ppn: field(content, "ppn")?,
+            master_seed: field(content, "master_seed")?,
             reqreply: match content.get("reqreply") {
                 Some(v) => Option::<ReqReplySpec>::deserialize_content(v)
                     .map_err(|e| serde::Error::msg(format!("field `reqreply`: {e}")))?,
@@ -107,64 +98,31 @@ impl BenchSpec {
         }
     }
 
-    /// Stable unit keys, in canonical (design-major, rate, seed) order.
+    /// The (design, rate) cells in canonical order: design-major, then rate.
+    fn cell_ids(&self) -> impl Iterator<Item = (Design, f64)> + '_ {
+        self.designs.iter().flat_map(|&d| self.rates.iter().map(move |&r| (d, r)))
+    }
+
+    /// The grid: `seeds` runs per (design, rate) cell — design-major, then
+    /// rate, then seed — keyed `bench/<design>/r<rate>/s<k>` and seeded from
+    /// `(master_seed, key)` — the one place a bench unit is built (`bench
+    /// record`, `bench compare` and `profile` all run exactly these):
+    /// open- or closed-loop workload at the cell's rate.
     #[must_use]
-    pub fn keys(&self) -> Vec<String> {
-        let mut keys =
+    pub fn cells(&self) -> Vec<(String, ExperimentConfig)> {
+        let mut cells =
             Vec::with_capacity(self.designs.len() * self.rates.len() * self.seeds as usize);
-        for design in &self.designs {
-            for rate in &self.rates {
-                for s in 0..self.seeds {
-                    keys.push(format!("bench/{}/r{rate}/s{s}", design.label()));
-                }
+        for (design, rate) in self.cell_ids() {
+            for s in 0..self.seeds {
+                let key = format!("bench/{}/r{rate}/s{s}", design.label());
+                let workload = rate_workload(rate, self.ppn, self.reqreply.as_ref());
+                let cfg = ExperimentConfig::new(design, workload)
+                    .with_seed(derive_seed(self.master_seed, &key));
+                cells.push((key, cfg));
             }
         }
-        keys
+        cells
     }
-
-    /// Decodes a canonical key index back into `(design, rate)`.
-    #[must_use]
-    pub fn cell_of(&self, idx: usize) -> (Design, f64) {
-        let per_cell = self.seeds as usize;
-        let cell = idx / per_cell;
-        let design = self.designs[cell / self.rates.len()];
-        let rate = self.rates[cell % self.rates.len()];
-        (design, rate)
-    }
-
-    /// The experiment the unit at canonical key index `idx` runs under
-    /// `seed` — the one place a bench unit's configuration is built (`bench
-    /// record`, `bench compare` and `profile` all run exactly this): design
-    /// and rate from [`BenchSpec::cell_of`], open- or closed-loop workload.
-    #[must_use]
-    pub fn unit_config(&self, idx: usize, seed: u64) -> ExperimentConfig {
-        let (design, rate) = self.cell_of(idx);
-        let workload = match &self.reqreply {
-            Some(rr) => WorkloadSpec::reqreply(rate, self.ppn, rr.clone()),
-            None => WorkloadSpec::uniform(rate, self.ppn),
-        };
-        ExperimentConfig::new(design, workload).with_seed(seed)
-    }
-}
-
-/// The metrics of one simulation run (one seed of one cell).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct BenchRunMetrics {
-    /// Mean end-to-end packet latency (cycles).
-    pub avg_latency: f64,
-    /// 99th-percentile packet latency (cycles).
-    pub p99_latency: f64,
-    /// Total energy divided by retired (delivered) flits (pJ/flit).
-    pub energy_per_flit_pj: f64,
-    /// Retired-flit MTTF proxy: extrapolated network MTTF in hours
-    /// (0 when no router aged during the run).
-    pub mttf_hours: f64,
-    /// Median transaction completion time (cycles; 0 on open-loop runs).
-    pub txn_p50_latency: f64,
-    /// p99 transaction completion time (cycles; 0 on open-loop runs).
-    pub txn_p99_latency: f64,
-    /// Execution time in simulated cycles.
-    pub exec_cycles: u64,
 }
 
 /// Mean / sample stddev / 95% CI of one metric over a cell's seeds.
@@ -238,12 +196,12 @@ impl Deserialize for BenchCell {
             }
         };
         Ok(BenchCell {
-            design: bench_field(content, "design")?,
-            rate: bench_field(content, "rate")?,
-            avg_latency: bench_field(content, "avg_latency")?,
-            p99_latency: bench_field(content, "p99_latency")?,
-            energy_per_flit_pj: bench_field(content, "energy_per_flit_pj")?,
-            mttf_hours: bench_field(content, "mttf_hours")?,
+            design: field(content, "design")?,
+            rate: field(content, "rate")?,
+            avg_latency: field(content, "avg_latency")?,
+            p99_latency: field(content, "p99_latency")?,
+            energy_per_flit_pj: field(content, "energy_per_flit_pj")?,
+            mttf_hours: field(content, "mttf_hours")?,
             txn_p50_latency: opt_stats("txn_p50_latency")?,
             txn_p99_latency: opt_stats("txn_p99_latency")?,
         })
@@ -330,14 +288,70 @@ impl BenchBaseline {
     }
 }
 
-/// Runs the grid and aggregates per-cell statistics; every unit feeds
-/// `sinks`, which never move the recorded (cycle-domain) metrics.
+impl BenchBaseline {
+    /// Folds the report of a [`BenchSpec::cells`] grid into per-cell
+    /// statistics: each (design, rate) cell is the next `spec.seeds`
+    /// records, in the order the cells were built.
+    ///
+    /// # Errors
+    ///
+    /// An empty grid, or any unit that did not finish `ok` — a baseline
+    /// must never be recorded over failed or timed-out cells.
+    pub fn from_report(
+        name: &str,
+        spec: &BenchSpec,
+        report: &RunnerReport<ExperimentOutcome>,
+    ) -> Result<Self, String> {
+        if spec.designs.is_empty() || spec.rates.is_empty() || spec.seeds == 0 {
+            return Err("bench grid is empty (need ≥1 design, ≥1 rate, ≥1 seed)".to_owned());
+        }
+        if !report.is_clean() {
+            return Err(format!("bench grid not clean ({}); refusing to record", report.summary()));
+        }
+        let cells = spec
+            .cell_ids()
+            .zip(report.records.chunks(spec.seeds as usize))
+            .map(|((design, rate), chunk)| {
+                let stats = |metric: fn(&RunReport) -> f64| {
+                    let runs = chunk.iter().filter_map(|rec| rec.payload.as_ref());
+                    MetricStats::from_samples(&runs.map(|o| metric(&o.report)).collect::<Vec<_>>())
+                };
+                BenchCell {
+                    design: design.label().to_owned(),
+                    rate,
+                    avg_latency: stats(RunReport::avg_latency),
+                    p99_latency: stats(|r| r.stats.latency_percentile(0.99)),
+                    energy_per_flit_pj: stats(|r| {
+                        let flits = (r.stats.packets_delivered * FLITS_PER_PACKET as u64).max(1);
+                        r.power.total_energy_pj() / flits as f64
+                    }),
+                    mttf_hours: stats(|r| r.mttf_hours.unwrap_or(0.0)),
+                    txn_p50_latency: stats(|r| {
+                        r.txn.as_ref().map_or(0.0, |t| t.p50_completion as f64)
+                    }),
+                    txn_p99_latency: stats(|r| {
+                        r.txn.as_ref().map_or(0.0, |t| t.p99_completion as f64)
+                    }),
+                }
+            })
+            .collect();
+        Ok(BenchBaseline {
+            name: name.to_owned(),
+            format_version: BENCH_FORMAT_VERSION,
+            spec: spec.clone(),
+            cells,
+        })
+    }
+}
+
+/// Runs the grid ([`BenchSpec::cells`] through [`run_grid`]) and folds it
+/// into a baseline; every unit feeds `sinks`, which never move the recorded
+/// (cycle-domain) metrics.
 ///
 /// # Errors
 ///
-/// Returns an error when the engine fails (duplicate keys, journal I/O) or
-/// when any unit does not finish `ok` — a baseline must never be recorded
-/// over failed or timed-out cells.
+/// Engine failures (duplicate keys, journal I/O), and as
+/// [`BenchBaseline::from_report`].
 pub fn record_bench(
     name: &str,
     spec: &BenchSpec,
@@ -345,59 +359,7 @@ pub fn record_bench(
     chaos: &ChaosOptions,
     sinks: UnitSinks<'_>,
 ) -> Result<BenchBaseline, String> {
-    if spec.designs.is_empty() || spec.rates.is_empty() || spec.seeds == 0 {
-        return Err("bench grid is empty (need ≥1 design, ≥1 rate, ≥1 seed)".to_owned());
-    }
-    let keys = spec.keys();
-    let report = run_units(spec.master_seed, &keys, rcfg, chaos, |ctx: &UnitCtx| {
-        let idx = keys.iter().position(|k| k == ctx.key).expect("key from supplied list");
-        sinks.run_unit(spec.unit_config(idx, ctx.seed), ctx, |o| {
-            let r = &o.report;
-            let flits = (r.stats.packets_delivered * FLITS_PER_PACKET as u64).max(1);
-            BenchRunMetrics {
-                avg_latency: r.avg_latency(),
-                p99_latency: r.stats.latency_percentile(0.99),
-                energy_per_flit_pj: r.power.total_energy_pj() / flits as f64,
-                mttf_hours: r.mttf_hours.unwrap_or(0.0),
-                txn_p50_latency: r.txn.as_ref().map_or(0.0, |t| t.p50_completion as f64),
-                txn_p99_latency: r.txn.as_ref().map_or(0.0, |t| t.p99_completion as f64),
-                exec_cycles: r.exec_cycles,
-            }
-        })
-    })?;
-    if !report.is_clean() {
-        return Err(format!("bench grid not clean ({}); refusing to record", report.summary()));
-    }
-
-    let per_cell = spec.seeds as usize;
-    let cells = report
-        .records
-        .chunks(per_cell)
-        .enumerate()
-        .map(|(cell_idx, chunk)| {
-            let (design, rate) = spec.cell_of(cell_idx * per_cell);
-            let pick = |f: &dyn Fn(&BenchRunMetrics) -> f64| -> Vec<f64> {
-                chunk.iter().filter_map(|r| r.payload.as_ref()).map(f).collect()
-            };
-            BenchCell {
-                design: design.label().to_owned(),
-                rate,
-                avg_latency: MetricStats::from_samples(&pick(&|m| m.avg_latency)),
-                p99_latency: MetricStats::from_samples(&pick(&|m| m.p99_latency)),
-                energy_per_flit_pj: MetricStats::from_samples(&pick(&|m| m.energy_per_flit_pj)),
-                mttf_hours: MetricStats::from_samples(&pick(&|m| m.mttf_hours)),
-                txn_p50_latency: MetricStats::from_samples(&pick(&|m| m.txn_p50_latency)),
-                txn_p99_latency: MetricStats::from_samples(&pick(&|m| m.txn_p99_latency)),
-            }
-        })
-        .collect();
-
-    Ok(BenchBaseline {
-        name: name.to_owned(),
-        format_version: BENCH_FORMAT_VERSION,
-        spec: spec.clone(),
-        cells,
-    })
+    BenchBaseline::from_report(name, spec, &run_grid(&spec.cells(), rcfg, chaos, sinks)?)
 }
 
 /// Gating switches for [`compare_bench`].
@@ -617,28 +579,32 @@ mod tests {
     #[test]
     fn keys_are_canonical_and_unique() {
         let spec = BenchSpec::designs_grid();
-        let keys = spec.keys();
-        assert_eq!(keys.len(), 5 * 3 * 5);
-        let unique: std::collections::HashSet<&String> = keys.iter().collect();
-        assert_eq!(unique.len(), keys.len());
-        assert_eq!(keys[0], "bench/SECDED/r0.1/s0");
-        for (i, key) in keys.iter().enumerate() {
-            let (d, r) = spec.cell_of(i);
-            assert!(key.contains(d.label()) && key.contains(&format!("r{r}")), "{key}");
+        let cells = spec.cells();
+        assert_eq!(cells.len(), 5 * 3 * 5);
+        let unique: std::collections::HashSet<&String> = cells.iter().map(|(k, _)| k).collect();
+        assert_eq!(unique.len(), cells.len());
+        assert_eq!(cells[0].0, "bench/SECDED/r0.1/s0");
+        for (i, (key, cfg)) in cells.iter().enumerate() {
+            // Design-major, then rate, then seed.
+            let (d, r) = (spec.designs[i / 15], spec.rates[i / 5 % 3]);
+            assert_eq!(*key, format!("bench/{}/r{r}/s{}", d.label(), i % 5));
+            assert_eq!((cfg.design, cfg.seed), (d, derive_seed(spec.master_seed, key)));
+            assert_eq!(cfg.workload.name, format!("uniform-{r}"));
         }
     }
 
     #[test]
     fn unit_config_honours_the_closed_loop_spec() {
         let mut spec = tiny_spec();
-        let open = spec.unit_config(1, 99);
+        let open = spec.cells().remove(1).1;
         assert_eq!(open.workload.reqreply, None);
-        assert_eq!((open.design, open.seed), (Design::Secded, 99));
+        assert_eq!(open.design, Design::Secded);
         let rr = ReqReplySpec { reply_timeout: 500, ..ReqReplySpec::default() };
         spec.reqreply = Some(rr.clone());
-        let closed = spec.unit_config(1, 99);
+        let closed = spec.cells().remove(1).1;
         assert_eq!(closed.workload.reqreply, Some(rr), "a closed-loop grid must run closed-loop");
         assert_eq!(closed.workload.packets_per_node, spec.ppn);
+        assert_eq!(closed.seed, open.seed, "the loop mode must not move a cell's seed");
     }
 
     #[test]
@@ -680,6 +646,28 @@ mod tests {
         let cmp = compare_bench(&base, &fresh, &forced).unwrap();
         assert!(cmp.has_regressions(), "--force-regress must fire:\n{}", cmp.table());
         assert!(cmp.table().contains("REGRESSED"));
+    }
+
+    /// The fold names cells by position in `cells()` order, never by key,
+    /// and refuses a grid with a cell that did not finish.
+    #[test]
+    fn from_report_folds_by_position_and_refuses_unfinished_grids() {
+        let spec = BenchSpec { designs: vec![Design::Secded, Design::Eb], ..tiny_spec() };
+        let (rcfg, chaos) = (RunnerConfig::serial(), ChaosOptions::default());
+        let mut report = run_grid(&spec.cells(), &rcfg, &chaos, UnitSinks::default()).unwrap();
+        let keyed = BenchBaseline::from_report("t", &spec, &report).unwrap();
+        assert_eq!(keyed, record("t", &spec));
+        for rec in &mut report.records {
+            rec.key = "?".to_owned();
+        }
+        let by_position = BenchBaseline::from_report("t", &spec, &report).unwrap();
+        assert_eq!(by_position, keyed);
+        assert_eq!(by_position.cells[1].id(), "EB@0.02");
+
+        let capped = RunnerConfig { max_units: Some(3), ..RunnerConfig::serial() };
+        let partial = run_grid(&spec.cells(), &capped, &chaos, UnitSinks::default()).unwrap();
+        let err = BenchBaseline::from_report("t", &spec, &partial).unwrap_err();
+        assert!(err.contains("not clean") && err.contains("1 skipped"), "{err}");
     }
 
     #[test]

@@ -8,19 +8,18 @@
 //! whether the stall watchdog had to abort the run. Same seed → byte-identical
 //! report, so campaigns are directly diffable across code revisions.
 //!
-//! Execution goes through the `noc-runner` engine ([`run_campaign_runner`]):
-//! each (design, scenario) cell is one experiment unit with a stable run key
-//! and a key-derived seed, so the grid can run on `jobs` worker threads,
-//! survive panicking or hung cells, and resume from a journal — all while
-//! producing merged reports byte-identical to a serial run. It is the one
-//! way to run a campaign; fleet profiling and per-cell journey logs are the
-//! [`UnitSinks`] argument, not separate entry points.
+//! A campaign is one [`run_grid`] grid: [`CampaignConfig::cells`] builds
+//! each (scenario, design) cell with a stable run key and a key-derived
+//! seed, so the grid can run on `jobs` worker threads, survive panicking or
+//! hung cells, and resume from a journal — all while producing merged
+//! reports byte-identical to a serial run — and [`CampaignRunReport`]
+//! renders the outcomes that come back. Fleet profiling and per-cell
+//! journey logs are the [`UnitSinks`] argument, not separate entry points.
 
 use crate::designs::Design;
-use crate::experiment::{ExperimentConfig, UnitSinks};
-use crate::runner::{run_units, ChaosOptions, RunnerConfig, RunnerReport, UnitCtx, UnitVerdict};
+use crate::experiment::{rate_workload, run_grid, ExperimentConfig, ExperimentOutcome, UnitSinks};
+use crate::runner::{derive_seed, ChaosOptions, RunnerConfig, RunnerReport, UnitRecord};
 use noc_sim::HardFaultScenario;
-use noc_traffic::WorkloadSpec;
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
@@ -70,47 +69,6 @@ impl Default for CampaignConfig {
     }
 }
 
-/// One (design, scenario) cell of the campaign grid.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct CampaignRow {
-    /// Design label (e.g. `IntelliNoC`).
-    pub design: String,
-    /// Scenario name (e.g. `dead-links-4`).
-    pub scenario: String,
-    /// Packets injected.
-    pub injected: u64,
-    /// Packets delivered.
-    pub delivered: u64,
-    /// Packets dropped (accounted loss).
-    pub dropped: u64,
-    /// delivered / injected.
-    pub delivery_rate: f64,
-    /// Mean end-to-end latency (cycles).
-    pub avg_latency: f64,
-    /// 99th-percentile latency (cycles).
-    pub p99_latency: f64,
-    /// Fault-aware detour hops taken.
-    pub reroutes: u64,
-    /// Per-hop retransmission events.
-    pub hop_retx: u64,
-    /// End-to-end packet retries.
-    pub e2e_retx: u64,
-    /// Whether the stall watchdog aborted the run.
-    pub stalled: bool,
-    /// Cycles simulated.
-    pub cycles: u64,
-    /// Extrapolated network MTTF in hours, if any router aged.
-    pub mttf_hours: Option<f64>,
-    /// Transactions that exhausted their retry budget (closed-loop cells
-    /// only; `None` on open-loop cells).
-    pub txn_failed: Option<u64>,
-    /// Transactions shed by admission control (closed-loop cells only).
-    pub txn_shed: Option<u64>,
-    /// Conservation-auditor violation count (closed-loop cells only; any
-    /// nonzero value fails the campaign).
-    pub txn_violations: Option<u64>,
-}
-
 /// The seeded scenario family a [`CampaignConfig`] describes, as
 /// `(name, scenario)` pairs in a fixed order.
 pub fn campaign_scenarios(cfg: &CampaignConfig) -> Vec<(String, HardFaultScenario)> {
@@ -136,81 +94,66 @@ pub fn campaign_scenarios(cfg: &CampaignConfig) -> Vec<(String, HardFaultScenari
     out
 }
 
-/// The campaign's canonical unit list: one `(run key, scenario index,
-/// design)` triple per (scenario, design) cell, scenario-major. The key
-/// embeds scenario, design, and injection rate, so the per-unit seed
-/// ([`crate::derive_seed`] of the master seed and key) is stable across
-/// execution orders and grid reshapes.
-pub fn campaign_unit_keys(cfg: &CampaignConfig) -> Vec<(String, usize, Design)> {
-    let scenarios = campaign_scenarios(cfg);
-    let mut out = Vec::with_capacity(scenarios.len() * Design::ALL.len());
-    for (si, (name, _)) in scenarios.iter().enumerate() {
-        for design in Design::ALL {
-            out.push((format!("campaign/{name}/{}/r{}", design.label(), cfg.rate), si, design));
-        }
-    }
-    out
+/// The campaign grid's cell identities in canonical order — every scenario
+/// (`scenarios` is [`campaign_scenarios`]) × every design ([`Design::ALL`]
+/// order), scenario-major: the order of [`CampaignConfig::cells`] and so of
+/// every report's records.
+fn cell_ids(
+    scenarios: &[(String, HardFaultScenario)],
+) -> impl Iterator<Item = (&String, &HardFaultScenario, Design)> {
+    scenarios
+        .iter()
+        .flat_map(|(name, scenario)| Design::ALL.map(move |design| (name, scenario, design)))
 }
 
-/// Runs one campaign cell as a runner unit ([`UnitSinks::run_unit`]) with
-/// the key-derived seed and the campaign's cycle budget.
-fn run_campaign_cell(
-    cfg: &CampaignConfig,
-    scenario_name: &str,
-    scenario: &HardFaultScenario,
-    design: Design,
-    ctx: &UnitCtx,
-    sinks: UnitSinks<'_>,
-) -> UnitVerdict<CampaignRow> {
-    let workload = match &cfg.reqreply {
-        Some(rr) => WorkloadSpec::reqreply(cfg.rate, cfg.ppn, rr.clone()),
-        None => WorkloadSpec::uniform(cfg.rate, cfg.ppn),
-    };
-    let ecfg = ExperimentConfig {
-        max_cycles: cfg.max_cycles,
-        hard_faults: scenario.clone(),
-        fault_aware_routing: cfg.fault_aware_routing,
-        ..ExperimentConfig::new(design, workload)
+impl CampaignConfig {
+    /// The campaign's grid, one cell per scenario × design. The key
+    /// `campaign/<scenario>/<design>/r<rate>` embeds scenario, design and
+    /// injection rate, so the cell's seed ([`derive_seed`] of the master
+    /// seed and key) is stable across execution orders and grid reshapes.
+    #[must_use]
+    pub fn cells(&self) -> Vec<(String, ExperimentConfig)> {
+        let cell = |(name, scenario, design): (&String, &HardFaultScenario, Design)| {
+            let key = format!("campaign/{name}/{}/r{}", design.label(), self.rate);
+            let workload = rate_workload(self.rate, self.ppn, self.reqreply.as_ref());
+            let cfg = ExperimentConfig {
+                max_cycles: self.max_cycles,
+                hard_faults: scenario.clone(),
+                fault_aware_routing: self.fault_aware_routing,
+                ..ExperimentConfig::new(design, workload)
+            }
+            .with_seed(derive_seed(self.seed, &key));
+            (key, cfg)
+        };
+        cell_ids(&campaign_scenarios(self)).map(cell).collect()
     }
-    .with_seed(ctx.seed);
-    sinks.run_unit(ecfg, ctx, |o| {
-        let s = &o.report.stats;
-        CampaignRow {
-            design: design.label().to_owned(),
-            scenario: scenario_name.to_owned(),
-            injected: s.packets_injected,
-            delivered: s.packets_delivered,
-            dropped: s.packets_dropped,
-            delivery_rate: s.delivery_ratio(),
-            avg_latency: s.avg_latency(),
-            p99_latency: s.latency_percentile(0.99),
-            reroutes: s.reroutes,
-            hop_retx: s.hop_retx_events,
-            e2e_retx: s.e2e_retx_packets,
-            stalled: o.report.stall.is_some(),
-            cycles: s.cycles,
-            mttf_hours: o.report.mttf_hours,
-            txn_failed: o.report.txn.as_ref().map(|t| t.failed),
-            txn_shed: o.report.txn.as_ref().map(|t| t.shed),
-            txn_violations: o.report.txn.as_ref().map(|t| t.violations),
-        }
-    })
 }
 
 /// The full campaign grid as executed by the `noc-runner` engine: the
-/// config plus one [`crate::UnitRecord`] per cell in canonical order.
+/// config plus one [`UnitRecord`] per cell in canonical order.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CampaignRunReport {
     /// The campaign parameters (embedded so a report is self-describing).
     pub config: CampaignConfig,
-    /// Per-cell records (status + payload + diagnostics), scenario-major.
-    pub runner: RunnerReport<CampaignRow>,
+    /// Per-cell records (status + outcome + diagnostics), scenario-major.
+    pub runner: RunnerReport<ExperimentOutcome>,
 }
 
 impl CampaignRunReport {
+    /// Every cell as `(design label, scenario name, record)`. Identity
+    /// comes from the record's position in [`CampaignConfig::cells`] order,
+    /// so a failed or skipped cell is as well named as a completed one.
+    #[must_use]
+    pub fn rows(&self) -> Vec<(&'static str, String, &UnitRecord<ExperimentOutcome>)> {
+        cell_ids(&campaign_scenarios(&self.config))
+            .zip(&self.runner.records)
+            .map(|((scenario, _, design), rec)| (design.label(), scenario.clone(), rec))
+            .collect()
+    }
+
     /// Smallest delivery rate across cleanly completed cells.
     pub fn min_delivery_rate(&self) -> f64 {
-        self.runner.ok_payloads().map(|r| r.delivery_rate).fold(1.0, f64::min)
+        self.runner.ok_payloads().map(|o| o.report.stats.delivery_ratio()).fold(1.0, f64::min)
     }
 
     /// `design/scenario` labels of cells whose conservation auditor found
@@ -218,12 +161,13 @@ impl CampaignRunReport {
     /// fail loudly.
     #[must_use]
     pub fn conservation_violations(&self) -> Vec<String> {
-        self.runner
-            .records
-            .iter()
-            .filter_map(|rec| rec.payload.as_ref())
-            .filter(|r| r.txn_violations.is_some_and(|v| v > 0))
-            .map(|r| format!("{}/{}", r.design, r.scenario))
+        self.rows()
+            .into_iter()
+            .filter(|(_, _, rec)| {
+                let txn = rec.payload.as_ref().and_then(|o| o.report.txn.as_ref());
+                txn.is_some_and(|t| t.violations > 0)
+            })
+            .map(|(design, scenario, _)| format!("{design}/{scenario}"))
             .collect()
     }
 
@@ -239,39 +183,35 @@ impl CampaignRunReport {
              avg_latency,p99_latency,reroutes,hop_retx,e2e_retx,stalled,cycles,mttf_hours,\
              txn_failed,txn_shed,txn_violations,status,attempts\n",
         );
-        for rec in &self.runner.records {
+        for (design, scenario, rec) in self.rows() {
+            let _ = write!(out, "{design},{scenario},");
             match &rec.payload {
-                Some(r) => {
+                Some(o) => {
+                    let (r, s) = (&o.report, &o.report.stats);
+                    let txn = |f: fn(&noc_sim::TxnSummary) -> u64| {
+                        r.txn.as_ref().map_or_else(String::new, |t| f(t).to_string())
+                    };
                     let _ = write!(
                         out,
-                        "{},{},{},{},{},{:.6},{:.3},{:.1},{},{},{},{},{},{},{},{},{}",
-                        r.design,
-                        r.scenario,
-                        r.injected,
-                        r.delivered,
-                        r.dropped,
-                        r.delivery_rate,
-                        r.avg_latency,
-                        r.p99_latency,
-                        r.reroutes,
-                        r.hop_retx,
-                        r.e2e_retx,
-                        r.stalled,
-                        r.cycles,
+                        "{},{},{},{:.6},{:.3},{:.1},{},{},{},{},{},{},{},{},{}",
+                        s.packets_injected,
+                        s.packets_delivered,
+                        s.packets_dropped,
+                        s.delivery_ratio(),
+                        s.avg_latency(),
+                        s.latency_percentile(0.99),
+                        s.reroutes,
+                        s.hop_retx_events,
+                        s.e2e_retx_packets,
+                        r.stall.is_some(),
+                        s.cycles,
                         r.mttf_hours.map_or_else(String::new, |h| format!("{h:.3e}")),
-                        r.txn_failed.map_or_else(String::new, |v| v.to_string()),
-                        r.txn_shed.map_or_else(String::new, |v| v.to_string()),
-                        r.txn_violations.map_or_else(String::new, |v| v.to_string()),
+                        txn(|t| t.failed),
+                        txn(|t| t.shed),
+                        txn(|t| t.violations),
                     );
                 }
-                None => {
-                    // `campaign/<scenario>/<design>/r<rate>` → named columns.
-                    let mut parts = rec.key.split('/');
-                    let _ = parts.next();
-                    let scenario = parts.next().unwrap_or("?");
-                    let design = parts.next().unwrap_or("?");
-                    let _ = write!(out, "{design},{scenario},,,,,,,,,,,,,,,");
-                }
+                None => out.push_str(",,,,,,,,,,,,,,"),
             }
             let _ = writeln!(out, ",{},{}", rec.status.label(), rec.attempts);
         }
@@ -279,14 +219,11 @@ impl CampaignRunReport {
     }
 }
 
-/// Runs the campaign grid through the `noc-runner` execution engine.
-///
-/// Every scenario in [`campaign_scenarios`] order × every design in
-/// [`Design::ALL`] order, executed per `rcfg` (worker count, deadline,
-/// retry, journal/resume) with `chaos` failure injection for robustness
-/// testing; every cell feeds `sinks`. Serial, parallel, and resumed
-/// executions produce byte-identical reports for the same campaign config,
-/// whatever the sinks.
+/// Runs the campaign's [`CampaignConfig::cells`] through [`run_grid`]: per
+/// `rcfg` (worker count, deadline, retry, journal/resume), with `chaos`
+/// failure injection for robustness testing, every cell feeding `sinks`.
+/// Serial, parallel, and resumed executions produce byte-identical reports
+/// for the same campaign config, whatever the sinks.
 ///
 /// # Errors
 ///
@@ -298,17 +235,7 @@ pub fn run_campaign_runner(
     chaos: &ChaosOptions,
     sinks: UnitSinks<'_>,
 ) -> Result<CampaignRunReport, String> {
-    let scenarios = campaign_scenarios(cfg);
-    let units = campaign_unit_keys(cfg);
-    let keys: Vec<String> = units.iter().map(|(k, _, _)| k.clone()).collect();
-    let runner = run_units(cfg.seed, &keys, rcfg, chaos, |ctx: &UnitCtx| {
-        let (_, si, design) = units
-            .iter()
-            .find(|(k, _, _)| k == ctx.key)
-            .expect("runner only executes supplied keys");
-        let (name, scenario) = &scenarios[*si];
-        run_campaign_cell(cfg, name, scenario, *design, ctx, sinks)
-    })?;
+    let runner = run_grid(&cfg.cells(), rcfg, chaos, sinks)?;
     Ok(CampaignRunReport { config: cfg.clone(), runner })
 }
 
@@ -360,20 +287,16 @@ mod tests {
     fn tiny_campaign_full_delivery_and_deterministic() {
         let report = run_serial(&tiny());
         assert_eq!(report.runner.records.len(), 2 * Design::ALL.len());
-        for row in report.runner.ok_payloads() {
+        for (design, scenario, rec) in report.rows() {
+            let o = rec.payload.as_ref().expect("every cell completes");
+            let s = &o.report.stats;
             assert_eq!(
-                row.delivered + row.dropped,
-                row.injected,
-                "{} / {}: unaccounted packets",
-                row.design,
-                row.scenario
+                s.packets_delivered + s.packets_dropped,
+                s.packets_injected,
+                "{design} / {scenario}: unaccounted packets"
             );
-            assert_eq!(
-                row.dropped, 0,
-                "{} / {}: rerouting should save all",
-                row.design, row.scenario
-            );
-            assert!(!row.stalled, "{} / {}: stalled", row.design, row.scenario);
+            assert_eq!(s.packets_dropped, 0, "{design} / {scenario}: rerouting should save all");
+            assert!(o.report.stall.is_none(), "{design} / {scenario}: stalled");
         }
         assert_eq!(report.runner.counts().ok, report.runner.records.len());
         let again = run_serial(&tiny());
@@ -393,13 +316,21 @@ mod tests {
     #[test]
     fn unit_keys_embed_scenario_design_and_rate() {
         let cfg = tiny();
-        let units = campaign_unit_keys(&cfg);
-        assert_eq!(units.len(), 2 * Design::ALL.len());
-        assert_eq!(units[0].0, "campaign/fault-free/SECDED/r0.01");
-        assert!(units.iter().all(|(k, _, _)| k.starts_with("campaign/")));
-        let mut keys: Vec<&str> = units.iter().map(|(k, _, _)| k.as_str()).collect();
+        let cells = cfg.cells();
+        assert_eq!(cells.len(), 2 * Design::ALL.len());
+        assert_eq!(cells[0].0, "campaign/fault-free/SECDED/r0.01");
+        assert!(cells.iter().all(|(k, _)| k.starts_with("campaign/")));
+        let mut keys: Vec<&str> = cells.iter().map(|(k, _)| k.as_str()).collect();
         keys.dedup();
-        assert_eq!(keys.len(), units.len(), "keys must be unique");
+        assert_eq!(keys.len(), cells.len(), "keys must be unique");
+        // Every cell arrives fully built: key-derived seed, the campaign's
+        // budget and routing policy, its scenario's faults.
+        for (key, cell) in &cells {
+            assert_eq!(cell.seed, derive_seed(cfg.seed, key), "{key}");
+            assert_eq!((cell.max_cycles, cell.fault_aware_routing), (60_000, true), "{key}");
+        }
+        assert!(cells[0].1.hard_faults.is_empty());
+        assert_eq!(cells[Design::ALL.len()].1.hard_faults.faults.len(), 1);
     }
 
     #[test]
@@ -442,8 +373,8 @@ mod tests {
                 "seed {seed}: conservation must hold under the fault storm"
             );
             for rec in &serial.runner.records {
-                let row = rec.payload.as_ref().expect("every cell produces a row");
-                assert!(row.txn_violations.is_some(), "closed-loop cells carry txn columns");
+                let o = rec.payload.as_ref().expect("every cell produces an outcome");
+                assert!(o.report.txn.is_some(), "closed-loop cells carry txn columns");
             }
             let parallel = run_campaign_runner(
                 &cfg,
@@ -473,5 +404,25 @@ mod tests {
         assert!(failed[0].starts_with("EB,dead-links-1,"), "{}", failed[0]);
         assert_eq!(report.runner.counts().failed, 1);
         assert_eq!(report.runner.counts().ok, 2 * Design::ALL.len() - 1);
+    }
+
+    /// A cell without a payload is named by its position in `cells()`
+    /// order, never by taking its run key apart.
+    #[test]
+    fn failed_and_skipped_cells_keep_their_identity_without_the_key() {
+        let chaos =
+            ChaosOptions { panic_units: Some("fault-free/CP/".to_owned()), timeout_units: None };
+        let capped = RunnerConfig { max_units: Some(9), ..RunnerConfig::serial() };
+        let mut report =
+            run_campaign_runner(&tiny(), &capped, &chaos, UnitSinks::default()).unwrap();
+        let keyed = report.to_csv();
+        for rec in &mut report.runner.records {
+            rec.key = "?".to_owned();
+        }
+        let csv = report.to_csv();
+        assert_eq!(csv, keyed);
+        let rows: Vec<&str> = csv.lines().collect();
+        assert_eq!(rows[3], "CP,fault-free,,,,,,,,,,,,,,,,failed,1");
+        assert_eq!(rows[10], "IntelliNoC,dead-links-1,,,,,,,,,,,,,,,,skipped,0");
     }
 }

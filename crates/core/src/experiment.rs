@@ -4,12 +4,19 @@
 //! This is the entry point the examples, integration tests, and the figure
 //! harness all use. There is one way to run an experiment —
 //! [`run_experiment_instrumented`], with [`run_experiment`] as its
-//! outcome-only shorthand — and one way to run it as a unit of a
-//! [`run_units`](crate::run_units) grid: [`UnitSinks::run_unit`].
+//! outcome-only shorthand — and one way to run a grid of them:
+//! [`run_grid`] over a list of `(run key, ExperimentConfig)` cells, the one
+//! caller of the `noc-runner` engine and of [`UnitSinks::run_unit`].
+//! `campaign`, `sweep`, `bench`, `profile`, `serve` and the `figures`
+//! studies differ only in how they build their cells and how they render
+//! the [`ExperimentOutcome`]s that come back.
 
 use crate::controller::{intellinoc_rl_config, ControlPolicy, RewardKind, RlControl};
 use crate::designs::Design;
-use crate::runner::{classify_timeout, UnitCtx, UnitVerdict};
+use crate::runner::{
+    classify_timeout, derive_seed, run_seeded_units, ChaosOptions, RunnerConfig, RunnerReport,
+    UnitCtx, UnitVerdict,
+};
 use noc_rl::{QLearningConfig, QTable};
 use noc_sim::{
     declare_network_metrics, declare_runtime_metrics, export_alert_metrics, export_network_metrics,
@@ -18,8 +25,9 @@ use noc_sim::{
     MetricsRegistry, Network, ProbeConfig, Profiler, RouterObservation, RunReport, RunTimeline,
     SharedRecorder, SimConfig, TimelineSample, TraceFilter, Tracer, DEFAULT_TRACE_CAPACITY,
 };
-use noc_traffic::{ParsecBenchmark, WorkloadSpec};
+use noc_traffic::{ParsecBenchmark, ReqReplySpec, WorkloadSpec};
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -239,6 +247,10 @@ pub struct ExperimentOutcome {
     pub mode_histogram: [u64; 5],
     /// Mean Q-table entries per router at the end (IntelliNoC only).
     pub mean_qtable_entries: f64,
+    /// Whether the workload ran to its end (`Network::is_done()` when the
+    /// control loop exited): `false` for a run the cycle budget or the stall
+    /// watchdog cut off, even at an instant with no packet in flight.
+    pub finished: bool,
 }
 
 impl ExperimentOutcome {
@@ -262,7 +274,7 @@ pub fn run_experiment(cfg: ExperimentConfig) -> ExperimentOutcome {
 }
 
 /// The fleet-level sinks the units of a grid (`campaign`, `sweep`, `bench`,
-/// `profile`, `serve`) feed besides returning their payload. Neither sink
+/// `profile`, `serve`) feed besides returning their outcome. Neither sink
 /// perturbs cycle-domain state, so a grid's report is byte-identical with
 /// or without them (pinned by integration tests).
 #[derive(Debug, Clone, Copy, Default)]
@@ -301,26 +313,83 @@ impl UnitSinks<'_> {
     /// one place it is written: the engine's deadline clamped onto the
     /// cycle budget `cfg` arrives with, the engine's flight recorder
     /// installed (so a dying unit leaves a post-mortem bundle; recording
-    /// never changes cycle-domain behavior), the sinks fed, the payload
-    /// taken by `measure`, and a stall-watchdog abort or an exhausted budget
-    /// classified as a timeout against the clamped budget. The caller picks
-    /// the seed and sets its own `max_cycles` before the call.
-    pub fn run_unit<T>(
-        &self,
-        cfg: ExperimentConfig,
-        ctx: &UnitCtx,
-        measure: impl FnOnce(&ExperimentOutcome) -> T,
-    ) -> UnitVerdict<T> {
+    /// never changes cycle-domain behavior), the sinks fed, and a run the
+    /// stall watchdog aborted or the clamped budget cut off before the
+    /// workload finished classified as a timeout carrying the partial
+    /// outcome. `cfg` arrives with its seed and its own `max_cycles` set.
+    pub fn run_unit(&self, cfg: ExperimentConfig, ctx: &UnitCtx) -> UnitVerdict<ExperimentOutcome> {
         let mut cfg = cfg.with_deadline(ctx.deadline_cycles);
         cfg.telemetry.blackbox = ctx.recorder.clone();
         let budget = cfg.max_cycles;
         let outcome = self.run(cfg, ctx.key);
-        let payload = measure(&outcome);
-        match classify_timeout(&outcome.report, budget) {
-            Some(report) => UnitVerdict::TimedOut { partial: Some(payload), report },
-            None => UnitVerdict::Ok(payload),
+        match classify_timeout(&outcome.report, outcome.finished, budget) {
+            Some(report) => UnitVerdict::TimedOut { partial: Some(outcome), report },
+            None => UnitVerdict::Ok(outcome),
         }
     }
+}
+
+/// The synthetic workload of a rate-driven grid cell: open-loop uniform
+/// injection, or the closed-loop request–reply protocol when `reqreply` is
+/// given.
+pub(crate) fn rate_workload(rate: f64, ppn: u64, reqreply: Option<&ReqReplySpec>) -> WorkloadSpec {
+    match reqreply {
+        Some(rr) => WorkloadSpec::reqreply(rate, ppn, rr.clone()),
+        None => WorkloadSpec::uniform(rate, ppn),
+    }
+}
+
+/// Runs a grid: `cells` are `(stable run key, fully built experiment)`
+/// pairs, seed included — the runner grids set `derive_seed(master, key)`
+/// while building their cells, the figure studies the seeds they pin — and
+/// every cell is one unit of the `noc-runner` engine, executed per `rcfg`
+/// (workers, deadline, retry, journal/resume) with `chaos` failure injection
+/// under the seed it arrived with, feeding `sinks`. Records come back in
+/// cell order with the whole [`ExperimentOutcome`] as payload (partial on a
+/// timed-out unit), so a renderer reads metrics off `records[i].payload`
+/// and the cell's identity off `cells[i]`. Serial, parallel and resumed
+/// executions of the same cells produce byte-identical reports, whatever
+/// the sinks.
+///
+/// # Errors
+///
+/// Engine-level errors (duplicate keys, journal mismatch or I/O); unit-level
+/// failures are contained in the report instead.
+pub fn run_grid(
+    cells: &[(String, ExperimentConfig)],
+    rcfg: &RunnerConfig,
+    chaos: &ChaosOptions,
+    sinks: UnitSinks<'_>,
+) -> Result<RunnerReport<ExperimentOutcome>, String> {
+    run_grid_hooked(cells, rcfg, chaos, sinks, || ())
+}
+
+/// [`run_grid`] with `before_unit` called at the start of every unit attempt
+/// (serve's mid-unit chaos kill point).
+pub(crate) fn run_grid_hooked(
+    cells: &[(String, ExperimentConfig)],
+    rcfg: &RunnerConfig,
+    chaos: &ChaosOptions,
+    sinks: UnitSinks<'_>,
+    before_unit: impl Fn() + Sync,
+) -> Result<RunnerReport<ExperimentOutcome>, String> {
+    let keys: Vec<String> = cells.iter().map(|(key, _)| key.clone()).collect();
+    let by_key: HashMap<&str, &ExperimentConfig> =
+        cells.iter().map(|(key, cfg)| (key.as_str(), cfg)).collect();
+    // The journal header pins the grid by its keys and this fold of every
+    // cell's seed, so resuming under another master seed is refused.
+    let grid_seed = cells.iter().fold(0, |h, (key, cfg)| derive_seed(h ^ cfg.seed, key));
+    run_seeded_units(
+        grid_seed,
+        &keys,
+        |key| by_key[key].seed,
+        rcfg,
+        chaos,
+        |ctx: &UnitCtx| {
+            before_unit();
+            sinks.run_unit(by_key[ctx.key].clone(), ctx)
+        },
+    )
 }
 
 /// Per-step baseline for delta-valued timeline series.
@@ -571,6 +640,7 @@ pub fn run_experiment_instrumented(
             snapshot_metrics(&net, None);
         }
     }
+    let finished = net.is_done();
     // Capture the recorder's final state *before* open spans are closed:
     // the open span path at death is the post-mortem's "where were we".
     if let Some(bb) = &blackbox {
@@ -623,6 +693,7 @@ pub fn run_experiment_instrumented(
             report,
             mode_histogram,
             mean_qtable_entries,
+            finished,
         },
         policy,
         artifacts,
@@ -747,9 +818,9 @@ mod tests {
         assert!(out.report.stats.faulty_traversals > 0);
     }
 
-    /// The contract the five grid kinds share: the engine's deadline is
+    /// The contract every grid kind shares: the engine's deadline is
     /// clamped onto the unit's own budget, an exhausted budget is a timeout
-    /// carrying the partial payload, and the engine's recorder is fed.
+    /// carrying the partial outcome, and the engine's recorder is fed.
     #[test]
     fn run_unit_clamps_classifies_and_feeds_the_recorder() {
         let recorder = noc_sim::shared_recorder(0);
@@ -763,23 +834,111 @@ mod tests {
         let sinks = UnitSinks::default();
         let cfg = small(Design::Secded, 0.05, 50);
         assert!(cfg.max_cycles > 300);
-        match sinks.run_unit(cfg.clone(), &ctx, |o| o.report.stats.cycles) {
-            UnitVerdict::TimedOut { partial: Some(cycles), report } => {
+        match sinks.run_unit(cfg.clone(), &ctx) {
+            UnitVerdict::TimedOut { partial: Some(o), report } => {
+                let cycles = o.report.stats.cycles;
                 assert_eq!((cycles, report.deadline_cycles, report.cycles_run), (300, 300, 300));
-                assert!(report.in_flight > 0 && report.stall.is_none());
+                assert!(report.in_flight > 0 && report.stall.is_none() && !o.finished);
             }
             other => panic!("expected a budget timeout, got {other:?}"),
         }
         assert_eq!(recorder.lock().expect("recorder lock").last_cycle(), 300);
         // The unit's own, tighter budget wins over a looser deadline.
         let own = ExperimentConfig { max_cycles: 200, ..cfg.clone() };
-        match sinks.run_unit(own, &ctx, |_| ()) {
+        match sinks.run_unit(own, &ctx) {
             UnitVerdict::TimedOut { report, .. } => assert_eq!(report.deadline_cycles, 200),
             other => panic!("expected a budget timeout, got {other:?}"),
         }
         // With no deadline the same unit completes.
         let free = UnitCtx { deadline_cycles: None, recorder: None, ..ctx };
-        assert!(matches!(sinks.run_unit(cfg, &free, |_| ()), UnitVerdict::Ok(())));
+        assert!(matches!(sinks.run_unit(cfg, &free), UnitVerdict::Ok(o) if o.finished));
+    }
+
+    /// A budget that expires before the first packet is injected leaves
+    /// nothing in flight — the run is still unfinished, not clean.
+    #[test]
+    fn a_unit_cut_off_between_packets_is_timed_out() {
+        let ctx =
+            UnitCtx { key: "unit/b", seed: 0, attempt: 1, deadline_cycles: None, recorder: None };
+        let cfg = ExperimentConfig { max_cycles: 1, ..small(Design::Secded, 0.02, 8) };
+        match UnitSinks::default().run_unit(cfg, &ctx) {
+            UnitVerdict::TimedOut { partial: Some(o), report } => {
+                assert!(!o.finished);
+                assert_eq!(
+                    (report.in_flight, report.cycles_run, report.deadline_cycles),
+                    (0, 1, 1)
+                );
+            }
+            other => panic!("expected a timeout, got {other:?}"),
+        }
+    }
+
+    /// Two cells of one grid, as `(key, seed)` pairs on the same tiny
+    /// experiment.
+    fn seeded_cells(cells: [(&str, u64); 2]) -> Vec<(String, ExperimentConfig)> {
+        cells
+            .map(|(key, seed)| (key.to_owned(), small(Design::Secded, 0.02, 4).with_seed(seed)))
+            .into()
+    }
+
+    fn grid(
+        cells: &[(String, ExperimentConfig)],
+        rcfg: &RunnerConfig,
+    ) -> Result<RunnerReport<ExperimentOutcome>, String> {
+        run_grid(cells, rcfg, &ChaosOptions::default(), UnitSinks::default())
+    }
+
+    #[test]
+    fn grid_cells_run_under_the_seed_they_arrive_with() {
+        let digest = |o: &ExperimentOutcome| serde_json::to_string(&o.report).unwrap();
+        let serial = RunnerConfig::serial();
+        let same = grid(&seeded_cells([("g/a", 5), ("g/b", 5)]), &serial).unwrap();
+        let [a, b] = &same.ok_payloads().collect::<Vec<_>>()[..] else { panic!("two cells") };
+        assert_eq!(digest(a), digest(b), "the key must not reach the simulation");
+        assert_eq!(digest(a), digest(&run_experiment(small(Design::Secded, 0.02, 4).with_seed(5))));
+        let other = grid(&seeded_cells([("g/a", 5), ("g/b", 6)]), &serial).unwrap();
+        let [a, b] = &other.ok_payloads().collect::<Vec<_>>()[..] else { panic!("two cells") };
+        assert_ne!(digest(a), digest(b), "a cell's own seed must reach the simulation");
+    }
+
+    #[test]
+    fn grid_rejects_duplicate_keys() {
+        let err = grid(&seeded_cells([("g/a", 5), ("g/a", 6)]), &RunnerConfig::serial());
+        assert!(err.unwrap_err().contains("duplicate run key: g/a"));
+    }
+
+    #[test]
+    fn grid_serial_parallel_and_resumed_reports_are_equal() {
+        let cells = crate::load_sweep_cells(Design::Eb, &[0.01, 0.02, 0.03], 4, 11, None);
+        let json = |r: &RunnerReport<ExperimentOutcome>| serde_json::to_string(r).unwrap();
+        let serial = grid(&cells, &RunnerConfig::serial()).unwrap();
+        assert!(serial.is_clean());
+        let parallel = grid(&cells, &RunnerConfig::serial().with_jobs(2)).unwrap();
+        assert_eq!(json(&serial), json(&parallel));
+
+        let dir = std::env::temp_dir().join(format!("intellinoc-grid-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let journal = dir.join("grid.jsonl");
+        let journaled = RunnerConfig { journal: Some(journal.clone()), ..RunnerConfig::serial() };
+        let capped = grid(&cells, &RunnerConfig { max_units: Some(1), ..journaled.clone() });
+        assert_eq!(capped.unwrap().counts().skipped, 2);
+        let resume = RunnerConfig { resume: true, ..journaled.clone() };
+        let resumed = grid(&cells, &resume).unwrap();
+        assert_eq!(json(&serial), json(&resumed));
+        assert_eq!(resumed.records.iter().filter(|r| r.from_journal).count(), 1);
+
+        // The header pins the cells' seeds: another master seed is refused.
+        let reseeded = crate::load_sweep_cells(Design::Eb, &[0.01, 0.02, 0.03], 4, 12, None);
+        assert!(grid(&reseeded, &resume).unwrap_err().contains("different grid"));
+
+        // A journal of the per-kind-row era (format version 1) is refused by
+        // its header, before any of its records is parsed.
+        let v2 = std::fs::read_to_string(&journal).unwrap();
+        assert!(v2.contains("\"version\":2,"), "{v2}");
+        std::fs::write(&journal, v2.replacen("\"version\":2,", "\"version\":1,", 1)).unwrap();
+        let err = grid(&cells, &resume).unwrap_err();
+        assert!(err.contains("format version 1") && err.contains("version 2"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -52,18 +52,14 @@ mod serve;
 mod sweeps;
 
 pub use bench::{
-    compare_bench, record_bench, BenchBaseline, BenchCell, BenchComparison, BenchRunMetrics,
-    BenchSpec, CompareRow, GateOptions, GateVerdict, MetricStats, BENCH_FORMAT_VERSION,
-    GATED_METRICS, REL_EPSILON,
+    compare_bench, record_bench, BenchBaseline, BenchCell, BenchComparison, BenchSpec, CompareRow,
+    GateOptions, GateVerdict, MetricStats, BENCH_FORMAT_VERSION, GATED_METRICS, REL_EPSILON,
 };
-pub use campaign::{
-    campaign_scenarios, campaign_unit_keys, run_campaign_runner, CampaignConfig, CampaignRow,
-    CampaignRunReport,
-};
+pub use campaign::{campaign_scenarios, run_campaign_runner, CampaignConfig, CampaignRunReport};
 pub use controller::{cpd_decide, intellinoc_rl_config, ControlPolicy, RewardKind, RlControl};
 pub use designs::Design;
 pub use experiment::{
-    pretrain_intellinoc, run_experiment, run_experiment_instrumented, ExperimentConfig,
+    pretrain_intellinoc, run_experiment, run_experiment_instrumented, run_grid, ExperimentConfig,
     ExperimentOutcome, MetricsOptions, TelemetryArtifacts, TelemetryOptions, UnitSinks,
     CONSERVATION_RULE, DEFAULT_TIME_STEP,
 };
@@ -72,14 +68,14 @@ pub use inspect::render_inspect_report;
 pub use metrics::{compare, geomean, normalize, ComparisonRow, NormalizedMetrics};
 pub use modes::OperationMode;
 pub use runner::{
-    classify_timeout, derive_seed, retry_delay_ms, run_units, BlackboxConfig, ChaosOptions,
-    FleetObserver, FleetProgress, RunStatus, RunnerConfig, RunnerReport, StatusCounts,
-    TimeoutReport, UnitCtx, UnitRecord, UnitVerdict, CHAOS_DEADLINE_CYCLES,
+    classify_timeout, derive_seed, dump_bundle, retry_delay_ms, run_units, BlackboxConfig,
+    ChaosOptions, FleetObserver, FleetProgress, RunStatus, RunnerConfig, RunnerReport,
+    StatusCounts, TimeoutReport, UnitCtx, UnitRecord, UnitVerdict, CHAOS_DEADLINE_CYCLES,
 };
 pub use serve::{
     http_request, http_request_full, reference_report_csv, run_chaos_harness, serve_report_csv,
     token_ok, ChaosHarnessConfig, ChaosIteration, ChaosKill, ChaosPoint, ChaosSummary, Daemon,
-    JobSpec, JobState, JobStatus, JobsSummary, RecoverySummary, ServeConfig, ServePoint,
-    SubmitRequest, SubmitResponse, DEFAULT_CHUNK_UNITS, DEFAULT_TENANT_QUOTA, MAX_JOB_UNITS,
+    JobSpec, JobState, JobStatus, JobsSummary, RecoverySummary, ServeConfig, SubmitRequest,
+    SubmitResponse, DEFAULT_CHUNK_UNITS, DEFAULT_TENANT_QUOTA, MAX_JOB_UNITS,
 };
-pub use sweeps::{load_sweep_keys, mesh_scaling, run_load_sweep, LoadPoint, ScalePoint};
+pub use sweeps::{load_sweep_cells, mesh_scaling, ScalePoint};

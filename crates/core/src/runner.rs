@@ -220,7 +220,8 @@ impl ChaosOptions {
 pub struct UnitCtx<'a> {
     /// The unit's stable run key.
     pub key: &'a str,
-    /// The derived RNG seed ([`derive_seed`] of the master seed and key).
+    /// The unit's RNG seed: [`derive_seed`] of the master seed and key under
+    /// [`run_units`], the seed its cell arrived with under `run_grid`.
     pub seed: u64,
     /// 1-based attempt number (for logging; the seed never depends on it).
     pub attempt: u32,
@@ -248,32 +249,28 @@ pub struct TimeoutReport {
     pub stall: Option<StallReport>,
 }
 
-/// Classifies a finished simulation against its effective deadline.
+/// Classifies a simulation that has stopped against its effective deadline.
 ///
-/// Returns a [`TimeoutReport`] when the run was aborted by the stall
-/// watchdog (its [`StallReport`] rides along) or ran out of cycle budget
-/// with packets unaccounted for; `None` for a clean completion.
+/// Returns a [`TimeoutReport`] when the stall watchdog aborted the run (its
+/// [`StallReport`] rides along) or the workload had not `finished` — the
+/// simulator's own `is_done()`, so a run the budget cut off at an instant
+/// with nothing in flight still counts; `None` for a clean completion.
 #[must_use]
-pub fn classify_timeout(report: &RunReport, deadline_cycles: u64) -> Option<TimeoutReport> {
+pub fn classify_timeout(
+    report: &RunReport,
+    finished: bool,
+    deadline_cycles: u64,
+) -> Option<TimeoutReport> {
+    if finished && report.stall.is_none() {
+        return None;
+    }
     let s = &report.stats;
-    let in_flight = s.packets_injected.saturating_sub(s.packets_delivered + s.packets_dropped);
-    if let Some(stall) = &report.stall {
-        return Some(TimeoutReport {
-            deadline_cycles,
-            cycles_run: s.cycles,
-            in_flight,
-            stall: Some(stall.clone()),
-        });
-    }
-    if in_flight > 0 && s.cycles >= deadline_cycles {
-        return Some(TimeoutReport {
-            deadline_cycles,
-            cycles_run: s.cycles,
-            in_flight,
-            stall: None,
-        });
-    }
-    None
+    Some(TimeoutReport {
+        deadline_cycles,
+        cycles_run: s.cycles,
+        in_flight: s.packets_injected.saturating_sub(s.packets_delivered + s.packets_dropped),
+        stall: report.stall.clone(),
+    })
 }
 
 /// What a unit executor reports back for one attempt.
@@ -504,8 +501,9 @@ struct JournalHeader {
     fingerprint: u64,
 }
 
-/// Journal format version (bumped on incompatible changes).
-const JOURNAL_VERSION: u32 = 1;
+/// Journal format version (bumped on incompatible changes). Version 2:
+/// grid payloads are whole `ExperimentOutcome`s, not per-kind row types.
+const JOURNAL_VERSION: u32 = 2;
 
 fn grid_fingerprint(keys: &[String]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -591,8 +589,8 @@ pub(crate) fn scan_log<H: Deserialize, R: Deserialize>(
     Ok(LogScan { records, recreate: false, valid_len })
 }
 
-/// Reads a journal back ([`scan_log`]), refusing one whose header pins a
-/// different grid or seed.
+/// Reads a journal back ([`scan_log`]), refusing one of another format
+/// version or whose header pins a different grid or seed.
 fn read_journal<T: Deserialize>(
     path: &Path,
     expected: &JournalHeader,
@@ -600,6 +598,13 @@ fn read_journal<T: Deserialize>(
     scan_log(path, "journal", |header: &JournalHeader| {
         if header == expected {
             return Ok(());
+        }
+        if header.version != expected.version {
+            return Err(format!(
+                "journal {path:?} has format version {} but this build reads and writes \
+                 version {}; delete it and re-run the grid",
+                header.version, expected.version
+            ));
         }
         Err(format!(
             "journal {path:?} belongs to a different grid \
@@ -656,9 +661,15 @@ fn lock_recorder(rec: &SharedRecorder) -> std::sync::MutexGuard<'_, FlightRecord
     }
 }
 
-/// Dumps a post-mortem bundle for a dying unit and returns its path.
-fn dump_bundle(
-    bb: &BlackboxConfig,
+/// Writes the flight recorder's ring as the post-mortem bundle
+/// `dir/postmortem-<key>.jsonl` (creating `dir`) and returns its path. The
+/// recorder is read even if a panicking run poisoned its lock.
+///
+/// # Errors
+///
+/// The directory or the bundle could not be written.
+pub fn dump_bundle(
+    dir: &Path,
     recorder: &SharedRecorder,
     cause: BundleCause,
     key: &str,
@@ -666,8 +677,7 @@ fn dump_bundle(
     detail: &str,
     extras: &[(&str, String)],
 ) -> Result<PathBuf, String> {
-    std::fs::create_dir_all(&bb.dir)
-        .map_err(|e| format!("creating blackbox dir {:?}: {e}", bb.dir))?;
+    std::fs::create_dir_all(dir).map_err(|e| format!("creating blackbox dir {dir:?}: {e}"))?;
     let text = {
         let r = lock_recorder(recorder);
         let head = BundleHead {
@@ -679,7 +689,7 @@ fn dump_bundle(
         };
         r.bundle(&head, extras)
     };
-    let path = bb.dir.join(bundle_file_name(key));
+    let path = dir.join(bundle_file_name(key));
     std::fs::write(&path, &text).map_err(|e| format!("writing bundle {path:?}: {e}"))?;
     Ok(path)
 }
@@ -711,7 +721,7 @@ struct Shared<T> {
 /// chaos injection, wall-clock accounting.
 fn run_one<T, F>(
     key: &str,
-    master_seed: u64,
+    seed: u64,
     cfg: &RunnerConfig,
     chaos: &ChaosOptions,
     exec: &F,
@@ -723,7 +733,6 @@ where
 {
     let deadline =
         if chaos.times_out(key) { Some(CHAOS_DEADLINE_CYCLES) } else { cfg.deadline_cycles };
-    let seed = derive_seed(master_seed, key);
     let t0 = Instant::now();
     let mut attempt = 0u32;
     loop {
@@ -752,7 +761,7 @@ where
             let (Some(bb), Some(rec)) = (cfg.blackbox.as_ref(), recorder.as_ref()) else {
                 return;
             };
-            match dump_bundle(bb, rec, cause, key, seed, detail, extras) {
+            match dump_bundle(&bb.dir, rec, cause, key, seed, detail, extras) {
                 Ok(path) => {
                     let mut s = shared.lock().expect("runner state lock");
                     s.events.push(RunnerEvent::PostmortemDumped {
@@ -932,6 +941,24 @@ where
     T: Serialize + Deserialize + Send,
     F: Fn(&UnitCtx) -> UnitVerdict<T> + Sync,
 {
+    run_seeded_units(master_seed, keys, |key| derive_seed(master_seed, key), cfg, chaos, exec)
+}
+
+/// [`run_units`] for units that arrive with their seed: `seed_of(key)` is
+/// what the unit's [`UnitCtx`] and post-mortem bundle carry, and `grid_seed`
+/// only pins the journal header.
+pub(crate) fn run_seeded_units<T, F>(
+    grid_seed: u64,
+    keys: &[String],
+    seed_of: impl Fn(&str) -> u64 + Sync,
+    cfg: &RunnerConfig,
+    chaos: &ChaosOptions,
+    exec: F,
+) -> Result<RunnerReport<T>, String>
+where
+    T: Serialize + Deserialize + Send,
+    F: Fn(&UnitCtx) -> UnitVerdict<T> + Sync,
+{
     {
         let mut seen = std::collections::HashSet::new();
         for key in keys {
@@ -943,7 +970,7 @@ where
     let header = JournalHeader {
         journal: "intellinoc-runner".to_owned(),
         version: JOURNAL_VERSION,
-        master_seed,
+        master_seed: grid_seed,
         fingerprint: grid_fingerprint(keys),
     };
 
@@ -1006,7 +1033,7 @@ where
     let total = dispatch.len();
     if workers <= 1 {
         for &i in dispatch {
-            let rec = run_one(&keys[i], master_seed, cfg, chaos, &exec, &shared);
+            let rec = run_one(&keys[i], seed_of(&keys[i]), cfg, chaos, &exec, &shared);
             finish_record(i, rec, &shared, observer, total, 0, 1);
         }
     } else {
@@ -1015,12 +1042,14 @@ where
         let exec_ref = &exec;
         let shared_ref = &shared;
         let keys_ref = keys;
+        let seed_of = &seed_of;
         std::thread::scope(|scope| {
             for w in 0..workers {
                 scope.spawn(move || loop {
                     let slot = cursor_ref.fetch_add(1, Ordering::Relaxed);
                     let Some(&i) = dispatch.get(slot) else { break };
-                    let rec = run_one(&keys_ref[i], master_seed, cfg, chaos, exec_ref, shared_ref);
+                    let key = &keys_ref[i];
+                    let rec = run_one(key, seed_of(key), cfg, chaos, exec_ref, shared_ref);
                     finish_record(i, rec, shared_ref, observer, total, w, workers);
                 });
             }
@@ -1356,12 +1385,15 @@ mod tests {
         report.stats.packets_injected = 100;
         report.stats.packets_delivered = 100;
         report.stats.cycles = 5_000;
-        assert!(classify_timeout(&report, 4_000).is_none(), "complete runs never time out");
+        assert!(classify_timeout(&report, true, 4_000).is_none(), "complete runs never time out");
+        // Cut off between packets: nothing in flight, yet not finished.
+        let t = classify_timeout(&report, false, 5_000).expect("unfinished is a timeout");
+        assert_eq!((t.in_flight, t.cycles_run), (0, 5_000));
 
         // Budget exhaustion with traffic still in flight.
         report.stats.packets_delivered = 60;
         report.stats.packets_dropped = 10;
-        let t = classify_timeout(&report, 5_000).expect("budget timeout");
+        let t = classify_timeout(&report, false, 5_000).expect("budget timeout");
         assert_eq!(t.in_flight, 30);
         assert!(t.stall.is_none());
         assert_eq!(t.deadline_cycles, 5_000);
@@ -1376,7 +1408,7 @@ mod tests {
             blocked: vec!["flit 7 at router 3".into()],
             dump: "vc dump".into(),
         });
-        let t = classify_timeout(&report, 5_000).expect("stall timeout");
+        let t = classify_timeout(&report, false, 5_000).expect("stall timeout");
         let stall = t.stall.expect("stall report attached");
         assert_eq!(stall.cycle, 900);
         assert_eq!(stall.blocked.len(), 1);

@@ -14,12 +14,13 @@
 //!    terminal) is appended and `fsync`'d *before* the HTTP response is
 //!    written. Torn trailing lines (a crash mid-append) are tolerated on
 //!    replay, exactly like the runner journal.
-//! 2. **Chunked execution**: a job's grid runs through [`run_units`] in
-//!    small `max_units` chunks against the job's journal with `resume`
-//!    enabled. Between chunks the worker observes cancel / pause / drain.
-//!    Because the runner merges resumed and fresh records in canonical key
-//!    order, the final merged report is byte-identical no matter how many
-//!    times the daemon crashed and resumed in between.
+//! 2. **Chunked execution**: a job's grid runs through
+//!    [`run_grid`](crate::run_grid) in small `max_units` chunks against the
+//!    job's journal with `resume` enabled. Between chunks the worker
+//!    observes cancel / pause / drain. Because the runner merges resumed
+//!    and fresh records in canonical key order, the final merged report is
+//!    byte-identical no matter how many times the daemon crashed and
+//!    resumed in between.
 //! 3. **Recovery**: on start the WAL is replayed (last record wins), each
 //!    non-terminal job's journal is scanned to classify it as
 //!    done / resumed / queued, and execution picks up where it stopped. A
@@ -38,17 +39,18 @@
 //! crash path the WAL exists for.
 
 use crate::designs::Design;
-use crate::experiment::{ExperimentConfig, UnitSinks};
+use crate::experiment::{
+    rate_workload, run_grid_hooked, ExperimentConfig, ExperimentOutcome, UnitSinks,
+};
 use crate::runner::{
-    panic_message, run_units, scan_log, BlackboxConfig, ChaosOptions, LogScan, RunStatus,
-    RunnerConfig, RunnerReport, UnitCtx, UnitRecord,
+    derive_seed, panic_message, scan_log, BlackboxConfig, ChaosOptions, LogScan, RunStatus,
+    RunnerConfig, RunnerReport, UnitRecord,
 };
 use noc_sim::{
     export_alert_metrics, json_str, render_exposition, AlertEngine, AlertRule, HttpRequest,
     HttpResponse, HttpServer, MetricsHub, MetricsRegistry, DEFAULT_BLACKBOX_CAPACITY,
 };
-use noc_traffic::WorkloadSpec;
-use serde::{Deserialize, Serialize};
+use serde::{field, Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read as _, Write as _};
@@ -216,27 +218,17 @@ pub struct JobSpec {
     pub journeys_every: u64,
 }
 
-/// Required-field extraction for the hand-rolled [`JobSpec`] parser.
-fn job_field<T: Deserialize>(content: &serde::Content, name: &str) -> Result<T, serde::Error> {
-    match content.get(name) {
-        Some(v) => {
-            T::deserialize_content(v).map_err(|e| serde::Error::msg(format!("field `{name}`: {e}")))
-        }
-        None => Err(serde::Error::msg(format!("missing field `{name}`"))),
-    }
-}
-
 // Hand-rolled so submissions and WAL records written before the
 // closed-loop era (no `reqreply` key) still parse as open-loop grids.
 impl Deserialize for JobSpec {
     fn deserialize_content(content: &serde::Content) -> Result<Self, serde::Error> {
         Ok(JobSpec {
-            name: job_field(content, "name")?,
-            designs: job_field(content, "designs")?,
-            rates: job_field(content, "rates")?,
-            ppn: job_field(content, "ppn")?,
-            seed: job_field(content, "seed")?,
-            max_cycles: job_field(content, "max_cycles")?,
+            name: field(content, "name")?,
+            designs: field(content, "designs")?,
+            rates: field(content, "rates")?,
+            ppn: field(content, "ppn")?,
+            seed: field(content, "seed")?,
+            max_cycles: field(content, "max_cycles")?,
             reqreply: match content.get("reqreply") {
                 Some(v) => Option::<noc_traffic::ReqReplySpec>::deserialize_content(v)
                     .map_err(|e| serde::Error::msg(format!("field `reqreply`: {e}")))?,
@@ -260,21 +252,15 @@ pub fn token_ok(s: &str) -> bool {
         && s.chars().all(|c| c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-'))
 }
 
-/// One grid cell: the design, its injection rate, and the stable unit key.
-#[derive(Debug, Clone)]
-struct JobUnit {
-    key: String,
-    design: Design,
-    rate: f64,
-}
-
-/// Expands and validates a spec into its unit list.
+/// Expands and validates a spec into its grid: one cell per design × rate,
+/// design-major, keyed `serve/<design>/r<rate>` and seeded from `(spec.seed,
+/// key)`, with the spec's cycle budget when it sets one.
 ///
 /// # Errors
 ///
 /// Rejects malformed names, unknown designs, out-of-range rates, empty or
 /// oversized grids, and duplicate cells.
-fn job_units(spec: &JobSpec) -> Result<Vec<JobUnit>, String> {
+fn job_units(spec: &JobSpec) -> Result<Vec<(String, ExperimentConfig)>, String> {
     if !token_ok(&spec.name) {
         return Err(format!("job name must match [A-Za-z0-9._-]{{1,64}}, got `{}`", spec.name));
     }
@@ -296,28 +282,19 @@ fn job_units(spec: &JobSpec) -> Result<Vec<JobUnit>, String> {
             if !seen.insert(key.clone()) {
                 return Err(format!("duplicate grid cell: {key}"));
             }
-            units.push(JobUnit { key, design, rate });
+            let workload = rate_workload(rate, spec.ppn, spec.reqreply.as_ref());
+            let mut cfg =
+                ExperimentConfig::new(design, workload).with_seed(derive_seed(spec.seed, &key));
+            if spec.max_cycles > 0 {
+                cfg.max_cycles = spec.max_cycles;
+            }
+            units.push((key, cfg));
         }
     }
     if units.len() > MAX_JOB_UNITS {
         return Err(format!("grid has {} units; the cap is {MAX_JOB_UNITS}", units.len()));
     }
     Ok(units)
-}
-
-/// One executed grid cell, as journaled and reported by serve mode.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ServePoint {
-    /// Execution time in cycles.
-    pub exec_cycles: u64,
-    /// Mean end-to-end latency (cycles).
-    pub avg_latency: f64,
-    /// 99th-percentile latency (cycles).
-    pub p99_latency: f64,
-    /// delivered / injected.
-    pub delivery_rate: f64,
-    /// Total average power (mW).
-    pub power_mw: f64,
 }
 
 /// Runs (a chunk of) a spec's grid through the runner engine.
@@ -330,43 +307,23 @@ fn run_spec_units(
     rcfg: &RunnerConfig,
     chaos: Option<&Arc<ChaosKill>>,
     journeys: Option<&Path>,
-) -> Result<RunnerReport<ServePoint>, String> {
-    let units = job_units(spec)?;
-    let keys: Vec<String> = units.iter().map(|u| u.key.clone()).collect();
+) -> Result<RunnerReport<ExperimentOutcome>, String> {
+    let cells = job_units(spec)?;
     if let Some(dir) = journeys {
         fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
     }
-    run_units(spec.seed, &keys, rcfg, &ChaosOptions::default(), |ctx: &UnitCtx| {
+    let sinks = UnitSinks { prof: None, journeys: journeys.map(|d| (d, spec.journeys_every)) };
+    run_grid_hooked(&cells, rcfg, &ChaosOptions::default(), sinks, || {
         if let Some(k) = chaos {
             k.trip(ChaosPoint::MidUnit);
         }
-        let unit = units.iter().find(|u| u.key == ctx.key).expect("key from supplied list");
-        let workload = match &spec.reqreply {
-            Some(rr) => WorkloadSpec::reqreply(unit.rate, spec.ppn, rr.clone()),
-            None => WorkloadSpec::uniform(unit.rate, spec.ppn),
-        };
-        let mut cfg = ExperimentConfig::new(unit.design, workload).with_seed(ctx.seed);
-        if spec.max_cycles > 0 {
-            cfg.max_cycles = spec.max_cycles;
-        }
-        let sinks = UnitSinks { prof: None, journeys: journeys.map(|d| (d, spec.journeys_every)) };
-        sinks.run_unit(cfg, ctx, |o| {
-            let r = &o.report;
-            ServePoint {
-                exec_cycles: r.exec_cycles,
-                avg_latency: r.avg_latency(),
-                p99_latency: r.stats.latency_percentile(0.99),
-                delivery_rate: r.stats.delivery_ratio(),
-                power_mw: r.power.total_mw(),
-            }
-        })
     })
 }
 
 /// Renders a merged grid report as deterministic CSV (the serve-mode
 /// report artifact; byte-identical across crashes and resumes).
 #[must_use]
-pub fn serve_report_csv(report: &RunnerReport<ServePoint>) -> String {
+pub fn serve_report_csv(report: &RunnerReport<ExperimentOutcome>) -> String {
     let mut out = String::from(
         "key,status,attempts,exec_cycles,avg_latency,p99_latency,delivery_rate,power_mw\n",
     );
@@ -375,10 +332,14 @@ pub fn serve_report_csv(report: &RunnerReport<ServePoint>) -> String {
         out.push(',');
         out.push_str(rec.status.label());
         out.push_str(&format!(",{}", rec.attempts));
-        match &rec.payload {
-            Some(p) => out.push_str(&format!(
+        match rec.payload.as_ref().map(|o| &o.report) {
+            Some(r) => out.push_str(&format!(
                 ",{},{:.3},{:.3},{:.6},{:.3}\n",
-                p.exec_cycles, p.avg_latency, p.p99_latency, p.delivery_rate, p.power_mw
+                r.exec_cycles,
+                r.avg_latency(),
+                r.stats.latency_percentile(0.99),
+                r.stats.delivery_ratio(),
+                r.power.total_mw()
             )),
             None => out.push_str(",,,,,\n"),
         }
@@ -2301,6 +2262,12 @@ mod tests {
         assert_eq!(a, b);
         assert!(a.starts_with("key,status,attempts,"));
         assert!(a.contains("serve/SECDED/r0.005,ok,1,"));
+        // A cell that never ran keeps its row: the key, no metrics.
+        let spec = JobSpec { rates: vec![0.005, 0.01], ..spec };
+        let capped = RunnerConfig { max_units: Some(1), ..RunnerConfig::serial() };
+        let partial = serve_report_csv(&run_spec_units(&spec, &capped, None, None).unwrap());
+        assert_eq!(partial.lines().nth(1), a.lines().nth(1));
+        assert_eq!(partial.lines().nth(2), Some("serve/SECDED/r0.01,skipped,0,,,,,"));
     }
 
     fn wait_job_status(addr: &str, id: &str) -> JobStatus {

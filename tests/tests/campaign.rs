@@ -100,8 +100,9 @@ fn no_reroute_campaign_completes() {
     let r2 = run_campaign(&small_campaign(false));
     assert_eq!(r1.to_csv(), r2.to_csv());
     // The fault-free cells are untouched by the routing policy switch.
-    let rows = r1.runner.records.iter().filter_map(|rec| rec.payload.as_ref());
-    for row in rows.filter(|r| r.scenario == "fault-free") {
-        assert_eq!(row.delivered, row.injected, "{}: fault-free cell degraded", row.design);
+    for (design, scenario, rec) in r1.rows() {
+        let Some(o) = rec.payload.as_ref().filter(|_| scenario == "fault-free") else { continue };
+        let s = &o.report.stats;
+        assert_eq!(s.packets_delivered, s.packets_injected, "{design}: fault-free cell degraded");
     }
 }

@@ -3,8 +3,8 @@
 //! containment, deadline classification, and journaled resume.
 
 use intellinoc::{
-    derive_seed, run_campaign_runner, run_load_sweep, CampaignConfig, ChaosOptions, Design,
-    RunStatus, RunnerConfig, UnitSinks, CHAOS_DEADLINE_CYCLES,
+    derive_seed, load_sweep_cells, run_campaign_runner, run_grid, CampaignConfig, ChaosOptions,
+    Design, RunStatus, RunnerConfig, UnitSinks, CHAOS_DEADLINE_CYCLES,
 };
 use std::path::PathBuf;
 
@@ -187,19 +187,11 @@ fn campaign_with_panic_and_timeout_completes_all_healthy_units() {
 /// journaled resume reconstructs the identical report.
 #[test]
 fn sweep_resumes_from_journal_byte_identically() {
-    let rates = [0.01, 0.02, 0.03];
-    let chaos = ChaosOptions::default();
-    let serial = run_load_sweep(
-        Design::Eb,
-        &rates,
-        4,
-        11,
-        &RunnerConfig::serial(),
-        &chaos,
-        None,
-        UnitSinks::default(),
-    )
-    .unwrap();
+    let cells = load_sweep_cells(Design::Eb, &[0.01, 0.02, 0.03], 4, 11, None);
+    let sweep = |rcfg: &RunnerConfig| {
+        run_grid(&cells, rcfg, &ChaosOptions::default(), UnitSinks::default()).unwrap()
+    };
+    let serial = sweep(&RunnerConfig::serial());
     assert!(serial.is_clean());
 
     let journal = temp_journal("sweep-resume.jsonl");
@@ -208,16 +200,12 @@ fn sweep_resumes_from_journal_byte_identically() {
         max_units: Some(1),
         ..RunnerConfig::serial()
     };
-    let partial =
-        run_load_sweep(Design::Eb, &rates, 4, 11, &interrupted, &chaos, None, UnitSinks::default())
-            .unwrap();
+    let partial = sweep(&interrupted);
     assert_eq!(partial.counts().ok, 1);
 
     let resume =
         RunnerConfig { journal: Some(journal.clone()), resume: true, ..RunnerConfig::serial() };
-    let resumed =
-        run_load_sweep(Design::Eb, &rates, 4, 11, &resume, &chaos, None, UnitSinks::default())
-            .unwrap();
+    let resumed = sweep(&resume);
     assert_eq!(serde_json::to_string(&serial).unwrap(), serde_json::to_string(&resumed).unwrap());
     let _ = std::fs::remove_file(&journal);
 }
