@@ -41,6 +41,8 @@ mod inspect;
 mod journey;
 mod metrics;
 mod prof;
+#[cfg(test)]
+mod prof_reference;
 mod profiler;
 mod runner;
 mod serve;
@@ -74,7 +76,7 @@ pub use metrics::{
     SeriesValue,
 };
 pub use prof::{export_prof_metrics, SpanStats, SpanTree, MAX_SPAN_DEPTH};
-pub use profiler::{PhaseCounters, Profiler, RunRow};
+pub use profiler::{LeafSpan, PhaseCounters, Profiler, RunRow};
 pub use runner::{runner_events_jsonl, RunnerEvent};
 pub use serve::{
     accept_backoff_ms, HttpHandler, HttpRequest, HttpResponse, HttpServer, MetricsHub,

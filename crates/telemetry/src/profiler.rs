@@ -43,6 +43,14 @@ struct OpenSpan {
     allocs: u64,
 }
 
+/// An open leaf span: what [`Profiler::leaf_enter`] hands to
+/// [`Profiler::leaf_exit`].
+#[derive(Debug, Clone, Copy)]
+pub struct LeafSpan {
+    name: &'static str,
+    t0: Instant,
+}
+
 /// Collects phase counters and per-unit wall-clock rows for the end-of-run
 /// self-profile table, plus the hierarchical span stack aggregated into a
 /// [`SpanTree`]. Wall-clock values are nondeterministic, so the profile is
@@ -129,6 +137,21 @@ impl Profiler {
         self.spans
             .record(&self.path, SpanStats { nanos: elapsed.as_nanos(), calls: 1, flits, allocs });
         self.path.pop();
+    }
+
+    /// Opens a leaf span: a child of the current path that never nests
+    /// further and stays off the span stack, so counts charged while it is
+    /// open land on the enclosing frame. Pair with [`Profiler::leaf_exit`].
+    #[inline]
+    pub fn leaf_enter(&mut self, name: &'static str) -> LeafSpan {
+        LeafSpan { name, t0: Instant::now() }
+    }
+
+    /// Closes a leaf span opened by [`Profiler::leaf_enter`], charging it
+    /// `flits` handled.
+    #[inline]
+    pub fn leaf_exit(&mut self, leaf: LeafSpan, flits: u64) {
+        self.span_leaf(leaf.name, leaf.t0.elapsed(), flits, 0);
     }
 
     /// Closes every still-open span (graceful shutdown of an interrupted

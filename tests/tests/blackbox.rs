@@ -10,7 +10,8 @@ use intellinoc::{
     UnitSinks, UnitVerdict,
 };
 use noc_sim::{
-    parse_bundle, parse_rules, render_report, AlertEdge, Event, RunnerEvent, StallReport,
+    parse_bundle, parse_rules, render_report, AlertEdge, BundleCause, BundleHead, Event,
+    RunnerEvent, StallReport,
 };
 use noc_traffic::ParsecBenchmark;
 use std::path::PathBuf;
@@ -167,6 +168,55 @@ fn campaign_reports_identical_with_recorder_on_and_off() {
     );
     assert_eq!(plain.to_csv(), recorded.to_csv());
     assert!(bundle_files(&dir).is_empty(), "a clean grid must not dump bundles");
+}
+
+/// One timeline sample per control step, whoever consumes it: the recorder's
+/// ring and the run timeline hold the same samples (deltas included — they
+/// share one baseline), and each is unchanged by the other being on. The RL
+/// design with tracing on keeps the mode-histogram and trace-drop deltas live.
+#[test]
+fn recorder_and_timeline_hold_the_same_samples() {
+    let run = |timeline: bool, recorder: bool| {
+        let mut cfg =
+            ExperimentConfig::new(Design::IntelliNoc, ParsecBenchmark::Canneal.workload(12))
+                .with_seed(5)
+                .with_time_step(100);
+        let bb = recorder.then(|| noc_sim::shared_recorder(1 << 12));
+        cfg.telemetry = TelemetryOptions {
+            timeline,
+            blackbox: bb.clone(),
+            profile: true,
+            trace: true,
+            trace_capacity: 64,
+            ..TelemetryOptions::default()
+        };
+        let (_, _, artifacts) = run_experiment_instrumented(cfg);
+        let ring = bb.map(|bb| {
+            let rec = bb.lock().unwrap();
+            let head = BundleHead {
+                cause: BundleCause::Timeout,
+                key: "k".into(),
+                seed: 5,
+                cycle: rec.last_cycle(),
+                detail: String::new(),
+            };
+            (rec.timeline().iter().cloned().collect::<Vec<_>>(), rec.bundle(&head, &[]))
+        });
+        (artifacts.timeline.map(|t| t.samples), ring)
+    };
+    let (both_tl, both_ring) = run(true, true);
+    let (only_tl, _) = run(true, false);
+    let (_, only_ring) = run(false, true);
+    let both_tl = both_tl.expect("timeline on");
+    let (ring, bundle) = both_ring.expect("recorder on");
+    assert!(both_tl.len() > 4, "want several control steps, got {}", both_tl.len());
+    assert!(both_tl.iter().any(|s| s.trace_drops > 0), "the tiny trace ring must overflow");
+    assert_eq!(ring, both_tl, "recorder ring vs run timeline");
+    assert_eq!(only_tl.expect("timeline on"), both_tl, "timeline alone vs with the recorder");
+    let (ring_alone, bundle_alone) = only_ring.expect("recorder on");
+    assert_eq!(ring_alone, both_tl, "recorder alone vs with the timeline");
+    assert_eq!(bundle_alone, bundle, "bundle bytes");
+    assert!(bundle.contains("\"record\":\"spans\""), "profiled runs snapshot the span table");
 }
 
 /// Alert rules evaluated inside the instrumented run: a breached rule emits
