@@ -459,19 +459,17 @@ fn sample_timeline(
     sample
 }
 
-/// Feeds the flight recorder one control-step snapshot: a timeline sample,
-/// the latest RL convergence sample (when decision logging is on), and the
-/// current span-tree state (when profiling is on).
+/// Feeds the flight recorder one control-step snapshot: the step's timeline
+/// sample, the latest RL convergence sample (when decision logging is on),
+/// and the current span-tree state (when profiling is on).
 fn feed_recorder(
     bb: &SharedRecorder,
     net: &Network,
-    obs: &[RouterObservation],
     policy: &ControlPolicy,
-    base: &mut StepBase,
+    sample: &TimelineSample,
 ) {
-    let sample = sample_timeline(net, obs, policy, base);
     let Ok(mut r) = bb.lock() else { return };
-    r.push_timeline(sample);
+    r.push_timeline(sample.clone());
     if let ControlPolicy::Rl(rl) = policy {
         if let Some(c) = rl.decision_log().and_then(|log| log.convergence.last()) {
             r.push_convergence(*c);
@@ -541,9 +539,6 @@ pub fn run_experiment_instrumented(
     let profile = cfg.telemetry.profile;
     let mut timeline = if cfg.telemetry.timeline { Some(RunTimeline::new()) } else { None };
     let mut base = StepBase::default();
-    // The recorder keeps its own delta baseline so its samples are
-    // identical whether or not the full timeline is also being collected.
-    let mut bb_base = StepBase::default();
     let mut alert_engine = if cfg.telemetry.alert_rules.is_empty() {
         None
     } else {
@@ -629,11 +624,15 @@ pub fn run_experiment_instrumented(
         if let Some(directives) = directives {
             net.apply_directives(&directives);
         }
-        if let Some(tl) = timeline.as_mut() {
-            tl.push(sample_timeline(&net, &obs, &policy, &mut base));
-        }
-        if let Some(bb) = &blackbox {
-            feed_recorder(bb, &net, &obs, &policy, &mut bb_base);
+        // One sample per step, shared by its two consumers.
+        if timeline.is_some() || blackbox.is_some() {
+            let sample = sample_timeline(&net, &obs, &policy, &mut base);
+            if let Some(bb) = &blackbox {
+                feed_recorder(bb, &net, &policy, &sample);
+            }
+            if let Some(tl) = timeline.as_mut() {
+                tl.push(sample);
+            }
         }
         step_idx += 1;
         if step_idx.is_multiple_of(metrics_every) {
@@ -641,21 +640,23 @@ pub fn run_experiment_instrumented(
         }
     }
     let finished = net.is_done();
-    // Capture the recorder's final state *before* open spans are closed:
-    // the open span path at death is the post-mortem's "where were we".
-    if let Some(bb) = &blackbox {
+    // The final (possibly partial) step. The recorder is fed *before* open
+    // spans are closed: the open span path at death is the post-mortem's
+    // "where were we".
+    let last = (timeline.is_some() || blackbox.is_some()).then(|| {
         let obs = net.observations();
-        feed_recorder(bb, &net, &obs, &policy, &mut bb_base);
+        sample_timeline(&net, &obs, &policy, &mut base)
+    });
+    if let (Some(bb), Some(sample)) = (&blackbox, &last) {
+        feed_recorder(bb, &net, &policy, sample);
     }
     // Close any span left open by an aborted cycle loop (stall watchdog),
     // then fold the cycle-domain span counters into the exposition.
     if let Some(prof) = net.profiler_mut() {
         prof.close_open_spans();
     }
-    // Close the timeline with the final (possibly partial) step.
-    if let Some(tl) = timeline.as_mut() {
-        let obs = net.observations();
-        tl.push(sample_timeline(&net, &obs, &policy, &mut base));
+    if let (Some(tl), Some(sample)) = (timeline.as_mut(), last) {
+        tl.push(sample);
     }
     // Close the exposition with the final network state.
     snapshot_metrics(&net, net.profiler());

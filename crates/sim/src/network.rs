@@ -292,9 +292,9 @@ impl Network {
     /// [`HealthRouter::route_via`]), as a `route.compute` leaf span when
     /// profiling.
     fn compute_route(&mut self, here: usize, dest: usize, in_port: Port) -> Option<Port> {
-        let t0 = self.probe.clock();
+        let span = self.probe.leaf_enter("route.compute");
         let route = self.health.route_via(here, dest, in_port);
-        self.probe.span_leaf("route.compute", t0, 0);
+        self.probe.leaf_exit(span, 0);
         route
     }
 

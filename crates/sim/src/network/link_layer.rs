@@ -53,9 +53,9 @@ impl Network {
     /// Samples link bit flips, as a `fault.inject` leaf span when profiling.
     #[inline]
     fn sample_flips(&mut self, bits: usize, re: f64) -> u32 {
-        let t0 = self.probe.clock();
+        let span = self.probe.leaf_enter("fault.inject");
         let k = self.injector.sample_flip_count(bits, re);
-        self.probe.span_leaf("fault.inject", t0, 1);
+        self.probe.leaf_exit(span, 1);
         k
     }
 
@@ -174,15 +174,15 @@ impl Network {
         let v = self.link_ends(ci).1;
         let head = *self.links.get(ci).expect("channel exists").get(idx);
         let (scheme, payload) = (head.hop_scheme, head.payload());
-        let t_enc = self.probe.clock();
+        let span = self.probe.leaf_enter("ecc.encode");
         let mut cw = self.suite.encode(scheme, payload);
-        self.probe.span_leaf("ecc.encode", t_enc, 1);
+        self.probe.leaf_exit(span, 1);
         for pos in self.injector.choose_positions(bits, k) {
             cw.flip_bit(pos);
         }
-        let t_dec = self.probe.clock();
+        let span = self.probe.leaf_enter("ecc.decode");
         let (data, status) = self.suite.decode(scheme, &cw);
-        self.probe.span_leaf("ecc.decode", t_dec, 1);
+        self.probe.leaf_exit(span, 1);
         match status {
             DecodeStatus::Corrected(_) if data == payload => {
                 self.stats.corrected_bits += k as u64;
@@ -197,9 +197,9 @@ impl Network {
             }
             DecodeStatus::Clean | DecodeStatus::Corrected(_) => Some(k as u16),
             DecodeStatus::Detected => {
-                let t_retx = self.probe.clock();
+                let span = self.probe.leaf_enter("retx.ladder");
                 self.nack(ci, idx, rx, head);
-                self.probe.span_leaf("retx.ladder", t_retx, 1);
+                self.probe.leaf_exit(span, 1);
                 None
             }
         }

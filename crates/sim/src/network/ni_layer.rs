@@ -105,9 +105,9 @@ impl Network {
     /// Ejects `flit` at its destination NI, recorded as an `eject` leaf
     /// span under whichever phase delivered it.
     pub(super) fn eject(&mut self, r: usize, flit: Flit) {
-        let t0 = self.probe.clock();
+        let span = self.probe.leaf_enter("eject");
         self.eject_inner(r, flit);
-        self.probe.span_leaf("eject", t0, 1);
+        self.probe.leaf_exit(span, 1);
     }
 
     fn eject_inner(&mut self, r: usize, mut flit: Flit) {

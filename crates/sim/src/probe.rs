@@ -9,16 +9,18 @@
 //! are identical whatever is installed.
 //!
 //! Only `network.rs` and its layer modules call the event points, and only
-//! from inside `step_cycle`. Every wall-clock read of the simulator happens here
-//! ([`Probe::clock`], [`Probe::span_enter`]).
+//! from inside `step_cycle`. Every wall-clock read of the simulator happens
+//! behind the span points here ([`Probe::span_enter`], [`Probe::leaf_enter`]),
+//! where the profiler decides per span path whether this occurrence is timed.
 
 use crate::attribution::Attribution;
 use crate::flit::{Cycle, Flit};
 use crate::journey::JourneyTracker;
 use crate::topology::Mesh;
-use noc_telemetry::{AttributionArtifacts, Event, JourneyLog, Profiler, SharedRecorder, Tracer};
+use noc_telemetry::{
+    AttributionArtifacts, Event, JourneyLog, LeafSpan, Profiler, SharedRecorder, Tracer,
+};
 use noc_traffic::{TxnEvent, TxnEventKind};
-use std::time::Instant;
 
 /// Which sinks [`crate::Network::install_probe`] installs. The default
 /// installs nothing.
@@ -307,19 +309,19 @@ impl Probe {
         }
     }
 
-    /// A timestamp for a leaf span, read only when profiling — pair with
-    /// [`Probe::span_leaf`].
+    /// Opens a leaf span under the current path (`None` when not
+    /// profiling) — pair with [`Probe::leaf_exit`]. Leaves stay off the span
+    /// stack: counts charged while one is open land on the enclosing span.
     #[inline]
-    pub(crate) fn clock(&self) -> Option<Instant> {
-        self.profiler.as_ref().map(|_| Instant::now())
+    pub(crate) fn leaf_enter(&mut self, name: &'static str) -> Option<LeafSpan> {
+        self.profiler.as_mut().map(|p| p.leaf_enter(name))
     }
 
-    /// Records one completed leaf span under the current path, timed from a
-    /// [`Probe::clock`] reading.
+    /// Closes the leaf span `leaf`, charging it `flits` handled.
     #[inline]
-    pub(crate) fn span_leaf(&mut self, name: &'static str, t0: Option<Instant>, flits: u64) {
-        if let (Some(t0), Some(p)) = (t0, self.profiler.as_mut()) {
-            p.span_leaf(name, t0.elapsed(), flits, 0);
+    pub(crate) fn leaf_exit(&mut self, leaf: Option<LeafSpan>, flits: u64) {
+        if let (Some(leaf), Some(p)) = (leaf, self.profiler.as_mut()) {
+            p.leaf_exit(leaf, flits);
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Simulator self-profiling: pipeline-phase counters and the hierarchical
 //! span stack feeding [`SpanTree`](crate::SpanTree) (`noc-prof`).
 
-use crate::prof::{SpanStats, SpanTree, MAX_SPAN_DEPTH};
+use crate::prof::{NodeId, SpanTree, MAX_SPAN_DEPTH, ROOT};
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
@@ -33,12 +33,23 @@ pub struct RunRow {
     pub millis: f64,
 }
 
-/// One open frame on the span stack: entry time and the cycle-domain
-/// counts charged while it was innermost (its name lives in
-/// `Profiler::path`).
+/// The clock reading of a timed occurrence and the number of occurrences it
+/// stands for; `None` on the occurrences the sampling schedule skips.
+type Timed = Option<(Instant, u64)>;
+
+/// `(elapsed nanoseconds, weight)` of a timed occurrence that ends now.
+#[inline]
+fn stop(timed: Timed) -> Option<(u128, u64)> {
+    timed.map(|(t0, weight)| (t0.elapsed().as_nanos(), weight))
+}
+
+/// One open frame on the span stack: its interned path, its clock reading
+/// and the cycle-domain counts charged while it was innermost.
 #[derive(Debug, Clone, Copy)]
 struct OpenSpan {
-    t0: Instant,
+    name: &'static str,
+    node: NodeId,
+    timed: Timed,
     flits: u64,
     allocs: u64,
 }
@@ -47,8 +58,8 @@ struct OpenSpan {
 /// [`Profiler::leaf_exit`].
 #[derive(Debug, Clone, Copy)]
 pub struct LeafSpan {
-    name: &'static str,
-    t0: Instant,
+    node: NodeId,
+    timed: Timed,
 }
 
 /// Collects phase counters and per-unit wall-clock rows for the end-of-run
@@ -70,9 +81,6 @@ pub struct Profiler {
     spans: SpanTree,
     /// Currently open spans, innermost last.
     stack: Vec<OpenSpan>,
-    /// Names of the open spans, outermost first — `stack`'s names kept as a
-    /// ready-made lookup key, so closing a span allocates nothing.
-    path: Vec<&'static str>,
 }
 
 impl Profiler {
@@ -80,6 +88,26 @@ impl Profiler {
     #[must_use]
     pub fn new() -> Self {
         Profiler::default()
+    }
+
+    /// The node a span called `name` opened now belongs to: the child of
+    /// the innermost open frame, or the depth-cap frame's own node once the
+    /// stack is [`MAX_SPAN_DEPTH`] deep.
+    #[inline]
+    fn resolve(&mut self, name: &'static str) -> NodeId {
+        match self.stack.get(MAX_SPAN_DEPTH - 1) {
+            Some(cap) => cap.node,
+            None => self.spans.child(self.stack.last().map_or(ROOT, |top| top.node), name),
+        }
+    }
+
+    /// Begins one sampled occurrence of the span called `name`, reading the
+    /// clock — last, so the lookup stays outside the measurement — only if
+    /// the path's schedule times this occurrence.
+    #[inline]
+    fn begin(&mut self, name: &'static str) -> (NodeId, Timed) {
+        let node = self.resolve(name);
+        (node, self.spans.begin(node).map(|weight| (Instant::now(), weight)))
     }
 
     /// Opens a nested span. Spans past [`MAX_SPAN_DEPTH`] still balance
@@ -90,8 +118,8 @@ impl Profiler {
         if self.stack.len() >= MAX_SPAN_DEPTH {
             self.spans.note_truncated_enter();
         }
-        self.path.push(name);
-        self.stack.push(OpenSpan { t0: Instant::now(), flits: 0, allocs: 0 });
+        let (node, timed) = self.begin(name);
+        self.stack.push(OpenSpan { name, node, timed, flits: 0, allocs: 0 });
     }
 
     /// Charges `flits` handled and `allocs` buffer allocations to the
@@ -116,27 +144,15 @@ impl Profiler {
             debug_assert!(false, "span_exit without a matching span_enter");
             return;
         };
-        self.spans.record(
-            &self.path,
-            SpanStats {
-                nanos: top.t0.elapsed().as_nanos(),
-                calls: 1,
-                flits: top.flits,
-                allocs: top.allocs,
-            },
-        );
-        self.path.pop();
+        self.spans.record(top.node, stop(top.timed), top.flits, top.allocs);
     }
 
     /// Records one completed child span of the current path directly, with
-    /// an externally measured duration — the cheap variant for hot leaf
-    /// sites that already hold a timer and never nest further.
+    /// an externally measured duration, which is kept exact.
     #[inline]
     pub fn span_leaf(&mut self, name: &'static str, elapsed: Duration, flits: u64, allocs: u64) {
-        self.path.push(name);
-        self.spans
-            .record(&self.path, SpanStats { nanos: elapsed.as_nanos(), calls: 1, flits, allocs });
-        self.path.pop();
+        let node = self.resolve(name);
+        self.spans.record(node, Some((elapsed.as_nanos(), 1)), flits, allocs);
     }
 
     /// Opens a leaf span: a child of the current path that never nests
@@ -144,14 +160,15 @@ impl Profiler {
     /// open land on the enclosing frame. Pair with [`Profiler::leaf_exit`].
     #[inline]
     pub fn leaf_enter(&mut self, name: &'static str) -> LeafSpan {
-        LeafSpan { name, t0: Instant::now() }
+        let (node, timed) = self.begin(name);
+        LeafSpan { node, timed }
     }
 
     /// Closes a leaf span opened by [`Profiler::leaf_enter`], charging it
     /// `flits` handled.
     #[inline]
     pub fn leaf_exit(&mut self, leaf: LeafSpan, flits: u64) {
-        self.span_leaf(leaf.name, leaf.t0.elapsed(), flits, 0);
+        self.spans.record(leaf.node, stop(leaf.timed), flits, 0);
     }
 
     /// Closes every still-open span (graceful shutdown of an interrupted
@@ -178,7 +195,7 @@ impl Profiler {
     /// "where were we" path captured into flight-recorder snapshots.
     #[must_use]
     pub fn open_span_path(&self) -> Vec<&'static str> {
-        self.path.clone()
+        self.stack.iter().map(|frame| frame.name).collect()
     }
 
     /// Folds another profiler's aggregates into this one: span tree, phase counters, warning counters, trace drops, and run rows.
