@@ -342,6 +342,25 @@ mod tests {
         assert!(report.runner.is_clean());
     }
 
+    /// The flapping half of the default campaign (`--dead-links 0
+    /// --no-router-fail --flapping 2`, ten cells at the default load): a
+    /// link that flaps back is a transient fault, so every design delivers
+    /// every packet and no cell stalls.
+    #[test]
+    fn default_flapping_campaign_delivers_everything() {
+        let cfg =
+            CampaignConfig { dead_links: vec![0], router_fail_at: None, ..Default::default() };
+        let report = run_serial(&cfg);
+        assert_eq!(report.runner.records.len(), 2 * Design::ALL.len());
+        for (design, scenario, rec) in report.rows() {
+            assert_eq!(rec.status.label(), "ok", "{design} / {scenario}");
+            let o = rec.payload.as_ref().expect("an ok cell has a payload");
+            let s = &o.report.stats;
+            assert!(o.report.stall.is_none(), "{design} / {scenario}: stalled");
+            assert_eq!(s.packets_delivered, s.packets_injected, "{design} / {scenario}");
+        }
+    }
+
     /// Acceptance: under a fault storm (hard router failure mid-run plus
     /// flapping links), every design at several seeds keeps the
     /// transaction-conservation invariant, and serial vs parallel

@@ -266,3 +266,85 @@ impl Network {
         true
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::super::tests::quiet_config;
+    use super::*;
+    use crate::flit::make_packet;
+    use noc_fault::{HardFault, HardFaultKind, HardFaultScenario};
+    use noc_traffic::WorkloadSpec;
+
+    /// One packet 0 → 7 along the bottom row of an 8x2 mesh whose tail is
+    /// held back on channel 3 → 4 (as a hop NACK would) until its head and
+    /// both bodies have ejected. Then router 6 dies — alone, so the re-sent
+    /// packet detours through the top row, or with router 14, which cuts
+    /// node 7 off for good. No flit of the packet sits on dead hardware:
+    /// all that ties it to router 6 is the empty VC router 5 still binds to
+    /// it, which the tail would walk into and wait in for ever.
+    fn router_dies_between_head_and_tail(column_dies: bool) -> Network {
+        const DEATH: u64 = 80;
+        let mut cfg = quiet_config();
+        (cfg.width, cfg.height) = (8, 2);
+        cfg.fault_aware_routing = true;
+        cfg.stall_window = 2_000;
+        let dead: &[u32] = if column_dies { &[6, 14] } else { &[6] };
+        cfg.hard_faults = HardFaultScenario {
+            faults: dead
+                .iter()
+                .map(|&router| HardFault {
+                    at: DEATH,
+                    target: HardFaultTarget::Router { router },
+                    kind: HardFaultKind::FailStop,
+                })
+                .collect(),
+        };
+        let spec = WorkloadSpec { packets_per_node: 0, ..WorkloadSpec::uniform(0.0, 0) };
+        let mut net = Network::new(cfg, spec, 1);
+        net.stats.packets_injected = 1;
+        net.outstanding[0] = 1;
+        net.nis.extend(0, make_packet(0, 0, 0, 7, 0));
+        let ci = net.channel_index(3, Port::XPlus);
+        let tail_at = |net: &Network| {
+            let ch = net.links.get(ci).expect("link 3 -> 4");
+            (0..ch.occupancy()).find(|&i| ch.get(i).is_tail())
+        };
+        while tail_at(&net).is_none() {
+            assert!(net.now < DEATH, "the tail never reached channel 3 -> 4");
+            net.step_cycle();
+        }
+        let idx = tail_at(&net).expect("just found");
+        net.links.delay_at(ci, idx, net.now, 2 * DEATH);
+        while net.now < DEATH {
+            net.step_cycle();
+        }
+        assert_eq!(net.nis[7].recv.get(&0).map(|r| r.flits), Some(3), "head and bodies ejected");
+        assert!(tail_at(&net).is_some(), "the tail still waits two hops upstream of router 5");
+        let row = net.routers[5].bound_vc(Port::XMinus.index(), 0).expect("router 5 binds a VC");
+        let row = net.routers[5].vc(Port::XMinus.index(), row);
+        assert_eq!((row.occupancy(), row.route()), (0, Port::XPlus), "empty, toward router 6");
+
+        assert!(net.run_cycles(50_000));
+        assert!(net.stall().is_none(), "stalled: {:?}", net.stall().map(|s| &s.blocked));
+        assert!(net.nis[7].recv.is_empty(), "partial reassembly of the first send is gone");
+        for r in &net.routers {
+            assert!(r.is_gateable(), "router {} still holds a VC", r.id);
+        }
+        assert_eq!(net.occupancy_index_drift(), None);
+        net
+    }
+
+    #[test]
+    fn binding_toward_a_dead_router_is_salvaged_without_a_resident_flit() {
+        let net = router_dies_between_head_and_tail(false);
+        let s = &net.stats;
+        assert_eq!((s.packets_delivered, s.packets_dropped, s.e2e_retx_packets), (1, 0, 1));
+    }
+
+    #[test]
+    fn binding_toward_a_dead_router_is_dropped_when_the_mesh_splits() {
+        let net = router_dies_between_head_and_tail(true);
+        let s = &net.stats;
+        assert_eq!((s.packets_delivered, s.packets_dropped, s.e2e_retx_packets), (0, 1, 0));
+    }
+}

@@ -153,6 +153,28 @@ fn flapping_links_deliver_everything() {
     assert_eq!(s.packets_dropped, 0, "flapping must not cause drops");
 }
 
+/// A link that flaps back between a packet's head and its tail must not
+/// split the packet over two paths. `flapping_links_deliver_everything`
+/// cannot see that: it runs `quiet()` — no bypass, no gating — so every flit
+/// is bound to a VC whose row pins the route, and no flit is ever VC-less.
+/// Here routers gate reactively and traffic rides the bypass and the
+/// continuation latch across the rebuilds, so body flits holding no VC meet
+/// a route table their head never saw.
+#[test]
+fn flap_between_head_and_tail_keeps_a_packet_on_one_path() {
+    for seed in [9, 1, 2, 3] {
+        let mut cfg = mfac();
+        cfg.reactive_gating = true;
+        cfg.fault_aware_routing = true;
+        cfg.hard_faults = HardFaultScenario::flapping_links(8, 8, 2, seed, 0, 200, 40);
+        let net = run(cfg, WorkloadSpec::uniform(0.02, 30), seed);
+        assert!(net.stall().is_none(), "seed {seed}: {:?}", net.stall().map(|s| &s.blocked));
+        let s = net.stats();
+        assert_eq!(s.packets_delivered, s.packets_injected, "seed {seed}: flapping lost packets");
+        assert_eq!(net.occupancy_index_drift(), None, "seed {seed}: state left behind");
+    }
+}
+
 /// Escalation ladder under a brutal transient-error rate: hop retries hit
 /// `max_retx`, escalate to e2e recovery, and finally to accounted drops —
 /// the run terminates with every packet delivered or accounted.

@@ -2,7 +2,7 @@
 //! simulator's re-transmission machinery.
 
 use intellinoc::{run_experiment, Design, ExperimentConfig};
-use noc_sim::{Network, RouterDirective, SimConfig};
+use noc_sim::{HardFaultScenario, Network, RouterDirective, SimConfig};
 use noc_traffic::WorkloadSpec;
 
 fn faulty_config(rate: f64) -> SimConfig {
@@ -123,4 +123,80 @@ fn hotter_network_sees_more_errors() {
     let cool = run(50.0);
     let hot = run(80.0);
     assert!(hot > cool * 3, "hot {hot} vs cool {cool}");
+}
+
+/// One cell of the fault-placement grid the benchmark's `faulty_8x8` draws
+/// its placement from: four links dead from cycle 0 and one router dying at
+/// cycle 5000, under load and a 1e-4 bit-error rate, placement, traffic and
+/// bit errors all following seed `s`.
+fn run_placement(design: Design, s: u64) -> intellinoc::ExperimentOutcome {
+    let mut cfg = ExperimentConfig::new(design, WorkloadSpec::uniform(0.02, 150));
+    cfg.error_rate_override = Some(1e-4);
+    cfg.hard_faults = HardFaultScenario::dead_links(8, 8, 4, s, 0)
+        .merged(HardFaultScenario::dead_routers(8, 8, 1, s ^ 9, 5_000));
+    cfg.fault_aware_routing = true;
+    run_experiment(cfg.with_seed(s))
+}
+
+fn assert_placement_survives(design: Design, s: u64) {
+    let o = run_placement(design, s);
+    let st = &o.report.stats;
+    let stall = o.report.stall.as_ref().map(|r| (r.cycle, r.in_flight));
+    assert_eq!(stall, None, "{design:?} placement {s}: stalled at (cycle, packets in flight)");
+    assert!(o.finished, "{design:?} placement {s}: ran out of cycles");
+    assert_eq!(
+        st.packets_delivered + st.packets_dropped,
+        st.packets_injected,
+        "{design:?} placement {s}: unaccounted packets"
+    );
+}
+
+/// A router dying while a packet's head is past it and its tail still
+/// upstream leaves a VC bound toward the dead router with no flit queued in
+/// it; the tail must not be left to walk into that VC and wait for ever.
+#[test]
+fn router_death_between_head_and_tail_does_not_stall_secded() {
+    for s in [132, 136, 149, 169] {
+        assert_placement_survives(Design::Secded, s);
+    }
+}
+
+/// An end-to-end re-send reuses its packet id, so it must never meet state
+/// its previous generation left behind ("VC overflow" at this placement).
+#[test]
+fn resent_packet_meets_no_stale_binding_intellinoc() {
+    assert_placement_survives(Design::IntelliNoc, 101);
+}
+
+/// ROADMAP item 1's case (c): `faulty_8x8`'s fixed placement with two
+/// flapping links on top, at seed 2019. A regression case, not a
+/// reproducer: it ran clean for all five designs before the one-path rule
+/// covered VC-less flits, and must keep doing so.
+#[test]
+fn faulty_placement_with_flapping_links_runs_clean() {
+    for design in Design::ALL {
+        let mut cfg = ExperimentConfig::new(design, WorkloadSpec::uniform(0.02, 150));
+        cfg.error_rate_override = Some(1e-4);
+        cfg.hard_faults = HardFaultScenario::dead_links(8, 8, 4, 2019, 0)
+            .merged(HardFaultScenario::dead_routers(8, 8, 1, 2019 ^ 9, 5_000))
+            .merged(HardFaultScenario::flapping_links(8, 8, 2, 2019 ^ 5, 0, 200, 40));
+        cfg.fault_aware_routing = true;
+        let o = run_experiment(cfg.with_seed(2019));
+        let st = &o.report.stats;
+        assert!(o.report.stall.is_none() && o.finished, "{design:?}: stalled");
+        assert_eq!(st.packets_delivered + st.packets_dropped, st.packets_injected, "{design:?}");
+    }
+}
+
+/// The whole grid: 70 placements x 5 designs (about a minute in release).
+/// CI's `debug-assertions-smoke` runs it with the per-cycle ownership
+/// invariant on.
+#[test]
+#[ignore = "350 full-length runs; CI runs it in release"]
+fn every_fault_placement_survives_on_every_design() {
+    for s in 100..170 {
+        for design in Design::ALL {
+            assert_placement_survives(design, s);
+        }
+    }
 }
