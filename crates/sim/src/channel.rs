@@ -131,6 +131,11 @@ impl Channel {
         &self.queue[index].0
     }
 
+    /// The flits on the channel, front to back.
+    pub fn flits(&self) -> impl Iterator<Item = &Flit> {
+        self.queue.iter().map(|(f, _)| f)
+    }
+
     /// Removes and returns the flit at `index`.
     ///
     /// # Panics
@@ -222,6 +227,12 @@ impl Links {
     #[inline]
     pub(crate) fn next_occupied(&self, from: usize) -> Option<usize> {
         self.occupied.next_at_or_after(from)
+    }
+
+    /// Every flit on every channel, as `(slot, flit)` in slot order.
+    pub(crate) fn flits(&self) -> impl Iterator<Item = (usize, &Flit)> {
+        let slots = self.channels.iter().enumerate();
+        slots.flat_map(|(ci, slot)| slot.iter().flat_map(Channel::flits).map(move |f| (ci, f)))
     }
 
     fn channel_mut(&mut self, ci: usize) -> &mut Channel {

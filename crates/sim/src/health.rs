@@ -410,11 +410,6 @@ impl HealthRouter {
             || self.fs_comp[at] != self.fs_comp[dest]
     }
 
-    /// Whether any fail-stop fault is active.
-    pub(crate) fn any_failstop(&self) -> bool {
-        self.failstop_link_down.iter().any(|&d| d) || self.failstop_router_down.iter().any(|&d| d)
-    }
-
     /// Whether a fail-stop fault took router `r` down.
     pub(crate) fn failstop_router_down(&self, r: usize) -> bool {
         self.failstop_router_down[r]

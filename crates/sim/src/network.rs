@@ -288,16 +288,6 @@ impl Network {
         Some(self.channel_index(up, port.opposite()))
     }
 
-    /// Routes `here → dest` given the arrival port (see
-    /// [`HealthRouter::route_via`]), as a `route.compute` leaf span when
-    /// profiling.
-    fn compute_route(&mut self, here: usize, dest: usize, in_port: Port) -> Option<Port> {
-        let span = self.probe.leaf_enter("route.compute");
-        let route = self.health.route_via(here, dest, in_port);
-        self.probe.leaf_exit(span, 0);
-        route
-    }
-
     /// Phase 5: settles energy, steps the thermal grid, accumulates aging and
     /// refreshes per-router error rates.
     fn epoch_phase(&mut self) {
@@ -395,9 +385,10 @@ impl Network {
     /// Compares the occupancy index (per-router buffered counts, VC tables
     /// and readiness masks, per-router inbound-flit counts, the non-empty
     /// channel set and the non-empty NI set) with a from-scratch recount of
-    /// every queue. `None` means they agree; `Some(what)` names the first
-    /// mismatch. Debug builds assert this at the end of every
-    /// [`Network::step_cycle`].
+    /// every queue, then checks the ownership invariant
+    /// ([`Network::ownership_drift`]). `None` means all hold; `Some(what)`
+    /// names the first mismatch. Debug builds assert this at the end of
+    /// every [`Network::step_cycle`].
     #[doc(hidden)]
     pub fn occupancy_index_drift(&self) -> Option<String> {
         // `ready` bits were promoted during the cycle that just ended.
@@ -407,6 +398,53 @@ impl Network {
             .find_map(|r| r.index_drift(promoted_at))
             .or_else(|| self.links.index_drift())
             .or_else(|| self.nis.index_drift())
+            .or_else(|| self.ownership_drift())
+    }
+
+    /// The ownership invariant: whatever a packet holds of a router, a flit
+    /// of it is still in the network to release it — the head of a reserved
+    /// VC on the channel feeding that port, a flit of a bound VC or of a
+    /// continuation record in some channel, VC queue or NI injection queue.
+    /// A holding that outlives its packet is a leak: the VC never frees, so
+    /// the port runs out of VCs and the router can never gate again.
+    /// Names the first one found.
+    fn ownership_drift(&self) -> Option<String> {
+        // Sorted ids of every packet with a flit somewhere, built when first
+        // needed: a VC with flits queued proves its owner by itself.
+        let mut resident: Option<Vec<u64>> = None;
+        for (r, router) in self.routers.iter().enumerate() {
+            for h in router.holdings().filter(|h| h.queued == 0) {
+                let (present, gone) = match h.out {
+                    None => {
+                        let feeding = self.incoming_index(r, h.in_port);
+                        let on_it = feeding.and_then(|ci| self.links.get(ci)).is_some_and(|ch| {
+                            ch.flits().any(|f| f.packet_id == h.packet && f.is_head())
+                        });
+                        (on_it, "not on the channel feeding it")
+                    }
+                    Some(_) => {
+                        let ids = resident.get_or_insert_with(|| self.resident_packets());
+                        (ids.binary_search(&h.packet).is_ok(), "nowhere in the network")
+                    }
+                };
+                if !present {
+                    return Some(format!("router {r} {h}, which is {gone}"));
+                }
+            }
+        }
+        None
+    }
+
+    /// Sorted, deduplicated ids of the packets with a flit in a channel, an
+    /// input VC or an NI injection queue.
+    fn resident_packets(&self) -> Vec<u64> {
+        let on_links = self.links.flits().map(|(_, f)| f.packet_id);
+        let queued = self.routers.iter().flat_map(|r| r.queued_flits()).map(|f| f.packet_id);
+        let waiting = (0..self.mesh.nodes()).flat_map(|r| &self.nis[r].inject).map(|f| f.packet_id);
+        let mut ids: Vec<u64> = on_links.chain(queued).chain(waiting).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        ids
     }
 
     /// Runs `n` cycles (or fewer if the workload completes); returns whether
@@ -626,6 +664,42 @@ mod tests {
         assert_eq!(net.nis.next_waiting(0), None);
         // A purged network is quiescent and stays consistent.
         net.step_cycle();
+        assert_eq!(net.occupancy_index_drift(), None);
+    }
+
+    /// What a packet holds of a router must not outlive it: a VC left bound,
+    /// a reservation or a continuation record with no flit of the packet
+    /// left to release it is named by the per-cycle drift check.
+    #[test]
+    fn drift_check_names_a_holding_whose_packet_is_gone() {
+        let spec = WorkloadSpec { packets_per_node: 0, ..WorkloadSpec::uniform(0.0, 0) };
+        let mut net = Network::new(quiet_config(), spec, 1);
+        let flits = make_packet(36, 144, 40, 52, 0);
+        // The head binds a VC of router 48 and leaves; nothing follows it.
+        net.routers[48].enqueue(2, 2, flits[0], Port::XPlus, 0);
+        let _ = net.routers[48].pop_granted(2, 2, 0);
+        let drift = net.occupancy_index_drift().expect("the leaked row is reported");
+        assert_eq!(drift, "router 48 row 10: bound to packet 36, which is nowhere in the network");
+        // A body flit still waiting in its source NI is enough to own it.
+        net.nis.extend(40, [flits[1]]);
+        assert_eq!(net.occupancy_index_drift(), None);
+        net.purge_packet(36);
+        assert_eq!(net.occupancy_index_drift(), None);
+
+        // A reservation is owned by the head on the channel feeding the port.
+        net.routers[48].reserve(0, 1, 36);
+        let drift = net.occupancy_index_drift().expect("the orphaned reservation is reported");
+        assert!(drift.starts_with("router 48 row 1: reserved for packet 36"), "{drift}");
+        let ci = net.incoming_index(48, Port::XPlus).expect("router 49 feeds that port");
+        net.links.push_delayed(ci, flits[0], 0, 0);
+        assert_eq!(net.occupancy_index_drift(), None);
+        net.purge_packet(36);
+
+        // A continuation record is owned like a bound VC.
+        net.routers[48].note_continuation(Port::YPlus, &flits[0], Port::YMinus);
+        let drift = net.occupancy_index_drift().expect("the leaked record is reported");
+        assert!(drift.starts_with("router 48 input YPlus: a continuation record of"), "{drift}");
+        net.purge_packet(36);
         assert_eq!(net.occupancy_index_drift(), None);
     }
 

@@ -37,7 +37,7 @@ impl Network {
                     .collect();
                 let _ = writeln!(
                     out,
-                    "ch {u}->{v} ({dir:?}) occ={} front: pkt={} kind={:?} vc={} ready={} dest={} | down on={} pending={} vcs={}",
+                    "ch {u}->{v} ({dir:?}) occ={} front: pkt={} kind={:?} vc={} ready={} dest={} | down on={} vcs={}",
                     ch.occupancy(),
                     f.packet_id,
                     f.kind,
@@ -45,7 +45,6 @@ impl Network {
                     ch.peek_ready(now).is_some(),
                     f.dest,
                     self.routers[v].is_on(),
-                    self.routers[v].gate_pending,
                     vcs.join(" ")
                 );
                 shown += 1;
@@ -78,8 +77,8 @@ impl Network {
             if occ + ni + recv + ch_occ + reserved + bound > 0 {
                 let _ = writeln!(
                     out,
-                    "router {r}: gate={:?} pending={} occ={occ} ni={ni} recv={recv} out_ch={ch_occ} reserved_vcs={reserved} bound_vcs={bound}",
-                    router.gate, router.gate_pending
+                    "router {r}: gate={:?} occ={occ} ni={ni} recv={recv} out_ch={ch_occ} reserved_vcs={reserved} bound_vcs={bound}",
+                    router.gate
                 );
             }
         }

@@ -2,6 +2,9 @@
 //! of the paper acts on (MFAC stages, the BST skip-scan and continuation,
 //! adaptive per-hop ECC with ACK/NACK). Each mechanic is written once:
 //!
+//! * [`Network::next_hop`] is the one route decision: a head computes its
+//!   output at a router, every flit behind it reads what the router
+//!   recorded (the bound VC's route or the continuation record);
 //! * [`Network::forward`] puts a flit *onto* a channel (the only push);
 //! * [`Network::traverse`] takes one *off* at the far end — fault sampling,
 //!   per-hop decode, the NACK ladder, hop accounting (the only removal
@@ -11,7 +14,9 @@
 //!   per non-empty channel into a powered router, which flit traverses.
 //!
 //! Owner mutated: [`Links`](crate::channel::Links), through `push_delayed`,
-//! `remove_at` and `delay_at`. A delivered flit is handed to the receiving
+//! `remove_at` and `delay_at`; `forward` also keeps the sending
+//! [`Router`](crate::router::Router)'s continuation records
+//! (`note_continuation`). A delivered flit is handed to the receiving
 //! [`Router`](crate::router::Router) by [`Network::accept`] or to the NI by
 //! [`Network::eject`] (both `ni_layer`); an exhausted hop-retry budget goes
 //! to [`Network::salvage_or_drop`] (`recovery`).
@@ -38,15 +43,27 @@ pub(super) enum Receiver {
     GatedTransit,
 }
 
-/// What pushes a flit onto a link.
+/// What pushes a flit onto a link. The two latches carry flits that hold no
+/// VC at the router, so they name the input port the flit came in through:
+/// the key of its continuation record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) enum Sender {
     /// A switch-allocation grant through the crossbar.
     Crossbar,
     /// The BST continuation latch of a powered router (no VC, no crossbar).
-    Latch,
+    Latch(Port),
     /// The bypass latch of a gated router: one more cycle than the link.
-    Bypass,
+    Bypass(Port),
+}
+
+/// Where a flit taken off a link (or out of the NI) lands in a powered
+/// router.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum Landing {
+    /// This VC of the input port.
+    Vc(usize),
+    /// None: it rides the BST continuation latch straight to its output.
+    Latch,
 }
 
 impl Network {
@@ -76,6 +93,24 @@ impl Network {
         (u, self.health.neighbor(u, dir).expect("channel implies neighbor"))
     }
 
+    /// The output of router `r` for `flit`, which came in through `in_port`
+    /// — the one route decision. A packet's head decides each hop once
+    /// ([`HealthRouter::route_via`](crate::health::HealthRouter), `None`
+    /// while its destination is unreachable); every flit behind it reads
+    /// what the router recorded — the route of the VC the head bound or, if
+    /// it passed without one, its continuation record — so a table rebuilt
+    /// between head and tail cannot split a packet over two paths. At the
+    /// destination there is nothing to decide: every flit ejects.
+    pub(super) fn next_hop(&self, r: usize, in_port: Port, flit: &Flit) -> Option<Port> {
+        if flit.is_head() {
+            self.health.route_via(r, flit.dest as usize, in_port)
+        } else if flit.dest as usize == r {
+            Some(Port::Local)
+        } else {
+            self.routers[r].packet_route(in_port.index(), flit.packet_id)
+        }
+    }
+
     /// The one latch-to-channel push: `flit` leaves router `r` through
     /// `out`, which the caller checked is usable and has space.
     pub(super) fn forward(&mut self, r: usize, out: Port, flit: &Flit, from: Sender) {
@@ -90,7 +125,10 @@ impl Network {
         if from != Sender::Crossbar || self.cfg.channel_capacity > 0 {
             router.counters.channel_stage_ops += 1;
         }
-        let bypass = from == Sender::Bypass;
+        if let Sender::Latch(in_port) | Sender::Bypass(in_port) = from {
+            router.note_continuation(in_port, flit, out);
+        }
+        let bypass = matches!(from, Sender::Bypass(_));
         let extra = u64::from(bypass);
         let cost = self.links.get(ci).expect("route stays on the mesh").latency() + extra;
         self.probe.link_flit(ci, flit, cost, bypass, now);
@@ -246,8 +284,8 @@ impl Network {
 
     /// Whether a flit holding no VC at powered router `v` (arrived through
     /// `in_port`) could ride the BST continuation latch onward right now.
-    fn continuation_ok(&self, v: usize, in_port: Port, flit: &Flit) -> bool {
-        match self.health.route_via(v, flit.dest as usize, in_port) {
+    fn latch_ok(&self, v: usize, in_port: Port, flit: &Flit) -> bool {
+        match self.next_hop(v, in_port, flit) {
             Some(Port::Local) => true,
             Some(out) => {
                 self.links.has_space(self.channel_index(v, out)) && self.health.usable(v, out)
@@ -256,31 +294,31 @@ impl Network {
         }
     }
 
-    /// Whether powered router `v` can take `flit` off the channel feeding
-    /// its `in_port` this cycle — the skip-scan's predicate.
-    fn deliverable(&self, v: usize, in_port: Port, flit: &Flit) -> bool {
+    /// Where powered router `v` would put `flit` if it took it off the
+    /// channel feeding its `in_port` this cycle — the skip-scan's predicate;
+    /// `None` when it cannot take it.
+    fn deliverable(&self, v: usize, in_port: Port, flit: &Flit) -> Option<Landing> {
         let down = &self.routers[v];
         let port = in_port.index();
-        if flit.is_head() {
-            if flit.vc != NO_VC {
-                down.vc(port, flit.vc as usize).is_reserved_for(flit.packet_id)
-            } else {
-                // Unreserved head (granted while this router was gated):
-                // bind a free VC, or — to keep the channel from wedging on
-                // VC exhaustion — ride the BST continuation latch onward.
-                // While draining toward a proactive gate only the
-                // continuation path is allowed.
-                let can_bind = !down.gate_pending && down.free_vc(port).is_some();
-                can_bind || self.continuation_ok(v, in_port, flit)
+        let vc = if !flit.is_head() {
+            if down.bound_vc(port, flit.packet_id).is_some() {
+                return down.accept_target(port, flit).map(Landing::Vc);
             }
-        } else if down.bound_vc(port, flit.packet_id).is_some() {
-            down.accept_target(port, flit).is_some()
+            // BST continuation (§3.1.2): the head passed this router
+            // without a VC (through the bypass while it was gated, or the
+            // latch), and the body follows latch-to-channel along the route
+            // the BST recorded.
+            None
+        } else if flit.vc != NO_VC {
+            let vc = flit.vc as usize;
+            return down.vc(port, vc).is_reserved_for(flit.packet_id).then_some(Landing::Vc(vc));
         } else {
-            // BST continuation (§3.1.2): the head passed this router while
-            // it was gated (bypass), so no VC is bound; the BST still holds
-            // the packet's route, and the body follows latch-to-channel.
-            self.continuation_ok(v, in_port, flit)
-        }
+            // Unreserved head (granted while this router was gated): bind a
+            // free VC, or — to keep the channel from wedging on VC
+            // exhaustion — ride the continuation latch onward.
+            down.free_vc(port)
+        };
+        vc.map(Landing::Vc).or_else(|| self.latch_ok(v, in_port, flit).then_some(Landing::Latch))
     }
 
     /// Phase 2a: deliveries into powered routers.
@@ -305,42 +343,30 @@ impl Network {
             let in_port = in_dir.index();
             // Scan channel storage for the first deliverable flit
             // (order-preserving per packet — the BST dynamic buffer
-            // allocation of §3.1.2).
+            // allocation of §3.1.2), keeping the landing chosen for it.
             let ch = self.links.get(ci).expect("occupied slot is a link");
-            let Some(idx) = ch.scan_deliverable(now, |flit| self.deliverable(v, in_dir, flit))
-            else {
+            let mut landing = None;
+            let Some(idx) = ch.scan_deliverable(now, |flit| {
+                landing = self.deliverable(v, in_dir, flit);
+                landing.is_some()
+            }) else {
                 continue;
             };
+            let landing = landing.expect("the scan stops at the flit that has one");
+            // A head needs a live route now: a temporarily unreachable
+            // destination (intermittent outage) leaves it waiting on the
+            // channel. Body and tail flits read their head's decision, which
+            // an outage does not unmake.
             let head = ch.get(idx);
-            let (is_head, packet, dest) = (head.is_head(), head.packet_id, head.dest as usize);
-            // Route at the receiving router, around any hard faults.
-            // Heads (and BST continuations) need a live route now; a
-            // temporarily unreachable destination (intermittent outage)
-            // leaves them waiting on the channel. Body/tail flits bound
-            // to a VC follow the path their head already took, so a
-            // missing route must not block them.
-            let bound_body = !is_head && self.routers[v].bound_vc(in_port, packet).is_some();
-            let route = if bound_body {
-                Port::Local // unused: the flit follows its VC's binding
-            } else {
-                let Some(route) = self.compute_route(v, dest, in_dir) else { continue };
-                route
-            };
+            let span = if head.is_head() { self.probe.leaf_enter("route.compute") } else { None };
+            let route = self.next_hop(v, in_dir, head);
+            self.probe.leaf_exit(span, 0);
+            let Some(route) = route else { continue };
             let Some(mut flit) = self.traverse(ci, idx, Receiver::Router) else { continue };
             self.routers[v].step.in_flits[in_port] += 1;
-            let vc = if !flit.is_head() {
-                self.routers[v].bound_vc(in_port, flit.packet_id)
-            } else if flit.vc != NO_VC {
-                Some(flit.vc as usize)
-            } else if self.routers[v].gate_pending {
-                None // continuation only while draining toward a gate
-            } else {
-                self.routers[v].free_vc(in_port)
-            };
-            match vc {
-                Some(vc) => self.accept(v, in_port, vc, &flit, route),
-                None => {
-                    // BST continuation: forward latch-to-channel.
+            match landing {
+                Landing::Vc(vc) => self.accept(v, in_port, vc, &flit, route),
+                Landing::Latch => {
                     if flit.is_head() {
                         self.head_routed(v, &flit, route);
                     }
@@ -349,7 +375,7 @@ impl Network {
                         self.eject(v, flit);
                     } else {
                         flit.hop_scheme = EccScheme::None;
-                        self.forward(v, route, &flit, Sender::Latch);
+                        self.forward(v, route, &flit, Sender::Latch(in_dir));
                         self.probe.span_count(1, 0); // latch-to-channel, no buffer
                     }
                 }

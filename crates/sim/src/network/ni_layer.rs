@@ -9,7 +9,7 @@
 //! out through [`Network::forward`] (`link_layer`); losses are accounted by
 //! [`Network::account_drop`] (`recovery`).
 
-use super::link_layer::Sender;
+use super::link_layer::{Landing, Sender};
 use super::Network;
 use crate::flit::{make_packet, Flit, FLITS_PER_PACKET, NO_VC};
 use crate::topology::Port;
@@ -27,42 +27,41 @@ impl Network {
                 continue;
             }
             let head = self.nis[r].inject.front().expect("waiting set implies a queued flit");
-            let (is_head, dest) = (head.is_head(), head.dest as usize);
-            if self.routers[r].gate_pending && is_head {
-                continue; // draining toward a proactive gate
-            }
             let in_port = Port::Local.index();
-            // A body flit whose packet holds no VC here rides the continuation
-            // latch; any other flit needs a VC with room (read before `head`,
-            // a borrow of the NI queue, has to end).
-            let continuation =
-                !is_head && self.routers[r].bound_vc(in_port, head.packet_id).is_none();
-            let target =
-                if continuation { None } else { self.routers[r].accept_target(in_port, head) };
-            if continuation {
-                // BST continuation: the packet's head was injected through
-                // the bypass while the router was gated.
-                let Some(route) = self.compute_route(r, dest, Port::Local) else {
-                    continue; // no live route right now: wait in the NI
+            // A body flit whose packet holds no VC here (its head left
+            // through the bypass while the router was gated) rides the
+            // continuation latch; any other flit needs a VC with room.
+            let landing =
+                if head.is_head() || self.routers[r].bound_vc(in_port, head.packet_id).is_some() {
+                    let Some(vc) = self.routers[r].accept_target(in_port, head) else { continue };
+                    Landing::Vc(vc)
+                } else {
+                    Landing::Latch
                 };
-                if route == Port::Local || !self.health.usable(r, route) {
-                    continue;
-                }
-                if self.links.has_space(self.channel_index(r, route)) {
-                    let mut flit = self.nis.pop_front(r).expect("checked nonempty");
-                    flit.hop_scheme = EccScheme::None;
-                    flit.vc = NO_VC;
-                    self.forward(r, route, &flit, Sender::Latch);
-                }
-                continue;
-            }
-            let Some(vc) = target else { continue };
-            let Some(route) = self.compute_route(r, dest, Port::Local) else {
-                continue; // destination unreachable right now: wait
+            let span = if head.is_head() { self.probe.leaf_enter("route.compute") } else { None };
+            let route = self.next_hop(r, Port::Local, head);
+            self.probe.leaf_exit(span, 0);
+            let Some(route) = route else {
+                continue; // destination unreachable right now: wait in the NI
             };
-            let flit = self.nis.pop_front(r).expect("checked nonempty");
-            self.routers[r].step.in_flits[in_port] += 1;
-            self.accept(r, in_port, vc, &flit, route);
+            match landing {
+                Landing::Vc(vc) => {
+                    let flit = self.nis.pop_front(r).expect("checked nonempty");
+                    self.routers[r].step.in_flits[in_port] += 1;
+                    self.accept(r, in_port, vc, &flit, route);
+                }
+                Landing::Latch => {
+                    let open = route != Port::Local
+                        && self.health.usable(r, route)
+                        && self.links.has_space(self.channel_index(r, route));
+                    if open {
+                        let mut flit = self.nis.pop_front(r).expect("checked nonempty");
+                        flit.hop_scheme = EccScheme::None;
+                        flit.vc = NO_VC;
+                        self.forward(r, route, &flit, Sender::Latch(Port::Local));
+                    }
+                }
+            }
         }
     }
 

@@ -7,15 +7,19 @@
 //! there, not here); [`Links`](crate::channel::Links),
 //! [`Router`](crate::router::Router) and [`Nis`](crate::ni::Nis) through
 //! their `purge_packet`, plus `Router::rebind_route` and `Nis::recv_mut`.
-//! A salvaged packet re-enters through [`Network::reinject`] (`ni_layer`).
+//! What an edge disturbed is read through the owners' queries
+//! (`Router::{holdings, parked_heads, queued_flits}`, `Links::flits`, the NI
+//! queues). A salvaged packet re-enters through [`Network::reinject`]
+//! (`ni_layer`).
 
 use super::Network;
 use crate::flit::Flit;
+use crate::router::Holding;
 use crate::stats::StallReport;
-use crate::topology::{Port, PORTS};
+use crate::topology::{Port, DIRS};
 use noc_fault::HardFaultTarget;
 use noc_telemetry::Event;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 impl Network {
     /// Phase 0: applies scheduled hard-fault transitions at `self.now`. On
@@ -60,119 +64,84 @@ impl Network {
     }
 
     /// Finds every packet disturbed by a health-map transition and salvages
-    /// or drops it: flits stranded on a fail-stop-dead component (or bound
-    /// for a dead destination), plus — under fault-aware routing — packets
-    /// whose head is parked at a position the rebuilt up*/down* table cannot
-    /// continue from. Iteration is in deterministic packet-id order.
+    /// or drops it, in deterministic packet-id order. Each owner is asked
+    /// what the edge disturbed; only the verdicts are decided here:
+    ///
+    /// * a router names packets by what they *hold* of it — every VC and
+    ///   continuation record of a fail-stop-dead router, every bound VC and
+    ///   record whose output is fail-stop dead — whether or not a flit of
+    ///   the packet is queued there: the binding alone would lead the flits
+    ///   still upstream onto the dead path;
+    /// * a resident flit names its packet by *where it sits*: on a dead
+    ///   link, or anywhere (channel, VC, NI queue) its destination is cut
+    ///   off from for good;
+    /// * under fault-aware routing a parked head names its packet when the
+    ///   rebuilt up*/down* table has no continuation from its position —
+    ///   the table only guarantees progress from legal states, and a head
+    ///   caught mid-path by the transition would wait for ever — and is
+    ///   rebound in place when the continuation merely changed. Heads
+    ///   inside an intermittent outage are skipped here and re-swept at the
+    ///   repair edge. Body and tail flits are never re-routed.
     fn purge_after_fault(&mut self) {
-        let n = self.mesh.nodes();
-        let mut disturbed: BTreeMap<u64, Flit> = BTreeMap::new();
-        if self.health.any_failstop() {
-            // Channel-resident flits on a dead link or feeding a dead router.
-            for u in 0..n {
-                for dir in Port::DIRECTIONS {
-                    let ci = self.channel_index(u, dir);
-                    let Some(ch) = self.links.get(ci) else { continue };
-                    let v = self.mesh.neighbor(u, dir).expect("channel implies neighbor");
-                    let dead_path = self.health.failstop_router_down(u)
-                        || self.health.failstop_hop_down(u, dir);
-                    for i in 0..ch.occupancy() {
-                        let f = *ch.get(i);
-                        if dead_path || self.health.fs_split(v, f.dest as usize) {
-                            disturbed.entry(f.packet_id).or_insert(f);
+        let health = &self.health;
+        let fault_aware = self.cfg.fault_aware_routing;
+        let mut named: BTreeSet<u64> = BTreeSet::new();
+        let mut rebinds: Vec<(usize, usize, usize, Port)> = Vec::new();
+        for (r, router) in self.routers.iter().enumerate() {
+            let dead = |h: &Holding| {
+                health.failstop_router_down(r)
+                    || h.out.is_some_and(|o| o != Port::Local && health.failstop_hop_down(r, o))
+            };
+            named.extend(router.holdings().filter(dead).map(|h| h.packet));
+            if fault_aware && health.router_up(r) {
+                for (p, vc, head) in router.parked_heads() {
+                    match health.route(r, head.dest as usize, Port::from_index(p)) {
+                        None => {
+                            named.insert(head.packet_id);
                         }
-                    }
-                }
-            }
-            // VC-resident flits: dead router, dead bound output, or dead dest.
-            for r in 0..n {
-                let router_dead = self.health.failstop_router_down(r);
-                let router = &self.routers[r];
-                for p in 0..PORTS {
-                    for (vi, vc) in router.port_vcs(p).iter().enumerate() {
-                        let route = vc.route();
-                        let route_dead =
-                            route != Port::Local && self.health.failstop_hop_down(r, route);
-                        for f in router.flits(p, vi) {
-                            if router_dead
-                                || (route_dead && vc.is_bound_to(f.packet_id))
-                                || self.health.fs_split(r, f.dest as usize)
-                            {
-                                disturbed.entry(f.packet_id).or_insert(*f);
-                            }
+                        Some(route) if route != router.vc(p, vc).route() => {
+                            rebinds.push((r, p, vc, route));
                         }
+                        Some(_) => {}
                     }
-                }
-            }
-            // NI injection queues: dead source or dead destination.
-            for r in 0..n {
-                let ni_dead = self.health.failstop_router_down(r);
-                for f in &self.nis[r].inject {
-                    if ni_dead || self.health.fs_split(r, f.dest as usize) {
-                        disturbed.entry(f.packet_id).or_insert(*f);
-                    }
-                }
-            }
-            // Partial reassembly state dies with a destination router.
-            for r in 0..n {
-                if self.health.failstop_router_down(r) {
-                    self.nis.recv_mut(r).clear();
                 }
             }
         }
-        // A rebuild invalidates routes computed under the previous topology.
-        // The up*/down* table only guarantees progress from legal states; a
-        // packet caught mid-path by the transition can sit at a (node,
-        // arrival-port) pair the new table has no continuation for — it
-        // would wait forever and leak its downstream VC reservation. Rebind
-        // parked heads that still have a legal continuation; salvage the
-        // phase-stranded rest. Targets inside an intermittent outage are
-        // skipped here and re-swept at the repair edge.
-        if self.cfg.fault_aware_routing {
-            for u in 0..n {
-                for dir in Port::DIRECTIONS {
-                    let ci = self.channel_index(u, dir);
-                    let Some(ch) = self.links.get(ci) else { continue };
-                    if !self.health.usable(u, dir) {
-                        continue;
-                    }
-                    let v = self.mesh.neighbor(u, dir).expect("channel implies neighbor");
-                    for i in 0..ch.occupancy() {
-                        let f = *ch.get(i);
-                        if f.is_head()
-                            && self.health.route(v, f.dest as usize, dir.opposite()).is_none()
-                        {
-                            disturbed.entry(f.packet_id).or_insert(f);
-                        }
-                    }
-                }
+        // One pass over every resident flit: those that name their packet
+        // themselves, and a representative of each packet named above.
+        let mut disturbed: BTreeMap<u64, Flit> = BTreeMap::new();
+        let mut sweep = |f: &Flit, hit: bool| {
+            if hit || named.contains(&f.packet_id) {
+                disturbed.entry(f.packet_id).or_insert(*f);
             }
-            let mut rebinds: Vec<(usize, usize, usize, Port)> = Vec::new();
-            for r in 0..n {
-                if !self.health.router_up(r) {
-                    continue;
-                }
-                let router = &self.routers[r];
-                for p in 0..PORTS {
-                    for (vi, vc) in router.port_vcs(p).iter().enumerate() {
-                        let Some(head) = router.flits(p, vi).next().copied() else { continue };
-                        if !vc.is_bound_to(head.packet_id) || !head.is_head() {
-                            continue; // body flits must follow their head's path
-                        }
-                        match self.health.route(r, head.dest as usize, Port::from_index(p)) {
-                            None => {
-                                disturbed.entry(head.packet_id).or_insert(head);
-                            }
-                            Some(route) if route != vc.route() => {
-                                rebinds.push((r, p, vi, route));
-                            }
-                            Some(_) => {}
-                        }
-                    }
-                }
+        };
+        for (ci, f) in self.links.flits() {
+            let (u, dir) = (ci / DIRS, Port::from_index(ci % DIRS));
+            let v = health.neighbor(u, dir).expect("channel implies neighbor");
+            let dest = f.dest as usize;
+            let dead = health.failstop_router_down(u)
+                || health.failstop_hop_down(u, dir)
+                || health.fs_split(v, dest);
+            let stranded = fault_aware
+                && f.is_head()
+                && health.usable(u, dir)
+                && health.route(v, dest, dir.opposite()).is_none();
+            sweep(f, dead || stranded);
+        }
+        for (r, router) in self.routers.iter().enumerate() {
+            let queued = router.queued_flits();
+            let waiting = self.nis[r].inject.iter();
+            for f in queued.chain(waiting) {
+                sweep(f, health.fs_split(r, f.dest as usize));
             }
-            for (r, p, vi, route) in rebinds {
-                self.routers[r].rebind_route(p, vi, route);
+        }
+        for (r, p, vc, route) in rebinds {
+            self.routers[r].rebind_route(p, vc, route);
+        }
+        // Partial reassembly state dies with a destination router.
+        for r in 0..self.mesh.nodes() {
+            if self.health.failstop_router_down(r) {
+                self.nis.recv_mut(r).clear();
             }
         }
         for (_, f) in disturbed {

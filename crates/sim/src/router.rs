@@ -9,7 +9,7 @@
 //! their head at one per cycle.
 
 use crate::config::RouterDirective;
-use crate::flit::{Cycle, Flit, NO_VC};
+use crate::flit::{Cycle, Flit, FlitKind, NO_VC};
 use crate::topology::{Port, PORTS};
 use noc_ecc::EccScheme;
 use noc_power::ActivityCounters;
@@ -110,6 +110,49 @@ impl VcEntry {
     }
 }
 
+/// One continuation record — the BST route entry of a packet that passes
+/// this router without a VC (through the bypass of the gated router, or the
+/// continuation latch of the powered one): the output its head chose for
+/// the flits arriving behind it through `in_port`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Continuation {
+    packet: u64,
+    in_port: Port,
+    out: Port,
+}
+
+/// One thing a packet holds of a router whether or not a flit of it is
+/// queued there: a VC (reserved or bound) or a continuation record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Holding {
+    pub(crate) packet: u64,
+    /// Input port the packet arrives through.
+    pub(crate) in_port: Port,
+    /// The output its head chose here; `None` for a reservation, whose head
+    /// is still on the wire.
+    pub(crate) out: Option<Port>,
+    /// The VC table row, `None` for a continuation record.
+    pub(crate) row: Option<usize>,
+    /// Flits of the packet queued in that row.
+    pub(crate) queued: usize,
+}
+
+impl std::fmt::Display for Holding {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match (self.row, self.out) {
+            (Some(row), None) => write!(f, "row {row}: reserved for packet {}", self.packet),
+            (Some(row), Some(_)) => write!(f, "row {row}: bound to packet {}", self.packet),
+            (None, _) => {
+                write!(
+                    f,
+                    "input {:?}: a continuation record of packet {}",
+                    self.in_port, self.packet
+                )
+            }
+        }
+    }
+}
+
 /// Power-gating state of a router.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GateState {
@@ -167,6 +210,13 @@ pub struct StepStats {
 /// cannot drift apart ([`Router::index_drift`] recounts them). Flit queues
 /// are allocated on first use: most VCs of a lightly loaded mesh never
 /// hold a flit.
+///
+/// Beside the table sit the continuation records: the output chosen by the
+/// head of each packet passing through without a VC, written by that head
+/// and erased by its tail ([`Router::note_continuation`]) or by
+/// [`Router::purge_packet`]. A bound row's `route` and a record's `out`
+/// together are every hop decision the router holds; body and tail flits
+/// read them through [`Router::packet_route`] and never route again.
 #[derive(Debug, Clone)]
 pub struct Router {
     /// Node index.
@@ -183,10 +233,11 @@ pub struct Router {
     /// Flits buffered across all input VCs — the router's share of the
     /// occupancy index.
     buffered: usize,
+    /// Packets passing through without a VC, at most one record per
+    /// `(in_port, packet)`; a handful at a time, so a scan beats a map.
+    continuations: Vec<Continuation>,
     /// Gating state.
     pub gate: GateState,
-    /// Pending proactive gate request (waiting for buffers to drain).
-    pub gate_pending: bool,
     /// Consecutive idle cycles (for reactive gating).
     pub idle_cycles: u32,
     /// Active control directive.
@@ -244,8 +295,8 @@ impl Router {
             free: low_bits(rows),
             request: [0; PORTS],
             buffered: 0,
+            continuations: Vec::new(),
             gate: GateState::On,
-            gate_pending: false,
             idle_cycles: 0,
             directive: RouterDirective::fixed(scheme),
             sa_rr: 0,
@@ -302,6 +353,71 @@ impl Router {
     /// The VC of input `port` bound to `packet`, if any.
     pub fn bound_vc(&self, port: usize, packet: u64) -> Option<usize> {
         self.port_vcs(port).iter().position(|e| e.is_bound_to(packet))
+    }
+
+    /// The output the head of `packet` chose when it came in through input
+    /// `port`: the route of the VC it bound there, else its continuation
+    /// record. `None` when no head of the packet has passed that way.
+    pub fn packet_route(&self, port: usize, packet: u64) -> Option<Port> {
+        match self.bound_vc(port, packet) {
+            Some(vc) => Some(self.vc(port, vc).route),
+            None => self
+                .continuations
+                .iter()
+                .find(|c| c.packet == packet && c.in_port.index() == port)
+                .map(|c| c.out),
+        }
+    }
+
+    /// A flit that holds no VC here leaves through `out`, having come in
+    /// through `in_port`: the head writes the packet's continuation record,
+    /// the tail erases it.
+    pub(crate) fn note_continuation(&mut self, in_port: Port, flit: &Flit, out: Port) {
+        match flit.kind {
+            FlitKind::Head => {
+                self.continuations.push(Continuation { packet: flit.packet_id, in_port, out });
+            }
+            FlitKind::Body => {}
+            FlitKind::Tail => {
+                self.continuations.retain(|c| (c.packet, c.in_port) != (flit.packet_id, in_port));
+            }
+        }
+    }
+
+    /// Everything packets hold of this router — reserved and bound VCs in
+    /// row order, then continuation records — whether or not a flit of the
+    /// packet is queued here.
+    pub(crate) fn holdings(&self) -> impl Iterator<Item = Holding> + '_ {
+        let rows = set_bits(!self.free & low_bits(self.table.len())).map(|i| {
+            let e = &self.table[i];
+            Holding {
+                packet: e.owner,
+                in_port: Port::from_index(i / self.vcs),
+                out: (e.state == VcState::Bound).then_some(e.route),
+                row: Some(i),
+                queued: e.len as usize,
+            }
+        });
+        rows.chain(self.continuations.iter().map(|c| Holding {
+            packet: c.packet,
+            in_port: c.in_port,
+            out: Some(c.out),
+            row: None,
+            queued: 0,
+        }))
+    }
+
+    /// The head flits parked at the front of a VC, still to win a downstream
+    /// VC, as `(port, vc, head)`.
+    pub(crate) fn parked_heads(&self) -> impl Iterator<Item = (usize, usize, &Flit)> {
+        set_bits(self.pending | self.ready)
+            .filter(|&i| self.table[i].head_queued)
+            .map(|i| (i / self.vcs, i % self.vcs, &self.queues[i][0].0))
+    }
+
+    /// Every flit queued in any input VC.
+    pub(crate) fn queued_flits(&self) -> impl Iterator<Item = &Flit> {
+        set_bits(self.pending | self.ready).flat_map(|i| self.queues[i].iter().map(|(f, _)| f))
     }
 
     /// Whether `flit` can enter input `port` right now: a head flit needs a
@@ -462,10 +578,11 @@ impl Router {
         !self.is_on()
     }
 
-    /// Removes every trace of `packet` from all input VCs — queued flits,
-    /// the binding, any reservation (hard-fault salvage/drop support).
-    /// Returns the number of flits removed.
+    /// Removes every trace of `packet` — queued flits, the binding, any
+    /// reservation, its continuation records (hard-fault salvage/drop
+    /// support). Returns the number of flits removed.
     pub fn purge_packet(&mut self, packet: u64) -> usize {
+        self.continuations.retain(|c| c.packet != packet);
         let mut removed = 0;
         for i in set_bits(!self.free & low_bits(self.table.len())) {
             let e = &mut self.table[i];
@@ -490,7 +607,8 @@ impl Router {
     }
 
     /// Compares table, masks and buffered count with a recount from the
-    /// flit queues at cycle `now`; `Some(what)` names the first mismatch.
+    /// flit queues at cycle `now`, and checks that no packet holds two
+    /// routes on one input; `Some(what)` names the first mismatch.
     #[doc(hidden)]
     pub fn index_drift(&self, now: Cycle) -> Option<String> {
         let mut total = 0;
@@ -523,6 +641,17 @@ impl Router {
                 if bit(self.request[out.index()]) != wants {
                     return at(&format!("request[{out:?}] bit vs bound route"));
                 }
+            }
+        }
+        for (i, c) in self.continuations.iter().enumerate() {
+            let twice = |d: &Continuation| (d.packet, d.in_port) == (c.packet, c.in_port);
+            if self.continuations[..i].iter().any(twice)
+                || self.bound_vc(c.in_port.index(), c.packet).is_some()
+            {
+                return Some(format!(
+                    "router {}: packet {} holds a second route on input {:?} beside {c:?}",
+                    self.id, c.packet, c.in_port
+                ));
             }
         }
         (total != self.buffered).then(|| {
@@ -643,6 +772,30 @@ mod tests {
         let _ = r.pop_granted(3, 1, 0);
         assert!(r.is_drained() && !r.is_gateable(), "packet 2 still holds its VC");
         assert_eq!(r.index_drift(0), None);
+    }
+
+    #[test]
+    fn continuation_record_lives_from_head_to_tail() {
+        let mut r = router();
+        let flits = make_packet(1, 0, 0, 5, 0);
+        assert_eq!(r.packet_route(1, 1), None, "no head has passed");
+        r.note_continuation(Port::XMinus, &flits[0], Port::XPlus);
+        r.note_continuation(Port::XMinus, &flits[1], Port::YPlus); // a body decides nothing
+        assert_eq!(r.packet_route(1, 1), Some(Port::XPlus));
+        assert_eq!(r.packet_route(0, 1), None, "the record is per input port");
+        assert!(r.is_gateable(), "a record holds no VC");
+        let held: Vec<Holding> = r.holdings().collect();
+        assert_eq!((held.len(), held[0].packet, held[0].out), (1, 1, Some(Port::XPlus)));
+        assert_eq!(r.index_drift(0), None);
+        r.note_continuation(Port::XMinus, &flits[3], Port::XPlus);
+        assert_eq!(r.packet_route(1, 1), None, "the tail erased it");
+        // A bound VC answers first, and a purge forgets both.
+        r.enqueue(1, 0, flits[0], Port::YMinus, 0);
+        assert_eq!(r.packet_route(1, 1), Some(Port::YMinus));
+        r.note_continuation(Port::Local, &flits[0], Port::XPlus);
+        r.purge_packet(1);
+        assert_eq!((r.packet_route(1, 1), r.packet_route(4, 1)), (None, None));
+        assert_eq!(r.holdings().count(), 0);
     }
 
     #[test]
