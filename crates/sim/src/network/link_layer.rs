@@ -111,6 +111,23 @@ impl Network {
         }
     }
 
+    /// [`Self::next_hop`] once the flit's landing is chosen: a body landing in
+    /// its packet's VC finds the route in that row, with no table to search.
+    pub(super) fn landing_hop(
+        &self,
+        r: usize,
+        in_port: Port,
+        flit: &Flit,
+        landing: Landing,
+    ) -> Option<Port> {
+        match landing {
+            Landing::Vc(vc) if !flit.is_head() => {
+                Some(self.routers[r].vc(in_port.index(), vc).route())
+            }
+            _ => self.next_hop(r, in_port, flit),
+        }
+    }
+
     /// The one latch-to-channel push: `flit` leaves router `r` through
     /// `out`, which the caller checked is usable and has space.
     pub(super) fn forward(&mut self, r: usize, out: Port, flit: &Flit, from: Sender) {
@@ -300,25 +317,25 @@ impl Network {
     fn deliverable(&self, v: usize, in_port: Port, flit: &Flit) -> Option<Landing> {
         let down = &self.routers[v];
         let port = in_port.index();
-        let vc = if !flit.is_head() {
-            if down.bound_vc(port, flit.packet_id).is_some() {
-                return down.accept_target(port, flit).map(Landing::Vc);
+        let latch = || self.latch_ok(v, in_port, flit).then_some(Landing::Latch);
+        if !flit.is_head() {
+            match down.bound_vc(port, flit.packet_id) {
+                Some(_) => down.accept_target(port, flit).map(Landing::Vc),
+                // BST continuation (§3.1.2): the head passed this router
+                // without a VC (through the bypass while it was gated, or
+                // the latch), and the body follows latch-to-channel along
+                // the route the BST recorded.
+                None => latch(),
             }
-            // BST continuation (§3.1.2): the head passed this router
-            // without a VC (through the bypass while it was gated, or the
-            // latch), and the body follows latch-to-channel along the route
-            // the BST recorded.
-            None
         } else if flit.vc != NO_VC {
             let vc = flit.vc as usize;
-            return down.vc(port, vc).is_reserved_for(flit.packet_id).then_some(Landing::Vc(vc));
+            down.vc(port, vc).is_reserved_for(flit.packet_id).then_some(Landing::Vc(vc))
         } else {
             // Unreserved head (granted while this router was gated): bind a
             // free VC, or — to keep the channel from wedging on VC
             // exhaustion — ride the continuation latch onward.
-            down.free_vc(port)
-        };
-        vc.map(Landing::Vc).or_else(|| self.latch_ok(v, in_port, flit).then_some(Landing::Latch))
+            down.free_vc(port).map(Landing::Vc).or_else(latch)
+        }
     }
 
     /// Phase 2a: deliveries into powered routers.
@@ -359,7 +376,7 @@ impl Network {
             // an outage does not unmake.
             let head = ch.get(idx);
             let span = if head.is_head() { self.probe.leaf_enter("route.compute") } else { None };
-            let route = self.next_hop(v, in_dir, head);
+            let route = self.landing_hop(v, in_dir, head, landing);
             self.probe.leaf_exit(span, 0);
             let Some(route) = route else { continue };
             let Some(mut flit) = self.traverse(ci, idx, Receiver::Router) else { continue };

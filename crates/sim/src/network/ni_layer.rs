@@ -39,7 +39,7 @@ impl Network {
                     Landing::Latch
                 };
             let span = if head.is_head() { self.probe.leaf_enter("route.compute") } else { None };
-            let route = self.next_hop(r, Port::Local, head);
+            let route = self.landing_hop(r, Port::Local, head, landing);
             self.probe.leaf_exit(span, 0);
             let Some(route) = route else {
                 continue; // destination unreachable right now: wait in the NI

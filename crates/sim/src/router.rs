@@ -325,11 +325,6 @@ impl Router {
         &self.table[port * self.vcs + vc]
     }
 
-    /// The flits queued in VC `vc` of input `port`, head first.
-    pub fn flits(&self, port: usize, vc: usize) -> impl Iterator<Item = &Flit> {
-        self.queues[port * self.vcs + vc].iter().map(|(f, _)| f)
-    }
-
     /// Head flit of VC `vc` of input `port` if it is eligible for switch
     /// allocation at `now` (read from the entry, not the masks, so it is
     /// right between promotions too).
