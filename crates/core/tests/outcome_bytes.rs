@@ -1,0 +1,49 @@
+//! Characterization of the control loop, recorded at commit `8a5cb03`: the
+//! exact `ExperimentOutcome` one small run of each kind of policy — static
+//! (SECDED under forced errors), CPD's heuristic, IntelliNoC's Q-learning
+//! from pre-trained tables — serializes to. Every number in the fixtures
+//! comes out of `run_experiment_instrumented`'s loop (traffic and agent
+//! seeds, the order of observe / charge / decide / apply, `finished`), so a
+//! refactor of that loop passes these tests only if it drives the network
+//! exactly as before.
+
+use intellinoc::{
+    intellinoc_rl_config, pretrain_intellinoc, run_experiment_instrumented, Design,
+    ExperimentConfig, RewardKind,
+};
+use noc_traffic::WorkloadSpec;
+
+/// A run of a few control steps: 20 packets per node at 0.03, step 200.
+fn small(design: Design) -> ExperimentConfig {
+    ExperimentConfig::new(design, WorkloadSpec::uniform(0.03, 20)).with_seed(11).with_time_step(200)
+}
+
+fn outcome_json(cfg: ExperimentConfig) -> String {
+    let outcome = run_experiment_instrumented(cfg).0;
+    assert!(outcome.finished && outcome.report.stats.cycles > 600, "several control steps");
+    serde_json::to_string(&outcome).expect("an outcome serializes") + "\n"
+}
+
+#[test]
+fn static_policy_outcome_is_pinned() {
+    let mut cfg = small(Design::Secded);
+    cfg.error_rate_override = Some(1e-4);
+    assert_eq!(outcome_json(cfg), include_str!("fixtures/outcome_secded.json"));
+}
+
+#[test]
+fn cpd_heuristic_outcome_is_pinned() {
+    let mut cfg = small(Design::Cpd);
+    cfg.error_rate_override = Some(1e-4);
+    assert_eq!(outcome_json(cfg), include_str!("fixtures/outcome_cpd.json"));
+}
+
+#[test]
+fn pretrained_rl_outcome_is_pinned() {
+    let mut cfg = small(Design::IntelliNoc);
+    cfg.pretrained =
+        Some(pretrain_intellinoc(intellinoc_rl_config(), RewardKind::LogSpace, 4, 200, 3, 1));
+    let json = outcome_json(cfg);
+    assert!(!json.contains("\"mode_histogram\":[0,0,0,0,0]"), "the agents decided");
+    assert_eq!(json, include_str!("fixtures/outcome_intellinoc.json"));
+}
