@@ -8,14 +8,18 @@
 //!
 //! Studies that are a plain grid of independent runs are cell lists for
 //! [`intellinoc::run_grid`] — the 5 designs × 10 benchmarks campaign behind
-//! Figs. 9–16 and the probe, the load sweep, and (through
+//! Figs. 9–16 and the probe, the test runs of Figs. 17a/17b, the ablations,
+//! the mesh-scaling study, the load sweep, and (through
 //! `run_campaign_runner`) the resilience grid — so `--jobs N` parallelizes
-//! them without moving a byte of output. An
+//! them without moving a byte of output; the few runs that need a policy or
+//! hook of their own go through [`intellinoc::run_experiment_with`], held
+//! to the same standard. An
 //! [`Evaluation`] carries the campaign parameters and worker count across
-//! the figures of one invocation and runs the campaign at most once, in
-//! memory. Every cell carries the seed its study pins (2019 for the
-//! campaign): Figs. 9–16 normalize each benchmark to SECDED on the *same*
-//! traffic, so these cells deliberately do not use key-derived seeds.
+//! the figures of one invocation and runs the campaign, and each distinct
+//! pre-training, at most once, in memory. Every cell carries the seed its
+//! study pins (2019 for the campaign): Figs. 9–16 normalize each benchmark
+//! to SECDED on the *same* traffic, so these cells deliberately do not use
+//! key-derived seeds.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,12 +31,14 @@ pub use csv::{write_campaign_csv, write_raw_csv, METRIC_COLUMNS};
 pub use studies::print_headline;
 
 use intellinoc::{
-    compare, pretrain_intellinoc, run_grid, ChaosOptions, ComparisonRow, Design, ExperimentConfig,
-    ExperimentOutcome, NormalizedMetrics, RewardKind, RunStatus, RunnerConfig, UnitSinks,
+    classify_timeout, compare, pretrain_intellinoc, run_experiment_with, run_grid, ChaosOptions,
+    ComparisonRow, ControlPolicy, Design, ExperimentConfig, ExperimentOutcome, NormalizedMetrics,
+    RewardKind, RunStatus, RunnerConfig, UnitSinks,
 };
 use noc_rl::{QLearningConfig, QTable};
 use noc_traffic::ParsecBenchmark;
 use std::io::{self, Write};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Default packets-per-node budget for figure campaigns. Keeps full-campaign
 /// wall-clock tractable while exercising thousands of packets per run.
@@ -69,18 +75,6 @@ impl Default for Campaign {
 }
 
 impl Campaign {
-    /// Pre-trains the IntelliNoC policy on blackscholes (paper §6.3).
-    pub fn pretrain(&self) -> Vec<QTable> {
-        pretrain_intellinoc(
-            self.rl,
-            RewardKind::LogSpace,
-            PRETRAIN_PACKETS_PER_NODE,
-            self.time_step,
-            self.seed,
-            PRETRAIN_EPISODES,
-        )
-    }
-
     /// The experiment of one design on one benchmark under this campaign's
     /// seed, time step and RL hyperparameters.
     pub fn config(
@@ -99,6 +93,26 @@ impl Campaign {
         cfg
     }
 
+    /// The grid of `designs` on each of `benches`, benchmark-major, keyed
+    /// `<study>/<bench>/<design>`.
+    pub(crate) fn cells(
+        &self,
+        study: &str,
+        benches: &[ParsecBenchmark],
+        designs: &[Design],
+        pretrained: Option<&[QTable]>,
+    ) -> Vec<(String, ExperimentConfig)> {
+        benches
+            .iter()
+            .flat_map(|&bench| {
+                designs.iter().map(move |&design| {
+                    let key = format!("{study}/{}/{}", bench.label(), design.label());
+                    (key, self.config(design, bench, pretrained))
+                })
+            })
+            .collect()
+    }
+
     /// Runs all five designs on each of `benches` as one grid (keys
     /// `fig/<bench>/<design>`) and normalizes each benchmark to its SECDED
     /// run.
@@ -113,15 +127,7 @@ impl Campaign {
         pretrained: Option<&[QTable]>,
         rcfg: &RunnerConfig,
     ) -> Result<CampaignResults, String> {
-        let cells: Vec<(String, ExperimentConfig)> = benches
-            .iter()
-            .flat_map(|&bench| {
-                Design::ALL.map(|design| {
-                    let key = format!("fig/{}/{}", bench.label(), design.label());
-                    (key, self.config(design, bench, pretrained))
-                })
-            })
-            .collect();
+        let cells = self.cells("fig", benches, &Design::ALL, pretrained);
         let mut outcomes = run_clean_grid(&cells, rcfg)?.into_iter();
         let mut results = CampaignResults { rows: Vec::new(), raw: Vec::new() };
         for &bench in benches {
@@ -151,12 +157,40 @@ pub(crate) fn run_clean_grid(
         .into_iter()
         .map(|rec| match (rec.status, rec.payload) {
             (RunStatus::Ok, Some(outcome)) => Ok(outcome),
-            (status, _) => {
-                let detail = rec.error.unwrap_or_else(|| "out of cycle budget or stalled".into());
-                Err(format!("unit {} {}: {detail}", rec.key, status.label()))
-            }
+            (status, _) => Err(unit_error(&rec.key, status, rec.error.as_deref())),
         })
         .collect()
+}
+
+/// What a figure reports for a unit that gave it no usable outcome.
+pub(crate) fn unit_error(key: &str, status: RunStatus, error: Option<&str>) -> String {
+    format!("unit {key} {}: {}", status.label(), error.unwrap_or("out of cycle budget or stalled"))
+}
+
+/// One [`run_experiment_with`] run outside a grid — a study's own policy or
+/// `before_decide` hook — held to what [`run_clean_grid`] holds its units to.
+///
+/// # Errors
+///
+/// The run, named by `key`, did not finish (out of cycle budget or stalled)
+/// or panicked.
+pub(crate) fn run_checked(
+    key: &str,
+    cfg: ExperimentConfig,
+    policy: Option<ControlPolicy>,
+    before_decide: impl FnMut(&mut ControlPolicy),
+) -> Result<ExperimentOutcome, String> {
+    let budget = cfg.max_cycles;
+    let run = AssertUnwindSafe(|| run_experiment_with(cfg, policy, before_decide).0);
+    let outcome = catch_unwind(run).map_err(|payload| {
+        let message = payload.downcast_ref::<String>().map(String::as_str);
+        let message = message.or_else(|| payload.downcast_ref::<&str>().copied());
+        unit_error(key, RunStatus::Failed, Some(message.unwrap_or("panic with non-string payload")))
+    })?;
+    match classify_timeout(&outcome.report, outcome.finished, budget) {
+        None => Ok(outcome),
+        Some(_) => Err(unit_error(key, RunStatus::TimedOut, None)),
+    }
 }
 
 /// Results of a campaign.
@@ -223,12 +257,28 @@ pub struct Evaluation {
     /// Worker threads for the grid studies (results identical at any count).
     pub jobs: usize,
     results: Option<CampaignResults>,
+    /// Pre-trained tables by the `(rl, time_step, seed)` that produced them.
+    pretrained: Vec<((QLearningConfig, u64, u64), Vec<QTable>)>,
 }
 
 impl Evaluation {
     /// An evaluation that has run nothing yet.
     pub fn new(campaign: Campaign, jobs: usize) -> Self {
-        Evaluation { campaign, jobs, results: None }
+        Evaluation { campaign, jobs, results: None, pretrained: Vec::new() }
+    }
+
+    /// The IntelliNoC policy pre-trained on blackscholes (paper §6.3) for
+    /// `campaign`, computed once per distinct `(rl, time_step, seed)` — all
+    /// that pre-training reads of a campaign.
+    pub fn pretrained(&mut self, campaign: &Campaign) -> Vec<QTable> {
+        let key @ (rl, time_step, seed) = (campaign.rl, campaign.time_step, campaign.seed);
+        if let Some((_, tables)) = self.pretrained.iter().find(|(k, _)| *k == key) {
+            return tables.clone();
+        }
+        let (ppn, episodes) = (PRETRAIN_PACKETS_PER_NODE, PRETRAIN_EPISODES);
+        let tables = pretrain_intellinoc(rl, RewardKind::LogSpace, ppn, time_step, seed, episodes);
+        self.pretrained.push((key, tables.clone()));
+        tables
     }
 
     /// The runner configuration of this evaluation's grid studies.
@@ -246,9 +296,9 @@ impl Evaluation {
     pub fn results(&mut self) -> io::Result<&CampaignResults> {
         if self.results.is_none() {
             eprintln!("[campaign] running 5 designs x 10 benchmarks, {} worker(s)...", self.jobs);
-            let pretrained = self.campaign.pretrain();
-            let results = self
-                .campaign
+            let campaign = self.campaign;
+            let pretrained = self.pretrained(&campaign);
+            let results = campaign
                 .run(&ParsecBenchmark::TEST_SET, Some(&pretrained), &self.runner())
                 .map_err(io::Error::other)?;
             self.results = Some(results);
@@ -556,5 +606,58 @@ mod tests {
         cells[1].1.max_cycles = 1;
         let err = run_clean_grid(&cells, &RunnerConfig::serial()).expect_err("EB cannot finish");
         assert!(err.contains("fig/canneal/EB") && err.contains("timed-out"), "{err}");
+    }
+
+    /// The serial studies' runs are held to the grid's standard: out of
+    /// budget or panicked is an error naming the unit, never an outcome.
+    #[test]
+    fn a_serial_run_that_does_not_finish_or_panics_fails_by_key() {
+        let cfg = tiny_campaign()
+            .config(Design::IntelliNoc, ParsecBenchmark::Canneal, None)
+            .with_time_step(50);
+        let ok = run_checked("study/ok", cfg.clone(), None, |_| ()).expect("finishes");
+        assert!(ok.finished && ok.mode_histogram.iter().sum::<u64>() > 0);
+        let cut = ExperimentConfig { max_cycles: 1, ..cfg.clone() };
+        let err = run_checked("study/cut", cut, None, |_| ()).expect_err("no budget");
+        assert!(err.contains("study/cut") && err.contains("timed-out"), "{err}");
+        let err = run_checked("study/boom", cfg, None, |_| panic!("hook blew up"))
+            .expect_err("the hook panics at the first control step");
+        assert!(err.contains("study/boom failed: hook blew up"), "{err}");
+    }
+
+    /// Each scaling cell sizes its agent bank from its own mesh: one
+    /// decision per router per control step at 4x4 and at 16x16 (the loop
+    /// this study used to run on had no controller at all, and its siblings
+    /// hard-coded 64 agents). Packets are conserved at every size and
+    /// latency grows with the mesh.
+    #[test]
+    fn scaling_cells_run_one_agent_per_router_at_every_mesh_size() {
+        // Design-major: SECDED at 4, 8, 16, then IntelliNoC at 4, 8, 16.
+        let cells: Vec<_> = studies::scaling_cells().into_iter().skip(3).step_by(2).collect();
+        assert!(cells.iter().all(|(_, cfg)| cfg.design == Design::IntelliNoc));
+        let sides = [4u64, 16];
+        let outcomes = run_clean_grid(&cells, &RunnerConfig::serial()).expect("clean grid");
+        for (side, o) in sides.iter().zip(&outcomes) {
+            let routers = side * side;
+            let steps = (o.report.stats.cycles - 1) / intellinoc::DEFAULT_TIME_STEP;
+            assert!(steps > 0, "{side}x{side} ran {} cycles", o.report.stats.cycles);
+            assert_eq!(o.mode_histogram.iter().sum::<u64>(), routers * steps, "{side}x{side}");
+            assert_eq!(o.report.stats.packets_delivered, routers * 40, "{side}x{side}");
+        }
+        assert!(outcomes[1].report.avg_latency() > outcomes[0].report.avg_latency());
+    }
+
+    #[test]
+    fn pretrained_tables_are_cached_by_rl_time_step_and_seed() {
+        let mut eval = Evaluation::new(Campaign::default(), 1);
+        // A stand-in for the campaign's 24 episodes: one empty table.
+        let stand_in = vec![QTable::new(5, 350)];
+        let Campaign { rl, time_step, seed, .. } = eval.campaign;
+        eval.pretrained.push(((rl, time_step, seed), stand_in));
+        // Pre-training does not read the test runs' packet budget.
+        let same = Campaign { packets_per_node: 4, ..Campaign::default() };
+        let tables = eval.pretrained(&same);
+        assert!(tables.len() == 1 && tables[0].is_empty(), "served from the cache");
+        assert_eq!(eval.pretrained.len(), 1);
     }
 }

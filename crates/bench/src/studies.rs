@@ -1,22 +1,29 @@
 //! The renderers behind [`crate::FIGURES`]: each runs what its study needs
-//! — the shared campaign, a `run_units` grid of its own, or a short serial
+//! — the shared campaign, a `run_grid` grid of its own, or a short serial
 //! sequence where one run feeds the next (pre-train, then test) — and
-//! writes the table(s). Seeds are the ones each study pins.
+//! writes the table(s). Seeds are the ones each study pins. Every run goes
+//! through `run_clean_grid` / `run_grid` or [`run_checked`], never the
+//! unchecked `intellinoc::run_experiment`: a run that did not finish is an
+//! error naming its unit, or (`ablations`, `resilience`) a status row — not
+//! numbers.
 
-use crate::{design_columns, run_clean_grid, Evaluation};
+use crate::{design_columns, run_checked, run_clean_grid, unit_error, Campaign, Evaluation};
 use intellinoc::{
-    expert_decide, intellinoc_rl_config, mesh_scaling, pretrain_intellinoc, run_campaign_runner,
-    run_experiment, CampaignConfig, CampaignRunReport, ChaosOptions, Design, ExperimentConfig,
-    ExpertThresholds, NormalizedMetrics, RewardKind, RlControl, UnitSinks,
+    intellinoc_rl_config, pretrain_intellinoc, run_campaign_runner, run_grid, CampaignConfig,
+    CampaignRunReport, ChaosOptions, ControlPolicy, Design, ExperimentConfig, ExpertThresholds,
+    NormalizedMetrics, RewardKind, UnitSinks,
 };
 use noc_ecc::EccScheme;
 use noc_power::{AreaBreakdown, AreaModel};
 use noc_rl::{QLearningConfig, StateKey};
-use noc_sim::{Network, RunReport, SimConfig};
+use noc_sim::{RunReport, SimConfig};
 use noc_traffic::{ParsecBenchmark, WorkloadSpec};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::io::{self, Write};
+
+/// An [`ExperimentConfig::tweak`].
+type Tweak = fn(&mut SimConfig);
 
 /// Figs. 9–13 and 16: one normalized metric per (benchmark, design), then
 /// the paper's numbers for comparison.
@@ -111,13 +118,16 @@ pub(crate) fn fig17a(eval: &mut Evaluation, w: &mut dyn Write) -> io::Result<()>
     ];
     writeln!(w, "=== Fig. 17a: impact of RL time step (IntelliNoC vs baseline) ===")?;
     writeln!(w, "{:>10} {:>12} {:>12} {:>12}", "time_step", "exec_time", "e2e_latency", "energy")?;
+    let rcfg = eval.runner();
     // Baseline metrics are independent of the time step.
-    let baselines = BENCHES.map(|b| run_experiment(eval.campaign.config(Design::Secded, b, None)));
+    let cells = eval.campaign.cells("fig17a", &BENCHES, &[Design::Secded], None);
+    let baselines = run_clean_grid(&cells, &rcfg).map_err(io::Error::other)?;
     for step in [200u64, 500, 1_000, 10_000] {
-        let campaign = crate::Campaign { time_step: step, ..eval.campaign };
-        let pretrained = campaign.pretrain();
-        let runs = BENCHES
-            .map(|b| run_experiment(campaign.config(Design::IntelliNoc, b, Some(&pretrained))));
+        let campaign = Campaign { time_step: step, ..eval.campaign };
+        let pretrained = eval.pretrained(&campaign);
+        let study = format!("fig17a/step{step}");
+        let cells = campaign.cells(&study, &BENCHES, &[Design::IntelliNoc], Some(&pretrained));
+        let runs = run_clean_grid(&cells, &rcfg).map_err(io::Error::other)?;
         let pairs: Vec<_> =
             runs.iter().zip(&baselines).map(|(o, b)| (&o.report, &b.report)).collect();
         let [exec, lat, energy] = ratio_geomeans(&pairs);
@@ -140,17 +150,18 @@ pub(crate) fn fig17b(eval: &mut Evaluation, w: &mut dyn Write) -> io::Result<()>
         "bit_rate", "exec_time", "e2e_latency", "energy", "retx(intelli)"
     )?;
     let campaign = eval.campaign;
-    let pretrained = campaign.pretrain();
+    let pretrained = eval.pretrained(&campaign);
     for rate in [1e-10f64, 1e-8, 1e-6, 1e-5, 1e-4] {
-        let run = |design: Design, bench: ParsecBenchmark| {
-            let mut cfg = campaign.config(design, bench, Some(&pretrained));
+        let study = format!("fig17b/{rate:e}");
+        let designs = [Design::IntelliNoc, Design::Secded];
+        let mut cells = campaign.cells(&study, &BENCHES, &designs, Some(&pretrained));
+        for (_, cfg) in &mut cells {
             cfg.error_rate_override = Some(rate);
-            run_experiment(cfg)
-        };
-        let runs = BENCHES.map(|b| (run(Design::IntelliNoc, b), run(Design::Secded, b)));
-        let pairs: Vec<_> = runs.iter().map(|(o, b)| (&o.report, &b.report)).collect();
+        }
+        let runs = run_clean_grid(&cells, &eval.runner()).map_err(io::Error::other)?;
+        let pairs: Vec<_> = runs.chunks(2).map(|p| (&p[0].report, &p[1].report)).collect();
         let [exec, lat, energy] = ratio_geomeans(&pairs);
-        let retx: u64 = runs.iter().map(|(o, _)| o.report.stats.retransmitted_flits).sum();
+        let retx: u64 = pairs.iter().map(|(r, _)| r.stats.retransmitted_flits).sum();
         writeln!(w, "{rate:>10.0e} {exec:>12.3} {lat:>12.3} {energy:>12.3} {retx:>14}")?;
     }
     writeln!(w, "\npaper: the proposed design achieves better relative performance")?;
@@ -174,8 +185,9 @@ pub(crate) fn hyper_sweep(
     let workload = || ParsecBenchmark::Blackscholes.workload(PPN);
     writeln!(w, "=== {title} (blackscholes) ===")?;
     writeln!(w, "{column:>width$} {:>14} {:>16}", "EDP(norm)", "retx_rate(norm)")?;
-    let baseline =
-        run_experiment(ExperimentConfig::new(Design::Secded, workload()).with_seed(SEED)).report;
+    let run = |key: String, cfg| run_checked(&key, cfg, None, |_| ()).map_err(io::Error::other);
+    let baseline = ExperimentConfig::new(Design::Secded, workload()).with_seed(SEED);
+    let baseline = run(format!("fig18/{column}/SECDED"), baseline)?.report;
     let base_edp = baseline.edp();
     let base_retx = baseline.stats.retransmitted_flits.max(1) as f64;
     for &value in values {
@@ -185,7 +197,7 @@ pub(crate) fn hyper_sweep(
         let mut cfg = ExperimentConfig::new(Design::IntelliNoc, workload()).with_seed(SEED);
         cfg.rl = rl;
         cfg.pretrained = Some(tables);
-        let r = run_experiment(cfg).report;
+        let r = run(format!("fig18/{column}/{value}"), cfg)?.report;
         writeln!(
             w,
             "{value:>width$.precision$} {:>14.3} {:>16.3}",
@@ -232,49 +244,74 @@ pub(crate) fn table2(_: &mut Evaluation, w: &mut dyn Write) -> io::Result<()> {
 /// Ablations of the design decisions called out in DESIGN.md §6: D1 MFAC
 /// channel depth, D2 bypass-while-gated vs plain power gating, D3 adaptive
 /// vs static ECC, D5 log-space (Eq. 1) vs linear reward. (D4, RL vs
-/// heuristic, is the CPD column of the main figures.)
-pub(crate) fn ablations(_: &mut Evaluation, w: &mut dyn Write) -> io::Result<()> {
-    fn run(
-        w: &mut dyn Write,
-        tag: &str,
-        tweak: Option<fn(&mut SimConfig)>,
-        reward: RewardKind,
-    ) -> io::Result<()> {
-        let workload = ParsecBenchmark::Canneal.workload(150);
-        let mut cfg = ExperimentConfig::new(Design::IntelliNoc, workload).with_seed(5);
-        cfg.tweak = tweak;
-        cfg.reward = reward;
-        let r = run_experiment(cfg).report;
-        writeln!(
-            w,
-            "{:<26} exec={:>7} lat={:>7.1} power={:>7.1}mW eff={:>8.4} retx={:>6} mttf={:>9.2e}",
-            tag,
-            r.exec_cycles,
-            r.avg_latency(),
-            r.power.total_mw(),
-            r.energy_efficiency() * 1e6,
-            r.stats.retransmitted_flits,
-            r.mttf_hours.unwrap_or(f64::NAN),
-        )
-    }
+/// heuristic, is the CPD column of the main figures.) One eight-cell grid; a
+/// variant that does not finish is a result here — its row says where it
+/// stopped — not an error.
+pub(crate) fn ablations(eval: &mut Evaluation, w: &mut dyn Write) -> io::Result<()> {
+    const PPN: u64 = 150;
+    const D1: &str = "\n-- D1: MFAC channel depth --\n";
+    const D2: &str = "\n-- D2: disable bypass-while-gated (plain power gating) --\n";
+    const D3: &str = "\n-- D3: static ECC instead of adaptive (policy still gates) --\n";
+    const D5: &str = "\n-- D5: linear-space reward instead of Eq. 1 --\n";
     let log = RewardKind::LogSpace;
-    writeln!(w, "=== Ablations (IntelliNoC on canneal; see DESIGN.md Section 6) ===")?;
-    run(w, "full IntelliNoC", None, log)?;
-    writeln!(w, "\n-- D1: MFAC channel depth --")?;
-    run(w, "channel depth 4", Some(|c| c.channel_capacity = 4), log)?;
-    run(w, "channel depth 2", Some(|c| c.channel_capacity = 2), log)?;
-    writeln!(w, "\n-- D2: disable bypass-while-gated (plain power gating) --")?;
-    let no_bypass: fn(&mut SimConfig) = |c| {
+    let no_bypass: Tweak = |c| {
         c.bypass_enabled = false;
         c.bypass_during_wake = false;
     };
-    run(w, "no bypass", Some(no_bypass), log)?;
-    writeln!(w, "\n-- D3: static ECC instead of adaptive (policy still gates) --")?;
-    run(w, "always SECDED", Some(|c| c.default_scheme = EccScheme::Secded), log)?;
-    run(w, "always DECTED", Some(|c| c.default_scheme = EccScheme::Dected), log)?;
-    run(w, "always TECQED (t=3)", Some(|c| c.default_scheme = EccScheme::Tecqed), log)?;
-    writeln!(w, "\n-- D5: linear-space reward instead of Eq. 1 --")?;
-    run(w, "linear reward", None, RewardKind::Linear)?;
+    // (heading above the row, row tag, simulator tweak, reward)
+    let rows: [(&str, &str, Option<Tweak>, RewardKind); 8] = [
+        ("", "full IntelliNoC", None, log),
+        (D1, "channel depth 4", Some(|c| c.channel_capacity = 4), log),
+        ("", "channel depth 2", Some(|c| c.channel_capacity = 2), log),
+        (D2, "no bypass", Some(no_bypass), log),
+        (D3, "always SECDED", Some(|c| c.default_scheme = EccScheme::Secded), log),
+        ("", "always DECTED", Some(|c| c.default_scheme = EccScheme::Dected), log),
+        ("", "always TECQED (t=3)", Some(|c| c.default_scheme = EccScheme::Tecqed), log),
+        (D5, "linear reward", None, RewardKind::Linear),
+    ];
+    let cells: Vec<(String, ExperimentConfig)> = rows
+        .iter()
+        .map(|&(_, tag, tweak, reward)| {
+            let workload = ParsecBenchmark::Canneal.workload(PPN);
+            let mut cfg = ExperimentConfig::new(Design::IntelliNoc, workload).with_seed(5);
+            cfg.tweak = tweak;
+            cfg.reward = reward;
+            (format!("ablations/{tag}"), cfg)
+        })
+        .collect();
+    let report = run_grid(&cells, &eval.runner(), &ChaosOptions::default(), UnitSinks::default())
+        .map_err(io::Error::other)?;
+    let packets = Design::IntelliNoc.sim_config().nodes() as u64 * PPN;
+    writeln!(w, "=== Ablations (IntelliNoC on canneal; see DESIGN.md Section 6) ===")?;
+    for ((heading, tag, ..), rec) in rows.iter().zip(&report.records) {
+        write!(w, "{heading}")?;
+        let Some(o) = &rec.payload else {
+            let error = unit_error(&rec.key, rec.status, rec.error.as_deref());
+            return Err(io::Error::other(error));
+        };
+        let r = &o.report;
+        match &rec.timeout {
+            None => writeln!(
+                w,
+                "{:<26} exec={:>7} lat={:>7.1} power={:>7.1}mW eff={:>8.4} retx={:>6} mttf={:>9.2e}",
+                tag,
+                r.exec_cycles,
+                r.avg_latency(),
+                r.power.total_mw(),
+                r.energy_efficiency() * 1e6,
+                r.stats.retransmitted_flits,
+                r.mttf_hours.unwrap_or(f64::NAN),
+            )?,
+            Some(t) => writeln!(
+                w,
+                "{tag:<26} {} at cycle {}: {} of {packets} packets delivered, {} in flight",
+                if t.stall.is_some() { "stalled" } else { "out of budget" },
+                t.cycles_run,
+                r.stats.packets_delivered,
+                t.in_flight,
+            )?,
+        }
+    }
     writeln!(w, "\nNote: D3 rows fix the *initial* scheme; the RL policy may still")?;
     writeln!(w, "change it. The comparison isolates the starting configuration and")?;
     writeln!(w, "short-run adaptation; D4 (RL vs heuristic) is CPD in Figs. 9-16.")
@@ -282,29 +319,10 @@ pub(crate) fn ablations(_: &mut Evaluation, w: &mut dyn Write) -> io::Result<()>
 
 /// Ablation D4b: the learned policy vs a hand-written expert threshold rule
 /// over the same observations — the paper's claim that "manually designing
-/// the rules ... often result[s] in sub-optimal solutions".
+/// the rules ... often result[s] in sub-optimal solutions". Both rows of a
+/// benchmark are the same experiment through the same control loop; only
+/// the policy differs.
 pub(crate) fn expert_vs_rl(_: &mut Evaluation, w: &mut dyn Write) -> io::Result<()> {
-    const SEED: u64 = 21;
-    enum Policy {
-        Rl(Box<RlControl>),
-        Expert(ExpertThresholds, [u64; 5]),
-    }
-    fn run(bench: ParsecBenchmark, mut policy: Policy) -> (RunReport, [u64; 5]) {
-        let mut cfg = Design::IntelliNoc.sim_config();
-        cfg.seed = SEED;
-        let mut net = Network::new(cfg, bench.workload(200), SEED);
-        let report = net.run_to_completion(1_000, |obs, _| {
-            Some(match &mut policy {
-                Policy::Rl(rl) => rl.decide(obs),
-                Policy::Expert(t, hist) => expert_decide(t, obs, hist),
-            })
-        });
-        let hist = match &policy {
-            Policy::Rl(rl) => rl.mode_histogram(),
-            Policy::Expert(_, hist) => *hist,
-        };
-        (report, hist)
-    }
     writeln!(w, "=== expert threshold rule vs Q-learning (IntelliNoC hardware) ===")?;
     writeln!(
         w,
@@ -312,12 +330,12 @@ pub(crate) fn expert_vs_rl(_: &mut Evaluation, w: &mut dyn Write) -> io::Result<
         "benchmark", "policy", "exec_cyc", "latency", "power_mW", "eff(1/uJ)", "retx"
     )?;
     for bench in [ParsecBenchmark::Swaptions, ParsecBenchmark::Canneal, ParsecBenchmark::X264] {
-        let rl = RlControl::new(64, intellinoc_rl_config(), SEED, RewardKind::LogSpace);
-        for (name, policy) in [
-            ("RL", Policy::Rl(Box::new(rl))),
-            ("expert", Policy::Expert(ExpertThresholds::default(), [0; 5])),
-        ] {
-            let (r, hist) = run(bench, policy);
+        let expert = ControlPolicy::Expert(ExpertThresholds::default(), [0; 5]);
+        for (name, policy) in [("RL", None), ("expert", Some(expert))] {
+            let cfg = ExperimentConfig::new(Design::IntelliNoc, bench.workload(200)).with_seed(21);
+            let key = format!("expert_vs_rl/{}/{name}", bench.label());
+            let o = run_checked(&key, cfg, policy, |_| ()).map_err(io::Error::other)?;
+            let r = &o.report;
             writeln!(
                 w,
                 "{:<14} {:<8} {:>9} {:>9.1} {:>10.1} {:>10.4} {:>7}",
@@ -329,8 +347,7 @@ pub(crate) fn expert_vs_rl(_: &mut Evaluation, w: &mut dyn Write) -> io::Result<
                 r.energy_efficiency() * 1e6,
                 r.stats.retransmitted_flits,
             )?;
-            let total = hist.iter().sum::<u64>().max(1) as f64;
-            let [m0, m1, m2, m3, m4] = hist.map(|h| h as f64 / total);
+            let [m0, m1, m2, m3, m4] = o.mode_fractions();
             writeln!(w, "               modes: {m0:.2}/{m1:.2}/{m2:.2}/{m3:.2}/{m4:.2}")?;
         }
     }
@@ -354,14 +371,13 @@ pub(crate) fn qtable_faults(_: &mut Evaluation, w: &mut dyn Write) -> io::Result
     let tables =
         pretrain_intellinoc(intellinoc_rl_config(), RewardKind::LogSpace, 150, 1_000, SEED, 12);
     for flip_prob in [0.0f64, 0.1, 0.5, 2.0, 8.0] {
-        let mut cfg = Design::IntelliNoc.sim_config();
-        cfg.seed = SEED;
-        let mut net = Network::new(cfg, ParsecBenchmark::Canneal.workload(150), SEED);
-        let mut rl = RlControl::new(64, intellinoc_rl_config(), SEED, RewardKind::LogSpace);
-        rl.load_tables(tables.clone());
+        let workload = ParsecBenchmark::Canneal.workload(150);
+        let mut cfg = ExperimentConfig::new(Design::IntelliNoc, workload).with_seed(SEED);
+        cfg.pretrained = Some(tables.clone());
         let mut rng = SmallRng::seed_from_u64(99);
-        let r = net.run_to_completion(1_000, |obs, _| {
-            // Inject soft errors before the agents read their tables.
+        // Inject soft errors before the agents read their tables.
+        let corrupt = |policy: &mut ControlPolicy| {
+            let ControlPolicy::Rl(rl) = policy else { return };
             rl.for_each_table(|table| {
                 // Sorted: the table iterates in hash order, which differs
                 // from process to process; the victims must not.
@@ -378,9 +394,10 @@ pub(crate) fn qtable_faults(_: &mut Evaluation, w: &mut dyn Write) -> io::Result
                     table.inject_bit_flip(s, action, bit);
                 }
             });
-            Some(rl.decide(obs))
-        });
-        let hist = rl.mode_histogram();
+        };
+        let key = format!("qtable_faults/{flip_prob}");
+        let o = run_checked(&key, cfg, None, corrupt).map_err(io::Error::other)?;
+        let (r, hist) = (&o.report, o.mode_histogram);
         let swaps = hist.iter().sum::<u64>() - hist.iter().max().copied().unwrap_or(0);
         writeln!(
             w,
@@ -398,29 +415,50 @@ pub(crate) fn qtable_faults(_: &mut Evaluation, w: &mut dyn Write) -> io::Result
     writeln!(w, "paper defers to future work).")
 }
 
+/// The mesh sides of the scaling study, each with the `tweak` that sets it —
+/// so every cell sizes its agent bank from its own mesh.
+const SCALING_SIDES: [(usize, Tweak); 3] = [
+    (4, |c| (c.width, c.height) = (4, 4)),
+    (8, |c| (c.width, c.height) = (8, 8)),
+    (16, |c| (c.width, c.height) = (16, 16)),
+];
+
+/// The mesh-scaling grid: SECDED, then IntelliNoC, at each of
+/// [`SCALING_SIDES`] under uniform traffic.
+pub(crate) fn scaling_cells() -> Vec<(String, ExperimentConfig)> {
+    [Design::Secded, Design::IntelliNoc]
+        .into_iter()
+        .flat_map(|design| {
+            SCALING_SIDES.map(|(side, tweak)| {
+                let workload = WorkloadSpec::uniform(0.02, 40);
+                let mut cfg = ExperimentConfig::new(design, workload).with_seed(13);
+                cfg.tweak = Some(tweak);
+                (format!("scaling/{side}x{side}/{}", design.label()), cfg)
+            })
+        })
+        .collect()
+}
+
 /// Mesh-size scaling study (beyond the paper's single 8×8 point): latency
 /// and power for the baseline and IntelliNoC at 4×4, 8×8, and 16×16 under
 /// uniform traffic.
-pub(crate) fn scaling(_: &mut Evaluation, w: &mut dyn Write) -> io::Result<()> {
+pub(crate) fn scaling(eval: &mut Evaluation, w: &mut dyn Write) -> io::Result<()> {
     writeln!(w, "=== mesh scaling, uniform traffic @ 0.02 packets/node/cycle ===")?;
     writeln!(
         w,
         "{:>6} {:<11} {:>10} {:>12} {:>10}",
         "mesh", "design", "latency", "power_mW", "delivered"
     )?;
-    for design in [Design::Secded, Design::IntelliNoc] {
-        for p in mesh_scaling(design, &[4, 8, 16], 0.02, 40) {
-            writeln!(
-                w,
-                "{:>3}x{:<2} {:<11} {:>10.1} {:>12.1} {:>10}",
-                p.side,
-                p.side,
-                design.label(),
-                p.latency,
-                p.power_mw,
-                p.delivered
-            )?;
-        }
+    let outcomes = run_clean_grid(&scaling_cells(), &eval.runner()).map_err(io::Error::other)?;
+    for ((side, _), o) in SCALING_SIDES.iter().cycle().zip(&outcomes) {
+        writeln!(
+            w,
+            "{side:>3}x{side:<2} {:<11} {:>10.1} {:>12.1} {:>10}",
+            o.design.label(),
+            o.report.avg_latency(),
+            o.report.power.total_mw(),
+            o.report.stats.packets_delivered
+        )?;
     }
     writeln!(w, "\nLatency grows with the average hop count (~2/3 of the mesh side);")?;
     writeln!(w, "power grows with the router count.")

@@ -6,7 +6,10 @@
 //!   multiplicity observed in the previous step.
 //! * [`ControlPolicy::Rl`] — IntelliNoC's per-router Q-learning agents
 //!   selecting one of the five operation modes.
+//! * [`ControlPolicy::Expert`] — a hand-written threshold rule selecting
+//!   among the same five modes (the manual baseline of ablation D4b).
 
+use crate::expert::{expert_decide, ExpertThresholds};
 use crate::modes::OperationMode;
 use noc_ecc::EccScheme;
 use noc_rl::{holistic_reward, linear_reward, Discretizer, QAgent, QLearningConfig, QTable};
@@ -258,27 +261,6 @@ impl RlControl {
     pub fn last_modes(&self) -> &[OperationMode] {
         &self.last_modes
     }
-
-    /// Sets the exploration probability on every agent (Fig. 18b sweep).
-    pub fn set_epsilon(&mut self, epsilon: f64) {
-        for a in &mut self.agents {
-            a.set_epsilon(epsilon);
-        }
-    }
-
-    /// Enables/disables learning on every agent.
-    pub fn set_learning(&mut self, on: bool) {
-        for a in &mut self.agents {
-            a.set_learning(on);
-        }
-    }
-
-    /// Clears pending episode state on every agent (workload boundary).
-    pub fn reset_episode(&mut self) {
-        for a in &mut self.agents {
-            a.reset_episode();
-        }
-    }
 }
 
 /// Consecutive error-free steps before CPD drops to CRC-only protection.
@@ -329,16 +311,15 @@ pub enum ControlPolicy {
     CpdHeuristic(Vec<u32>),
     /// IntelliNoC's per-router Q-learning.
     Rl(Box<RlControl>),
+    /// The hand-written threshold rule over the same observations (ablation
+    /// D4b), with the router-steps it has spent in each operation mode.
+    Expert(ExpertThresholds, [u64; 5]),
 }
 
 impl ControlPolicy {
-    /// One control step; `None` means "leave directives unchanged".
-    pub fn decide(&mut self, observations: &[RouterObservation]) -> Option<Vec<RouterDirective>> {
-        self.decide_traced(observations, 0, None)
-    }
-
-    /// One control step with telemetry: RL policies emit `QUpdate` and
-    /// `ModeSwitch` events into `tracer` stamped at `cycle`.
+    /// One control step; `None` means "leave directives unchanged". RL
+    /// policies emit `QUpdate` and `ModeSwitch` events into `tracer` stamped
+    /// at `cycle`.
     pub fn decide_traced(
         &mut self,
         observations: &[RouterObservation],
@@ -354,14 +335,28 @@ impl ControlPolicy {
                 Some(cpd_decide(observations, streaks))
             }
             ControlPolicy::Rl(rl) => Some(rl.decide_traced(observations, cycle, tracer)),
+            ControlPolicy::Expert(thresholds, histogram) => {
+                Some(expert_decide(thresholds, observations, histogram))
+            }
         }
     }
 
-    /// RL decision-energy events per step (0 for non-RL policies).
+    /// RL decision-energy events per step (0 for non-RL policies: a rule
+    /// reads no Q-table).
     pub fn decisions_per_step(&self, routers: usize) -> u64 {
         match self {
             ControlPolicy::Rl(_) => routers as u64,
-            ControlPolicy::Static | ControlPolicy::CpdHeuristic(_) => 0,
+            ControlPolicy::Static | ControlPolicy::CpdHeuristic(_) | ControlPolicy::Expert(..) => 0,
+        }
+    }
+
+    /// Router-steps spent in each operation mode so far (all zero for the
+    /// policies that do not pick modes).
+    pub fn mode_histogram(&self) -> [u64; 5] {
+        match self {
+            ControlPolicy::Rl(rl) => rl.mode_histogram(),
+            ControlPolicy::Expert(_, histogram) => *histogram,
+            ControlPolicy::Static | ControlPolicy::CpdHeuristic(_) => [0; 5],
         }
     }
 }
@@ -538,7 +533,7 @@ mod tests {
     #[test]
     fn static_policy_is_none() {
         let mut p = ControlPolicy::Static;
-        assert!(p.decide(&[]).is_none());
+        assert!(p.decide_traced(&[], 0, None).is_none());
         assert_eq!(p.decisions_per_step(64), 0);
         let rl = ControlPolicy::Rl(Box::new(RlControl::new(
             64,

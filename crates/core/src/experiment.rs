@@ -3,8 +3,10 @@
 //!
 //! This is the entry point the examples, integration tests, and the figure
 //! harness all use. There is one way to run an experiment —
-//! [`run_experiment_instrumented`], with [`run_experiment`] as its
-//! outcome-only shorthand — and one way to run a grid of them:
+//! [`run_experiment_with`], the one control loop, with
+//! [`run_experiment_instrumented`] (the design's own policy) and
+//! [`run_experiment`] (its outcome only) as shorthands — and one way to run
+//! a grid of them:
 //! [`run_grid`] over a list of `(run key, ExperimentConfig)` cells, the one
 //! caller of the `noc-runner` engine and of [`UnitSinks::run_unit`].
 //! `campaign`, `sweep`, `bench`, `profile`, `serve` and the `figures`
@@ -243,7 +245,8 @@ pub struct ExperimentOutcome {
     pub workload: String,
     /// The simulator's final report.
     pub report: RunReport,
-    /// Router-steps spent in each operation mode (IntelliNoC only; Fig. 14).
+    /// Router-steps spent in each operation mode (Fig. 14; all zero under a
+    /// policy that does not pick modes).
     pub mode_histogram: [u64; 5],
     /// Mean Q-table entries per router at the end (IntelliNoC only).
     pub mean_qtable_entries: f64,
@@ -416,10 +419,7 @@ fn sample_timeline(
 ) -> TimelineSample {
     let report = net.report();
     let s = &report.stats;
-    let modes = match policy {
-        ControlPolicy::Rl(rl) => rl.mode_histogram(),
-        _ => [0; 5],
-    };
+    let modes = policy.mode_histogram();
     let mut mode_delta = [0u64; 5];
     for (d, (&now, &before)) in mode_delta.iter_mut().zip(modes.iter().zip(&prev.modes)) {
         *d = now - before;
@@ -489,7 +489,26 @@ pub const CONSERVATION_RULE: &str = "noc_txn_conservation_violations>0:critical"
 /// Runs one experiment with the configured telemetry enabled, returning the
 /// outcome, the control policy, and the collected telemetry artifacts.
 pub fn run_experiment_instrumented(
+    cfg: ExperimentConfig,
+) -> (ExperimentOutcome, ControlPolicy, TelemetryArtifacts) {
+    run_experiment_with(cfg, None, |_| ())
+}
+
+/// The control loop (paper §5), the only place a policy drives a
+/// [`Network`]: every `cfg.time_step` cycles each router is observed, the
+/// policy's decision energy is charged, the policy decides, and its
+/// directives are applied — until the workload finishes, the cycle budget
+/// runs out or the stall watchdog fires.
+///
+/// `policy` replaces the design's own ([`RlControl`] from `cfg.rl` /
+/// `cfg.pretrained` for IntelliNoC, CPD's heuristic, none otherwise);
+/// `before_decide` runs once per control step, ahead of that step's
+/// decision, with the policy in hand (the Q-table soft-error study corrupts
+/// tables there). Returns what [`run_experiment_instrumented`] returns.
+pub fn run_experiment_with(
     mut cfg: ExperimentConfig,
+    policy: Option<ControlPolicy>,
+    mut before_decide: impl FnMut(&mut ControlPolicy),
 ) -> (ExperimentOutcome, ControlPolicy, TelemetryArtifacts) {
     // Transaction-conservation auditor: closed-loop runs always carry the
     // critical conservation rule. Pushing it here (rather than at each CLI
@@ -592,7 +611,7 @@ pub fn run_experiment_instrumented(
         }
     };
 
-    let mut policy = match cfg.design {
+    let mut policy = policy.unwrap_or_else(|| match cfg.design {
         Design::IntelliNoc => {
             let mut rl = RlControl::new(routers, cfg.rl, cfg.seed, cfg.reward);
             if let Some(tables) = cfg.pretrained {
@@ -605,7 +624,7 @@ pub fn run_experiment_instrumented(
         }
         Design::Cpd => ControlPolicy::CpdHeuristic(vec![0; routers]),
         _ => ControlPolicy::Static,
-    };
+    });
 
     loop {
         if net.run_cycles(cfg.time_step) {
@@ -616,6 +635,7 @@ pub fn run_experiment_instrumented(
         if decisions > 0 {
             net.charge_rl_decisions(decisions);
         }
+        before_decide(&mut policy);
         let t0 = if profile { Some(Instant::now()) } else { None };
         let directives = policy.decide_traced(&obs, net.now(), net.tracer_mut());
         if let (Some(t0), Some(prof)) = (t0, net.profiler_mut()) {
@@ -662,9 +682,9 @@ pub fn run_experiment_instrumented(
     snapshot_metrics(&net, net.profiler());
 
     let report = net.report();
-    let (mode_histogram, mean_qtable_entries) = match &policy {
-        ControlPolicy::Rl(rl) => (rl.mode_histogram(), rl.mean_table_entries()),
-        _ => ([0; 5], 0.0),
+    let mean_qtable_entries = match &policy {
+        ControlPolicy::Rl(rl) => rl.mean_table_entries(),
+        _ => 0.0,
     };
     // Surface tracer ring drops in the self-profile so a truncated trace
     // is visible without reading the trace itself.
@@ -692,7 +712,7 @@ pub fn run_experiment_instrumented(
             design: cfg.design,
             workload: workload_name,
             report,
-            mode_histogram,
+            mode_histogram: policy.mode_histogram(),
             mean_qtable_entries,
             finished,
         },
@@ -788,6 +808,38 @@ mod tests {
         let out = run_experiment(small(Design::Cp, 0.02, 5));
         assert_eq!(out.mode_histogram, [0; 5]);
         assert_eq!(out.mean_qtable_entries, 0.0);
+    }
+
+    /// The loop's contract with a caller-supplied policy: `before_decide`
+    /// runs once per control step and ahead of that step's decision, the
+    /// outcome carries the policy's histogram, and a rule pays no Q-table
+    /// energy.
+    #[test]
+    fn a_supplied_policy_drives_the_loop_and_the_hook_precedes_each_decision() {
+        let mut cfg = small(Design::IntelliNoc, 0.03, 30);
+        cfg.time_step = 200;
+        let expert = ControlPolicy::Expert(crate::ExpertThresholds::default(), [0; 5]);
+        let mut calls = 0u64;
+        let (out, policy, _) = run_experiment_with(cfg, Some(expert), |policy| {
+            assert_eq!(policy.mode_histogram().iter().sum::<u64>(), 64 * calls);
+            calls += 1;
+        });
+        assert!(out.finished && calls > 2, "{calls} control steps");
+        assert_eq!(out.mode_histogram.iter().sum::<u64>(), 64 * calls);
+        assert_eq!(out.mode_histogram, policy.mode_histogram());
+        assert!(matches!(policy, ControlPolicy::Expert(..)));
+        assert_eq!((policy.decisions_per_step(64), out.mean_qtable_entries), (0, 0.0));
+    }
+
+    #[test]
+    fn the_instrumented_run_is_the_loop_under_the_designs_own_policy() {
+        let json = |o: &ExperimentOutcome| serde_json::to_string(o).unwrap();
+        for design in [Design::Cpd, Design::IntelliNoc] {
+            let cfg = small(design, 0.03, 12).with_time_step(200);
+            let (with, policy, _) = run_experiment_with(cfg.clone(), None, |_| ());
+            assert_eq!(json(&with), json(&run_experiment_instrumented(cfg).0), "{design}");
+            assert_eq!(policy.decisions_per_step(64), if design.uses_rl() { 64 } else { 0 });
+        }
     }
 
     #[test]

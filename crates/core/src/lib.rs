@@ -59,9 +59,9 @@ pub use campaign::{campaign_scenarios, run_campaign_runner, CampaignConfig, Camp
 pub use controller::{cpd_decide, intellinoc_rl_config, ControlPolicy, RewardKind, RlControl};
 pub use designs::Design;
 pub use experiment::{
-    pretrain_intellinoc, run_experiment, run_experiment_instrumented, run_grid, ExperimentConfig,
-    ExperimentOutcome, MetricsOptions, TelemetryArtifacts, TelemetryOptions, UnitSinks,
-    CONSERVATION_RULE, DEFAULT_TIME_STEP,
+    pretrain_intellinoc, run_experiment, run_experiment_instrumented, run_experiment_with,
+    run_grid, ExperimentConfig, ExperimentOutcome, MetricsOptions, TelemetryArtifacts,
+    TelemetryOptions, UnitSinks, CONSERVATION_RULE, DEFAULT_TIME_STEP,
 };
 pub use expert::{expert_decide, ExpertThresholds};
 pub use inspect::render_inspect_report;
@@ -78,4 +78,4 @@ pub use serve::{
     JobSpec, JobState, JobStatus, JobsSummary, RecoverySummary, ServeConfig, SubmitRequest,
     SubmitResponse, DEFAULT_CHUNK_UNITS, DEFAULT_TENANT_QUOTA, MAX_JOB_UNITS,
 };
-pub use sweeps::{load_sweep_cells, mesh_scaling, ScalePoint};
+pub use sweeps::load_sweep_cells;

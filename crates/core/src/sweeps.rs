@@ -1,12 +1,11 @@
-//! The latency-vs-load sweep behind `intellinoc sweep` and the mesh-scaling
-//! study. The sweep is a [`run_grid`](crate::run_grid) grid:
-//! [`load_sweep_cells`] builds it, open- or closed-loop.
+//! The latency-vs-load sweep behind `intellinoc sweep`: a
+//! [`run_grid`](crate::run_grid) grid that [`load_sweep_cells`] builds, open-
+//! or closed-loop.
 
 use crate::designs::Design;
 use crate::experiment::{rate_workload, ExperimentConfig};
 use crate::runner::derive_seed;
-use noc_traffic::{ReqReplySpec, WorkloadSpec};
-use serde::{Deserialize, Serialize};
+use noc_traffic::ReqReplySpec;
 
 /// The cells of a latency-vs-load sweep: one per injection rate, in `rates`
 /// order, keyed `sweep/<design>/r<rate>` and seeded from `(master_seed,
@@ -31,58 +30,12 @@ pub fn load_sweep_cells(
         .collect()
 }
 
-/// One point of the mesh-scaling study (not a paper figure; 8×8 is the
-/// paper's only configuration, but a framework a downstream user adopts
-/// must work beyond it).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct ScalePoint {
-    /// Mesh side length.
-    pub side: usize,
-    /// Average latency (cycles) of the design at this size.
-    pub latency: f64,
-    /// Total power (mW).
-    pub power_mw: f64,
-    /// Packets delivered.
-    pub delivered: u64,
-}
-
-/// Runs one design at several square mesh sizes under uniform traffic.
-pub fn mesh_scaling(design: Design, sides: &[usize], rate: f64, ppn: u64) -> Vec<ScalePoint> {
-    sides
-        .iter()
-        .map(|&side| {
-            let mut sim_cfg = design.sim_config();
-            sim_cfg.width = side;
-            sim_cfg.height = side;
-            sim_cfg.seed = 13;
-            // Drive the simulator directly so we control the mesh size.
-            let mut net = noc_sim::Network::new(sim_cfg, WorkloadSpec::uniform(rate, ppn), 13);
-            let report = net.run_to_completion(crate::experiment::DEFAULT_TIME_STEP, |_, _| None);
-            ScalePoint {
-                side,
-                latency: report.avg_latency(),
-                power_mw: report.power.total_mw(),
-                delivered: report.stats.packets_delivered,
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::experiment::{run_grid, ExperimentOutcome, UnitSinks};
     use crate::runner::{ChaosOptions, RunnerConfig, RunnerReport};
-
-    #[test]
-    fn mesh_scaling_covers_sizes_and_conserves_packets() {
-        let pts = mesh_scaling(Design::Secded, &[4, 8], 0.02, 10);
-        assert_eq!(pts[0].side, 4);
-        assert_eq!(pts[0].delivered, 16 * 10);
-        assert_eq!(pts[1].delivered, 64 * 10);
-        // Bigger mesh, longer average paths.
-        assert!(pts[1].latency > pts[0].latency);
-    }
+    use noc_traffic::WorkloadSpec;
 
     fn sweep(
         rates: &[f64],

@@ -60,11 +60,6 @@ impl Discretizer {
         Discretizer::new(lo, hi)
     }
 
-    /// Number of features.
-    pub fn feature_count(&self) -> usize {
-        self.lo.len()
-    }
-
     /// Bin index of `value` for feature `i` (clamped into range).
     ///
     /// # Panics

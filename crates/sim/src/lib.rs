@@ -19,8 +19,8 @@
 //! let mut cfg = SimConfig::default();
 //! cfg.max_cycles = 100_000;
 //! let mut net = Network::new(cfg, WorkloadSpec::uniform(0.01, 5), 42);
-//! let report = net.run_to_completion(1_000, |_obs, _cycle| None);
-//! assert_eq!(report.stats.packets_delivered, 64 * 5);
+//! assert!(net.run_cycles(100_000), "the workload drains");
+//! assert_eq!(net.report().stats.packets_delivered, 64 * 5);
 //! ```
 
 #![forbid(unsafe_code)]

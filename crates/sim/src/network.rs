@@ -533,24 +533,6 @@ impl Network {
         out
     }
 
-    /// Runs to completion under a control policy invoked every `time_step`
-    /// cycles, then produces the final report.
-    pub fn run_to_completion<F>(&mut self, time_step: u64, mut policy: F) -> RunReport
-    where
-        F: FnMut(&[RouterObservation], Cycle) -> Option<Vec<RouterDirective>>,
-    {
-        loop {
-            if self.run_cycles(time_step) {
-                break;
-            }
-            let obs = self.observations();
-            if let Some(directives) = policy(&obs, self.now) {
-                self.apply_directives(&directives);
-            }
-        }
-        self.report()
-    }
-
     /// Produces the final report for the simulated interval so far.
     pub fn report(&self) -> RunReport {
         let exec = self.stats.last_delivery.max(1);
@@ -860,22 +842,6 @@ mod tests {
         // Second observation call sees a drained accumulator.
         let obs2 = net.observations();
         assert!(obs2.iter().all(|o| o.features[..15].iter().all(|&f| f == 0.0)));
-    }
-
-    #[test]
-    fn run_to_completion_invokes_policy() {
-        let cfg = quiet_config();
-        let mut net = Network::new(cfg, WorkloadSpec::uniform(0.03, 60), 2);
-        let mut calls = 0;
-        let report = net.run_to_completion(500, |obs, _| {
-            calls += 1;
-            assert_eq!(obs.len(), 64);
-            None
-        });
-        assert!(calls > 0);
-        assert_eq!(report.stats.packets_delivered, 64 * 60);
-        assert!(report.mttf_hours.is_some());
-        assert!(report.power.total_mw() > 0.0);
     }
 
     /// Zero progress from cycle 0: one packet stuck behind a dead link with

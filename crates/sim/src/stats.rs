@@ -67,15 +67,6 @@ impl NetworkStats {
             self.packets_delivered as f64 / self.packets_injected as f64
         }
     }
-
-    /// Fraction of injected packets dropped (accounted loss).
-    pub fn drop_ratio(&self) -> f64 {
-        if self.packets_injected == 0 {
-            0.0
-        } else {
-            self.packets_dropped as f64 / self.packets_injected as f64
-        }
-    }
 }
 
 /// Transaction-layer summary of a closed-loop (request–reply) run: the

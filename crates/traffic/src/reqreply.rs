@@ -311,11 +311,6 @@ impl ReqReplyWorkload {
         }
     }
 
-    /// The protocol parameters.
-    pub fn reqreply_spec(&self) -> &ReqReplySpec {
-        &self.rr
-    }
-
     fn event(
         &mut self,
         cycle: u64,

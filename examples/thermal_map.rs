@@ -4,9 +4,7 @@
 //!
 //! Run with: `cargo run --release -p intellinoc --example thermal_map`
 
-use intellinoc::intellinoc_rl_config;
-use intellinoc::{ControlPolicy, Design, RewardKind, RlControl};
-use noc_sim::Network;
+use intellinoc::{run_experiment_instrumented, Design, ExperimentConfig};
 use noc_traffic::ParsecBenchmark;
 
 fn heat_glyph(t: f64) -> char {
@@ -21,31 +19,14 @@ fn heat_glyph(t: f64) -> char {
 }
 
 fn run(design: Design) -> (Vec<f64>, f64, f64) {
-    let mut cfg = design.sim_config();
-    cfg.seed = 11;
     let workload = ParsecBenchmark::Canneal.workload(200);
-    let mut net = Network::new(cfg, workload, 11);
-    let mut policy = match design {
-        Design::IntelliNoc => ControlPolicy::Rl(Box::new(RlControl::new(
-            64,
-            intellinoc_rl_config(),
-            11,
-            RewardKind::LogSpace,
-        ))),
-        _ => ControlPolicy::Static,
-    };
-    loop {
-        if net.run_cycles(1_000) {
-            break;
-        }
-        let obs = net.observations();
-        if let Some(d) = policy.decide(&obs) {
-            net.apply_directives(&d);
-        }
-    }
-    let report = net.report();
-    let temps = net.observations().iter().map(|o| o.temperature_c).collect();
-    (temps, report.mean_temp_c, report.max_temp_c)
+    let mut cfg = ExperimentConfig::new(design, workload).with_seed(11);
+    cfg.telemetry.timeline = true;
+    let (outcome, _, artifacts) = run_experiment_instrumented(cfg);
+    // The timeline's closing sample is the die at the end of the run.
+    let timeline = artifacts.timeline.expect("timeline was requested");
+    let last = timeline.samples.last().expect("a run has a final sample");
+    (last.tile_temps_c.clone(), outcome.report.mean_temp_c, outcome.report.max_temp_c)
 }
 
 fn main() {
