@@ -193,6 +193,18 @@ fn trace_capture_then_replay() {
         format!("trace replay {path_s} --design cp").split_whitespace().map(str::to_owned),
     );
     assert!(intellinoc_cli::commands::trace(&rep).is_ok());
+    // Replay drives bare hardware: a design whose numbers come from a
+    // controller (CPD's heuristic, IntelliNoC's agents) would print CP-like
+    // results under its own name, so it is refused with the reason.
+    for design in ["cpd", "intellinoc"] {
+        let rep = Args::parse(
+            format!("trace replay {path_s} --design {design}")
+                .split_whitespace()
+                .map(str::to_owned),
+        );
+        let err = intellinoc_cli::commands::trace(&rep).expect_err("controller design refused");
+        assert!(err.contains("controller") && err.contains("--design"), "{design}: {err}");
+    }
     let _ = std::fs::remove_file(path);
 }
 

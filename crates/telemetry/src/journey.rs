@@ -1165,6 +1165,56 @@ mod tests {
         assert!(JourneyLog::from_jsonl(&future).unwrap_err().contains("format version 99"));
     }
 
+    /// Renders everything `intellinoc journeys` renders from a parsed log.
+    fn render_all(log: &JourneyLog) -> usize {
+        log.tail_report(5).len() + log.tail_contribution_csv().len() + log.perfetto_json().len()
+    }
+
+    #[test]
+    fn from_jsonl_rejects_intervals_the_writer_never_emits() {
+        let good = small_log().to_jsonl();
+        assert!(good.contains("[10,12,\"ni:0\""), "{good}");
+        for (from, to, what) in [
+            ("[10,12,\"ni:0\"", "[12,10,\"ni:0\"", "span"),
+            ("[250,300,\"backoff\"", "[300,250,\"backoff\"", "leg"),
+            ("\"delivered_at\":21,", "\"delivered_at\":9,", "delivered_at"),
+            ("\"resolved_at\":400,", "\"resolved_at\":99,", "resolved_at"),
+        ] {
+            let bad = good.replacen(from, to, 1);
+            assert_ne!(bad, good, "{what}: fixture text changed");
+            let line =
+                1 + bad.lines().zip(good.lines()).position(|(b, g)| b != g).expect("differs");
+            let err =
+                JourneyLog::from_jsonl(&bad).err().unwrap_or_else(|| panic!("{what} accepted"));
+            assert!(err.contains(&format!("line {line}:")) && err.contains(what), "{what}: {err}");
+        }
+    }
+
+    #[test]
+    fn cross_packet_sums_cannot_overflow() {
+        // Forward-running spans of maximal length, twice in one packet:
+        // nothing the parser can refuse, so the analyzer's sums must hold.
+        let mut hostile = packet(1, 0);
+        let span = HopSpan {
+            start: 0,
+            end: u64::MAX,
+            loc: JourneyLoc::SourceNi(59),
+            cause: JourneyCause::NiQueue,
+        };
+        hostile.spans = vec![span, span];
+        let mut log = small_log();
+        log.packets = vec![hostile.clone(), hostile];
+        for t in &mut log.txns {
+            t.legs =
+                vec![TxnLeg { start: 0, end: u64::MAX, kind: TxnLegKind::Backoff, attempt: 1 }; 2];
+        }
+        log.txns.push(log.txns[0].clone());
+        let parsed = JourneyLog::from_jsonl(&log.to_jsonl()).expect("forward intervals parse");
+        assert_eq!(parsed, log);
+        assert!(render_all(&parsed) > 0);
+        assert_eq!(parsed.critical_path()[0].tail_total, u64::MAX, "saturated, not wrapped");
+    }
+
     #[test]
     fn perfetto_is_valid_json_with_monotonic_tracks() {
         let log = small_log();
@@ -1274,6 +1324,41 @@ mod tests {
             let text = log.perfetto_json();
             let v: serde::Content = serde_json::from_str(&text).expect("valid JSON");
             prop_assert!(v.get("traceEvents").is_some());
+        }
+
+        /// Arbitrary bytes never panic the parser or, when they happen to
+        /// parse, any renderer.
+        #[test]
+        fn arbitrary_bytes_never_panic_the_analyzer(raw in prop::collection::vec(any::<u8>(), 0..256)) {
+            if let Ok(log) = JourneyLog::from_jsonl(&String::from_utf8_lossy(&raw)) {
+                prop_assert!(render_all(&log) > 0);
+            }
+        }
+
+        /// A valid log with one number replaced by a hostile token either
+        /// fails to parse (naming a line) or renders without panicking.
+        #[test]
+        fn one_mutated_field_never_panics_the_analyzer(pick in any::<usize>(), with in 0usize..9) {
+            const TOKENS: [&str; 9] = [
+                "0", "1", "18446744073709551615", "18446744073709551614", "9223372036854775808",
+                "18446744073709551616", "-1", "1e99", "null",
+            ];
+            let good = small_log().to_jsonl();
+            // Byte ranges of every run of digits in the valid text.
+            let mut runs: Vec<(usize, usize)> = Vec::new();
+            for (i, b) in good.bytes().enumerate() {
+                match runs.last_mut() {
+                    Some((_, end)) if b.is_ascii_digit() && *end == i => *end = i + 1,
+                    _ if b.is_ascii_digit() => runs.push((i, i + 1)),
+                    _ => {}
+                }
+            }
+            let (start, end) = runs[pick % runs.len()];
+            let bad = format!("{}{}{}", &good[..start], TOKENS[with], &good[end..]);
+            match JourneyLog::from_jsonl(&bad) {
+                Ok(log) => prop_assert!(render_all(&log) > 0),
+                Err(e) => prop_assert!(e.contains("line ") || e.contains("format version"), "{}", e),
+            }
         }
 
         /// Every 7-bit byte sequence used as a label round-trips exactly.
