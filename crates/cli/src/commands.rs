@@ -780,6 +780,16 @@ pub fn trace(args: &Args) -> CmdResult {
         Some("replay") => {
             let path = args.positional.get(1).ok_or("need an input path")?;
             let design = parse_design(args.get("design").ok_or("need --design")?)?;
+            // Replay steps the bare network; it is not yet a driver of
+            // `run_experiment_with`, the only place a policy runs.
+            if matches!(design, Design::Cpd | Design::IntelliNoc) {
+                return Err(format!(
+                    "--design {}: trace replay runs the network with no controller, so a design \
+                     whose results come from one (cpd, intellinoc) would print another design's \
+                     numbers under its name; replay on secded, eb or cp",
+                    design.label().to_ascii_lowercase()
+                ));
+            }
             let f = File::open(path).map_err(|e| e.to_string())?;
             let records = read_trace(BufReader::new(f)).map_err(|e| e.to_string())?;
             let replay = TraceReplay::new(path, &records, 64, 12);

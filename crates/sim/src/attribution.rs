@@ -1,41 +1,42 @@
-//! Per-flit latency attribution and spatial accumulators.
+//! The latency engine: one clock per in-flight packet, plus the spatial
+//! accumulators behind the `inspect` artifacts.
 //!
-//! When installed on a [`crate::Network`] (see `ProbeConfig::attribution`),
-//! this module follows every packet's head flit through the pipeline and
-//! charges each measured delay — link crossings, router pipeline stages,
-//! hop-NACK stalls, bypass latches, wasted end-to-end generations, tail
-//! drain — to one latency component. The charged intervals are disjoint
+//! A [`PacketClock`] follows its packet's head flit and charges each measured
+//! delay — link crossings, pipeline fills, hop-NACK stalls, bypass latches,
+//! wasted end-to-end generations, tail drain — to the latency component
+//! [`JourneyCause::component_index`] names. The charged windows are disjoint
 //! sub-intervals of the packet's lifetime, so the residual (queuing) is
-//! non-negative and the components sum *exactly* to the measured end-to-end
-//! latency (checked by a `debug_assert` at completion).
+//! non-negative and the components sum *exactly* to the measured latency.
+//! A packet that journey tracing samples carries a [`Trail`] on its clock,
+//! fed by the same call that moves the counters: the counters say *how much*,
+//! the trail says *where and when*, and every sampled completion
+//! `debug_assert`s that the trail's span sums equal the counters.
 //!
-//! Alongside the per-packet spans it keeps per-channel and per-router
-//! counters (flits carried, NACKs, gated residency, temperature) that fold
-//! into heatmap grids and per-physical-link statistics at run end.
+//! With `ProbeConfig::attribution` every packet has a clock and the engine
+//! also keeps per-channel and per-router counters (flits carried, NACKs,
+//! gated residency, temperature) that fold into heatmap grids and
+//! per-physical-link statistics at run end; with journeys alone only the
+//! sampled packets enter the table.
 
 use crate::flit::{Cycle, Flit};
+use crate::journey::{JourneyRecorder, Trail};
 use crate::topology::{Mesh, Port, DIRS};
 use noc_telemetry::{
-    AttributionArtifacts, HeatGrid, LatencyBreakdown, LatencyComponents, LinkStat, PacketLatency,
+    AttributionArtifacts, HeatGrid, JourneyCause, JourneyLoc, JourneyLog, LatencyBreakdown,
+    LatencyComponents, LinkStat, PacketJourney, PacketLatency,
 };
+use noc_traffic::TxnEvent;
 use std::collections::HashMap;
 
 /// Live accounting for one in-flight packet.
-#[derive(Debug, Clone, Copy, Default)]
-struct PacketSpan {
-    /// Start of the current end-to-end generation (injection time for the
-    /// first one, retransmission time afterwards).
-    gen_start: Cycle,
+#[derive(Debug, Default)]
+struct PacketClock {
+    injected_at: Cycle,
     /// When the head flit of the current generation ejected, if it has.
     head_eject: Option<Cycle>,
-    /// Link + pipeline cycles charged to the current generation's head.
-    gen_traversal: u64,
-    /// Bypass-latch cycles charged to the current generation's head.
-    gen_bypass: u64,
-    /// Hop-NACK stall cycles charged to the current generation's head.
-    gen_retx: u64,
-    /// Whole wasted generations, in cycles (charged at each e2e retx).
-    retx_wasted: u64,
+    /// Cycles charged so far, per latency component: the current
+    /// generation's head charges plus every wasted generation.
+    charged: [u64; 6],
     /// Powered link crossings of the current generation's head.
     hops: u16,
     /// Bypass crossings of the current generation's head.
@@ -44,15 +45,35 @@ struct PacketSpan {
     hop_retx: u16,
     /// End-to-end retransmissions so far.
     e2e_retx: u16,
+    /// The span timeline, for a packet journey tracing sampled.
+    trail: Option<Box<Trail>>,
 }
 
-/// The attribution engine: per-packet spans plus spatial accumulators.
-///
-/// All hooks are `O(1)`; the simulator calls them only when attribution is
-/// installed, so the disabled path stays a single `Option` branch.
+impl PacketClock {
+    /// Adds `cycles` to the component `cause` charges.
+    fn add(&mut self, cause: JourneyCause, cycles: u64) {
+        self.charged[cause.component_index().expect("markers carry no cycles")] += cycles;
+    }
+
+    /// The head spends `[now, now + cost)` at `loc()` because of `cause`.
+    fn charge(
+        &mut self,
+        now: Cycle,
+        cost: u64,
+        cause: JourneyCause,
+        loc: impl FnOnce() -> JourneyLoc,
+    ) {
+        self.add(cause, cost);
+        if let Some(trail) = self.trail.as_mut() {
+            trail.charge(now, cost, loc(), cause);
+        }
+    }
+}
+
+/// Per-channel and per-router accumulators and the per-packet records, kept
+/// when attribution is on.
 #[derive(Debug)]
-pub(crate) struct Attribution {
-    spans: HashMap<u64, PacketSpan>,
+struct Spatial {
     breakdown: LatencyBreakdown,
     /// Flits pushed into each directed channel (indexed like
     /// `Network::channels`: `router * DIRS + dir`).
@@ -69,10 +90,33 @@ pub(crate) struct Attribution {
     temp_epochs: u64,
 }
 
-impl Attribution {
-    pub(crate) fn new(nodes: usize) -> Self {
-        Attribution {
-            spans: HashMap::new(),
+/// The directed channel `ci` of `mesh` (`u16::MAX` downstream on the rim).
+fn link_loc(mesh: &Mesh, ci: usize) -> JourneyLoc {
+    let (from, dir) = (ci / DIRS, Port::from_index(ci % DIRS));
+    let to = mesh.neighbor(from, dir).map_or(u16::MAX, |d| d as u16);
+    JourneyLoc::Link { from: from as u16, to }
+}
+
+/// The one in-flight table and what it feeds.
+///
+/// All hooks are `O(1)` and make at most one table lookup; the simulator
+/// calls them only when the engine is installed, so the disabled path stays
+/// a single `Option` branch.
+#[derive(Debug)]
+pub(crate) struct LatencyEngine {
+    mesh: Mesh,
+    clocks: HashMap<u64, PacketClock>,
+    /// Present iff attribution is on: then every packet has a clock.
+    spatial: Option<Spatial>,
+    /// Present iff journeys are traced: the sampling rule, the log and the
+    /// transaction legs.
+    journeys: Option<JourneyRecorder>,
+}
+
+impl LatencyEngine {
+    pub(crate) fn new(mesh: Mesh, attribution: bool, journeys: Option<JourneyRecorder>) -> Self {
+        let nodes = mesh.nodes();
+        let spatial = attribution.then(|| Spatial {
             breakdown: LatencyBreakdown::default(),
             link_flits: vec![0; nodes * DIRS],
             link_retx: vec![0; nodes * DIRS],
@@ -80,141 +124,213 @@ impl Attribution {
             gate_cycles: 0,
             temp_sum: vec![0.0; nodes],
             temp_epochs: 0,
+        });
+        LatencyEngine { mesh, clocks: HashMap::new(), spatial, journeys }
+    }
+
+    /// Whether journeys are traced (transaction events are then consumed).
+    pub(crate) fn traces_journeys(&self) -> bool {
+        self.journeys.is_some()
+    }
+
+    /// A packet entered the source NI queue; `txn` looks up its transaction
+    /// tag and runs only for a sampled packet.
+    pub(crate) fn inject(
+        &mut self,
+        packet: u64,
+        src: u16,
+        now: Cycle,
+        txn: impl FnOnce() -> Option<(u64, u32, bool)>,
+    ) {
+        let sampled = self.journeys.as_ref().is_some_and(|j| j.samples(packet));
+        if sampled || self.spatial.is_some() {
+            let trail = sampled.then(|| Box::new(Trail::new(src, now, txn())));
+            self.clocks
+                .insert(packet, PacketClock { injected_at: now, trail, ..Default::default() });
         }
     }
 
-    /// A packet entered the source NI queue.
-    pub(crate) fn on_inject(&mut self, packet: u64, now: Cycle) {
-        self.spans.insert(packet, PacketSpan { gen_start: now, ..PacketSpan::default() });
-    }
-
-    /// A flit was pushed into directed channel `ci`; `cost` is the cycles
-    /// until it becomes consumable downstream.
-    pub(crate) fn on_link_flit(&mut self, ci: usize, flit: &Flit, cost: u64, bypass: bool) {
-        self.link_flits[ci] += 1;
+    /// A flit was pushed into directed channel `ci` at `now`; `cost` is the
+    /// cycles until it becomes consumable downstream. Only the head flit
+    /// carries the packet's clock.
+    pub(crate) fn link_flit(
+        &mut self,
+        ci: usize,
+        flit: &Flit,
+        cost: u64,
+        bypass: bool,
+        now: Cycle,
+    ) {
+        if let Some(s) = self.spatial.as_mut() {
+            s.link_flits[ci] += 1;
+        }
         if !flit.is_head() {
             return;
         }
-        if let Some(span) = self.spans.get_mut(&flit.packet_id) {
-            if bypass {
-                span.gen_bypass += cost;
-                span.bypass_hops = span.bypass_hops.saturating_add(1);
+        if let Some(clock) = self.clocks.get_mut(&flit.packet_id) {
+            let cause = if bypass {
+                clock.bypass_hops = clock.bypass_hops.saturating_add(1);
+                JourneyCause::Bypass
             } else {
-                span.gen_traversal += cost;
-                span.hops = span.hops.saturating_add(1);
-            }
+                clock.hops = clock.hops.saturating_add(1);
+                JourneyCause::Link
+            };
+            clock.charge(now, cost, cause, || link_loc(&self.mesh, ci));
         }
     }
 
-    /// A head flit was enqueued into a VC with `cost` pipeline cycles before
-    /// it can be granted.
-    pub(crate) fn on_pipeline(&mut self, packet: u64, cost: u64) {
-        if let Some(span) = self.spans.get_mut(&packet) {
-            span.gen_traversal += cost;
+    /// A head flit was enqueued into a VC of `router` with `cost` pipeline
+    /// cycles before it can be granted.
+    pub(crate) fn pipeline(&mut self, packet: u64, router: u16, cost: u64, now: Cycle) {
+        if let Some(clock) = self.clocks.get_mut(&packet) {
+            clock.charge(now, cost, JourneyCause::Pipeline, || JourneyLoc::Router(router));
         }
     }
 
     /// A flit held in directed channel `ci` was NACKed and will be
     /// retransmitted after `cost` stall cycles.
-    pub(crate) fn on_hop_retx(&mut self, ci: usize, flit: &Flit, cost: u64) {
-        self.link_retx[ci] += 1;
-        if let Some(span) = self.spans.get_mut(&flit.packet_id) {
-            span.hop_retx = span.hop_retx.saturating_add(1);
+    pub(crate) fn hop_retx(&mut self, ci: usize, flit: &Flit, cost: u64, now: Cycle) {
+        if let Some(s) = self.spatial.as_mut() {
+            s.link_retx[ci] += 1;
+        }
+        if let Some(clock) = self.clocks.get_mut(&flit.packet_id) {
+            clock.hop_retx = clock.hop_retx.saturating_add(1);
             if flit.is_head() {
-                span.gen_retx += cost;
+                clock.charge(now, cost, JourneyCause::HopRetx, || link_loc(&self.mesh, ci));
             }
         }
     }
 
-    /// The e2e CRC failed and the packet restarts from the source NI. The
-    /// whole wasted generation `[gen_start, now)` is charged to
-    /// retransmission and the per-generation accumulators reset, so nothing
-    /// inside the wasted interval is double counted.
-    pub(crate) fn on_e2e_retx(&mut self, packet: u64, now: Cycle) {
-        if let Some(span) = self.spans.get_mut(&packet) {
-            span.retx_wasted += now.saturating_sub(span.gen_start);
-            span.gen_start = now;
-            span.head_eject = None;
-            span.gen_traversal = 0;
-            span.gen_bypass = 0;
-            span.gen_retx = 0;
-            span.hops = 0;
-            span.bypass_hops = 0;
-            span.e2e_retx = span.e2e_retx.saturating_add(1);
+    /// The packet restarts from source NI `src` (end-to-end retransmission).
+    /// The restart rule, stated once: everything since injection,
+    /// `[injected_at, now)`, is wasted — the current generation's charges
+    /// are forgotten (a charge made at grant time may reach past `now`; the
+    /// trail clips it) and the whole window is charged to retransmission, so
+    /// nothing inside it is counted twice.
+    pub(crate) fn e2e_retx(&mut self, packet: u64, src: u16, now: Cycle) {
+        if let Some(clock) = self.clocks.get_mut(&packet) {
+            clock.charged = [0; 6];
+            clock.add(JourneyCause::WastedGen, now.saturating_sub(clock.injected_at));
+            clock.head_eject = None;
+            clock.hops = 0;
+            clock.bypass_hops = 0;
+            clock.e2e_retx = clock.e2e_retx.saturating_add(1);
+            if let Some(trail) = clock.trail.as_mut() {
+                trail.restart(now, src);
+            }
         }
     }
 
-    /// The head flit of the current generation ejected at the destination.
-    pub(crate) fn on_head_eject(&mut self, packet: u64, now: Cycle) {
-        if let Some(span) = self.spans.get_mut(&packet) {
-            span.head_eject = Some(now);
+    /// The head flit of the current generation ejected at router `dest`.
+    pub(crate) fn head_eject(&mut self, packet: u64, dest: u16, now: Cycle) {
+        if let Some(clock) = self.clocks.get_mut(&packet) {
+            clock.head_eject = Some(now);
+            if let Some(trail) = clock.trail.as_mut() {
+                trail.head_ejected(now, dest);
+            }
         }
     }
 
     /// The tail flit ejected and the packet completed with the measured
-    /// end-to-end `latency` (which spans `[injected_at, now + 1)`). Returns
-    /// the recorded components — the reference the journey spans are
-    /// checked against — or `None` for a packet it never saw injected.
-    pub(crate) fn on_complete(
+    /// end-to-end `latency` (which spans `[injected_at, now + 1)`). Records
+    /// the breakdown when attribution is on; returns the finished journey of
+    /// a sampled packet, already in the log.
+    pub(crate) fn complete(
         &mut self,
-        packet: u64,
-        src: u16,
-        dest: u16,
+        tail: &Flit,
         now: Cycle,
         latency: u64,
-    ) -> Option<LatencyComponents> {
-        let span = self.spans.remove(&packet)?;
-        let components = LatencyComponents {
-            queuing: 0,
-            traversal: span.gen_traversal,
-            serialization: now.saturating_sub(span.head_eject.unwrap_or(now)),
-            retransmission: span.retx_wasted + span.gen_retx,
-            bypass: span.gen_bypass,
-            ejection: 1,
-        };
-        let measured = components.total();
+    ) -> Option<&PacketJourney> {
+        let packet = tail.packet_id;
+        let mut clock = self.clocks.remove(&packet)?;
+        let head_eject = clock.head_eject.unwrap_or(now);
+        clock.add(JourneyCause::Serialization, now.saturating_sub(head_eject));
+        clock.add(JourneyCause::Ejection, 1);
+        let measured: u64 = clock.charged.iter().sum();
         debug_assert!(
             measured <= latency,
             "packet {packet}: charged {measured} cycles > measured latency {latency}"
         );
-        let components =
-            LatencyComponents { queuing: latency.saturating_sub(measured), ..components };
+        // The residual is time spent waiting; every wait cause is queuing.
+        clock.add(JourneyCause::VcSaWait, latency.saturating_sub(measured));
+        let components = LatencyComponents::from_array(clock.charged);
         debug_assert_eq!(components.total(), latency, "packet {packet}: components must sum");
-        self.breakdown.record(PacketLatency {
-            packet,
-            src,
-            dest,
-            latency,
-            components,
-            hops: span.hops,
-            bypass_hops: span.bypass_hops,
-            hop_retx: span.hop_retx,
-            e2e_retx: span.e2e_retx,
-        });
-        Some(components)
+        if let Some(s) = self.spatial.as_mut() {
+            s.breakdown.record(PacketLatency {
+                packet,
+                src: tail.src,
+                dest: tail.dest,
+                latency,
+                components,
+                hops: clock.hops,
+                bypass_hops: clock.bypass_hops,
+                hop_retx: clock.hop_retx,
+                e2e_retx: clock.e2e_retx,
+            });
+        }
+        let journey = clock.trail?.finish(tail, clock.injected_at, head_eject, now, latency);
+        debug_assert_eq!(journey.components(), components, "packet {packet}: trail vs counters");
+        let log = &mut self.journeys.as_mut().expect("a trail implies the journey recorder").log;
+        log.packets.push(journey);
+        log.packets.last()
     }
 
-    /// The packet was dropped; forget its span.
-    pub(crate) fn on_drop(&mut self, packet: u64) {
-        self.spans.remove(&packet);
+    /// The packet was dropped; forget its clock (a sampled one is counted,
+    /// so the log states what it lost).
+    pub(crate) fn drop(&mut self, packet: u64) {
+        if let (Some(clock), Some(j)) = (self.clocks.remove(&packet), self.journeys.as_mut()) {
+            j.log.dropped_packets += u64::from(clock.trail.is_some());
+        }
+    }
+
+    /// Zero-duration marker on a sampled packet's trail: `cause` (a reroute
+    /// off the XY path, an in-place ECC correction) happened at `router`.
+    pub(crate) fn mark(&mut self, packet: u64, router: u16, now: Cycle, cause: JourneyCause) {
+        if self.journeys.is_none() {
+            return; // no trails: skip the lookup
+        }
+        if let Some(trail) = self.clocks.get_mut(&packet).and_then(|c| c.trail.as_mut()) {
+            trail.mark(now, router, cause);
+        }
+    }
+
+    /// One transaction-lifecycle event drained from the workload.
+    pub(crate) fn txn_event(&mut self, ev: &TxnEvent) {
+        if let Some(j) = self.journeys.as_mut() {
+            j.on_txn_event(ev);
+        }
     }
 
     /// One gating-phase cycle; `gated` yields the routers that are gated,
     /// waking or hard-failed in it.
-    pub(crate) fn on_gate_cycle(&mut self, gated: impl Iterator<Item = usize>) {
-        self.gate_cycles += 1;
-        gated.for_each(|r| self.router_gated[r] += 1);
+    pub(crate) fn gate_cycle(&mut self, gated: impl Iterator<Item = usize>) {
+        if let Some(s) = self.spatial.as_mut() {
+            s.gate_cycles += 1;
+            gated.for_each(|r| s.router_gated[r] += 1);
+        }
     }
 
     /// One epoch's temperature sample per router, in router order.
-    pub(crate) fn on_temp_epoch(&mut self, temps_c: impl Iterator<Item = f64>) {
-        self.temp_epochs += 1;
-        self.temp_sum.iter_mut().zip(temps_c).for_each(|(sum, t)| *sum += t);
+    pub(crate) fn temp_epoch(&mut self, temps_c: impl Iterator<Item = f64>) {
+        if let Some(s) = self.spatial.as_mut() {
+            s.temp_epochs += 1;
+            s.temp_sum.iter_mut().zip(temps_c).for_each(|(sum, t)| *sum += t);
+        }
     }
 
-    /// Folds the accumulators into renderable artifacts. `cycles` is the
-    /// simulated span the utilization figures normalize against.
-    pub(crate) fn finish(self, mesh: &Mesh, cycles: u64) -> AttributionArtifacts {
+    /// Closes both sinks at `now`: the accumulators fold into renderable
+    /// artifacts (`now` is the simulated span utilization normalizes
+    /// against), and sampled packets still in flight are counted as
+    /// unfinished.
+    pub(crate) fn finish(self, now: Cycle) -> (Option<AttributionArtifacts>, Option<JourneyLog>) {
+        let unfinished = self.clocks.values().filter(|c| c.trail.is_some()).count() as u64;
+        let mesh = self.mesh;
+        (self.spatial.map(|s| s.fold(&mesh, now)), self.journeys.map(|j| j.finish(now, unfinished)))
+    }
+}
+
+impl Spatial {
+    fn fold(self, mesh: &Mesh, cycles: u64) -> AttributionArtifacts {
         let nodes = mesh.nodes();
         let denom = cycles.max(1) as f64;
 
@@ -263,22 +379,35 @@ impl Attribution {
 mod tests {
     use super::*;
     use crate::flit::make_packet;
+    use noc_telemetry::journey_sampled;
 
-    fn head(packet: u64) -> Flit {
-        make_packet(packet, 0, 0, 5, 0)[0]
+    /// Both sinks on an 8x8 mesh, so every completion below also runs the
+    /// trail-vs-counters self-check.
+    fn engine() -> LatencyEngine {
+        let journeys = JourneyRecorder::new("test".to_owned(), 9, 1);
+        LatencyEngine::new(Mesh::new(8, 8), true, Some(journeys))
+    }
+
+    fn flits(packet: u64) -> [Flit; 4] {
+        make_packet(packet, 0, 0, 5, 0)
+    }
+
+    fn records(engine: LatencyEngine) -> Vec<PacketLatency> {
+        engine.finish(1000).0.expect("attribution on").breakdown.records
     }
 
     #[test]
     fn components_sum_exactly_without_retx() {
-        let mesh = Mesh::new(8, 8);
-        let mut att = Attribution::new(mesh.nodes());
-        att.on_inject(7, 100);
-        att.on_pipeline(7, 4);
-        att.on_link_flit(0, &head(7), 1, false);
-        att.on_link_flit(4, &head(7), 1, false);
-        att.on_head_eject(7, 130);
-        att.on_complete(7, 0, 5, 133, 34); // injected_at 100, done at 133+1
-        let bd = &att.breakdown;
+        let mut att = engine();
+        let (head, tail) = (flits(7)[0], flits(7)[3]);
+        att.inject(7, 0, 100, || None);
+        att.pipeline(7, 0, 4, 100);
+        att.link_flit(0, &head, 1, false, 110);
+        att.link_flit(4, &head, 1, false, 120);
+        att.head_eject(7, 5, 130);
+        att.complete(&tail, 133, 34); // injected_at 100, done at 133+1
+        let (art, _) = att.finish(1000);
+        let bd = art.expect("attribution on").breakdown;
         assert_eq!(bd.packets, 1);
         let rec = bd.records[0];
         assert_eq!(rec.components.total(), 34);
@@ -291,17 +420,17 @@ mod tests {
 
     #[test]
     fn e2e_retx_charges_whole_wasted_generation() {
-        let mesh = Mesh::new(8, 8);
-        let mut att = Attribution::new(mesh.nodes());
-        att.on_inject(9, 50);
-        att.on_pipeline(9, 4);
-        att.on_link_flit(0, &head(9), 1, false);
-        att.on_head_eject(9, 70);
-        att.on_e2e_retx(9, 80); // generation [50, 80) wasted
-        att.on_pipeline(9, 4);
-        att.on_head_eject(9, 95);
-        att.on_complete(9, 0, 5, 99, 50); // [50, 100)
-        let rec = att.breakdown.records[0];
+        let mut att = engine();
+        let (head, tail) = (flits(9)[0], flits(9)[3]);
+        att.inject(9, 0, 50, || None);
+        att.pipeline(9, 0, 4, 50);
+        att.link_flit(0, &head, 1, false, 60);
+        att.head_eject(9, 5, 70);
+        att.e2e_retx(9, 0, 80); // generation [50, 80) wasted
+        att.pipeline(9, 0, 4, 85);
+        att.head_eject(9, 5, 95);
+        att.complete(&tail, 99, 50); // [50, 100)
+        let rec = records(att)[0];
         assert_eq!(rec.components.retransmission, 30);
         assert_eq!(rec.components.traversal, 4, "wasted generation's charges were reset");
         assert_eq!(rec.e2e_retx, 1);
@@ -310,16 +439,234 @@ mod tests {
 
     #[test]
     fn finish_folds_directed_channels_into_physical_links() {
-        let mesh = Mesh::new(8, 8);
-        let mut att = Attribution::new(mesh.nodes());
+        let mut att = engine();
         // One flit each way across the 0 <-> 1 link.
-        att.on_link_flit(Port::XPlus.index(), &head(1), 1, false);
-        att.on_link_flit(DIRS + Port::XMinus.index(), &head(2), 1, false);
-        let art = att.finish(&mesh, 1000);
+        att.link_flit(Port::XPlus.index(), &flits(1)[0], 1, false, 0);
+        att.link_flit(DIRS + Port::XMinus.index(), &flits(2)[0], 1, false, 0);
+        let art = att.finish(1000).0.expect("attribution on");
         assert_eq!(art.links.len(), 112, "8x8 mesh has 112 physical links");
         let l01 = art.links.iter().find(|l| l.a == 0 && l.b == 1).unwrap();
         assert_eq!(l01.flits, 2);
         assert_eq!(art.grids.len(), 4);
         assert_eq!(art.grids[0].cells.len(), 64);
+    }
+
+    /// One hook of a generated sequence.
+    #[derive(Debug, Clone, Copy)]
+    enum Hook {
+        Inject,
+        Pipeline { router: u16 },
+        Link { ci: usize, cost: u64, bypass: bool },
+        Nack { ci: usize, head: bool },
+        Mark { router: u16, ecc: bool },
+        Restart,
+        HeadEject,
+        Complete { latency: u64 },
+        Drop,
+    }
+
+    /// How a generated packet ends and what a straight count of its hooks
+    /// says the engine must report.
+    #[derive(Debug, Default)]
+    struct Expected {
+        injected_at: Cycle,
+        /// `Some(delivered_at)`; `None` for a dropped or unfinished packet.
+        delivered_at: Option<Cycle>,
+        dropped: bool,
+        hops: u16,
+        bypass_hops: u16,
+        hop_retx: u16,
+        e2e_retx: u16,
+    }
+
+    /// Cyclic entropy tape: `next(n)` draws a value below `n`.
+    struct Tape<'a>(&'a [u16], usize);
+
+    impl Tape<'_> {
+        fn next(&mut self, n: u64) -> u64 {
+            self.1 += 1;
+            u64::from(self.0[self.1 % self.0.len()]) % n
+        }
+    }
+
+    const PIPELINE: u64 = 4;
+    const NACK_STALL: u64 = 3;
+
+    /// Generates `packets` legal per-packet hook sequences — every charge
+    /// starts at or after the end of the previous one, restarts land on the
+    /// start of, inside, or after the last charged window — merged in time
+    /// order, so packets interleave.
+    fn script(tape: &mut Tape, packets: u64) -> (Vec<(Cycle, u64, Hook)>, Vec<Expected>) {
+        let mut hooks: Vec<(Cycle, u64, Hook)> = Vec::new();
+        let mut expected = Vec::new();
+        let mut inject = 0;
+        for id in 0..packets {
+            inject += tape.next(12);
+            let mut t = inject;
+            let mut want = Expected { injected_at: t, ..Expected::default() };
+            hooks.push((t, id, Hook::Inject));
+            let generations = 1 + tape.next(4); // 0-3 end-to-end restarts
+            for g in 0..generations {
+                (want.hops, want.bypass_hops) = (0, 0);
+                t += tape.next(8); // NI-queue wait
+                hooks.push((t, id, Hook::Pipeline { router: 0 }));
+                let mut window = (t, t + PIPELINE);
+                for _ in 0..tape.next(5) {
+                    t = window.1 + tape.next(6); // VC/SA wait
+                    let (ci, bypass) = (tape.next(16 * DIRS as u64) as usize, tape.next(3) == 0);
+                    let cost = 1 + tape.next(3) + u64::from(bypass);
+                    hooks.push((t, id, Hook::Link { ci, cost, bypass }));
+                    window = (t, t + cost);
+                    *(if bypass { &mut want.bypass_hops } else { &mut want.hops }) += 1;
+                    if tape.next(4) == 0 {
+                        hooks.push((t, id, Hook::Nack { ci, head: false }));
+                        want.hop_retx += 1;
+                    }
+                    if tape.next(4) == 0 {
+                        let (router, ecc) = (tape.next(16) as u16, tape.next(2) == 0);
+                        hooks.push((t, id, Hook::Mark { router, ecc }));
+                    }
+                    if tape.next(4) == 0 {
+                        t = window.1 + tape.next(3); // channel wait, then the NACK
+                        hooks.push((t, id, Hook::Nack { ci, head: true }));
+                        window = (t, t + NACK_STALL);
+                        want.hop_retx += 1;
+                    }
+                    if !bypass {
+                        t = window.1 + tape.next(3);
+                        hooks.push((t, id, Hook::Pipeline { router: tape.next(16) as u16 }));
+                        window = (t, t + PIPELINE);
+                    }
+                }
+                if g + 1 < generations {
+                    t = match tape.next(3) {
+                        0 => window.0, // the charge made this very cycle is forgotten
+                        1 => window.0 + 1 + tape.next(window.1 - window.0 - 1), // clipped
+                        _ => {
+                            // The head made it; the CRC failed at the tail.
+                            t = window.1 + tape.next(6);
+                            hooks.push((t, id, Hook::HeadEject));
+                            t + tape.next(5)
+                        }
+                    };
+                    hooks.push((t, id, Hook::Restart));
+                    want.e2e_retx += 1;
+                }
+            }
+            t = t.max(inject + PIPELINE) + 8; // past every window of this packet
+            match tape.next(8) {
+                0 => {
+                    hooks.push((t, id, Hook::Drop));
+                    want.dropped = true;
+                }
+                1 => {} // still in flight when the run ends
+                _ => {
+                    hooks.push((t, id, Hook::HeadEject));
+                    t += tape.next(5); // tail drain
+                    hooks.push((t, id, Hook::Complete { latency: t + 1 - want.injected_at }));
+                    want.delivered_at = Some(t + 1);
+                }
+            }
+            expected.push(want);
+        }
+        hooks.sort_by_key(|h| h.0); // stable: a packet's own hooks keep their order
+        (hooks, expected)
+    }
+
+    /// Feeds one generated script to an engine with journeys at 1 in `every`
+    /// and attribution on or off, then checks every packet against the
+    /// straight count.
+    fn replay_and_check(tape: &[u16], packets: u64, every: u64, attribution: bool) {
+        let (hooks, expected) = script(&mut Tape(tape, 0), packets);
+        let journeys = JourneyRecorder::new("prop".to_owned(), 9, every);
+        let mut engine = LatencyEngine::new(Mesh::new(4, 4), attribution, Some(journeys));
+        let flits = |id| make_packet(id, id * 4, 0, 15, 0);
+        for &(now, id, hook) in &hooks {
+            let (head, body, tail) = (flits(id)[0], flits(id)[1], flits(id)[3]);
+            match hook {
+                Hook::Inject => engine.inject(id, 0, now, || None),
+                Hook::Pipeline { router } => engine.pipeline(id, router, PIPELINE, now),
+                Hook::Link { ci, cost, bypass } => engine.link_flit(ci, &head, cost, bypass, now),
+                Hook::Nack { ci, head: true } => engine.hop_retx(ci, &head, NACK_STALL, now),
+                Hook::Nack { ci, head: false } => engine.hop_retx(ci, &body, NACK_STALL, now),
+                Hook::Mark { router, ecc } => {
+                    let cause =
+                        if ecc { JourneyCause::EccCorrected } else { JourneyCause::Reroute };
+                    engine.mark(id, router, now, cause);
+                }
+                Hook::Restart => engine.e2e_retx(id, 0, now),
+                Hook::HeadEject => engine.head_eject(id, 15, now),
+                Hook::Complete { latency } => {
+                    let sampled = engine.complete(&tail, now, latency).is_some();
+                    assert_eq!(sampled, journey_sampled(9, id, every), "packet {id}");
+                }
+                Hook::Drop => engine.drop(id),
+            }
+        }
+        let (art, log) = engine.finish(hooks.last().map_or(0, |h| h.0) + 1);
+        let log = log.expect("journeys on");
+        assert_eq!(art.is_some(), attribution);
+        let records = art.map_or(Vec::new(), |a| a.breakdown.records);
+        let (mut delivered, mut dropped, mut unfinished) = (0, 0, 0);
+        for (id, want) in (0u64..).zip(&expected) {
+            let sampled = journey_sampled(9, id, every);
+            let record = records.iter().find(|r| r.packet == id);
+            let journey = log.packets.iter().find(|j| j.packet == id);
+            let Some(delivered_at) = want.delivered_at else {
+                assert!(record.is_none() && journey.is_none(), "packet {id} was not delivered");
+                dropped += u64::from(sampled && want.dropped);
+                unfinished += u64::from(sampled && !want.dropped);
+                continue;
+            };
+            delivered += 1;
+            let latency = delivered_at - want.injected_at;
+            assert_eq!(record.is_some(), attribution, "packet {id}");
+            assert_eq!(journey.is_some(), sampled, "packet {id}");
+            if let Some(r) = record {
+                assert_eq!(r.components.total(), latency, "packet {id}: {:?}", r.components);
+                let counted = (r.hops, r.bypass_hops, r.hop_retx, r.e2e_retx);
+                let straight = (want.hops, want.bypass_hops, want.hop_retx, want.e2e_retx);
+                assert_eq!(counted, straight, "packet {id}: hops, bypass hops, NACKs, restarts");
+            }
+            if let Some(j) = journey {
+                let mut cursor = want.injected_at;
+                for s in j.spans.iter().filter(|s| !s.cause.is_marker()) {
+                    assert_eq!(s.start, cursor, "packet {id}: spans must tile: {:?}", j.spans);
+                    assert!(s.end > s.start, "packet {id}: empty span: {:?}", j.spans);
+                    cursor = s.end;
+                }
+                assert_eq!(cursor, delivered_at, "packet {id}: spans reach delivery");
+                assert_eq!((j.latency, j.components().total()), (latency, latency), "packet {id}");
+                if let Some(r) = record {
+                    assert_eq!(j.components(), r.components, "packet {id}: trail vs record");
+                }
+                let crossings = |c| j.spans.iter().filter(|s| s.cause == c).count();
+                assert_eq!(crossings(JourneyCause::Link), want.hops as usize, "packet {id}");
+                assert_eq!(crossings(JourneyCause::Bypass), want.bypass_hops as usize);
+            }
+        }
+        assert_eq!(records.len(), if attribution { delivered } else { 0 });
+        assert_eq!(log.dropped_packets, dropped);
+        assert_eq!(log.unfinished_packets, unfinished);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(300))]
+
+        /// Exact-sum attribution over random legal hook sequences: per
+        /// delivered packet the components sum to the latency, the counters
+        /// match a straight count of the sequence, and a sampled packet's
+        /// spans tile its lifetime and sum to the same components — with
+        /// attribution on (every packet has a clock) and off (only sampled
+        /// ones do).
+        #[test]
+        fn random_hook_sequences_account_exactly(
+            tape in proptest::collection::vec(0u16..u16::MAX, 64..512),
+            packets in 1u64..12,
+            every in 1u64..4,
+            attribution in 0u8..2,
+        ) {
+            replay_and_check(&tape, packets, every, attribution == 1);
+        }
     }
 }

@@ -218,7 +218,7 @@ impl Network {
     /// Removes every installed sink, closing each at the current cycle.
     pub fn take_probe(&mut self) -> ProbeArtifacts {
         self.traffic.set_txn_event_recording(false);
-        std::mem::take(&mut self.probe).finish(&self.mesh, self.now)
+        std::mem::take(&mut self.probe).finish(self.now)
     }
 
     /// The installed tracer, if any.

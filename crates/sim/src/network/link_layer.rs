@@ -25,7 +25,7 @@ use super::Network;
 use crate::flit::{Flit, NO_VC};
 use crate::topology::{Port, DIRS};
 use noc_ecc::{DecodeStatus, EccScheme};
-use noc_telemetry::{Event, RetxScope};
+use noc_telemetry::Event;
 
 /// Who takes a flit off a link. Read off the simulator's state at the call
 /// site — the receiving router's gate state and whether the flit's route
@@ -241,13 +241,7 @@ impl Network {
         match status {
             DecodeStatus::Corrected(_) if data == payload => {
                 self.stats.corrected_bits += k as u64;
-                self.probe.event(Event::EccCorrected {
-                    cycle: now,
-                    router: v as u32,
-                    packet: head.packet_id,
-                    bits: k,
-                });
-                self.probe.ecc_corrected(head.packet_id, v as u16, now);
+                self.probe.ecc_corrected(head.packet_id, v, k, now);
                 Some(0)
             }
             DecodeStatus::Clean | DecodeStatus::Corrected(_) => Some(k as u16),
@@ -272,15 +266,9 @@ impl Network {
         let (u, v) = self.link_ends(ci);
         let latency = self.cfg.retx_latency as u64;
         self.links.delay_at(ci, idx, now, latency);
-        self.probe.hop_retx(ci, &head, latency, now);
+        self.probe.hop_retx(ci, &head, v, latency, now);
         self.stats.hop_retx_events += 1;
         self.stats.retransmitted_flits += 1;
-        self.probe.event(Event::Retransmission {
-            cycle: now,
-            router: v as u32,
-            packet: head.packet_id,
-            scope: RetxScope::Hop,
-        });
         let up = &mut self.routers[u];
         up.step.retransmissions += 1;
         up.counters.retransmitted_flits += 1;

@@ -14,7 +14,6 @@ use super::Network;
 use crate::flit::{make_packet, Flit, FLITS_PER_PACKET, NO_VC};
 use crate::topology::Port;
 use noc_ecc::{DecodeStatus, EccScheme};
-use noc_telemetry::{Event, RetxScope};
 
 impl Network {
     /// Phase 2b: NI injection into powered local ports (one flit per
@@ -72,14 +71,8 @@ impl Network {
         let xy = self.mesh.xy_route(r, head.dest as usize);
         if route != xy {
             self.stats.reroutes += 1;
-            self.probe.event(Event::Rerouted {
-                cycle: self.now,
-                router: r as u32,
-                packet: head.packet_id,
-                from: xy.index() as u8,
-                to: route.index() as u8,
-            });
-            self.probe.reroute(head.packet_id, r as u16, self.now);
+            let (from, to) = (xy.index() as u8, route.index() as u8);
+            self.probe.reroute(head.packet_id, r, from, to, self.now);
         }
     }
 
@@ -112,7 +105,7 @@ impl Network {
     fn eject_inner(&mut self, r: usize, mut flit: Flit) {
         debug_assert_eq!(flit.dest as usize, r, "flit ejected at wrong node");
         if flit.is_head() {
-            self.probe.head_eject(flit.packet_id, self.now);
+            self.probe.head_eject(&flit, self.now);
         }
         // A flit ejected straight off the bypass still carries undecoded
         // per-hop codeword corruption; it surfaces at the NI.
@@ -189,12 +182,6 @@ impl Network {
         let n = FLITS_PER_PACKET as u64;
         self.stats.e2e_retx_packets += 1;
         self.stats.retransmitted_flits += n;
-        self.probe.event(Event::Retransmission {
-            cycle: self.now,
-            router: at as u32,
-            packet: f.packet_id,
-            scope: RetxScope::E2e,
-        });
         let src = f.src as usize;
         let mut flits = make_packet(f.packet_id, self.next_flit_id, f.src, f.dest, f.injected_at);
         self.next_flit_id += n;
@@ -209,7 +196,7 @@ impl Network {
         // them in front would interleave with a partially injected
         // packet's remaining flits and can deadlock the NI FIFO.
         self.nis.extend(src, flits);
-        self.probe.e2e_retx(f.packet_id, self.now);
+        self.probe.e2e_retx(f, at, self.now);
     }
 
     /// Phase 4: the traffic generator is polled and new packets enter the NI
@@ -231,12 +218,6 @@ impl Network {
                 self.traffic.on_injected(now, node, packet_id, dest);
                 self.probe.inject(packet_id, node as u16, dest as u16, now, || {
                     self.traffic.packet_txn(packet_id)
-                });
-                self.probe.event(Event::PacketInjected {
-                    cycle: now,
-                    router: node as u32,
-                    packet: packet_id,
-                    dest: dest as u32,
                 });
                 if self.health.fs_split(node, dest) {
                     // The destination can never be reached (dead source or

@@ -192,16 +192,10 @@ impl Network {
         if !self.dropped_ids.insert(f.packet_id) {
             return;
         }
-        self.probe.drop(f.packet_id);
+        self.probe.drop(f, self.now);
         let src = f.src as usize;
         self.stats.packets_dropped += 1;
         self.outstanding[src] = self.outstanding[src].saturating_sub(1);
-        self.probe.event(Event::PacketDropped {
-            cycle: self.now,
-            router: u32::from(f.src),
-            packet: f.packet_id,
-            bits: u32::from(f.generation),
-        });
         self.traffic.on_dropped(self.now, f.packet_id);
     }
 

@@ -1,8 +1,9 @@
 //! The one instrumentation seam of the simulator.
 //!
 //! A [`Probe`] owns every sink that *explains* a run — event tracer, span
-//! profiler, latency attribution, flight recorder, journey tracker — behind
-//! a fixed set of event points. [`crate::Network`] holds exactly one probe
+//! profiler, flight recorder, and the latency engine (attribution and
+//! journey tracing: one clock per packet) — behind a fixed set of event
+//! points. [`crate::Network`] holds exactly one probe
 //! and calls one event point per instrumented site; each point fans out to
 //! whichever sinks are installed and is a not-taken branch per absent sink.
 //! Sinks read simulator state but never write it, so cycle-domain results
@@ -13,12 +14,13 @@
 //! behind the span points here ([`Probe::span_enter`], [`Probe::leaf_enter`]),
 //! where the profiler decides per span path whether this occurrence is timed.
 
-use crate::attribution::Attribution;
+use crate::attribution::LatencyEngine;
 use crate::flit::{Cycle, Flit};
-use crate::journey::JourneyTracker;
+use crate::journey::JourneyRecorder;
 use crate::topology::Mesh;
 use noc_telemetry::{
-    AttributionArtifacts, Event, JourneyLog, LeafSpan, Profiler, SharedRecorder, Tracer,
+    AttributionArtifacts, Event, JourneyCause, JourneyLog, LeafSpan, Profiler, RetxScope,
+    SharedRecorder, Tracer,
 };
 use noc_traffic::{TxnEvent, TxnEventKind};
 
@@ -62,40 +64,35 @@ pub struct ProbeArtifacts {
 pub(crate) struct Probe {
     pub(crate) tracer: Option<Tracer>,
     pub(crate) profiler: Option<Profiler>,
-    attribution: Option<Attribution>,
     blackbox: Option<SharedRecorder>,
-    journey: Option<JourneyTracker>,
+    /// Installed when attribution or journey tracing (or both) is on.
+    latency: Option<LatencyEngine>,
 }
 
 impl Probe {
     /// Builds the sinks `cfg` asks for, for a network on `mesh` driven by
     /// the workload called `workload`.
     pub(crate) fn new(cfg: ProbeConfig, mesh: &Mesh, workload: &str) -> Self {
-        Probe {
-            tracer: cfg.tracer,
-            profiler: cfg.profiler,
-            attribution: cfg.attribution.then(|| Attribution::new(mesh.nodes())),
-            blackbox: cfg.blackbox,
-            journey: cfg
-                .journeys
-                .map(|(seed, every)| JourneyTracker::new(workload.to_owned(), seed, every, *mesh)),
-        }
+        let journeys = cfg
+            .journeys
+            .map(|(seed, every)| JourneyRecorder::new(workload.to_owned(), seed, every));
+        let latency = (cfg.attribution || journeys.is_some())
+            .then(|| LatencyEngine::new(*mesh, cfg.attribution, journeys));
+        Probe { tracer: cfg.tracer, profiler: cfg.profiler, blackbox: cfg.blackbox, latency }
     }
 
     /// Closes every sink at cycle `now`.
-    pub(crate) fn finish(self, mesh: &Mesh, now: Cycle) -> ProbeArtifacts {
-        ProbeArtifacts {
-            tracer: self.tracer,
-            profiler: self.profiler,
-            attribution: self.attribution.map(|a| a.finish(mesh, now)),
-            journeys: self.journey.map(|j| j.finish(now)),
-        }
+    pub(crate) fn finish(self, now: Cycle) -> ProbeArtifacts {
+        let (attribution, journeys) = self.latency.map_or((None, None), |e| e.finish(now));
+        ProbeArtifacts { tracer: self.tracer, profiler: self.profiler, attribution, journeys }
     }
 
     /// Whether the workload must buffer transaction-lifecycle events: some
     /// installed sink consumes them. This is the only place that decides.
     pub(crate) fn wants_txn_events(&self) -> bool {
-        self.tracer.is_some() || self.blackbox.is_some() || self.journey.is_some()
+        self.tracer.is_some()
+            || self.blackbox.is_some()
+            || self.latency.as_ref().is_some_and(LatencyEngine::traces_journeys)
     }
 
     /// Records `event` in the tracer and the flight recorder's event ring,
@@ -114,8 +111,8 @@ impl Probe {
 
     /// One transaction-lifecycle event drained from the workload.
     pub(crate) fn txn_event(&mut self, ev: &TxnEvent) {
-        if let Some(j) = self.journey.as_mut() {
-            j.on_txn_event(ev);
+        if let Some(e) = self.latency.as_mut() {
+            e.txn_event(ev);
         }
         let (cycle, txn, attempt) = (ev.cycle, ev.txn, ev.attempt);
         let (router, peer) = (ev.node as u32, ev.peer as u32);
@@ -129,24 +126,8 @@ impl Probe {
         });
     }
 
-    /// Feeds one packet-lifecycle hook to the two latency engines — `att`
-    /// to attribution, `jny` to the journey tracker — whichever are installed.
-    #[inline]
-    fn engines(
-        &mut self,
-        att: impl FnOnce(&mut Attribution),
-        jny: impl FnOnce(&mut JourneyTracker),
-    ) {
-        if let Some(a) = self.attribution.as_mut() {
-            att(a);
-        }
-        if let Some(j) = self.journey.as_mut() {
-            jny(j);
-        }
-    }
-
-    /// A packet entered the source NI queue; `txn` looks up its
-    /// transaction tag and runs only when journeys are traced.
+    /// A packet entered the NI queue of router `src`; `txn` looks up its
+    /// transaction tag and runs only when its journey is traced.
     #[inline]
     pub(crate) fn inject(
         &mut self,
@@ -156,7 +137,11 @@ impl Probe {
         now: Cycle,
         txn: impl FnOnce() -> Option<(u64, u32, bool)>,
     ) {
-        self.engines(|a| a.on_inject(packet, now), |j| j.on_inject(packet, src, dest, now, txn()));
+        if let Some(e) = self.latency.as_mut() {
+            e.inject(packet, src, now, txn);
+        }
+        let (router, dest) = (u32::from(src), u32::from(dest));
+        self.event(Event::PacketInjected { cycle: now, router, packet, dest });
     }
 
     /// A flit was pushed into directed channel `ci` at `now`, consumable
@@ -170,54 +155,58 @@ impl Probe {
         bypass: bool,
         now: Cycle,
     ) {
-        self.engines(
-            |a| a.on_link_flit(ci, flit, cost, bypass),
-            |j| j.on_link_flit(ci, flit, cost, bypass, now),
-        );
+        if let Some(e) = self.latency.as_mut() {
+            e.link_flit(ci, flit, cost, bypass, now);
+        }
     }
 
     /// A head flit entered an input VC of `router` with `cost` pipeline
     /// cycles before it can be granted.
     #[inline]
     pub(crate) fn pipeline(&mut self, packet: u64, router: u16, cost: u64, now: Cycle) {
-        self.engines(|a| a.on_pipeline(packet, cost), |j| j.on_pipeline(packet, router, cost, now));
+        if let Some(e) = self.latency.as_mut() {
+            e.pipeline(packet, router, cost, now);
+        }
     }
 
-    /// A flit held in channel `ci` was NACKed and stalls `cost` cycles.
+    /// A flit held in channel `ci` was NACKed by router `at` and stalls
+    /// `cost` cycles.
     #[inline]
-    pub(crate) fn hop_retx(&mut self, ci: usize, flit: &Flit, cost: u64, now: Cycle) {
-        self.engines(|a| a.on_hop_retx(ci, flit, cost), |j| j.on_hop_retx(ci, flit, cost, now));
+    pub(crate) fn hop_retx(&mut self, ci: usize, flit: &Flit, at: usize, cost: u64, now: Cycle) {
+        if let Some(e) = self.latency.as_mut() {
+            e.hop_retx(ci, flit, cost, now);
+        }
+        let (router, packet) = (at as u32, flit.packet_id);
+        self.event(Event::Retransmission { cycle: now, router, packet, scope: RetxScope::Hop });
     }
 
-    /// The packet restarts from its source NI (end-to-end retransmission).
+    /// The packet of `f` restarts from its source NI (end-to-end
+    /// retransmission), reported at router `at`.
     #[inline]
-    pub(crate) fn e2e_retx(&mut self, packet: u64, now: Cycle) {
-        self.engines(|a| a.on_e2e_retx(packet, now), |j| j.on_e2e_retx(packet, now));
+    pub(crate) fn e2e_retx(&mut self, f: &Flit, at: usize, now: Cycle) {
+        if let Some(e) = self.latency.as_mut() {
+            e.e2e_retx(f.packet_id, f.src, now);
+        }
+        let (router, packet) = (at as u32, f.packet_id);
+        self.event(Event::Retransmission { cycle: now, router, packet, scope: RetxScope::E2e });
     }
 
-    /// The head flit of the current generation ejected at the destination.
+    /// The head flit of the current generation ejected at its destination.
     #[inline]
-    pub(crate) fn head_eject(&mut self, packet: u64, now: Cycle) {
-        self.engines(|a| a.on_head_eject(packet, now), |j| j.on_head_eject(packet, now));
+    pub(crate) fn head_eject(&mut self, head: &Flit, now: Cycle) {
+        if let Some(e) = self.latency.as_mut() {
+            e.head_eject(head.packet_id, head.dest, now);
+        }
     }
 
     /// The tail flit ejected at `now`; the packet completed with measured
-    /// end-to-end `latency`. With both engines installed, debug builds check
-    /// the journey's span sums against the attribution engine's components.
+    /// end-to-end `latency`.
     #[inline]
     pub(crate) fn complete(&mut self, tail: &Flit, now: Cycle, latency: u64) {
-        let packet = tail.packet_id;
-        let charged = self
-            .attribution
-            .as_mut()
-            .and_then(|att| att.on_complete(packet, tail.src, tail.dest, now, latency));
-        let Some(journey) = self.journey.as_mut().and_then(|j| j.on_complete(packet, now, latency))
+        let Some(journey) = self.latency.as_mut().and_then(|e| e.complete(tail, now, latency))
         else {
             return;
         };
-        if let Some(charged) = charged {
-            debug_assert_eq!(journey.components(), charged, "packet {packet}: spans vs engine");
-        }
         // The slowest-journeys ring renders the record only if it keeps it.
         if let Some(bb) = self.blackbox.as_ref() {
             if let Ok(mut rec) = bb.lock() {
@@ -226,42 +215,48 @@ impl Probe {
         }
     }
 
-    /// The packet was accounted as permanently lost.
+    /// The packet of `f` was accounted as permanently lost.
     #[inline]
-    pub(crate) fn drop(&mut self, packet: u64) {
-        self.engines(|a| a.on_drop(packet), |j| j.on_drop(packet));
+    pub(crate) fn drop(&mut self, f: &Flit, now: Cycle) {
+        if let Some(e) = self.latency.as_mut() {
+            e.drop(f.packet_id);
+        }
+        let (router, bits) = (u32::from(f.src), u32::from(f.generation));
+        self.event(Event::PacketDropped { cycle: now, router, packet: f.packet_id, bits });
     }
 
-    /// The packet left its XY route at `router`.
+    /// The packet left its XY route (port `from`) for port `to` at `router`.
     #[inline]
-    pub(crate) fn reroute(&mut self, packet: u64, router: u16, now: Cycle) {
-        if let Some(j) = self.journey.as_mut() {
-            j.on_reroute(packet, router, now);
+    pub(crate) fn reroute(&mut self, packet: u64, router: usize, from: u8, to: u8, now: Cycle) {
+        if let Some(e) = self.latency.as_mut() {
+            e.mark(packet, router as u16, now, JourneyCause::Reroute);
         }
+        self.event(Event::Rerouted { cycle: now, router: router as u32, packet, from, to });
     }
 
-    /// ECC corrected corruption of the packet at `router`.
+    /// ECC corrected `bits` flipped bits of the packet at `router`.
     #[inline]
-    pub(crate) fn ecc_corrected(&mut self, packet: u64, router: u16, now: Cycle) {
-        if let Some(j) = self.journey.as_mut() {
-            j.on_ecc_corrected(packet, router, now);
+    pub(crate) fn ecc_corrected(&mut self, packet: u64, router: usize, bits: u32, now: Cycle) {
+        if let Some(e) = self.latency.as_mut() {
+            e.mark(packet, router as u16, now, JourneyCause::EccCorrected);
         }
+        self.event(Event::EccCorrected { cycle: now, router: router as u32, packet, bits });
     }
 
     /// One gating-phase cycle: `gated(r)` says whether router `r` is
     /// gated, waking or hard-failed.
     #[inline]
     pub(crate) fn gate_cycle(&mut self, nodes: usize, gated: impl Fn(usize) -> bool) {
-        if let Some(att) = self.attribution.as_mut() {
-            att.on_gate_cycle((0..nodes).filter(|&r| gated(r)));
+        if let Some(e) = self.latency.as_mut() {
+            e.gate_cycle((0..nodes).filter(|&r| gated(r)));
         }
     }
 
     /// One epoch's temperature sample per router.
     #[inline]
     pub(crate) fn temp_epoch(&mut self, nodes: usize, temp_c: impl Fn(usize) -> f64) {
-        if let Some(att) = self.attribution.as_mut() {
-            att.on_temp_epoch((0..nodes).map(temp_c));
+        if let Some(e) = self.latency.as_mut() {
+            e.temp_epoch((0..nodes).map(temp_c));
         }
     }
 
@@ -383,10 +378,10 @@ mod tests {
         }
     }
 
-    /// Feeds both latency engines one hook sequence through the probe —
-    /// `complete` cross-checks them in debug builds — and compares the
-    /// recorded components, including an e2e NACK that lands mid-traversal
-    /// (the journey must clip the overshooting charge the engine resets).
+    /// One hook sequence through the probe with both sinks on — every
+    /// completion checks the trail against the counters in debug builds —
+    /// including an e2e NACK that lands mid-traversal (the trail must clip
+    /// the overshooting charge the counters forget).
     #[test]
     fn journey_spans_reproduce_the_attribution_engine() {
         let mesh = Mesh::new(2, 2);
@@ -398,23 +393,23 @@ mod tests {
         probe.inject(4, 0, 1, 0, || None);
         probe.pipeline(4, 0, 4, 0);
         probe.link_flit(0, &head, 5, false, 10); // charge [10, 15)...
-        probe.e2e_retx(4, 12); // ...but the NACK lands at 12
+        probe.e2e_retx(&head, 1, 12); // ...but the NACK lands at 12
         probe.pipeline(4, 0, 4, 20);
-        probe.hop_retx(0, &head, 3, 25);
+        probe.hop_retx(0, &head, 1, 3, 25);
         probe.link_flit(0, &head, 2, true, 28);
-        probe.head_eject(4, 30);
+        probe.head_eject(&head, 30);
         probe.complete(&tail, 33, 34);
 
         let (head, tail) = (flits(7)[0], flits(7)[3]);
         probe.inject(7, 0, 1, 100, || None);
         probe.pipeline(7, 0, 4, 103);
         probe.link_flit(0, &head, 1, false, 110);
-        probe.reroute(7, 1, 111);
-        probe.ecc_corrected(7, 1, 111);
-        probe.head_eject(7, 120);
+        probe.reroute(7, 1, 0, 2, 111);
+        probe.ecc_corrected(7, 1, 1, 111);
+        probe.head_eject(&head, 120);
         probe.complete(&tail, 123, 24);
 
-        let art = probe.finish(&mesh, 200);
+        let art = probe.finish(200);
         let engine = art.attribution.expect("installed").breakdown.records;
         let journeys = art.journeys.expect("installed").packets;
         assert_eq!(engine.len(), 2);
@@ -427,5 +422,7 @@ mod tests {
         assert_eq!(clipped.retransmission, 12 + 3, "wasted window [0, 12) plus the hop NACK");
         assert_eq!(clipped.traversal, 4, "only the delivering generation counts");
         assert_eq!(clipped.bypass, 2);
+        let markers = journeys[1].spans.iter().filter(|s| s.cause.is_marker()).count();
+        assert_eq!(markers, 2, "the reroute and the ECC correction left their markers");
     }
 }

@@ -67,6 +67,13 @@ impl LatencyComponents {
         ]
     }
 
+    /// The inverse of [`LatencyComponents::as_array`]: per-component cycle
+    /// sums indexed the way `JourneyCause::component_index` charges them.
+    pub fn from_array(sums: [u64; 6]) -> Self {
+        let [queuing, traversal, serialization, retransmission, bypass, ejection] = sums;
+        LatencyComponents { queuing, traversal, serialization, retransmission, bypass, ejection }
+    }
+
     /// Adds another breakdown component-wise.
     pub fn accumulate(&mut self, other: &LatencyComponents) {
         self.queuing += other.queuing;

@@ -248,23 +248,17 @@ pub struct PacketJourney {
 
 impl PacketJourney {
     /// Sums the non-marker spans into PR-3 attribution components. Equals
-    /// the attribution engine's breakdown for the same packet exactly.
+    /// the latency engine's counters for the same packet exactly (saturating
+    /// only on a hostile parsed log: a simulated packet cannot get near).
     #[must_use]
     pub fn components(&self) -> LatencyComponents {
         let mut sums = [0u64; 6];
         for s in &self.spans {
             if let Some(i) = s.cause.component_index() {
-                sums[i] += s.duration();
+                sums[i] = sums[i].saturating_add(s.duration());
             }
         }
-        LatencyComponents {
-            queuing: sums[0],
-            traversal: sums[1],
-            serialization: sums[2],
-            retransmission: sums[3],
-            bypass: sums[4],
-            ejection: sums[5],
-        }
+        LatencyComponents::from_array(sums)
     }
 
     /// The longest non-marker span (earliest wins ties), if any.
@@ -733,11 +727,12 @@ impl JourneyLog {
                     continue;
                 }
                 let key = (s.loc, s.cause);
-                if in_fast {
-                    *fast.entry(key).or_default() += s.duration();
-                }
-                if in_tail {
-                    *tail.entry(key).or_default() += s.duration();
+                // Saturating: a parsed log may hold spans of any length.
+                for (on, sums) in [(in_fast, &mut fast), (in_tail, &mut tail)] {
+                    if on {
+                        let sum = sums.entry(key).or_default();
+                        *sum = sum.saturating_add(s.duration());
+                    }
                 }
             }
         }
@@ -892,11 +887,12 @@ impl JourneyLog {
                         TxnLegKind::InFlight => 0,
                         TxnLegKind::Backoff => 1,
                     };
+                    let cycles = l.end.saturating_sub(l.start);
                     if in_fast {
-                        fast[i] += l.end.saturating_sub(l.start);
+                        fast[i] = fast[i].saturating_add(cycles);
                     }
                     if in_tail {
-                        tail[i] += l.end.saturating_sub(l.start);
+                        tail[i] = tail[i].saturating_add(cycles);
                     }
                 }
             }
@@ -959,11 +955,21 @@ pub fn percentile(sorted: &[u64], p: f64) -> u64 {
     sorted[rank - 1]
 }
 
+/// Rejects an interval that runs backwards: the writer never emits one, and
+/// every renderer takes `end - start` on trust.
+fn forward(start: u64, end: u64, what: &str) -> Result<(), serde::Error> {
+    if end < start {
+        return Err(serde::Error::msg(format!("{what}: interval [{start}, {end}) runs backwards")));
+    }
+    Ok(())
+}
+
 fn parse_span(c: &serde::Content) -> Result<HopSpan, serde::Error> {
     let start: u64 = serde::seq_field(c, 0)?;
     let end: u64 = serde::seq_field(c, 1)?;
     let loc: String = serde::seq_field(c, 2)?;
     let cause: String = serde::seq_field(c, 3)?;
+    forward(start, end, "span")?;
     Ok(HopSpan {
         start,
         end,
@@ -991,12 +997,15 @@ fn parse_packet_line(v: &serde::Content) -> Result<PacketJourney, serde::Error> 
         .iter()
         .map(parse_span)
         .collect::<Result<Vec<_>, _>>()?;
+    let (injected_at, delivered_at) =
+        (serde::field(v, "injected_at")?, serde::field(v, "delivered_at")?);
+    forward(injected_at, delivered_at, "injected_at..delivered_at")?;
     Ok(PacketJourney {
         packet: serde::field(v, "packet")?,
         src: serde::field(v, "src")?,
         dest: serde::field(v, "dest")?,
-        injected_at: serde::field(v, "injected_at")?,
-        delivered_at: serde::field(v, "delivered_at")?,
+        injected_at,
+        delivered_at,
         latency: serde::field(v, "latency")?,
         txn,
         spans,
@@ -1015,6 +1024,7 @@ fn parse_txn_line(v: &serde::Content) -> Result<TxnJourney, serde::Error> {
             let end: u64 = serde::seq_field(c, 1)?;
             let kind: String = serde::seq_field(c, 2)?;
             let attempt: u32 = serde::seq_field(c, 3)?;
+            forward(start, end, "leg")?;
             Ok(TxnLeg {
                 start,
                 end,
@@ -1024,12 +1034,14 @@ fn parse_txn_line(v: &serde::Content) -> Result<TxnJourney, serde::Error> {
             })
         })
         .collect::<Result<Vec<_>, serde::Error>>()?;
+    let (issued_at, resolved_at) = (serde::field(v, "issued_at")?, serde::field(v, "resolved_at")?);
+    forward(issued_at, resolved_at, "issued_at..resolved_at")?;
     Ok(TxnJourney {
         txn: serde::field(v, "txn")?,
         client: serde::field(v, "client")?,
         server: serde::field(v, "server")?,
-        issued_at: serde::field(v, "issued_at")?,
-        resolved_at: serde::field(v, "resolved_at")?,
+        issued_at,
+        resolved_at,
         attempts: serde::field(v, "attempts")?,
         outcome: TxnOutcome::parse(&outcome)
             .ok_or_else(|| serde::Error::msg(format!("bad outcome `{outcome}`")))?,
@@ -1326,6 +1338,19 @@ mod tests {
             prop_assert!(v.get("traceEvents").is_some());
         }
 
+        /// Every 7-bit byte sequence used as a label round-trips exactly.
+        #[test]
+        fn escaped_control_chars_roundtrip(raw in prop::collection::vec(0u8..0x80, 0..24)) {
+            let label: String = raw.into_iter().map(|b| b as char).collect();
+            let log = JourneyLog { label: label.clone(), ..JourneyLog::default() };
+            let back = JourneyLog::from_jsonl(&log.to_jsonl()).expect("parses");
+            prop_assert_eq!(back.label, label);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
         /// Arbitrary bytes never panic the parser or, when they happen to
         /// parse, any renderer.
         #[test]
@@ -1359,15 +1384,6 @@ mod tests {
                 Ok(log) => prop_assert!(render_all(&log) > 0),
                 Err(e) => prop_assert!(e.contains("line ") || e.contains("format version"), "{}", e),
             }
-        }
-
-        /// Every 7-bit byte sequence used as a label round-trips exactly.
-        #[test]
-        fn escaped_control_chars_roundtrip(raw in prop::collection::vec(0u8..0x80, 0..24)) {
-            let label: String = raw.into_iter().map(|b| b as char).collect();
-            let log = JourneyLog { label: label.clone(), ..JourneyLog::default() };
-            let back = JourneyLog::from_jsonl(&log.to_jsonl()).expect("parses");
-            prop_assert_eq!(back.label, label);
         }
     }
 }

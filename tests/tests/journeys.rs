@@ -1,5 +1,5 @@
 //! Cross-crate integration tests for `noc-journey`: sampled per-packet
-//! journey tracing must agree with the attribution engine span for span,
+//! journey tracing must agree with the attribution records span for span,
 //! stay byte-deterministic, and never perturb the cycle domain.
 
 use intellinoc::{
@@ -34,7 +34,7 @@ fn run_faulty(design: Design, journeys_every: u64) -> TelemetryArtifacts {
 fn journey_spans_sum_to_attribution_components_under_faults() {
     // CP uses e2e CRC retransmission, SECDED hop NACKs; both reroute
     // around the dead links. Every sampled journey's span timeline must
-    // reproduce the attribution engine's component split exactly.
+    // reproduce the attribution record's component split exactly.
     for design in [Design::Secded, Design::Cp] {
         let artifacts = run_faulty(design, 1);
         let log = artifacts.journeys.as_ref().expect("journeys on");
