@@ -1,9 +1,11 @@
 //! Minimal dependency-free argument parsing for the `intellinoc` binary.
 
-use std::collections::HashMap;
+use std::cell::RefCell;
+use std::collections::{BTreeSet, HashMap};
 
 /// Parsed command line: a subcommand, `--key value` options, and `--flag`
-/// switches.
+/// switches. Every lookup records the name it asked for, so
+/// [`Args::unconsulted`] can name what a command never read.
 #[derive(Debug, Clone, Default)]
 pub struct Args {
     /// The subcommand (first non-flag token).
@@ -12,6 +14,10 @@ pub struct Args {
     pub positional: Vec<String>,
     options: HashMap<String, String>,
     flags: Vec<String>,
+    /// Option and flag names in command-line order.
+    names: Vec<String>,
+    /// Names some lookup asked for.
+    consulted: RefCell<BTreeSet<String>>,
 }
 
 impl Args {
@@ -33,6 +39,7 @@ impl Args {
                     out.flags.push(name.to_owned());
                     i += 1;
                 }
+                out.names.push(name.to_owned());
             } else {
                 if out.command.is_none() {
                     out.command = Some(t.clone());
@@ -50,8 +57,13 @@ impl Args {
         Self::parse(std::env::args().skip(1))
     }
 
+    fn consult(&self, name: &str) {
+        self.consulted.borrow_mut().insert(name.to_owned());
+    }
+
     /// String option value.
     pub fn get(&self, name: &str) -> Option<&str> {
+        self.consult(name);
         self.options.get(name).map(String::as_str)
     }
 
@@ -61,7 +73,7 @@ impl Args {
     ///
     /// Returns an error string naming the option when parsing fails.
     pub fn get_or<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
-        match self.options.get(name) {
+        match self.get(name) {
             None => Ok(default),
             Some(v) => v.parse().map_err(|_| format!("invalid value for --{name}: {v}")),
         }
@@ -69,7 +81,21 @@ impl Args {
 
     /// Whether a bare `--flag` was passed.
     pub fn has_flag(&self, name: &str) -> bool {
+        self.consult(name);
         self.flags.iter().any(|f| f == name)
+    }
+
+    /// The options and flags on the command line that no lookup has asked
+    /// for (a typo, or a flag the command does not take), in command-line
+    /// order.
+    pub fn unconsulted(&self) -> Vec<&str> {
+        let consulted = self.consulted.borrow();
+        let mut seen = BTreeSet::new();
+        self.names
+            .iter()
+            .filter(|n| !consulted.contains(*n) && seen.insert(n.as_str()))
+            .map(String::as_str)
+            .collect()
     }
 }
 
@@ -103,6 +129,14 @@ mod tests {
         let a = parse("run --seed twelve");
         assert_eq!(a.get_or("ppn", 42u64).unwrap(), 42);
         assert!(a.get_or("seed", 0u64).is_err());
+    }
+
+    #[test]
+    fn unconsulted_names_what_no_lookup_read() {
+        let a = parse("run --design eb --max-cycle 10 --json --trace --design cp");
+        assert_eq!(a.unconsulted(), ["design", "max-cycle", "json", "trace"]);
+        let _ = (a.get("design"), a.has_flag("json"), a.get_or("seed", 1u64));
+        assert_eq!(a.unconsulted(), ["max-cycle", "trace"]);
     }
 
     #[test]

@@ -5,16 +5,14 @@ use intellinoc::{
     compare as compare_outcomes, compare_bench, dump_bundle, intellinoc_rl_config,
     load_sweep_cells, pretrain_intellinoc, record_bench, render_inspect_report, run_chaos_harness,
     run_experiment, run_experiment_instrumented, run_grid, BenchBaseline, BenchSpec,
-    BlackboxConfig, CampaignConfig, CampaignRunReport, ChaosHarnessConfig, ChaosKill, ChaosOptions,
-    Daemon, Design, ExperimentConfig, ExperimentOutcome, FleetObserver, FleetProgress, GateOptions,
-    MetricsOptions, RewardKind, RunnerConfig, RunnerReport, ServeConfig, TelemetryArtifacts,
-    TelemetryOptions, UnitSinks,
+    CampaignConfig, CampaignRunReport, ChaosHarnessConfig, ChaosKill, ChaosOptions, Daemon, Design,
+    ExperimentConfig, ExperimentOutcome, FleetProgress, GateOptions, MetricsOptions, RewardKind,
+    RunnerConfig, RunnerReport, ServeConfig, TelemetryArtifacts, TelemetryOptions, UnitSinks,
 };
 use noc_power::AreaModel;
 use noc_sim::{
-    parse_bundle, parse_rules, render_exposition, render_report, runner_events_jsonl,
-    shared_recorder, AlertEdge, BundleCause, EventKind, JourneyLog, MetricsHub, MetricsRegistry,
-    MetricsServer, Network, Profiler, RunnerEvent, SpanTree, TraceFilter,
+    parse_bundle, parse_rules, render_report, runner_events_jsonl, shared_recorder, AlertEdge,
+    BundleCause, EventKind, JourneyLog, Network, Profiler, RunnerEvent, SpanTree, TraceFilter,
     DEFAULT_BLACKBOX_CAPACITY,
 };
 use noc_traffic::{
@@ -116,8 +114,6 @@ fn workload_from(args: &Args, ppn: u64) -> Result<WorkloadSpec, String> {
 pub fn runner_config_from(args: &Args) -> Result<(RunnerConfig, ChaosOptions), String> {
     let cfg = RunnerConfig {
         jobs: args.get_or("jobs", 1usize)?,
-        max_retries: args.get_or("max-retries", 0u32)?,
-        retry_backoff_ms: args.get_or("retry-backoff-ms", 25u64)?,
         deadline_cycles: match args.get("deadline-cycles") {
             Some(v) => Some(v.parse().map_err(|_| format!("invalid --deadline-cycles: {v}"))?),
             None => None,
@@ -129,13 +125,7 @@ pub fn runner_config_from(args: &Args) -> Result<(RunnerConfig, ChaosOptions), S
             None => None,
         },
         observer: None,
-        blackbox: match args.get("blackbox-dir") {
-            Some(dir) => Some(BlackboxConfig {
-                dir: PathBuf::from(dir),
-                capacity: args.get_or("blackbox-capacity", DEFAULT_BLACKBOX_CAPACITY)?,
-            }),
-            None => None,
-        },
+        blackbox: args.get("blackbox-dir").map(PathBuf::from),
     };
     if cfg.resume && cfg.journal.is_none() {
         return Err("--resume requires --journal <path>".into());
@@ -206,76 +196,6 @@ fn emit_span_tree(args: &Args, label: &str, tree: &SpanTree) -> Result<(), Strin
     Ok(())
 }
 
-/// Declares the `noc_runner_*` fleet-progress gauge families.
-fn declare_fleet_metrics(reg: &mut MetricsRegistry) -> Result<(), String> {
-    reg.declare_gauge("noc_runner_units_done", "Units finished so far in this grid invocation.")?;
-    reg.declare_gauge("noc_runner_units_total", "Units dispatched in this grid invocation.")?;
-    reg.declare_gauge("noc_runner_unit_wall_ms", "Unit wall-clock percentile so far (ms).")?;
-    reg.declare_gauge("noc_runner_eta_seconds", "Estimated seconds until the grid completes.")?;
-    reg.declare_counter("noc_runner_worker_units_total", "Units completed, per worker.")?;
-    reg.declare_gauge(
-        "noc_runner_worker_last_unit_wall_ms",
-        "Wall-clock of the last unit each worker completed (ms).",
-    )?;
-    Ok(())
-}
-
-/// Builds the fleet observer from `--progress` (live progress/ETA lines on
-/// stderr) and `--metrics-addr` (per-worker `noc_runner_*` gauges served as
-/// Prometheus exposition), installing it into `rcfg`. Returns the metrics
-/// server handle, which must stay alive for the duration of the grid.
-fn attach_fleet_observer(
-    args: &Args,
-    label: &'static str,
-    rcfg: &mut RunnerConfig,
-) -> Result<Option<MetricsServer>, String> {
-    let progress = args.has_flag("progress");
-    let mut hub = None;
-    let mut server = None;
-    if let Some(addr) = args.get("metrics-addr") {
-        let h = Arc::new(MetricsHub::new());
-        let s = MetricsServer::bind(addr, Arc::clone(&h))
-            .map_err(|e| format!("binding metrics endpoint {addr}: {e}"))?;
-        eprintln!("{label}: serving fleet progress on http://{}/metrics", s.local_addr());
-        hub = Some(h);
-        server = Some(s);
-    }
-    if !progress && hub.is_none() {
-        return Ok(None);
-    }
-    let mut reg = MetricsRegistry::new();
-    declare_fleet_metrics(&mut reg)?;
-    let reg = Mutex::new(reg);
-    let observer: FleetObserver =
-        Arc::new(move |p: &FleetProgress| {
-            if progress {
-                eprintln!(
-                "{label}: {}/{} done ({}) key={} wall={:.0}ms p50={:.0}ms p95={:.0}ms eta={:.1}s",
-                p.done, p.total, p.status.label(), p.key, p.wall_ms, p.p50_ms, p.p95_ms, p.eta_s
-            );
-            }
-            if let Some(hub) = &hub {
-                let mut reg = reg.lock().expect("fleet metrics registry lock");
-                let worker = p.worker.to_string();
-                let wl = [("worker", worker.as_str())];
-                let set = |reg: &mut MetricsRegistry| -> Result<(), String> {
-                    reg.gauge_set("noc_runner_units_done", &[], p.done as f64)?;
-                    reg.gauge_set("noc_runner_units_total", &[], p.total as f64)?;
-                    reg.gauge_set("noc_runner_unit_wall_ms", &[("quantile", "0.5")], p.p50_ms)?;
-                    reg.gauge_set("noc_runner_unit_wall_ms", &[("quantile", "0.95")], p.p95_ms)?;
-                    reg.gauge_set("noc_runner_eta_seconds", &[], p.eta_s)?;
-                    reg.counter_add("noc_runner_worker_units_total", &wl, 1.0)?;
-                    reg.gauge_set("noc_runner_worker_last_unit_wall_ms", &wl, p.wall_ms)?;
-                    Ok(())
-                };
-                set(&mut reg).expect("fleet gauge names are static and valid");
-                hub.publish(render_exposition(&reg));
-            }
-        });
-    rcfg.observer = Some(observer);
-    Ok(server)
-}
-
 /// What a grid command (`sweep`, `campaign`, `bench record`, `profile`)
 /// still owes after [`run_grid_command`] and its own rendering:
 /// [`GridEpilogue::finish`].
@@ -283,14 +203,12 @@ struct GridEpilogue {
     label: &'static str,
     /// The fleet profiler every unit merged into, when profiling was on.
     prof: Option<Profiler>,
-    /// The fleet-progress endpoint; serves until the command is done.
-    server: Option<MetricsServer>,
 }
 
 /// Runs `cells` as the grid command `label` — the prologue the grid
-/// commands share: runner options and chaos switches, the fleet observer
-/// (`--progress`, `--metrics-addr`), the fleet profiler (`profiled`), the
-/// per-unit journey directory (`--journeys-dir`), then [`run_grid`].
+/// commands share: runner options and chaos switches, the `--progress`
+/// line, the fleet profiler (`profiled`), the per-unit journey directory
+/// (`--journeys-dir`), then [`run_grid`].
 fn run_grid_command(
     args: &Args,
     label: &'static str,
@@ -298,7 +216,16 @@ fn run_grid_command(
     profiled: bool,
 ) -> Result<(RunnerReport<ExperimentOutcome>, GridEpilogue), String> {
     let (mut rcfg, chaos) = runner_config_from(args)?;
-    let server = attach_fleet_observer(args, label, &mut rcfg)?;
+    if args.has_flag("progress") {
+        let progress =
+            move |p: &FleetProgress| {
+                eprintln!(
+                "{label}: {}/{} done ({}) key={} wall={:.0}ms p50={:.0}ms p95={:.0}ms eta={:.1}s",
+                p.done, p.total, p.status.label(), p.key, p.wall_ms, p.p50_ms, p.p95_ms, p.eta_s
+            );
+            };
+        rcfg.observer = Some(Arc::new(progress));
+    }
     let sink = profiled.then(|| Mutex::new(Profiler::new()));
     let journeys = journeys_dir_from(args)?;
     let sinks = UnitSinks {
@@ -310,7 +237,7 @@ fn run_grid_command(
         eprintln!("{label}: journey logs collected in {}", dir.display());
     }
     let prof = sink.map(|sink| sink.into_inner().expect("profiler sink lock"));
-    Ok((report, GridEpilogue { label, prof, server }))
+    Ok((report, GridEpilogue { label, prof }))
 }
 
 impl GridEpilogue {
@@ -321,7 +248,7 @@ impl GridEpilogue {
     /// to stdout, `--profile-out` to a file), the status summary line, and
     /// the exit code: partial unless every unit finished `ok`.
     fn finish(self, args: &Args, report: &RunnerReport<ExperimentOutcome>) -> CmdResult {
-        let GridEpilogue { label, prof, server } = self;
+        let GridEpilogue { label, prof } = self;
         if let Some(p) = &prof {
             emit_span_tree(args, label, p.span_tree())?;
         }
@@ -356,7 +283,6 @@ impl GridEpilogue {
             }
         }
         eprintln!("{label}: {}", report.summary());
-        drop(server);
         Ok(if report.is_clean() { CmdOutcome::Done } else { CmdOutcome::Partial })
     }
 }
@@ -434,15 +360,10 @@ pub fn telemetry_from(args: &Args) -> Result<TelemetryOptions, String> {
             || args.get("trace-out").is_some()
             || args.get("trace-filter").is_some(),
         trace_filter,
-        trace_capacity: args.get_or("trace-capacity", 0usize)?,
         timeline: args.get("timeline-out").is_some(),
         profile: profile_wanted(args),
         journeys_every: journeys_every_from(args)?,
-        metrics: MetricsOptions {
-            hub: None,
-            file: args.get("metrics-out").map(str::to_owned),
-            every_steps: args.get_or("metrics-every", 1u64)?,
-        },
+        metrics: MetricsOptions { hub: None, file: args.get("metrics-out").map(str::to_owned) },
         alert_rules: match args.get("alert-rules") {
             Some(spec) => parse_rules(spec)?,
             None => Vec::new(),
@@ -557,21 +478,9 @@ pub fn run(args: &Args) -> CmdResult {
     // post-mortem bundle if the run dies (stall) or a critical alert fires.
     let bb_dir = args.get("blackbox-dir").map(PathBuf::from);
     if bb_dir.is_some() {
-        cfg.telemetry.blackbox =
-            Some(shared_recorder(args.get_or("blackbox-capacity", DEFAULT_BLACKBOX_CAPACITY)?));
+        cfg.telemetry.blackbox = Some(shared_recorder(DEFAULT_BLACKBOX_CAPACITY));
     }
     let recorder = cfg.telemetry.blackbox.clone();
-    // Live scrape endpoint: serving happens on a separate thread that only
-    // reads published snapshots, so it cannot perturb the simulation.
-    let mut server = None;
-    if let Some(addr) = args.get("metrics-addr") {
-        let hub = Arc::new(MetricsHub::new());
-        let s = MetricsServer::bind(addr, Arc::clone(&hub))
-            .map_err(|e| format!("binding metrics endpoint {addr}: {e}"))?;
-        eprintln!("metrics: serving Prometheus exposition on http://{}/metrics", s.local_addr());
-        cfg.telemetry.metrics.hub = Some(hub);
-        server = Some(s);
-    }
     if !cfg.telemetry.any() {
         let outcome = run_experiment(cfg);
         print_outcome(&outcome, args.has_flag("json"))?;
@@ -611,7 +520,6 @@ pub fn run(args: &Args) -> CmdResult {
             eprintln!("blackbox: stall bundle written to {}", path.display());
         }
     }
-    drop(server);
     Ok(CmdOutcome::Done)
 }
 
@@ -732,32 +640,30 @@ pub fn sweep(args: &Args) -> CmdResult {
     );
     let (report, epilogue) = run_grid_command(args, "sweep", &cells, profile_wanted(args))?;
     println!(
-        "{:>8} {:>10} {:>8} {:>8} {:>8} {:>10} {:>10} {:>4}",
-        "rate", "exec_cyc", "avg_lat", "p99_lat", "deliv%", "power_mW", "status", "try"
+        "{:>8} {:>10} {:>8} {:>8} {:>8} {:>10} {:>10}",
+        "rate", "exec_cyc", "avg_lat", "p99_lat", "deliv%", "power_mW", "status"
     );
     for (rate, rec) in rates.iter().zip(&report.records) {
         match rec.payload.as_ref().map(|o| &o.report) {
             Some(r) => println!(
-                "{:>8.4} {:>10} {:>8.1} {:>8.0} {:>8.1} {:>10.1} {:>10} {:>4}",
+                "{:>8.4} {:>10} {:>8.1} {:>8.0} {:>8.1} {:>10.1} {:>10}",
                 rate,
                 r.exec_cycles,
                 r.avg_latency(),
                 r.stats.latency_percentile(0.99),
                 100.0 * r.stats.delivery_ratio(),
                 r.power.total_mw(),
-                rec.status.label(),
-                rec.attempts
+                rec.status.label()
             ),
             None => println!(
-                "{:>8} {:>10} {:>8} {:>8} {:>8} {:>10} {:>10} {:>4}",
+                "{:>8} {:>10} {:>8} {:>8} {:>8} {:>10} {:>10}",
                 rate,
                 "-",
                 "-",
                 "-",
                 "-",
                 "-",
-                rec.status.label(),
-                rec.attempts
+                rec.status.label()
             ),
         }
     }
@@ -843,7 +749,7 @@ pub fn campaign(args: &Args) -> CmdResult {
         println!("{s}");
     } else {
         println!(
-            "{:<11} {:<20} {:>8} {:>8} {:>7} {:>9} {:>8} {:>8} {:>8} {:>7} {:>10} {:>4}",
+            "{:<11} {:<20} {:>8} {:>8} {:>7} {:>9} {:>8} {:>8} {:>8} {:>7} {:>10}",
             "design",
             "scenario",
             "injected",
@@ -854,15 +760,14 @@ pub fn campaign(args: &Args) -> CmdResult {
             "p99_lat",
             "reroute",
             "stalled",
-            "status",
-            "try"
+            "status"
         );
         for (design, scenario, rec) in report.rows() {
             match &rec.payload {
                 Some(o) => {
                     let s = &o.report.stats;
                     println!(
-                        "{:<11} {:<20} {:>8} {:>8} {:>7} {:>9.3} {:>8.1} {:>8.0} {:>8} {:>7} {:>10} {:>4}",
+                        "{:<11} {:<20} {:>8} {:>8} {:>7} {:>9.3} {:>8.1} {:>8.0} {:>8} {:>7} {:>10}",
                         design,
                         scenario,
                         s.packets_injected,
@@ -873,12 +778,11 @@ pub fn campaign(args: &Args) -> CmdResult {
                         s.latency_percentile(0.99),
                         s.reroutes,
                         if o.report.stall.is_some() { "YES" } else { "-" },
-                        rec.status.label(),
-                        rec.attempts
+                        rec.status.label()
                     );
                 }
                 None => println!(
-                    "{:<11} {:<20} {:>8} {:>8} {:>7} {:>9} {:>8} {:>8} {:>8} {:>7} {:>10} {:>4}",
+                    "{:<11} {:<20} {:>8} {:>8} {:>7} {:>9} {:>8} {:>8} {:>8} {:>7} {:>10}",
                     design,
                     scenario,
                     "-",
@@ -889,8 +793,7 @@ pub fn campaign(args: &Args) -> CmdResult {
                     "-",
                     "-",
                     "-",
-                    rec.status.label(),
-                    rec.attempts
+                    rec.status.label()
                 ),
             }
         }
@@ -1146,7 +1049,6 @@ pub fn serve(args: &Args) -> CmdResult {
         let mut hcfg = ChaosHarnessConfig::new(exe, state_root);
         hcfg.iterations = iterations;
         hcfg.seed = args.get_or("chaos-seed", hcfg.seed)?;
-        hcfg.jobs_per_iteration = args.get_or("chaos-jobs", hcfg.jobs_per_iteration)?;
         let summary = run_chaos_harness(&hcfg)?;
         let killed = summary.iterations.iter().filter(|i| i.killed).count();
         println!(
@@ -1160,14 +1062,14 @@ pub fn serve(args: &Args) -> CmdResult {
     }
 
     let state_dir = PathBuf::from(args.get("state-dir").ok_or("need --state-dir")?);
-    let wal_exists = state_dir.join("wal.jsonl").exists();
-    if wal_exists && !args.has_flag("resume") && args.get("chaos-kill").is_none() {
+    let (resume, chaos_kill) = (args.has_flag("resume"), args.get("chaos-kill"));
+    if state_dir.join("wal.jsonl").exists() && !resume && chaos_kill.is_none() {
         return Err(format!(
             "state dir {} already has a WAL; pass --resume to recover it",
             state_dir.display()
         ));
     }
-    let chaos = match args.get("chaos-kill") {
+    let chaos = match chaos_kill {
         Some(s) => Some(Arc::new(ChaosKill::parse(s)?)),
         None => None,
     };

@@ -9,7 +9,7 @@
 //! intellinoc trace replay <in.jsonl> --design cp
 //! intellinoc campaign --dead-links 0,1,2,4,8 [--no-reroute] [--csv-out camp.csv]
 //!                     [--jobs 4] [--journal camp.jsonl [--resume]]
-//!                     [--deadline-cycles N] [--max-retries N]
+//!                     [--deadline-cycles N]
 //! intellinoc bench record  [--grid designs|ci] [--seeds N] [--out BENCH_x.json]
 //! intellinoc bench compare --baseline BENCH_x.json [--force-regress]
 //! intellinoc profile  [--grid designs|ci] [--top N] [--prof-out F.txt]
@@ -27,6 +27,8 @@
 //!
 //! Grid commands (`campaign`, `sweep`) run on the `noc-runner` execution
 //! engine. Exit codes: 0 clean, 1 usage/config error, 2 partial results.
+//! An option or flag the command never read (a typo, or a flag it does not
+//! take) draws a `warning:` line on stderr; the exit code does not change.
 
 use intellinoc_cli::args::Args;
 use intellinoc_cli::commands::{self, CmdOutcome};
@@ -57,6 +59,11 @@ fn main() {
             Ok(CmdOutcome::Done)
         }
     };
+    if let (Ok(_), Some(command)) = (&code, &args.command) {
+        for name in args.unconsulted() {
+            eprintln!("warning: --{name} was not used by {command}");
+        }
+    }
     // Exit codes: 0 clean, 1 usage/config error, 2 partial results (some
     // experiment units failed, timed out, or were skipped — the printed
     // report is still valid for the units that completed).
@@ -81,11 +88,11 @@ fn usage() {
     eprintln!("           --benchmark <name> | --rate <packets/node/cycle>");
     eprintln!("           [--ppn N] [--seed S] [--error-rate R] [--time-step T] [--json]");
     eprintln!("           [--trace] [--trace-out F.jsonl|F.csv] [--trace-filter router=N,kind=K]");
-    eprintln!("           [--trace-capacity N] [--timeline-out F.json|F.csv] [--profile]");
-    eprintln!("           [--metrics-out F.prom|-] [--metrics-every N] [--metrics-addr H:P]");
+    eprintln!("           [--timeline-out F.json|F.csv] [--profile]");
+    eprintln!("           [--metrics-out F.prom|- (exposition, once per control step)]");
     eprintln!("           [--alert-rules \"metric>value[:for=N][:critical];...\"]");
-    eprintln!("           [--blackbox-dir DIR [--blackbox-capacity N] (flight recorder:");
-    eprintln!("            stall / critical-alert post-mortem bundles)]");
+    eprintln!("           [--blackbox-dir DIR (flight recorder: stall / critical-alert");
+    eprintln!("            post-mortem bundles)]");
     eprintln!("           [+ closed-loop options]");
     eprintln!("  inspect  run with full attribution and render a trace-analysis report");
     eprintln!("           --benchmark <name> | --rate R  [--design <d>] [--ppn N] [--seed S]");
@@ -122,7 +129,7 @@ fn usage() {
     eprintln!("           [--alert-rules SPEC (firing rules in /api/jobs + noc_alert_*)]");
     eprintln!("           --chaos N  harness: N randomized kill -9 points against real");
     eprintln!("                      daemons, asserting byte-identical lossless recovery");
-    eprintln!("                      [--chaos-seed S] [--chaos-jobs J]");
+    eprintln!("                      [--chaos-seed S]");
     eprintln!("  postmortem  render a flight-recorder bundle as deterministic markdown");
     eprintln!("           <bundle.jsonl> [--out report.md]");
     eprintln!("  journeys analyze a recorded journey log: tail-latency critical path,");
@@ -157,21 +164,18 @@ fn usage() {
     eprintln!("RUNNER OPTIONS (campaign, sweep, bench, profile — the noc-runner engine):");
     eprintln!("  --jobs N              worker threads (default 1; results identical at any N)");
     eprintln!("  --deadline-cycles N   per-unit simulated-cycle deadline (timed-out status)");
-    eprintln!("  --max-retries N       retry retryable failures up to N times");
-    eprintln!("  --retry-backoff-ms M  retry backoff base: attempt n waits n x M ms (default 25)");
     eprintln!("  --journal F.jsonl     journal terminal unit records (enables --resume)");
     eprintln!("  --resume              reuse journaled records, run only the rest");
     eprintln!("  --max-units N         dispatch at most N units, skip the tail");
     eprintln!("  --runner-log F.jsonl  write runner lifecycle events (+ profile health note)");
     eprintln!("  --blackbox-dir DIR    flight recorder: dying units (stall/timeout/panic/");
-    eprintln!("                        retry-exhausted) dump post-mortem bundles here");
-    eprintln!("                        [--blackbox-capacity N ring slots, default 64]");
+    eprintln!("                        fatal) dump post-mortem bundles here");
     eprintln!("  --force-panic M / --force-timeout M   chaos-test units whose key contains M");
     eprintln!("  --progress            live per-unit progress lines with p50/p95/ETA");
-    eprintln!("  --metrics-addr H:P    serve noc_runner_* fleet gauges as Prometheus text");
     eprintln!("  --profile             per-run wall-clock + span profile to stdout");
     eprintln!("  --profile-out F.txt / --prof-out F.txt / --flame-out F.folded");
     eprintln!("                        profile artifacts (see `profile` command)");
     eprintln!();
     eprintln!("EXIT CODES: 0 clean, 1 usage/config error, 2 partial results");
+    eprintln!("An option the command does not read draws a warning on stderr.");
 }

@@ -73,7 +73,7 @@ fn sweep_command_executes() {
 #[test]
 fn sweep_accepts_runner_flags_and_rejects_bare_resume() {
     let ok = Args::parse(
-        "sweep --design secded --rates 0.01,0.02 --ppn 4 --jobs 2 --max-retries 1"
+        "sweep --design secded --rates 0.01,0.02 --ppn 4 --jobs 2"
             .split_whitespace()
             .map(str::to_owned),
     );
@@ -84,6 +84,66 @@ fn sweep_accepts_runner_flags_and_rejects_bare_resume() {
     );
     let err = intellinoc_cli::commands::sweep(&bad).unwrap_err();
     assert!(err.contains("--journal"), "{err}");
+}
+
+/// Runs the `intellinoc` binary on a whitespace-separated command line:
+/// (exit code, stdout, stderr).
+fn intellinoc(cmdline: &str) -> (Option<i32>, String, String) {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_intellinoc"))
+        .args(cmdline.split_whitespace())
+        .output()
+        .expect("run intellinoc");
+    let text = |b: Vec<u8>| String::from_utf8(b).expect("UTF-8 output");
+    (out.status.code(), text(out.stdout), text(out.stderr))
+}
+
+/// An option no command reads — a removed flag, a typo — is named on
+/// stderr instead of being dropped; the exit code does not change.
+#[test]
+fn unused_options_are_reported_not_silently_ignored() {
+    let (code, _, stderr) = intellinoc(
+        "run --design secded --rate 0.01 --ppn 2 --metrics-addr 127.0.0.1:0 --max-cycle 10",
+    );
+    assert_eq!(code, Some(0), "{stderr}");
+    for name in ["metrics-addr", "max-cycle"] {
+        let line = format!("warning: --{name} was not used by run");
+        assert!(stderr.contains(&line), "no `{line}` in:\n{stderr}");
+    }
+    assert_eq!(stderr.matches("warning:").count(), 2, "{stderr}");
+}
+
+/// A journal the parent build wrote (its records still carry `attempts`)
+/// resumes to the merged report of a fresh run, every unit reused from it:
+/// the serialized report and the rendered table are byte-identical.
+#[test]
+fn a_parent_written_journal_resumes_to_the_fresh_report() {
+    use intellinoc::{load_sweep_cells, run_grid, ChaosOptions, RunnerConfig, UnitSinks};
+
+    let dir =
+        std::env::temp_dir().join(format!("intellinoc-parent-journal-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/parent_sweep_journal.jsonl");
+    let journal = dir.join("j.jsonl");
+    let cells = load_sweep_cells(Design::Secded, &[0.01, 0.02, 0.04], 2, 7, None);
+    let grid = |rcfg: &RunnerConfig| {
+        run_grid(&cells, rcfg, &ChaosOptions::default(), UnitSinks::default()).unwrap()
+    };
+    std::fs::copy(fixture, &journal).unwrap();
+    let resume =
+        RunnerConfig { journal: Some(journal.clone()), resume: true, ..Default::default() };
+    let resumed = grid(&resume);
+    assert!(resumed.records.iter().all(|r| r.from_journal), "every unit comes from the journal");
+    let json = |r| serde_json::to_string(r).unwrap();
+    assert_eq!(json(&resumed), json(&grid(&RunnerConfig::serial())));
+
+    std::fs::copy(fixture, &journal).unwrap();
+    let sweep = "sweep --design secded --rates 0.01,0.02,0.04 --ppn 2 --seed 7";
+    let (code, fresh, _) = intellinoc(sweep);
+    assert_eq!(code, Some(0));
+    let (code, resumed, stderr) =
+        intellinoc(&format!("{sweep} --journal {} --resume", journal.display()));
+    assert_eq!((code, resumed.as_str()), (Some(0), fresh.as_str()), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -172,7 +172,7 @@ impl CampaignRunReport {
     }
 
     /// Renders every cell as CSV: the classic campaign columns plus
-    /// `status` and `attempts`. Cells without a payload (failed, skipped)
+    /// `status`. Cells without a payload (failed, skipped)
     /// render empty metric fields. Fixed float formatting keeps equal
     /// campaigns byte-identical.
     #[must_use]
@@ -181,7 +181,7 @@ impl CampaignRunReport {
         out.push_str(
             "design,scenario,injected,delivered,dropped,delivery_rate,\
              avg_latency,p99_latency,reroutes,hop_retx,e2e_retx,stalled,cycles,mttf_hours,\
-             txn_failed,txn_shed,txn_violations,status,attempts\n",
+             txn_failed,txn_shed,txn_violations,status\n",
         );
         for (design, scenario, rec) in self.rows() {
             let _ = write!(out, "{design},{scenario},");
@@ -213,14 +213,14 @@ impl CampaignRunReport {
                 }
                 None => out.push_str(",,,,,,,,,,,,,,"),
             }
-            let _ = writeln!(out, ",{},{}", rec.status.label(), rec.attempts);
+            let _ = writeln!(out, ",{}", rec.status.label());
         }
         out
     }
 }
 
 /// Runs the campaign's [`CampaignConfig::cells`] through [`run_grid`]: per
-/// `rcfg` (worker count, deadline, retry, journal/resume), with `chaos`
+/// `rcfg` (worker count, deadline, journal/resume), with `chaos`
 /// failure injection for robustness testing, every cell feeding `sinks`.
 /// Serial, parallel, and resumed executions produce byte-identical reports
 /// for the same campaign config, whatever the sinks.
@@ -334,11 +334,11 @@ mod tests {
     }
 
     #[test]
-    fn runner_csv_carries_status_and_attempts_columns() {
+    fn runner_csv_carries_the_status_column() {
         let report = run_serial(&tiny());
         let csv = report.to_csv();
-        assert!(csv.lines().next().unwrap().ends_with("status,attempts"));
-        assert!(csv.lines().skip(1).all(|l| l.ends_with(",ok,1")));
+        assert!(csv.lines().next().unwrap().ends_with(",txn_violations,status"));
+        assert!(csv.lines().skip(1).all(|l| l.ends_with(",ok")));
         assert!(report.runner.is_clean());
     }
 
@@ -418,7 +418,7 @@ mod tests {
             run_campaign_runner(&tiny(), &RunnerConfig::serial(), &chaos, UnitSinks::default())
                 .unwrap();
         let csv = report.to_csv();
-        let failed: Vec<&str> = csv.lines().filter(|l| l.contains(",failed,")).collect();
+        let failed: Vec<&str> = csv.lines().filter(|l| l.ends_with(",failed")).collect();
         assert_eq!(failed.len(), 1);
         assert!(failed[0].starts_with("EB,dead-links-1,"), "{}", failed[0]);
         assert_eq!(report.runner.counts().failed, 1);
@@ -441,7 +441,7 @@ mod tests {
         let csv = report.to_csv();
         assert_eq!(csv, keyed);
         let rows: Vec<&str> = csv.lines().collect();
-        assert_eq!(rows[3], "CP,fault-free,,,,,,,,,,,,,,,,failed,1");
-        assert_eq!(rows[10], "IntelliNoC,dead-links-1,,,,,,,,,,,,,,,,skipped,0");
+        assert_eq!(rows[3], "CP,fault-free,,,,,,,,,,,,,,,,failed");
+        assert_eq!(rows[10], "IntelliNoC,dead-links-1,,,,,,,,,,,,,,,,skipped");
     }
 }

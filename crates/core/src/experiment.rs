@@ -21,11 +21,11 @@ use crate::runner::{
 };
 use noc_rl::{QLearningConfig, QTable};
 use noc_sim::{
-    declare_network_metrics, declare_runtime_metrics, export_alert_metrics, export_network_metrics,
-    export_prof_metrics, export_runtime_metrics, render_exposition, AlertEngine, AlertEvent,
-    AlertRule, AttributionArtifacts, DecisionLog, HardFaultScenario, JourneyLog, MetricsHub,
-    MetricsRegistry, Network, ProbeConfig, Profiler, RouterObservation, RunReport, RunTimeline,
-    SharedRecorder, SimConfig, TimelineSample, TraceFilter, Tracer, DEFAULT_TRACE_CAPACITY,
+    declare_network_metrics, export_alert_metrics, export_network_metrics, export_prof_metrics,
+    render_exposition, AlertEngine, AlertEvent, AlertRule, AttributionArtifacts, DecisionLog,
+    HardFaultScenario, JourneyLog, MetricsHub, MetricsRegistry, Network, ProbeConfig, Profiler,
+    RouterObservation, RunReport, RunTimeline, SharedRecorder, SimConfig, TimelineSample,
+    TraceFilter, Tracer, DEFAULT_TRACE_CAPACITY,
 };
 use noc_traffic::{ParsecBenchmark, ReqReplySpec, WorkloadSpec};
 use serde::{Deserialize, Serialize};
@@ -76,13 +76,12 @@ pub struct ExperimentConfig {
 pub struct TelemetryOptions {
     /// Record a structured event trace.
     pub trace: bool,
-    /// Admission filter applied when tracing.
+    /// Admission filter applied when tracing (the ring holds the newest
+    /// [`DEFAULT_TRACE_CAPACITY`] events).
     pub trace_filter: TraceFilter,
-    /// Trace ring capacity in events (`0` = default).
-    pub trace_capacity: usize,
     /// Sample a per-control-step metrics timeline.
     pub timeline: bool,
-    /// Collect the span profile and pipeline-phase counters.
+    /// Collect the span profile.
     pub profile: bool,
     /// Attribute per-packet latency to components and accumulate spatial
     /// (per-link / per-router) heatmaps.
@@ -124,21 +123,18 @@ impl TelemetryOptions {
 
 /// Live metrics exposition settings for one run.
 ///
-/// The registry is sampled at the end of every `every_steps`-th control
-/// step (and once more at run end) and rendered to Prometheus text
-/// exposition. Snapshots are *published* — into a [`MetricsHub`] (which a
-/// [`MetricsServer`](noc_sim::MetricsServer) may be serving live) and/or a
-/// file — strictly outside simulation state, so enabling exposition never
-/// changes simulated behavior.
+/// The registry is sampled at the end of every control step (and once more
+/// at run end) and rendered to Prometheus text exposition. Snapshots are
+/// *published* — into a [`MetricsHub`] and/or a file — strictly outside
+/// simulation state, so enabling exposition never changes simulated
+/// behavior.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsOptions {
-    /// Publish snapshots into this hub (live TCP scraping, tests).
+    /// Publish snapshots into this hub (`serve`'s `GET /metrics`, tests).
     pub hub: Option<Arc<MetricsHub>>,
-    /// Overwrite this file with the latest snapshot each interval
+    /// Overwrite this file with the latest snapshot each control step
     /// (`-` writes to stdout instead).
     pub file: Option<String>,
-    /// Snapshot interval in control steps (0 behaves as 1: every step).
-    pub every_steps: u64,
 }
 
 impl MetricsOptions {
@@ -149,11 +145,7 @@ impl MetricsOptions {
 }
 
 /// Renders the registry and pushes the snapshot to the configured sinks.
-///
-/// `live` carries the wall-clock runtime gauges (`noc_sim_cycles_per_sec`,
-/// `noc_sim_wall_seconds`): appended to the *hub* snapshot only, never to
-/// the `--metrics-out` file, which must stay byte-deterministic per seed.
-fn publish_metrics(opts: &MetricsOptions, reg: &MetricsRegistry, live: Option<&MetricsRegistry>) {
+fn publish_metrics(opts: &MetricsOptions, reg: &MetricsRegistry) {
     let text = render_exposition(reg);
     if let Some(file) = &opts.file {
         if file == "-" {
@@ -163,11 +155,7 @@ fn publish_metrics(opts: &MetricsOptions, reg: &MetricsRegistry, live: Option<&M
         }
     }
     if let Some(hub) = &opts.hub {
-        let mut snapshot = text;
-        if let Some(live) = live {
-            snapshot.push_str(&render_exposition(live));
-        }
-        hub.publish(snapshot);
+        hub.publish(text);
     }
 }
 
@@ -179,7 +167,7 @@ pub struct TelemetryArtifacts {
     pub tracer: Option<Tracer>,
     /// Per-control-step metrics time-series.
     pub timeline: Option<RunTimeline>,
-    /// Span profile and pipeline-phase counters.
+    /// Span profile.
     pub profiler: Option<Profiler>,
     /// Latency attribution and spatial heatmaps.
     pub attribution: Option<AttributionArtifacts>,
@@ -346,7 +334,7 @@ pub(crate) fn rate_workload(rate: f64, ppn: u64, reqreply: Option<&ReqReplySpec>
 /// pairs, seed included — the runner grids set `derive_seed(master, key)`
 /// while building their cells, the figure studies the seeds they pin — and
 /// every cell is one unit of the `noc-runner` engine, executed per `rcfg`
-/// (workers, deadline, retry, journal/resume) with `chaos` failure injection
+/// (workers, deadline, journal/resume) with `chaos` failure injection
 /// under the seed it arrived with, feeding `sinks`. Records come back in
 /// cell order with the whole [`ExperimentOutcome`] as payload (partial on a
 /// timed-out unit), so a renderer reads metrics off `records[i].payload`
@@ -367,7 +355,7 @@ pub fn run_grid(
     run_grid_hooked(cells, rcfg, chaos, sinks, || ())
 }
 
-/// [`run_grid`] with `before_unit` called at the start of every unit attempt
+/// [`run_grid`] with `before_unit` called at the start of every unit
 /// (serve's mid-unit chaos kill point).
 pub(crate) fn run_grid_hooked(
     cells: &[(String, ExperimentConfig)],
@@ -543,13 +531,9 @@ pub fn run_experiment_with(
     let telemetry = &cfg.telemetry;
     let blackbox = telemetry.blackbox.clone();
     net.install_probe(ProbeConfig {
-        tracer: telemetry.trace.then(|| {
-            let capacity = match telemetry.trace_capacity {
-                0 => DEFAULT_TRACE_CAPACITY,
-                n => n,
-            };
-            Tracer::new(capacity, telemetry.trace_filter.clone())
-        }),
+        tracer: telemetry
+            .trace
+            .then(|| Tracer::new(DEFAULT_TRACE_CAPACITY, telemetry.trace_filter.clone())),
         profiler: telemetry.profile.then(Profiler::new),
         attribution: telemetry.attribution,
         blackbox: blackbox.clone(),
@@ -573,20 +557,8 @@ pub fn run_experiment_with(
     } else {
         None
     };
-    let metrics_every = metrics_opts.every_steps.max(1);
     let metric_labels: [(&str, &str); 2] =
         [("design", cfg.design.label()), ("workload", &workload_name)];
-    let mut step_idx: u64 = 0;
-    // Wall-clock runtime gauges: live hub snapshots only (nondeterministic
-    // by nature, they must never reach the deterministic metrics file).
-    let run_t0 = Instant::now();
-    let mut runtime_reg = if metrics_opts.hub.is_some() {
-        let mut reg = MetricsRegistry::new();
-        declare_runtime_metrics(&mut reg).expect("static runtime declarations are valid");
-        Some(reg)
-    } else {
-        None
-    };
     // One registry snapshot: export the network state, evaluate the alert
     // rules on it (their `noc_alert_*` families are cycle-domain and join
     // it), publish. `prof` joins only the final snapshot: the span tree's
@@ -602,12 +574,8 @@ pub fn run_experiment_with(
             alert_events.extend(engine.evaluate(reg, net.now()));
             export_alert_metrics(reg, engine).expect("static alert names are valid");
         }
-        if let Some(live) = runtime_reg.as_mut() {
-            export_runtime_metrics(live, net.now(), run_t0.elapsed(), &metric_labels)
-                .expect("static runtime names are valid");
-        }
         if metrics_opts.enabled() {
-            publish_metrics(&metrics_opts, reg, runtime_reg.as_ref());
+            publish_metrics(&metrics_opts, reg);
         }
     };
 
@@ -654,10 +622,7 @@ pub fn run_experiment_with(
                 tl.push(sample);
             }
         }
-        step_idx += 1;
-        if step_idx.is_multiple_of(metrics_every) {
-            snapshot_metrics(&net, None);
-        }
+        snapshot_metrics(&net, None);
     }
     let finished = net.is_done();
     // The final (possibly partial) step. The recorder is fed *before* open
@@ -880,7 +845,6 @@ mod tests {
         let ctx = UnitCtx {
             key: "unit/a",
             seed: 0,
-            attempt: 1,
             deadline_cycles: Some(300),
             recorder: Some(recorder.clone()),
         };
@@ -911,8 +875,7 @@ mod tests {
     /// nothing in flight — the run is still unfinished, not clean.
     #[test]
     fn a_unit_cut_off_between_packets_is_timed_out() {
-        let ctx =
-            UnitCtx { key: "unit/b", seed: 0, attempt: 1, deadline_cycles: None, recorder: None };
+        let ctx = UnitCtx { key: "unit/b", seed: 0, deadline_cycles: None, recorder: None };
         let cfg = ExperimentConfig { max_cycles: 1, ..small(Design::Secded, 0.02, 8) };
         match UnitSinks::default().run_unit(cfg, &ctx) {
             UnitVerdict::TimedOut { partial: Some(o), report } => {

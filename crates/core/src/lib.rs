@@ -68,9 +68,9 @@ pub use inspect::render_inspect_report;
 pub use metrics::{compare, geomean, normalize, ComparisonRow, NormalizedMetrics};
 pub use modes::OperationMode;
 pub use runner::{
-    classify_timeout, derive_seed, dump_bundle, retry_delay_ms, run_units, BlackboxConfig,
-    ChaosOptions, FleetObserver, FleetProgress, RunStatus, RunnerConfig, RunnerReport,
-    StatusCounts, TimeoutReport, UnitCtx, UnitRecord, UnitVerdict, CHAOS_DEADLINE_CYCLES,
+    classify_timeout, derive_seed, dump_bundle, run_units, ChaosOptions, FleetObserver,
+    FleetProgress, RunStatus, RunnerConfig, RunnerReport, StatusCounts, TimeoutReport, UnitCtx,
+    UnitRecord, UnitVerdict, CHAOS_DEADLINE_CYCLES,
 };
 pub use serve::{
     http_request, http_request_full, reference_report_csv, run_chaos_harness, serve_report_csv,

@@ -14,9 +14,9 @@
 //!   onto the simulator's existing `max_cycles` hook; a run that exhausts it
 //!   without finishing (or that the in-sim stall watchdog aborts) is
 //!   reported `timed-out` with a [`TimeoutReport`] attached.
-//! * **Bounded retry** — retryable failures (panics, explicit
-//!   [`UnitVerdict::Retryable`]) are retried up to `max_retries` times with
-//!   linear backoff before the unit is marked `failed`.
+//! * **One attempt** — a unit is deterministic per `(config, seed)` and its
+//!   seed never depends on how often it ran, so a failure is final: a panic
+//!   or a [`UnitVerdict::Fatal`] marks the unit `failed`.
 //! * **Journaled resume** — with a journal path configured, every terminal
 //!   record is appended to a JSONL journal (flushed per line); a `resume`
 //!   run reloads finished units from the journal and only executes the rest.
@@ -29,7 +29,7 @@
 
 use noc_sim::{
     bundle_file_name, shared_recorder, BundleCause, BundleHead, FlightRecorder, Profiler,
-    RunReport, RunnerEvent, SharedRecorder, StallReport,
+    RunReport, RunnerEvent, SharedRecorder, StallReport, DEFAULT_BLACKBOX_CAPACITY,
 };
 use serde::{Content, Deserialize, Serialize};
 use std::collections::HashMap;
@@ -59,20 +59,12 @@ pub fn derive_seed(master: u64, key: &str) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The delay before retry number `attempt` (1-based: the sleep after the
-/// first failed attempt passes `attempt = 1`): linear in the attempt,
-/// `base_ms × attempt`, saturating.
-#[must_use]
-pub fn retry_delay_ms(base_ms: u64, attempt: u32) -> u64 {
-    base_ms.saturating_mul(u64::from(attempt))
-}
-
 /// Live fleet-progress snapshot handed to a [`FleetObserver`] each time a
 /// unit reaches a terminal state.
 ///
 /// All values are wall-clock-derived and completion-ordered, so they are
-/// nondeterministic by nature — observers feed progress lines and live
-/// gauges, never the deterministic merged reports.
+/// nondeterministic by nature — observers feed the `--progress` line,
+/// never the deterministic merged reports.
 #[derive(Debug, Clone)]
 pub struct FleetProgress {
     /// Units finished so far this invocation (resumed units excluded).
@@ -83,12 +75,8 @@ pub struct FleetProgress {
     pub key: String,
     /// Its terminal status.
     pub status: RunStatus,
-    /// Wall-clock milliseconds the unit took across its attempts.
+    /// Wall-clock milliseconds the unit took.
     pub wall_ms: f64,
-    /// 0-based index of the worker that ran it.
-    pub worker: usize,
-    /// Worker-pool size.
-    pub workers: usize,
     /// Median unit wall-clock so far (ms).
     pub p50_ms: f64,
     /// 95th-percentile unit wall-clock so far (ms).
@@ -99,33 +87,15 @@ pub struct FleetProgress {
 }
 
 /// Callback invoked (outside the runner's state lock) after every terminal
-/// unit record, for progress lines and live `noc_runner_*` gauges.
+/// unit record, for progress lines.
 pub type FleetObserver = std::sync::Arc<dyn Fn(&FleetProgress) + Send + Sync>;
-
-/// Flight-recorder settings for the execution engine (`noc-blackbox`).
-///
-/// When set, every unit runs with a [`FlightRecorder`] installed, and a
-/// unit that dies — stall, deadline timeout, panic, or retry exhaustion —
-/// leaves a post-mortem bundle at `dir/postmortem-<key>.jsonl` for
-/// `intellinoc postmortem` to render.
-#[derive(Debug, Clone)]
-pub struct BlackboxConfig {
-    /// Directory bundles are written into (created on first dump).
-    pub dir: PathBuf,
-    /// Recorder ring capacity in control-step samples (`0` = default).
-    pub capacity: usize,
-}
 
 /// Execution-engine configuration, shared by every grid kind.
 #[derive(Clone)]
 pub struct RunnerConfig {
     /// Worker threads. `0` or `1` runs serially (but still with panic
-    /// isolation, deadlines, retry, and journaling).
+    /// isolation, deadlines, and journaling).
     pub jobs: usize,
-    /// Extra attempts after a retryable failure (0 = fail immediately).
-    pub max_retries: u32,
-    /// Retry backoff base in milliseconds (see [`retry_delay_ms`]).
-    pub retry_backoff_ms: u64,
     /// Per-unit simulated-cycle deadline, clamped onto the unit's
     /// `max_cycles` budget. `None` leaves the unit's own budget in place.
     pub deadline_cycles: Option<u64>,
@@ -138,16 +108,19 @@ pub struct RunnerConfig {
     pub max_units: Option<usize>,
     /// Fleet-progress observer, invoked after every terminal unit record.
     pub observer: Option<FleetObserver>,
-    /// Flight-recorder settings; `None` disables the black box entirely.
-    pub blackbox: Option<BlackboxConfig>,
+    /// Flight recorder (`noc-blackbox`): when set, every unit runs with a
+    /// [`FlightRecorder`] of [`DEFAULT_BLACKBOX_CAPACITY`] samples
+    /// installed, and a unit that dies — stall, deadline timeout, panic, or
+    /// fatal failure — leaves a post-mortem bundle at
+    /// `<dir>/postmortem-<key>.jsonl` (the directory is created on first
+    /// dump) for `intellinoc postmortem` to render. `None` disables it.
+    pub blackbox: Option<PathBuf>,
 }
 
 impl std::fmt::Debug for RunnerConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RunnerConfig")
             .field("jobs", &self.jobs)
-            .field("max_retries", &self.max_retries)
-            .field("retry_backoff_ms", &self.retry_backoff_ms)
             .field("deadline_cycles", &self.deadline_cycles)
             .field("journal", &self.journal)
             .field("resume", &self.resume)
@@ -162,8 +135,6 @@ impl Default for RunnerConfig {
     fn default() -> Self {
         RunnerConfig {
             jobs: 1,
-            max_retries: 0,
-            retry_backoff_ms: 25,
             deadline_cycles: None,
             journal: None,
             resume: false,
@@ -223,11 +194,9 @@ pub struct UnitCtx<'a> {
     /// The unit's RNG seed: [`derive_seed`] of the master seed and key under
     /// [`run_units`], the seed its cell arrived with under `run_grid`.
     pub seed: u64,
-    /// 1-based attempt number (for logging; the seed never depends on it).
-    pub attempt: u32,
     /// Effective simulated-cycle deadline for this unit, if any.
     pub deadline_cycles: Option<u64>,
-    /// Flight recorder for this attempt, when the black box is configured.
+    /// Flight recorder for this unit, when the black box is configured.
     /// Executors install it into the experiment's telemetry so the engine
     /// can dump a post-mortem bundle even if the unit panics — the handle
     /// lives outside the `catch_unwind` boundary.
@@ -273,7 +242,7 @@ pub fn classify_timeout(
     })
 }
 
-/// What a unit executor reports back for one attempt.
+/// What a unit executor reports back.
 #[derive(Debug, Clone)]
 pub enum UnitVerdict<T> {
     /// The unit completed; `T` is its merged-report payload.
@@ -286,10 +255,7 @@ pub enum UnitVerdict<T> {
         /// The structured timeout diagnostic.
         report: TimeoutReport,
     },
-    /// A host-level failure worth retrying (transient I/O, resources).
-    Retryable(String),
-    /// A failure that retrying cannot fix; the unit is marked `failed`
-    /// immediately.
+    /// The unit failed; it is marked `failed` with this message.
     Fatal(String),
 }
 
@@ -298,7 +264,7 @@ pub enum UnitVerdict<T> {
 pub enum RunStatus {
     /// Completed and produced a payload.
     Ok,
-    /// Panicked or failed after exhausting retries.
+    /// Panicked or reported [`UnitVerdict::Fatal`].
     Failed,
     /// Cancelled by deadline or stall watchdog.
     TimedOut,
@@ -348,16 +314,13 @@ pub struct UnitRecord<T> {
     pub key: String,
     /// Terminal status.
     pub status: RunStatus,
-    /// Attempts consumed (0 for skipped units).
-    pub attempts: u32,
     /// The unit's payload (`Some` for ok and partial timed-out records).
     pub payload: Option<T>,
     /// Panic message or failure description, for `failed` records.
     pub error: Option<String>,
     /// Timeout diagnostic, for `timed-out` records.
     pub timeout: Option<TimeoutReport>,
-    /// Wall-clock milliseconds across attempts (nondeterministic; not
-    /// serialized).
+    /// Wall-clock milliseconds (nondeterministic; not serialized).
     pub wall_ms: f64,
     /// Whether this record was reloaded from the journal (not serialized).
     pub from_journal: bool,
@@ -371,7 +334,6 @@ impl<T: Serialize> Serialize for UnitRecord<T> {
         Content::Map(vec![
             ("key".to_owned(), self.key.serialize_content()),
             ("status".to_owned(), self.status.serialize_content()),
-            ("attempts".to_owned(), self.attempts.serialize_content()),
             ("payload".to_owned(), self.payload.serialize_content()),
             ("error".to_owned(), self.error.serialize_content()),
             ("timeout".to_owned(), self.timeout.serialize_content()),
@@ -384,7 +346,6 @@ impl<T: Deserialize> Deserialize for UnitRecord<T> {
         Ok(UnitRecord {
             key: serde::field(content, "key")?,
             status: serde::field(content, "status")?,
-            attempts: serde::field(content, "attempts")?,
             payload: serde::field(content, "payload")?,
             error: serde::field(content, "error")?,
             timeout: serde::field(content, "timeout")?,
@@ -399,7 +360,7 @@ impl<T: Deserialize> Deserialize for UnitRecord<T> {
 pub struct StatusCounts {
     /// Units that completed.
     pub ok: usize,
-    /// Units that failed (panic / fatal / retries exhausted).
+    /// Units that failed (panic / fatal).
     pub failed: usize,
     /// Units cancelled by deadline or stall watchdog.
     pub timed_out: usize,
@@ -481,7 +442,7 @@ impl<T> RunnerReport<T> {
             if r.from_journal || r.status == RunStatus::Skipped {
                 continue;
             }
-            prof.add_run(r.key.clone(), r.status.label(), r.attempts, r.wall_ms);
+            prof.add_run(r.key.clone(), r.status.label(), r.wall_ms);
         }
     }
 }
@@ -712,13 +673,14 @@ struct Shared<T> {
     events: Vec<RunnerEvent>,
     done: Vec<(usize, UnitRecord<T>)>,
     first_error: Option<String>,
-    /// Flight-recorder ring evictions summed across attempts (black box
+    /// Flight-recorder ring evictions summed across units (black box
     /// configured only) — surfaced in the fleet profile note.
     recorder_drops: u64,
 }
 
-/// Runs one unit to a terminal record: retry loop, panic containment,
-/// chaos injection, wall-clock accounting.
+/// Runs one unit to a terminal record: one attempt under `catch_unwind`,
+/// chaos injection, the post-mortem dump of a dying unit, wall-clock
+/// accounting.
 fn run_one<T, F>(
     key: &str,
     seed: u64,
@@ -734,125 +696,71 @@ where
     let deadline =
         if chaos.times_out(key) { Some(CHAOS_DEADLINE_CYCLES) } else { cfg.deadline_cycles };
     let t0 = Instant::now();
-    let mut attempt = 0u32;
-    loop {
-        attempt += 1;
-        {
-            let mut s = shared.lock().expect("runner state lock");
-            s.events.push(RunnerEvent::UnitStarted { key: key.to_owned(), attempt });
+    shared
+        .lock()
+        .expect("runner state lock")
+        .events
+        .push(RunnerEvent::UnitStarted { key: key.to_owned() });
+    // The recorder handle stays out here, across the unwind boundary.
+    let recorder = cfg.blackbox.as_ref().map(|_| shared_recorder(DEFAULT_BLACKBOX_CAPACITY));
+    let ctx = UnitCtx { key, seed, deadline_cycles: deadline, recorder: recorder.clone() };
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        assert!(!chaos.panics(key), "chaos: forced panic for unit {key}");
+        exec(&ctx)
+    }));
+    if let Some(rec) = recorder.as_ref() {
+        let dropped = lock_recorder(rec).counters().dropped_total();
+        if dropped > 0 {
+            shared.lock().expect("runner state lock").recorder_drops += dropped;
         }
-        // A fresh recorder per attempt: the ring must describe the dying
-        // attempt, not a blur of every retry before it. The handle stays
-        // out here, across the unwind boundary.
-        let recorder = cfg.blackbox.as_ref().map(|b| shared_recorder(b.capacity));
-        let ctx =
-            UnitCtx { key, seed, attempt, deadline_cycles: deadline, recorder: recorder.clone() };
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            assert!(!chaos.panics(key), "chaos: forced panic for unit {key}");
-            exec(&ctx)
-        }));
-        if let Some(rec) = recorder.as_ref() {
-            let dropped = lock_recorder(rec).counters().dropped_total();
-            if dropped > 0 {
-                shared.lock().expect("runner state lock").recorder_drops += dropped;
-            }
-        }
-        let dump = |cause: BundleCause, detail: &str, extras: &[(&str, String)]| {
-            let (Some(bb), Some(rec)) = (cfg.blackbox.as_ref(), recorder.as_ref()) else {
-                return;
-            };
-            match dump_bundle(&bb.dir, rec, cause, key, seed, detail, extras) {
-                Ok(path) => {
-                    let mut s = shared.lock().expect("runner state lock");
-                    s.events.push(RunnerEvent::PostmortemDumped {
-                        key: key.to_owned(),
-                        cause: cause.label(),
-                        path: path.display().to_string(),
-                    });
-                }
-                Err(e) => eprintln!("blackbox: {e}"),
-            }
+    }
+    let dump = |cause: BundleCause, detail: &str, extras: &[(&str, String)]| {
+        let (Some(dir), Some(rec)) = (cfg.blackbox.as_ref(), recorder.as_ref()) else {
+            return;
         };
-        let retry_error = match outcome {
-            Ok(UnitVerdict::Ok(payload)) => {
-                return UnitRecord {
+        match dump_bundle(dir, rec, cause, key, seed, detail, extras) {
+            Ok(path) => {
+                let mut s = shared.lock().expect("runner state lock");
+                s.events.push(RunnerEvent::PostmortemDumped {
                     key: key.to_owned(),
-                    status: RunStatus::Ok,
-                    attempts: attempt,
-                    payload: Some(payload),
-                    error: None,
-                    timeout: None,
-                    wall_ms: t0.elapsed().as_secs_f64() * 1e3,
-                    from_journal: false,
-                };
+                    cause: cause.label(),
+                    path: path.display().to_string(),
+                });
             }
-            Ok(UnitVerdict::TimedOut { partial, report }) => {
-                let cause =
-                    if report.stall.is_some() { BundleCause::Stall } else { BundleCause::Timeout };
-                let detail = format!(
-                    "deadline {} cycles, {} simulated, {} packets in flight",
-                    report.deadline_cycles, report.cycles_run, report.in_flight
-                );
-                let extras =
-                    [("timeout-report", serde_json::to_string(&report).unwrap_or_default())];
-                dump(cause, &detail, &extras);
-                return UnitRecord {
-                    key: key.to_owned(),
-                    status: RunStatus::TimedOut,
-                    attempts: attempt,
-                    payload: partial,
-                    error: None,
-                    timeout: Some(report),
-                    wall_ms: t0.elapsed().as_secs_f64() * 1e3,
-                    from_journal: false,
-                };
-            }
-            Ok(UnitVerdict::Fatal(msg)) => {
-                dump(BundleCause::RetryExhausted, &msg, &[]);
-                return UnitRecord {
-                    key: key.to_owned(),
-                    status: RunStatus::Failed,
-                    attempts: attempt,
-                    payload: None,
-                    error: Some(msg),
-                    timeout: None,
-                    wall_ms: t0.elapsed().as_secs_f64() * 1e3,
-                    from_journal: false,
-                };
-            }
-            Ok(UnitVerdict::Retryable(msg)) => msg,
-            Err(panic) => format!("panic: {}", panic_message(panic.as_ref())),
-        };
-        if attempt > cfg.max_retries {
-            let cause = if retry_error.starts_with("panic: ") {
-                BundleCause::Panic
-            } else {
-                BundleCause::RetryExhausted
-            };
-            dump(cause, &retry_error, &[]);
-            return UnitRecord {
-                key: key.to_owned(),
-                status: RunStatus::Failed,
-                attempts: attempt,
-                payload: None,
-                error: Some(retry_error),
-                timeout: None,
-                wall_ms: t0.elapsed().as_secs_f64() * 1e3,
-                from_journal: false,
-            };
+            Err(e) => eprintln!("blackbox: {e}"),
         }
-        {
-            let mut s = shared.lock().expect("runner state lock");
-            s.events.push(RunnerEvent::UnitRetried {
-                key: key.to_owned(),
-                attempt,
-                error: retry_error,
-            });
+    };
+    let (status, payload, error, timeout) = match outcome {
+        Ok(UnitVerdict::Ok(payload)) => (RunStatus::Ok, Some(payload), None, None),
+        Ok(UnitVerdict::TimedOut { partial, report }) => {
+            let cause =
+                if report.stall.is_some() { BundleCause::Stall } else { BundleCause::Timeout };
+            let detail = format!(
+                "deadline {} cycles, {} simulated, {} packets in flight",
+                report.deadline_cycles, report.cycles_run, report.in_flight
+            );
+            let extras = [("timeout-report", serde_json::to_string(&report).unwrap_or_default())];
+            dump(cause, &detail, &extras);
+            (RunStatus::TimedOut, partial, None, Some(report))
         }
-        std::thread::sleep(std::time::Duration::from_millis(retry_delay_ms(
-            cfg.retry_backoff_ms,
-            attempt,
-        )));
+        Ok(UnitVerdict::Fatal(msg)) => {
+            dump(BundleCause::Fatal, &msg, &[]);
+            (RunStatus::Failed, None, Some(msg), None)
+        }
+        Err(panic) => {
+            let msg = format!("panic: {}", panic_message(panic.as_ref()));
+            dump(BundleCause::Panic, &msg, &[]);
+            (RunStatus::Failed, None, Some(msg), None)
+        }
+    };
+    UnitRecord {
+        key: key.to_owned(),
+        status,
+        payload,
+        error,
+        timeout,
+        wall_ms: t0.elapsed().as_secs_f64() * 1e3,
+        from_journal: false,
     }
 }
 
@@ -871,16 +779,11 @@ fn finish_record<T: Serialize>(
     shared: &Mutex<Shared<T>>,
     observer: Option<&FleetObserver>,
     total: usize,
-    worker: usize,
     workers: usize,
 ) {
     let (key, status, wall_ms) = (rec.key.clone(), rec.status, rec.wall_ms);
     let mut s = shared.lock().expect("runner state lock");
-    s.events.push(RunnerEvent::UnitFinished {
-        key: rec.key.clone(),
-        status: rec.status.label(),
-        attempts: rec.attempts,
-    });
+    s.events.push(RunnerEvent::UnitFinished { key: rec.key.clone(), status: rec.status.label() });
     if let Some(journal) = s.journal.as_mut() {
         if let Err(e) = journal.record(&rec) {
             // Journal failures degrade the run (resume is lost) but never
@@ -905,8 +808,6 @@ fn finish_record<T: Serialize>(
             key,
             status,
             wall_ms,
-            worker,
-            workers,
             p50_ms: percentile(&walls, 0.5),
             p95_ms: percentile(&walls, 0.95),
             eta_s,
@@ -921,7 +822,7 @@ fn finish_record<T: Serialize>(
 /// Executes the grid described by `keys` through `exec` under the engine's
 /// recovery discipline, and returns every unit's record in `keys` order.
 ///
-/// `exec` is called once per attempt with the unit's [`UnitCtx`] (stable
+/// `exec` is called once per unit with its [`UnitCtx`] (stable
 /// key, derived seed, effective deadline). It must be `Sync`: with
 /// `cfg.jobs > 1` it runs concurrently on scoped worker threads.
 ///
@@ -1034,7 +935,7 @@ where
     if workers <= 1 {
         for &i in dispatch {
             let rec = run_one(&keys[i], seed_of(&keys[i]), cfg, chaos, &exec, &shared);
-            finish_record(i, rec, &shared, observer, total, 0, 1);
+            finish_record(i, rec, &shared, observer, total, 1);
         }
     } else {
         let cursor = AtomicUsize::new(0);
@@ -1044,13 +945,13 @@ where
         let keys_ref = keys;
         let seed_of = &seed_of;
         std::thread::scope(|scope| {
-            for w in 0..workers {
+            for _ in 0..workers {
                 scope.spawn(move || loop {
                     let slot = cursor_ref.fetch_add(1, Ordering::Relaxed);
                     let Some(&i) = dispatch.get(slot) else { break };
                     let key = &keys_ref[i];
                     let rec = run_one(key, seed_of(key), cfg, chaos, exec_ref, shared_ref);
-                    finish_record(i, rec, shared_ref, observer, total, w, workers);
+                    finish_record(i, rec, shared_ref, observer, total, workers);
                 });
             }
         });
@@ -1073,7 +974,6 @@ where
             records.push(UnitRecord {
                 key: key.clone(),
                 status: RunStatus::Skipped,
-                attempts: 0,
                 payload: None,
                 error: Some("not dispatched (unit cap)".to_owned()),
                 timeout: None,
@@ -1181,43 +1081,18 @@ mod tests {
     }
 
     #[test]
-    fn retryable_failures_retry_with_bounded_attempts() {
-        let keys = keys(1);
-        let calls = AtomicUsize::new(0);
-        let exec = |ctx: &UnitCtx| -> UnitVerdict<u64> {
-            let n = calls.fetch_add(1, Ordering::SeqCst);
-            if n < 2 {
-                UnitVerdict::Retryable(format!("flaky attempt {}", ctx.attempt))
-            } else {
-                UnitVerdict::Ok(ctx.seed)
-            }
-        };
-        let cfg = RunnerConfig { max_retries: 3, retry_backoff_ms: 0, ..RunnerConfig::serial() };
-        let report = run_units(1, &keys, &cfg, &ChaosOptions::default(), exec).unwrap();
-        assert_eq!(report.records[0].status, RunStatus::Ok);
-        assert_eq!(report.records[0].attempts, 3);
-        let retries =
-            report.events.iter().filter(|e| matches!(e, RunnerEvent::UnitRetried { .. })).count();
-        assert_eq!(retries, 2);
-
-        // Exhausting the budget marks the unit failed with the last error.
-        let cfg = RunnerConfig { max_retries: 1, retry_backoff_ms: 0, ..RunnerConfig::serial() };
-        let always =
-            |_: &UnitCtx| -> UnitVerdict<u64> { UnitVerdict::Retryable("still down".into()) };
-        let report = run_units(1, &keys, &cfg, &ChaosOptions::default(), always).unwrap();
-        assert_eq!(report.records[0].status, RunStatus::Failed);
-        assert_eq!(report.records[0].attempts, 2);
-        assert_eq!(report.records[0].error.as_deref(), Some("still down"));
-    }
-
-    #[test]
     fn fatal_failures_do_not_retry() {
         let keys = keys(1);
-        let cfg = RunnerConfig { max_retries: 5, retry_backoff_ms: 0, ..RunnerConfig::serial() };
-        let exec = |_: &UnitCtx| -> UnitVerdict<u64> { UnitVerdict::Fatal("bad config".into()) };
-        let report = run_units(1, &keys, &cfg, &ChaosOptions::default(), exec).unwrap();
+        let calls = AtomicUsize::new(0);
+        let exec = |_: &UnitCtx| -> UnitVerdict<u64> {
+            calls.fetch_add(1, Ordering::SeqCst);
+            UnitVerdict::Fatal("bad config".into())
+        };
+        let report =
+            run_units(1, &keys, &RunnerConfig::serial(), &ChaosOptions::default(), exec).unwrap();
         assert_eq!(report.records[0].status, RunStatus::Failed);
-        assert_eq!(report.records[0].attempts, 1);
+        assert_eq!(report.records[0].error.as_deref(), Some("bad config"));
+        assert_eq!(calls.load(Ordering::SeqCst), 1, "one unit, one call");
     }
 
     #[test]
@@ -1318,15 +1193,6 @@ mod tests {
         assert!(report.is_clean());
         assert_eq!(report.records.iter().filter(|r| r.from_journal).count(), 2);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn retry_delay_is_linear_and_overflow_safe() {
-        assert_eq!(retry_delay_ms(25, 1), 25);
-        assert_eq!(retry_delay_ms(25, 3), 75);
-        assert_eq!(retry_delay_ms(0, 9), 0);
-        // Overflow-safe at absurd attempt counts.
-        assert_eq!(retry_delay_ms(u64::MAX, u32::MAX), u64::MAX);
     }
 
     #[test]
@@ -1440,7 +1306,6 @@ mod tests {
             assert_eq!(last.total, 7);
             assert_eq!(last.eta_s, 0.0);
             assert!(last.p50_ms <= last.p95_ms);
-            assert!(snaps.iter().all(|p| p.worker < p.workers));
             assert!(snaps.iter().all(|p| p.status == RunStatus::Ok));
         }
         // The observer field renders in Debug without being callable there.

@@ -43,12 +43,12 @@ use crate::experiment::{
     rate_workload, run_grid_hooked, ExperimentConfig, ExperimentOutcome, UnitSinks,
 };
 use crate::runner::{
-    derive_seed, panic_message, scan_log, BlackboxConfig, ChaosOptions, LogScan, RunStatus,
-    RunnerConfig, RunnerReport, UnitRecord,
+    derive_seed, panic_message, scan_log, ChaosOptions, LogScan, RunStatus, RunnerConfig,
+    RunnerReport, UnitRecord,
 };
 use noc_sim::{
     export_alert_metrics, json_str, render_exposition, AlertEngine, AlertRule, HttpRequest,
-    HttpResponse, HttpServer, MetricsHub, MetricsRegistry, DEFAULT_BLACKBOX_CAPACITY,
+    HttpResponse, HttpServer, MetricsHub, MetricsRegistry,
 };
 use serde::{field, Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -324,14 +324,12 @@ fn run_spec_units(
 /// report artifact; byte-identical across crashes and resumes).
 #[must_use]
 pub fn serve_report_csv(report: &RunnerReport<ExperimentOutcome>) -> String {
-    let mut out = String::from(
-        "key,status,attempts,exec_cycles,avg_latency,p99_latency,delivery_rate,power_mw\n",
-    );
+    let mut out =
+        String::from("key,status,exec_cycles,avg_latency,p99_latency,delivery_rate,power_mw\n");
     for rec in &report.records {
         out.push_str(&rec.key);
         out.push(',');
         out.push_str(rec.status.label());
-        out.push_str(&format!(",{}", rec.attempts));
         match rec.payload.as_ref().map(|o| &o.report) {
             Some(r) => out.push_str(&format!(
                 ",{},{:.3},{:.3},{:.6},{:.3}\n",
@@ -843,13 +841,10 @@ fn execute_job(shared: &Shared, id: &str) {
             journal: Some(jpath.clone()),
             resume: true,
             max_units: Some(shared.cfg.chunk_units.max(1)),
-            // Units that die (stall / timeout / panic / retry exhaustion)
-            // leave a post-mortem bundle in the state dir; like journals
-            // and reports it survives `kill -9` and daemon restarts.
-            blackbox: Some(BlackboxConfig {
-                dir: postmortem_dir(&shared.cfg.state_dir, id),
-                capacity: DEFAULT_BLACKBOX_CAPACITY,
-            }),
+            // Units that die (stall / timeout / panic / fatal) leave a
+            // post-mortem bundle in the state dir; like journals and
+            // reports it survives `kill -9` and daemon restarts.
+            blackbox: Some(postmortem_dir(&shared.cfg.state_dir, id)),
             ..RunnerConfig::default()
         };
         let jdir = (spec.journeys_every > 0).then(|| journeys_dir(&shared.cfg.state_dir, id));
@@ -1794,6 +1789,10 @@ pub fn http_request_full(
 // Chaos harness
 // ---------------------------------------------------------------------------
 
+/// Jobs the chaos harness submits per iteration (tenants alternate `alice`
+/// / `bob`).
+const CHAOS_JOBS_PER_ITERATION: u32 = 2;
+
 /// Chaos-harness configuration: kill a real daemon process at randomized
 /// points and assert the recovery invariants.
 #[derive(Debug, Clone)]
@@ -1806,8 +1805,6 @@ pub struct ChaosHarnessConfig {
     pub iterations: u32,
     /// Kill-point sampling seed (the harness is fully deterministic).
     pub seed: u64,
-    /// Jobs submitted per iteration (tenants alternate `alice` / `bob`).
-    pub jobs_per_iteration: u32,
     /// Grid template; per-job names get an index suffix.
     pub spec: JobSpec,
 }
@@ -1821,7 +1818,6 @@ impl ChaosHarnessConfig {
             state_root,
             iterations: 5,
             seed: 0x1de1_1a0c,
-            jobs_per_iteration: 2,
             spec: JobSpec {
                 name: "chaos".to_owned(),
                 designs: vec!["secded".to_owned(), "eb".to_owned()],
@@ -1932,7 +1928,7 @@ fn wait_port_file(
 /// Submits every job; returns `false` the moment the daemon's death shows
 /// through the socket (the caller then restarts and retries idempotently).
 fn submit_all(addr: &str, cfg: &ChaosHarnessConfig) -> Result<bool, String> {
-    for j in 0..cfg.jobs_per_iteration {
+    for j in 0..CHAOS_JOBS_PER_ITERATION {
         let mut spec = cfg.spec.clone();
         spec.name = format!("{}-{j}", spec.name);
         let tenant = if j % 2 == 0 { "alice" } else { "bob" };
@@ -2038,7 +2034,7 @@ fn run_chaos_iteration(
     after: u32,
     reference: &str,
 ) -> Result<ChaosIteration, String> {
-    let expected = u64::from(cfg.jobs_per_iteration);
+    let expected = u64::from(CHAOS_JOBS_PER_ITERATION);
     let per_phase = Duration::from_secs(120);
     let port1 = dir.join("port-1");
     let mut child = spawn_daemon(cfg, dir, &port1, Some((point, after)), false, "daemon-1.log")?;
@@ -2260,14 +2256,14 @@ mod tests {
         let a = reference_report_csv(&spec).unwrap();
         let b = reference_report_csv(&spec).unwrap();
         assert_eq!(a, b);
-        assert!(a.starts_with("key,status,attempts,"));
-        assert!(a.contains("serve/SECDED/r0.005,ok,1,"));
+        assert!(a.starts_with("key,status,exec_cycles,"));
+        assert!(a.contains("serve/SECDED/r0.005,ok,"));
         // A cell that never ran keeps its row: the key, no metrics.
         let spec = JobSpec { rates: vec![0.005, 0.01], ..spec };
         let capped = RunnerConfig { max_units: Some(1), ..RunnerConfig::serial() };
         let partial = serve_report_csv(&run_spec_units(&spec, &capped, None, None).unwrap());
         assert_eq!(partial.lines().nth(1), a.lines().nth(1));
-        assert_eq!(partial.lines().nth(2), Some("serve/SECDED/r0.01,skipped,0,,,,,"));
+        assert_eq!(partial.lines().nth(2), Some("serve/SECDED/r0.01,skipped,,,,,"));
     }
 
     fn wait_job_status(addr: &str, id: &str) -> JobStatus {

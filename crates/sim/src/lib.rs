@@ -48,8 +48,8 @@ pub use flit::{make_packet, Cycle, Flit, FlitKind, FLITS_PER_PACKET, NO_VC};
 pub use health::HealthRouter;
 pub use latency::LatencyHistogram;
 pub use metrics_export::{
-    declare_network_metrics, declare_runtime_metrics, declare_txn_metrics, export_network_metrics,
-    export_runtime_metrics, NETWORK_METRICS, RUNTIME_METRICS, TXN_METRICS,
+    declare_network_metrics, declare_txn_metrics, export_network_metrics, NETWORK_METRICS,
+    TXN_METRICS,
 };
 pub use network::Network;
 pub use probe::{ProbeArtifacts, ProbeConfig};
@@ -70,9 +70,9 @@ pub use noc_telemetry::{
     ConvergenceSample, DecisionLog, DecisionRecord, Event, EventKind, FlightRecorder, GateEdge,
     HeatGrid, HopSpan, HttpHandler, HttpRequest, HttpResponse, HttpServer, JourneyCause,
     JourneyLoc, JourneyLog, LatencyBreakdown, LatencyComponents, LinkStat, MetricsHub,
-    MetricsRegistry, MetricsServer, PacketJourney, PacketLatency, PairBreakdown, ParsedBundle,
-    PhaseCounters, Profiler, RecorderCounters, RetxScope, RunRow, RunTimeline, RunnerEvent, Sample,
-    SharedRecorder, SpanStats, SpanTree, TailContribution, TimelineSample, TraceFilter, Tracer,
-    TxnJourney, TxnLeg, TxnLegKind, TxnOutcome, BLACKBOX_FORMAT_VERSION, DEFAULT_BLACKBOX_CAPACITY,
+    MetricsRegistry, PacketJourney, PacketLatency, PairBreakdown, ParsedBundle, Profiler,
+    RecorderCounters, RetxScope, RunRow, RunTimeline, RunnerEvent, Sample, SharedRecorder,
+    SpanStats, SpanTree, TailContribution, TimelineSample, TraceFilter, Tracer, TxnJourney, TxnLeg,
+    TxnLegKind, TxnOutcome, BLACKBOX_FORMAT_VERSION, DEFAULT_BLACKBOX_CAPACITY,
     DEFAULT_TRACE_CAPACITY, JOURNEY_FORMAT_VERSION, MAX_SPAN_DEPTH,
 };

@@ -71,48 +71,6 @@ pub fn declare_txn_metrics(reg: &mut MetricsRegistry) -> Result<(), String> {
     Ok(())
 }
 
-/// Wall-clock runtime families, deliberately kept OUT of
-/// [`NETWORK_METRICS`]: simulation throughput and elapsed time are
-/// machine-dependent, so they are only ever rendered into live (hub)
-/// snapshots, never into the deterministic `--metrics-out` artifact.
-pub const RUNTIME_METRICS: &[(&str, &str)] = &[
-    ("noc_sim_cycles_per_sec", "Simulated cycles per wall-clock second (live only)."),
-    ("noc_sim_wall_seconds", "Wall-clock seconds elapsed in the current run (live only)."),
-];
-
-/// Declares the wall-clock runtime gauges. Idempotent.
-///
-/// # Errors
-///
-/// Propagates registry validation errors (impossible for the fixed names
-/// unless the registry already holds same-name families of another kind).
-pub fn declare_runtime_metrics(reg: &mut MetricsRegistry) -> Result<(), String> {
-    for &(name, help) in RUNTIME_METRICS {
-        reg.declare_gauge(name, help)?;
-    }
-    Ok(())
-}
-
-/// Sets the wall-clock runtime gauges from cycles simulated so far and the
-/// elapsed wall time. Call only on live/hub registries — these values are
-/// nondeterministic by nature.
-///
-/// # Errors
-///
-/// Propagates registry errors (malformed caller-supplied label names).
-pub fn export_runtime_metrics(
-    reg: &mut MetricsRegistry,
-    cycles: u64,
-    wall: std::time::Duration,
-    labels: &[(&str, &str)],
-) -> Result<(), String> {
-    let secs = wall.as_secs_f64();
-    let cps = if secs > 0.0 { cycles as f64 / secs } else { 0.0 };
-    reg.gauge_set("noc_sim_cycles_per_sec", labels, cps)?;
-    reg.gauge_set("noc_sim_wall_seconds", labels, secs)?;
-    Ok(())
-}
-
 /// Declares every simulator metric family in `reg`. Idempotent; call once
 /// per run before the first [`export_network_metrics`].
 ///
@@ -274,31 +232,6 @@ mod tests {
             text.contains("noc_txn_transactions_total{design=\"baseline\",event=\"completed\"} 32")
         );
         assert!(text.contains("noc_txn_conservation_violations{design=\"baseline\"} 0"));
-    }
-
-    #[test]
-    fn runtime_gauges_render_and_stay_out_of_network_table() {
-        // The runtime families are wall-clock-only, so they must not appear
-        // in the deterministic NETWORK_METRICS declaration table.
-        for &(name, _) in RUNTIME_METRICS {
-            assert!(NETWORK_METRICS.iter().all(|&(n, _, _)| n != name));
-        }
-        let mut reg = MetricsRegistry::new();
-        declare_runtime_metrics(&mut reg).unwrap();
-        declare_runtime_metrics(&mut reg).unwrap(); // idempotent
-        export_runtime_metrics(
-            &mut reg,
-            10_000,
-            std::time::Duration::from_millis(500),
-            &[("design", "ci")],
-        )
-        .unwrap();
-        let text = render_exposition(&reg);
-        assert!(text.contains("noc_sim_cycles_per_sec{design=\"ci\"} 20000"), "{text}");
-        assert!(text.contains("noc_sim_wall_seconds{design=\"ci\"} 0.5"), "{text}");
-        // Zero elapsed time reports zero throughput rather than dividing.
-        export_runtime_metrics(&mut reg, 5, std::time::Duration::ZERO, &[]).unwrap();
-        assert!(render_exposition(&reg).contains("noc_sim_cycles_per_sec 0\n"));
     }
 
     #[test]

@@ -64,10 +64,9 @@ impl Network {
         }
     }
 
-    /// A route was computed for a new packet's head at router `r`: counts
-    /// it, and accounts a detour when fault-aware routing left the XY path.
+    /// A route was computed for a new packet's head at router `r`: accounts
+    /// a detour when fault-aware routing left the XY path.
     pub(super) fn head_routed(&mut self, r: usize, head: &Flit, route: Port) {
-        self.probe.route_computed();
         let xy = self.mesh.xy_route(r, head.dest as usize);
         if route != xy {
             self.stats.reroutes += 1;

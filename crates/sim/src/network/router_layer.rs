@@ -137,7 +137,9 @@ impl Network {
         router.counters.buffer_reads += 1;
         router.counters.xbar_traversals += 1;
         router.counters.alloc_ops += 1;
-        self.probe.sa_grant(reserves);
+        // One grant: one flit handled, and an allocation when its head also
+        // won a downstream VC.
+        self.probe.span_count(1, u64::from(reserves));
         if reserves {
             let dv = self.health.neighbor(r, out).expect("non-local output");
             self.routers[dv].reserve(out.opposite().index(), dvc as usize, flit.packet_id);

@@ -30,7 +30,7 @@ use noc_traffic::{TxnEvent, TxnEventKind};
 pub struct ProbeConfig {
     /// Structured event tracer.
     pub tracer: Option<Tracer>,
-    /// Span profiler (span tree + pipeline-phase counters).
+    /// Span profiler.
     pub profiler: Option<Profiler>,
     /// Per-flit latency attribution and the spatial accumulators behind the
     /// `inspect` artifacts.
@@ -257,26 +257,6 @@ impl Probe {
     pub(crate) fn temp_epoch(&mut self, nodes: usize, temp_c: impl Fn(usize) -> f64) {
         if let Some(e) = self.latency.as_mut() {
             e.temp_epoch((0..nodes).map(temp_c));
-        }
-    }
-
-    /// Switch allocation granted one flit; `reserved` when its head also
-    /// won a downstream VC (counted as the span's allocation).
-    #[inline]
-    pub(crate) fn sa_grant(&mut self, reserved: bool) {
-        if let Some(prof) = self.profiler.as_mut() {
-            prof.phases.sa += 1;
-            prof.phases.st += 1; // the grant traverses the crossbar
-            prof.phases.va += u64::from(reserved);
-            prof.span_count(1, u64::from(reserved));
-        }
-    }
-
-    /// A route was computed for a new packet's head.
-    #[inline]
-    pub(crate) fn route_computed(&mut self) {
-        if let Some(prof) = self.profiler.as_mut() {
-            prof.phases.rc += 1;
         }
     }
 

@@ -4,7 +4,7 @@
 //! recent observability records of a run — per-control-step
 //! [`TimelineSample`]s, simulator [`Event`]s, RL [`ConvergenceSample`]s,
 //! and the latest span-tree snapshot. It exists so that when a run dies
-//! (stall watchdog, deadline timeout, panic, retry exhaustion, chaos
+//! (stall watchdog, deadline timeout, panic, fatal failure, chaos
 //! `kill -9`, or a critical alert), the *recent past* that explains the
 //! death is still in memory and can be dumped as a **post-mortem bundle**:
 //! a versioned JSONL file rendered by `intellinoc postmortem` into a
@@ -62,8 +62,8 @@ pub enum BundleCause {
     Timeout,
     /// The unit panicked (caught at the runner's `catch_unwind`).
     Panic,
-    /// Retryable failures exhausted the retry budget.
-    RetryExhausted,
+    /// The unit's executor reported a failure it cannot recover from.
+    Fatal,
     /// A critical alert rule fired.
     Alert,
     /// A chaos kill was recovered from (serve `--chaos` harness).
@@ -78,7 +78,7 @@ impl BundleCause {
             BundleCause::Stall => "stall",
             BundleCause::Timeout => "timeout",
             BundleCause::Panic => "panic",
-            BundleCause::RetryExhausted => "retry-exhausted",
+            BundleCause::Fatal => "fatal",
             BundleCause::Alert => "alert",
             BundleCause::Chaos => "chaos",
         }
@@ -91,7 +91,7 @@ impl BundleCause {
             "stall" => BundleCause::Stall,
             "timeout" => BundleCause::Timeout,
             "panic" => BundleCause::Panic,
-            "retry-exhausted" => BundleCause::RetryExhausted,
+            "fatal" => BundleCause::Fatal,
             "alert" => BundleCause::Alert,
             "chaos" => BundleCause::Chaos,
             _ => return None,
@@ -953,7 +953,7 @@ mod tests {
             BundleCause::Stall,
             BundleCause::Timeout,
             BundleCause::Panic,
-            BundleCause::RetryExhausted,
+            BundleCause::Fatal,
             BundleCause::Alert,
             BundleCause::Chaos,
         ] {

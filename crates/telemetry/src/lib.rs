@@ -13,9 +13,8 @@
 //!    step (latency, power, temperature, aging, mode mix, retransmission
 //!    counts), serialized alongside the end-of-run report so figures can be
 //!    regenerated from a single run.
-//! 3. [`Profiler`] (`noc-prof`) — per-pipeline-phase (RC/VA/SA/ST)
-//!    counters and a nestable span stack aggregated into a [`SpanTree`]
-//!    that records wall-clock time *and* deterministic
+//! 3. [`Profiler`] (`noc-prof`) — a nestable span stack aggregated into a
+//!    [`SpanTree`] that records wall-clock time *and* deterministic
 //!    cycle-domain counters (calls, flits handled, allocations), exported
 //!    as a deterministic tree table, collapsed-stack flamegraph text
 //!    (inferno/speedscope-loadable), and `noc_prof_*` metric families
@@ -27,9 +26,10 @@
 //!
 //! PR 5 adds the *metrics* layer: a labeled [`MetricsRegistry`] (counters,
 //! gauges, fixed-bucket histograms) rendered to Prometheus text exposition
-//! ([`render_exposition`]) and optionally served live over a std-only TCP
-//! endpoint ([`MetricsServer`]) that only ever reads published snapshots —
-//! scraping a run can never perturb simulation state.
+//! ([`render_exposition`]) and published into a [`MetricsHub`], which
+//! `intellinoc serve`'s `GET /metrics` reads over the std-only
+//! [`HttpServer`] — serving only ever reads published snapshots, so it can
+//! never perturb simulation state.
 
 #![forbid(unsafe_code)]
 
@@ -76,11 +76,11 @@ pub use metrics::{
     SeriesValue,
 };
 pub use prof::{export_prof_metrics, SpanStats, SpanTree, MAX_SPAN_DEPTH};
-pub use profiler::{LeafSpan, PhaseCounters, Profiler, RunRow};
+pub use profiler::{LeafSpan, Profiler, RunRow};
 pub use runner::{runner_events_jsonl, RunnerEvent};
 pub use serve::{
     accept_backoff_ms, HttpHandler, HttpRequest, HttpResponse, HttpServer, MetricsHub,
-    MetricsServer, ACCEPT_BACKOFF_BASE_MS, ACCEPT_BACKOFF_CAP_MS,
+    ACCEPT_BACKOFF_BASE_MS, ACCEPT_BACKOFF_CAP_MS,
 };
 pub use timeline::{RunTimeline, TimelineSample};
 pub use tracer::{TraceFilter, Tracer, DEFAULT_TRACE_CAPACITY};

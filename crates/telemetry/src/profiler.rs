@@ -1,35 +1,19 @@
-//! Simulator self-profiling: pipeline-phase counters and the hierarchical
-//! span stack feeding [`SpanTree`](crate::SpanTree) (`noc-prof`).
+//! Simulator self-profiling: the hierarchical span stack feeding
+//! [`SpanTree`](crate::SpanTree) (`noc-prof`).
 
 use crate::prof::{NodeId, SpanTree, MAX_SPAN_DEPTH, ROOT};
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
-/// Event counts for the four canonical router pipeline phases.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PhaseCounters {
-    /// Route computations.
-    pub rc: u64,
-    /// Virtual-channel allocations.
-    pub va: u64,
-    /// Switch allocations (grants).
-    pub sa: u64,
-    /// Switch traversals (flits crossing the crossbar).
-    pub st: u64,
-}
-
 /// Wall-clock accounting for one experiment unit executed by the runner
-/// (`noc-runner`): how long the unit took end to end, across how many
-/// attempts, and how it terminated.
+/// (`noc-runner`): how long the unit took end to end and how it terminated.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunRow {
     /// Stable run key of the unit.
     pub key: String,
     /// Terminal status label (`ok`, `failed`, `timed-out`, `skipped`).
     pub status: &'static str,
-    /// Attempts consumed (1 when the first try succeeded).
-    pub attempts: u32,
-    /// Total wall-clock milliseconds across all attempts.
+    /// Wall-clock milliseconds.
     pub millis: f64,
 }
 
@@ -62,7 +46,7 @@ pub struct LeafSpan {
     timed: Timed,
 }
 
-/// Collects phase counters and per-unit wall-clock rows for the end-of-run
+/// Collects per-unit wall-clock rows for the end-of-run
 /// self-profile table, plus the hierarchical span stack aggregated into a
 /// [`SpanTree`]. Wall-clock values are nondeterministic, so the profile is
 /// reported separately and never included in the determinism-checked run
@@ -71,8 +55,6 @@ pub struct LeafSpan {
 /// [`SpanTree::tree_table`].
 #[derive(Debug, Clone, Default)]
 pub struct Profiler {
-    /// Pipeline-phase event counters.
-    pub phases: PhaseCounters,
     /// Events the tracer's ring buffer evicted, when a tracer ran alongside.
     trace_drops: Option<u64>,
     /// Per-unit wall-clock rows recorded by the execution engine.
@@ -198,17 +180,14 @@ impl Profiler {
         self.stack.iter().map(|frame| frame.name).collect()
     }
 
-    /// Folds another profiler's aggregates into this one: span tree, phase counters, warning counters, trace drops, and run rows.
+    /// Folds another profiler's aggregates into this one: span tree,
+    /// warning counters, trace drops, and run rows.
     /// Open frames on `other`'s stack are not merged — close them first
     /// (see [`Profiler::close_open_spans`]). Per-key addition keeps the
     /// merge associative and commutative, so fleet aggregation across
     /// workers is independent of completion order.
     pub fn merge(&mut self, other: &Profiler) {
         self.spans.merge(&other.spans);
-        self.phases.rc += other.phases.rc;
-        self.phases.va += other.phases.va;
-        self.phases.sa += other.phases.sa;
-        self.phases.st += other.phases.st;
         if let Some(dropped) = other.trace_drops {
             self.trace_drops = Some(self.trace_drops.unwrap_or(0) + dropped);
         }
@@ -227,14 +206,8 @@ impl Profiler {
     }
 
     /// Records the wall-clock accounting of one runner-executed unit.
-    pub fn add_run(
-        &mut self,
-        key: impl Into<String>,
-        status: &'static str,
-        attempts: u32,
-        millis: f64,
-    ) {
-        self.runs.push(RunRow { key: key.into(), status, attempts, millis });
+    pub fn add_run(&mut self, key: impl Into<String>, status: &'static str, millis: f64) {
+        self.runs.push(RunRow { key: key.into(), status, millis });
     }
 
     /// Per-unit wall-clock rows, in insertion (completion) order.
@@ -247,12 +220,6 @@ impl Profiler {
     pub fn table(&self) -> String {
         let mut out = String::new();
         out.push_str("self-profile\n");
-        let p = &self.phases;
-        let _ = writeln!(
-            out,
-            "  pipeline phases: RC {} | VA {} | SA {} | ST {}",
-            p.rc, p.va, p.sa, p.st
-        );
         if let Some(dropped) = self.trace_drops {
             let _ = writeln!(out, "  trace ring drops: {dropped}");
         }
@@ -275,17 +242,11 @@ impl Profiler {
         }
         if !self.runs.is_empty() {
             out.push_str("  per-run wall clock\n");
-            out.push_str(
-                "  run key                                    status    attempts      ms\n",
-            );
+            out.push_str("  run key                                    status           ms\n");
             let mut rows: Vec<&RunRow> = self.runs.iter().collect();
             rows.sort_by(|a, b| a.key.cmp(&b.key));
             for r in rows {
-                let _ = writeln!(
-                    out,
-                    "  {:<42} {:<9} {:>8} {:>9.1}",
-                    r.key, r.status, r.attempts, r.millis
-                );
+                let _ = writeln!(out, "  {:<42} {:<9} {:>9.1}", r.key, r.status, r.millis);
             }
         }
         out
@@ -299,9 +260,8 @@ mod tests {
     #[test]
     fn table_lists_everything() {
         let mut p = Profiler::new();
-        p.phases.sa = 42;
         let table = p.table();
-        assert!(table.contains("SA 42"));
+        assert!(table.starts_with("self-profile\n"));
         assert!(!table.contains("trace ring drops"));
         p.set_trace_drops(17);
         assert_eq!(p.trace_drops(), Some(17));
@@ -410,7 +370,6 @@ mod tests {
     fn merge_is_order_independent_across_workers() {
         let make = |n: u64| {
             let mut p = Profiler::new();
-            p.phases.st = n;
             p.span_enter("step_cycle");
             p.span_count(n, 0);
             p.span_exit();
@@ -426,7 +385,6 @@ mod tests {
         right.merge(&c);
         right.merge(&a);
         right.merge(&b);
-        assert_eq!(left.phases.st, 7);
         assert_eq!(left.trace_drops(), Some(7));
         let (ls, rs) = (left.span_tree(), right.span_tree());
         assert_eq!(ls.get(&["step_cycle"]), rs.get(&["step_cycle"]));
@@ -438,8 +396,8 @@ mod tests {
     fn run_rows_render_sorted_by_key() {
         let mut p = Profiler::new();
         assert!(!p.table().contains("per-run wall clock"));
-        p.add_run("campaign/b/Secded", "ok", 1, 12.5);
-        p.add_run("campaign/a/Secded", "timed-out", 2, 900.0);
+        p.add_run("campaign/b/Secded", "ok", 12.5);
+        p.add_run("campaign/a/Secded", "timed-out", 900.0);
         assert_eq!(p.runs().len(), 2);
         let table = p.table();
         assert!(table.contains("per-run wall clock"));

@@ -14,12 +14,10 @@ use std::fmt::Write as _;
 /// One execution-engine lifecycle event.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunnerEvent {
-    /// A unit began an attempt on a worker.
+    /// A unit began running on a worker.
     UnitStarted {
         /// Stable run key.
         key: String,
-        /// 1-based attempt number.
-        attempt: u32,
     },
     /// A unit reached a terminal state.
     UnitFinished {
@@ -27,17 +25,6 @@ pub enum RunnerEvent {
         key: String,
         /// Terminal status label (`ok`, `failed`, `timed-out`).
         status: &'static str,
-        /// Attempts consumed.
-        attempts: u32,
-    },
-    /// A retryable failure triggered another attempt.
-    UnitRetried {
-        /// Stable run key.
-        key: String,
-        /// The attempt that failed.
-        attempt: u32,
-        /// The failure message.
-        error: String,
     },
     /// A journaled result was reused instead of re-running the unit.
     UnitResumed {
@@ -86,7 +73,6 @@ impl RunnerEvent {
         match self {
             RunnerEvent::UnitStarted { .. } => "unit-started",
             RunnerEvent::UnitFinished { .. } => "unit-finished",
-            RunnerEvent::UnitRetried { .. } => "unit-retried",
             RunnerEvent::UnitResumed { .. } => "unit-resumed",
             RunnerEvent::UnitSkipped { .. } => "unit-skipped",
             RunnerEvent::ProfileNote { .. } => "profile-note",
@@ -99,7 +85,6 @@ impl RunnerEvent {
         match self {
             RunnerEvent::UnitStarted { key, .. }
             | RunnerEvent::UnitFinished { key, .. }
-            | RunnerEvent::UnitRetried { key, .. }
             | RunnerEvent::UnitResumed { key, .. }
             | RunnerEvent::UnitSkipped { key, .. }
             | RunnerEvent::ProfileNote { key, .. }
@@ -113,16 +98,8 @@ impl RunnerEvent {
         let mut s = String::with_capacity(96);
         let _ = write!(s, "{{\"event\":\"{}\",\"key\":{}", self.kind(), json_str(self.key()));
         match self {
-            RunnerEvent::UnitStarted { attempt, .. } => {
-                let _ = write!(s, ",\"attempt\":{attempt}");
-            }
-            RunnerEvent::UnitFinished { status, attempts, .. } => {
-                let _ = write!(s, ",\"status\":\"{status}\",\"attempts\":{attempts}");
-            }
-            RunnerEvent::UnitRetried { attempt, error, .. } => {
-                let _ = write!(s, ",\"attempt\":{attempt},\"error\":{}", json_str(error));
-            }
-            RunnerEvent::UnitResumed { status, .. } => {
+            RunnerEvent::UnitStarted { .. } => {}
+            RunnerEvent::UnitFinished { status, .. } | RunnerEvent::UnitResumed { status, .. } => {
                 let _ = write!(s, ",\"status\":\"{status}\"");
             }
             RunnerEvent::UnitSkipped { reason, .. } => {
@@ -168,9 +145,8 @@ mod tests {
     #[test]
     fn events_render_as_jsonl() {
         let events = vec![
-            RunnerEvent::UnitStarted { key: "a/b".into(), attempt: 1 },
-            RunnerEvent::UnitRetried { key: "a/b".into(), attempt: 1, error: "boom \"q\"".into() },
-            RunnerEvent::UnitFinished { key: "a/b".into(), status: "ok", attempts: 2 },
+            RunnerEvent::UnitStarted { key: "a/b".into() },
+            RunnerEvent::UnitFinished { key: "a/b".into(), status: "ok" },
             RunnerEvent::UnitResumed { key: "a/c".into(), status: "failed" },
             RunnerEvent::UnitSkipped { key: "a/d".into(), reason: "unit cap".into() },
             RunnerEvent::ProfileNote {
@@ -187,15 +163,15 @@ mod tests {
             },
         ];
         let jsonl = runner_events_jsonl(&events);
-        assert_eq!(jsonl.lines().count(), 7);
+        assert_eq!(jsonl.lines().count(), 6);
         assert!(jsonl.contains(r#""event":"profile-note""#));
         assert!(jsonl.contains(r#""trace_drops":3"#));
         assert!(jsonl.contains(r#""span_truncations":1"#));
         assert!(jsonl.contains(r#""recorder_drops":7"#));
         assert!(jsonl.contains(r#""event":"postmortem-dumped""#));
         assert!(jsonl.contains(r#""cause":"stall""#));
-        assert!(jsonl.contains(r#""event":"unit-retried""#));
-        assert!(jsonl.contains(r#""error":"boom \"q\"""#));
+        assert!(jsonl.contains(r#"{"event":"unit-started","key":"a/b"}"#));
+        assert!(jsonl.contains(r#""event":"unit-finished","key":"a/b","status":"ok"}"#));
         for line in jsonl.lines() {
             let v: serde::Content = serde_json::from_str(line).expect("valid JSON");
             assert!(v.get("key").is_some());
@@ -204,7 +180,7 @@ mod tests {
 
     #[test]
     fn kind_and_key_accessors() {
-        let e = RunnerEvent::UnitFinished { key: "x".into(), status: "timed-out", attempts: 1 };
+        let e = RunnerEvent::UnitFinished { key: "x".into(), status: "timed-out" };
         assert_eq!(e.kind(), "unit-finished");
         assert_eq!(e.key(), "x");
         assert!(e.to_json().contains("timed-out"));

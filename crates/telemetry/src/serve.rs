@@ -1,13 +1,13 @@
-//! Live serving: a shared snapshot hub, a minimal std-only HTTP server,
-//! and the Prometheus scrape endpoint built on top of it.
+//! Live serving: a shared snapshot hub and a minimal std-only HTTP server
+//! (the `intellinoc serve` control plane and its `GET /metrics`).
 //!
 //! Determinism contract: the simulation thread *publishes* rendered
 //! exposition text into a [`MetricsHub`] at points it fully controls (once
 //! per control step). Serving — the TCP accept loop, response writing,
 //! wall-clock pacing of scrapers — happens on a separate thread that only
 //! ever *reads* the latest snapshot. Nothing on the serving side can feed
-//! back into simulation state, so enabling `--metrics-addr` cannot change
-//! a single simulated byte (pinned by same-seed byte-identity tests).
+//! back into simulation state, so publishing cannot change a single
+//! simulated byte (pinned by same-seed byte-identity tests).
 //!
 //! Robustness contract: the accept loop never dies. Transient `accept()`
 //! errors (`EMFILE`/`ENFILE` descriptor exhaustion, `ECONNABORTED`,
@@ -375,75 +375,9 @@ fn serve_one(mut stream: TcpStream, handler: &HttpHandler) -> std::io::Result<()
     stream.flush()
 }
 
-/// A minimal HTTP endpoint serving the hub's latest snapshot.
-///
-/// Every connection gets one `200 OK` response carrying the current
-/// exposition text, then the socket closes — exactly what a Prometheus
-/// scraper or `curl` needs. Built on [`HttpServer`], so it inherits the
-/// hardened accept loop (transient-error backoff + structured logging).
-pub struct MetricsServer {
-    inner: HttpServer,
-}
-
-impl std::fmt::Debug for MetricsServer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MetricsServer")
-            .field("addr", &self.inner.local_addr())
-            .finish_non_exhaustive()
-    }
-}
-
-impl MetricsServer {
-    /// Binds `addr` (e.g. `127.0.0.1:9606`, or port `0` for an ephemeral
-    /// port) and starts the accept thread.
-    ///
-    /// # Errors
-    ///
-    /// Returns the bind error if the address is unavailable.
-    pub fn bind(addr: &str, hub: Arc<MetricsHub>) -> std::io::Result<MetricsServer> {
-        let handler: HttpHandler = Arc::new(move |_req: &HttpRequest| {
-            // The path is irrelevant — every request gets the metrics page.
-            HttpResponse {
-                status: 200,
-                headers: vec![(
-                    "Content-Type".into(),
-                    "text/plain; version=0.0.4; charset=utf-8".into(),
-                )],
-                body: hub.snapshot().into_bytes(),
-            }
-        });
-        Ok(MetricsServer { inner: HttpServer::bind(addr, handler)? })
-    }
-
-    /// The bound address (resolves port `0` to the actual ephemeral port).
-    #[must_use]
-    pub fn local_addr(&self) -> std::net::SocketAddr {
-        self.inner.local_addr()
-    }
-
-    /// Accept errors survived so far (monotonic).
-    #[must_use]
-    pub fn accept_errors(&self) -> u64 {
-        self.inner.accept_errors()
-    }
-
-    /// Stops the accept thread and waits for it to exit.
-    pub fn shutdown(&mut self) {
-        self.inner.shutdown();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn scrape(addr: std::net::SocketAddr) -> String {
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream.write_all(b"GET /metrics HTTP/1.0\r\n\r\n").unwrap();
-        let mut response = String::new();
-        stream.read_to_string(&mut response).unwrap();
-        response
-    }
 
     #[test]
     fn hub_publishes_and_versions() {
@@ -454,26 +388,6 @@ mod tests {
         hub.publish("a 2\n".into());
         assert_eq!(hub.snapshot(), "a 2\n");
         assert_eq!(hub.version(), 2);
-    }
-
-    #[test]
-    fn server_serves_latest_snapshot() {
-        let hub = Arc::new(MetricsHub::new());
-        hub.publish("noc_up 1\n".into());
-        let mut server = MetricsServer::bind("127.0.0.1:0", Arc::clone(&hub)).unwrap();
-        let first = scrape(server.local_addr());
-        assert!(first.starts_with("HTTP/1.0 200 OK"), "{first}");
-        assert!(first.contains("text/plain; version=0.0.4"));
-        assert!(first.ends_with("noc_up 1\n"), "{first}");
-
-        hub.publish("noc_up 2\n".into());
-        let second = scrape(server.local_addr());
-        assert!(second.ends_with("noc_up 2\n"), "{second}");
-        assert_eq!(server.accept_errors(), 0);
-
-        server.shutdown();
-        // Idempotent: a second shutdown (and the eventual Drop) are no-ops.
-        server.shutdown();
     }
 
     #[test]

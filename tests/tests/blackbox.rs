@@ -5,9 +5,9 @@
 //! CLI's critical-alert bundle dump).
 
 use intellinoc::{
-    run_campaign_runner, run_experiment_instrumented, run_units, BlackboxConfig, CampaignConfig,
-    ChaosOptions, Design, ExperimentConfig, RunnerConfig, TelemetryOptions, TimeoutReport, UnitCtx,
-    UnitSinks, UnitVerdict,
+    run_campaign_runner, run_experiment_instrumented, run_units, CampaignConfig, ChaosOptions,
+    Design, ExperimentConfig, RunnerConfig, TelemetryOptions, TimeoutReport, UnitCtx, UnitSinks,
+    UnitVerdict,
 };
 use noc_sim::{
     parse_bundle, parse_rules, render_report, AlertEdge, BundleCause, BundleHead, Event,
@@ -36,20 +36,17 @@ fn bundle_files(dir: &PathBuf) -> Vec<String> {
 }
 
 /// Every death cause the execution engine knows — deadline timeout, stall
-/// watchdog, panic, retry exhaustion — leaves a post-mortem bundle on disk
+/// watchdog, panic, fatal failure — leaves a post-mortem bundle on disk
 /// plus a `postmortem-dumped` runner event; healthy units leave nothing.
 /// Each bundle parses and renders to byte-identical markdown twice.
 #[test]
 fn dying_units_dump_bundles_for_every_cause() {
     let dir = temp_dir("causes");
-    let cfg = RunnerConfig {
-        blackbox: Some(BlackboxConfig { dir: dir.clone(), capacity: 8 }),
-        ..RunnerConfig::serial()
-    };
+    let cfg = RunnerConfig { blackbox: Some(dir.clone()), ..RunnerConfig::serial() };
     let keys: Vec<String> =
         ["bb/timeout", "bb/stall", "bb/panic", "bb/fatal", "bb/ok"].map(String::from).to_vec();
     let exec = |ctx: &UnitCtx| -> UnitVerdict<u64> {
-        // Feed the per-attempt recorder so the bundle has ring contents.
+        // Feed the unit's recorder so the bundle has ring contents.
         if let Some(rec) = &ctx.recorder {
             rec.lock().unwrap().push_event(Event::PacketInjected {
                 cycle: 41,
@@ -114,7 +111,7 @@ fn dying_units_dump_bundles_for_every_cause() {
     assert_eq!(
         dumped,
         vec![
-            ("bb/fatal".to_owned(), "retry-exhausted"),
+            ("bb/fatal".to_owned(), "fatal"),
             ("bb/panic".to_owned(), "panic"),
             ("bb/stall".to_owned(), "stall"),
             ("bb/timeout".to_owned(), "timeout"),
@@ -156,10 +153,7 @@ fn campaign_reports_identical_with_recorder_on_and_off() {
     assert!(plain.runner.is_clean());
 
     let dir = temp_dir("clean-campaign");
-    let with_bb = RunnerConfig {
-        blackbox: Some(BlackboxConfig { dir: dir.clone(), capacity: 64 }),
-        ..RunnerConfig::serial()
-    };
+    let with_bb = RunnerConfig { blackbox: Some(dir.clone()), ..RunnerConfig::serial() };
     let recorded = run_campaign_runner(&cfg, &with_bb, &chaos, UnitSinks::default()).unwrap();
     assert_eq!(
         serde_json::to_string(&plain).unwrap(),
@@ -173,7 +167,7 @@ fn campaign_reports_identical_with_recorder_on_and_off() {
 /// One timeline sample per control step, whoever consumes it: the recorder's
 /// ring and the run timeline hold the same samples (deltas included — they
 /// share one baseline), and each is unchanged by the other being on. The RL
-/// design with tracing on keeps the mode-histogram and trace-drop deltas live.
+/// design with tracing on keeps the mode-histogram deltas live.
 #[test]
 fn recorder_and_timeline_hold_the_same_samples() {
     let run = |timeline: bool, recorder: bool| {
@@ -187,7 +181,6 @@ fn recorder_and_timeline_hold_the_same_samples() {
             blackbox: bb.clone(),
             profile: true,
             trace: true,
-            trace_capacity: 64,
             ..TelemetryOptions::default()
         };
         let (_, _, artifacts) = run_experiment_instrumented(cfg);
@@ -210,7 +203,7 @@ fn recorder_and_timeline_hold_the_same_samples() {
     let both_tl = both_tl.expect("timeline on");
     let (ring, bundle) = both_ring.expect("recorder on");
     assert!(both_tl.len() > 4, "want several control steps, got {}", both_tl.len());
-    assert!(both_tl.iter().any(|s| s.trace_drops > 0), "the tiny trace ring must overflow");
+    assert!(both_tl.iter().any(|s| s.mode_histogram.iter().sum::<u64>() > 0), "modes move");
     assert_eq!(ring, both_tl, "recorder ring vs run timeline");
     assert_eq!(only_tl.expect("timeline on"), both_tl, "timeline alone vs with the recorder");
     let (ring_alone, bundle_alone) = only_ring.expect("recorder on");

@@ -1,14 +1,14 @@
 //! Integration tests for the PR 5 metrics layer: live Prometheus
 //! exposition must not perturb the simulation (same-seed byte-identity),
-//! the TCP endpoint serves snapshots out of sim state, and the bench
+//! `serve`'s TCP endpoint serves the hub's latest snapshot, and the bench
 //! record→compare pipeline gates regressions with CI-separated intervals.
 
 use intellinoc::{
     compare_bench, record_bench, run_experiment, run_experiment_instrumented, BenchBaseline,
-    BenchSpec, ChaosOptions, Design, ExperimentConfig, GateOptions, GateVerdict, MetricsOptions,
-    RunnerConfig, TelemetryOptions, UnitSinks,
+    BenchSpec, ChaosOptions, Daemon, Design, ExperimentConfig, GateOptions, GateVerdict,
+    MetricsOptions, RunnerConfig, ServeConfig, TelemetryOptions, UnitSinks,
 };
-use noc_telemetry::{parse_exposition, MetricsHub, MetricsServer};
+use noc_telemetry::{parse_exposition, MetricsHub};
 use noc_traffic::ParsecBenchmark;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -18,7 +18,7 @@ fn metrics_cfg(seed: u64, hub: Arc<MetricsHub>) -> ExperimentConfig {
     let mut cfg = ExperimentConfig::new(Design::IntelliNoc, ParsecBenchmark::Canneal.workload(20))
         .with_seed(seed);
     cfg.telemetry = TelemetryOptions {
-        metrics: MetricsOptions { hub: Some(hub), file: None, every_steps: 1 },
+        metrics: MetricsOptions { hub: Some(hub), file: None },
         ..TelemetryOptions::default()
     };
     cfg
@@ -41,20 +41,11 @@ fn exposition_on_vs_off_is_byte_identical() {
     let b = serde_json::to_string(&instrumented.report).unwrap();
     assert_eq!(a, b, "metrics exposition changed the simulation outcome");
 
-    // The hub saw one snapshot per control step plus the closing one. The
-    // snapshot embeds the deterministic exposition verbatim, followed by
-    // the wall-clock runtime gauges (hub-only: they never enter the
-    // deterministic artifact).
+    // The hub saw one snapshot per control step plus the closing one, and
+    // the last is the deterministic exposition verbatim.
     assert!(hub.version() > 1, "hub must have received per-step snapshots");
     let expo = artifacts.exposition.expect("exposition artifact present");
-    let snap = hub.snapshot();
-    assert!(snap.starts_with(&expo), "hub snapshot must embed the deterministic exposition");
-    assert!(snap.contains("noc_sim_cycles_per_sec"), "hub snapshot carries throughput gauge");
-    assert!(snap.contains("noc_sim_wall_seconds"), "hub snapshot carries wall-clock gauge");
-    assert!(
-        !expo.contains("noc_sim_cycles_per_sec"),
-        "runtime gauges must stay out of the deterministic exposition"
-    );
+    assert_eq!(hub.snapshot(), expo, "the hub holds the deterministic exposition");
 }
 
 /// The final exposition snapshot reflects the final network state: the
@@ -88,16 +79,18 @@ fn exposition_matches_the_final_report() {
     }
 }
 
-/// End-to-end live scrape: bind the std-only TCP endpoint on an ephemeral
-/// port, publish a snapshot, and scrape it with a raw HTTP/1.0 GET. The
-/// response must carry the Prometheus content type and the exact snapshot
-/// bytes, and serving must not consume or mutate hub state.
+/// End-to-end live scrape of the one TCP endpoint, `serve`'s `GET
+/// /metrics`: publish into an idle daemon's hub and scrape it with a raw
+/// HTTP/1.0 GET. The response must carry the exact snapshot bytes, and
+/// serving must not consume or mutate hub state.
 #[test]
 fn tcp_endpoint_serves_the_latest_snapshot() {
-    let hub = Arc::new(MetricsHub::new());
+    let state_dir = std::env::temp_dir().join(format!("intellinoc-scrape-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&state_dir);
+    let cfg = ServeConfig { state_dir: state_dir.clone(), ..ServeConfig::default() };
+    let daemon = Daemon::start(cfg).expect("start an idle daemon");
+    let (hub, addr) = (daemon.hub(), daemon.local_addr());
     hub.publish("# TYPE noc_sim_cycle gauge\nnoc_sim_cycle 41\n".to_owned());
-    let server = MetricsServer::bind("127.0.0.1:0", hub.clone()).expect("bind ephemeral port");
-    let addr = server.local_addr();
 
     for expected_cycle in ["41", "42"] {
         let mut stream = TcpStream::connect(addr).expect("connect");
@@ -105,14 +98,14 @@ fn tcp_endpoint_serves_the_latest_snapshot() {
         let mut response = String::new();
         stream.read_to_string(&mut response).expect("read response");
         assert!(response.starts_with("HTTP/1.0 200 OK\r\n"), "bad status: {response}");
-        assert!(response.contains("text/plain; version=0.0.4"), "bad content type");
         let body = response.split("\r\n\r\n").nth(1).expect("body");
         assert_eq!(body, hub.snapshot(), "served body must be the snapshot verbatim");
         assert!(body.contains(&format!("noc_sim_cycle {expected_cycle}")));
         // Second iteration scrapes a fresh publish: latest snapshot wins.
         hub.publish("# TYPE noc_sim_cycle gauge\nnoc_sim_cycle 42\n".to_owned());
     }
-    drop(server); // shutdown is idempotent and joins the serving thread
+    daemon.shutdown(std::time::Duration::from_secs(5));
+    let _ = std::fs::remove_dir_all(&state_dir);
 }
 
 fn tiny_spec() -> BenchSpec {

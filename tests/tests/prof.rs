@@ -129,7 +129,6 @@ fn cycle_domain_span_artifacts_are_deterministic() {
             metrics: intellinoc::MetricsOptions {
                 hub: Some(std::sync::Arc::new(noc_sim::MetricsHub::new())),
                 file: None,
-                every_steps: 1,
             },
             ..TelemetryOptions::default()
         };

@@ -179,8 +179,8 @@ fn campaign_with_panic_and_timeout_completes_all_healthy_units() {
     assert!(!report.runner.is_clean(), "the grid must be reported partial");
     let csv = report.to_csv();
     assert_eq!(csv.lines().count(), 1 + report.runner.records.len());
-    assert!(csv.contains(",failed,"));
-    assert!(csv.contains(",timed-out,"));
+    assert!(csv.contains(",failed\n"));
+    assert!(csv.contains(",timed-out\n"));
 }
 
 /// The sweep grid goes through the same engine: parallel equals serial, and
