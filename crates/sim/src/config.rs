@@ -4,13 +4,15 @@ use crate::router::MAX_VC_ROWS;
 use crate::topology::PORTS;
 use noc_ecc::EccScheme;
 use noc_fault::{AgingModel, HardFaultScenario, ThermalModel, VariusModel};
-use noc_power::{EnergyModel, LeakageModel};
-use serde::{Deserialize, Serialize};
 
 /// Full configuration of one network simulation.
 ///
-/// Passive configuration bag; fields are public by design. Defaults follow
-/// the paper's Table 1 (8×8 mesh, 4 VCs, 4-stage routers, 2 GHz / 1.0 V).
+/// Passive configuration bag; fields are public by design. It carries only
+/// what some caller varies: the rest of the Table 1 setup (wake-up and
+/// retransmission latencies, gating thresholds, the power epoch, the energy
+/// and leakage models) is fixed where it is read (DESIGN.md §7
+/// "Configuration"). Defaults follow the paper's Table 1 (8×8 mesh, 4 VCs,
+/// 4-stage routers, 2 GHz; the 1.0 V supply is [`AgingModel::vdd`]).
 ///
 /// # Examples
 ///
@@ -24,7 +26,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(cfg.nodes(), 64);
 /// assert_eq!(cfg.channel_stages_per_router(), 32);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Mesh width.
     pub width: usize,
@@ -41,23 +43,12 @@ pub struct SimConfig {
     /// Router pipeline depth in cycles (head flit: RC→VA→SA→ST = 4;
     /// EB removes VA = 3). Body flits follow at one per cycle.
     pub pipeline_latency: u32,
-    /// Cycles to wake a power-gated router.
-    pub wakeup_latency: u32,
     /// Enables cycle-granular reactive power gating (CP/CPD designs): a
-    /// router gates after `idle_gate_threshold` idle cycles.
+    /// router gates after a fixed number of idle cycles.
     pub reactive_gating: bool,
-    /// Consecutive idle cycles before a reactive gate.
-    pub idle_gate_threshold: u32,
     /// Channel occupancy at which a reactively gated router triggers
     /// wake-up.
     pub wake_occupancy: usize,
-    /// Channel occupancy at which a *proactively* (directive-)gated router
-    /// wakes. IntelliNoC rides out more pressure than CP because the MFACs
-    /// provide storage (paper §3.3).
-    pub forced_wake_occupancy: usize,
-    /// Consecutive idle cycles before a proactive gate directive engages
-    /// (the PG controller never gates a busy router; mode 0 is advisory).
-    pub forced_idle_threshold: u32,
     /// Whether flits can bypass a gated router (channel-to-channel
     /// forwarding via the BST-guided bypass switch).
     pub bypass_enabled: bool,
@@ -79,8 +70,6 @@ pub struct SimConfig {
     pub has_qtable: bool,
     /// Initial / static per-hop ECC scheme.
     pub default_scheme: EccScheme,
-    /// Cycles from a NACK to the re-transmitted flit being back on the link.
-    pub retx_latency: u32,
     /// Per-hop retransmission budget before escalating to end-to-end
     /// recovery, and the end-to-end generation bound before an accounted
     /// drop. `0` means unbounded (the pre-resilience behaviour).
@@ -89,30 +78,23 @@ pub struct SimConfig {
     /// or drops for this many cycles, the run aborts with a structured
     /// [`crate::StallReport`]. `0` disables the watchdog.
     pub stall_window: u64,
-    /// Consult the link/router health map and detour around dead links with
-    /// the odd-even turn model instead of routing strictly XY.
+    /// Consult the link/router health map and detour around dead links and
+    /// routers on up*/down* route tables instead of routing strictly XY
+    /// (`health.rs` says why a turn model cannot).
     pub fault_aware_routing: bool,
     /// Deterministic schedule of permanent/intermittent link and router
     /// failures.
     pub hard_faults: HardFaultScenario,
-    /// Supply voltage (V).
-    pub vdd: f64,
     /// Hard cap on simulated cycles (safety net for drains).
     pub max_cycles: u64,
-    /// Thermal/aging/power accounting epoch in cycles.
-    pub epoch_cycles: u64,
     /// RNG seed for fault injection.
     pub seed: u64,
     /// Thermal model.
     pub thermal: ThermalModel,
     /// Transient-error model.
     pub varius: VariusModel,
-    /// Aging model.
+    /// Aging model; its `vdd` is the supply voltage (V).
     pub aging: AgingModel,
-    /// Dynamic energy model.
-    pub energy: EnergyModel,
-    /// Leakage model.
-    pub leakage: LeakageModel,
 }
 
 impl Default for SimConfig {
@@ -124,12 +106,8 @@ impl Default for SimConfig {
             vc_depth: 4,
             channel_capacity: 0,
             pipeline_latency: 4,
-            wakeup_latency: 8,
             reactive_gating: false,
-            idle_gate_threshold: 8,
             wake_occupancy: 2,
-            forced_wake_occupancy: 6,
-            forced_idle_threshold: 2,
             bypass_enabled: false,
             bypass_during_wake: false,
             mfac_retx: false,
@@ -137,20 +115,15 @@ impl Default for SimConfig {
             has_bst: false,
             has_qtable: false,
             default_scheme: EccScheme::Secded,
-            retx_latency: 4,
             max_retx: 16,
             stall_window: 50_000,
             fault_aware_routing: false,
             hard_faults: HardFaultScenario::default(),
-            vdd: 1.0,
             max_cycles: 2_000_000,
-            epoch_cycles: 250,
             seed: 1,
             thermal: ThermalModel::default(),
             varius: VariusModel::default(),
             aging: AgingModel::default(),
-            energy: EnergyModel::default(),
-            leakage: LeakageModel::default(),
         }
     }
 }
@@ -188,8 +161,6 @@ impl SimConfig {
         );
         assert!(self.vc_depth >= 1, "VC depth must be nonzero");
         assert!(self.pipeline_latency >= 1, "pipeline must be at least 1 cycle");
-        assert!(self.retx_latency >= 1, "retransmission latency must be nonzero");
-        assert!(self.epoch_cycles >= 1, "epoch must be nonzero");
         let nodes = self.nodes() as u32;
         for f in &self.hard_faults.faults {
             match f.target {
@@ -219,7 +190,7 @@ impl SimConfig {
 /// let d = RouterDirective { gate: None, scheme: EccScheme::Secded, relaxed: false };
 /// assert_eq!(d, RouterDirective::fixed(EccScheme::Secded));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RouterDirective {
     /// Force the router gated (`Some(true)`), force it awake
     /// (`Some(false)`), or leave gating to the reactive mechanism (`None`).
@@ -248,7 +219,7 @@ mod tests {
         assert_eq!((c.width, c.height), (8, 8));
         assert_eq!(c.vcs, 4);
         assert_eq!(c.pipeline_latency, 4);
-        assert_eq!(c.vdd, 1.0);
+        assert_eq!(c.aging.vdd, 1.0);
         c.validate();
     }
 

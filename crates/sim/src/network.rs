@@ -29,7 +29,7 @@
 //!    proactive/reactive gate and wake transitions, occupancy accounting.
 //! 4. **Workload phase** (`ni_layer`) — the traffic generator is polled and
 //!    new packets enter the NI injection queues.
-//! 5. **Epoch phase** (this file) — every `epoch_cycles`: energy is
+//! 5. **Epoch phase** (this file) — every `EPOCH_CYCLES`: energy is
 //!    settled, the thermal grid steps, aging accumulates, and per-router
 //!    error rates are refreshed.
 //!
@@ -70,10 +70,13 @@ use crate::stats::{NetworkStats, RouterObservation, RunReport, StallReport, TxnS
 use crate::topology::{Mesh, Port, DIRS, PORTS};
 use noc_ecc::EccSuite;
 use noc_fault::{network_mttf, AgingState, FaultInjector, ThermalGrid};
-use noc_power::{EnergyLedger, RouterLeakageSpec, CLOCK_PERIOD_NS};
+use noc_power::{EnergyLedger, EnergyModel, LeakageModel, RouterLeakageSpec, CLOCK_PERIOD_NS};
 use noc_telemetry::{Profiler, Tracer};
 use noc_traffic::{ReqReplyWorkload, TrafficGen, TxnStats, Workload, WorkloadSpec};
 use std::collections::HashSet;
+
+/// Cycles between power/thermal/aging epochs (Table 1 setup).
+const EPOCH_CYCLES: u64 = 250;
 
 /// The simulated network.
 pub struct Network {
@@ -98,7 +101,6 @@ pub struct Network {
     outstanding: Vec<usize>,
     next_packet_id: u64,
     next_flit_id: u64,
-    completed: u64,
     /// Every telemetry sink (tracer, profiler, attribution, flight
     /// recorder, journeys) behind one set of event points; with nothing
     /// installed each point is a not-taken branch per sink.
@@ -158,7 +160,7 @@ impl Network {
             (0..n).map(|id| Router::new(id, cfg.vcs, cfg.vc_depth, cfg.default_scheme)).collect();
         let links = Links::new(&mesh, cfg.channel_capacity);
         let thermal = ThermalGrid::new(cfg.thermal, cfg.width, cfg.height);
-        let base_re = cfg.varius.bit_error_rate(thermal.temp_c(0), cfg.vdd, 0.0);
+        let base_re = cfg.varius.bit_error_rate(thermal.temp_c(0), cfg.aging.vdd, 0.0);
         let mut health = HealthRouter::new(mesh);
         health.set_fault_aware(cfg.fault_aware_routing);
         let n_faults = cfg.hard_faults.faults.len();
@@ -185,7 +187,6 @@ impl Network {
             outstanding: vec![0; n],
             next_packet_id: 0,
             next_flit_id: 0,
-            completed: 0,
             probe: Probe::default(),
             cfg,
         }
@@ -274,7 +275,8 @@ impl Network {
     /// delivered or accounted as dropped.
     pub fn is_done(&self) -> bool {
         self.traffic.is_exhausted()
-            && self.completed + self.stats.packets_dropped == self.stats.packets_injected
+            && self.stats.packets_delivered + self.stats.packets_dropped
+                == self.stats.packets_injected
     }
 
     fn channel_index(&self, router: usize, dir: Port) -> usize {
@@ -291,7 +293,8 @@ impl Network {
     /// Phase 5: settles energy, steps the thermal grid, accumulates aging and
     /// refreshes per-router error rates.
     fn epoch_phase(&mut self) {
-        let epoch = self.cfg.epoch_cycles;
+        let epoch = EPOCH_CYCLES;
+        let (energy, leakage) = (EnergyModel::default(), LeakageModel::default());
         let n = self.mesh.nodes();
         let mut powers = Vec::with_capacity(n);
         let spec = RouterLeakageSpec {
@@ -302,15 +305,11 @@ impl Network {
         };
         for r in 0..n {
             let counters = std::mem::take(&mut self.routers[r].counters);
-            let dyn_pj = self.cfg.energy.dynamic_pj(&counters);
+            let dyn_pj = energy.dynamic_pj(&counters);
             let gated = self.routers[r].is_gated_or_waking() || !self.health.router_up(r);
             let temp = self.thermal.temp_c(r);
-            let static_mw = self.cfg.leakage.router_static_mw(
-                &spec,
-                self.routers[r].directive.scheme,
-                temp,
-                gated,
-            );
+            let static_mw =
+                leakage.router_static_mw(&spec, self.routers[r].directive.scheme, temp, gated);
             let dyn_mw = dyn_pj / (epoch as f64 * CLOCK_PERIOD_NS);
             self.ledger.add_dynamic_pj(dyn_pj);
             self.ledger.add_static_epoch(static_mw, epoch);
@@ -332,7 +331,7 @@ impl Network {
         for r in 0..n {
             self.re[r] = self.cfg.varius.bit_error_rate(
                 self.thermal.temp_c(r),
-                self.cfg.vdd,
+                self.cfg.aging.vdd,
                 self.aging[r].delay_degradation(&self.cfg.aging),
             );
         }
@@ -365,7 +364,7 @@ impl Network {
         self.drain_txn_events();
         self.now += 1;
         self.stats.cycles = self.now;
-        if self.now.is_multiple_of(self.cfg.epoch_cycles) {
+        if self.now.is_multiple_of(EPOCH_CYCLES) {
             self.phase("epoch.update", Self::epoch_phase);
         }
         self.probe.span_exit();
@@ -479,7 +478,7 @@ impl Network {
 
     /// Charges the energy of `n` RL decisions (one per agent per time step).
     pub fn charge_rl_decisions(&mut self, n: u64) {
-        self.ledger.add_dynamic_pj(self.cfg.energy.rl_decision_pj * n as f64);
+        self.ledger.add_dynamic_pj(EnergyModel::default().rl_decision_pj * n as f64);
     }
 
     /// Collects per-router observations for the elapsed control time step

@@ -27,6 +27,10 @@ use crate::topology::{Port, DIRS};
 use noc_ecc::{DecodeStatus, EccScheme};
 use noc_telemetry::Event;
 
+/// Cycles from a NACK to the re-transmitted copy being back on the link
+/// (Table 1 setup).
+const RETX_LATENCY: u64 = 4;
+
 /// Who takes a flit off a link. Read off the simulator's state at the call
 /// site — the receiving router's gate state and whether the flit's route
 /// there is `Local` — never configured.
@@ -157,7 +161,7 @@ impl Network {
     /// (unless it is a gated transit), and either hands the flit over —
     /// removed from the channel, flips folded into its counters, one hop
     /// older — or returns `None`: the decoder NACKed it (the stored copy
-    /// re-traverses after `retx_latency`) or its hop-retry budget ran out
+    /// re-traverses after `RETX_LATENCY`) or its hop-retry budget ran out
     /// and the packet went to end-to-end recovery.
     ///
     /// Every flip sampled here or carried in as `hop_flips` ends in exactly
@@ -264,9 +268,8 @@ impl Network {
             return;
         }
         let (u, v) = self.link_ends(ci);
-        let latency = self.cfg.retx_latency as u64;
-        self.links.delay_at(ci, idx, now, latency);
-        self.probe.hop_retx(ci, &head, v, latency, now);
+        self.links.delay_at(ci, idx, now, RETX_LATENCY);
+        self.probe.hop_retx(ci, &head, v, RETX_LATENCY, now);
         self.stats.hop_retx_events += 1;
         self.stats.retransmitted_flits += 1;
         let up = &mut self.routers[u];
@@ -491,7 +494,7 @@ mod tests {
                     assert_eq!((kept.hop_flips, kept.e2e_flips), (0, e2e_before));
                     assert_eq!((kept.retx, kept.hops), (retx + 1, 0));
                     let ready_at = |t| channel.scan_deliverable(t, |f| f.id == flit.id);
-                    let back = net.now + net.cfg.retx_latency as u64;
+                    let back = net.now + RETX_LATENCY;
                     assert_eq!((ready_at(back - 1), ready_at(back)), (None, Some(idx)));
                 }
             }

@@ -153,7 +153,6 @@ impl Network {
         if state.flips > 0 {
             self.stats.corrupted_packets += 1;
         }
-        self.completed += 1;
         let src = flit.src as usize;
         self.outstanding[src] = self.outstanding[src].saturating_sub(1);
         self.traffic.on_delivered(self.now, flit.packet_id);

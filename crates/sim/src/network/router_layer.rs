@@ -18,6 +18,18 @@ use crate::topology::{Port, PORTS};
 use noc_ecc::EccScheme;
 use noc_telemetry::{Event, GateEdge};
 
+/// Cycles from a wake decision until the router is back on (Table 1 setup).
+const WAKEUP_LATENCY: u64 = 8;
+/// Consecutive idle cycles before a reactive gate (Table 1 setup).
+const IDLE_GATE_THRESHOLD: u32 = 8;
+/// Consecutive idle cycles before a proactive gate directive engages: the PG
+/// controller never gates a busy router, mode 0 is advisory (Table 1 setup).
+const FORCED_IDLE_THRESHOLD: u32 = 2;
+/// Channel occupancy at which a proactively (directive-)gated router wakes,
+/// capped at the channel's capacity: IntelliNoC rides out more pressure
+/// than CP because the MFACs provide storage (paper §3.3; Table 1 setup).
+const FORCED_WAKE_OCCUPANCY: usize = 6;
+
 /// One switch-allocation grant: the head-of-queue flit of VC `vc` of input
 /// `port` crosses to output `out`, bound for downstream VC `dvc` ([`NO_VC`]
 /// when ejecting or when the downstream router takes no reservation).
@@ -309,10 +321,10 @@ impl Network {
                     // a quiet router (paper §4: triggered when the router is
                     // underutilized or overheating is predicted).
                     let forced_ready = router.directive.gate == Some(true)
-                        && router.idle_cycles >= self.cfg.forced_idle_threshold;
+                        && router.idle_cycles >= FORCED_IDLE_THRESHOLD;
                     let reactive_ready = self.cfg.reactive_gating
                         && router.directive.gate != Some(false)
-                        && router.idle_cycles >= self.cfg.idle_gate_threshold;
+                        && router.idle_cycles >= IDLE_GATE_THRESHOLD;
                     if (forced_ready || reactive_ready)
                         && router.is_gateable()
                         && (self.cfg.bypass_enabled || (!busy && !ni_waiting && incoming == 0))
@@ -331,15 +343,14 @@ impl Network {
                     let pressure_wake = if forced {
                         // Proactive stress-relax mode rides out pressure
                         // using MFAC storage before powering back on.
-                        max_incoming
-                            >= self.cfg.forced_wake_occupancy.min(self.cfg.channel_capacity.max(1))
+                        max_incoming >= FORCED_WAKE_OCCUPANCY.min(self.cfg.channel_capacity.max(1))
                     } else {
                         max_incoming
                             >= self.cfg.wake_occupancy.min(self.cfg.channel_capacity.max(1))
                     };
                     let stranded = !self.cfg.bypass_enabled && (incoming > 0 || ni_waiting);
                     if policy_wake || pressure_wake || stranded || turn_wake {
-                        router.gate = GateState::Waking(now + self.cfg.wakeup_latency as u64);
+                        router.gate = GateState::Waking(now + WAKEUP_LATENCY);
                         router.counters.wakeups += 1;
                     }
                 }

@@ -1,7 +1,9 @@
 //! Cross-crate property-based tests: network invariants under randomized
 //! workloads, seeds, and design configurations.
 
-use noc_sim::{Network, SimConfig};
+use intellinoc::Design;
+use noc_ecc::EccScheme;
+use noc_sim::{HardFaultScenario, Network, RouterDirective, SimConfig};
 use noc_traffic::{SpatialPattern, WorkloadSpec};
 use proptest::prelude::*;
 
@@ -94,5 +96,50 @@ proptest! {
         // 3 cycles tail serialization ~ 9 cycles.
         prop_assert!(net.stats().avg_latency() >= 9.0,
             "implausible latency {}", net.stats().avg_latency());
+    }
+}
+
+proptest! {
+    /// The occupancy index (buffered counts, every router's VC table and
+    /// readiness masks, inbound counts, non-empty channel and NI sets)
+    /// equals a from-scratch recount after every cycle of runs that exercise
+    /// every place a flit enters or leaves a queue or a VC changes hands:
+    /// every design of `Design::ALL`, loads from idle to past saturation,
+    /// link errors with a tight retry budget (hop NACKs, end-to-end
+    /// re-injection), a router dying mid-run (`purge_packet`, salvage,
+    /// drops) and, on bypass designs, a forced-gate directive.
+    #[test]
+    fn occupancy_index_equals_a_recount_every_cycle(
+        (width, height) in (2usize..7, 2usize..7),
+        design in 0u8..5,
+        rate in 0.002f64..0.12,
+        seed in any::<u64>(),
+        death_at in 30u64..300,
+        gate_at in 0u64..300,
+    ) {
+        let mut cfg = Design::ALL[usize::from(design)].sim_config();
+        (cfg.width, cfg.height) = (width, height);
+        cfg.seed = seed;
+        cfg.fault_aware_routing = true;
+        cfg.max_retx = 2;
+        cfg.varius.base_rate = 3e-4;
+        cfg.varius.min_rate = 3e-4;
+        cfg.varius.max_rate = 3e-4;
+        cfg.hard_faults = HardFaultScenario::dead_routers(width, height, 1, seed, death_at);
+        let (nodes, bypass) = (cfg.nodes(), cfg.bypass_enabled);
+        let mut net = Network::new(cfg, WorkloadSpec::uniform(rate, 8), seed ^ 0x5eed);
+        for cycle in 0..1_200u64 {
+            if net.is_done() {
+                break;
+            }
+            if bypass && cycle == gate_at {
+                let d = RouterDirective { gate: Some(true), scheme: EccScheme::Secded, relaxed: false };
+                net.apply_directives(&vec![d; nodes]);
+            }
+            net.step_cycle();
+            let drift = net.occupancy_index_drift();
+            prop_assert!(drift.is_none(), "after cycle {cycle}: {drift:?}");
+        }
+        prop_assert!(net.stats().packets_injected > 0);
     }
 }
