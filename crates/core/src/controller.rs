@@ -12,21 +12,12 @@
 use crate::expert::{expert_decide, ExpertThresholds};
 use crate::modes::OperationMode;
 use noc_ecc::EccScheme;
-use noc_rl::{holistic_reward, linear_reward, Discretizer, QAgent, QLearningConfig, QTable};
+pub use noc_rl::RewardKind;
+use noc_rl::{Discretizer, QAgent, QLearningConfig, QTable};
 use noc_sim::{
     ConvergenceSample, DecisionLog, DecisionRecord, Event, RouterDirective, RouterObservation,
     Tracer,
 };
-use serde::{Deserialize, Serialize};
-
-/// Reward shaping variant (ablation D5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum RewardKind {
-    /// The paper's Eq. 1: `−log L − log P − log A`.
-    LogSpace,
-    /// Linear weighted sum (used by the reward ablation).
-    Linear,
-}
 
 /// Latency (cycles) charged for a control step in which no packet completed
 /// anywhere while traffic was outstanding — a stalled network.
@@ -67,7 +58,7 @@ impl RlControl {
     }
 
     /// Starts recording one [`DecisionRecord`] per agent decision plus a
-    /// per-step [`ConvergenceSample`]. Costs one traced Q-row per decision;
+    /// per-step [`ConvergenceSample`]. Costs one Q-row read per decision;
     /// leave disabled for performance runs.
     pub fn enable_decision_log(&mut self) {
         self.decision_log = Some(DecisionLog::default());
@@ -121,18 +112,6 @@ impl RlControl {
         self.mode_histogram
     }
 
-    /// The reward for one router's observation.
-    #[cfg(test)]
-    fn reward(&self, obs: &RouterObservation) -> f64 {
-        let latency = obs.avg_latency.max(1.0);
-        let power = obs.avg_power_mw.max(1.0);
-        let aging = obs.aging_factor.max(1.0);
-        match self.reward_kind {
-            RewardKind::LogSpace => holistic_reward(latency, power, aging),
-            RewardKind::Linear => linear_reward(latency, power, aging),
-        }
-    }
-
     /// One control step: learn from the last step's rewards, pick modes.
     ///
     /// The per-router latency term is the sender-side average latency of the
@@ -171,36 +150,23 @@ impl RlControl {
             .zip(self.agents.iter_mut())
             .enumerate()
             .map(|(r, (obs, agent))| {
-                let latency = if obs.ejected_packets > 0 {
-                    obs.avg_latency.max(1.0)
-                } else {
-                    net_latency.max(1.0)
-                };
-                let power = obs.avg_power_mw.max(1.0);
-                let aging = obs.aging_factor.max(1.0);
-                let reward = match self.reward_kind {
-                    RewardKind::LogSpace => holistic_reward(latency, power, aging),
-                    RewardKind::Linear => linear_reward(latency, power, aging),
-                };
+                let latency = if obs.ejected_packets > 0 { obs.avg_latency } else { net_latency };
+                // The paper's three terms, kept apart so the decision log
+                // shows *why* an action scored what it did.
+                let [rl, rp, ra] =
+                    self.reward_kind.terms(latency, obs.avg_power_mw, obs.aging_factor);
+                let reward = rl + rp + ra;
                 let key = self.discretizer.key(&obs.features);
-                let action = if let Some(log) = self.decision_log.as_mut() {
-                    let trace = agent.step_traced(key, reward);
-                    let mut q_row = [0.0f32; 5];
-                    for (dst, src) in q_row.iter_mut().zip(trace.q_row.iter()) {
-                        *dst = *src;
-                    }
-                    // Decompose the reward into the paper's three terms so
-                    // the log shows *why* an action scored what it did.
-                    let (rl, rp, ra) = match self.reward_kind {
-                        RewardKind::LogSpace => (-latency.ln(), -power.ln(), -aging.ln()),
-                        RewardKind::Linear => (-latency / 100.0, -power / 100.0, -aging),
-                    };
+                let trace = agent.step_traced(key, reward);
+                let action = trace.action;
+                if let Some(log) = self.decision_log.as_mut() {
+                    let q_row = std::array::from_fn(|a| agent.table().q(key, a));
                     log.records.push(DecisionRecord {
                         cycle,
                         router: r as u32,
                         state: key.0,
                         q_row,
-                        action: trace.action as u8,
+                        action: action as u8,
                         explored: trace.explored,
                         reward,
                         reward_latency: rl,
@@ -214,10 +180,7 @@ impl RlControl {
                         updates += 1;
                         td_abs_sum += f64::from(trace.td_delta.abs());
                     }
-                    trace.action
-                } else {
-                    agent.step(key, reward)
-                };
+                }
                 let mode = OperationMode::from_action(action);
                 if let Some(t) = tracer.as_deref_mut() {
                     t.record(Event::QUpdate {
@@ -512,7 +475,8 @@ mod tests {
     fn rl_reward_uses_log_space() {
         let rl = RlControl::new(1, QLearningConfig::default(), 1, RewardKind::LogSpace);
         let o = obs(0, [0; 4]);
-        let r = rl.reward(&o);
+        let [l, p, a] = rl.reward_kind.terms(o.avg_latency, o.avg_power_mw, o.aging_factor);
+        let r = l + p + a;
         let expect = -(20.0f64.ln() + 40.0f64.ln() + 1.01f64.ln());
         assert!((r - expect).abs() < 1e-12);
     }

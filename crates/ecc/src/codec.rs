@@ -5,8 +5,6 @@
 //! transient-fault injector in `noc-fault` decides *which* bits) and then asks
 //! the codec to decode, observing a [`DecodeStatus`].
 
-use serde::{Deserialize, Serialize};
-
 /// Maximum codeword length supported by [`Codeword`], in bits.
 pub const MAX_CODEWORD_BITS: usize = 192;
 
@@ -26,7 +24,7 @@ pub const MAX_CODEWORD_BITS: usize = 192;
 /// cw.flip_bit(3);
 /// assert!(!cw.bit(3));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Codeword {
     words: [u64; 3],
     len: u16,
@@ -58,6 +56,20 @@ impl Codeword {
             assert!(data >> len == 0, "data does not fit in {len} bits");
         }
         cw
+    }
+
+    /// A `len`-bit codeword whose bits 0..128 are `low` and 128.. are `high`.
+    pub(crate) fn from_u192(low: u128, high: u64, len: usize) -> Self {
+        let mut cw = Self::from_data(low, len);
+        cw.words[2] = high;
+        debug_assert!(len >= 128 + 64 - high.leading_zeros() as usize, "bits beyond {len}");
+        cw
+    }
+
+    /// The codeword as `(bits 0..128, bits 128..)`, the inverse of
+    /// [`Codeword::from_u192`].
+    pub(crate) fn to_u192(self) -> (u128, u64) {
+        (self.low128(), self.words[2])
     }
 
     /// Length of the codeword in bits.
@@ -159,7 +171,7 @@ impl Iterator for IterOnes<'_> {
 /// `Corrected` reports how many bit errors the decoder believes it fixed;
 /// whether the correction was *actually* right is only known to the caller,
 /// who holds the original data (see [`DecodeStatus::is_usable`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DecodeStatus {
     /// Syndrome was zero: no error observed.
     Clean,
@@ -180,8 +192,9 @@ impl DecodeStatus {
 /// A codec that protects one 128-bit flit payload.
 ///
 /// Implemented by [`crate::Crc`] (detection only), [`crate::Secded`]
-/// (single-error correction, double-error detection) and [`crate::Dected`]
-/// (double-error correction, triple-error detection).
+/// (single-error correction, double-error detection), [`crate::Dected`]
+/// (double-error correction, triple-error detection) and [`crate::Tecqed`]
+/// (triple-error correction).
 ///
 /// # Examples
 ///
@@ -240,6 +253,14 @@ mod tests {
         let data = 0x0123_4567_89AB_CDEF_FEDC_BA98_7654_3210u128;
         let cw = Codeword::from_data(data, 145);
         assert_eq!(cw.low128(), data);
+    }
+
+    #[test]
+    fn u192_roundtrip_puts_the_high_word_above_bit_128() {
+        let cw = Codeword::from_u192(1 | 1 << 127, 0x1_0001, 145);
+        let ones: Vec<usize> = cw.iter_ones().collect();
+        assert_eq!(ones, [0, 127, 128, 144]);
+        assert_eq!(cw.to_u192(), (1 | 1 << 127, 0x1_0001));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Cyclic-redundancy-check codes.
+//! The end-to-end flit CRC: CRC-16/CCITT-FALSE.
 //!
 //! IntelliNoC's operation mode 1 disables all per-hop ECC hardware and relies
 //! on a basic end-to-end CRC computed at the source network interface and
@@ -6,36 +6,36 @@
 //! a failed check triggers an end-to-end re-transmission request.
 //!
 //! The implementation is a conventional MSB-first, table-driven CRC over the
-//! 16 payload bytes of a 128-bit flit.
+//! 16 payload bytes of a 128-bit flit: polynomial `0x1021`, initial register
+//! `0xFFFF`, no final XOR (16 check bits, the low-cost "basic CRC" of the
+//! paper). The codeword is the data in bits 0..128 and the CRC in 128..144.
 
 use crate::codec::{Codeword, DecodeStatus, FlitCodec};
 
-/// A CRC algorithm parameterization (non-reflected, MSB-first).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CrcSpec {
-    /// Width of the CRC register in bits (8, 16, or 32).
-    pub width: u8,
-    /// Generator polynomial with the top bit implicit (e.g. `0x1021`).
-    pub poly: u32,
-    /// Initial register value.
-    pub init: u32,
-    /// Value XOR-ed into the register at the end.
-    pub xorout: u32,
+/// Generator polynomial x¹⁶ + x¹² + x⁵ + 1 with the x¹⁶ term implicit.
+const POLY: u16 = 0x1021;
+/// Initial register value.
+const INIT: u16 = 0xFFFF;
+/// The register after shifting each byte value through it.
+const TABLE: [u16; 256] = byte_table();
+
+const fn byte_table() -> [u16; 256] {
+    let mut table = [0u16; 256];
+    let mut b = 0;
+    while b < 256 {
+        let mut reg = (b as u16) << 8;
+        let mut k = 0;
+        while k < 8 {
+            reg = if reg & 0x8000 != 0 { (reg << 1) ^ POLY } else { reg << 1 };
+            k += 1;
+        }
+        table[b] = reg;
+        b += 1;
+    }
+    table
 }
 
-/// CRC-8/ATM (poly `0x07`), the cheapest detection option.
-pub const CRC8_ATM: CrcSpec = CrcSpec { width: 8, poly: 0x07, init: 0, xorout: 0 };
-
-/// CRC-16/CCITT-FALSE (poly `0x1021`), the default flit CRC in this
-/// reproduction (16 check bits on a 128-bit flit, matching the low-cost
-/// "basic CRC" of the paper).
-pub const CRC16_CCITT: CrcSpec = CrcSpec { width: 16, poly: 0x1021, init: 0xFFFF, xorout: 0 };
-
-/// CRC-32 (poly `0x04C11DB7`, non-reflected variant).
-pub const CRC32_MPEG2: CrcSpec =
-    CrcSpec { width: 32, poly: 0x04C1_1DB7, init: 0xFFFF_FFFF, xorout: 0 };
-
-/// A table-driven CRC codec over one 128-bit flit payload.
+/// The CRC-16 flit codec.
 ///
 /// # Examples
 ///
@@ -48,48 +48,20 @@ pub const CRC32_MPEG2: CrcSpec =
 /// cw.flip_bit(100);
 /// assert_eq!(crc.decode(&cw).1, DecodeStatus::Detected);
 /// ```
-#[derive(Debug, Clone)]
-pub struct Crc {
-    spec: CrcSpec,
-    table: Box<[u32; 256]>,
-}
+#[derive(Debug, Clone, Copy)]
+pub struct Crc;
 
 impl Crc {
-    /// Creates a CRC codec from an algorithm spec.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `spec.width` is not 8, 16, or 32.
-    pub fn new(spec: CrcSpec) -> Self {
-        assert!(matches!(spec.width, 8 | 16 | 32), "unsupported CRC width {}", spec.width);
-        let mut table = Box::new([0u32; 256]);
-        let top = 1u64 << (spec.width - 1);
-        let mask = if spec.width == 32 { u32::MAX as u64 } else { (1u64 << spec.width) - 1 };
-        for (b, entry) in table.iter_mut().enumerate() {
-            let mut reg = (b as u64) << (spec.width - 8);
-            for _ in 0..8 {
-                reg = if reg & top != 0 { (reg << 1) ^ spec.poly as u64 } else { reg << 1 };
-            }
-            *entry = (reg & mask) as u32;
-        }
-        Crc { spec, table }
-    }
-
-    /// The default flit CRC: CRC-16/CCITT-FALSE.
+    /// The flit CRC.
     pub fn flit() -> Self {
-        Self::new(CRC16_CCITT)
+        Crc
     }
 
     /// Computes the CRC register over `data` (16 bytes, big-endian order).
-    pub fn checksum(&self, data: u128) -> u32 {
-        let mask = if self.spec.width == 32 { u32::MAX } else { (1u32 << self.spec.width) - 1 };
-        let mut reg = self.spec.init & mask;
-        for i in (0..16).rev() {
-            let byte = ((data >> (i * 8)) & 0xFF) as u32;
-            let idx = ((reg >> (self.spec.width - 8)) ^ byte) & 0xFF;
-            reg = ((reg << 8) & mask) ^ self.table[idx as usize];
-        }
-        (reg ^ self.spec.xorout) & mask
+    pub fn checksum(&self, data: u128) -> u16 {
+        data.to_be_bytes()
+            .iter()
+            .fold(INIT, |reg, &byte| (reg << 8) ^ TABLE[usize::from((reg >> 8) as u8 ^ byte)])
     }
 }
 
@@ -99,27 +71,16 @@ impl FlitCodec for Crc {
     }
 
     fn check_bits(&self) -> usize {
-        self.spec.width as usize
+        16
     }
 
     fn encode(&self, data: u128) -> Codeword {
-        let mut cw = Codeword::from_data(data, 128 + self.spec.width as usize);
-        let crc = self.checksum(data);
-        for i in 0..self.spec.width as usize {
-            cw.set_bit(128 + i, (crc >> i) & 1 == 1);
-        }
-        cw
+        Codeword::from_u192(data, u64::from(self.checksum(data)), 144)
     }
 
     fn decode(&self, cw: &Codeword) -> (u128, DecodeStatus) {
-        let data = cw.low128();
-        let mut rx = 0u32;
-        for i in 0..self.spec.width as usize {
-            if cw.bit(128 + i) {
-                rx |= 1 << i;
-            }
-        }
-        if self.checksum(data) == rx {
+        let (data, rx) = cw.to_u192();
+        if u64::from(self.checksum(data)) == rx {
             (data, DecodeStatus::Clean)
         } else {
             (data, DecodeStatus::Detected)
@@ -131,6 +92,16 @@ impl FlitCodec for Crc {
 mod tests {
     use super::*;
 
+    /// Bit-serial CRC-16/CCITT-FALSE over the 128 data bits, MSB first.
+    fn reference_crc(data: u128) -> u16 {
+        let mut reg = INIT;
+        for i in (0..128).rev() {
+            let feedback = (reg >> 15) ^ ((data >> i) & 1) as u16;
+            reg = (reg << 1) ^ if feedback == 1 { POLY } else { 0 };
+        }
+        reg
+    }
+
     #[test]
     fn crc16_known_vector() {
         // CRC-16/CCITT-FALSE of ASCII "123456789" is 0x29B1; embed the 9
@@ -138,28 +109,14 @@ mod tests {
         // against a bitwise reference implementation instead.
         let crc = Crc::flit();
         let data = 0x3132_3334_3536_3738_3900_0000_0000_0000u128;
-        assert_eq!(crc.checksum(data), reference_crc(CRC16_CCITT, data));
-    }
-
-    fn reference_crc(spec: CrcSpec, data: u128) -> u32 {
-        let mask = if spec.width == 32 { u32::MAX as u64 } else { (1u64 << spec.width) - 1 };
-        let top = 1u64 << (spec.width - 1);
-        let mut reg = spec.init as u64 & mask;
-        for i in (0..128).rev() {
-            let bit = ((data >> i) & 1) as u64;
-            let fb = ((reg & top) != 0) as u64 ^ bit;
-            reg = ((reg << 1) & mask) ^ if fb == 1 { spec.poly as u64 } else { 0 };
-        }
-        ((reg ^ spec.xorout as u64) & mask) as u32
+        assert_eq!(crc.checksum(data), reference_crc(data));
     }
 
     #[test]
-    fn matches_bitwise_reference_all_widths() {
-        for spec in [CRC8_ATM, CRC16_CCITT, CRC32_MPEG2] {
-            let crc = Crc::new(spec);
-            for data in [0u128, 1, u128::MAX, 0xDEAD_BEEF_0BAD_F00D, 0x8000_0000 << 96] {
-                assert_eq!(crc.checksum(data), reference_crc(spec, data), "spec {spec:?}");
-            }
+    fn matches_bitwise_reference() {
+        let crc = Crc::flit();
+        for data in [0u128, 1, u128::MAX, 0xDEAD_BEEF_0BAD_F00D, 0x8000_0000 << 96] {
+            assert_eq!(crc.checksum(data), reference_crc(data), "data {data:#x}");
         }
     }
 
@@ -200,9 +157,7 @@ mod tests {
 
     #[test]
     fn check_bits_reported() {
-        assert_eq!(Crc::new(CRC8_ATM).check_bits(), 8);
         assert_eq!(Crc::flit().check_bits(), 16);
-        assert_eq!(Crc::new(CRC32_MPEG2).check_bits(), 32);
         assert_eq!(Crc::flit().codeword_bits(), 144);
     }
 }

@@ -1,18 +1,37 @@
-//! Extended Hamming SECDED codes (single-error correction, double-error
-//! detection).
+//! The (137, 128) extended Hamming SECDED flit code (single-error
+//! correction, double-error detection).
 //!
 //! SECDED is the workhorse per-hop ECC of the paper's baseline and of
-//! IntelliNoC operation mode 2. For a 128-bit flit this is a (137, 128)
-//! extended Hamming code: 8 Hamming parity bits plus one overall parity bit.
+//! IntelliNoC operation mode 2: 8 Hamming parity bits plus one overall
+//! parity bit on a 128-bit flit.
 //!
 //! The codeword layout follows the classic positional construction: codeword
-//! positions are numbered `1..=n`; positions that are powers of two hold
+//! positions are numbered `1..=136`; positions that are powers of two hold
 //! parity bits; all other positions hold data bits in order; position 0 (the
-//! first bit of the [`Codeword`]) holds the overall parity.
+//! first bit of the [`Codeword`]) holds the overall parity. The syndrome of a
+//! word is the XOR of the positions of its set bits.
 
 use crate::codec::{Codeword, DecodeStatus, FlitCodec};
 
-/// A SECDED codec for a configurable number of data bits (up to 128).
+/// Hamming positions `1..=N`: 128 data + 8 parity.
+const N: usize = 136;
+/// `DATA_POS[i]` is the Hamming position of data bit `i`.
+const DATA_POS: [u8; 128] = data_positions();
+
+const fn data_positions() -> [u8; 128] {
+    let mut pos = [0u8; 128];
+    let (mut p, mut d) = (1usize, 0);
+    while d < 128 {
+        if !p.is_power_of_two() {
+            pos[d] = p as u8;
+            d += 1;
+        }
+        p += 1;
+    }
+    pos
+}
+
+/// The SECDED flit codec.
 ///
 /// # Examples
 ///
@@ -26,125 +45,63 @@ use crate::codec::{Codeword, DecodeStatus, FlitCodec};
 /// cw.flip_bit(90);
 /// assert_eq!(codec.decode(&cw).1, DecodeStatus::Detected); // double error
 /// ```
-#[derive(Debug, Clone)]
-pub struct Secded {
-    data_bits: usize,
-    /// Number of Hamming parity bits (excluding the overall parity bit).
-    hamming_bits: usize,
-    /// `data_pos[i]` is the 1-based Hamming position of data bit `i`.
-    data_pos: Vec<usize>,
-    /// `pos_data[p]` is `Some(i)` when Hamming position `p` holds data bit `i`
-    /// (kept for decoder symmetry and debugging).
-    #[allow(dead_code)]
-    pos_data: Vec<Option<usize>>,
-}
+#[derive(Debug, Clone, Copy)]
+pub struct Secded;
 
 impl Secded {
-    /// Creates a SECDED codec for `data_bits` bits of data.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data_bits` is zero or exceeds 128.
-    pub fn new(data_bits: usize) -> Self {
-        assert!(data_bits > 0 && data_bits <= 128, "data_bits out of range: {data_bits}");
-        let mut r = 2usize;
-        while (1usize << r) < data_bits + r + 1 {
-            r += 1;
-        }
-        let n = data_bits + r; // Hamming codeword length (positions 1..=n)
-        let mut data_pos = Vec::with_capacity(data_bits);
-        let mut pos_data = vec![None; n + 1];
-        let mut d = 0;
-        #[allow(clippy::needless_range_loop)] // p is a 1-based codeword position
-        for p in 1..=n {
-            if !p.is_power_of_two() {
-                pos_data[p] = Some(d);
-                data_pos.push(p);
-                d += 1;
-            }
-        }
-        debug_assert_eq!(d, data_bits);
-        Secded { data_bits, hamming_bits: r, data_pos, pos_data }
-    }
-
-    /// The standard flit codec: (137, 128) extended Hamming.
+    /// The flit codec.
     pub fn flit() -> Self {
-        Self::new(128)
+        Secded
     }
+}
 
-    /// Hamming codeword length in positions (excluding the overall parity).
-    fn n(&self) -> usize {
-        self.data_bits + self.hamming_bits
+fn extract(cw: &Codeword) -> u128 {
+    let mut data = 0u128;
+    for (i, &p) in DATA_POS.iter().enumerate() {
+        if cw.bit(usize::from(p)) {
+            data |= 1 << i;
+        }
     }
-
-    /// Bit index in the [`Codeword`] for Hamming position `p` (1-based).
-    /// Index 0 is reserved for the overall parity bit.
-    fn idx(p: usize) -> usize {
-        p
-    }
+    data
 }
 
 impl FlitCodec for Secded {
     fn data_bits(&self) -> usize {
-        self.data_bits
+        128
     }
 
     fn check_bits(&self) -> usize {
-        self.hamming_bits + 1
+        9
     }
 
     fn encode(&self, data: u128) -> Codeword {
-        if self.data_bits < 128 {
-            assert!(data >> self.data_bits == 0, "data does not fit in {} bits", self.data_bits);
-        }
-        let n = self.n();
-        let mut cw = Codeword::zeroed(n + 1);
-        // Place data bits.
-        for (i, &p) in self.data_pos.iter().enumerate() {
+        let mut cw = Codeword::zeroed(N + 1);
+        let mut syndrome = 0usize;
+        for (i, &p) in DATA_POS.iter().enumerate() {
             if (data >> i) & 1 == 1 {
-                cw.set_bit(Self::idx(p), true);
+                cw.set_bit(usize::from(p), true);
+                syndrome ^= usize::from(p);
             }
         }
-        // Hamming parity bits: parity bit at position 2^k covers all positions
-        // whose k-th bit is set.
-        for k in 0..self.hamming_bits {
-            let pb = 1usize << k;
-            let mut parity = false;
-            for p in 1..=n {
-                if p & pb != 0 && p != pb && cw.bit(Self::idx(p)) {
-                    parity = !parity;
-                }
-            }
-            cw.set_bit(Self::idx(pb), parity);
+        // Parity bit 2^k covers the positions with bit k set, so setting it
+        // to bit k of the data syndrome zeroes the codeword's syndrome.
+        for k in 0..8 {
+            cw.set_bit(1 << k, (syndrome >> k) & 1 == 1);
         }
-        // Overall parity over everything (positions 1..=n), stored at index 0.
-        let total = cw.count_ones() % 2 == 1;
-        cw.set_bit(0, total);
+        // Overall parity over positions 1..=N, stored at index 0.
+        cw.set_bit(0, cw.count_ones() % 2 == 1);
         cw
     }
 
     fn decode(&self, cw: &Codeword) -> (u128, DecodeStatus) {
-        let n = self.n();
-        debug_assert_eq!(cw.len(), n + 1);
+        debug_assert_eq!(cw.len(), N + 1);
         let mut syndrome = 0usize;
         let mut ones = 0u32;
         for i in cw.iter_ones() {
             ones += 1;
-            if i >= 1 {
-                syndrome ^= i; // position == index for positions 1..=n
-            }
+            syndrome ^= i; // index 0 (the overall parity) adds nothing
         }
         let parity_ok = ones.is_multiple_of(2);
-
-        let extract = |cw: &Codeword| -> u128 {
-            let mut data = 0u128;
-            for (i, &p) in self.data_pos.iter().enumerate() {
-                if cw.bit(Self::idx(p)) {
-                    data |= 1 << i;
-                }
-            }
-            data
-        };
 
         match (syndrome, parity_ok) {
             (0, true) => (extract(cw), DecodeStatus::Clean),
@@ -155,12 +112,12 @@ impl FlitCodec for Secded {
             (s, false) => {
                 // Odd number of errors with nonzero syndrome: assume single
                 // error at position s and correct it.
-                if s > n {
+                if s > N {
                     // Syndrome points outside the codeword: multi-bit error.
                     return (extract(cw), DecodeStatus::Detected);
                 }
                 let mut fixed = *cw;
-                fixed.flip_bit(Self::idx(s));
+                fixed.flip_bit(s);
                 (extract(&fixed), DecodeStatus::Corrected(1))
             }
             (_, true) => {
@@ -181,6 +138,7 @@ mod tests {
         assert_eq!(c.data_bits(), 128);
         assert_eq!(c.check_bits(), 9);
         assert_eq!(c.codeword_bits(), 137);
+        assert_eq!(c.encode(0).len(), 137);
     }
 
     #[test]
@@ -210,7 +168,7 @@ mod tests {
 
     #[test]
     fn every_double_bit_error_detected() {
-        let c = Secded::new(32); // smaller code so the full pairwise sweep is fast
+        let c = Secded::flit();
         let data = 0xCAFE_BABEu128;
         let cw = c.encode(data);
         for i in 0..cw.len() {
@@ -222,28 +180,5 @@ mod tests {
                 assert_eq!(status, DecodeStatus::Detected, "bits {i},{j}");
             }
         }
-    }
-
-    #[test]
-    fn small_codes_work() {
-        for bits in [1usize, 4, 8, 11, 26, 57, 64, 120] {
-            let c = Secded::new(bits);
-            let data = if bits == 128 { u128::MAX } else { (1u128 << bits) - 1 };
-            let cw = c.encode(data);
-            assert_eq!(c.decode(&cw), (data, DecodeStatus::Clean), "bits {bits}");
-            for i in 0..cw.len() {
-                let mut bad = cw;
-                bad.flip_bit(i);
-                let (out, status) = c.decode(&bad);
-                assert_eq!(status, DecodeStatus::Corrected(1), "bits {bits} flip {i}");
-                assert_eq!(out, data, "bits {bits} flip {i}");
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn zero_data_bits_rejected() {
-        let _ = Secded::new(0);
     }
 }

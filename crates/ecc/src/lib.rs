@@ -5,15 +5,19 @@
 //!
 //! The paper's adaptive error-correction hardware (§3.2) switches each router
 //! among three coding levels, all implemented here as real codecs operating
-//! on flit bits:
+//! on 128-bit flits, one code per level:
 //!
-//! * [`Crc`] — end-to-end cyclic redundancy check (detection only),
-//! * [`Secded`] — per-hop extended Hamming code (corrects 1, detects 2),
+//! * [`Crc`] — end-to-end CRC-16/CCITT-FALSE (detection only),
+//! * [`Secded`] — per-hop (137, 128) extended Hamming code (corrects 1,
+//!   detects 2),
 //! * [`Dected`] — per-hop shortened BCH t=2 code + parity (corrects 2,
-//!   detects 3).
+//!   detects 3),
 //!
-//! [`EccSuite`] bundles the three and dispatches on [`EccScheme`], which is
-//! the value the per-router control policy manipulates at run time.
+//! plus [`Tecqed`], the shortened BCH t=3 code one rung above the ladder.
+//! `Dected` and `Tecqed` are one type, [`Bch`], at two correction strengths.
+//!
+//! [`EccSuite`] dispatches on [`EccScheme`], which is the value the
+//! per-router control policy manipulates at run time.
 //!
 //! # Examples
 //!
@@ -33,19 +37,15 @@
 #![warn(missing_docs)]
 
 mod bch;
-mod bch_generic;
 mod codec;
 mod crc;
 pub mod gf256;
 mod hamming;
 
-pub use bch::Dected;
-pub use bch_generic::BchCodec;
+pub use bch::{Bch, Dected, Tecqed};
 pub use codec::{Codeword, DecodeStatus, FlitCodec, IterOnes, MAX_CODEWORD_BITS};
-pub use crc::{Crc, CrcSpec, CRC16_CCITT, CRC32_MPEG2, CRC8_ATM};
+pub use crc::Crc;
 pub use hamming::Secded;
-
-use serde::{Deserialize, Serialize};
 
 /// The error-control scheme a router (or network interface) applies to flits.
 ///
@@ -53,7 +53,7 @@ use serde::{Deserialize, Serialize};
 /// fully power-gated (CRC only), partially active (SECDED), or fully active
 /// (DECTED). `None` disables protection entirely (used by some baselines'
 /// internal hops when CRC is end-to-end).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum EccScheme {
     /// No coding on this hop.
     None,
@@ -64,7 +64,9 @@ pub enum EccScheme {
     /// Per-hop DECTED (corrects 2-bit, detects 3-bit errors).
     Dected,
     /// Per-hop TECQED: triple-error-correcting BCH (t = 3) — one rung above
-    /// the paper's ladder, provided for design-space exploration.
+    /// the paper's ladder, provided for design-space exploration. Despite
+    /// the name it has no overall parity bit, so it does not detect every
+    /// 4-bit error: some are miscorrected to wrong data (see [`Tecqed`]).
     Tecqed,
 }
 
@@ -118,34 +120,21 @@ impl std::fmt::Display for EccScheme {
     }
 }
 
-/// A bundle of the three flit codecs, constructed once and shared.
+/// The flit codecs behind [`EccScheme`], constructed once and shared.
 ///
-/// Construction of [`Dected`] builds GF(2⁸) tables and the generator
-/// polynomial, so callers should create one `EccSuite` per simulation rather
-/// than per flit.
-#[derive(Debug, Clone)]
+/// Construction of the BCH codecs builds GF(2⁸) tables and the generator
+/// polynomials, so callers should create one `EccSuite` per simulation
+/// rather than per flit.
+#[derive(Debug, Clone, Default)]
 pub struct EccSuite {
-    crc: Crc,
-    secded: Secded,
     dected: Dected,
-    tecqed: BchCodec,
-}
-
-impl Default for EccSuite {
-    fn default() -> Self {
-        Self::new()
-    }
+    tecqed: Tecqed,
 }
 
 impl EccSuite {
-    /// Builds all three codecs.
+    /// Builds the codecs.
     pub fn new() -> Self {
-        EccSuite {
-            crc: Crc::flit(),
-            secded: Secded::flit(),
-            dected: Dected::flit(),
-            tecqed: BchCodec::new(128, 3),
-        }
+        Self::default()
     }
 
     /// Encodes `data` under `scheme`.
@@ -154,8 +143,8 @@ impl EccSuite {
     pub fn encode(&self, scheme: EccScheme, data: u128) -> Codeword {
         match scheme {
             EccScheme::None => Codeword::from_data(data, 128),
-            EccScheme::Crc => self.crc.encode(data),
-            EccScheme::Secded => self.secded.encode(data),
+            EccScheme::Crc => Crc.encode(data),
+            EccScheme::Secded => Secded.encode(data),
             EccScheme::Dected => self.dected.encode(data),
             EccScheme::Tecqed => self.tecqed.encode(data),
         }
@@ -165,31 +154,11 @@ impl EccSuite {
     pub fn decode(&self, scheme: EccScheme, cw: &Codeword) -> (u128, DecodeStatus) {
         match scheme {
             EccScheme::None => (cw.low128(), DecodeStatus::Clean),
-            EccScheme::Crc => self.crc.decode(cw),
-            EccScheme::Secded => self.secded.decode(cw),
+            EccScheme::Crc => Crc.decode(cw),
+            EccScheme::Secded => Secded.decode(cw),
             EccScheme::Dected => self.dected.decode(cw),
             EccScheme::Tecqed => self.tecqed.decode(cw),
         }
-    }
-
-    /// Access to the CRC codec.
-    pub fn crc(&self) -> &Crc {
-        &self.crc
-    }
-
-    /// Access to the SECDED codec.
-    pub fn secded(&self) -> &Secded {
-        &self.secded
-    }
-
-    /// Access to the DECTED codec.
-    pub fn dected(&self) -> &Dected {
-        &self.dected
-    }
-
-    /// Access to the TECQED codec.
-    pub fn tecqed(&self) -> &BchCodec {
-        &self.tecqed
     }
 }
 

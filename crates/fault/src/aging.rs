@@ -18,14 +18,12 @@
 //! the run) and apply the power-law exponent at read time:
 //! `ΔVth_NBTI = k_n · S^n₁` with `S = Σ w(T)·dt`, and similarly for HCI.
 
-use serde::{Deserialize, Serialize};
-
 /// Aging model parameters.
 ///
 /// Passive constants bag; fields are public by design. Constants are
 /// calibrated so a router held at ~75 °C with moderate activity reaches the
 /// ΔVth failure threshold after a few years of continuous 2 GHz operation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AgingModel {
     /// Nominal threshold voltage (V) at 32 nm.
     pub vth0: f64,
@@ -110,7 +108,7 @@ impl AgingModel {
 /// assert!(state.delta_vth(&model) > 0.0);
 /// assert!(state.aging_factor(&model) > 1.0);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct AgingState {
     /// Temperature-weighted powered cycles (NBTI stress integral `S`).
     nbti_stress: f64,

@@ -10,10 +10,9 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// What a hard fault takes down.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HardFaultTarget {
     /// One mesh link, identified by the router it leaves and the outgoing
     /// direction index (0 = X+, 1 = X−, 2 = Y+, 3 = Y−). Link failures are
@@ -32,7 +31,7 @@ pub enum HardFaultTarget {
 }
 
 /// Temporal behaviour of a hard fault.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HardFaultKind {
     /// Permanent fail-stop: down from the activation cycle onward.
     FailStop,
@@ -47,7 +46,7 @@ pub enum HardFaultKind {
 }
 
 /// One scheduled hard fault.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HardFault {
     /// Cycle the fault activates.
     pub at: u64,
@@ -90,7 +89,7 @@ impl HardFault {
 /// // Same seed → identical schedule.
 /// assert_eq!(s, HardFaultScenario::dead_links(8, 8, 2, 42, 0));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct HardFaultScenario {
     /// Scheduled faults, in schedule order.
     pub faults: Vec<HardFault>,

@@ -7,13 +7,12 @@
 //! `ΔVth(t) = 10 % · Vth0`.
 
 use crate::aging::{AgingModel, AgingState};
-use serde::{Deserialize, Serialize};
 
 /// Cycles per hour at the paper's 2.0 GHz clock.
 pub const CYCLES_PER_HOUR: f64 = 2.0e9 * 3600.0;
 
 /// MTTF estimate for one component or the whole network.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MttfEstimate {
     /// Extrapolated time to failure in cycles.
     pub cycles: f64,

@@ -11,12 +11,10 @@
 //! exercised within the shorter simulated windows used here; the
 //! steady-state temperatures are unaffected by this choice.
 
-use serde::{Deserialize, Serialize};
-
 /// Thermal model parameters.
 ///
 /// Passive constants bag; fields are public by design.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThermalModel {
     /// Die-ambient temperature floor in °C (includes core/cache activity
     /// that is not modeled by the NoC simulator).
@@ -65,7 +63,7 @@ impl ThermalModel {
 /// }
 /// assert!(grid.temp_c(0) > model.ambient_c);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ThermalGrid {
     model: ThermalModel,
     width: usize,

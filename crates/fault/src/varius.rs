@@ -9,12 +9,10 @@
 //! have shifted threshold voltage has less timing slack, which multiplies
 //! `Re` (alpha-power law, §6.2).
 
-use serde::{Deserialize, Serialize};
-
 /// Timing-error model parameters.
 ///
 /// Passive constants bag; fields are public by design.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VariusModel {
     /// Base per-bit error rate at the reference temperature and voltage.
     pub base_rate: f64,

@@ -8,12 +8,11 @@
 //! the paper's (−32.7 % EB, −29.9 % CP, −25.4 % IntelliNoC).
 
 use noc_ecc::EccScheme;
-use serde::{Deserialize, Serialize};
 
 /// Per-component areas in µm² at 32 nm.
 ///
 /// Passive constants bag; fields are public by design.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AreaModel {
     /// One router-buffer flit slot (128-bit SRAM row + VC bookkeeping).
     pub buffer_slot_um2: f64,
@@ -80,7 +79,7 @@ impl Default for AreaModel {
 /// Structural description of one router design for area composition.
 ///
 /// Passive configuration bag; fields are public by design.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RouterAreaSpec {
     /// Router-buffer flit slots (all ports, VC + retransmission).
     pub buffer_slots: u32,
@@ -103,7 +102,7 @@ pub struct RouterAreaSpec {
 }
 
 /// Area breakdown of one router tile in µm², mirroring Table 2's rows.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct AreaBreakdown {
     /// Router buffers.
     pub buffers: f64,

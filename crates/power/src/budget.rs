@@ -23,7 +23,7 @@ pub const CLOCK_PERIOD_NS: f64 = 0.5;
 /// let report = ledger.report(100);
 /// assert!(report.static_mw > 0.0 && report.dynamic_mw > 0.0);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EnergyLedger {
     dynamic_pj: f64,
     static_pj: f64,

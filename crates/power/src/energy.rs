@@ -9,12 +9,10 @@
 //! router numbers; only *relative* energies across designs matter for the
 //! paper's figures (all results are normalized to the SECDED baseline).
 
-use serde::{Deserialize, Serialize};
-
 /// Per-event energies in picojoules for 128-bit flits at 32 nm / 1.0 V.
 ///
 /// Passive constants bag; fields are public by design.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyModel {
     /// Writing one flit into a router input buffer (SRAM write).
     pub buffer_write_pj: f64,
@@ -96,7 +94,7 @@ impl EnergyModel {
 ///
 /// Passive counters bag; fields are public by design. All counters are
 /// per-router unless aggregated by the caller.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ActivityCounters {
     /// Flits written into router input buffers.
     pub buffer_writes: u64,

@@ -6,12 +6,11 @@
 //! (sub-threshold leakage roughly doubles every ~30 °C at 32 nm).
 
 use noc_ecc::EccScheme;
-use serde::{Deserialize, Serialize};
 
 /// Per-component leakage power at the reference temperature, in milliwatts.
 ///
 /// Passive constants bag; fields are public by design.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LeakageModel {
     /// Reference temperature in °C for the nominal values below.
     pub ref_temp_c: f64,
@@ -66,7 +65,7 @@ impl Default for LeakageModel {
 /// Static description of which leaky components one router instance has.
 ///
 /// Passive configuration bag; fields are public by design.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RouterLeakageSpec {
     /// Total router-buffer flit slots (all ports, VC + retransmission).
     pub buffer_slots: u32,

@@ -12,13 +12,12 @@ use crate::qtable::QTable;
 use crate::state::StateKey;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Q-learning hyperparameters.
 ///
 /// Passive configuration bag; fields are public by design. Defaults are the
 /// paper's tuned values (§6.3): α = 0.1, γ = 0.9, ε = 0.05.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QLearningConfig {
     /// Learning rate α.
     pub alpha: f32,
@@ -52,9 +51,8 @@ impl Default for QLearningConfig {
     }
 }
 
-/// Introspection record of one [`QAgent::step`]: what the agent saw, what
-/// it learned, and what it chose. Produced by [`QAgent::step_traced`].
-#[derive(Debug, Clone, PartialEq)]
+/// What one [`QAgent::step_traced`] learned and chose.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StepTrace {
     /// The chosen action index.
     pub action: usize,
@@ -66,9 +64,6 @@ pub struct StepTrace {
     /// Signed change the TD update applied to `Q(s_prev, a_prev)`
     /// (0 when no update happened).
     pub td_delta: f32,
-    /// Q-values of the *current* state after the TD update, one per action.
-    /// States the table has never stored read as 0.
-    pub q_row: Vec<f32>,
 }
 
 /// A tabular Q-learning agent.
@@ -153,30 +148,11 @@ impl QAgent {
     /// no previous `(s, a)` to credit (paper: modes start initialized and
     /// the first reward sample is discarded).
     pub fn step(&mut self, state: StateKey, reward: f64) -> usize {
-        if let Some((s, a)) = self.previous {
-            if self.learning {
-                let target = reward as f32 + self.cfg.gamma * self.table.max_q(state);
-                self.table.nudge(s, a, target, self.cfg.alpha);
-            }
-        }
-        let action = if self.rng.gen::<f64>() < self.cfg.epsilon {
-            self.explorations += 1;
-            self.rng.gen_range(0..self.cfg.actions)
-        } else if self.table.contains(state) {
-            self.table.touch(state);
-            self.table.best_action(state).0
-        } else {
-            self.cfg.default_action
-        };
-        self.decisions += 1;
-        self.previous = Some((state, action));
-        action
+        self.step_traced(state, reward).action
     }
 
-    /// Like [`QAgent::step`], additionally returning a [`StepTrace`]
-    /// describing the TD update and the choice. Draws from the RNG in
-    /// exactly the same order as `step`, so a traced run is bit-identical
-    /// to an untraced one.
+    /// [`QAgent::step`], also reporting the TD update and how the action
+    /// was chosen.
     pub fn step_traced(&mut self, state: StateKey, reward: f64) -> StepTrace {
         let mut updated = false;
         let mut td_delta = 0.0f32;
@@ -200,8 +176,7 @@ impl QAgent {
         };
         self.decisions += 1;
         self.previous = Some((state, action));
-        let q_row = (0..self.cfg.actions).map(|a| self.table.q(state, a)).collect();
-        StepTrace { action, explored, updated, td_delta, q_row }
+        StepTrace { action, explored, updated, td_delta }
     }
 
     /// The pending `(state, action)` pair awaiting its reward, if any.
@@ -227,19 +202,30 @@ impl QAgent {
     }
 }
 
-/// Paper Eq. 1: the holistic reward `r = −log(L) − log(P) − log(A)`.
-///
-/// All three quantities are clamped to ≥ 1 so the logs are non-negative and
-/// the reward never explodes (the paper constructs its metrics to satisfy
-/// this by definition).
-pub fn holistic_reward(latency: f64, power: f64, aging: f64) -> f64 {
-    -(latency.max(1.0).ln()) - (power.max(1.0).ln()) - (aging.max(1.0).ln())
+/// Reward shaping variant (ablation D5).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RewardKind {
+    /// The paper's Eq. 1: `r = −log L − log P − log A`.
+    LogSpace,
+    /// Linear variant used by the D5 reward ablation:
+    /// `r = −(L/100 + P/100 + A)` (scaled so magnitudes are comparable).
+    Linear,
 }
 
-/// Linear-space variant of the reward used by the D5 reward ablation:
-/// `r = −(L/100 + P/100 + A)` (scaled so magnitudes are comparable).
-pub fn linear_reward(latency: f64, power: f64, aging: f64) -> f64 {
-    -(latency.max(1.0) / 100.0 + power.max(1.0) / 100.0 + aging.max(1.0))
+impl RewardKind {
+    /// The reward's latency, power and aging terms; the reward is their sum,
+    /// left to right.
+    ///
+    /// All three metrics are clamped to ≥ 1 first, so the log terms are
+    /// never positive and no term is NaN (the paper constructs its metrics
+    /// to satisfy this by definition).
+    pub fn terms(self, latency: f64, power: f64, aging: f64) -> [f64; 3] {
+        let (l, p, a) = (latency.max(1.0), power.max(1.0), aging.max(1.0));
+        match self {
+            RewardKind::LogSpace => [-l.ln(), -p.ln(), -a.ln()],
+            RewardKind::Linear => [-l / 100.0, -p / 100.0, -a],
+        }
+    }
 }
 
 #[cfg(test)]
@@ -299,14 +285,41 @@ mod tests {
         assert!(a.table().is_empty());
     }
 
+    fn reward(kind: RewardKind, latency: f64, power: f64, aging: f64) -> f64 {
+        let [l, p, a] = kind.terms(latency, power, aging);
+        l + p + a
+    }
+
     #[test]
     fn reward_is_negative_log_sum() {
-        let r = holistic_reward(std::f64::consts::E, std::f64::consts::E, 1.0);
+        let log = RewardKind::LogSpace;
+        let r = reward(log, std::f64::consts::E, std::f64::consts::E, 1.0);
         assert!((r + 2.0).abs() < 1e-12);
         // Clamping: values below 1 contribute 0.
-        assert_eq!(holistic_reward(0.5, 0.5, 0.5), 0.0);
+        assert_eq!(reward(log, 0.5, 0.5, 0.5), 0.0);
         // Better (smaller) metrics give larger reward.
-        assert!(holistic_reward(2.0, 2.0, 1.1) > holistic_reward(4.0, 2.0, 1.1));
+        assert!(reward(log, 2.0, 2.0, 1.1) > reward(log, 4.0, 2.0, 1.1));
+    }
+
+    #[test]
+    fn reward_terms_sum_to_the_closed_forms_bit_for_bit() {
+        // Subtracting a term is adding its negation, and rounding is
+        // sign-symmetric, so the terms' sum is the one-expression reward
+        // exactly — signed zeros included (all metrics 1 gives −0).
+        let values = [0.3f64, 1.0, 1.01, 2.5, 40.0, 1234.5678];
+        for &l in &values {
+            for &p in &values {
+                for &a in &values {
+                    let (cl, cp, ca) = (l.max(1.0), p.max(1.0), a.max(1.0));
+                    let eq1 = -(cl.ln()) - (cp.ln()) - (ca.ln());
+                    let linear = -(cl / 100.0 + cp / 100.0 + ca);
+                    let got = reward(RewardKind::LogSpace, l, p, a);
+                    assert_eq!(got.to_bits(), eq1.to_bits(), "log ({l}, {p}, {a})");
+                    let got = reward(RewardKind::Linear, l, p, a);
+                    assert_eq!(got.to_bits(), linear.to_bits(), "linear ({l}, {p}, {a})");
+                }
+            }
+        }
     }
 
     #[test]
@@ -318,7 +331,6 @@ mod tests {
             let a = plain.step(StateKey(i % 5), reward);
             let t = traced.step_traced(StateKey(i % 5), reward);
             assert_eq!(a, t.action, "step {i}");
-            assert_eq!(t.q_row.len(), 5);
         }
         assert_eq!(plain.explorations(), traced.explorations());
         assert_eq!(plain.table().len(), traced.table().len());
@@ -354,16 +366,16 @@ mod tests {
             (-0.0, f64::NEG_INFINITY, 0.5),
         ];
         for (l, p, a) in cases {
-            let h = holistic_reward(l, p, a);
-            assert!(!h.is_nan(), "holistic_reward({l}, {p}, {a}) = {h}");
+            let h = reward(RewardKind::LogSpace, l, p, a);
+            assert!(!h.is_nan(), "log-space reward({l}, {p}, {a}) = {h}");
             assert_eq!(h, 0.0, "clamped-to-1 inputs have zero log reward");
-            let lin = linear_reward(l, p, a);
-            assert!(!lin.is_nan(), "linear_reward({l}, {p}, {a}) = {lin}");
+            let lin = reward(RewardKind::Linear, l, p, a);
+            assert!(!lin.is_nan(), "linear reward({l}, {p}, {a}) = {lin}");
             assert!((lin - (-1.02)).abs() < 1e-12, "clamped linear reward, got {lin}");
         }
         // +inf latency is not NaN but must stay -inf-free after clamping? It
         // legitimately produces -inf in log space; document by assertion.
-        assert!(holistic_reward(f64::INFINITY, 1.0, 1.0).is_infinite());
+        assert!(reward(RewardKind::LogSpace, f64::INFINITY, 1.0, 1.0).is_infinite());
     }
 
     #[test]

@@ -5,7 +5,6 @@
 //! independent of the NoC simulator.
 
 use crate::state::StateKey;
-use serde::{Deserialize, Serialize};
 
 /// A deterministic chain MDP with `n` states and 2 actions:
 /// action 1 ("right") moves toward the goal at state `n−1`, action 0
@@ -13,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// goal yields +10 and teleports back to state 0.
 ///
 /// The optimal policy is to always move right.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChainMdp {
     /// Number of states.
     pub n: usize,

@@ -6,8 +6,6 @@
 //! discretized into five bins over its profiled range. The discretized
 //! vector is packed into a compact [`StateKey`] used to index the Q-table.
 
-use serde::{Deserialize, Serialize};
-
 /// Number of features in the paper's state vector.
 pub const FEATURE_COUNT: usize = 16;
 
@@ -15,7 +13,7 @@ pub const FEATURE_COUNT: usize = 16;
 pub const BINS: u8 = 5;
 
 /// A packed, discretized state (4 bits per feature, 16 features = 64 bits).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct StateKey(pub u64);
 
 /// Maps raw feature vectors to discretized [`StateKey`]s.
@@ -30,7 +28,7 @@ pub struct StateKey(pub u64);
 /// let key = disc.key(&features);
 /// assert_eq!(key, disc.key(&features)); // deterministic
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Discretizer {
     lo: Vec<f64>,
     hi: Vec<f64>,

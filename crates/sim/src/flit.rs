@@ -6,8 +6,6 @@
 //! injector corrupts a traversal, without storing 64 bytes per in-flight
 //! packet.
 
-use serde::{Deserialize, Serialize};
-
 /// Simulation time in cycles.
 pub type Cycle = u64;
 
@@ -19,7 +17,7 @@ pub const FLITS_PER_PACKET: u8 = 4;
 pub const NO_VC: u8 = u8::MAX;
 
 /// Position of a flit within its packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FlitKind {
     /// First flit; carries routing information.
     Head,
@@ -30,7 +28,7 @@ pub enum FlitKind {
 }
 
 /// One 128-bit flit in flight.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Flit {
     /// Globally unique flit id.
     pub id: u64,

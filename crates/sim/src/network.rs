@@ -547,7 +547,7 @@ impl Network {
             max_temp_c: self.thermal.max_c(),
             mean_aging_factor: mean_aging,
             injected_bit_flips: self.injector.injected_bits(),
-            faulty_flit_traversals: self.injector.faulty_flits(),
+            faulty_flit_traversals: self.stats.faulty_traversals,
             stall: self.stall.clone(),
             txn: self.traffic.txn_stats().map(|s| {
                 let mut lat = s.completion_latencies.clone();

@@ -124,7 +124,7 @@ pub struct StallReport {
 /// Observation of one router over the last control time step — the RL state
 /// features (paper Fig. 7) plus the reward ingredients and the error
 /// histogram used by the CPD heuristic.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RouterObservation {
     /// Router/node index.
     pub router: usize,
@@ -171,7 +171,8 @@ pub struct RunReport {
     /// Total bit flips injected by the transient-fault injector (sanity
     /// check against the observed corrected/faulty counters).
     pub injected_bit_flips: u64,
-    /// Link traversals on which the injector flipped at least one bit.
+    /// Link traversals on which the injector flipped at least one bit
+    /// (`stats.faulty_traversals`, repeated at the top level).
     pub faulty_flit_traversals: u64,
     /// Stall-watchdog diagnostic, set when the run was aborted for lack of
     /// forward progress.

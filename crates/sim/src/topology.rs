@@ -1,10 +1,8 @@
 //! 2D-mesh topology: ports, coordinates, and XY dimension-order routing.
 
-use serde::{Deserialize, Serialize};
-
 /// Router port indices. The four direction ports connect to mesh neighbors;
 /// `LOCAL` connects to the node's network interface (core).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Port {
     /// +X (east) neighbor.
     XPlus = 0,
@@ -63,7 +61,7 @@ impl Port {
 }
 
 /// Mesh geometry helper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Mesh {
     /// Width in tiles.
     pub width: usize,

@@ -6,10 +6,9 @@
 
 use rand::rngs::SmallRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A synthetic destination distribution over mesh nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SpatialPattern {
     /// Destination uniform over all nodes except the source.
     Uniform,

@@ -8,10 +8,9 @@
 
 use rand::rngs::SmallRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A per-node packet-injection process (rates in packets/node/cycle).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum InjectionProcess {
     /// Memoryless injection at a fixed rate.
     Bernoulli {
@@ -64,7 +63,7 @@ impl InjectionProcess {
 }
 
 /// Per-node run-time state of an injection process.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProcessState {
     /// Current MMP phase (ignored by Bernoulli).
     pub bursting: bool,

@@ -14,13 +14,12 @@ use crate::process::{InjectionProcess, ProcessState};
 use crate::reqreply::ReqReplySpec;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Per-node transaction accounting of a closed-loop workload, kept such
 /// that `issued = completed + failed + shed + in_flight` holds at every
 /// node after every cycle — the conservation invariant the auditor checks
 /// each control step.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TxnStats {
     /// Transactions issued per client node (shed candidates included).
     pub issued: Vec<u64>,
@@ -205,7 +204,7 @@ pub trait Workload: std::fmt::Debug {
 
 /// A phase of execution with a rate multiplier (applications alternate
 /// compute-heavy and communication-heavy phases).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Phase {
     /// Phase length in cycles.
     pub cycles: u64,
@@ -216,7 +215,7 @@ pub struct Phase {
 /// Complete description of one workload.
 ///
 /// Passive configuration bag; fields are public by design.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadSpec {
     /// Human-readable name (benchmark name for PARSEC workloads).
     pub name: String,
