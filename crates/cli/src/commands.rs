@@ -698,7 +698,8 @@ pub fn trace(args: &Args) -> CmdResult {
             }
             let f = File::open(path).map_err(|e| e.to_string())?;
             let records = read_trace(BufReader::new(f)).map_err(|e| e.to_string())?;
-            let replay = TraceReplay::new(path, &records, 64, 12);
+            let replay =
+                TraceReplay::new(path, &records, 64, 12).map_err(|e| format!("{path}: {e}"))?;
             let mut cfg = design.sim_config();
             cfg.seed = args.get_or("seed", 1u64)?;
             let mut net = Network::with_workload(cfg, Box::new(replay));

@@ -268,6 +268,17 @@ fn trace_capture_then_replay() {
     let _ = std::fs::remove_file(path);
 }
 
+/// A trace naming a node outside the 8x8 mesh is refused with exit 1 and
+/// its first such record, instead of panicking.
+#[test]
+fn trace_replay_refuses_records_outside_the_mesh() {
+    let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/hostile_trace.jsonl");
+    let (code, _, stderr) = intellinoc(&format!("trace replay {fixture} --design secded"));
+    assert_eq!(code, Some(1), "{stderr}");
+    let want = "record 1 is outside the mesh of 64 nodes: TraceRecord { cycle: 0, src: 0, dest: 64";
+    assert!(stderr.contains(want), "no `{want}` in:\n{stderr}");
+}
+
 /// Kills the spawned daemon on drop so a failing test leaves no orphan.
 struct KillOnDrop(std::process::Child);
 

@@ -3,9 +3,8 @@
 //! Transient bit flips (handled by [`crate::FaultInjector`]) corrupt data in
 //! flight; *hard* faults take whole links or routers out of service. A
 //! [`HardFaultScenario`] is a deterministic, seeded schedule of such
-//! failures: fail-stop faults that never recover, intermittent faults that
-//! flap with a fixed duty cycle, and MTTF-driven wear-out samples drawn from
-//! an exponential lifetime distribution. The simulator replays the schedule
+//! failures: fail-stop faults that never recover and intermittent faults
+//! that flap with a fixed duty cycle. The simulator replays the schedule
 //! cycle-by-cycle and reroutes or drops traffic accordingly.
 
 use rand::rngs::SmallRng;
@@ -165,37 +164,10 @@ impl HardFaultScenario {
         HardFaultScenario { faults }
     }
 
-    /// Wear-out sampling: each link draws an exponential lifetime with mean
-    /// `mean_cycles`; links whose sampled lifetime falls inside `horizon`
-    /// fail-stop at that cycle. Models MTTF-driven end-of-life failures.
-    pub fn wearout(width: usize, height: usize, seed: u64, mean_cycles: f64, horizon: u64) -> Self {
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0x7765_6172);
-        let mut faults = Vec::new();
-        for (router, dir) in all_links(width, height) {
-            // Inverse-CDF exponential sample; clamp u away from 0.
-            let u: f64 = rng.gen_range(1e-12..1.0);
-            let life = -u.ln() * mean_cycles;
-            if life < horizon as f64 {
-                faults.push(HardFault {
-                    at: life as u64,
-                    target: HardFaultTarget::Link { router, dir },
-                    kind: HardFaultKind::FailStop,
-                });
-            }
-        }
-        faults.sort_by_key(|f| f.at);
-        HardFaultScenario { faults }
-    }
-
     /// Merges another scenario's faults into this one.
     pub fn merged(mut self, other: HardFaultScenario) -> Self {
         self.faults.extend(other.faults);
         self
-    }
-
-    /// Earliest activation cycle in the schedule, if any.
-    pub fn first_activation(&self) -> Option<u64> {
-        self.faults.iter().map(|f| f.at).min()
     }
 }
 
@@ -308,23 +280,12 @@ mod tests {
     }
 
     #[test]
-    fn wearout_sorted_and_inside_horizon() {
-        let s = HardFaultScenario::wearout(8, 8, 3, 50_000.0, 100_000);
-        assert!(!s.faults.is_empty(), "mean ≪ horizon should produce failures");
-        assert!(s.faults.windows(2).all(|w| w[0].at <= w[1].at));
-        assert!(s.faults.iter().all(|f| f.at < 100_000));
-        assert_eq!(s, HardFaultScenario::wearout(8, 8, 3, 50_000.0, 100_000));
-    }
-
-    #[test]
     fn merged_concatenates() {
         let a = HardFaultScenario::dead_links(4, 4, 2, 1, 0);
         let b = HardFaultScenario::dead_routers(4, 4, 1, 1, 10);
         let m = a.clone().merged(b);
         assert_eq!(m.faults.len(), 3);
-        assert_eq!(m.first_activation(), Some(0));
         assert!(HardFaultScenario::none().is_empty());
-        assert_eq!(HardFaultScenario::none().first_activation(), None);
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! Following the paper's §6.1, the per-bit probability of a timing error on a
 //! link traversal, `Re`, increases with operating temperature and decreases
-//! with supply voltage. The per-flit fault probability follows the paper's
-//! Eq. 3: `P_fault = 1 − (1 − Re)ⁿ` for an n-bit codeword.
+//! with supply voltage. The per-flit fault probability is the paper's Eq. 3,
+//! `P_fault = 1 − (1 − Re)ⁿ` for an n-bit codeword; the injector samples the
+//! Binomial(n, Re) flip count directly, so the formula is never evaluated.
 //!
 //! Aging couples in through delay degradation: a router whose transistors
 //! have shifted threshold voltage has less timing slack, which multiplies
@@ -59,20 +60,6 @@ impl VariusModel {
         let a = (self.aging_coeff * delay_degradation).exp();
         (self.base_rate * t * v * a).clamp(self.min_rate, self.max_rate)
     }
-
-    /// Per-bit rate under relaxed-timing transmission (operation mode 4):
-    /// doubling the link traversal time means a bit only fails if both
-    /// half-rate samples fail, squaring the (already small) probability —
-    /// "reduced to near zero" in the paper's terms.
-    pub fn relaxed_bit_error_rate(&self, temp_c: f64, vdd: f64, delay_degradation: f64) -> f64 {
-        let re = self.bit_error_rate(temp_c, vdd, delay_degradation);
-        (re * re).max(self.min_rate)
-    }
-
-    /// Paper Eq. 3: probability that an `n_bits` flit suffers ≥1 bit error.
-    pub fn flit_fault_probability(&self, re: f64, n_bits: usize) -> f64 {
-        1.0 - (1.0 - re).powi(n_bits as i32)
-    }
 }
 
 #[cfg(test)]
@@ -108,26 +95,5 @@ mod tests {
         let m = VariusModel::default();
         assert!(m.bit_error_rate(-200.0, 2.0, 0.0) >= m.min_rate);
         assert!(m.bit_error_rate(500.0, 0.0, 1.0) <= m.max_rate);
-    }
-
-    #[test]
-    fn relaxed_rate_is_near_zero() {
-        let m = VariusModel::default();
-        let re = m.bit_error_rate(85.0, 1.0, 0.0);
-        let relaxed = m.relaxed_bit_error_rate(85.0, 1.0, 0.0);
-        assert!(relaxed <= re * re * 1.0001 + m.min_rate);
-        assert!(relaxed < re / 100.0);
-    }
-
-    #[test]
-    fn eq3_flit_probability() {
-        let m = VariusModel::default();
-        // For small Re, P ≈ n·Re.
-        let re = 1e-8;
-        let p = m.flit_fault_probability(re, 145);
-        assert!((p - 145.0 * re).abs() / (145.0 * re) < 1e-4);
-        // Degenerate cases.
-        assert_eq!(m.flit_fault_probability(0.0, 145), 0.0);
-        assert!((m.flit_fault_probability(1.0, 10) - 1.0).abs() < 1e-12);
     }
 }

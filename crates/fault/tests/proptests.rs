@@ -38,8 +38,6 @@ proptest! {
         let hi = m.bit_error_rate(t + dt, vdd, aging);
         prop_assert!(hi >= lo);
         prop_assert!(lo >= m.min_rate && hi <= m.max_rate);
-        // Relaxed timing never increases the rate.
-        prop_assert!(m.relaxed_bit_error_rate(t, vdd, aging) <= lo.max(m.min_rate * 2.0));
     }
 
     /// Injected flip counts never exceed the codeword width and occur at

@@ -59,7 +59,7 @@ pub struct StepTrace {
     /// Whether the choice was ε-random rather than greedy.
     pub explored: bool,
     /// Whether a TD update was applied this step (there was a pending
-    /// `(s, a)` pair and learning is enabled).
+    /// `(s, a)` pair).
     pub updated: bool,
     /// Signed change the TD update applied to `Q(s_prev, a_prev)`
     /// (0 when no update happened).
@@ -84,7 +84,6 @@ pub struct QAgent {
     table: QTable,
     rng: SmallRng,
     previous: Option<(StateKey, usize)>,
-    learning: bool,
     decisions: u64,
     explorations: u64,
 }
@@ -98,7 +97,6 @@ impl QAgent {
             cfg,
             rng: SmallRng::seed_from_u64(seed),
             previous: None,
-            learning: true,
             decisions: 0,
             explorations: 0,
         }
@@ -117,18 +115,6 @@ impl QAgent {
     /// Mutable access to the Q-table (fault-injection experiments).
     pub fn table_mut(&mut self) -> &mut QTable {
         &mut self.table
-    }
-
-    /// Enables or disables learning (TD updates). Exploration continues to
-    /// follow ε either way.
-    pub fn set_learning(&mut self, on: bool) {
-        self.learning = on;
-    }
-
-    /// Replaces the exploration probability (for the Fig. 18b sweep, and to
-    /// run greedy evaluations with ε = 0).
-    pub fn set_epsilon(&mut self, epsilon: f64) {
-        self.cfg.epsilon = epsilon;
     }
 
     /// Number of decisions taken so far.
@@ -157,13 +143,11 @@ impl QAgent {
         let mut updated = false;
         let mut td_delta = 0.0f32;
         if let Some((s, a)) = self.previous {
-            if self.learning {
-                let before = self.table.q(s, a);
-                let target = reward as f32 + self.cfg.gamma * self.table.max_q(state);
-                self.table.nudge(s, a, target, self.cfg.alpha);
-                td_delta = self.table.q(s, a) - before;
-                updated = true;
-            }
+            let before = self.table.q(s, a);
+            let target = reward as f32 + self.cfg.gamma * self.table.max_q(state);
+            self.table.nudge(s, a, target, self.cfg.alpha);
+            td_delta = self.table.q(s, a) - before;
+            updated = true;
         }
         let (action, explored) = if self.rng.gen::<f64>() < self.cfg.epsilon {
             self.explorations += 1;
@@ -182,12 +166,6 @@ impl QAgent {
     /// The pending `(state, action)` pair awaiting its reward, if any.
     pub fn previous(&self) -> Option<(StateKey, usize)> {
         self.previous
-    }
-
-    /// Forgets the pending `(s, a)` pair (used at workload boundaries so one
-    /// benchmark's last step does not learn from the next one's first).
-    pub fn reset_episode(&mut self) {
-        self.previous = None;
     }
 
     /// Adopts a pre-trained Q-table (paper §6.3: policies are pre-trained on
@@ -273,16 +251,6 @@ mod tests {
         }
         assert!(seen.iter().all(|&s| s));
         assert_eq!(a.explorations(), a.decisions());
-    }
-
-    #[test]
-    fn learning_can_be_frozen() {
-        let mut a = QAgent::new(QLearningConfig::default(), 5);
-        a.set_learning(false);
-        a.step(StateKey(0), 0.0);
-        a.step(StateKey(1), -100.0);
-        a.step(StateKey(2), -100.0);
-        assert!(a.table().is_empty());
     }
 
     fn reward(kind: RewardKind, latency: f64, power: f64, aging: f64) -> f64 {
@@ -376,15 +344,5 @@ mod tests {
         // +inf latency is not NaN but must stay -inf-free after clamping? It
         // legitimately produces -inf in log space; document by assertion.
         assert!(reward(RewardKind::LogSpace, f64::INFINITY, 1.0, 1.0).is_infinite());
-    }
-
-    #[test]
-    fn reset_episode_prevents_cross_boundary_update() {
-        let cfg = QLearningConfig { epsilon: 0.0, ..QLearningConfig::default() };
-        let mut a = QAgent::new(cfg, 6);
-        a.step(StateKey(0), 0.0);
-        a.reset_episode();
-        a.step(StateKey(1), -50.0);
-        assert!(a.table().is_empty());
     }
 }

@@ -72,7 +72,7 @@ use noc_ecc::EccSuite;
 use noc_fault::{network_mttf, AgingState, FaultInjector, ThermalGrid};
 use noc_power::{EnergyLedger, EnergyModel, LeakageModel, RouterLeakageSpec, CLOCK_PERIOD_NS};
 use noc_telemetry::{Profiler, Tracer};
-use noc_traffic::{ReqReplyWorkload, TrafficGen, TxnStats, Workload, WorkloadSpec};
+use noc_traffic::{ReqReplyWorkload, TrafficGen, Workload, WorkloadSpec};
 use std::collections::HashSet;
 
 /// Cycles between power/thermal/aging epochs (Table 1 setup).
@@ -242,18 +242,6 @@ impl Network {
     /// recorded between cycles).
     pub fn profiler_mut(&mut self) -> Option<&mut Profiler> {
         self.probe.profiler.as_mut()
-    }
-
-    /// Per-node transaction accounting for closed-loop workloads; `None`
-    /// for open-loop traffic.
-    pub fn txn_stats(&self) -> Option<&TxnStats> {
-        self.traffic.txn_stats()
-    }
-
-    /// Transaction ids missing from the workload's transaction table —
-    /// non-empty means the conservation invariant is broken.
-    pub fn txn_orphans(&self) -> Vec<u64> {
-        self.traffic.txn_orphans()
     }
 
     /// The current link/router health map.

@@ -213,7 +213,7 @@ impl Network {
                 // Closed-loop bookkeeping: bind the packet id to the pending
                 // transaction role BEFORE the reachability check below, so a
                 // drop-at-injection still resolves to its transaction.
-                self.traffic.on_injected(now, node, packet_id, dest);
+                self.traffic.on_injected(packet_id);
                 self.probe.inject(packet_id, node as u16, dest as u16, now, || {
                     self.traffic.packet_txn(packet_id)
                 });

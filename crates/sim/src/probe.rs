@@ -322,12 +322,6 @@ mod tests {
         fn is_exhausted(&self) -> bool {
             true
         }
-        fn total_packets(&self) -> u64 {
-            0
-        }
-        fn generated(&self) -> u64 {
-            0
-        }
         fn name(&self) -> &str {
             "spy"
         }

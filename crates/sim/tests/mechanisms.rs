@@ -31,7 +31,7 @@ fn straight_path_flows_through_gated_routers() {
     let cfg = gated_config();
     // Source node 0, destination node 7: pure +X path along row 0.
     let records = vec![TraceRecord { cycle: 200, src: 0, dest: 7, size_flits: 4 }];
-    let replay = TraceReplay::new("straight", &records, 64, 4);
+    let replay = TraceReplay::new("straight", &records, 64, 4).expect("records fit the mesh");
     let mut net = Network::with_workload(cfg, Box::new(replay));
     let d = RouterDirective { gate: Some(true), scheme: EccScheme::None, relaxed: false };
     net.apply_directives(&[d; 64]);
@@ -54,7 +54,7 @@ fn turning_packet_wakes_the_gated_turn_router() {
     let cfg = gated_config();
     // (1,0) -> (3,2): XY turns at node 3 (x=3,y=0).
     let records = vec![TraceRecord { cycle: 200, src: 1, dest: 19, size_flits: 4 }];
-    let replay = TraceReplay::new("turn", &records, 64, 4);
+    let replay = TraceReplay::new("turn", &records, 64, 4).expect("records fit the mesh");
     let mut net = Network::with_workload(cfg, Box::new(replay));
     let d = RouterDirective { gate: Some(true), scheme: EccScheme::None, relaxed: false };
     net.apply_directives(&[d; 64]);
@@ -127,7 +127,7 @@ fn single_flow_packets_arrive_in_injection_order() {
     let cfg = quiet();
     let records: Vec<TraceRecord> =
         (0..50).map(|i| TraceRecord { cycle: 10 * i, src: 0, dest: 63, size_flits: 4 }).collect();
-    let replay = TraceReplay::new("flow", &records, 64, 50);
+    let replay = TraceReplay::new("flow", &records, 64, 50).expect("records fit the mesh");
     let mut net = Network::with_workload(cfg, Box::new(replay));
     assert!(net.run_cycles(1_000_000));
     assert_eq!(net.stats().packets_delivered, 50);
@@ -230,7 +230,8 @@ fn gated_receiver_run(
     let records: Vec<TraceRecord> = (0..400)
         .map(|i| TraceRecord { cycle: 100 + 40 * i, src, dest: 7, size_flits: 4 })
         .collect();
-    let replay = TraceReplay::new("gated-receiver", &records, 64, 400);
+    let replay =
+        TraceReplay::new("gated-receiver", &records, 64, 400).expect("records fit the mesh");
     let mut net = Network::with_workload(cfg, Box::new(replay));
     let mut directives = [RouterDirective { gate: Some(false), scheme, relaxed: false }; 64];
     directives[gated].gate = Some(true);

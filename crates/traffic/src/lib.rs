@@ -8,7 +8,7 @@
 //! # Examples
 //!
 //! ```
-//! use noc_traffic::{ParsecBenchmark, TrafficGen};
+//! use noc_traffic::{ParsecBenchmark, TrafficGen, Workload};
 //!
 //! let spec = ParsecBenchmark::Canneal.workload(50);
 //! let mut gen = TrafficGen::new(spec, 8, 8, 7);

@@ -18,52 +18,50 @@ use std::collections::VecDeque;
 /// use noc_traffic::{capture_trace, TraceReplay, Workload, WorkloadSpec};
 ///
 /// let trace = capture_trace(WorkloadSpec::uniform(0.1, 3), 4, 4, 7, 10_000);
-/// let mut replay = TraceReplay::new("demo", &trace, 16, 8);
-/// assert_eq!(replay.total_packets(), 16 * 3);
+/// let mut replay = TraceReplay::new("demo", &trace, 16, 8).expect("records fit the mesh");
 /// let first = (0..16).find_map(|n| replay.poll(10_000, n, 0));
 /// assert!(first.is_some());
 /// ```
 #[derive(Debug, Clone)]
 pub struct TraceReplay {
     name: String,
+    /// Records not yet injected, per source node, in recorded-time order.
     queues: Vec<VecDeque<TraceRecord>>,
-    /// Per-node lag between recorded time and replay time (grows when the
-    /// node stalls on its window).
+    /// Per-node cap on in-flight packets; a node at the cap stalls, which
+    /// shifts the rest of its trace later.
     window: usize,
-    total: u64,
-    generated: u64,
 }
 
 impl TraceReplay {
     /// Builds a replayer for a `nodes`-node network from `records`
     /// (any order; they are distributed per source and sorted by time).
     ///
+    /// # Errors
+    ///
+    /// Names the first record whose source or destination is not a node of
+    /// the mesh.
+    ///
     /// # Panics
     ///
-    /// Panics if a record's source or destination is out of range, or if
-    /// `window` is zero.
-    pub fn new(name: &str, records: &[TraceRecord], nodes: usize, window: usize) -> Self {
+    /// Panics if `window` is zero.
+    pub fn new(
+        name: &str,
+        records: &[TraceRecord],
+        nodes: usize,
+        window: usize,
+    ) -> Result<Self, String> {
         assert!(window > 0, "window must be nonzero");
         let mut queues = vec![VecDeque::new(); nodes];
-        for r in records {
-            assert!(r.src < nodes && r.dest < nodes, "record outside the mesh: {r:?}");
+        for (i, r) in records.iter().enumerate() {
+            if r.src >= nodes || r.dest >= nodes {
+                return Err(format!("record {i} is outside the mesh of {nodes} nodes: {r:?}"));
+            }
             queues[r.src].push_back(*r);
         }
         for q in &mut queues {
             q.make_contiguous().sort_by_key(|r| r.cycle);
         }
-        TraceReplay {
-            name: name.to_owned(),
-            queues,
-            window,
-            total: records.len() as u64,
-            generated: 0,
-        }
-    }
-
-    /// Remaining records across all nodes.
-    pub fn remaining(&self) -> u64 {
-        self.total - self.generated
+        Ok(TraceReplay { name: name.to_owned(), queues, window })
     }
 }
 
@@ -74,25 +72,13 @@ impl Workload for TraceReplay {
         }
         let q = &mut self.queues[node];
         match q.front() {
-            Some(r) if r.cycle <= cycle => {
-                let r = q.pop_front().expect("checked nonempty");
-                self.generated += 1;
-                Some(r.dest)
-            }
+            Some(r) if r.cycle <= cycle => q.pop_front().map(|r| r.dest),
             _ => None,
         }
     }
 
     fn is_exhausted(&self) -> bool {
-        self.generated == self.total
-    }
-
-    fn total_packets(&self) -> u64 {
-        self.total
-    }
-
-    fn generated(&self) -> u64 {
-        self.generated
+        self.queues.iter().all(VecDeque::is_empty)
     }
 
     fn name(&self) -> &str {
@@ -108,9 +94,13 @@ mod tests {
         TraceRecord { cycle, src, dest, size_flits: 4 }
     }
 
+    fn replay(records: &[TraceRecord], window: usize) -> TraceReplay {
+        TraceReplay::new("t", records, 4, window).expect("records fit the mesh")
+    }
+
     #[test]
     fn respects_recorded_times() {
-        let mut r = TraceReplay::new("t", &[rec(10, 0, 1), rec(20, 0, 2)], 4, 8);
+        let mut r = replay(&[rec(10, 0, 1), rec(20, 0, 2)], 8);
         assert_eq!(r.poll(5, 0, 0), None);
         assert_eq!(r.poll(10, 0, 0), Some(1));
         assert_eq!(r.poll(10, 0, 0), None, "second record not due yet");
@@ -120,29 +110,30 @@ mod tests {
 
     #[test]
     fn window_stalls_injection() {
-        let mut r = TraceReplay::new("t", &[rec(0, 1, 2)], 4, 2);
+        let mut r = replay(&[rec(0, 1, 2)], 2);
         assert_eq!(r.poll(5, 1, 2), None, "window full");
         assert_eq!(r.poll(5, 1, 1), Some(2));
     }
 
     #[test]
     fn per_node_queues_are_independent() {
-        let mut r = TraceReplay::new("t", &[rec(0, 0, 3), rec(0, 1, 2)], 4, 8);
+        let mut r = replay(&[rec(0, 0, 3), rec(0, 1, 2)], 8);
         assert_eq!(r.poll(0, 1, 0), Some(2));
+        assert!(!r.is_exhausted());
         assert_eq!(r.poll(0, 0, 0), Some(3));
-        assert_eq!(r.remaining(), 0);
+        assert!(r.is_exhausted());
     }
 
     #[test]
     fn unsorted_input_is_sorted_per_node() {
-        let mut r = TraceReplay::new("t", &[rec(20, 0, 2), rec(10, 0, 1)], 4, 8);
+        let mut r = replay(&[rec(20, 0, 2), rec(10, 0, 1)], 8);
         assert_eq!(r.poll(50, 0, 0), Some(1), "earlier record first");
         assert_eq!(r.poll(50, 0, 0), Some(2));
     }
 
     #[test]
-    #[should_panic(expected = "outside the mesh")]
+    #[should_panic(expected = "record 1 is outside the mesh of 4 nodes")]
     fn out_of_range_record_rejected() {
-        let _ = TraceReplay::new("t", &[rec(0, 9, 0)], 4, 8);
+        replay(&[rec(0, 1, 0), rec(0, 0, 9)], 8);
     }
 }

@@ -6,9 +6,11 @@
 //! loop at the *transaction* level: a client issues a request packet, the
 //! destination endpoint serves it after a configurable service latency by
 //! emitting a reply of `reply_packets` packets, and the transaction
-//! completes only when every reply packet is delivered back. Clients gate
-//! new requests on open transactions (not in-flight flits), time out
-//! attempts after `reply_timeout` cycles, and retry with a
+//! completes only when every reply packet is delivered back. New requests
+//! come from the same [`TrafficGen`] that drives open-loop runs (pattern,
+//! process, hotspot overlay, phases and budget), polled with the client's
+//! open transactions (not in-flight flits) as its window count. Clients
+//! time out attempts after `reply_timeout` cycles, and retry with a
 //! capped-exponential, deterministically-jittered backoff — so endpoint
 //! retries fan out instead of re-synchronizing into a storm.
 //!
@@ -27,16 +29,13 @@
 //! a provable orphan. The `chaos_orphan` knob deliberately loses one named
 //! transaction at completion time to exercise that auditor end to end.
 
-use crate::process::ProcessState;
-use crate::workload::{TxnEvent, TxnEventKind, TxnStats, Workload, WorkloadSpec};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use crate::workload::{TrafficGen, TxnEvent, TxnEventKind, TxnStats, Workload, WorkloadSpec};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// Protocol parameters of a closed-loop request–reply workload.
 ///
-/// Spatial pattern, injection process, per-node request budget
+/// Spatial pattern, injection process, phases, per-node request budget
 /// (`packets_per_node`) and the open-transaction window all come from the
 /// enclosing [`WorkloadSpec`]; this bag holds only what is specific to the
 /// request–reply protocol. Deserialization is tolerant: absent fields take
@@ -157,10 +156,9 @@ struct Txn {
     first_issued_at: u64,
     /// 1-based attempt number (attempt 1 is the first issue).
     attempt: u32,
-    /// Deadline of the current attempt (while `AwaitingReply`).
-    deadline: u64,
-    /// Cycle the next attempt may be issued (while `RetryWait`).
-    retry_at: u64,
+    /// Deadline of the current attempt while `AwaitingReply`; cycle the
+    /// next attempt may be issued while `RetryWait`.
+    due: u64,
     /// Reply packets still undelivered for the current attempt.
     replies_left: u32,
 }
@@ -221,15 +219,9 @@ const PROBE_EVERY: u32 = 4;
 /// Closed-loop request–reply workload (see the module docs).
 #[derive(Debug, Clone)]
 pub struct ReqReplyWorkload {
-    spec: WorkloadSpec,
+    /// Source of new requests: its window counts open transactions.
+    gen: TrafficGen,
     rr: ReqReplySpec,
-    width: usize,
-    height: usize,
-    mc_nodes: Vec<usize>,
-    rng: SmallRng,
-    states: Vec<ProcessState>,
-    /// Remaining request budget per node.
-    remaining: Vec<u64>,
     /// Every transaction ever issued, terminal ones included. A missing id
     /// below `next_txn` is an orphan.
     txns: BTreeMap<u64, Txn>,
@@ -253,8 +245,6 @@ pub struct ReqReplyWorkload {
     /// consumed by `on_injected`).
     bind: Option<PktRole>,
     stats: TxnStats,
-    orphaned: Vec<u64>,
-    generated: u64,
     record_events: bool,
     events: Vec<TxnEvent>,
 }
@@ -276,23 +266,11 @@ impl ReqReplyWorkload {
         seed: u64,
     ) -> Self {
         let n = width * height;
-        assert!(n >= 2, "mesh too small");
         assert!(spec.window > 0, "window must be positive");
         assert!(rr.reply_packets > 0, "reply_packets must be positive");
-        let mc_nodes = if spec.mc_nodes.is_empty() {
-            crate::pattern::default_mc_nodes(width, height)
-        } else {
-            spec.mc_nodes.clone()
-        };
-        let remaining = vec![spec.packets_per_node; n];
         ReqReplyWorkload {
+            gen: TrafficGen::new(spec, width, height, seed),
             rr,
-            width,
-            height,
-            mc_nodes,
-            rng: SmallRng::seed_from_u64(seed),
-            states: vec![ProcessState::default(); n],
-            remaining,
             txns: BTreeMap::new(),
             next_txn: 0,
             open: vec![Vec::new(); n],
@@ -303,11 +281,8 @@ impl ReqReplyWorkload {
             probe: vec![0; n],
             bind: None,
             stats: TxnStats::new(n),
-            orphaned: Vec::new(),
-            generated: 0,
             record_events: false,
             events: Vec::new(),
-            spec,
         }
     }
 
@@ -362,8 +337,8 @@ impl ReqReplyWorkload {
             let delay = backoff_delay(self.rr.backoff_base, self.rr.backoff_cap, id, attempt);
             let t = self.txns.get_mut(&id).expect("txn vanished");
             t.state = TxnState::RetryWait;
-            t.retry_at = cycle.saturating_add(delay.max(1));
-            let at = t.retry_at;
+            t.due = cycle.saturating_add(delay.max(1));
+            let at = t.due;
             self.next_check[client] = self.next_check[client].min(at);
         } else {
             let t = self.txns.get_mut(&id).expect("txn vanished");
@@ -384,7 +359,7 @@ impl ReqReplyWorkload {
         }
         let ids: Vec<u64> = self.open[node].clone();
         for id in &ids {
-            let st = self.txns.get(id).map(|t| (t.state, t.deadline));
+            let st = self.txns.get(id).map(|t| (t.state, t.due));
             if let Some((TxnState::AwaitingReply, deadline)) = st {
                 if deadline <= cycle {
                     self.timeout_txn(cycle, *id);
@@ -398,12 +373,12 @@ impl ReqReplyWorkload {
         for id in &self.open[node].clone() {
             let t = &self.txns[id];
             match t.state {
-                TxnState::AwaitingReply => next = next.min(t.deadline),
+                TxnState::AwaitingReply => next = next.min(t.due),
                 TxnState::RetryWait => {
-                    if t.retry_at <= cycle && due.is_none() {
+                    if t.due <= cycle && due.is_none() {
                         due = Some(*id);
                     } else {
-                        next = next.min(t.retry_at);
+                        next = next.min(t.due);
                     }
                 }
                 _ => {}
@@ -438,16 +413,6 @@ impl ReqReplyWorkload {
         }
         None
     }
-
-    fn pick_dest(&mut self, node: usize) -> usize {
-        if self.spec.hotspot_fraction > 0.0 && self.rng.gen::<f64>() < self.spec.hotspot_fraction {
-            let pick = self.mc_nodes[self.rng.gen_range(0..self.mc_nodes.len())];
-            if pick != node {
-                return pick;
-            }
-        }
-        self.spec.pattern.dest(node, self.width, self.height, &mut self.rng)
-    }
 }
 
 impl Workload for ReqReplyWorkload {
@@ -456,7 +421,6 @@ impl Workload for ReqReplyWorkload {
         // 1. Reply emission owed by this node as a server.
         if let Some(job) = self.next_reply(cycle, node) {
             self.bind = Some(PktRole::Reply { txn: job.txn, attempt: job.attempt });
-            self.generated += 1;
             return Some(job.client);
         }
         // 2. Timeout sweep and due retries for this node as a client.
@@ -465,7 +429,7 @@ impl Workload for ReqReplyWorkload {
                 let t = self.txns.get_mut(&id).expect("retry of unknown txn");
                 t.attempt += 1;
                 t.state = TxnState::AwaitingReply;
-                t.deadline = cycle.saturating_add(self.rr.reply_timeout);
+                t.due = cycle.saturating_add(self.rr.reply_timeout);
                 t.replies_left = self.rr.reply_packets;
                 (t.server, t.attempt)
             };
@@ -473,21 +437,14 @@ impl Workload for ReqReplyWorkload {
             self.next_check[node] = self.next_check[node].min(cycle + self.rr.reply_timeout);
             self.event(cycle, node, id, server, attempt, TxnEventKind::Retried);
             self.bind = Some(PktRole::Request { txn: id, attempt });
-            self.generated += 1;
             return Some(server);
         }
-        // 3. New request admission.
-        if self.remaining[node] == 0 || self.open[node].len() >= self.spec.window {
-            return None;
-        }
-        if !self.states[node].step(&self.spec.process, 1.0, &mut self.rng) {
-            return None;
-        }
-        self.remaining[node] -= 1;
+        // 3. New request admission: the open-loop source, with this
+        // client's open transactions filling its window.
+        let server = self.gen.poll(cycle, node, self.open[node].len())?;
         let id = self.next_txn;
         self.next_txn += 1;
         self.stats.issued[node] += 1;
-        let server = self.pick_dest(node);
         if self.shedding(node) {
             self.probe[node] += 1;
             if !self.probe[node].is_multiple_of(PROBE_EVERY) {
@@ -499,8 +456,7 @@ impl Workload for ReqReplyWorkload {
                         state: TxnState::Shed,
                         first_issued_at: cycle,
                         attempt: 0,
-                        deadline: 0,
-                        retry_at: 0,
+                        due: 0,
                         replies_left: 0,
                     },
                 );
@@ -517,8 +473,7 @@ impl Workload for ReqReplyWorkload {
                 state: TxnState::AwaitingReply,
                 first_issued_at: cycle,
                 attempt: 1,
-                deadline: cycle.saturating_add(self.rr.reply_timeout),
-                retry_at: 0,
+                due: cycle.saturating_add(self.rr.reply_timeout),
                 replies_left: self.rr.reply_packets,
             },
         );
@@ -527,33 +482,20 @@ impl Workload for ReqReplyWorkload {
         self.next_check[node] = self.next_check[node].min(cycle + self.rr.reply_timeout);
         self.event(cycle, node, id, server, 1, TxnEventKind::Issued);
         self.bind = Some(PktRole::Request { txn: id, attempt: 1 });
-        self.generated += 1;
         Some(server)
     }
 
     fn is_exhausted(&self) -> bool {
-        self.remaining.iter().all(|&r| r == 0)
+        self.gen.is_exhausted()
             && self.open.iter().all(Vec::is_empty)
             && self.replies.iter().all(VecDeque::is_empty)
     }
 
-    fn total_packets(&self) -> u64 {
-        // Lower-bound estimate: one request plus one full reply per
-        // budgeted transaction; retries and sheds move the real count.
-        self.spec.packets_per_node
-            * self.remaining.len() as u64
-            * (1 + u64::from(self.rr.reply_packets))
-    }
-
-    fn generated(&self) -> u64 {
-        self.generated
-    }
-
     fn name(&self) -> &str {
-        &self.spec.name
+        self.gen.name()
     }
 
-    fn on_injected(&mut self, _cycle: u64, _node: usize, packet_id: u64, _dest: usize) {
+    fn on_injected(&mut self, packet_id: u64) {
         let role = self.bind.take().expect("injection without a polled offer");
         self.pkt_roles.insert(packet_id, role);
     }
@@ -594,7 +536,6 @@ impl Workload for ReqReplyWorkload {
                     self.txns.remove(&txn);
                     self.remove_open(client, txn);
                     self.stats.in_flight[client] -= 1;
-                    self.orphaned.push(txn);
                     return;
                 }
                 t.state = TxnState::Completed;
@@ -662,6 +603,7 @@ impl Workload for ReqReplyWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Phase;
 
     fn spec(rate: f64, ppn: u64) -> WorkloadSpec {
         WorkloadSpec { reqreply: Some(ReqReplySpec::default()), ..WorkloadSpec::uniform(rate, ppn) }
@@ -669,7 +611,8 @@ mod tests {
 
     /// Drives the workload open-loop with a perfect zero-latency network:
     /// every offered packet is "delivered" `net_latency` cycles later.
-    fn drive(w: &mut ReqReplyWorkload, nodes: usize, cycles: u64, net_latency: u64) {
+    /// Returns the number of packets injected.
+    fn drive(w: &mut ReqReplyWorkload, nodes: usize, cycles: u64, net_latency: u64) -> u64 {
         let mut pid = 0u64;
         let mut in_net: Vec<(u64, u64)> = Vec::new(); // (deliver_at, packet)
         for cycle in 0..cycles {
@@ -680,8 +623,8 @@ mod tests {
                 w.on_delivered(cycle, p);
             }
             for node in 0..nodes {
-                if let Some(dest) = Workload::poll(w, cycle, node, 0) {
-                    w.on_injected(cycle, node, pid, dest);
+                if Workload::poll(w, cycle, node, 0).is_some() {
+                    w.on_injected(pid);
                     in_net.push((cycle + net_latency, pid));
                     pid += 1;
                 }
@@ -690,6 +633,7 @@ mod tests {
                 break;
             }
         }
+        pid
     }
 
     #[test]
@@ -712,8 +656,8 @@ mod tests {
         let mut pid = 0u64;
         for cycle in 0..200 {
             for node in 0..4 {
-                if let Some(dest) = Workload::poll(&mut w, cycle, node, 0) {
-                    w.on_injected(cycle, node, pid, dest);
+                if Workload::poll(&mut w, cycle, node, 0).is_some() {
+                    w.on_injected(pid);
                     pid += 1; // never delivered: all stay in flight or time out
                 }
             }
@@ -730,8 +674,8 @@ mod tests {
         let mut pid = 0u64;
         for cycle in 0..10_000 {
             for node in 0..2 {
-                if let Some(dest) = Workload::poll(&mut w, cycle, node, 0) {
-                    w.on_injected(cycle, node, pid, dest);
+                if Workload::poll(&mut w, cycle, node, 0).is_some() {
+                    w.on_injected(pid);
                     w.on_dropped(cycle, pid); // dead network: every packet dropped
                     pid += 1;
                 }
@@ -763,8 +707,8 @@ mod tests {
         let mut pid = 0u64;
         for cycle in 0..20_000 {
             for node in 0..2 {
-                if let Some(dest) = Workload::poll(&mut w, cycle, node, 0) {
-                    w.on_injected(cycle, node, pid, dest);
+                if Workload::poll(&mut w, cycle, node, 0).is_some() {
+                    w.on_injected(pid);
                     w.on_dropped(cycle, pid);
                     pid += 1;
                 }
@@ -810,12 +754,29 @@ mod tests {
     fn reply_size_in_packets_requires_all_packets() {
         let rr = ReqReplySpec { reply_packets: 3, ..Default::default() };
         let mut w = ReqReplyWorkload::new(spec(0.5, 4), rr, 2, 2, 13);
-        drive(&mut w, 4, 100_000, 2);
+        let injected = drive(&mut w, 4, 100_000, 2);
         assert!(w.is_exhausted());
         let s = w.txn_stats().unwrap();
         assert_eq!(s.completed_total(), 16);
         // Each transaction moved 1 request + 3 reply packets.
-        assert_eq!(w.generated(), 16 * 4);
+        assert_eq!(injected, 16 * 4);
+    }
+
+    #[test]
+    fn admission_follows_phases() {
+        let phased = WorkloadSpec {
+            phases: vec![
+                Phase { cycles: 1000, rate_factor: 0.0 },
+                Phase { cycles: 1000, rate_factor: 1.0 },
+            ],
+            ..spec(0.5, 1_000)
+        };
+        let mut w = ReqReplyWorkload::new(phased, ReqReplySpec::default(), 2, 2, 19);
+        w.set_txn_event_recording(true);
+        drive(&mut w, 4, 2_000, 3);
+        let events = w.drain_txn_events();
+        let first = events.iter().find(|e| e.kind == TxnEventKind::Issued).map(|e| e.cycle);
+        assert!(first.is_some_and(|c| c >= 1000), "first transaction issued at cycle {first:?}");
     }
 
     #[test]
@@ -840,7 +801,7 @@ mod tests {
             for cycle in 0..2_000 {
                 for node in 0..4 {
                     if let Some(dest) = Workload::poll(&mut w, cycle, node, 0) {
-                        w.on_injected(cycle, node, pid, dest);
+                        w.on_injected(pid);
                         w.on_delivered(cycle + 5, pid);
                         log.push((cycle, node, dest));
                         pid += 1;

@@ -4,8 +4,7 @@
 //! from a [`crate::TrafficGen`] run and replayed later, or exchanged as
 //! JSON-lines files — the moral equivalent of Netrace's trace files.
 
-use crate::workload::WorkloadSpec;
-use crate::TrafficGen;
+use crate::workload::{TrafficGen, Workload, WorkloadSpec};
 use serde::{Deserialize, Serialize};
 use std::io::{self, BufRead, Write};
 

@@ -152,12 +152,6 @@ pub trait Workload: std::fmt::Debug {
     /// Whether the source will never produce another packet.
     fn is_exhausted(&self) -> bool;
 
-    /// Total packets this workload will inject over its lifetime.
-    fn total_packets(&self) -> u64;
-
-    /// Packets injected so far.
-    fn generated(&self) -> u64;
-
     /// Human-readable workload name.
     fn name(&self) -> &str;
 
@@ -165,7 +159,7 @@ pub trait Workload: std::fmt::Debug {
     /// [`poll`](Self::poll) was injected as `packet_id`. Closed-loop
     /// workloads bind protocol roles to packet ids here; open-loop
     /// workloads ignore it.
-    fn on_injected(&mut self, _cycle: u64, _node: usize, _packet_id: u64, _dest: usize) {}
+    fn on_injected(&mut self, _packet_id: u64) {}
 
     /// Notifies the workload that `packet_id` was finally delivered.
     fn on_delivered(&mut self, _cycle: u64, _packet_id: u64) {}
@@ -294,16 +288,20 @@ impl WorkloadSpec {
 
 /// On-line traffic generator: one per simulation run.
 ///
+/// The one request source of the crate: open-loop runs inject what it
+/// offers, and [`crate::ReqReplyWorkload`] admits new transactions through
+/// it.
+///
 /// # Examples
 ///
 /// ```
-/// use noc_traffic::{TrafficGen, WorkloadSpec};
+/// use noc_traffic::{TrafficGen, Workload, WorkloadSpec};
 ///
 /// let spec = WorkloadSpec::uniform(0.1, 10);
 /// let mut gen = TrafficGen::new(spec, 8, 8, 42);
 /// // Poll node 0 for one cycle with no outstanding packets.
 /// let _maybe_dest = gen.poll(0, 0, 0);
-/// assert_eq!(gen.total_packets(), 64 * 10);
+/// assert!(!gen.is_exhausted());
 /// ```
 #[derive(Debug, Clone)]
 pub struct TrafficGen {
@@ -314,7 +312,6 @@ pub struct TrafficGen {
     rng: SmallRng,
     states: Vec<ProcessState>,
     remaining: Vec<u64>,
-    generated: u64,
     phase_total: u64,
 }
 
@@ -343,14 +340,8 @@ impl TrafficGen {
             rng: SmallRng::seed_from_u64(seed),
             states: vec![ProcessState::default(); n],
             remaining,
-            generated: 0,
             phase_total,
         }
-    }
-
-    /// The workload specification.
-    pub fn spec(&self) -> &WorkloadSpec {
-        &self.spec
     }
 
     /// Rate multiplier active at `cycle` given the phase schedule.
@@ -367,17 +358,10 @@ impl TrafficGen {
         }
         1.0
     }
+}
 
-    /// Polls node `node` at `cycle`: returns the destination of a new packet
-    /// if one should be injected this cycle.
-    ///
-    /// `outstanding` is the node's count of injected-but-undelivered packets;
-    /// injection is suppressed while it is at or beyond the window.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn poll(&mut self, cycle: u64, node: usize, outstanding: usize) -> Option<usize> {
+impl Workload for TrafficGen {
+    fn poll(&mut self, cycle: u64, node: usize, outstanding: usize) -> Option<usize> {
         if self.remaining[node] == 0 || outstanding >= self.spec.window {
             return None;
         }
@@ -386,7 +370,6 @@ impl TrafficGen {
             return None;
         }
         self.remaining[node] -= 1;
-        self.generated += 1;
         let dest = if self.spec.hotspot_fraction > 0.0
             && self.rng.gen::<f64>() < self.spec.hotspot_fraction
         {
@@ -402,37 +385,8 @@ impl TrafficGen {
         Some(dest)
     }
 
-    /// Total packets this workload will inject across all nodes.
-    pub fn total_packets(&self) -> u64 {
-        self.spec.packets_per_node * self.remaining.len() as u64
-    }
-
-    /// Packets generated so far.
-    pub fn generated(&self) -> u64 {
-        self.generated
-    }
-
-    /// Whether every node has exhausted its budget.
-    pub fn is_exhausted(&self) -> bool {
-        self.remaining.iter().all(|&r| r == 0)
-    }
-}
-
-impl Workload for TrafficGen {
-    fn poll(&mut self, cycle: u64, node: usize, outstanding: usize) -> Option<usize> {
-        TrafficGen::poll(self, cycle, node, outstanding)
-    }
-
     fn is_exhausted(&self) -> bool {
-        TrafficGen::is_exhausted(self)
-    }
-
-    fn total_packets(&self) -> u64 {
-        TrafficGen::total_packets(self)
-    }
-
-    fn generated(&self) -> u64 {
-        TrafficGen::generated(self)
+        self.remaining.iter().all(|&r| r == 0)
     }
 
     fn name(&self) -> &str {
@@ -457,7 +411,6 @@ mod tests {
         }
         assert!(g.is_exhausted());
         assert!(injected.iter().all(|&c| c == 5));
-        assert_eq!(g.generated(), 80);
     }
 
     #[test]

@@ -28,7 +28,8 @@ fn main() {
         "design", "exec_cyc", "avg_lat", "p99_lat", "power_mW"
     );
     for design in [Design::Secded, Design::Cp] {
-        let replay = TraceReplay::new("ferret-trace", &parsed, 64, 12);
+        let replay =
+            TraceReplay::new("ferret-trace", &parsed, 64, 12).expect("captured on the same mesh");
         let mut cfg = design.sim_config();
         cfg.seed = 77;
         let mut net = Network::with_workload(cfg, Box::new(replay));
