@@ -12,12 +12,11 @@ use intellinoc::{
 use noc_power::AreaModel;
 use noc_sim::{
     parse_bundle, parse_rules, render_report, runner_events_jsonl, shared_recorder, AlertEdge,
-    BundleCause, EventKind, JourneyLog, Network, Profiler, RunnerEvent, SpanTree, TraceFilter,
+    BundleCause, EventKind, JourneyLog, Profiler, RunnerEvent, SpanTree, TraceFilter,
     DEFAULT_BLACKBOX_CAPACITY,
 };
 use noc_traffic::{
-    capture_trace, read_trace, write_trace, ParsecBenchmark, ReqReplySpec, TraceReplay,
-    WorkloadSpec,
+    capture_trace, read_trace, write_trace, ParsecBenchmark, ReqReplySpec, WorkloadSpec,
 };
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
@@ -686,32 +685,21 @@ pub fn trace(args: &Args) -> CmdResult {
         Some("replay") => {
             let path = args.positional.get(1).ok_or("need an input path")?;
             let design = parse_design(args.get("design").ok_or("need --design")?)?;
-            // Replay steps the bare network; it is not yet a driver of
-            // `run_experiment_with`, the only place a policy runs.
-            if matches!(design, Design::Cpd | Design::IntelliNoc) {
-                return Err(format!(
-                    "--design {}: trace replay runs the network with no controller, so a design \
-                     whose results come from one (cpd, intellinoc) would print another design's \
-                     numbers under its name; replay on secded, eb or cp",
-                    design.label().to_ascii_lowercase()
-                ));
-            }
             let f = File::open(path).map_err(|e| e.to_string())?;
             let records = read_trace(BufReader::new(f)).map_err(|e| e.to_string())?;
-            let replay =
-                TraceReplay::new(path, &records, 64, 12).map_err(|e| format!("{path}: {e}"))?;
-            let mut cfg = design.sim_config();
-            cfg.seed = args.get_or("seed", 1u64)?;
-            let mut net = Network::with_workload(cfg, Box::new(replay));
-            let done = net.run_cycles(10_000_000);
-            let r = net.report();
+            let nodes = design.sim_config().nodes();
+            let spec =
+                WorkloadSpec::replay(path, records, nodes).map_err(|e| format!("{path}: {e}"))?;
+            let seed = args.get_or("seed", 1u64)?;
+            let outcome = run_experiment(ExperimentConfig::new(design, spec).with_seed(seed));
+            let r = &outcome.report;
             println!(
                 "replayed {} packets on {}: exec={} cycles, avg latency {:.1}, {}",
                 r.stats.packets_delivered,
                 design.label(),
                 r.exec_cycles,
                 r.avg_latency(),
-                if done { "complete" } else { "INCOMPLETE" }
+                if outcome.finished { "complete" } else { "INCOMPLETE" }
             );
             Ok(CmdOutcome::Done)
         }

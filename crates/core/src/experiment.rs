@@ -807,6 +807,21 @@ mod tests {
         }
     }
 
+    /// A recorded trace is a workload like any other: IntelliNoC replays it
+    /// under its own agents, which decide for every router each control step.
+    #[test]
+    fn intellinoc_replays_a_trace_under_its_agents() {
+        let records = noc_traffic::capture_trace(WorkloadSpec::uniform(0.02, 10), 8, 8, 5, 100_000);
+        let packets = records.len() as u64;
+        let spec = WorkloadSpec::replay("recorded", records, 64).expect("records fit the mesh");
+        let cfg = ExperimentConfig::new(Design::IntelliNoc, spec).with_seed(11).with_time_step(100);
+        let mut steps = 0u64;
+        let (out, _, _) = run_experiment_with(cfg, None, |_| steps += 1);
+        assert!(out.finished && steps >= 3, "{steps} control steps");
+        assert_eq!(out.report.stats.packets_delivered, packets);
+        assert_eq!(out.mode_histogram.iter().sum::<u64>(), 64 * steps);
+    }
+
     #[test]
     fn pretraining_produces_populated_tables() {
         let tables =

@@ -85,7 +85,6 @@ impl EnergyModel {
             + self.dected_pj * a.dected_ops as f64
             + self.tecqed_pj * a.tecqed_ops as f64
             + self.alloc_pj * a.alloc_ops as f64
-            + self.rl_decision_pj * a.rl_decisions as f64
             + self.wakeup_pj * a.wakeups as f64
     }
 }
@@ -116,13 +115,8 @@ pub struct ActivityCounters {
     pub tecqed_ops: u64,
     /// Allocator grants (VA + SA).
     pub alloc_ops: u64,
-    /// RL agent decisions.
-    pub rl_decisions: u64,
     /// Power-gating wake-up events.
     pub wakeups: u64,
-    /// Flits re-transmitted (already counted in the traversal counters;
-    /// tracked separately for Fig. 15).
-    pub retransmitted_flits: u64,
 }
 
 impl ActivityCounters {
@@ -143,9 +137,7 @@ impl ActivityCounters {
         self.dected_ops += other.dected_ops;
         self.tecqed_ops += other.tecqed_ops;
         self.alloc_ops += other.alloc_ops;
-        self.rl_decisions += other.rl_decisions;
         self.wakeups += other.wakeups;
-        self.retransmitted_flits += other.retransmitted_flits;
     }
 
     /// Records one encode or decode under `scheme`.
@@ -216,14 +208,11 @@ mod tests {
             dected_ops: 8,
             tecqed_ops: 13,
             alloc_ops: 9,
-            rl_decisions: 10,
             wakeups: 11,
-            retransmitted_flits: 12,
         };
         a.merge(&b);
         a.merge(&b);
         assert_eq!(a.buffer_writes, 2);
-        assert_eq!(a.retransmitted_flits, 24);
         assert_eq!(a.wakeups, 22);
         assert_eq!(a.tecqed_ops, 26);
     }

@@ -20,9 +20,7 @@ fn arb_counters() -> impl Strategy<Value = ActivityCounters> {
             dected_ops: d / 5,
             tecqed_ops: d / 6,
             alloc_ops: a,
-            rl_decisions: b / 10,
             wakeups: c / 100,
-            retransmitted_flits: d / 7,
         }
     })
 }

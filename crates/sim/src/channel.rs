@@ -43,11 +43,6 @@ impl Channel {
         self.queue.len()
     }
 
-    /// Storage capacity in flits.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Whether a new flit can enter this cycle.
     pub fn has_space(&self) -> bool {
         self.queue.len() < self.capacity
@@ -60,16 +55,6 @@ impl Channel {
         } else {
             1
         }
-    }
-
-    /// Pushes a flit onto the channel at `now`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the channel is full (callers must check
-    /// [`Channel::has_space`]).
-    pub fn push(&mut self, flit: Flit, now: Cycle) {
-        self.push_delayed(flit, now, 0);
     }
 
     /// Pushes a flit with `extra` additional cycles of traversal latency
@@ -89,17 +74,6 @@ impl Channel {
             Some((flit, ready)) if *ready <= now => Some(flit),
             _ => None,
         }
-    }
-
-    /// Removes and returns the ready head flit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the head is absent or not ready (callers must check
-    /// [`Channel::peek_ready`]).
-    pub fn pop_ready(&mut self, now: Cycle) -> Flit {
-        assert!(self.peek_ready(now).is_some(), "no ready flit to pop");
-        self.queue.remove(0).0
     }
 
     /// Finds the first flit (front to back) that has arrived by `now`, is
@@ -308,6 +282,7 @@ impl Links {
 mod tests {
     use super::*;
     use crate::flit::make_packet;
+    use proptest::prelude::*;
 
     fn flit(id: u64) -> Flit {
         let mut f = make_packet(id, id * 4, 0, 1, 0)[0];
@@ -318,13 +293,12 @@ mod tests {
     #[test]
     fn wire_latch_pipelines_one_flit() {
         let mut ch = Channel::new(0);
-        assert_eq!(ch.capacity(), 1);
         assert!(ch.has_space());
-        ch.push(flit(1), 10);
+        ch.push_delayed(flit(1), 10, 0);
         assert!(!ch.has_space());
         assert!(ch.peek_ready(10).is_none(), "one-cycle latency");
         assert!(ch.peek_ready(11).is_some());
-        let f = ch.pop_ready(11);
+        let f = ch.remove_at(0);
         assert_eq!(f.packet_id, 1);
         assert!(ch.has_space());
     }
@@ -333,10 +307,11 @@ mod tests {
     fn fifo_order_is_preserved() {
         let mut ch = Channel::new(4);
         for i in 0..4 {
-            ch.push(flit(i), i);
+            ch.push_delayed(flit(i), i, 0);
         }
         for i in 0..4 {
-            assert_eq!(ch.pop_ready(100).packet_id, i);
+            assert_eq!(ch.peek_ready(100).map(|f| f.packet_id), Some(i));
+            assert_eq!(ch.remove_at(0).packet_id, i);
         }
     }
 
@@ -344,7 +319,7 @@ mod tests {
     fn relaxed_mode_doubles_latency() {
         let mut ch = Channel::new(2);
         ch.relaxed = true;
-        ch.push(flit(1), 0);
+        ch.push_delayed(flit(1), 0, 0);
         assert!(ch.peek_ready(1).is_none());
         assert!(ch.peek_ready(2).is_some());
     }
@@ -353,8 +328,8 @@ mod tests {
     #[should_panic(expected = "channel overflow")]
     fn overflow_panics() {
         let mut ch = Channel::new(1);
-        ch.push(flit(1), 0);
-        ch.push(flit(2), 0);
+        ch.push_delayed(flit(1), 0, 0);
+        ch.push_delayed(flit(2), 0, 0);
     }
 
     #[test]
@@ -363,11 +338,12 @@ mod tests {
         // Packet 1: head then body. Packet 2: head. All ready.
         let p1 = make_packet(1, 0, 0, 1, 0);
         let p2 = make_packet(2, 10, 0, 1, 0);
-        ch.push(p1[0], 0); // idx 0: P1 head
-        ch.push(p1[1], 0); // idx 1: P1 body
-        ch.push(p2[0], 0); // idx 2: P2 head
-                           // Predicate rejects P1 entirely: the scan must NOT return P1's body
-                           // (same-packet order) but may return P2's head.
+        ch.push_delayed(p1[0], 0, 0); // idx 0: P1 head
+        ch.push_delayed(p1[1], 0, 0); // idx 1: P1 body
+        ch.push_delayed(p2[0], 0, 0); // idx 2: P2 head
+
+        // Predicate rejects P1 entirely: the scan must NOT return P1's body
+        // (same-packet order) but may return P2's head.
         let idx = ch.scan_deliverable(10, |f| f.packet_id != 1);
         assert_eq!(idx, Some(2));
         // Predicate accepts everything: the front wins.
@@ -378,7 +354,7 @@ mod tests {
     #[test]
     fn scan_respects_ready_times() {
         let mut ch = Channel::new(4);
-        ch.push(flit(1), 100); // ready at 101
+        ch.push_delayed(flit(1), 100, 0); // ready at 101
         assert_eq!(ch.scan_deliverable(100, |_| true), None);
         assert_eq!(ch.scan_deliverable(101, |_| true), Some(0));
     }
@@ -387,7 +363,7 @@ mod tests {
     fn remove_at_preserves_remaining_order() {
         let mut ch = Channel::new(4);
         for i in 0..3 {
-            ch.push(flit(i), 0);
+            ch.push_delayed(flit(i), 0, 0);
         }
         let f = ch.remove_at(1);
         assert_eq!(f.packet_id, 1);
@@ -401,7 +377,7 @@ mod tests {
         let mut ch = Channel::new(2);
         let mut f = flit(1);
         f.hop_flips = 3;
-        ch.push(f, 0);
+        ch.push_delayed(f, 0, 0);
         ch.delay_at(0, 1, 4);
         assert_eq!(ch.get(0).hop_flips, 0, "retransmitted copy is clean");
         assert_eq!(ch.get(0).retx, 1);
@@ -442,11 +418,67 @@ mod tests {
     #[test]
     fn relaxed_toggle_affects_only_new_pushes() {
         let mut ch = Channel::new(4);
-        ch.push(flit(1), 0); // normal: ready at 1
+        ch.push_delayed(flit(1), 0, 0); // normal: ready at 1
         ch.relaxed = true;
-        ch.push(flit(2), 0); // relaxed: ready at 2
+        ch.push_delayed(flit(2), 0, 0); // relaxed: ready at 2
         assert!(ch.scan_deliverable(1, |f| f.packet_id == 2).is_none());
         assert!(ch.scan_deliverable(2, |f| f.packet_id == 2).is_some());
         assert!(ch.peek_ready(1).is_some(), "first flit unaffected");
+    }
+
+    /// The `seen`-set formulation of `Channel::scan_deliverable` that the
+    /// allocation-free look-back replaced, kept as the reference: walk front to
+    /// back, skip any flit whose packet already appeared, return the first
+    /// arrived flit the predicate accepts.
+    fn scan_reference(
+        queue: &[(Flit, Cycle)],
+        now: Cycle,
+        mut deliverable: impl FnMut(&Flit) -> bool,
+    ) -> Option<usize> {
+        let mut seen: Vec<u64> = Vec::new();
+        for (i, (flit, ready)) in queue.iter().enumerate() {
+            if seen.contains(&flit.packet_id) {
+                continue;
+            }
+            seen.push(flit.packet_id);
+            if *ready <= now && deliverable(flit) {
+                return Some(i);
+            }
+        }
+        None
+    }
+
+    proptest! {
+        /// `scan_deliverable` picks the same flit as the reference — and asks
+        /// the predicate about the same flits in the same order — for any
+        /// queue (empty included), with packet ids drawn from a small range so
+        /// they repeat, arbitrary arrival times and arbitrary predicates.
+        #[test]
+        fn scan_deliverable_matches_seen_set_reference(
+            entries in prop::collection::vec((0u64..4, 0u8..4, 0u64..12), 0..10),
+            accept in prop::collection::vec(any::<bool>(), 10),
+            now in 0u64..14,
+        ) {
+            let mut ch = Channel::new(entries.len());
+            let mut queue = Vec::new();
+            for (i, &(packet, index, pushed_at)) in entries.iter().enumerate() {
+                let mut flit = make_packet(packet, packet * 4, 0, 1, 0)[index as usize];
+                flit.id = i as u64; // position in the queue, so the predicate can key on it
+                ch.push_delayed(flit, pushed_at, 0);
+                queue.push((flit, pushed_at + ch.latency()));
+            }
+            let mut asked = Vec::new();
+            let got = ch.scan_deliverable(now, |f| {
+                asked.push(f.id);
+                accept[f.id as usize]
+            });
+            let mut asked_ref = Vec::new();
+            let want = scan_reference(&queue, now, |f| {
+                asked_ref.push(f.id);
+                accept[f.id as usize]
+            });
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(asked, asked_ref);
+        }
     }
 }

@@ -44,8 +44,6 @@ pub struct Flit {
     pub dest: u16,
     /// Cycle the packet was injected at the source NI.
     pub injected_at: Cycle,
-    /// Hops traversed so far.
-    pub hops: u16,
     /// Bit errors accumulated on the journey that no per-hop decoder fixed
     /// (feeds the end-to-end CRC check / silent-corruption accounting).
     pub e2e_flips: u16,
@@ -109,7 +107,6 @@ pub fn make_packet(
         src,
         dest,
         injected_at,
-        hops: 0,
         e2e_flips: 0,
         retx: 0,
         hop_scheme: noc_ecc::EccScheme::None,

@@ -40,11 +40,10 @@ mod ni;
 mod probe;
 mod router;
 mod stats;
-pub mod topology;
+mod topology;
 
-pub use channel::Channel;
 pub use config::{RouterDirective, SimConfig};
-pub use flit::{make_packet, Cycle, Flit, FlitKind, FLITS_PER_PACKET, NO_VC};
+pub use flit::{Cycle, FLITS_PER_PACKET};
 pub use health::HealthRouter;
 pub use latency::LatencyHistogram;
 pub use metrics_export::{
@@ -53,9 +52,8 @@ pub use metrics_export::{
 };
 pub use network::Network;
 pub use probe::{ProbeArtifacts, ProbeConfig};
-pub use router::{GateState, Router, StepStats, VcEntry};
 pub use stats::{NetworkStats, RouterObservation, RunReport, StallReport, TxnSummary};
-pub use topology::{Mesh, Port, DIRS, PORTS};
+pub use topology::{Mesh, Port};
 
 // Hard-fault scenario types, re-exported for configuration convenience.
 pub use noc_fault::{HardFault, HardFaultKind, HardFaultScenario, HardFaultTarget};

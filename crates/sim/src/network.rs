@@ -72,7 +72,7 @@ use noc_ecc::EccSuite;
 use noc_fault::{network_mttf, AgingState, FaultInjector, ThermalGrid};
 use noc_power::{EnergyLedger, EnergyModel, LeakageModel, RouterLeakageSpec, CLOCK_PERIOD_NS};
 use noc_telemetry::{Profiler, Tracer};
-use noc_traffic::{ReqReplyWorkload, TrafficGen, Workload, WorkloadSpec};
+use noc_traffic::{Workload, WorkloadSpec};
 use std::collections::HashSet;
 
 /// Cycles between power/thermal/aging epochs (Table 1 setup).
@@ -132,27 +132,21 @@ impl std::fmt::Debug for Network {
 }
 
 impl Network {
-    /// Builds a network for `cfg` driven by `workload`.
+    /// Builds a network for `cfg` driven by the packet source `workload`
+    /// describes (generated, closed-loop or a recorded trace), seeded with
+    /// `traffic_seed`.
     ///
     /// # Panics
     ///
     /// Panics if the configuration is invalid (see [`SimConfig::validate`]).
     pub fn new(cfg: SimConfig, workload: WorkloadSpec, traffic_seed: u64) -> Self {
-        if let Some(rr) = workload.reqreply.clone() {
-            let w = ReqReplyWorkload::new(workload, rr, cfg.width, cfg.height, traffic_seed);
-            return Self::with_workload(cfg, Box::new(w));
-        }
-        let gen = TrafficGen::new(workload, cfg.width, cfg.height, traffic_seed);
-        Self::with_workload(cfg, Box::new(gen))
+        let traffic = workload.into_workload(cfg.width, cfg.height, traffic_seed);
+        Self::with_workload(cfg, traffic)
     }
 
-    /// Builds a network driven by an arbitrary [`Workload`] — e.g. a
-    /// [`noc_traffic::TraceReplay`] of a captured trace.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid (see [`SimConfig::validate`]).
-    pub fn with_workload(cfg: SimConfig, workload: Box<dyn Workload>) -> Self {
+    /// Builds a network driven by `workload` (the probe tests drive one with
+    /// a workload of their own).
+    pub(crate) fn with_workload(cfg: SimConfig, workload: Box<dyn Workload>) -> Self {
         cfg.validate();
         let mesh = Mesh::new(cfg.width, cfg.height);
         let n = mesh.nodes();

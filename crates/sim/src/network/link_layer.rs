@@ -214,7 +214,6 @@ impl Network {
         let mut flit = self.links.remove_at(ci, idx);
         flit.e2e_flips = flit.e2e_flips.saturating_add(to_e2e);
         flit.hop_flips = in_codeword; // zero once decoded (re-encoded at the next output)
-        flit.hops += 1;
         self.probe.event(Event::HopTraversed {
             cycle: now,
             router: v as u32,
@@ -274,7 +273,6 @@ impl Network {
         self.stats.retransmitted_flits += 1;
         let up = &mut self.routers[u];
         up.step.retransmissions += 1;
-        up.counters.retransmitted_flits += 1;
         up.counters.link_flits += 1;
         // The upstream side re-encodes the stored copy and re-reads it from
         // an MFAC stage or its own buffer. Preserved divergence (DESIGN.md
@@ -467,7 +465,7 @@ mod tests {
                     got.hop_flips == 0 || (rx == Receiver::GatedTransit && scheme.is_per_hop())
                 );
                 assert!(corrected == 0 || decodes);
-                assert_eq!((got.id, got.hops, got.retx), (flit.id, 1, retx));
+                assert_eq!((got.id, got.retx), (flit.id, retx));
                 assert_eq!(still_there, None, "a delivered flit left the channel");
                 assert_eq!((nacks, resent, dropped), (0, 0, 0));
             }
@@ -492,7 +490,7 @@ mod tests {
                     assert_eq!((nacks, resent, dropped), (1, 0, 0));
                     let kept = still_there.expect("a NACKed flit stays on the channel");
                     assert_eq!((kept.hop_flips, kept.e2e_flips), (0, e2e_before));
-                    assert_eq!((kept.retx, kept.hops), (retx + 1, 0));
+                    assert_eq!(kept.retx, retx + 1);
                     let ready_at = |t| channel.scan_deliverable(t, |f| f.id == flit.id);
                     let back = net.now + RETX_LATENCY;
                     assert_eq!((ready_at(back - 1), ready_at(back)), (None, Some(idx)));

@@ -189,7 +189,6 @@ impl Network {
         }
         // e2e CRC re-encode energy at the source.
         self.routers[src].counters.crc_ops += n;
-        self.routers[src].counters.retransmitted_flits += n;
         // Re-transmissions join the BACK of the source queue: pushing
         // them in front would interleave with a partially injected
         // packet's remaining flits and can deadlock the NI FIFO.

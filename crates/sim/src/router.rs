@@ -327,7 +327,8 @@ impl Router {
 
     /// Head flit of VC `vc` of input `port` if it is eligible for switch
     /// allocation at `now` (read from the entry, not the masks, so it is
-    /// right between promotions too).
+    /// right between promotions too). The allocator reference test's view.
+    #[cfg(test)]
     pub fn sa_candidate(&self, port: usize, vc: usize, now: Cycle) -> Option<&Flit> {
         let i = port * self.vcs + vc;
         let e = &self.table[i];

@@ -6,7 +6,7 @@ use noc_ecc::EccScheme;
 use noc_sim::{
     Event, GateEdge, Network, ProbeConfig, RouterDirective, SimConfig, TraceFilter, Tracer,
 };
-use noc_traffic::{TraceRecord, TraceReplay, WorkloadSpec};
+use noc_traffic::{TraceRecord, WorkloadSpec};
 
 fn quiet() -> SimConfig {
     let mut cfg = SimConfig::default();
@@ -31,8 +31,8 @@ fn straight_path_flows_through_gated_routers() {
     let cfg = gated_config();
     // Source node 0, destination node 7: pure +X path along row 0.
     let records = vec![TraceRecord { cycle: 200, src: 0, dest: 7, size_flits: 4 }];
-    let replay = TraceReplay::new("straight", &records, 64, 4).expect("records fit the mesh");
-    let mut net = Network::with_workload(cfg, Box::new(replay));
+    let spec = WorkloadSpec::replay("straight", records, 64).expect("records fit the mesh");
+    let mut net = Network::new(cfg, WorkloadSpec { window: 4, ..spec }, 0);
     let d = RouterDirective { gate: Some(true), scheme: EccScheme::None, relaxed: false };
     net.apply_directives(&[d; 64]);
     assert!(net.run_cycles(100_000), "straight bypass path must drain");
@@ -54,8 +54,8 @@ fn turning_packet_wakes_the_gated_turn_router() {
     let cfg = gated_config();
     // (1,0) -> (3,2): XY turns at node 3 (x=3,y=0).
     let records = vec![TraceRecord { cycle: 200, src: 1, dest: 19, size_flits: 4 }];
-    let replay = TraceReplay::new("turn", &records, 64, 4).expect("records fit the mesh");
-    let mut net = Network::with_workload(cfg, Box::new(replay));
+    let spec = WorkloadSpec::replay("turn", records, 64).expect("records fit the mesh");
+    let mut net = Network::new(cfg, WorkloadSpec { window: 4, ..spec }, 0);
     let d = RouterDirective { gate: Some(true), scheme: EccScheme::None, relaxed: false };
     net.apply_directives(&[d; 64]);
     assert!(net.run_cycles(100_000));
@@ -127,8 +127,8 @@ fn single_flow_packets_arrive_in_injection_order() {
     let cfg = quiet();
     let records: Vec<TraceRecord> =
         (0..50).map(|i| TraceRecord { cycle: 10 * i, src: 0, dest: 63, size_flits: 4 }).collect();
-    let replay = TraceReplay::new("flow", &records, 64, 50).expect("records fit the mesh");
-    let mut net = Network::with_workload(cfg, Box::new(replay));
+    let spec = WorkloadSpec::replay("flow", records, 64).expect("records fit the mesh");
+    let mut net = Network::new(cfg, WorkloadSpec { window: 50, ..spec }, 0);
     assert!(net.run_cycles(1_000_000));
     assert_eq!(net.stats().packets_delivered, 50);
     // Strictly increasing delivery is implied by max latency being bounded:
@@ -230,9 +230,8 @@ fn gated_receiver_run(
     let records: Vec<TraceRecord> = (0..400)
         .map(|i| TraceRecord { cycle: 100 + 40 * i, src, dest: 7, size_flits: 4 })
         .collect();
-    let replay =
-        TraceReplay::new("gated-receiver", &records, 64, 400).expect("records fit the mesh");
-    let mut net = Network::with_workload(cfg, Box::new(replay));
+    let spec = WorkloadSpec::replay("gated-receiver", records, 64).expect("records fit the mesh");
+    let mut net = Network::new(cfg, WorkloadSpec { window: 400, ..spec }, 0);
     let mut directives = [RouterDirective { gate: Some(false), scheme, relaxed: false }; 64];
     directives[gated].gate = Some(true);
     net.apply_directives(&directives);

@@ -37,7 +37,6 @@ mod workload;
 pub use parsec::ParsecBenchmark;
 pub use pattern::{default_mc_nodes, SpatialPattern};
 pub use process::{InjectionProcess, ProcessState};
-pub use replay::TraceReplay;
 pub use reqreply::{ReqReplySpec, ReqReplyWorkload};
 pub use trace::{capture_trace, read_trace, write_trace, TraceRecord};
 pub use workload::{Phase, TrafficGen, TxnEvent, TxnEventKind, TxnStats, Workload, WorkloadSpec};

@@ -213,6 +213,7 @@ impl ParsecBenchmark {
             packets_per_node,
             window: 12,
             reqreply: None,
+            trace: None,
         }
     }
 }

@@ -1,29 +1,57 @@
 //! Offline trace replay (the Netrace replay path).
 //!
-//! [`TraceReplay`] feeds previously captured [`crate::TraceRecord`]s back
-//! into a simulation, preserving the recorded injection times as *earliest*
-//! injection times and honoring the same per-node dependency window as the
-//! live generator: a node with too many packets in flight stalls, shifting
-//! its remaining trace later — exactly Netrace's dependency-driven behavior.
+//! [`WorkloadSpec::replay`] makes a captured trace a workload: its
+//! [`TraceReplay`] feeds the [`crate::TraceRecord`]s back into a simulation,
+//! preserving the recorded injection times as *earliest* injection times and
+//! honoring the same per-node dependency window as the live generator: a
+//! node with too many packets in flight stalls, shifting its remaining trace
+//! later — exactly Netrace's dependency-driven behavior.
 
 use crate::trace::TraceRecord;
-use crate::workload::Workload;
+use crate::workload::{Workload, WorkloadSpec};
 use std::collections::VecDeque;
 
+/// Dependency window of a replayed trace unless the caller overrides it
+/// (the PARSEC profiles' window).
+const REPLAY_WINDOW: usize = 12;
+
+impl WorkloadSpec {
+    /// A workload that replays `records` (any order) on a `nodes`-node mesh,
+    /// named `name`, with a dependency window of 12 packets.
+    ///
+    /// # Errors
+    ///
+    /// Names the first record whose source or destination is not a node of
+    /// the mesh.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use noc_traffic::{capture_trace, Workload, WorkloadSpec};
+    ///
+    /// let trace = capture_trace(WorkloadSpec::uniform(0.1, 3), 4, 4, 7, 10_000);
+    /// let spec = WorkloadSpec::replay("demo", trace, 16).expect("records fit the mesh");
+    /// let mut replay = spec.into_workload(4, 4, 0);
+    /// let first = (0..16).find_map(|n| replay.poll(10_000, n, 0));
+    /// assert!(first.is_some());
+    /// ```
+    pub fn replay(name: &str, records: Vec<TraceRecord>, nodes: usize) -> Result<Self, String> {
+        let outside = records.iter().enumerate().find(|(_, r)| r.src >= nodes || r.dest >= nodes);
+        if let Some((i, r)) = outside {
+            return Err(format!("record {i} is outside the mesh of {nodes} nodes: {r:?}"));
+        }
+        Ok(WorkloadSpec {
+            name: name.to_owned(),
+            window: REPLAY_WINDOW,
+            trace: Some(records.into()),
+            ..WorkloadSpec::uniform(0.0, 0)
+        })
+    }
+}
+
 /// Replays a captured trace as a simulation workload.
-///
-/// # Examples
-///
-/// ```
-/// use noc_traffic::{capture_trace, TraceReplay, Workload, WorkloadSpec};
-///
-/// let trace = capture_trace(WorkloadSpec::uniform(0.1, 3), 4, 4, 7, 10_000);
-/// let mut replay = TraceReplay::new("demo", &trace, 16, 8).expect("records fit the mesh");
-/// let first = (0..16).find_map(|n| replay.poll(10_000, n, 0));
-/// assert!(first.is_some());
-/// ```
 #[derive(Debug, Clone)]
-pub struct TraceReplay {
+pub(crate) struct TraceReplay {
     name: String,
     /// Records not yet injected, per source node, in recorded-time order.
     queues: Vec<VecDeque<TraceRecord>>,
@@ -36,32 +64,21 @@ impl TraceReplay {
     /// Builds a replayer for a `nodes`-node network from `records`
     /// (any order; they are distributed per source and sorted by time).
     ///
-    /// # Errors
-    ///
-    /// Names the first record whose source or destination is not a node of
-    /// the mesh.
-    ///
     /// # Panics
     ///
-    /// Panics if `window` is zero.
-    pub fn new(
-        name: &str,
-        records: &[TraceRecord],
-        nodes: usize,
-        window: usize,
-    ) -> Result<Self, String> {
+    /// Panics if `window` is zero or a record names a node outside the mesh
+    /// ([`WorkloadSpec::replay`] checked them against the mesh it was given).
+    pub(crate) fn new(name: &str, records: &[TraceRecord], nodes: usize, window: usize) -> Self {
         assert!(window > 0, "window must be nonzero");
         let mut queues = vec![VecDeque::new(); nodes];
-        for (i, r) in records.iter().enumerate() {
-            if r.src >= nodes || r.dest >= nodes {
-                return Err(format!("record {i} is outside the mesh of {nodes} nodes: {r:?}"));
-            }
+        for r in records {
+            assert!(r.src < nodes && r.dest < nodes, "record outside the mesh of {nodes} nodes");
             queues[r.src].push_back(*r);
         }
         for q in &mut queues {
             q.make_contiguous().sort_by_key(|r| r.cycle);
         }
-        Ok(TraceReplay { name: name.to_owned(), queues, window })
+        TraceReplay { name: name.to_owned(), queues, window }
     }
 }
 
@@ -95,7 +112,7 @@ mod tests {
     }
 
     fn replay(records: &[TraceRecord], window: usize) -> TraceReplay {
-        TraceReplay::new("t", records, 4, window).expect("records fit the mesh")
+        TraceReplay::new("t", records, 4, window)
     }
 
     #[test]
@@ -134,6 +151,16 @@ mod tests {
     #[test]
     #[should_panic(expected = "record 1 is outside the mesh of 4 nodes")]
     fn out_of_range_record_rejected() {
-        replay(&[rec(0, 1, 0), rec(0, 0, 9)], 8);
+        WorkloadSpec::replay("t", vec![rec(0, 1, 0), rec(0, 0, 9)], 4).unwrap();
+    }
+
+    #[test]
+    fn replay_spec_drives_a_trace_replay() {
+        let spec = WorkloadSpec::replay("t", vec![rec(3, 2, 1)], 4).expect("records fit the mesh");
+        assert_eq!((spec.name.as_str(), spec.window), ("t", 12));
+        let mut w = WorkloadSpec { window: 1, ..spec }.into_workload(2, 2, 0);
+        assert_eq!(w.poll(3, 2, 1), None, "window of 1 full");
+        assert_eq!(w.poll(3, 2, 0), Some(1));
+        assert!(w.is_exhausted());
     }
 }

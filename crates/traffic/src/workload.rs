@@ -7,13 +7,18 @@
 //! stalls once too many of its requests are outstanding, so slow deliveries
 //! slow the application down).
 //!
-//! [`TrafficGen`] is the run-time instance the simulator polls each cycle.
+//! [`WorkloadSpec::into_workload`] turns a spec into the run-time source the
+//! simulator polls each cycle: a [`TrafficGen`], a closed-loop
+//! [`ReqReplyWorkload`] or the replay of a recorded trace.
 
 use crate::pattern::{default_mc_nodes, SpatialPattern};
 use crate::process::{InjectionProcess, ProcessState};
-use crate::reqreply::ReqReplySpec;
+use crate::replay::TraceReplay;
+use crate::reqreply::{ReqReplySpec, ReqReplyWorkload};
+use crate::trace::TraceRecord;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// Per-node transaction accounting of a closed-loop workload, kept such
 /// that `issued = completed + failed + shed + in_flight` holds at every
@@ -140,9 +145,9 @@ pub struct TxnEvent {
 
 /// A packet source the simulator polls once per node per cycle.
 ///
-/// Implemented by the statistical [`TrafficGen`] and by
-/// [`crate::TraceReplay`] (offline Netrace-style traces), so a simulation
-/// can be driven by either interchangeably.
+/// Implemented by the statistical [`TrafficGen`], the closed-loop
+/// [`ReqReplyWorkload`] and the replay of a recorded trace;
+/// [`WorkloadSpec::into_workload`] picks one.
 pub trait Workload: std::fmt::Debug {
     /// Polls node `node` at `cycle`; returns the destination of a packet to
     /// inject now, if any. `outstanding` is the node's in-flight packet
@@ -234,6 +239,10 @@ pub struct WorkloadSpec {
     /// classic open-loop injection. When set, `packets_per_node` is the
     /// per-node request budget.
     pub reqreply: Option<ReqReplySpec>,
+    /// A recorded trace to replay instead of generating traffic (see
+    /// [`WorkloadSpec::replay`]); when set, only `name` and `window` of the
+    /// other fields apply.
+    pub trace: Option<Arc<[TraceRecord]>>,
 }
 
 impl WorkloadSpec {
@@ -250,6 +259,7 @@ impl WorkloadSpec {
             packets_per_node,
             window: 16,
             reqreply: None,
+            trace: None,
         }
     }
 
@@ -283,6 +293,20 @@ impl WorkloadSpec {
         let total: f64 = self.phases.iter().map(|p| p.cycles as f64).sum();
         let weighted: f64 = self.phases.iter().map(|p| p.cycles as f64 * p.rate_factor).sum();
         base * weighted / total
+    }
+
+    /// The packet source this spec describes on a `width × height` mesh,
+    /// seeded with `seed`: the replay of `trace` when one is set, else the
+    /// closed-loop [`ReqReplyWorkload`] when `reqreply` is set, else a
+    /// [`TrafficGen`].
+    pub fn into_workload(self, width: usize, height: usize, seed: u64) -> Box<dyn Workload> {
+        if let Some(records) = &self.trace {
+            return Box::new(TraceReplay::new(&self.name, records, width * height, self.window));
+        }
+        match self.reqreply.clone() {
+            Some(rr) => Box::new(ReqReplyWorkload::new(self, rr, width, height, seed)),
+            None => Box::new(TrafficGen::new(self, width, height, seed)),
+        }
     }
 }
 

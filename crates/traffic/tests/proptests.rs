@@ -2,7 +2,7 @@
 
 use noc_traffic::{
     capture_trace, read_trace, write_trace, InjectionProcess, ParsecBenchmark, SpatialPattern,
-    TraceRecord, TraceReplay, TrafficGen, Workload, WorkloadSpec,
+    TraceRecord, TrafficGen, Workload, WorkloadSpec,
 };
 use proptest::prelude::*;
 
@@ -61,12 +61,13 @@ proptest! {
         let spec = WorkloadSpec::uniform(rate, ppn);
         let trace = capture_trace(spec, 8, 8, seed, 10_000_000);
         prop_assert_eq!(trace.len() as u64, 64 * ppn);
-        let mut replay = TraceReplay::new("prop", &trace, 64, usize::MAX).unwrap();
+        let spec = WorkloadSpec::replay("prop", trace.clone(), 64).unwrap();
+        let mut replay = WorkloadSpec { window: usize::MAX, ..spec }.into_workload(8, 8, 0);
         let mut replayed = Vec::new();
         let horizon = trace.last().map(|r| r.cycle + 1).unwrap_or(0);
         for cycle in 0..=horizon {
             for node in 0..64 {
-                while let Some(dest) = Workload::poll(&mut replay, cycle, node, 0) {
+                while let Some(dest) = replay.poll(cycle, node, 0) {
                     replayed.push((node, dest));
                 }
             }
@@ -121,18 +122,22 @@ proptest! {
         // second-guess the recording).
         let usable: Vec<TraceRecord> =
             records.into_iter().filter(|r| r.src != r.dest).collect();
-        let mut a = TraceReplay::new("orig", &usable, 16, 4).unwrap();
+        let replay = |name, records| {
+            let spec = WorkloadSpec::replay(name, records, 16).unwrap();
+            WorkloadSpec { window: 4, ..spec }.into_workload(4, 4, 0)
+        };
+        let mut a = replay("orig", usable.clone());
         let b_records: Vec<TraceRecord> = {
             let mut buf = Vec::new();
             write_trace(&mut buf, &usable).unwrap();
             read_trace(buf.as_slice()).unwrap()
         };
-        let mut b = TraceReplay::new("copy", &b_records, 16, 4).unwrap();
+        let mut b = replay("copy", b_records);
         let horizon = usable.iter().map(|r| r.cycle).max().map_or(0, |c| c.saturating_add(2));
         for cycle in (0..=horizon).step_by((horizon as usize / 1000).max(1)) {
             for node in 0..16 {
                 let (pa, pb) =
-                    (Workload::poll(&mut a, cycle, node, 0), Workload::poll(&mut b, cycle, node, 0));
+                    (a.poll(cycle, node, 0), b.poll(cycle, node, 0));
                 prop_assert_eq!(pa, pb);
             }
         }

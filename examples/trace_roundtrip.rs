@@ -1,13 +1,12 @@
 //! Trace capture + replay (the Netrace-style offline workflow): capture a
 //! PARSEC-like workload into a JSON-lines trace, write and re-read it, then
-//! replay it on two different designs to compare them on *identical*
-//! traffic.
+//! replay it on every design, each under its own controller, to compare them
+//! on *identical* traffic.
 //!
 //! Run with: `cargo run --release -p intellinoc --example trace_roundtrip`
 
-use intellinoc::Design;
-use noc_sim::Network;
-use noc_traffic::{capture_trace, read_trace, write_trace, ParsecBenchmark, TraceReplay};
+use intellinoc::{run_experiment, Design, ExperimentConfig};
+use noc_traffic::{capture_trace, read_trace, write_trace, ParsecBenchmark, WorkloadSpec};
 
 fn main() {
     // 1. Capture.
@@ -22,20 +21,16 @@ fn main() {
     assert_eq!(parsed, records);
     println!("trace serialized to {} bytes of JSON-lines and parsed back", buf.len());
 
-    // 3. Replay the identical trace on two designs.
+    // 3. Replay the identical trace on every design.
+    let spec = WorkloadSpec::replay("ferret-trace", parsed, 64).expect("captured on the same mesh");
     println!(
         "\n{:<11} {:>10} {:>10} {:>10} {:>12}",
         "design", "exec_cyc", "avg_lat", "p99_lat", "power_mW"
     );
-    for design in [Design::Secded, Design::Cp] {
-        let replay =
-            TraceReplay::new("ferret-trace", &parsed, 64, 12).expect("captured on the same mesh");
-        let mut cfg = design.sim_config();
-        cfg.seed = 77;
-        let mut net = Network::with_workload(cfg, Box::new(replay));
-        let done = net.run_cycles(10_000_000);
-        assert!(done, "replay must drain");
-        let r = net.report();
+    for design in Design::ALL {
+        let outcome = run_experiment(ExperimentConfig::new(design, spec.clone()).with_seed(77));
+        assert!(outcome.finished, "{design}: replay must drain");
+        let r = &outcome.report;
         println!(
             "{:<11} {:>10} {:>10.1} {:>10.0} {:>12.1}",
             design.label(),
