@@ -19,7 +19,7 @@ use crate::experiment::{rate_workload, run_grid, ExperimentConfig, ExperimentOut
 use crate::runner::{derive_seed, ChaosOptions, RunnerConfig, RunnerReport};
 use noc_sim::{RunReport, FLITS_PER_PACKET};
 use noc_traffic::ReqReplySpec;
-use serde::{field, Deserialize, Serialize};
+use serde::{Deserialize, Serialize};
 
 /// Serialized baseline format version (bumped on incompatible changes).
 pub const BENCH_FORMAT_VERSION: u32 = 1;
@@ -31,7 +31,7 @@ pub const REL_EPSILON: f64 = 1e-6;
 
 /// The grid a baseline was recorded over. Stored inside the baseline so
 /// `compare` can re-run exactly the same units.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BenchSpec {
     /// Designs under test, in figure order.
     pub designs: Vec<Design>,
@@ -44,27 +44,10 @@ pub struct BenchSpec {
     /// Master seed; unit seeds derive from `(master_seed, key)`.
     pub master_seed: u64,
     /// Closed-loop request–reply protocol for every cell; `None` keeps the
-    /// classic open-loop uniform workload.
+    /// classic open-loop uniform workload. Absent in baselines recorded
+    /// before the closed-loop era, which read as open-loop grids.
+    #[serde(default)]
     pub reqreply: Option<ReqReplySpec>,
-}
-
-// Hand-rolled so baselines recorded before the closed-loop era (no
-// `reqreply` key in their JSON) still parse as open-loop grids.
-impl Deserialize for BenchSpec {
-    fn deserialize_content(content: &serde::Content) -> Result<Self, serde::Error> {
-        Ok(BenchSpec {
-            designs: field(content, "designs")?,
-            rates: field(content, "rates")?,
-            seeds: field(content, "seeds")?,
-            ppn: field(content, "ppn")?,
-            master_seed: field(content, "master_seed")?,
-            reqreply: match content.get("reqreply") {
-                Some(v) => Option::<ReqReplySpec>::deserialize_content(v)
-                    .map_err(|e| serde::Error::msg(format!("field `reqreply`: {e}")))?,
-                None => None,
-            },
-        })
-    }
 }
 
 impl BenchSpec {
@@ -125,8 +108,9 @@ impl BenchSpec {
     }
 }
 
-/// Mean / sample stddev / 95% CI of one metric over a cell's seeds.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Mean / sample stddev / 95% CI of one metric over a cell's seeds (all
+/// zero with no samples).
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct MetricStats {
     /// Sample mean.
     pub mean: f64,
@@ -144,7 +128,7 @@ impl MetricStats {
     pub fn from_samples(samples: &[f64]) -> Self {
         let n = samples.len();
         if n == 0 {
-            return MetricStats { mean: 0.0, stddev: 0.0, ci95: 0.0, n: 0 };
+            return MetricStats::default();
         }
         let mean = samples.iter().sum::<f64>() / n as f64;
         let stddev = if n < 2 {
@@ -160,7 +144,12 @@ impl MetricStats {
 }
 
 /// Aggregated metrics of one (design, rate) cell.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+///
+/// Baselines recorded before the transaction-completion columns existed
+/// read them as all-zero, which the gate treats as "no change"; keys a cell
+/// does not name (the retired `cycles_per_sec` of old baselines) are
+/// ignored.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BenchCell {
     /// Design figure label.
     pub design: String,
@@ -176,36 +165,12 @@ pub struct BenchCell {
     pub mttf_hours: MetricStats,
     /// Median transaction completion time (cycles; all-zero on open-loop
     /// grids, where the gate trivially passes).
+    #[serde(default)]
     pub txn_p50_latency: MetricStats,
     /// p99 transaction completion time — the closed-loop tail the journey
     /// tail report explains (cycles; all-zero on open-loop grids).
+    #[serde(default)]
     pub txn_p99_latency: MetricStats,
-}
-
-// Hand-rolled so baselines recorded before the transaction-completion
-// columns existed (no `txn_*` keys in their JSON) still parse; the missing
-// stats default to all-zero, which the gate treats as "no change". Keys it
-// does not name (the retired `cycles_per_sec` of old baselines) are ignored.
-impl Deserialize for BenchCell {
-    fn deserialize_content(content: &serde::Content) -> Result<Self, serde::Error> {
-        let opt_stats = |name: &str| -> Result<MetricStats, serde::Error> {
-            match content.get(name) {
-                Some(v) => MetricStats::deserialize_content(v)
-                    .map_err(|e| serde::Error::msg(format!("field `{name}`: {e}"))),
-                None => Ok(MetricStats { mean: 0.0, stddev: 0.0, ci95: 0.0, n: 0 }),
-            }
-        };
-        Ok(BenchCell {
-            design: field(content, "design")?,
-            rate: field(content, "rate")?,
-            avg_latency: field(content, "avg_latency")?,
-            p99_latency: field(content, "p99_latency")?,
-            energy_per_flit_pj: field(content, "energy_per_flit_pj")?,
-            mttf_hours: field(content, "mttf_hours")?,
-            txn_p50_latency: opt_stats("txn_p50_latency")?,
-            txn_p99_latency: opt_stats("txn_p99_latency")?,
-        })
-    }
 }
 
 /// The gated metrics: `(field name, higher is worse)`. The

@@ -285,6 +285,8 @@ impl RunStatus {
     }
 }
 
+// Written by hand: the four labels are the journal's status vocabulary, and
+// a derived reader would also accept the tagged form `{"ok": null}`.
 impl Serialize for RunStatus {
     fn serialize_content(&self) -> Content {
         Content::Str(self.label().to_owned())
@@ -308,7 +310,7 @@ impl Deserialize for RunStatus {
 /// Serialized both into the journal and into merged reports; wall-clock
 /// fields are excluded from serialization so merged reports stay
 /// byte-deterministic.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct UnitRecord<T> {
     /// The unit's stable run key.
     pub key: String,
@@ -321,38 +323,11 @@ pub struct UnitRecord<T> {
     /// Timeout diagnostic, for `timed-out` records.
     pub timeout: Option<TimeoutReport>,
     /// Wall-clock milliseconds (nondeterministic; not serialized).
+    #[serde(skip)]
     pub wall_ms: f64,
     /// Whether this record was reloaded from the journal (not serialized).
+    #[serde(skip)]
     pub from_journal: bool,
-}
-
-// Manual impls (the derive macro does not cover generic types): wall_ms and
-// from_journal are deliberately excluded so serialized records — and
-// therefore journals and merged reports — stay byte-deterministic.
-impl<T: Serialize> Serialize for UnitRecord<T> {
-    fn serialize_content(&self) -> Content {
-        Content::Map(vec![
-            ("key".to_owned(), self.key.serialize_content()),
-            ("status".to_owned(), self.status.serialize_content()),
-            ("payload".to_owned(), self.payload.serialize_content()),
-            ("error".to_owned(), self.error.serialize_content()),
-            ("timeout".to_owned(), self.timeout.serialize_content()),
-        ])
-    }
-}
-
-impl<T: Deserialize> Deserialize for UnitRecord<T> {
-    fn deserialize_content(content: &Content) -> Result<Self, serde::Error> {
-        Ok(UnitRecord {
-            key: serde::field(content, "key")?,
-            status: serde::field(content, "status")?,
-            payload: serde::field(content, "payload")?,
-            error: serde::field(content, "error")?,
-            timeout: serde::field(content, "timeout")?,
-            wall_ms: 0.0,
-            from_journal: false,
-        })
-    }
 }
 
 /// Status tallies across a whole grid.
@@ -370,32 +345,18 @@ pub struct StatusCounts {
 
 /// The merged result of one grid execution: every unit's record in
 /// canonical (input) order, plus the runner telemetry that goes with it.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RunnerReport<T> {
     /// One record per unit, in the order the unit keys were supplied.
     pub records: Vec<UnitRecord<T>>,
     /// Runner lifecycle events in completion order (nondeterministic under
     /// parallel execution; excluded from serialized reports).
+    #[serde(skip)]
     pub events: Vec<RunnerEvent>,
     /// Flight-recorder ring evictions summed across the fleet (black box
     /// configured only; excluded from serialized reports).
+    #[serde(skip)]
     pub recorder_drops: u64,
-}
-
-impl<T: Serialize> Serialize for RunnerReport<T> {
-    fn serialize_content(&self) -> Content {
-        Content::Map(vec![("records".to_owned(), self.records.serialize_content())])
-    }
-}
-
-impl<T: Deserialize> Deserialize for RunnerReport<T> {
-    fn deserialize_content(content: &Content) -> Result<Self, serde::Error> {
-        Ok(RunnerReport {
-            records: serde::field(content, "records")?,
-            events: Vec::new(),
-            recorder_drops: 0,
-        })
-    }
 }
 
 impl<T> RunnerReport<T> {

@@ -50,7 +50,7 @@ use noc_sim::{
     export_alert_metrics, json_str, render_exposition, AlertEngine, AlertRule, HttpRequest,
     HttpResponse, HttpServer, MetricsHub, MetricsRegistry,
 };
-use serde::{field, Deserialize, Serialize};
+use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read as _, Write as _};
@@ -195,7 +195,7 @@ impl ChaosKill {
 /// An experiment grid submitted to the daemon: the cross product of
 /// `designs` × `rates`, one experiment per cell (uniform open-loop by
 /// default, closed-loop request–reply when `reqreply` is set).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct JobSpec {
     /// Tenant-unique job name (idempotency key; `[A-Za-z0-9._-]{1,64}`).
     pub name: String,
@@ -209,39 +209,16 @@ pub struct JobSpec {
     pub seed: u64,
     /// Per-unit cycle budget (0 = the experiment default).
     pub max_cycles: u64,
-    /// Closed-loop request–reply protocol for every cell (`None` or JSON
-    /// `null` keeps the open-loop uniform workload).
+    /// Closed-loop request–reply protocol for every cell (`None`, JSON
+    /// `null` or an absent key, as in submissions and WAL records from
+    /// before the closed-loop era, keeps the open-loop uniform workload).
+    #[serde(default)]
     pub reqreply: Option<noc_traffic::ReqReplySpec>,
     /// Journey-tracing sampling period: every `n`-th packet per unit gets a
     /// hop-level journey log, fetchable at `/api/jobs/<id>/journeys`
-    /// (0 = tracing off).
+    /// (0 or absent = tracing off).
+    #[serde(default)]
     pub journeys_every: u64,
-}
-
-// Hand-rolled so submissions and WAL records written before the
-// closed-loop era (no `reqreply` key) still parse as open-loop grids.
-impl Deserialize for JobSpec {
-    fn deserialize_content(content: &serde::Content) -> Result<Self, serde::Error> {
-        Ok(JobSpec {
-            name: field(content, "name")?,
-            designs: field(content, "designs")?,
-            rates: field(content, "rates")?,
-            ppn: field(content, "ppn")?,
-            seed: field(content, "seed")?,
-            max_cycles: field(content, "max_cycles")?,
-            reqreply: match content.get("reqreply") {
-                Some(v) => Option::<noc_traffic::ReqReplySpec>::deserialize_content(v)
-                    .map_err(|e| serde::Error::msg(format!("field `reqreply`: {e}")))?,
-                None => None,
-            },
-            // Absent on pre-journey submissions and WAL records: off.
-            journeys_every: match content.get("journeys_every") {
-                Some(v) => u64::deserialize_content(v)
-                    .map_err(|e| serde::Error::msg(format!("field `journeys_every`: {e}")))?,
-                None => 0,
-            },
-        })
-    }
 }
 
 /// Whether `s` is a safe identifier token (tenant names, job names).
@@ -2144,6 +2121,27 @@ mod tests {
         let rr = spec.reqreply.unwrap();
         assert_eq!(rr.reply_timeout, 500);
         assert_eq!(rr.max_retries, noc_traffic::ReqReplySpec::default().max_retries);
+    }
+
+    #[test]
+    fn non_object_reqreply_is_rejected() {
+        // Only an absent key or `null` means open loop; any other
+        // non-object used to read as the default protocol (closed loop).
+        for bad in ["false", "7", "\"off\"", "[]"] {
+            let job = format!(
+                r#"{{"name":"j","designs":["secded"],"rates":[0.01],"ppn":2,"seed":1,"max_cycles":0,"reqreply":{bad}}}"#
+            );
+            let bench = format!(
+                r#"{{"designs":["Secded"],"rates":[0.1],"seeds":1,"ppn":2,"master_seed":1,"reqreply":{bad}}}"#
+            );
+            let errors = [
+                serde_json::from_str::<JobSpec>(&job).unwrap_err().to_string(),
+                serde_json::from_str::<crate::BenchSpec>(&bench).unwrap_err().to_string(),
+            ];
+            for e in errors {
+                assert!(e.starts_with("field `reqreply`: expected object, found "), "{bad}: {e}");
+            }
+        }
     }
 
     #[test]

@@ -67,7 +67,10 @@ impl Default for LeakageModel {
 /// Passive configuration bag; fields are public by design.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RouterLeakageSpec {
-    /// Total router-buffer flit slots (all ports, VC + retransmission).
+    /// Router-buffer flit slots, all ports. The network passes its VC slots
+    /// only (`SimConfig::buffer_slots_per_router`): the dedicated
+    /// retransmission buffers that the area model counts do not leak here
+    /// (DESIGN.md §7, `static-power-slots`).
     pub buffer_slots: u32,
     /// Channel-buffer stages attached to this router's output channels.
     pub channel_stages: u32,

@@ -62,8 +62,10 @@ pub struct Flit {
     /// a powered router, so link flips accumulate across the bypass chain.
     pub hop_flips: u16,
     /// End-to-end transmission generation: 0 for the original send,
-    /// incremented on every end-to-end recovery re-injection. Receivers
-    /// discard flits from superseded generations.
+    /// incremented on every end-to-end recovery re-injection, and counted
+    /// against the `max_retx` budget. No receiver filters on it: a superseded
+    /// generation is never in flight, because salvage purges the packet's
+    /// flits before re-sending and a CRC re-send follows a full ejection.
     pub generation: u16,
 }
 

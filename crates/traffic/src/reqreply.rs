@@ -39,8 +39,10 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 /// (`packets_per_node`) and the open-transaction window all come from the
 /// enclosing [`WorkloadSpec`]; this bag holds only what is specific to the
 /// request–reply protocol. Deserialization is tolerant: absent fields take
-/// their defaults, so hand-written serve JobSpecs stay short.
-#[derive(Debug, Clone, PartialEq)]
+/// their defaults, so hand-written serve JobSpecs stay short; a value that
+/// is not an object is an error.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(default)]
 pub struct ReqReplySpec {
     /// Cycles the destination endpoint "computes" before emitting the
     /// first reply packet.
@@ -79,52 +81,6 @@ impl Default for ReqReplySpec {
             shed_threshold: 0.5,
             chaos_orphan: None,
         }
-    }
-}
-
-impl Serialize for ReqReplySpec {
-    fn serialize_content(&self) -> serde::Content {
-        serde::Content::Map(vec![
-            ("service_latency".to_owned(), self.service_latency.serialize_content()),
-            ("reply_packets".to_owned(), self.reply_packets.serialize_content()),
-            ("reply_timeout".to_owned(), self.reply_timeout.serialize_content()),
-            ("max_retries".to_owned(), self.max_retries.serialize_content()),
-            ("backoff_base".to_owned(), self.backoff_base.serialize_content()),
-            ("backoff_cap".to_owned(), self.backoff_cap.serialize_content()),
-            ("shed_threshold".to_owned(), self.shed_threshold.serialize_content()),
-            ("chaos_orphan".to_owned(), self.chaos_orphan.serialize_content()),
-        ])
-    }
-}
-
-/// Tolerant field extraction: absent fields take their default, so specs
-/// written before a field existed still parse.
-fn opt<T: Deserialize>(
-    content: &serde::Content,
-    name: &str,
-    default: T,
-) -> Result<T, serde::Error> {
-    match content.get(name) {
-        Some(v) => {
-            T::deserialize_content(v).map_err(|e| serde::Error::msg(format!("field `{name}`: {e}")))
-        }
-        None => Ok(default),
-    }
-}
-
-impl Deserialize for ReqReplySpec {
-    fn deserialize_content(content: &serde::Content) -> Result<Self, serde::Error> {
-        let d = ReqReplySpec::default();
-        Ok(ReqReplySpec {
-            service_latency: opt(content, "service_latency", d.service_latency)?,
-            reply_packets: opt(content, "reply_packets", d.reply_packets)?,
-            reply_timeout: opt(content, "reply_timeout", d.reply_timeout)?,
-            max_retries: opt(content, "max_retries", d.max_retries)?,
-            backoff_base: opt(content, "backoff_base", d.backoff_base)?,
-            backoff_cap: opt(content, "backoff_cap", d.backoff_cap)?,
-            shed_threshold: opt(content, "shed_threshold", d.shed_threshold)?,
-            chaos_orphan: opt(content, "chaos_orphan", d.chaos_orphan)?,
-        })
     }
 }
 

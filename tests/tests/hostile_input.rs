@@ -1,0 +1,184 @@
+//! Hostile input: each parser of text that reaches the daemon or the runner
+//! from outside (serve submissions, committed baselines, journals, the alert
+//! DSL, `--trace-filter`) answers malformed text with an error, never a
+//! panic.
+//!
+//! JSON readers are fed strings over a JSON-significant palette (token soup,
+//! and objects of the type's keys with palette values) and byte flips and
+//! truncations of a valid document; a document that parses must
+//! re-serialize and re-parse to the same bytes, so what is accepted can be
+//! written to a WAL or journal and read back.
+
+use intellinoc::{
+    run_experiment, BenchBaseline, Design, ExperimentConfig, ExperimentOutcome, JobSpec, RunStatus,
+    UnitRecord,
+};
+use noc_telemetry::{parse_rules, EventKind, TraceFilter};
+use noc_traffic::{ReqReplySpec, WorkloadSpec};
+use proptest::prelude::*;
+use serde::{Deserialize, Serialize};
+use std::panic::catch_unwind;
+use std::sync::OnceLock;
+
+/// Structure, literals, escapes and numbers at and past every range edge,
+/// whitespace-separated (a space is a token too).
+const JSON_TOKENS: &str = r#"{ } [ ] , : " \ null true false 0 7 -1 0.5 -0 1e999 -1e999
+    18446744073709551616 -9223372036854775809 "x" "\u0000" "\ud800" "é" [] {}"#;
+
+const JOB_KEYS: &str = "name designs rates ppn seed max_cycles reqreply journeys_every";
+const BASELINE_KEYS: &str = "name format_version spec cells designs rates";
+const REQREPLY_KEYS: &str = "service_latency reply_packets reply_timeout max_retries backoff_base
+    backoff_cap shed_threshold chaos_orphan";
+const RECORD_KEYS: &str = "key status payload error timeout";
+
+fn tokens(palette: &'static str) -> Vec<&'static str> {
+    palette.split_whitespace().chain([" "]).collect()
+}
+
+/// Concatenations of palette tokens.
+fn token_soup(palette: &'static str) -> impl Strategy<Value = String> {
+    let tokens = tokens(palette);
+    prop::collection::vec(0..tokens.len(), 0..48)
+        .prop_map(move |picks| picks.into_iter().map(|i| tokens[i]).collect())
+}
+
+/// Objects whose keys are drawn from `keys` and values from the palette.
+fn palette_object(keys: &'static str) -> impl Strategy<Value = String> {
+    let (keys, values) = (tokens(keys), tokens(JSON_TOKENS));
+    prop::collection::vec((0..keys.len(), 0..values.len()), 0..10).prop_map(move |pairs| {
+        let entries: Vec<String> =
+            pairs.into_iter().map(|(k, v)| format!("\"{}\":{}", keys[k], values[v])).collect();
+        format!("{{{}}}", entries.join(","))
+    })
+}
+
+/// Arrays or objects nested up to 200 000 deep (up to 1 MB, the size of
+/// the largest request body the daemon reads).
+fn deep_nesting() -> impl Strategy<Value = String> {
+    (any::<bool>(), 1usize..200_000)
+        .prop_map(|(arrays, depth)| if arrays { "[" } else { "{\"a\":" }.repeat(depth))
+}
+
+/// `doc` with one to three bits flipped (ASCII stays ASCII), then maybe
+/// truncated.
+fn flipped(doc: String) -> impl Strategy<Value = String> {
+    assert!(doc.is_ascii());
+    (prop::collection::vec((any::<usize>(), 0u8..7), 1..4), any::<usize>(), any::<bool>()).prop_map(
+        move |(flips, cut, truncate)| {
+            let mut bytes = doc.clone().into_bytes();
+            for (at, bit) in flips {
+                let i = at % bytes.len();
+                bytes[i] ^= 1 << bit;
+            }
+            if truncate {
+                bytes.truncate(cut % (bytes.len() + 1));
+            }
+            String::from_utf8(bytes).expect("ASCII")
+        },
+    )
+}
+
+fn json_input(keys: &'static str, doc: String) -> impl Strategy<Value = String> {
+    prop_oneof![token_soup(JSON_TOKENS), palette_object(keys), flipped(doc), deep_nesting()]
+}
+
+/// The input read as `T` and written back, or `None` if it was rejected.
+fn json<T: Serialize + Deserialize>(input: &str) -> Option<String> {
+    serde_json::from_str::<T>(input).ok().map(|v| serde_json::to_string(&v).expect("serializes"))
+}
+
+/// `read` (which renders what it accepted) does not panic on `input`, and
+/// reads its own rendering back to the same bytes.
+fn check_roundtrip(input: &str, read: fn(&str) -> Option<String>) -> Result<(), TestCaseError> {
+    let first = catch_unwind(|| read(input));
+    prop_assert!(first.is_ok(), "panicked on {:?}", input);
+    if let Ok(Some(rendered)) = first {
+        let again = read(&rendered);
+        prop_assert!(again.as_ref() == Some(&rendered), "{:?} read back as {:?}", input, again);
+    }
+    Ok(())
+}
+
+fn job_doc() -> String {
+    r#"{"name":"grid-1","designs":["secded","intellinoc"],"rates":[0.01,0.25],"ppn":4,"seed":7,"max_cycles":50000,"reqreply":{"reply_timeout":700,"shed_threshold":0.25},"journeys_every":3}"#.to_owned()
+}
+
+fn reqreply_doc() -> String {
+    let rr = ReqReplySpec { chaos_orphan: Some(3), reply_packets: 2, ..ReqReplySpec::default() };
+    serde_json::to_string(&rr).expect("serializes")
+}
+
+/// A journal line of a real (tiny) run.
+fn journal_line() -> String {
+    static LINE: OnceLock<String> = OnceLock::new();
+    LINE.get_or_init(|| {
+        let cfg = ExperimentConfig::new(Design::Secded, WorkloadSpec::uniform(0.02, 2));
+        let record = UnitRecord {
+            key: "fig/canneal/SECDED".to_owned(),
+            status: RunStatus::Ok,
+            payload: Some(run_experiment(cfg.with_seed(3))),
+            error: None,
+            timeout: None,
+            wall_ms: 0.0,
+            from_journal: false,
+        };
+        serde_json::to_string(&record).expect("serializes")
+    })
+    .clone()
+}
+
+const ALERT_TOKENS: &str = r#"noc_serve_queue_depth a _ : { } = " , ; < > <= >= 0 1.5 -1 1e999
+    NaN inf for= for=0 for=3 critical é \"#;
+const ALERT_RULES: &str =
+    r#"noc_serve_queue_depth>=8:for=3;noc_txn_conservation_violations{design="SECDED"}>0:critical"#;
+
+const FILTER_TOKENS: &str =
+    "router kind = , 3 -1 4294967296 retx mode inject hop ecc gate q bogus é";
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2000))]
+
+    #[test]
+    fn job_spec_json_never_panics(input in json_input(JOB_KEYS, job_doc())) {
+        check_roundtrip(&input, json::<JobSpec>)?;
+    }
+
+    #[test]
+    fn bench_baseline_json_never_panics(
+        input in json_input(BASELINE_KEYS, include_str!("../../BENCH_designs.json").to_owned()),
+    ) {
+        check_roundtrip(&input, |s| BenchBaseline::from_json(s).ok().map(|b| b.to_json().unwrap()))?;
+    }
+
+    #[test]
+    fn reqreply_spec_json_never_panics(input in json_input(REQREPLY_KEYS, reqreply_doc())) {
+        check_roundtrip(&input, json::<ReqReplySpec>)?;
+    }
+
+    #[test]
+    fn journal_line_never_panics(input in json_input(RECORD_KEYS, journal_line())) {
+        check_roundtrip(&input, json::<UnitRecord<ExperimentOutcome>>)?;
+    }
+
+    #[test]
+    fn alert_rules_never_panic(
+        input in prop_oneof![token_soup(ALERT_TOKENS), flipped(ALERT_RULES.to_owned())],
+    ) {
+        let parsed = catch_unwind(|| parse_rules(&input));
+        prop_assert!(parsed.is_ok(), "panicked on {:?}", input);
+        if let Ok(Ok(rules)) = parsed {
+            prop_assert!(rules.iter().all(|r| r.sustain >= 1 && r.threshold.is_finite()));
+        }
+    }
+
+    #[test]
+    fn trace_filter_never_panics(
+        input in prop_oneof![token_soup(FILTER_TOKENS), flipped("router=3,kind=retx,kind=mode".to_owned())],
+    ) {
+        let parsed = catch_unwind(|| TraceFilter::parse(&input));
+        prop_assert!(parsed.is_ok(), "panicked on {:?}", input);
+        if let Ok(Ok(filter)) = parsed {
+            prop_assert!(catch_unwind(|| EventKind::ALL.map(|k| filter.admits(3, k))).is_ok());
+        }
+    }
+}

@@ -1,10 +1,10 @@
 //! Cross-crate property-based tests: network invariants under randomized
 //! workloads, seeds, and design configurations.
 
-use intellinoc::Design;
+use intellinoc::{run_experiment, Design, ExperimentConfig};
 use noc_ecc::EccScheme;
 use noc_sim::{HardFaultScenario, Network, RouterDirective, SimConfig};
-use noc_traffic::{SpatialPattern, WorkloadSpec};
+use noc_traffic::{ParsecBenchmark, SpatialPattern, WorkloadSpec};
 use proptest::prelude::*;
 
 fn arb_pattern() -> impl Strategy<Value = SpatialPattern> {
@@ -142,4 +142,18 @@ proptest! {
         }
         prop_assert!(net.stats().packets_injected > 0);
     }
+}
+
+/// Failure (d), ROADMAP item 1: with no fault injected, IntelliNoC with a
+/// 4-stage MFAC channel deadlocks on canneal. The watchdog fires at cycle
+/// 56 304 with 6 745 of 9 600 packets delivered (the D1 row of
+/// `results/ablations.txt`). `cargo test -- --ignored` reproduces it.
+#[test]
+#[ignore = "failure (d), ROADMAP item 1"]
+fn intellinoc_with_a_four_stage_channel_delivers_canneal() {
+    let workload = ParsecBenchmark::Canneal.workload(150);
+    let mut cfg = ExperimentConfig::new(Design::IntelliNoc, workload).with_seed(5);
+    cfg.tweak = Some(|c| c.channel_capacity = 4);
+    let stats = run_experiment(cfg).report.stats;
+    assert_eq!(stats.packets_delivered, 9_600, "stalled at cycle {}", stats.cycles);
 }
