@@ -227,6 +227,78 @@ fn fault_runs_are_deterministic() {
     assert_eq!(a.stats(), b.stats());
 }
 
+/// Pinned route tables: an FNV-1a digest of `route` for every
+/// `(here, dest, in_port)` and of `reachable` for every `(src, dest)`,
+/// taken on a healthy mesh, after faults A, after healing them, and after
+/// faults B. Any change to when or how the tables are built moves it.
+mod route_bytes {
+    use noc_sim::{HealthRouter, Mesh, Port};
+
+    const PINNED: [(usize, usize, u64); 2] =
+        [(8, 8, 0x9ccc_0891_763e_2aab), (5, 3, 0x30eb_aa3b_b93d_a858)];
+
+    fn fold(digest: &mut u64, byte: u8) {
+        *digest ^= u64::from(byte);
+        *digest = digest.wrapping_mul(0x0100_0000_01b3);
+    }
+
+    fn fold_tables(digest: &mut u64, h: &HealthRouter, mesh: &Mesh) {
+        fold(digest, u8::from(h.degraded()));
+        for here in 0..mesh.nodes() {
+            for dest in 0..mesh.nodes() {
+                fold(digest, u8::from(h.reachable(here, dest)));
+                for in_port in Port::ALL {
+                    let byte = h.route(here, dest, in_port).map_or(0xff, |p| p.index() as u8);
+                    fold(digest, byte);
+                }
+            }
+        }
+    }
+
+    /// Downs `links` links and `routers` routers drawn from `seed`.
+    fn break_some(h: &mut HealthRouter, mesh: &Mesh, seed: u64, links: usize, routers: usize) {
+        let mut x = seed;
+        let mut draw = |n: usize| {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (x >> 33) as usize % n
+        };
+        for _ in 0..links {
+            let r = draw(mesh.nodes());
+            h.set_link(r, Port::DIRECTIONS[draw(4)], false);
+        }
+        for _ in 0..routers {
+            h.set_router(draw(mesh.nodes()), false);
+        }
+        h.rebuild();
+    }
+
+    #[test]
+    fn route_tables_are_pinned() {
+        for (w, hgt, pinned) in PINNED {
+            let mesh = Mesh::new(w, hgt);
+            let mut h = HealthRouter::new(mesh);
+            let mut digest = 0xcbf2_9ce4_8422_2325u64;
+            fold_tables(&mut digest, &h, &mesh);
+            break_some(&mut h, &mesh, 11, 3, 1);
+            assert!(h.degraded());
+            fold_tables(&mut digest, &h, &mesh);
+            for r in 0..mesh.nodes() {
+                h.set_router(r, true);
+                for dir in Port::DIRECTIONS {
+                    h.set_link(r, dir, true);
+                }
+            }
+            h.rebuild();
+            assert!(!h.degraded());
+            fold_tables(&mut digest, &h, &mesh);
+            break_some(&mut h, &mesh, 29, 4, 0);
+            assert!(h.degraded());
+            fold_tables(&mut digest, &h, &mesh);
+            assert_eq!(digest, pinned, "{w}x{hgt}: digest {digest:#018x}");
+        }
+    }
+}
+
 mod rerouting_properties {
     use super::*;
     use noc_sim::HealthRouter;
