@@ -40,6 +40,17 @@ impl MttfEstimate {
 /// Solves `k_n·(r_n·t)^n1 + k_h·(r_h·t)^n2 = failure_dvth` for `t` by
 /// bisection (the left side is strictly increasing in `t`).
 ///
+/// The bisection runs at most 200 steps and stops early at the first step
+/// whose midpoint equals `lo` or `hi`. That stop is exact: the loop's state
+/// is the pair `(lo, hi)` alone, and such a step either assigns an endpoint
+/// the value it already holds (the state is unchanged, so every later step
+/// repeats it) or collapses the bracket onto one point `x`, after which
+/// every midpoint is `x` and every step assigns `x` to an endpoint already
+/// holding it. Whatever `ΔVth(mid)` is, NaN included, the 200-step loop ends
+/// on the same bits. A root in ordinary units gets there in about 55 steps;
+/// one far below the initial `1e12` bracket needs more than 200 halvings
+/// and still ends at the cap.
+///
 /// Returns `None` when the state has accumulated no stress at all (an
 /// always-gated router never ages and so never fails from wear-out).
 ///
@@ -73,10 +84,14 @@ pub fn extrapolate_mttf(model: &AgingModel, state: &AgingState) -> Option<MttfEs
     }
     for _ in 0..200 {
         let mid = 0.5 * (lo + hi);
+        let fixed = mid == lo || mid == hi;
         if dvth_at(mid) < target {
             lo = mid;
         } else {
             hi = mid;
+        }
+        if fixed {
+            break;
         }
     }
     Some(MttfEstimate { cycles: 0.5 * (lo + hi) })
@@ -101,6 +116,77 @@ pub fn network_mttf(model: &AgingModel, states: &[AgingState]) -> Option<MttfEst
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The bisection as it was before the early stop: always 200 steps.
+    fn extrapolate_mttf_200(model: &AgingModel, state: &AgingState) -> Option<MttfEstimate> {
+        let rn = state.nbti_rate();
+        let rh = state.hci_rate();
+        if rn <= 0.0 && rh <= 0.0 {
+            return None;
+        }
+        let target = model.failure_dvth();
+        let dvth_at = |t: f64| model.nbti_dvth(rn * t) + model.hci_dvth(rh * t);
+        let mut lo = 0.0f64;
+        let mut hi = 1e12;
+        while dvth_at(hi) < target {
+            hi *= 10.0;
+            if hi > 1e30 {
+                return None;
+            }
+        }
+        for _ in 0..200 {
+            let mid = 0.5 * (lo + hi);
+            if dvth_at(mid) < target {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        Some(MttfEstimate { cycles: 0.5 * (lo + hi) })
+    }
+
+    /// Temperatures from a frozen die to past the NBTI weight's overflow
+    /// (`exp(0.05·(T − 45))` is infinite above about 14 200 °C).
+    fn temperature() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            -200.0f64..200.0,
+            -1e5f64..15_000.0,
+            (0usize..8).prop_map(|i| {
+                [0.0, -1e5, -700.0, 14_000.0, 14_300.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN]
+                    [i]
+            }),
+        ]
+    }
+
+    fn activity() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            0.0f64..1.0,
+            (0usize..5).prop_map(|i| [0.0, f64::MIN_POSITIVE, 1e-300, 1.0, 7.0][i]),
+        ]
+    }
+
+    fn cycles() -> impl Strategy<Value = u64> {
+        prop_oneof![0u64..2_000_000, (0usize..4).prop_map(|i| [0, 1, u64::MAX / 2, u64::MAX][i])]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        /// The early stop returns the 200-step loop's bits on every state.
+        #[test]
+        fn early_stop_matches_the_200_step_loop(
+            epochs in prop::collection::vec((temperature(), activity(), cycles()), 1..4),
+        ) {
+            let m = AgingModel::default();
+            let mut s = AgingState::new();
+            for (temp, act, n) in epochs {
+                s.accumulate(&m, temp, act, n);
+            }
+            let bits = |e: Option<MttfEstimate>| e.map(|e| e.cycles.to_bits());
+            prop_assert_eq!(bits(extrapolate_mttf(&m, &s)), bits(extrapolate_mttf_200(&m, &s)));
+        }
+    }
 
     fn aged(temp: f64, act: f64) -> AgingState {
         let m = AgingModel::default();

@@ -2,9 +2,9 @@
 //!
 //! [`HealthRouter`] tracks which links and routers are in service and
 //! provides a deadlock-free detour route around dead components. While the
-//! mesh is healthy it defers to plain XY dimension-order routing; as soon as
-//! any component is down it switches to **up*/down*** routing over the
-//! surviving topology:
+//! mesh is healthy it defers to plain XY dimension-order routing and holds no
+//! route tables; as soon as any component is down it builds them and switches
+//! to **up*/down*** routing over the surviving topology:
 //!
 //! * Nodes are labelled by BFS order from a deterministic root (the
 //!   lowest-indexed live router). A link traversal toward a smaller label is
@@ -46,10 +46,11 @@ pub struct HealthRouter {
     link_up: Vec<bool>,
     /// Per-router service state.
     router_up: Vec<bool>,
-    /// BFS label per node; `u32::MAX` for dead or disconnected nodes.
+    /// BFS label per node; `u32::MAX` for dead or disconnected nodes. Empty
+    /// while the mesh is healthy.
     label: Vec<u32>,
     /// `table[dest][node * 2 + phase]` = output-port index, `Port::Local`
-    /// index on arrival, or [`UNREACHABLE`].
+    /// index on arrival, or [`UNREACHABLE`]. Empty while the mesh is healthy.
     table: Vec<u8>,
     /// Whether any component is currently out of service.
     degraded: bool,
@@ -68,24 +69,22 @@ pub struct HealthRouter {
 }
 
 impl HealthRouter {
-    /// A fully healthy mesh.
+    /// A fully healthy mesh (no route tables until a component goes down).
     pub fn new(mesh: Mesh) -> Self {
         let nodes = mesh.nodes();
-        let mut h = HealthRouter {
+        HealthRouter {
             neighbors: NeighborTable::new(&mesh),
             mesh,
             link_up: vec![true; nodes * DIRS],
             router_up: vec![true; nodes],
-            label: vec![0; nodes],
-            table: vec![0; nodes * nodes * 2],
+            label: Vec::new(),
+            table: Vec::new(),
             degraded: false,
             fault_aware: true,
             failstop_link_down: vec![false; nodes * DIRS],
             failstop_router_down: vec![false; nodes],
             fs_comp: vec![0; nodes],
-        };
-        h.rebuild();
-        h
+        }
     }
 
     /// Tells the map, once, whether [`Self::route_via`] is fault-aware.
@@ -139,7 +138,9 @@ impl HealthRouter {
             && self.neighbor(r, dir).map(|n| self.router_up[n]).unwrap_or(false)
     }
 
-    /// Recomputes labels and route tables from the current health state.
+    /// Recomputes whether the mesh is degraded and, only if it is, labels
+    /// and route tables from the current health state. A healthy mesh routes
+    /// XY and holds none.
     pub fn rebuild(&mut self) {
         let nodes = self.mesh.nodes();
         self.degraded = !self.router_up.iter().all(|&u| u)
@@ -148,6 +149,11 @@ impl HealthRouter {
                     .iter()
                     .any(|&d| self.neighbor(r, d).is_some() && !self.link_up[r * DIRS + d.index()])
             });
+        if !self.degraded {
+            self.label = Vec::new();
+            self.table = Vec::new();
+            return;
+        }
 
         // BFS labelling from the lowest-indexed live router. Disconnected or
         // dead nodes keep label u32::MAX and are unroutable.
@@ -426,6 +432,7 @@ impl HealthRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn walk(h: &HealthRouter, mesh: &Mesh, src: usize, dest: usize) -> usize {
         let mut here = src;
@@ -539,6 +546,62 @@ mod tests {
         h.set_link(6, Port::XMinus, true);
         h.rebuild();
         assert!(h.link_up(5, Port::XPlus) && !h.degraded());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Along random fault-toggle sequences: while healthy, routes are XY
+        /// and reachability follows router service; while degraded, every
+        /// route and reachability answer equals that of a router built fresh
+        /// under the same faults, so no table left from an earlier degraded
+        /// spell is ever read.
+        #[test]
+        fn toggled_router_answers_like_a_fresh_one(
+            w in 2usize..6,
+            hgt in 2usize..6,
+            toggles in prop::collection::vec((any::<bool>(), 0usize..36, 0usize..4, any::<bool>()), 1..12),
+        ) {
+            let mesh = Mesh::new(w, hgt);
+            let nodes = mesh.nodes();
+            let mut h = HealthRouter::new(mesh);
+            for (link, r, d, up) in toggles {
+                let r = r % nodes;
+                if link {
+                    h.set_link(r, Port::DIRECTIONS[d], up);
+                } else {
+                    h.set_router(r, up);
+                }
+                h.rebuild();
+                let mut fresh = HealthRouter::new(mesh);
+                for n in 0..nodes {
+                    fresh.set_router(n, h.router_up(n));
+                    for dir in Port::DIRECTIONS {
+                        fresh.set_link(n, dir, h.link_up(n, dir));
+                    }
+                }
+                fresh.rebuild();
+                prop_assert_eq!(h.degraded(), fresh.degraded());
+                for here in 0..nodes {
+                    for dest in 0..nodes {
+                        let reach = h.reachable(here, dest);
+                        if h.degraded() {
+                            prop_assert_eq!(reach, fresh.reachable(here, dest));
+                        } else {
+                            prop_assert_eq!(reach, h.router_up(here) && h.router_up(dest));
+                        }
+                        for in_port in Port::ALL {
+                            let route = h.route(here, dest, in_port);
+                            if h.degraded() {
+                                prop_assert_eq!(route, fresh.route(here, dest, in_port));
+                            } else {
+                                prop_assert_eq!(route, Some(mesh.xy_route(here, dest)));
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

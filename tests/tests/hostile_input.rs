@@ -1,7 +1,7 @@
 //! Hostile input: each parser of text that reaches the daemon or the runner
 //! from outside (serve submissions, committed baselines, journals, the alert
-//! DSL, `--trace-filter`) answers malformed text with an error, never a
-//! panic.
+//! DSL, `--trace-filter`, a metrics exposition scraped for diffing) answers
+//! malformed text with an error, never a panic.
 //!
 //! JSON readers are fed strings over a JSON-significant palette (token soup,
 //! and objects of the type's keys with palette values) and byte flips and
@@ -13,7 +13,11 @@ use intellinoc::{
     run_experiment, BenchBaseline, Design, ExperimentConfig, ExperimentOutcome, JobSpec, RunStatus,
     UnitRecord,
 };
-use noc_telemetry::{parse_rules, EventKind, TraceFilter};
+use noc_sim::{declare_network_metrics, export_network_metrics, Network, SimConfig};
+use noc_telemetry::{
+    parse_exposition, parse_rules, registry_samples, render_exposition, EventKind, MetricsRegistry,
+    TraceFilter,
+};
 use noc_traffic::{ReqReplySpec, WorkloadSpec};
 use proptest::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -37,7 +41,10 @@ fn tokens(palette: &'static str) -> Vec<&'static str> {
 
 /// Concatenations of palette tokens.
 fn token_soup(palette: &'static str) -> impl Strategy<Value = String> {
-    let tokens = tokens(palette);
+    soup(tokens(palette))
+}
+
+fn soup(tokens: Vec<&'static str>) -> impl Strategy<Value = String> {
     prop::collection::vec(0..tokens.len(), 0..48)
         .prop_map(move |picks| picks.into_iter().map(|i| tokens[i]).collect())
 }
@@ -132,6 +139,30 @@ const ALERT_TOKENS: &str = r#"noc_serve_queue_depth a _ : { } = " , ; < > <= >= 
 const ALERT_RULES: &str =
     r#"noc_serve_queue_depth>=8:for=3;noc_txn_conservation_violations{design="SECDED"}>0:critical"#;
 
+/// Exposition syntax: comments, names with histogram suffixes, label
+/// blocks, quotes and escapes, and every special value (a newline is a
+/// token too, so soups span lines).
+const EXPOSITION_TOKENS: &str = r#"# HELP TYPE counter gauge histogram noc_packets_total _bucket _sum
+    _count { } = " \ \" \\ \n , le design "SECDED" +Inf -Inf Inf NaN 0 -1 1.5 1e999 0x1f é"#;
+
+/// The exposition of a real (tiny) run, labelled with a value that needs
+/// every escape and holds both braces.
+fn exposition() -> String {
+    static TEXT: OnceLock<String> = OnceLock::new();
+    TEXT.get_or_init(|| {
+        let mut net = Network::new(SimConfig::default(), WorkloadSpec::uniform(0.05, 4), 3);
+        net.run_cycles(3_000);
+        let mut reg = MetricsRegistry::new();
+        declare_network_metrics(&mut reg).expect("static names");
+        export_network_metrics(&mut reg, &net, &[("design", "SECDED"), ("w", "a\"b\\c}{\nd")])
+            .expect("static names");
+        let text = render_exposition(&reg);
+        assert_eq!(parse_exposition(&text), Ok(registry_samples(&reg)));
+        text
+    })
+    .clone()
+}
+
 const FILTER_TOKENS: &str =
     "router kind = , 3 -1 4294967296 retx mode inject hop ecc gate q bogus é";
 
@@ -169,6 +200,16 @@ proptest! {
         if let Ok(Ok(rules)) = parsed {
             prop_assert!(rules.iter().all(|r| r.sustain >= 1 && r.threshold.is_finite()));
         }
+    }
+
+    #[test]
+    fn exposition_never_panics(
+        input in prop_oneof![
+            soup(tokens(EXPOSITION_TOKENS).into_iter().chain(["\n"]).collect()),
+            flipped(exposition()),
+        ],
+    ) {
+        prop_assert!(catch_unwind(|| parse_exposition(&input)).is_ok(), "panicked on {:?}", input);
     }
 
     #[test]
