@@ -108,6 +108,53 @@ fn no_reroute_terminates_via_drop_or_watchdog() {
     }
 }
 
+/// The watchdog's diagnostic text, byte for byte: link 27 X+ goes down at
+/// cycle 1 000 for good (an intermittent outage that never repairs, so
+/// nothing is purged) with rerouting off and MFAC storage on, and the XY
+/// traffic piled behind it stalls the run. Both `blocked` and `dump` are
+/// non-empty here, so the walk over channel slots and routers that builds
+/// them is pinned.
+#[test]
+fn stall_report_text_is_pinned() {
+    let mut cfg = quiet();
+    cfg.fault_aware_routing = false;
+    cfg.channel_capacity = 8;
+    cfg.stall_window = 5_000;
+    cfg.hard_faults = HardFaultScenario {
+        faults: vec![HardFault {
+            at: 1_000,
+            target: HardFaultTarget::Link { router: 27, dir: 0 },
+            kind: HardFaultKind::Intermittent { period: 1_000_000, down: 999_999 },
+        }],
+    };
+    let mut net = Network::new(cfg, WorkloadSpec::uniform(0.05, 400), 3);
+    assert!(net.run_cycles(2_000_000), "watchdog must end the run");
+    let st = net.stall().expect("the run stalls");
+    assert_eq!((st.cycle, st.in_flight), (14_374, 128));
+    assert_eq!(st.blocked, [STALL_BLOCKED]);
+    assert_eq!(st.dump, STALL_DUMP);
+}
+
+const STALL_BLOCKED: &str = "ch 27->28 (XPlus) occ=1 front: pkt=3100 kind=Tail vc=2 ready=true \
+dest=20 | down on=true vcs=[pkt=Some(3060) res=false occ=0 route=XPlus] [pkt=None res=false \
+occ=0 route=Local] [pkt=Some(3100) res=false occ=0 route=YMinus] [pkt=None res=false occ=0 \
+route=XPlus]";
+
+const STALL_DUMP: &str = "\
+router 20: gate=On occ=0 ni=0 recv=1 out_ch=0 reserved_vcs=0 bound_vcs=1
+router 24: gate=On occ=16 ni=8 recv=0 out_ch=0 reserved_vcs=0 bound_vcs=4
+router 25: gate=On occ=32 ni=40 recv=0 out_ch=0 reserved_vcs=0 bound_vcs=8
+router 26: gate=On occ=32 ni=44 recv=0 out_ch=0 reserved_vcs=0 bound_vcs=8
+router 27: gate=On occ=29 ni=48 recv=0 out_ch=1 reserved_vcs=0 bound_vcs=8
+router 28: gate=On occ=32 ni=48 recv=0 out_ch=0 reserved_vcs=0 bound_vcs=10
+router 29: gate=On occ=32 ni=48 recv=0 out_ch=0 reserved_vcs=0 bound_vcs=9
+router 30: gate=On occ=32 ni=32 recv=0 out_ch=0 reserved_vcs=0 bound_vcs=9
+router 31: gate=On occ=16 ni=16 recv=0 out_ch=0 reserved_vcs=0 bound_vcs=4
+router 38: gate=On occ=0 ni=0 recv=0 out_ch=0 reserved_vcs=0 bound_vcs=1
+router 46: gate=On occ=0 ni=0 recv=0 out_ch=0 reserved_vcs=0 bound_vcs=1
+router 54: gate=On occ=0 ni=0 recv=1 out_ch=0 reserved_vcs=0 bound_vcs=1
+";
+
 /// A router that dies mid-run takes its NI and in-flight packets with it;
 /// everything else must be rerouted or salvaged, and packets to/from the
 /// dead node become accounted drops — never silent losses or hangs.
