@@ -20,7 +20,7 @@
 
 use crate::flit::{Cycle, Flit};
 use crate::journey::{JourneyRecorder, Trail};
-use crate::topology::{Mesh, Port, DIRS};
+use crate::topology::{slot, unslot, Mesh, Port, DIRS};
 use noc_telemetry::{
     AttributionArtifacts, HeatGrid, JourneyCause, JourneyLoc, JourneyLog, LatencyBreakdown,
     LatencyComponents, LinkStat, PacketJourney, PacketLatency,
@@ -75,8 +75,7 @@ impl PacketClock {
 #[derive(Debug)]
 struct Spatial {
     breakdown: LatencyBreakdown,
-    /// Flits pushed into each directed channel (indexed like
-    /// `Network::channels`: `router * DIRS + dir`).
+    /// Flits pushed into each directed channel, indexed by slot.
     link_flits: Vec<u64>,
     /// Hop-NACKs charged to each directed channel.
     link_retx: Vec<u64>,
@@ -92,7 +91,7 @@ struct Spatial {
 
 /// The directed channel `ci` of `mesh` (`u16::MAX` downstream on the rim).
 fn link_loc(mesh: &Mesh, ci: usize) -> JourneyLoc {
-    let (from, dir) = (ci / DIRS, Port::from_index(ci % DIRS));
+    let (from, dir) = unslot(ci);
     let to = mesh.neighbor(from, dir).map_or(u16::MAX, |d| d as u16);
     JourneyLoc::Link { from: from as u16, to }
 }
@@ -340,8 +339,7 @@ impl Spatial {
         for r in 0..nodes {
             for dir in [Port::XPlus, Port::YPlus] {
                 if let Some(v) = mesh.neighbor(r, dir) {
-                    let fwd = r * DIRS + dir.index();
-                    let rev = v * DIRS + dir.opposite().index();
+                    let (fwd, rev) = (slot(r, dir), slot(v, dir.opposite()));
                     links.push(LinkStat {
                         a: r as u32,
                         b: v as u32,

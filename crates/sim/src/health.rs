@@ -30,7 +30,7 @@
 //! ([`HealthRouter::fs_split`]), which is what salvage and drop decisions
 //! key on.
 
-use crate::topology::{Mesh, NeighborTable, Port, DIRS};
+use crate::topology::{slot, Mesh, NeighborTable, Port, DIRS};
 use noc_fault::{HardFault, HardFaultTarget};
 use std::collections::VecDeque;
 
@@ -42,7 +42,7 @@ const UNREACHABLE: u8 = u8::MAX;
 pub struct HealthRouter {
     mesh: Mesh,
     neighbors: NeighborTable,
-    /// Per-directed-link service state, indexed `node * DIRS + dir`.
+    /// Per-directed-link service state, indexed by slot.
     link_up: Vec<bool>,
     /// Per-router service state.
     router_up: Vec<bool>,
@@ -54,9 +54,6 @@ pub struct HealthRouter {
     table: Vec<u8>,
     /// Whether any component is currently out of service.
     degraded: bool,
-    /// Whether [`Self::route_via`] detours around faults (the simulator's
-    /// `fault_aware_routing`) or routes strictly XY.
-    fault_aware: bool,
     /// Links taken down by a currently-active *fail-stop* fault, indexed
     /// like `link_up`; intermittent outages stall flits but do not purge.
     failstop_link_down: Vec<bool>,
@@ -80,16 +77,10 @@ impl HealthRouter {
             label: Vec::new(),
             table: Vec::new(),
             degraded: false,
-            fault_aware: true,
             failstop_link_down: vec![false; nodes * DIRS],
             failstop_router_down: vec![false; nodes],
             fs_comp: vec![0; nodes],
         }
-    }
-
-    /// Tells the map, once, whether [`Self::route_via`] is fault-aware.
-    pub(crate) fn set_fault_aware(&mut self, fault_aware: bool) {
-        self.fault_aware = fault_aware;
     }
 
     /// Whether any link or router is currently down.
@@ -111,7 +102,7 @@ impl HealthRouter {
     /// Whether the directed link leaving `r` toward `dir` is in service
     /// (false for mesh-boundary non-links).
     pub fn link_up(&self, r: usize, dir: Port) -> bool {
-        self.neighbor(r, dir).is_some() && self.link_up[r * DIRS + dir.index()]
+        self.neighbor(r, dir).is_some() && self.link_up[slot(r, dir)]
     }
 
     /// Sets the service state of the *physical* link `(r, dir)` — both
@@ -119,8 +110,8 @@ impl HealthRouter {
     /// batch of changes.
     pub fn set_link(&mut self, r: usize, dir: Port, up: bool) {
         if let Some(n) = self.neighbor(r, dir) {
-            self.link_up[r * DIRS + dir.index()] = up;
-            self.link_up[n * DIRS + dir.opposite().index()] = up;
+            self.link_up[slot(r, dir)] = up;
+            self.link_up[slot(n, dir.opposite())] = up;
         }
     }
 
@@ -134,7 +125,7 @@ impl HealthRouter {
     /// endpoint routers in service.
     pub fn usable(&self, r: usize, dir: Port) -> bool {
         self.router_up[r]
-            && self.link_up[r * DIRS + dir.index()]
+            && self.link_up[slot(r, dir)]
             && self.neighbor(r, dir).map(|n| self.router_up[n]).unwrap_or(false)
     }
 
@@ -147,7 +138,7 @@ impl HealthRouter {
             || (0..nodes).any(|r| {
                 Port::DIRECTIONS
                     .iter()
-                    .any(|&d| self.neighbor(r, d).is_some() && !self.link_up[r * DIRS + d.index()])
+                    .any(|&d| self.neighbor(r, d).is_some() && !self.link_up[slot(r, d)])
             });
         if !self.degraded {
             self.label = Vec::new();
@@ -332,19 +323,6 @@ impl HealthRouter {
         self.table[dest * nodes * 2 + src * 2] != UNREACHABLE
     }
 
-    /// The route the simulator takes `here → dest` given the arrival port:
-    /// [`Self::route`] when routing is fault-aware, plain XY otherwise (in
-    /// which case traffic blocked by a dead link waits until the stall
-    /// watchdog aborts the run). The one place that choice is made.
-    #[inline]
-    pub(crate) fn route_via(&self, here: usize, dest: usize, in_port: Port) -> Option<Port> {
-        if self.fault_aware {
-            self.route(here, dest, in_port)
-        } else {
-            Some(self.mesh.xy_route(here, dest))
-        }
-    }
-
     /// Recomputes the whole service state — health map, route tables and
     /// fail-stop view — from the hard faults that are `down` right now.
     /// From scratch, because faults can overlap (e.g. a flapping link
@@ -363,9 +341,9 @@ impl HealthRouter {
                 HardFaultTarget::Link { router, dir } => {
                     let (r, dir) = (router as usize, Port::from_index(dir as usize));
                     self.set_link(r, dir, false);
-                    self.failstop_link_down[r * DIRS + dir.index()] |= fail_stop;
+                    self.failstop_link_down[slot(r, dir)] |= fail_stop;
                     if let Some(nb) = self.neighbor(r, dir) {
-                        self.failstop_link_down[nb * DIRS + dir.opposite().index()] |= fail_stop;
+                        self.failstop_link_down[slot(nb, dir.opposite())] |= fail_stop;
                     }
                 }
                 HardFaultTarget::Router { router } => {
@@ -393,7 +371,7 @@ impl HealthRouter {
             while let Some(u) = queue.pop_front() {
                 for dir in Port::DIRECTIONS {
                     let Some(v) = self.neighbor(u, dir) else { continue };
-                    if self.failstop_link_down[u * DIRS + dir.index()]
+                    if self.failstop_link_down[slot(u, dir)]
                         || self.failstop_router_down[v]
                         || self.fs_comp[v] != u32::MAX
                     {
@@ -424,7 +402,7 @@ impl HealthRouter {
     /// Whether the hop `r → dir` is fail-stop dead: the link itself or the
     /// router at its far end.
     pub(crate) fn failstop_hop_down(&self, r: usize, dir: Port) -> bool {
-        self.failstop_link_down[r * DIRS + dir.index()]
+        self.failstop_link_down[slot(r, dir)]
             || self.neighbor(r, dir).is_some_and(|nb| self.failstop_router_down[nb])
     }
 }

@@ -46,10 +46,7 @@ pub use config::{RouterDirective, SimConfig};
 pub use flit::{Cycle, FLITS_PER_PACKET};
 pub use health::HealthRouter;
 pub use latency::LatencyHistogram;
-pub use metrics_export::{
-    declare_network_metrics, declare_txn_metrics, export_network_metrics, NETWORK_METRICS,
-    TXN_METRICS,
-};
+pub use metrics_export::{declare_network_metrics, export_network_metrics};
 pub use network::Network;
 pub use probe::{ProbeArtifacts, ProbeConfig};
 pub use stats::{NetworkStats, RouterObservation, RunReport, StallReport, TxnSummary};
@@ -63,14 +60,10 @@ pub use noc_fault::{HardFault, HardFaultKind, HardFaultScenario, HardFaultTarget
 pub use noc_telemetry::{
     bundle_file_name, export_alert_metrics, export_prof_metrics, journey_file_name,
     journey_sampled, json_str, link_stats_csv, parse_bundle, parse_exposition, parse_rules,
-    percentile, render_exposition, render_report, runner_events_jsonl, shared_recorder, AlertCmp,
-    AlertEdge, AlertEngine, AlertEvent, AlertRule, AttributionArtifacts, BundleCause, BundleHead,
+    percentile, render_exposition, render_report, runner_events_jsonl, shared_recorder, AlertEdge,
+    AlertEngine, AlertEvent, AlertRule, AttributionArtifacts, BundleCause, BundleHead,
     ConvergenceSample, DecisionLog, DecisionRecord, Event, EventKind, FlightRecorder, GateEdge,
-    HeatGrid, HopSpan, HttpHandler, HttpRequest, HttpResponse, HttpServer, JourneyCause,
-    JourneyLoc, JourneyLog, LatencyBreakdown, LatencyComponents, LinkStat, MetricsHub,
-    MetricsRegistry, PacketJourney, PacketLatency, PairBreakdown, ParsedBundle, Profiler,
-    RecorderCounters, RetxScope, RunRow, RunTimeline, RunnerEvent, Sample, SharedRecorder,
-    SpanStats, SpanTree, TailContribution, TimelineSample, TraceFilter, Tracer, TxnJourney, TxnLeg,
-    TxnLegKind, TxnOutcome, BLACKBOX_FORMAT_VERSION, DEFAULT_BLACKBOX_CAPACITY,
-    DEFAULT_TRACE_CAPACITY, JOURNEY_FORMAT_VERSION, MAX_SPAN_DEPTH,
+    HttpRequest, HttpResponse, HttpServer, JourneyCause, JourneyLog, LatencyComponents, MetricsHub,
+    MetricsRegistry, Profiler, RunTimeline, RunnerEvent, Sample, SharedRecorder, SpanTree,
+    TimelineSample, TraceFilter, Tracer, DEFAULT_BLACKBOX_CAPACITY, DEFAULT_TRACE_CAPACITY,
 };

@@ -15,7 +15,7 @@ use noc_telemetry::MetricsRegistry;
 /// The metric families the simulator exports, as `(name, kind keyword,
 /// help)` triples — the single source of truth for declaration, export,
 /// and the docs table.
-pub const NETWORK_METRICS: &[(&str, &str, &str)] = &[
+pub(crate) const NETWORK_METRICS: &[(&str, &str, &str)] = &[
     ("noc_packets_total", "counter", "Packets by lifecycle event (injected/delivered/dropped)."),
     ("noc_retransmitted_flits_total", "counter", "Flits re-sent by per-hop or end-to-end retry."),
     ("noc_retx_events_total", "counter", "Retransmission events by scope (hop/e2e)."),
@@ -37,7 +37,7 @@ pub const NETWORK_METRICS: &[(&str, &str, &str)] = &[
 /// kept OUT of [`NETWORK_METRICS`]: they are declared and exported only
 /// when the run actually carries transaction accounting, so open-loop
 /// expositions never render empty `noc_txn_*` families.
-pub const TXN_METRICS: &[(&str, &str, &str)] = &[
+pub(crate) const TXN_METRICS: &[(&str, &str, &str)] = &[
     (
         "noc_txn_transactions_total",
         "counter",
@@ -53,24 +53,6 @@ pub const TXN_METRICS: &[(&str, &str, &str)] = &[
     ),
 ];
 
-/// Declares the transaction-layer families. Idempotent; called lazily by
-/// [`export_network_metrics`] on the first closed-loop export.
-///
-/// # Errors
-///
-/// Propagates registry validation errors (impossible for the fixed names
-/// unless the registry already holds same-name families of another kind).
-pub fn declare_txn_metrics(reg: &mut MetricsRegistry) -> Result<(), String> {
-    for &(name, kind, help) in TXN_METRICS {
-        match kind {
-            "counter" => reg.declare_counter(name, help)?,
-            "gauge" => reg.declare_gauge(name, help)?,
-            _ => unreachable!("unknown kind keyword in TXN_METRICS"),
-        }
-    }
-    Ok(())
-}
-
 /// Declares every simulator metric family in `reg`. Idempotent; call once
 /// per run before the first [`export_network_metrics`].
 ///
@@ -80,14 +62,19 @@ pub fn declare_txn_metrics(reg: &mut MetricsRegistry) -> Result<(), String> {
 /// above unless the registry already holds a same-name family of another
 /// kind).
 pub fn declare_network_metrics(reg: &mut MetricsRegistry) -> Result<(), String> {
-    for &(name, kind, help) in NETWORK_METRICS {
+    declare(reg, NETWORK_METRICS)
+}
+
+/// Declares `families`; idempotent.
+fn declare(reg: &mut MetricsRegistry, families: &[(&str, &str, &str)]) -> Result<(), String> {
+    for &(name, kind, help) in families {
         match kind {
             "counter" => reg.declare_counter(name, help)?,
             "gauge" => reg.declare_gauge(name, help)?,
             "histogram" => {
                 reg.declare_histogram(name, help, &LatencyHistogram::exposition_bounds())?;
             }
-            _ => unreachable!("unknown kind keyword in NETWORK_METRICS"),
+            _ => unreachable!("unknown kind keyword {kind} for {name}"),
         }
     }
     Ok(())
@@ -110,23 +97,20 @@ pub fn export_network_metrics(
 ) -> Result<(), String> {
     let report = net.report();
     let s = &report.stats;
-    let with = |event: &'static str| -> Vec<(&str, &str)> {
+    let with = |key: &'static str, value: &'static str| -> Vec<(&str, &str)> {
         let mut l = labels.to_vec();
-        l.push(("event", event));
+        l.push((key, value));
         l
     };
 
-    reg.counter_set("noc_packets_total", &with("injected"), s.packets_injected as f64)?;
-    reg.counter_set("noc_packets_total", &with("delivered"), s.packets_delivered as f64)?;
-    reg.counter_set("noc_packets_total", &with("dropped"), s.packets_dropped as f64)?;
+    let event = |e| with("event", e);
+    reg.counter_set("noc_packets_total", &event("injected"), s.packets_injected as f64)?;
+    reg.counter_set("noc_packets_total", &event("delivered"), s.packets_delivered as f64)?;
+    reg.counter_set("noc_packets_total", &event("dropped"), s.packets_dropped as f64)?;
     reg.counter_set("noc_retransmitted_flits_total", labels, s.retransmitted_flits as f64)?;
-    let scoped = |scope: &'static str| -> Vec<(&str, &str)> {
-        let mut l = labels.to_vec();
-        l.push(("scope", scope));
-        l
-    };
-    reg.counter_set("noc_retx_events_total", &scoped("hop"), s.hop_retx_events as f64)?;
-    reg.counter_set("noc_retx_events_total", &scoped("e2e"), s.e2e_retx_packets as f64)?;
+    let scope = |e| with("scope", e);
+    reg.counter_set("noc_retx_events_total", &scope("hop"), s.hop_retx_events as f64)?;
+    reg.counter_set("noc_retx_events_total", &scope("e2e"), s.e2e_retx_packets as f64)?;
     reg.counter_set("noc_corrected_bits_total", labels, s.corrected_bits as f64)?;
     reg.counter_set("noc_faulty_traversals_total", labels, s.faulty_traversals as f64)?;
     reg.counter_set("noc_corrupted_packets_total", labels, s.corrupted_packets as f64)?;
@@ -135,20 +119,10 @@ pub fn export_network_metrics(
 
     reg.gauge_set("noc_sim_cycle", labels, net.now() as f64)?;
     reg.gauge_set("noc_avg_latency_cycles", labels, s.avg_latency())?;
-    let comp = |component: &'static str| -> Vec<(&str, &str)> {
-        let mut l = labels.to_vec();
-        l.push(("component", component));
-        l
-    };
-    reg.gauge_set("noc_power_mw", &comp("dynamic"), report.power.dynamic_mw)?;
-    reg.gauge_set("noc_power_mw", &comp("static"), report.power.static_mw)?;
-    let stat = |name: &'static str| -> Vec<(&str, &str)> {
-        let mut l = labels.to_vec();
-        l.push(("stat", name));
-        l
-    };
-    reg.gauge_set("noc_temperature_celsius", &stat("mean"), report.mean_temp_c)?;
-    reg.gauge_set("noc_temperature_celsius", &stat("max"), report.max_temp_c)?;
+    reg.gauge_set("noc_power_mw", &with("component", "dynamic"), report.power.dynamic_mw)?;
+    reg.gauge_set("noc_power_mw", &with("component", "static"), report.power.static_mw)?;
+    reg.gauge_set("noc_temperature_celsius", &with("stat", "mean"), report.mean_temp_c)?;
+    reg.gauge_set("noc_temperature_celsius", &with("stat", "max"), report.max_temp_c)?;
     reg.gauge_set("noc_mean_aging_factor", labels, report.mean_aging_factor)?;
     reg.gauge_set("noc_mttf_hours", labels, report.mttf_hours.unwrap_or(0.0))?;
 
@@ -162,16 +136,11 @@ pub fn export_network_metrics(
     )?;
 
     if let Some(txn) = &report.txn {
-        declare_txn_metrics(reg)?;
-        let t = |event: &'static str| -> Vec<(&str, &str)> {
-            let mut l = labels.to_vec();
-            l.push(("event", event));
-            l
-        };
-        reg.counter_set("noc_txn_transactions_total", &t("issued"), txn.issued as f64)?;
-        reg.counter_set("noc_txn_transactions_total", &t("completed"), txn.completed as f64)?;
-        reg.counter_set("noc_txn_transactions_total", &t("failed"), txn.failed as f64)?;
-        reg.counter_set("noc_txn_transactions_total", &t("shed"), txn.shed as f64)?;
+        declare(reg, TXN_METRICS)?; // lazily, on the first closed-loop export
+        reg.counter_set("noc_txn_transactions_total", &event("issued"), txn.issued as f64)?;
+        reg.counter_set("noc_txn_transactions_total", &event("completed"), txn.completed as f64)?;
+        reg.counter_set("noc_txn_transactions_total", &event("failed"), txn.failed as f64)?;
+        reg.counter_set("noc_txn_transactions_total", &event("shed"), txn.shed as f64)?;
         reg.counter_set("noc_txn_timeouts_total", labels, txn.timeouts as f64)?;
         reg.counter_set("noc_txn_retries_total", labels, txn.retries as f64)?;
         reg.gauge_set("noc_txn_in_flight", labels, txn.in_flight as f64)?;

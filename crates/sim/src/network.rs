@@ -5,12 +5,16 @@
 //! fault injection with real ECC decoding, power/thermal/aging epochs, and
 //! the control-policy hook.
 //!
+//! # Parts
+//!
+//! Each layer is a set of methods on the part it changes — the [`Fabric`]
+//! (every place a flit can sit) or the [`Endpoints`] (packet birth and
+//! death) — and borrows the rest of the network as one [`Cx`].
+//!
 //! # Cycle phase order (deterministic)
 //!
 //! This is the single statement of the order; [`Network::step_cycle`] is
-//! its code. `Network` is a composition of layers — child modules holding
-//! `impl Network` blocks, each mutating one data owner through that owner's
-//! mutators, which stay the only way a flit moves:
+//! its code:
 //!
 //! 0. **Hard faults** (`recovery`) — scheduled link/router failures and
 //!    repairs take effect; on an edge the [`HealthRouter`] rebuilds its map,
@@ -33,13 +37,13 @@
 //!    settled, the thermal grid steps, aging accumulates, and per-router
 //!    error rates are refreshed.
 //!
-//! Between cycles the run loop consults the stall watchdog (`recovery`,
-//! whose report text comes from `dump`).
+//! Between cycles the run loop consults the stall [`Watchdog`], and the
+//! report it arms carries the fabric's text dump.
 //!
 //! # Occupancy index
 //!
 //! No phase finds out whether a router, link or NI holds flits by walking
-//! its queues: [`Router::occupancy`], `Links::inbound` / `next_occupied`
+//! its queues: `Router::occupancy`, `Links::inbound` / `next_occupied`
 //! and `Nis::waiting` / `next_waiting` answer in O(1) from counts and
 //! bitsets that the owning types update wherever a flit enters or leaves
 //! (DESIGN.md §7.0). Quiet routers are still visited every cycle — their
@@ -47,13 +51,13 @@
 //! state — but the visit is constant-time. The index changes host time
 //! only; debug builds recount it at the end of every [`Network::step_cycle`].
 //!
-//! Each [`Router`] extends it into a *readiness index*: one flat VC table
+//! Each `Router` extends it into a *readiness index*: one flat VC table
 //! plus bitmasks of which VCs hold an SA-eligible flit, which output each
 //! bound VC requests and which VCs are free, so switch/VC allocation is a
 //! few mask operations per output and link delivery looks VCs up in the
 //! table instead of polling `PORTS x vcs` queues (DESIGN.md §7.0).
 
-mod dump;
+mod fabric;
 mod link_layer;
 mod ni_layer;
 mod recovery;
@@ -67,11 +71,11 @@ use crate::ni::Nis;
 use crate::probe::{Probe, ProbeArtifacts, ProbeConfig};
 use crate::router::Router;
 use crate::stats::{NetworkStats, RouterObservation, RunReport, StallReport, TxnSummary};
-use crate::topology::{Mesh, Port, DIRS, PORTS};
+use crate::topology::{slot, Mesh, Port, PORTS};
 use noc_ecc::EccSuite;
 use noc_fault::{network_mttf, AgingState, FaultInjector, ThermalGrid};
 use noc_power::{EnergyLedger, EnergyModel, LeakageModel, RouterLeakageSpec, CLOCK_PERIOD_NS};
-use noc_telemetry::{Profiler, Tracer};
+use noc_telemetry::{Event, Profiler, Tracer};
 use noc_traffic::{Workload, WorkloadSpec};
 use std::collections::HashSet;
 
@@ -79,28 +83,17 @@ use std::collections::HashSet;
 const EPOCH_CYCLES: u64 = 250;
 
 /// The simulated network.
+#[derive(Debug)]
 pub struct Network {
     cfg: SimConfig,
-    mesh: Mesh,
     now: Cycle,
-    routers: Vec<Router>,
-    /// Outgoing channel per (router, direction); `None` at mesh boundaries.
-    /// Owns the link part of the occupancy index.
-    links: Links,
-    /// Network interfaces; owns the NI part of the occupancy index.
-    nis: Nis,
-    traffic: Box<dyn Workload>,
-    suite: EccSuite,
-    injector: FaultInjector,
+    fabric: Fabric,
+    errors: LinkErrors,
+    ends: Endpoints,
     thermal: ThermalGrid,
     aging: Vec<AgingState>,
-    /// Current per-bit error rate per (upstream) router.
-    re: Vec<f64>,
     ledger: EnergyLedger,
     stats: NetworkStats,
-    outstanding: Vec<usize>,
-    next_packet_id: u64,
-    next_flit_id: u64,
     /// Every telemetry sink (tracer, profiler, attribution, flight
     /// recorder, journeys) behind one set of event points; with nothing
     /// installed each point is a not-taken branch per sink.
@@ -111,23 +104,84 @@ pub struct Network {
     /// Current down/up state per scheduled hard fault (transition edges are
     /// detected against this).
     fault_state: Vec<bool>,
-    /// Packets already accounted as dropped (guards double counting when a
-    /// packet is disturbed by several faults or escalation paths).
-    dropped_ids: HashSet<u64>,
-    /// Last cycle the watchdog observed forward progress.
-    last_progress: Cycle,
-    /// Progress score (delivered + dropped) at `last_progress`.
-    last_score: u64,
+    watchdog: Watchdog,
     /// Set when the stall watchdog aborted the run.
     stall: Option<StallReport>,
 }
 
-impl std::fmt::Debug for Network {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Network")
-            .field("now", &self.now)
-            .field("stats", &self.stats)
-            .finish_non_exhaustive()
+/// Routers, channels and NIs of one mesh.
+#[derive(Debug)]
+struct Fabric {
+    mesh: Mesh,
+    routers: Vec<Router>,
+    /// Outgoing channel per (router, direction) slot; `None` at mesh
+    /// boundaries. Owns the link part of the occupancy index.
+    links: Links,
+    /// Network interfaces; owns the NI part of the occupancy index.
+    nis: Nis,
+}
+
+/// What a traversal samples flips with and decodes with.
+#[derive(Debug)]
+struct LinkErrors {
+    suite: EccSuite,
+    injector: FaultInjector,
+    /// Current per-bit error rate per (upstream) router.
+    re: Vec<f64>,
+}
+
+/// Where packets are born and die.
+#[derive(Debug)]
+struct Endpoints {
+    traffic: Box<dyn Workload>,
+    /// Packets each source has in flight (the workload's dependency window).
+    outstanding: Vec<usize>,
+    next_packet_id: u64,
+    next_flit_id: u64,
+    /// Packets already accounted as dropped (guards double counting when a
+    /// packet is disturbed by several faults or escalation paths).
+    dropped_ids: HashSet<u64>,
+}
+
+/// The rest of the [`Network`], as one borrow: what a phase reads, samples
+/// link errors with and reports to besides the fabric and the endpoints.
+struct Cx<'a> {
+    now: Cycle,
+    cfg: &'a SimConfig,
+    health: &'a HealthRouter,
+    errors: &'a mut LinkErrors,
+    stats: &'a mut NetworkStats,
+    probe: &'a mut Probe,
+}
+
+/// The stall watchdog's progress rule: a run with packets in flight that
+/// neither delivers nor drops one for a whole window has stalled.
+#[derive(Debug)]
+struct Watchdog {
+    /// Cycles without progress that make a stall; 0 disables the watchdog.
+    window: u64,
+    /// Last cycle the watchdog observed forward progress.
+    last_progress: Cycle,
+    /// Progress score (delivered + dropped) at `last_progress`.
+    last_score: u64,
+}
+
+impl Watchdog {
+    /// Checks forward progress at `now`: `Some(in_flight)` when none was
+    /// made for a full window while packets are in flight. Progress exactly
+    /// at the window edge wins: the score is checked first.
+    fn stalled(&mut self, now: Cycle, stats: &NetworkStats) -> Option<u64> {
+        if self.window == 0 {
+            return None;
+        }
+        let score = stats.packets_delivered + stats.packets_dropped;
+        let in_flight = stats.packets_injected.saturating_sub(score);
+        if score != self.last_score || in_flight == 0 {
+            self.last_score = score;
+            self.last_progress = now;
+            return None;
+        }
+        (now.saturating_sub(self.last_progress) >= self.window).then_some(in_flight)
     }
 }
 
@@ -150,37 +204,33 @@ impl Network {
         cfg.validate();
         let mesh = Mesh::new(cfg.width, cfg.height);
         let n = mesh.nodes();
-        let routers: Vec<Router> =
-            (0..n).map(|id| Router::new(id, cfg.vcs, cfg.vc_depth, cfg.default_scheme)).collect();
+        let routers = (0..n).map(|id| Router::new(id, cfg.vcs, cfg.vc_depth, cfg.default_scheme));
         let links = Links::new(&mesh, cfg.channel_capacity);
         let thermal = ThermalGrid::new(cfg.thermal, cfg.width, cfg.height);
         let base_re = cfg.varius.bit_error_rate(thermal.temp_c(0), cfg.aging.vdd, 0.0);
-        let mut health = HealthRouter::new(mesh);
-        health.set_fault_aware(cfg.fault_aware_routing);
-        let n_faults = cfg.hard_faults.faults.len();
         Network {
-            health,
-            fault_state: vec![false; n_faults],
-            dropped_ids: HashSet::new(),
-            last_progress: 0,
-            last_score: 0,
+            health: HealthRouter::new(mesh),
+            fault_state: vec![false; cfg.hard_faults.faults.len()],
+            watchdog: Watchdog { window: cfg.stall_window, last_progress: 0, last_score: 0 },
             stall: None,
-            mesh,
             now: 0,
-            routers,
-            links,
-            nis: Nis::new(n),
-            traffic: workload,
-            suite: EccSuite::new(),
-            injector: FaultInjector::new(cfg.seed),
+            fabric: Fabric { routers: routers.collect(), links, nis: Nis::new(n), mesh },
+            errors: LinkErrors {
+                suite: EccSuite::new(),
+                injector: FaultInjector::new(cfg.seed),
+                re: vec![base_re; n],
+            },
+            ends: Endpoints {
+                traffic: workload,
+                outstanding: vec![0; n],
+                next_packet_id: 0,
+                next_flit_id: 0,
+                dropped_ids: HashSet::new(),
+            },
             thermal,
             aging: vec![AgingState::new(); n],
-            re: vec![base_re; n],
             ledger: EnergyLedger::new(),
             stats: NetworkStats::default(),
-            outstanding: vec![0; n],
-            next_packet_id: 0,
-            next_flit_id: 0,
             probe: Probe::default(),
             cfg,
         }
@@ -189,11 +239,6 @@ impl Network {
     /// Current simulation time.
     pub fn now(&self) -> Cycle {
         self.now
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &SimConfig {
-        &self.cfg
     }
 
     /// Aggregate statistics so far.
@@ -206,13 +251,14 @@ impl Network {
     /// never perturb it, so cycle-domain results are identical whatever is
     /// installed.
     pub fn install_probe(&mut self, cfg: ProbeConfig) {
-        self.probe = Probe::new(cfg, &self.mesh, self.traffic.name());
-        self.traffic.set_txn_event_recording(self.probe.wants_txn_events());
+        let traffic = &mut self.ends.traffic;
+        self.probe = Probe::new(cfg, &self.fabric.mesh, traffic.name());
+        traffic.set_txn_event_recording(self.probe.wants_txn_events());
     }
 
     /// Removes every installed sink, closing each at the current cycle.
     pub fn take_probe(&mut self) -> ProbeArtifacts {
-        self.traffic.set_txn_event_recording(false);
+        self.ends.traffic.set_txn_event_recording(false);
         std::mem::take(&mut self.probe).finish(self.now)
     }
 
@@ -238,11 +284,6 @@ impl Network {
         self.probe.profiler.as_mut()
     }
 
-    /// The current link/router health map.
-    pub fn health(&self) -> &HealthRouter {
-        &self.health
-    }
-
     /// The stall-watchdog diagnostic, if the run was aborted.
     pub fn stall(&self) -> Option<&StallReport> {
         self.stall.as_ref()
@@ -250,26 +291,28 @@ impl Network {
 
     /// Forces a fixed per-bit transient error rate (Fig. 17b sweep).
     pub fn set_error_rate_override(&mut self, rate: Option<f64>) {
-        self.injector.set_rate_override(rate);
+        self.errors.injector.set_rate_override(rate);
     }
 
     /// Whether every workload packet has been generated and either
     /// delivered or accounted as dropped.
     pub fn is_done(&self) -> bool {
-        self.traffic.is_exhausted()
+        self.ends.traffic.is_exhausted()
             && self.stats.packets_delivered + self.stats.packets_dropped
                 == self.stats.packets_injected
     }
 
-    fn channel_index(&self, router: usize, dir: Port) -> usize {
-        router * DIRS + dir.index()
-    }
-
-    /// The channel feeding input port `port` of router `r` (owned by the
-    /// neighbor in that direction), if it exists.
-    fn incoming_index(&self, r: usize, port: Port) -> Option<usize> {
-        let up = self.health.neighbor(r, port)?;
-        Some(self.channel_index(up, port.opposite()))
+    /// The parts a phase changes, and the [`Cx`] it reads and reports to.
+    fn parts(&mut self) -> (&mut Fabric, &mut Endpoints, Cx<'_>) {
+        let cx = Cx {
+            now: self.now,
+            cfg: &self.cfg,
+            health: &self.health,
+            errors: &mut self.errors,
+            stats: &mut self.stats,
+            probe: &mut self.probe,
+        };
+        (&mut self.fabric, &mut self.ends, cx)
     }
 
     /// Phase 5: settles energy, steps the thermal grid, accumulates aging and
@@ -277,7 +320,7 @@ impl Network {
     fn epoch_phase(&mut self) {
         let epoch = EPOCH_CYCLES;
         let (energy, leakage) = (EnergyModel::default(), LeakageModel::default());
-        let n = self.mesh.nodes();
+        let n = self.fabric.mesh.nodes();
         let mut powers = Vec::with_capacity(n);
         let spec = RouterLeakageSpec {
             buffer_slots: self.cfg.buffer_slots_per_router(),
@@ -285,20 +328,18 @@ impl Network {
             has_bst: self.cfg.has_bst,
             has_qtable: self.cfg.has_qtable,
         };
-        for r in 0..n {
-            let counters = std::mem::take(&mut self.routers[r].counters);
+        for (r, router) in self.fabric.routers.iter_mut().enumerate() {
+            let counters = std::mem::take(&mut router.counters);
             let dyn_pj = energy.dynamic_pj(&counters);
-            let gated = self.routers[r].is_gated_or_waking() || !self.health.router_up(r);
+            let gated = router.is_gated_or_waking() || !self.health.router_up(r);
             let temp = self.thermal.temp_c(r);
-            let static_mw =
-                leakage.router_static_mw(&spec, self.routers[r].directive.scheme, temp, gated);
+            let static_mw = leakage.router_static_mw(&spec, router.directive.scheme, temp, gated);
             let dyn_mw = dyn_pj / (epoch as f64 * CLOCK_PERIOD_NS);
             self.ledger.add_dynamic_pj(dyn_pj);
             self.ledger.add_static_epoch(static_mw, epoch);
             let total = static_mw + dyn_mw;
-            let step = &mut self.routers[r].step;
-            step.power_mw_sum += total;
-            step.epochs += 1;
+            router.step.power_mw_sum += total;
+            router.step.epochs += 1;
             let activity = if gated {
                 0.0
             } else {
@@ -310,22 +351,14 @@ impl Network {
             powers.push(total);
         }
         self.thermal.step(&powers, epoch);
-        for r in 0..n {
-            self.re[r] = self.cfg.varius.bit_error_rate(
+        for (r, re) in self.errors.re.iter_mut().enumerate() {
+            *re = self.cfg.varius.bit_error_rate(
                 self.thermal.temp_c(r),
                 self.cfg.aging.vdd,
                 self.aging[r].delay_degradation(&self.cfg.aging),
             );
         }
         self.probe.temp_epoch(n, |r| self.thermal.temp_c(r));
-    }
-
-    /// Runs one phase under the profiling span `span`.
-    #[inline]
-    fn phase(&mut self, span: &'static str, run: impl FnOnce(&mut Self)) {
-        self.probe.span_enter(span);
-        run(self);
-        self.probe.span_exit();
     }
 
     /// Advances the simulation by one cycle: the phase order of the module
@@ -335,97 +368,44 @@ impl Network {
     /// router). With no profiler each span guard is a single branch.
     pub fn step_cycle(&mut self) {
         self.probe.span_enter("step_cycle");
-        self.phase("fault.hard", Self::apply_hard_faults);
-        self.router_phase();
-        self.phase("link.traverse", |net| {
-            net.link_delivery();
-            net.ni_injection();
-        });
-        self.phase("power.gating", Self::gating_phase);
-        self.phase("workload.inject", Self::workload_phase);
-        self.drain_txn_events();
+        self.probe.span_enter("fault.hard");
+        self.apply_hard_faults();
+        self.probe.span_exit();
+        let (fabric, ends, mut cx) = self.parts();
+        fabric.router_phase(&mut cx, ends);
+        cx.probe.span_enter("link.traverse");
+        fabric.link_delivery(&mut cx, ends);
+        fabric.ni_injection(&mut cx);
+        cx.probe.span_exit();
+        cx.probe.span_enter("power.gating");
+        fabric.gating_phase(&mut cx);
+        cx.probe.span_exit();
+        cx.probe.span_enter("workload.inject");
+        ends.workload_phase(fabric, &mut cx);
+        cx.probe.span_exit();
+        if cx.probe.wants_txn_events() {
+            for ev in ends.traffic.drain_txn_events() {
+                cx.probe.txn_event(&ev);
+            }
+        }
         self.now += 1;
         self.stats.cycles = self.now;
         if self.now.is_multiple_of(EPOCH_CYCLES) {
-            self.phase("epoch.update", Self::epoch_phase);
+            self.probe.span_enter("epoch.update");
+            self.epoch_phase();
+            self.probe.span_exit();
         }
         self.probe.span_exit();
         debug_assert_eq!(self.occupancy_index_drift(), None, "cycle {}", self.now);
     }
 
-    /// Hands the transaction-lifecycle events the workload buffered this
-    /// cycle to the probe, when a sink consumes them.
-    fn drain_txn_events(&mut self) {
-        if self.probe.wants_txn_events() {
-            for ev in self.traffic.drain_txn_events() {
-                self.probe.txn_event(&ev);
-            }
-        }
-    }
-
-    /// Compares the occupancy index (per-router buffered counts, VC tables
-    /// and readiness masks, per-router inbound-flit counts, the non-empty
-    /// channel set and the non-empty NI set) with a from-scratch recount of
-    /// every queue, then checks the ownership invariant
-    /// ([`Network::ownership_drift`]). `None` means all hold; `Some(what)`
-    /// names the first mismatch. Debug builds assert this at the end of
-    /// every [`Network::step_cycle`].
+    /// Compares the occupancy index with a from-scratch recount and checks
+    /// the ownership invariant (`Fabric::occupancy_index_drift`). `None`
+    /// means all hold; `Some(what)` names the first mismatch. Debug builds
+    /// assert this at the end of every [`Network::step_cycle`].
     #[doc(hidden)]
     pub fn occupancy_index_drift(&self) -> Option<String> {
-        // `ready` bits were promoted during the cycle that just ended.
-        let promoted_at = self.now.saturating_sub(1);
-        self.routers
-            .iter()
-            .find_map(|r| r.index_drift(promoted_at))
-            .or_else(|| self.links.index_drift())
-            .or_else(|| self.nis.index_drift())
-            .or_else(|| self.ownership_drift())
-    }
-
-    /// The ownership invariant: whatever a packet holds of a router, a flit
-    /// of it is still in the network to release it — the head of a reserved
-    /// VC on the channel feeding that port, a flit of a bound VC or of a
-    /// continuation record in some channel, VC queue or NI injection queue.
-    /// A holding that outlives its packet is a leak: the VC never frees, so
-    /// the port runs out of VCs and the router can never gate again.
-    /// Names the first one found.
-    fn ownership_drift(&self) -> Option<String> {
-        // Sorted ids of every packet with a flit somewhere, built when first
-        // needed: a VC with flits queued proves its owner by itself.
-        let mut resident: Option<Vec<u64>> = None;
-        for (r, router) in self.routers.iter().enumerate() {
-            for h in router.holdings().filter(|h| h.queued == 0) {
-                let (present, gone) = match h.out {
-                    None => {
-                        let feeding = self.incoming_index(r, h.in_port);
-                        let on_it = feeding.and_then(|ci| self.links.get(ci)).is_some_and(|ch| {
-                            ch.flits().any(|f| f.packet_id == h.packet && f.is_head())
-                        });
-                        (on_it, "not on the channel feeding it")
-                    }
-                    Some(_) => {
-                        let ids = resident.get_or_insert_with(|| self.resident_packets());
-                        (ids.binary_search(&h.packet).is_ok(), "nowhere in the network")
-                    }
-                };
-                if !present {
-                    return Some(format!("router {r} {h}, which is {gone}"));
-                }
-            }
-        }
-        None
-    }
-
-    /// Sorted, deduplicated ids of the packets with a flit in a channel, an
-    /// input VC or an NI injection queue.
-    fn resident_packets(&self) -> Vec<u64> {
-        let on_links = self.links.flits().map(|(_, f)| f.packet_id);
-        let queued = self.routers.iter().flat_map(|r| r.queued_flits()).map(|f| f.packet_id);
-        let waiting = (0..self.mesh.nodes()).flat_map(|r| &self.nis[r].inject).map(|f| f.packet_id);
-        let mut ids: Vec<u64> = on_links.chain(queued).chain(waiting).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids
+        self.fabric.occupancy_index_drift(self.now)
     }
 
     /// Runs `n` cycles (or fewer if the workload completes); returns whether
@@ -436,9 +416,15 @@ impl Network {
                 break;
             }
             self.step_cycle();
-            if self.watchdog_check() {
-                break;
-            }
+            let Some(in_flight) = self.watchdog.stalled(self.now, &self.stats) else { continue };
+            self.probe.event(Event::WatchdogStall { cycle: self.now, router: 0, state: in_flight });
+            self.stall = Some(StallReport {
+                cycle: self.now,
+                window: self.cfg.stall_window,
+                in_flight,
+                blocked: self.fabric.snapshot_blocked(self.now, 16),
+                dump: self.fabric.snapshot_dump(),
+            });
         }
         self.is_done() || self.now >= self.cfg.max_cycles || self.stall.is_some()
     }
@@ -449,11 +435,12 @@ impl Network {
     ///
     /// Panics if `directives.len()` differs from the router count.
     pub fn apply_directives(&mut self, directives: &[RouterDirective]) {
-        assert_eq!(directives.len(), self.mesh.nodes(), "one directive per router");
+        let Fabric { routers, links, .. } = &mut self.fabric;
+        assert_eq!(directives.len(), routers.len(), "one directive per router");
         for (r, d) in directives.iter().enumerate() {
-            self.routers[r].directive = *d;
+            routers[r].directive = *d;
             for dir in Port::DIRECTIONS {
-                self.links.set_relaxed(self.channel_index(r, dir), d.relaxed);
+                links.set_relaxed(slot(r, dir), d.relaxed);
             }
         }
     }
@@ -466,12 +453,11 @@ impl Network {
     /// Collects per-router observations for the elapsed control time step
     /// and resets the per-step accumulators.
     pub fn observations(&mut self) -> Vec<RouterObservation> {
-        let n = self.mesh.nodes();
         let slots = self.cfg.buffer_slots_per_router() as f64;
-        let mut out = Vec::with_capacity(n);
-        for r in 0..n {
+        let mut out = Vec::with_capacity(self.fabric.routers.len());
+        for (r, router) in self.fabric.routers.iter_mut().enumerate() {
             let temp = self.thermal.temp_c(r);
-            let step = std::mem::take(&mut self.routers[r].step);
+            let step = std::mem::take(&mut router.step);
             // Eq. 7's aging factor accrues over hours of wall-clock time and
             // is numerically ~1.0 within one control step; expose the
             // *instantaneous aging rate* instead (NBTI temperature
@@ -528,10 +514,10 @@ impl Network {
             mean_temp_c: self.thermal.mean_c(),
             max_temp_c: self.thermal.max_c(),
             mean_aging_factor: mean_aging,
-            injected_bit_flips: self.injector.injected_bits(),
+            injected_bit_flips: self.errors.injector.injected_bits(),
             faulty_flit_traversals: self.stats.faulty_traversals,
             stall: self.stall.clone(),
-            txn: self.traffic.txn_stats().map(|s| {
+            txn: self.ends.traffic.txn_stats().map(|s| {
                 let mut lat = s.completion_latencies.clone();
                 lat.sort_unstable();
                 TxnSummary {
@@ -545,7 +531,7 @@ impl Network {
                     p50_completion: noc_telemetry::percentile(&lat, 0.50),
                     p99_completion: noc_telemetry::percentile(&lat, 0.99),
                     violations: s.violations(),
-                    orphans: self.traffic.txn_orphans(),
+                    orphans: self.ends.traffic.txn_orphans(),
                 }
             }),
         }
@@ -566,6 +552,65 @@ mod tests {
         cfg.varius.base_rate = 0.0;
         cfg.varius.min_rate = 0.0;
         cfg
+    }
+
+    /// The parts of an idle network on `cfg`, built without a [`Network`],
+    /// so a layer test runs one mechanic on exactly what it touches.
+    pub(super) struct Rig {
+        pub(super) fabric: Fabric,
+        pub(super) ends: Endpoints,
+        pub(super) cfg: SimConfig,
+        pub(super) health: HealthRouter,
+        pub(super) errors: LinkErrors,
+        pub(super) stats: NetworkStats,
+        pub(super) probe: Probe,
+    }
+
+    impl Rig {
+        pub(super) fn new(cfg: SimConfig) -> Self {
+            let mesh = Mesh::new(cfg.width, cfg.height);
+            let n = mesh.nodes();
+            let routers =
+                (0..n).map(|id| Router::new(id, cfg.vcs, cfg.vc_depth, cfg.default_scheme));
+            let idle = WorkloadSpec { packets_per_node: 0, ..WorkloadSpec::uniform(0.0, 0) };
+            Rig {
+                fabric: Fabric {
+                    routers: routers.collect(),
+                    links: Links::new(&mesh, cfg.channel_capacity),
+                    nis: Nis::new(n),
+                    mesh,
+                },
+                ends: Endpoints {
+                    traffic: idle.into_workload(cfg.width, cfg.height, 1),
+                    outstanding: vec![0; n],
+                    next_packet_id: 0,
+                    next_flit_id: 0,
+                    dropped_ids: HashSet::new(),
+                },
+                errors: LinkErrors {
+                    suite: EccSuite::new(),
+                    injector: FaultInjector::new(cfg.seed),
+                    re: vec![0.0; n],
+                },
+                health: HealthRouter::new(mesh),
+                stats: NetworkStats::default(),
+                probe: Probe::default(),
+                cfg,
+            }
+        }
+
+        /// The fabric, the endpoints and the rest lent as a [`Cx`] at `now`.
+        pub(super) fn parts(&mut self, now: Cycle) -> (&mut Fabric, &mut Endpoints, Cx<'_>) {
+            let cx = Cx {
+                now,
+                cfg: &self.cfg,
+                health: &self.health,
+                errors: &mut self.errors,
+                stats: &mut self.stats,
+                probe: &mut self.probe,
+            };
+            (&mut self.fabric, &mut self.ends, cx)
+        }
     }
 
     fn run(cfg: SimConfig, spec: WorkloadSpec) -> (RunReport, Network) {
@@ -594,21 +639,21 @@ mod tests {
         let mut net = Network::new(cfg, spec, 1);
         // Hand-stuff two packets into node 0's NI, as the tests below do.
         net.stats.packets_injected = 2;
-        net.outstanding[0] = 2;
-        net.nis.extend(0, make_packet(0, 0, 0, 3, 0));
-        net.nis.extend(0, make_packet(1, 4, 0, 15, 0));
-        assert!(net.nis.waiting(0) && !net.nis.waiting(1));
+        net.ends.outstanding[0] = 2;
+        net.fabric.nis.extend(0, make_packet(0, 0, 0, 3, 0));
+        net.fabric.nis.extend(0, make_packet(1, 4, 0, 15, 0));
+        assert!(net.fabric.nis.waiting(0) && !net.fabric.nis.waiting(1));
         assert_eq!(net.occupancy_index_drift(), None);
         // Step (every step re-checks the index in debug builds) until flits
         // sit in all three kinds of queue at once: NI, input VCs, channels.
         let in_network = |net: &Network| {
-            let buffered: usize = net.routers.iter().map(Router::occupancy).sum();
-            let on_links: usize = (0..16).map(|r| net.links.inbound(r)).sum();
+            let buffered: usize = net.fabric.routers.iter().map(Router::occupancy).sum();
+            let on_links: usize = (0..16).map(|r| net.fabric.links.inbound(r)).sum();
             (buffered, on_links)
         };
         let spread = |net: &Network| {
             let (buffered, on_links) = in_network(net);
-            buffered > 0 && on_links > 0 && net.nis.waiting(0)
+            buffered > 0 && on_links > 0 && net.fabric.nis.waiting(0)
         };
         for _ in 0..20 {
             if spread(&net) {
@@ -618,13 +663,13 @@ mod tests {
         }
         assert!(spread(&net), "{:?} in the network", in_network(&net));
         // Purge both mid-flight, the way hard-fault salvage does.
-        net.purge_packet(0);
+        net.fabric.purge_packet(0);
         assert_eq!(net.occupancy_index_drift(), None);
-        net.purge_packet(1);
+        net.fabric.purge_packet(1);
         assert_eq!(net.occupancy_index_drift(), None);
         assert_eq!(in_network(&net), (0, 0));
-        assert_eq!(net.links.next_occupied(0), None);
-        assert_eq!(net.nis.next_waiting(0), None);
+        assert_eq!(net.fabric.links.next_occupied(0), None);
+        assert_eq!(net.fabric.nis.next_waiting(0), None);
         // A purged network is quiescent and stays consistent.
         net.step_cycle();
         assert_eq!(net.occupancy_index_drift(), None);
@@ -635,35 +680,34 @@ mod tests {
     /// left to release it is named by the per-cycle drift check.
     #[test]
     fn drift_check_names_a_holding_whose_packet_is_gone() {
-        let spec = WorkloadSpec { packets_per_node: 0, ..WorkloadSpec::uniform(0.0, 0) };
-        let mut net = Network::new(quiet_config(), spec, 1);
+        let mut fabric = Rig::new(quiet_config()).fabric;
         let flits = make_packet(36, 144, 40, 52, 0);
         // The head binds a VC of router 48 and leaves; nothing follows it.
-        net.routers[48].enqueue(2, 2, flits[0], Port::XPlus, 0);
-        let _ = net.routers[48].pop_granted(2, 2, 0);
-        let drift = net.occupancy_index_drift().expect("the leaked row is reported");
+        fabric.routers[48].enqueue(2, 2, flits[0], Port::XPlus, 0);
+        let _ = fabric.routers[48].pop_granted(2, 2, 0);
+        let drift = fabric.occupancy_index_drift(0).expect("the leaked row is reported");
         assert_eq!(drift, "router 48 row 10: bound to packet 36, which is nowhere in the network");
         // A body flit still waiting in its source NI is enough to own it.
-        net.nis.extend(40, [flits[1]]);
-        assert_eq!(net.occupancy_index_drift(), None);
-        net.purge_packet(36);
-        assert_eq!(net.occupancy_index_drift(), None);
+        fabric.nis.extend(40, [flits[1]]);
+        assert_eq!(fabric.occupancy_index_drift(0), None);
+        fabric.purge_packet(36);
+        assert_eq!(fabric.occupancy_index_drift(0), None);
 
         // A reservation is owned by the head on the channel feeding the port.
-        net.routers[48].reserve(0, 1, 36);
-        let drift = net.occupancy_index_drift().expect("the orphaned reservation is reported");
+        fabric.routers[48].reserve(0, 1, 36);
+        let drift = fabric.occupancy_index_drift(0).expect("the orphaned reservation is reported");
         assert!(drift.starts_with("router 48 row 1: reserved for packet 36"), "{drift}");
-        let ci = net.incoming_index(48, Port::XPlus).expect("router 49 feeds that port");
-        net.links.push_delayed(ci, flits[0], 0, 0);
-        assert_eq!(net.occupancy_index_drift(), None);
-        net.purge_packet(36);
+        let ci = fabric.links.feeding(48, Port::XPlus).expect("router 49 feeds that port");
+        fabric.links.push_delayed(ci, flits[0], 0, 0);
+        assert_eq!(fabric.occupancy_index_drift(0), None);
+        fabric.purge_packet(36);
 
         // A continuation record is owned like a bound VC.
-        net.routers[48].note_continuation(Port::YPlus, &flits[0], Port::YMinus);
-        let drift = net.occupancy_index_drift().expect("the leaked record is reported");
+        fabric.routers[48].note_continuation(Port::YPlus, &flits[0], Port::YMinus);
+        let drift = fabric.occupancy_index_drift(0).expect("the leaked record is reported");
         assert!(drift.starts_with("router 48 input YPlus: a continuation record of"), "{drift}");
-        net.purge_packet(36);
-        assert_eq!(net.occupancy_index_drift(), None);
+        fabric.purge_packet(36);
+        assert_eq!(fabric.occupancy_index_drift(0), None);
     }
 
     #[test]
@@ -678,8 +722,8 @@ mod tests {
         // Hand-inject a packet.
         let flits = make_packet(0, 0, 0, 1, 0);
         net.stats.packets_injected = 1;
-        net.outstanding[0] = 1;
-        net.nis.extend(0, flits);
+        net.ends.outstanding[0] = 1;
+        net.fabric.nis.extend(0, flits);
         for _ in 0..60 {
             net.step_cycle();
         }
@@ -848,8 +892,8 @@ mod tests {
         let spec = WorkloadSpec { packets_per_node: 0, ..WorkloadSpec::uniform(0.0, 0) };
         let mut net = Network::new(cfg, spec, 1);
         net.stats.packets_injected = 1;
-        net.outstanding[0] = 1;
-        net.nis.extend(0, make_packet(0, 0, 0, 1, 0));
+        net.ends.outstanding[0] = 1;
+        net.fabric.nis.extend(0, make_packet(0, 0, 0, 1, 0));
 
         let done = net.run_cycles(10_000);
         assert!(done, "a stalled run must terminate via the watchdog");
@@ -868,56 +912,37 @@ mod tests {
     /// `last_progress + window` resets the baseline instead of firing.
     #[test]
     fn watchdog_progress_exactly_at_threshold_resets_the_window() {
-        let mut cfg = quiet_config();
-        cfg.stall_window = 100;
-        let mut net = Network::new(
-            cfg,
-            WorkloadSpec { packets_per_node: 0, ..WorkloadSpec::uniform(0.0, 0) },
-            1,
-        );
-        net.stats.packets_injected = 2;
+        let mut dog = Watchdog { window: 100, last_progress: 0, last_score: 0 };
+        let mut stats = NetworkStats { packets_injected: 2, ..NetworkStats::default() };
 
         // One cycle short of the window: no stall.
-        net.now = 99;
-        assert!(!net.watchdog_check());
+        assert_eq!(dog.stalled(99, &stats), None);
         // A delivery exactly at the window edge resets instead of firing.
-        net.now = 100;
-        net.stats.packets_delivered = 1;
-        assert!(!net.watchdog_check(), "progress at the threshold must win");
-        assert!(net.stall.is_none());
-        assert_eq!(net.last_progress, 100, "baseline resets to the progress cycle");
-        assert_eq!(net.last_score, 1);
+        stats.packets_delivered = 1;
+        assert_eq!(dog.stalled(100, &stats), None, "progress at the threshold must win");
+        assert_eq!(dog.last_progress, 100, "baseline resets to the progress cycle");
+        assert_eq!(dog.last_score, 1);
 
         // The next window is measured from the reset point, not cycle 0.
-        net.now = 199;
-        assert!(!net.watchdog_check());
-        net.now = 200;
-        assert!(net.watchdog_check(), "a full silent window after the reset fires");
-        let stall = net.stall().expect("stall armed");
-        assert_eq!(stall.cycle, 200);
-        assert_eq!(stall.window, 100);
-        assert_eq!(stall.in_flight, 1, "injected 2 − delivered 1");
+        assert_eq!(dog.stalled(199, &stats), None);
+        let in_flight = dog.stalled(200, &stats);
+        assert_eq!(
+            in_flight,
+            Some(1),
+            "a full silent window after the reset fires: 2 − 1 in flight"
+        );
     }
 
     /// A drop counts as forward progress exactly like a delivery: the
     /// score is `delivered + dropped`.
     #[test]
     fn watchdog_counts_drops_as_progress() {
-        let mut cfg = quiet_config();
-        cfg.stall_window = 100;
-        let mut net = Network::new(
-            cfg,
-            WorkloadSpec { packets_per_node: 0, ..WorkloadSpec::uniform(0.0, 0) },
-            1,
-        );
-        net.stats.packets_injected = 3;
-        net.now = 100;
-        net.stats.packets_dropped = 1;
-        assert!(!net.watchdog_check(), "a drop is progress");
-        assert_eq!(net.last_score, 1);
-        net.now = 200;
-        assert!(net.watchdog_check());
-        assert_eq!(net.stall().unwrap().in_flight, 2);
+        let mut dog = Watchdog { window: 100, last_progress: 0, last_score: 0 };
+        let mut stats = NetworkStats { packets_injected: 3, ..NetworkStats::default() };
+        stats.packets_dropped = 1;
+        assert_eq!(dog.stalled(100, &stats), None, "a drop is progress");
+        assert_eq!(dog.last_score, 1);
+        assert_eq!(dog.stalled(200, &stats), Some(2));
     }
 
     /// Idle tails — nothing in flight — never trip the watchdog no matter
@@ -925,46 +950,27 @@ mod tests {
     /// gets a full fresh window before the watchdog can fire.
     #[test]
     fn watchdog_ignores_idle_tails() {
-        let mut cfg = quiet_config();
-        cfg.stall_window = 100;
-        let mut net = Network::new(
-            cfg,
-            WorkloadSpec { packets_per_node: 0, ..WorkloadSpec::uniform(0.0, 0) },
-            1,
-        );
-        net.stats.packets_injected = 5;
-        net.stats.packets_delivered = 3;
-        net.stats.packets_dropped = 2;
+        let mut dog = Watchdog { window: 100, last_progress: 0, last_score: 0 };
+        let mut stats = NetworkStats { packets_injected: 5, ..NetworkStats::default() };
+        stats.packets_delivered = 3;
+        stats.packets_dropped = 2;
         for now in [50, 150, 100_000, 1_000_000] {
-            net.now = now;
-            assert!(!net.watchdog_check(), "idle tail tripped the watchdog at cycle {now}");
+            assert_eq!(dog.stalled(now, &stats), None, "idle tail tripped the watchdog at {now}");
         }
-        assert!(net.stall().is_none());
 
         // New traffic after the tail: the baseline is the last idle check,
         // so the stall needs a full window of in-flight silence from there.
-        net.stats.packets_injected = 6;
-        net.now = 1_000_000 + 99;
-        assert!(!net.watchdog_check());
-        net.now = 1_000_000 + 100;
-        assert!(net.watchdog_check());
-        assert_eq!(net.stall().unwrap().cycle, 1_000_100);
+        stats.packets_injected = 6;
+        assert_eq!(dog.stalled(1_000_000 + 99, &stats), None);
+        assert_eq!(dog.stalled(1_000_000 + 100, &stats), Some(1));
     }
 
     /// `stall_window == 0` disables the watchdog entirely.
     #[test]
     fn watchdog_disabled_with_zero_window() {
-        let mut cfg = quiet_config();
-        cfg.stall_window = 0;
-        let mut net = Network::new(
-            cfg,
-            WorkloadSpec { packets_per_node: 0, ..WorkloadSpec::uniform(0.0, 0) },
-            1,
-        );
-        net.stats.packets_injected = 1;
-        net.now = 10_000_000;
-        assert!(!net.watchdog_check());
-        assert!(net.stall().is_none());
+        let mut dog = Watchdog { window: 0, last_progress: 0, last_score: 0 };
+        let stats = NetworkStats { packets_injected: 1, ..NetworkStats::default() };
+        assert_eq!(dog.stalled(10_000_000, &stats), None);
     }
 
     // ------------------------------------------------------------------
@@ -1038,7 +1044,7 @@ mod tests {
         assert!(txn.orphans.is_empty());
         assert_eq!(txn.in_flight, 0);
         assert_eq!(txn.issued, txn.completed + txn.failed + txn.shed);
-        for (node, &o) in net.outstanding.iter().enumerate() {
+        for (node, &o) in net.ends.outstanding.iter().enumerate() {
             assert_eq!(o, 0, "node {node} leaked dependency-window slots");
         }
     }

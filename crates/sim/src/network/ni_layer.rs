@@ -3,22 +3,36 @@
 //! of a flit into an input VC, ejection with reassembly and the end-to-end
 //! CRC, and the one end-to-end re-send.
 //!
-//! Owners mutated: [`Nis`](crate::ni::Nis) through `extend`, `pop_front`
-//! and `recv_mut`; [`Router`](crate::router::Router) through `enqueue`
-//! (only in [`Network::accept`]). A flit that continues without a VC goes
-//! out through [`Network::forward`] (`link_layer`); losses are accounted by
-//! [`Network::account_drop`] (`recovery`).
+//! [`Endpoints`] is packet birth and death: the workload, the per-source
+//! outstanding counts, the id counters and the drop ledger. Owners mutated:
+//! [`Nis`](crate::ni::Nis) through `extend`, `pop_front` and `recv_mut`;
+//! [`Router`](crate::router::Router) through `enqueue` (only in
+//! [`Fabric::accept`]). A flit that continues without a VC goes out through
+//! [`Fabric::forward`] (`link_layer`); losses are accounted by
+//! [`Endpoints::account_drop`].
 
 use super::link_layer::{Landing, Sender};
-use super::Network;
+use super::{Cx, Endpoints, Fabric, LinkErrors};
 use crate::flit::{make_packet, Flit, FLITS_PER_PACKET, NO_VC};
 use crate::topology::Port;
 use noc_ecc::{DecodeStatus, EccScheme};
 
-impl Network {
+impl LinkErrors {
+    /// Whether the end-to-end CRC detects `flips` flipped bits of `payload`.
+    pub(super) fn crc_detects(&mut self, payload: u128, flips: u16) -> bool {
+        let mut cw = self.suite.encode(EccScheme::Crc, payload);
+        let bits = cw.len();
+        for pos in self.injector.choose_positions(bits, (flips as usize).min(bits) as u32) {
+            cw.flip_bit(pos);
+        }
+        self.suite.decode(EccScheme::Crc, &cw).1 == DecodeStatus::Detected
+    }
+}
+
+impl Fabric {
     /// Phase 2b: NI injection into powered local ports (one flit per
     /// cycle), over the non-empty injection queues in ascending node order.
-    pub(super) fn ni_injection(&mut self) {
+    pub(super) fn ni_injection(&mut self, cx: &mut Cx) {
         let mut next_node = 0;
         while let Some(r) = self.nis.next_waiting(next_node) {
             next_node = r + 1;
@@ -37,27 +51,21 @@ impl Network {
                 } else {
                     Landing::Latch
                 };
-            let span = if head.is_head() { self.probe.leaf_enter("route.compute") } else { None };
-            let route = self.landing_hop(r, Port::Local, head, landing);
-            self.probe.leaf_exit(span, 0);
-            let Some(route) = route else {
+            let Some(route) = self.landing_hop(cx, r, Port::Local, head, landing) else {
                 continue; // destination unreachable right now: wait in the NI
             };
             match landing {
                 Landing::Vc(vc) => {
                     let flit = self.nis.pop_front(r).expect("checked nonempty");
                     self.routers[r].step.in_flits[in_port] += 1;
-                    self.accept(r, in_port, vc, &flit, route);
+                    self.accept(cx, r, in_port, vc, &flit, route);
                 }
                 Landing::Latch => {
-                    let open = route != Port::Local
-                        && self.health.usable(r, route)
-                        && self.links.has_space(self.channel_index(r, route));
-                    if open {
+                    if route != Port::Local && self.can_send(cx, r, route) {
                         let mut flit = self.nis.pop_front(r).expect("checked nonempty");
                         flit.hop_scheme = EccScheme::None;
                         flit.vc = NO_VC;
-                        self.forward(r, route, &flit, Sender::Latch(Port::Local));
+                        self.forward(cx, r, route, &flit, Sender::Latch(Port::Local));
                     }
                 }
             }
@@ -66,120 +74,124 @@ impl Network {
 
     /// A route was computed for a new packet's head at router `r`: accounts
     /// a detour when fault-aware routing left the XY path.
-    pub(super) fn head_routed(&mut self, r: usize, head: &Flit, route: Port) {
+    pub(super) fn head_routed(&self, cx: &mut Cx, r: usize, head: &Flit, route: Port) {
         let xy = self.mesh.xy_route(r, head.dest as usize);
         if route != xy {
-            self.stats.reroutes += 1;
+            cx.stats.reroutes += 1;
             let (from, to) = (xy.index() as u8, route.index() as u8);
-            self.probe.reroute(head.packet_id, r, from, to, self.now);
+            cx.probe.reroute(head.packet_id, r, from, to, cx.now);
         }
     }
 
     /// The one VC accept: `flit` enters input VC `vc` of port `in_port` of
     /// powered router `r`, bound for `route`. A head starts the router
     /// pipeline; body flits stream one cycle behind.
-    pub(super) fn accept(&mut self, r: usize, in_port: usize, vc: usize, flit: &Flit, route: Port) {
-        let now = self.now;
+    pub(super) fn accept(
+        &mut self,
+        cx: &mut Cx,
+        r: usize,
+        in_port: usize,
+        vc: usize,
+        flit: &Flit,
+        route: Port,
+    ) {
+        let now = cx.now;
         let mut ready = now + 1;
         if flit.is_head() {
-            self.head_routed(r, flit, route);
-            let fill = self.cfg.pipeline_latency as u64;
-            self.probe.pipeline(flit.packet_id, r as u16, fill, now);
+            self.head_routed(cx, r, flit, route);
+            let fill = cx.cfg.pipeline_latency as u64;
+            cx.probe.pipeline(flit.packet_id, r as u16, fill, now);
             ready = now + fill;
         }
         let router = &mut self.routers[r];
         router.counters.buffer_writes += 1;
         router.enqueue(in_port, vc, *flit, route, ready);
-        self.probe.span_count(1, 1); // buffered into an input VC
+        cx.probe.span_count(1, 1); // buffered into an input VC
     }
+}
 
-    /// Ejects `flit` at its destination NI, recorded as an `eject` leaf
+impl Endpoints {
+    /// Ejects `flit` at its destination NI `r`, recorded as an `eject` leaf
     /// span under whichever phase delivered it.
-    pub(super) fn eject(&mut self, r: usize, flit: Flit) {
-        let span = self.probe.leaf_enter("eject");
-        self.eject_inner(r, flit);
-        self.probe.leaf_exit(span, 1);
+    pub(super) fn eject(&mut self, fabric: &mut Fabric, cx: &mut Cx, r: usize, flit: Flit) {
+        let span = cx.probe.leaf_enter("eject");
+        self.eject_inner(fabric, cx, r, flit);
+        cx.probe.leaf_exit(span, 1);
     }
 
-    fn eject_inner(&mut self, r: usize, mut flit: Flit) {
+    fn eject_inner(&mut self, fabric: &mut Fabric, cx: &mut Cx, r: usize, mut flit: Flit) {
         debug_assert_eq!(flit.dest as usize, r, "flit ejected at wrong node");
+        let now = cx.now;
         if flit.is_head() {
-            self.probe.head_eject(&flit, self.now);
+            cx.probe.head_eject(&flit, now);
         }
         // A flit ejected straight off the bypass still carries undecoded
         // per-hop codeword corruption; it surfaces at the NI.
         flit.e2e_flips = flit.e2e_flips.saturating_add(flit.hop_flips);
         flit.hop_flips = 0;
         let mut crc_failed_now = false;
-        if self.cfg.e2e_crc {
-            self.routers[r].counters.crc_ops += 1; // e2e decode
+        if cx.cfg.e2e_crc {
+            fabric.routers[r].counters.crc_ops += 1; // e2e decode
             if flit.e2e_flips > 0 {
-                let payload = flit.payload();
-                let mut cw = self.suite.encode(EccScheme::Crc, payload);
-                let bits = cw.len();
-                let k = (flit.e2e_flips as usize).min(bits) as u32;
-                for pos in self.injector.choose_positions(bits, k) {
-                    cw.flip_bit(pos);
-                }
-                let (_, status) = self.suite.decode(EccScheme::Crc, &cw);
-                crc_failed_now = status == DecodeStatus::Detected;
+                crc_failed_now = cx.errors.crc_detects(flit.payload(), flit.e2e_flips);
             }
         }
-        let entry = self.nis.recv_mut(r).entry(flit.packet_id).or_default();
+        let entry = fabric.nis.recv_mut(r).entry(flit.packet_id).or_default();
         entry.flits += 1;
         entry.flips += flit.e2e_flips as u32;
         entry.crc_failed |= crc_failed_now;
         if entry.flits < FLITS_PER_PACKET {
             return;
         }
-        let state = self.nis.recv_mut(r).remove(&flit.packet_id).expect("entry exists");
+        let state = fabric.nis.recv_mut(r).remove(&flit.packet_id).expect("entry exists");
         if state.crc_failed {
             // The source NI re-sends the packet — or, past the generation
             // budget or across a fail-stop split, it is accounted as lost
             // rather than retried forever. Preserved divergence (DESIGN.md
             // §7, `e2e-retx-carry`): a CRC re-send carries the hop-retry
             // count on, one higher, and is reported at the destination.
-            self.recover_or_drop(&flit, r, flit.retx + 1);
+            self.recover_or_drop(fabric, cx, &flit, r, flit.retx + 1);
             return;
         }
         // Final delivery.
-        let latency = self.now + 1 - flit.injected_at;
-        self.probe.complete(&flit, self.now, latency);
-        self.stats.packets_delivered += 1;
-        self.stats.latency_sum += latency;
-        self.stats.latency_max = self.stats.latency_max.max(latency);
-        self.stats.latency_hist.record(latency);
-        self.stats.last_delivery = self.now + 1;
+        let latency = now + 1 - flit.injected_at;
+        cx.probe.complete(&flit, now, latency);
+        let stats = &mut *cx.stats;
+        stats.packets_delivered += 1;
+        stats.latency_sum += latency;
+        stats.latency_max = stats.latency_max.max(latency);
+        stats.latency_hist.record(latency);
+        stats.last_delivery = now + 1;
         if state.flips > 0 {
-            self.stats.corrupted_packets += 1;
+            stats.corrupted_packets += 1;
         }
         let src = flit.src as usize;
         self.outstanding[src] = self.outstanding[src].saturating_sub(1);
-        self.traffic.on_delivered(self.now, flit.packet_id);
+        self.traffic.on_delivered(now, flit.packet_id);
         // Paper Section 5: router i's latency covers "each flit transmission
         // within the time step" — every router that transmitted the packet.
         // Credit the whole XY path so a misconfigured router feels the
         // latency of the through-traffic it hurt.
         let mut here = src;
         loop {
-            let step = &mut self.routers[here].step;
+            let step = &mut fabric.routers[here].step;
             step.ejected_latency_sum += latency;
             step.ejected_packets += 1;
             if here == r {
                 break;
             }
-            let p = self.mesh.xy_route(here, r);
-            here = self.health.neighbor(here, p).expect("XY route stays on mesh");
+            let p = fabric.mesh.xy_route(here, r);
+            here = cx.health.neighbor(here, p).expect("XY route stays on mesh");
         }
     }
 
     /// The one end-to-end re-send: the source NI re-injects the packet of
     /// `f` as a new generation, its flits starting with `retx` hop retries
     /// already spent. `at` is the router the event is reported at.
-    pub(super) fn reinject(&mut self, f: &Flit, at: usize, retx: u16) {
+    fn reinject(&mut self, fabric: &mut Fabric, cx: &mut Cx, f: &Flit, at: usize, retx: u16) {
         let n = FLITS_PER_PACKET as u64;
-        self.stats.e2e_retx_packets += 1;
-        self.stats.retransmitted_flits += n;
+        cx.stats.e2e_retx_packets += 1;
+        cx.stats.retransmitted_flits += n;
         let src = f.src as usize;
         let mut flits = make_packet(f.packet_id, self.next_flit_id, f.src, f.dest, f.injected_at);
         self.next_flit_id += n;
@@ -188,47 +200,161 @@ impl Network {
             nf.generation = f.generation + 1;
         }
         // e2e CRC re-encode energy at the source.
-        self.routers[src].counters.crc_ops += n;
+        fabric.routers[src].counters.crc_ops += n;
         // Re-transmissions join the BACK of the source queue: pushing
         // them in front would interleave with a partially injected
         // packet's remaining flits and can deadlock the NI FIFO.
-        self.nis.extend(src, flits);
-        self.probe.e2e_retx(f, at, self.now);
+        fabric.nis.extend(src, flits);
+        cx.probe.e2e_retx(f, at, cx.now);
     }
 
     /// Phase 4: the traffic generator is polled and new packets enter the NI
     /// injection queues.
-    pub(super) fn workload_phase(&mut self) {
-        let now = self.now;
-        for node in 0..self.mesh.nodes() {
+    pub(super) fn workload_phase(&mut self, fabric: &mut Fabric, cx: &mut Cx) {
+        let now = cx.now;
+        for node in 0..fabric.routers.len() {
             if let Some(dest) = self.traffic.poll(now, node, self.outstanding[node]) {
                 let packet_id = self.next_packet_id;
                 let flits =
                     make_packet(packet_id, self.next_flit_id, node as u16, dest as u16, now);
                 self.next_packet_id += 1;
                 self.next_flit_id += FLITS_PER_PACKET as u64;
-                self.stats.packets_injected += 1;
+                cx.stats.packets_injected += 1;
                 self.outstanding[node] += 1;
                 // Closed-loop bookkeeping: bind the packet id to the pending
                 // transaction role BEFORE the reachability check below, so a
                 // drop-at-injection still resolves to its transaction.
                 self.traffic.on_injected(packet_id);
-                self.probe.inject(packet_id, node as u16, dest as u16, now, || {
+                cx.probe.inject(packet_id, node as u16, dest as u16, now, || {
                     self.traffic.packet_txn(packet_id)
                 });
-                if self.health.fs_split(node, dest) {
+                if cx.health.fs_split(node, dest) {
                     // The destination can never be reached (dead source or
                     // dest router, or a mesh split): account the loss at
                     // injection instead of letting the packet wedge the NI.
-                    self.account_drop(&flits[0]);
+                    self.account_drop(cx, &flits[0]);
                     continue;
                 }
-                if self.cfg.e2e_crc {
+                if cx.cfg.e2e_crc {
                     // e2e CRC encode at the source NI.
-                    self.routers[node].counters.crc_ops += FLITS_PER_PACKET as u64;
+                    fabric.routers[node].counters.crc_ops += FLITS_PER_PACKET as u64;
                 }
-                self.nis.extend(node, flits);
+                fabric.nis.extend(node, flits);
             }
+        }
+    }
+
+    /// End-to-end recovery for a packet disturbed by a hard fault or out of
+    /// hop-retry budget: purges its in-flight flits, then re-injects it
+    /// from the source NI with a bumped generation — or, when the budget is
+    /// exhausted or no route survives, accounts it as dropped.
+    pub(super) fn salvage_or_drop(&mut self, fabric: &mut Fabric, cx: &mut Cx, f: Flit) {
+        fabric.purge_packet(f.packet_id);
+        if self.dropped_ids.contains(&f.packet_id) {
+            return;
+        }
+        // Preserved divergence (DESIGN.md §7, `e2e-retx-carry`): a salvaged
+        // packet restarts with a full hop-retry budget, reported at its
+        // source.
+        self.recover_or_drop(fabric, cx, &f, f.src as usize, 0);
+    }
+
+    /// Re-sends the packet of `f` end to end while its generation budget
+    /// lasts and a route survives, and accounts it as dropped otherwise.
+    /// Intermittent outages don't disqualify a re-send: the packet simply
+    /// waits them out in the source NI queue.
+    fn recover_or_drop(
+        &mut self,
+        fabric: &mut Fabric,
+        cx: &mut Cx,
+        f: &Flit,
+        at: usize,
+        retx: u16,
+    ) {
+        let max_retx = cx.cfg.max_retx;
+        let budget_ok = max_retx == 0 || u32::from(f.generation) < max_retx;
+        if budget_ok && !cx.health.fs_split(f.src as usize, f.dest as usize) {
+            self.reinject(fabric, cx, f, at, retx);
+        } else {
+            self.account_drop(cx, f);
+        }
+    }
+
+    /// Accounts a packet as permanently lost. Idempotent per packet id.
+    fn account_drop(&mut self, cx: &mut Cx, f: &Flit) {
+        if !self.dropped_ids.insert(f.packet_id) {
+            return;
+        }
+        cx.probe.drop(f, cx.now);
+        let src = f.src as usize;
+        cx.stats.packets_dropped += 1;
+        self.outstanding[src] = self.outstanding[src].saturating_sub(1);
+        self.traffic.on_dropped(cx.now, f.packet_id);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::tests::Rig;
+    use super::*;
+    use crate::config::SimConfig;
+    use crate::topology::slot;
+
+    /// End-to-end recovery of a head a traversal escalated past its hop
+    /// budget: flit `index` of packet 1 (`3 → 5` on a 3x3 mesh), waiting on
+    /// channel `3 → 4` with `retx` hop retries spent, optionally behind
+    /// another packet's flit. The packet leaves the mesh for its source NI
+    /// as four clean flits of the next generation while the generation
+    /// budget lasts, and for the drop ledger past it.
+    fn check_escalated_head_recovery(
+        max_retx: u32,
+        (index, retx, generation): (usize, u16, u16),
+        behind_another_packet: bool,
+    ) {
+        let src = 3;
+        let cfg =
+            SimConfig { width: 3, height: 3, channel_capacity: 4, max_retx, ..Default::default() };
+        let mut rig = Rig::new(cfg);
+        rig.stats.packets_injected = 1;
+        rig.ends.outstanding[src] = 1;
+        let ci = slot(src, Port::XPlus);
+        if behind_another_packet {
+            rig.fabric.links.push_delayed(ci, make_packet(9, 36, src as u16, 5, 0)[0], 0, 0);
+        }
+        let mut head = make_packet(1, 4, src as u16, 5, 0)[index];
+        (head.retx, head.generation, head.e2e_flips) = (retx, generation, 1);
+        rig.fabric.links.push_delayed(ci, head, 0, 0);
+        let (fabric, ends, mut cx) = rig.parts(5);
+        ends.salvage_or_drop(fabric, &mut cx, head);
+
+        let (resent, dropped) = (rig.stats.e2e_retx_packets, rig.stats.packets_dropped);
+        assert_eq!(resent + dropped, 1);
+        assert_eq!(resent == 1, u32::from(generation) < max_retx);
+        let on_links: Vec<u64> = rig.fabric.links.flits().map(|(_, f)| f.packet_id).collect();
+        assert_eq!(on_links, if behind_another_packet { vec![9] } else { vec![] });
+        let resend = &rig.fabric.nis[src].inject;
+        assert_eq!(resend.len(), 4 * resent as usize);
+        for f in resend {
+            assert_eq!((f.e2e_flips, f.hop_flips, f.retx), (0, 0, 0));
+            assert_eq!(f.generation, generation + 1);
+        }
+        assert_eq!(rig.ends.outstanding[src], 1 - dropped as usize);
+        assert_eq!(rig.fabric.links.index_drift(), None);
+        assert_eq!(rig.fabric.nis.index_drift(), None);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(400))]
+
+        /// Every hop budget, flit of the packet, hop retries spent past the
+        /// budget, and generation.
+        #[test]
+        fn escalated_head_leaves_the_mesh_resent_or_dropped(
+            max_retx in 1u32..4,
+            flit in (0usize..4, 0u16..4, 0u16..4),
+            behind_another_packet in 0u8..2,
+        ) {
+            check_escalated_head_recovery(max_retx, flit, behind_another_packet == 1);
         }
     }
 }

@@ -1,22 +1,19 @@
-//! Recovery: what the network does when the fault model bites harder than
-//! a per-hop retry — hard-fault edges, the purge of what they strand,
-//! end-to-end salvage, accounted drops, and the stall watchdog.
+//! Recovery: what the network does when a hard fault takes a link or a
+//! router down or brings it back — the edge, and the purge of what it
+//! strands.
 //!
 //! Owners mutated: [`HealthRouter`](crate::health::HealthRouter) through
 //! `apply_faults` (the map, route tables and fail-stop view are derived
-//! there, not here); [`Links`](crate::channel::Links),
-//! [`Router`](crate::router::Router) and [`Nis`](crate::ni::Nis) through
-//! their `purge_packet`, plus `Router::rebind_route` and `Nis::recv_mut`.
-//! What an edge disturbed is read through the owners' queries
-//! (`Router::{holdings, parked_heads, queued_flits}`, `Links::flits`, the NI
-//! queues). A salvaged packet re-enters through [`Network::reinject`]
-//! (`ni_layer`).
+//! there, not here); the `Fabric` through `Router::rebind_route` and
+//! `Nis::recv_mut`. What an edge disturbed is read through the owners'
+//! queries (`Router::{holdings, parked_heads, queued_flits}`,
+//! `Links::flits`, the NI queues); each disturbed packet goes to
+//! `Endpoints::salvage_or_drop` (`ni_layer`) to be re-sent or dropped.
 
 use super::Network;
 use crate::flit::Flit;
 use crate::router::Holding;
-use crate::stats::StallReport;
-use crate::topology::{Port, DIRS};
+use crate::topology::{unslot, Port};
 use noc_fault::HardFaultTarget;
 use noc_telemetry::Event;
 use std::collections::{BTreeMap, BTreeSet};
@@ -83,11 +80,11 @@ impl Network {
     ///   inside an intermittent outage are skipped here and re-swept at the
     ///   repair edge. Body and tail flits are never re-routed.
     fn purge_after_fault(&mut self) {
-        let health = &self.health;
-        let fault_aware = self.cfg.fault_aware_routing;
+        let (fabric, ends, mut cx) = self.parts();
+        let (health, fault_aware) = (cx.health, cx.cfg.fault_aware_routing);
         let mut named: BTreeSet<u64> = BTreeSet::new();
         let mut rebinds: Vec<(usize, usize, usize, Port)> = Vec::new();
-        for (r, router) in self.routers.iter().enumerate() {
+        for (r, router) in fabric.routers.iter().enumerate() {
             let dead = |h: &Holding| {
                 health.failstop_router_down(r)
                     || h.out.is_some_and(|o| o != Port::Local && health.failstop_hop_down(r, o))
@@ -115,9 +112,8 @@ impl Network {
                 disturbed.entry(f.packet_id).or_insert(*f);
             }
         };
-        for (ci, f) in self.links.flits() {
-            let (u, dir) = (ci / DIRS, Port::from_index(ci % DIRS));
-            let v = health.neighbor(u, dir).expect("channel implies neighbor");
+        for (ci, f) in fabric.links.flits() {
+            let ((u, dir), v) = (unslot(ci), fabric.links.ends(ci).1);
             let dest = f.dest as usize;
             let dead = health.failstop_router_down(u)
                 || health.failstop_hop_down(u, dir)
@@ -128,105 +124,25 @@ impl Network {
                 && health.route(v, dest, dir.opposite()).is_none();
             sweep(f, dead || stranded);
         }
-        for (r, router) in self.routers.iter().enumerate() {
+        for (r, router) in fabric.routers.iter().enumerate() {
             let queued = router.queued_flits();
-            let waiting = self.nis[r].inject.iter();
+            let waiting = fabric.nis[r].inject.iter();
             for f in queued.chain(waiting) {
                 sweep(f, health.fs_split(r, f.dest as usize));
             }
         }
         for (r, p, vc, route) in rebinds {
-            self.routers[r].rebind_route(p, vc, route);
+            fabric.routers[r].rebind_route(p, vc, route);
         }
         // Partial reassembly state dies with a destination router.
-        for r in 0..self.mesh.nodes() {
-            if self.health.failstop_router_down(r) {
-                self.nis.recv_mut(r).clear();
+        for r in 0..fabric.routers.len() {
+            if health.failstop_router_down(r) {
+                fabric.nis.recv_mut(r).clear();
             }
         }
         for (_, f) in disturbed {
-            self.salvage_or_drop(f);
+            ends.salvage_or_drop(fabric, &mut cx, f);
         }
-    }
-
-    /// Removes every in-flight flit of `packet` from channels, input VCs,
-    /// NI injection queues, and reassembly buffers.
-    pub(super) fn purge_packet(&mut self, packet: u64) {
-        self.links.purge_packet(packet);
-        for router in &mut self.routers {
-            router.purge_packet(packet);
-        }
-        self.nis.purge_packet(packet);
-    }
-
-    /// End-to-end recovery for a packet disturbed by a hard fault or out of
-    /// hop-retry budget: purges its in-flight flits, then re-injects it
-    /// from the source NI with a bumped generation — or, when the budget is
-    /// exhausted or no route survives, accounts it as dropped.
-    pub(super) fn salvage_or_drop(&mut self, f: Flit) {
-        self.purge_packet(f.packet_id);
-        if self.dropped_ids.contains(&f.packet_id) {
-            return;
-        }
-        // Preserved divergence (DESIGN.md §7, `e2e-retx-carry`): a salvaged
-        // packet restarts with a full hop-retry budget, reported at its
-        // source.
-        self.recover_or_drop(&f, f.src as usize, 0);
-    }
-
-    /// Re-sends the packet of `f` end to end while its generation budget
-    /// lasts and a route survives, and accounts it as dropped otherwise.
-    /// Intermittent outages don't disqualify a re-send: the packet simply
-    /// waits them out in the source NI queue.
-    pub(super) fn recover_or_drop(&mut self, f: &Flit, at: usize, retx: u16) {
-        let budget_ok = self.cfg.max_retx == 0 || u32::from(f.generation) < self.cfg.max_retx;
-        if budget_ok && !self.health.fs_split(f.src as usize, f.dest as usize) {
-            self.reinject(f, at, retx);
-        } else {
-            self.account_drop(f);
-        }
-    }
-
-    /// Accounts a packet as permanently lost. Idempotent per packet id.
-    pub(super) fn account_drop(&mut self, f: &Flit) {
-        if !self.dropped_ids.insert(f.packet_id) {
-            return;
-        }
-        self.probe.drop(f, self.now);
-        let src = f.src as usize;
-        self.stats.packets_dropped += 1;
-        self.outstanding[src] = self.outstanding[src].saturating_sub(1);
-        self.traffic.on_dropped(self.now, f.packet_id);
-    }
-
-    /// Checks forward progress and arms the stall diagnostic when none was
-    /// made for a full watchdog window while packets are in flight.
-    pub(super) fn watchdog_check(&mut self) -> bool {
-        if self.cfg.stall_window == 0 {
-            return false;
-        }
-        let score = self.stats.packets_delivered + self.stats.packets_dropped;
-        let in_flight = self
-            .stats
-            .packets_injected
-            .saturating_sub(self.stats.packets_delivered + self.stats.packets_dropped);
-        if score != self.last_score || in_flight == 0 {
-            self.last_score = score;
-            self.last_progress = self.now;
-            return false;
-        }
-        if self.now.saturating_sub(self.last_progress) < self.cfg.stall_window {
-            return false;
-        }
-        self.probe.event(Event::WatchdogStall { cycle: self.now, router: 0, state: in_flight });
-        self.stall = Some(StallReport {
-            cycle: self.now,
-            window: self.cfg.stall_window,
-            in_flight,
-            blocked: self.snapshot_blocked(16).lines().map(String::from).collect(),
-            dump: self.snapshot_dump(),
-        });
-        true
     }
 }
 
@@ -235,6 +151,7 @@ mod tests {
     use super::super::tests::quiet_config;
     use super::*;
     use crate::flit::make_packet;
+    use crate::topology::slot;
     use noc_fault::{HardFault, HardFaultKind, HardFaultScenario};
     use noc_traffic::WorkloadSpec;
 
@@ -265,11 +182,11 @@ mod tests {
         let spec = WorkloadSpec { packets_per_node: 0, ..WorkloadSpec::uniform(0.0, 0) };
         let mut net = Network::new(cfg, spec, 1);
         net.stats.packets_injected = 1;
-        net.outstanding[0] = 1;
-        net.nis.extend(0, make_packet(0, 0, 0, 7, 0));
-        let ci = net.channel_index(3, Port::XPlus);
+        net.ends.outstanding[0] = 1;
+        net.fabric.nis.extend(0, make_packet(0, 0, 0, 7, 0));
+        let ci = slot(3, Port::XPlus);
         let tail_at = |net: &Network| {
-            let ch = net.links.get(ci).expect("link 3 -> 4");
+            let ch = net.fabric.links.get(ci).expect("link 3 -> 4");
             (0..ch.occupancy()).find(|&i| ch.get(i).is_tail())
         };
         while tail_at(&net).is_none() {
@@ -277,20 +194,25 @@ mod tests {
             net.step_cycle();
         }
         let idx = tail_at(&net).expect("just found");
-        net.links.delay_at(ci, idx, net.now, 2 * DEATH);
+        net.fabric.links.delay_at(ci, idx, net.now, 2 * DEATH);
         while net.now < DEATH {
             net.step_cycle();
         }
-        assert_eq!(net.nis[7].recv.get(&0).map(|r| r.flits), Some(3), "head and bodies ejected");
+        assert_eq!(
+            net.fabric.nis[7].recv.get(&0).map(|r| r.flits),
+            Some(3),
+            "head and bodies ejected"
+        );
         assert!(tail_at(&net).is_some(), "the tail still waits two hops upstream of router 5");
-        let row = net.routers[5].bound_vc(Port::XMinus.index(), 0).expect("router 5 binds a VC");
-        let row = net.routers[5].vc(Port::XMinus.index(), row);
+        let row =
+            net.fabric.routers[5].bound_vc(Port::XMinus.index(), 0).expect("router 5 binds a VC");
+        let row = net.fabric.routers[5].vc(Port::XMinus.index(), row);
         assert_eq!((row.occupancy(), row.route()), (0, Port::XPlus), "empty, toward router 6");
 
         assert!(net.run_cycles(50_000));
         assert!(net.stall().is_none(), "stalled: {:?}", net.stall().map(|s| &s.blocked));
-        assert!(net.nis[7].recv.is_empty(), "partial reassembly of the first send is gone");
-        for r in &net.routers {
+        assert!(net.fabric.nis[7].recv.is_empty(), "partial reassembly of the first send is gone");
+        for r in &net.fabric.routers {
             assert!(r.is_gateable(), "router {} still holds a VC", r.id);
         }
         assert_eq!(net.occupancy_index_drift(), None);

@@ -16,7 +16,7 @@
 //! descriptor pressure instead of a silently wedged endpoint.
 
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -165,6 +165,15 @@ pub type HttpHandler = Arc<dyn Fn(&HttpRequest) -> HttpResponse + Send + Sync>;
 /// Largest request head and body the server will buffer.
 const MAX_HEAD_BYTES: usize = 16 * 1024;
 const MAX_BODY_BYTES: usize = 1024 * 1024;
+/// Most the server discards of request bytes that have arrived unread by
+/// the time it answers (the rest of a refused head or body, or bytes past
+/// `Content-Length`): closing with them unread would reset the connection
+/// under a response the client has yet to read.
+const DRAIN_BYTES: u64 = 64 * 1024;
+
+/// Why a request was refused: the status and the reason sent back.
+type Refusal = (u16, &'static str);
+const MALFORMED: Refusal = (400, "malformed request\n");
 
 /// Per-connection socket timeout: a stalled client cannot wedge the
 /// serving thread for longer than this.
@@ -294,9 +303,10 @@ fn accept_loop(
     }
 }
 
-/// Reads one request head + body off `stream`. Returns `None` for a
-/// malformed or oversized request (the caller answers 400/413).
-fn read_request(stream: &mut TcpStream) -> std::io::Result<Option<HttpRequest>> {
+/// Reads one request head + body off `stream`, or the refusal to answer
+/// instead: 413 for a head or declared body over its limit, 400 for a
+/// malformed request or a body that ends before its `Content-Length`.
+fn read_request(stream: &mut TcpStream) -> std::io::Result<Result<HttpRequest, Refusal>> {
     stream.set_read_timeout(Some(REQUEST_TIMEOUT))?;
     stream.set_write_timeout(Some(REQUEST_TIMEOUT))?;
     let mut buf = [0u8; 1024];
@@ -308,11 +318,11 @@ fn read_request(stream: &mut TcpStream) -> std::io::Result<Option<HttpRequest>> 
             break;
         }
         if head.len() > MAX_HEAD_BYTES {
-            return Ok(None); // refuse to buffer absurd request heads
+            return Ok(Err((413, "request head too large\n")));
         }
         let n = stream.read(&mut buf)?;
         if n == 0 {
-            return Ok(None);
+            return Ok(Err(MALFORMED));
         }
         head.extend_from_slice(&buf[..n]);
     }
@@ -325,7 +335,7 @@ fn read_request(stream: &mut TcpStream) -> std::io::Result<Option<HttpRequest>> 
     let request_line = lines.next().unwrap_or("");
     let mut parts = request_line.split_whitespace();
     let (Some(method), Some(path)) = (parts.next(), parts.next()) else {
-        return Ok(None);
+        return Ok(Err(MALFORMED));
     };
     let mut headers = Vec::new();
     for line in lines {
@@ -333,23 +343,22 @@ fn read_request(stream: &mut TcpStream) -> std::io::Result<Option<HttpRequest>> 
             headers.push((name.trim().to_ascii_lowercase(), value.trim().to_owned()));
         }
     }
-    let content_length: usize = headers
-        .iter()
-        .find(|(n, _)| n == "content-length")
-        .and_then(|(_, v)| v.parse().ok())
-        .unwrap_or(0);
+    let declared = headers.iter().find(|(n, _)| n == "content-length");
+    let Ok(content_length) = declared.map_or(Ok(0), |(_, v)| v.parse::<usize>()) else {
+        return Ok(Err(MALFORMED));
+    };
     if content_length > MAX_BODY_BYTES {
-        return Ok(None);
+        return Ok(Err((413, "request body too large\n")));
     }
     while rest.len() < content_length {
         let n = stream.read(&mut buf)?;
         if n == 0 {
-            break;
+            return Ok(Err((400, "request body shorter than its Content-Length\n")));
         }
         rest.extend_from_slice(&buf[..n]);
     }
     rest.truncate(content_length);
-    Ok(Some(HttpRequest {
+    Ok(Ok(HttpRequest {
         method: method.to_ascii_uppercase(),
         path: path.to_owned(),
         headers,
@@ -368,11 +377,17 @@ fn find_head_end(buf: &[u8]) -> Option<(usize, usize)> {
 
 fn serve_one(mut stream: TcpStream, handler: &HttpHandler) -> std::io::Result<()> {
     let response = match read_request(&mut stream)? {
-        Some(req) => handler(&req),
-        None => HttpResponse::text(400, "malformed request\n"),
+        Ok(req) => handler(&req),
+        Err((status, reason)) => HttpResponse::text(status, reason),
     };
     stream.write_all(&response.to_bytes())?;
-    stream.flush()
+    stream.flush()?;
+    stream.shutdown(Shutdown::Write)?;
+    // Discard only what has arrived: a client that keeps its end open must
+    // not hold up the one serving thread.
+    stream.set_nonblocking(true)?;
+    let _ = std::io::copy(&mut (&stream).take(DRAIN_BYTES), &mut std::io::sink());
+    Ok(())
 }
 
 #[cfg(test)]
