@@ -146,3 +146,50 @@ fn serve_reference_report_is_pinned() {
     assert_eq!(derive_seed(7, "serve/SECDED/r0.005"), 0x203c_7711_e6a9_c9c6);
     assert_eq!(derive_seed(7, "serve/IntelliNoC/r0.02"), 0xb9cb_eb2b_c3c0_998d);
 }
+
+/// CI's closed-loop smoke campaign (hard faults mid-run, tight retry
+/// budget), recorded at commit `2d449dd`: the serial CSV, byte for byte,
+/// and a clean auditor (exit 0).
+#[test]
+fn closed_loop_smoke_campaign_csv_is_pinned() {
+    let dir = scratch("closedloop-smoke");
+    let (code, _) = intellinoc(
+        &dir,
+        "campaign --workload reqreply --rate 0.01 --ppn 3 --seed 3 --dead-links 0,1 \
+         --router-fail 300 --flapping 1 --max-cycles 200000 --reply-timeout 400 \
+         --max-req-retries 2 --req-backoff-base 16 --req-backoff-cap 128 --csv-out c.csv",
+    );
+    assert_eq!(code, 0);
+    assert_eq!(read(&dir, "c.csv"), include_str!("fixtures/closedloop_smoke.csv"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A closed-loop run that orphans transaction 0, recorded at commit
+/// `2d449dd`: its `--json` report, and
+/// the transaction books its post-mortem bundle carries (the `txn-summary`
+/// and `orphaned-txns` records; the head line, which names the cause, is
+/// left out). Arming the flight recorder changes neither.
+#[test]
+fn an_orphaned_run_reports_and_bundles_the_pinned_books() {
+    let dir = scratch("orphan");
+    let run = "run --design secded --workload reqreply --rate 0.02 --ppn 4 --seed 3 \
+               --chaos-orphan 0 --json";
+    for line in [run.to_owned(), format!("{run} --blackbox-dir bb")] {
+        let (code, stdout) = intellinoc(&dir, &line);
+        assert_eq!(code, 0, "{line}");
+        assert_eq!(stdout, include_str!("fixtures/orphan_run.json"), "{line}");
+    }
+    let bundles: Vec<_> = std::fs::read_dir(dir.join("bb")).expect("bundle dir").collect();
+    assert_eq!(bundles.len(), 1);
+    let bundle = std::fs::read_to_string(bundles[0].as_ref().unwrap().path()).unwrap();
+    let books: String = bundle
+        .lines()
+        .filter(|l| {
+            l.starts_with("{\"record\":\"txn-summary\"")
+                || l.starts_with("{\"record\":\"orphaned-txns\"")
+        })
+        .map(|l| format!("{l}\n"))
+        .collect();
+    assert_eq!(books, include_str!("fixtures/orphan_bundle_extras.jsonl"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
