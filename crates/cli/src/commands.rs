@@ -2,14 +2,13 @@
 
 use crate::args::Args;
 use intellinoc::{
-    compare as compare_outcomes, compare_bench, dump_bundle, intellinoc_rl_config,
-    load_sweep_cells, pretrain_intellinoc, record_bench, render_inspect_report, run_chaos_harness,
-    run_experiment, run_experiment_instrumented, run_grid, BenchBaseline, BenchSpec,
-    CampaignConfig, CampaignRunReport, ChaosHarnessConfig, ChaosKill, ChaosOptions, Daemon, Design,
-    ExperimentConfig, ExperimentOutcome, FleetProgress, GateOptions, MetricsOptions, RewardKind,
-    RunnerConfig, RunnerReport, ServeConfig, TelemetryArtifacts, TelemetryOptions, UnitSinks,
+    compare_bench, dump_bundle, load_sweep_cells, record_bench, render_inspect_report,
+    run_chaos_harness, run_experiment, run_experiment_instrumented, run_grid, BenchBaseline,
+    BenchSpec, CampaignConfig, CampaignRunReport, ChaosHarnessConfig, ChaosKill, ChaosOptions,
+    Daemon, Design, ExperimentConfig, ExperimentOutcome, FleetProgress, GateOptions,
+    MetricsOptions, RunnerConfig, RunnerReport, ServeConfig, TelemetryArtifacts, TelemetryOptions,
+    UnitSinks,
 };
-use noc_power::AreaModel;
 use noc_sim::{
     parse_bundle, parse_rules, render_report, runner_events_jsonl, shared_recorder, AlertEdge,
     BundleCause, EventKind, JourneyLog, Profiler, RunnerEvent, SpanTree, TraceFilter,
@@ -36,6 +35,13 @@ pub enum CmdOutcome {
 
 /// Result type of every subcommand.
 pub type CmdResult = Result<CmdOutcome, String>;
+
+/// Spans `profile` lists by self wall-clock.
+const PROFILE_TOP: usize = 10;
+
+/// Slowest packets a journey tail report walks, both in `run`'s and in the
+/// `journeys` analyzer's (so the two reports of one log are equal).
+const JOURNEYS_TOP: usize = 5;
 
 /// Parses a design name as accepted on the command line.
 ///
@@ -113,10 +119,6 @@ fn workload_from(args: &Args, ppn: u64) -> Result<WorkloadSpec, String> {
 pub fn runner_config_from(args: &Args) -> Result<(RunnerConfig, ChaosOptions), String> {
     let cfg = RunnerConfig {
         jobs: args.get_or("jobs", 1usize)?,
-        deadline_cycles: match args.get("deadline-cycles") {
-            Some(v) => Some(v.parse().map_err(|_| format!("invalid --deadline-cycles: {v}"))?),
-            None => None,
-        },
         journal: args.get("journal").map(PathBuf::from),
         resume: args.has_flag("resume"),
         max_units: match args.get("max-units") {
@@ -348,7 +350,7 @@ fn print_outcome(o: &ExperimentOutcome, json: bool) -> Result<(), String> {
 /// Builds the run's telemetry switches from the command line.
 ///
 /// Tracing turns on with `--trace`, `--trace-out`, or `--trace-filter`;
-/// the timeline with `--timeline-out`; profiling with `--profile`.
+/// profiling with `--profile`.
 pub fn telemetry_from(args: &Args) -> Result<TelemetryOptions, String> {
     let trace_filter = match args.get("trace-filter") {
         Some(spec) => TraceFilter::parse(spec)?,
@@ -359,7 +361,6 @@ pub fn telemetry_from(args: &Args) -> Result<TelemetryOptions, String> {
             || args.get("trace-out").is_some()
             || args.get("trace-filter").is_some(),
         trace_filter,
-        timeline: args.get("timeline-out").is_some(),
         profile: profile_wanted(args),
         journeys_every: journeys_every_from(args)?,
         metrics: MetricsOptions { hub: None, file: args.get("metrics-out").map(str::to_owned) },
@@ -409,15 +410,6 @@ fn emit_telemetry(args: &Args, artifacts: &TelemetryArtifacts) -> Result<(), Str
             }
         }
     }
-    if let (Some(path), Some(timeline)) = (args.get("timeline-out"), &artifacts.timeline) {
-        let body = if path.ends_with(".csv") {
-            timeline.to_csv()
-        } else {
-            serde_json::to_string_pretty(timeline).map_err(|e| e.to_string())?
-        };
-        std::fs::write(path, body).map_err(|e| format!("writing {path}: {e}"))?;
-        eprintln!("timeline: {} samples written to {path}", timeline.len());
-    }
     if let Some(profiler) = &artifacts.profiler {
         match args.get("profile-out") {
             Some(path) => {
@@ -450,14 +442,13 @@ fn emit_telemetry(args: &Args, artifacts: &TelemetryArtifacts) -> Result<(), Str
                 .map_err(|e| format!("writing {path}: {e}"))?;
             eprintln!("journeys: tail-contribution CSV written to {path}");
         }
-        let k = args.get_or("journeys-top", 5usize)?;
         match args.get("journey-report-out") {
             Some(path) => {
-                std::fs::write(path, log.tail_report(k))
+                std::fs::write(path, log.tail_report(JOURNEYS_TOP))
                     .map_err(|e| format!("writing {path}: {e}"))?;
                 eprintln!("journeys: tail report written to {path}");
             }
-            None => print!("{}", log.tail_report(k)),
+            None => print!("{}", log.tail_report(JOURNEYS_TOP)),
         }
     }
     Ok(())
@@ -474,51 +465,65 @@ pub fn run(args: &Args) -> CmdResult {
     cfg.error_rate_override = error_rate_from(args)?;
     cfg.telemetry = telemetry_from(args)?;
     // The flight recorder: a fixed ring of recent telemetry that becomes a
-    // post-mortem bundle if the run dies (stall) or a critical alert fires.
+    // post-mortem bundle if the books do not balance, a critical alert fires
+    // or the run stalls.
     let bb_dir = args.get("blackbox-dir").map(PathBuf::from);
-    if bb_dir.is_some() {
-        cfg.telemetry.blackbox = Some(shared_recorder(DEFAULT_BLACKBOX_CAPACITY));
-    }
-    let recorder = cfg.telemetry.blackbox.clone();
-    if !cfg.telemetry.any() {
-        let outcome = run_experiment(cfg);
-        print_outcome(&outcome, args.has_flag("json"))?;
-        return Ok(CmdOutcome::Done);
-    }
+    let recorder = bb_dir.as_ref().map(|_| shared_recorder(DEFAULT_BLACKBOX_CAPACITY));
+    cfg.telemetry.blackbox = recorder.clone();
     let seed = cfg.seed;
     let (outcome, _, artifacts) = run_experiment_instrumented(cfg);
     print_outcome(&outcome, args.has_flag("json"))?;
     emit_telemetry(args, &artifacts)?;
-    if let (Some(dir), Some(rec)) = (bb_dir.as_deref(), recorder.as_ref()) {
-        let key = format!("run/{}", design.label());
-        let critical = artifacts.alerts.iter().find(|e| e.critical && e.edge == AlertEdge::Firing);
-        if let Some(ev) = critical {
-            let detail = format!(
-                "critical alert `{}` fired at cycle {} (value {}, threshold {})",
-                ev.rule, ev.cycle, ev.value, ev.threshold
-            );
-            // A conservation-auditor firing names the orphaned transaction
-            // ids in the bundle, so the post-mortem is actionable.
-            let mut extras: Vec<(&str, String)> = Vec::new();
-            if let Some(t) = &outcome.report.txn {
-                extras.push(("txn-summary", serde_json::to_string(t).unwrap_or_default()));
-                if !t.orphans.is_empty() {
-                    extras.push((
-                        "orphaned-txns",
-                        serde_json::to_string(&t.orphans).unwrap_or_default(),
-                    ));
-                }
-            }
-            let path = dump_bundle(dir, rec, BundleCause::Alert, &key, seed, &detail, &extras)?;
-            eprintln!("blackbox: critical-alert bundle written to {}", path.display());
-        } else if let Some(stall) = &outcome.report.stall {
-            let detail =
-                format!("stall watchdog aborted the run at cycle {}", outcome.report.exec_cycles);
-            let extras = [("stall-report", serde_json::to_string(stall).unwrap_or_default())];
-            let path = dump_bundle(dir, rec, BundleCause::Stall, &key, seed, &detail, &extras)?;
-            eprintln!("blackbox: stall bundle written to {}", path.display());
+    // The transaction-conservation auditor reads the closed loop's books
+    // off the report: on some node issued != completed + failed + shed +
+    // in flight.
+    let unbalanced = outcome.report.txn.as_ref().filter(|t| t.violations > 0);
+    if let Some(t) = unbalanced {
+        eprintln!(
+            "transaction-conservation auditor: {} violations, orphaned txns {:?}",
+            t.violations, t.orphans
+        );
+    }
+    let (Some(dir), Some(rec)) = (bb_dir.as_deref(), recorder.as_ref()) else {
+        return Ok(CmdOutcome::Done);
+    };
+    // One bundle per run, for the first of: unbalanced books, a critical
+    // alert, a stall. The first two carry the books, naming the orphaned
+    // transaction ids so the post-mortem is actionable.
+    let mut books: Vec<(&str, String)> = Vec::new();
+    if let Some(t) = &outcome.report.txn {
+        books.push(("txn-summary", serde_json::to_string(t).unwrap_or_default()));
+        if !t.orphans.is_empty() {
+            books.push(("orphaned-txns", serde_json::to_string(&t.orphans).unwrap_or_default()));
         }
     }
+    let critical = artifacts.alerts.iter().find(|e| e.critical && e.edge == AlertEdge::Firing);
+    let (cause, detail, extras) = if let Some(t) = unbalanced {
+        let detail = format!(
+            "transaction books out of balance at cycle {}: {} violations",
+            outcome.report.exec_cycles, t.violations
+        );
+        (BundleCause::Conservation, detail, books)
+    } else if let Some(ev) = critical {
+        let detail = format!(
+            "critical alert `{}` fired at cycle {} (value {}, threshold {})",
+            ev.rule, ev.cycle, ev.value, ev.threshold
+        );
+        (BundleCause::Alert, detail, books)
+    } else if let Some(stall) = &outcome.report.stall {
+        let detail =
+            format!("stall watchdog aborted the run at cycle {}", outcome.report.exec_cycles);
+        (
+            BundleCause::Stall,
+            detail,
+            vec![("stall-report", serde_json::to_string(stall).unwrap_or_default())],
+        )
+    } else {
+        return Ok(CmdOutcome::Done);
+    };
+    let key = format!("run/{}", design.label());
+    let path = dump_bundle(dir, rec, cause, &key, seed, &detail, &extras)?;
+    eprintln!("blackbox: {} bundle written to {}", cause.label(), path.display());
     Ok(CmdOutcome::Done)
 }
 
@@ -572,51 +577,6 @@ pub fn inspect(args: &Args) -> CmdResult {
         }
     }
     emit_telemetry(args, &artifacts)?;
-    Ok(CmdOutcome::Done)
-}
-
-/// `intellinoc compare`.
-pub fn compare(args: &Args) -> CmdResult {
-    let ppn = args.get_or("ppn", 150u64)?;
-    let seed = args.get_or("seed", 1u64)?;
-    let episodes = args.get_or("pretrain-episodes", 12u32)?;
-    let workload = workload_from(args, ppn)?;
-    eprintln!("pre-training IntelliNoC ({episodes} episodes on blackscholes)...");
-    let tables = pretrain_intellinoc(
-        intellinoc_rl_config(),
-        RewardKind::LogSpace,
-        150,
-        1_000,
-        seed,
-        episodes,
-    );
-    let outcomes: Vec<_> = Design::ALL
-        .iter()
-        .map(|&design| {
-            let mut cfg = ExperimentConfig::new(design, workload.clone()).with_seed(seed);
-            if design.uses_rl() {
-                cfg.pretrained = Some(tables.clone());
-            }
-            run_experiment(cfg)
-        })
-        .collect();
-    let row = compare_outcomes(&outcomes);
-    println!(
-        "{:<11} {:>9} {:>9} {:>10} {:>10} {:>10} {:>8}",
-        "design", "speedup", "latency", "static_pw", "dynamic_pw", "energy_eff", "mttf"
-    );
-    for (design, m) in &row.designs {
-        println!(
-            "{:<11} {:>9.3} {:>9.3} {:>10.3} {:>10.3} {:>10.3} {:>8.3}",
-            design.label(),
-            m.speedup,
-            m.latency,
-            m.static_power,
-            m.dynamic_power,
-            m.energy_efficiency,
-            m.mttf
-        );
-    }
     Ok(CmdOutcome::Done)
 }
 
@@ -931,10 +891,9 @@ pub fn profile(args: &Args) -> CmdResult {
     let (report, epilogue) = run_grid_command(args, "profile", &cells, true)?;
     let tree = epilogue.prof.as_ref().expect("profile always profiles").span_tree();
     print!("{}", tree.tree_table());
-    let top_n = args.get_or("top", 10usize)?;
     println!();
-    println!("top {top_n} spans by self wall-clock (nondeterministic):");
-    for (path, self_ns, s) in tree.top_self(top_n) {
+    println!("top {PROFILE_TOP} spans by self wall-clock (nondeterministic):");
+    for (path, self_ns, s) in tree.top_self(PROFILE_TOP) {
         println!(
             "  {:<44} {:>12.3} ms {:>10} calls {:>12} flits",
             path,
@@ -975,11 +934,11 @@ pub fn postmortem(args: &Args) -> CmdResult {
 pub fn journeys(args: &Args) -> CmdResult {
     let path = args.positional.first().ok_or(
         "usage: intellinoc journeys <journeys.jsonl> [--out report.md] \
-         [--csv-out contrib.csv] [--perfetto-out trace.json] [--top N]",
+         [--csv-out contrib.csv] [--perfetto-out trace.json]",
     )?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let log = JourneyLog::from_jsonl(&text)?;
-    let report = log.tail_report(args.get_or("top", 5usize)?);
+    let report = log.tail_report(JOURNEYS_TOP);
     match args.get("out") {
         Some(out) => {
             std::fs::write(out, &report).map_err(|e| format!("writing {out}: {e}"))?;
@@ -995,18 +954,6 @@ pub fn journeys(args: &Args) -> CmdResult {
     if let Some(out) = args.get("perfetto-out") {
         std::fs::write(out, log.perfetto_json()).map_err(|e| format!("writing {out}: {e}"))?;
         eprintln!("journeys: Perfetto trace written to {out}");
-    }
-    Ok(CmdOutcome::Done)
-}
-
-/// `intellinoc area`.
-pub fn area() -> CmdResult {
-    let model = AreaModel::default();
-    println!("{:<12} {:>12} {:>10}", "design", "area um^2", "vs base");
-    let base = model.router_area(&Design::Secded.area_spec()).total();
-    for d in Design::ALL {
-        let total = model.router_area(&d.area_spec()).total();
-        println!("{:<12} {:>12.1} {:>9.1}%", d.label(), total, 100.0 * (total / base - 1.0));
     }
     Ok(CmdOutcome::Done)
 }

@@ -3,16 +3,14 @@
 //! ```text
 //! intellinoc run      --design intellinoc --benchmark canneal [--ppn 150]
 //! intellinoc inspect  --benchmark canneal [--report-out report.md] [--heatmap-dir DIR]
-//! intellinoc compare  --benchmark canneal [--ppn 150] [--pretrain-episodes 12]
 //! intellinoc sweep    --design secded --rates 0.01,0.02,0.04 [--ppn 100] [--jobs 4]
 //! intellinoc trace capture <out.jsonl> --benchmark dedup [--ppn 50]
 //! intellinoc trace replay <in.jsonl> --design cp
 //! intellinoc campaign --dead-links 0,1,2,4,8 [--no-reroute] [--csv-out camp.csv]
 //!                     [--jobs 4] [--journal camp.jsonl [--resume]]
-//!                     [--deadline-cycles N]
 //! intellinoc bench record  [--grid designs|ci] [--seeds N] [--out BENCH_x.json]
 //! intellinoc bench compare --baseline BENCH_x.json [--force-regress]
-//! intellinoc profile  [--grid designs|ci] [--top N] [--prof-out F.txt]
+//! intellinoc profile  [--grid designs|ci] [--prof-out F.txt]
 //!                     [--flame-out F.folded] [--profile-out F.txt]
 //! intellinoc serve    --state-dir DIR [--addr H:P] [--port-file F] [--resume]
 //!                     [--jobs N] [--tenant-quota N] [--chunk-units N]
@@ -20,13 +18,14 @@
 //! intellinoc serve    --chaos 25 [--chaos-seed S] [--state-dir DIR]
 //! intellinoc postmortem <bundle.jsonl> [--out report.md]
 //! intellinoc journeys <journeys.jsonl> [--out report.md] [--csv-out contrib.csv]
-//!                     [--perfetto-out trace.json] [--top N]
-//! intellinoc area
+//!                     [--perfetto-out trace.json]
 //! intellinoc list
 //! ```
 //!
 //! Grid commands (`campaign`, `sweep`) run on the `noc-runner` execution
-//! engine. Exit codes: 0 clean, 1 usage/config error, 2 partial results.
+//! engine. The design comparison normalized to SECDED (the paper's figures
+//! and Table 2) is `intellinoc-bench`'s `figures` binary, not a command here.
+//! Exit codes: 0 clean, 1 usage/config error, 2 partial results.
 //! An option or flag the command never read (a typo, or a flag it does not
 //! take) draws a `warning:` line on stderr; the exit code does not change.
 
@@ -38,7 +37,6 @@ fn main() {
     let code = match args.command.as_deref() {
         Some("run") => commands::run(&args),
         Some("inspect") => commands::inspect(&args),
-        Some("compare") => commands::compare(&args),
         Some("sweep") => commands::sweep(&args),
         Some("trace") => commands::trace(&args),
         Some("campaign") => commands::campaign(&args),
@@ -47,7 +45,6 @@ fn main() {
         Some("serve") => commands::serve(&args),
         Some("postmortem") => commands::postmortem(&args),
         Some("journeys") => commands::journeys(&args),
-        Some("area") => commands::area(),
         Some("list") => commands::list(),
         Some(other) => {
             eprintln!("unknown command: {other}\n");
@@ -88,18 +85,16 @@ fn usage() {
     eprintln!("           --benchmark <name> | --rate <packets/node/cycle>");
     eprintln!("           [--ppn N] [--seed S] [--error-rate R] [--time-step T] [--json]");
     eprintln!("           [--trace] [--trace-out F.jsonl|F.csv] [--trace-filter router=N,kind=K]");
-    eprintln!("           [--timeline-out F.json|F.csv] [--profile]");
+    eprintln!("           [--profile]");
     eprintln!("           [--metrics-out F.prom|- (exposition, once per control step)]");
     eprintln!("           [--alert-rules \"metric>value[:for=N][:critical];...\"]");
-    eprintln!("           [--blackbox-dir DIR (flight recorder: stall / critical-alert");
-    eprintln!("            post-mortem bundles)]");
+    eprintln!("           [--blackbox-dir DIR (flight recorder: conservation /");
+    eprintln!("            critical-alert / stall post-mortem bundles)]");
     eprintln!("           [+ closed-loop options]");
     eprintln!("  inspect  run with full attribution and render a trace-analysis report");
     eprintln!("           --benchmark <name> | --rate R  [--design <d>] [--ppn N] [--seed S]");
     eprintln!("           [--report-out F.md] [--heatmap-dir DIR] [--decisions-out F.jsonl]");
     eprintln!("           [--convergence-out F.csv] [+ run's telemetry flags]");
-    eprintln!("  compare  all five designs on one workload, normalized table");
-    eprintln!("           --benchmark <name> [--ppn N] [--pretrain-episodes E]");
     eprintln!("  sweep    latency-vs-load curve for one design");
     eprintln!("           --design <d> --rates r1,r2,... [--ppn N] [+ runner options]");
     eprintln!("  trace    capture <out> --benchmark <name> | replay <in> --design <d>");
@@ -117,7 +112,7 @@ fn usage() {
     eprintln!("           both accept runner options; compare exits 2 on regression");
     eprintln!("  profile  run a bench grid with span profiling, merge span trees fleet-wide");
     eprintln!("           [--grid designs|ci] [--designs d1,d2] [--rates r1,r2] [--seeds N]");
-    eprintln!("           [--top N] [--prof-out F.txt (deterministic cycle-domain table)]");
+    eprintln!("           [--prof-out F.txt (deterministic cycle-domain table)]");
     eprintln!("           [--flame-out F.folded (inferno/speedscope collapsed stacks)]");
     eprintln!("           [--profile-out F.txt (full wall-clock profile table)]");
     eprintln!("  serve    crash-survivable multi-tenant experiment daemon (DESIGN.md \u{a7}14)");
@@ -135,15 +130,14 @@ fn usage() {
     eprintln!("  journeys analyze a recorded journey log: tail-latency critical path,");
     eprintln!("           per-(router, cause) contributions, Perfetto export");
     eprintln!("           <journeys.jsonl> [--out report.md] [--csv-out contrib.csv]");
-    eprintln!("           [--perfetto-out trace.json] [--top N]");
-    eprintln!("  area     Table 2 per-router area comparison");
+    eprintln!("           [--perfetto-out trace.json]");
     eprintln!("  list     known designs and benchmarks");
     eprintln!();
     eprintln!("JOURNEY TRACING (per-packet hop spans; DESIGN.md \u{a7}18):");
     eprintln!("  run/inspect: --journeys-every N (trace 1-in-N packets; any sink implies 1)");
     eprintln!("               --journeys-out F.jsonl  --perfetto-out F.json");
     eprintln!("               --journey-report-out F.md (default: stdout)");
-    eprintln!("               --journey-csv-out F.csv  --journeys-top K (slowest-K, default 5)");
+    eprintln!("               --journey-csv-out F.csv");
     eprintln!("  campaign/sweep/bench record: --journeys-dir DIR [--journeys-every N]");
     eprintln!("               one journeys-<key>.jsonl per unit; analyze with `journeys`");
     eprintln!("  serve: jobs submitted with \"journeys_every\": N expose their logs at");
@@ -151,7 +145,7 @@ fn usage() {
     eprintln!();
     eprintln!("CLOSED-LOOP OPTIONS (run, sweep, campaign, bench — request-reply protocol):");
     eprintln!("  --workload reqreply   destinations reply; sources gate on completions and");
-    eprintln!("                        the conservation auditor arms (critical alert rule)");
+    eprintln!("                        the run's transaction books are audited");
     eprintln!("  --reply-timeout N     cycles before a client retries its request (2000)");
     eprintln!("  --max-req-retries N   retry budget per transaction before failed (3)");
     eprintln!("  --req-backoff-base N / --req-backoff-cap N   capped-exponential retry");
@@ -163,7 +157,6 @@ fn usage() {
     eprintln!();
     eprintln!("RUNNER OPTIONS (campaign, sweep, bench, profile — the noc-runner engine):");
     eprintln!("  --jobs N              worker threads (default 1; results identical at any N)");
-    eprintln!("  --deadline-cycles N   per-unit simulated-cycle deadline (timed-out status)");
     eprintln!("  --journal F.jsonl     journal terminal unit records (enables --resume)");
     eprintln!("  --resume              reuse journaled records, run only the rest");
     eprintln!("  --max-units N         dispatch at most N units, skip the tail");
@@ -175,6 +168,9 @@ fn usage() {
     eprintln!("  --profile             per-run wall-clock + span profile to stdout");
     eprintln!("  --profile-out F.txt / --prof-out F.txt / --flame-out F.folded");
     eprintln!("                        profile artifacts (see `profile` command)");
+    eprintln!();
+    eprintln!("Design comparisons normalized to SECDED (Figs. 9-18, Table 2):");
+    eprintln!("  cargo run --release -p intellinoc-bench --bin figures -- --list");
     eprintln!();
     eprintln!("EXIT CODES: 0 clean, 1 usage/config error, 2 partial results");
     eprintln!("An option the command does not read draws a warning on stderr.");

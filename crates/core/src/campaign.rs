@@ -48,8 +48,8 @@ pub struct CampaignConfig {
     /// Per-run cycle budget.
     pub max_cycles: u64,
     /// Closed-loop request–reply protocol parameters: when set, every cell
-    /// runs the closed-loop workload (with the conservation auditor armed)
-    /// instead of open-loop uniform injection.
+    /// runs the closed-loop workload instead of open-loop uniform injection,
+    /// and [`CampaignRunReport::conservation_violations`] audits its books.
     pub reqreply: Option<noc_traffic::ReqReplySpec>,
 }
 

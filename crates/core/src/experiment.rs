@@ -469,11 +469,6 @@ fn feed_recorder(
     }
 }
 
-/// The conservation auditor's alert rule, auto-installed on every
-/// closed-loop run: any nonzero summed per-node conservation error is a
-/// critical alert (which dumps a post-mortem bundle on the CLI paths).
-pub const CONSERVATION_RULE: &str = "noc_txn_conservation_violations>0:critical";
-
 /// Runs one experiment with the configured telemetry enabled, returning the
 /// outcome, the control policy, and the collected telemetry artifacts.
 pub fn run_experiment_instrumented(
@@ -494,22 +489,10 @@ pub fn run_experiment_instrumented(
 /// decision, with the policy in hand (the Q-table soft-error study corrupts
 /// tables there). Returns what [`run_experiment_instrumented`] returns.
 pub fn run_experiment_with(
-    mut cfg: ExperimentConfig,
+    cfg: ExperimentConfig,
     policy: Option<ControlPolicy>,
     mut before_decide: impl FnMut(&mut ControlPolicy),
 ) -> (ExperimentOutcome, ControlPolicy, TelemetryArtifacts) {
-    // Transaction-conservation auditor: closed-loop runs always carry the
-    // critical conservation rule. Pushing it here (rather than at each CLI
-    // entry point) covers every run path — run, campaign, sweep, bench,
-    // serve — and forces the metrics registry + alert engine on.
-    if cfg.workload.reqreply.is_some() {
-        let rule = noc_sim::parse_rules(CONSERVATION_RULE)
-            .expect("static conservation rule is valid")
-            .remove(0);
-        if !cfg.telemetry.alert_rules.contains(&rule) {
-            cfg.telemetry.alert_rules.push(rule);
-        }
-    }
     let mut sim_cfg = cfg.design.sim_config();
     sim_cfg.seed = cfg.seed;
     sim_cfg.max_cycles = cfg.max_cycles;
@@ -977,37 +960,37 @@ mod tests {
         for design in Design::ALL {
             let spec = WorkloadSpec::reqreply(0.03, 4, noc_traffic::ReqReplySpec::default());
             let cfg = ExperimentConfig::new(design, spec).with_seed(11);
-            let (out, _, art) = run_experiment_instrumented(cfg);
+            let out = run_experiment(cfg);
             let txn = out.report.txn.as_ref().expect("closed-loop summary");
             assert_eq!(txn.issued, 64 * 4, "{design}");
             assert_eq!(txn.completed + txn.failed + txn.shed, txn.issued, "{design}");
             assert_eq!(txn.violations, 0, "{design} broke conservation");
             assert!(txn.orphans.is_empty(), "{design}");
-            assert!(
-                art.alerts.iter().all(|a| !a.critical),
-                "{design}: conservation alert fired on a clean run"
-            );
         }
     }
 
+    /// The conservation books are the report's `txn`: a closed-loop run with
+    /// no telemetry asked for builds no metrics registry and no alert engine.
     #[test]
-    fn chaos_orphan_fires_the_conservation_alert() {
+    fn a_closed_loop_run_with_default_telemetry_builds_no_registry() {
+        let spec = WorkloadSpec::reqreply(0.03, 2, noc_traffic::ReqReplySpec::default());
+        let cfg = ExperimentConfig::new(Design::Secded, spec).with_seed(7);
+        let (out, _, art) = run_experiment_instrumented(cfg);
+        assert!(out.report.txn.is_some());
+        assert_eq!(art.exposition, None);
+        assert!(art.alerts.is_empty());
+    }
+
+    #[test]
+    fn chaos_orphan_breaks_the_books_and_is_named() {
         let rr = noc_traffic::ReqReplySpec {
             chaos_orphan: Some(3),
             ..noc_traffic::ReqReplySpec::default()
         };
         let cfg =
             ExperimentConfig::new(Design::Secded, WorkloadSpec::reqreply(0.03, 2, rr)).with_seed(7);
-        let (out, _, art) = run_experiment_instrumented(cfg);
-        let txn = out.report.txn.as_ref().expect("closed-loop summary");
+        let txn = run_experiment(cfg).report.txn.expect("closed-loop summary");
         assert_eq!(txn.violations, 1);
         assert_eq!(txn.orphans, vec![3], "the orphaned transaction is named");
-        let fired = art
-            .alerts
-            .iter()
-            .find(|a| a.metric == "noc_txn_conservation_violations")
-            .expect("auto-installed conservation rule must evaluate");
-        assert!(fired.critical, "conservation violations are critical");
-        assert!(matches!(fired.edge, noc_sim::AlertEdge::Firing));
     }
 }

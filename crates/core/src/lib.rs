@@ -61,7 +61,7 @@ pub use designs::Design;
 pub use experiment::{
     pretrain_intellinoc, run_experiment, run_experiment_instrumented, run_experiment_with,
     run_grid, ExperimentConfig, ExperimentOutcome, MetricsOptions, TelemetryArtifacts,
-    TelemetryOptions, UnitSinks, CONSERVATION_RULE, DEFAULT_TIME_STEP,
+    TelemetryOptions, UnitSinks, DEFAULT_TIME_STEP,
 };
 pub use expert::{expert_decide, ExpertThresholds};
 pub use inspect::render_inspect_report;

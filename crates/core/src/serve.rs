@@ -43,7 +43,7 @@ use crate::experiment::{
     rate_workload, run_grid_hooked, ExperimentConfig, ExperimentOutcome, UnitSinks,
 };
 use crate::runner::{
-    derive_seed, panic_message, scan_log, ChaosOptions, LogScan, RunStatus, RunnerConfig,
+    derive_seed, panic_message, scan_log, seal, ChaosOptions, LogScan, RunStatus, RunnerConfig,
     RunnerReport, UnitRecord,
 };
 use noc_sim::{
@@ -463,6 +463,7 @@ impl WalWriter {
         let mut file = File::create(path).map_err(|e| format!("create {}: {e}", path.display()))?;
         let header = serde_json::to_string(&WalHeader::expected())
             .map_err(|e| format!("encode WAL header: {e}"))?;
+        let header = seal(&header);
         file.write_all(header.as_bytes())
             .and_then(|()| file.write_all(b"\n"))
             .and_then(|()| file.sync_data())
@@ -483,6 +484,7 @@ impl WalWriter {
 
     fn log(&mut self, rec: &WalRecord, chaos: Option<&Arc<ChaosKill>>) -> Result<(), String> {
         let line = serde_json::to_string(rec).map_err(|e| format!("encode WAL record: {e}"))?;
+        let line = seal(&line);
         if let Some(k) = chaos {
             if k.fires(ChaosPoint::MidWal) {
                 // Torn append: half the record reaches the disk, then the

@@ -5,10 +5,10 @@
 //! [`TimelineSample`]s, simulator [`Event`]s, RL [`ConvergenceSample`]s,
 //! and the latest span-tree snapshot. It exists so that when a run dies
 //! (stall watchdog, deadline timeout, panic, fatal failure, chaos
-//! `kill -9`, or a critical alert), the *recent past* that explains the
-//! death is still in memory and can be dumped as a **post-mortem bundle**:
-//! a versioned JSONL file rendered by `intellinoc postmortem` into a
-//! byte-deterministic markdown report.
+//! `kill -9`, a critical alert, or transaction books that do not balance),
+//! the *recent past* that explains the death is still in memory and can be
+//! dumped as a **post-mortem bundle**: a versioned JSONL file rendered by
+//! `intellinoc postmortem` into a byte-deterministic markdown report.
 //!
 //! Determinism discipline: every record the recorder holds is
 //! cycle-domain data (functions of the simulation alone), so a bundle —
@@ -66,6 +66,9 @@ pub enum BundleCause {
     Fatal,
     /// A critical alert rule fired.
     Alert,
+    /// A closed-loop run ended with its transaction books out of balance:
+    /// on some node, issued ≠ completed + failed + shed + in flight.
+    Conservation,
     /// A chaos kill was recovered from (serve `--chaos` harness).
     Chaos,
 }
@@ -80,6 +83,7 @@ impl BundleCause {
             BundleCause::Panic => "panic",
             BundleCause::Fatal => "fatal",
             BundleCause::Alert => "alert",
+            BundleCause::Conservation => "conservation",
             BundleCause::Chaos => "chaos",
         }
     }
@@ -93,6 +97,7 @@ impl BundleCause {
             "panic" => BundleCause::Panic,
             "fatal" => BundleCause::Fatal,
             "alert" => BundleCause::Alert,
+            "conservation" => BundleCause::Conservation,
             "chaos" => BundleCause::Chaos,
             _ => return None,
         })
@@ -955,6 +960,7 @@ mod tests {
             BundleCause::Panic,
             BundleCause::Fatal,
             BundleCause::Alert,
+            BundleCause::Conservation,
             BundleCause::Chaos,
         ] {
             assert_eq!(BundleCause::parse(cause.label()), Some(cause));

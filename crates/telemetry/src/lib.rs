@@ -11,8 +11,7 @@
 //!    and drained to JSONL or CSV sinks.
 //! 2. [`RunTimeline`] — a metrics time-series sampled once per control time
 //!    step (latency, power, temperature, aging, mode mix, retransmission
-//!    counts), serialized alongside the end-of-run report so figures can be
-//!    regenerated from a single run.
+//!    counts), returned to the API caller and fed to the flight recorder.
 //! 3. [`Profiler`] (`noc-prof`) — a nestable span stack aggregated into a
 //!    [`SpanTree`] that records wall-clock time *and* deterministic
 //!    cycle-domain counters (calls, flits handled, allocations), exported

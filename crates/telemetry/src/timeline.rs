@@ -42,8 +42,8 @@ pub struct TimelineSample {
     /// Bit flips injected by the transient-fault injector this step.
     pub injected_bits: u64,
     /// Events the tracer's ring buffer evicted this step (0 when tracing
-    /// is off) — makes dropped-event windows visible in timeline CSVs
-    /// instead of only in the end-of-run profiler table.
+    /// is off) — makes dropped-event windows visible per step instead of
+    /// only in the end-of-run profiler table.
     pub trace_drops: u64,
 }
 
@@ -102,50 +102,6 @@ impl RunTimeline {
     pub fn series_count(&self) -> usize {
         Self::SERIES.len()
     }
-
-    /// Renders the timeline as CSV: one row per control step, scalar
-    /// series as columns (the per-tile temperature vector is summarized by
-    /// its `mean_temp_c`/`max_temp_c` columns; the mode histogram expands
-    /// to `mode0`..`mode4`).
-    #[must_use]
-    pub fn to_csv(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from(
-            "cycle,avg_latency,p99_latency,dynamic_power_mw,static_power_mw,mean_temp_c,\
-             max_temp_c,mean_aging_factor,mode0,mode1,mode2,mode3,mode4,hop_retx,e2e_retx,\
-             packets_injected,packets_delivered,packets_dropped,reroutes,injected_bits,\
-             trace_drops\n",
-        );
-        for s in &self.samples {
-            let m = &s.mode_histogram;
-            let _ = writeln!(
-                out,
-                "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-                s.cycle,
-                s.avg_latency,
-                s.p99_latency,
-                s.dynamic_power_mw,
-                s.static_power_mw,
-                s.mean_temp_c,
-                s.max_temp_c,
-                s.mean_aging_factor,
-                m[0],
-                m[1],
-                m[2],
-                m[3],
-                m[4],
-                s.hop_retx,
-                s.e2e_retx,
-                s.packets_injected,
-                s.packets_delivered,
-                s.packets_dropped,
-                s.reroutes,
-                s.injected_bits,
-                s.trace_drops,
-            );
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -178,23 +134,6 @@ mod tests {
     #[test]
     fn at_least_eight_series() {
         assert!(RunTimeline::default().series_count() >= 8);
-    }
-
-    #[test]
-    fn csv_has_header_plus_one_row_per_sample_with_trace_drops() {
-        let mut tl = RunTimeline::new();
-        tl.push(sample(1000));
-        tl.push(sample(2000));
-        let csv = tl.to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert!(lines[0].starts_with("cycle,"));
-        assert!(lines[0].ends_with(",trace_drops"));
-        let cols = lines[0].split(',').count();
-        for row in &lines[1..] {
-            assert_eq!(row.split(',').count(), cols, "ragged row: {row}");
-            assert!(row.ends_with(",7"), "trace_drops column missing: {row}");
-        }
     }
 
     #[test]

@@ -8,11 +8,14 @@
 //! truncations of a valid document; a document that parses must
 //! re-serialize and re-parse to the same bytes, so what is accepted can be
 //! written to a WAL or journal and read back. The HTTP server answers every
-//! request, whatever its head and body, and goes on serving.
+//! request, whatever its head and body, and goes on serving. A runner
+//! journal or a serve WAL cut short or with bytes flipped resumes to the
+//! fresh results or is refused naming the file.
 
 use intellinoc::{
-    run_experiment, BenchBaseline, Design, ExperimentConfig, ExperimentOutcome, JobSpec, RunStatus,
-    UnitRecord,
+    http_request, load_sweep_cells, reference_report_csv, run_experiment, run_grid, BenchBaseline,
+    ChaosOptions, Daemon, Design, ExperimentConfig, ExperimentOutcome, JobSpec, JobsSummary,
+    RunStatus, RunnerConfig, RunnerReport, ServeConfig, SubmitRequest, UnitRecord, UnitSinks,
 };
 use noc_sim::{declare_network_metrics, export_network_metrics, Network, SimConfig};
 use noc_telemetry::{
@@ -24,9 +27,10 @@ use proptest::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
-use std::panic::catch_unwind;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Structure, literals, escapes and numbers at and past every range edge,
 /// whitespace-separated (a space is a token too).
@@ -305,5 +309,199 @@ proptest! {
         }
         let well_formed = exchange(addr, &request("GET", 0, None, b""));
         prop_assert_eq!(well_formed, (200, "body_len=0".to_owned()));
+    }
+}
+
+/// `bytes` cut at `cut` (modulo its length + 1), or with each `(at, mask)`
+/// byte XOR-ed.
+fn damaged(bytes: &[u8], truncate: bool, cut: usize, flips: &[(usize, u8)]) -> Vec<u8> {
+    let mut bytes = bytes.to_vec();
+    if truncate {
+        bytes.truncate(cut % (bytes.len() + 1));
+    } else {
+        for &(at, mask) in flips {
+            let i = at % bytes.len();
+            bytes[i] ^= mask;
+        }
+    }
+    bytes
+}
+
+/// The tiny grid the journal property resumes: two sweep cells.
+fn journal_cells() -> Vec<(String, ExperimentConfig)> {
+    load_sweep_cells(Design::Secded, &[0.01, 0.02], 2, 7, None)
+}
+
+/// Runs the tiny grid, journaled at `journal` (resuming from it when
+/// `resume`): the merged report as JSON, or the engine's error.
+fn journaled_grid(journal: &Path, resume: bool) -> Result<String, String> {
+    let rcfg =
+        RunnerConfig { journal: Some(journal.to_path_buf()), resume, ..RunnerConfig::serial() };
+    run_grid(&journal_cells(), &rcfg, &ChaosOptions::default(), UnitSinks::default())
+        .map(|r: RunnerReport<ExperimentOutcome>| serde_json::to_string(&r).expect("serializes"))
+}
+
+/// The journal a complete run of the tiny grid writes, and its report.
+fn written_journal() -> &'static (Vec<u8>, String) {
+    static JOURNAL: OnceLock<(Vec<u8>, String)> = OnceLock::new();
+    JOURNAL.get_or_init(|| {
+        let dir = std::env::temp_dir().join(format!("intellinoc-hostile-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        let path = dir.join("written.jsonl");
+        let _ = std::fs::remove_file(&path);
+        let report = journaled_grid(&path, false).expect("a fresh grid runs");
+        let bytes = std::fs::read(&path).expect("the journal was written");
+        (bytes, report)
+    })
+}
+
+/// The one-unit serve job the WAL property submits, under `name`.
+fn wal_spec(name: &str) -> JobSpec {
+    JobSpec {
+        name: name.to_owned(),
+        designs: vec!["secded".to_owned()],
+        rates: vec![0.005],
+        ppn: 1,
+        seed: 11,
+        max_cycles: 50_000,
+        reqreply: None,
+        journeys_every: 0,
+    }
+}
+
+fn jobs_summary(addr: &str) -> JobsSummary {
+    let (code, body) = http_request(addr, "GET", "/api/jobs", None).expect("GET /api/jobs");
+    assert_eq!(code, 200, "{body}");
+    serde_json::from_str(&body).expect("a jobs summary")
+}
+
+/// Polls until no job is queued or running.
+fn wait_idle(addr: &str) -> JobsSummary {
+    let deadline = Instant::now() + Duration::from_secs(120);
+    loop {
+        let summary = jobs_summary(addr);
+        if summary.queued == 0 && summary.running == 0 {
+            return summary;
+        }
+        assert!(Instant::now() < deadline, "daemon never went idle: {summary:?}");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
+/// A daemon's state directory after two one-unit jobs ran, where the
+/// second's terminal record, journal and report are gone (a crash before it
+/// ran), so every restart runs it again from the spec its WAL record holds.
+fn written_state_dir() -> &'static PathBuf {
+    static DIR: OnceLock<PathBuf> = OnceLock::new();
+    DIR.get_or_init(|| {
+        let dir =
+            std::env::temp_dir().join(format!("intellinoc-hostile-wal-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let daemon =
+            Daemon::start(ServeConfig { state_dir: dir.clone(), ..ServeConfig::default() })
+                .expect("a fresh daemon starts");
+        let addr = daemon.local_addr().to_string();
+        for name in ["first", "second"] {
+            let body = serde_json::to_string(&SubmitRequest {
+                tenant: "alice".to_owned(),
+                priority: 0,
+                paused: false,
+                spec: wal_spec(name),
+            })
+            .expect("serializes");
+            let (code, resp) = http_request(&addr, "POST", "/api/jobs", Some(&body)).expect("POST");
+            assert_eq!(code, 202, "{resp}");
+        }
+        wait_idle(&addr);
+        assert!(daemon.shutdown(Duration::from_secs(10)));
+        let wal = dir.join("wal.jsonl");
+        let second_done = |l: &&str| l.contains(r#""action":"terminal","id":"j-000002""#);
+        let text = std::fs::read_to_string(&wal).expect("the WAL");
+        let kept: String =
+            text.lines().filter(|l| !second_done(l)).map(|l| l.to_owned() + "\n").collect();
+        assert!(kept.len() < text.len(), "no terminal record of j-000002 in {text}");
+        std::fs::write(&wal, kept).expect("rewrite the WAL");
+        std::fs::remove_file(dir.join("journals/j-000002.jsonl")).expect("its journal");
+        std::fs::remove_file(dir.join("reports/j-000002.csv")).expect("its report");
+        dir
+    })
+}
+
+fn copy_dir(src: &Path, dst: &Path) {
+    std::fs::create_dir_all(dst).expect("create dir");
+    for entry in std::fs::read_dir(src).expect("read dir") {
+        let entry = entry.expect("dir entry");
+        let to = dst.join(entry.file_name());
+        if entry.file_type().expect("file type").is_dir() {
+            copy_dir(&entry.path(), &to);
+        } else {
+            std::fs::copy(entry.path(), &to).expect("copy");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(300))]
+
+    /// A journal cut at any offset, or with one to three bytes flipped,
+    /// resumes without a panic to exactly the report of a fresh run, or is
+    /// refused with an error naming the file.
+    #[test]
+    fn a_damaged_journal_resumes_to_the_fresh_report_or_is_refused(
+        truncate in any::<bool>(),
+        cut in any::<usize>(),
+        flips in prop::collection::vec((any::<usize>(), 1u8..255), 1..4),
+    ) {
+        let (written, fresh) = written_journal();
+        let bytes = damaged(written, truncate, cut, &flips);
+        let dir = std::env::temp_dir().join(format!("intellinoc-hostile-{}", std::process::id()));
+        let path = dir.join("damaged.jsonl");
+        std::fs::write(&path, &bytes).expect("write the damaged journal");
+        let resumed = catch_unwind(AssertUnwindSafe(|| journaled_grid(&path, true)));
+        let shown = String::from_utf8_lossy(&bytes);
+        prop_assert!(resumed.is_ok(), "resume panicked on {:?}", shown);
+        match resumed.unwrap() {
+            Ok(report) => prop_assert!(&report == fresh, "{:?} resumed to {}", shown, report),
+            Err(e) => prop_assert!(e.contains(&path.display().to_string()), "{}", e),
+        }
+    }
+
+    /// A daemon restarted on a WAL cut at any offset, or with one to three
+    /// bytes flipped, starts without a panic and finishes every job it
+    /// recovers with the report of an uninterrupted run of that job's
+    /// spec, or refuses to start with an error naming the WAL.
+    #[test]
+    fn a_damaged_wal_recovers_the_written_jobs_or_is_refused(
+        truncate in any::<bool>(),
+        cut in any::<usize>(),
+        flips in prop::collection::vec((any::<usize>(), 1u8..255), 1..4),
+    ) {
+        let written = written_state_dir();
+        let dir = written.with_extension("damaged");
+        let _ = std::fs::remove_dir_all(&dir);
+        copy_dir(written, &dir);
+        let wal = dir.join("wal.jsonl");
+        let bytes = damaged(&std::fs::read(&wal).expect("the WAL"), truncate, cut, &flips);
+        std::fs::write(&wal, &bytes).expect("write the damaged WAL");
+        let started = catch_unwind(AssertUnwindSafe(|| {
+            Daemon::start(ServeConfig { state_dir: dir.clone(), ..ServeConfig::default() })
+        }));
+        prop_assert!(started.is_ok(), "start panicked on {:?}", String::from_utf8_lossy(&bytes));
+        match started.unwrap() {
+            Ok(daemon) => {
+                let addr = daemon.local_addr().to_string();
+                for job in &wait_idle(&addr).jobs {
+                    prop_assert!(["first", "second"].contains(&job.name.as_str()), "{:?}", job);
+                    prop_assert_eq!(job.state.as_str(), "done");
+                    let path = format!("/api/jobs/{}/report", job.id);
+                    let (code, csv) = http_request(&addr, "GET", &path, None).expect("GET report");
+                    prop_assert_eq!(code, 200);
+                    prop_assert_eq!(csv, reference_report_csv(&wal_spec(&job.name)).unwrap());
+                }
+                prop_assert!(daemon.shutdown(Duration::from_secs(10)));
+            }
+            Err(e) => prop_assert!(e.contains(&wal.display().to_string()), "{}", e),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
