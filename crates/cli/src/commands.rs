@@ -3,11 +3,10 @@
 use crate::args::Args;
 use intellinoc::{
     compare_bench, dump_bundle, load_sweep_cells, record_bench, render_inspect_report,
-    run_chaos_harness, run_experiment, run_experiment_instrumented, run_grid, BenchBaseline,
-    BenchSpec, CampaignConfig, CampaignRunReport, ChaosHarnessConfig, ChaosKill, ChaosOptions,
-    Daemon, Design, ExperimentConfig, ExperimentOutcome, FleetProgress, GateOptions,
-    MetricsOptions, RunnerConfig, RunnerReport, ServeConfig, TelemetryArtifacts, TelemetryOptions,
-    UnitSinks,
+    run_experiment, run_experiment_instrumented, run_grid, BenchBaseline, BenchSpec,
+    CampaignConfig, CampaignRunReport, ChaosKill, ChaosOptions, Daemon, Design, ExperimentConfig,
+    ExperimentOutcome, FleetProgress, GateOptions, MetricsOptions, RunnerConfig, RunnerReport,
+    ServeConfig, TelemetryArtifacts, TelemetryOptions, UnitSinks,
 };
 use noc_sim::{
     parse_bundle, parse_rules, render_report, runner_events_jsonl, shared_recorder, AlertEdge,
@@ -972,31 +971,8 @@ pub fn list() -> CmdResult {
 }
 
 /// `intellinoc serve` — the crash-survivable experiment daemon
-/// (DESIGN.md §14), plus the `--chaos N` harness driver that kills real
-/// daemon processes at randomized points and asserts lossless recovery.
+/// (DESIGN.md §14).
 pub fn serve(args: &Args) -> CmdResult {
-    // Harness driver mode: compute the uninterrupted reference in-process,
-    // then loop kill/restart iterations against child daemons.
-    if let Some(iters) = args.get("chaos") {
-        let iterations: u32 =
-            iters.parse().map_err(|_| format!("invalid value for --chaos: {iters}"))?;
-        let exe = std::env::current_exe().map_err(|e| format!("resolve own binary: {e}"))?;
-        let state_root = PathBuf::from(args.get("state-dir").unwrap_or("target/serve-chaos"));
-        let mut hcfg = ChaosHarnessConfig::new(exe, state_root);
-        hcfg.iterations = iterations;
-        hcfg.seed = args.get_or("chaos-seed", hcfg.seed)?;
-        let summary = run_chaos_harness(&hcfg)?;
-        let killed = summary.iterations.iter().filter(|i| i.killed).count();
-        println!(
-            "chaos: {} iterations survived ({} kill -9, {} in-process pool panics); \
-             all reports byte-identical, no submissions lost",
-            summary.iterations.len(),
-            killed,
-            summary.iterations.len() - killed
-        );
-        return Ok(CmdOutcome::Done);
-    }
-
     let state_dir = PathBuf::from(args.get("state-dir").ok_or("need --state-dir")?);
     let (resume, chaos_kill) = (args.has_flag("resume"), args.get("chaos-kill"));
     if state_dir.join("wal.jsonl").exists() && !resume && chaos_kill.is_none() {
@@ -1013,13 +989,7 @@ pub fn serve(args: &Args) -> CmdResult {
         state_dir,
         addr: args.get("addr").unwrap_or("127.0.0.1:9900").to_owned(),
         jobs: args.get_or("jobs", 0usize)?,
-        tenant_quota: args.get_or("tenant-quota", intellinoc::DEFAULT_TENANT_QUOTA)?,
         chunk_units: args.get_or("chunk-units", intellinoc::DEFAULT_CHUNK_UNITS)?,
-        drain_deadline_ms: args.get_or("drain-deadline-ms", 10_000u64)?,
-        alert_rules: match args.get("alert-rules") {
-            Some(spec) => parse_rules(spec)?,
-            None => Vec::new(),
-        },
         chaos,
     };
     let daemon = Daemon::start(cfg)?;

@@ -13,9 +13,7 @@
 //! intellinoc profile  [--grid designs|ci] [--prof-out F.txt]
 //!                     [--flame-out F.folded] [--profile-out F.txt]
 //! intellinoc serve    --state-dir DIR [--addr H:P] [--port-file F] [--resume]
-//!                     [--jobs N] [--tenant-quota N] [--chunk-units N]
-//!                     [--alert-rules "noc_serve_queue_depth>=8:for=3"]
-//! intellinoc serve    --chaos 25 [--chaos-seed S] [--state-dir DIR]
+//!                     [--jobs N] [--chunk-units N] [--chaos-kill point:k]
 //! intellinoc postmortem <bundle.jsonl> [--out report.md]
 //! intellinoc journeys <journeys.jsonl> [--out report.md] [--csv-out contrib.csv]
 //!                     [--perfetto-out trace.json]
@@ -118,13 +116,9 @@ fn usage() {
     eprintln!("  serve    crash-survivable multi-tenant experiment daemon (DESIGN.md \u{a7}14)");
     eprintln!("           --state-dir DIR (WAL + journals + reports; --resume to recover)");
     eprintln!("           [--addr H:P (default 127.0.0.1:9900)] [--port-file F]");
-    eprintln!("           [--jobs N] [--tenant-quota N (429 + Retry-After beyond it)]");
-    eprintln!("           [--chunk-units N (cancel/pause granularity)]");
-    eprintln!("           [--drain-deadline-ms N] [--chaos-kill point:k (test abort)]");
-    eprintln!("           [--alert-rules SPEC (firing rules in /api/jobs + noc_alert_*)]");
-    eprintln!("           --chaos N  harness: N randomized kill -9 points against real");
-    eprintln!("                      daemons, asserting byte-identical lossless recovery");
-    eprintln!("                      [--chaos-seed S]");
+    eprintln!("           [--jobs N] [--chunk-units N (cancel/pause granularity)]");
+    eprintln!("           [--chaos-kill point:k (test abort at the k-th hit of point)]");
+    eprintln!("           POST /api/drain stops it (running chunks get 10 s)");
     eprintln!("  postmortem  render a flight-recorder bundle as deterministic markdown");
     eprintln!("           <bundle.jsonl> [--out report.md]");
     eprintln!("  journeys analyze a recorded journey log: tail-latency critical path,");

@@ -73,9 +73,8 @@ pub use runner::{
     UnitRecord, UnitVerdict, CHAOS_DEADLINE_CYCLES,
 };
 pub use serve::{
-    http_request, http_request_full, reference_report_csv, run_chaos_harness, serve_report_csv,
-    token_ok, ChaosHarnessConfig, ChaosIteration, ChaosKill, ChaosPoint, ChaosSummary, Daemon,
-    JobSpec, JobState, JobStatus, JobsSummary, RecoverySummary, ServeConfig, SubmitRequest,
-    SubmitResponse, DEFAULT_CHUNK_UNITS, DEFAULT_TENANT_QUOTA, MAX_JOB_UNITS,
+    http_request, http_request_full, reference_report_csv, serve_report_csv, token_ok, ChaosKill,
+    ChaosPoint, Daemon, JobSpec, JobState, JobStatus, JobsSummary, RecoverySummary, ServeConfig,
+    SubmitRequest, SubmitResponse, DEFAULT_CHUNK_UNITS, MAX_JOB_UNITS,
 };
 pub use sweeps::load_sweep_cells;

@@ -6,8 +6,8 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use intellinoc::{
-    http_request, http_request_full, reference_report_csv, Daemon, JobSpec, JobsSummary,
-    ServeConfig, SubmitRequest, SubmitResponse,
+    http_request, reference_report_csv, Daemon, JobSpec, JobStatus, JobsSummary, ServeConfig,
+    SubmitRequest, SubmitResponse,
 };
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -112,7 +112,6 @@ fn multi_tenant_jobs_complete_with_exact_accounting_and_reference_reports() {
     let (_, metrics) = http_request(&addr, "GET", "/metrics", None).unwrap();
     for family in [
         "noc_serve_jobs",
-        "noc_serve_tenant_quota",
         "noc_serve_accepted_total 3",
         "noc_serve_units_done_total 3",
         "noc_serve_http_requests_total",
@@ -125,53 +124,65 @@ fn multi_tenant_jobs_complete_with_exact_accounting_and_reference_reports() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+fn job_status(addr: &str, id: &str) -> JobStatus {
+    let (code, body) = http_request(addr, "GET", &format!("/api/jobs/{id}"), None).unwrap();
+    assert_eq!(code, 200, "{body}");
+    serde_json::from_str(&body).unwrap()
+}
+
+/// Pausing a running job hands the one scheduler thread to the next job:
+/// at its next chunk boundary the paused job goes back to the queue
+/// instead of holding the scheduler until it is resumed.
 #[test]
-fn quota_backpressure_answers_429_with_retry_after_and_per_tenant_depth() {
-    let dir = tmp_dir("quota");
+fn pausing_a_running_job_lets_the_next_job_run() {
+    let dir = tmp_dir("pause");
     let daemon = Daemon::start(ServeConfig {
         state_dir: dir.clone(),
-        tenant_quota: 1,
+        chunk_units: 1,
         ..ServeConfig::default()
     })
     .unwrap();
     let addr = daemon.local_addr().to_string();
 
-    // A paused job pins bob's quota without consuming scheduler time.
-    let (code, body) = submit(&addr, "bob", 0, true, tiny_spec("held"));
+    // 12 units, one per chunk.
+    let long = JobSpec {
+        designs: vec!["secded".to_owned(), "eb".to_owned()],
+        rates: vec![0.005, 0.006, 0.007, 0.008, 0.009, 0.01],
+        ppn: 20,
+        seed: 7,
+        ..tiny_spec("long")
+    };
+    let (code, body) = submit(&addr, "alice", 0, false, long.clone());
     assert_eq!(code, 202, "{body}");
-    let held: SubmitResponse = serde_json::from_str(&body).unwrap();
+    let long_id = serde_json::from_str::<SubmitResponse>(&body).unwrap().id;
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while job_status(&addr, &long_id).units_done == 0 {
+        assert!(Instant::now() < deadline, "the long job made no progress");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let (code, body) =
+        http_request(&addr, "POST", &format!("/api/jobs/{long_id}/pause"), None).unwrap();
+    assert_eq!(code, 200, "{body}");
 
-    let over = serde_json::to_string(&SubmitRequest {
-        tenant: "bob".to_owned(),
-        priority: 0,
-        paused: false,
-        spec: tiny_spec("overflow"),
-    })
-    .unwrap();
-    let (code, headers, body) = http_request_full(&addr, "POST", "/api/jobs", Some(&over)).unwrap();
-    assert_eq!(code, 429, "{body}");
-    let retry_after = headers.iter().find(|(k, _)| k == "retry-after");
-    assert!(retry_after.is_some(), "429 without Retry-After: {headers:?}");
-
-    // Quotas are per tenant: alice is unaffected by bob's backlog.
-    let (code, body) = submit(&addr, "alice", 0, false, tiny_spec("elsewhere"));
+    let (code, body) = submit(&addr, "bob", 0, false, tiny_spec("short"));
     assert_eq!(code, 202, "{body}");
+    let short_id = serde_json::from_str::<SubmitResponse>(&body).unwrap().id;
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while job_status(&addr, &short_id).state != "done" {
+        let held = job_status(&addr, &long_id);
+        assert!(Instant::now() < deadline, "the paused job held the scheduler: {held:?}");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let held = job_status(&addr, &long_id);
+    assert_eq!((held.state.as_str(), held.paused), ("queued", true), "{held:?}");
+    assert!(held.units_done < held.units_total, "{held:?}");
 
-    // The outstanding paused job is visible as bob's queue depth.
-    let (_, metrics) = http_request(&addr, "GET", "/metrics", None).unwrap();
-    assert!(metrics.contains("noc_serve_queue_depth{tenant=\"bob\"} 1"), "{metrics}");
-
-    // Cancelling the held job frees the quota.
-    let (code, _) =
-        http_request(&addr, "POST", &format!("/api/jobs/{}/cancel", held.id), None).unwrap();
-    assert_eq!(code, 200);
-    let (code, body) = submit(&addr, "bob", 0, false, tiny_spec("overflow"));
-    assert_eq!(code, 202, "{body}");
-
+    let (code, body) =
+        http_request(&addr, "POST", &format!("/api/jobs/{long_id}/resume"), None).unwrap();
+    assert_eq!(code, 200, "{body}");
     let summary = wait_idle(&addr);
-    assert_eq!(summary.accepted, 3);
-    assert_eq!(summary.done + summary.failed + summary.cancelled, summary.accepted);
-    assert_eq!(summary.cancelled, 1, "{summary:?}");
+    assert_eq!((summary.accepted, summary.done), (2, 2), "{summary:?}");
+    assert_eq!(fetch_report(&addr, &long_id), reference_report_csv(&long).unwrap());
 
     assert!(daemon.shutdown(Duration::from_secs(10)));
     let _ = std::fs::remove_dir_all(&dir);
