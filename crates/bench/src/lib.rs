@@ -647,6 +647,51 @@ mod tests {
         assert!(outcomes[1].report.avg_latency() > outcomes[0].report.avg_latency());
     }
 
+    /// Every entry the campaign grid feeds — Figs. 9–16, 17a, 17b, the
+    /// probe, the headline block and both CSVs — rendered from a ppn-4
+    /// evaluation of the whole test set, with stand-in (untrained) tables in
+    /// the pre-training cache for each `(rl, time_step, seed)` the entries
+    /// ask for, so nothing pre-trains. Recorded before the campaign became a
+    /// `BenchSpec` grid: the bytes must not move.
+    #[test]
+    fn tiny_evaluation_renders_the_pinned_bytes() {
+        let mut eval = Evaluation::new(tiny_campaign(), 2);
+        let Campaign { rl, seed, .. } = eval.campaign;
+        for time_step in [intellinoc::DEFAULT_TIME_STEP, 200, 500, 10_000] {
+            let stand_in = vec![QTable::new(5, 350); 64];
+            eval.pretrained.push(((rl, time_step, seed), stand_in));
+        }
+        let mut out = Vec::new();
+        let entries = [
+            "fig09_speedup",
+            "fig10_latency",
+            "fig11_static_power",
+            "fig12_dynamic_power",
+            "fig13_energy_efficiency",
+            "fig14_mode_breakdown",
+            "fig15_retransmissions",
+            "fig16_mttf",
+            "fig17a_timestep",
+            "fig17b_error_rate",
+            "probe",
+        ];
+        for name in entries {
+            let fig = FIGURES.iter().find(|f| f.name == name).expect("an entry");
+            (fig.render)(&mut eval, &mut out).expect("renders");
+        }
+        print_headline(&mut eval, &mut out).expect("renders");
+        let results = eval.results().expect("computed");
+        write_campaign_csv(&mut out, results).expect("in-memory write");
+        write_raw_csv(&mut out, results).expect("in-memory write");
+        assert_eq!(eval.pretrained.len(), 4, "no entry pre-trained");
+        let text = String::from_utf8(out).expect("utf8");
+        let pin = include_str!("../tests/fixtures/tiny_evaluation.txt");
+        for (i, (got, want)) in text.lines().zip(pin.lines()).enumerate() {
+            assert_eq!(got, want, "line {} of the pin moved", i + 1);
+        }
+        assert_eq!(text.lines().count(), pin.lines().count(), "pin line count");
+    }
+
     #[test]
     fn pretrained_tables_are_cached_by_rl_time_step_and_seed() {
         let mut eval = Evaluation::new(Campaign::default(), 1);
