@@ -6,20 +6,22 @@
 //! it; the one binary, `figures`, looks names up here
 //! (`figures --list`, `figures <name>…`, `figures all`).
 //!
-//! Studies that are a plain grid of independent runs are cell lists for
-//! [`intellinoc::run_grid`] — the 5 designs × 10 benchmarks campaign behind
-//! Figs. 9–16 and the probe, the test runs of Figs. 17a/17b, the ablations,
-//! the mesh-scaling study, the load sweep, and (through
-//! `run_campaign_runner`) the resilience grid — so `--jobs N` parallelizes
-//! them without moving a byte of output; the few runs that need a policy or
-//! hook of their own go through [`intellinoc::run_experiment_with`], held
-//! to the same standard. An
-//! [`Evaluation`] carries the campaign parameters and worker count across
-//! the figures of one invocation and runs the campaign, and each distinct
-//! pre-training, at most once, in memory. Every cell carries the seed its
-//! study pins (2019 for the campaign): Figs. 9–16 normalize each benchmark
-//! to SECDED on the *same* traffic, so these cells deliberately do not use
-//! key-derived seeds.
+//! The 5 designs × 10 benchmarks campaign behind Figs. 9–16 and the probe,
+//! and the test runs of Figs. 17a/17b, are [`intellinoc::BenchSpec`] grids
+//! with a PARSEC workload axis (`Campaign::outcomes`); `Campaign` only
+//! stamps its time step, RL hyperparameters and pre-trained tables on the
+//! spec's cells. A PARSEC cell's seed is paired: every design of a benchmark
+//! runs seed `k` of the spec (`k = 0` is the campaign seed, 2019), so Figs.
+//! 9–16 normalize each benchmark to SECDED on the *same* traffic. The other
+//! studies that are a plain grid of independent runs — the ablations, the
+//! mesh-scaling study, the load sweep and (through `run_campaign_runner`)
+//! the resilience grid — are cell lists for [`intellinoc::run_grid`], each
+//! cell at the seed its study pins. `--jobs N` parallelizes every grid
+//! without moving a byte of output; the few runs that need a policy or hook
+//! of their own go through [`intellinoc::run_experiment_with`], held to the
+//! same standard. An [`Evaluation`] carries the campaign parameters and
+//! worker count across the figures of one invocation and runs the
+//! campaign, and each distinct pre-training, at most once, in memory.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,9 +33,10 @@ pub use csv::{write_campaign_csv, write_raw_csv, METRIC_COLUMNS};
 pub use studies::print_headline;
 
 use intellinoc::{
-    classify_timeout, compare, pretrain_intellinoc, run_experiment_with, run_grid, ChaosOptions,
-    ComparisonRow, ControlPolicy, Design, ExperimentConfig, ExperimentOutcome, NormalizedMetrics,
-    RewardKind, RunStatus, RunnerConfig, UnitSinks,
+    classify_timeout, compare, panic_message, pretrain_intellinoc, run_experiment_with, run_grid,
+    BenchSpec, BenchWorkload, ChaosOptions, ComparisonRow, ControlPolicy, Design, ExperimentConfig,
+    ExperimentOutcome, NormalizedMetrics, RewardKind, RunStatus, RunnerConfig, RunnerReport,
+    UnitSinks,
 };
 use noc_rl::{QLearningConfig, QTable};
 use noc_traffic::ParsecBenchmark;
@@ -75,91 +78,71 @@ impl Default for Campaign {
 }
 
 impl Campaign {
-    /// The experiment of one design on one benchmark under this campaign's
-    /// seed, time step and RL hyperparameters.
-    pub fn config(
-        &self,
-        design: Design,
-        bench: ParsecBenchmark,
-        pretrained: Option<&[QTable]>,
-    ) -> ExperimentConfig {
-        let mut cfg = ExperimentConfig::new(design, bench.workload(self.packets_per_node))
-            .with_seed(self.seed)
-            .with_time_step(self.time_step);
-        cfg.rl = self.rl;
-        if design.uses_rl() {
-            cfg.pretrained = pretrained.map(<[QTable]>::to_vec);
-        }
-        cfg
-    }
-
-    /// The grid of `designs` on each of `benches`, benchmark-major, keyed
-    /// `<study>/<bench>/<design>`.
-    pub(crate) fn cells(
-        &self,
-        study: &str,
-        benches: &[ParsecBenchmark],
-        designs: &[Design],
-        pretrained: Option<&[QTable]>,
-    ) -> Vec<(String, ExperimentConfig)> {
-        benches
-            .iter()
-            .flat_map(|&bench| {
-                designs.iter().map(move |&design| {
-                    let key = format!("{study}/{}/{}", bench.label(), design.label());
-                    (key, self.config(design, bench, pretrained))
-                })
-            })
-            .collect()
-    }
-
-    /// Runs all five designs on each of `benches` as one grid (keys
-    /// `fig/<bench>/<design>`) and normalizes each benchmark to its SECDED
-    /// run.
+    /// `designs` × `benches` as a one-seed [`BenchSpec`] grid at this
+    /// campaign's packet budget and seed, and its outcomes in cell order
+    /// (design-major): the spec's cells with this campaign's time step, RL
+    /// hyperparameters and `pretrained` tables (for the designs that learn)
+    /// stamped on, then `tweak`ed, run as one grid and folded by
+    /// [`BenchSpec::runs`].
     ///
     /// # Errors
     ///
     /// Engine errors, and the first unit that did not finish `ok` — timed
     /// out, stalled or panicked — named by its key.
+    pub(crate) fn outcomes(
+        &self,
+        designs: &[Design],
+        benches: &[ParsecBenchmark],
+        pretrained: Option<&[QTable]>,
+        rcfg: &RunnerConfig,
+        tweak: impl Fn(&mut ExperimentConfig),
+    ) -> Result<Vec<ExperimentOutcome>, String> {
+        let spec = BenchSpec {
+            designs: designs.to_vec(),
+            rates: benches.iter().map(|&b| BenchWorkload::Parsec(b)).collect(),
+            seeds: 1,
+            ppn: self.packets_per_node,
+            master_seed: self.seed,
+            reqreply: None,
+        };
+        let mut cells = spec.cells();
+        for (_, cfg) in &mut cells {
+            cfg.time_step = self.time_step;
+            cfg.rl = self.rl;
+            if cfg.design.uses_rl() {
+                cfg.pretrained = pretrained.map(<[QTable]>::to_vec);
+            }
+            tweak(cfg);
+        }
+        let report = run_grid(&cells, rcfg, &ChaosOptions::default(), UnitSinks::default())?;
+        Ok(spec.runs(&report)?.into_iter().flat_map(|(.., runs)| runs).cloned().collect())
+    }
+
+    /// Runs all five designs on each of `benches` as one grid and
+    /// normalizes each benchmark to its SECDED run.
+    ///
+    /// # Errors
+    ///
+    /// As `Campaign::outcomes`: engine errors, and the first unit that did
+    /// not finish `ok`, named by its key.
     pub fn run(
         &self,
         benches: &[ParsecBenchmark],
         pretrained: Option<&[QTable]>,
         rcfg: &RunnerConfig,
     ) -> Result<CampaignResults, String> {
-        let cells = self.cells("fig", benches, &Design::ALL, pretrained);
-        let mut outcomes = run_clean_grid(&cells, rcfg)?.into_iter();
-        let mut results = CampaignResults { rows: Vec::new(), raw: Vec::new() };
-        for &bench in benches {
-            let per_design: Vec<ExperimentOutcome> =
-                outcomes.by_ref().take(Design::ALL.len()).collect();
-            results.rows.push(compare(&per_design));
-            results.raw.push((bench, per_design));
-        }
-        Ok(results)
+        let outcomes = self.outcomes(&Design::ALL, benches, pretrained, rcfg, |_| ())?;
+        // Design-major: design d on benches[j] is outcome d * benches.len() + j.
+        let raw: Vec<(ParsecBenchmark, Vec<ExperimentOutcome>)> = benches
+            .iter()
+            .enumerate()
+            .map(|(j, &bench)| {
+                (bench, outcomes.iter().skip(j).step_by(benches.len()).cloned().collect())
+            })
+            .collect();
+        let rows = raw.iter().map(|(_, per_design)| compare(per_design)).collect();
+        Ok(CampaignResults { rows, raw })
     }
-}
-
-/// Runs `cells` as one [`run_grid`] grid under `rcfg` and returns the
-/// outcomes in cell order: a figure needs every cell.
-///
-/// # Errors
-///
-/// Engine errors (duplicate keys), and the first unit that did not finish
-/// `ok` — timed out, stalled or panicked — named by its key.
-pub(crate) fn run_clean_grid(
-    cells: &[(String, ExperimentConfig)],
-    rcfg: &RunnerConfig,
-) -> Result<Vec<ExperimentOutcome>, String> {
-    let report = run_grid(cells, rcfg, &ChaosOptions::default(), UnitSinks::default())?;
-    report
-        .records
-        .into_iter()
-        .map(|rec| match (rec.status, rec.payload) {
-            (RunStatus::Ok, Some(outcome)) => Ok(outcome),
-            (status, _) => Err(unit_error(&rec.key, status, rec.error.as_deref())),
-        })
-        .collect()
 }
 
 /// What a figure reports for a unit that gave it no usable outcome.
@@ -168,7 +151,8 @@ pub(crate) fn unit_error(key: &str, status: RunStatus, error: Option<&str>) -> S
 }
 
 /// One [`run_experiment_with`] run outside a grid — a study's own policy or
-/// `before_decide` hook — held to what [`run_clean_grid`] holds its units to.
+/// `before_decide` hook — held to what a grid's units are held to
+/// ([`RunnerReport::clean_payloads`](intellinoc::RunnerReport::clean_payloads)).
 ///
 /// # Errors
 ///
@@ -183,9 +167,7 @@ pub(crate) fn run_checked(
     let budget = cfg.max_cycles;
     let run = AssertUnwindSafe(|| run_experiment_with(cfg, policy, before_decide).0);
     let outcome = catch_unwind(run).map_err(|payload| {
-        let message = payload.downcast_ref::<String>().map(String::as_str);
-        let message = message.or_else(|| payload.downcast_ref::<&str>().copied());
-        unit_error(key, RunStatus::Failed, Some(message.unwrap_or("panic with non-string payload")))
+        unit_error(key, RunStatus::Failed, Some(&panic_message(payload.as_ref())))
     })?;
     match classify_timeout(&outcome.report, outcome.finished, budget) {
         None => Ok(outcome),
@@ -284,6 +266,15 @@ impl Evaluation {
     /// The runner configuration of this evaluation's grid studies.
     pub fn runner(&self) -> RunnerConfig {
         RunnerConfig::serial().with_jobs(self.jobs)
+    }
+
+    /// Runs a study's own `cells` as one grid on this evaluation's workers.
+    pub(crate) fn grid(
+        &self,
+        cells: &[(String, ExperimentConfig)],
+    ) -> io::Result<RunnerReport<ExperimentOutcome>> {
+        run_grid(cells, &self.runner(), &ChaosOptions::default(), UnitSinks::default())
+            .map_err(io::Error::other)
     }
 
     /// The full paper campaign — all designs × the 10-benchmark test set,
@@ -497,30 +488,9 @@ pub const FIGURES: &[Figure] = &[
     },
 ];
 
-/// Formats a number with thousands separators for table output.
-pub fn fmt_u64(v: u64) -> String {
-    let s = v.to_string();
-    let mut out = String::new();
-    for (i, c) in s.chars().enumerate() {
-        if i > 0 && (s.len() - i).is_multiple_of(3) {
-            out.push(',');
-        }
-        out.push(c);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fmt_u64_groups_digits() {
-        assert_eq!(fmt_u64(0), "0");
-        assert_eq!(fmt_u64(999), "999");
-        assert_eq!(fmt_u64(1_000), "1,000");
-        assert_eq!(fmt_u64(1_234_567), "1,234,567");
-    }
 
     fn tiny_campaign() -> Campaign {
         Campaign { packets_per_node: 4, ..Campaign::default() }
@@ -596,24 +566,26 @@ mod tests {
 
     #[test]
     fn a_unit_out_of_budget_fails_the_grid_by_key() {
-        let campaign = tiny_campaign();
-        let mut cells: Vec<(String, ExperimentConfig)> = [Design::Secded, Design::Eb]
-            .map(|d| {
-                (format!("fig/canneal/{d}"), campaign.config(d, ParsecBenchmark::Canneal, None))
-            })
-            .into();
+        let designs = [Design::Secded, Design::Eb];
         // Cut EB off before its first packet: nothing is in flight yet.
-        cells[1].1.max_cycles = 1;
-        let err = run_clean_grid(&cells, &RunnerConfig::serial()).expect_err("EB cannot finish");
-        assert!(err.contains("fig/canneal/EB") && err.contains("timed-out"), "{err}");
+        let cut = |cfg: &mut ExperimentConfig| {
+            if cfg.design == Design::Eb {
+                cfg.max_cycles = 1;
+            }
+        };
+        let err = tiny_campaign()
+            .outcomes(&designs, &[ParsecBenchmark::Canneal], None, &RunnerConfig::serial(), cut)
+            .expect_err("EB cannot finish");
+        assert!(err.contains("bench/EB/canneal/s0 timed-out"), "{err}");
+        assert!(err.contains("1 ok, 0 failed, 1 timed-out, 0 skipped"), "{err}");
     }
 
     /// The serial studies' runs are held to the grid's standard: out of
     /// budget or panicked is an error naming the unit, never an outcome.
     #[test]
     fn a_serial_run_that_does_not_finish_or_panics_fails_by_key() {
-        let cfg = tiny_campaign()
-            .config(Design::IntelliNoc, ParsecBenchmark::Canneal, None)
+        let cfg = ExperimentConfig::new(Design::IntelliNoc, ParsecBenchmark::Canneal.workload(4))
+            .with_seed(2019)
             .with_time_step(50);
         let ok = run_checked("study/ok", cfg.clone(), None, |_| ()).expect("finishes");
         assert!(ok.finished && ok.mode_histogram.iter().sum::<u64>() > 0);
@@ -636,7 +608,8 @@ mod tests {
         let cells: Vec<_> = studies::scaling_cells().into_iter().skip(3).step_by(2).collect();
         assert!(cells.iter().all(|(_, cfg)| cfg.design == Design::IntelliNoc));
         let sides = [4u64, 16];
-        let outcomes = run_clean_grid(&cells, &RunnerConfig::serial()).expect("clean grid");
+        let report = Evaluation::new(tiny_campaign(), 1).grid(&cells).expect("engine");
+        let outcomes = report.clean_payloads().expect("clean grid");
         for (side, o) in sides.iter().zip(&outcomes) {
             let routers = side * side;
             let steps = (o.report.stats.cycles - 1) / intellinoc::DEFAULT_TIME_STEP;

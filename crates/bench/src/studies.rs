@@ -2,14 +2,14 @@
 //! — the shared campaign, a `run_grid` grid of its own, or a short serial
 //! sequence where one run feeds the next (pre-train, then test) — and
 //! writes the table(s). Seeds are the ones each study pins. Every run goes
-//! through `run_clean_grid` / `run_grid` or [`run_checked`], never the
-//! unchecked `intellinoc::run_experiment`: a run that did not finish is an
-//! error naming its unit, or (`ablations`, `resilience`) a status row — not
-//! numbers.
+//! through a grid or [`run_checked`], never the unchecked
+//! `intellinoc::run_experiment`: a run that did not finish is an error
+//! naming its unit (`RunnerReport::clean_payloads`), or (`ablations`,
+//! `resilience`) a status row — not numbers.
 
-use crate::{design_columns, run_checked, run_clean_grid, unit_error, Campaign, Evaluation};
+use crate::{design_columns, run_checked, unit_error, Campaign, Evaluation};
 use intellinoc::{
-    intellinoc_rl_config, pretrain_intellinoc, run_campaign_runner, run_grid, CampaignConfig,
+    intellinoc_rl_config, pretrain_intellinoc, run_campaign_runner, CampaignConfig,
     CampaignRunReport, ChaosOptions, ControlPolicy, Design, ExperimentConfig, ExpertThresholds,
     NormalizedMetrics, RewardKind, UnitSinks,
 };
@@ -120,14 +120,16 @@ pub(crate) fn fig17a(eval: &mut Evaluation, w: &mut dyn Write) -> io::Result<()>
     writeln!(w, "{:>10} {:>12} {:>12} {:>12}", "time_step", "exec_time", "e2e_latency", "energy")?;
     let rcfg = eval.runner();
     // Baseline metrics are independent of the time step.
-    let cells = eval.campaign.cells("fig17a", &BENCHES, &[Design::Secded], None);
-    let baselines = run_clean_grid(&cells, &rcfg).map_err(io::Error::other)?;
+    let baselines = eval
+        .campaign
+        .outcomes(&[Design::Secded], &BENCHES, None, &rcfg, |_| ())
+        .map_err(io::Error::other)?;
     for step in [200u64, 500, 1_000, 10_000] {
         let campaign = Campaign { time_step: step, ..eval.campaign };
         let pretrained = eval.pretrained(&campaign);
-        let study = format!("fig17a/step{step}");
-        let cells = campaign.cells(&study, &BENCHES, &[Design::IntelliNoc], Some(&pretrained));
-        let runs = run_clean_grid(&cells, &rcfg).map_err(io::Error::other)?;
+        let runs = campaign
+            .outcomes(&[Design::IntelliNoc], &BENCHES, Some(&pretrained), &rcfg, |_| ())
+            .map_err(io::Error::other)?;
         let pairs: Vec<_> =
             runs.iter().zip(&baselines).map(|(o, b)| (&o.report, &b.report)).collect();
         let [exec, lat, energy] = ratio_geomeans(&pairs);
@@ -152,14 +154,16 @@ pub(crate) fn fig17b(eval: &mut Evaluation, w: &mut dyn Write) -> io::Result<()>
     let campaign = eval.campaign;
     let pretrained = eval.pretrained(&campaign);
     for rate in [1e-10f64, 1e-8, 1e-6, 1e-5, 1e-4] {
-        let study = format!("fig17b/{rate:e}");
         let designs = [Design::IntelliNoc, Design::Secded];
-        let mut cells = campaign.cells(&study, &BENCHES, &designs, Some(&pretrained));
-        for (_, cfg) in &mut cells {
-            cfg.error_rate_override = Some(rate);
-        }
-        let runs = run_clean_grid(&cells, &eval.runner()).map_err(io::Error::other)?;
-        let pairs: Vec<_> = runs.chunks(2).map(|p| (&p[0].report, &p[1].report)).collect();
+        let runs = campaign
+            .outcomes(&designs, &BENCHES, Some(&pretrained), &eval.runner(), |cfg| {
+                cfg.error_rate_override = Some(rate);
+            })
+            .map_err(io::Error::other)?;
+        // Design-major: the IntelliNoC runs, then SECDED's on the same benchmarks.
+        let (intellinoc, baselines) = runs.split_at(BENCHES.len());
+        let pairs: Vec<_> =
+            intellinoc.iter().zip(baselines).map(|(r, b)| (&r.report, &b.report)).collect();
         let [exec, lat, energy] = ratio_geomeans(&pairs);
         let retx: u64 = pairs.iter().map(|(r, _)| r.stats.retransmitted_flits).sum();
         writeln!(w, "{rate:>10.0e} {exec:>12.3} {lat:>12.3} {energy:>12.3} {retx:>14}")?;
@@ -279,8 +283,7 @@ pub(crate) fn ablations(eval: &mut Evaluation, w: &mut dyn Write) -> io::Result<
             (format!("ablations/{tag}"), cfg)
         })
         .collect();
-    let report = run_grid(&cells, &eval.runner(), &ChaosOptions::default(), UnitSinks::default())
-        .map_err(io::Error::other)?;
+    let report = eval.grid(&cells)?;
     let packets = Design::IntelliNoc.sim_config().nodes() as u64 * PPN;
     writeln!(w, "=== Ablations (IntelliNoC on canneal; see DESIGN.md Section 6) ===")?;
     for ((heading, tag, ..), rec) in rows.iter().zip(&report.records) {
@@ -449,7 +452,8 @@ pub(crate) fn scaling(eval: &mut Evaluation, w: &mut dyn Write) -> io::Result<()
         "{:>6} {:<11} {:>10} {:>12} {:>10}",
         "mesh", "design", "latency", "power_mW", "delivered"
     )?;
-    let outcomes = run_clean_grid(&scaling_cells(), &eval.runner()).map_err(io::Error::other)?;
+    let report = eval.grid(&scaling_cells())?;
+    let outcomes = report.clean_payloads().map_err(io::Error::other)?;
     for ((side, _), o) in SCALING_SIDES.iter().cycle().zip(&outcomes) {
         writeln!(
             w,
@@ -480,7 +484,8 @@ pub(crate) fn load_sweep(eval: &mut Evaluation, w: &mut dyn Write) -> io::Result
             })
         })
         .collect();
-    let outcomes = run_clean_grid(&cells, &eval.runner()).map_err(io::Error::other)?;
+    let report = eval.grid(&cells)?;
+    let outcomes = report.clean_payloads().map_err(io::Error::other)?;
     let mut table = |heading: &str, precision: usize, metric: fn(&RunReport) -> f64| {
         writeln!(w, "{heading}")?;
         design_columns(w, &format!("{:>8}", "rate"))?;

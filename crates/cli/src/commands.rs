@@ -3,7 +3,7 @@
 use crate::args::Args;
 use intellinoc::{
     compare_bench, dump_bundle, load_sweep_cells, record_bench, render_inspect_report,
-    run_experiment, run_experiment_instrumented, run_grid, BenchBaseline, BenchSpec,
+    run_experiment, run_experiment_instrumented, run_grid, BenchBaseline, BenchSpec, BenchWorkload,
     CampaignConfig, CampaignRunReport, ChaosKill, ChaosOptions, Daemon, Design, ExperimentConfig,
     ExperimentOutcome, FleetProgress, GateOptions, MetricsOptions, RunnerConfig, RunnerReport,
     ServeConfig, TelemetryArtifacts, TelemetryOptions, UnitSinks,
@@ -791,7 +791,9 @@ fn bench_spec_from(args: &Args) -> Result<BenchSpec, String> {
     if let Some(rates) = args.get("rates") {
         spec.rates = rates
             .split(',')
-            .map(|r| r.trim().parse().map_err(|_| format!("invalid rate: {r}")))
+            .map(|r| {
+                r.trim().parse().map(BenchWorkload::Rate).map_err(|_| format!("invalid rate: {r}"))
+            })
             .collect::<Result<_, _>>()?;
     }
     spec.seeds = args.get_or("seeds", spec.seeds)?;
@@ -800,6 +802,7 @@ fn bench_spec_from(args: &Args) -> Result<BenchSpec, String> {
     if let Some(rr) = reqreply_from(args)? {
         spec.reqreply = Some(rr);
     }
+    spec.validate()?;
     Ok(spec)
 }
 

@@ -1,25 +1,31 @@
-//! Multi-seed baseline recording and noise-aware regression gating — the
-//! quantitative memory behind `intellinoc bench record` / `bench compare`.
+//! The design × workload × seed grid ([`BenchSpec::cells`], the one
+//! builder of such cells: `bench record|compare`, `profile` and `figures`'
+//! campaign) and the noise-aware regression gate behind `intellinoc bench
+//! record` / `bench compare`. A workload is a uniform rate or a PARSEC
+//! profile ([`BenchWorkload`]). Seeds pair the designs of a PARSEC cell:
+//! every design of a benchmark runs seed `k` on the same traffic (`k = 0`
+//! is the master seed), so a normalization to SECDED compares like with
+//! like; a rate cell keeps the `derive_seed(master_seed, key)` it was
+//! recorded with, whose key names the design.
 //!
-//! `record` runs an N-seed × design × injection-rate grid
-//! ([`BenchSpec::cells`]) through [`run_grid`] and folds each cell's
-//! outcomes ([`BenchBaseline::from_report`]: avg/p99
-//! latency, energy per flit, the retired-flit MTTF proxy, transaction
-//! completion tails) into mean, sample stddev, and a 95% confidence interval,
-//! serialized as a canonical `BENCH_<name>.json`. `compare` re-runs the
-//! same grid (seeds derive from `(master_seed, key)` alone, so a re-run is
-//! bit-identical) and gates with the CI-separation rule: a metric
-//! regresses only when the fresh interval lies strictly on the worse side
-//! of the baseline interval *and* the relative delta clears a float-noise
-//! epsilon. Every recorded metric is cycle-domain and therefore gated;
-//! wall-clock throughput is `BENCHMARK.json`'s business, not a baseline's.
+//! `record` folds each cell's outcomes ([`BenchBaseline::from_report`] over
+//! [`BenchSpec::runs`]: avg/p99 latency, energy per flit, the retired-flit
+//! MTTF proxy, transaction completion tails) into mean, sample stddev and
+//! a 95% confidence interval, serialized as `BENCH_<name>.json`. `compare`
+//! re-runs the same grid bit for bit and gates with the CI-separation
+//! rule: a metric regresses only when the fresh interval lies strictly on
+//! the worse side of the baseline interval *and* the relative delta clears
+//! a float-noise epsilon. Every recorded metric is cycle-domain; wall-clock
+//! throughput is `BENCHMARK.json`'s business, not a baseline's.
 
 use crate::designs::Design;
 use crate::experiment::{rate_workload, run_grid, ExperimentConfig, ExperimentOutcome, UnitSinks};
 use crate::runner::{derive_seed, ChaosOptions, RunnerConfig, RunnerReport};
+use crate::serve::MAX_JOB_UNITS;
 use noc_sim::{RunReport, FLITS_PER_PACKET};
-use noc_traffic::ReqReplySpec;
-use serde::{Deserialize, Serialize};
+use noc_traffic::{ParsecBenchmark, ReqReplySpec};
+use serde::{Content, Deserialize, Serialize};
+use std::fmt;
 
 /// Serialized baseline format version (bumped on incompatible changes).
 pub const BENCH_FORMAT_VERSION: u32 = 1;
@@ -29,22 +35,65 @@ pub const BENCH_FORMAT_VERSION: u32 = 1;
 /// equal means, so this only matters for near-degenerate intervals).
 pub const REL_EPSILON: f64 = 1e-6;
 
+/// One entry of a grid's workload axis, run at the spec's packets per node.
+/// On the wire a rate is a JSON number and a profile its variant name
+/// (`"Canneal"`), so a rate-only grid reads and writes as it always did.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum BenchWorkload {
+    /// Uniform random traffic at this injection rate (packets/node/cycle).
+    Rate(f64),
+    /// A PARSEC benchmark's traffic profile.
+    Parsec(ParsecBenchmark),
+}
+
+impl fmt::Display for BenchWorkload {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            BenchWorkload::Rate(rate) => write!(f, "{rate}"),
+            BenchWorkload::Parsec(bench) => write!(f, "{bench}"),
+        }
+    }
+}
+
+impl Serialize for BenchWorkload {
+    fn serialize_content(&self) -> Content {
+        match self {
+            BenchWorkload::Rate(rate) => rate.serialize_content(),
+            BenchWorkload::Parsec(bench) => bench.serialize_content(),
+        }
+    }
+}
+
+impl Deserialize for BenchWorkload {
+    /// A string is a benchmark; anything else must be a number, and reads
+    /// (or fails) as a rate always has.
+    fn deserialize_content(content: &Content) -> Result<Self, serde::Error> {
+        match content {
+            Content::Str(_) => ParsecBenchmark::deserialize_content(content).map(Self::Parsec),
+            _ => f64::deserialize_content(content).map(Self::Rate),
+        }
+    }
+}
+
+/// One cell of a folded grid: its design, workload and seeds' outcomes.
+pub type CellRuns<'r> = (Design, BenchWorkload, Vec<&'r ExperimentOutcome>);
+
 /// The grid a baseline was recorded over. Stored inside the baseline so
 /// `compare` can re-run exactly the same units.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BenchSpec {
     /// Designs under test, in figure order.
     pub designs: Vec<Design>,
-    /// Uniform-traffic injection rates (packets/node/cycle).
-    pub rates: Vec<f64>,
-    /// Seeds per (design, rate) cell.
+    /// The workload axis (the name predates PARSEC entries).
+    pub rates: Vec<BenchWorkload>,
+    /// Seeds per (design, workload) cell.
     pub seeds: u32,
     /// Packets per node per run.
     pub ppn: u64,
-    /// Master seed; unit seeds derive from `(master_seed, key)`.
+    /// Master seed; unit seeds follow from it (see the module docs).
     pub master_seed: u64,
-    /// Closed-loop request–reply protocol for every cell; `None` keeps the
-    /// classic open-loop uniform workload. Absent in baselines recorded
+    /// Closed-loop request–reply protocol for every (rate) cell; `None`
+    /// keeps the classic open-loop workload. Absent in baselines recorded
     /// before the closed-loop era, which read as open-loop grids.
     #[serde(default)]
     pub reqreply: Option<ReqReplySpec>,
@@ -59,7 +108,7 @@ impl BenchSpec {
     pub fn designs_grid() -> Self {
         BenchSpec {
             designs: Design::ALL.to_vec(),
-            rates: vec![0.1, 0.3, 0.5],
+            rates: [0.1, 0.3, 0.5].map(BenchWorkload::Rate).to_vec(),
             seeds: 5,
             ppn: 64,
             master_seed: 2019,
@@ -73,7 +122,7 @@ impl BenchSpec {
     pub fn ci_grid() -> Self {
         BenchSpec {
             designs: vec![Design::Secded, Design::IntelliNoc],
-            rates: vec![0.1],
+            rates: vec![BenchWorkload::Rate(0.1)],
             seeds: 2,
             ppn: 32,
             master_seed: 2019,
@@ -81,30 +130,93 @@ impl BenchSpec {
         }
     }
 
-    /// The (design, rate) cells in canonical order: design-major, then rate.
-    fn cell_ids(&self) -> impl Iterator<Item = (Design, f64)> + '_ {
-        self.designs.iter().flat_map(|&d| self.rates.iter().map(move |&r| (d, r)))
+    /// The check every grid spec passes before it runs or folds — a bench
+    /// grid from a baseline file, the CLI or a fold, and a serve job.
+    ///
+    /// # Errors
+    ///
+    /// Names the first rule the spec breaks: 1 to [`MAX_JOB_UNITS`] units
+    /// and `ppn` ≥ 1, rates finite in (0, 1], PARSEC profiles open-loop.
+    pub fn validate(&self) -> Result<(), String> {
+        let units = self.designs.len().saturating_mul(self.rates.len());
+        let units = units.saturating_mul(self.seeds as usize);
+        if units == 0 || units > MAX_JOB_UNITS || self.ppn == 0 {
+            let ppn = self.ppn;
+            return Err(format!(
+                "grid of {units} units at ppn {ppn}: needs 1 to {MAX_JOB_UNITS} units, ppn >= 1"
+            ));
+        }
+        for &workload in &self.rates {
+            match workload {
+                BenchWorkload::Rate(rate) if !(rate > 0.0 && rate <= 1.0) => {
+                    return Err(format!("rate must be finite in (0, 1], got {rate}"));
+                }
+                BenchWorkload::Parsec(bench) if self.reqreply.is_some() => {
+                    return Err(format!("closed-loop traffic drives rates, not {bench}"));
+                }
+                _ => {}
+            }
+        }
+        Ok(())
     }
 
-    /// The grid: `seeds` runs per (design, rate) cell — design-major, then
-    /// rate, then seed — keyed `bench/<design>/r<rate>/s<k>` and seeded from
-    /// `(master_seed, key)` — the one place a bench unit is built (`bench
-    /// record`, `bench compare` and `profile` all run exactly these):
-    /// open- or closed-loop workload at the cell's rate.
+    /// The (design, workload) cells in canonical order: design-major.
+    fn cell_ids(&self) -> impl Iterator<Item = (Design, BenchWorkload)> + '_ {
+        self.designs.iter().flat_map(|&d| self.rates.iter().map(move |&w| (d, w)))
+    }
+
+    /// The grid: `seeds` runs per (design, workload) cell — design-major,
+    /// then workload, then seed — and the one place a grid unit of a bench
+    /// baseline, a `profile` run or a `figures` campaign is built. A rate
+    /// cell is keyed `bench/<design>/r<rate>/s<k>` and seeded from
+    /// `(master_seed, key)`, open- or closed-loop; a PARSEC cell is keyed
+    /// `bench/<design>/<bench>/s<k>` and runs seed `k` of the spec, shared
+    /// by every design.
     #[must_use]
     pub fn cells(&self) -> Vec<(String, ExperimentConfig)> {
-        let mut cells =
-            Vec::with_capacity(self.designs.len() * self.rates.len() * self.seeds as usize);
-        for (design, rate) in self.cell_ids() {
+        let mut cells = Vec::new();
+        for (design, workload) in self.cell_ids() {
             for s in 0..self.seeds {
-                let key = format!("bench/{}/r{rate}/s{s}", design.label());
-                let workload = rate_workload(rate, self.ppn, self.reqreply.as_ref());
-                let cfg = ExperimentConfig::new(design, workload)
-                    .with_seed(derive_seed(self.master_seed, &key));
-                cells.push((key, cfg));
+                let (key, seed, workload) = match workload {
+                    BenchWorkload::Rate(rate) => {
+                        let key = format!("bench/{}/r{rate}/s{s}", design.label());
+                        let seed = derive_seed(self.master_seed, &key);
+                        (key, seed, rate_workload(rate, self.ppn, self.reqreply.as_ref()))
+                    }
+                    BenchWorkload::Parsec(bench) => {
+                        let key = format!("bench/{}/{bench}/s{s}", design.label());
+                        let paired = format!("bench/paired/s{s}");
+                        let seed = if s == 0 {
+                            self.master_seed
+                        } else {
+                            derive_seed(self.master_seed, &paired)
+                        };
+                        (key, seed, bench.workload(self.ppn))
+                    }
+                };
+                cells.push((key, ExperimentConfig::new(design, workload).with_seed(seed)));
             }
         }
         cells
+    }
+
+    /// The report of [`cells`](Self::cells) folded back into its cells: one
+    /// `(design, workload, outcomes of its seeds)` per cell, in canonical
+    /// order. Position names a cell, never the run key.
+    ///
+    /// # Errors
+    ///
+    /// An invalid spec ([`validate`](Self::validate)), or a unit that did
+    /// not finish `ok` ([`RunnerReport::clean_payloads`]): a result folded
+    /// over a grid is never recorded over failed or timed-out cells.
+    pub fn runs<'r>(
+        &self,
+        report: &'r RunnerReport<ExperimentOutcome>,
+    ) -> Result<Vec<CellRuns<'r>>, String> {
+        self.validate()?;
+        let outcomes = report.clean_payloads()?;
+        let chunks = outcomes.chunks(self.seeds as usize);
+        Ok(self.cell_ids().zip(chunks).map(|((d, w), runs)| (d, w, runs.to_vec())).collect())
     }
 }
 
@@ -143,7 +255,7 @@ impl MetricStats {
     }
 }
 
-/// Aggregated metrics of one (design, rate) cell.
+/// Aggregated metrics of one (design, workload) cell.
 ///
 /// Baselines recorded before the transaction-completion columns existed
 /// read them as all-zero, which the gate treats as "no change"; keys a cell
@@ -153,8 +265,8 @@ impl MetricStats {
 pub struct BenchCell {
     /// Design figure label.
     pub design: String,
-    /// Injection rate (packets/node/cycle).
-    pub rate: f64,
+    /// The cell's workload (the name predates PARSEC entries).
+    pub rate: BenchWorkload,
     /// Mean end-to-end latency (cycles).
     pub avg_latency: MetricStats,
     /// p99 end-to-end latency (cycles).
@@ -173,46 +285,31 @@ pub struct BenchCell {
     pub txn_p99_latency: MetricStats,
 }
 
-/// The gated metrics: `(field name, higher is worse)`. The
+/// A gated metric of a cell.
+pub type CellMetric = fn(&BenchCell) -> &MetricStats;
+
+/// The gated metrics: `(field name, higher is worse, its stats)`. The
 /// transaction-completion columns are all-zero on open-loop grids, which
 /// the gate reads as "no change".
-pub const GATED_METRICS: &[(&str, bool)] = &[
-    ("avg_latency", true),
-    ("p99_latency", true),
-    ("energy_per_flit_pj", true),
-    ("mttf_hours", false),
-    ("txn_p50_latency", true),
-    ("txn_p99_latency", true),
+pub const GATED_METRICS: &[(&str, bool, CellMetric)] = &[
+    ("avg_latency", true, |c| &c.avg_latency),
+    ("p99_latency", true, |c| &c.p99_latency),
+    ("energy_per_flit_pj", true, |c| &c.energy_per_flit_pj),
+    ("mttf_hours", false, |c| &c.mttf_hours),
+    ("txn_p50_latency", true, |c| &c.txn_p50_latency),
+    ("txn_p99_latency", true, |c| &c.txn_p99_latency),
 ];
 
 impl BenchCell {
-    /// Cell identity, e.g. `IntelliNoC@0.3`.
+    /// Cell identity, e.g. `IntelliNoC@0.3` or `SECDED@canneal`.
     #[must_use]
     pub fn id(&self) -> String {
         format!("{}@{}", self.design, self.rate)
     }
-
-    /// The stats of a gated metric by field name.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a name outside [`GATED_METRICS`].
-    #[must_use]
-    pub fn metric(&self, name: &str) -> &MetricStats {
-        match name {
-            "avg_latency" => &self.avg_latency,
-            "p99_latency" => &self.p99_latency,
-            "energy_per_flit_pj" => &self.energy_per_flit_pj,
-            "mttf_hours" => &self.mttf_hours,
-            "txn_p50_latency" => &self.txn_p50_latency,
-            "txn_p99_latency" => &self.txn_p99_latency,
-            _ => panic!("unknown bench metric `{name}`"),
-        }
-    }
 }
 
 /// A recorded baseline: the grid spec plus one aggregated cell per
-/// (design, rate), serialized as canonical `BENCH_<name>.json`.
+/// (design, workload), serialized as canonical `BENCH_<name>.json`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BenchBaseline {
     /// Baseline name (the `<name>` of `BENCH_<name>.json`).
@@ -221,7 +318,7 @@ pub struct BenchBaseline {
     pub format_version: u32,
     /// The grid this baseline was recorded over.
     pub spec: BenchSpec,
-    /// Aggregated cells in canonical (design-major, rate) order.
+    /// Aggregated cells in canonical (design-major, workload) order.
     pub cells: Vec<BenchCell>,
 }
 
@@ -239,7 +336,8 @@ impl BenchBaseline {
     ///
     /// # Errors
     ///
-    /// Returns an error for malformed JSON or a format-version mismatch.
+    /// Returns an error for malformed JSON, a format-version mismatch or a
+    /// spec that fails [`BenchSpec::validate`].
     pub fn from_json(json: &str) -> Result<Self, String> {
         let b: BenchBaseline =
             serde_json::from_str(json).map_err(|e| format!("malformed baseline: {e}"))?;
@@ -249,37 +347,30 @@ impl BenchBaseline {
                 b.format_version, BENCH_FORMAT_VERSION
             ));
         }
+        b.spec.validate().map_err(|e| format!("baseline spec: {e}"))?;
         Ok(b)
     }
-}
 
-impl BenchBaseline {
     /// Folds the report of a [`BenchSpec::cells`] grid into per-cell
-    /// statistics: each (design, rate) cell is the next `spec.seeds`
-    /// records, in the order the cells were built.
+    /// statistics over each cell's seeds ([`BenchSpec::runs`]).
     ///
     /// # Errors
     ///
-    /// An empty grid, or any unit that did not finish `ok` — a baseline
-    /// must never be recorded over failed or timed-out cells.
+    /// As [`BenchSpec::runs`]: a baseline is never recorded over an invalid
+    /// spec or over failed or timed-out cells.
     pub fn from_report(
         name: &str,
         spec: &BenchSpec,
         report: &RunnerReport<ExperimentOutcome>,
     ) -> Result<Self, String> {
-        if spec.designs.is_empty() || spec.rates.is_empty() || spec.seeds == 0 {
-            return Err("bench grid is empty (need ≥1 design, ≥1 rate, ≥1 seed)".to_owned());
-        }
-        if !report.is_clean() {
-            return Err(format!("bench grid not clean ({}); refusing to record", report.summary()));
-        }
         let cells = spec
-            .cell_ids()
-            .zip(report.records.chunks(spec.seeds as usize))
-            .map(|((design, rate), chunk)| {
+            .runs(report)?
+            .into_iter()
+            .map(|(design, rate, runs)| {
                 let stats = |metric: fn(&RunReport) -> f64| {
-                    let runs = chunk.iter().filter_map(|rec| rec.payload.as_ref());
-                    MetricStats::from_samples(&runs.map(|o| metric(&o.report)).collect::<Vec<_>>())
+                    MetricStats::from_samples(
+                        &runs.iter().map(|o| metric(&o.report)).collect::<Vec<_>>(),
+                    )
                 };
                 BenchCell {
                     design: design.label().to_owned(),
@@ -481,9 +572,9 @@ pub fn compare_bench(
         if b.design != f.design || b.rate != f.rate {
             return Err(format!("cell order mismatch: {} vs {}", b.id(), f.id()));
         }
-        for &(name, higher_is_worse) in GATED_METRICS {
-            let base_m = b.metric(name);
-            let mut new_m = f.metric(name).clone();
+        for &(name, higher_is_worse, metric) in GATED_METRICS {
+            let base_m = metric(b);
+            let mut new_m = metric(f).clone();
             if opts.force_regress && (name == "avg_latency" || name == "p99_latency") {
                 new_m.mean *= 1.25;
             }
@@ -515,7 +606,7 @@ mod tests {
     fn tiny_spec() -> BenchSpec {
         BenchSpec {
             designs: vec![Design::Secded],
-            rates: vec![0.02],
+            rates: vec![BenchWorkload::Rate(0.02)],
             seeds: 2,
             ppn: 4,
             master_seed: 7,
@@ -551,11 +642,88 @@ mod tests {
         assert_eq!(cells[0].0, "bench/SECDED/r0.1/s0");
         for (i, (key, cfg)) in cells.iter().enumerate() {
             // Design-major, then rate, then seed.
-            let (d, r) = (spec.designs[i / 15], spec.rates[i / 5 % 3]);
+            let (d, BenchWorkload::Rate(r)) = (spec.designs[i / 15], spec.rates[i / 5 % 3]) else {
+                panic!("a rate grid")
+            };
             assert_eq!(*key, format!("bench/{}/r{r}/s{}", d.label(), i % 5));
             assert_eq!((cfg.design, cfg.seed), (d, derive_seed(spec.master_seed, key)));
             assert_eq!(cfg.workload.name, format!("uniform-{r}"));
         }
+    }
+
+    /// Every design of a PARSEC cell runs the same seed `k` (the master
+    /// seed itself at `k = 0`); rate cells keep their key-derived seeds.
+    #[test]
+    fn parsec_cells_pair_the_designs_on_one_seed_per_k() {
+        let canneal = BenchWorkload::Parsec(ParsecBenchmark::Canneal);
+        let spec = BenchSpec {
+            designs: vec![Design::Secded, Design::IntelliNoc],
+            rates: vec![canneal, BenchWorkload::Rate(0.1)],
+            seeds: 2,
+            ppn: 4,
+            master_seed: 2019,
+            reqreply: None,
+        };
+        let cells = spec.cells();
+        let keys: Vec<&str> = cells.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "bench/SECDED/canneal/s0",
+                "bench/SECDED/canneal/s1",
+                "bench/SECDED/r0.1/s0",
+                "bench/SECDED/r0.1/s1",
+                "bench/IntelliNoC/canneal/s0",
+                "bench/IntelliNoC/canneal/s1",
+                "bench/IntelliNoC/r0.1/s0",
+                "bench/IntelliNoC/r0.1/s1",
+            ]
+        );
+        let seed = |i: usize| cells[i].1.seed;
+        assert_eq!((seed(0), seed(4)), (2019, 2019), "k = 0 is the master seed");
+        assert_eq!(seed(1), seed(5), "designs share seed k");
+        assert_ne!(seed(1), 2019);
+        for i in [2, 3, 6, 7] {
+            assert_eq!(seed(i), derive_seed(2019, &cells[i].0), "rate cells as recorded");
+        }
+        let workload = ParsecBenchmark::Canneal.workload(4);
+        assert_eq!(cells[4].1.workload.name, workload.name);
+        assert_eq!(cells[4].1.workload.packets_per_node, 4);
+    }
+
+    /// A hostile baseline spec is refused when it is read, before any
+    /// grid is built: ppn 0, a rate outside (0, 1], a PARSEC profile on a
+    /// closed-loop grid, or more units than a serve job may have.
+    #[test]
+    fn from_json_refuses_a_hostile_spec() {
+        let json = record("tiny", &tiny_spec()).to_json().unwrap();
+        let rates = "\"rates\": [\n      0.02";
+        let edit = |edits: &[(&str, &str)]| {
+            let mut edited = json.clone();
+            for (from, to) in edits {
+                assert!(edited.contains(from), "{from}");
+                edited = edited.replacen(from, to, 1);
+            }
+            BenchBaseline::from_json(&edited)
+        };
+        let cases: [(&[(&str, &str)], &str); 5] = [
+            (&[("\"ppn\": 4", "\"ppn\": 0")], "at ppn 0"),
+            (&[("\"seeds\": 2", "\"seeds\": 4294967295")], "grid of 4294967295 units"),
+            (&[(rates, "\"rates\": [0")], "rate"),
+            (&[(rates, "\"rates\": [1.5")], "rate"),
+            (
+                &[(rates, "\"rates\": [\"Canneal\""), ("\"reqreply\": null", "\"reqreply\": {}")],
+                "not canneal",
+            ),
+        ];
+        for (edits, named) in cases {
+            let err = edit(edits).expect_err(named);
+            assert!(err.contains("baseline spec") && err.contains(named), "{edits:?}: {err}");
+        }
+        let parsec = edit(&[(rates, "\"rates\": [\"Canneal\"")]);
+        let parsec = parsec.expect("an open-loop PARSEC grid is valid");
+        assert_eq!(parsec.spec.rates, [BenchWorkload::Parsec(ParsecBenchmark::Canneal)]);
+        assert_eq!(BenchBaseline::from_json(&parsec.to_json().unwrap()), Ok(parsec));
     }
 
     #[test]

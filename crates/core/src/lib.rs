@@ -52,8 +52,9 @@ mod serve;
 mod sweeps;
 
 pub use bench::{
-    compare_bench, record_bench, BenchBaseline, BenchCell, BenchComparison, BenchSpec, CompareRow,
-    GateOptions, GateVerdict, MetricStats, BENCH_FORMAT_VERSION, GATED_METRICS, REL_EPSILON,
+    compare_bench, record_bench, BenchBaseline, BenchCell, BenchComparison, BenchSpec,
+    BenchWorkload, CompareRow, GateOptions, GateVerdict, MetricStats, BENCH_FORMAT_VERSION,
+    GATED_METRICS, REL_EPSILON,
 };
 pub use campaign::{campaign_scenarios, run_campaign_runner, CampaignConfig, CampaignRunReport};
 pub use controller::{cpd_decide, intellinoc_rl_config, ControlPolicy, RewardKind, RlControl};
@@ -68,9 +69,9 @@ pub use inspect::render_inspect_report;
 pub use metrics::{compare, geomean, normalize, ComparisonRow, NormalizedMetrics};
 pub use modes::OperationMode;
 pub use runner::{
-    classify_timeout, derive_seed, dump_bundle, run_units, ChaosOptions, FleetObserver,
-    FleetProgress, RunStatus, RunnerConfig, RunnerReport, StatusCounts, TimeoutReport, UnitCtx,
-    UnitRecord, UnitVerdict, CHAOS_DEADLINE_CYCLES,
+    classify_timeout, derive_seed, dump_bundle, panic_message, run_units, ChaosOptions,
+    FleetObserver, FleetProgress, RunStatus, RunnerConfig, RunnerReport, StatusCounts,
+    TimeoutReport, UnitCtx, UnitRecord, UnitVerdict, CHAOS_DEADLINE_CYCLES,
 };
 pub use serve::{
     http_request, http_request_full, reference_report_csv, serve_report_csv, token_ok, ChaosKill,

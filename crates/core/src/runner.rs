@@ -48,12 +48,7 @@ use std::time::Instant;
 /// resumes from a journal — and independent of every other unit.
 #[must_use]
 pub fn derive_seed(master: u64, key: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in key.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    let mut z = h ^ master.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    let mut z = fnv1a(key) ^ master.wrapping_mul(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
@@ -377,6 +372,26 @@ impl<T> RunnerReport<T> {
         self.records.iter().all(|r| r.status == RunStatus::Ok)
     }
 
+    /// Every unit's payload, in canonical order: the one rule for a result
+    /// folded over a whole grid (a baseline, a figure), which needs them all.
+    ///
+    /// # Errors
+    ///
+    /// Names the first unit that did not finish `ok`, with the summary.
+    pub fn clean_payloads(&self) -> Result<Vec<&T>, String> {
+        let unclean = |r: &UnitRecord<T>| {
+            let why = r.error.as_ref().map_or(String::new(), |e| format!(": {e}"));
+            format!("unit {} {}{why} (grid not clean: {})", r.key, r.status.label(), self.summary())
+        };
+        self.records
+            .iter()
+            .map(|r| match (r.status, &r.payload) {
+                (RunStatus::Ok, Some(payload)) => Ok(payload),
+                _ => Err(unclean(r)),
+            })
+            .collect()
+    }
+
     /// Payloads of successfully completed units, in canonical order.
     pub fn ok_payloads(&self) -> impl Iterator<Item = &T> {
         self.records.iter().filter(|r| r.status == RunStatus::Ok).filter_map(|r| r.payload.as_ref())
@@ -424,17 +439,8 @@ struct JournalHeader {
 const JOURNAL_VERSION: u32 = 2;
 
 fn grid_fingerprint(keys: &[String]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for key in keys {
-        for b in key.bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        // Separator so ["ab","c"] and ["a","bc"] differ.
-        h ^= 0x1f;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    // A separator after each key, so ["ab","c"] and ["a","bc"] differ.
+    fnv1a(&keys.iter().map(|key| format!("{key}\u{1f}")).collect::<String>())
 }
 
 /// What [`scan_log`] recovers from an append-only JSONL log (one header
@@ -468,6 +474,7 @@ fn unseal(line: &str) -> Option<(&str, bool)> {
     Some((text, sum == format!("{:016x}", fnv1a(text))))
 }
 
+/// FNV-1a over `text`'s bytes: seeds, grid fingerprints and line seals.
 fn fnv1a(text: &str) -> u64 {
     text.bytes()
         .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
@@ -655,14 +662,10 @@ pub fn dump_bundle(
 }
 
 /// The message a caught panic carried, for `failed` records.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic with non-string payload".to_owned()
-    }
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    let text = payload.downcast_ref::<String>().map(String::as_str);
+    let text = text.or_else(|| payload.downcast_ref::<&str>().copied());
+    text.unwrap_or("panic with non-string payload").to_owned()
 }
 
 /// Shared mutable state of one grid execution (journal + event log +

@@ -40,6 +40,7 @@
 //! shutdown is an HTTP endpoint (`POST /api/drain`, [`DRAIN_DEADLINE`]);
 //! `kill -9` is the crash path the WAL exists for.
 
+use crate::bench::{BenchSpec, BenchWorkload};
 use crate::designs::Design;
 use crate::experiment::{
     rate_workload, run_grid_hooked, ExperimentConfig, ExperimentOutcome, UnitSinks,
@@ -62,7 +63,8 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// Maximum units a single job may expand to (designs × rates).
+/// Maximum units a grid spec may expand to: a serve job (designs × rates)
+/// or a bench grid (designs × workloads × seeds).
 pub const MAX_JOB_UNITS: usize = 4096;
 
 /// Default units dispatched per scheduler chunk (the cancel / pause /
@@ -236,26 +238,22 @@ pub fn token_ok(s: &str) -> bool {
 ///
 /// # Errors
 ///
-/// Rejects malformed names, unknown designs, out-of-range rates, empty or
-/// oversized grids, and duplicate cells.
+/// Rejects malformed names, unknown designs, a grid [`BenchSpec::validate`]
+/// refuses, and duplicate cells.
 fn job_units(spec: &JobSpec) -> Result<Vec<(String, ExperimentConfig)>, String> {
     if !token_ok(&spec.name) {
         return Err(format!("job name must match [A-Za-z0-9._-]{{1,64}}, got `{}`", spec.name));
     }
-    if spec.designs.is_empty() || spec.rates.is_empty() {
-        return Err("job needs at least one design and one rate".into());
-    }
-    if spec.ppn == 0 {
-        return Err("ppn must be >= 1".into());
-    }
+    let designs: Vec<Design> =
+        spec.designs.iter().map(|d| Design::parse(d)).collect::<Result<_, _>>()?;
+    let rates = spec.rates.iter().map(|&rate| BenchWorkload::Rate(rate)).collect();
+    let (ppn, master_seed, reqreply) = (spec.ppn, spec.seed, spec.reqreply.clone());
+    BenchSpec { designs: designs.clone(), rates, seeds: 1, ppn, master_seed, reqreply }
+        .validate()?;
     let mut units = Vec::new();
     let mut seen = BTreeSet::new();
-    for d in &spec.designs {
-        let design = Design::parse(d)?;
+    for design in designs {
         for &rate in &spec.rates {
-            if !rate.is_finite() || rate <= 0.0 || rate > 1.0 {
-                return Err(format!("rate must be finite in (0, 1], got {rate}"));
-            }
             let key = format!("serve/{}/r{rate}", design.label());
             if !seen.insert(key.clone()) {
                 return Err(format!("duplicate grid cell: {key}"));
@@ -268,9 +266,6 @@ fn job_units(spec: &JobSpec) -> Result<Vec<(String, ExperimentConfig)>, String> 
             }
             units.push((key, cfg));
         }
-    }
-    if units.len() > MAX_JOB_UNITS {
-        return Err(format!("grid has {} units; the cap is {MAX_JOB_UNITS}", units.len()));
     }
     Ok(units)
 }

@@ -12,8 +12,8 @@
 //! stays the same.
 
 use intellinoc::{
-    BenchCell, BenchSpec, Design, JobSpec, MetricStats, RunStatus, RunnerReport, TimeoutReport,
-    UnitRecord,
+    BenchCell, BenchSpec, BenchWorkload, Design, JobSpec, MetricStats, RunStatus, RunnerReport,
+    TimeoutReport, UnitRecord,
 };
 use noc_traffic::ReqReplySpec;
 use serde::{Content, Deserialize};
@@ -163,7 +163,7 @@ fn json_writers_are_pinned() {
         }),
         serde_json::to_string(&BenchSpec {
             designs: vec![Design::Secded, Design::IntelliNoc],
-            rates: vec![0.1, 0.3],
+            rates: vec![BenchWorkload::Rate(0.1), BenchWorkload::Rate(0.3)],
             seeds: 2,
             ppn: 32,
             master_seed: 2019,
@@ -171,7 +171,7 @@ fn json_writers_are_pinned() {
         }),
         serde_json::to_string(&BenchCell {
             design: "SECDED".into(),
-            rate: 0.1,
+            rate: BenchWorkload::Rate(0.1),
             avg_latency: stats.clone(),
             p99_latency: stats.clone(),
             energy_per_flit_pj: stats.clone(),

@@ -38,7 +38,7 @@ const JSON_TOKENS: &str = r#"{ } [ ] , : " \ null true false 0 7 -1 0.5 -0 1e999
     18446744073709551616 -9223372036854775809 "x" "\u0000" "\ud800" "é" [] {}"#;
 
 const JOB_KEYS: &str = "name designs rates ppn seed max_cycles reqreply journeys_every";
-const BASELINE_KEYS: &str = "name format_version spec cells designs rates";
+const BASELINE_KEYS: &str = "name format_version spec cells designs rates rate Canneal bogus";
 const REQREPLY_KEYS: &str = "service_latency reply_packets reply_timeout max_retries backoff_base
     backoff_cap shed_threshold chaos_orphan";
 const RECORD_KEYS: &str = "key status payload error timeout";
@@ -116,6 +116,16 @@ fn check_roundtrip(input: &str, read: fn(&str) -> Option<String>) -> Result<(), 
 
 fn job_doc() -> String {
     r#"{"name":"grid-1","designs":["secded","intellinoc"],"rates":[0.01,0.25],"ppn":4,"seed":7,"max_cycles":50000,"reqreply":{"reply_timeout":700,"shed_threshold":0.25},"journeys_every":3}"#.to_owned()
+}
+
+/// The committed baseline with a PARSEC workload on its axis and in its
+/// first 0.5 cell, so flips reach the string form of a workload too.
+fn baseline_doc() -> String {
+    let doc = include_str!("../../BENCH_designs.json");
+    let doc = doc.replacen("      0.5\n", "      \"Canneal\"\n", 1);
+    let doc = doc.replacen("\"rate\": 0.5,", "\"rate\": \"Canneal\",", 1);
+    assert!(BenchBaseline::from_json(&doc).is_ok() && doc.contains("\"rate\": \"Canneal\""));
+    doc
 }
 
 fn reqreply_doc() -> String {
@@ -222,7 +232,7 @@ proptest! {
 
     #[test]
     fn bench_baseline_json_never_panics(
-        input in json_input(BASELINE_KEYS, include_str!("../../BENCH_designs.json").to_owned()),
+        input in json_input(BASELINE_KEYS, baseline_doc()),
     ) {
         check_roundtrip(&input, |s| BenchBaseline::from_json(s).ok().map(|b| b.to_json().unwrap()))?;
     }

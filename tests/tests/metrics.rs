@@ -5,8 +5,8 @@
 
 use intellinoc::{
     compare_bench, record_bench, run_experiment, run_experiment_instrumented, BenchBaseline,
-    BenchSpec, ChaosOptions, Daemon, Design, ExperimentConfig, GateOptions, GateVerdict,
-    MetricsOptions, RunnerConfig, ServeConfig, TelemetryOptions, UnitSinks,
+    BenchSpec, BenchWorkload, ChaosOptions, Daemon, Design, ExperimentConfig, GateOptions,
+    GateVerdict, MetricsOptions, RunnerConfig, ServeConfig, TelemetryOptions, UnitSinks,
 };
 use noc_telemetry::{parse_exposition, MetricsHub};
 use noc_traffic::ParsecBenchmark;
@@ -111,7 +111,7 @@ fn tcp_endpoint_serves_the_latest_snapshot() {
 fn tiny_spec() -> BenchSpec {
     BenchSpec {
         designs: vec![Design::Secded],
-        rates: vec![0.02],
+        rates: vec![BenchWorkload::Rate(0.02)],
         seeds: 2,
         ppn: 4,
         master_seed: 21,
