@@ -185,12 +185,8 @@ impl BenchSpec {
                     }
                     BenchWorkload::Parsec(bench) => {
                         let key = format!("bench/{}/{bench}/s{s}", design.label());
-                        let paired = format!("bench/paired/s{s}");
-                        let seed = if s == 0 {
-                            self.master_seed
-                        } else {
-                            derive_seed(self.master_seed, &paired)
-                        };
+                        let paired = derive_seed(self.master_seed, &format!("bench/paired/s{s}"));
+                        let seed = if s == 0 { self.master_seed } else { paired };
                         (key, seed, bench.workload(self.ppn))
                     }
                 };

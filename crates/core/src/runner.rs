@@ -663,9 +663,13 @@ pub fn dump_bundle(
 
 /// The message a caught panic carried, for `failed` records.
 pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    let text = payload.downcast_ref::<String>().map(String::as_str);
-    let text = text.or_else(|| payload.downcast_ref::<&str>().copied());
-    text.unwrap_or("panic with non-string payload").to_owned()
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_owned()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "panic with non-string payload".to_owned()
+    }
 }
 
 /// Shared mutable state of one grid execution (journal + event log +

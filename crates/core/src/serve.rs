@@ -244,15 +244,18 @@ fn job_units(spec: &JobSpec) -> Result<Vec<(String, ExperimentConfig)>, String> 
     if !token_ok(&spec.name) {
         return Err(format!("job name must match [A-Za-z0-9._-]{{1,64}}, got `{}`", spec.name));
     }
-    let designs: Vec<Design> =
-        spec.designs.iter().map(|d| Design::parse(d)).collect::<Result<_, _>>()?;
-    let rates = spec.rates.iter().map(|&rate| BenchWorkload::Rate(rate)).collect();
-    let (ppn, master_seed, reqreply) = (spec.ppn, spec.seed, spec.reqreply.clone());
-    BenchSpec { designs: designs.clone(), rates, seeds: 1, ppn, master_seed, reqreply }
-        .validate()?;
+    let grid = BenchSpec {
+        designs: spec.designs.iter().map(|d| Design::parse(d)).collect::<Result<_, _>>()?,
+        rates: spec.rates.iter().map(|&rate| BenchWorkload::Rate(rate)).collect(),
+        seeds: 1,
+        ppn: spec.ppn,
+        master_seed: spec.seed,
+        reqreply: spec.reqreply.clone(),
+    };
+    grid.validate()?;
     let mut units = Vec::new();
     let mut seen = BTreeSet::new();
-    for design in designs {
+    for &design in &grid.designs {
         for &rate in &spec.rates {
             let key = format!("serve/{}/r{rate}", design.label());
             if !seen.insert(key.clone()) {
