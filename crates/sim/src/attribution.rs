@@ -12,11 +12,18 @@
 //! the trail says *where and when*, and every sampled completion
 //! `debug_assert`s that the trail's span sums equal the counters.
 //!
+//! The clocks live in a [`ClockWindow`] indexed by packet id: the simulator
+//! hands ids out in order, so a hook finds its clock by subtraction, with no
+//! hashing, and the window spans only the oldest live packet to the newest.
+//! A trail comes from a pool the engine refills on completion and on drop,
+//! so a sampled packet reuses a span buffer that has already grown; its
+//! journey keeps one exact-size copy of the spans.
+//!
 //! With `ProbeConfig::attribution` every packet has a clock and the engine
 //! also keeps per-channel and per-router counters (flits carried, NACKs,
 //! gated residency, temperature) that fold into heatmap grids and
 //! per-physical-link statistics at run end; with journeys alone only the
-//! sampled packets enter the table.
+//! sampled packets enter the window.
 
 use crate::flit::{Cycle, Flit};
 use crate::journey::{JourneyRecorder, Trail};
@@ -26,7 +33,7 @@ use noc_telemetry::{
     LatencyComponents, LinkStat, PacketJourney, PacketLatency,
 };
 use noc_traffic::TxnEvent;
-use std::collections::HashMap;
+use std::collections::VecDeque;
 
 /// Live accounting for one in-flight packet.
 #[derive(Debug, Default)]
@@ -70,6 +77,57 @@ impl PacketClock {
     }
 }
 
+/// The in-flight clocks, indexed by packet id: slot `i` holds packet
+/// `base + i`, or nothing once that packet completed or dropped (or was never
+/// tracked). Ids only ever arrive at the back, and the empty slots at either
+/// end go as soon as their packet leaves, so the window holds exactly `newest
+/// live − oldest live + 1` slots.
+#[derive(Debug, Default)]
+struct ClockWindow {
+    base: u64,
+    slots: VecDeque<Option<PacketClock>>,
+    /// One past the newest id inserted.
+    next: u64,
+}
+
+impl ClockWindow {
+    /// Starts the clock of `packet`, newer than every packet before it.
+    fn insert(&mut self, packet: u64, clock: PacketClock) {
+        debug_assert!(packet >= self.next, "packet {packet} arrived after {}", self.next - 1);
+        self.next = packet + 1;
+        if self.slots.is_empty() {
+            self.base = packet;
+        }
+        let at = (packet - self.base) as usize;
+        self.slots.resize_with(at, || None);
+        self.slots.push_back(Some(clock));
+    }
+
+    fn get_mut(&mut self, packet: u64) -> Option<&mut PacketClock> {
+        let at = usize::try_from(packet.checked_sub(self.base)?).ok()?;
+        self.slots.get_mut(at)?.as_mut()
+    }
+
+    /// Stops the clock of `packet`, then drops the empty slots at both ends.
+    fn remove(&mut self, packet: u64) -> Option<PacketClock> {
+        let at = usize::try_from(packet.checked_sub(self.base)?).ok()?;
+        let clock = self.slots.get_mut(at)?.take()?;
+        while let Some(None) = self.slots.front() {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+        while let Some(None) = self.slots.back() {
+            self.slots.pop_back();
+        }
+        Some(clock)
+    }
+
+    /// The clocks still running, oldest first.
+    fn live(&self) -> impl Iterator<Item = &PacketClock> {
+        self.slots.iter().flatten()
+    }
+}
+
 /// Per-channel and per-router accumulators and the per-packet records, kept
 /// when attribution is on.
 #[derive(Debug)]
@@ -96,15 +154,19 @@ fn link_loc(mesh: &Mesh, ci: usize) -> JourneyLoc {
     JourneyLoc::Link { from: from as u16, to }
 }
 
-/// The one in-flight table and what it feeds.
+/// The one in-flight window and what it feeds.
 ///
-/// All hooks are `O(1)` and make at most one table lookup; the simulator
+/// All hooks are `O(1)` and index the window at most once; the simulator
 /// calls them only when the engine is installed, so the disabled path stays
 /// a single `Option` branch.
 #[derive(Debug)]
 pub(crate) struct LatencyEngine {
     mesh: Mesh,
-    clocks: HashMap<u64, PacketClock>,
+    clocks: ClockWindow,
+    /// Finished trails, kept for the next sampled packet. Boxed because a
+    /// box moves between a clock and the pool without reallocating.
+    #[allow(clippy::vec_box)]
+    spare_trails: Vec<Box<Trail>>,
     /// Present iff attribution is on: then every packet has a clock.
     spatial: Option<Spatial>,
     /// Present iff journeys are traced: the sampling rule, the log and the
@@ -124,7 +186,13 @@ impl LatencyEngine {
             temp_sum: vec![0.0; nodes],
             temp_epochs: 0,
         });
-        LatencyEngine { mesh, clocks: HashMap::new(), spatial, journeys }
+        LatencyEngine {
+            mesh,
+            clocks: ClockWindow::default(),
+            spare_trails: Vec::new(),
+            spatial,
+            journeys,
+        }
     }
 
     /// Whether journeys are traced (transaction events are then consumed).
@@ -143,7 +211,13 @@ impl LatencyEngine {
     ) {
         let sampled = self.journeys.as_ref().is_some_and(|j| j.samples(packet));
         if sampled || self.spatial.is_some() {
-            let trail = sampled.then(|| Box::new(Trail::new(src, now, txn())));
+            let trail = sampled.then(|| match self.spare_trails.pop() {
+                Some(mut trail) => {
+                    trail.reset(src, now, txn());
+                    trail
+                }
+                None => Box::new(Trail::new(src, now, txn())),
+            });
             self.clocks
                 .insert(packet, PacketClock { injected_at: now, trail, ..Default::default() });
         }
@@ -166,7 +240,7 @@ impl LatencyEngine {
         if !flit.is_head() {
             return;
         }
-        if let Some(clock) = self.clocks.get_mut(&flit.packet_id) {
+        if let Some(clock) = self.clocks.get_mut(flit.packet_id) {
             let cause = if bypass {
                 clock.bypass_hops = clock.bypass_hops.saturating_add(1);
                 JourneyCause::Bypass
@@ -181,7 +255,7 @@ impl LatencyEngine {
     /// A head flit was enqueued into a VC of `router` with `cost` pipeline
     /// cycles before it can be granted.
     pub(crate) fn pipeline(&mut self, packet: u64, router: u16, cost: u64, now: Cycle) {
-        if let Some(clock) = self.clocks.get_mut(&packet) {
+        if let Some(clock) = self.clocks.get_mut(packet) {
             clock.charge(now, cost, JourneyCause::Pipeline, || JourneyLoc::Router(router));
         }
     }
@@ -192,7 +266,7 @@ impl LatencyEngine {
         if let Some(s) = self.spatial.as_mut() {
             s.link_retx[ci] += 1;
         }
-        if let Some(clock) = self.clocks.get_mut(&flit.packet_id) {
+        if let Some(clock) = self.clocks.get_mut(flit.packet_id) {
             clock.hop_retx = clock.hop_retx.saturating_add(1);
             if flit.is_head() {
                 clock.charge(now, cost, JourneyCause::HopRetx, || link_loc(&self.mesh, ci));
@@ -207,7 +281,7 @@ impl LatencyEngine {
     /// trail clips it) and the whole window is charged to retransmission, so
     /// nothing inside it is counted twice.
     pub(crate) fn e2e_retx(&mut self, packet: u64, src: u16, now: Cycle) {
-        if let Some(clock) = self.clocks.get_mut(&packet) {
+        if let Some(clock) = self.clocks.get_mut(packet) {
             clock.charged = [0; 6];
             clock.add(JourneyCause::WastedGen, now.saturating_sub(clock.injected_at));
             clock.head_eject = None;
@@ -222,7 +296,7 @@ impl LatencyEngine {
 
     /// The head flit of the current generation ejected at router `dest`.
     pub(crate) fn head_eject(&mut self, packet: u64, dest: u16, now: Cycle) {
-        if let Some(clock) = self.clocks.get_mut(&packet) {
+        if let Some(clock) = self.clocks.get_mut(packet) {
             clock.head_eject = Some(now);
             if let Some(trail) = clock.trail.as_mut() {
                 trail.head_ejected(now, dest);
@@ -241,7 +315,7 @@ impl LatencyEngine {
         latency: u64,
     ) -> Option<&PacketJourney> {
         let packet = tail.packet_id;
-        let mut clock = self.clocks.remove(&packet)?;
+        let mut clock = self.clocks.remove(packet)?;
         let head_eject = clock.head_eject.unwrap_or(now);
         clock.add(JourneyCause::Serialization, now.saturating_sub(head_eject));
         clock.add(JourneyCause::Ejection, 1);
@@ -267,7 +341,9 @@ impl LatencyEngine {
                 e2e_retx: clock.e2e_retx,
             });
         }
-        let journey = clock.trail?.finish(tail, clock.injected_at, head_eject, now, latency);
+        let mut trail = clock.trail?;
+        let journey = trail.finish(tail, clock.injected_at, head_eject, now, latency);
+        self.spare_trails.push(trail);
         debug_assert_eq!(journey.components(), components, "packet {packet}: trail vs counters");
         let log = &mut self.journeys.as_mut().expect("a trail implies the journey recorder").log;
         log.packets.push(journey);
@@ -277,8 +353,10 @@ impl LatencyEngine {
     /// The packet was dropped; forget its clock (a sampled one is counted,
     /// so the log states what it lost).
     pub(crate) fn drop(&mut self, packet: u64) {
-        if let (Some(clock), Some(j)) = (self.clocks.remove(&packet), self.journeys.as_mut()) {
-            j.log.dropped_packets += u64::from(clock.trail.is_some());
+        let Some(trail) = self.clocks.remove(packet).and_then(|c| c.trail) else { return };
+        self.spare_trails.push(trail);
+        if let Some(j) = self.journeys.as_mut() {
+            j.log.dropped_packets += 1;
         }
     }
 
@@ -288,7 +366,7 @@ impl LatencyEngine {
         if self.journeys.is_none() {
             return; // no trails: skip the lookup
         }
-        if let Some(trail) = self.clocks.get_mut(&packet).and_then(|c| c.trail.as_mut()) {
+        if let Some(trail) = self.clocks.get_mut(packet).and_then(|c| c.trail.as_mut()) {
             trail.mark(now, router, cause);
         }
     }
@@ -322,7 +400,7 @@ impl LatencyEngine {
     /// against), and sampled packets still in flight are counted as
     /// unfinished.
     pub(crate) fn finish(self, now: Cycle) -> (Option<AttributionArtifacts>, Option<JourneyLog>) {
-        let unfinished = self.clocks.values().filter(|c| c.trail.is_some()).count() as u64;
+        let unfinished = self.clocks.live().filter(|c| c.trail.is_some()).count() as u64;
         let mesh = self.mesh;
         (self.spatial.map(|s| s.fold(&mesh, now)), self.journeys.map(|j| j.finish(now, unfinished)))
     }
@@ -378,6 +456,7 @@ mod tests {
     use super::*;
     use crate::flit::make_packet;
     use noc_telemetry::journey_sampled;
+    use std::collections::HashMap;
 
     /// Both sinks on an 8x8 mesh, so every completion below also runs the
     /// trail-vs-counters self-check.
@@ -648,8 +727,138 @@ mod tests {
         assert_eq!(log.unfinished_packets, unfinished);
     }
 
+    /// What a hook reads back from the in-flight table, kept by the model.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct ModelClock {
+        injected_at: Cycle,
+        charged: [u64; 6],
+        head_eject: Option<Cycle>,
+        /// The end of the last charge: the next one starts no earlier.
+        busy_until: Cycle,
+    }
+
+    /// Drives the engine and a `HashMap` model of the in-flight table with
+    /// one random sequence: ids injected in increasing order; pipeline
+    /// charges, head ejections, completions and drops on any id, live or
+    /// not; the first tracked packet held back to complete last. After every
+    /// step each id looks up the same clock in both and the window spans
+    /// exactly the oldest live packet to the newest; at the end the
+    /// unfinished count and the rendered breakdown agree.
+    fn window_matches_hashmap(tape: &[u16], every: u64, attribution: bool) {
+        let mut tape = Tape(tape, 0);
+        let journeys = JourneyRecorder::new("window".to_owned(), 9, every);
+        let mut engine = LatencyEngine::new(Mesh::new(4, 4), attribution, Some(journeys));
+        let tracked = |id| attribution || journey_sampled(9, id, every);
+        let tail = |id| make_packet(id, id * 4, 3, 12, 0)[3];
+        let mut model: HashMap<u64, ModelClock> = HashMap::new();
+        let mut expected = LatencyBreakdown::default();
+        let (mut next_id, mut now, mut straggler) = (0u64, 0, None);
+        let mut complete = |engine: &mut LatencyEngine, id, m: ModelClock, now| {
+            let latency = now + 1 - m.injected_at;
+            let mut charged = m.charged;
+            charged[2] += now - m.head_eject.unwrap_or(now);
+            charged[5] += 1;
+            charged[0] += latency - charged.iter().sum::<u64>();
+            let components = LatencyComponents::from_array(charged);
+            let record = PacketLatency {
+                packet: id,
+                src: 3,
+                dest: 12,
+                latency,
+                components,
+                hops: 0,
+                bypass_hops: 0,
+                hop_retx: 0,
+                e2e_retx: 0,
+            };
+            if attribution {
+                expected.record(record);
+            }
+            engine.complete(&tail(id), now, latency);
+        };
+        for _ in 0..tape.0.len() / 2 {
+            now += 1 + tape.next(3);
+            let id = tape.next(next_id + 2); // live, finished or not yet injected
+            let live = model.get(&id).copied().filter(|m| m.busy_until <= now);
+            match (tape.next(6), live) {
+                (0 | 1, _) => {
+                    engine.inject(next_id, 3, now, || None);
+                    if tracked(next_id) {
+                        let (injected_at, busy_until) = (now, now);
+                        let m = ModelClock {
+                            injected_at,
+                            charged: [0; 6],
+                            head_eject: None,
+                            busy_until,
+                        };
+                        model.insert(next_id, m);
+                        straggler = straggler.or(Some(next_id));
+                    }
+                    next_id += 1;
+                }
+                (2, Some(m)) if m.head_eject.is_none() => {
+                    let cost = 1 + tape.next(4);
+                    engine.pipeline(id, 1, cost, now);
+                    let m = model.get_mut(&id).expect("live");
+                    m.charged[1] += cost;
+                    m.busy_until = now + cost;
+                }
+                (3, Some(m)) if m.head_eject.is_none() => {
+                    engine.head_eject(id, 12, now);
+                    model.get_mut(&id).expect("live").head_eject = Some(now);
+                }
+                (4, Some(m)) if Some(id) != straggler => {
+                    model.remove(&id);
+                    complete(&mut engine, id, m, now);
+                }
+                (5, Some(_)) if Some(id) != straggler => {
+                    model.remove(&id);
+                    engine.drop(id);
+                }
+                // A hook on a packet the table does not hold changes nothing.
+                (2, None) if !model.contains_key(&id) => engine.pipeline(id, 1, 1, now),
+                (3, None) if !model.contains_key(&id) => engine.head_eject(id, 12, now),
+                (4, None) if !model.contains_key(&id) => {
+                    assert!(engine.complete(&tail(id), now, 1).is_none());
+                }
+                (5, None) if !model.contains_key(&id) => engine.drop(id),
+                _ => {}
+            }
+            for id in 0..next_id + 2 {
+                let found =
+                    engine.clocks.get_mut(id).map(|c| (c.injected_at, c.charged, c.head_eject));
+                let want = model.get(&id).map(|m| (m.injected_at, m.charged, m.head_eject));
+                assert_eq!(found, want, "packet {id} at cycle {now}");
+            }
+            let span = match (model.keys().min(), model.keys().max()) {
+                (Some(oldest), Some(newest)) => newest - oldest + 1,
+                _ => 0,
+            };
+            assert_eq!(engine.clocks.slots.len() as u64, span, "window at cycle {now}");
+        }
+        if let Some(m) = straggler.and_then(|id| model.remove(&id)) {
+            now = now.max(m.busy_until) + 1;
+            complete(&mut engine, straggler.expect("held back"), m, now);
+        }
+        let unfinished = model.keys().filter(|&&id| journey_sampled(9, id, every)).count() as u64;
+        let (art, log) = engine.finish(now + 1);
+        assert_eq!(log.expect("journeys on").unfinished_packets, unfinished);
+        let found = art.map(|a| format!("{:?}", a.breakdown));
+        assert_eq!(found, attribution.then(|| format!("{expected:?}")));
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(300))]
+
+        /// The id-indexed window against the hash-map table it replaced.
+        #[test]
+        fn clock_window_matches_a_hashmap_model(
+            tape in proptest::collection::vec(0u16..u16::MAX, 64..512),
+            every in 1u64..4,
+            attribution in 0u8..2,
+        ) {
+            window_matches_hashmap(&tape, every, attribution == 1);
+        }
 
         /// Exact-sum attribution over random legal hook sequences: per
         /// delivered packet the components sum to the latency, the counters

@@ -12,6 +12,9 @@
 //! lifetime exactly and per-cause sums reproduce the engine's counters
 //! bit-for-bit (the engine `debug_assert!`s that at every sampled completion).
 //!
+//! A finished trail is reset and reused by the latency engine, so its span
+//! buffer grows once per peak and not once per packet.
+//!
 //! An end-to-end restart reclassifies the failed generation's spans as
 //! `wasted_gen` (keeping their locations, so a Perfetto view still shows
 //! *where* the wasted generation travelled).
@@ -59,6 +62,14 @@ impl Trail {
     /// A packet tagged `txn` entered the NI queue of router `src` at `now`.
     pub(crate) fn new(src: u16, now: Cycle, txn: Option<(u64, u32, bool)>) -> Self {
         Trail { txn, cursor: now, at: JourneyLoc::SourceNi(src), gen_first_span: 0, spans: vec![] }
+    }
+
+    /// Starts this finished trail over as [`Trail::new`] would, keeping the
+    /// span buffer's capacity.
+    pub(crate) fn reset(&mut self, src: u16, now: Cycle, txn: Option<(u64, u32, bool)>) {
+        let mut spans = std::mem::take(&mut self.spans);
+        spans.clear();
+        *self = Trail { spans, ..Trail::new(src, now, txn) };
     }
 
     /// Gap-fills `[cursor, now)` with a wait span at the current
@@ -123,9 +134,11 @@ impl Trail {
     }
 
     /// The tail flit `tail` was consumed at `now`, the head at `head_eject`:
-    /// the packet finishes at `now + 1` with measured `latency`.
+    /// the packet finishes at `now + 1` with measured `latency`. The journey
+    /// gets an exact-size copy of the spans; the trail can then be
+    /// [`Trail::reset`] for another packet.
     pub(crate) fn finish(
-        mut self,
+        &mut self,
         tail: &Flit,
         injected_at: Cycle,
         head_eject: Cycle,
@@ -147,7 +160,7 @@ impl Trail {
             delivered_at: now + 1,
             latency,
             txn: self.txn,
-            spans: self.spans,
+            spans: self.spans.clone(),
         }
     }
 }

@@ -396,6 +396,7 @@ impl Network {
             self.probe.span_exit();
         }
         self.probe.span_exit();
+        self.probe.flush_events();
         debug_assert_eq!(self.occupancy_index_drift(), None, "cycle {}", self.now);
     }
 
@@ -418,6 +419,7 @@ impl Network {
             self.step_cycle();
             let Some(in_flight) = self.watchdog.stalled(self.now, &self.stats) else { continue };
             self.probe.event(Event::WatchdogStall { cycle: self.now, router: 0, state: in_flight });
+            self.probe.flush_events();
             self.stall = Some(StallReport {
                 cycle: self.now,
                 window: self.cfg.stall_window,

@@ -13,6 +13,15 @@
 //! from inside `step_cycle`. Every wall-clock read of the simulator happens
 //! behind the span points here ([`Probe::span_enter`], [`Probe::leaf_enter`]),
 //! where the profiler decides per span path whether this occurrence is timed.
+//!
+//! The tracer records each event as it happens. The flight recorder is
+//! shared behind a lock, so its copy of each event waits in a reused buffer
+//! and reaches the recorder in one batch under one lock
+//! ([`Probe::flush_events`]): at the end of every `step_cycle`, right after
+//! the watchdog's stall event, when the probe is finished, and when it is
+//! dropped. A run that panics mid-cycle drops its `Network` while unwinding,
+//! before the runner writes the post-mortem bundle, so the bundle still holds
+//! every event.
 
 use crate::attribution::LatencyEngine;
 use crate::flit::{Cycle, Flit};
@@ -65,6 +74,8 @@ pub(crate) struct Probe {
     pub(crate) tracer: Option<Tracer>,
     pub(crate) profiler: Option<Profiler>,
     blackbox: Option<SharedRecorder>,
+    /// The recorder's copy of the events since the last flush, in order.
+    pending: Vec<Event>,
     /// Installed when attribution or journey tracing (or both) is on.
     latency: Option<LatencyEngine>,
 }
@@ -78,13 +89,22 @@ impl Probe {
             .map(|(seed, every)| JourneyRecorder::new(workload.to_owned(), seed, every));
         let latency = (cfg.attribution || journeys.is_some())
             .then(|| LatencyEngine::new(*mesh, cfg.attribution, journeys));
-        Probe { tracer: cfg.tracer, profiler: cfg.profiler, blackbox: cfg.blackbox, latency }
+        Probe {
+            tracer: cfg.tracer,
+            profiler: cfg.profiler,
+            blackbox: cfg.blackbox,
+            pending: Vec::new(),
+            latency,
+        }
     }
 
-    /// Closes every sink at cycle `now`.
-    pub(crate) fn finish(self, now: Cycle) -> ProbeArtifacts {
-        let (attribution, journeys) = self.latency.map_or((None, None), |e| e.finish(now));
-        ProbeArtifacts { tracer: self.tracer, profiler: self.profiler, attribution, journeys }
+    /// Closes every sink at cycle `now`, handing the recorder its pending
+    /// events first.
+    pub(crate) fn finish(mut self, now: Cycle) -> ProbeArtifacts {
+        self.flush_events();
+        let (attribution, journeys) = self.latency.take().map_or((None, None), |e| e.finish(now));
+        let (tracer, profiler) = (self.tracer.take(), self.profiler.take());
+        ProbeArtifacts { tracer, profiler, attribution, journeys }
     }
 
     /// Whether the workload must buffer transaction-lifecycle events: some
@@ -95,18 +115,30 @@ impl Probe {
             || self.latency.as_ref().is_some_and(LatencyEngine::traces_journeys)
     }
 
-    /// Records `event` in the tracer and the flight recorder's event ring,
-    /// so the recorder sees exactly the tracer's event stream.
+    /// Records `event` in the tracer and queues it for the flight
+    /// recorder's event ring, so the recorder sees exactly the tracer's
+    /// event stream once [`Probe::flush_events`] runs.
     #[inline]
     pub(crate) fn event(&mut self, event: Event) {
         if let Some(t) = self.tracer.as_mut() {
             t.record(event);
         }
-        if let Some(bb) = self.blackbox.as_ref() {
-            if let Ok(mut r) = bb.lock() {
-                r.push_event(event);
-            }
+        if self.blackbox.is_some() {
+            self.pending.push(event);
         }
+    }
+
+    /// Hands the events queued since the last flush to the flight recorder,
+    /// in order, under one lock. With nothing queued it is one branch.
+    #[inline]
+    pub(crate) fn flush_events(&mut self) {
+        if self.pending.is_empty() {
+            return;
+        }
+        if let Some(Ok(mut r)) = self.blackbox.as_ref().map(|bb| bb.lock()) {
+            self.pending.iter().for_each(|&e| r.push_event(e));
+        }
+        self.pending.clear();
     }
 
     /// One transaction-lifecycle event drained from the workload.
@@ -301,13 +333,22 @@ impl Probe {
     }
 }
 
+impl Drop for Probe {
+    /// A probe dropped mid-cycle — replaced, or unwound by a panic — still
+    /// hands the recorder every event it queued.
+    fn drop(&mut self) {
+        self.flush_events();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::flit::make_packet;
     use crate::{Network, SimConfig};
+    use noc_fault::{HardFault, HardFaultKind, HardFaultScenario, HardFaultTarget};
     use noc_telemetry::{shared_recorder, TraceFilter};
-    use noc_traffic::Workload;
+    use noc_traffic::{Workload, WorkloadSpec};
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
@@ -349,6 +390,63 @@ mod tests {
             assert_eq!(taken.tracer.is_some(), subset & 1 != 0);
             assert_eq!(taken.journeys.is_some(), subset & 4 != 0);
             assert!(!recording.load(Ordering::Relaxed), "subset {subset:03b} after take_probe");
+        }
+    }
+
+    /// The recorder's events so far, oldest first.
+    fn recorded(bb: &SharedRecorder) -> Vec<Event> {
+        bb.lock().expect("recorder lock").events().iter().copied().collect()
+    }
+
+    /// The recorder gets every event the tracer gets, in order, at each
+    /// point the probe hands its queue over: the end of every cycle, the
+    /// watchdog's stall (the run ends after it, with no cycle end to
+    /// follow), and a probe that is finished or dropped with events still
+    /// queued. (`finish` also drops the probe, so its own hand-over and the
+    /// drop's cannot be told apart here.)
+    #[test]
+    fn recorder_receives_every_event_at_each_flush_point() {
+        let mut cfg = SimConfig { width: 4, height: 4, stall_window: 300, ..SimConfig::default() };
+        cfg.fault_aware_routing = false;
+        cfg.hard_faults = HardFaultScenario {
+            faults: vec![HardFault {
+                at: 0,
+                target: HardFaultTarget::Link { router: 5, dir: 0 },
+                kind: HardFaultKind::FailStop,
+            }],
+        };
+        let mut net = Network::new(cfg, WorkloadSpec::uniform(0.1, 40), 5);
+        let bb = shared_recorder(1 << 12);
+        let tracer = Some(Tracer::new(1 << 16, TraceFilter::all()));
+        net.install_probe(ProbeConfig { tracer, blackbox: Some(bb.clone()), ..Default::default() });
+        let stream = |net: &Network| -> Vec<Event> {
+            net.tracer().expect("tracer installed").events().copied().collect()
+        };
+        for _ in 0..50 {
+            net.step_cycle();
+            assert_eq!(recorded(&bb), stream(&net), "after cycle {}", net.now());
+        }
+        assert!(!recorded(&bb).is_empty(), "the first cycles inject packets");
+        assert!(net.run_cycles(100_000), "the dead link stalls the run");
+        assert!(net.stall().is_some());
+        assert!(matches!(recorded(&bb).last(), Some(Event::WatchdogStall { .. })));
+        assert_eq!(recorded(&bb), stream(&net));
+
+        let events: Vec<Event> = (0..5)
+            .map(|packet| Event::PacketInjected { cycle: packet, router: 0, packet, dest: 1 })
+            .collect();
+        for finish in [false, true] {
+            let bb = shared_recorder(4);
+            let cfg = ProbeConfig { blackbox: Some(bb.clone()), ..Default::default() };
+            let mut probe = Probe::new(cfg, &Mesh::new(2, 2), "test");
+            events.iter().for_each(|&e| probe.event(e));
+            assert!(recorded(&bb).is_empty(), "queued until a hand-over");
+            if finish {
+                probe.finish(9);
+            } else {
+                drop(probe);
+            }
+            assert_eq!(recorded(&bb), events, "finish: {finish}");
         }
     }
 

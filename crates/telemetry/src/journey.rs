@@ -26,7 +26,7 @@
 use crate::inspect::LatencyComponents;
 use crate::json_str;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// Serialized journeys-JSONL format version (bumped on incompatible
 /// changes).
@@ -81,18 +81,20 @@ pub enum JourneyLoc {
     },
 }
 
-impl JourneyLoc {
-    /// Stable compact label: `ni:3`, `r:12`, `l:12-13`.
-    #[must_use]
-    pub fn label(&self) -> String {
+/// The stable compact label: `ni:3`, `r:12`, `l:12-13`. It never needs
+/// escaping in JSON.
+impl fmt::Display for JourneyLoc {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
-            JourneyLoc::SourceNi(n) => format!("ni:{n}"),
-            JourneyLoc::Router(r) => format!("r:{r}"),
-            JourneyLoc::Link { from, to } => format!("l:{from}-{to}"),
+            JourneyLoc::SourceNi(n) => write!(f, "ni:{n}"),
+            JourneyLoc::Router(r) => write!(f, "r:{r}"),
+            JourneyLoc::Link { from, to } => write!(f, "l:{from}-{to}"),
         }
     }
+}
 
-    /// Parses a label produced by [`JourneyLoc::label`].
+impl JourneyLoc {
+    /// Parses a label its `Display` produced.
     #[must_use]
     pub fn parse(s: &str) -> Option<Self> {
         if let Some(n) = s.strip_prefix("ni:") {
@@ -153,7 +155,8 @@ pub const JOURNEY_CAUSES: [JourneyCause; 12] = [
 ];
 
 impl JourneyCause {
-    /// Stable wire/report name.
+    /// Stable wire/report name: lowercase ASCII and `_`, so it never needs
+    /// escaping in JSON.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
@@ -270,7 +273,9 @@ impl PacketJourney {
             .max_by(|a, b| a.duration().cmp(&b.duration()).then(b.start.cmp(&a.start)))
     }
 
-    /// Appends this journey as one JSONL record (with trailing newline).
+    /// Appends this journey as one JSONL record (with trailing newline). It
+    /// writes straight into `out`: location labels and cause names need no
+    /// escaping, so a span allocates nothing.
     pub fn write_jsonl(&self, out: &mut String) {
         let _ = write!(
             out,
@@ -286,23 +291,17 @@ impl PacketJourney {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(
-                out,
-                "[{},{},{},{}]",
-                s.start,
-                s.end,
-                json_str(&s.loc.label()),
-                json_str(s.cause.name())
-            );
+            let _ = write!(out, "[{},{},\"{}\",\"{}\"]", s.start, s.end, s.loc, s.cause.name());
         }
         out.push_str("]}\n");
     }
 
     /// This journey as a standalone JSONL line (used by the blackbox's
-    /// slowest-journeys ring).
+    /// slowest-journeys ring): one allocation, sized for a span of two
+    /// seven-digit cycles, a link label and the longest cause name.
     #[must_use]
     pub fn to_jsonl_line(&self) -> String {
-        let mut out = String::with_capacity(128 + self.spans.len() * 24);
+        let mut out = String::with_capacity(192 + self.spans.len() * 48);
         self.write_jsonl(&mut out);
         if out.ends_with('\n') {
             out.pop();
@@ -325,7 +324,8 @@ pub enum TxnOutcome {
 }
 
 impl TxnOutcome {
-    /// Stable wire/report name.
+    /// Stable wire/report name: lowercase ASCII and `_`, so it never needs
+    /// escaping in JSON.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
@@ -359,7 +359,8 @@ pub enum TxnLegKind {
 }
 
 impl TxnLegKind {
-    /// Stable wire/report name.
+    /// Stable wire/report name: lowercase ASCII and `_`, so it never needs
+    /// escaping in JSON.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
@@ -421,7 +422,9 @@ impl TxnJourney {
         self.resolved_at.saturating_sub(self.issued_at)
     }
 
-    /// Appends this journey as one JSONL record (with trailing newline).
+    /// Appends this journey as one JSONL record (with trailing newline). It
+    /// writes straight into `out`: location labels and cause names need no
+    /// escaping, so a span allocates nothing.
     pub fn write_jsonl(&self, out: &mut String) {
         let _ = write!(
             out,
@@ -601,7 +604,7 @@ impl JourneyLog {
                     name: s.cause.name(),
                     arg_kind: "packet",
                     arg_id: p.packet,
-                    loc: s.loc.label(),
+                    loc: s.loc.to_string(),
                 });
             }
         }
@@ -826,7 +829,7 @@ impl JourneyLog {
             let _ = writeln!(
                 out,
                 "| `{}` | {} | {:.2} | {:.2} | {:+.2} |",
-                r.loc.label(),
+                r.loc,
                 r.cause.name(),
                 r.fast_mean,
                 r.tail_mean,
@@ -845,7 +848,7 @@ impl JourneyLog {
         for p in self.slowest_packets(k) {
             let dom = p
                 .dominant_span()
-                .map(|s| format!("`{}` {} ({})", s.loc.label(), s.cause.name(), s.duration()))
+                .map(|s| format!("`{}` {} ({})", s.loc, s.cause.name(), s.duration()))
                 .unwrap_or_else(|| "—".to_owned());
             let hops = p.spans.iter().filter(|s| matches!(s.cause, JourneyCause::Link)).count()
                 + p.spans.iter().filter(|s| matches!(s.cause, JourneyCause::Bypass)).count();
@@ -932,7 +935,7 @@ impl JourneyLog {
             let _ = writeln!(
                 out,
                 "{},{},{:.4},{:.4},{:.4},{}",
-                r.loc.label(),
+                r.loc,
                 r.cause.name(),
                 r.fast_mean,
                 r.tail_mean,
@@ -1265,12 +1268,51 @@ mod tests {
         assert!(csv.contains("r:0,vc_sa_wait,"), "{csv}");
     }
 
+    /// The span writer puts labels and cause names into the line as they
+    /// are; the reference is the escaping formula it used before, over every
+    /// location kind (a rim link's `to` is `u16::MAX`) × every cause.
+    #[test]
+    fn span_writer_matches_the_escaped_reference() {
+        let locs = [
+            (JourneyLoc::SourceNi(3), "ni:3"),
+            (JourneyLoc::Router(12), "r:12"),
+            (JourneyLoc::Link { from: 12, to: 13 }, "l:12-13"),
+            (JourneyLoc::Link { from: 7, to: u16::MAX }, "l:7-65535"),
+        ];
+        for (loc, label) in locs {
+            assert_eq!(loc.to_string(), label);
+            for cause in JOURNEY_CAUSES {
+                let span = HopSpan { start: 5, end: 9, loc, cause };
+                let journey = PacketJourney {
+                    packet: 1,
+                    src: 3,
+                    dest: 12,
+                    injected_at: 5,
+                    delivered_at: 9,
+                    latency: 4,
+                    txn: None,
+                    spans: vec![span; 2],
+                };
+                let span =
+                    format!("[5,9,{},{}]", json_str(&loc.to_string()), json_str(cause.name()));
+                let reference = format!(
+                    "{{\"kind\":\"packet\",\"packet\":1,\"src\":3,\"dest\":12,\
+                     \"injected_at\":5,\"delivered_at\":9,\"latency\":4,\"spans\":[{span},{span}]}}"
+                );
+                let mut line = String::new();
+                journey.write_jsonl(&mut line);
+                assert_eq!(line, format!("{reference}\n"), "{label} {}", cause.name());
+                assert_eq!(journey.to_jsonl_line(), reference);
+            }
+        }
+    }
+
     #[test]
     fn loc_and_cause_labels_roundtrip() {
         for loc in
             [JourneyLoc::SourceNi(3), JourneyLoc::Router(63), JourneyLoc::Link { from: 12, to: 13 }]
         {
-            assert_eq!(JourneyLoc::parse(&loc.label()), Some(loc));
+            assert_eq!(JourneyLoc::parse(&loc.to_string()), Some(loc));
         }
         assert_eq!(JourneyLoc::parse("x:1"), None);
         for cause in JOURNEY_CAUSES {
