@@ -13,15 +13,16 @@
 //! spec's cells. A PARSEC cell's seed is paired: every design of a benchmark
 //! runs seed `k` of the spec (`k = 0` is the campaign seed, 2019), so Figs.
 //! 9–16 normalize each benchmark to SECDED on the *same* traffic. The other
-//! studies that are a plain grid of independent runs — the ablations, the
-//! mesh-scaling study, the load sweep and (through `run_campaign_runner`)
-//! the resilience grid — are cell lists for [`intellinoc::run_grid`], each
-//! cell at the seed its study pins. `--jobs N` parallelizes every grid
-//! without moving a byte of output; the few runs that need a policy or hook
-//! of their own go through [`intellinoc::run_experiment_with`], held to the
-//! same standard. An [`Evaluation`] carries the campaign parameters and
-//! worker count across the figures of one invocation and runs the
-//! campaign, and each distinct pre-training, at most once, in memory.
+//! studies — Figs. 18a/18b, the ablations, expert-vs-RL, the Q-table
+//! faults, the mesh-scaling study, the load sweep and (through
+//! `run_campaign_runner`) the resilience grid — are cell lists for
+//! [`intellinoc::run_grid`], each cell at the seed its study pins; a
+//! cell's policy (`expert`) and Q-table soft errors (`qtable_flips`) are
+//! cell data like its seed. `--jobs N` parallelizes every grid without
+//! moving a byte of output. An [`Evaluation`] carries the campaign
+//! parameters and worker count across the figures of one invocation and
+//! runs the campaign, and each distinct pre-training recipe, at most once,
+//! in memory.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,25 +34,21 @@ pub use csv::{write_campaign_csv, write_raw_csv, METRIC_COLUMNS};
 pub use studies::print_headline;
 
 use intellinoc::{
-    classify_timeout, compare, panic_message, pretrain_intellinoc, run_experiment_with, run_grid,
-    BenchSpec, BenchWorkload, ChaosOptions, ComparisonRow, ControlPolicy, Design, ExperimentConfig,
-    ExperimentOutcome, NormalizedMetrics, RewardKind, RunStatus, RunnerConfig, RunnerReport,
+    compare, pretrain_intellinoc, run_grid, BenchSpec, BenchWorkload, ChaosOptions, ComparisonRow,
+    Design, ExperimentConfig, ExperimentOutcome, NormalizedMetrics, RewardKind, RunnerConfig,
     UnitSinks,
 };
 use noc_rl::{QLearningConfig, QTable};
 use noc_traffic::ParsecBenchmark;
 use std::io::{self, Write};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Default packets-per-node budget for figure campaigns. Keeps full-campaign
 /// wall-clock tractable while exercising thousands of packets per run.
 pub const CAMPAIGN_PACKETS_PER_NODE: u64 = 300;
 
-/// Default packets-per-node budget for RL pre-training on blackscholes.
-pub const PRETRAIN_PACKETS_PER_NODE: u64 = 200;
-
-/// Pre-training episodes (full blackscholes executions).
-pub const PRETRAIN_EPISODES: u32 = 24;
+/// A pre-training recipe, `(rl, packets per node, time step, seed, episodes)`:
+/// all [`pretrain_intellinoc`] reads but the reward (always Eq. 1's).
+pub type Pretraining = (QLearningConfig, u64, u64, u64, u32);
 
 /// Campaign-wide parameters.
 #[derive(Debug, Clone, Copy)]
@@ -78,6 +75,12 @@ impl Default for Campaign {
 }
 
 impl Campaign {
+    /// This campaign's pre-training: 24 full blackscholes executions of 200
+    /// packets per node, at its RL hyperparameters, time step and seed.
+    pub fn pretraining(&self) -> Pretraining {
+        (self.rl, 200, self.time_step, self.seed, 24)
+    }
+
     /// `designs` × `benches` as a one-seed [`BenchSpec`] grid at this
     /// campaign's packet budget and seed, and its outcomes in cell order
     /// (design-major): the spec's cells with this campaign's time step, RL
@@ -145,36 +148,6 @@ impl Campaign {
     }
 }
 
-/// What a figure reports for a unit that gave it no usable outcome.
-pub(crate) fn unit_error(key: &str, status: RunStatus, error: Option<&str>) -> String {
-    format!("unit {key} {}: {}", status.label(), error.unwrap_or("out of cycle budget or stalled"))
-}
-
-/// One [`run_experiment_with`] run outside a grid — a study's own policy or
-/// `before_decide` hook — held to what a grid's units are held to
-/// ([`RunnerReport::clean_payloads`](intellinoc::RunnerReport::clean_payloads)).
-///
-/// # Errors
-///
-/// The run, named by `key`, did not finish (out of cycle budget or stalled)
-/// or panicked.
-pub(crate) fn run_checked(
-    key: &str,
-    cfg: ExperimentConfig,
-    policy: Option<ControlPolicy>,
-    before_decide: impl FnMut(&mut ControlPolicy),
-) -> Result<ExperimentOutcome, String> {
-    let budget = cfg.max_cycles;
-    let run = AssertUnwindSafe(|| run_experiment_with(cfg, policy, before_decide).0);
-    let outcome = catch_unwind(run).map_err(|payload| {
-        unit_error(key, RunStatus::Failed, Some(&panic_message(payload.as_ref())))
-    })?;
-    match classify_timeout(&outcome.report, outcome.finished, budget) {
-        None => Ok(outcome),
-        Some(_) => Err(unit_error(key, RunStatus::TimedOut, None)),
-    }
-}
-
 /// Results of a campaign.
 #[derive(Debug)]
 pub struct CampaignResults {
@@ -239,8 +212,8 @@ pub struct Evaluation {
     /// Worker threads for the grid studies (results identical at any count).
     pub jobs: usize,
     results: Option<CampaignResults>,
-    /// Pre-trained tables by the `(rl, time_step, seed)` that produced them.
-    pretrained: Vec<((QLearningConfig, u64, u64), Vec<QTable>)>,
+    /// Pre-trained tables by the recipe that produced them.
+    pretrained: Vec<(Pretraining, Vec<QTable>)>,
 }
 
 impl Evaluation {
@@ -249,17 +222,15 @@ impl Evaluation {
         Evaluation { campaign, jobs, results: None, pretrained: Vec::new() }
     }
 
-    /// The IntelliNoC policy pre-trained on blackscholes (paper §6.3) for
-    /// `campaign`, computed once per distinct `(rl, time_step, seed)` — all
-    /// that pre-training reads of a campaign.
-    pub fn pretrained(&mut self, campaign: &Campaign) -> Vec<QTable> {
-        let key @ (rl, time_step, seed) = (campaign.rl, campaign.time_step, campaign.seed);
-        if let Some((_, tables)) = self.pretrained.iter().find(|(k, _)| *k == key) {
+    /// The IntelliNoC policy pre-trained on blackscholes (paper §6.3) by
+    /// `recipe`, computed once per distinct recipe.
+    pub fn pretrained(&mut self, recipe: Pretraining) -> Vec<QTable> {
+        if let Some((_, tables)) = self.pretrained.iter().find(|(k, _)| *k == recipe) {
             return tables.clone();
         }
-        let (ppn, episodes) = (PRETRAIN_PACKETS_PER_NODE, PRETRAIN_EPISODES);
+        let (rl, ppn, time_step, seed, episodes) = recipe;
         let tables = pretrain_intellinoc(rl, RewardKind::LogSpace, ppn, time_step, seed, episodes);
-        self.pretrained.push((key, tables.clone()));
+        self.pretrained.push((recipe, tables.clone()));
         tables
     }
 
@@ -268,13 +239,17 @@ impl Evaluation {
         RunnerConfig::serial().with_jobs(self.jobs)
     }
 
-    /// Runs a study's own `cells` as one grid on this evaluation's workers.
+    /// Runs a study's own `cells` as one grid on this evaluation's workers:
+    /// their outcomes in cell order, or the first unit that did not finish
+    /// `ok`, named by its key ([`intellinoc::RunnerReport::clean_payloads`]).
     pub(crate) fn grid(
         &self,
         cells: &[(String, ExperimentConfig)],
-    ) -> io::Result<RunnerReport<ExperimentOutcome>> {
-        run_grid(cells, &self.runner(), &ChaosOptions::default(), UnitSinks::default())
-            .map_err(io::Error::other)
+    ) -> io::Result<Vec<ExperimentOutcome>> {
+        let report =
+            run_grid(cells, &self.runner(), &ChaosOptions::default(), UnitSinks::default())
+                .map_err(io::Error::other)?;
+        Ok(report.clean_payloads().map_err(io::Error::other)?.into_iter().cloned().collect())
     }
 
     /// The full paper campaign — all designs × the 10-benchmark test set,
@@ -288,7 +263,7 @@ impl Evaluation {
         if self.results.is_none() {
             eprintln!("[campaign] running 5 designs x 10 benchmarks, {} worker(s)...", self.jobs);
             let campaign = self.campaign;
-            let pretrained = self.pretrained(&campaign);
+            let pretrained = self.pretrained(campaign.pretraining());
             let results = campaign
                 .run(&ParsecBenchmark::TEST_SET, Some(&pretrained), &self.runner())
                 .map_err(io::Error::other)?;
@@ -421,13 +396,14 @@ pub const FIGURES: &[Figure] = &[
     Figure {
         name: "fig18a_gamma",
         about: "Fig. 18a: discount rate gamma vs EDP and re-transmissions (blackscholes, seed 7)",
-        render: |_, w| {
+        render: |e, w| {
             studies::hyper_sweep(
+                e,
                 w,
                 "Fig. 18a: impact of discount rate gamma",
                 ("gamma", 6, 1),
                 &[0.0, 0.1, 0.2, 0.5, 0.9, 1.0],
-                |rl, gamma| rl.gamma = gamma as f32,
+                studies::set_gamma,
                 "paper: EDP improves with larger gamma up to 0.9; gamma=1 fails to converge",
             )
         },
@@ -435,13 +411,14 @@ pub const FIGURES: &[Figure] = &[
     Figure {
         name: "fig18b_epsilon",
         about: "Fig. 18b: exploration epsilon vs EDP and re-transmissions (blackscholes, seed 7)",
-        render: |_, w| {
+        render: |e, w| {
             studies::hyper_sweep(
+                e,
                 w,
                 "Fig. 18b: impact of exploration probability epsilon",
                 ("epsilon", 8, 2),
                 &[0.0, 0.01, 0.05, 0.1, 0.2, 0.5, 1.0],
-                |rl, epsilon| rl.epsilon = epsilon,
+                studies::set_epsilon,
                 "paper: both extremes (epsilon=0 and epsilon=1) are sub-optimal; 0.05 is best",
             )
         },
@@ -580,21 +557,27 @@ mod tests {
         assert!(err.contains("1 ok, 0 failed, 1 timed-out, 0 skipped"), "{err}");
     }
 
-    /// The serial studies' runs are held to the grid's standard: out of
-    /// budget or panicked is an error naming the unit, never an outcome.
+    /// A study's cells are held to the grid's standard: out of budget or
+    /// panicked is an error naming the unit, never an outcome — for the
+    /// cells that carry a policy (`expert`) or soft errors (`qtable_flips`)
+    /// like any other.
     #[test]
-    fn a_serial_run_that_does_not_finish_or_panics_fails_by_key() {
+    fn a_study_cell_that_does_not_finish_or_panics_fails_by_key() {
         let cfg = ExperimentConfig::new(Design::IntelliNoc, ParsecBenchmark::Canneal.workload(4))
             .with_seed(2019)
             .with_time_step(50);
-        let ok = run_checked("study/ok", cfg.clone(), None, |_| ()).expect("finishes");
-        assert!(ok.finished && ok.mode_histogram.iter().sum::<u64>() > 0);
-        let cut = ExperimentConfig { max_cycles: 1, ..cfg.clone() };
-        let err = run_checked("study/cut", cut, None, |_| ()).expect_err("no budget");
-        assert!(err.contains("study/cut") && err.contains("timed-out"), "{err}");
-        let err = run_checked("study/boom", cfg, None, |_| panic!("hook blew up"))
-            .expect_err("the hook panics at the first control step");
-        assert!(err.contains("study/boom failed: hook blew up"), "{err}");
+        let flips = ExperimentConfig { qtable_flips: 2.0, ..cfg.clone() };
+        let expert = ExperimentConfig { expert: Some(Default::default()), max_cycles: 1, ..cfg };
+        let cells = [("study/flips".to_owned(), flips), ("study/expert".to_owned(), expert)];
+        let eval = Evaluation::new(tiny_campaign(), 1);
+        let ok = eval.grid(&cells[..1]).expect("the flips cell finishes");
+        assert!(ok[0].finished && ok[0].mode_histogram.iter().sum::<u64>() > 0);
+        let err = eval.grid(&cells).expect_err("no budget").to_string();
+        assert!(err.contains("unit study/expert timed-out"), "{err}");
+        let chaos = ChaosOptions { panic_units: Some("flips".into()), ..Default::default() };
+        let report = run_grid(&cells, &RunnerConfig::serial(), &chaos, UnitSinks::default());
+        let err = report.expect("engine").clean_payloads().expect_err("a panicked unit");
+        assert!(err.contains("unit study/flips failed: "), "{err}");
     }
 
     /// Each scaling cell sizes its agent bank from its own mesh: one
@@ -608,8 +591,7 @@ mod tests {
         let cells: Vec<_> = studies::scaling_cells().into_iter().skip(3).step_by(2).collect();
         assert!(cells.iter().all(|(_, cfg)| cfg.design == Design::IntelliNoc));
         let sides = [4u64, 16];
-        let report = Evaluation::new(tiny_campaign(), 1).grid(&cells).expect("engine");
-        let outcomes = report.clean_payloads().expect("clean grid");
+        let outcomes = Evaluation::new(tiny_campaign(), 1).grid(&cells).expect("clean grid");
         for (side, o) in sides.iter().zip(&outcomes) {
             let routers = side * side;
             let steps = (o.report.stats.cycles - 1) / intellinoc::DEFAULT_TIME_STEP;
@@ -623,16 +605,16 @@ mod tests {
     /// Every entry the campaign grid feeds — Figs. 9–16, 17a, 17b, the
     /// probe, the headline block and both CSVs — rendered from a ppn-4
     /// evaluation of the whole test set, with stand-in (untrained) tables in
-    /// the pre-training cache for each `(rl, time_step, seed)` the entries
-    /// ask for, so nothing pre-trains. Recorded before the campaign became a
+    /// the pre-training cache for each recipe the entries ask for, so
+    /// nothing pre-trains. Recorded before the campaign became a
     /// `BenchSpec` grid: the bytes must not move.
     #[test]
     fn tiny_evaluation_renders_the_pinned_bytes() {
         let mut eval = Evaluation::new(tiny_campaign(), 2);
-        let Campaign { rl, seed, .. } = eval.campaign;
         for time_step in [intellinoc::DEFAULT_TIME_STEP, 200, 500, 10_000] {
             let stand_in = vec![QTable::new(5, 350); 64];
-            eval.pretrained.push(((rl, time_step, seed), stand_in));
+            let recipe = Campaign { time_step, ..eval.campaign }.pretraining();
+            eval.pretrained.push((recipe, stand_in));
         }
         let mut out = Vec::new();
         let entries = [
@@ -666,16 +648,22 @@ mod tests {
     }
 
     #[test]
-    fn pretrained_tables_are_cached_by_rl_time_step_and_seed() {
+    fn pretrained_tables_are_cached_by_recipe() {
         let mut eval = Evaluation::new(Campaign::default(), 1);
         // A stand-in for the campaign's 24 episodes: one empty table.
         let stand_in = vec![QTable::new(5, 350)];
-        let Campaign { rl, time_step, seed, .. } = eval.campaign;
-        eval.pretrained.push(((rl, time_step, seed), stand_in));
+        eval.pretrained.push((eval.campaign.pretraining(), stand_in));
         // Pre-training does not read the test runs' packet budget.
         let same = Campaign { packets_per_node: 4, ..Campaign::default() };
-        let tables = eval.pretrained(&same);
+        let tables = eval.pretrained(same.pretraining());
         assert!(tables.len() == 1 && tables[0].is_empty(), "served from the cache");
         assert_eq!(eval.pretrained.len(), 1);
+        // Fig. 18a's gamma = 0.9 row and Fig. 18b's epsilon = 0.05 row are
+        // both the paper's RL config: one recipe, pre-trained once.
+        let gamma = studies::hyper_recipe(studies::set_gamma, 0.9);
+        eval.pretrained.push((gamma, Vec::new()));
+        let tables = eval.pretrained(studies::hyper_recipe(studies::set_epsilon, 0.05));
+        assert!(tables.is_empty(), "served from Fig. 18a's entry");
+        assert_eq!(eval.pretrained.len(), 2);
     }
 }

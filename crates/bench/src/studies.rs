@@ -1,25 +1,22 @@
 //! The renderers behind [`crate::FIGURES`]: each runs what its study needs
-//! — the shared campaign, a `run_grid` grid of its own, or a short serial
-//! sequence where one run feeds the next (pre-train, then test) — and
-//! writes the table(s). Seeds are the ones each study pins. Every run goes
-//! through a grid or [`run_checked`], never the unchecked
-//! `intellinoc::run_experiment`: a run that did not finish is an error
-//! naming its unit (`RunnerReport::clean_payloads`), or (`ablations`,
-//! `resilience`) a status row — not numbers.
+//! — the shared campaign, or a cell list of its own as one `run_grid` grid,
+//! its pre-trained tables from the evaluation's cache — and writes the
+//! table(s). Seeds are the ones each study pins. Every run goes through a
+//! grid, never the unchecked `intellinoc::run_experiment`: a run that did
+//! not finish is an error naming its unit (`RunnerReport::clean_payloads`),
+//! or (`ablations`, `resilience`) a status row — not numbers.
 
-use crate::{design_columns, run_checked, unit_error, Campaign, Evaluation};
+use crate::{design_columns, Campaign, Evaluation, Pretraining};
 use intellinoc::{
-    intellinoc_rl_config, pretrain_intellinoc, run_campaign_runner, CampaignConfig,
-    CampaignRunReport, ChaosOptions, ControlPolicy, Design, ExperimentConfig, ExpertThresholds,
-    NormalizedMetrics, RewardKind, UnitSinks,
+    intellinoc_rl_config, run_campaign_runner, run_grid, CampaignConfig, CampaignRunReport,
+    ChaosOptions, Design, ExperimentConfig, ExpertThresholds, NormalizedMetrics, RewardKind,
+    UnitSinks,
 };
 use noc_ecc::EccScheme;
 use noc_power::{AreaBreakdown, AreaModel};
-use noc_rl::{QLearningConfig, StateKey};
+use noc_rl::QLearningConfig;
 use noc_sim::{RunReport, SimConfig};
 use noc_traffic::{ParsecBenchmark, WorkloadSpec};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use std::io::{self, Write};
 
 /// An [`ExperimentConfig::tweak`].
@@ -126,7 +123,7 @@ pub(crate) fn fig17a(eval: &mut Evaluation, w: &mut dyn Write) -> io::Result<()>
         .map_err(io::Error::other)?;
     for step in [200u64, 500, 1_000, 10_000] {
         let campaign = Campaign { time_step: step, ..eval.campaign };
-        let pretrained = eval.pretrained(&campaign);
+        let pretrained = eval.pretrained(campaign.pretraining());
         let runs = campaign
             .outcomes(&[Design::IntelliNoc], &BENCHES, Some(&pretrained), &rcfg, |_| ())
             .map_err(io::Error::other)?;
@@ -152,7 +149,7 @@ pub(crate) fn fig17b(eval: &mut Evaluation, w: &mut dyn Write) -> io::Result<()>
         "bit_rate", "exec_time", "e2e_latency", "energy", "retx(intelli)"
     )?;
     let campaign = eval.campaign;
-    let pretrained = eval.pretrained(&campaign);
+    let pretrained = eval.pretrained(campaign.pretraining());
     for rate in [1e-10f64, 1e-8, 1e-6, 1e-5, 1e-4] {
         let designs = [Design::IntelliNoc, Design::Secded];
         let runs = campaign
@@ -172,11 +169,32 @@ pub(crate) fn fig17b(eval: &mut Evaluation, w: &mut dyn Write) -> io::Result<()>
     writeln!(w, "as the error rate increases")
 }
 
+/// Fig. 18a's swept value: the discount rate γ.
+pub(crate) fn set_gamma(rl: &mut QLearningConfig, gamma: f64) {
+    rl.gamma = gamma as f32;
+}
+
+/// Fig. 18b's swept value: the exploration probability ε.
+pub(crate) fn set_epsilon(rl: &mut QLearningConfig, epsilon: f64) {
+    rl.epsilon = epsilon;
+}
+
+/// The pre-training of a Figs. 18a/18b row: the paper's RL config with
+/// `value` `set`, 12 episodes at the rows' own packet budget (200) and
+/// seed (7).
+pub(crate) fn hyper_recipe(set: fn(&mut QLearningConfig, f64), value: f64) -> Pretraining {
+    let mut rl = intellinoc_rl_config();
+    set(&mut rl, value);
+    (rl, 200, 1_000, 7, 12)
+}
+
 /// Figs. 18a/18b — impact of one RL hyperparameter on IntelliNoC's
 /// energy–delay product and re-transmission rate, tuned on blackscholes as
 /// in the paper. `column` is the swept value's `(heading, width,
-/// precision)`; `set` writes it into the RL config.
+/// precision)`; `set` writes it into the RL config. One grid: the SECDED
+/// baseline, then one pre-trained IntelliNoC cell per value.
 pub(crate) fn hyper_sweep(
+    eval: &mut Evaluation,
     w: &mut dyn Write,
     title: &str,
     (column, width, precision): (&str, usize, usize),
@@ -184,24 +202,27 @@ pub(crate) fn hyper_sweep(
     set: fn(&mut QLearningConfig, f64),
     paper: &str,
 ) -> io::Result<()> {
-    const PPN: u64 = 200;
-    const SEED: u64 = 7;
-    let workload = || ParsecBenchmark::Blackscholes.workload(PPN);
+    let cell = |design, (rl, ppn, _, seed, _): Pretraining| {
+        let workload = ParsecBenchmark::Blackscholes.workload(ppn);
+        ExperimentConfig { rl, ..ExperimentConfig::new(design, workload).with_seed(seed) }
+    };
+    // SECDED reads no RL config; the recipe gives it the rows' budget and seed.
+    let baseline = cell(Design::Secded, hyper_recipe(|_, _| (), 0.0));
+    let mut cells = vec![(format!("fig18/{column}/SECDED"), baseline)];
+    for &value in values {
+        let recipe = hyper_recipe(set, value);
+        let pretrained = Some(eval.pretrained(recipe));
+        let cfg = ExperimentConfig { pretrained, ..cell(Design::IntelliNoc, recipe) };
+        cells.push((format!("fig18/{column}/{value}"), cfg));
+    }
+    let outcomes = eval.grid(&cells)?;
+    let (baseline, runs) = outcomes.split_first().expect("the baseline cell comes first");
+    let base_edp = baseline.report.edp();
+    let base_retx = baseline.report.stats.retransmitted_flits.max(1) as f64;
     writeln!(w, "=== {title} (blackscholes) ===")?;
     writeln!(w, "{column:>width$} {:>14} {:>16}", "EDP(norm)", "retx_rate(norm)")?;
-    let run = |key: String, cfg| run_checked(&key, cfg, None, |_| ()).map_err(io::Error::other);
-    let baseline = ExperimentConfig::new(Design::Secded, workload()).with_seed(SEED);
-    let baseline = run(format!("fig18/{column}/SECDED"), baseline)?.report;
-    let base_edp = baseline.edp();
-    let base_retx = baseline.stats.retransmitted_flits.max(1) as f64;
-    for &value in values {
-        let mut rl = intellinoc_rl_config();
-        set(&mut rl, value);
-        let tables = pretrain_intellinoc(rl, RewardKind::LogSpace, PPN, 1_000, SEED, 12);
-        let mut cfg = ExperimentConfig::new(Design::IntelliNoc, workload()).with_seed(SEED);
-        cfg.rl = rl;
-        cfg.pretrained = Some(tables);
-        let r = run(format!("fig18/{column}/{value}"), cfg)?.report;
+    for (value, o) in values.iter().zip(runs) {
+        let r = &o.report;
         writeln!(
             w,
             "{value:>width$.precision$} {:>14.3} {:>16.3}",
@@ -283,14 +304,19 @@ pub(crate) fn ablations(eval: &mut Evaluation, w: &mut dyn Write) -> io::Result<
             (format!("ablations/{tag}"), cfg)
         })
         .collect();
-    let report = eval.grid(&cells)?;
+    let report = run_grid(&cells, &eval.runner(), &ChaosOptions::default(), UnitSinks::default())
+        .map_err(io::Error::other)?;
     let packets = Design::IntelliNoc.sim_config().nodes() as u64 * PPN;
     writeln!(w, "=== Ablations (IntelliNoC on canneal; see DESIGN.md Section 6) ===")?;
     for ((heading, tag, ..), rec) in rows.iter().zip(&report.records) {
         write!(w, "{heading}")?;
         let Some(o) = &rec.payload else {
-            let error = unit_error(&rec.key, rec.status, rec.error.as_deref());
-            return Err(io::Error::other(error));
+            let error = rec.error.as_deref().unwrap_or("no outcome");
+            return Err(io::Error::other(format!(
+                "unit {} {}: {error}",
+                rec.key,
+                rec.status.label()
+            )));
         };
         let r = &o.report;
         match &rec.timeout {
@@ -324,20 +350,30 @@ pub(crate) fn ablations(eval: &mut Evaluation, w: &mut dyn Write) -> io::Result<
 /// over the same observations — the paper's claim that "manually designing
 /// the rules ... often result[s] in sub-optimal solutions". Both rows of a
 /// benchmark are the same experiment through the same control loop; only
-/// the policy differs.
-pub(crate) fn expert_vs_rl(_: &mut Evaluation, w: &mut dyn Write) -> io::Result<()> {
+/// the policy (the cell's `expert`) differs.
+pub(crate) fn expert_vs_rl(eval: &mut Evaluation, w: &mut dyn Write) -> io::Result<()> {
+    const BENCHES: [ParsecBenchmark; 3] =
+        [ParsecBenchmark::Swaptions, ParsecBenchmark::Canneal, ParsecBenchmark::X264];
+    let policies = [("RL", None), ("expert", Some(ExpertThresholds::default()))];
+    let cells: Vec<(String, ExperimentConfig)> = BENCHES
+        .iter()
+        .flat_map(|bench| {
+            policies.map(|(name, expert)| {
+                let cfg = ExperimentConfig::new(Design::IntelliNoc, bench.workload(200));
+                let cfg = ExperimentConfig { expert, ..cfg.with_seed(21) };
+                (format!("expert_vs_rl/{}/{name}", bench.label()), cfg)
+            })
+        })
+        .collect();
+    let outcomes = eval.grid(&cells)?;
     writeln!(w, "=== expert threshold rule vs Q-learning (IntelliNoC hardware) ===")?;
     writeln!(
         w,
         "{:<14} {:<8} {:>9} {:>9} {:>10} {:>10} {:>7}",
         "benchmark", "policy", "exec_cyc", "latency", "power_mW", "eff(1/uJ)", "retx"
     )?;
-    for bench in [ParsecBenchmark::Swaptions, ParsecBenchmark::Canneal, ParsecBenchmark::X264] {
-        let expert = ControlPolicy::Expert(ExpertThresholds::default(), [0; 5]);
-        for (name, policy) in [("RL", None), ("expert", Some(expert))] {
-            let cfg = ExperimentConfig::new(Design::IntelliNoc, bench.workload(200)).with_seed(21);
-            let key = format!("expert_vs_rl/{}/{name}", bench.label());
-            let o = run_checked(&key, cfg, policy, |_| ()).map_err(io::Error::other)?;
+    for (bench, runs) in BENCHES.iter().zip(outcomes.chunks(policies.len())) {
+        for ((name, _), o) in policies.iter().zip(runs) {
             let r = &o.report;
             writeln!(
                 w,
@@ -360,10 +396,25 @@ pub(crate) fn expert_vs_rl(_: &mut Evaluation, w: &mut dyn Write) -> io::Result<
 }
 
 /// Future-work experiment (paper §6): soft errors in the per-router
-/// state–action tables. Sweeps a per-time-step Q-table bit-flip probability
-/// and measures how gracefully the learned policy degrades.
-pub(crate) fn qtable_faults(_: &mut Evaluation, w: &mut dyn Write) -> io::Result<()> {
+/// state–action tables. Sweeps the expected bit flips per stored Q-table
+/// entry per time step (the cells' `qtable_flips`) and measures how
+/// gracefully the learned policy degrades. `mode_swaps` is the router-steps
+/// spent outside the run's most common mode (the mode histogram's sum minus
+/// its largest bin), not a count of mode switches.
+pub(crate) fn qtable_faults(eval: &mut Evaluation, w: &mut dyn Write) -> io::Result<()> {
     const SEED: u64 = 31;
+    const FLIPS: [f64; 5] = [0.0, 0.1, 0.5, 2.0, 8.0];
+    let tables = eval.pretrained((intellinoc_rl_config(), 150, 1_000, SEED, 12));
+    let cells: Vec<(String, ExperimentConfig)> = FLIPS
+        .iter()
+        .map(|&qtable_flips| {
+            let workload = ParsecBenchmark::Canneal.workload(150);
+            let cfg = ExperimentConfig::new(Design::IntelliNoc, workload).with_seed(SEED);
+            let cfg = ExperimentConfig { pretrained: Some(tables.clone()), qtable_flips, ..cfg };
+            (format!("qtable_faults/{qtable_flips}"), cfg)
+        })
+        .collect();
+    let outcomes = eval.grid(&cells)?;
     writeln!(w, "=== Q-table soft-error resilience (paper Section 6 future work) ===")?;
     writeln!(w, "`hit_rate` = expected bit flips per stored table entry per time step\n")?;
     writeln!(
@@ -371,46 +422,18 @@ pub(crate) fn qtable_faults(_: &mut Evaluation, w: &mut dyn Write) -> io::Result
         "{:>10} {:>10} {:>10} {:>10} {:>10} {:>10}",
         "hit_rate", "exec_cyc", "latency", "power_mW", "retx", "mode_swaps"
     )?;
-    let tables =
-        pretrain_intellinoc(intellinoc_rl_config(), RewardKind::LogSpace, 150, 1_000, SEED, 12);
-    for flip_prob in [0.0f64, 0.1, 0.5, 2.0, 8.0] {
-        let workload = ParsecBenchmark::Canneal.workload(150);
-        let mut cfg = ExperimentConfig::new(Design::IntelliNoc, workload).with_seed(SEED);
-        cfg.pretrained = Some(tables.clone());
-        let mut rng = SmallRng::seed_from_u64(99);
-        // Inject soft errors before the agents read their tables.
-        let corrupt = |policy: &mut ControlPolicy| {
-            let ControlPolicy::Rl(rl) = policy else { return };
-            rl.for_each_table(|table| {
-                // Sorted: the table iterates in hash order, which differs
-                // from process to process; the victims must not.
-                let mut states: Vec<StateKey> = table.states().collect();
-                states.sort_unstable();
-                if states.is_empty() {
-                    return;
-                }
-                let n_flips = (flip_prob * states.len() as f64).round() as usize;
-                for _ in 0..n_flips {
-                    let s = states[rng.gen_range(0..states.len())];
-                    let action = rng.gen_range(0..5);
-                    let bit = rng.gen_range(0..32);
-                    table.inject_bit_flip(s, action, bit);
-                }
-            });
-        };
-        let key = format!("qtable_faults/{flip_prob}");
-        let o = run_checked(&key, cfg, None, corrupt).map_err(io::Error::other)?;
+    for (flips, o) in FLIPS.iter().zip(outcomes) {
         let (r, hist) = (&o.report, o.mode_histogram);
-        let swaps = hist.iter().sum::<u64>() - hist.iter().max().copied().unwrap_or(0);
+        let off_mode = hist.iter().sum::<u64>() - hist.iter().max().copied().unwrap_or(0);
         writeln!(
             w,
             "{:>10.2} {:>10} {:>10.1} {:>10.1} {:>10} {:>10}",
-            flip_prob,
+            flips,
             r.exec_cycles,
             r.avg_latency(),
             r.power.total_mw(),
             r.stats.retransmitted_flits,
-            swaps
+            off_mode
         )?;
     }
     writeln!(w, "\nThe TD update continuously rewrites corrupted entries, so the policy")?;
@@ -452,8 +475,7 @@ pub(crate) fn scaling(eval: &mut Evaluation, w: &mut dyn Write) -> io::Result<()
         "{:>6} {:<11} {:>10} {:>12} {:>10}",
         "mesh", "design", "latency", "power_mW", "delivered"
     )?;
-    let report = eval.grid(&scaling_cells())?;
-    let outcomes = report.clean_payloads().map_err(io::Error::other)?;
+    let outcomes = eval.grid(&scaling_cells())?;
     for ((side, _), o) in SCALING_SIDES.iter().cycle().zip(&outcomes) {
         writeln!(
             w,
@@ -484,8 +506,7 @@ pub(crate) fn load_sweep(eval: &mut Evaluation, w: &mut dyn Write) -> io::Result
             })
         })
         .collect();
-    let report = eval.grid(&cells)?;
-    let outcomes = report.clean_payloads().map_err(io::Error::other)?;
+    let outcomes = eval.grid(&cells)?;
     let mut table = |heading: &str, precision: usize, metric: fn(&RunReport) -> f64| {
         writeln!(w, "{heading}")?;
         design_columns(w, &format!("{:>8}", "rate"))?;

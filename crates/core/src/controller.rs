@@ -13,11 +13,12 @@ use crate::expert::{expert_decide, ExpertThresholds};
 use crate::modes::OperationMode;
 use noc_ecc::EccScheme;
 pub use noc_rl::RewardKind;
-use noc_rl::{Discretizer, QAgent, QLearningConfig, QTable};
+use noc_rl::{Discretizer, QAgent, QLearningConfig, QTable, StateKey};
 use noc_sim::{
     ConvergenceSample, DecisionLog, DecisionRecord, Event, RouterDirective, RouterObservation,
     Tracer,
 };
+use rand::{rngs::SmallRng, Rng};
 
 /// Latency (cycles) charged for a control step in which no packet completed
 /// anywhere while traffic was outstanding — a stalled network.
@@ -92,11 +93,21 @@ impl RlControl {
         self.agents.iter().map(|a| a.table_clone()).collect()
     }
 
-    /// Applies `f` to every agent's live Q-table (used by the Q-table
-    /// soft-error experiments).
-    pub fn for_each_table(&mut self, mut f: impl FnMut(&mut QTable)) {
-        for agent in &mut self.agents {
-            f(agent.table_mut());
+    /// Soft errors in every agent's live Q-table: `flips_per_entry` × its
+    /// stored entries (rounded) bit flips, each at a state, action and bit
+    /// drawn from `rng` — states from the sorted list, since a table
+    /// iterates in hash order, which differs per process.
+    pub fn inject_soft_errors(&mut self, flips_per_entry: f64, rng: &mut SmallRng) {
+        for table in self.agents.iter_mut().map(QAgent::table_mut) {
+            let mut states: Vec<StateKey> = table.states().collect();
+            states.sort_unstable();
+            let n_flips = (flips_per_entry * states.len() as f64).round() as usize;
+            for _ in 0..n_flips {
+                let s = states[rng.gen_range(0..states.len())];
+                let action = rng.gen_range(0..5);
+                let bit = rng.gen_range(0..32);
+                table.inject_bit_flip(s, action, bit);
+            }
         }
     }
 

@@ -3,9 +3,8 @@
 //!
 //! This is the entry point the examples, integration tests, and the figure
 //! harness all use. There is one way to run an experiment —
-//! [`run_experiment_with`], the one control loop, with
-//! [`run_experiment_instrumented`] (the design's own policy) and
-//! [`run_experiment`] (its outcome only) as shorthands — and one way to run
+//! [`run_experiment_instrumented`], the one control loop, with
+//! [`run_experiment`] (its outcome only) as a shorthand — and one way to run
 //! a grid of them:
 //! [`run_grid`] over a list of `(run key, ExperimentConfig)` cells, the one
 //! caller of the `noc-runner` engine and of [`UnitSinks::run_unit`].
@@ -15,6 +14,7 @@
 
 use crate::controller::{intellinoc_rl_config, ControlPolicy, RewardKind, RlControl};
 use crate::designs::Design;
+use crate::expert::ExpertThresholds;
 use crate::runner::{
     classify_timeout, derive_seed, run_seeded_units, ChaosOptions, RunnerConfig, RunnerReport,
     UnitCtx, UnitVerdict,
@@ -28,6 +28,7 @@ use noc_sim::{
     TraceFilter, Tracer, DEFAULT_TRACE_CAPACITY,
 };
 use noc_traffic::{ParsecBenchmark, ReqReplySpec, WorkloadSpec};
+use rand::{rngs::SmallRng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::path::Path;
@@ -60,6 +61,11 @@ pub struct ExperimentConfig {
     pub error_rate_override: Option<f64>,
     /// Pre-trained Q-tables to start from (paper §6.3).
     pub pretrained: Option<Vec<QTable>>,
+    /// A threshold rule to run instead of the design's own policy (D4b).
+    pub expert: Option<ExpertThresholds>,
+    /// Q-table soft errors (paper §6 future work): expected bit flips per
+    /// stored entry per control step ([`RlControl::inject_soft_errors`]).
+    pub qtable_flips: f64,
     /// Overrides applied to the design's simulator config (ablations).
     pub tweak: Option<fn(&mut SimConfig)>,
     /// Scheduled hard faults (dead links/routers, flapping, wear-out).
@@ -194,6 +200,8 @@ impl ExperimentConfig {
             max_cycles: 2_000_000,
             error_rate_override: None,
             pretrained: None,
+            expert: None,
+            qtable_flips: 0.0,
             tweak: None,
             hard_faults: HardFaultScenario::none(),
             fault_aware_routing: false,
@@ -210,16 +218,6 @@ impl ExperimentConfig {
     /// Sets the control time step.
     pub fn with_time_step(mut self, time_step: u64) -> Self {
         self.time_step = time_step;
-        self
-    }
-
-    /// Clamps the simulated-cycle budget to at most `deadline` cycles if
-    /// one is given (the `noc-runner` engine's per-unit deadline hook: the
-    /// simulator stops at the budget and the engine classifies the run).
-    pub fn with_deadline(mut self, deadline: Option<u64>) -> Self {
-        if let Some(d) = deadline {
-            self.max_cycles = self.max_cycles.min(d);
-        }
         self
     }
 }
@@ -247,15 +245,9 @@ pub struct ExperimentOutcome {
 impl ExperimentOutcome {
     /// Fraction of router-steps spent in each operation mode.
     pub fn mode_fractions(&self) -> [f64; 5] {
-        let total: u64 = self.mode_histogram.iter().sum();
-        if total == 0 {
-            return [0.0; 5];
-        }
-        let mut out = [0.0; 5];
-        for (o, &h) in out.iter_mut().zip(&self.mode_histogram) {
-            *o = h as f64 / total as f64;
-        }
-        out
+        // All zero for an empty histogram: every bin is 0 of at least 1.
+        let total = self.mode_histogram.iter().sum::<u64>().max(1) as f64;
+        self.mode_histogram.map(|h| h as f64 / total)
     }
 }
 
@@ -309,7 +301,8 @@ impl UnitSinks<'_> {
     /// workload finished classified as a timeout carrying the partial
     /// outcome. `cfg` arrives with its seed and its own `max_cycles` set.
     pub fn run_unit(&self, cfg: ExperimentConfig, ctx: &UnitCtx) -> UnitVerdict<ExperimentOutcome> {
-        let mut cfg = cfg.with_deadline(ctx.deadline_cycles);
+        let max_cycles = cfg.max_cycles.min(ctx.deadline_cycles.unwrap_or(u64::MAX));
+        let mut cfg = ExperimentConfig { max_cycles, ..cfg };
         cfg.telemetry.blackbox = ctx.recorder.clone();
         let budget = cfg.max_cycles;
         let outcome = self.run(cfg, ctx.key);
@@ -469,29 +462,17 @@ fn feed_recorder(
     }
 }
 
-/// Runs one experiment with the configured telemetry enabled, returning the
-/// outcome, the control policy, and the collected telemetry artifacts.
-pub fn run_experiment_instrumented(
-    cfg: ExperimentConfig,
-) -> (ExperimentOutcome, ControlPolicy, TelemetryArtifacts) {
-    run_experiment_with(cfg, None, |_| ())
-}
-
 /// The control loop (paper §5), the only place a policy drives a
 /// [`Network`]: every `cfg.time_step` cycles each router is observed, the
-/// policy's decision energy is charged, the policy decides, and its
-/// directives are applied — until the workload finishes, the cycle budget
-/// runs out or the stall watchdog fires.
-///
-/// `policy` replaces the design's own ([`RlControl`] from `cfg.rl` /
-/// `cfg.pretrained` for IntelliNoC, CPD's heuristic, none otherwise);
-/// `before_decide` runs once per control step, ahead of that step's
-/// decision, with the policy in hand (the Q-table soft-error study corrupts
-/// tables there). Returns what [`run_experiment_instrumented`] returns.
-pub fn run_experiment_with(
+/// policy's decision energy is charged, `cfg.qtable_flips` soft errors hit
+/// its tables, the policy decides, and its directives are applied — until
+/// the workload finishes, the cycle budget runs out or the stall watchdog
+/// fires. The policy is `cfg.expert`'s rule if one is given, else the
+/// design's own ([`RlControl`] from `cfg.rl` / `cfg.pretrained` for
+/// IntelliNoC, CPD's heuristic, none otherwise). Returns the outcome, the
+/// policy, and the telemetry artifacts `cfg.telemetry` asked for.
+pub fn run_experiment_instrumented(
     cfg: ExperimentConfig,
-    policy: Option<ControlPolicy>,
-    mut before_decide: impl FnMut(&mut ControlPolicy),
 ) -> (ExperimentOutcome, ControlPolicy, TelemetryArtifacts) {
     let mut sim_cfg = cfg.design.sim_config();
     sim_cfg.seed = cfg.seed;
@@ -562,8 +543,9 @@ pub fn run_experiment_with(
         }
     };
 
-    let mut policy = policy.unwrap_or_else(|| match cfg.design {
-        Design::IntelliNoc => {
+    let mut policy = match (cfg.expert, cfg.design) {
+        (Some(thresholds), _) => ControlPolicy::Expert(thresholds, [0; 5]),
+        (None, Design::IntelliNoc) => {
             let mut rl = RlControl::new(routers, cfg.rl, cfg.seed, cfg.reward);
             if let Some(tables) = cfg.pretrained {
                 rl.load_tables(tables);
@@ -573,9 +555,11 @@ pub fn run_experiment_with(
             }
             ControlPolicy::Rl(Box::new(rl))
         }
-        Design::Cpd => ControlPolicy::CpdHeuristic(vec![0; routers]),
+        (None, Design::Cpd) => ControlPolicy::CpdHeuristic(vec![0; routers]),
         _ => ControlPolicy::Static,
-    });
+    };
+    // One soft-error stream per run that has any, at `qtable_faults`' seed.
+    let mut flip_rng = (cfg.qtable_flips > 0.0).then(|| SmallRng::seed_from_u64(99));
 
     loop {
         if net.run_cycles(cfg.time_step) {
@@ -586,7 +570,9 @@ pub fn run_experiment_with(
         if decisions > 0 {
             net.charge_rl_decisions(decisions);
         }
-        before_decide(&mut policy);
+        if let (ControlPolicy::Rl(rl), Some(rng)) = (&mut policy, flip_rng.as_mut()) {
+            rl.inject_soft_errors(cfg.qtable_flips, rng);
+        }
         let t0 = if profile { Some(Instant::now()) } else { None };
         let directives = policy.decide_traced(&obs, net.now(), net.tracer_mut());
         if let (Some(t0), Some(prof)) = (t0, net.profiler_mut()) {
@@ -758,22 +744,25 @@ mod tests {
         assert_eq!(out.mean_qtable_entries, 0.0);
     }
 
-    /// The loop's contract with a caller-supplied policy: `before_decide`
-    /// runs once per control step and ahead of that step's decision, the
-    /// outcome carries the policy's histogram, and a rule pays no Q-table
-    /// energy.
+    /// Control steps a run took: every step, each of the 64 routers
+    /// spends one router-step in some mode.
+    fn control_steps(out: &ExperimentOutcome) -> u64 {
+        let router_steps: u64 = out.mode_histogram.iter().sum();
+        assert_eq!(router_steps % 64, 0, "one decision per router per step");
+        router_steps / 64
+    }
+
+    /// An `expert` cell replaces the design's agents: the rule picks a mode
+    /// for every router at every control step, the outcome carries its
+    /// histogram, and a rule pays no Q-table energy.
     #[test]
-    fn a_supplied_policy_drives_the_loop_and_the_hook_precedes_each_decision() {
-        let mut cfg = small(Design::IntelliNoc, 0.03, 30);
-        cfg.time_step = 200;
-        let expert = ControlPolicy::Expert(crate::ExpertThresholds::default(), [0; 5]);
-        let mut calls = 0u64;
-        let (out, policy, _) = run_experiment_with(cfg, Some(expert), |policy| {
-            assert_eq!(policy.mode_histogram().iter().sum::<u64>(), 64 * calls);
-            calls += 1;
-        });
-        assert!(out.finished && calls > 2, "{calls} control steps");
-        assert_eq!(out.mode_histogram.iter().sum::<u64>(), 64 * calls);
+    fn an_expert_cell_drives_the_loop_with_the_rule() {
+        let mut cfg = small(Design::IntelliNoc, 0.03, 30).with_time_step(200);
+        cfg.expert = Some(crate::ExpertThresholds::default());
+        let (out, policy, _) = run_experiment_instrumented(cfg);
+        let steps = control_steps(&out);
+        assert!(out.finished && steps > 2, "{steps} control steps");
+        assert_eq!(steps, (out.report.stats.cycles - 1) / 200);
         assert_eq!(out.mode_histogram, policy.mode_histogram());
         assert!(matches!(policy, ControlPolicy::Expert(..)));
         assert_eq!((policy.decisions_per_step(64), out.mean_qtable_entries), (0, 0.0));
@@ -784,8 +773,8 @@ mod tests {
         let json = |o: &ExperimentOutcome| serde_json::to_string(o).unwrap();
         for design in [Design::Cpd, Design::IntelliNoc] {
             let cfg = small(design, 0.03, 12).with_time_step(200);
-            let (with, policy, _) = run_experiment_with(cfg.clone(), None, |_| ());
-            assert_eq!(json(&with), json(&run_experiment_instrumented(cfg).0), "{design}");
+            let (out, policy, _) = run_experiment_instrumented(cfg.clone());
+            assert_eq!(json(&out), json(&run_experiment(cfg)), "{design}");
             assert_eq!(policy.decisions_per_step(64), if design.uses_rl() { 64 } else { 0 });
         }
     }
@@ -798,11 +787,11 @@ mod tests {
         let packets = records.len() as u64;
         let spec = WorkloadSpec::replay("recorded", records, 64).expect("records fit the mesh");
         let cfg = ExperimentConfig::new(Design::IntelliNoc, spec).with_seed(11).with_time_step(100);
-        let mut steps = 0u64;
-        let (out, _, _) = run_experiment_with(cfg, None, |_| steps += 1);
+        let out = run_experiment(cfg);
+        let steps = control_steps(&out);
         assert!(out.finished && steps >= 3, "{steps} control steps");
         assert_eq!(out.report.stats.packets_delivered, packets);
-        assert_eq!(out.mode_histogram.iter().sum::<u64>(), 64 * steps);
+        assert_eq!(steps, (out.report.stats.cycles - 1) / 100);
     }
 
     #[test]

@@ -60,9 +60,9 @@ pub use campaign::{campaign_scenarios, run_campaign_runner, CampaignConfig, Camp
 pub use controller::{cpd_decide, intellinoc_rl_config, ControlPolicy, RewardKind, RlControl};
 pub use designs::Design;
 pub use experiment::{
-    pretrain_intellinoc, run_experiment, run_experiment_instrumented, run_experiment_with,
-    run_grid, ExperimentConfig, ExperimentOutcome, MetricsOptions, TelemetryArtifacts,
-    TelemetryOptions, UnitSinks, DEFAULT_TIME_STEP,
+    pretrain_intellinoc, run_experiment, run_experiment_instrumented, run_grid, ExperimentConfig,
+    ExperimentOutcome, MetricsOptions, TelemetryArtifacts, TelemetryOptions, UnitSinks,
+    DEFAULT_TIME_STEP,
 };
 pub use expert::{expert_decide, ExpertThresholds};
 pub use inspect::render_inspect_report;
