@@ -122,11 +122,16 @@ impl HealthRouter {
     }
 
     /// Whether a usable traversal `r → dir` exists: link up and both
-    /// endpoint routers in service.
+    /// endpoint routers in service — any mesh link while not degraded.
     pub fn usable(&self, r: usize, dir: Port) -> bool {
-        self.router_up[r]
-            && self.link_up[slot(r, dir)]
-            && self.neighbor(r, dir).map(|n| self.router_up[n]).unwrap_or(false)
+        let up = |n: usize| self.router_up[n];
+        let full = || up(r) && self.link_up[slot(r, dir)] && self.neighbor(r, dir).is_some_and(up);
+        if self.degraded {
+            return full();
+        }
+        let link = self.neighbor(r, dir).is_some();
+        debug_assert_eq!(link, full(), "{r} -> {dir:?}: a health change with no rebuild");
+        link
     }
 
     /// Recomputes whether the mesh is degraded and, only if it is, labels
@@ -580,6 +585,15 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "a health change with no rebuild")]
+    fn usable_catches_a_health_change_with_no_rebuild() {
+        let mut h = HealthRouter::new(Mesh::new(4, 4));
+        h.set_link(5, Port::XPlus, false);
+        h.usable(5, Port::XPlus);
     }
 
     #[test]

@@ -44,13 +44,15 @@ impl Fabric {
             // A body flit whose packet holds no VC here (its head left
             // through the bypass while the router was gated) rides the
             // continuation latch; any other flit needs a VC with room.
-            let landing =
-                if head.is_head() || self.routers[r].bound_vc(in_port, head.packet_id).is_some() {
-                    let Some(vc) = self.routers[r].accept_target(in_port, head) else { continue };
-                    Landing::Vc(vc)
-                } else {
-                    Landing::Latch
-                };
+            let router = &self.routers[r];
+            let landing = if head.is_head() {
+                router.free_vc(in_port).map(Landing::Vc)
+            } else if let Some(vc) = router.bound_vc(in_port, head.packet_id) {
+                router.has_room(in_port, vc).then_some(Landing::Vc(vc))
+            } else {
+                Some(Landing::Latch)
+            };
+            let Some(landing) = landing else { continue };
             let Some(route) = self.landing_hop(cx, r, Port::Local, head, landing) else {
                 continue; // destination unreachable right now: wait in the NI
             };
@@ -136,14 +138,19 @@ impl Endpoints {
                 crc_failed_now = cx.errors.crc_detects(flit.payload(), flit.e2e_flips);
             }
         }
-        let entry = fabric.nis.recv_mut(r).entry(flit.packet_id).or_default();
+        let recv = fabric.nis.recv_mut(r);
+        let at = recv.iter().position(|&(p, _)| p == flit.packet_id).unwrap_or_else(|| {
+            recv.push((flit.packet_id, Default::default()));
+            recv.len() - 1
+        });
+        let entry = &mut recv[at].1;
         entry.flits += 1;
         entry.flips += flit.e2e_flips as u32;
         entry.crc_failed |= crc_failed_now;
         if entry.flits < FLITS_PER_PACKET {
             return;
         }
-        let state = fabric.nis.recv_mut(r).remove(&flit.packet_id).expect("entry exists");
+        let (_, state) = recv.swap_remove(at);
         if state.crc_failed {
             // The source NI re-sends the packet — or, past the generation
             // budget or across a fail-stop split, it is accounted as lost
@@ -172,16 +179,10 @@ impl Endpoints {
         // within the time step" — every router that transmitted the packet.
         // Credit the whole XY path so a misconfigured router feels the
         // latency of the through-traffic it hurt.
-        let mut here = src;
-        loop {
+        for here in fabric.mesh.xy_path(src, r) {
             let step = &mut fabric.routers[here].step;
             step.ejected_latency_sum += latency;
             step.ejected_packets += 1;
-            if here == r {
-                break;
-            }
-            let p = fabric.mesh.xy_route(here, r);
-            here = cx.health.neighbor(here, p).expect("XY route stays on mesh");
         }
     }
 
@@ -298,7 +299,7 @@ mod tests {
     use super::super::tests::Rig;
     use super::*;
     use crate::config::SimConfig;
-    use crate::topology::slot;
+    use crate::topology::{slot, Mesh};
 
     /// End-to-end recovery of a head a traversal escalated past its hop
     /// budget: flit `index` of packet 1 (`3 → 5` on a 3x3 mesh), waiting on
@@ -341,6 +342,81 @@ mod tests {
         assert_eq!(rig.ends.outstanding[src], 1 - dropped as usize);
         assert_eq!(rig.fabric.links.index_drift(), None);
         assert_eq!(rig.fabric.nis.index_drift(), None);
+    }
+
+    /// The routers the latency credit used to walk: `xy_route` then
+    /// `neighbor`, hop by hop from the source to the destination.
+    fn credited_by_routing(mesh: &Mesh, src: usize, dest: usize) -> Vec<usize> {
+        let mut path = vec![src];
+        while path[path.len() - 1] != dest {
+            let here = path[path.len() - 1];
+            path.push(mesh.neighbor(here, mesh.xy_route(here, dest)).expect("XY stays on mesh"));
+        }
+        path
+    }
+
+    /// A delivered packet credits its latency to every router of its XY
+    /// path, from the source's and destination's coordinates: the same
+    /// routers the route-by-route walk credits, for every (src, dst) pair.
+    #[test]
+    fn latency_credit_walks_the_xy_path() {
+        for (width, height) in [(5, 3), (1, 4)] {
+            let mut rig = Rig::new(SimConfig { width, height, ..Default::default() });
+            let mesh = rig.fabric.mesh;
+            let credited = |rig: &Rig| -> Vec<(u64, u64)> {
+                let steps = rig.fabric.routers.iter().map(|r| &r.step);
+                steps.map(|s| (s.ejected_packets, s.ejected_latency_sum)).collect()
+            };
+            for src in 0..mesh.nodes() {
+                for dest in 0..mesh.nodes() {
+                    let mut want = credited(&rig);
+                    for n in credited_by_routing(&mesh, src, dest) {
+                        (want[n].0, want[n].1) = (want[n].0 + 1, want[n].1 + 11);
+                    }
+                    let packet = (src * mesh.nodes() + dest) as u64;
+                    let (fabric, ends, mut cx) = rig.parts(10);
+                    for flit in make_packet(packet, 4 * packet, src as u16, dest as u16, 0) {
+                        ends.eject(fabric, &mut cx, dest, flit);
+                    }
+                    assert_eq!(credited(&rig), want, "{width}x{height}: {src} -> {dest}");
+                }
+            }
+        }
+    }
+
+    /// Two packets ejected flit by flit in turn at one NI reassemble apart:
+    /// each completes with its own flit and flip counts, and purging a
+    /// third leaves the reassembly beside it untouched.
+    #[test]
+    fn interleaved_packets_reassemble_apart() {
+        let mut rig =
+            Rig::new(SimConfig { width: 3, height: 3, e2e_crc: false, ..Default::default() });
+        let packet = |id: u64, src: u16, flips: u16| {
+            make_packet(id, 4 * id, src, 4, 0).map(|f| Flit { e2e_flips: flips, ..f })
+        };
+        let (clean, dirty, purged) = (packet(1, 0, 0), packet(2, 3, 1), packet(3, 8, 0));
+        let (fabric, ends, mut cx) = rig.parts(10);
+        let held = |fabric: &Fabric, id: u64| {
+            let recv = &fabric.nis[4].recv;
+            recv.iter().find(|&&(p, _)| p == id).map(|(_, s)| (s.flits, s.flips))
+        };
+        for i in 0..3 {
+            for f in [clean[i], dirty[i], purged[i]] {
+                ends.eject(fabric, &mut cx, 4, f);
+            }
+        }
+        assert_eq!(
+            [1, 2, 3].map(|id| held(fabric, id)),
+            [Some((3, 0)), Some((3, 3)), Some((3, 0))]
+        );
+        fabric.nis.purge_packet(3);
+        assert_eq!([1, 2, 3].map(|id| held(fabric, id)), [Some((3, 0)), Some((3, 3)), None]);
+        ends.eject(fabric, &mut cx, 4, dirty[3]);
+        assert_eq!([held(fabric, 1), held(fabric, 2)], [Some((3, 0)), None]);
+        assert_eq!((cx.stats.packets_delivered, cx.stats.corrupted_packets), (1, 1));
+        ends.eject(fabric, &mut cx, 4, clean[3]);
+        assert!(fabric.nis[4].recv.is_empty(), "both reassemblies completed");
+        assert_eq!((cx.stats.packets_delivered, cx.stats.corrupted_packets), (2, 1));
     }
 
     proptest::proptest! {

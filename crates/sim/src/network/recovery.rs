@@ -199,7 +199,7 @@ mod tests {
             net.step_cycle();
         }
         assert_eq!(
-            net.fabric.nis[7].recv.get(&0).map(|r| r.flits),
+            net.fabric.nis[7].recv.iter().find(|(p, _)| *p == 0).map(|(_, r)| r.flits),
             Some(3),
             "head and bodies ejected"
         );

@@ -93,42 +93,48 @@ impl Fabric {
         let split = sa_base * router.vcs();
         let mut granted_rows = 0u64; // every row of an already granted input port
         let mut grants = [None; PORTS];
-        for (k, grant) in grants.iter_mut().enumerate() {
+        // Only outputs an eligible VC requests are visited: rotated, bit `k`
+        // of the mask is output `sa_base + k`, which writes grant slot `k`.
+        let outputs = router.requested_outputs();
+        let rotated = (outputs >> sa_base | outputs << (PORTS - sa_base)) & ((1 << PORTS) - 1);
+        for k in set_bits(u64::from(rotated)) {
             let out = Port::from_index((sa_base + k) % PORTS);
             let cands = router.sa_requests(out) & !granted_rows;
             if cands == 0 {
-                continue; // nothing wants this output
+                continue; // every requester sits on an already granted input
             }
-            // The downstream VC a head flit would get (any flit, when
-            // ejecting): `NO_VC` when ejecting or when the downstream router
-            // takes no reservation (gated or waking), `None` when VA fails.
-            // One lookup serves the whole output: only this router's single
-            // grant per output reserves on that downstream port.
-            let head_dvc = if out == Port::Local {
-                Some(NO_VC)
-            } else {
-                if !self.can_send(cx, r, out) {
-                    continue; // dead link or router, or full channel: flits wait
-                }
-                let down = &self.routers[self.links.ends(slot(r, out)).1];
-                if down.is_on() {
-                    down.free_vc(out.opposite().index()).map(|vc| vc as u8)
-                } else {
-                    Some(NO_VC)
-                }
-            };
-            // The first candidate wins unless it is a head and VA failed;
-            // bodies inherit the downstream VC their head won.
+            if out != Port::Local && !self.can_send(cx, r, out) {
+                continue; // dead link or router, or full channel: flits wait
+            }
+            // The first candidate wins unless it is a head and VA fails
+            // (`None`). Ejecting needs no downstream VC and a body inherits
+            // its head's, so only a head looks one up, once per output (one
+            // grant per output reserves there): `NO_VC` if the downstream
+            // router takes no reservation (gated or waking).
+            let mut head_dvc = None;
             let high = cands >> split << split;
             let winner = set_bits(high).chain(set_bits(cands ^ high)).find_map(|row| {
                 let entry = router.row(row);
-                let inherits = out != Port::Local && !entry.holds_head();
-                Some((row, if inherits { entry.out_vc() } else { head_dvc? }))
+                let dvc = if out == Port::Local {
+                    NO_VC
+                } else if !entry.holds_head() {
+                    entry.out_vc()
+                } else {
+                    (*head_dvc.get_or_insert_with(|| {
+                        let down = &self.routers[self.links.ends(slot(r, out)).1];
+                        if down.is_on() {
+                            down.free_vc(out.opposite().index()).map(|vc| vc as u8)
+                        } else {
+                            Some(NO_VC)
+                        }
+                    }))?
+                };
+                Some((row, dvc))
             });
             let Some((row, dvc)) = winner else { continue }; // only heads, and no free VC
             let (port, vc) = (row / router.vcs(), row % router.vcs());
             granted_rows |= router.port_mask(port);
-            *grant = Some(SaGrant { port, vc, out, dvc });
+            grants[k] = Some(SaGrant { port, vc, out, dvc });
         }
         grants
     }
@@ -268,8 +274,18 @@ impl Fabric {
         let port = in_port.index();
         let latch = || self.latch_ok(cx, v, in_port, flit).then_some(Landing::Latch);
         if !flit.is_head() {
-            match down.bound_vc(port, flit.packet_id) {
-                Some(_) => down.accept_target(port, flit).map(Landing::Vc),
+            // The VC the upstream grant stamped (`sa_commit`), if bound to the
+            // packet: a packet binds one VC per input. Else (`NO_VC` off the
+            // bypass or latch, an unreserved head's packet) search the rows.
+            let carried = usize::from(flit.vc);
+            let vc = if carried < down.vcs() && down.vc(port, carried).is_bound_to(flit.packet_id) {
+                Some(carried)
+            } else {
+                down.bound_vc(port, flit.packet_id)
+            };
+            debug_assert_eq!(vc, down.bound_vc(port, flit.packet_id), "carried VC of {flit:?}");
+            match vc {
+                Some(vc) => down.has_room(port, vc).then_some(Landing::Vc(vc)),
                 // BST continuation (§3.1.2): the head passed this router
                 // without a VC (through the bypass while it was gated, or
                 // the latch), and the body follows latch-to-channel along
@@ -614,6 +630,8 @@ mod tests {
                 down.reserve(dir.opposite().index(), vc, 700 + vc as u64);
             }
         }
+        // A health change takes effect at a rebuild, as `apply_faults` does.
+        rig.health.rebuild();
         // Promote in two steps, as consecutive cycles would.
         rig.fabric.routers[r].promote_ready(now - 1);
         rig.fabric.routers[r].promote_ready(now);

@@ -4,7 +4,7 @@
 
 use crate::bitset::BitSet;
 use crate::flit::Flit;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::ops::Index;
 
 /// Per-packet reassembly state at a destination NI.
@@ -19,7 +19,8 @@ pub(crate) struct RecvState {
 #[derive(Debug, Default, Clone)]
 pub(crate) struct Ni {
     pub(crate) inject: VecDeque<Flit>,
-    pub(crate) recv: HashMap<u64, RecvState>,
+    /// Reassembly state per packet id; a handful at a time, so a scan beats a map.
+    pub(crate) recv: Vec<(u64, RecvState)>,
 }
 
 /// All NIs of a mesh. Indexing gives read access; injection queues change
@@ -74,7 +75,7 @@ impl Nis {
     }
 
     /// The reassembly buffers of `node` (not part of the index).
-    pub(crate) fn recv_mut(&mut self, node: usize) -> &mut HashMap<u64, RecvState> {
+    pub(crate) fn recv_mut(&mut self, node: usize) -> &mut Vec<(u64, RecvState)> {
         &mut self.nis[node].recv
     }
 
@@ -85,7 +86,7 @@ impl Nis {
                 ni.inject.retain(|f| f.packet_id != packet);
                 self.waiting.set(node, !ni.inject.is_empty());
             }
-            ni.recv.remove(&packet);
+            ni.recv.retain(|&(p, _)| p != packet);
         }
     }
 

@@ -416,16 +416,10 @@ impl Router {
         set_bits(self.pending | self.ready).flat_map(|i| self.queues[i].iter().map(|(f, _)| f))
     }
 
-    /// Whether `flit` can enter input `port` right now: a head flit needs a
-    /// free VC; a body/tail flit needs its packet's VC to have space.
-    /// Returns the VC index it would enter.
-    pub fn accept_target(&self, port: usize, flit: &Flit) -> Option<usize> {
-        if flit.is_head() {
-            self.free_vc(port)
-        } else {
-            let depth = self.depth;
-            self.port_vcs(port).iter().position(|e| e.is_bound_to(flit.packet_id) && e.len < depth)
-        }
+    /// Whether VC `vc` of input `port` has room for one more flit: what a
+    /// body or tail flit needs of its packet's VC.
+    pub(crate) fn has_room(&self, port: usize, vc: usize) -> bool {
+        self.vc(port, vc).len < self.depth
     }
 
     /// Enqueues `flit` into VC `vc` of input `port` with SA eligibility at
@@ -536,6 +530,11 @@ impl Router {
                 self.ready |= 1u64 << i;
             }
         }
+    }
+
+    /// The outputs some SA-eligible VC requests, bit `o` for output `o`.
+    pub(crate) fn requested_outputs(&self) -> u32 {
+        (0..PORTS).fold(0, |m, o| m | u32::from(self.request[o] & self.ready != 0) << o)
     }
 
     /// The SA-eligible VCs requesting output `out`, as a table-row mask.
@@ -669,7 +668,7 @@ mod tests {
     fn head_claims_available_vc() {
         let mut r = router();
         let flits = make_packet(1, 0, 0, 5, 0);
-        let vc = r.accept_target(0, &flits[0]).unwrap();
+        let vc = r.free_vc(0).unwrap();
         r.enqueue(0, vc, flits[0], Port::XPlus, 4);
         assert_eq!(r.vc(0, vc).packet(), Some(1));
         assert_eq!(r.vc(0, vc).route(), Port::XPlus);
@@ -682,12 +681,13 @@ mod tests {
         let mut r = router();
         let flits = make_packet(1, 0, 0, 5, 0);
         r.enqueue(0, 0, flits[0], Port::XPlus, 4);
-        assert_eq!(r.accept_target(0, &flits[1]), Some(0));
+        assert_eq!(r.bound_vc(0, flits[1].packet_id), Some(0));
+        assert!(r.has_room(0, 0));
         // A different packet's body can't enter.
         let other = make_packet(2, 10, 0, 5, 0);
-        assert_eq!(r.accept_target(0, &other[1]), None);
+        assert_eq!(r.bound_vc(0, other[1].packet_id), None);
         // But its head can take the other VC.
-        assert_eq!(r.accept_target(0, &other[0]), Some(1));
+        assert_eq!(r.free_vc(0), Some(1));
     }
 
     #[test]
@@ -697,7 +697,7 @@ mod tests {
         r.enqueue(0, 0, flits[0], Port::XPlus, 4);
         r.enqueue(0, 0, flits[1], Port::XPlus, 5);
         // Depth 2: third flit refused on this VC.
-        assert_eq!(r.accept_target(0, &flits[2]), None);
+        assert!(!r.has_room(0, 0));
     }
 
     #[test]
@@ -710,7 +710,9 @@ mod tests {
         // The masks say the same once promoted, for the requested output only.
         r.promote_ready(3);
         assert_eq!(r.sa_requests(Port::XPlus), 0);
+        assert_eq!(r.requested_outputs(), 0);
         r.promote_ready(4);
+        assert_eq!(r.requested_outputs(), 1 << Port::XPlus.index());
         assert_eq!(r.sa_requests(Port::XPlus), 1);
         assert_eq!(r.sa_requests(Port::Local), 0);
         assert!(r.row(0).holds_head());

@@ -107,6 +107,13 @@ impl Mesh {
         }
     }
 
+    /// Every node on the XY route from `src` to `dest`, both included.
+    pub(crate) fn xy_path(&self, src: usize, dest: usize) -> impl Iterator<Item = usize> {
+        let ((sx, sy), (dx, dy), w) = (self.coords(src), self.coords(dest), self.width);
+        let row = (sx.min(dx)..=sx.max(dx)).map(move |x| sy * w + x);
+        row.chain((sy.min(dy)..=sy.max(dy)).filter(move |&y| y != sy).map(move |y| y * w + dx))
+    }
+
     /// XY dimension-order route: the output port a flit at `here` destined
     /// for `dest` must take (X first, then Y; `Local` when arrived).
     pub fn xy_route(&self, here: usize, dest: usize) -> Port {
