@@ -2,7 +2,8 @@
 //! exact `ExperimentOutcome` one small run of each kind of policy — static
 //! (SECDED under forced errors), CPD's heuristic, IntelliNoC's Q-learning
 //! from pre-trained tables — serializes to; the expert rule and the
-//! Q-table soft errors were recorded the same way at `d102fed`. Every number in the fixtures
+//! Q-table soft errors were recorded the same way at `d102fed`, and CP and
+//! IntelliNoC without the bypass at `850933f`. Every number in the fixtures
 //! comes out of `run_experiment_instrumented`'s loop (traffic and agent
 //! seeds, the order of observe / charge / decide / apply, `finished`), so a
 //! refactor of that loop passes these tests only if it drives the network
@@ -73,4 +74,29 @@ fn qtable_soft_errors_outcome_is_pinned() {
     let json = outcome_json(cfg);
     assert_ne!(json, include_str!("fixtures/outcome_intellinoc.json"), "the flips moved the run");
     assert_eq!(json, include_str!("fixtures/outcome_qtable_faults.json"));
+}
+
+/// CP under forced errors: a reactively gated router that wakes on the first
+/// flit in its channel, and a bypass latch that stops while the router wakes.
+/// The NACK re-reads come from router buffers.
+#[test]
+fn cp_outcome_is_pinned() {
+    let mut cfg = small(Design::Cp);
+    cfg.error_rate_override = Some(1e-4);
+    assert_eq!(outcome_json(cfg), include_str!("fixtures/outcome_cp.json"));
+}
+
+/// The pre-trained run of `pretrained_rl_outcome_is_pinned` under forced
+/// errors with ablation D2's tweak: IntelliNoC's routers without the bypass,
+/// so a gated router wakes for any inbound flit. The agents keep nearly
+/// every router in mode 1 (CRC only), so the errors come back as end-to-end
+/// retransmissions rather than per-hop NACKs.
+#[test]
+fn no_bypass_intellinoc_outcome_is_pinned() {
+    let mut cfg = small(Design::IntelliNoc);
+    cfg.pretrained =
+        Some(pretrain_intellinoc(intellinoc_rl_config(), RewardKind::LogSpace, 4, 200, 3, 1));
+    cfg.error_rate_override = Some(1e-4);
+    cfg.tweak = Some(|c| c.bypass_enabled = false);
+    assert_eq!(outcome_json(cfg), include_str!("fixtures/outcome_no_bypass.json"));
 }
