@@ -279,16 +279,12 @@ pub(crate) fn ablations(eval: &mut Evaluation, w: &mut dyn Write) -> io::Result<
     const D3: &str = "\n-- D3: static ECC instead of adaptive (policy still gates) --\n";
     const D5: &str = "\n-- D5: linear-space reward instead of Eq. 1 --\n";
     let log = RewardKind::LogSpace;
-    let no_bypass: Tweak = |c| {
-        c.bypass_enabled = false;
-        c.bypass_during_wake = false;
-    };
     // (heading above the row, row tag, simulator tweak, reward)
     let rows: [(&str, &str, Option<Tweak>, RewardKind); 8] = [
         ("", "full IntelliNoC", None, log),
         (D1, "channel depth 4", Some(|c| c.channel_capacity = 4), log),
         ("", "channel depth 2", Some(|c| c.channel_capacity = 2), log),
-        (D2, "no bypass", Some(no_bypass), log),
+        (D2, "no bypass", Some(|c| c.bypass_enabled = false), log),
         (D3, "always SECDED", Some(|c| c.default_scheme = EccScheme::Secded), log),
         ("", "always DECTED", Some(|c| c.default_scheme = EccScheme::Dected), log),
         ("", "always TECQED (t=3)", Some(|c| c.default_scheme = EccScheme::Tecqed), log),

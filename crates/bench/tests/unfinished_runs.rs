@@ -20,14 +20,7 @@ fn ablations_prints_no_metrics_for_a_run_that_did_not_finish() {
         ("full IntelliNoC", None, log),
         ("channel depth 4", Some(|c| c.channel_capacity = 4), log),
         ("channel depth 2", Some(|c| c.channel_capacity = 2), log),
-        (
-            "no bypass",
-            Some(|c| {
-                c.bypass_enabled = false;
-                c.bypass_during_wake = false;
-            }),
-            log,
-        ),
+        ("no bypass", Some(|c| c.bypass_enabled = false), log),
         ("always SECDED", Some(|c| c.default_scheme = EccScheme::Secded), log),
         ("always DECTED", Some(|c| c.default_scheme = EccScheme::Dected), log),
         ("always TECQED (t=3)", Some(|c| c.default_scheme = EccScheme::Tecqed), log),

@@ -17,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// use intellinoc::Design;
 ///
 /// let cfg = Design::IntelliNoc.sim_config();
-/// assert!(cfg.bypass_enabled && cfg.e2e_crc && cfg.has_qtable);
+/// assert!(cfg.bypass_enabled && cfg.e2e_crc && cfg.mfac);
 /// assert_eq!(Design::ALL.len(), 5);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -77,11 +77,6 @@ impl Design {
         matches!(self, Design::IntelliNoc)
     }
 
-    /// Whether this design adapts its ECC scheme at run time.
-    pub fn adaptive_ecc(self) -> bool {
-        matches!(self, Design::Cpd | Design::IntelliNoc)
-    }
-
     /// The simulator configuration for this design (Table 1 buffer budgets).
     pub fn sim_config(self) -> SimConfig {
         let mut cfg = SimConfig::default();
@@ -116,7 +111,6 @@ impl Design {
                 cfg.pipeline_latency = 4;
                 cfg.reactive_gating = true;
                 cfg.bypass_enabled = true;
-                cfg.wake_occupancy = 1;
                 cfg.default_scheme = EccScheme::Secded;
             }
             Design::Cpd => {
@@ -128,28 +122,23 @@ impl Design {
                 cfg.pipeline_latency = 4;
                 cfg.reactive_gating = true;
                 cfg.bypass_enabled = true;
-                cfg.wake_occupancy = 1;
                 cfg.e2e_crc = true;
                 cfg.default_scheme = EccScheme::Secded;
             }
             Design::IntelliNoc => {
-                // MFACs (8 stages), reactive gating underneath the RL's
-                // proactive mode 0, MFAC re-transmission buffers, e2e CRC,
-                // BST, Q-table. The MFACs' storage lets a gated IntelliNoC
-                // router ride out far more traffic than CP's single-flit
-                // latch before waking (paper §3.3).
+                // MFACs (8 stages) with the BST and the Q-table, reactive
+                // gating underneath the RL's proactive mode 0, e2e CRC. The
+                // MFACs' storage lets a gated IntelliNoC router ride out far
+                // more traffic than CP's single-flit latch before waking
+                // (paper §3.3).
                 cfg.vcs = 4;
                 cfg.vc_depth = 2;
                 cfg.channel_capacity = 8;
                 cfg.pipeline_latency = 4;
                 cfg.reactive_gating = true;
-                cfg.wake_occupancy = 6;
                 cfg.bypass_enabled = true;
-                cfg.bypass_during_wake = true;
-                cfg.mfac_retx = true;
+                cfg.mfac = true;
                 cfg.e2e_crc = true;
-                cfg.has_bst = true;
-                cfg.has_qtable = true;
                 // Paper §6.3: all routers are initialized to mode 1.
                 cfg.default_scheme = EccScheme::None;
             }
@@ -172,16 +161,16 @@ impl Design {
                 },
             channel_stages: cfg.channel_stages_per_router()
                 + if self == Design::Eb { 32 } else { 0 }, // second sub-network
-            mfac_channels: if self == Design::IntelliNoc { 4 } else { 0 },
+            mfac_channels: if cfg.mfac { 4 } else { 0 },
             dual_subnetwork: self == Design::Eb,
             has_va: self != Design::Eb,
             max_ecc: match self {
                 Design::Cpd | Design::IntelliNoc => EccScheme::Dected,
                 _ => EccScheme::Secded,
             },
-            has_gating: !matches!(self, Design::Secded | Design::Eb),
-            has_bst: cfg.has_bst,
-            has_qtable: cfg.has_qtable,
+            has_gating: cfg.reactive_gating,
+            has_bst: cfg.mfac,
+            has_qtable: cfg.mfac,
         }
     }
 }
@@ -212,8 +201,6 @@ mod tests {
     fn only_intellinoc_uses_rl() {
         assert!(Design::IntelliNoc.uses_rl());
         assert!(Design::ALL.iter().filter(|d| d.uses_rl()).count() == 1);
-        assert!(Design::Cpd.adaptive_ecc());
-        assert!(!Design::Cp.adaptive_ecc());
     }
 
     #[test]
@@ -244,11 +231,10 @@ mod tests {
         assert!(Design::Cp.sim_config().reactive_gating);
         assert!(Design::Cpd.sim_config().reactive_gating);
         // IntelliNoC gates reactively underneath the RL's proactive mode 0,
-        // with an MFAC-sized wake threshold.
+        // with an MFAC-sized wake threshold; only its router has MFACs.
         assert!(Design::IntelliNoc.sim_config().reactive_gating);
-        assert!(
-            Design::IntelliNoc.sim_config().wake_occupancy > Design::Cp.sim_config().wake_occupancy
-        );
         assert!(Design::IntelliNoc.sim_config().bypass_enabled);
+        let mfac: Vec<Design> = Design::ALL.into_iter().filter(|d| d.sim_config().mfac).collect();
+        assert_eq!(mfac, [Design::IntelliNoc]);
     }
 }

@@ -22,6 +22,7 @@ use noc_fault::{AgingModel, HardFaultScenario, ThermalModel, VariusModel};
 /// let mut cfg = SimConfig::default();
 /// cfg.channel_capacity = 8; // iDEAL/MFAC channel buffers
 /// cfg.bypass_enabled = true;
+/// cfg.mfac = true; // IntelliNoC's router: MFAC re-reads and wake ride-through, BST, Q-table
 /// cfg.validate();
 /// assert_eq!(cfg.nodes(), 64);
 /// assert_eq!(cfg.channel_stages_per_router(), 32);
@@ -46,28 +47,20 @@ pub struct SimConfig {
     /// Enables cycle-granular reactive power gating (CP/CPD designs): a
     /// router gates after a fixed number of idle cycles.
     pub reactive_gating: bool,
-    /// Channel occupancy at which a reactively gated router triggers
-    /// wake-up.
-    pub wake_occupancy: usize,
     /// Whether flits can bypass a gated router (channel-to-channel
     /// forwarding via the BST-guided bypass switch).
     pub bypass_enabled: bool,
-    /// Whether the bypass keeps forwarding while the router is waking up.
-    /// True for IntelliNoC (MFAC storage rides out the wake); false for the
-    /// simple single-latch bypass of CP/CPD, whose flits stall during the
-    /// wake-up (the latency penalty the paper attributes to power gating).
-    pub bypass_during_wake: bool,
-    /// Whether re-transmission copies are held in MFAC channel stages
-    /// (IntelliNoC) rather than in router buffers (baseline SECDED).
-    pub mfac_retx: bool,
+    /// IntelliNoC's router (paper §3): multi-function adaptive channels
+    /// (MFACs), a unified buffer state table on an always-on supply and an
+    /// RL Q-table. The MFAC stages hold the re-transmission copies (else
+    /// router buffers do), keep the bypass forwarding while its router wakes
+    /// (CP/CPD's single-flit latch stalls: the latency the paper charges to
+    /// power gating), and let a gated router hold six channel flits before
+    /// waking, not one (DESIGN.md §7 "Configuration").
+    pub mfac: bool,
     /// Attach an end-to-end CRC at the network interface (IntelliNoC/CPD
     /// operation-mode designs).
     pub e2e_crc: bool,
-    /// Router has a unified buffer state table on an always-on supply
-    /// (IntelliNoC; required for bypass-while-gated routing state).
-    pub has_bst: bool,
-    /// Router carries an RL Q-table (IntelliNoC).
-    pub has_qtable: bool,
     /// Initial / static per-hop ECC scheme.
     pub default_scheme: EccScheme,
     /// Per-hop retransmission budget before escalating to end-to-end
@@ -107,13 +100,9 @@ impl Default for SimConfig {
             channel_capacity: 0,
             pipeline_latency: 4,
             reactive_gating: false,
-            wake_occupancy: 2,
             bypass_enabled: false,
-            bypass_during_wake: false,
-            mfac_retx: false,
+            mfac: false,
             e2e_crc: false,
-            has_bst: false,
-            has_qtable: false,
             default_scheme: EccScheme::Secded,
             max_retx: 16,
             stall_window: 50_000,

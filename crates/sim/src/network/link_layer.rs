@@ -306,7 +306,7 @@ impl Fabric {
         // re-read.
         up.counters.count_ecc_op(head.hop_scheme);
         if rx == Receiver::Router {
-            if cx.cfg.mfac_retx {
+            if cx.cfg.mfac {
                 up.counters.channel_stage_ops += 1;
             } else {
                 up.counters.buffer_reads += 1;

@@ -25,10 +25,13 @@ const IDLE_GATE_THRESHOLD: u32 = 8;
 /// Consecutive idle cycles before a proactive gate directive engages: the PG
 /// controller never gates a busy router, mode 0 is advisory (Table 1 setup).
 const FORCED_IDLE_THRESHOLD: u32 = 2;
-/// Channel occupancy at which a proactively (directive-)gated router wakes,
-/// capped at the channel's capacity: IntelliNoC rides out more pressure
-/// than CP because the MFACs provide storage (paper §3.3; Table 1 setup).
+/// Channel occupancy at which a directive-gated or MFAC router wakes, capped
+/// at the channel's capacity: IntelliNoC rides out more pressure than CP
+/// because the MFACs provide storage (paper §3.3; Table 1 setup).
 const FORCED_WAKE_OCCUPANCY: usize = 6;
+/// The same for any other gated router: CP/CPD's single-flit bypass latch
+/// holds nothing more, so any arrival wakes it (paper §7.1).
+const LATCH_WAKE_OCCUPANCY: usize = 1;
 
 /// One switch-allocation grant: the head-of-queue flit of VC `vc` of input
 /// `port` crosses to output `out`, bound for downstream VC `dvc` ([`NO_VC`]
@@ -43,8 +46,8 @@ struct SaGrant {
 
 impl Fabric {
     /// Phase 1: every live router moves flits internally — a powered one
-    /// through switch allocation, a gated (or, when the design allows it,
-    /// waking) one through the bypass latch.
+    /// through switch allocation, a gated (or, with MFACs, waking) one
+    /// through the bypass latch.
     pub(super) fn router_phase(&mut self, cx: &mut Cx, ends: &mut Endpoints) {
         for r in 0..self.routers.len() {
             if !cx.health.router_up(r) {
@@ -56,7 +59,7 @@ impl Fabric {
                 cx.probe.span_exit();
             } else if cx.cfg.bypass_enabled {
                 let waking = matches!(self.routers[r].gate, GateState::Waking(_));
-                if !waking || cx.cfg.bypass_during_wake {
+                if !waking || cx.cfg.mfac {
                     cx.probe.span_enter("router.bypass");
                     self.bypass_phase(cx, ends, r);
                     cx.probe.span_exit();
@@ -442,9 +445,13 @@ impl Fabric {
                     let forced = router.directive.gate == Some(true);
                     let policy_wake = router.directive.gate == Some(false);
                     let turn_wake = turn_pending;
-                    // Proactive stress-relax mode rides out pressure using
-                    // MFAC storage before powering back on.
-                    let wake_at = if forced { FORCED_WAKE_OCCUPANCY } else { cfg.wake_occupancy };
+                    // Proactive stress-relax mode and MFAC routers ride out
+                    // pressure using MFAC storage before powering back on.
+                    let wake_at = if forced || cfg.mfac {
+                        FORCED_WAKE_OCCUPANCY
+                    } else {
+                        LATCH_WAKE_OCCUPANCY
+                    };
                     let pressure_wake = max_incoming >= wake_at.min(cfg.channel_capacity.max(1));
                     let stranded = !cfg.bypass_enabled && (incoming > 0 || ni_waiting);
                     if policy_wake || pressure_wake || stranded || turn_wake {

@@ -115,7 +115,7 @@ pub struct StallReport {
     /// Packets in flight (injected − delivered − dropped) at the stall.
     pub in_flight: u64,
     /// Human-readable descriptions of the first few blocked flits (from
-    /// `network/dump.rs`'s `snapshot_blocked`).
+    /// `network/fabric.rs`'s `snapshot_blocked`).
     pub blocked: Vec<String>,
     /// Full network state dump (from `snapshot_dump`, same file).
     pub dump: String,

@@ -140,12 +140,13 @@ fn e2e_retransmission_charges_the_wasted_generation() {
 }
 
 /// Gate-residency accumulates when routers are force-gated, and bypass
-/// hops are charged to the bypass component.
+/// hops are charged to the bypass component. MFAC routers, whose bypass
+/// keeps forwarding while a router wakes.
 #[test]
 fn gate_residency_and_bypass_show_up_when_gated() {
     let mut cfg = quiet();
     cfg.bypass_enabled = true;
-    cfg.bypass_during_wake = true;
+    cfg.mfac = true;
     cfg.channel_capacity = 8;
     cfg.vc_depth = 2;
     let mut net = Network::new(cfg, WorkloadSpec::uniform(0.001, 3), 5);

@@ -19,10 +19,8 @@ fn mfac() -> SimConfig {
     let mut cfg = quiet();
     cfg.channel_capacity = 8;
     cfg.bypass_enabled = true;
-    cfg.bypass_during_wake = true;
-    cfg.mfac_retx = true;
+    cfg.mfac = true;
     cfg.e2e_crc = true;
-    cfg.has_bst = true;
     cfg
 }
 

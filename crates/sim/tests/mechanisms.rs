@@ -15,10 +15,12 @@ fn quiet() -> SimConfig {
     cfg
 }
 
+/// IntelliNoC's router: MFAC channel storage under a bypass that keeps
+/// forwarding while its router wakes.
 fn gated_config() -> SimConfig {
     let mut cfg = quiet();
     cfg.bypass_enabled = true;
-    cfg.bypass_during_wake = true;
+    cfg.mfac = true;
     cfg.channel_capacity = 8;
     cfg.vc_depth = 2;
     cfg
@@ -157,12 +159,13 @@ fn directives_change_ecc_activity() {
 
 /// The gating state machine goes all the way round under reactive gating:
 /// a router gates (`On` edge: `On` → `Gated`) and a wake completes (`Off`
-/// edge: `Waking` → `On`).
+/// edge: `Waking` → `On`). CP's router, without MFACs: the first flit in a
+/// gated router's channel wakes it.
 #[test]
 fn gate_wake_cycle_reaches_all_states() {
     let mut cfg = gated_config();
     cfg.reactive_gating = true;
-    cfg.wake_occupancy = 1;
+    cfg.mfac = false;
     let mut net = Network::new(cfg, WorkloadSpec::uniform(0.01, 30), 8);
     let gate_edges = TraceFilter::parse("kind=gate").expect("valid filter");
     let tracer = Tracer::new(1 << 16, gate_edges);

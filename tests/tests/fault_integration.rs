@@ -168,10 +168,10 @@ fn resent_packet_meets_no_stale_binding_intellinoc() {
     assert_placement_survives(Design::IntelliNoc, 101);
 }
 
-/// ROADMAP item 1's case (c): `faulty_8x8`'s fixed placement with two
-/// flapping links on top, at seed 2019. A regression case, not a
-/// reproducer: it ran clean for all five designs before the one-path rule
-/// covered VC-less flits, and must keep doing so.
+/// Case (c) of ROADMAP's failure list (case (d) is item 2): `faulty_8x8`'s
+/// fixed placement with two flapping links on top, at seed 2019. A
+/// regression case, not a reproducer: it ran clean for all five designs
+/// before the one-path rule covered VC-less flits, and must keep doing so.
 #[test]
 fn faulty_placement_with_flapping_links_runs_clean() {
     for design in Design::ALL {

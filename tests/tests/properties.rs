@@ -47,12 +47,13 @@ proptest! {
         prop_assert_eq!(net.stats().packets_injected, 64 * 8);
     }
 
-    /// Gating + bypass never lose packets regardless of traffic shape.
+    /// Gating + bypass never lose packets regardless of traffic shape, with
+    /// CP's single-flit latch or IntelliNoC's MFACs.
     #[test]
     fn conservation_with_gating_and_bypass(
         rate in 0.002f64..0.05,
         seed in 0u64..500,
-        wake in 1usize..6,
+        mfac in any::<bool>(),
     ) {
         let mut cfg = SimConfig {
             seed,
@@ -60,7 +61,7 @@ proptest! {
             bypass_enabled: true,
             channel_capacity: 8,
             vc_depth: 2,
-            wake_occupancy: wake,
+            mfac,
             ..SimConfig::default()
         };
         cfg.varius.base_rate = 0.0;
@@ -144,12 +145,12 @@ proptest! {
     }
 }
 
-/// Failure (d), ROADMAP item 1: with no fault injected, IntelliNoC with a
+/// Failure (d), ROADMAP item 2: with no fault injected, IntelliNoC with a
 /// 4-stage MFAC channel deadlocks on canneal. The watchdog fires at cycle
 /// 56 304 with 6 745 of 9 600 packets delivered (the D1 row of
 /// `results/ablations.txt`). `cargo test -- --ignored` reproduces it.
 #[test]
-#[ignore = "failure (d), ROADMAP item 1"]
+#[ignore = "failure (d), ROADMAP item 2"]
 fn intellinoc_with_a_four_stage_channel_delivers_canneal() {
     let workload = ParsecBenchmark::Canneal.workload(150);
     let mut cfg = ExperimentConfig::new(Design::IntelliNoc, workload).with_seed(5);
