@@ -262,15 +262,15 @@ impl Network {
         std::mem::take(&mut self.probe).finish(self.now)
     }
 
-    /// The installed tracer, if any.
+    /// The installed tracer, if any (the recorder's own ring is none).
     pub fn tracer(&self) -> Option<&Tracer> {
-        self.probe.tracer.as_ref()
+        self.probe.ring.as_ref().filter(|_| self.probe.traced)
     }
 
     /// Mutable access to the installed tracer (for control-layer events
     /// emitted between cycles).
     pub fn tracer_mut(&mut self) -> Option<&mut Tracer> {
-        self.probe.tracer.as_mut()
+        self.probe.ring.as_mut().filter(|_| self.probe.traced)
     }
 
     /// The installed profiler, if any (e.g. to read the span tree).
@@ -396,7 +396,6 @@ impl Network {
             self.probe.span_exit();
         }
         self.probe.span_exit();
-        self.probe.flush_events();
         debug_assert_eq!(self.occupancy_index_drift(), None, "cycle {}", self.now);
     }
 
@@ -419,7 +418,6 @@ impl Network {
             self.step_cycle();
             let Some(in_flight) = self.watchdog.stalled(self.now, &self.stats) else { continue };
             self.probe.event(Event::WatchdogStall { cycle: self.now, router: 0, state: in_flight });
-            self.probe.flush_events();
             self.stall = Some(StallReport {
                 cycle: self.now,
                 window: self.cfg.stall_window,

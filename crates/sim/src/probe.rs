@@ -14,14 +14,14 @@
 //! behind the span points here ([`Probe::span_enter`], [`Probe::leaf_enter`]),
 //! where the profiler decides per span path whether this occurrence is timed.
 //!
-//! The tracer records each event as it happens. The flight recorder is
-//! shared behind a lock, so its copy of each event waits in a reused buffer
-//! and reaches the recorder in one batch under one lock
-//! ([`Probe::flush_events`]): at the end of every `step_cycle`, right after
-//! the watchdog's stall event, when the probe is finished, and when it is
-//! dropped. A run that panics mid-cycle drops its `Network` while unwinding,
-//! before the runner writes the post-mortem bundle, so the bundle still holds
-//! every event.
+//! Events have one ring: the caller's tracer or, with only a flight
+//! recorder installed, a ring as long as the recorder's event tail. Each
+//! event point is one push into it. The recorder is shared behind a lock and
+//! gets a copy of the ring's tail once, under one lock, when the probe is
+//! finished or dropped. Every bundle is written after its run's `Network`
+//! is finished or gone: a run that panics mid-cycle drops its `Network`
+//! while unwinding, before the runner writes the post-mortem bundle, so the
+//! bundle still holds the stream's tail.
 
 use crate::attribution::LatencyEngine;
 use crate::flit::{Cycle, Flit};
@@ -29,9 +29,10 @@ use crate::journey::JourneyRecorder;
 use crate::topology::Mesh;
 use noc_telemetry::{
     AttributionArtifacts, Event, JourneyCause, JourneyLog, LeafSpan, Profiler, RetxScope,
-    SharedRecorder, Tracer,
+    SharedRecorder, TraceFilter, Tracer, EVENT_RING_FACTOR,
 };
 use noc_traffic::{TxnEvent, TxnEventKind};
+use std::sync::PoisonError;
 
 /// Which sinks [`crate::Network::install_probe`] installs. The default
 /// installs nothing.
@@ -45,7 +46,9 @@ pub struct ProbeConfig {
     /// `inspect` artifacts.
     pub attribution: bool,
     /// Flight recorder, shared with the harness so post-mortem bundles
-    /// survive a panicking run.
+    /// survive a panicking run. It receives the last `capacity ×
+    /// EVENT_RING_FACTOR` events of the stream when the probe closes — of
+    /// `tracer`'s ring if one is installed, which then bounds that tail.
     pub blackbox: Option<SharedRecorder>,
     /// Journey tracing as `(seed, every)`: one in `every` packets (and, for
     /// closed-loop workloads, transactions) is selected by a pure hash of
@@ -71,11 +74,13 @@ pub struct ProbeArtifacts {
 /// The installed sinks and the event points that feed them.
 #[derive(Debug, Default)]
 pub(crate) struct Probe {
-    pub(crate) tracer: Option<Tracer>,
+    /// The event ring: the caller's tracer, or the recorder's own ring.
+    pub(crate) ring: Option<Tracer>,
+    /// Whether `ring` is the caller's tracer, handed back by `finish`.
+    pub(crate) traced: bool,
     pub(crate) profiler: Option<Profiler>,
+    /// Let go once it has the ring's tail.
     blackbox: Option<SharedRecorder>,
-    /// The recorder's copy of the events since the last flush, in order.
-    pending: Vec<Event>,
     /// Installed when attribution or journey tracing (or both) is on.
     latency: Option<LatencyEngine>,
 }
@@ -89,56 +94,43 @@ impl Probe {
             .map(|(seed, every)| JourneyRecorder::new(workload.to_owned(), seed, every));
         let latency = (cfg.attribution || journeys.is_some())
             .then(|| LatencyEngine::new(*mesh, cfg.attribution, journeys));
-        Probe {
-            tracer: cfg.tracer,
-            profiler: cfg.profiler,
-            blackbox: cfg.blackbox,
-            pending: Vec::new(),
-            latency,
-        }
+        let traced = cfg.tracer.is_some();
+        let ring = cfg.tracer.or_else(|| {
+            let recorder = cfg.blackbox.as_ref()?.lock().unwrap_or_else(PoisonError::into_inner);
+            Some(Tracer::new(recorder.capacity() * EVENT_RING_FACTOR, TraceFilter::all()))
+        });
+        Probe { ring, traced, profiler: cfg.profiler, blackbox: cfg.blackbox, latency }
     }
 
-    /// Closes every sink at cycle `now`, handing the recorder its pending
-    /// events first.
+    /// Closes every sink at cycle `now`, handing the recorder its events
+    /// first.
     pub(crate) fn finish(mut self, now: Cycle) -> ProbeArtifacts {
-        self.flush_events();
+        self.hand_over();
         let (attribution, journeys) = self.latency.take().map_or((None, None), |e| e.finish(now));
-        let (tracer, profiler) = (self.tracer.take(), self.profiler.take());
+        let (tracer, profiler) = (self.ring.take().filter(|_| self.traced), self.profiler.take());
         ProbeArtifacts { tracer, profiler, attribution, journeys }
+    }
+
+    /// Copies the ring's tail into the recorder under one lock, and lets
+    /// the recorder go, so it happens once per probe.
+    fn hand_over(&mut self) {
+        if let (Some(bb), Some(ring)) = (self.blackbox.take(), self.ring.as_ref()) {
+            bb.lock().unwrap_or_else(PoisonError::into_inner).copy_event_tail(ring);
+        }
     }
 
     /// Whether the workload must buffer transaction-lifecycle events: some
     /// installed sink consumes them. This is the only place that decides.
     pub(crate) fn wants_txn_events(&self) -> bool {
-        self.tracer.is_some()
-            || self.blackbox.is_some()
-            || self.latency.as_ref().is_some_and(LatencyEngine::traces_journeys)
+        self.ring.is_some() || self.latency.as_ref().is_some_and(LatencyEngine::traces_journeys)
     }
 
-    /// Records `event` in the tracer and queues it for the flight
-    /// recorder's event ring, so the recorder sees exactly the tracer's
-    /// event stream once [`Probe::flush_events`] runs.
+    /// Records `event` in the ring.
     #[inline]
     pub(crate) fn event(&mut self, event: Event) {
-        if let Some(t) = self.tracer.as_mut() {
+        if let Some(t) = self.ring.as_mut() {
             t.record(event);
         }
-        if self.blackbox.is_some() {
-            self.pending.push(event);
-        }
-    }
-
-    /// Hands the events queued since the last flush to the flight recorder,
-    /// in order, under one lock. With nothing queued it is one branch.
-    #[inline]
-    pub(crate) fn flush_events(&mut self) {
-        if self.pending.is_empty() {
-            return;
-        }
-        if let Some(Ok(mut r)) = self.blackbox.as_ref().map(|bb| bb.lock()) {
-            self.pending.iter().for_each(|&e| r.push_event(e));
-        }
-        self.pending.clear();
     }
 
     /// One transaction-lifecycle event drained from the workload.
@@ -334,10 +326,10 @@ impl Probe {
 }
 
 impl Drop for Probe {
-    /// A probe dropped mid-cycle — replaced, or unwound by a panic — still
-    /// hands the recorder every event it queued.
+    /// A probe dropped unfinished — replaced, or unwound by a panic — still
+    /// hands the recorder its events.
     fn drop(&mut self) {
-        self.flush_events();
+        self.hand_over();
     }
 }
 
@@ -395,17 +387,17 @@ mod tests {
 
     /// The recorder's events so far, oldest first.
     fn recorded(bb: &SharedRecorder) -> Vec<Event> {
-        bb.lock().expect("recorder lock").events().iter().copied().collect()
+        bb.lock().expect("recorder lock").events().to_vec()
     }
 
-    /// The recorder gets every event the tracer gets, in order, at each
-    /// point the probe hands its queue over: the end of every cycle, the
-    /// watchdog's stall (the run ends after it, with no cycle end to
-    /// follow), and a probe that is finished or dropped with events still
-    /// queued. (`finish` also drops the probe, so its own hand-over and the
-    /// drop's cannot be told apart here.)
+    /// The recorder gets the ring's tail once, when the probe closes:
+    /// nothing while the network runs, and on `take_probe` the stream's
+    /// tail, which here ends on the watchdog's stall. With no tracer the ring
+    /// is the probe's own, sized to the recorder's event tail and no
+    /// caller's tracer, and a finished or a dropped probe hands it over
+    /// alike.
     #[test]
-    fn recorder_receives_every_event_at_each_flush_point() {
+    fn recorder_receives_the_ring_tail_once_when_the_probe_closes() {
         let mut cfg = SimConfig { width: 4, height: 4, stall_window: 300, ..SimConfig::default() };
         cfg.fault_aware_routing = false;
         cfg.hard_faults = HardFaultScenario {
@@ -419,34 +411,34 @@ mod tests {
         let bb = shared_recorder(1 << 12);
         let tracer = Some(Tracer::new(1 << 16, TraceFilter::all()));
         net.install_probe(ProbeConfig { tracer, blackbox: Some(bb.clone()), ..Default::default() });
-        let stream = |net: &Network| -> Vec<Event> {
-            net.tracer().expect("tracer installed").events().copied().collect()
-        };
-        for _ in 0..50 {
-            net.step_cycle();
-            assert_eq!(recorded(&bb), stream(&net), "after cycle {}", net.now());
-        }
-        assert!(!recorded(&bb).is_empty(), "the first cycles inject packets");
         assert!(net.run_cycles(100_000), "the dead link stalls the run");
         assert!(net.stall().is_some());
-        assert!(matches!(recorded(&bb).last(), Some(Event::WatchdogStall { .. })));
-        assert_eq!(recorded(&bb), stream(&net));
+        assert!(recorded(&bb).is_empty(), "nothing reaches the recorder while the network runs");
+        let stream: Vec<Event> =
+            net.tracer().expect("tracer installed").events().copied().collect();
+        assert!(matches!(stream.last(), Some(Event::WatchdogStall { .. })));
+        assert!(net.take_probe().tracer.is_some_and(|t| t.evicted() == 0));
+        assert_eq!(recorded(&bb), stream);
 
-        let events: Vec<Event> = (0..5)
+        let events: Vec<Event> = (0..40)
             .map(|packet| Event::PacketInjected { cycle: packet, router: 0, packet, dest: 1 })
             .collect();
         for finish in [false, true] {
-            let bb = shared_recorder(4);
+            let bb = shared_recorder(2);
             let cfg = ProbeConfig { blackbox: Some(bb.clone()), ..Default::default() };
             let mut probe = Probe::new(cfg, &Mesh::new(2, 2), "test");
+            assert!(probe.ring.is_some() && !probe.traced, "the recorder's own ring");
             events.iter().for_each(|&e| probe.event(e));
-            assert!(recorded(&bb).is_empty(), "queued until a hand-over");
+            assert!(recorded(&bb).is_empty(), "held until the probe closes");
             if finish {
-                probe.finish(9);
+                assert!(probe.finish(9).tracer.is_none());
             } else {
                 drop(probe);
             }
-            assert_eq!(recorded(&bb), events, "finish: {finish}");
+            let tail = 2 * EVENT_RING_FACTOR;
+            assert_eq!(recorded(&bb), events[events.len() - tail..], "finish: {finish}");
+            let c = bb.lock().expect("recorder lock").counters();
+            assert_eq!((c.events_recorded, c.events_dropped), (40, 40 - tail as u64));
         }
     }
 

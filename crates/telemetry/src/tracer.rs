@@ -3,7 +3,7 @@
 use crate::event::{Event, EventKind};
 use std::collections::VecDeque;
 
-/// Per-router / per-kind admission filter for the tracer.
+/// Per-router / per-kind view of the tracer's ring.
 ///
 /// Parsed from `--trace-filter` syntax: comma-separated `router=N` and
 /// `kind=NAME` clauses. Multiple clauses of the same key are OR-ed; the two
@@ -70,10 +70,11 @@ impl TraceFilter {
 
 /// Bounded structured event trace.
 ///
-/// Admitted events go into a preallocated ring buffer; once full, the oldest
+/// Every event goes into a preallocated ring buffer; once full, the oldest
 /// events are evicted (and counted) so a trace of a long run keeps its tail,
 /// which is where the interesting steady-state behavior lives. `record` never
-/// allocates.
+/// allocates. The filter is a view: `events`, `len`, `count_of` and the sinks
+/// show what it admits; `recorded` and `evicted` count the whole stream.
 #[derive(Debug)]
 pub struct Tracer {
     buf: VecDeque<Event>,
@@ -93,20 +94,17 @@ impl Default for Tracer {
 }
 
 impl Tracer {
-    /// A tracer holding at most `capacity` events, admitting per `filter`.
+    /// A tracer holding the last `capacity` events, showing those `filter`
+    /// admits.
     #[must_use]
     pub fn new(capacity: usize, filter: TraceFilter) -> Self {
         let capacity = capacity.max(1);
         Tracer { buf: VecDeque::with_capacity(capacity), capacity, filter, recorded: 0, evicted: 0 }
     }
 
-    /// Records one event (if it passes the filter), evicting the oldest
-    /// event when the ring is full.
+    /// Records one event, evicting the oldest when the ring is full.
     #[inline]
     pub fn record(&mut self, event: Event) {
-        if !self.filter.admits(event.router(), event.kind()) {
-            return;
-        }
         if self.buf.len() == self.capacity {
             self.buf.pop_front();
             self.evicted += 1;
@@ -115,22 +113,28 @@ impl Tracer {
         self.recorded += 1;
     }
 
-    /// Events currently retained, oldest first.
+    /// Retained events the filter admits, oldest first.
     pub fn events(&self) -> impl Iterator<Item = &Event> {
-        self.buf.iter()
+        self.buf.iter().filter(|e| self.filter.admits(e.router(), e.kind()))
     }
 
-    /// Number of retained events.
+    /// The stream's last `n` retained events, oldest first, whatever the
+    /// filter.
+    pub(crate) fn tail(&self, n: usize) -> impl Iterator<Item = &Event> {
+        self.buf.range(self.buf.len().saturating_sub(n)..)
+    }
+
+    /// Number of retained events the filter admits.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.events().count()
     }
 
-    /// Whether no events are retained.
+    /// Whether the filter admits no retained event.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.events().next().is_none()
     }
 
-    /// Total events admitted over the run (including evicted ones).
+    /// Total events recorded over the run (including evicted ones).
     pub fn recorded(&self) -> u64 {
         self.recorded
     }
@@ -140,33 +144,33 @@ impl Tracer {
         self.evicted
     }
 
-    /// Renders the retained events as JSON Lines (one object per line).
+    /// Renders the shown events as JSON Lines (one object per line).
     #[must_use]
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::with_capacity(self.buf.len() * 64);
-        for e in &self.buf {
+        let mut out = String::with_capacity(self.len() * 64);
+        for e in self.events() {
             e.write_jsonl(&mut out);
             out.push('\n');
         }
         out
     }
 
-    /// Renders the retained events as CSV with a header row.
+    /// Renders the shown events as CSV with a header row.
     #[must_use]
     pub fn to_csv(&self) -> String {
-        let mut out = String::with_capacity(self.buf.len() * 48 + 64);
+        let mut out = String::with_capacity(self.len() * 48 + 64);
         out.push_str(Event::CSV_HEADER);
         out.push('\n');
-        for e in &self.buf {
+        for e in self.events() {
             e.write_csv(&mut out);
             out.push('\n');
         }
         out
     }
 
-    /// Count of retained events of one kind.
+    /// Count of shown events of one kind.
     pub fn count_of(&self, kind: EventKind) -> usize {
-        self.buf.iter().filter(|e| e.kind() == kind).count()
+        self.events().filter(|e| e.kind() == kind).count()
     }
 }
 
@@ -205,7 +209,10 @@ mod tests {
         t.record(mode_switch(0, 2));
         t.record(Event::Retransmission { cycle: 1, router: 1, packet: 7, scope: RetxScope::Hop });
         t.record(Event::QUpdate { cycle: 1, router: 1, state: 0, action: 0, reward: 0.0 });
-        assert_eq!(t.len(), 2);
+        assert_eq!((t.len(), t.count_of(EventKind::ModeSwitch)), (2, 1));
+        assert_eq!(t.to_jsonl().lines().count(), 2);
+        // The filter is a view: the ring and its counts hold the whole stream.
+        assert_eq!((t.recorded(), t.tail(16).count()), (4, 4));
     }
 
     #[test]
