@@ -403,7 +403,7 @@ pub const FIGURES: &[Figure] = &[
                 "Fig. 18a: impact of discount rate gamma",
                 ("gamma", 6, 1),
                 &[0.0, 0.1, 0.2, 0.5, 0.9, 1.0],
-                studies::set_gamma,
+                studies::fig18a_gamma,
                 "paper: EDP improves with larger gamma up to 0.9; gamma=1 fails to converge",
             )
         },
@@ -418,7 +418,7 @@ pub const FIGURES: &[Figure] = &[
                 "Fig. 18b: impact of exploration probability epsilon",
                 ("epsilon", 8, 2),
                 &[0.0, 0.01, 0.05, 0.1, 0.2, 0.5, 1.0],
-                studies::set_epsilon,
+                studies::fig18b_epsilon,
                 "paper: both extremes (epsilon=0 and epsilon=1) are sub-optimal; 0.05 is best",
             )
         },
@@ -660,9 +660,9 @@ mod tests {
         assert_eq!(eval.pretrained.len(), 1);
         // Fig. 18a's gamma = 0.9 row and Fig. 18b's epsilon = 0.05 row are
         // both the paper's RL config: one recipe, pre-trained once.
-        let gamma = studies::hyper_recipe(studies::set_gamma, 0.9);
+        let gamma = studies::hyper_recipe(studies::fig18a_gamma, 0.9);
         eval.pretrained.push((gamma, Vec::new()));
-        let tables = eval.pretrained(studies::hyper_recipe(studies::set_epsilon, 0.05));
+        let tables = eval.pretrained(studies::hyper_recipe(studies::fig18b_epsilon, 0.05));
         assert!(tables.is_empty(), "served from Fig. 18a's entry");
         assert_eq!(eval.pretrained.len(), 2);
     }

@@ -170,12 +170,12 @@ pub(crate) fn fig17b(eval: &mut Evaluation, w: &mut dyn Write) -> io::Result<()>
 }
 
 /// Fig. 18a's swept value: the discount rate γ.
-pub(crate) fn set_gamma(rl: &mut QLearningConfig, gamma: f64) {
+pub(crate) fn fig18a_gamma(rl: &mut QLearningConfig, gamma: f64) {
     rl.gamma = gamma as f32;
 }
 
 /// Fig. 18b's swept value: the exploration probability ε.
-pub(crate) fn set_epsilon(rl: &mut QLearningConfig, epsilon: f64) {
+pub(crate) fn fig18b_epsilon(rl: &mut QLearningConfig, epsilon: f64) {
     rl.epsilon = epsilon;
 }
 

@@ -2,7 +2,7 @@
 //! keeps every design at full delivery around two dead links, and the same
 //! seed writes the same CSV; a link that flaps back loses no packet; the
 //! default grid (every scenario family × every design) finishes all 35
-//! cells. The last test keeps the dead proactive-gate drain state deleted.
+//! cells.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -70,33 +70,4 @@ fn default_campaign_finishes_every_cell() {
     let err = campaign(&dir, "");
     assert!(err.contains("35 ok, 0 failed, 0 timed-out, 0 skipped"), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Every file under `dir`, recursively, as `(path, bytes)`.
-fn files(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
-    let mut out = Vec::new();
-    for entry in std::fs::read_dir(dir).expect("read dir") {
-        let path = entry.expect("dir entry").path();
-        if path.is_dir() {
-            out.extend(files(&path));
-        } else {
-            out.push((path.clone(), std::fs::read(&path).expect("read file")));
-        }
-    }
-    out
-}
-
-/// The dead proactive-gate drain state stays deleted: no file of any crate
-/// names it. (The name is assembled so that this file does not.)
-#[test]
-fn the_gate_drain_state_stays_deleted() {
-    let needle = ["gate", "pending"].join("_");
-    let crates = files(Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/..")));
-    assert!(crates.len() > 50, "found the crates' files");
-    let hits: Vec<String> = crates
-        .iter()
-        .filter(|(_, bytes)| bytes.windows(needle.len()).any(|w| w == needle.as_bytes()))
-        .map(|(path, _)| path.display().to_string())
-        .collect();
-    assert_eq!(hits, Vec::<String>::new());
 }

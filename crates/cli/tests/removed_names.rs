@@ -1,0 +1,259 @@
+//! Removed names stay removed: one table of every name a simplification
+//! deleted, with the change that deleted it, the part of the source tree it
+//! must not come back to, and the lines allowed to name it anyway. A match
+//! anywhere else fails the test, naming the file, the line and the change.
+//! This file names every entry, so it is not scanned.
+
+use std::path::{Path, PathBuf};
+use Match::{End, Impl, Text, Word};
+
+/// How a name is looked for in a line.
+#[derive(Clone, Copy)]
+enum Match {
+    /// Anywhere (`grep`).
+    Text,
+    /// As a whole word: no identifier character on either side (`grep -w`).
+    Word,
+    /// With no identifier character after it (`grep 'name\b'`).
+    End,
+    /// As the trait of an `impl`: `impl[<…>] [serde::]name for` (a
+    /// hand-written serde impl).
+    Impl,
+}
+
+/// One removed name.
+struct Removed {
+    name: &'static str,
+    /// The change that removed it, as CHANGES.md titles it.
+    removed_by: &'static str,
+    how: Match,
+    /// Files or directories, relative to the repository root.
+    scope: &'static [&'static str],
+    /// Lines allowed to name it: `(file, text the line also holds)`, where
+    /// an empty file is any file.
+    except: &'static [(&'static str, &'static str)],
+}
+
+const fn removed(
+    name: &'static str,
+    removed_by: &'static str,
+    how: Match,
+    scope: &'static [&'static str],
+) -> Removed {
+    Removed { name, removed_by, how, scope, except: &[] }
+}
+
+// The changes, by their CHANGES.md titles.
+const PACKET_PATH: &str = "one path per packet";
+const SIMCONFIG: &str = "SimConfig keeps only what a caller varies";
+const ECC: &str = "noc-ecc implements each flit code once, at flit width";
+const TRAFFIC: &str = "noc-traffic draws requests once";
+const SERDE: &str = "one derived JSON reader per type";
+const PARTS: &str = "a `Network` made of parts";
+const ONE_PATH: &str = "one path per answer";
+const SERVE: &str = "`serve` keeps what its traffic uses";
+const MFAC: &str = "one `mfac` switch for the IntelliNoC router";
+const ONE_STREAM: &str = "one event stream";
+
+/// Everything but the benchmark, which keeps its own names.
+const SOURCES: &[&str] = &["crates", "tests", "examples"];
+/// The crates and the examples.
+const CRATES: &[&str] = &["crates", "examples"];
+
+const REMOVED: &[Removed] = &[
+    // SimConfig keeps only what a caller varies: the fixed scalars are
+    // constants at their reader, the supply voltage is `aging.vdd`, the
+    // energy and leakage models are their defaults, the designs come from
+    // `Design::ALL`.
+    removed("wakeup_latency", SIMCONFIG, Word, SOURCES),
+    removed("idle_gate_threshold", SIMCONFIG, Word, SOURCES),
+    removed("forced_wake_occupancy", SIMCONFIG, Word, SOURCES),
+    removed("forced_idle_threshold", SIMCONFIG, Word, SOURCES),
+    removed("retx_latency", SIMCONFIG, Word, SOURCES),
+    removed("epoch_cycles", SIMCONFIG, Word, SOURCES),
+    removed("design_config", SIMCONFIG, Word, SOURCES),
+    removed("cfg.vdd", SIMCONFIG, End, SOURCES),
+    removed("cfg.energy", SIMCONFIG, End, SOURCES),
+    removed("cfg.leakage", SIMCONFIG, End, SOURCES),
+    // noc-ecc implements each flit code once, at flit width: no CRC spec
+    // table, no generic BCH codec, no SECDED width parameter, and one
+    // faulty-traversal count (the network's stats).
+    removed("CrcSpec", ECC, Word, SOURCES),
+    removed("CRC8_ATM", ECC, Word, SOURCES),
+    removed("CRC32_MPEG2", ECC, Word, SOURCES),
+    removed("BchCodec", ECC, Word, SOURCES),
+    removed("bch_generic", ECC, Word, SOURCES),
+    removed("faulty_flits", ECC, Word, SOURCES),
+    removed("Secded::new", ECC, Text, SOURCES),
+    // noc-traffic draws requests in one place, `Workload` has no packet
+    // counters, `QAgent` always learns, and the fault model has no formula
+    // the simulator does not run.
+    removed("total_packets", TRAFFIC, Word, SOURCES),
+    removed("pick_dest", TRAFFIC, Word, SOURCES),
+    removed("set_learning", TRAFFIC, Word, SOURCES),
+    removed("set_epsilon", TRAFFIC, Word, SOURCES),
+    removed("reset_episode", TRAFFIC, Word, SOURCES),
+    removed("relaxed_bit_error_rate", TRAFFIC, Word, SOURCES),
+    removed("flit_fault_probability", TRAFFIC, Word, SOURCES),
+    removed("first_activation", TRAFFIC, Word, SOURCES),
+    removed("wearout", TRAFFIC, Word, SOURCES),
+    // One derived JSON reader per type: only the journal's four status
+    // labels and `BenchWorkload` (a number is a rate, a string a PARSEC
+    // benchmark) keep hand-written impls.
+    Removed {
+        except: &[("", "for RunStatus"), ("", "for BenchWorkload")],
+        ..removed("Serialize", SERDE, Impl, SOURCES)
+    },
+    Removed {
+        except: &[("", "for RunStatus"), ("", "for BenchWorkload")],
+        ..removed("Deserialize", SERDE, Impl, SOURCES)
+    },
+    // A network made of parts: the (node, direction) slot layout is decided
+    // in topology.rs alone, and the link layer hands a head past its hop
+    // budget back to its caller instead of calling recovery.
+    Removed {
+        except: &[("crates/sim/src/topology.rs", "")],
+        ..removed("* DIRS +", PARTS, Text, &["crates/sim/src"])
+    },
+    Removed {
+        except: &[("crates/sim/src/topology.rs", "")],
+        ..removed("/ DIRS", PARTS, End, &["crates/sim/src"])
+    },
+    Removed {
+        except: &[("crates/sim/src/topology.rs", "")],
+        ..removed("% DIRS", PARTS, End, &["crates/sim/src"])
+    },
+    removed("salvage_or_drop", PARTS, Text, &["crates/sim/src/network/link_layer.rs"]),
+    // One path per answer: the conservation auditor reads the run report's
+    // books, not an alert rule; `figures` is the one design comparison; the
+    // flags nothing read stay deleted.
+    removed("CONSERVATION_RULE", ONE_PATH, Text, CRATES),
+    removed("journeys-top", ONE_PATH, Text, CRATES),
+    removed("timeline-out", ONE_PATH, Text, CRATES),
+    removed("deadline-cycles", ONE_PATH, Text, CRATES),
+    removed("pretrain-episodes", ONE_PATH, Text, CRATES),
+    removed("parsec_campaign", ONE_PATH, Text, CRATES),
+    removed("Some(\"compare\")", ONE_PATH, Text, &["crates/cli/src/main.rs"]),
+    removed("Some(\"area\")", ONE_PATH, Text, &["crates/cli/src/main.rs"]),
+    // `serve` keeps what its traffic uses: the chaos harness is a test,
+    // and tenant quotas, hub alerts, `/api/health` and the drain knob stay
+    // deleted. cli.rs passes `--tenant-quota` to check the unused-option
+    // warning.
+    removed("run_chaos_harness", SERVE, Text, CRATES),
+    removed("ChaosHarnessConfig", SERVE, Text, CRATES),
+    removed("chaos-seed", SERVE, Text, CRATES),
+    removed("tenant_quota", SERVE, Text, CRATES),
+    Removed {
+        except: &[("crates/cli/tests/cli.rs", "tenant-quota")],
+        ..removed("tenant-quota", SERVE, Text, CRATES)
+    },
+    removed("drain-deadline", SERVE, Text, CRATES),
+    removed("alerts_firing", SERVE, Text, CRATES),
+    removed("api/health", SERVE, Text, CRATES),
+    // IntelliNoC's router is one `mfac` switch: no field sets its re-read,
+    // its wake ride-through, its wake threshold, its BST or its Q-table
+    // alone, and the proactive-gate drain state is gone.
+    removed("gate_pending", PACKET_PATH, Text, &["crates"]),
+    removed("mfac_retx", MFAC, Word, SOURCES),
+    removed("bypass_during_wake", MFAC, Word, SOURCES),
+    removed("wake_occupancy", MFAC, Word, SOURCES),
+    removed("cfg.has_bst", MFAC, End, SOURCES),
+    removed("cfg.has_qtable", MFAC, End, SOURCES),
+    // One event stream: the tracer's ring is the only one, and the flight
+    // recorder copies its tail once, when the probe closes.
+    removed("push_event", ONE_STREAM, Word, SOURCES),
+    removed("flush_events", ONE_STREAM, Word, SOURCES),
+];
+
+fn is_ident(c: char) -> bool {
+    c.is_alphanumeric() || c == '_'
+}
+
+/// Whether `line` names `name` the way `how` looks for it.
+fn names(line: &str, name: &str, how: Match) -> bool {
+    line.match_indices(name).any(|(at, _)| {
+        let (before, after) = (&line[..at], &line[at + name.len()..]);
+        let free_after = !after.starts_with(is_ident);
+        match how {
+            Text => true,
+            Word => free_after && !before.ends_with(is_ident),
+            End => free_after,
+            Impl => {
+                let head = before.strip_suffix("serde::").unwrap_or(before);
+                let Some(head) = head.strip_suffix(' ') else { return false };
+                let head = match head.strip_suffix('>').and_then(|h| h.rsplit_once('<')) {
+                    Some((head, generics)) if !generics.contains('>') => head,
+                    _ => head,
+                };
+                after.starts_with(" for") && head.ends_with("impl")
+            }
+        }
+    })
+}
+
+/// Every file under `path`, recursively.
+fn files(path: &Path, out: &mut Vec<PathBuf>) {
+    if path.is_file() {
+        out.push(path.to_owned());
+    } else if let Ok(dir) = std::fs::read_dir(path) {
+        for entry in dir {
+            files(&entry.expect("dir entry").path(), out);
+        }
+    }
+}
+
+#[test]
+fn removed_names_stay_removed() {
+    let root = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
+    let this = Path::new(file!());
+    let mut paths = Vec::new();
+    for scope in ["crates", "tests", "examples"] {
+        files(&root.join(scope), &mut paths);
+    }
+    let sources: Vec<(String, String)> = paths
+        .iter()
+        .map(|p| {
+            let rel = p.strip_prefix(root).expect("under the root");
+            let text = String::from_utf8_lossy(&std::fs::read(p).expect("read file")).into_owned();
+            (rel.to_string_lossy().replace('\\', "/"), text)
+        })
+        .filter(|(rel, _)| !Path::new(rel).ends_with(this))
+        .collect();
+    assert!(sources.len() > 100, "found the sources ({})", sources.len());
+
+    let mut hits = Vec::new();
+    for r in REMOVED {
+        let in_scope =
+            |rel: &str| r.scope.iter().any(|s| rel == *s || rel.starts_with(&format!("{s}/")));
+        for (rel, text) in sources.iter().filter(|(rel, _)| in_scope(rel)) {
+            for (n, line) in text.lines().enumerate() {
+                let allowed = r
+                    .except
+                    .iter()
+                    .any(|&(file, has)| (file.is_empty() || rel == file) && line.contains(has));
+                if names(line, r.name, r.how) && !allowed {
+                    let (name, by) = (r.name, r.removed_by);
+                    hits.push(format!("{rel}:{}: `{name}` (removed by \"{by}\"): {line}", n + 1));
+                }
+            }
+        }
+    }
+    assert!(hits.is_empty(), "removed names are back:\n{}", hits.join("\n"));
+}
+
+/// The matcher finds what each kind of entry looks for, and nothing else.
+#[test]
+fn the_matcher_reads_each_kind() {
+    assert!(names("let x = a.wearout;", "wearout", Word));
+    assert!(!names("let x = a.wearout_rate;", "wearout", Word));
+    assert!(!names("let x = pre_wearout;", "wearout", Word));
+    assert!(names("sim_cfg.vdd + 1", "cfg.vdd", End));
+    assert!(!names("cfg.vdd_nominal", "cfg.vdd", End));
+    assert!(names("fn f(d: u8) -> usize { d as usize / DIRS }", "/ DIRS", End));
+    assert!(!names("x / DIRS_PER_NODE", "/ DIRS", End));
+    assert!(names("impl Serialize for Foo {", "Serialize", Impl));
+    assert!(names("impl<T: Copy> serde::Deserialize for Bar<T> {", "Deserialize", Impl));
+    assert!(!names("#[derive(Serialize, Deserialize)]", "Serialize", Impl));
+    assert!(!names("impl<'de> Deserialize<'de> for Bar {", "Deserialize", Impl));
+    assert!(names("--tenant-quota 3", "tenant-quota", Text));
+}
