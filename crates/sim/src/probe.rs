@@ -339,7 +339,7 @@ mod tests {
     use crate::flit::make_packet;
     use crate::{Network, SimConfig};
     use noc_fault::{HardFault, HardFaultKind, HardFaultScenario, HardFaultTarget};
-    use noc_telemetry::{shared_recorder, TraceFilter};
+    use noc_telemetry::{parse_bundle, shared_recorder, BundleCause, BundleHead, TraceFilter};
     use noc_traffic::{Workload, WorkloadSpec};
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
@@ -440,6 +440,51 @@ mod tests {
             let c = bb.lock().expect("recorder lock").counters();
             assert_eq!((c.events_recorded, c.events_dropped), (40, 40 - tail as u64));
         }
+
+        // A network dropped without `take_probe` hands the recorder all the
+        // probe holds: the span table with its open path, and the slowest
+        // journeys, the same ones a taken probe hands over.
+        let run = |take: bool| {
+            let cfg = SimConfig { width: 4, height: 4, ..SimConfig::default() };
+            let mut net = Network::new(cfg, WorkloadSpec::uniform(0.05, 20), 5);
+            let bb = shared_recorder(4);
+            net.install_probe(ProbeConfig {
+                profiler: Some(Profiler::new()),
+                blackbox: Some(bb.clone()),
+                journeys: Some((9, 1)),
+                ..Default::default()
+            });
+            assert!(net.run_cycles(200_000) && net.is_done());
+            let table = net.profiler().expect("profiler installed").span_tree().tree_table();
+            let log = take.then(|| net.take_probe().journeys.expect("journeys traced"));
+            drop(net);
+            let rec = bb.lock().expect("recorder lock");
+            let head = BundleHead {
+                cause: BundleCause::Panic,
+                key: "dropped".to_owned(),
+                seed: 5,
+                cycle: 0,
+                detail: String::new(),
+            };
+            let bundle = parse_bundle(&rec.bundle(&head, &[])).expect("bundle parses");
+            assert_eq!(bundle.spans_table, Some(table), "take_probe: {take}");
+            assert!(bundle.open_spans.is_empty(), "the run stopped between cycles");
+            (rec.journeys().to_vec(), rec.counters(), log)
+        };
+        let (dropped, dropped_counters, _) = run(false);
+        let (taken, taken_counters, log) = run(true);
+        let mut slowest: Vec<(u64, String)> =
+            log.expect("taken").packets.iter().map(|j| (j.latency, j.to_jsonl_line())).collect();
+        let recorded = slowest.len() as u64;
+        slowest.sort_by(|a, b| b.cmp(a));
+        slowest.truncate(4);
+        assert_eq!(taken, slowest, "the four slowest, slowest first");
+        assert_eq!(dropped, taken);
+        assert_eq!(dropped_counters, taken_counters);
+        assert_eq!(
+            (taken_counters.journeys_recorded, taken_counters.journeys_dropped),
+            (recorded, recorded - 4)
+        );
     }
 
     /// One hook sequence through the probe with both sinks on — every

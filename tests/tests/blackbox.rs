@@ -13,8 +13,14 @@ use noc_sim::{
     parse_bundle, parse_rules, render_report, AlertEdge, BundleCause, BundleHead, Event,
     RunnerEvent, StallReport, TraceFilter, Tracer,
 };
-use noc_traffic::ParsecBenchmark;
+use noc_traffic::{ParsecBenchmark, WorkloadSpec};
 use std::path::PathBuf;
+
+/// FNV-1a, 64 bit: the digest the bundle pins are stated in.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes()
+        .fold(0xCBF2_9CE4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01B3))
+}
 
 fn temp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("intellinoc-blackbox-integration").join(name);
@@ -207,6 +213,46 @@ fn recorder_and_timeline_hold_the_same_samples() {
     assert_eq!(ring_alone, both_tl, "recorder alone vs with the timeline");
     assert_eq!(bundle_alone, bundle, "bundle bytes");
     assert!(bundle.contains("\"record\":\"spans\""), "profiled runs snapshot the span table");
+}
+
+/// A profiled, journey-traced run that the cycle budget cuts off with
+/// packets in flight: its bundle's `counters` line and `spans` record, byte
+/// for byte. The budget stops the run between cycles, so no span is open,
+/// and the table is the returned profiler's cycle-domain table.
+#[test]
+fn cut_off_profiled_run_pins_the_bundle_counters_and_spans() {
+    let recorder = noc_sim::shared_recorder(8);
+    let workload = WorkloadSpec::uniform(0.05, 400);
+    let mut cfg =
+        ExperimentConfig { max_cycles: 3_000, ..ExperimentConfig::new(Design::Secded, workload) }
+            .with_seed(5);
+    cfg.telemetry = TelemetryOptions {
+        profile: true,
+        journeys_every: 1,
+        blackbox: Some(recorder.clone()),
+        ..TelemetryOptions::default()
+    };
+    let (outcome, _, artifacts) = run_experiment_instrumented(cfg);
+    assert!(!outcome.finished, "the cycle budget cuts the run off");
+    let rec = recorder.lock().unwrap();
+    let head = BundleHead {
+        cause: BundleCause::Timeout,
+        key: "spans-pin".into(),
+        seed: 5,
+        cycle: rec.last_cycle(),
+        detail: String::new(),
+    };
+    let bundle = rec.bundle(&head, &[]);
+    let line = |record: &str| {
+        let start = format!("{{\"record\":\"{record}\"");
+        bundle.lines().find(|l| l.starts_with(&start)).expect(record).to_owned()
+    };
+    let parsed = parse_bundle(&bundle).expect("bundle parses");
+    assert!(parsed.open_spans.is_empty(), "{:?}", parsed.open_spans);
+    let prof = artifacts.profiler.expect("profiled");
+    assert_eq!(parsed.spans_table, Some(prof.span_tree().tree_table()));
+    assert_eq!(fnv1a(&line("counters")), 0x237a_2739_27fa_1497);
+    assert_eq!(fnv1a(&line("spans")), 0x07c9_44d6_5bd0_52ed);
 }
 
 /// Alert rules evaluated inside the instrumented run: a breached rule emits
