@@ -257,7 +257,6 @@ impl GridEpilogue {
             if let Some(p) = &prof {
                 events.push(RunnerEvent::ProfileNote {
                     key: label.to_owned(),
-                    trace_drops: p.trace_drops().unwrap_or(0),
                     span_truncations: p.span_tree().truncated_enters(),
                     unbalanced_exits: p.span_tree().unbalanced_exits(),
                     recorder_drops: report.recorder_drops,
@@ -268,18 +267,13 @@ impl GridEpilogue {
             eprintln!("{label}: {} runner events written to {path}", events.len());
         }
         if args.has_flag("profile") || args.get("profile-out").is_some() {
-            let mut wall = Profiler::new();
-            report.fill_profiler(&mut wall);
-            if let Some(p) = &prof {
-                wall.merge(p);
-            }
+            let table = prof.unwrap_or_default().table() + &report.wall_clock_table();
             match args.get("profile-out") {
                 Some(path) => {
-                    std::fs::write(path, wall.table())
-                        .map_err(|e| format!("writing {path}: {e}"))?;
+                    std::fs::write(path, table).map_err(|e| format!("writing {path}: {e}"))?;
                     eprintln!("{label}: profile table written to {path}");
                 }
-                None => print!("{}", wall.table()),
+                None => print!("{table}"),
             }
         }
         eprintln!("{label}: {}", report.summary());

@@ -53,7 +53,9 @@ const PARTS: &str = "a `Network` made of parts";
 const ONE_PATH: &str = "one path per answer";
 const SERVE: &str = "`serve` keeps what its traffic uses";
 const MFAC: &str = "one `mfac` switch for the IntelliNoC router";
+const CONSUMERS: &str = "consumer audit, round one";
 const ONE_STREAM: &str = "one event stream";
+const ONE_COPY: &str = "one copy per telemetry fact";
 
 /// Everything but the benchmark, which keeps its own names.
 const SOURCES: &[&str] = &["crates", "tests", "examples"];
@@ -159,10 +161,48 @@ const REMOVED: &[Removed] = &[
     removed("wake_occupancy", MFAC, Word, SOURCES),
     removed("cfg.has_bst", MFAC, End, SOURCES),
     removed("cfg.has_qtable", MFAC, End, SOURCES),
+    // Consumer audit, round one: the retry ladder, the live scrape endpoint
+    // outside `serve` and the single-value knobs stay deleted. The retry
+    // field is looked for as its flag, `--max-retries`: `max_retries` is
+    // also the closed-loop `ReqReplySpec::max_retries` (`--max-req-retries`),
+    // which stays. cli.rs passes `--metrics-addr` to check the unused-option
+    // warning.
+    removed("max-retries", CONSUMERS, Text, SOURCES),
+    removed("retry_backoff", CONSUMERS, Text, SOURCES),
+    removed("Retryable", CONSUMERS, Text, SOURCES),
+    removed("UnitRetried", CONSUMERS, Text, SOURCES),
+    removed("MetricsServer", CONSUMERS, Text, SOURCES),
+    Removed {
+        except: &[("crates/cli/tests/cli.rs", "metrics-addr")],
+        ..removed("metrics-addr", CONSUMERS, Text, SOURCES)
+    },
+    removed("runtime_metrics", CONSUMERS, Text, SOURCES),
+    removed("trace_capacity", CONSUMERS, Text, SOURCES),
+    removed("every_steps", CONSUMERS, Text, SOURCES),
+    removed("PhaseCounters", CONSUMERS, Text, SOURCES),
+    removed("route_computed", CONSUMERS, Text, SOURCES),
     // One event stream: the tracer's ring is the only one, and the flight
     // recorder copies its tail once, when the probe closes.
     removed("push_event", ONE_STREAM, Word, SOURCES),
     removed("flush_events", ONE_STREAM, Word, SOURCES),
+    // One copy per telemetry fact: the probe hands the recorder its span
+    // table and slowest journeys once, the runner report renders its own
+    // wall-clock rows, the tracer alone counts its drops, and the span
+    // counters render only in the span table. prof.rs checks that a
+    // profiled exposition has no `noc_prof_` family.
+    removed("push_journey", ONE_COPY, Word, SOURCES),
+    removed("snapshot_spans", ONE_COPY, Word, SOURCES),
+    removed("add_run", ONE_COPY, Word, SOURCES),
+    removed("set_trace_drops", ONE_COPY, Word, SOURCES),
+    removed("trace_drops()", ONE_COPY, Text, SOURCES),
+    removed("RunRow", ONE_COPY, Word, SOURCES),
+    removed("fill_profiler", ONE_COPY, Word, SOURCES),
+    removed("export_prof_metrics", ONE_COPY, Word, SOURCES),
+    removed("trace ring drops", ONE_COPY, Text, SOURCES),
+    Removed {
+        except: &[("tests/tests/prof.rs", "noc_prof_")],
+        ..removed("noc_prof_", ONE_COPY, Text, SOURCES)
+    },
 ];
 
 fn is_ident(c: char) -> bool {

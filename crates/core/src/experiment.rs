@@ -21,11 +21,11 @@ use crate::runner::{
 };
 use noc_rl::{QLearningConfig, QTable};
 use noc_sim::{
-    declare_network_metrics, export_alert_metrics, export_network_metrics, export_prof_metrics,
-    render_exposition, AlertEngine, AlertEvent, AlertRule, AttributionArtifacts, DecisionLog,
-    HardFaultScenario, JourneyLog, MetricsHub, MetricsRegistry, Network, ProbeConfig, Profiler,
-    RouterObservation, RunReport, RunTimeline, SharedRecorder, SimConfig, TimelineSample,
-    TraceFilter, Tracer, DEFAULT_TRACE_CAPACITY,
+    declare_network_metrics, export_alert_metrics, export_network_metrics, render_exposition,
+    AlertEngine, AlertEvent, AlertRule, AttributionArtifacts, DecisionLog, HardFaultScenario,
+    JourneyLog, MetricsHub, MetricsRegistry, Network, ProbeConfig, Profiler, RouterObservation,
+    RunReport, RunTimeline, SharedRecorder, SimConfig, TimelineSample, TraceFilter, Tracer,
+    DEFAULT_TRACE_CAPACITY,
 };
 use noc_traffic::{ParsecBenchmark, ReqReplySpec, WorkloadSpec};
 use rand::{rngs::SmallRng, SeedableRng};
@@ -96,11 +96,12 @@ pub struct TelemetryOptions {
     pub decisions: bool,
     /// Live metrics exposition (registry sampled each control step).
     pub metrics: MetricsOptions,
-    /// Flight recorder (`noc-blackbox`): a shared bounded ring of recent
-    /// timeline samples, trace events, RL convergence samples, and span
-    /// snapshots. The handle is shared with the harness so a post-mortem
-    /// bundle can be dumped even when the run dies (panic, stall, chaos
-    /// kill). Recording never changes cycle-domain behavior.
+    /// Flight recorder (`noc-blackbox`): shared bounded rings of recent
+    /// timeline and RL convergence samples, plus the event tail, span table
+    /// and slowest journeys the probe copies in when the run ends. The
+    /// handle is shared with the harness so a post-mortem bundle can be
+    /// dumped even when the run dies (panic, stall, chaos kill). Recording
+    /// never changes cycle-domain behavior.
     pub blackbox: Option<SharedRecorder>,
     /// Alert rules evaluated against the metrics registry each metrics
     /// interval (forces a registry on even without exposition sinks).
@@ -440,25 +441,16 @@ fn sample_timeline(
     sample
 }
 
-/// Feeds the flight recorder one control-step snapshot: the step's timeline
-/// sample, the latest RL convergence sample (when decision logging is on),
-/// and the current span-tree state (when profiling is on).
-fn feed_recorder(
-    bb: &SharedRecorder,
-    net: &Network,
-    policy: &ControlPolicy,
-    sample: &TimelineSample,
-) {
+/// Feeds the flight recorder one control step: the step's timeline sample
+/// and the latest RL convergence sample (when decision logging is on). The
+/// probe hands over the rest when it is taken or dropped.
+fn feed_recorder(bb: &SharedRecorder, policy: &ControlPolicy, sample: &TimelineSample) {
     let Ok(mut r) = bb.lock() else { return };
     r.push_timeline(sample.clone());
     if let ControlPolicy::Rl(rl) = policy {
         if let Some(c) = rl.decision_log().and_then(|log| log.convergence.last()) {
             r.push_convergence(*c);
         }
-    }
-    if let Some(prof) = net.profiler() {
-        let open = prof.open_span_path().iter().map(|s| (*s).to_owned()).collect();
-        r.snapshot_spans(prof.span_tree().tree_table(), open);
     }
 }
 
@@ -525,15 +517,10 @@ pub fn run_experiment_instrumented(
         [("design", cfg.design.label()), ("workload", &workload_name)];
     // One registry snapshot: export the network state, evaluate the alert
     // rules on it (their `noc_alert_*` families are cycle-domain and join
-    // it), publish. `prof` joins only the final snapshot: the span tree's
-    // cycle-domain counters are deterministic per seed, so the `noc_prof_*`
-    // families may enter the deterministic file.
-    let mut snapshot_metrics = |net: &Network, prof: Option<&Profiler>| {
+    // it), publish.
+    let mut snapshot_metrics = |net: &Network| {
         let Some(reg) = metrics_reg.as_mut() else { return };
         export_network_metrics(reg, net, &metric_labels).expect("static metric names are valid");
-        if let Some(prof) = prof {
-            export_prof_metrics(reg, prof.span_tree()).expect("static prof names are valid");
-        }
         if let Some(engine) = alert_engine.as_mut() {
             alert_events.extend(engine.evaluate(reg, net.now()));
             export_alert_metrics(reg, engine).expect("static alert names are valid");
@@ -585,52 +572,44 @@ pub fn run_experiment_instrumented(
         if timeline.is_some() || blackbox.is_some() {
             let sample = sample_timeline(&net, &obs, &policy, &mut base);
             if let Some(bb) = &blackbox {
-                feed_recorder(bb, &net, &policy, &sample);
+                feed_recorder(bb, &policy, &sample);
             }
             if let Some(tl) = timeline.as_mut() {
                 tl.push(sample);
             }
         }
-        snapshot_metrics(&net, None);
+        snapshot_metrics(&net);
     }
     let finished = net.is_done();
-    // The final (possibly partial) step. The recorder is fed *before* open
-    // spans are closed: the open span path at death is the post-mortem's
-    // "where were we".
-    let last = (timeline.is_some() || blackbox.is_some()).then(|| {
+    // The final (possibly partial) step.
+    if timeline.is_some() || blackbox.is_some() {
         let obs = net.observations();
-        sample_timeline(&net, &obs, &policy, &mut base)
-    });
-    if let (Some(bb), Some(sample)) = (&blackbox, &last) {
-        feed_recorder(bb, &net, &policy, sample);
-    }
-    // Close any span left open by an aborted cycle loop (stall watchdog),
-    // then fold the cycle-domain span counters into the exposition.
-    if let Some(prof) = net.profiler_mut() {
-        prof.close_open_spans();
-    }
-    if let (Some(tl), Some(sample)) = (timeline.as_mut(), last) {
-        tl.push(sample);
+        let sample = sample_timeline(&net, &obs, &policy, &mut base);
+        if let Some(bb) = &blackbox {
+            feed_recorder(bb, &policy, &sample);
+        }
+        if let Some(tl) = timeline.as_mut() {
+            tl.push(sample);
+        }
     }
     // Close the exposition with the final network state.
-    snapshot_metrics(&net, net.profiler());
+    snapshot_metrics(&net);
 
     let report = net.report();
     let mean_qtable_entries = match &policy {
         ControlPolicy::Rl(rl) => rl.mean_table_entries(),
         _ => 0.0,
     };
-    // Surface tracer ring drops in the self-profile so a truncated trace
-    // is visible without reading the trace itself.
-    let trace_drops = net.tracer().map(Tracer::evicted);
-    if let (Some(dropped), Some(prof)) = (trace_drops, net.profiler_mut()) {
-        prof.set_trace_drops(dropped);
-    }
     let decisions = match &mut policy {
         ControlPolicy::Rl(rl) => rl.take_decision_log(),
         _ => None,
     };
-    let probe = net.take_probe();
+    // Taking the probe hands the recorder the span table and the open span
+    // path, so the spans a stalled or cut-off loop left open close after.
+    let mut probe = net.take_probe();
+    if let Some(prof) = probe.profiler.as_mut() {
+        prof.close_open_spans();
+    }
     let artifacts = TelemetryArtifacts {
         tracer: probe.tracer,
         timeline,

@@ -28,11 +28,12 @@
 //! same grid produce byte-identical merged reports.
 
 use noc_sim::{
-    bundle_file_name, shared_recorder, BundleCause, BundleHead, FlightRecorder, Profiler,
-    RunReport, RunnerEvent, SharedRecorder, StallReport, DEFAULT_BLACKBOX_CAPACITY,
+    bundle_file_name, shared_recorder, BundleCause, BundleHead, FlightRecorder, RunReport,
+    RunnerEvent, SharedRecorder, StallReport, DEFAULT_BLACKBOX_CAPACITY,
 };
 use serde::{Content, Deserialize, Serialize};
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::io::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -407,15 +408,26 @@ impl<T> RunnerReport<T> {
         )
     }
 
-    /// Adds per-run wall-clock rows to a profiler. Journal-reloaded and
-    /// skipped units carry no wall time and are excluded.
-    pub fn fill_profiler(&self, prof: &mut Profiler) {
-        for r in &self.records {
-            if r.from_journal || r.status == RunStatus::Skipped {
-                continue;
-            }
-            prof.add_run(r.key.clone(), r.status.label(), r.wall_ms);
+    /// The per-run wall-clock block of the self-profile table, one row per
+    /// unit sorted by key; empty when no row remains. Journal-reloaded and
+    /// skipped units carry no wall time and are left out.
+    #[must_use]
+    pub fn wall_clock_table(&self) -> String {
+        let mut rows: Vec<&UnitRecord<T>> = self
+            .records
+            .iter()
+            .filter(|r| !r.from_journal && r.status != RunStatus::Skipped)
+            .collect();
+        if rows.is_empty() {
+            return String::new();
         }
+        rows.sort_by(|a, b| a.key.cmp(&b.key));
+        let mut out = String::from("  per-run wall clock\n");
+        out.push_str("  run key                                    status           ms\n");
+        for r in rows {
+            let _ = writeln!(out, "  {:<42} {:<9} {:>9.1}", r.key, r.status.label(), r.wall_ms);
+        }
+        out
     }
 }
 
@@ -1337,9 +1349,36 @@ mod tests {
         let keys = keys(3);
         let cfg = RunnerConfig { max_units: Some(2), ..RunnerConfig::serial() };
         let report = run_units(1, &keys, &cfg, &ChaosOptions::default(), ok_exec).unwrap();
-        let mut prof = Profiler::new();
-        report.fill_profiler(&mut prof);
-        assert_eq!(prof.runs().len(), 2, "skipped units carry no wall-clock row");
-        assert!(prof.table().contains("per-run wall clock"));
+        let table = report.wall_clock_table();
+        assert!(table.starts_with("  per-run wall clock\n"), "{table}");
+        assert_eq!(table.lines().count(), 2 + 2, "skipped units carry no wall-clock row");
+        let none = RunnerConfig { max_units: Some(0), ..RunnerConfig::serial() };
+        let report = run_units(1, &keys, &none, &ChaosOptions::default(), ok_exec).unwrap();
+        assert_eq!(report.wall_clock_table(), "", "no row, no block");
+    }
+
+    #[test]
+    fn wall_clock_rows_render_sorted_by_key() {
+        let keys: Vec<String> = ["campaign/b/Secded", "campaign/a/Secded"].map(String::from).into();
+        let report =
+            run_units(1, &keys, &RunnerConfig::serial(), &ChaosOptions::default(), |ctx| {
+                if ctx.key.contains("/a/") {
+                    let report = TimeoutReport {
+                        deadline_cycles: 1,
+                        cycles_run: 1,
+                        in_flight: 1,
+                        stall: None,
+                    };
+                    UnitVerdict::TimedOut { partial: None, report }
+                } else {
+                    UnitVerdict::Ok(0)
+                }
+            })
+            .unwrap();
+        let table = report.wall_clock_table();
+        let a = table.find("campaign/a/Secded").expect("row a");
+        let b = table.find("campaign/b/Secded").expect("row b");
+        assert!(a < b, "rows must be sorted by key: {table}");
+        assert!(table.contains("timed-out"), "{table}");
     }
 }

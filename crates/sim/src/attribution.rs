@@ -200,6 +200,12 @@ impl LatencyEngine {
         self.journeys.is_some()
     }
 
+    /// The journeys of the sampled packets delivered so far, in delivery
+    /// order, when journeys are traced.
+    pub(crate) fn journeys(&self) -> Option<&[PacketJourney]> {
+        self.journeys.as_ref().map(|j| j.log.packets.as_slice())
+    }
+
     /// A packet entered the source NI queue; `txn` looks up its transaction
     /// tag and runs only for a sampled packet.
     pub(crate) fn inject(

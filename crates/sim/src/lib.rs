@@ -58,12 +58,12 @@ pub use noc_fault::{HardFault, HardFaultKind, HardFaultScenario, HardFaultTarget
 // Telemetry surface, re-exported so simulator users can install tracers and
 // profilers without depending on `noc-telemetry` directly.
 pub use noc_telemetry::{
-    bundle_file_name, export_alert_metrics, export_prof_metrics, journey_file_name,
-    journey_sampled, json_str, link_stats_csv, parse_bundle, parse_exposition, parse_rules,
-    percentile, render_exposition, render_report, runner_events_jsonl, shared_recorder, AlertEdge,
-    AlertEngine, AlertEvent, AlertRule, AttributionArtifacts, BundleCause, BundleHead,
-    ConvergenceSample, DecisionLog, DecisionRecord, Event, EventKind, FlightRecorder, GateEdge,
-    HttpRequest, HttpResponse, HttpServer, JourneyCause, JourneyLog, LatencyComponents, MetricsHub,
-    MetricsRegistry, Profiler, RunTimeline, RunnerEvent, Sample, SharedRecorder, SpanTree,
-    TimelineSample, TraceFilter, Tracer, DEFAULT_BLACKBOX_CAPACITY, DEFAULT_TRACE_CAPACITY,
+    bundle_file_name, export_alert_metrics, journey_file_name, journey_sampled, json_str,
+    link_stats_csv, parse_bundle, parse_exposition, parse_rules, percentile, render_exposition,
+    render_report, runner_events_jsonl, shared_recorder, AlertEdge, AlertEngine, AlertEvent,
+    AlertRule, AttributionArtifacts, BundleCause, BundleHead, ConvergenceSample, DecisionLog,
+    DecisionRecord, Event, EventKind, FlightRecorder, GateEdge, HttpRequest, HttpResponse,
+    HttpServer, JourneyCause, JourneyLog, LatencyComponents, MetricsHub, MetricsRegistry, Profiler,
+    RunTimeline, RunnerEvent, Sample, SharedRecorder, SpanTree, TimelineSample, TraceFilter,
+    Tracer, DEFAULT_BLACKBOX_CAPACITY, DEFAULT_TRACE_CAPACITY,
 };

@@ -16,12 +16,15 @@
 //!
 //! Events have one ring: the caller's tracer or, with only a flight
 //! recorder installed, a ring as long as the recorder's event tail. Each
-//! event point is one push into it. The recorder is shared behind a lock and
-//! gets a copy of the ring's tail once, under one lock, when the probe is
-//! finished or dropped. Every bundle is written after its run's `Network`
-//! is finished or gone: a run that panics mid-cycle drops its `Network`
-//! while unwinding, before the runner writes the post-mortem bundle, so the
-//! bundle still holds the stream's tail.
+//! event point is one push into it. The recorder is shared behind a lock,
+//! and no event point takes it: when the probe is finished or dropped, it
+//! copies in, under one lock, what the probe holds for it — the ring's
+//! tail, the span table with the open span path (before any span is
+//! closed), and the slowest journeys of the latency engine's log. Every
+//! bundle is written after its run's `Network` is finished or gone: a run
+//! that panics mid-cycle drops its `Network` while unwinding, before the
+//! runner writes the post-mortem bundle, so the bundle still holds all
+//! three, taken at the panic.
 
 use crate::attribution::LatencyEngine;
 use crate::flit::{Cycle, Flit};
@@ -46,9 +49,10 @@ pub struct ProbeConfig {
     /// `inspect` artifacts.
     pub attribution: bool,
     /// Flight recorder, shared with the harness so post-mortem bundles
-    /// survive a panicking run. It receives the last `capacity ×
-    /// EVENT_RING_FACTOR` events of the stream when the probe closes — of
-    /// `tracer`'s ring if one is installed, which then bounds that tail.
+    /// survive a panicking run. When the probe closes it receives the last
+    /// `capacity × EVENT_RING_FACTOR` events of the stream — of `tracer`'s
+    /// ring if one is installed, which then bounds that tail — and, from
+    /// the other installed sinks, the span table and the slowest journeys.
     pub blackbox: Option<SharedRecorder>,
     /// Journey tracing as `(seed, every)`: one in `every` packets (and, for
     /// closed-loop workloads, transactions) is selected by a pure hash of
@@ -79,7 +83,7 @@ pub(crate) struct Probe {
     /// Whether `ring` is the caller's tracer, handed back by `finish`.
     pub(crate) traced: bool,
     pub(crate) profiler: Option<Profiler>,
-    /// Let go once it has the ring's tail.
+    /// Let go once it has what the probe holds for it.
     blackbox: Option<SharedRecorder>,
     /// Installed when attribution or journey tracing (or both) is on.
     latency: Option<LatencyEngine>,
@@ -102,7 +106,7 @@ impl Probe {
         Probe { ring, traced, profiler: cfg.profiler, blackbox: cfg.blackbox, latency }
     }
 
-    /// Closes every sink at cycle `now`, handing the recorder its events
+    /// Closes every sink at cycle `now`, handing the recorder its copies
     /// first.
     pub(crate) fn finish(mut self, now: Cycle) -> ProbeArtifacts {
         self.hand_over();
@@ -111,11 +115,20 @@ impl Probe {
         ProbeArtifacts { tracer, profiler, attribution, journeys }
     }
 
-    /// Copies the ring's tail into the recorder under one lock, and lets
+    /// Copies into the recorder, under one lock, the ring's tail, the span
+    /// table with its open path and the slowest finished journeys, and lets
     /// the recorder go, so it happens once per probe.
     fn hand_over(&mut self) {
-        if let (Some(bb), Some(ring)) = (self.blackbox.take(), self.ring.as_ref()) {
-            bb.lock().unwrap_or_else(PoisonError::into_inner).copy_event_tail(ring);
+        let Some(bb) = self.blackbox.take() else { return };
+        let mut rec = bb.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(ring) = &self.ring {
+            rec.copy_event_tail(ring);
+        }
+        if let Some(prof) = &self.profiler {
+            rec.copy_spans(prof);
+        }
+        if let Some(journeys) = self.latency.as_ref().and_then(LatencyEngine::journeys) {
+            rec.copy_slowest_journeys(journeys);
         }
     }
 
@@ -227,15 +240,8 @@ impl Probe {
     /// end-to-end `latency`.
     #[inline]
     pub(crate) fn complete(&mut self, tail: &Flit, now: Cycle, latency: u64) {
-        let Some(journey) = self.latency.as_mut().and_then(|e| e.complete(tail, now, latency))
-        else {
-            return;
-        };
-        // The slowest-journeys ring renders the record only if it keeps it.
-        if let Some(bb) = self.blackbox.as_ref() {
-            if let Ok(mut rec) = bb.lock() {
-                rec.push_journey(latency, || journey.to_jsonl_line());
-            }
+        if let Some(e) = self.latency.as_mut() {
+            e.complete(tail, now, latency);
         }
     }
 
@@ -327,7 +333,7 @@ impl Probe {
 
 impl Drop for Probe {
     /// A probe dropped unfinished — replaced, or unwound by a panic — still
-    /// hands the recorder its events.
+    /// hands the recorder its copies.
     fn drop(&mut self) {
         self.hand_over();
     }
@@ -485,6 +491,35 @@ mod tests {
             (taken_counters.journeys_recorded, taken_counters.journeys_dropped),
             (recorded, recorded - 4)
         );
+    }
+
+    /// No event point takes the recorder's lock, so a lock poisoned before
+    /// the run loses nothing: the hand-over recovers it and copies every
+    /// finished journey's count and the slowest ones.
+    #[test]
+    fn a_poisoned_recorder_still_receives_the_hand_over() {
+        let bb = shared_recorder(4);
+        let poisoner = bb.clone();
+        let _ = std::thread::spawn(move || {
+            let _held = poisoner.lock().expect("recorder lock");
+            panic!("poisons the recorder's lock");
+        })
+        .join();
+        assert!(bb.is_poisoned());
+        let cfg = SimConfig { width: 4, height: 4, ..SimConfig::default() };
+        let mut net = Network::new(cfg, WorkloadSpec::uniform(0.05, 20), 5);
+        let cfg = ProbeConfig {
+            blackbox: Some(bb.clone()),
+            journeys: Some((9, 1)),
+            ..Default::default()
+        };
+        net.install_probe(cfg);
+        assert!(net.run_cycles(200_000) && net.is_done());
+        let log = net.take_probe().journeys.expect("journeys traced");
+        let rec = bb.lock().unwrap_or_else(PoisonError::into_inner);
+        assert!(log.packets.len() > 4);
+        assert_eq!(rec.counters().journeys_recorded, log.packets.len() as u64);
+        assert_eq!(rec.journeys().len(), 4);
     }
 
     /// One hook sequence through the probe with both sinks on — every

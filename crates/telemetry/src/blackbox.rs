@@ -1,9 +1,12 @@
 //! `noc-blackbox`: the flight recorder and its post-mortem bundles.
 //!
-//! A [`FlightRecorder`] is a set of fixed-capacity rings holding the most
-//! recent observability records of a run — per-control-step
-//! [`TimelineSample`]s, simulator [`Event`]s, RL [`ConvergenceSample`]s,
-//! and the latest span-tree snapshot. It exists so that when a run dies
+//! A [`FlightRecorder`] holds the most recent observability records of a
+//! run: rings of per-control-step [`TimelineSample`]s and RL
+//! [`ConvergenceSample`]s, which the control loop pushes every step, and
+//! what the run's probe copies in once, when it is finished or dropped —
+//! the tail of the simulator's [`Event`] stream, the span table with the
+//! open span path, and the slowest sampled packet journeys. It exists so
+//! that when a run dies
 //! (stall watchdog, deadline timeout, panic, fatal failure, chaos
 //! `kill -9`, a critical alert, or transaction books that do not balance),
 //! the *recent past* that explains the death is still in memory and can be
@@ -17,11 +20,13 @@
 //! under. Wall-clock values never enter a bundle.
 //!
 //! The disabled path is zero-cost in the simulator: the recorder lives in
-//! an `Option` and every feed site is a single branch.
+//! an `Option`, and the probe takes its lock once per run.
 
 use crate::event::Event;
 use crate::inspect::ConvergenceSample;
+use crate::journey::PacketJourney;
 use crate::json_str;
+use crate::profiler::Profiler;
 use crate::timeline::TimelineSample;
 use crate::tracer::Tracer;
 use serde::{Deserialize, Serialize};
@@ -136,9 +141,9 @@ pub struct RecorderCounters {
     pub convergence_recorded: u64,
     /// Convergence samples evicted to make room.
     pub convergence_dropped: u64,
-    /// Journey records offered to the slowest-journeys ring.
+    /// Sampled journeys the run finished.
     pub journeys_recorded: u64,
-    /// Journey records evicted (they were faster than everything kept).
+    /// Finished journeys not kept (faster than every journey kept).
     pub journeys_dropped: u64,
 }
 
@@ -153,19 +158,19 @@ impl RecorderCounters {
     }
 }
 
-/// The flight recorder: bounded rings of the most recent run records.
+/// The flight recorder: bounded copies of the most recent run records.
 #[derive(Debug)]
 pub struct FlightRecorder {
     capacity: usize,
     timeline: VecDeque<TimelineSample>,
     events: Vec<Event>,
     convergence: VecDeque<ConvergenceSample>,
-    /// Latest deterministic span-tree snapshot (cycle-domain table).
+    /// The span profiler's cycle-domain table at hand-over.
     spans: Option<String>,
-    /// Span paths open at the latest snapshot, outermost first.
+    /// Span paths open at hand-over, outermost first.
     open_spans: Vec<String>,
-    /// Slowest sampled journeys seen so far: `(latency, jsonl line)`,
-    /// bounded at `capacity`, kept sorted slowest-first.
+    /// The `capacity` slowest sampled journeys: `(latency, jsonl line)`,
+    /// slowest first.
     journeys: Vec<(u64, String)>,
     counters: RecorderCounters,
 }
@@ -226,45 +231,32 @@ impl FlightRecorder {
         self.convergence.push_back(sample);
     }
 
-    /// Replaces the span snapshot: the latest cycle-domain span table and
-    /// the currently open span path (outermost first).
-    pub fn snapshot_spans(&mut self, table: String, open: Vec<String>) {
-        self.spans = Some(table);
-        self.open_spans = open;
+    /// Takes the span table from `prof`: its cycle-domain table and the
+    /// span path open now, outermost first.
+    pub fn copy_spans(&mut self, prof: &Profiler) {
+        self.spans = Some(prof.span_tree().tree_table());
+        self.open_spans = prof.open_span_path().into_iter().map(str::to_owned).collect();
     }
 
-    /// Offers a finished journey to the slowest-journeys ring: the
-    /// `capacity` slowest sampled journeys are kept, everything faster is
-    /// evicted. Ties break on the record text so the retained set is
-    /// execution-order independent.
-    ///
-    /// `render` produces the journey's JSONL record and runs only when the
-    /// text can matter — the ring has room, or `latency` reaches the
-    /// slowest-k floor (a tie needs the text to break). A journey faster
-    /// than a full ring's floor is counted and dropped unrendered; counters
-    /// and the retained set are those of rendering every record.
-    pub fn push_journey(&mut self, latency: u64, render: impl FnOnce() -> String) {
-        self.counters.journeys_recorded += 1;
-        let below_floor = self.journeys.len() >= self.capacity
-            && self.journeys.last().is_some_and(|(floor, _)| latency < *floor);
-        if below_floor {
-            self.counters.journeys_dropped += 1;
-            return;
-        }
-        let entry = (latency, render());
-        let at = self
-            .journeys
-            .binary_search_by(|probe| entry.cmp(probe))
-            .unwrap_or_else(|insert_at| insert_at);
-        if at >= self.capacity {
-            self.counters.journeys_dropped += 1;
-            return;
-        }
-        self.journeys.insert(at, entry);
-        if self.journeys.len() > self.capacity {
-            self.journeys.pop();
-            self.counters.journeys_dropped += 1;
-        }
+    /// Keeps the `capacity` slowest of a run's finished `journeys`, slowest
+    /// first; ties break on the record text, so the kept set does not
+    /// depend on delivery order. Only journeys at or above the
+    /// `capacity`-th latency are rendered.
+    pub fn copy_slowest_journeys(&mut self, journeys: &[PacketJourney]) {
+        let mut latencies: Vec<u64> = journeys.iter().map(|j| j.latency).collect();
+        let floor = match latencies.len().checked_sub(self.capacity) {
+            Some(k) if k > 0 => *latencies.select_nth_unstable(k).1,
+            _ => 0,
+        };
+        self.journeys = journeys
+            .iter()
+            .filter(|j| j.latency >= floor)
+            .map(|j| (j.latency, j.to_jsonl_line()))
+            .collect();
+        self.journeys.sort_unstable_by(|a, b| b.cmp(a));
+        self.journeys.truncate(self.capacity);
+        self.counters.journeys_recorded = journeys.len() as u64;
+        self.counters.journeys_dropped = (journeys.len() - self.journeys.len()) as u64;
     }
 
     /// The retained slowest journeys, slowest first.
@@ -846,47 +838,46 @@ mod tests {
         assert_eq!((c.events_recorded, c.events_dropped), (2 * EVENT_RING_FACTOR as u64 + 3, 3));
     }
 
-    /// The journey ring renders a record only when its text can matter,
-    /// yet counts and retains exactly what rendering every record would.
+    /// The kept journeys are the `capacity` slowest by `(latency, text)`,
+    /// whatever order they finished in, and the counters say how many were
+    /// left out.
     #[test]
-    fn journey_ring_renders_lazily_with_the_eager_result() {
+    fn slowest_journeys_are_the_top_latency_and_text() {
         const CAP: usize = 3;
-        // Rising, falling, ties with the floor (40, 30), below the floor.
+        // Ties at the floor (30) need their text to break.
         let latencies = [30u64, 10, 20, 40, 5, 20, 40, 30, 30, 7, 50, 30, 1];
-        let line = |i: usize| format!("{{\"packet\":{}}}", (i * 7) % 13);
-
-        // Eager reference: render everything, insert or drop on the full key.
-        let mut kept: Vec<(u64, String)> = Vec::new();
-        let mut dropped = 0u64;
-        for (i, &latency) in latencies.iter().enumerate() {
-            let entry = (latency, line(i));
-            let at = kept.binary_search_by(|probe| entry.cmp(probe)).unwrap_or_else(|at| at);
-            if at >= CAP {
-                dropped += 1;
-                continue;
-            }
-            kept.insert(at, entry);
-            if kept.len() > CAP {
-                kept.pop();
-                dropped += 1;
-            }
-        }
+        let journeys: Vec<PacketJourney> = latencies
+            .iter()
+            .enumerate()
+            .map(|(i, &latency)| PacketJourney {
+                packet: (i as u64 * 7) % 13,
+                src: 0,
+                dest: 1,
+                injected_at: 0,
+                delivered_at: latency,
+                latency,
+                txn: None,
+                spans: Vec::new(),
+            })
+            .collect();
+        let mut every: Vec<(u64, String)> =
+            journeys.iter().map(|j| (j.latency, j.to_jsonl_line())).collect();
+        every.sort_by(|a, b| b.cmp(a));
+        every.truncate(CAP);
 
         let mut r = FlightRecorder::new(CAP);
-        let mut rendered = Vec::new();
-        for (i, &latency) in latencies.iter().enumerate() {
-            r.push_journey(latency, || {
-                rendered.push(i);
-                line(i)
-            });
-        }
-        assert_eq!(r.journeys(), kept.as_slice());
-        assert_eq!(r.counters().journeys_recorded, latencies.len() as u64);
-        assert_eq!(r.counters().journeys_dropped, dropped);
-        // Unrendered: 5 (floor 20), 7 (floor 30), the last 30 and 1 (floor
-        // 40). The 20 arriving at floor 20 and the two 30s arriving at
-        // floor 30 are ties and need their text.
-        assert_eq!(rendered, [0, 1, 2, 3, 5, 6, 7, 8, 10]);
+        r.copy_slowest_journeys(&journeys);
+        assert_eq!(r.journeys(), every.as_slice());
+        assert_eq!(r.journeys()[0].0, 50);
+        let c = r.counters();
+        assert_eq!((c.journeys_recorded, c.journeys_dropped), (13, 10));
+        let mut reversed = journeys.clone();
+        reversed.reverse();
+        r.copy_slowest_journeys(&reversed);
+        assert_eq!(r.journeys(), every.as_slice(), "delivery order does not matter");
+        r.copy_slowest_journeys(&journeys[..2]);
+        assert_eq!(r.journeys().len(), 2, "fewer than `capacity` are all kept");
+        assert_eq!(r.counters().journeys_dropped, 0);
     }
 
     #[test]
@@ -909,10 +900,10 @@ mod tests {
             mean_abs_td: 0.25,
             mean_table_entries: 12.0,
         });
-        r.snapshot_spans(
-            "span tree (cycle-domain)\n  step_cycle ...\n".to_owned(),
-            vec!["step_cycle".to_owned(), "link.traverse".to_owned()],
-        );
+        let mut prof = Profiler::new();
+        prof.span_enter("step_cycle");
+        prof.span_enter("link.traverse");
+        r.copy_spans(&prof);
         let text =
             r.bundle(&head(BundleCause::Timeout), &[("stall", "{\"cycle\":2000}".to_owned())]);
         let b = parse_bundle(&text).expect("bundle parses");
@@ -928,6 +919,7 @@ mod tests {
         assert_eq!(b.convergence.len(), 1);
         assert_eq!(b.convergence[0].updates, 61);
         assert_eq!(b.open_spans, vec!["step_cycle", "link.traverse"]);
+        assert_eq!(b.spans_table, Some(prof.span_tree().tree_table()));
         assert_eq!(b.extras, vec![("stall".to_owned(), "{\"cycle\":2000}".to_owned())]);
     }
 

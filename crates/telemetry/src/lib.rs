@@ -15,9 +15,8 @@
 //! 3. [`Profiler`] (`noc-prof`) — a nestable span stack aggregated into a
 //!    [`SpanTree`] that records wall-clock time *and* deterministic
 //!    cycle-domain counters (calls, flits handled, allocations), exported
-//!    as a deterministic tree table, collapsed-stack flamegraph text
-//!    (inferno/speedscope-loadable), and `noc_prof_*` metric families
-//!    ([`export_prof_metrics`]).
+//!    as a deterministic tree table and collapsed-stack flamegraph text
+//!    (inferno/speedscope-loadable).
 //!
 //! On top of the event stream sits an *analysis* layer (the `inspect`
 //! module): per-packet [`LatencyBreakdown`]s, spatial [`HeatGrid`]s, and RL
@@ -74,8 +73,8 @@ pub use metrics::{
     is_valid_label_name, is_valid_metric_name, LabelSet, MetricFamily, MetricKind, MetricsRegistry,
     SeriesValue,
 };
-pub use prof::{export_prof_metrics, SpanStats, SpanTree, MAX_SPAN_DEPTH};
-pub use profiler::{LeafSpan, Profiler, RunRow};
+pub use prof::{SpanStats, SpanTree, MAX_SPAN_DEPTH};
+pub use profiler::{LeafSpan, Profiler};
 pub use runner::{runner_events_jsonl, RunnerEvent};
 pub use serve::{
     accept_backoff_ms, HttpHandler, HttpRequest, HttpResponse, HttpServer, MetricsHub,

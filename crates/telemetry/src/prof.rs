@@ -9,8 +9,7 @@
 //!   allocations — are functions of the simulation alone, so for a fixed
 //!   seed they are byte-identical across machines, worker counts, and
 //!   whether profiling is on at all. They are exact on every occurrence and
-//!   feed the deterministic tree table ([`SpanTree::tree_table`]) and the
-//!   `noc_prof_*` metric families ([`export_prof_metrics`]).
+//!   feed the deterministic tree table ([`SpanTree::tree_table`]).
 //! * **Wall-clock nanoseconds** — machine- and load-dependent, and an
 //!   *estimate*: the clock is read on one occurrence per stride of each
 //!   span path (see [`timed_weight`]) and that duration counts for the whole
@@ -27,7 +26,6 @@
 //! a fleet of workers can fold per-unit trees in completion order and the
 //! cycle-domain result is independent of that order.
 
-use crate::metrics::MetricsRegistry;
 use std::fmt::Write as _;
 
 /// Maximum recorded span depth. Deeper frames still balance their
@@ -378,37 +376,6 @@ impl SpanTree {
     }
 }
 
-/// Declares and sets the `noc_prof_*` metric families from a span tree.
-/// Only cycle-domain counters are exported, so the exposition stays
-/// byte-deterministic for a fixed seed.
-///
-/// # Errors
-///
-/// Propagates registry validation errors (impossible for the fixed family
-/// names unless the registry already holds same-name families of another
-/// kind).
-pub fn export_prof_metrics(reg: &mut MetricsRegistry, tree: &SpanTree) -> Result<(), String> {
-    reg.declare_counter("noc_prof_span_calls_total", "Span entries, by full span path.")?;
-    reg.declare_counter("noc_prof_span_flits_total", "Flits handled inside the span.")?;
-    reg.declare_counter(
-        "noc_prof_span_allocs_total",
-        "Buffer allocations charged to the span via the counting hook.",
-    )?;
-    reg.declare_counter(
-        "noc_prof_span_truncations_total",
-        "Span entries folded into the depth-cap ancestor.",
-    )?;
-    for (path, s) in tree.iter() {
-        let span = path.join("/");
-        let labels = [("span", span.as_str())];
-        reg.counter_set("noc_prof_span_calls_total", &labels, s.calls as f64)?;
-        reg.counter_set("noc_prof_span_flits_total", &labels, s.flits as f64)?;
-        reg.counter_set("noc_prof_span_allocs_total", &labels, s.allocs as f64)?;
-    }
-    reg.counter_set("noc_prof_span_truncations_total", &[], tree.truncated_enters() as f64)?;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -509,22 +476,6 @@ mod tests {
         assert_eq!(path.len(), MAX_SPAN_DEPTH);
         assert_eq!(s.nanos, 9);
         assert!(t.tree_table().contains("WARNING: 1 span entries exceeded depth cap"));
-    }
-
-    #[test]
-    fn prof_metrics_export_cycle_domain_counters() {
-        let mut t = SpanTree::default();
-        t.add(&["step_cycle"], &SpanStats { nanos: 123, calls: 10, flits: 40, allocs: 7 });
-        let mut reg = MetricsRegistry::new();
-        export_prof_metrics(&mut reg, &t).unwrap();
-        export_prof_metrics(&mut reg, &t).unwrap(); // idempotent redeclare
-        let text = crate::render_exposition(&reg);
-        assert!(text.contains("noc_prof_span_calls_total{span=\"step_cycle\"} 10"), "{text}");
-        assert!(text.contains("noc_prof_span_flits_total{span=\"step_cycle\"} 40"), "{text}");
-        assert!(text.contains("noc_prof_span_allocs_total{span=\"step_cycle\"} 7"), "{text}");
-        assert!(text.contains("noc_prof_span_truncations_total 0"), "{text}");
-        // Wall-clock never leaks into the exposition.
-        assert!(!text.contains("123"), "{text}");
     }
 
     /// Occurrences the schedule tests walk: 2²⁰ per path.

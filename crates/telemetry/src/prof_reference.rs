@@ -3,7 +3,6 @@
 //! reference the live [`Profiler`] is compared against over random call
 //! sequences. It reads no clock: only the cycle-domain side is compared.
 
-use crate::metrics::MetricsRegistry;
 use crate::prof::{SpanStats, MAX_SPAN_DEPTH};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -134,43 +133,11 @@ impl RefProfiler {
         }
         out
     }
-
-    /// The `noc_prof_*` exposition text, as `export_prof_metrics` followed
-    /// by `render_exposition` produces it.
-    pub(crate) fn exposition(&self) -> String {
-        let mut reg = MetricsRegistry::new();
-        let declare = [
-            ("noc_prof_span_calls_total", "Span entries, by full span path."),
-            ("noc_prof_span_flits_total", "Flits handled inside the span."),
-            (
-                "noc_prof_span_allocs_total",
-                "Buffer allocations charged to the span via the counting hook.",
-            ),
-            ("noc_prof_span_truncations_total", "Span entries folded into the depth-cap ancestor."),
-        ];
-        for (name, help) in declare {
-            reg.declare_counter(name, help).expect("static family name");
-        }
-        for (path, s) in &self.spans.nodes {
-            let span = path.join("/");
-            let labels = [("span", span.as_str())];
-            for (family, v) in [
-                ("noc_prof_span_calls_total", s.calls),
-                ("noc_prof_span_flits_total", s.flits),
-                ("noc_prof_span_allocs_total", s.allocs),
-            ] {
-                reg.counter_set(family, &labels, v as f64).expect("declared above");
-            }
-        }
-        reg.counter_set("noc_prof_span_truncations_total", &[], self.spans.truncated_enters as f64)
-            .expect("declared above");
-        crate::render_exposition(&reg)
-    }
 }
 
 mod differential {
     use super::RefProfiler;
-    use crate::{export_prof_metrics, render_exposition, MetricsRegistry, Profiler};
+    use crate::Profiler;
     use proptest::prelude::*;
     use std::sync::OnceLock;
     use std::time::Duration;
@@ -267,12 +234,6 @@ mod differential {
         Ok(())
     }
 
-    fn exposition(p: &Profiler) -> String {
-        let mut reg = MetricsRegistry::new();
-        export_prof_metrics(&mut reg, p.span_tree()).expect("static family names");
-        render_exposition(&reg)
-    }
-
     /// Every compared surface, with whatever spans are still open.
     fn same(p: &Profiler, r: &RefProfiler) -> Result<(), TestCaseError> {
         prop_assert_eq!(p.span_tree().tree_table(), r.tree_table());
@@ -280,7 +241,6 @@ mod differential {
         prop_assert_eq!(p.span_tree().unbalanced_exits(), r.unbalanced_exits());
         prop_assert_eq!(p.open_span_path(), r.open_span_path());
         prop_assert_eq!(p.span_depth(), r.span_depth());
-        prop_assert_eq!(exposition(p), r.exposition());
         Ok(())
     }
 

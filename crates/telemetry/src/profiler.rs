@@ -5,18 +5,6 @@ use crate::prof::{NodeId, SpanTree, MAX_SPAN_DEPTH, ROOT};
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
-/// Wall-clock accounting for one experiment unit executed by the runner
-/// (`noc-runner`): how long the unit took end to end and how it terminated.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunRow {
-    /// Stable run key of the unit.
-    pub key: String,
-    /// Terminal status label (`ok`, `failed`, `timed-out`, `skipped`).
-    pub status: &'static str,
-    /// Wall-clock milliseconds.
-    pub millis: f64,
-}
-
 /// The clock reading of a timed occurrence and the number of occurrences it
 /// stands for; `None` on the occurrences the sampling schedule skips.
 type Timed = Option<(Instant, u64)>;
@@ -46,19 +34,14 @@ pub struct LeafSpan {
     timed: Timed,
 }
 
-/// Collects per-unit wall-clock rows for the end-of-run
-/// self-profile table, plus the hierarchical span stack aggregated into a
-/// [`SpanTree`]. Wall-clock values are nondeterministic, so the profile is
-/// reported separately and never included in the determinism-checked run
-/// artifacts; the span tree's cycle-domain counters (calls/flits/allocs)
-/// *are* deterministic and render separately via
+/// The hierarchical span stack, aggregated into a [`SpanTree`] for the
+/// end-of-run self-profile table. Wall-clock values are nondeterministic,
+/// so the profile is reported separately and never included in the
+/// determinism-checked run artifacts; the span tree's cycle-domain counters
+/// (calls/flits/allocs) *are* deterministic and render separately via
 /// [`SpanTree::tree_table`].
 #[derive(Debug, Clone, Default)]
 pub struct Profiler {
-    /// Events the tracer's ring buffer evicted, when a tracer ran alongside.
-    trace_drops: Option<u64>,
-    /// Per-unit wall-clock rows recorded by the execution engine.
-    runs: Vec<RunRow>,
     /// Aggregated span hierarchy.
     spans: SpanTree,
     /// Currently open spans, innermost last.
@@ -180,39 +163,13 @@ impl Profiler {
         self.stack.iter().map(|frame| frame.name).collect()
     }
 
-    /// Folds another profiler's aggregates into this one: span tree,
-    /// warning counters, trace drops, and run rows.
-    /// Open frames on `other`'s stack are not merged — close them first
+    /// Folds another profiler's span tree and warning counters into this
+    /// one. Open frames on `other`'s stack are not merged — close them first
     /// (see [`Profiler::close_open_spans`]). Per-key addition keeps the
     /// merge associative and commutative, so fleet aggregation across
     /// workers is independent of completion order.
     pub fn merge(&mut self, other: &Profiler) {
         self.spans.merge(&other.spans);
-        if let Some(dropped) = other.trace_drops {
-            self.trace_drops = Some(self.trace_drops.unwrap_or(0) + dropped);
-        }
-        self.runs.extend(other.runs.iter().cloned());
-    }
-
-    /// Records how many events the tracer's ring buffer dropped, so the
-    /// self-profile table can warn about a truncated trace.
-    pub fn set_trace_drops(&mut self, dropped: u64) {
-        self.trace_drops = Some(dropped);
-    }
-
-    /// Tracer ring-buffer drops, if a tracer ran alongside this profiler.
-    pub fn trace_drops(&self) -> Option<u64> {
-        self.trace_drops
-    }
-
-    /// Records the wall-clock accounting of one runner-executed unit.
-    pub fn add_run(&mut self, key: impl Into<String>, status: &'static str, millis: f64) {
-        self.runs.push(RunRow { key: key.into(), status, millis });
-    }
-
-    /// Per-unit wall-clock rows, in insertion (completion) order.
-    pub fn runs(&self) -> &[RunRow] {
-        &self.runs
     }
 
     /// Renders the self-profile table shown at run end.
@@ -220,9 +177,6 @@ impl Profiler {
     pub fn table(&self) -> String {
         let mut out = String::new();
         out.push_str("self-profile\n");
-        if let Some(dropped) = self.trace_drops {
-            let _ = writeln!(out, "  trace ring drops: {dropped}");
-        }
         if self.spans.truncated_enters() > 0 {
             let _ = writeln!(
                 out,
@@ -240,15 +194,6 @@ impl Profiler {
         if !self.spans.is_empty() {
             out.push_str(&self.spans.wall_table());
         }
-        if !self.runs.is_empty() {
-            out.push_str("  per-run wall clock\n");
-            out.push_str("  run key                                    status           ms\n");
-            let mut rows: Vec<&RunRow> = self.runs.iter().collect();
-            rows.sort_by(|a, b| a.key.cmp(&b.key));
-            for r in rows {
-                let _ = writeln!(out, "  {:<42} {:<9} {:>9.1}", r.key, r.status, r.millis);
-            }
-        }
         out
     }
 }
@@ -260,12 +205,11 @@ mod tests {
     #[test]
     fn table_lists_everything() {
         let mut p = Profiler::new();
+        assert_eq!(p.table(), "self-profile\n");
+        p.span_leaf("rl.decide", Duration::from_micros(3), 0, 0);
         let table = p.table();
-        assert!(table.starts_with("self-profile\n"));
-        assert!(!table.contains("trace ring drops"));
-        p.set_trace_drops(17);
-        assert_eq!(p.trace_drops(), Some(17));
-        assert!(p.table().contains("trace ring drops: 17"));
+        assert!(table.starts_with("self-profile\n"), "{table}");
+        assert!(table.contains("rl.decide"), "{table}");
     }
 
     #[test]
@@ -373,7 +317,6 @@ mod tests {
             p.span_enter("step_cycle");
             p.span_count(n, 0);
             p.span_exit();
-            p.set_trace_drops(n);
             p
         };
         let (a, b, c) = (make(1), make(2), make(4));
@@ -385,25 +328,9 @@ mod tests {
         right.merge(&c);
         right.merge(&a);
         right.merge(&b);
-        assert_eq!(left.trace_drops(), Some(7));
         let (ls, rs) = (left.span_tree(), right.span_tree());
         assert_eq!(ls.get(&["step_cycle"]), rs.get(&["step_cycle"]));
         assert_eq!(ls.get(&["step_cycle"]).unwrap().flits, 7);
         assert_eq!(ls.get(&["step_cycle"]).unwrap().calls, 3);
-    }
-
-    #[test]
-    fn run_rows_render_sorted_by_key() {
-        let mut p = Profiler::new();
-        assert!(!p.table().contains("per-run wall clock"));
-        p.add_run("campaign/b/Secded", "ok", 12.5);
-        p.add_run("campaign/a/Secded", "timed-out", 900.0);
-        assert_eq!(p.runs().len(), 2);
-        let table = p.table();
-        assert!(table.contains("per-run wall clock"));
-        let a = table.find("campaign/a/Secded").unwrap();
-        let b = table.find("campaign/b/Secded").unwrap();
-        assert!(a < b, "rows must be sorted by key");
-        assert!(table.contains("timed-out"));
     }
 }

@@ -40,14 +40,12 @@ pub enum RunnerEvent {
         /// Why the unit was skipped.
         reason: String,
     },
-    /// End-of-run profiler health note: trace-ring evictions and span-stack
-    /// warning counters, so profile truncation is visible in the JSONL log
-    /// and not just the terminal table.
+    /// End-of-run profiler health note: span-stack warning counters and
+    /// flight-recorder drops, so profile truncation is visible in the JSONL
+    /// log and not just the terminal table.
     ProfileNote {
         /// Scope of the note (run key, or a fleet label like `fleet`).
         key: String,
-        /// Events the tracer's ring buffer evicted.
-        trace_drops: u64,
         /// Span entries folded at the depth cap.
         span_truncations: u64,
         /// Unmatched `span_exit` calls observed.
@@ -106,15 +104,11 @@ impl RunnerEvent {
                 let _ = write!(s, ",\"reason\":{}", json_str(reason));
             }
             RunnerEvent::ProfileNote {
-                trace_drops,
-                span_truncations,
-                unbalanced_exits,
-                recorder_drops,
-                ..
+                span_truncations, unbalanced_exits, recorder_drops, ..
             } => {
                 let _ = write!(
                     s,
-                    ",\"trace_drops\":{trace_drops},\"span_truncations\":{span_truncations},\
+                    ",\"span_truncations\":{span_truncations},\
                      \"unbalanced_exits\":{unbalanced_exits},\"recorder_drops\":{recorder_drops}"
                 );
             }
@@ -151,7 +145,6 @@ mod tests {
             RunnerEvent::UnitSkipped { key: "a/d".into(), reason: "unit cap".into() },
             RunnerEvent::ProfileNote {
                 key: "fleet".into(),
-                trace_drops: 3,
                 span_truncations: 1,
                 unbalanced_exits: 0,
                 recorder_drops: 7,
@@ -165,8 +158,9 @@ mod tests {
         let jsonl = runner_events_jsonl(&events);
         assert_eq!(jsonl.lines().count(), 6);
         assert!(jsonl.contains(r#""event":"profile-note""#));
-        assert!(jsonl.contains(r#""trace_drops":3"#));
-        assert!(jsonl.contains(r#""span_truncations":1"#));
+        assert!(jsonl.contains(
+            r#"{"event":"profile-note","key":"fleet","span_truncations":1,"unbalanced_exits":0,"recorder_drops":7}"#
+        ));
         assert!(jsonl.contains(r#""recorder_drops":7"#));
         assert!(jsonl.contains(r#""event":"postmortem-dumped""#));
         assert!(jsonl.contains(r#""cause":"stall""#));

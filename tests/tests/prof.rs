@@ -117,8 +117,9 @@ fn flamegraph_decomposes_step_cycle_into_subspans() {
 }
 
 /// Same seed, two profiled runs: the cycle-domain tree table and the
-/// `noc_prof_*` exposition families are byte-identical (wall-clock nanos
-/// are the only nondeterministic dimension, and they live elsewhere).
+/// exposition are byte-identical (wall-clock nanos are the only
+/// nondeterministic dimension, and they live elsewhere). The span counters
+/// render in the table only, not in the exposition.
 #[test]
 fn cycle_domain_span_artifacts_are_deterministic() {
     let run = || {
@@ -141,9 +142,7 @@ fn cycle_domain_span_artifacts_are_deterministic() {
     let (table2, expo2) = run();
     assert_eq!(table1, table2, "cycle-domain span table must be deterministic");
     assert_eq!(expo1, expo2, "deterministic exposition must be byte-identical");
-    assert!(
-        expo1.contains("noc_prof_span_calls_total"),
-        "profiled run must export noc_prof_* families"
-    );
-    assert!(expo1.contains("noc_prof_span_flits_total"), "flit counters exported");
+    assert!(table1.contains("step_cycle"), "{table1}");
+    assert!(expo1.contains("noc_packets_total"), "the exposition carries the network families");
+    assert!(!expo1.contains("noc_prof_"), "no span family in the exposition");
 }
