@@ -1360,25 +1360,12 @@ mod tests {
     #[test]
     fn wall_clock_rows_render_sorted_by_key() {
         let keys: Vec<String> = ["campaign/b/Secded", "campaign/a/Secded"].map(String::from).into();
-        let report =
-            run_units(1, &keys, &RunnerConfig::serial(), &ChaosOptions::default(), |ctx| {
-                if ctx.key.contains("/a/") {
-                    let report = TimeoutReport {
-                        deadline_cycles: 1,
-                        cycles_run: 1,
-                        in_flight: 1,
-                        stall: None,
-                    };
-                    UnitVerdict::TimedOut { partial: None, report }
-                } else {
-                    UnitVerdict::Ok(0)
-                }
-            })
-            .unwrap();
+        let chaos = ChaosOptions { panic_units: Some("/a/".to_owned()), ..ChaosOptions::default() };
+        let report = run_units(1, &keys, &RunnerConfig::serial(), &chaos, ok_exec).unwrap();
         let table = report.wall_clock_table();
         let a = table.find("campaign/a/Secded").expect("row a");
         let b = table.find("campaign/b/Secded").expect("row b");
         assert!(a < b, "rows must be sorted by key: {table}");
-        assert!(table.contains("timed-out"), "{table}");
+        assert!(table.contains("failed"), "{table}");
     }
 }

@@ -522,6 +522,52 @@ mod tests {
         assert_eq!(rec.journeys().len(), 4);
     }
 
+    /// A workload that dies when it is polled at cycle 50.
+    #[derive(Debug)]
+    struct DiesAt50;
+
+    impl Workload for DiesAt50 {
+        fn poll(&mut self, cycle: u64, _: usize, _: usize) -> Option<usize> {
+            assert!(cycle < 50, "the workload dies mid-cycle");
+            None
+        }
+        fn is_exhausted(&self) -> bool {
+            false
+        }
+        fn name(&self) -> &str {
+            "dies-at-50"
+        }
+    }
+
+    /// A run that panics mid-cycle unwinds through `Drop for Probe`, so the
+    /// recorder holds the span table and the span path open at the panic.
+    #[test]
+    fn a_panicking_run_hands_over_the_spans_open_at_the_panic() {
+        let bb = shared_recorder(4);
+        let cfg = SimConfig { width: 4, height: 4, ..SimConfig::default() };
+        let mut net = Network::with_workload(cfg, Box::new(DiesAt50));
+        let cfg = ProbeConfig {
+            profiler: Some(Profiler::new()),
+            blackbox: Some(bb.clone()),
+            ..Default::default()
+        };
+        net.install_probe(cfg);
+        let run = std::panic::AssertUnwindSafe(move || net.run_cycles(100));
+        assert!(std::panic::catch_unwind(run).is_err(), "the workload panics");
+        let rec = bb.lock().unwrap_or_else(PoisonError::into_inner);
+        let head = BundleHead {
+            cause: BundleCause::Panic,
+            key: "panicked".to_owned(),
+            seed: 0,
+            cycle: 0,
+            detail: String::new(),
+        };
+        let bundle = parse_bundle(&rec.bundle(&head, &[])).expect("bundle parses");
+        assert_eq!(bundle.open_spans, ["step_cycle", "workload.inject"]);
+        let table = bundle.spans_table.expect("the span table");
+        assert!(table.lines().any(|l| l.trim_start().starts_with("step_cycle ")), "{table}");
+    }
+
     /// One hook sequence through the probe with both sinks on — every
     /// completion checks the trail against the counters in debug builds —
     /// including an e2e NACK that lands mid-traversal (the trail must clip

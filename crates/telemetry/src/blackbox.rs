@@ -6,12 +6,12 @@
 //! what the run's probe copies in once, when it is finished or dropped —
 //! the tail of the simulator's [`Event`] stream, the span table with the
 //! open span path, and the slowest sampled packet journeys. It exists so
-//! that when a run dies
-//! (stall watchdog, deadline timeout, panic, fatal failure, chaos
-//! `kill -9`, a critical alert, or transaction books that do not balance),
-//! the *recent past* that explains the death is still in memory and can be
-//! dumped as a **post-mortem bundle**: a versioned JSONL file rendered by
-//! `intellinoc postmortem` into a byte-deterministic markdown report.
+//! that when a run dies (stall watchdog, deadline timeout, panic, fatal
+//! failure, chaos `kill -9`, a critical alert, or transaction books that do
+//! not balance), the *recent past* that explains the death is still in
+//! memory and can be dumped as a **post-mortem bundle**: a versioned JSONL
+//! file rendered by `intellinoc postmortem` into a byte-deterministic
+//! markdown report.
 //!
 //! Determinism discipline: every record the recorder holds is
 //! cycle-domain data (functions of the simulation alone), so a bundle —
