@@ -20,7 +20,7 @@
 //! under. Wall-clock values never enter a bundle.
 //!
 //! The disabled path is zero-cost in the simulator: the recorder lives in
-//! an `Option`, and the probe takes its lock once per run.
+//! an `Option`, and no event point takes its lock.
 
 use crate::event::Event;
 use crate::inspect::ConvergenceSample;
