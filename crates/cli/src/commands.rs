@@ -2,9 +2,9 @@
 
 use crate::args::Args;
 use intellinoc::{
-    compare_bench, dump_bundle, load_sweep_cells, record_bench, render_inspect_report,
-    run_experiment, run_experiment_instrumented, run_grid, BenchBaseline, BenchSpec, BenchWorkload,
-    CampaignConfig, CampaignRunReport, ChaosKill, ChaosOptions, Daemon, Design, ExperimentConfig,
+    compare_bench, dump_bundle, load_sweep_cells, render_inspect_report, run_experiment,
+    run_experiment_instrumented, run_grid, BenchBaseline, BenchSpec, BenchWorkload, CampaignConfig,
+    CampaignRunReport, ChaosKill, ChaosOptions, Daemon, Design, ExperimentConfig,
     ExperimentOutcome, FleetProgress, GateOptions, MetricsOptions, RunnerConfig, RunnerReport,
     ServeConfig, TelemetryArtifacts, TelemetryOptions, UnitSinks,
 };
@@ -34,9 +34,6 @@ pub enum CmdOutcome {
 
 /// Result type of every subcommand.
 pub type CmdResult = Result<CmdOutcome, String>;
-
-/// Spans `profile` lists by self wall-clock.
-const PROFILE_TOP: usize = 10;
 
 /// Slowest packets a journey tail report walks, both in `run`'s and in the
 /// `journeys` analyzer's (so the two reports of one log are equal).
@@ -108,14 +105,47 @@ fn workload_from(args: &Args, ppn: u64) -> Result<WorkloadSpec, String> {
     }
 }
 
+/// `--out-dir DIR`: the one directory a command writes its artifacts
+/// under, each under a fixed name (DESIGN.md §16).
+struct OutDir {
+    dir: PathBuf,
+    /// The command, as stderr lines name it.
+    label: &'static str,
+}
+
+impl OutDir {
+    /// `--out-dir`, created if missing; `None` without the flag.
+    fn from(args: &Args, label: &'static str) -> Result<Option<OutDir>, String> {
+        let Some(dir) = args.get("out-dir") else { return Ok(None) };
+        std::fs::create_dir_all(dir).map_err(|e| format!("creating {dir}: {e}"))?;
+        Ok(Some(OutDir { dir: PathBuf::from(dir), label }))
+    }
+
+    /// The subdirectory `name`, created if missing.
+    fn subdir(&self, name: &str) -> Result<PathBuf, String> {
+        let dir = self.dir.join(name);
+        std::fs::create_dir_all(&dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
+        Ok(dir)
+    }
+
+    /// Writes `body` as `name` and says so on stderr.
+    fn write(&self, name: &str, body: impl AsRef<[u8]>) -> Result<(), String> {
+        let path = self.dir.join(name);
+        std::fs::write(&path, body).map_err(|e| format!("writing {}: {e}", path.display()))?;
+        eprintln!("{}: wrote {}", self.label, path.display());
+        Ok(())
+    }
+}
+
 /// Builds the execution-engine configuration and chaos switches shared by
-/// the grid commands from the command line.
+/// the grid commands from the command line. `--out-dir` arms the flight
+/// recorder: dying units dump their bundles there.
 ///
 /// # Errors
 ///
 /// Returns a message naming the malformed option, or `--resume` without a
 /// `--journal` path.
-pub fn runner_config_from(args: &Args) -> Result<(RunnerConfig, ChaosOptions), String> {
+fn runner_config_from(args: &Args) -> Result<(RunnerConfig, ChaosOptions), String> {
     let cfg = RunnerConfig {
         jobs: args.get_or("jobs", 1usize)?,
         journal: args.get("journal").map(PathBuf::from),
@@ -125,7 +155,7 @@ pub fn runner_config_from(args: &Args) -> Result<(RunnerConfig, ChaosOptions), S
             None => None,
         },
         observer: None,
-        blackbox: args.get("blackbox-dir").map(PathBuf::from),
+        blackbox: args.get("out-dir").map(PathBuf::from),
     };
     if cfg.resume && cfg.journal.is_none() {
         return Err("--resume requires --journal <path>".into());
@@ -148,74 +178,40 @@ fn error_rate_from(args: &Args) -> Result<Option<f64>, String> {
     }
 }
 
-/// Journey-tracing sampling period from the command line: `--journeys-every
-/// N` explicitly, else 1 (trace every packet) when any journey artifact
-/// sink is requested, else 0 (off).
-fn journeys_every_from(args: &Args) -> Result<u64, String> {
-    let every = args.get_or("journeys-every", 0u64)?;
-    if every > 0 {
-        return Ok(every);
-    }
-    let implied = ["journeys-out", "perfetto-out", "journey-report-out", "journey-csv-out"]
-        .iter()
-        .any(|k| args.get(k).is_some());
-    Ok(u64::from(implied))
+/// The profile files: the wall-clock `table`, the deterministic span table
+/// and the collapsed-stack flamegraph (inferno/speedscope-loadable) under
+/// `--out-dir`; the table alone on stdout without it.
+fn emit_profile(out: Option<&OutDir>, table: &str, tree: &SpanTree) -> Result<(), String> {
+    let Some(out) = out else {
+        print!("{table}");
+        return Ok(());
+    };
+    out.write("profile.txt", table)?;
+    out.write("spans.txt", tree.tree_table())?;
+    out.write("flame.folded", tree.flamegraph())
 }
 
-/// The journey sink for grid commands: `--journeys-dir DIR` turns per-unit
-/// journey tracing on (sampling 1-in-`--journeys-every` packets, default
-/// every packet) and collects one `journeys-<key>.jsonl` per unit in DIR.
-fn journeys_dir_from(args: &Args) -> Result<Option<(PathBuf, u64)>, String> {
-    let Some(dir) = args.get("journeys-dir") else { return Ok(None) };
-    let every = args.get_or("journeys-every", 1u64)?;
-    if every == 0 {
-        return Err("--journeys-every 0 disables tracing; drop --journeys-dir instead".into());
-    }
-    std::fs::create_dir_all(dir).map_err(|e| format!("creating {dir}: {e}"))?;
-    Ok(Some((PathBuf::from(dir), every)))
-}
-
-/// Whether the command line asks for span profiling.
-fn profile_wanted(args: &Args) -> bool {
-    args.has_flag("profile")
-        || ["profile-out", "prof-out", "flame-out"].iter().any(|k| args.get(k).is_some())
-}
-
-/// Writes the span-tree artifacts: the deterministic cycle-domain table
-/// (`--prof-out`) and the collapsed-stack flamegraph (`--flame-out`,
-/// inferno/speedscope-loadable).
-fn emit_span_tree(args: &Args, label: &str, tree: &SpanTree) -> Result<(), String> {
-    if let Some(path) = args.get("prof-out") {
-        std::fs::write(path, tree.tree_table()).map_err(|e| format!("writing {path}: {e}"))?;
-        eprintln!("{label}: cycle-domain span table ({} spans) written to {path}", tree.len());
-    }
-    if let Some(path) = args.get("flame-out") {
-        std::fs::write(path, tree.flamegraph()).map_err(|e| format!("writing {path}: {e}"))?;
-        eprintln!("{label}: collapsed-stack flamegraph ({} stacks) written to {path}", tree.len());
-    }
-    Ok(())
-}
-
-/// What a grid command (`sweep`, `campaign`, `bench record`, `profile`)
-/// still owes after [`run_grid_command`] and its own rendering:
-/// [`GridEpilogue::finish`].
+/// What a grid command (`sweep`, `campaign`, `bench`) still owes after
+/// [`run_grid_command`] and its own rendering: [`GridEpilogue::finish`].
 struct GridEpilogue {
     label: &'static str,
+    out: Option<OutDir>,
     /// The fleet profiler every unit merged into, when profiling was on.
     prof: Option<Profiler>,
 }
 
 /// Runs `cells` as the grid command `label` — the prologue the grid
 /// commands share: runner options and chaos switches, the `--progress`
-/// line, the fleet profiler (`profiled`), the per-unit journey directory
-/// (`--journeys-dir`), then [`run_grid`].
+/// line, the fleet profiler (`--profile`), the per-unit journey logs
+/// (`--journeys-every N`, into `journeys/` under `--out-dir`), then
+/// [`run_grid`].
 fn run_grid_command(
     args: &Args,
     label: &'static str,
     cells: &[(String, ExperimentConfig)],
-    profiled: bool,
 ) -> Result<(RunnerReport<ExperimentOutcome>, GridEpilogue), String> {
     let (mut rcfg, chaos) = runner_config_from(args)?;
+    let out = OutDir::from(args, label)?;
     if args.has_flag("progress") {
         let progress =
             move |p: &FleetProgress| {
@@ -226,55 +222,42 @@ fn run_grid_command(
             };
         rcfg.observer = Some(Arc::new(progress));
     }
-    let sink = profiled.then(|| Mutex::new(Profiler::new()));
-    let journeys = journeys_dir_from(args)?;
+    let sink = args.has_flag("profile").then(|| Mutex::new(Profiler::new()));
+    let journeys = match (args.get_or("journeys-every", 0u64)?, &out) {
+        (0, _) => None,
+        (every, Some(out)) => Some((out.subdir("journeys")?, every)),
+        (_, None) => return Err("--journeys-every needs --out-dir DIR on a grid".into()),
+    };
     let sinks = UnitSinks {
         prof: sink.as_ref(),
         journeys: journeys.as_ref().map(|(dir, every)| (dir.as_path(), *every)),
     };
     let report = run_grid(cells, &rcfg, &chaos, sinks)?;
-    if let Some((dir, _)) = &journeys {
-        eprintln!("{label}: journey logs collected in {}", dir.display());
-    }
     let prof = sink.map(|sink| sink.into_inner().expect("profiler sink lock"));
-    Ok((report, GridEpilogue { label, prof }))
+    Ok((report, GridEpilogue { label, out, prof }))
 }
 
 impl GridEpilogue {
     /// The epilogue the grid commands share, once the command has rendered
-    /// `report`: the span-tree artifacts (`--prof-out`, `--flame-out`), the
-    /// lifecycle-event JSONL (`--runner-log`, with a trailing profile health
-    /// note when profiling ran), the wall-clock profile table (`--profile`
-    /// to stdout, `--profile-out` to a file), the status summary line, and
-    /// the exit code: partial unless every unit finished `ok`.
-    fn finish(self, args: &Args, report: &RunnerReport<ExperimentOutcome>) -> CmdResult {
-        let GridEpilogue { label, prof } = self;
-        if let Some(p) = &prof {
-            emit_span_tree(args, label, p.span_tree())?;
-        }
-        if let Some(path) = args.get("runner-log") {
+    /// `report`: the lifecycle events (`runner.jsonl`, with a trailing
+    /// profile health note when profiling ran), the profile files, the
+    /// status summary line, and the exit code: partial unless every unit
+    /// finished `ok`.
+    fn finish(self, report: &RunnerReport<ExperimentOutcome>) -> CmdResult {
+        let GridEpilogue { label, out, prof } = self;
+        if let Some(out) = &out {
             let mut events = report.events.clone();
             if let Some(p) = &prof {
                 events.push(RunnerEvent::ProfileNote {
                     key: label.to_owned(),
                     span_truncations: p.span_tree().truncated_enters(),
                     unbalanced_exits: p.span_tree().unbalanced_exits(),
-                    recorder_drops: report.recorder_drops,
                 });
             }
-            std::fs::write(path, runner_events_jsonl(&events))
-                .map_err(|e| format!("writing {path}: {e}"))?;
-            eprintln!("{label}: {} runner events written to {path}", events.len());
+            out.write("runner.jsonl", runner_events_jsonl(&events))?;
         }
-        if args.has_flag("profile") || args.get("profile-out").is_some() {
-            let table = prof.unwrap_or_default().table() + &report.wall_clock_table();
-            match args.get("profile-out") {
-                Some(path) => {
-                    std::fs::write(path, table).map_err(|e| format!("writing {path}: {e}"))?;
-                    eprintln!("{label}: profile table written to {path}");
-                }
-                None => print!("{table}"),
-            }
+        if let Some(p) = &prof {
+            emit_profile(out.as_ref(), &(p.table() + &report.wall_clock_table()), p.span_tree())?;
         }
         eprintln!("{label}: {}", report.summary());
         Ok(if report.is_clean() { CmdOutcome::Done } else { CmdOutcome::Partial })
@@ -342,21 +325,20 @@ fn print_outcome(o: &ExperimentOutcome, json: bool) -> Result<(), String> {
 
 /// Builds the run's telemetry switches from the command line.
 ///
-/// Tracing turns on with `--trace`, `--trace-out`, or `--trace-filter`;
-/// profiling with `--profile`.
-pub fn telemetry_from(args: &Args) -> Result<TelemetryOptions, String> {
+/// Tracing turns on with `--trace` or `--trace-filter`, profiling with
+/// `--profile`, journey tracing with `--journeys-every N`; `--out-dir`
+/// rewrites its `metrics.prom` every control step.
+fn telemetry_from(args: &Args, out: Option<&OutDir>) -> Result<TelemetryOptions, String> {
     let trace_filter = match args.get("trace-filter") {
         Some(spec) => TraceFilter::parse(spec)?,
         None => TraceFilter::default(),
     };
     Ok(TelemetryOptions {
-        trace: args.has_flag("trace")
-            || args.get("trace-out").is_some()
-            || args.get("trace-filter").is_some(),
+        trace: args.has_flag("trace") || args.get("trace-filter").is_some(),
         trace_filter,
-        profile: profile_wanted(args),
-        journeys_every: journeys_every_from(args)?,
-        metrics: MetricsOptions { hub: None, file: args.get("metrics-out").map(str::to_owned) },
+        profile: args.has_flag("profile"),
+        journeys_every: args.get_or("journeys-every", 0u64)?,
+        metrics: MetricsOptions { hub: None, file: out.map(|o| o.dir.join("metrics.prom")) },
         alert_rules: match args.get("alert-rules") {
             Some(spec) => parse_rules(spec)?,
             None => Vec::new(),
@@ -367,52 +349,35 @@ pub fn telemetry_from(args: &Args) -> Result<TelemetryOptions, String> {
     })
 }
 
-/// Writes the collected telemetry artifacts to the configured sinks.
-fn emit_telemetry(args: &Args, artifacts: &TelemetryArtifacts) -> Result<(), String> {
+/// Writes the collected telemetry artifacts: under `--out-dir` the trace,
+/// the profile files and the journey log; on stderr the alert transitions
+/// and the trace's counts; on stdout the profile table (without
+/// `--out-dir`) and the journeys' tail report.
+fn emit_telemetry(out: Option<&OutDir>, artifacts: &TelemetryArtifacts) -> Result<(), String> {
     // Structured alert transitions, one JSONL object per firing/resolved
     // edge (stderr, like the runner's lifecycle events).
     for event in &artifacts.alerts {
         eprintln!("{}", event.to_json());
     }
     if let Some(tracer) = &artifacts.tracer {
-        let body = match args.get("trace-out") {
-            Some(path) if path.ends_with(".csv") => Some((path, tracer.to_csv())),
-            Some(path) => Some((path, tracer.to_jsonl())),
-            None => None,
-        };
-        if let Some((path, body)) = body {
-            std::fs::write(path, body).map_err(|e| format!("writing {path}: {e}"))?;
-            eprintln!(
-                "trace: {} events written to {path} ({} recorded, {} evicted)",
-                tracer.len(),
-                tracer.recorded(),
-                tracer.evicted()
-            );
-        } else {
-            eprintln!(
-                "trace: {} events retained ({} recorded, {} evicted); by kind:",
-                tracer.len(),
-                tracer.recorded(),
-                tracer.evicted()
-            );
-            for kind in EventKind::ALL {
-                let n = tracer.count_of(kind);
-                if n > 0 {
-                    eprintln!("  {:<16} {n}", kind.name());
-                }
+        eprintln!(
+            "trace: {} events retained ({} recorded, {} evicted); by kind:",
+            tracer.len(),
+            tracer.recorded(),
+            tracer.evicted()
+        );
+        for kind in EventKind::ALL {
+            let n = tracer.count_of(kind);
+            if n > 0 {
+                eprintln!("  {:<16} {n}", kind.name());
             }
+        }
+        if let Some(out) = out {
+            out.write("trace.jsonl", tracer.to_jsonl())?;
         }
     }
     if let Some(profiler) = &artifacts.profiler {
-        match args.get("profile-out") {
-            Some(path) => {
-                std::fs::write(path, profiler.table())
-                    .map_err(|e| format!("writing {path}: {e}"))?;
-                eprintln!("profile: table written to {path}");
-            }
-            None => print!("{}", profiler.table()),
-        }
-        emit_span_tree(args, "profile", profiler.span_tree())?;
+        emit_profile(out, &profiler.table(), profiler.span_tree())?;
     }
     if let Some(log) = &artifacts.journeys {
         eprintln!(
@@ -421,28 +386,10 @@ fn emit_telemetry(args: &Args, artifacts: &TelemetryArtifacts) -> Result<(), Str
             log.txns.len(),
             log.every
         );
-        if let Some(path) = args.get("journeys-out") {
-            std::fs::write(path, log.to_jsonl()).map_err(|e| format!("writing {path}: {e}"))?;
-            eprintln!("journeys: journey log written to {path}");
+        if let Some(out) = out {
+            out.write("journeys.jsonl", log.to_jsonl())?;
         }
-        if let Some(path) = args.get("perfetto-out") {
-            std::fs::write(path, log.perfetto_json())
-                .map_err(|e| format!("writing {path}: {e}"))?;
-            eprintln!("journeys: Perfetto trace written to {path}");
-        }
-        if let Some(path) = args.get("journey-csv-out") {
-            std::fs::write(path, log.tail_contribution_csv())
-                .map_err(|e| format!("writing {path}: {e}"))?;
-            eprintln!("journeys: tail-contribution CSV written to {path}");
-        }
-        match args.get("journey-report-out") {
-            Some(path) => {
-                std::fs::write(path, log.tail_report(JOURNEYS_TOP))
-                    .map_err(|e| format!("writing {path}: {e}"))?;
-                eprintln!("journeys: tail report written to {path}");
-            }
-            None => print!("{}", log.tail_report(JOURNEYS_TOP)),
-        }
+        print!("{}", log.tail_report(JOURNEYS_TOP));
     }
     Ok(())
 }
@@ -456,45 +403,51 @@ pub fn run(args: &Args) -> CmdResult {
         .with_seed(args.get_or("seed", 1u64)?)
         .with_time_step(args.get_or("time-step", 1_000u64)?);
     cfg.error_rate_override = error_rate_from(args)?;
-    cfg.telemetry = telemetry_from(args)?;
-    // The flight recorder: a fixed ring of recent telemetry that becomes a
-    // post-mortem bundle if the books do not balance, a critical alert fires
-    // or the run stalls.
-    let bb_dir = args.get("blackbox-dir").map(PathBuf::from);
-    let recorder = bb_dir.as_ref().map(|_| shared_recorder(DEFAULT_BLACKBOX_CAPACITY));
-    cfg.telemetry.blackbox = recorder.clone();
-    let seed = cfg.seed;
-    let (outcome, _, artifacts) = run_experiment_instrumented(cfg);
+    let out = OutDir::from(args, "run")?;
+    cfg.telemetry = telemetry_from(args, out.as_ref())?;
+    let (outcome, artifacts) = run_recorded(cfg, out.as_ref())?;
     print_outcome(&outcome, args.has_flag("json"))?;
-    emit_telemetry(args, &artifacts)?;
+    emit_telemetry(out.as_ref(), &artifacts)?;
     // The transaction-conservation auditor reads the closed loop's books
     // off the report: on some node issued != completed + failed + shed +
     // in flight.
-    let unbalanced = outcome.report.txn.as_ref().filter(|t| t.violations > 0);
-    if let Some(t) = unbalanced {
+    if let Some(t) = outcome.report.txn.as_ref().filter(|t| t.violations > 0) {
         eprintln!(
             "transaction-conservation auditor: {} violations, orphaned txns {:?}",
             t.violations, t.orphans
         );
     }
-    let (Some(dir), Some(rec)) = (bb_dir.as_deref(), recorder.as_ref()) else {
-        return Ok(CmdOutcome::Done);
-    };
-    // One bundle per run, for the first of: unbalanced books, a critical
-    // alert, a stall. The first two carry the books, naming the orphaned
-    // transaction ids so the post-mortem is actionable.
+    Ok(CmdOutcome::Done)
+}
+
+/// Runs `cfg`, with the flight recorder armed under `--out-dir`: a fixed
+/// ring of recent telemetry that becomes one post-mortem bundle, keyed
+/// `<command>/<design>`, for the first of: transaction books out of
+/// balance, a critical alert, a stall. The first two carry the books,
+/// naming the orphaned transaction ids so the post-mortem is actionable.
+fn run_recorded(
+    mut cfg: ExperimentConfig,
+    out: Option<&OutDir>,
+) -> Result<(ExperimentOutcome, TelemetryArtifacts), String> {
+    let recorder = out.map(|_| shared_recorder(DEFAULT_BLACKBOX_CAPACITY));
+    cfg.telemetry.blackbox = recorder.clone();
+    let (design, seed) = (cfg.design, cfg.seed);
+    let (outcome, _, artifacts) = run_experiment_instrumented(cfg);
+    let (Some(out), Some(rec)) = (out, &recorder) else { return Ok((outcome, artifacts)) };
+    let report = &outcome.report;
     let mut books: Vec<(&str, String)> = Vec::new();
-    if let Some(t) = &outcome.report.txn {
+    if let Some(t) = &report.txn {
         books.push(("txn-summary", serde_json::to_string(t).unwrap_or_default()));
         if !t.orphans.is_empty() {
             books.push(("orphaned-txns", serde_json::to_string(&t.orphans).unwrap_or_default()));
         }
     }
+    let unbalanced = report.txn.as_ref().filter(|t| t.violations > 0);
     let critical = artifacts.alerts.iter().find(|e| e.critical && e.edge == AlertEdge::Firing);
     let (cause, detail, extras) = if let Some(t) = unbalanced {
         let detail = format!(
             "transaction books out of balance at cycle {}: {} violations",
-            outcome.report.exec_cycles, t.violations
+            report.exec_cycles, t.violations
         );
         (BundleCause::Conservation, detail, books)
     } else if let Some(ev) = critical {
@@ -503,26 +456,26 @@ pub fn run(args: &Args) -> CmdResult {
             ev.rule, ev.cycle, ev.value, ev.threshold
         );
         (BundleCause::Alert, detail, books)
-    } else if let Some(stall) = &outcome.report.stall {
-        let detail =
-            format!("stall watchdog aborted the run at cycle {}", outcome.report.exec_cycles);
+    } else if let Some(stall) = &report.stall {
+        let detail = format!("stall watchdog aborted the run at cycle {}", report.exec_cycles);
         (
             BundleCause::Stall,
             detail,
             vec![("stall-report", serde_json::to_string(stall).unwrap_or_default())],
         )
     } else {
-        return Ok(CmdOutcome::Done);
+        return Ok((outcome, artifacts));
     };
-    let key = format!("run/{}", design.label());
-    let path = dump_bundle(dir, rec, cause, &key, seed, &detail, &extras)?;
+    let key = format!("{}/{}", out.label, design.label());
+    let path = dump_bundle(&out.dir, rec, cause, &key, seed, &detail, &extras)?;
     eprintln!("blackbox: {} bundle written to {}", cause.label(), path.display());
-    Ok(CmdOutcome::Done)
+    Ok((outcome, artifacts))
 }
 
 /// `intellinoc inspect` — run one design with full attribution and RL
-/// introspection enabled, then render the trace-analysis report and any
-/// requested artifact files.
+/// introspection enabled, then render the trace-analysis report (stdout,
+/// or `report.md` under `--out-dir` next to the heatmaps and the decision
+/// log) and run's telemetry artifacts.
 pub fn inspect(args: &Args) -> CmdResult {
     let design = match args.get("design") {
         Some(d) => parse_design(d)?,
@@ -534,42 +487,31 @@ pub fn inspect(args: &Args) -> CmdResult {
         .with_seed(args.get_or("seed", 1u64)?)
         .with_time_step(args.get_or("time-step", 1_000u64)?);
     cfg.error_rate_override = error_rate_from(args)?;
-    cfg.telemetry = telemetry_from(args)?;
+    let out = OutDir::from(args, "inspect")?;
+    cfg.telemetry = telemetry_from(args, out.as_ref())?;
     cfg.telemetry.attribution = true;
     cfg.telemetry.decisions = design.uses_rl();
-    let (outcome, _, artifacts) = run_experiment_instrumented(cfg);
+    let (outcome, artifacts) = run_recorded(cfg, out.as_ref())?;
 
     let report = render_inspect_report(&outcome, &artifacts);
-    match args.get("report-out") {
-        Some(path) => {
-            std::fs::write(path, &report).map_err(|e| format!("writing {path}: {e}"))?;
-            eprintln!("inspect: report written to {path}");
-        }
+    match &out {
         None => print!("{report}"),
-    }
-    if let (Some(dir), Some(att)) = (args.get("heatmap-dir"), &artifacts.attribution) {
-        std::fs::create_dir_all(dir).map_err(|e| format!("creating {dir}: {e}"))?;
-        for grid in &att.grids {
-            let path = format!("{dir}/{}.csv", grid.name);
-            std::fs::write(&path, grid.to_csv()).map_err(|e| format!("writing {path}: {e}"))?;
-        }
-        let links = format!("{dir}/links.csv");
-        std::fs::write(&links, noc_sim::link_stats_csv(&att.links))
-            .map_err(|e| format!("writing {links}: {e}"))?;
-        eprintln!("inspect: {} heatmaps + links.csv written to {dir}", att.grids.len());
-    }
-    if let Some(log) = &artifacts.decisions {
-        if let Some(path) = args.get("decisions-out") {
-            std::fs::write(path, log.to_jsonl()).map_err(|e| format!("writing {path}: {e}"))?;
-            eprintln!("inspect: {} decision records written to {path}", log.len());
-        }
-        if let Some(path) = args.get("convergence-out") {
-            std::fs::write(path, log.convergence_csv())
-                .map_err(|e| format!("writing {path}: {e}"))?;
-            eprintln!("inspect: {} convergence samples written to {path}", log.convergence.len());
+        Some(out) => {
+            out.write("report.md", report)?;
+            if let Some(att) = &artifacts.attribution {
+                out.subdir("heatmaps")?;
+                for grid in &att.grids {
+                    out.write(&format!("heatmaps/{}.csv", grid.name), grid.to_csv())?;
+                }
+                out.write("heatmaps/links.csv", noc_sim::link_stats_csv(&att.links))?;
+            }
+            if let Some(log) = &artifacts.decisions {
+                out.write("decisions.jsonl", log.to_jsonl())?;
+                out.write("convergence.csv", log.convergence_csv())?;
+            }
         }
     }
-    emit_telemetry(args, &artifacts)?;
+    emit_telemetry(out.as_ref(), &artifacts)?;
     Ok(CmdOutcome::Done)
 }
 
@@ -590,7 +532,7 @@ pub fn sweep(args: &Args) -> CmdResult {
         args.get_or("seed", 1u64)?,
         reqreply_from(args)?.as_ref(),
     );
-    let (report, epilogue) = run_grid_command(args, "sweep", &cells, profile_wanted(args))?;
+    let (report, epilogue) = run_grid_command(args, "sweep", &cells)?;
     println!(
         "{:>8} {:>10} {:>8} {:>8} {:>8} {:>10} {:>10}",
         "rate", "exec_cyc", "avg_lat", "p99_lat", "deliv%", "power_mW", "status"
@@ -619,7 +561,7 @@ pub fn sweep(args: &Args) -> CmdResult {
             ),
         }
     }
-    epilogue.finish(args, &report)
+    epilogue.finish(&report)
 }
 
 /// `intellinoc trace capture|replay`.
@@ -683,8 +625,7 @@ pub fn campaign(args: &Args) -> CmdResult {
     };
     cfg.flapping = args.get_or("flapping", cfg.flapping)?;
     cfg.reqreply = reqreply_from(args)?;
-    let (runner, epilogue) =
-        run_grid_command(args, "campaign", &cfg.cells(), profile_wanted(args))?;
+    let (runner, epilogue) = run_grid_command(args, "campaign", &cfg.cells())?;
     let report = CampaignRunReport { config: cfg, runner };
     if args.has_flag("json") {
         let s = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
@@ -740,9 +681,8 @@ pub fn campaign(args: &Args) -> CmdResult {
             }
         }
     }
-    if let Some(path) = args.get("csv-out") {
-        std::fs::write(path, report.to_csv()).map_err(|e| format!("writing {path}: {e}"))?;
-        eprintln!("campaign: {} rows written to {path}", report.runner.records.len());
+    if let Some(out) = &epilogue.out {
+        out.write("campaign.csv", report.to_csv())?;
     }
     // The transaction-conservation auditor is a hard gate: any closed-loop
     // cell whose books do not balance fails the whole campaign (exit 1),
@@ -767,7 +707,7 @@ pub fn campaign(args: &Args) -> CmdResult {
         }
         eprintln!("campaign: min delivery rate {min:.4} >= {threshold:.4}");
     }
-    epilogue.finish(args, &report.runner)
+    epilogue.finish(&report.runner)
 }
 
 /// Builds the bench grid spec from the command line: a named preset
@@ -800,7 +740,8 @@ fn bench_spec_from(args: &Args) -> Result<BenchSpec, String> {
     Ok(spec)
 }
 
-/// `intellinoc bench record` — run the grid and write `BENCH_<name>.json`.
+/// `intellinoc bench record` — run the grid and write `BENCH_<name>.json`
+/// (under `--out-dir`, else in the working directory).
 fn bench_record_cmd(args: &Args) -> CmdResult {
     let name = args.get("name").unwrap_or("designs").to_owned();
     let spec = bench_spec_from(args)?;
@@ -812,11 +753,11 @@ fn bench_record_cmd(args: &Args) -> CmdResult {
         spec.seeds,
         cells.len()
     );
-    let (report, epilogue) = run_grid_command(args, "bench", &cells, profile_wanted(args))?;
+    let (report, epilogue) = run_grid_command(args, "bench", &cells)?;
     let baseline = BenchBaseline::from_report(&name, &spec, &report)?;
-    let out = args.get("out").map(str::to_owned).unwrap_or_else(|| format!("BENCH_{name}.json"));
-    std::fs::write(&out, baseline.to_json()?).map_err(|e| format!("writing {out}: {e}"))?;
-    eprintln!("bench record: {} cells written to {out}", baseline.cells.len());
+    let cwd = OutDir { dir: PathBuf::new(), label: "bench" };
+    let out = epilogue.out.as_ref().unwrap_or(&cwd);
+    out.write(&format!("BENCH_{name}.json"), baseline.to_json()?)?;
     println!("{:<24} {:>12} {:>12} {:>14}", "cell", "avg_lat", "p99_lat", "energy_pJ/flit");
     for c in &baseline.cells {
         println!(
@@ -830,25 +771,27 @@ fn bench_record_cmd(args: &Args) -> CmdResult {
             c.energy_per_flit_pj.ci95,
         );
     }
-    epilogue.finish(args, &report)
+    epilogue.finish(&report)
 }
 
-/// `intellinoc bench compare` — re-run the baseline's grid and gate with
-/// the CI-separation rule. Exit 0 pass, 1 error, 2 regression.
+/// `intellinoc bench compare` — re-run the baseline's grid (its fresh
+/// recording is `fresh.json` under `--out-dir`) and gate with the
+/// CI-separation rule. Exit 0 pass, 1 error, 2 regression or a unit that
+/// did not finish `ok`.
 fn bench_compare_cmd(args: &Args) -> CmdResult {
     let path = args.get("baseline").ok_or("need --baseline BENCH_<name>.json")?;
     let json = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let baseline = BenchBaseline::from_json(&json)?;
-    let (rcfg, chaos) = runner_config_from(args)?;
+    let cells = baseline.spec.cells();
     eprintln!(
         "bench compare: re-running `{}` ({} units) against {path}",
         baseline.name,
-        baseline.spec.designs.len() * baseline.spec.rates.len() * baseline.spec.seeds as usize
+        cells.len()
     );
-    let fresh = record_bench(&baseline.name, &baseline.spec, &rcfg, &chaos, UnitSinks::default())?;
-    if let Some(out) = args.get("fresh-out") {
-        std::fs::write(out, fresh.to_json()?).map_err(|e| format!("writing {out}: {e}"))?;
-        eprintln!("bench compare: fresh recording written to {out}");
+    let (report, epilogue) = run_grid_command(args, "bench", &cells)?;
+    let fresh = BenchBaseline::from_report(&baseline.name, &baseline.spec, &report)?;
+    if let Some(out) = &epilogue.out {
+        out.write("fresh.json", fresh.to_json()?)?;
     }
     let opts = GateOptions { force_regress: args.has_flag("force-regress") };
     let cmp = compare_bench(&baseline, &fresh, &opts)?;
@@ -858,6 +801,7 @@ fn bench_compare_cmd(args: &Args) -> CmdResult {
     } else {
         print!("{}", cmp.table());
     }
+    epilogue.finish(&report)?;
     Ok(if cmp.has_regressions() { CmdOutcome::Partial } else { CmdOutcome::Done })
 }
 
@@ -870,86 +814,44 @@ pub fn bench(args: &Args) -> CmdResult {
     }
 }
 
-/// `intellinoc profile` — run a bench grid with span profiling enabled on
-/// every unit, merge the per-unit span trees across workers, and report
-/// where `step_cycle` spends its time: the deterministic cycle-domain tree,
-/// the top-N spans by self wall-clock, and the flamegraph/table artifacts.
-pub fn profile(args: &Args) -> CmdResult {
-    let spec = bench_spec_from(args)?;
-    let cells = spec.cells();
-    eprintln!(
-        "profile: {} designs x {} rates x {} seeds = {} units",
-        spec.designs.len(),
-        spec.rates.len(),
-        spec.seeds,
-        cells.len()
-    );
-    let (report, epilogue) = run_grid_command(args, "profile", &cells, true)?;
-    let tree = epilogue.prof.as_ref().expect("profile always profiles").span_tree();
-    print!("{}", tree.tree_table());
-    println!();
-    println!("top {PROFILE_TOP} spans by self wall-clock (nondeterministic):");
-    for (path, self_ns, s) in tree.top_self(PROFILE_TOP) {
-        println!(
-            "  {:<44} {:>12.3} ms {:>10} calls {:>12} flits",
-            path,
-            self_ns as f64 / 1e6,
-            s.calls,
-            s.flits
-        );
-    }
-    epilogue.finish(args, &report)
-}
-
 /// `intellinoc postmortem <bundle.jsonl>` — render a flight-recorder
 /// post-mortem bundle as a deterministic markdown report (byte-identical
-/// across renders of the same bundle).
+/// across renders of the same bundle): stdout, or `postmortem.md` under
+/// `--out-dir`.
 pub fn postmortem(args: &Args) -> CmdResult {
     let path = args
         .positional
         .first()
-        .ok_or("usage: intellinoc postmortem <bundle.jsonl> [--out report.md]")?;
+        .ok_or("usage: intellinoc postmortem <bundle.jsonl> [--out-dir DIR]")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let bundle = parse_bundle(&text)?;
-    let report = render_report(&bundle);
-    match args.get("out") {
-        Some(out) => {
-            std::fs::write(out, &report).map_err(|e| format!("writing {out}: {e}"))?;
-            eprintln!("postmortem: report written to {out}");
-        }
+    let report = render_report(&parse_bundle(&text)?);
+    match OutDir::from(args, "postmortem")? {
+        Some(out) => out.write("postmortem.md", report)?,
         None => print!("{report}"),
     }
     Ok(CmdOutcome::Done)
 }
 
 /// `intellinoc journeys <journeys.jsonl>` — analyze a recorded journey log:
-/// render the deterministic tail-latency critical-path report (stdout or
-/// `--out`), and export the per-(router, cause) tail-contribution CSV and
-/// the Perfetto trace-event JSON on request. Byte-identical across renders
-/// of the same log.
+/// the deterministic tail-latency critical-path report on stdout or, under
+/// `--out-dir`, as `tail-report.md` next to the per-(router, cause)
+/// tail-contribution CSV and the Perfetto trace-event JSON. Byte-identical
+/// across renders of the same log.
 pub fn journeys(args: &Args) -> CmdResult {
-    let path = args.positional.first().ok_or(
-        "usage: intellinoc journeys <journeys.jsonl> [--out report.md] \
-         [--csv-out contrib.csv] [--perfetto-out trace.json]",
-    )?;
+    let path = args
+        .positional
+        .first()
+        .ok_or("usage: intellinoc journeys <journeys.jsonl> [--out-dir DIR]")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let log = JourneyLog::from_jsonl(&text)?;
     let report = log.tail_report(JOURNEYS_TOP);
-    match args.get("out") {
+    match OutDir::from(args, "journeys")? {
         Some(out) => {
-            std::fs::write(out, &report).map_err(|e| format!("writing {out}: {e}"))?;
-            eprintln!("journeys: tail report written to {out}");
+            out.write("tail-report.md", report)?;
+            out.write("tail-contrib.csv", log.tail_contribution_csv())?;
+            out.write("perfetto.json", log.perfetto_json())?;
         }
         None => print!("{report}"),
-    }
-    if let Some(out) = args.get("csv-out") {
-        std::fs::write(out, log.tail_contribution_csv())
-            .map_err(|e| format!("writing {out}: {e}"))?;
-        eprintln!("journeys: tail-contribution CSV written to {out}");
-    }
-    if let Some(out) = args.get("perfetto-out") {
-        std::fs::write(out, log.perfetto_json()).map_err(|e| format!("writing {out}: {e}"))?;
-        eprintln!("journeys: Perfetto trace written to {out}");
     }
     Ok(CmdOutcome::Done)
 }

@@ -1,24 +1,26 @@
 //! `intellinoc` — command-line front end for the IntelliNoC reproduction.
 //!
 //! ```text
-//! intellinoc run      --design intellinoc --benchmark canneal [--ppn 150]
-//! intellinoc inspect  --benchmark canneal [--report-out report.md] [--heatmap-dir DIR]
+//! intellinoc run      --design intellinoc --benchmark canneal [--ppn 150] [--out-dir DIR]
+//! intellinoc inspect  --benchmark canneal [--out-dir DIR]
 //! intellinoc sweep    --design secded --rates 0.01,0.02,0.04 [--ppn 100] [--jobs 4]
 //! intellinoc trace capture <out.jsonl> --benchmark dedup [--ppn 50]
 //! intellinoc trace replay <in.jsonl> --design cp
-//! intellinoc campaign --dead-links 0,1,2,4,8 [--no-reroute] [--csv-out camp.csv]
+//! intellinoc campaign --dead-links 0,1,2,4,8 [--no-reroute] [--out-dir DIR]
 //!                     [--jobs 4] [--journal camp.jsonl [--resume]]
-//! intellinoc bench record  [--grid designs|ci] [--seeds N] [--out BENCH_x.json]
-//! intellinoc bench compare --baseline BENCH_x.json [--force-regress]
-//! intellinoc profile  [--grid designs|ci] [--prof-out F.txt]
-//!                     [--flame-out F.folded] [--profile-out F.txt]
+//! intellinoc bench record  [--grid designs|ci] [--seeds N] [--profile] [--out-dir DIR]
+//! intellinoc bench compare --baseline BENCH_x.json [--force-regress] [--out-dir DIR]
 //! intellinoc serve    --state-dir DIR [--addr H:P] [--port-file F] [--resume]
 //!                     [--jobs N] [--chunk-units N] [--chaos-kill point:k]
-//! intellinoc postmortem <bundle.jsonl> [--out report.md]
-//! intellinoc journeys <journeys.jsonl> [--out report.md] [--csv-out contrib.csv]
-//!                     [--perfetto-out trace.json]
+//! intellinoc postmortem <bundle.jsonl> [--out-dir DIR]
+//! intellinoc journeys <journeys.jsonl> [--out-dir DIR]
 //! intellinoc list
 //! ```
+//!
+//! A command that writes files writes them under one `--out-dir DIR`, each
+//! under a fixed name (DESIGN.md §16); without it, it writes nothing but
+//! stdout and stderr (`bench record` writes its `BENCH_<name>.json` in the
+//! working directory).
 //!
 //! Grid commands (`campaign`, `sweep`) run on the `noc-runner` execution
 //! engine. The design comparison normalized to SECDED (the paper's figures
@@ -39,7 +41,6 @@ fn main() {
         Some("trace") => commands::trace(&args),
         Some("campaign") => commands::campaign(&args),
         Some("bench") => commands::bench(&args),
-        Some("profile") => commands::profile(&args),
         Some("serve") => commands::serve(&args),
         Some("postmortem") => commands::postmortem(&args),
         Some("journeys") => commands::journeys(&args),
@@ -82,37 +83,27 @@ fn usage() {
     eprintln!("           --design <secded|eb|cp|cpd|intellinoc>");
     eprintln!("           --benchmark <name> | --rate <packets/node/cycle>");
     eprintln!("           [--ppn N] [--seed S] [--error-rate R] [--time-step T] [--json]");
-    eprintln!("           [--trace] [--trace-out F.jsonl|F.csv] [--trace-filter router=N,kind=K]");
-    eprintln!("           [--profile]");
-    eprintln!("           [--metrics-out F.prom|- (exposition, once per control step)]");
+    eprintln!("           [--trace] [--trace-filter router=N,kind=K] [--profile]");
     eprintln!("           [--alert-rules \"metric>value[:for=N][:critical];...\"]");
-    eprintln!("           [--blackbox-dir DIR (flight recorder: conservation /");
-    eprintln!("            critical-alert / stall post-mortem bundles)]");
-    eprintln!("           [+ closed-loop options]");
+    eprintln!("           [--out-dir DIR] [+ closed-loop options]");
     eprintln!("  inspect  run with full attribution and render a trace-analysis report");
     eprintln!("           --benchmark <name> | --rate R  [--design <d>] [--ppn N] [--seed S]");
-    eprintln!("           [--report-out F.md] [--heatmap-dir DIR] [--decisions-out F.jsonl]");
-    eprintln!("           [--convergence-out F.csv] [+ run's telemetry flags]");
+    eprintln!("           [--out-dir DIR] [+ run's telemetry flags]");
     eprintln!("  sweep    latency-vs-load curve for one design");
     eprintln!("           --design <d> --rates r1,r2,... [--ppn N] [+ runner options]");
     eprintln!("  trace    capture <out> --benchmark <name> | replay <in> --design <d>");
     eprintln!("  campaign deterministic hard-fault resilience campaign, all designs");
     eprintln!("           [--rate R] [--ppn N] [--seed S] [--dead-links 0,1,2,4,8]");
     eprintln!("           [--router-fail CYCLE | --no-router-fail] [--flapping N]");
-    eprintln!("           [--no-reroute] [--max-cycles N] [--json] [--csv-out F.csv]");
+    eprintln!("           [--no-reroute] [--max-cycles N] [--json]");
     eprintln!("           [--assert-delivery T] [+ runner options] [+ closed-loop options]");
     eprintln!("           closed-loop cells are audited: conservation violations exit 1");
     eprintln!("  bench    multi-seed baseline recording and regression gating");
     eprintln!("           record  [--grid designs|ci] [--designs d1,d2] [--rates r1,r2]");
-    eprintln!("                   [--seeds N] [--ppn N] [--seed S] [--name X] [--out F.json]");
-    eprintln!("           compare --baseline BENCH_X.json [--fresh-out F.json] [--json]");
+    eprintln!("                   [--seeds N] [--ppn N] [--seed S] [--name X]");
+    eprintln!("           compare --baseline BENCH_X.json [--json]");
     eprintln!("                   [--force-regress (chaos: prove the gate)]");
     eprintln!("           both accept runner options; compare exits 2 on regression");
-    eprintln!("  profile  run a bench grid with span profiling, merge span trees fleet-wide");
-    eprintln!("           [--grid designs|ci] [--designs d1,d2] [--rates r1,r2] [--seeds N]");
-    eprintln!("           [--prof-out F.txt (deterministic cycle-domain table)]");
-    eprintln!("           [--flame-out F.folded (inferno/speedscope collapsed stacks)]");
-    eprintln!("           [--profile-out F.txt (full wall-clock profile table)]");
     eprintln!("  serve    crash-survivable multi-tenant experiment daemon (DESIGN.md \u{a7}14)");
     eprintln!("           --state-dir DIR (WAL + journals + reports; --resume to recover)");
     eprintln!("           [--addr H:P (default 127.0.0.1:9900)] [--port-file F]");
@@ -120,20 +111,31 @@ fn usage() {
     eprintln!("           [--chaos-kill point:k (test abort at the k-th hit of point)]");
     eprintln!("           POST /api/drain stops it (running chunks get 10 s)");
     eprintln!("  postmortem  render a flight-recorder bundle as deterministic markdown");
-    eprintln!("           <bundle.jsonl> [--out report.md]");
+    eprintln!("           <bundle.jsonl> [--out-dir DIR]");
     eprintln!("  journeys analyze a recorded journey log: tail-latency critical path,");
     eprintln!("           per-(router, cause) contributions, Perfetto export");
-    eprintln!("           <journeys.jsonl> [--out report.md] [--csv-out contrib.csv]");
-    eprintln!("           [--perfetto-out trace.json]");
+    eprintln!("           <journeys.jsonl> [--out-dir DIR]");
     eprintln!("  list     known designs and benchmarks");
     eprintln!();
+    eprintln!("OUTPUT (--out-dir DIR: one directory, fixed file names; DESIGN.md \u{a7}16):");
+    eprintln!("  run/inspect   metrics.prom (every control step), postmortem-<key>.jsonl");
+    eprintln!("                (flight recorder: conservation / critical alert / stall),");
+    eprintln!("                trace.jsonl (--trace), journeys.jsonl (--journeys-every N),");
+    eprintln!("                profile.txt spans.txt flame.folded (--profile)");
+    eprintln!("  inspect       + report.md heatmaps/<grid>.csv heatmaps/links.csv");
+    eprintln!("                  decisions.jsonl convergence.csv");
+    eprintln!("  grids         runner.jsonl, postmortem-<key>.jsonl (dying units),");
+    eprintln!("                journeys/ (--journeys-every N), the --profile files;");
+    eprintln!("                campaign.csv, BENCH_<name>.json, fresh.json");
+    eprintln!("  journeys      tail-report.md tail-contrib.csv perfetto.json");
+    eprintln!("  postmortem    postmortem.md");
+    eprintln!("  Without it: reports on stdout, nothing written (bench record writes");
+    eprintln!("  BENCH_<name>.json in the working directory).");
+    eprintln!();
     eprintln!("JOURNEY TRACING (per-packet hop spans; DESIGN.md \u{a7}18):");
-    eprintln!("  run/inspect: --journeys-every N (trace 1-in-N packets; any sink implies 1)");
-    eprintln!("               --journeys-out F.jsonl  --perfetto-out F.json");
-    eprintln!("               --journey-report-out F.md (default: stdout)");
-    eprintln!("               --journey-csv-out F.csv");
-    eprintln!("  campaign/sweep/bench record: --journeys-dir DIR [--journeys-every N]");
-    eprintln!("               one journeys-<key>.jsonl per unit; analyze with `journeys`");
+    eprintln!("  --journeys-every N    trace 1-in-N packets; run/inspect print the tail");
+    eprintln!("                        report; grids need --out-dir (journeys-<key>.jsonl");
+    eprintln!("                        per unit); analyze a log with `journeys`");
     eprintln!("  serve: jobs submitted with \"journeys_every\": N expose their logs at");
     eprintln!("               GET /api/jobs/<id>/journeys");
     eprintln!();
@@ -149,19 +151,15 @@ fn usage() {
     eprintln!("  --reply-packets N     reply size in packets (1)");
     eprintln!("  --chaos-orphan ID     chaos: silently lose txn ID to prove the auditor fires");
     eprintln!();
-    eprintln!("RUNNER OPTIONS (campaign, sweep, bench, profile — the noc-runner engine):");
+    eprintln!("RUNNER OPTIONS (campaign, sweep, bench — the noc-runner engine):");
     eprintln!("  --jobs N              worker threads (default 1; results identical at any N)");
     eprintln!("  --journal F.jsonl     journal terminal unit records (enables --resume)");
     eprintln!("  --resume              reuse journaled records, run only the rest");
     eprintln!("  --max-units N         dispatch at most N units, skip the tail");
-    eprintln!("  --runner-log F.jsonl  write runner lifecycle events (+ profile health note)");
-    eprintln!("  --blackbox-dir DIR    flight recorder: dying units (stall/timeout/panic/");
-    eprintln!("                        fatal) dump post-mortem bundles here");
     eprintln!("  --force-panic M / --force-timeout M   chaos-test units whose key contains M");
     eprintln!("  --progress            live per-unit progress lines with p50/p95/ETA");
-    eprintln!("  --profile             per-run wall-clock + span profile to stdout");
-    eprintln!("  --profile-out F.txt / --prof-out F.txt / --flame-out F.folded");
-    eprintln!("                        profile artifacts (see `profile` command)");
+    eprintln!("  --profile             fleet wall-clock + span profile (stdout, or the");
+    eprintln!("                        profile files under --out-dir)");
     eprintln!();
     eprintln!("Design comparisons normalized to SECDED (Figs. 9-18, Table 2):");
     eprintln!("  cargo run --release -p intellinoc-bench --bin figures -- --list");

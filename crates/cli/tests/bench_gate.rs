@@ -33,8 +33,7 @@ const COMMITTED: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_design
 #[test]
 fn ci_grid_self_compares_clean_and_the_forced_gate_fires() {
     let dir = scratch("ci");
-    let (code, _, err) =
-        intellinoc(&dir, "bench record --grid ci --name ci --out BENCH_ci.json --jobs 2");
+    let (code, _, err) = intellinoc(&dir, "bench record --grid ci --name ci --jobs 2");
     assert_eq!(code, 0, "{err}");
     let (code, out, err) = intellinoc(&dir, "bench compare --baseline BENCH_ci.json --jobs 2");
     assert_eq!(code, 0, "{err}");
@@ -103,17 +102,18 @@ fn a_hostile_baseline_spec_is_refused() {
 }
 
 /// A live exposition must not perturb the simulation: the same run with
-/// and without `--metrics-out` prints byte-identical reports.
+/// and without `--out-dir` (which rewrites `metrics.prom` every control
+/// step) prints byte-identical reports.
 #[test]
 fn metrics_out_leaves_the_report_unchanged() {
     let dir = scratch("metrics");
     let run = "run --design intellinoc --rate 0.02 --ppn 10 --seed 3 --json";
-    let (code, with, err) = intellinoc(&dir, &format!("{run} --metrics-out metrics.prom"));
+    let (code, with, err) = intellinoc(&dir, &format!("{run} --out-dir out"));
     assert_eq!(code, 0, "{err}");
     let (code, without, err) = intellinoc(&dir, run);
     assert_eq!(code, 0, "{err}");
     assert_eq!(with, without);
-    let metrics = std::fs::read_to_string(dir.join("metrics.prom")).expect("metrics written");
+    let metrics = std::fs::read_to_string(dir.join("out/metrics.prom")).expect("metrics written");
     assert!(metrics.lines().any(|l| l.starts_with("noc_packets_total")), "{metrics}");
     let _ = std::fs::remove_dir_all(&dir);
 }

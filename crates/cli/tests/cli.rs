@@ -62,6 +62,19 @@ fn error_rate_must_be_a_probability() {
     }
 }
 
+/// The binary turns a hostile `--error-rate` into a usage error: exit 1
+/// with stderr naming the flag, not a hang (`NaN` used to spin the fault
+/// sampler forever).
+#[test]
+fn a_hostile_error_rate_exits_1_naming_the_flag() {
+    for rate in ["NaN", "inf", "-1", "2"] {
+        let line = format!("run --design secded --rate 0.02 --ppn 4 --seed 3 --error-rate {rate}");
+        let (code, _, stderr) = intellinoc(&line);
+        assert_eq!(code, Some(1), "{line}: {stderr}");
+        assert!(stderr.contains("--error-rate"), "{line}: {stderr}");
+    }
+}
+
 #[test]
 fn sweep_command_executes() {
     let args = Args::parse(
@@ -200,22 +213,22 @@ fn area_and_list_always_succeed() {
 
 /// The conservation auditor reads the run's books: an orphaned transaction
 /// is named on stderr and, with the flight recorder armed, dumped as a
-/// `conservation` bundle whose post-mortem lists the orphan; a clean
-/// closed-loop run dumps nothing.
+/// `conservation` bundle whose post-mortem lists the orphan (`inspect`
+/// arms the same recorder); a clean closed-loop run dumps nothing.
 #[test]
 fn unbalanced_books_dump_a_conservation_bundle_and_clean_ones_none() {
     let dir = std::env::temp_dir().join(format!("intellinoc-cli-auditor-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let run = "run --design secded --workload reqreply --rate 0.02 --ppn 4 --seed 3";
     let clean = dir.join("clean");
-    let (code, _, stderr) = intellinoc(&format!("{run} --blackbox-dir {}", clean.display()));
+    let (code, _, stderr) = intellinoc(&format!("{run} --out-dir {}", clean.display()));
     assert_eq!(code, Some(0), "{stderr}");
     assert!(!stderr.contains("auditor"), "{stderr}");
-    assert!(!clean.exists(), "a clean run writes no bundle");
+    assert!(!clean.join("postmortem-run_SECDED.jsonl").exists(), "a clean run writes no bundle");
 
     let bb = dir.join("orphan");
     let (code, _, stderr) =
-        intellinoc(&format!("{run} --chaos-orphan 0 --blackbox-dir {}", bb.display()));
+        intellinoc(&format!("{run} --chaos-orphan 0 --out-dir {}", bb.display()));
     assert_eq!(code, Some(0), "{stderr}");
     let line = "transaction-conservation auditor: 1 violations, orphaned txns [0]";
     assert!(stderr.contains(line), "no `{line}` in:\n{stderr}");
@@ -226,6 +239,15 @@ fn unbalanced_books_dump_a_conservation_bundle_and_clean_ones_none() {
     let (code, report, stderr) = intellinoc(&format!("postmortem {}", bundle.display()));
     assert_eq!(code, Some(0), "{stderr}");
     assert!(report.contains("orphaned-txns"), "{report}");
+
+    let inspected = dir.join("inspect");
+    let line = format!("{run} --chaos-orphan 0 --out-dir {}", inspected.display());
+    let (code, _, stderr) = intellinoc(&line.replacen("run", "inspect", 1));
+    assert_eq!(code, Some(0), "{stderr}");
+    let text = std::fs::read_to_string(inspected.join("postmortem-inspect_SECDED.jsonl"))
+        .expect("inspect's conservation bundle");
+    let head = text.lines().next().unwrap();
+    assert!(head.contains(r#""cause":"conservation""#), "{head}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -235,23 +257,19 @@ fn inspect_command_writes_every_artifact() {
     std::fs::create_dir_all(&dir).unwrap();
     let d = dir.to_str().unwrap();
     let args = Args::parse(
-        format!(
-            "inspect --rate 0.02 --ppn 5 --seed 9 --time-step 200 --report-out {d}/report.md \
-             --heatmap-dir {d}/heat --decisions-out {d}/decisions.jsonl \
-             --convergence-out {d}/convergence.csv"
-        )
-        .split_whitespace()
-        .map(str::to_owned),
+        format!("inspect --rate 0.02 --ppn 5 --seed 9 --time-step 200 --out-dir {d}")
+            .split_whitespace()
+            .map(str::to_owned),
     );
     assert!(intellinoc_cli::commands::inspect(&args).is_ok());
     let report = std::fs::read_to_string(dir.join("report.md")).unwrap();
     assert!(report.contains("## Latency attribution"));
     assert!(report.contains("## RL decisions"));
-    let links = std::fs::read_to_string(dir.join("heat/links.csv")).unwrap();
+    let links = std::fs::read_to_string(dir.join("heatmaps/links.csv")).unwrap();
     assert_eq!(links.lines().count(), 113, "header + 112 links");
     for grid in ["router_utilization", "router_retx", "router_gate_residency", "router_temperature"]
     {
-        let g = std::fs::read_to_string(dir.join(format!("heat/{grid}.csv"))).unwrap();
+        let g = std::fs::read_to_string(dir.join(format!("heatmaps/{grid}.csv"))).unwrap();
         assert_eq!(g.lines().count(), 8, "{grid} is an 8x8 grid");
     }
     let decisions = std::fs::read_to_string(dir.join("decisions.jsonl")).unwrap();
@@ -261,26 +279,52 @@ fn inspect_command_writes_every_artifact() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Two `inspect` runs at one seed write the same report, decision log,
+/// convergence samples and heatmaps, byte for byte.
+#[test]
+fn inspect_artifacts_repeat_byte_for_byte() {
+    let dir = std::env::temp_dir().join(format!("intellinoc-cli-inspect-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (a, b) = (dir.join("a"), dir.join("b"));
+    for out in [&a, &b] {
+        let line = format!("inspect --rate 0.02 --ppn 10 --seed 3 --out-dir {}", out.display());
+        let (code, _, stderr) = intellinoc(&line);
+        assert_eq!(code, Some(0), "{stderr}");
+    }
+    let heatmaps: Vec<String> = std::fs::read_dir(a.join("heatmaps"))
+        .expect("heatmaps written")
+        .map(|e| format!("heatmaps/{}", e.expect("dir entry").file_name().to_string_lossy()))
+        .collect();
+    assert_eq!(heatmaps.len(), 5, "four grids and links.csv: {heatmaps:?}");
+    let fixed = ["report.md", "decisions.jsonl", "convergence.csv"].map(String::from);
+    for name in fixed.iter().chain(&heatmaps) {
+        let read = |dir: &std::path::Path| std::fs::read(dir.join(name)).expect("artifact");
+        assert!(read(&a) == read(&b), "{name} differs between two runs");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn inspect_on_static_design_skips_rl_sections() {
     let dir = std::env::temp_dir().join("intellinoc-cli-inspect-static");
     std::fs::create_dir_all(&dir).unwrap();
     let d = dir.to_str().unwrap();
     let args = Args::parse(
-        format!("inspect --design secded --rate 0.02 --ppn 3 --seed 2 --report-out {d}/r.md")
+        format!("inspect --design secded --rate 0.02 --ppn 3 --seed 2 --out-dir {d}")
             .split_whitespace()
             .map(str::to_owned),
     );
     assert!(intellinoc_cli::commands::inspect(&args).is_ok());
-    let report = std::fs::read_to_string(dir.join("r.md")).unwrap();
+    let report = std::fs::read_to_string(dir.join("report.md")).unwrap();
     assert!(report.contains("## Latency attribution"));
     assert!(!report.contains("## RL decisions"));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `profile --workload reqreply` used to parse the closed-loop flags and
-/// then profile open-loop traffic. Same seed: the closed-loop cycle-domain
-/// span table is reproducible and differs from the open-loop one.
+/// A profiled grid with `--workload reqreply` used to parse the closed-loop
+/// flags and then profile open-loop traffic. Same seed: the closed-loop
+/// cycle-domain span table is reproducible and differs from the open-loop
+/// one.
 #[test]
 fn profile_honours_the_closed_loop_workload() {
     let dir = std::env::temp_dir().join("intellinoc-cli-profile-reqreply");
@@ -288,17 +332,17 @@ fn profile_honours_the_closed_loop_workload() {
     let table = |name: &str, workload: &str| {
         let out = dir.join(name);
         let line = format!(
-            "profile --designs secded --rates 0.02 --seeds 1 --ppn 4 --seed 5 {workload} \
-             --prof-out {}",
+            "bench record --designs secded --rates 0.02 --seeds 1 --ppn 4 --seed 5 {workload} \
+             --profile --out-dir {}",
             out.display()
         );
         let args = Args::parse(line.split_whitespace().map(str::to_owned));
-        assert_eq!(intellinoc_cli::commands::profile(&args), Ok(CmdOutcome::Done), "{line}");
-        std::fs::read_to_string(out).unwrap()
+        assert_eq!(intellinoc_cli::commands::bench(&args), Ok(CmdOutcome::Done), "{line}");
+        std::fs::read_to_string(out.join("spans.txt")).unwrap()
     };
-    let open = table("open.txt", "");
-    let closed = table("closed.txt", "--workload reqreply --reply-timeout 600");
-    assert_eq!(closed, table("closed2.txt", "--workload reqreply --reply-timeout 600"));
+    let open = table("open", "");
+    let closed = table("closed", "--workload reqreply --reply-timeout 600");
+    assert_eq!(closed, table("closed2", "--workload reqreply --reply-timeout 600"));
     assert_ne!(open, closed, "--workload reqreply must change what is profiled");
     let _ = std::fs::remove_dir_all(&dir);
 }

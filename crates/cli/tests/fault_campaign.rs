@@ -41,11 +41,11 @@ fn two_dead_links_deliver_everything_and_repeat() {
     let dir = scratch("dead");
     let grid = "--ppn 6 --seed 1 --dead-links 0,2 --no-router-fail --flapping 0 \
                 --assert-delivery 0.999";
-    let err = campaign(&dir, &format!("{grid} --csv-out a.csv"));
+    let err = campaign(&dir, &format!("{grid} --out-dir a"));
     assert!(err.contains("10 ok, 0 failed, 0 timed-out, 0 skipped"), "{err}");
-    campaign(&dir, &format!("{grid} --csv-out b.csv"));
-    let csv = read(&dir, "a.csv");
-    assert_eq!(csv, read(&dir, "b.csv"), "same seed, different campaign CSV");
+    campaign(&dir, &format!("{grid} --out-dir b"));
+    let csv = read(&dir, "a/campaign.csv");
+    assert_eq!(csv, read(&dir, "b/campaign.csv"), "same seed, different campaign CSV");
     assert_eq!(String::from_utf8(csv).expect("UTF-8 CSV").lines().count(), 1 + 2 * 5);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -36,6 +36,21 @@ fn read(dir: &Path, name: &str) -> String {
     std::fs::read_to_string(dir.join(name)).unwrap_or_else(|e| panic!("reading {name}: {e}"))
 }
 
+/// The runner log under `dir` split in two: the lifecycle events, as lines,
+/// and the `(key, cause)` of each post-mortem dump (`--out-dir` arms the
+/// flight recorder, so each dying unit dumps a bundle).
+fn runner_log(dir: &Path) -> (String, Vec<(String, String)>) {
+    let log = read(dir, "runner.jsonl");
+    let (dumps, lifecycle): (Vec<&str>, Vec<&str>) =
+        log.lines().partition(|l| l.starts_with("{\"event\":\"postmortem-dumped\""));
+    let field = |line: &str, name: &str| {
+        let at = line.find(&format!("\"{name}\":\"")).expect(name) + name.len() + 4;
+        line[at..].split('"').next().expect(name).to_owned()
+    };
+    let dumps = dumps.iter().map(|l| (field(l, "key"), field(l, "cause"))).collect();
+    (lifecycle.iter().map(|l| format!("{l}\n")).collect(), dumps)
+}
+
 /// The 2-scenario × 5-design campaign every campaign test below runs: one
 /// forced timeout (partial payload), one forced panic and one cell past the
 /// unit cap (no payload).
@@ -46,13 +61,15 @@ const CAMPAIGN: &str = "campaign --ppn 4 --seed 3 --rate 0.01 --dead-links 0,1 -
 #[test]
 fn campaign_csv_table_and_keys_are_pinned() {
     let dir = scratch("campaign");
-    let (code, stdout) =
-        intellinoc(&dir, &format!("{CAMPAIGN} --csv-out c.csv --runner-log log.jsonl"));
+    let (code, stdout) = intellinoc(&dir, &format!("{CAMPAIGN} --out-dir o"));
     assert_eq!(code, 2, "a partial grid exits 2");
-    assert_eq!(read(&dir, "c.csv"), include_str!("fixtures/campaign.csv"));
+    assert_eq!(read(&dir, "o/campaign.csv"), include_str!("fixtures/campaign.csv"));
     assert_eq!(stdout, include_str!("fixtures/campaign.txt"));
     // Serial lifecycle events name every key, in canonical order.
-    assert_eq!(read(&dir, "log.jsonl"), include_str!("fixtures/campaign_runner_log.jsonl"));
+    let (lifecycle, dumps) = runner_log(&dir.join("o"));
+    assert_eq!(lifecycle, include_str!("fixtures/campaign_runner_log.jsonl"));
+    let dumped = |key: &str, cause: &str| (format!("campaign/{key}/r0.01"), cause.to_owned());
+    assert_eq!(dumps, [dumped("fault-free/SECDED", "timeout"), dumped("dead-links-1/EB", "panic")]);
     assert_eq!(derive_seed(3, "campaign/fault-free/SECDED/r0.01"), 0xb11a_d863_5ed2_8db6);
     assert_eq!(derive_seed(3, "campaign/dead-links-1/IntelliNoC/r0.01"), 0xa363_aafc_7b7a_f022);
     let _ = std::fs::remove_dir_all(&dir);
@@ -64,11 +81,11 @@ fn closed_loop_campaign_csv_is_pinned() {
     let (code, _) = intellinoc(
         &dir,
         &format!(
-            "{CAMPAIGN} --workload reqreply --reply-timeout 400 --max-req-retries 2 --csv-out c.csv"
+            "{CAMPAIGN} --workload reqreply --reply-timeout 400 --max-req-retries 2 --out-dir o"
         ),
     );
     assert_eq!(code, 2);
-    assert_eq!(read(&dir, "c.csv"), include_str!("fixtures/campaign_closed_loop.csv"));
+    assert_eq!(read(&dir, "o/campaign.csv"), include_str!("fixtures/campaign_closed_loop.csv"));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -78,11 +95,17 @@ fn sweep_table_and_keys_are_pinned() {
     let (code, stdout) = intellinoc(
         &dir,
         "sweep --design secded --rates 0.01,0.02,0.04,0.08 --ppn 8 --seed 5 \
-         --force-timeout r0.02 --force-panic r0.04 --max-units 3 --runner-log log.jsonl",
+         --force-timeout r0.02 --force-panic r0.04 --max-units 3 --out-dir o",
     );
     assert_eq!(code, 2);
     assert_eq!(stdout, include_str!("fixtures/sweep.txt"));
-    assert_eq!(read(&dir, "log.jsonl"), include_str!("fixtures/sweep_runner_log.jsonl"));
+    let (lifecycle, dumps) = runner_log(&dir.join("o"));
+    assert_eq!(lifecycle, include_str!("fixtures/sweep_runner_log.jsonl"));
+    let dumped = |key: &str, cause: &str| (key.to_owned(), cause.to_owned());
+    assert_eq!(
+        dumps,
+        [dumped("sweep/SECDED/r0.02", "timeout"), dumped("sweep/SECDED/r0.04", "panic")]
+    );
     assert_eq!(derive_seed(5, "sweep/SECDED/r0.01"), 0x375d_d3db_ecf1_16e9);
     assert_eq!(derive_seed(5, "sweep/SECDED/r0.08"), 0x2e1f_eb59_4f76_a0b6);
     let _ = std::fs::remove_dir_all(&dir);
@@ -94,11 +117,11 @@ fn bench_baseline_and_keys_are_pinned() {
     let (code, stdout) = intellinoc(
         &dir,
         "bench record --designs secded,intellinoc --rates 0.05 --seeds 2 --ppn 8 --seed 11 \
-         --name pin --out pin.json --journal j.jsonl",
+         --name pin --out-dir o --journal j.jsonl",
     );
     assert_eq!(code, 0);
-    // `--out` is `BenchBaseline::to_json`, byte for byte.
-    assert_eq!(read(&dir, "pin.json"), include_str!("fixtures/bench_pin.json"));
+    // `BENCH_pin.json` is `BenchBaseline::to_json`, byte for byte.
+    assert_eq!(read(&dir, "o/BENCH_pin.json"), include_str!("fixtures/bench_pin.json"));
     assert_eq!(
         stdout,
         "cell                          avg_lat      p99_lat energy_pJ/flit\n\
@@ -157,10 +180,10 @@ fn closed_loop_smoke_campaign_csv_is_pinned() {
         &dir,
         "campaign --workload reqreply --rate 0.01 --ppn 3 --seed 3 --dead-links 0,1 \
          --router-fail 300 --flapping 1 --max-cycles 200000 --reply-timeout 400 \
-         --max-req-retries 2 --req-backoff-base 16 --req-backoff-cap 128 --csv-out c.csv",
+         --max-req-retries 2 --req-backoff-base 16 --req-backoff-cap 128 --out-dir o",
     );
     assert_eq!(code, 0);
-    assert_eq!(read(&dir, "c.csv"), include_str!("fixtures/closedloop_smoke.csv"));
+    assert_eq!(read(&dir, "o/campaign.csv"), include_str!("fixtures/closedloop_smoke.csv"));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -174,14 +197,18 @@ fn an_orphaned_run_reports_and_bundles_the_pinned_books() {
     let dir = scratch("orphan");
     let run = "run --design secded --workload reqreply --rate 0.02 --ppn 4 --seed 3 \
                --chaos-orphan 0 --json";
-    for line in [run.to_owned(), format!("{run} --blackbox-dir bb")] {
+    for line in [run.to_owned(), format!("{run} --out-dir bb")] {
         let (code, stdout) = intellinoc(&dir, &line);
         assert_eq!(code, 0, "{line}");
         assert_eq!(stdout, include_str!("fixtures/orphan_run.json"), "{line}");
     }
-    let bundles: Vec<_> = std::fs::read_dir(dir.join("bb")).expect("bundle dir").collect();
+    let bundles: Vec<_> = std::fs::read_dir(dir.join("bb"))
+        .expect("bundle dir")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.file_name().is_some_and(|n| n.to_string_lossy().starts_with("postmortem-")))
+        .collect();
     assert_eq!(bundles.len(), 1);
-    let bundle = std::fs::read_to_string(bundles[0].as_ref().unwrap().path()).unwrap();
+    let bundle = std::fs::read_to_string(&bundles[0]).unwrap();
     let books: String = bundle
         .lines()
         .filter(|l| {

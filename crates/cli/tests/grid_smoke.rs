@@ -51,13 +51,13 @@ const SWEEP: &str = "sweep --design secded --rates 0.01,0.02,0.04 --ppn 8";
 fn a_forced_timeout_exits_partial_and_its_journal_resumes_byte_for_byte() {
     let dir = scratch("resume");
     let grid = format!("{CAMPAIGN} --force-timeout fault-free/SECDED --journal j.jsonl");
-    let (code, _) = intellinoc(&dir, &format!("{grid} --jobs 4 --csv-out partial.csv"));
+    let (code, _) = intellinoc(&dir, &format!("{grid} --jobs 4 --out-dir partial"));
     assert_eq!(code, 2, "a partial grid exits 2");
-    let partial = read(&dir, "partial.csv");
+    let partial = read(&dir, "partial/campaign.csv");
     assert!(partial.lines().any(|l| l.ends_with(",timed-out")), "{partial}");
-    let (code, _) = intellinoc(&dir, &format!("{grid} --jobs 2 --resume --csv-out resumed.csv"));
+    let (code, _) = intellinoc(&dir, &format!("{grid} --jobs 2 --resume --out-dir resumed"));
     assert_eq!(code, 2, "the resumed grid is still partial");
-    assert_eq!(read(&dir, "resumed.csv"), partial);
+    assert_eq!(read(&dir, "resumed/campaign.csv"), partial);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -65,11 +65,11 @@ fn a_forced_timeout_exits_partial_and_its_journal_resumes_byte_for_byte() {
 #[test]
 fn serial_and_parallel_campaign_csvs_are_equal() {
     let dir = scratch("campaign-jobs");
-    for (jobs, csv) in [(1, "serial.csv"), (4, "parallel.csv")] {
-        let (code, _) = intellinoc(&dir, &format!("{CAMPAIGN} --jobs {jobs} --csv-out {csv}"));
+    for (jobs, out) in [(1, "serial"), (4, "parallel")] {
+        let (code, _) = intellinoc(&dir, &format!("{CAMPAIGN} --jobs {jobs} --out-dir {out}"));
         assert_eq!(code, 0, "--jobs {jobs}");
     }
-    assert_eq!(read(&dir, "parallel.csv"), read(&dir, "serial.csv"));
+    assert_eq!(read(&dir, "parallel/campaign.csv"), read(&dir, "serial/campaign.csv"));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -100,10 +100,10 @@ fn parallel_closed_loop_campaign_matches_the_serial_fixture() {
         &dir,
         "campaign --workload reqreply --rate 0.01 --ppn 3 --seed 3 --dead-links 0,1 \
          --router-fail 300 --flapping 1 --max-cycles 200000 --reply-timeout 400 \
-         --max-req-retries 2 --req-backoff-base 16 --req-backoff-cap 128 --jobs 4 --csv-out c.csv",
+         --max-req-retries 2 --req-backoff-base 16 --req-backoff-cap 128 --jobs 4 --out-dir o",
     );
     assert_eq!(code, 0);
-    assert_eq!(read(&dir, "c.csv"), include_str!("fixtures/closedloop_smoke.csv"));
+    assert_eq!(read(&dir, "o/campaign.csv"), include_str!("fixtures/closedloop_smoke.csv"));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -112,10 +112,10 @@ fn parallel_closed_loop_campaign_matches_the_serial_fixture() {
 #[test]
 fn an_orphaning_closed_loop_campaign_exits_1_and_still_writes_its_csv() {
     let dir = scratch("closedloop-orphan");
-    let line = format!("{CLOSED_LOOP} --max-cycles 200000 --chaos-orphan 0 --csv-out o.csv");
+    let line = format!("{CLOSED_LOOP} --max-cycles 200000 --chaos-orphan 0 --out-dir o");
     let (code, _) = intellinoc(&dir, &line);
     assert_eq!(code, 1, "the auditor trips");
-    let csv = read(&dir, "o.csv");
+    let csv = read(&dir, "o/campaign.csv");
     assert!(csv.lines().any(|l| l.ends_with(",ok")), "{csv}");
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -126,19 +126,18 @@ fn an_orphaning_closed_loop_campaign_exits_1_and_still_writes_its_csv() {
 #[test]
 fn a_closed_loop_forced_timeout_leaves_one_bundle() {
     let dir = scratch("closedloop-timeout");
-    let line = format!(
-        "{CLOSED_LOOP} --max-cycles 60000 --force-timeout fault-free/SECDED --blackbox-dir bb \
-         --csv-out t.csv"
-    );
+    let line =
+        format!("{CLOSED_LOOP} --max-cycles 60000 --force-timeout fault-free/SECDED --out-dir bb");
     let (code, _) = intellinoc(&dir, &line);
     assert_eq!(code, 2, "a partial grid exits 2");
     let bundles: Vec<PathBuf> = std::fs::read_dir(dir.join("bb"))
         .expect("bundle dir")
         .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.file_name().is_some_and(|n| n.to_string_lossy().starts_with("postmortem-")))
         .collect();
     assert_eq!(bundles.len(), 1, "{bundles:?}");
     let name = bundles[0].file_name().unwrap().to_string_lossy().into_owned();
-    assert!(name.starts_with("postmortem-") && name.ends_with(".jsonl"), "{name}");
+    assert!(name.ends_with(".jsonl"), "{name}");
     let text = std::fs::read_to_string(&bundles[0]).expect("read bundle");
     assert_eq!(parse_bundle(&text).expect("bundle parses").cause, "timeout");
     let _ = std::fs::remove_dir_all(&dir);

@@ -1,7 +1,8 @@
 //! Journey tracing, driven through the binary: a traced run writes the same
-//! journey log, Perfetto trace, tail report and tail-contribution CSV every
-//! time; the Perfetto trace is valid JSON with every track's slices in time
-//! order; the offline analyzer reproduces the run's report from the log;
+//! journey log and prints the same tail report every time; the analyzer
+//! renders the same tail report, tail-contribution CSV and Perfetto trace
+//! from the log every time, and its tail report is the run's; the Perfetto
+//! trace is valid JSON with every track's slices in time order;
 //! tracing perturbs no campaign byte and collects the same logs at any
 //! worker count; closed-loop transaction legs survive the analyzer; `run`
 //! and `inspect` write the same journey bytes; a hostile log is refused
@@ -80,25 +81,30 @@ const TRACED: &str = "run --design secded --rate 0.02 --ppn 10 --seed 3";
 #[test]
 fn traced_run_is_deterministic_and_the_analyzer_reproduces_its_report() {
     let dir = scratch("run");
+    let mut stdout = Vec::new();
     for n in [1, 2] {
-        let outs = format!(
-            "--journeys-out j{n}.jsonl --perfetto-out p{n}.json \
-             --journey-report-out t{n}.md --journey-csv-out c{n}.csv"
-        );
-        ok(&dir, &format!("{TRACED} {outs}"));
+        let (code, out, err) =
+            intellinoc(&dir, &format!("{TRACED} --journeys-every 1 --out-dir r{n}"));
+        assert_eq!(code, 0, "{err}");
+        stdout.push(out);
     }
-    for (a, b) in [("j1.jsonl", "j2.jsonl"), ("p1.json", "p2.json"), ("t1.md", "t2.md")] {
-        assert_eq!(read(&dir, a), read(&dir, b), "{a} vs {b}");
-    }
-    assert_eq!(read(&dir, "c1.csv"), read(&dir, "c2.csv"));
-    check_perfetto(&read(&dir, "p1.json"));
+    assert_eq!(stdout[0], stdout[1], "run's stdout differs");
+    assert_eq!(read(&dir, "r1/journeys.jsonl"), read(&dir, "r2/journeys.jsonl"));
     // The offline analyzer is a pure function of the log bytes, and the
-    // traced run's tail report is the analyzer's (same top-k).
-    ok(&dir, "journeys j1.jsonl --out off1.md --csv-out offc.csv");
-    ok(&dir, "journeys j1.jsonl --out off2.md");
-    assert_eq!(read(&dir, "off1.md"), read(&dir, "off2.md"));
-    assert_eq!(read(&dir, "t1.md"), read(&dir, "off1.md"));
-    assert_eq!(read(&dir, "c1.csv"), read(&dir, "offc.csv"));
+    // traced run's tail report (the end of its stdout) is the analyzer's
+    // (same top-k).
+    ok(&dir, "journeys r1/journeys.jsonl --out-dir a1");
+    ok(&dir, "journeys r1/journeys.jsonl --out-dir a2");
+    for name in ["tail-report.md", "tail-contrib.csv", "perfetto.json"] {
+        assert_eq!(read(&dir, &format!("a1/{name}")), read(&dir, &format!("a2/{name}")), "{name}");
+    }
+    check_perfetto(&read(&dir, "a1/perfetto.json"));
+    let report = String::from_utf8(read(&dir, "a1/tail-report.md")).expect("UTF-8 report");
+    assert!(
+        stdout[0].ends_with(&report),
+        "run's tail report:\n{}\nanalyzer's:\n{report}",
+        stdout[0]
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -107,25 +113,30 @@ fn campaign_journeys_perturb_nothing_and_match_across_workers() {
     let dir = scratch("campaign");
     let campaign = "campaign --ppn 4 --seed 3 --rate 0.01 --dead-links 0,1 --no-router-fail \
                     --flapping 0 --max-cycles 60000";
-    ok(&dir, &format!("{campaign} --csv-out jc-off.csv"));
-    ok(&dir, &format!("{campaign} --csv-out jc-on.csv --journeys-dir jd-serial"));
-    ok(&dir, &format!("{campaign} --csv-out jc-par.csv --journeys-dir jd-parallel --jobs 4"));
-    assert_eq!(read(&dir, "jc-off.csv"), read(&dir, "jc-on.csv"), "tracing moved a byte");
-    assert_eq!(read(&dir, "jc-on.csv"), read(&dir, "jc-par.csv"));
-    let serial = files(&dir.join("jd-serial"));
+    ok(&dir, &format!("{campaign} --out-dir off"));
+    ok(&dir, &format!("{campaign} --journeys-every 1 --out-dir serial"));
+    ok(&dir, &format!("{campaign} --journeys-every 1 --out-dir parallel --jobs 4"));
+    let csv = read(&dir, "off/campaign.csv");
+    assert_eq!(csv, read(&dir, "serial/campaign.csv"), "tracing moved a byte");
+    assert_eq!(csv, read(&dir, "parallel/campaign.csv"));
+    let serial = files(&dir.join("serial/journeys"));
     assert!(!serial.is_empty(), "one journey log per unit");
-    assert_eq!(serial, files(&dir.join("jd-parallel")), "serial vs --jobs 4 journey logs");
+    assert_eq!(serial, files(&dir.join("parallel/journeys")), "serial vs --jobs 4 journey logs");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn closed_loop_journeys_keep_their_transaction_legs() {
     let dir = scratch("txn");
-    ok(&dir, "run --design secded --workload reqreply --rate 0.02 --ppn 4 --seed 3 --journeys-out txn.jsonl");
-    let log = String::from_utf8(read(&dir, "txn.jsonl")).expect("UTF-8 log");
+    ok(
+        &dir,
+        "run --design secded --workload reqreply --rate 0.02 --ppn 4 --seed 3 --journeys-every 1 \
+         --out-dir run",
+    );
+    let log = String::from_utf8(read(&dir, "run/journeys.jsonl")).expect("UTF-8 log");
     assert!(log.contains("\"txn\":"), "packets carry their transaction tags");
-    ok(&dir, "journeys txn.jsonl --out txn.md");
-    let report = String::from_utf8(read(&dir, "txn.md")).expect("UTF-8 report");
+    ok(&dir, "journeys run/journeys.jsonl --out-dir txn");
+    let report = String::from_utf8(read(&dir, "txn/tail-report.md")).expect("UTF-8 report");
     assert!(report.contains("transaction"), "{report}");
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -136,10 +147,10 @@ fn closed_loop_journeys_keep_their_transaction_legs() {
 fn run_and_inspect_write_the_same_journey_bytes() {
     let dir = scratch("sinks");
     let args = "--design secded --rate 0.02 --ppn 10 --seed 3 --error-rate 5e-4 --journeys-every 3";
-    ok(&dir, &format!("run {args} --journeys-out a.jsonl"));
-    ok(&dir, &format!("inspect {args} --journeys-out b.jsonl"));
-    let a = read(&dir, "a.jsonl");
-    assert_eq!(a, read(&dir, "b.jsonl"));
+    ok(&dir, &format!("run {args} --out-dir a"));
+    ok(&dir, &format!("inspect {args} --out-dir b"));
+    let a = read(&dir, "a/journeys.jsonl");
+    assert_eq!(a, read(&dir, "b/journeys.jsonl"));
     assert!(String::from_utf8(a).expect("UTF-8 log").contains("hop_retx"));
     let _ = std::fs::remove_dir_all(&dir);
 }

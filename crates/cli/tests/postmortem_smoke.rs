@@ -2,7 +2,7 @@
 //! cell is forced past its deadline exits with the partial-results code and
 //! leaves a bundle for that cell, the bundle's counters and event tail are
 //! pinned, `postmortem` renders it to the same bytes twice, and the flight
-//! recorder leaves the campaign's CSV as it was without it.
+//! recorder leaves the campaign's table as it was without it.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -16,15 +16,16 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-/// Runs the `intellinoc` binary with `line` split on whitespace, in `cwd`;
-/// returns its exit code and stderr.
-fn intellinoc(cwd: &Path, line: &str) -> (i32, String) {
+/// Runs the `intellinoc` binary with `line` split on whitespace, in `cwd`:
+/// (exit code, stdout, stderr).
+fn intellinoc(cwd: &Path, line: &str) -> (i32, String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_intellinoc"))
         .args(line.split_whitespace())
         .current_dir(cwd)
         .output()
         .expect("spawn intellinoc");
-    (out.status.code().expect("exit code"), String::from_utf8_lossy(&out.stderr).into_owned())
+    let text = |b: Vec<u8>| String::from_utf8_lossy(&b).into_owned();
+    (out.status.code().expect("exit code"), text(out.stdout), text(out.stderr))
 }
 
 fn read(dir: &Path, name: &str) -> Vec<u8> {
@@ -44,7 +45,7 @@ const CAMPAIGN: &str = "campaign --ppn 4 --seed 3 --rate 0.01 --dead-links 0,1 -
 #[test]
 fn a_timed_out_cell_leaves_a_pinned_bundle_that_renders_stably() {
     let dir = scratch("timeout");
-    let (code, err) = intellinoc(&dir, &format!("{CAMPAIGN} --blackbox-dir bb --csv-out pm.csv"));
+    let (code, table, err) = intellinoc(&dir, &format!("{CAMPAIGN} --out-dir bb"));
     assert_eq!(code, 2, "a partial grid exits 2: {err}");
     let mut bundles: Vec<String> = std::fs::read_dir(dir.join("bb"))
         .expect("bundle dir")
@@ -68,17 +69,17 @@ fn a_timed_out_cell_leaves_a_pinned_bundle_that_renders_stably() {
     assert_eq!(fnv1a(&section), 0x8a90_5cf8_b296_0bc7, "the bundle's event section moved");
 
     // Rendering is a pure function of the bundle's bytes.
-    for out in ["pm1.md", "pm2.md"] {
-        let (code, err) = intellinoc(&dir, &format!("postmortem {bundle} --out {out}"));
+    for out in ["pm1", "pm2"] {
+        let (code, _, err) = intellinoc(&dir, &format!("postmortem {bundle} --out-dir {out}"));
         assert_eq!(code, 0, "postmortem: {err}");
     }
-    let report = read(&dir, "pm1.md");
-    assert_eq!(report, read(&dir, "pm2.md"), "two renders of one bundle differ");
+    let report = read(&dir, "pm1/postmortem.md");
+    assert_eq!(report, read(&dir, "pm2/postmortem.md"), "two renders of one bundle differ");
     assert!(report.starts_with(b"# Post-mortem: timeout"), "{}", String::from_utf8_lossy(&report));
 
     // The black box does not perturb the grid.
-    let (code, err) = intellinoc(&dir, &format!("{CAMPAIGN} --csv-out pm-plain.csv"));
+    let (code, plain, err) = intellinoc(&dir, CAMPAIGN);
     assert_eq!(code, 2, "{err}");
-    assert_eq!(read(&dir, "pm.csv"), read(&dir, "pm-plain.csv"), "the recorder moved the CSV");
+    assert_eq!(table, plain, "the recorder moved the campaign's table");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,10 +1,10 @@
 //! The span profiler, driven through the binary: a profiled grid writes the
-//! same cycle-domain span table every time, and `--grid designs` writes the
-//! committed `PROFILE_designs.txt`; the flamegraph parses as `frames weight`
-//! lines that split `step_cycle`; `--workload reqreply` profiles closed-loop
-//! traffic; profiling perturbs no campaign byte and notes its drop counters
-//! in the runner log. The last test keeps every wall-clock read of the
-//! simulator behind the probe.
+//! same cycle-domain span table every time, and one `--grid designs` run
+//! writes both the committed `PROFILE_designs.txt` and `BENCH_designs.json`;
+//! the flamegraph parses as `frames weight` lines that split `step_cycle`;
+//! `--workload reqreply` profiles closed-loop traffic; profiling perturbs no
+//! campaign byte and notes its span warnings in the runner log. The last
+//! test keeps every wall-clock read of the simulator behind the probe.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -40,15 +40,17 @@ fn read(dir: &Path, name: &str) -> Vec<u8> {
 #[test]
 fn ci_grid_span_tables_repeat_and_the_flamegraph_parses() {
     let dir = scratch("ci");
-    ok(&dir, "profile --grid ci --jobs 2 --prof-out a.txt --flame-out flame.folded --progress");
-    ok(&dir, "profile --grid ci --jobs 2 --prof-out b.txt");
-    assert_eq!(read(&dir, "a.txt"), read(&dir, "b.txt"), "span table differs between runs");
-    ok(&dir, "profile --grid ci --workload reqreply --jobs 2 --prof-out rr.txt");
-    ok(&dir, "profile --grid ci --workload reqreply --jobs 2 --prof-out rr_b.txt");
-    assert_eq!(read(&dir, "rr.txt"), read(&dir, "rr_b.txt"), "closed-loop span table differs");
-    assert_ne!(read(&dir, "a.txt"), read(&dir, "rr.txt"), "reqreply profiled open-loop traffic");
+    let grid = "bench record --grid ci --name ci --profile --jobs 2";
+    ok(&dir, &format!("{grid} --out-dir a --progress"));
+    ok(&dir, &format!("{grid} --out-dir b"));
+    assert_eq!(read(&dir, "a/spans.txt"), read(&dir, "b/spans.txt"), "span table differs");
+    ok(&dir, &format!("{grid} --workload reqreply --out-dir rr"));
+    ok(&dir, &format!("{grid} --workload reqreply --out-dir rr_b"));
+    let closed = read(&dir, "rr/spans.txt");
+    assert_eq!(closed, read(&dir, "rr_b/spans.txt"), "closed-loop span table differs");
+    assert_ne!(read(&dir, "a/spans.txt"), closed, "reqreply profiled open-loop traffic");
 
-    let flame = String::from_utf8(read(&dir, "flame.folded")).expect("UTF-8 flamegraph");
+    let flame = String::from_utf8(read(&dir, "a/flame.folded")).expect("UTF-8 flamegraph");
     assert!(!flame.is_empty(), "empty flamegraph");
     for line in flame.lines() {
         let (frames, weight) = line.rsplit_once(' ').unwrap_or_else(|| panic!("malformed: {line}"));
@@ -59,38 +61,38 @@ fn ci_grid_span_tables_repeat_and_the_flamegraph_parses() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The committed table of the full designs grid (75 units) is the table
-/// this build produces: span names, nesting and every exact counter,
-/// whatever the clock-sampling schedule timed.
+/// One profiled run of the full designs grid (75 units) writes both
+/// committed files: the span table (span names, nesting and every exact
+/// counter, whatever the clock-sampling schedule timed) and the bench
+/// baseline, byte for byte.
 #[test]
 fn designs_grid_writes_the_committed_span_table() {
     let dir = scratch("designs");
-    ok(&dir, "profile --grid designs --jobs 2 --prof-out designs.txt");
-    let committed = concat!(env!("CARGO_MANIFEST_DIR"), "/../../PROFILE_designs.txt");
-    let committed = std::fs::read(committed).expect("read PROFILE_designs.txt");
-    let got = read(&dir, "designs.txt");
-    assert!(got == committed, "designs span table moved:\n{}", String::from_utf8_lossy(&got));
+    ok(&dir, "bench record --grid designs --profile --jobs 2 --out-dir d");
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    for (written, committed) in
+        [("d/spans.txt", "PROFILE_designs.txt"), ("d/BENCH_designs.json", "BENCH_designs.json")]
+    {
+        let want = std::fs::read(format!("{root}/{committed}")).expect("read the committed file");
+        let got = read(&dir, written);
+        assert!(got == want, "{committed} moved:\n{}", String::from_utf8_lossy(&got));
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Profiling must not perturb the simulation: the same campaign with and
-/// without every profiling sink writes the same CSV, and the runner log of
-/// the profiled one carries the profiler's drop counters.
+/// without profiling writes the same CSV, and the runner log of the
+/// profiled one carries the profiler's span warnings.
 #[test]
 fn profiling_perturbs_no_campaign_byte() {
     let dir = scratch("campaign");
     let campaign = "campaign --ppn 4 --seed 3 --rate 0.01 --dead-links 0,1 --no-router-fail \
                     --flapping 0 --max-cycles 60000";
-    ok(&dir, &format!("{campaign} --csv-out plain.csv"));
-    ok(
-        &dir,
-        &format!(
-            "{campaign} --csv-out prof.csv --prof-out spans.txt --flame-out camp.folded \
-             --profile-out profile.txt --runner-log runner.jsonl"
-        ),
-    );
-    assert_eq!(read(&dir, "plain.csv"), read(&dir, "prof.csv"), "profiling moved the campaign");
-    let log = String::from_utf8(read(&dir, "runner.jsonl")).expect("UTF-8 runner log");
+    ok(&dir, &format!("{campaign} --out-dir plain"));
+    ok(&dir, &format!("{campaign} --profile --out-dir prof"));
+    let csv = read(&dir, "plain/campaign.csv");
+    assert_eq!(csv, read(&dir, "prof/campaign.csv"), "profiling moved the campaign");
+    let log = String::from_utf8(read(&dir, "prof/runner.jsonl")).expect("UTF-8 runner log");
     assert!(log.contains(r#""event":"profile-note""#), "no profile-note in the runner log");
     let _ = std::fs::remove_dir_all(&dir);
 }

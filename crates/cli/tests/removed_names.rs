@@ -5,7 +5,7 @@
 //! This file names every entry, so it is not scanned.
 
 use std::path::{Path, PathBuf};
-use Match::{End, Impl, Text, Word};
+use Match::{End, Flag, Impl, Text, Word};
 
 /// How a name is looked for in a line.
 #[derive(Clone, Copy)]
@@ -16,6 +16,9 @@ enum Match {
     Word,
     /// With no identifier character after it (`grep 'name\b'`).
     End,
+    /// As a whole command-line flag: no identifier character and no `-`
+    /// after it (`--out` but not `--out-dir`).
+    Flag,
     /// As the trait of an `impl`: `impl[<…>] [serde::]name for` (a
     /// hand-written serde impl).
     Impl,
@@ -56,11 +59,28 @@ const MFAC: &str = "one `mfac` switch for the IntelliNoC router";
 const CONSUMERS: &str = "consumer audit, round one";
 const ONE_STREAM: &str = "one event stream";
 const ONE_COPY: &str = "one copy per telemetry fact";
+const HARNESS: &str = "one evaluation harness";
+const GRID: &str = "one experiment grid";
+const CONTROL_LOOP: &str = "one control loop";
+const TRACE_WORKLOAD: &str = "a recorded trace is a workload";
+const CELL_LIST: &str = "every study is a cell list";
+const OUT_DIR: &str = "one `--out-dir` per command";
 
 /// Everything but the benchmark, which keeps its own names.
 const SOURCES: &[&str] = &["crates", "tests", "examples"];
 /// The crates and the examples.
 const CRATES: &[&str] = &["crates", "examples"];
+/// The grid modules and the CLI, which render grids.
+const GRID_RENDERERS: &[&str] = &[
+    "crates/core/src/campaign.rs",
+    "crates/core/src/sweeps.rs",
+    "crates/core/src/bench.rs",
+    "crates/cli/src",
+];
+/// The evaluation's studies.
+const STUDIES: &[&str] = &["crates/bench/src/studies.rs"];
+/// The CLI and the examples.
+const FRONT_ENDS: &[&str] = &["crates/cli/src", "examples"];
 
 const REMOVED: &[Removed] = &[
     // SimConfig keeps only what a caller varies: the fixed scalars are
@@ -203,6 +223,67 @@ const REMOVED: &[Removed] = &[
         except: &[("tests/tests/prof.rs", "noc_prof_")],
         ..removed("noc_prof_", ONE_COPY, Text, SOURCES)
     },
+    // One evaluation harness: behaviour is set by arguments, never by the
+    // environment.
+    removed("env::var", HARNESS, Text, CRATES),
+    // One experiment grid: no per-kind row type, and no renderer takes a
+    // run key apart — a cell's identity comes from the cell list by index.
+    removed("CampaignRow", GRID, Text, GRID_RENDERERS),
+    removed("LoadPoint", GRID, Text, GRID_RENDERERS),
+    removed("ServePoint", GRID, Text, GRID_RENDERERS),
+    removed("BenchRunMetrics", GRID, Text, GRID_RENDERERS),
+    removed("split('/')", GRID, Text, GRID_RENDERERS),
+    // One control loop: the removed drivers stay removed, and the studies
+    // build no network, no agent bank, pre-train nothing outside the
+    // evaluation's cache and never take an unchecked outcome.
+    removed("run_to_completion", CONTROL_LOOP, Text, CRATES),
+    removed("mesh_scaling", CONTROL_LOOP, Text, CRATES),
+    removed("ScalePoint", CONTROL_LOOP, Text, CRATES),
+    removed("run_experiment(", CONTROL_LOOP, Text, STUDIES),
+    removed("Network::new", CONTROL_LOOP, Text, STUDIES),
+    removed("RlControl::new", CONTROL_LOOP, Text, STUDIES),
+    removed("pretrain_intellinoc", CONTROL_LOOP, Text, STUDIES),
+    // Every study is a cell list: no second driver, no unchecked run, no
+    // per-table walk of the agent bank.
+    removed("run_experiment_with", CELL_LIST, Text, CRATES),
+    removed("run_checked", CELL_LIST, Text, CRATES),
+    removed("for_each_table", CELL_LIST, Text, CRATES),
+    // A recorded trace is a workload: the CLI and the examples build and
+    // step no network of their own.
+    removed("Network::", TRACE_WORKLOAD, Text, FRONT_ENDS),
+    removed("run_cycles", TRACE_WORKLOAD, Text, FRONT_ENDS),
+    removed("with_workload", TRACE_WORKLOAD, Text, FRONT_ENDS),
+    // One `--out-dir` per command: each artifact has a fixed name under
+    // it, so no command takes a path flag per artifact; `profile` is
+    // `bench record --profile`; the trace has no CSV form; the runner
+    // sums no recorder drops.
+    removed("trace-out", OUT_DIR, Text, SOURCES),
+    removed("metrics-out", OUT_DIR, Text, SOURCES),
+    removed("blackbox-dir", OUT_DIR, Text, SOURCES),
+    removed("profile-out", OUT_DIR, Text, SOURCES),
+    removed("prof-out", OUT_DIR, Text, SOURCES),
+    removed("flame-out", OUT_DIR, Text, SOURCES),
+    removed("journeys-out", OUT_DIR, Text, SOURCES),
+    removed("perfetto-out", OUT_DIR, Text, SOURCES),
+    removed("journey-report-out", OUT_DIR, Text, SOURCES),
+    removed("journey-csv-out", OUT_DIR, Text, SOURCES),
+    removed("report-out", OUT_DIR, Text, SOURCES),
+    removed("heatmap-dir", OUT_DIR, Text, SOURCES),
+    removed("decisions-out", OUT_DIR, Text, SOURCES),
+    removed("convergence-out", OUT_DIR, Text, SOURCES),
+    removed("csv-out", OUT_DIR, Text, SOURCES),
+    removed("journeys-dir", OUT_DIR, Text, SOURCES),
+    removed("runner-log", OUT_DIR, Text, SOURCES),
+    removed("--out", OUT_DIR, Flag, SOURCES),
+    removed("get(\"out\")", OUT_DIR, Text, SOURCES),
+    removed("fresh-out", OUT_DIR, Text, SOURCES),
+    removed("Some(\"profile\")", OUT_DIR, Text, &["crates/cli/src/main.rs"]),
+    removed("commands::profile", OUT_DIR, Text, SOURCES),
+    removed("tracer.to_csv", OUT_DIR, Text, SOURCES),
+    removed("fn to_csv", OUT_DIR, Text, &["crates/telemetry/src/tracer.rs"]),
+    removed("write_csv", OUT_DIR, Word, SOURCES),
+    removed("CSV_HEADER", OUT_DIR, Word, SOURCES),
+    removed("recorder_drops", OUT_DIR, Word, SOURCES),
 ];
 
 fn is_ident(c: char) -> bool {
@@ -218,6 +299,7 @@ fn names(line: &str, name: &str, how: Match) -> bool {
             Text => true,
             Word => free_after && !before.ends_with(is_ident),
             End => free_after,
+            Flag => free_after && !after.starts_with('-'),
             Impl => {
                 let head = before.strip_suffix("serde::").unwrap_or(before);
                 let Some(head) = head.strip_suffix(' ') else { return false };
@@ -296,4 +378,8 @@ fn the_matcher_reads_each_kind() {
     assert!(!names("#[derive(Serialize, Deserialize)]", "Serialize", Impl));
     assert!(!names("impl<'de> Deserialize<'de> for Bar {", "Deserialize", Impl));
     assert!(names("--tenant-quota 3", "tenant-quota", Text));
+    assert!(names("bench record --out pin.json", "--out", Flag));
+    assert!(names(r#"["--out", path]"#, "--out", Flag));
+    assert!(!names("bench record --out-dir d", "--out", Flag));
+    assert!(!names("--outer 1", "--out", Flag));
 }

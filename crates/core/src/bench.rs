@@ -1,7 +1,7 @@
 //! The design × workload × seed grid ([`BenchSpec::cells`], the one
-//! builder of such cells: `bench record|compare`, `profile` and `figures`'
-//! campaign) and the noise-aware regression gate behind `intellinoc bench
-//! record` / `bench compare`. A workload is a uniform rate or a PARSEC
+//! builder of such cells: `bench record|compare` and `figures`' campaign)
+//! and the noise-aware regression gate behind `intellinoc bench record` /
+//! `bench compare`. A workload is a uniform rate or a PARSEC
 //! profile ([`BenchWorkload`]). Seeds pair the designs of a PARSEC cell:
 //! every design of a benchmark runs seed `k` on the same traffic (`k = 0`
 //! is the master seed), so a normalization to SECDED compares like with
@@ -167,9 +167,9 @@ impl BenchSpec {
 
     /// The grid: `seeds` runs per (design, workload) cell — design-major,
     /// then workload, then seed — and the one place a grid unit of a bench
-    /// baseline, a `profile` run or a `figures` campaign is built. A rate
-    /// cell is keyed `bench/<design>/r<rate>/s<k>` and seeded from
-    /// `(master_seed, key)`, open- or closed-loop; a PARSEC cell is keyed
+    /// baseline or a `figures` campaign is built. A rate cell is keyed
+    /// `bench/<design>/r<rate>/s<k>` and seeded from `(master_seed, key)`,
+    /// open- or closed-loop; a PARSEC cell is keyed
     /// `bench/<design>/<bench>/s<k>` and runs seed `k` of the spec, shared
     /// by every design.
     #[must_use]

@@ -8,9 +8,9 @@
 //! a grid of them:
 //! [`run_grid`] over a list of `(run key, ExperimentConfig)` cells, the one
 //! caller of the `noc-runner` engine and of [`UnitSinks::run_unit`].
-//! `campaign`, `sweep`, `bench`, `profile`, `serve` and the `figures`
-//! studies differ only in how they build their cells and how they render
-//! the [`ExperimentOutcome`]s that come back.
+//! `campaign`, `sweep`, `bench`, `serve` and the `figures` studies differ
+//! only in how they build their cells and how they render the
+//! [`ExperimentOutcome`]s that come back.
 
 use crate::controller::{intellinoc_rl_config, ControlPolicy, RewardKind, RlControl};
 use crate::designs::Design;
@@ -31,7 +31,7 @@ use noc_traffic::{ParsecBenchmark, ReqReplySpec, WorkloadSpec};
 use rand::{rngs::SmallRng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -139,9 +139,8 @@ impl TelemetryOptions {
 pub struct MetricsOptions {
     /// Publish snapshots into this hub (`serve`'s `GET /metrics`, tests).
     pub hub: Option<Arc<MetricsHub>>,
-    /// Overwrite this file with the latest snapshot each control step
-    /// (`-` writes to stdout instead).
-    pub file: Option<String>,
+    /// Overwrite this file with the latest snapshot each control step.
+    pub file: Option<PathBuf>,
 }
 
 impl MetricsOptions {
@@ -155,10 +154,8 @@ impl MetricsOptions {
 fn publish_metrics(opts: &MetricsOptions, reg: &MetricsRegistry) {
     let text = render_exposition(reg);
     if let Some(file) = &opts.file {
-        if file == "-" {
-            print!("{text}");
-        } else if let Err(e) = std::fs::write(file, &text) {
-            eprintln!("metrics: cannot write {file}: {e}");
+        if let Err(e) = std::fs::write(file, &text) {
+            eprintln!("metrics: cannot write {}: {e}", file.display());
         }
     }
     if let Some(hub) = &opts.hub {
@@ -258,9 +255,9 @@ pub fn run_experiment(cfg: ExperimentConfig) -> ExperimentOutcome {
 }
 
 /// The fleet-level sinks the units of a grid (`campaign`, `sweep`, `bench`,
-/// `profile`, `serve`) feed besides returning their outcome. Neither sink
-/// perturbs cycle-domain state, so a grid's report is byte-identical with
-/// or without them (pinned by integration tests).
+/// `serve`) feed besides returning their outcome. Neither sink perturbs
+/// cycle-domain state, so a grid's report is byte-identical with or without
+/// them (pinned by integration tests).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct UnitSinks<'a> {
     /// Fleet profiler: every unit runs with span profiling on and merges

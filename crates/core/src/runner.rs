@@ -345,10 +345,6 @@ pub struct RunnerReport<T> {
     /// parallel execution; excluded from serialized reports).
     #[serde(skip)]
     pub events: Vec<RunnerEvent>,
-    /// Flight-recorder ring evictions summed across the fleet (black box
-    /// configured only; excluded from serialized reports).
-    #[serde(skip)]
-    pub recorder_drops: u64,
 }
 
 impl<T> RunnerReport<T> {
@@ -691,9 +687,6 @@ struct Shared<T> {
     events: Vec<RunnerEvent>,
     done: Vec<(usize, UnitRecord<T>)>,
     first_error: Option<String>,
-    /// Flight-recorder ring evictions summed across units (black box
-    /// configured only) — surfaced in the fleet profile note.
-    recorder_drops: u64,
 }
 
 /// Runs one unit to a terminal record: one attempt under `catch_unwind`,
@@ -725,12 +718,6 @@ where
         assert!(!chaos.panics(key), "chaos: forced panic for unit {key}");
         exec(&ctx)
     }));
-    if let Some(rec) = recorder.as_ref() {
-        let dropped = lock_recorder(rec).counters().dropped_total();
-        if dropped > 0 {
-            shared.lock().expect("runner state lock").recorder_drops += dropped;
-        }
-    }
     let dump = |cause: BundleCause, detail: &str, extras: &[(&str, String)]| {
         let (Some(dir), Some(rec)) = (cfg.blackbox.as_ref(), recorder.as_ref()) else {
             return;
@@ -943,7 +930,6 @@ where
         events,
         done: Vec::with_capacity(dispatch.len()),
         first_error: None,
-        recorder_drops: 0,
     });
 
     let workers = cfg.jobs.max(1).min(dispatch.len().max(1));
@@ -999,7 +985,7 @@ where
             });
         }
     }
-    Ok(RunnerReport { records, events: state.events, recorder_drops: state.recorder_drops })
+    Ok(RunnerReport { records, events: state.events })
 }
 
 #[cfg(test)]

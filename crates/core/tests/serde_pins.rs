@@ -186,7 +186,6 @@ fn json_writers_are_pinned() {
                 record("u/1", RunStatus::Failed, None),
             ],
             events: Vec::new(),
-            recorder_drops: 9,
         }),
     ];
     let rendered: String = lines.into_iter().map(|l| l.expect("serializes") + "\n").collect();

@@ -328,7 +328,7 @@ impl EventKind {
         EventKind::TxnShed,
     ];
 
-    /// Canonical name used in the JSONL/CSV `kind` field.
+    /// Canonical name used in the JSONL `kind` field.
     pub fn name(self) -> &'static str {
         match self {
             EventKind::PacketInjected => "PacketInjected",
@@ -517,71 +517,6 @@ impl Event {
         }
         out.push('}');
     }
-
-    /// Appends this event as one CSV row matching [`Event::CSV_HEADER`].
-    pub fn write_csv(&self, out: &mut String) {
-        let kind = self.kind().name();
-        let (cycle, router) = (self.cycle(), self.router());
-        let _ = write!(out, "{cycle},{router},{kind}");
-        // Columns: packet,flit_or_dest,bits,scope_or_edge,from,to,state,action,reward
-        match *self {
-            Event::PacketInjected { packet, dest, .. } => {
-                let _ = write!(out, ",{packet},{dest},,,,,,,");
-            }
-            Event::HopTraversed { packet, flit, .. } => {
-                let _ = write!(out, ",{packet},{flit},,,,,,,");
-            }
-            Event::Retransmission { packet, scope, .. } => {
-                let _ = write!(out, ",{packet},,,{},,,,,", scope.label());
-            }
-            Event::EccCorrected { packet, bits, .. } => {
-                let _ = write!(out, ",{packet},,{bits},,,,,,");
-            }
-            Event::ModeSwitch { from, to, .. } => {
-                let _ = write!(out, ",,,,,{from},{to},,,");
-            }
-            Event::PowerGate { edge, .. } => {
-                let _ = write!(out, ",,,,{},,,,,", edge.label());
-            }
-            Event::QUpdate { state, action, reward, .. } => {
-                let _ = write!(out, ",,,,,,,{state},{action},{reward}");
-            }
-            Event::LinkFailed { dir, .. } | Event::LinkRepaired { dir, .. } => {
-                let _ = write!(out, ",,,,{dir},,,,,");
-            }
-            Event::RouterFailed { .. } | Event::RouterRepaired { .. } => {
-                out.push_str(",,,,,,,,,");
-            }
-            Event::Rerouted { packet, from, to, .. } => {
-                let _ = write!(out, ",{packet},,,,{from},{to},,,");
-            }
-            Event::PacketDropped { packet, bits, .. } => {
-                let _ = write!(out, ",{packet},,{bits},,,,,,");
-            }
-            Event::WatchdogStall { state, .. } => {
-                let _ = write!(out, ",,,,,,,{state},,");
-            }
-            // Transaction events reuse the packet column for the txn id and
-            // flit_or_dest for the peer endpoint / bits for the attempt.
-            Event::TxnIssued { txn, peer, .. }
-            | Event::TxnCompleted { txn, peer, .. }
-            | Event::TxnShed { txn, peer, .. } => {
-                let _ = write!(out, ",{txn},{peer},,,,,,,");
-            }
-            Event::TxnTimedOut { txn, attempt, .. } | Event::TxnRetried { txn, attempt, .. } => {
-                let _ = write!(out, ",{txn},,{attempt},,,,,,");
-            }
-            Event::TxnFailed { txn, .. } => {
-                let _ = write!(out, ",{txn},,,,,,,,");
-            }
-        }
-    }
-}
-
-impl Event {
-    /// Header row for the CSV sink.
-    pub const CSV_HEADER: &'static str =
-        "cycle,router,kind,packet,flit_or_dest,bits,scope_or_edge,from,to,state,action,reward";
 }
 
 #[cfg(test)]
@@ -646,14 +581,10 @@ mod tests {
     }
 
     #[test]
-    fn csv_column_count_matches_header_for_every_kind() {
-        let header_cols = Event::CSV_HEADER.split(',').count();
+    fn jsonl_names_the_kind_of_every_event() {
         for kind in EventKind::ALL {
             let e = sample(kind);
             assert_eq!(e.kind(), kind);
-            let mut row = String::new();
-            e.write_csv(&mut row);
-            assert_eq!(row.split(',').count(), header_cols, "{}: row `{row}`", kind.name());
             let mut json = String::new();
             e.write_jsonl(&mut json);
             assert!(json.contains(kind.name()), "{}: json `{json}`", kind.name());

@@ -8,7 +8,7 @@
 //!    [`Event`]s (packet injection, hop traversal, retransmissions, ECC
 //!    corrections, RL mode switches, power gating, Q-learning updates) into a
 //!    bounded ring buffer, optionally filtered per router and per event kind,
-//!    and drained to JSONL or CSV sinks.
+//!    and drained to JSON Lines.
 //! 2. [`RunTimeline`] — a metrics time-series sampled once per control time
 //!    step (latency, power, temperature, aging, mode mix, retransmission
 //!    counts), returned to the API caller and fed to the flight recorder.

@@ -50,9 +50,6 @@ pub enum RunnerEvent {
         span_truncations: u64,
         /// Unmatched `span_exit` calls observed.
         unbalanced_exits: u64,
-        /// Records the flight recorder's rings evicted (all rings summed);
-        /// non-zero means post-mortem bundles are truncated to ring tails.
-        recorder_drops: u64,
     },
     /// A post-mortem bundle was dumped for a dying unit.
     PostmortemDumped {
@@ -103,13 +100,10 @@ impl RunnerEvent {
             RunnerEvent::UnitSkipped { reason, .. } => {
                 let _ = write!(s, ",\"reason\":{}", json_str(reason));
             }
-            RunnerEvent::ProfileNote {
-                span_truncations, unbalanced_exits, recorder_drops, ..
-            } => {
+            RunnerEvent::ProfileNote { span_truncations, unbalanced_exits, .. } => {
                 let _ = write!(
                     s,
-                    ",\"span_truncations\":{span_truncations},\
-                     \"unbalanced_exits\":{unbalanced_exits},\"recorder_drops\":{recorder_drops}"
+                    ",\"span_truncations\":{span_truncations},\"unbalanced_exits\":{unbalanced_exits}"
                 );
             }
             RunnerEvent::PostmortemDumped { cause, path, .. } => {
@@ -147,7 +141,6 @@ mod tests {
                 key: "fleet".into(),
                 span_truncations: 1,
                 unbalanced_exits: 0,
-                recorder_drops: 7,
             },
             RunnerEvent::PostmortemDumped {
                 key: "a/b".into(),
@@ -159,9 +152,8 @@ mod tests {
         assert_eq!(jsonl.lines().count(), 6);
         assert!(jsonl.contains(r#""event":"profile-note""#));
         assert!(jsonl.contains(
-            r#"{"event":"profile-note","key":"fleet","span_truncations":1,"unbalanced_exits":0,"recorder_drops":7}"#
+            r#"{"event":"profile-note","key":"fleet","span_truncations":1,"unbalanced_exits":0}"#
         ));
-        assert!(jsonl.contains(r#""recorder_drops":7"#));
         assert!(jsonl.contains(r#""event":"postmortem-dumped""#));
         assert!(jsonl.contains(r#""cause":"stall""#));
         assert!(jsonl.contains(r#"{"event":"unit-started","key":"a/b"}"#));

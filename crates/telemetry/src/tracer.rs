@@ -155,19 +155,6 @@ impl Tracer {
         out
     }
 
-    /// Renders the shown events as CSV with a header row.
-    #[must_use]
-    pub fn to_csv(&self) -> String {
-        let mut out = String::with_capacity(self.len() * 48 + 64);
-        out.push_str(Event::CSV_HEADER);
-        out.push('\n');
-        for e in self.events() {
-            e.write_csv(&mut out);
-            out.push('\n');
-        }
-        out
-    }
-
     /// Count of shown events of one kind.
     pub fn count_of(&self, kind: EventKind) -> usize {
         self.events().filter(|e| e.kind() == kind).count()
@@ -252,7 +239,5 @@ mod tests {
         let jsonl = t.to_jsonl();
         assert_eq!(jsonl.lines().count(), 2);
         assert!(jsonl.contains("\"kind\":\"ModeSwitch\""));
-        let csv = t.to_csv();
-        assert_eq!(csv.lines().count(), 3); // header + 2 rows
     }
 }

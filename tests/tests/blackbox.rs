@@ -6,12 +6,12 @@
 
 use intellinoc::{
     run_campaign_runner, run_experiment_instrumented, run_units, CampaignConfig, ChaosOptions,
-    Design, ExperimentConfig, RunnerConfig, TelemetryOptions, TimeoutReport, UnitCtx, UnitSinks,
-    UnitVerdict,
+    Design, ExperimentConfig, RunStatus, RunnerConfig, TelemetryOptions, TimeoutReport, UnitCtx,
+    UnitSinks, UnitVerdict,
 };
 use noc_sim::{
-    parse_bundle, parse_rules, render_report, AlertEdge, BundleCause, BundleHead, Event,
-    RunnerEvent, StallReport, TraceFilter, Tracer,
+    parse_bundle, parse_rules, render_report, AlertEdge, BundleCause, BundleHead, Event, Network,
+    ProbeConfig, Profiler, RunnerEvent, SimConfig, StallReport, TraceFilter, Tracer,
 };
 use noc_traffic::{ParsecBenchmark, WorkloadSpec};
 use std::path::PathBuf;
@@ -132,6 +132,44 @@ fn dying_units_dump_bundles_for_every_cause() {
         assert!(r1.starts_with("# Post-mortem:"), "{name}: {r1}");
         assert!(r1.contains("bb/"), "{name}: report must name the unit key");
     }
+}
+
+/// A unit that panics with a live `Network` — built on the recorder the
+/// runner hands it, profiled and journey-traced, stepped 300 cycles —
+/// hands the probe's tail over as the network unwinds, so the `panic`
+/// bundle on disk holds the event tail, the span table and the slowest
+/// journeys. (A `--force-panic` unit panics before any network exists; its
+/// bundle holds a head and counters only.)
+#[test]
+fn a_unit_that_panics_mid_run_bundles_events_spans_and_journeys() {
+    let dir = temp_dir("mid-run-panic");
+    let cfg = RunnerConfig { blackbox: Some(dir.clone()), ..RunnerConfig::serial() };
+    let keys = vec!["bb/mid-run".to_owned()];
+    let exec = |ctx: &UnitCtx| -> UnitVerdict<u64> {
+        let workload = WorkloadSpec::uniform(0.05, 400);
+        let mut net = Network::new(SimConfig::default(), workload, ctx.seed);
+        net.install_probe(ProbeConfig {
+            profiler: Some(Profiler::new()),
+            blackbox: ctx.recorder.clone(),
+            journeys: Some((ctx.seed, 1)),
+            ..ProbeConfig::default()
+        });
+        net.run_cycles(300);
+        panic!("the unit dies at cycle {}", net.now());
+    };
+    let report = run_units(7, &keys, &cfg, &ChaosOptions::default(), exec).unwrap();
+    assert_eq!(report.records[0].status, RunStatus::Failed);
+    assert_eq!(bundle_files(&dir), ["postmortem-bb_mid-run.jsonl"]);
+    let text = std::fs::read_to_string(dir.join("postmortem-bb_mid-run.jsonl")).unwrap();
+    let bundle = parse_bundle(&text).expect("bundle parses");
+    assert_eq!(bundle.cause, "panic");
+    assert!(bundle.detail.contains("the unit dies at cycle 300"), "{}", bundle.detail);
+    assert!(text.lines().any(|l| l.starts_with("{\"record\":\"event\"")), "no event lines");
+    assert!(!bundle.events.is_empty(), "no event tail");
+    let spans = bundle.spans_table.expect("the spans record");
+    assert!(spans.lines().any(|l| l.trim_start().starts_with("step_cycle ")), "{spans}");
+    assert!(!bundle.journeys.is_empty(), "no journeys");
+    assert!(bundle.counters.journeys_recorded > 0, "{:?}", bundle.counters);
 }
 
 /// The flight recorder must not perturb the simulation: the same campaign
@@ -302,7 +340,7 @@ fn alert_rules_fire_end_to_end_without_perturbing_the_run() {
 }
 
 /// The CLI `run` path: a critical rule breached mid-run triggers a
-/// flight-recorder bundle dump into `--blackbox-dir`, and the bundle
+/// flight-recorder bundle dump into `--out-dir`, and the bundle
 /// renders deterministically. A non-critical rule must not dump.
 #[test]
 fn cli_run_dumps_critical_alert_bundle() {
@@ -324,7 +362,7 @@ fn cli_run_dumps_critical_alert_bundle() {
                 "3",
                 "--alert-rules",
                 rules,
-                "--blackbox-dir",
+                "--out-dir",
                 dir.to_str().unwrap(),
             ]
             .map(String::from),
