@@ -35,10 +35,6 @@ pub enum CmdOutcome {
 /// Result type of every subcommand.
 pub type CmdResult = Result<CmdOutcome, String>;
 
-/// Slowest packets a journey tail report walks, both in `run`'s and in the
-/// `journeys` analyzer's (so the two reports of one log are equal).
-const JOURNEYS_TOP: usize = 5;
-
 /// Parses a design name as accepted on the command line.
 ///
 /// # Errors
@@ -167,6 +163,16 @@ fn runner_config_from(args: &Args) -> Result<(RunnerConfig, ChaosOptions), Strin
     Ok((cfg, chaos))
 }
 
+/// `--journeys-every N` (0, the default, is off), on every command that
+/// simulates: the logs go under `--out-dir`, so tracing needs one.
+fn journeys_every(args: &Args) -> Result<u64, String> {
+    let every = args.get_or("journeys-every", 0u64)?;
+    if every > 0 && args.get("out-dir").is_none() {
+        return Err("--journeys-every needs --out-dir DIR".into());
+    }
+    Ok(every)
+}
+
 /// Parses `--error-rate`: a per-bit probability, so finite and in [0, 1].
 /// `NaN` in particular would reach the fault injector as a rate no
 /// comparison is ever true for.
@@ -192,7 +198,7 @@ fn emit_profile(out: Option<&OutDir>, table: &str, tree: &SpanTree) -> Result<()
 }
 
 /// What a grid command (`sweep`, `campaign`, `bench`) still owes after
-/// [`run_grid_command`] and its own rendering: [`GridEpilogue::finish`].
+/// [`run_grid_command`]: [`GridEpilogue::finish`].
 struct GridEpilogue {
     label: &'static str,
     out: Option<OutDir>,
@@ -223,15 +229,13 @@ fn run_grid_command(
         rcfg.observer = Some(Arc::new(progress));
     }
     let sink = args.has_flag("profile").then(|| Mutex::new(Profiler::new()));
-    let journeys = match (args.get_or("journeys-every", 0u64)?, &out) {
-        (0, _) => None,
-        (every, Some(out)) => Some((out.subdir("journeys")?, every)),
-        (_, None) => return Err("--journeys-every needs --out-dir DIR on a grid".into()),
+    let every = journeys_every(args)?;
+    let journeys = match &out {
+        Some(out) if every > 0 => Some(out.subdir("journeys")?),
+        _ => None,
     };
-    let sinks = UnitSinks {
-        prof: sink.as_ref(),
-        journeys: journeys.as_ref().map(|(dir, every)| (dir.as_path(), *every)),
-    };
+    let sinks =
+        UnitSinks { prof: sink.as_ref(), journeys: journeys.as_deref().map(|d| (d, every)) };
     let report = run_grid(cells, &rcfg, &chaos, sinks)?;
     let prof = sink.map(|sink| sink.into_inner().expect("profiler sink lock"));
     Ok((report, GridEpilogue { label, out, prof }))
@@ -239,15 +243,15 @@ fn run_grid_command(
 
 impl GridEpilogue {
     /// The epilogue the grid commands share, once the command has rendered
-    /// `report`: the lifecycle events (`runner.jsonl`, with a trailing
-    /// profile health note when profiling ran), the profile files, the
-    /// status summary line, and the exit code: partial unless every unit
-    /// finished `ok`.
-    fn finish(self, report: &RunnerReport<ExperimentOutcome>) -> CmdResult {
-        let GridEpilogue { label, out, prof } = self;
-        if let Some(out) = &out {
+    /// `report` (`bench`: before it folds, which fails on a unit not `ok`):
+    /// the lifecycle events (`runner.jsonl`, with a trailing profile health
+    /// note when profiling ran), the profile files, the status summary line,
+    /// and the exit code: partial unless every unit finished `ok`.
+    fn finish(&self, report: &RunnerReport<ExperimentOutcome>) -> CmdResult {
+        let &GridEpilogue { label, ref out, ref prof } = self;
+        if let Some(out) = out {
             let mut events = report.events.clone();
-            if let Some(p) = &prof {
+            if let Some(p) = prof {
                 events.push(RunnerEvent::ProfileNote {
                     key: label.to_owned(),
                     span_truncations: p.span_tree().truncated_enters(),
@@ -256,7 +260,7 @@ impl GridEpilogue {
             }
             out.write("runner.jsonl", runner_events_jsonl(&events))?;
         }
-        if let Some(p) = &prof {
+        if let Some(p) = prof {
             emit_profile(out.as_ref(), &(p.table() + &report.wall_clock_table()), p.span_tree())?;
         }
         eprintln!("{label}: {}", report.summary());
@@ -326,8 +330,8 @@ fn print_outcome(o: &ExperimentOutcome, json: bool) -> Result<(), String> {
 /// Builds the run's telemetry switches from the command line.
 ///
 /// Tracing turns on with `--trace` or `--trace-filter`, profiling with
-/// `--profile`, journey tracing with `--journeys-every N`; `--out-dir`
-/// rewrites its `metrics.prom` every control step.
+/// `--profile`, journey tracing with `--journeys-every N` (which needs
+/// `--out-dir`); `--out-dir` rewrites its `metrics.prom` every control step.
 fn telemetry_from(args: &Args, out: Option<&OutDir>) -> Result<TelemetryOptions, String> {
     let trace_filter = match args.get("trace-filter") {
         Some(spec) => TraceFilter::parse(spec)?,
@@ -337,7 +341,7 @@ fn telemetry_from(args: &Args, out: Option<&OutDir>) -> Result<TelemetryOptions,
         trace: args.has_flag("trace") || args.get("trace-filter").is_some(),
         trace_filter,
         profile: args.has_flag("profile"),
-        journeys_every: args.get_or("journeys-every", 0u64)?,
+        journeys_every: journeys_every(args)?,
         metrics: MetricsOptions { hub: None, file: out.map(|o| o.dir.join("metrics.prom")) },
         alert_rules: match args.get("alert-rules") {
             Some(spec) => parse_rules(spec)?,
@@ -350,9 +354,9 @@ fn telemetry_from(args: &Args, out: Option<&OutDir>) -> Result<TelemetryOptions,
 }
 
 /// Writes the collected telemetry artifacts: under `--out-dir` the trace,
-/// the profile files and the journey log; on stderr the alert transitions
-/// and the trace's counts; on stdout the profile table (without
-/// `--out-dir`) and the journeys' tail report.
+/// the profile files and the journey log; on stderr the alert transitions,
+/// the trace's counts and the journeys' counts; on stdout the profile table
+/// (without `--out-dir`).
 fn emit_telemetry(out: Option<&OutDir>, artifacts: &TelemetryArtifacts) -> Result<(), String> {
     // Structured alert transitions, one JSONL object per firing/resolved
     // edge (stderr, like the runner's lifecycle events).
@@ -389,7 +393,6 @@ fn emit_telemetry(out: Option<&OutDir>, artifacts: &TelemetryArtifacts) -> Resul
         if let Some(out) = out {
             out.write("journeys.jsonl", log.to_jsonl())?;
         }
-        print!("{}", log.tail_report(JOURNEYS_TOP));
     }
     Ok(())
 }
@@ -596,7 +599,7 @@ pub fn trace(args: &Args) -> CmdResult {
                 r.avg_latency(),
                 if outcome.finished { "complete" } else { "INCOMPLETE" }
             );
-            Ok(CmdOutcome::Done)
+            Ok(if outcome.finished { CmdOutcome::Done } else { CmdOutcome::Partial })
         }
         _ => Err("usage: intellinoc trace <capture|replay> <path> [options]".into()),
     }
@@ -754,6 +757,7 @@ fn bench_record_cmd(args: &Args) -> CmdResult {
         cells.len()
     );
     let (report, epilogue) = run_grid_command(args, "bench", &cells)?;
+    epilogue.finish(&report)?;
     let baseline = BenchBaseline::from_report(&name, &spec, &report)?;
     let cwd = OutDir { dir: PathBuf::new(), label: "bench" };
     let out = epilogue.out.as_ref().unwrap_or(&cwd);
@@ -771,7 +775,7 @@ fn bench_record_cmd(args: &Args) -> CmdResult {
             c.energy_per_flit_pj.ci95,
         );
     }
-    epilogue.finish(&report)
+    Ok(CmdOutcome::Done)
 }
 
 /// `intellinoc bench compare` — re-run the baseline's grid (its fresh
@@ -789,6 +793,7 @@ fn bench_compare_cmd(args: &Args) -> CmdResult {
         cells.len()
     );
     let (report, epilogue) = run_grid_command(args, "bench", &cells)?;
+    epilogue.finish(&report)?;
     let fresh = BenchBaseline::from_report(&baseline.name, &baseline.spec, &report)?;
     if let Some(out) = &epilogue.out {
         out.write("fresh.json", fresh.to_json()?)?;
@@ -801,7 +806,6 @@ fn bench_compare_cmd(args: &Args) -> CmdResult {
     } else {
         print!("{}", cmp.table());
     }
-    epilogue.finish(&report)?;
     Ok(if cmp.has_regressions() { CmdOutcome::Partial } else { CmdOutcome::Done })
 }
 
@@ -833,10 +837,9 @@ pub fn postmortem(args: &Args) -> CmdResult {
 }
 
 /// `intellinoc journeys <journeys.jsonl>` — analyze a recorded journey log:
-/// the deterministic tail-latency critical-path report on stdout or, under
-/// `--out-dir`, as `tail-report.md` next to the per-(router, cause)
-/// tail-contribution CSV and the Perfetto trace-event JSON. Byte-identical
-/// across renders of the same log.
+/// the deterministic tail-latency critical-path report, walking the five
+/// slowest journeys, on stdout or, under `--out-dir`, as `tail-report.md`.
+/// Byte-identical across renders of the same log.
 pub fn journeys(args: &Args) -> CmdResult {
     let path = args
         .positional
@@ -844,13 +847,9 @@ pub fn journeys(args: &Args) -> CmdResult {
         .ok_or("usage: intellinoc journeys <journeys.jsonl> [--out-dir DIR]")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let log = JourneyLog::from_jsonl(&text)?;
-    let report = log.tail_report(JOURNEYS_TOP);
+    let report = log.tail_report(5);
     match OutDir::from(args, "journeys")? {
-        Some(out) => {
-            out.write("tail-report.md", report)?;
-            out.write("tail-contrib.csv", log.tail_contribution_csv())?;
-            out.write("perfetto.json", log.perfetto_json())?;
-        }
+        Some(out) => out.write("tail-report.md", report)?,
         None => print!("{report}"),
     }
     Ok(CmdOutcome::Done)

@@ -112,9 +112,8 @@ fn usage() {
     eprintln!("           POST /api/drain stops it (running chunks get 10 s)");
     eprintln!("  postmortem  render a flight-recorder bundle as deterministic markdown");
     eprintln!("           <bundle.jsonl> [--out-dir DIR]");
-    eprintln!("  journeys analyze a recorded journey log: tail-latency critical path,");
-    eprintln!("           per-(router, cause) contributions, Perfetto export");
-    eprintln!("           <journeys.jsonl> [--out-dir DIR]");
+    eprintln!("  journeys analyze a recorded journey log: the tail-latency critical-path");
+    eprintln!("           report <journeys.jsonl> [--out-dir DIR]");
     eprintln!("  list     known designs and benchmarks");
     eprintln!();
     eprintln!("OUTPUT (--out-dir DIR: one directory, fixed file names; DESIGN.md \u{a7}16):");
@@ -127,15 +126,15 @@ fn usage() {
     eprintln!("  grids         runner.jsonl, postmortem-<key>.jsonl (dying units),");
     eprintln!("                journeys/ (--journeys-every N), the --profile files;");
     eprintln!("                campaign.csv, BENCH_<name>.json, fresh.json");
-    eprintln!("  journeys      tail-report.md tail-contrib.csv perfetto.json");
+    eprintln!("  journeys      tail-report.md");
     eprintln!("  postmortem    postmortem.md");
     eprintln!("  Without it: reports on stdout, nothing written (bench record writes");
     eprintln!("  BENCH_<name>.json in the working directory).");
     eprintln!();
     eprintln!("JOURNEY TRACING (per-packet hop spans; DESIGN.md \u{a7}18):");
-    eprintln!("  --journeys-every N    trace 1-in-N packets; run/inspect print the tail");
-    eprintln!("                        report; grids need --out-dir (journeys-<key>.jsonl");
-    eprintln!("                        per unit); analyze a log with `journeys`");
+    eprintln!("  --journeys-every N    trace 1-in-N packets; needs --out-dir (run/inspect:");
+    eprintln!("                        journeys.jsonl; grids: journeys-<key>.jsonl per unit);");
+    eprintln!("                        analyze a log with `journeys`");
     eprintln!("  serve: jobs submitted with \"journeys_every\": N expose their logs at");
     eprintln!("               GET /api/jobs/<id>/journeys");
     eprintln!();

@@ -347,29 +347,26 @@ fn profile_honours_the_closed_loop_workload() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The trace `examples/trace_roundtrip.rs` replays, captured and replayed
+/// through the binary: every design, each under its own controller (CPD's
+/// heuristic, IntelliNoC's agents), drains it and exits 0; a replay that did
+/// not drain would print `INCOMPLETE` and exit 2.
 #[test]
 fn trace_capture_then_replay() {
-    let dir = std::env::temp_dir().join("intellinoc-cli-test");
+    let dir = std::env::temp_dir().join(format!("intellinoc-cli-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("t.jsonl");
-    let path_s = path.to_str().unwrap().to_owned();
-    let cap = Args::parse(
-        format!("trace capture {path_s} --rate 0.05 --ppn 3 --seed 4")
-            .split_whitespace()
-            .map(str::to_owned),
-    );
-    assert!(intellinoc_cli::commands::trace(&cap).is_ok());
-    // Replay runs through the control loop, so every design replays under
-    // its own controller (CPD's heuristic, IntelliNoC's agents).
+    let path = path.to_str().unwrap();
+    let (code, _, stderr) =
+        intellinoc(&format!("trace capture {path} --benchmark ferret --ppn 60 --seed 77"));
+    assert_eq!(code, Some(0), "{stderr}");
     for design in ["secded", "eb", "cp", "cpd", "intellinoc"] {
-        let rep = Args::parse(
-            format!("trace replay {path_s} --design {design}")
-                .split_whitespace()
-                .map(str::to_owned),
-        );
-        assert_eq!(intellinoc_cli::commands::trace(&rep), Ok(CmdOutcome::Done), "{design}");
+        let (code, stdout, stderr) =
+            intellinoc(&format!("trace replay {path} --design {design} --seed 77"));
+        assert_eq!(code, Some(0), "{design}: {stderr}");
+        assert!(stdout.trim_end().ends_with(", complete"), "{design}: {stdout}");
     }
-    let _ = std::fs::remove_file(path);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The replay line of a captured ferret trace on each design whose network

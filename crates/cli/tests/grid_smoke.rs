@@ -1,8 +1,9 @@
 //! The grid commands under the execution engine, driven through the binary:
 //! serial against parallel runs, a journal resumed at another worker count,
-//! forced timeouts, and closed-loop campaigns whose auditor trips or whose
-//! timed-out cell leaves a post-mortem bundle. Exit codes: 0 clean, 1 a
-//! usage error or a tripped auditor, 2 partial results.
+//! forced timeouts, closed-loop campaigns whose auditor trips or whose
+//! timed-out cell leaves a post-mortem bundle, and bench grids whose dying
+//! units still reach the runner log. Exit codes: 0 clean, 1 a usage error, a
+//! tripped auditor or a bench grid that cannot fold, 2 partial results.
 
 use noc_sim::parse_bundle;
 use std::path::{Path, PathBuf};
@@ -140,5 +141,34 @@ fn a_closed_loop_forced_timeout_leaves_one_bundle() {
     assert!(name.ends_with(".jsonl"), "{name}");
     let text = std::fs::read_to_string(&bundles[0]).expect("read bundle");
     assert_eq!(parse_bundle(&text).expect("bundle parses").cause, "timeout");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A bench grid with dying units cannot fold into a baseline, so `record`
+/// and `compare` exit 1, but only after the grid epilogue: `runner.jsonl`
+/// holds a `postmortem-dumped` line for each dying unit, naming its bundle.
+#[test]
+fn a_bench_grid_with_dying_units_exits_1_after_its_runner_log() {
+    let dir = scratch("bench-panic");
+    let (code, _) = intellinoc(&dir, "bench record --grid ci --name ci --out-dir base");
+    assert_eq!(code, 0, "the clean baseline");
+    for (out, line) in [
+        ("record", "bench record --grid ci --name ci"),
+        ("compare", "bench compare --baseline base/BENCH_ci.json"),
+    ] {
+        let (code, _) = intellinoc(&dir, &format!("{line} --force-panic SECDED --out-dir {out}"));
+        assert_eq!(code, 1, "{line}: no baseline folds from a failed unit");
+        let log = read(&dir, &format!("{out}/runner.jsonl"));
+        for seed in 0..2 {
+            let key = format!("bench/SECDED/r0.1/s{seed}");
+            let dumped = format!(
+                "{{\"event\":\"postmortem-dumped\",\"key\":\"{key}\",\"cause\":\"panic\",\
+                 \"path\":\"{out}/postmortem-bench_SECDED_r0.1_s{seed}.jsonl\"}}"
+            );
+            assert!(log.lines().any(|l| l == dumped), "{line}: no `{dumped}` in\n{log}");
+            let bundle = read(&dir, &format!("{out}/postmortem-bench_SECDED_r0.1_s{seed}.jsonl"));
+            assert_eq!(parse_bundle(&bundle).expect("bundle parses").key, key);
+        }
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,15 +1,13 @@
 //! Journey tracing, driven through the binary: a traced run writes the same
-//! journey log and prints the same tail report every time; the analyzer
-//! renders the same tail report, tail-contribution CSV and Perfetto trace
-//! from the log every time, and its tail report is the run's; the Perfetto
-//! trace is valid JSON with every track's slices in time order;
-//! tracing perturbs no campaign byte and collects the same logs at any
-//! worker count; closed-loop transaction legs survive the analyzer; `run`
-//! and `inspect` write the same journey bytes; a hostile log is refused
-//! naming its line. The last test keeps the simulator at one packet clock:
-//! one in-flight table, no second tracker.
+//! journey log every time and prints what the untraced run prints; the
+//! analyzer writes one file, the same tail report every time; tracing needs
+//! `--out-dir` on every command; tracing perturbs no campaign byte and
+//! collects the same logs at any worker count; closed-loop transaction legs
+//! survive the analyzer; `run` and `inspect` write the same journey bytes; a
+//! hostile log is refused naming its line. The last test keeps the
+//! simulator at one packet clock: one in-flight table, no second tracker.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -55,56 +53,62 @@ fn files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
         .collect()
 }
 
-/// The Perfetto export is valid JSON, has slices, and each `(pid, tid)`
-/// track's slice timestamps never go backwards. Returns the slice count.
-fn check_perfetto(bytes: &[u8]) -> usize {
-    let text = std::str::from_utf8(bytes).expect("UTF-8 trace");
-    let doc: serde::Content = serde_json::from_str(text).expect("Perfetto trace is valid JSON");
-    let events = doc.get("traceEvents").and_then(serde::Content::as_seq).expect("traceEvents");
-    let mut last: HashMap<(u64, u64), f64> = HashMap::new();
-    let mut slices = 0;
-    for e in events.iter().filter(|e| e.get("ph").and_then(serde::Content::as_str) == Some("X")) {
-        let field = |k| e.get(k).unwrap_or_else(|| panic!("slice without {k}"));
-        let track = (field("pid").as_u64().expect("pid"), field("tid").as_u64().expect("tid"));
-        let ts = field("ts").as_f64().expect("ts");
-        let prev = last.entry(track).or_insert(0.0);
-        assert!(ts >= *prev, "track {track:?} went backwards: {ts} after {prev}");
-        *prev = ts;
-        slices += 1;
-    }
-    assert!(slices > 0, "no slice events");
-    slices
-}
-
 const TRACED: &str = "run --design secded --rate 0.02 --ppn 10 --seed 3";
 
+/// A traced run writes the same log every time and prints what the untraced
+/// run prints; the offline analyzer is a pure function of the log bytes and
+/// writes one file.
 #[test]
 fn traced_run_is_deterministic_and_the_analyzer_reproduces_its_report() {
     let dir = scratch("run");
-    let mut stdout = Vec::new();
+    let (code, untraced, err) = intellinoc(&dir, &format!("{TRACED} --out-dir off"));
+    assert_eq!(code, 0, "{err}");
     for n in [1, 2] {
         let (code, out, err) =
             intellinoc(&dir, &format!("{TRACED} --journeys-every 1 --out-dir r{n}"));
         assert_eq!(code, 0, "{err}");
-        stdout.push(out);
+        assert_eq!(out, untraced, "tracing changed run's stdout");
     }
-    assert_eq!(stdout[0], stdout[1], "run's stdout differs");
     assert_eq!(read(&dir, "r1/journeys.jsonl"), read(&dir, "r2/journeys.jsonl"));
-    // The offline analyzer is a pure function of the log bytes, and the
-    // traced run's tail report (the end of its stdout) is the analyzer's
-    // (same top-k).
     ok(&dir, "journeys r1/journeys.jsonl --out-dir a1");
     ok(&dir, "journeys r1/journeys.jsonl --out-dir a2");
-    for name in ["tail-report.md", "tail-contrib.csv", "perfetto.json"] {
-        assert_eq!(read(&dir, &format!("a1/{name}")), read(&dir, &format!("a2/{name}")), "{name}");
+    let a1 = files(&dir.join("a1"));
+    assert_eq!(a1.keys().collect::<Vec<_>>(), ["tail-report.md"], "the analyzer's one file");
+    assert_eq!(a1, files(&dir.join("a2")));
+    let (code, stdout, err) = intellinoc(&dir, "journeys r1/journeys.jsonl");
+    assert_eq!(code, 0, "{err}");
+    assert_eq!(stdout.as_bytes(), a1["tail-report.md"], "stdout is the file's bytes");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+const INSPECTED: &str = "inspect --design secded --rate 0.02 --ppn 10 --seed 3";
+
+/// Journey tracing follows one rule on every command: without `--out-dir`
+/// there is nowhere to write the log, so `--journeys-every` exits 1 before
+/// anything runs. With it, `inspect` prints what it prints untraced and
+/// `run --json` still prints one JSON document.
+#[test]
+fn journey_tracing_needs_an_out_dir_and_leaves_stdout_alone() {
+    let dir = scratch("rule");
+    for command in [TRACED, INSPECTED, "sweep --design secded --rates 0.01 --ppn 4"] {
+        let (code, out, err) = intellinoc(&dir, &format!("{command} --journeys-every 1"));
+        assert_eq!(code, 1, "{command}: {err}");
+        assert!(out.is_empty(), "{command}: {out}");
+        assert!(err.contains("--journeys-every needs --out-dir DIR"), "{command}: {err}");
     }
-    check_perfetto(&read(&dir, "a1/perfetto.json"));
-    let report = String::from_utf8(read(&dir, "a1/tail-report.md")).expect("UTF-8 report");
-    assert!(
-        stdout[0].ends_with(&report),
-        "run's tail report:\n{}\nanalyzer's:\n{report}",
-        stdout[0]
-    );
+    let (code, untraced, err) = intellinoc(&dir, &format!("{INSPECTED} --out-dir i0"));
+    assert_eq!(code, 0, "{err}");
+    let (code, out, err) =
+        intellinoc(&dir, &format!("{INSPECTED} --journeys-every 1 --out-dir i1"));
+    assert_eq!(code, 0, "{err}");
+    assert_eq!(out, untraced, "tracing changed inspect's stdout");
+    assert!(dir.join("i1/journeys.jsonl").is_file());
+    let (code, out, err) =
+        intellinoc(&dir, &format!("{TRACED} --json --journeys-every 1 --out-dir d"));
+    assert_eq!(code, 0, "{err}");
+    let doc: serde::Content = serde_json::from_str(&out).expect("stdout is one JSON document");
+    assert!(doc.get("report").is_some(), "{out}");
+    assert!(dir.join("d/journeys.jsonl").is_file());
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -65,6 +65,7 @@ const CONTROL_LOOP: &str = "one control loop";
 const TRACE_WORKLOAD: &str = "a recorded trace is a workload";
 const CELL_LIST: &str = "every study is a cell list";
 const OUT_DIR: &str = "one `--out-dir` per command";
+const ONE_OUTPUT: &str = "one output per journey log";
 
 /// Everything but the benchmark, which keeps its own names.
 const SOURCES: &[&str] = &["crates", "tests", "examples"];
@@ -284,6 +285,12 @@ const REMOVED: &[Removed] = &[
     removed("write_csv", OUT_DIR, Word, SOURCES),
     removed("CSV_HEADER", OUT_DIR, Word, SOURCES),
     removed("recorder_drops", OUT_DIR, Word, SOURCES),
+    // One output per journey log: the tail report. The Perfetto export and
+    // the tail-contribution CSV had no reader.
+    removed("perfetto_json", ONE_OUTPUT, Text, SOURCES),
+    removed("tail_contribution_csv", ONE_OUTPUT, Text, SOURCES),
+    removed("perfetto.json", ONE_OUTPUT, Text, SOURCES),
+    removed("tail-contrib.csv", ONE_OUTPUT, Text, SOURCES),
 ];
 
 fn is_ident(c: char) -> bool {

@@ -28,8 +28,8 @@
 //! same grid produce byte-identical merged reports.
 
 use noc_sim::{
-    bundle_file_name, shared_recorder, BundleCause, BundleHead, FlightRecorder, RunReport,
-    RunnerEvent, SharedRecorder, StallReport, DEFAULT_BLACKBOX_CAPACITY,
+    bundle_file_name, percentile, shared_recorder, BundleCause, BundleHead, FlightRecorder,
+    RunReport, RunnerEvent, SharedRecorder, StallReport, DEFAULT_BLACKBOX_CAPACITY,
 };
 use serde::{Content, Deserialize, Serialize};
 use std::collections::HashMap;
@@ -768,15 +768,6 @@ where
     }
 }
 
-/// Sorted-sample percentile (nearest-rank on a rounded index).
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let i = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[i.min(sorted.len() - 1)]
-}
-
 fn finish_record<T: Serialize>(
     idx: usize,
     rec: UnitRecord<T>,
@@ -1317,17 +1308,6 @@ mod tests {
             ..RunnerConfig::serial()
         };
         assert!(format!("{cfg:?}").contains("Fn(&FleetProgress)"));
-    }
-
-    #[test]
-    fn percentile_is_nearest_rank() {
-        assert_eq!(percentile(&[], 0.5), 0.0);
-        assert_eq!(percentile(&[3.0], 0.95), 3.0);
-        let v = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0];
-        // Index (len-1)*q rounds half away from zero: (9)*0.5 = 4.5 → [5].
-        assert_eq!(percentile(&v, 0.5), 6.0);
-        assert_eq!(percentile(&v, 0.95), 10.0);
-        assert_eq!(percentile(&v, 0.0), 1.0);
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //! buffer grows once per peak and not once per packet.
 //!
 //! An end-to-end restart reclassifies the failed generation's spans as
-//! `wasted_gen` (keeping their locations, so a Perfetto view still shows
-//! *where* the wasted generation travelled).
+//! `wasted_gen` (keeping their locations, so the tail report's critical
+//! path still shows *where* the wasted generation travelled).
 //!
 //! Whether a packet or transaction is sampled is a pure seeded hash of
 //! its id ([`noc_telemetry::journey_sampled`]), so the sampled set — and

@@ -16,12 +16,9 @@
 //! repeated, parallel, and resumed runs of one seed.
 //!
 //! Sinks: journeys JSONL ([`JourneyLog::to_jsonl`] /
-//! [`JourneyLog::from_jsonl`]), a Chrome/Perfetto trace-event JSON export
-//! with one track per router and per directed link
-//! ([`JourneyLog::perfetto_json`]), and the critical-path analyzer behind
-//! `intellinoc journeys` ([`JourneyLog::tail_report`] /
-//! [`JourneyLog::tail_contribution_csv`]) that attributes p99−p50 excess
-//! latency to named `(location, cause)` pairs.
+//! [`JourneyLog::from_jsonl`]) and the critical-path analyzer behind
+//! `intellinoc journeys` ([`JourneyLog::tail_report`]) that attributes
+//! p99−p50 excess latency to named `(location, cause)` pairs.
 
 use crate::inspect::LatencyComponents;
 use crate::json_str;
@@ -450,21 +447,19 @@ impl TxnJourney {
 }
 
 /// One `(location, cause)` row of the critical-path analysis.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TailContribution {
+#[derive(Debug)]
+struct TailContribution {
     /// Where the cycles were spent.
-    pub loc: JourneyLoc,
+    loc: JourneyLoc,
     /// Why they were spent.
-    pub cause: JourneyCause,
+    cause: JourneyCause,
     /// Mean cycles per packet in the fast set (latency ≤ p50).
-    pub fast_mean: f64,
+    fast_mean: f64,
     /// Mean cycles per packet in the tail set (latency ≥ p99).
-    pub tail_mean: f64,
+    tail_mean: f64,
     /// `tail_mean - fast_mean`: the excess this pair contributes to a
     /// tail packet over a median one.
-    pub excess: f64,
-    /// Total cycles tail-set packets spent at this pair.
-    pub tail_total: u64,
+    excess: f64,
 }
 
 /// Everything journey tracing produced for one run.
@@ -565,132 +560,6 @@ impl JourneyLog {
         log.ok_or_else(|| "journeys log has no header line".to_owned())
     }
 
-    /// Renders the log as Chrome/Perfetto trace-event JSON: complete
-    /// duration events (`ph:"X"`) in the cycle domain (1 cycle = 1 µs of
-    /// trace time), one track per router (pid 0), per directed link
-    /// (pid 1), and per transaction client (pid 2). Byte deterministic:
-    /// events are emitted in a fixed sort order.
-    #[must_use]
-    pub fn perfetto_json(&self) -> String {
-        // (pid, tid, ts, dur, name, arg-kind, arg-id, detail-label)
-        struct Ev {
-            pid: u64,
-            tid: u64,
-            ts: u64,
-            dur: u64,
-            name: &'static str,
-            arg_kind: &'static str,
-            arg_id: u64,
-            loc: String,
-        }
-        let mut events: Vec<Ev> = Vec::new();
-        let mut tracks: BTreeMap<(u64, u64), String> = BTreeMap::new();
-        for p in &self.packets {
-            for s in &p.spans {
-                let (pid, tid, track) = match s.loc {
-                    JourneyLoc::SourceNi(n) | JourneyLoc::Router(n) => {
-                        (0, u64::from(n), format!("router {n}"))
-                    }
-                    JourneyLoc::Link { from, to } => {
-                        (1, (u64::from(from) << 16) | u64::from(to), format!("link {from}->{to}"))
-                    }
-                };
-                tracks.entry((pid, tid)).or_insert(track);
-                events.push(Ev {
-                    pid,
-                    tid,
-                    ts: s.start,
-                    dur: s.duration(),
-                    name: s.cause.name(),
-                    arg_kind: "packet",
-                    arg_id: p.packet,
-                    loc: s.loc.to_string(),
-                });
-            }
-        }
-        for t in &self.txns {
-            let pid = 2;
-            let tid = u64::from(t.client);
-            tracks.entry((pid, tid)).or_insert_with(|| format!("client {}", t.client));
-            for l in &t.legs {
-                events.push(Ev {
-                    pid,
-                    tid,
-                    ts: l.start,
-                    dur: l.end.saturating_sub(l.start),
-                    name: l.kind.name(),
-                    arg_kind: "txn",
-                    arg_id: t.txn,
-                    loc: format!("attempt {}", l.attempt),
-                });
-            }
-        }
-        events.sort_by(|a, b| {
-            (a.pid, a.tid, a.ts, a.dur, a.name, a.arg_id)
-                .cmp(&(b.pid, b.tid, b.ts, b.dur, b.name, b.arg_id))
-        });
-
-        let mut out = String::with_capacity(256 + events.len() * 128);
-        let _ = write!(
-            out,
-            "{{\"otherData\":{{\"label\":{},\"seed\":{},\"every\":{}}},\"traceEvents\":[",
-            json_str(&self.label),
-            self.seed,
-            self.every
-        );
-        let mut first = true;
-        let mut push_sep = |out: &mut String| {
-            if first {
-                first = false;
-            } else {
-                out.push(',');
-            }
-        };
-        for (&(pid, _), pname) in tracks.iter().filter(|((_, tid), _)| *tid == u64::MAX) {
-            // Unreachable (tids are real ids); kept for exhaustiveness.
-            push_sep(&mut out);
-            let _ = write!(out, "{{\"ph\":\"M\",\"pid\":{pid},\"name\":{}}}", json_str(pname));
-        }
-        for (pid, pname) in [(0u64, "routers"), (1, "links"), (2, "transactions")] {
-            if tracks.keys().any(|&(p, _)| p == pid) {
-                push_sep(&mut out);
-                let _ = write!(
-                    out,
-                    "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"ts\":0,\"name\":\"process_name\",\
-                     \"args\":{{\"name\":{}}}}}",
-                    json_str(pname)
-                );
-            }
-        }
-        for (&(pid, tid), tname) in &tracks {
-            push_sep(&mut out);
-            let _ = write!(
-                out,
-                "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"ts\":0,\"name\":\"thread_name\",\
-                 \"args\":{{\"name\":{}}}}}",
-                json_str(tname)
-            );
-        }
-        for e in &events {
-            push_sep(&mut out);
-            let _ = write!(
-                out,
-                "{{\"name\":{},\"cat\":\"journey\",\"ph\":\"X\",\"pid\":{},\"tid\":{},\
-                 \"ts\":{},\"dur\":{},\"args\":{{\"{}\":{},\"loc\":{}}}}}",
-                json_str(e.name),
-                e.pid,
-                e.tid,
-                e.ts,
-                e.dur,
-                e.arg_kind,
-                e.arg_id,
-                json_str(&e.loc)
-            );
-        }
-        out.push_str("]}");
-        out
-    }
-
     /// Sorted packet latencies of the sampled set.
     fn sorted_latencies(&self) -> Vec<u64> {
         let mut v: Vec<u64> = self.packets.iter().map(|p| p.latency).collect();
@@ -702,7 +571,7 @@ impl JourneyLog {
     /// fast set (latency ≤ p50) vs the tail set (latency ≥ p99), sorted by
     /// excess descending (ties by location then cause).
     #[must_use]
-    pub fn critical_path(&self) -> Vec<TailContribution> {
+    fn critical_path(&self) -> Vec<TailContribution> {
         let lat = self.sorted_latencies();
         if lat.is_empty() {
             return Vec::new();
@@ -754,7 +623,6 @@ impl JourneyLog {
                     fast_mean: f,
                     tail_mean: t,
                     excess: t - f,
-                    tail_total: *tail.get(&key).unwrap_or(&0),
                 }
             })
             .collect();
@@ -925,33 +793,14 @@ impl JourneyLog {
         }
         out
     }
-
-    /// Renders the per-`(location, cause)` tail-contribution table as CSV
-    /// with a header row, in critical-path order.
-    #[must_use]
-    pub fn tail_contribution_csv(&self) -> String {
-        let mut out = String::from("location,cause,fast_mean,tail_mean,excess,tail_total\n");
-        for r in self.critical_path() {
-            let _ = writeln!(
-                out,
-                "{},{},{:.4},{:.4},{:.4},{}",
-                r.loc,
-                r.cause.name(),
-                r.fast_mean,
-                r.tail_mean,
-                r.excess,
-                r.tail_total
-            );
-        }
-        out
-    }
 }
 
-/// Nearest-rank percentile over a sorted slice (0 for an empty one).
+/// Nearest-rank percentile over a sorted slice (zero for an empty one): the
+/// tail report's cycle latencies and the runner's wall times alike.
 #[must_use]
-pub fn percentile(sorted: &[u64], p: f64) -> u64 {
+pub fn percentile<T: Copy + Default>(sorted: &[T], p: f64) -> T {
     if sorted.is_empty() {
-        return 0;
+        return T::default();
     }
     let n = sorted.len();
     let rank = ((p * n as f64).ceil() as usize).clamp(1, n);
@@ -1180,9 +1029,9 @@ mod tests {
         assert!(JourneyLog::from_jsonl(&future).unwrap_err().contains("format version 99"));
     }
 
-    /// Renders everything `intellinoc journeys` renders from a parsed log.
+    /// Renders what `intellinoc journeys` renders from a parsed log.
     fn render_all(log: &JourneyLog) -> usize {
-        log.tail_report(5).len() + log.tail_contribution_csv().len() + log.perfetto_json().len()
+        log.tail_report(5).len()
     }
 
     #[test]
@@ -1207,8 +1056,9 @@ mod tests {
 
     #[test]
     fn cross_packet_sums_cannot_overflow() {
-        // Forward-running spans of maximal length, twice in one packet:
-        // nothing the parser can refuse, so the analyzer's sums must hold.
+        // Forward-running spans of maximal length, and spans just over half
+        // of it (four of them wrap to 4), twice in one packet: nothing the
+        // parser can refuse, so the analyzer's sums must hold.
         let mut hostile = packet(1, 0);
         let span = HopSpan {
             start: 0,
@@ -1216,7 +1066,8 @@ mod tests {
             loc: JourneyLoc::SourceNi(59),
             cause: JourneyCause::NiQueue,
         };
-        hostile.spans = vec![span, span];
+        let half = HopSpan { end: (1 << 63) + 1, loc: JourneyLoc::Router(59), ..span };
+        hostile.spans = vec![span, span, half, half];
         let mut log = small_log();
         log.packets = vec![hostile.clone(), hostile];
         for t in &mut log.txns {
@@ -1227,28 +1078,9 @@ mod tests {
         let parsed = JourneyLog::from_jsonl(&log.to_jsonl()).expect("forward intervals parse");
         assert_eq!(parsed, log);
         assert!(render_all(&parsed) > 0);
-        assert_eq!(parsed.critical_path()[0].tail_total, u64::MAX, "saturated, not wrapped");
-    }
-
-    #[test]
-    fn perfetto_is_valid_json_with_monotonic_tracks() {
-        let log = small_log();
-        let text = log.perfetto_json();
-        assert_eq!(text, log.perfetto_json(), "deterministic");
-        let v: serde::Content = serde_json::from_str(&text).expect("valid JSON");
-        let events = v.get("traceEvents").and_then(serde::Content::as_seq).expect("events");
-        assert!(!events.is_empty());
-        let mut last: BTreeMap<(u64, u64), u64> = BTreeMap::new();
-        for e in events {
-            let ph = e.get("ph").and_then(serde::Content::as_str).expect("ph");
-            if ph != "X" {
-                continue;
-            }
-            let pid = e.get("pid").and_then(serde::Content::as_u64).expect("pid");
-            let tid = e.get("tid").and_then(serde::Content::as_u64).expect("tid");
-            let ts = e.get("ts").and_then(serde::Content::as_u64).expect("ts");
-            let prev = last.insert((pid, tid), ts).unwrap_or(0);
-            assert!(ts >= prev, "timestamps must be monotonic per track");
+        // Both packets are in the tail set: each pair's sum saturates.
+        for row in parsed.critical_path() {
+            assert_eq!(row.tail_mean, u64::MAX as f64 / 2.0, "{row:?}: saturated, not wrapped");
         }
     }
 
@@ -1263,9 +1095,6 @@ mod tests {
         assert!(report.contains("| 19 | 0→1 |"), "{report}");
         assert!(report.contains("## Transaction completion"), "{report}");
         assert!(report.contains("| in_flight |"), "{report}");
-        let csv = log.tail_contribution_csv();
-        assert!(csv.starts_with("location,cause,fast_mean,tail_mean,excess,tail_total\n"));
-        assert!(csv.contains("r:0,vc_sa_wait,"), "{csv}");
     }
 
     /// The span writer puts labels and cause names into the line as they
@@ -1327,7 +1156,12 @@ mod tests {
         assert_eq!(percentile(&v, 0.50), 5);
         assert_eq!(percentile(&v, 0.99), 10);
         assert_eq!(percentile(&v, 0.0), 1);
-        assert_eq!(percentile(&[], 0.5), 0);
+        assert_eq!(percentile::<u64>(&[], 0.5), 0);
+        // Wall times take the same rule.
+        let w: Vec<f64> = v.iter().map(|&x| x as f64).collect();
+        assert_eq!(percentile(&w, 0.50), 5.0);
+        assert_eq!(percentile(&w, 0.95), 10.0);
+        assert_eq!(percentile::<f64>(&[], 0.5), 0.0);
     }
 
     /// Alphabet of hostile label characters: JSON syntax, escapes,
@@ -1360,24 +1194,6 @@ mod tests {
             let back = JourneyLog::from_jsonl(&text).expect("parses");
             prop_assert_eq!(&back.label, &label);
             prop_assert_eq!(back, log);
-        }
-
-        /// Perfetto export stays valid JSON under hostile labels, including
-        /// quotes, backslashes, and control characters.
-        #[test]
-        fn hostile_labels_keep_perfetto_valid(label in hostile_label()) {
-            let log = JourneyLog {
-                label,
-                seed: 1,
-                every: 1,
-                unfinished_packets: 0,
-                dropped_packets: 0,
-                packets: vec![packet(1, 0)],
-                txns: vec![],
-            };
-            let text = log.perfetto_json();
-            let v: serde::Content = serde_json::from_str(&text).expect("valid JSON");
-            prop_assert!(v.get("traceEvents").is_some());
         }
 
         /// Every 7-bit byte sequence used as a label round-trips exactly.

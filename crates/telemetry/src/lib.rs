@@ -66,7 +66,7 @@ pub use inspect::{
 };
 pub use journey::{
     journey_file_name, journey_sampled, percentile, HopSpan, JourneyCause, JourneyLoc, JourneyLog,
-    PacketJourney, TailContribution, TxnJourney, TxnLeg, TxnLegKind, TxnOutcome, JOURNEY_CAUSES,
+    PacketJourney, TxnJourney, TxnLeg, TxnLegKind, TxnOutcome, JOURNEY_CAUSES,
     JOURNEY_FORMAT_VERSION,
 };
 pub use metrics::{
