@@ -5,8 +5,8 @@ use intellinoc::{
     compare_bench, dump_bundle, load_sweep_cells, render_inspect_report, run_experiment,
     run_experiment_instrumented, run_grid, BenchBaseline, BenchSpec, BenchWorkload, CampaignConfig,
     CampaignRunReport, ChaosKill, ChaosOptions, Daemon, Design, ExperimentConfig,
-    ExperimentOutcome, FleetProgress, GateOptions, MetricsOptions, RunnerConfig, RunnerReport,
-    ServeConfig, TelemetryArtifacts, TelemetryOptions, UnitSinks,
+    ExperimentOutcome, GateOptions, RunnerConfig, RunnerReport, ServeConfig, TelemetryArtifacts,
+    TelemetryOptions, UnitSinks,
 };
 use noc_sim::{
     parse_bundle, parse_rules, render_report, runner_events_jsonl, shared_recorder, AlertEdge,
@@ -150,7 +150,6 @@ fn runner_config_from(args: &Args) -> Result<(RunnerConfig, ChaosOptions), Strin
             Some(v) => Some(v.parse().map_err(|_| format!("invalid --max-units: {v}"))?),
             None => None,
         },
-        observer: None,
         blackbox: args.get("out-dir").map(PathBuf::from),
     };
     if cfg.resume && cfg.journal.is_none() {
@@ -207,27 +206,16 @@ struct GridEpilogue {
 }
 
 /// Runs `cells` as the grid command `label` — the prologue the grid
-/// commands share: runner options and chaos switches, the `--progress`
-/// line, the fleet profiler (`--profile`), the per-unit journey logs
-/// (`--journeys-every N`, into `journeys/` under `--out-dir`), then
-/// [`run_grid`].
+/// commands share: runner options and chaos switches, the fleet profiler
+/// (`--profile`), the per-unit journey logs (`--journeys-every N`, into
+/// `journeys/` under `--out-dir`), then [`run_grid`].
 fn run_grid_command(
     args: &Args,
     label: &'static str,
     cells: &[(String, ExperimentConfig)],
 ) -> Result<(RunnerReport<ExperimentOutcome>, GridEpilogue), String> {
-    let (mut rcfg, chaos) = runner_config_from(args)?;
+    let (rcfg, chaos) = runner_config_from(args)?;
     let out = OutDir::from(args, label)?;
-    if args.has_flag("progress") {
-        let progress =
-            move |p: &FleetProgress| {
-                eprintln!(
-                "{label}: {}/{} done ({}) key={} wall={:.0}ms p50={:.0}ms p95={:.0}ms eta={:.1}s",
-                p.done, p.total, p.status.label(), p.key, p.wall_ms, p.p50_ms, p.p95_ms, p.eta_s
-            );
-            };
-        rcfg.observer = Some(Arc::new(progress));
-    }
     let sink = args.has_flag("profile").then(|| Mutex::new(Profiler::new()));
     let every = journeys_every(args)?;
     let journeys = match &out {
@@ -331,8 +319,8 @@ fn print_outcome(o: &ExperimentOutcome, json: bool) -> Result<(), String> {
 ///
 /// Tracing turns on with `--trace` or `--trace-filter`, profiling with
 /// `--profile`, journey tracing with `--journeys-every N` (which needs
-/// `--out-dir`); `--out-dir` rewrites its `metrics.prom` every control step.
-fn telemetry_from(args: &Args, out: Option<&OutDir>) -> Result<TelemetryOptions, String> {
+/// `--out-dir`).
+fn telemetry_from(args: &Args) -> Result<TelemetryOptions, String> {
     let trace_filter = match args.get("trace-filter") {
         Some(spec) => TraceFilter::parse(spec)?,
         None => TraceFilter::default(),
@@ -342,7 +330,6 @@ fn telemetry_from(args: &Args, out: Option<&OutDir>) -> Result<TelemetryOptions,
         trace_filter,
         profile: args.has_flag("profile"),
         journeys_every: journeys_every(args)?,
-        metrics: MetricsOptions { hub: None, file: out.map(|o| o.dir.join("metrics.prom")) },
         alert_rules: match args.get("alert-rules") {
             Some(spec) => parse_rules(spec)?,
             None => Vec::new(),
@@ -407,7 +394,7 @@ pub fn run(args: &Args) -> CmdResult {
         .with_time_step(args.get_or("time-step", 1_000u64)?);
     cfg.error_rate_override = error_rate_from(args)?;
     let out = OutDir::from(args, "run")?;
-    cfg.telemetry = telemetry_from(args, out.as_ref())?;
+    cfg.telemetry = telemetry_from(args)?;
     let (outcome, artifacts) = run_recorded(cfg, out.as_ref())?;
     print_outcome(&outcome, args.has_flag("json"))?;
     emit_telemetry(out.as_ref(), &artifacts)?;
@@ -491,7 +478,7 @@ pub fn inspect(args: &Args) -> CmdResult {
         .with_time_step(args.get_or("time-step", 1_000u64)?);
     cfg.error_rate_override = error_rate_from(args)?;
     let out = OutDir::from(args, "inspect")?;
-    cfg.telemetry = telemetry_from(args, out.as_ref())?;
+    cfg.telemetry = telemetry_from(args)?;
     cfg.telemetry.attribution = true;
     cfg.telemetry.decisions = design.uses_rl();
     let (outcome, artifacts) = run_recorded(cfg, out.as_ref())?;
@@ -584,12 +571,25 @@ pub fn trace(args: &Args) -> CmdResult {
             let path = args.positional.get(1).ok_or("need an input path")?;
             let design = parse_design(args.get("design").ok_or("need --design")?)?;
             let f = File::open(path).map_err(|e| e.to_string())?;
-            let records = read_trace(BufReader::new(f)).map_err(|e| e.to_string())?;
+            let mut records = read_trace(BufReader::new(f)).map_err(|e| e.to_string())?;
             let nodes = design.sim_config().nodes();
-            let spec =
+            let mut cfg = ExperimentConfig::new(design, WorkloadSpec::uniform(0.0, 0))
+                .with_seed(args.get_or("seed", 1u64)?);
+            // A record at or past the cycle budget can never inject; replaying
+            // it would only simulate idle cycles up to the budget.
+            let recorded = records.len();
+            records.retain(|r| r.cycle < cfg.max_cycles);
+            let late = recorded - records.len();
+            cfg.workload =
                 WorkloadSpec::replay(path, records, nodes).map_err(|e| format!("{path}: {e}"))?;
-            let seed = args.get_or("seed", 1u64)?;
-            let outcome = run_experiment(ExperimentConfig::new(design, spec).with_seed(seed));
+            if late > 0 {
+                eprintln!(
+                    "trace replay: left out {late} records at or past the {}-cycle budget",
+                    cfg.max_cycles
+                );
+            }
+            let outcome = run_experiment(cfg);
+            let finished = outcome.finished && late == 0;
             let r = &outcome.report;
             println!(
                 "replayed {} packets on {}: exec={} cycles, avg latency {:.1}, {}",
@@ -597,9 +597,9 @@ pub fn trace(args: &Args) -> CmdResult {
                 design.label(),
                 r.exec_cycles,
                 r.avg_latency(),
-                if outcome.finished { "complete" } else { "INCOMPLETE" }
+                if finished { "complete" } else { "INCOMPLETE" }
             );
-            Ok(if outcome.finished { CmdOutcome::Done } else { CmdOutcome::Partial })
+            Ok(if finished { CmdOutcome::Done } else { CmdOutcome::Partial })
         }
         _ => Err("usage: intellinoc trace <capture|replay> <path> [options]".into()),
     }

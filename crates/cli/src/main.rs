@@ -117,9 +117,9 @@ fn usage() {
     eprintln!("  list     known designs and benchmarks");
     eprintln!();
     eprintln!("OUTPUT (--out-dir DIR: one directory, fixed file names; DESIGN.md \u{a7}16):");
-    eprintln!("  run/inspect   metrics.prom (every control step), postmortem-<key>.jsonl");
-    eprintln!("                (flight recorder: conservation / critical alert / stall),");
-    eprintln!("                trace.jsonl (--trace), journeys.jsonl (--journeys-every N),");
+    eprintln!("  run/inspect   postmortem-<key>.jsonl (flight recorder: conservation /");
+    eprintln!("                critical alert / stall), trace.jsonl (--trace),");
+    eprintln!("                journeys.jsonl (--journeys-every N),");
     eprintln!("                profile.txt spans.txt flame.folded (--profile)");
     eprintln!("  inspect       + report.md heatmaps/<grid>.csv heatmaps/links.csv");
     eprintln!("                  decisions.jsonl convergence.csv");
@@ -156,7 +156,6 @@ fn usage() {
     eprintln!("  --resume              reuse journaled records, run only the rest");
     eprintln!("  --max-units N         dispatch at most N units, skip the tail");
     eprintln!("  --force-panic M / --force-timeout M   chaos-test units whose key contains M");
-    eprintln!("  --progress            live per-unit progress lines with p50/p95/ETA");
     eprintln!("  --profile             fleet wall-clock + span profile (stdout, or the");
     eprintln!("                        profile files under --out-dir)");
     eprintln!();

@@ -406,6 +406,32 @@ fn trace_replay_refuses_records_outside_the_mesh() {
     assert!(stderr.contains(want), "no `{want}` in:\n{stderr}");
 }
 
+/// A record at or past the 2 000 000-cycle budget can never inject: the
+/// replay leaves it out, names the count on stderr, and still reports the
+/// replay as incomplete (exit 2) without simulating up to the budget.
+#[test]
+fn trace_replay_leaves_out_records_past_the_cycle_budget() {
+    let dir = std::env::temp_dir().join(format!("intellinoc-cli-late-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("late.jsonl");
+    std::fs::write(
+        &path,
+        "{\"cycle\":0,\"src\":0,\"dest\":63,\"size_flits\":4}\n\
+         {\"cycle\":3000000,\"src\":1,\"dest\":62,\"size_flits\":4}\n",
+    )
+    .unwrap();
+    let start = std::time::Instant::now();
+    let (code, stdout, stderr) =
+        intellinoc(&format!("trace replay {} --design secded", path.display()));
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stdout.starts_with("replayed 1 packets on SECDED"), "{stdout}");
+    assert!(stdout.trim_end().ends_with(", INCOMPLETE"), "{stdout}");
+    let note = "left out 1 records at or past the 2000000-cycle budget";
+    assert!(stderr.contains(note), "no `{note}` in:\n{stderr}");
+    assert!(start.elapsed().as_secs() < 10, "the replay simulated up to the budget");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Kills the spawned daemon on drop so a failing test leaves no orphan.
 struct KillOnDrop(std::process::Child);
 

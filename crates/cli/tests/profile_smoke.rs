@@ -41,7 +41,7 @@ fn read(dir: &Path, name: &str) -> Vec<u8> {
 fn ci_grid_span_tables_repeat_and_the_flamegraph_parses() {
     let dir = scratch("ci");
     let grid = "bench record --grid ci --name ci --profile --jobs 2";
-    ok(&dir, &format!("{grid} --out-dir a --progress"));
+    ok(&dir, &format!("{grid} --out-dir a"));
     ok(&dir, &format!("{grid} --out-dir b"));
     assert_eq!(read(&dir, "a/spans.txt"), read(&dir, "b/spans.txt"), "span table differs");
     ok(&dir, &format!("{grid} --workload reqreply --out-dir rr"));

@@ -66,6 +66,7 @@ const TRACE_WORKLOAD: &str = "a recorded trace is a workload";
 const CELL_LIST: &str = "every study is a cell list";
 const OUT_DIR: &str = "one `--out-dir` per command";
 const ONE_OUTPUT: &str = "one output per journey log";
+const ROUND_TWO: &str = "consumer audit, round two";
 
 /// Everything but the benchmark, which keeps its own names.
 const SOURCES: &[&str] = &["crates", "tests", "examples"];
@@ -291,6 +292,22 @@ const REMOVED: &[Removed] = &[
     removed("tail_contribution_csv", ONE_OUTPUT, Text, SOURCES),
     removed("perfetto.json", ONE_OUTPUT, Text, SOURCES),
     removed("tail-contrib.csv", ONE_OUTPUT, Text, SOURCES),
+    // Consumer audit, round two: what a run computed or wrote but nothing
+    // read — the progress line, the metrics file, per-packet attribution
+    // records, alerts over exposition text.
+    removed("FleetProgress", ROUND_TWO, Word, SOURCES),
+    removed("FleetObserver", ROUND_TWO, Word, SOURCES),
+    removed("--progress", ROUND_TWO, Flag, SOURCES),
+    Removed {
+        name: "metrics.prom",
+        removed_by: ROUND_TWO,
+        how: Text,
+        scope: SOURCES,
+        except: &[("crates/cli/tests/bench_gate.rs", "!dir.join(\"out/metrics.prom\").exists()")],
+    },
+    removed("evaluate_samples", ROUND_TWO, Text, SOURCES),
+    removed("PacketLatency", ROUND_TWO, Word, SOURCES),
+    removed("bypass_hops", ROUND_TWO, Word, SOURCES),
 ];
 
 fn is_ident(c: char) -> bool {

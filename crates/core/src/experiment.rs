@@ -31,7 +31,7 @@ use noc_traffic::{ParsecBenchmark, ReqReplySpec, WorkloadSpec};
 use rand::{rngs::SmallRng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -104,7 +104,7 @@ pub struct TelemetryOptions {
     /// never changes cycle-domain behavior.
     pub blackbox: Option<SharedRecorder>,
     /// Alert rules evaluated against the metrics registry each metrics
-    /// interval (forces a registry on even without exposition sinks).
+    /// interval (forces a registry on even without a hub).
     pub alert_rules: Vec<AlertRule>,
     /// Journey tracing sampling period: every `n`-th packet (by seeded
     /// hash, so the sample is deterministic per seed and independent of
@@ -121,7 +121,7 @@ impl TelemetryOptions {
             || self.profile
             || self.attribution
             || self.decisions
-            || self.metrics.enabled()
+            || self.metrics.hub.is_some()
             || self.blackbox.is_some()
             || !self.alert_rules.is_empty()
             || self.journeys_every > 0
@@ -132,35 +132,12 @@ impl TelemetryOptions {
 ///
 /// The registry is sampled at the end of every control step (and once more
 /// at run end) and rendered to Prometheus text exposition. Snapshots are
-/// *published* — into a [`MetricsHub`] and/or a file — strictly outside
-/// simulation state, so enabling exposition never changes simulated
-/// behavior.
+/// *published* into a [`MetricsHub`] strictly outside simulation state, so
+/// enabling exposition never changes simulated behavior.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsOptions {
     /// Publish snapshots into this hub (`serve`'s `GET /metrics`, tests).
     pub hub: Option<Arc<MetricsHub>>,
-    /// Overwrite this file with the latest snapshot each control step.
-    pub file: Option<PathBuf>,
-}
-
-impl MetricsOptions {
-    /// Whether any exposition sink is configured.
-    pub fn enabled(&self) -> bool {
-        self.hub.is_some() || self.file.is_some()
-    }
-}
-
-/// Renders the registry and pushes the snapshot to the configured sinks.
-fn publish_metrics(opts: &MetricsOptions, reg: &MetricsRegistry) {
-    let text = render_exposition(reg);
-    if let Some(file) = &opts.file {
-        if let Err(e) = std::fs::write(file, &text) {
-            eprintln!("metrics: cannot write {}: {e}", file.display());
-        }
-    }
-    if let Some(hub) = &opts.hub {
-        hub.publish(text);
-    }
 }
 
 /// The telemetry artifacts of one run; each field is present iff the
@@ -177,8 +154,6 @@ pub struct TelemetryArtifacts {
     pub attribution: Option<AttributionArtifacts>,
     /// RL per-decision records and convergence samples.
     pub decisions: Option<DecisionLog>,
-    /// Final Prometheus exposition snapshot (metrics exposition was on).
-    pub exposition: Option<String>,
     /// Alert state transitions, in evaluation order (alert rules were on).
     pub alerts: Vec<AlertEvent>,
     /// Sampled per-packet journeys (journey tracing was on).
@@ -501,9 +476,9 @@ pub fn run_experiment_instrumented(
         Some(AlertEngine::new(cfg.telemetry.alert_rules.clone()))
     };
     let mut alert_events: Vec<AlertEvent> = Vec::new();
-    let metrics_opts = cfg.telemetry.metrics.clone();
-    // Alert rules need registry snapshots even without exposition sinks.
-    let mut metrics_reg = if metrics_opts.enabled() || alert_engine.is_some() {
+    let hub = cfg.telemetry.metrics.hub.clone();
+    // Alert rules need registry snapshots even without a hub.
+    let mut metrics_reg = if hub.is_some() || alert_engine.is_some() {
         let mut reg = MetricsRegistry::new();
         declare_network_metrics(&mut reg).expect("static metric declarations are valid");
         Some(reg)
@@ -522,8 +497,8 @@ pub fn run_experiment_instrumented(
             alert_events.extend(engine.evaluate(reg, net.now()));
             export_alert_metrics(reg, engine).expect("static alert names are valid");
         }
-        if metrics_opts.enabled() {
-            publish_metrics(&metrics_opts, reg);
+        if let Some(hub) = &hub {
+            hub.publish(render_exposition(reg));
         }
     };
 
@@ -613,7 +588,6 @@ pub fn run_experiment_instrumented(
         profiler: probe.profiler,
         attribution: probe.attribution,
         decisions,
-        exposition: metrics_reg.as_ref().map(render_exposition),
         alerts: alert_events,
         journeys: probe.journeys,
     };
@@ -935,14 +909,14 @@ mod tests {
     }
 
     /// The conservation books are the report's `txn`: a closed-loop run with
-    /// no telemetry asked for builds no metrics registry and no alert engine.
+    /// no telemetry asked for evaluates no alert rule. With no hub either,
+    /// nothing reads a registry, so none is built.
     #[test]
     fn a_closed_loop_run_with_default_telemetry_builds_no_registry() {
         let spec = WorkloadSpec::reqreply(0.03, 2, noc_traffic::ReqReplySpec::default());
         let cfg = ExperimentConfig::new(Design::Secded, spec).with_seed(7);
         let (out, _, art) = run_experiment_instrumented(cfg);
         assert!(out.report.txn.is_some());
-        assert_eq!(art.exposition, None);
         assert!(art.alerts.is_empty());
     }
 

@@ -69,9 +69,9 @@ pub use inspect::render_inspect_report;
 pub use metrics::{compare, geomean, normalize, ComparisonRow, NormalizedMetrics};
 pub use modes::OperationMode;
 pub use runner::{
-    classify_timeout, derive_seed, dump_bundle, panic_message, run_units, ChaosOptions,
-    FleetObserver, FleetProgress, RunStatus, RunnerConfig, RunnerReport, StatusCounts,
-    TimeoutReport, UnitCtx, UnitRecord, UnitVerdict, CHAOS_DEADLINE_CYCLES,
+    classify_timeout, derive_seed, dump_bundle, panic_message, run_units, ChaosOptions, RunStatus,
+    RunnerConfig, RunnerReport, StatusCounts, TimeoutReport, UnitCtx, UnitRecord, UnitVerdict,
+    CHAOS_DEADLINE_CYCLES,
 };
 pub use serve::{
     http_request, http_request_full, reference_report_csv, serve_report_csv, token_ok, ChaosKill,

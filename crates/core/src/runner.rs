@@ -28,8 +28,8 @@
 //! same grid produce byte-identical merged reports.
 
 use noc_sim::{
-    bundle_file_name, percentile, shared_recorder, BundleCause, BundleHead, FlightRecorder,
-    RunReport, RunnerEvent, SharedRecorder, StallReport, DEFAULT_BLACKBOX_CAPACITY,
+    bundle_file_name, shared_recorder, BundleCause, BundleHead, FlightRecorder, RunReport,
+    RunnerEvent, SharedRecorder, StallReport, DEFAULT_BLACKBOX_CAPACITY,
 };
 use serde::{Content, Deserialize, Serialize};
 use std::collections::HashMap;
@@ -55,39 +55,8 @@ pub fn derive_seed(master: u64, key: &str) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Live fleet-progress snapshot handed to a [`FleetObserver`] each time a
-/// unit reaches a terminal state.
-///
-/// All values are wall-clock-derived and completion-ordered, so they are
-/// nondeterministic by nature — observers feed the `--progress` line,
-/// never the deterministic merged reports.
-#[derive(Debug, Clone)]
-pub struct FleetProgress {
-    /// Units finished so far this invocation (resumed units excluded).
-    pub done: usize,
-    /// Units dispatched this invocation.
-    pub total: usize,
-    /// Key of the unit that just finished.
-    pub key: String,
-    /// Its terminal status.
-    pub status: RunStatus,
-    /// Wall-clock milliseconds the unit took.
-    pub wall_ms: f64,
-    /// Median unit wall-clock so far (ms).
-    pub p50_ms: f64,
-    /// 95th-percentile unit wall-clock so far (ms).
-    pub p95_ms: f64,
-    /// Estimated seconds until the grid finishes (mean unit wall-clock ×
-    /// remaining units ÷ workers).
-    pub eta_s: f64,
-}
-
-/// Callback invoked (outside the runner's state lock) after every terminal
-/// unit record, for progress lines.
-pub type FleetObserver = std::sync::Arc<dyn Fn(&FleetProgress) + Send + Sync>;
-
 /// Execution-engine configuration, shared by every grid kind.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct RunnerConfig {
     /// Worker threads. `0` or `1` runs serially (but still with panic
     /// isolation, deadlines, and journaling).
@@ -99,8 +68,6 @@ pub struct RunnerConfig {
     /// Dispatch at most this many units this invocation; the rest are
     /// reported `skipped` (interruption testing, sharded execution).
     pub max_units: Option<usize>,
-    /// Fleet-progress observer, invoked after every terminal unit record.
-    pub observer: Option<FleetObserver>,
     /// Flight recorder (`noc-blackbox`): when set, every unit runs with a
     /// [`FlightRecorder`] of [`DEFAULT_BLACKBOX_CAPACITY`] samples
     /// installed, and a unit that dies — stall, deadline timeout, panic, or
@@ -110,29 +77,9 @@ pub struct RunnerConfig {
     pub blackbox: Option<PathBuf>,
 }
 
-impl std::fmt::Debug for RunnerConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RunnerConfig")
-            .field("jobs", &self.jobs)
-            .field("journal", &self.journal)
-            .field("resume", &self.resume)
-            .field("max_units", &self.max_units)
-            .field("observer", &self.observer.as_ref().map(|_| "Fn(&FleetProgress)"))
-            .field("blackbox", &self.blackbox)
-            .finish()
-    }
-}
-
 impl Default for RunnerConfig {
     fn default() -> Self {
-        RunnerConfig {
-            jobs: 1,
-            journal: None,
-            resume: false,
-            max_units: None,
-            observer: None,
-            blackbox: None,
-        }
+        RunnerConfig { jobs: 1, journal: None, resume: false, max_units: None, blackbox: None }
     }
 }
 
@@ -768,15 +715,7 @@ where
     }
 }
 
-fn finish_record<T: Serialize>(
-    idx: usize,
-    rec: UnitRecord<T>,
-    shared: &Mutex<Shared<T>>,
-    observer: Option<&FleetObserver>,
-    total: usize,
-    workers: usize,
-) {
-    let (key, status, wall_ms) = (rec.key.clone(), rec.status, rec.wall_ms);
+fn finish_record<T: Serialize>(idx: usize, rec: UnitRecord<T>, shared: &Mutex<Shared<T>>) {
     let mut s = shared.lock().expect("runner state lock");
     s.events.push(RunnerEvent::UnitFinished { key: rec.key.clone(), status: rec.status.label() });
     if let Some(journal) = s.journal.as_mut() {
@@ -789,29 +728,6 @@ fn finish_record<T: Serialize>(
         }
     }
     s.done.push((idx, rec));
-    // Snapshot fleet progress under the lock, but call the observer after
-    // releasing it so a slow observer never serializes the worker pool.
-    let progress = observer.map(|_| {
-        let mut walls: Vec<f64> = s.done.iter().map(|(_, r)| r.wall_ms).collect();
-        walls.sort_by(f64::total_cmp);
-        let done = s.done.len();
-        let mean_ms = walls.iter().sum::<f64>() / walls.len().max(1) as f64;
-        let eta_s = mean_ms * total.saturating_sub(done) as f64 / workers.max(1) as f64 / 1e3;
-        FleetProgress {
-            done,
-            total,
-            key,
-            status,
-            wall_ms,
-            p50_ms: percentile(&walls, 0.5),
-            p95_ms: percentile(&walls, 0.95),
-            eta_s,
-        }
-    });
-    drop(s);
-    if let (Some(obs), Some(p)) = (observer, progress) {
-        obs(&p);
-    }
 }
 
 /// Executes the grid described by `keys` through `exec` under the engine's
@@ -924,12 +840,10 @@ where
     });
 
     let workers = cfg.jobs.max(1).min(dispatch.len().max(1));
-    let observer = cfg.observer.as_ref();
-    let total = dispatch.len();
     if workers <= 1 {
         for &i in dispatch {
             let rec = run_one(&keys[i], seed_of(&keys[i]), cfg, chaos, &exec, &shared);
-            finish_record(i, rec, &shared, observer, total, 1);
+            finish_record(i, rec, &shared);
         }
     } else {
         let cursor = AtomicUsize::new(0);
@@ -945,7 +859,7 @@ where
                     let Some(&i) = dispatch.get(slot) else { break };
                     let key = &keys_ref[i];
                     let rec = run_one(key, seed_of(key), cfg, chaos, exec_ref, shared_ref);
-                    finish_record(i, rec, shared_ref, observer, total, workers);
+                    finish_record(i, rec, shared_ref);
                 });
             }
         });
@@ -1272,42 +1186,6 @@ mod tests {
         let stall = t.stall.expect("stall report attached");
         assert_eq!(stall.cycle, 900);
         assert_eq!(stall.blocked.len(), 1);
-    }
-
-    #[test]
-    fn fleet_observer_sees_every_terminal_unit() {
-        for jobs in [1, 3] {
-            let seen = std::sync::Arc::new(Mutex::new(Vec::<FleetProgress>::new()));
-            let sink = std::sync::Arc::clone(&seen);
-            let cfg = RunnerConfig {
-                jobs,
-                observer: Some(std::sync::Arc::new(move |p: &FleetProgress| {
-                    sink.lock().unwrap().push(p.clone());
-                })),
-                ..RunnerConfig::serial()
-            };
-            let report = run_units(3, &keys(7), &cfg, &ChaosOptions::default(), ok_exec).unwrap();
-            assert!(report.is_clean());
-            let snaps = seen.lock().unwrap();
-            assert_eq!(snaps.len(), 7, "jobs={jobs}");
-            // `done` counts monotonically up to the dispatch total; the
-            // final snapshot reports a drained fleet.
-            let dones: Vec<usize> = snaps.iter().map(|p| p.done).collect();
-            let mut sorted = dones.clone();
-            sorted.sort_unstable();
-            assert_eq!(sorted, (1..=7).collect::<Vec<_>>());
-            let last = snaps.iter().find(|p| p.done == 7).unwrap();
-            assert_eq!(last.total, 7);
-            assert_eq!(last.eta_s, 0.0);
-            assert!(last.p50_ms <= last.p95_ms);
-            assert!(snaps.iter().all(|p| p.status == RunStatus::Ok));
-        }
-        // The observer field renders in Debug without being callable there.
-        let cfg = RunnerConfig {
-            observer: Some(std::sync::Arc::new(|_: &FleetProgress| {})),
-            ..RunnerConfig::serial()
-        };
-        assert!(format!("{cfg:?}").contains("Fn(&FleetProgress)"));
     }
 
     #[test]

@@ -773,7 +773,6 @@ fn execute_job(shared: &Shared, id: &str) {
             // post-mortem bundle in the state dir; like journals and
             // reports it survives `kill -9` and daemon restarts.
             blackbox: Some(postmortem_dir(&shared.cfg.state_dir, id)),
-            ..RunnerConfig::default()
         };
         let jdir = (spec.journeys_every > 0).then(|| journeys_dir(&shared.cfg.state_dir, id));
         match run_spec_units(&spec, &rcfg, shared.cfg.chaos.as_ref(), jdir.as_deref()) {

@@ -30,7 +30,7 @@ use crate::journey::{JourneyRecorder, Trail};
 use crate::topology::{slot, unslot, Mesh, Port, DIRS};
 use noc_telemetry::{
     AttributionArtifacts, HeatGrid, JourneyCause, JourneyLoc, JourneyLog, LatencyBreakdown,
-    LatencyComponents, LinkStat, PacketJourney, PacketLatency,
+    LatencyComponents, LinkStat, PacketJourney,
 };
 use noc_traffic::TxnEvent;
 use std::collections::VecDeque;
@@ -44,14 +44,6 @@ struct PacketClock {
     /// Cycles charged so far, per latency component: the current
     /// generation's head charges plus every wasted generation.
     charged: [u64; 6],
-    /// Powered link crossings of the current generation's head.
-    hops: u16,
-    /// Bypass crossings of the current generation's head.
-    bypass_hops: u16,
-    /// Hop-level NACKs over the packet's whole lifetime (any flit).
-    hop_retx: u16,
-    /// End-to-end retransmissions so far.
-    e2e_retx: u16,
     /// The span timeline, for a packet journey tracing sampled.
     trail: Option<Box<Trail>>,
 }
@@ -128,7 +120,7 @@ impl ClockWindow {
     }
 }
 
-/// Per-channel and per-router accumulators and the per-packet records, kept
+/// The latency totals and the per-channel and per-router accumulators, kept
 /// when attribution is on.
 #[derive(Debug)]
 struct Spatial {
@@ -247,13 +239,7 @@ impl LatencyEngine {
             return;
         }
         if let Some(clock) = self.clocks.get_mut(flit.packet_id) {
-            let cause = if bypass {
-                clock.bypass_hops = clock.bypass_hops.saturating_add(1);
-                JourneyCause::Bypass
-            } else {
-                clock.hops = clock.hops.saturating_add(1);
-                JourneyCause::Link
-            };
+            let cause = if bypass { JourneyCause::Bypass } else { JourneyCause::Link };
             clock.charge(now, cost, cause, || link_loc(&self.mesh, ci));
         }
     }
@@ -272,11 +258,11 @@ impl LatencyEngine {
         if let Some(s) = self.spatial.as_mut() {
             s.link_retx[ci] += 1;
         }
+        if !flit.is_head() {
+            return;
+        }
         if let Some(clock) = self.clocks.get_mut(flit.packet_id) {
-            clock.hop_retx = clock.hop_retx.saturating_add(1);
-            if flit.is_head() {
-                clock.charge(now, cost, JourneyCause::HopRetx, || link_loc(&self.mesh, ci));
-            }
+            clock.charge(now, cost, JourneyCause::HopRetx, || link_loc(&self.mesh, ci));
         }
     }
 
@@ -291,9 +277,6 @@ impl LatencyEngine {
             clock.charged = [0; 6];
             clock.add(JourneyCause::WastedGen, now.saturating_sub(clock.injected_at));
             clock.head_eject = None;
-            clock.hops = 0;
-            clock.bypass_hops = 0;
-            clock.e2e_retx = clock.e2e_retx.saturating_add(1);
             if let Some(trail) = clock.trail.as_mut() {
                 trail.restart(now, src);
             }
@@ -335,17 +318,7 @@ impl LatencyEngine {
         let components = LatencyComponents::from_array(clock.charged);
         debug_assert_eq!(components.total(), latency, "packet {packet}: components must sum");
         if let Some(s) = self.spatial.as_mut() {
-            s.breakdown.record(PacketLatency {
-                packet,
-                src: tail.src,
-                dest: tail.dest,
-                latency,
-                components,
-                hops: clock.hops,
-                bypass_hops: clock.bypass_hops,
-                hop_retx: clock.hop_retx,
-                e2e_retx: clock.e2e_retx,
-            });
+            s.breakdown.record(tail.src, tail.dest, latency, &components);
         }
         let mut trail = clock.trail?;
         let journey = trail.finish(tail, clock.injected_at, head_eject, now, latency);
@@ -475,8 +448,9 @@ mod tests {
         make_packet(packet, 0, 0, 5, 0)
     }
 
-    fn records(engine: LatencyEngine) -> Vec<PacketLatency> {
-        engine.finish(1000).0.expect("attribution on").breakdown.records
+    /// The journey log of `engine`, which traces every packet.
+    fn journeys(engine: LatencyEngine) -> Vec<PacketJourney> {
+        engine.finish(1000).1.expect("journeys on").packets
     }
 
     #[test]
@@ -489,16 +463,19 @@ mod tests {
         att.link_flit(4, &head, 1, false, 120);
         att.head_eject(7, 5, 130);
         att.complete(&tail, 133, 34); // injected_at 100, done at 133+1
-        let (art, _) = att.finish(1000);
+        let (art, log) = att.finish(1000);
         let bd = art.expect("attribution on").breakdown;
-        assert_eq!(bd.packets, 1);
-        let rec = bd.records[0];
-        assert_eq!(rec.components.total(), 34);
-        assert_eq!(rec.components.traversal, 6);
-        assert_eq!(rec.components.serialization, 3);
-        assert_eq!(rec.components.ejection, 1);
-        assert_eq!(rec.components.queuing, 34 - 6 - 3 - 1);
-        assert_eq!(rec.hops, 2);
+        assert_eq!((bd.packets, bd.latency_sum), (1, 34));
+        let journey = &log.expect("journeys on").packets[0];
+        let c = journey.components();
+        assert_eq!(bd.totals, c);
+        assert_eq!(c.total(), 34);
+        assert_eq!(c.traversal, 6);
+        assert_eq!(c.serialization, 3);
+        assert_eq!(c.ejection, 1);
+        assert_eq!(c.queuing, 34 - 6 - 3 - 1);
+        let hops = journey.spans.iter().filter(|s| s.cause == JourneyCause::Link).count();
+        assert_eq!(hops, 2);
     }
 
     #[test]
@@ -513,11 +490,10 @@ mod tests {
         att.pipeline(9, 0, 4, 85);
         att.head_eject(9, 5, 95);
         att.complete(&tail, 99, 50); // [50, 100)
-        let rec = records(att)[0];
-        assert_eq!(rec.components.retransmission, 30);
-        assert_eq!(rec.components.traversal, 4, "wasted generation's charges were reset");
-        assert_eq!(rec.e2e_retx, 1);
-        assert_eq!(rec.components.total(), 50);
+        let c = journeys(att)[0].components();
+        assert_eq!(c.retransmission, 30);
+        assert_eq!(c.traversal, 4, "wasted generation's charges were reset");
+        assert_eq!(c.total(), 50);
     }
 
     #[test]
@@ -556,10 +532,9 @@ mod tests {
         /// `Some(delivered_at)`; `None` for a dropped or unfinished packet.
         delivered_at: Option<Cycle>,
         dropped: bool,
+        /// Powered and bypass link crossings of the delivered generation.
         hops: u16,
-        bypass_hops: u16,
-        hop_retx: u16,
-        e2e_retx: u16,
+        bypasses: u16,
     }
 
     /// Cyclic entropy tape: `next(n)` draws a value below `n`.
@@ -590,7 +565,7 @@ mod tests {
             hooks.push((t, id, Hook::Inject));
             let generations = 1 + tape.next(4); // 0-3 end-to-end restarts
             for g in 0..generations {
-                (want.hops, want.bypass_hops) = (0, 0);
+                (want.hops, want.bypasses) = (0, 0);
                 t += tape.next(8); // NI-queue wait
                 hooks.push((t, id, Hook::Pipeline { router: 0 }));
                 let mut window = (t, t + PIPELINE);
@@ -600,10 +575,9 @@ mod tests {
                     let cost = 1 + tape.next(3) + u64::from(bypass);
                     hooks.push((t, id, Hook::Link { ci, cost, bypass }));
                     window = (t, t + cost);
-                    *(if bypass { &mut want.bypass_hops } else { &mut want.hops }) += 1;
+                    *(if bypass { &mut want.bypasses } else { &mut want.hops }) += 1;
                     if tape.next(4) == 0 {
                         hooks.push((t, id, Hook::Nack { ci, head: false }));
-                        want.hop_retx += 1;
                     }
                     if tape.next(4) == 0 {
                         let (router, ecc) = (tape.next(16) as u16, tape.next(2) == 0);
@@ -613,7 +587,6 @@ mod tests {
                         t = window.1 + tape.next(3); // channel wait, then the NACK
                         hooks.push((t, id, Hook::Nack { ci, head: true }));
                         window = (t, t + NACK_STALL);
-                        want.hop_retx += 1;
                     }
                     if !bypass {
                         t = window.1 + tape.next(3);
@@ -633,7 +606,6 @@ mod tests {
                         }
                     };
                     hooks.push((t, id, Hook::Restart));
-                    want.e2e_retx += 1;
                 }
             }
             t = t.max(inject + PIPELINE) + 8; // past every window of this packet
@@ -689,28 +661,20 @@ mod tests {
         let (art, log) = engine.finish(hooks.last().map_or(0, |h| h.0) + 1);
         let log = log.expect("journeys on");
         assert_eq!(art.is_some(), attribution);
-        let records = art.map_or(Vec::new(), |a| a.breakdown.records);
-        let (mut delivered, mut dropped, mut unfinished) = (0, 0, 0);
+        let (mut delivered, mut latency_sum, mut dropped, mut unfinished) = (0, 0, 0, 0);
         for (id, want) in (0u64..).zip(&expected) {
             let sampled = journey_sampled(9, id, every);
-            let record = records.iter().find(|r| r.packet == id);
             let journey = log.packets.iter().find(|j| j.packet == id);
             let Some(delivered_at) = want.delivered_at else {
-                assert!(record.is_none() && journey.is_none(), "packet {id} was not delivered");
+                assert!(journey.is_none(), "packet {id} was not delivered");
                 dropped += u64::from(sampled && want.dropped);
                 unfinished += u64::from(sampled && !want.dropped);
                 continue;
             };
             delivered += 1;
             let latency = delivered_at - want.injected_at;
-            assert_eq!(record.is_some(), attribution, "packet {id}");
+            latency_sum += latency;
             assert_eq!(journey.is_some(), sampled, "packet {id}");
-            if let Some(r) = record {
-                assert_eq!(r.components.total(), latency, "packet {id}: {:?}", r.components);
-                let counted = (r.hops, r.bypass_hops, r.hop_retx, r.e2e_retx);
-                let straight = (want.hops, want.bypass_hops, want.hop_retx, want.e2e_retx);
-                assert_eq!(counted, straight, "packet {id}: hops, bypass hops, NACKs, restarts");
-            }
             if let Some(j) = journey {
                 let mut cursor = want.injected_at;
                 for s in j.spans.iter().filter(|s| !s.cause.is_marker()) {
@@ -720,15 +684,24 @@ mod tests {
                 }
                 assert_eq!(cursor, delivered_at, "packet {id}: spans reach delivery");
                 assert_eq!((j.latency, j.components().total()), (latency, latency), "packet {id}");
-                if let Some(r) = record {
-                    assert_eq!(j.components(), r.components, "packet {id}: trail vs record");
-                }
                 let crossings = |c| j.spans.iter().filter(|s| s.cause == c).count();
                 assert_eq!(crossings(JourneyCause::Link), want.hops as usize, "packet {id}");
-                assert_eq!(crossings(JourneyCause::Bypass), want.bypass_hops as usize);
+                assert_eq!(crossings(JourneyCause::Bypass), want.bypasses as usize);
             }
         }
-        assert_eq!(records.len(), if attribution { delivered } else { 0 });
+        if let Some(art) = art {
+            let bd = &art.breakdown;
+            assert_eq!((bd.packets, bd.latency_sum), (delivered, latency_sum));
+            assert_eq!(bd.totals.total(), latency_sum, "components sum exactly");
+            if every == 1 {
+                // Every packet has a journey: the breakdown is theirs, summed.
+                let mut from_log = LatencyBreakdown::default();
+                for j in &log.packets {
+                    from_log.record(j.src, j.dest, j.latency, &j.components());
+                }
+                assert_eq!(format!("{bd:?}"), format!("{from_log:?}"));
+            }
+        }
         assert_eq!(log.dropped_packets, dropped);
         assert_eq!(log.unfinished_packets, unfinished);
     }
@@ -765,20 +738,8 @@ mod tests {
             charged[2] += now - m.head_eject.unwrap_or(now);
             charged[5] += 1;
             charged[0] += latency - charged.iter().sum::<u64>();
-            let components = LatencyComponents::from_array(charged);
-            let record = PacketLatency {
-                packet: id,
-                src: 3,
-                dest: 12,
-                latency,
-                components,
-                hops: 0,
-                bypass_hops: 0,
-                hop_retx: 0,
-                e2e_retx: 0,
-            };
             if attribution {
-                expected.record(record);
+                expected.record(3, 12, latency, &LatencyComponents::from_array(charged));
             }
             engine.complete(&tail(id), now, latency);
         };
@@ -866,12 +827,12 @@ mod tests {
             window_matches_hashmap(&tape, every, attribution == 1);
         }
 
-        /// Exact-sum attribution over random legal hook sequences: per
-        /// delivered packet the components sum to the latency, the counters
-        /// match a straight count of the sequence, and a sampled packet's
-        /// spans tile its lifetime and sum to the same components — with
-        /// attribution on (every packet has a clock) and off (only sampled
-        /// ones do).
+        /// Exact-sum attribution over random legal hook sequences: a
+        /// sampled packet's spans tile its lifetime, sum to its latency and
+        /// cross as many links as the sequence did; the breakdown's totals
+        /// sum to the delivered latencies, and with every packet sampled
+        /// equal the journeys' components summed — with attribution on
+        /// (every packet has a clock) and off (only sampled ones do).
         #[test]
         fn random_hook_sequences_account_exactly(
             tape in proptest::collection::vec(0u16..u16::MAX, 64..512),

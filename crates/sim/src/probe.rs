@@ -600,15 +600,16 @@ mod tests {
         probe.complete(&tail, 123, 24);
 
         let art = probe.finish(200);
-        let engine = art.attribution.expect("installed").breakdown.records;
+        let engine = art.attribution.expect("installed").breakdown;
         let journeys = art.journeys.expect("installed").packets;
-        assert_eq!(engine.len(), 2);
-        for (rec, journey) in engine.iter().zip(&journeys) {
-            assert_eq!(rec.packet, journey.packet);
-            assert_eq!(journey.components(), rec.components, "packet {}", rec.packet);
-            assert_eq!(rec.components.total(), rec.latency);
+        assert_eq!((engine.packets, journeys.len()), (2, 2));
+        let mut summed = noc_telemetry::LatencyComponents::default();
+        for journey in &journeys {
+            assert_eq!(journey.components().total(), journey.latency, "packet {}", journey.packet);
+            summed.accumulate(&journey.components());
         }
-        let clipped = engine[0].components;
+        assert_eq!(engine.totals, summed, "the engine's totals are the journeys' components");
+        let clipped = journeys[0].components();
         assert_eq!(clipped.retransmission, 12 + 3, "wasted window [0, 12) plus the hop NACK");
         assert_eq!(clipped.traversal, 4, "only the delivering generation counts");
         assert_eq!(clipped.bypass, 2);

@@ -1,9 +1,15 @@
 //! Integration tests for per-flit latency attribution: exact component
 //! sums, spatial coverage, and interaction with power gating and
-//! re-transmission — all through the public `Network` API.
+//! re-transmission — all through the public `Network` API. Each packet's own
+//! components come from its journey, traced for every packet here; the
+//! breakdown keeps their totals.
 
 use noc_ecc::EccScheme;
-use noc_sim::{AttributionArtifacts, Network, ProbeConfig, RouterDirective, SimConfig};
+use noc_sim::{
+    AttributionArtifacts, JourneyCause, JourneyLog, Network, ProbeConfig, RouterDirective,
+    SimConfig,
+};
+use noc_telemetry::LatencyBreakdown;
 use noc_traffic::WorkloadSpec;
 
 fn install_attribution(net: &mut Network) {
@@ -12,6 +18,35 @@ fn install_attribution(net: &mut Network) {
 
 fn take_attribution(net: &mut Network) -> Option<AttributionArtifacts> {
     net.take_probe().attribution
+}
+
+/// Attribution plus a journey for every packet.
+fn install_traced(net: &mut Network) {
+    let cfg = ProbeConfig { attribution: true, journeys: Some((0, 1)), ..ProbeConfig::default() };
+    net.install_probe(cfg);
+}
+
+/// The attribution artifacts and the journey log, checked against each
+/// other: every packet's components sum exactly to its measured latency,
+/// and the breakdown is those components summed, overall and per pair.
+fn take_checked(net: &mut Network) -> (AttributionArtifacts, JourneyLog) {
+    let probe = net.take_probe();
+    let art = probe.attribution.expect("attribution installed");
+    let log = probe.journeys.expect("journeys installed");
+    let mut summed = LatencyBreakdown::default();
+    for j in &log.packets {
+        let c = j.components();
+        assert_eq!(
+            c.total(),
+            j.latency,
+            "packet {} components {c:?} != latency {}",
+            j.packet,
+            j.latency
+        );
+        summed.record(j.src, j.dest, j.latency, &c);
+    }
+    assert_eq!(format!("{:?}", art.breakdown), format!("{summed:?}"));
+    (art, log)
 }
 
 fn quiet() -> SimConfig {
@@ -26,24 +61,13 @@ fn quiet() -> SimConfig {
 #[test]
 fn components_sum_to_measured_latency() {
     let mut net = Network::new(quiet(), WorkloadSpec::uniform(0.02, 20), 7);
-    install_attribution(&mut net);
+    install_traced(&mut net);
     assert!(net.run_cycles(200_000), "uniform workload must drain");
-    let art = take_attribution(&mut net).expect("attribution installed");
+    let (art, log) = take_checked(&mut net);
     let b = &art.breakdown;
     assert_eq!(b.packets, 64 * 20, "all delivered packets attributed");
-    assert_eq!(b.records.len(), b.packets as usize);
-    let mut total = 0u64;
-    for rec in &b.records {
-        assert_eq!(
-            rec.components.total(),
-            rec.latency,
-            "packet {} components {:?} != latency {}",
-            rec.packet,
-            rec.components,
-            rec.latency
-        );
-        total += rec.latency;
-    }
+    assert_eq!(log.packets.len() as u64, b.packets);
+    let total: u64 = log.packets.iter().map(|j| j.latency).sum();
     assert_eq!(b.latency_sum, total);
     assert_eq!(b.totals.total(), total);
     // Per-pair rollups cover every record.
@@ -89,15 +113,12 @@ fn hop_retransmission_component_appears_under_errors() {
     let mut net = Network::new(cfg, WorkloadSpec::uniform(0.02, 20), 11);
     let d = RouterDirective { gate: None, scheme: EccScheme::Secded, relaxed: false };
     net.apply_directives(&[d; 64]);
-    install_attribution(&mut net);
+    install_traced(&mut net);
     assert!(net.run_cycles(400_000));
     let hop_retx = net.stats().hop_retx_events;
     let faulty = net.stats().faulty_traversals;
     assert!(hop_retx > 0, "SECDED at 5e-4 must NACK ({faulty} faulty traversals)");
-    let art = take_attribution(&mut net).expect("attribution installed");
-    for rec in &art.breakdown.records {
-        assert_eq!(rec.components.total(), rec.latency);
-    }
+    let (art, _) = take_checked(&mut net);
     assert!(
         art.breakdown.totals.retransmission > 0,
         "{hop_retx} hop NACKs must charge the retransmission component"
@@ -107,8 +128,8 @@ fn hop_retransmission_component_appears_under_errors() {
 }
 
 /// End-to-end CRC failures scrap the whole delivery and re-inject at the
-/// source: the wasted generation is charged to retransmission and the
-/// packet's `e2e_retx` count records the round trips.
+/// source: the wasted generation is charged to retransmission, and a
+/// restarted packet's journey shows it as `wasted_gen` spans.
 #[test]
 fn e2e_retransmission_charges_the_wasted_generation() {
     let mut cfg = SimConfig::default();
@@ -118,25 +139,19 @@ fn e2e_retransmission_charges_the_wasted_generation() {
     let mut net = Network::new(cfg, WorkloadSpec::uniform(0.02, 20), 13);
     let d = RouterDirective { gate: None, scheme: EccScheme::Crc, relaxed: false };
     net.apply_directives(&[d; 64]);
-    install_attribution(&mut net);
+    install_traced(&mut net);
     assert!(net.run_cycles(400_000));
     let e2e = net.stats().e2e_retx_packets;
     assert!(e2e > 0, "e2e CRC at 5e-4 must scrap at least one delivery");
-    let art = take_attribution(&mut net).expect("attribution installed");
-    let mut retx_packets = 0u64;
-    for rec in &art.breakdown.records {
-        assert_eq!(rec.components.total(), rec.latency);
-        if rec.e2e_retx > 0 {
-            retx_packets += 1;
-            assert!(
-                rec.components.retransmission > 0,
-                "packet {} had {} e2e retx but no retransmission charge",
-                rec.packet,
-                rec.e2e_retx
-            );
-        }
-    }
-    assert!(retx_packets > 0, "some delivered packet must carry an e2e retx");
+    // `take_checked` ties the journeys' `wasted_gen` spans to the
+    // retransmission the engine charged.
+    let (_, log) = take_checked(&mut net);
+    let wasted = |j: &&noc_telemetry::PacketJourney| {
+        j.spans.iter().any(|s| s.cause == JourneyCause::WastedGen && s.duration() > 0)
+    };
+    let retx_packets = log.packets.iter().filter(wasted).count() as u64;
+    assert!(retx_packets > 0, "some delivered packet must carry a wasted generation");
+    assert!(retx_packets <= e2e, "only a restarted packet wastes a generation");
 }
 
 /// Gate-residency accumulates when routers are force-gated, and bypass
@@ -152,14 +167,11 @@ fn gate_residency_and_bypass_show_up_when_gated() {
     let mut net = Network::new(cfg, WorkloadSpec::uniform(0.001, 3), 5);
     let d = RouterDirective { gate: Some(true), scheme: EccScheme::None, relaxed: false };
     net.apply_directives(&[d; 64]);
-    install_attribution(&mut net);
+    install_traced(&mut net);
     assert!(net.run_cycles(400_000));
-    let art = take_attribution(&mut net).expect("attribution installed");
+    let (art, _) = take_checked(&mut net);
     let gate = art.grid("router_gate_residency").expect("gate grid present");
     assert!(gate.cells.iter().sum::<f64>() > 1.0, "force-gated mesh must show gate residency");
-    for rec in &art.breakdown.records {
-        assert_eq!(rec.components.total(), rec.latency);
-    }
     assert!(art.breakdown.totals.bypass > 0, "gated routers must produce bypass hops");
 }
 

@@ -306,26 +306,14 @@ impl AlertEngine {
             .collect()
     }
 
-    /// Whether any rule is currently firing.
-    #[must_use]
-    pub fn any_firing(&self) -> bool {
-        self.states.iter().any(|s| s.firing)
-    }
-
     /// Evaluates every rule against a registry snapshot; returns the state
     /// transitions (empty when nothing changed).
     pub fn evaluate(&mut self, reg: &MetricsRegistry, cycle: u64) -> Vec<AlertEvent> {
         let samples = registry_samples(reg);
-        self.evaluate_samples(&samples, cycle)
-    }
-
-    /// Evaluates every rule against flat samples (e.g. parsed exposition
-    /// text from the serve hub); returns the state transitions.
-    pub fn evaluate_samples(&mut self, samples: &[Sample], cycle: u64) -> Vec<AlertEvent> {
         self.evaluations += 1;
         let mut transitions = Vec::new();
         for (rule, state) in self.rules.iter().zip(&mut self.states) {
-            let value = pick_value(samples, rule);
+            let value = pick_value(&samples, rule);
             let Some(value) = value else {
                 // Metric absent from the snapshot: not a breach; the
                 // sustain streak resets but a firing rule stays firing
@@ -482,14 +470,14 @@ mod tests {
         let mut eng = AlertEngine::new(rules);
         // First breach: sustain not yet met.
         assert!(eng.evaluate(&reg_with_gauge(150.0), 1000).is_empty());
-        assert!(!eng.any_firing());
+        assert!(eng.firing().is_empty());
         // Second consecutive breach: fires.
         let fired = eng.evaluate(&reg_with_gauge(160.0), 2000);
         assert_eq!(fired.len(), 1);
         assert_eq!(fired[0].edge, AlertEdge::Firing);
         assert!(fired[0].critical);
         assert_eq!(fired[0].cycle, 2000);
-        assert!(eng.any_firing());
+        assert!(!eng.firing().is_empty());
         assert_eq!(eng.firing(), vec!["noc_latency_avg_cycles>100"]);
         // Still breaching: no new transition.
         assert!(eng.evaluate(&reg_with_gauge(170.0), 3000).is_empty());
@@ -497,12 +485,12 @@ mod tests {
         let resolved = eng.evaluate(&reg_with_gauge(50.0), 4000);
         assert_eq!(resolved.len(), 1);
         assert_eq!(resolved[0].edge, AlertEdge::Resolved);
-        assert!(!eng.any_firing());
+        assert!(eng.firing().is_empty());
         // A non-consecutive breach restarts the sustain streak.
         assert!(eng.evaluate(&reg_with_gauge(150.0), 5000).is_empty());
         assert!(eng.evaluate(&reg_with_gauge(50.0), 6000).is_empty());
         assert!(eng.evaluate(&reg_with_gauge(150.0), 7000).is_empty());
-        assert!(!eng.any_firing());
+        assert!(eng.firing().is_empty());
     }
 
     #[test]
@@ -531,7 +519,7 @@ mod tests {
         assert_eq!(eng.evaluate(&reg_with_gauge(150.0), 2).len(), 1);
         // Metric vanishes: the rule stays firing (no resolved edge).
         assert!(eng.evaluate(&empty, 3).is_empty());
-        assert!(eng.any_firing());
+        assert!(!eng.firing().is_empty());
     }
 
     #[test]
@@ -571,14 +559,5 @@ mod tests {
         let v: serde::Content = serde_json::from_str(&json).unwrap();
         assert_eq!(v.get("state").and_then(serde::Content::as_str), Some("firing"));
         assert_eq!(v.get("rule").and_then(serde::Content::as_str), Some("noc_x>1"));
-    }
-
-    #[test]
-    fn exposition_text_roundtrip_evaluates() {
-        let reg = reg_with_gauge(150.0);
-        let text = render_exposition(&reg);
-        let samples = crate::parse_exposition(&text).unwrap();
-        let mut eng = AlertEngine::new(parse_rules("noc_latency_avg_cycles>100").unwrap());
-        assert_eq!(eng.evaluate_samples(&samples, 7).len(), 1);
     }
 }

@@ -85,29 +85,6 @@ impl LatencyComponents {
     }
 }
 
-/// The attributed latency of one delivered packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PacketLatency {
-    /// Packet id.
-    pub packet: u64,
-    /// Source router.
-    pub src: u16,
-    /// Destination router.
-    pub dest: u16,
-    /// Measured end-to-end latency (cycles).
-    pub latency: u64,
-    /// Where the latency went; components sum to `latency`.
-    pub components: LatencyComponents,
-    /// Head-flit powered link crossings in the delivered generation.
-    pub hops: u16,
-    /// Head-flit bypass crossings in the delivered generation.
-    pub bypass_hops: u16,
-    /// Hop-level NACKs over the packet's whole lifetime.
-    pub hop_retx: u16,
-    /// End-to-end retransmission generations before delivery.
-    pub e2e_retx: u16,
-}
-
 /// Aggregated attribution for one source→destination pair.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PairBreakdown {
@@ -130,8 +107,9 @@ impl PairBreakdown {
     }
 }
 
-/// Run-wide per-flit latency attribution: totals, per-pair aggregates, and
-/// the individual packet records.
+/// Run-wide per-flit latency attribution: totals and per-pair aggregates.
+/// A packet's own components are its journey's
+/// ([`PacketJourney::components`](crate::PacketJourney::components)).
 #[derive(Debug, Clone, Default)]
 pub struct LatencyBreakdown {
     /// Delivered packets attributed.
@@ -142,21 +120,19 @@ pub struct LatencyBreakdown {
     pub totals: LatencyComponents,
     /// Per source→destination aggregates, ordered by `(src, dest)`.
     pub pairs: BTreeMap<(u16, u16), PairBreakdown>,
-    /// Every attributed packet, in delivery order.
-    pub records: Vec<PacketLatency>,
 }
 
 impl LatencyBreakdown {
-    /// Folds one delivered packet into the totals, its pair, and `records`.
-    pub fn record(&mut self, rec: PacketLatency) {
+    /// Folds one delivered `src`→`dest` packet of end-to-end `latency`,
+    /// split into `components`, into the totals and its pair.
+    pub fn record(&mut self, src: u16, dest: u16, latency: u64, components: &LatencyComponents) {
         self.packets += 1;
-        self.latency_sum += rec.latency;
-        self.totals.accumulate(&rec.components);
-        let pair = self.pairs.entry((rec.src, rec.dest)).or_default();
+        self.latency_sum += latency;
+        self.totals.accumulate(components);
+        let pair = self.pairs.entry((src, dest)).or_default();
         pair.packets += 1;
-        pair.latency_sum += rec.latency;
-        pair.components.accumulate(&rec.components);
-        self.records.push(rec);
+        pair.latency_sum += latency;
+        pair.components.accumulate(components);
     }
 
     /// Mean end-to-end latency over attributed packets.
@@ -463,20 +439,17 @@ mod tests {
     #[test]
     fn breakdown_aggregates_per_pair() {
         let mut bd = LatencyBreakdown::default();
-        let rec = |packet, src, dest, latency| PacketLatency {
-            packet,
-            src,
-            dest,
-            latency,
-            components: LatencyComponents { queuing: latency, ..Default::default() },
-            hops: 1,
-            bypass_hops: 0,
-            hop_retx: 0,
-            e2e_retx: 0,
+        let mut rec = |src, dest, latency| {
+            bd.record(
+                src,
+                dest,
+                latency,
+                &LatencyComponents { queuing: latency, ..Default::default() },
+            );
         };
-        bd.record(rec(1, 0, 5, 10));
-        bd.record(rec(2, 0, 5, 30));
-        bd.record(rec(3, 1, 5, 100));
+        rec(0, 5, 10);
+        rec(0, 5, 30);
+        rec(1, 5, 100);
         assert_eq!(bd.packets, 3);
         assert_eq!(bd.pairs[&(0, 5)].packets, 2);
         assert!((bd.pairs[&(0, 5)].mean_latency() - 20.0).abs() < 1e-9);

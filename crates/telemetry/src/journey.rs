@@ -795,12 +795,12 @@ impl JourneyLog {
     }
 }
 
-/// Nearest-rank percentile over a sorted slice (zero for an empty one): the
-/// tail report's cycle latencies and the runner's wall times alike.
+/// Nearest-rank percentile over a sorted slice of cycle latencies (zero for
+/// an empty one).
 #[must_use]
-pub fn percentile<T: Copy + Default>(sorted: &[T], p: f64) -> T {
+pub fn percentile(sorted: &[u64], p: f64) -> u64 {
     if sorted.is_empty() {
-        return T::default();
+        return 0;
     }
     let n = sorted.len();
     let rank = ((p * n as f64).ceil() as usize).clamp(1, n);
@@ -1156,12 +1156,7 @@ mod tests {
         assert_eq!(percentile(&v, 0.50), 5);
         assert_eq!(percentile(&v, 0.99), 10);
         assert_eq!(percentile(&v, 0.0), 1);
-        assert_eq!(percentile::<u64>(&[], 0.5), 0);
-        // Wall times take the same rule.
-        let w: Vec<f64> = v.iter().map(|&x| x as f64).collect();
-        assert_eq!(percentile(&w, 0.50), 5.0);
-        assert_eq!(percentile(&w, 0.95), 10.0);
-        assert_eq!(percentile::<f64>(&[], 0.5), 0.0);
+        assert_eq!(percentile(&[], 0.5), 0);
     }
 
     /// Alphabet of hostile label characters: JSON syntax, escapes,

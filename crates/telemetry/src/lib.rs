@@ -62,7 +62,7 @@ pub use exposition::{
 };
 pub use inspect::{
     link_stats_csv, AttributionArtifacts, ConvergenceSample, DecisionLog, DecisionRecord, HeatGrid,
-    LatencyBreakdown, LatencyComponents, LinkStat, PacketLatency, PairBreakdown,
+    LatencyBreakdown, LatencyComponents, LinkStat, PairBreakdown,
 };
 pub use journey::{
     journey_file_name, journey_sampled, percentile, HopSpan, JourneyCause, JourneyLoc, JourneyLog,

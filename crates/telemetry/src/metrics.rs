@@ -259,30 +259,6 @@ impl MetricsRegistry {
         Ok(())
     }
 
-    /// Adds to a counter series (creating it at zero).
-    ///
-    /// # Errors
-    ///
-    /// Rejects undeclared metrics, kind mismatches, malformed label names,
-    /// and negative or non-finite increments.
-    pub fn counter_add(
-        &mut self,
-        name: &str,
-        labels: &[(&str, &str)],
-        delta: f64,
-    ) -> Result<(), String> {
-        if !delta.is_finite() || delta < 0.0 {
-            return Err(format!("counter `{name}` increment must be finite and >= 0, got {delta}"));
-        }
-        check_labels(name, labels, MetricKind::Counter)?;
-        let fam = self.family_mut(name, MetricKind::Counter)?;
-        let entry = fam.series.entry(label_set(labels)).or_insert(SeriesValue::Counter(0.0));
-        if let SeriesValue::Counter(v) = entry {
-            *v += delta;
-        }
-        Ok(())
-    }
-
     /// Sets a gauge series.
     ///
     /// # Errors
@@ -420,15 +396,16 @@ mod tests {
     }
 
     #[test]
-    fn counters_accumulate_and_set() {
+    fn counter_set_replaces_the_series_total() {
         let mut reg = MetricsRegistry::new();
         reg.declare_counter("c_total", "c").unwrap();
-        reg.counter_add("c_total", &[("k", "a")], 2.0).unwrap();
-        reg.counter_add("c_total", &[("k", "a")], 3.0).unwrap();
+        reg.counter_set("c_total", &[("k", "a")], 2.0).unwrap();
+        reg.counter_set("c_total", &[("k", "a")], 5.0).unwrap();
         reg.counter_set("c_total", &[("k", "b")], 7.0).unwrap();
         let fam = &reg.families().next().unwrap().1;
         assert_eq!(fam.series.len(), 2);
-        assert!(reg.counter_add("c_total", &[], -1.0).is_err());
+        assert_eq!(fam.series.values().next(), Some(&SeriesValue::Counter(5.0)));
+        assert!(reg.counter_set("c_total", &[], -1.0).is_err());
         assert!(reg.counter_set("c_total", &[], f64::NAN).is_err());
     }
 

@@ -97,11 +97,6 @@ impl RunTimeline {
     pub fn is_empty(&self) -> bool {
         self.samples.is_empty()
     }
-
-    /// Number of series per sample.
-    pub fn series_count(&self) -> usize {
-        Self::SERIES.len()
-    }
 }
 
 #[cfg(test)]
@@ -129,11 +124,6 @@ mod tests {
             injected_bits: 3,
             trace_drops: 7,
         }
-    }
-
-    #[test]
-    fn at_least_eight_series() {
-        assert!(RunTimeline::default().series_count() >= 8);
     }
 
     #[test]

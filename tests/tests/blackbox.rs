@@ -6,15 +6,17 @@
 
 use intellinoc::{
     run_campaign_runner, run_experiment_instrumented, run_units, CampaignConfig, ChaosOptions,
-    Design, ExperimentConfig, RunStatus, RunnerConfig, TelemetryOptions, TimeoutReport, UnitCtx,
-    UnitSinks, UnitVerdict,
+    Design, ExperimentConfig, MetricsOptions, RunStatus, RunnerConfig, TelemetryOptions,
+    TimeoutReport, UnitCtx, UnitSinks, UnitVerdict,
 };
 use noc_sim::{
-    parse_bundle, parse_rules, render_report, AlertEdge, BundleCause, BundleHead, Event, Network,
-    ProbeConfig, Profiler, RunnerEvent, SimConfig, StallReport, TraceFilter, Tracer,
+    parse_bundle, parse_rules, render_report, AlertEdge, BundleCause, BundleHead, Event,
+    MetricsHub, Network, ProbeConfig, Profiler, RunnerEvent, SimConfig, StallReport, TraceFilter,
+    Tracer,
 };
 use noc_traffic::{ParsecBenchmark, WorkloadSpec};
 use std::path::PathBuf;
+use std::sync::Arc;
 
 /// FNV-1a, 64 bit: the digest the bundle pins are stated in.
 fn fnv1a(text: &str) -> u64 {
@@ -301,8 +303,10 @@ fn cut_off_profiled_run_pins_the_bundle_counters_and_spans() {
 fn alert_rules_fire_end_to_end_without_perturbing_the_run() {
     let workload = ParsecBenchmark::Canneal.workload(10);
     let mut cfg = ExperimentConfig::new(Design::Secded, workload.clone()).with_seed(11);
+    let hub = Arc::new(MetricsHub::new());
     cfg.telemetry = TelemetryOptions {
         alert_rules: parse_rules("noc_packets_total>10;noc_packets_total>1e15").unwrap(),
+        metrics: MetricsOptions { hub: Some(hub.clone()) },
         ..TelemetryOptions::default()
     };
     let (outcome, _, artifacts) = run_experiment_instrumented(cfg);
@@ -319,8 +323,8 @@ fn alert_rules_fire_end_to_end_without_perturbing_the_run() {
     assert!(!artifacts.alerts.iter().any(|e| e.rule == "noc_packets_total>1e15"));
     assert!(!artifacts.alerts.iter().any(|e| e.edge == AlertEdge::Resolved));
 
-    // The alert families are part of the final exposition snapshot.
-    let expo = artifacts.exposition.expect("alert rules force a registry");
+    // The alert families are part of the hub's final snapshot.
+    let expo = hub.snapshot();
     assert!(
         expo.contains("noc_alert_firing{rule=\"noc_packets_total>10\"} 1"),
         "missing firing gauge in:\n{expo}"

@@ -8,6 +8,7 @@ use intellinoc::{
     ExperimentOutcome, OperationMode, TelemetryArtifacts, TelemetryOptions,
 };
 use noc_sim::link_stats_csv;
+use noc_telemetry::LatencyBreakdown;
 use noc_traffic::{ParsecBenchmark, WorkloadSpec};
 
 fn inspect_cfg(design: Design, seed: u64) -> ExperimentConfig {
@@ -29,28 +30,34 @@ fn run_inspect(
     run_experiment_instrumented(inspect_cfg(design, seed))
 }
 
+/// Traces every packet's journey too: each journey's components must sum
+/// to its latency, and the breakdown must be those components summed,
+/// overall and per pair.
+fn run_exact(mut cfg: ExperimentConfig) -> (ExperimentOutcome, LatencyBreakdown) {
+    cfg.telemetry.journeys_every = 1;
+    let (outcome, _, artifacts) = run_experiment_instrumented(cfg);
+    let log = artifacts.journeys.expect("journeys enabled");
+    let mut summed = LatencyBreakdown::default();
+    for j in &log.packets {
+        let c = j.components();
+        assert_eq!(c.total(), j.latency, "packet {}: {c:?} != {}", j.packet, j.latency);
+        summed.record(j.src, j.dest, j.latency, &c);
+    }
+    let b = artifacts.attribution.expect("attribution enabled").breakdown;
+    assert_eq!(format!("{b:?}"), format!("{summed:?}"));
+    (outcome, b)
+}
+
 /// The acceptance invariant: every packet's latency components sum to its
 /// measured end-to-end latency, on the full IntelliNoC design (gating,
 /// bypass, adaptive ECC all active).
 #[test]
 fn attribution_components_sum_to_e2e_latency() {
-    let (outcome, _, artifacts) = run_inspect(Design::IntelliNoc, 11);
-    let att = artifacts.attribution.expect("attribution enabled");
-    let b = &att.breakdown;
+    let (outcome, b) = run_exact(inspect_cfg(Design::IntelliNoc, 11));
     assert_eq!(
         b.packets, outcome.report.stats.packets_delivered,
         "every delivered packet is attributed"
     );
-    for rec in &b.records {
-        assert_eq!(
-            rec.components.total(),
-            rec.latency,
-            "packet {}: {:?} != {}",
-            rec.packet,
-            rec.components,
-            rec.latency
-        );
-    }
     assert_eq!(
         b.latency_sum, outcome.report.stats.latency_sum,
         "attributed latency matches the simulator's own sum"
@@ -63,11 +70,7 @@ fn attribution_components_sum_to_e2e_latency() {
 fn attribution_stays_exact_under_forced_errors() {
     let mut cfg = inspect_cfg(Design::IntelliNoc, 13);
     cfg.error_rate_override = Some(2e-4);
-    let (outcome, _, artifacts) = run_experiment_instrumented(cfg);
-    let att = artifacts.attribution.expect("attribution enabled");
-    for rec in &att.breakdown.records {
-        assert_eq!(rec.components.total(), rec.latency);
-    }
+    let (outcome, _) = run_exact(cfg);
     assert!(
         outcome.report.stats.hop_retx_events + outcome.report.stats.e2e_retx_packets > 0,
         "2e-4 override must force some retransmission"

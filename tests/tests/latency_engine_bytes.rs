@@ -19,6 +19,7 @@ use intellinoc::{
 };
 use noc_fault::HardFaultScenario;
 use noc_sim::{journey_sampled, link_stats_csv, shared_recorder, JourneyLog};
+use noc_telemetry::LatencyBreakdown;
 use noc_traffic::{ReqReplySpec, WorkloadSpec};
 use std::sync::OnceLock;
 
@@ -173,23 +174,33 @@ fn each_sink_renders_the_same_bytes_whatever_the_other_does() {
             );
             let (b, t) = (&base.artifacts.attribution, &traced.artifacts.attribution);
             assert_eq!(
-                b.as_ref().unwrap().breakdown.records,
-                t.as_ref().unwrap().breakdown.records
+                format!("{:?}", b.as_ref().unwrap().breakdown),
+                format!("{:?}", t.as_ref().unwrap().breakdown)
             );
         }
+        // Every packet traced: one journey per delivered packet, in delivery
+        // order, and the breakdown is their components summed.
+        let all = of(1, true);
+        let delivered = all.outcome.report.stats.packets_delivered;
+        let every_packet = all.artifacts.journeys.as_ref().expect("tracing on");
+        assert_eq!(every_packet.packets.len() as u64, delivered);
+        let mut summed = LatencyBreakdown::default();
+        for j in &every_packet.packets {
+            assert_eq!(j.components().total(), j.latency, "packet {}", j.packet);
+            summed.record(j.src, j.dest, j.latency, &j.components());
+        }
+        let att = all.artifacts.attribution.as_ref().expect("attribution on");
+        assert_eq!(format!("{:?}", att.breakdown), format!("{summed:?}"), "{}", design.label());
         // At 1 in 7 with attribution on, the table tracks every packet but
         // only the hashed sample leaves a journey.
         let cell = of(7, true);
-        let delivered = cell.outcome.report.stats.packets_delivered;
         let att = cell.artifacts.attribution.as_ref().expect("attribution on");
         let log = cell.artifacts.journeys.as_ref().expect("tracing on");
         assert_eq!(att.breakdown.packets, delivered, "every delivered packet is attributed");
-        assert_eq!(att.breakdown.records.len() as u64, delivered);
-        let sampled: Vec<u64> = att
-            .breakdown
-            .records
+        let sampled: Vec<u64> = every_packet
+            .packets
             .iter()
-            .map(|r| r.packet)
+            .map(|j| j.packet)
             .filter(|&p| journey_sampled(71, p, 7))
             .collect();
         let traced: Vec<u64> = log.packets.iter().map(|p| p.packet).collect();

@@ -125,18 +125,15 @@ fn cycle_domain_span_artifacts_are_deterministic() {
     let run = || {
         let mut cfg =
             ExperimentConfig::new(Design::IntelliNoc, WorkloadSpec::uniform(0.02, 10)).with_seed(7);
+        let hub = std::sync::Arc::new(noc_sim::MetricsHub::new());
         cfg.telemetry = TelemetryOptions {
             profile: true,
-            metrics: intellinoc::MetricsOptions {
-                hub: Some(std::sync::Arc::new(noc_sim::MetricsHub::new())),
-                file: None,
-            },
+            metrics: intellinoc::MetricsOptions { hub: Some(hub.clone()) },
             ..TelemetryOptions::default()
         };
         let (_, _, artifacts) = run_experiment_instrumented(cfg);
         let prof = artifacts.profiler.expect("profiler artifact present");
-        let expo = artifacts.exposition.expect("exposition artifact present");
-        (prof.span_tree().tree_table(), expo)
+        (prof.span_tree().tree_table(), hub.snapshot())
     };
     let (table1, expo1) = run();
     let (table2, expo2) = run();
