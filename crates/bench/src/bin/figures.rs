@@ -14,8 +14,8 @@ const USAGE: &str = "usage: figures --list
 
   --list         print every figure name with what it shows
   all            every figure in table order, then the headline comparison
-  --jobs N       worker threads for the grid studies (default 1; output is
-                 byte-identical at any N)
+  --jobs N       worker threads for the pre-training and the grid studies
+                 (default 1; output is byte-identical at any N)
   --out-dir DIR  also write each figure to DIR/<name>.txt and, with `all`,
                  the campaign CSVs to DIR/intellinoc-{normalized,raw}.csv";
 
@@ -69,6 +69,9 @@ fn run(mut args: impl Iterator<Item = String>) -> Result<(), String> {
     }
 
     let mut eval = Evaluation::new(Campaign::default(), jobs);
+    // Every recipe the selected figures read, trained as one grid before
+    // the first render.
+    eval.pretrain(&selected).map_err(|e| format!("pre-training: {e}"))?;
     let mut stdout = std::io::stdout().lock();
     for fig in selected {
         // Rendered into memory first: a unit that fails leaves no

@@ -2,9 +2,9 @@
 //!
 //! The paper's evaluation (§7) as one table. [`FIGURES`] lists every
 //! experiment — Figs. 9–18, Table 2 and the extension studies — by the name
-//! DESIGN.md §3 and EXPERIMENTS.md use, each with the function that renders
-//! it; the one binary, `figures`, looks names up here
-//! (`figures --list`, `figures <name>…`, `figures all`).
+//! DESIGN.md §3 and EXPERIMENTS.md use, each with the pre-training recipes
+//! it reads and the function that renders it; the one binary, `figures`,
+//! looks names up here (`figures --list`, `figures <name>…`, `figures all`).
 //!
 //! The 5 designs × 10 benchmarks campaign behind Figs. 9–16 and the probe,
 //! and the test runs of Figs. 17a/17b, are [`intellinoc::BenchSpec`] grids
@@ -18,11 +18,13 @@
 //! `run_campaign_runner`) the resilience grid — are cell lists for
 //! [`intellinoc::run_grid`], each cell at the seed its study pins; a
 //! cell's policy (`expert`) and Q-table soft errors (`qtable_flips`) are
-//! cell data like its seed. `--jobs N` parallelizes every grid without
-//! moving a byte of output. An [`Evaluation`] carries the campaign
-//! parameters and worker count across the figures of one invocation and
-//! runs the campaign, and each distinct pre-training recipe, at most once,
-//! in memory.
+//! cell data like its seed. Pre-training is a grid too: before the first
+//! render, [`Evaluation::pretrain`] trains every distinct recipe the
+//! selected figures declare as one [`intellinoc::pretrain_grid`] grid, and
+//! a render only looks its tables up. `--jobs N` parallelizes every grid
+//! without moving a byte of output. An [`Evaluation`] carries the campaign
+//! parameters, worker count and trained tables across the figures of one
+//! invocation and runs the campaign at most once, in memory.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,11 +33,12 @@ mod csv;
 mod studies;
 
 pub use csv::{write_campaign_csv, write_raw_csv, METRIC_COLUMNS};
+pub use intellinoc::Pretraining;
 pub use studies::print_headline;
 
 use intellinoc::{
-    compare, pretrain_intellinoc, run_grid, BenchSpec, BenchWorkload, ChaosOptions, ComparisonRow,
-    Design, ExperimentConfig, ExperimentOutcome, NormalizedMetrics, RewardKind, RunnerConfig,
+    compare, pretrain_grid, pretraining_key, run_grid, BenchSpec, BenchWorkload, ChaosOptions,
+    ComparisonRow, Design, ExperimentConfig, ExperimentOutcome, NormalizedMetrics, RunnerConfig,
     UnitSinks,
 };
 use noc_rl::{QLearningConfig, QTable};
@@ -45,10 +48,6 @@ use std::io::{self, Write};
 /// Default packets-per-node budget for figure campaigns. Keeps full-campaign
 /// wall-clock tractable while exercising thousands of packets per run.
 pub const CAMPAIGN_PACKETS_PER_NODE: u64 = 300;
-
-/// A pre-training recipe, `(rl, packets per node, time step, seed, episodes)`:
-/// all [`pretrain_intellinoc`] reads but the reward (always Eq. 1's).
-pub type Pretraining = (QLearningConfig, u64, u64, u64, u32);
 
 /// Campaign-wide parameters.
 #[derive(Debug, Clone, Copy)]
@@ -203,16 +202,17 @@ impl CampaignResults {
 }
 
 /// What the figures of one `figures` invocation share: the campaign
-/// parameters, the worker count for the grid studies, and the campaign
-/// results — computed on first use, kept in memory, never on disk.
+/// parameters, the worker count for the grids, the pre-trained tables and
+/// the campaign results — kept in memory, never on disk.
 #[derive(Debug)]
 pub struct Evaluation {
     /// Campaign parameters ([`Campaign::default`] is the paper's job).
     pub campaign: Campaign,
-    /// Worker threads for the grid studies (results identical at any count).
+    /// Worker threads for the grids (results identical at any count).
     pub jobs: usize,
     results: Option<CampaignResults>,
-    /// Pre-trained tables by the recipe that produced them.
+    /// Pre-trained tables by the recipe that produced them, filled by
+    /// [`Evaluation::pretrain`].
     pretrained: Vec<(Pretraining, Vec<QTable>)>,
 }
 
@@ -222,19 +222,39 @@ impl Evaluation {
         Evaluation { campaign, jobs, results: None, pretrained: Vec::new() }
     }
 
-    /// The IntelliNoC policy pre-trained on blackscholes (paper §6.3) by
-    /// `recipe`, computed once per distinct recipe.
-    pub fn pretrained(&mut self, recipe: Pretraining) -> Vec<QTable> {
-        if let Some((_, tables)) = self.pretrained.iter().find(|(k, _)| *k == recipe) {
-            return tables.clone();
-        }
-        let (rl, ppn, time_step, seed, episodes) = recipe;
-        let tables = pretrain_intellinoc(rl, RewardKind::LogSpace, ppn, time_step, seed, episodes);
-        self.pretrained.push((recipe, tables.clone()));
-        tables
+    /// Pre-trains every recipe `figures` declare ([`declared_recipes`]) as
+    /// one grid on this evaluation's workers.
+    ///
+    /// # Errors
+    ///
+    /// Engine errors, and the first recipe unit that did not finish `ok`,
+    /// named by its `pretrain/…` key.
+    pub fn pretrain(&mut self, figures: &[&Figure]) -> Result<(), String> {
+        let recipes = declared_recipes(figures, &self.campaign);
+        let report = pretrain_grid(&recipes, &self.runner(), &ChaosOptions::default())?;
+        let tables = report.clean_payloads()?.into_iter().cloned();
+        self.pretrained.extend(recipes.into_iter().zip(tables));
+        Ok(())
     }
 
-    /// The runner configuration of this evaluation's grid studies.
+    /// The IntelliNoC policy pre-trained on blackscholes (paper §6.3) by
+    /// `recipe`, as [`Evaluation::pretrain`] left it.
+    ///
+    /// # Errors
+    ///
+    /// `recipe` was not trained: no selected figure declared it. The error
+    /// names its key.
+    pub fn pretrained(&self, recipe: Pretraining) -> io::Result<&[QTable]> {
+        match self.pretrained.iter().find(|(k, _)| *k == recipe) {
+            Some((_, tables)) => Ok(tables),
+            None => Err(io::Error::other(format!(
+                "pre-training recipe {} was not declared by any selected figure",
+                pretraining_key(&recipe)
+            ))),
+        }
+    }
+
+    /// The runner configuration of this evaluation's grids.
     pub fn runner(&self) -> RunnerConfig {
         RunnerConfig::serial().with_jobs(self.jobs)
     }
@@ -262,10 +282,10 @@ impl Evaluation {
     pub fn results(&mut self) -> io::Result<&CampaignResults> {
         if self.results.is_none() {
             eprintln!("[campaign] running 5 designs x 10 benchmarks, {} worker(s)...", self.jobs);
-            let campaign = self.campaign;
-            let pretrained = self.pretrained(campaign.pretraining());
-            let results = campaign
-                .run(&ParsecBenchmark::TEST_SET, Some(&pretrained), &self.runner())
+            let pretrained = self.pretrained(self.campaign.pretraining())?;
+            let results = self
+                .campaign
+                .run(&ParsecBenchmark::TEST_SET, Some(pretrained), &self.runner())
                 .map_err(io::Error::other)?;
             self.results = Some(results);
         }
@@ -282,8 +302,35 @@ pub struct Figure {
     pub name: &'static str,
     /// One line on what it shows.
     pub about: &'static str,
+    /// The pre-training recipes its render reads at a campaign.
+    pub recipes: fn(&Campaign) -> Vec<Pretraining>,
     /// Runs what it needs and writes the table(s).
     pub render: fn(&mut Evaluation, &mut dyn Write) -> io::Result<()>,
+}
+
+/// What an entry fed by the campaign reads: the campaign's recipe.
+fn campaign_recipe(c: &Campaign) -> Vec<Pretraining> {
+    vec![c.pretraining()]
+}
+
+/// What an entry that runs no pre-trained policy reads.
+fn no_recipes(_: &Campaign) -> Vec<Pretraining> {
+    Vec::new()
+}
+
+/// The distinct recipes `figures` declare at `campaign`, each once, in
+/// [`FIGURES`] order: the campaign's 24-episode recipes lead, so the
+/// workers of one grid pack well.
+pub fn declared_recipes(figures: &[&Figure], campaign: &Campaign) -> Vec<Pretraining> {
+    let mut recipes = Vec::new();
+    for fig in FIGURES.iter().filter(|f| figures.iter().any(|s| s.name == f.name)) {
+        for recipe in (fig.recipes)(campaign) {
+            if !recipes.contains(&recipe) {
+                recipes.push(recipe);
+            }
+        }
+    }
+    recipes
 }
 
 /// Every experiment of the evaluation, in `figures all` order: the paper's
@@ -292,6 +339,7 @@ pub const FIGURES: &[Figure] = &[
     Figure {
         name: "fig09_speedup",
         about: "Fig. 9: speed-up of full execution time, normalized to SECDED",
+        recipes: campaign_recipe,
         render: |e, w| {
             studies::metric_figure(
                 e,
@@ -306,6 +354,7 @@ pub const FIGURES: &[Figure] = &[
     Figure {
         name: "fig10_latency",
         about: "Fig. 10: average end-to-end packet latency, normalized to SECDED",
+        recipes: campaign_recipe,
         render: |e, w| {
             studies::metric_figure(
                 e,
@@ -320,6 +369,7 @@ pub const FIGURES: &[Figure] = &[
     Figure {
         name: "fig11_static_power",
         about: "Fig. 11: static power, normalized to SECDED",
+        recipes: campaign_recipe,
         render: |e, w| {
             studies::metric_figure(
                 e,
@@ -334,6 +384,7 @@ pub const FIGURES: &[Figure] = &[
     Figure {
         name: "fig12_dynamic_power",
         about: "Fig. 12: dynamic power, normalized to SECDED",
+        recipes: campaign_recipe,
         render: |e, w| {
             studies::metric_figure(
                 e,
@@ -348,6 +399,7 @@ pub const FIGURES: &[Figure] = &[
     Figure {
         name: "fig13_energy_efficiency",
         about: "Fig. 13: energy-efficiency (Eq. 8), normalized to SECDED",
+        recipes: campaign_recipe,
         render: |e, w| {
             studies::metric_figure(
                 e,
@@ -362,16 +414,19 @@ pub const FIGURES: &[Figure] = &[
     Figure {
         name: "fig14_mode_breakdown",
         about: "Fig. 14: IntelliNoC operation-mode breakdown per benchmark",
+        recipes: campaign_recipe,
         render: studies::fig14,
     },
     Figure {
         name: "fig15_retransmissions",
         about: "Fig. 15: re-transmitted flits, normalized to SECDED, plus absolute counts",
+        recipes: campaign_recipe,
         render: studies::fig15,
     },
     Figure {
         name: "fig16_mttf",
         about: "Fig. 16: mean-time-to-failure, normalized to SECDED",
+        recipes: campaign_recipe,
         render: |e, w| {
             studies::metric_figure(
                 e,
@@ -386,23 +441,26 @@ pub const FIGURES: &[Figure] = &[
     Figure {
         name: "fig17a_timestep",
         about: "Fig. 17a: RL control time-step sweep, IntelliNoC vs SECDED on 4 benchmarks",
+        recipes: studies::fig17a_recipes,
         render: studies::fig17a,
     },
     Figure {
         name: "fig17b_error_rate",
         about: "Fig. 17b: forced bit-error-rate sweep, IntelliNoC vs SECDED on 3 benchmarks",
+        recipes: campaign_recipe,
         render: studies::fig17b,
     },
     Figure {
         name: "fig18a_gamma",
         about: "Fig. 18a: discount rate gamma vs EDP and re-transmissions (blackscholes, seed 7)",
+        recipes: |_| studies::hyper_recipes(studies::fig18a_gamma, &studies::GAMMAS),
         render: |e, w| {
             studies::hyper_sweep(
                 e,
                 w,
                 "Fig. 18a: impact of discount rate gamma",
                 ("gamma", 6, 1),
-                &[0.0, 0.1, 0.2, 0.5, 0.9, 1.0],
+                &studies::GAMMAS,
                 studies::fig18a_gamma,
                 "paper: EDP improves with larger gamma up to 0.9; gamma=1 fails to converge",
             )
@@ -411,13 +469,14 @@ pub const FIGURES: &[Figure] = &[
     Figure {
         name: "fig18b_epsilon",
         about: "Fig. 18b: exploration epsilon vs EDP and re-transmissions (blackscholes, seed 7)",
+        recipes: |_| studies::hyper_recipes(studies::fig18b_epsilon, &studies::EPSILONS),
         render: |e, w| {
             studies::hyper_sweep(
                 e,
                 w,
                 "Fig. 18b: impact of exploration probability epsilon",
                 ("epsilon", 8, 2),
-                &[0.0, 0.01, 0.05, 0.1, 0.2, 0.5, 1.0],
+                &studies::EPSILONS,
                 studies::fig18b_epsilon,
                 "paper: both extremes (epsilon=0 and epsilon=1) are sub-optimal; 0.05 is best",
             )
@@ -426,41 +485,49 @@ pub const FIGURES: &[Figure] = &[
     Figure {
         name: "table2_area",
         about: "Table 2: per-router area by component and design (um^2, 32 nm)",
+        recipes: no_recipes,
         render: studies::table2,
     },
     Figure {
         name: "ablations",
         about: "DESIGN.md §6 ablations D1/D2/D3/D5, IntelliNoC on canneal (seed 5)",
+        recipes: no_recipes,
         render: studies::ablations,
     },
     Figure {
         name: "expert_vs_rl",
         about: "learned policy vs a hand-written threshold rule on 3 benchmarks (seed 21)",
+        recipes: no_recipes,
         render: studies::expert_vs_rl,
     },
     Figure {
         name: "qtable_faults",
         about: "soft errors in the Q-tables, IntelliNoC on canneal (seed 31)",
+        recipes: |_| vec![studies::qtable_faults_recipe()],
         render: studies::qtable_faults,
     },
     Figure {
         name: "scaling",
         about: "4x4 / 8x8 / 16x16 meshes under uniform traffic, SECDED and IntelliNoC (seed 13)",
+        recipes: no_recipes,
         render: studies::scaling,
     },
     Figure {
         name: "load_sweep",
         about: "latency vs offered load, 8 rates x 5 designs on uniform traffic (seed 42)",
+        recipes: no_recipes,
         render: studies::load_sweep,
     },
     Figure {
         name: "resilience",
         about: "hard-fault campaign grid, with and without fault-aware rerouting (seed 1)",
+        recipes: no_recipes,
         render: studies::resilience,
     },
     Figure {
         name: "probe",
         about: "raw campaign metrics of every design on 4 benchmarks (calibration check)",
+        recipes: campaign_recipe,
         render: studies::probe,
     },
 ];
@@ -578,6 +645,12 @@ mod tests {
         let report = run_grid(&cells, &RunnerConfig::serial(), &chaos, UnitSinks::default());
         let err = report.expect("engine").clean_payloads().expect_err("a panicked unit");
         assert!(err.contains("unit study/flips failed: "), "{err}");
+        // A recipe unit is held to the same standard, by its `pretrain/…` key.
+        let recipe = (intellinoc::intellinoc_rl_config(), 4, 50, 2019, 1);
+        let chaos = ChaosOptions { panic_units: Some("pretrain/".into()), ..Default::default() };
+        let report = pretrain_grid(&[recipe], &RunnerConfig::serial(), &chaos);
+        let err = report.expect("engine").clean_payloads().expect_err("a panicked unit");
+        assert!(err.contains("unit pretrain/ts50/ppn4/s2019/e1/g0.9/eps0.05 failed: "), "{err}");
     }
 
     /// Each scaling cell sizes its agent bank from its own mesh: one
@@ -647,23 +720,42 @@ mod tests {
         assert_eq!(text.lines().count(), pin.lines().count(), "pin line count");
     }
 
+    /// `figures all` trains 17 distinct recipes, each under its own key: the
+    /// campaign's four time steps (Fig. 17a's sweep holds the campaign's
+    /// own) first, then 12 for Figs. 18a/18b — γ = 0.9 and ε = 0.05 are both
+    /// the paper's config, so one recipe — and `qtable_faults`' one.
+    /// Pre-training does not read the test runs' packet budget.
     #[test]
-    fn pretrained_tables_are_cached_by_recipe() {
-        let mut eval = Evaluation::new(Campaign::default(), 1);
-        // A stand-in for the campaign's 24 episodes: one empty table.
-        let stand_in = vec![QTable::new(5, 350)];
-        eval.pretrained.push((eval.campaign.pretraining(), stand_in));
-        // Pre-training does not read the test runs' packet budget.
-        let same = Campaign { packets_per_node: 4, ..Campaign::default() };
-        let tables = eval.pretrained(same.pretraining());
-        assert!(tables.len() == 1 && tables[0].is_empty(), "served from the cache");
-        assert_eq!(eval.pretrained.len(), 1);
-        // Fig. 18a's gamma = 0.9 row and Fig. 18b's epsilon = 0.05 row are
-        // both the paper's RL config: one recipe, pre-trained once.
+    fn figures_declare_seventeen_distinct_recipes_with_unique_keys() {
+        let all: Vec<&Figure> = FIGURES.iter().collect();
+        let recipes = declared_recipes(&all, &Campaign::default());
+        assert_eq!(recipes.len(), 17);
+        assert!(recipes[..4].iter().all(|&(_, ppn, _, _, episodes)| (ppn, episodes) == (200, 24)));
+        assert!(recipes[4..].iter().all(|&(.., episodes)| episodes == 12));
+        let keys: std::collections::BTreeSet<String> =
+            recipes.iter().map(pretraining_key).collect();
+        assert_eq!(keys.len(), recipes.len(), "two recipes share a key");
+        assert!(keys.contains("pretrain/ts1000/ppn200/s2019/e24/g0.9/eps0.05"), "{keys:?}");
+        let tiny = declared_recipes(&all, &tiny_campaign());
+        assert_eq!(tiny, recipes);
+        // A named selection trains only what it reads.
+        let entry = |name| FIGURES.iter().find(|f| f.name == name).expect("an entry");
         let gamma = studies::hyper_recipe(studies::fig18a_gamma, 0.9);
-        eval.pretrained.push((gamma, Vec::new()));
-        let tables = eval.pretrained(studies::hyper_recipe(studies::fig18b_epsilon, 0.05));
-        assert!(tables.is_empty(), "served from Fig. 18a's entry");
-        assert_eq!(eval.pretrained.len(), 2);
+        let epsilons = declared_recipes(&[entry("fig18b_epsilon")], &Campaign::default());
+        assert!(epsilons.len() == 7 && epsilons.contains(&gamma));
+        assert!(declared_recipes(&[entry("table2_area")], &Campaign::default()).is_empty());
+    }
+
+    /// A render looks its tables up and trains nothing: a recipe no selected
+    /// figure declared is an error naming it, raised before any run.
+    #[test]
+    fn a_figure_whose_recipe_was_not_trained_fails_naming_it() {
+        let mut eval = Evaluation::new(tiny_campaign(), 1);
+        let fig = FIGURES.iter().find(|f| f.name == "qtable_faults").expect("an entry");
+        let err = (fig.render)(&mut eval, &mut Vec::new()).expect_err("nothing trained");
+        let err = err.to_string();
+        assert!(err.contains("recipe pretrain/ts1000/ppn150/s31/e12/g0.9/eps0.05 "), "{err}");
+        assert!(eval.pretrained.is_empty(), "the render trained a recipe");
+        assert!(eval.pretrained(tiny_campaign().pretraining()).is_err());
     }
 }

@@ -1,10 +1,12 @@
-//! The renderers behind [`crate::FIGURES`]: each runs what its study needs
-//! — the shared campaign, or a cell list of its own as one `run_grid` grid,
-//! its pre-trained tables from the evaluation's cache — and writes the
-//! table(s). Seeds are the ones each study pins. Every run goes through a
-//! grid, never the unchecked `intellinoc::run_experiment`: a run that did
-//! not finish is an error naming its unit (`RunnerReport::clean_payloads`),
-//! or (`ablations`, `resilience`) a status row — not numbers.
+//! The renderers behind [`crate::FIGURES`], and the recipe lists they
+//! declare: each runs what its study needs — the shared campaign, or a cell
+//! list of its own as one `run_grid` grid, with the pre-trained tables it
+//! looks up by the recipes it declared — and writes the table(s). Seeds are
+//! the ones each study pins. Every run goes through a grid, never the
+//! unchecked `intellinoc::run_experiment`: a run that did not finish is an
+//! error naming its unit (`RunnerReport::clean_payloads`), or
+//! (`ablations`, `resilience`) a status row — not numbers. No render
+//! trains: a recipe it did not declare is an error naming the recipe.
 
 use crate::{design_columns, Campaign, Evaluation, Pretraining};
 use intellinoc::{
@@ -14,7 +16,7 @@ use intellinoc::{
 };
 use noc_ecc::EccScheme;
 use noc_power::{AreaBreakdown, AreaModel};
-use noc_rl::QLearningConfig;
+use noc_rl::{QLearningConfig, QTable};
 use noc_sim::{RunReport, SimConfig};
 use noc_traffic::{ParsecBenchmark, WorkloadSpec};
 use std::io::{self, Write};
@@ -104,6 +106,17 @@ fn ratio_geomeans(pairs: &[(&RunReport, &RunReport)]) -> [f64; 3] {
     ln_sums.map(|s| (s / pairs.len() as f64).exp())
 }
 
+/// Fig. 17a's test campaigns, one per swept RL time step: what its render
+/// runs, and whose recipes it declares.
+fn fig17a_campaigns(c: &Campaign) -> [Campaign; 4] {
+    [200u64, 500, 1_000, 10_000].map(|time_step| Campaign { time_step, ..*c })
+}
+
+/// The recipes Fig. 17a reads: one per time step.
+pub(crate) fn fig17a_recipes(c: &Campaign) -> Vec<Pretraining> {
+    fig17a_campaigns(c).iter().map(Campaign::pretraining).collect()
+}
+
 /// Fig. 17a — impact of the RL control time step on IntelliNoC's
 /// system-level metrics, normalized to the SECDED baseline.
 pub(crate) fn fig17a(eval: &mut Evaluation, w: &mut dyn Write) -> io::Result<()> {
@@ -113,6 +126,9 @@ pub(crate) fn fig17a(eval: &mut Evaluation, w: &mut dyn Write) -> io::Result<()>
         ParsecBenchmark::Swaptions,
         ParsecBenchmark::X264,
     ];
+    let campaigns = fig17a_campaigns(&eval.campaign);
+    let pretrained: Vec<&[QTable]> =
+        campaigns.iter().map(|c| eval.pretrained(c.pretraining())).collect::<io::Result<_>>()?;
     writeln!(w, "=== Fig. 17a: impact of RL time step (IntelliNoC vs baseline) ===")?;
     writeln!(w, "{:>10} {:>12} {:>12} {:>12}", "time_step", "exec_time", "e2e_latency", "energy")?;
     let rcfg = eval.runner();
@@ -121,16 +137,14 @@ pub(crate) fn fig17a(eval: &mut Evaluation, w: &mut dyn Write) -> io::Result<()>
         .campaign
         .outcomes(&[Design::Secded], &BENCHES, None, &rcfg, |_| ())
         .map_err(io::Error::other)?;
-    for step in [200u64, 500, 1_000, 10_000] {
-        let campaign = Campaign { time_step: step, ..eval.campaign };
-        let pretrained = eval.pretrained(campaign.pretraining());
+    for (campaign, tables) in campaigns.iter().zip(pretrained) {
         let runs = campaign
-            .outcomes(&[Design::IntelliNoc], &BENCHES, Some(&pretrained), &rcfg, |_| ())
+            .outcomes(&[Design::IntelliNoc], &BENCHES, Some(tables), &rcfg, |_| ())
             .map_err(io::Error::other)?;
         let pairs: Vec<_> =
             runs.iter().zip(&baselines).map(|(o, b)| (&o.report, &b.report)).collect();
         let [exec, lat, energy] = ratio_geomeans(&pairs);
-        writeln!(w, "{step:>10} {exec:>12.3} {lat:>12.3} {energy:>12.3}")?;
+        writeln!(w, "{:>10} {exec:>12.3} {lat:>12.3} {energy:>12.3}", campaign.time_step)?;
     }
     writeln!(w, "\npaper: 0.2k and 10k cycle steps are sub-optimal; ~1k is best")
 }
@@ -148,12 +162,12 @@ pub(crate) fn fig17b(eval: &mut Evaluation, w: &mut dyn Write) -> io::Result<()>
         "{:>10} {:>12} {:>12} {:>12} {:>14}",
         "bit_rate", "exec_time", "e2e_latency", "energy", "retx(intelli)"
     )?;
-    let campaign = eval.campaign;
-    let pretrained = eval.pretrained(campaign.pretraining());
+    let pretrained = eval.pretrained(eval.campaign.pretraining())?;
     for rate in [1e-10f64, 1e-8, 1e-6, 1e-5, 1e-4] {
         let designs = [Design::IntelliNoc, Design::Secded];
-        let runs = campaign
-            .outcomes(&designs, &BENCHES, Some(&pretrained), &eval.runner(), |cfg| {
+        let runs = eval
+            .campaign
+            .outcomes(&designs, &BENCHES, Some(pretrained), &eval.runner(), |cfg| {
                 cfg.error_rate_override = Some(rate);
             })
             .map_err(io::Error::other)?;
@@ -179,6 +193,12 @@ pub(crate) fn fig18b_epsilon(rl: &mut QLearningConfig, epsilon: f64) {
     rl.epsilon = epsilon;
 }
 
+/// Fig. 18a's swept discount rates γ.
+pub(crate) const GAMMAS: [f64; 6] = [0.0, 0.1, 0.2, 0.5, 0.9, 1.0];
+
+/// Fig. 18b's swept exploration probabilities ε.
+pub(crate) const EPSILONS: [f64; 7] = [0.0, 0.01, 0.05, 0.1, 0.2, 0.5, 1.0];
+
 /// The pre-training of a Figs. 18a/18b row: the paper's RL config with
 /// `value` `set`, 12 episodes at the rows' own packet budget (200) and
 /// seed (7).
@@ -186,6 +206,14 @@ pub(crate) fn hyper_recipe(set: fn(&mut QLearningConfig, f64), value: f64) -> Pr
     let mut rl = intellinoc_rl_config();
     set(&mut rl, value);
     (rl, 200, 1_000, 7, 12)
+}
+
+/// The recipes a Figs. 18a/18b sweep reads: one per swept value.
+pub(crate) fn hyper_recipes(
+    set: fn(&mut QLearningConfig, f64),
+    values: &[f64],
+) -> Vec<Pretraining> {
+    values.iter().map(|&value| hyper_recipe(set, value)).collect()
 }
 
 /// Figs. 18a/18b — impact of one RL hyperparameter on IntelliNoC's
@@ -209,9 +237,8 @@ pub(crate) fn hyper_sweep(
     // SECDED reads no RL config; the recipe gives it the rows' budget and seed.
     let baseline = cell(Design::Secded, hyper_recipe(|_, _| (), 0.0));
     let mut cells = vec![(format!("fig18/{column}/SECDED"), baseline)];
-    for &value in values {
-        let recipe = hyper_recipe(set, value);
-        let pretrained = Some(eval.pretrained(recipe));
+    for (value, recipe) in values.iter().zip(hyper_recipes(set, values)) {
+        let pretrained = Some(eval.pretrained(recipe)?.to_vec());
         let cfg = ExperimentConfig { pretrained, ..cell(Design::IntelliNoc, recipe) };
         cells.push((format!("fig18/{column}/{value}"), cfg));
     }
@@ -391,6 +418,15 @@ pub(crate) fn expert_vs_rl(eval: &mut Evaluation, w: &mut dyn Write) -> io::Resu
     writeln!(w, "router and per workload (the paper's motivation, Section 1).")
 }
 
+/// The Q-table fault study's seed.
+const QTABLE_SEED: u64 = 31;
+
+/// The recipe the Q-table fault study reads: 12 episodes at its own packet
+/// budget (150) and seed.
+pub(crate) fn qtable_faults_recipe() -> Pretraining {
+    (intellinoc_rl_config(), 150, 1_000, QTABLE_SEED, 12)
+}
+
 /// Future-work experiment (paper §6): soft errors in the per-router
 /// state–action tables. Sweeps the expected bit flips per stored Q-table
 /// entry per time step (the cells' `qtable_flips`) and measures how
@@ -398,15 +434,14 @@ pub(crate) fn expert_vs_rl(eval: &mut Evaluation, w: &mut dyn Write) -> io::Resu
 /// spent outside the run's most common mode (the mode histogram's sum minus
 /// its largest bin), not a count of mode switches.
 pub(crate) fn qtable_faults(eval: &mut Evaluation, w: &mut dyn Write) -> io::Result<()> {
-    const SEED: u64 = 31;
     const FLIPS: [f64; 5] = [0.0, 0.1, 0.5, 2.0, 8.0];
-    let tables = eval.pretrained((intellinoc_rl_config(), 150, 1_000, SEED, 12));
+    let tables = eval.pretrained(qtable_faults_recipe())?;
     let cells: Vec<(String, ExperimentConfig)> = FLIPS
         .iter()
         .map(|&qtable_flips| {
             let workload = ParsecBenchmark::Canneal.workload(150);
-            let cfg = ExperimentConfig::new(Design::IntelliNoc, workload).with_seed(SEED);
-            let cfg = ExperimentConfig { pretrained: Some(tables.clone()), qtable_flips, ..cfg };
+            let cfg = ExperimentConfig::new(Design::IntelliNoc, workload).with_seed(QTABLE_SEED);
+            let cfg = ExperimentConfig { pretrained: Some(tables.to_vec()), qtable_flips, ..cfg };
             (format!("qtable_faults/{qtable_flips}"), cfg)
         })
         .collect();

@@ -81,6 +81,8 @@ const GRID_RENDERERS: &[&str] = &[
 ];
 /// The evaluation's studies.
 const STUDIES: &[&str] = &["crates/bench/src/studies.rs"];
+/// The whole evaluation: the studies, `Evaluation` and the `figures` binary.
+const EVALUATION: &[&str] = &["crates/bench/src"];
 /// The CLI and the examples.
 const FRONT_ENDS: &[&str] = &["crates/cli/src", "examples"];
 
@@ -235,16 +237,16 @@ const REMOVED: &[Removed] = &[
     removed("ServePoint", GRID, Text, GRID_RENDERERS),
     removed("BenchRunMetrics", GRID, Text, GRID_RENDERERS),
     removed("split('/')", GRID, Text, GRID_RENDERERS),
-    // One control loop: the removed drivers stay removed, and the studies
-    // build no network, no agent bank, pre-train nothing outside the
-    // evaluation's cache and never take an unchecked outcome.
+    // One control loop: the removed drivers stay removed, the studies build
+    // no network, no agent bank and never take an unchecked outcome, and
+    // the evaluation pre-trains nothing outside the runner.
     removed("run_to_completion", CONTROL_LOOP, Text, CRATES),
     removed("mesh_scaling", CONTROL_LOOP, Text, CRATES),
     removed("ScalePoint", CONTROL_LOOP, Text, CRATES),
     removed("run_experiment(", CONTROL_LOOP, Text, STUDIES),
     removed("Network::new", CONTROL_LOOP, Text, STUDIES),
     removed("RlControl::new", CONTROL_LOOP, Text, STUDIES),
-    removed("pretrain_intellinoc", CONTROL_LOOP, Text, STUDIES),
+    removed("pretrain_intellinoc", CONTROL_LOOP, Text, EVALUATION),
     // Every study is a cell list: no second driver, no unchecked run, no
     // per-table walk of the agent bank.
     removed("run_experiment_with", CELL_LIST, Text, CRATES),

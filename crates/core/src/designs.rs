@@ -25,7 +25,7 @@ pub enum Design {
     /// Baseline: traditional wormhole router with static per-hop SECDED
     /// (Table 1: 4RB-4VC-0CB).
     Secded,
-    /// Elastic Buffers [9]: zero router buffers, elastic channel stages,
+    /// Elastic Buffers \[9\]: zero router buffers, elastic channel stages,
     /// two sub-networks, no VA stage (Table 1: 8CB × 2 sub-networks).
     Eb,
     /// iDEAL channel buffers with power gating [10, 13]

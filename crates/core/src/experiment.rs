@@ -7,10 +7,11 @@
 //! [`run_experiment`] (its outcome only) as a shorthand — and one way to run
 //! a grid of them:
 //! [`run_grid`] over a list of `(run key, ExperimentConfig)` cells, the one
-//! caller of the `noc-runner` engine and of [`UnitSinks::run_unit`].
-//! `campaign`, `sweep`, `bench`, `serve` and the `figures` studies differ
-//! only in how they build their cells and how they render the
-//! [`ExperimentOutcome`]s that come back.
+//! caller of [`UnitSinks::run_unit`]. `campaign`, `sweep`, `bench`, `serve`
+//! and the `figures` studies differ only in how they build their cells and
+//! how they render the [`ExperimentOutcome`]s that come back. Pre-training
+//! is grid work too: [`pretrain_grid`] runs a list of recipes, one unit
+//! each, on the same `noc-runner` engine. These two are its only callers.
 
 use crate::controller::{intellinoc_rl_config, ControlPolicy, RewardKind, RlControl};
 use crate::designs::Design;
@@ -345,6 +346,54 @@ pub(crate) fn run_grid_hooked(
         |ctx: &UnitCtx| {
             before_unit();
             sinks.run_unit(by_key[ctx.key].clone(), ctx)
+        },
+    )
+}
+
+/// A pre-training recipe, `(rl, packets per node, time step, seed,
+/// episodes)`: all [`pretrain_intellinoc`] reads but the reward, which
+/// [`pretrain_grid`] fixes at Eq. 1's ([`RewardKind::LogSpace`]).
+pub type Pretraining = (QLearningConfig, u64, u64, u64, u32);
+
+/// The run key of `recipe`'s unit in [`pretrain_grid`], e.g.
+/// `pretrain/ts1000/ppn200/s2019/e24/g0.9/eps0.05`: every part of a recipe
+/// the evaluation varies.
+pub fn pretraining_key(&(rl, ppn, time_step, seed, episodes): &Pretraining) -> String {
+    format!("pretrain/ts{time_step}/ppn{ppn}/s{seed}/e{episodes}/g{}/eps{}", rl.gamma, rl.epsilon)
+}
+
+/// Pre-trains each of `recipes` as one grid on the `noc-runner` engine,
+/// per `rcfg` and `chaos` as [`run_grid`] does: one unit per recipe, keyed
+/// by [`pretraining_key`], under the recipe's seed, calling
+/// [`pretrain_intellinoc`] with Eq. 1's reward, its payload the trained
+/// tables. A recipe's episodes stay sequential inside its unit (each starts
+/// from the last one's tables); the recipes spread over the workers. A unit
+/// runs every episode to the end: it takes no cycle deadline, so a chaos
+/// timeout mark does not cut it short, while a panic fails it by key.
+///
+/// # Errors
+///
+/// Engine-level errors, as [`run_grid`]'s — among them two recipes with
+/// one key.
+pub fn pretrain_grid(
+    recipes: &[Pretraining],
+    rcfg: &RunnerConfig,
+    chaos: &ChaosOptions,
+) -> Result<RunnerReport<Vec<QTable>>, String> {
+    let keys: Vec<String> = recipes.iter().map(pretraining_key).collect();
+    let by_key: HashMap<&str, &Pretraining> =
+        keys.iter().map(String::as_str).zip(recipes).collect();
+    let grid_seed = keys.iter().zip(recipes).fold(0, |h, (key, r)| derive_seed(h ^ r.3, key));
+    run_seeded_units(
+        grid_seed,
+        &keys,
+        |key| by_key[key].3,
+        rcfg,
+        chaos,
+        |ctx: &UnitCtx| {
+            let &(rl, ppn, ts, seed, episodes) = by_key[ctx.key];
+            let tables = pretrain_intellinoc(rl, RewardKind::LogSpace, ppn, ts, seed, episodes);
+            UnitVerdict::Ok(tables)
         },
     )
 }
@@ -763,6 +812,42 @@ mod tests {
         cfg.pretrained = Some(tables);
         let out = run_experiment(cfg);
         assert_eq!(out.report.stats.packets_delivered, 640);
+    }
+
+    /// A recipe grid trains what a direct `pretrain_intellinoc` call does, at
+    /// any worker count, and its tables survive a JSON round trip exactly.
+    #[test]
+    fn pretrain_grid_matches_direct_training_at_any_job_count() {
+        let rl = intellinoc_rl_config();
+        let recipes: [Pretraining; 2] =
+            [(rl, 4, 200, 3, 2), (QLearningConfig { gamma: 0.5, ..rl }, 4, 500, 5, 3)];
+        let json = |tables: &[QTable]| serde_json::to_string(tables).unwrap();
+        let direct: Vec<String> = recipes
+            .iter()
+            .map(|&(rl, ppn, ts, seed, eps)| {
+                json(&pretrain_intellinoc(rl, RewardKind::LogSpace, ppn, ts, seed, eps))
+            })
+            .collect();
+        for jobs in [1, 2] {
+            let rcfg = RunnerConfig::serial().with_jobs(jobs);
+            let report = pretrain_grid(&recipes, &rcfg, &ChaosOptions::default()).unwrap();
+            let keys: Vec<&str> = report.records.iter().map(|r| r.key.as_str()).collect();
+            assert_eq!(
+                keys,
+                [
+                    "pretrain/ts200/ppn4/s3/e2/g0.9/eps0.05",
+                    "pretrain/ts500/ppn4/s5/e3/g0.5/eps0.05"
+                ]
+            );
+            let grid: Vec<String> =
+                report.clean_payloads().unwrap().into_iter().map(|t| json(t)).collect();
+            assert_eq!(grid, direct, "jobs = {jobs}");
+        }
+        for encoded in &direct {
+            let decoded: Vec<QTable> = serde_json::from_str(encoded).unwrap();
+            assert!(decoded.iter().any(|t| !t.is_empty()), "trained tables hold entries");
+            assert_eq!(&json(&decoded), encoded, "encode -> decode -> encode");
+        }
     }
 
     #[test]

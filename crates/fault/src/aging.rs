@@ -138,7 +138,7 @@ impl AgingState {
         }
     }
 
-    /// Current total ΔVth in volts (NBTI + HCI, independent per paper [21]).
+    /// Current total ΔVth in volts (NBTI + HCI, independent per paper \[21\]).
     pub fn delta_vth(&self, model: &AgingModel) -> f64 {
         model.nbti_dvth(self.nbti_stress) + model.hci_dvth(self.hci_stress)
     }

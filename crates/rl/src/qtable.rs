@@ -8,19 +8,21 @@
 //! hardware constraint.
 
 use crate::state::StateKey;
+use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// The paper's per-router Q-table capacity.
 pub const PAPER_QTABLE_CAPACITY: usize = 350;
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 struct Entry {
     q: Vec<f32>,
     visits: Vec<u32>,
     last_used: u64,
 }
 
-/// A bounded state–action value table.
+/// A bounded state–action value table. Its JSON encoding lists the entries
+/// in key order, so equal tables encode to equal bytes.
 ///
 /// # Examples
 ///
@@ -32,7 +34,7 @@ struct Entry {
 /// table.nudge(s, 2, 1.0, 0.1); // move Q(s,2) toward 1.0 with alpha=0.1
 /// assert_eq!(table.best_action(s).0, 2);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct QTable {
     actions: usize,
     capacity: usize,
