@@ -3,7 +3,8 @@
 //! `cargo run --release -p intellinoc-bench -- all --jobs 2 --out-dir results`
 
 use intellinoc_bench::{
-    print_headline, write_campaign_csv, write_raw_csv, Campaign, Evaluation, Figure, FIGURES,
+    evaluate, figure_cells, print_headline, write_campaign_csv, write_raw_csv, Campaign, Figure,
+    FIGURES,
 };
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -14,7 +15,7 @@ const USAGE: &str = "usage: figures --list
 
   --list         print every figure name with what it shows
   all            every figure in table order, then the headline comparison
-  --jobs N       worker threads for the pre-training and the grid studies
+  --jobs N       worker threads for the pre-training grid and the run grid
                  (default 1; output is byte-identical at any N)
   --out-dir DIR  also write each figure to DIR/<name>.txt and, with `all`,
                  the campaign CSVs to DIR/intellinoc-{normalized,raw}.csv";
@@ -68,28 +69,29 @@ fn run(mut args: impl Iterator<Item = String>) -> Result<(), String> {
         std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
     }
 
-    let mut eval = Evaluation::new(Campaign::default(), jobs);
-    // Every recipe the selected figures read, trained as one grid before
-    // the first render.
-    eval.pretrain(&selected).map_err(|e| format!("pre-training: {e}"))?;
+    // Declare, train, run: every run the selected figures read, each once,
+    // finishes before the first render.
+    let campaign = Campaign::default();
+    let cells = figure_cells(&selected, &campaign)?;
+    let report = evaluate(&cells, jobs)?;
     let mut stdout = std::io::stdout().lock();
     for fig in selected {
         // Rendered into memory first: a unit that fails leaves no
         // half-written table, on stdout or on disk.
         let mut table = Vec::new();
-        (fig.render)(&mut eval, &mut table).map_err(|e| format!("{}: {e}", fig.name))?;
+        fig.write(&campaign, &report, &mut table).map_err(|e| format!("{}: {e}", fig.name))?;
         stdout.write_all(&table).map_err(|e| format!("{}: {e}", fig.name))?;
         if let Some(dir) = &out_dir {
             write_file(&dir.join(format!("{}.txt", fig.name)), &table)?;
         }
     }
     if all {
-        print_headline(&mut eval, &mut stdout).map_err(|e| format!("headline: {e}"))?;
+        let results = campaign.results(&report).map_err(|e| format!("headline: {e}"))?;
+        print_headline(&results, &mut stdout).map_err(|e| format!("headline: {e}"))?;
         if let Some(dir) = &out_dir {
-            let results = eval.results().map_err(|e| e.to_string())?;
             let (mut normalized, mut raw) = (Vec::new(), Vec::new());
-            write_campaign_csv(&mut normalized, results).expect("in-memory write");
-            write_raw_csv(&mut raw, results).expect("in-memory write");
+            write_campaign_csv(&mut normalized, &results).expect("in-memory write");
+            write_raw_csv(&mut raw, &results).expect("in-memory write");
             write_file(&dir.join("intellinoc-normalized.csv"), &normalized)?;
             write_file(&dir.join("intellinoc-raw.csv"), &raw)?;
         }

@@ -93,15 +93,7 @@ pub fn write_raw_csv<W: Write>(mut w: W, results: &CampaignResults) -> io::Resul
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Campaign;
-    use intellinoc::RunnerConfig;
-    use noc_traffic::ParsecBenchmark;
-
-    fn tiny() -> CampaignResults {
-        Campaign { packets_per_node: 4, ..Campaign::default() }
-            .run(&[ParsecBenchmark::Swaptions], None, &RunnerConfig::serial())
-            .expect("clean grid")
-    }
+    use crate::tests::tiny_results as tiny;
 
     #[test]
     fn normalized_csv_shape() {

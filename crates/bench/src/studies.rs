@@ -1,22 +1,19 @@
-//! The renderers behind [`crate::FIGURES`], and the recipe lists they
-//! declare: each runs what its study needs — the shared campaign, or a cell
-//! list of its own as one `run_grid` grid, with the pre-trained tables it
-//! looks up by the recipes it declared — and writes the table(s). Seeds are
-//! the ones each study pins. Every run goes through a grid, never the
-//! unchecked `intellinoc::run_experiment`: a run that did not finish is an
-//! error naming its unit (`RunnerReport::clean_payloads`), or
-//! (`ablations`, `resilience`) a status row — not numbers. No render
-//! trains: a recipe it did not declare is an error naming the recipe.
+//! The studies behind [`crate::FIGURES`]: each declares the cells it reads
+//! and writes its table(s) from their records, in the order it declared
+//! them; none runs anything. Seeds are the ones each study pins. A run that
+//! did not finish is an error naming its unit, or (`ablations`,
+//! `resilience`) a status row — never numbers.
 
-use crate::{design_columns, Campaign, Evaluation, Pretraining};
+use crate::Pretraining;
+use crate::{design_columns, ok_outcomes, unit_error, Campaign, CampaignResults, Cell, Record};
+use intellinoc::RewardKind::{Linear, LogSpace};
 use intellinoc::{
-    intellinoc_rl_config, run_campaign_runner, run_grid, CampaignConfig, CampaignRunReport,
-    ChaosOptions, Design, ExperimentConfig, ExpertThresholds, NormalizedMetrics, RewardKind,
-    UnitSinks,
+    campaign_scenarios, intellinoc_rl_config, CampaignConfig, CampaignRunReport, Design,
+    ExperimentConfig, ExpertThresholds, NormalizedMetrics, RewardKind, RunnerReport,
 };
 use noc_ecc::EccScheme;
 use noc_power::{AreaBreakdown, AreaModel};
-use noc_rl::{QLearningConfig, QTable};
+use noc_rl::QLearningConfig;
 use noc_sim::{RunReport, SimConfig};
 use noc_traffic::{ParsecBenchmark, WorkloadSpec};
 use std::io::{self, Write};
@@ -27,21 +24,26 @@ type Tweak = fn(&mut SimConfig);
 /// Figs. 9–13 and 16: one normalized metric per (benchmark, design), then
 /// the paper's numbers for comparison.
 pub(crate) fn metric_figure(
-    eval: &mut Evaluation,
+    records: &[&Record],
     w: &mut dyn Write,
     title: &str,
     better: &str,
     metric: fn(&NormalizedMetrics) -> f64,
     paper: &str,
 ) -> io::Result<()> {
-    eval.results()?.print_figure(w, title, better, metric)?;
+    paper_campaign(records)?.print_figure(w, title, better, metric)?;
     writeln!(w, "\n{paper}")
+}
+
+/// The paper campaign's results, from its cells' records.
+fn paper_campaign(records: &[&Record]) -> io::Result<CampaignResults> {
+    CampaignResults::new(&ParsecBenchmark::TEST_SET, records)
 }
 
 /// Fig. 14 — IntelliNoC operation-mode breakdown per benchmark (fraction of
 /// router-steps spent in each of the five modes).
-pub(crate) fn fig14(eval: &mut Evaluation, w: &mut dyn Write) -> io::Result<()> {
-    let results = eval.results()?;
+pub(crate) fn fig14(_: &Campaign, records: &[&Record], w: &mut dyn Write) -> io::Result<()> {
+    let results = paper_campaign(records)?;
     writeln!(w, "\n=== Fig. 14: IntelliNoC operation-mode breakdown ===")?;
     writeln!(
         w,
@@ -74,8 +76,8 @@ pub(crate) fn fig14(eval: &mut Evaluation, w: &mut dyn Write) -> io::Result<()> 
 /// Fig. 15 — re-transmitted flits, normalized, plus the absolute counts: at
 /// this reproduction's calibrated error rates the baseline's absolute count
 /// is small (see EXPERIMENTS.md).
-pub(crate) fn fig15(eval: &mut Evaluation, w: &mut dyn Write) -> io::Result<()> {
-    let results = eval.results()?;
+pub(crate) fn fig15(_: &Campaign, records: &[&Record], w: &mut dyn Write) -> io::Result<()> {
+    let results = paper_campaign(records)?;
     results.print_figure(
         w,
         "Fig. 15: re-transmitted flits vs SECDED baseline",
@@ -106,73 +108,74 @@ fn ratio_geomeans(pairs: &[(&RunReport, &RunReport)]) -> [f64; 3] {
     ln_sums.map(|s| (s / pairs.len() as f64).exp())
 }
 
-/// Fig. 17a's test campaigns, one per swept RL time step: what its render
-/// runs, and whose recipes it declares.
-fn fig17a_campaigns(c: &Campaign) -> [Campaign; 4] {
-    [200u64, 500, 1_000, 10_000].map(|time_step| Campaign { time_step, ..*c })
-}
+/// Fig. 17a's benchmarks and swept RL time steps.
+const FIG17A_BENCHES: [ParsecBenchmark; 4] = [
+    ParsecBenchmark::Canneal,
+    ParsecBenchmark::Fluidanimate,
+    ParsecBenchmark::Swaptions,
+    ParsecBenchmark::X264,
+];
+const FIG17A_STEPS: [u64; 4] = [200, 500, 1_000, 10_000];
 
-/// The recipes Fig. 17a reads: one per time step.
-pub(crate) fn fig17a_recipes(c: &Campaign) -> Vec<Pretraining> {
-    fig17a_campaigns(c).iter().map(Campaign::pretraining).collect()
+/// Fig. 17a's runs: SECDED on its benchmarks — the baseline does not depend
+/// on the time step — then IntelliNoC at each swept step, pre-trained at it.
+pub(crate) fn fig17a_cells(c: &Campaign) -> Vec<Cell> {
+    let mut cells = c.cells(&[Design::Secded], &FIG17A_BENCHES);
+    for time_step in FIG17A_STEPS {
+        cells.extend(Campaign { time_step, ..*c }.cells(&[Design::IntelliNoc], &FIG17A_BENCHES));
+    }
+    cells
 }
 
 /// Fig. 17a — impact of the RL control time step on IntelliNoC's
 /// system-level metrics, normalized to the SECDED baseline.
-pub(crate) fn fig17a(eval: &mut Evaluation, w: &mut dyn Write) -> io::Result<()> {
-    const BENCHES: [ParsecBenchmark; 4] = [
-        ParsecBenchmark::Canneal,
-        ParsecBenchmark::Fluidanimate,
-        ParsecBenchmark::Swaptions,
-        ParsecBenchmark::X264,
-    ];
-    let campaigns = fig17a_campaigns(&eval.campaign);
-    let pretrained: Vec<&[QTable]> =
-        campaigns.iter().map(|c| eval.pretrained(c.pretraining())).collect::<io::Result<_>>()?;
+pub(crate) fn fig17a(_: &Campaign, records: &[&Record], w: &mut dyn Write) -> io::Result<()> {
+    let outcomes = ok_outcomes(records)?;
+    let (baselines, runs) = outcomes.split_at(FIG17A_BENCHES.len());
     writeln!(w, "=== Fig. 17a: impact of RL time step (IntelliNoC vs baseline) ===")?;
     writeln!(w, "{:>10} {:>12} {:>12} {:>12}", "time_step", "exec_time", "e2e_latency", "energy")?;
-    let rcfg = eval.runner();
-    // Baseline metrics are independent of the time step.
-    let baselines = eval
-        .campaign
-        .outcomes(&[Design::Secded], &BENCHES, None, &rcfg, |_| ())
-        .map_err(io::Error::other)?;
-    for (campaign, tables) in campaigns.iter().zip(pretrained) {
-        let runs = campaign
-            .outcomes(&[Design::IntelliNoc], &BENCHES, Some(tables), &rcfg, |_| ())
-            .map_err(io::Error::other)?;
+    for (time_step, runs) in FIG17A_STEPS.iter().zip(runs.chunks(FIG17A_BENCHES.len())) {
         let pairs: Vec<_> =
-            runs.iter().zip(&baselines).map(|(o, b)| (&o.report, &b.report)).collect();
+            runs.iter().zip(baselines).map(|(o, b)| (&o.report, &b.report)).collect();
         let [exec, lat, energy] = ratio_geomeans(&pairs);
-        writeln!(w, "{:>10} {exec:>12.3} {lat:>12.3} {energy:>12.3}", campaign.time_step)?;
+        writeln!(w, "{time_step:>10} {exec:>12.3} {lat:>12.3} {energy:>12.3}")?;
     }
     writeln!(w, "\npaper: 0.2k and 10k cycle steps are sub-optimal; ~1k is best")
+}
+
+/// Fig. 17b's benchmarks and forced per-bit error rates.
+const FIG17B_BENCHES: [ParsecBenchmark; 3] =
+    [ParsecBenchmark::Canneal, ParsecBenchmark::Fluidanimate, ParsecBenchmark::Swaptions];
+const FIG17B_RATES: [f64; 5] = [1e-10, 1e-8, 1e-6, 1e-5, 1e-4];
+
+/// Fig. 17b's runs: at each forced rate, IntelliNoC and then SECDED on its
+/// benchmarks, each key suffixed `/ber<rate>`.
+pub(crate) fn fig17b_cells(c: &Campaign) -> Vec<Cell> {
+    let at_rate = |rate: f64| {
+        let cells = c.cells(&[Design::IntelliNoc, Design::Secded], &FIG17B_BENCHES);
+        cells.into_iter().map(move |(key, cfg, recipe)| {
+            let cfg = ExperimentConfig { error_rate_override: Some(rate), ..cfg };
+            (format!("{key}/ber{rate:e}"), cfg, recipe)
+        })
+    };
+    FIG17B_RATES.into_iter().flat_map(at_rate).collect()
 }
 
 /// Fig. 17b — impact of the transient bit-error rate on IntelliNoC's
 /// metrics vs the SECDED baseline. The paper sweeps average rates
 /// 1e-10..1e-7 per bit; this reproduction's calibrated operating point sits
 /// higher, so the sweep extends to 1e-4 (see EXPERIMENTS.md).
-pub(crate) fn fig17b(eval: &mut Evaluation, w: &mut dyn Write) -> io::Result<()> {
-    const BENCHES: [ParsecBenchmark; 3] =
-        [ParsecBenchmark::Canneal, ParsecBenchmark::Fluidanimate, ParsecBenchmark::Swaptions];
+pub(crate) fn fig17b(_: &Campaign, records: &[&Record], w: &mut dyn Write) -> io::Result<()> {
+    let outcomes = ok_outcomes(records)?;
     writeln!(w, "=== Fig. 17b: impact of forced bit-error rate (IntelliNoC vs baseline) ===")?;
     writeln!(
         w,
         "{:>10} {:>12} {:>12} {:>12} {:>14}",
         "bit_rate", "exec_time", "e2e_latency", "energy", "retx(intelli)"
     )?;
-    let pretrained = eval.pretrained(eval.campaign.pretraining())?;
-    for rate in [1e-10f64, 1e-8, 1e-6, 1e-5, 1e-4] {
-        let designs = [Design::IntelliNoc, Design::Secded];
-        let runs = eval
-            .campaign
-            .outcomes(&designs, &BENCHES, Some(pretrained), &eval.runner(), |cfg| {
-                cfg.error_rate_override = Some(rate);
-            })
-            .map_err(io::Error::other)?;
+    for (rate, runs) in FIG17B_RATES.iter().zip(outcomes.chunks(2 * FIG17B_BENCHES.len())) {
         // Design-major: the IntelliNoC runs, then SECDED's on the same benchmarks.
-        let (intellinoc, baselines) = runs.split_at(BENCHES.len());
+        let (intellinoc, baselines) = runs.split_at(FIG17B_BENCHES.len());
         let pairs: Vec<_> =
             intellinoc.iter().zip(baselines).map(|(r, b)| (&r.report, &b.report)).collect();
         let [exec, lat, energy] = ratio_geomeans(&pairs);
@@ -208,41 +211,39 @@ pub(crate) fn hyper_recipe(set: fn(&mut QLearningConfig, f64), value: f64) -> Pr
     (rl, 200, 1_000, 7, 12)
 }
 
-/// The recipes a Figs. 18a/18b sweep reads: one per swept value.
-pub(crate) fn hyper_recipes(
-    set: fn(&mut QLearningConfig, f64),
-    values: &[f64],
-) -> Vec<Pretraining> {
-    values.iter().map(|&value| hyper_recipe(set, value)).collect()
-}
-
-/// Figs. 18a/18b — impact of one RL hyperparameter on IntelliNoC's
-/// energy–delay product and re-transmission rate, tuned on blackscholes as
-/// in the paper. `column` is the swept value's `(heading, width,
-/// precision)`; `set` writes it into the RL config. One grid: the SECDED
-/// baseline, then one pre-trained IntelliNoC cell per value.
-pub(crate) fn hyper_sweep(
-    eval: &mut Evaluation,
-    w: &mut dyn Write,
-    title: &str,
-    (column, width, precision): (&str, usize, usize),
-    values: &[f64],
-    set: fn(&mut QLearningConfig, f64),
-    paper: &str,
-) -> io::Result<()> {
+/// A Figs. 18a/18b sweep's runs: the SECDED baseline, then one pre-trained
+/// IntelliNoC cell per swept value, keyed by the RL config it learns with —
+/// so the two sweeps share the baseline and the paper's config (γ = 0.9 is
+/// ε = 0.05).
+pub(crate) fn hyper_cells(set: fn(&mut QLearningConfig, f64), values: &[f64]) -> Vec<Cell> {
     let cell = |design, (rl, ppn, _, seed, _): Pretraining| {
         let workload = ParsecBenchmark::Blackscholes.workload(ppn);
         ExperimentConfig { rl, ..ExperimentConfig::new(design, workload).with_seed(seed) }
     };
     // SECDED reads no RL config; the recipe gives it the rows' budget and seed.
     let baseline = cell(Design::Secded, hyper_recipe(|_, _| (), 0.0));
-    let mut cells = vec![(format!("fig18/{column}/SECDED"), baseline)];
-    for (value, recipe) in values.iter().zip(hyper_recipes(set, values)) {
-        let pretrained = Some(eval.pretrained(recipe)?.to_vec());
-        let cfg = ExperimentConfig { pretrained, ..cell(Design::IntelliNoc, recipe) };
-        cells.push((format!("fig18/{column}/{value}"), cfg));
+    let mut cells = vec![("fig18/SECDED".to_owned(), baseline, None)];
+    for &value in values {
+        let recipe = hyper_recipe(set, value);
+        let key = format!("fig18/IntelliNoC/g{}/eps{}", recipe.0.gamma, recipe.0.epsilon);
+        cells.push((key, cell(Design::IntelliNoc, recipe), Some(recipe)));
     }
-    let outcomes = eval.grid(&cells)?;
+    cells
+}
+
+/// Figs. 18a/18b — impact of one RL hyperparameter on IntelliNoC's
+/// energy–delay product and re-transmission rate, tuned on blackscholes as
+/// in the paper. `column` is the swept value's `(heading, width,
+/// precision)`; the records are [`hyper_cells`]'.
+pub(crate) fn hyper_sweep(
+    records: &[&Record],
+    w: &mut dyn Write,
+    title: &str,
+    (column, width, precision): (&str, usize, usize),
+    values: &[f64],
+    paper: &str,
+) -> io::Result<()> {
+    let outcomes = ok_outcomes(records)?;
     let (baseline, runs) = outcomes.split_first().expect("the baseline cell comes first");
     let base_edp = baseline.report.edp();
     let base_retx = baseline.report.stats.retransmitted_flits.max(1) as f64;
@@ -261,7 +262,7 @@ pub(crate) fn hyper_sweep(
 }
 
 /// Table 2 — per-router area comparison across designs (µm² at 32 nm).
-pub(crate) fn table2(_: &mut Evaluation, w: &mut dyn Write) -> io::Result<()> {
+pub(crate) fn table2(_: &Campaign, _: &[&Record], w: &mut dyn Write) -> io::Result<()> {
     let model = AreaModel::default();
     writeln!(w, "=== Table 2: router area comparison (um^2, 32 nm) ===")?;
     writeln!(
@@ -293,54 +294,49 @@ pub(crate) fn table2(_: &mut Evaluation, w: &mut dyn Write) -> io::Result<()> {
     writeln!(w, "\npaper: EB -32.7%, CP -29.9%, IntelliNoC -25.4% (CPD not reported)")
 }
 
+const D1: &str = "\n-- D1: MFAC channel depth --\n";
+const D2: &str = "\n-- D2: disable bypass-while-gated (plain power gating) --\n";
+const D3: &str = "\n-- D3: static ECC instead of adaptive (policy still gates) --\n";
+const D5: &str = "\n-- D5: linear-space reward instead of Eq. 1 --\n";
+
+/// The ablation rows: (heading above the row, row tag, simulator tweak,
+/// reward).
+const ABLATIONS: [(&str, &str, Option<Tweak>, RewardKind); 8] = [
+    ("", "full IntelliNoC", None, LogSpace),
+    (D1, "channel depth 4", Some(|c| c.channel_capacity = 4), LogSpace),
+    ("", "channel depth 2", Some(|c| c.channel_capacity = 2), LogSpace),
+    (D2, "no bypass", Some(|c| c.bypass_enabled = false), LogSpace),
+    (D3, "always SECDED", Some(|c| c.default_scheme = EccScheme::Secded), LogSpace),
+    ("", "always DECTED", Some(|c| c.default_scheme = EccScheme::Dected), LogSpace),
+    ("", "always TECQED (t=3)", Some(|c| c.default_scheme = EccScheme::Tecqed), LogSpace),
+    (D5, "linear reward", None, Linear),
+];
+
+/// The ablations' packets per node.
+const ABLATION_PPN: u64 = 150;
+
+/// The ablations' runs: IntelliNoC on canneal at seed 5, one cell per row.
+pub(crate) fn ablation_cells() -> Vec<Cell> {
+    let cell = |&(_, tag, tweak, reward): &(&str, &str, Option<Tweak>, RewardKind)| {
+        let workload = ParsecBenchmark::Canneal.workload(ABLATION_PPN);
+        let cfg = ExperimentConfig::new(Design::IntelliNoc, workload).with_seed(5);
+        (format!("ablations/{tag}"), ExperimentConfig { tweak, reward, ..cfg }, None)
+    };
+    ABLATIONS.iter().map(cell).collect()
+}
+
 /// Ablations of the design decisions called out in DESIGN.md §6: D1 MFAC
 /// channel depth, D2 bypass-while-gated vs plain power gating, D3 adaptive
 /// vs static ECC, D5 log-space (Eq. 1) vs linear reward. (D4, RL vs
-/// heuristic, is the CPD column of the main figures.) One eight-cell grid; a
-/// variant that does not finish is a result here — its row says where it
-/// stopped — not an error.
-pub(crate) fn ablations(eval: &mut Evaluation, w: &mut dyn Write) -> io::Result<()> {
-    const PPN: u64 = 150;
-    const D1: &str = "\n-- D1: MFAC channel depth --\n";
-    const D2: &str = "\n-- D2: disable bypass-while-gated (plain power gating) --\n";
-    const D3: &str = "\n-- D3: static ECC instead of adaptive (policy still gates) --\n";
-    const D5: &str = "\n-- D5: linear-space reward instead of Eq. 1 --\n";
-    let log = RewardKind::LogSpace;
-    // (heading above the row, row tag, simulator tweak, reward)
-    let rows: [(&str, &str, Option<Tweak>, RewardKind); 8] = [
-        ("", "full IntelliNoC", None, log),
-        (D1, "channel depth 4", Some(|c| c.channel_capacity = 4), log),
-        ("", "channel depth 2", Some(|c| c.channel_capacity = 2), log),
-        (D2, "no bypass", Some(|c| c.bypass_enabled = false), log),
-        (D3, "always SECDED", Some(|c| c.default_scheme = EccScheme::Secded), log),
-        ("", "always DECTED", Some(|c| c.default_scheme = EccScheme::Dected), log),
-        ("", "always TECQED (t=3)", Some(|c| c.default_scheme = EccScheme::Tecqed), log),
-        (D5, "linear reward", None, RewardKind::Linear),
-    ];
-    let cells: Vec<(String, ExperimentConfig)> = rows
-        .iter()
-        .map(|&(_, tag, tweak, reward)| {
-            let workload = ParsecBenchmark::Canneal.workload(PPN);
-            let mut cfg = ExperimentConfig::new(Design::IntelliNoc, workload).with_seed(5);
-            cfg.tweak = tweak;
-            cfg.reward = reward;
-            (format!("ablations/{tag}"), cfg)
-        })
-        .collect();
-    let report = run_grid(&cells, &eval.runner(), &ChaosOptions::default(), UnitSinks::default())
-        .map_err(io::Error::other)?;
-    let packets = Design::IntelliNoc.sim_config().nodes() as u64 * PPN;
+/// heuristic, is the CPD column of the main figures.) A variant that does
+/// not finish is a result here — its row says where it stopped — not an
+/// error.
+pub(crate) fn ablations(_: &Campaign, records: &[&Record], w: &mut dyn Write) -> io::Result<()> {
+    let packets = Design::IntelliNoc.sim_config().nodes() as u64 * ABLATION_PPN;
     writeln!(w, "=== Ablations (IntelliNoC on canneal; see DESIGN.md Section 6) ===")?;
-    for ((heading, tag, ..), rec) in rows.iter().zip(&report.records) {
+    for ((heading, tag, ..), rec) in ABLATIONS.iter().zip(records) {
         write!(w, "{heading}")?;
-        let Some(o) = &rec.payload else {
-            let error = rec.error.as_deref().unwrap_or("no outcome");
-            return Err(io::Error::other(format!(
-                "unit {} {}: {error}",
-                rec.key,
-                rec.status.label()
-            )));
-        };
+        let Some(o) = &rec.payload else { return Err(unit_error(rec)) };
         let r = &o.report;
         match &rec.timeout {
             None => writeln!(
@@ -369,34 +365,41 @@ pub(crate) fn ablations(eval: &mut Evaluation, w: &mut dyn Write) -> io::Result<
     writeln!(w, "short-run adaptation; D4 (RL vs heuristic) is CPD in Figs. 9-16.")
 }
 
+/// The expert-vs-RL benchmarks, and its policies by row name: the learned
+/// one, then the rule.
+const EXPERT_VS_RL_BENCHES: [ParsecBenchmark; 3] =
+    [ParsecBenchmark::Swaptions, ParsecBenchmark::Canneal, ParsecBenchmark::X264];
+const POLICIES: [&str; 2] = ["RL", "expert"];
+
+/// The expert-vs-RL runs: IntelliNoC at seed 21, each benchmark under each
+/// policy.
+pub(crate) fn expert_vs_rl_cells() -> Vec<Cell> {
+    let cells = |bench: &ParsecBenchmark| {
+        POLICIES.map(|name| {
+            let expert = (name == "expert").then(ExpertThresholds::default);
+            let cfg = ExperimentConfig::new(Design::IntelliNoc, bench.workload(200));
+            let cfg = ExperimentConfig { expert, ..cfg.with_seed(21) };
+            (format!("expert_vs_rl/{}/{name}", bench.label()), cfg, None)
+        })
+    };
+    EXPERT_VS_RL_BENCHES.iter().flat_map(cells).collect()
+}
+
 /// Ablation D4b: the learned policy vs a hand-written expert threshold rule
 /// over the same observations — the paper's claim that "manually designing
 /// the rules ... often result[s] in sub-optimal solutions". Both rows of a
 /// benchmark are the same experiment through the same control loop; only
 /// the policy (the cell's `expert`) differs.
-pub(crate) fn expert_vs_rl(eval: &mut Evaluation, w: &mut dyn Write) -> io::Result<()> {
-    const BENCHES: [ParsecBenchmark; 3] =
-        [ParsecBenchmark::Swaptions, ParsecBenchmark::Canneal, ParsecBenchmark::X264];
-    let policies = [("RL", None), ("expert", Some(ExpertThresholds::default()))];
-    let cells: Vec<(String, ExperimentConfig)> = BENCHES
-        .iter()
-        .flat_map(|bench| {
-            policies.map(|(name, expert)| {
-                let cfg = ExperimentConfig::new(Design::IntelliNoc, bench.workload(200));
-                let cfg = ExperimentConfig { expert, ..cfg.with_seed(21) };
-                (format!("expert_vs_rl/{}/{name}", bench.label()), cfg)
-            })
-        })
-        .collect();
-    let outcomes = eval.grid(&cells)?;
+pub(crate) fn expert_vs_rl(_: &Campaign, records: &[&Record], w: &mut dyn Write) -> io::Result<()> {
+    let outcomes = ok_outcomes(records)?;
     writeln!(w, "=== expert threshold rule vs Q-learning (IntelliNoC hardware) ===")?;
     writeln!(
         w,
         "{:<14} {:<8} {:>9} {:>9} {:>10} {:>10} {:>7}",
         "benchmark", "policy", "exec_cyc", "latency", "power_mW", "eff(1/uJ)", "retx"
     )?;
-    for (bench, runs) in BENCHES.iter().zip(outcomes.chunks(policies.len())) {
-        for ((name, _), o) in policies.iter().zip(runs) {
+    for (bench, runs) in EXPERT_VS_RL_BENCHES.iter().zip(outcomes.chunks(POLICIES.len())) {
+        for (name, o) in POLICIES.iter().zip(runs) {
             let r = &o.report;
             writeln!(
                 w,
@@ -418,13 +421,23 @@ pub(crate) fn expert_vs_rl(eval: &mut Evaluation, w: &mut dyn Write) -> io::Resu
     writeln!(w, "router and per workload (the paper's motivation, Section 1).")
 }
 
-/// The Q-table fault study's seed.
+/// The Q-table fault study's seed, and its expected bit flips per stored
+/// entry per step.
 const QTABLE_SEED: u64 = 31;
+const QTABLE_FLIPS: [f64; 5] = [0.0, 0.1, 0.5, 2.0, 8.0];
 
-/// The recipe the Q-table fault study reads: 12 episodes at its own packet
-/// budget (150) and seed.
-pub(crate) fn qtable_faults_recipe() -> Pretraining {
-    (intellinoc_rl_config(), 150, 1_000, QTABLE_SEED, 12)
+/// The Q-table fault study's runs: IntelliNoC on canneal at its seed, one
+/// cell per flip rate, each from tables pre-trained for 12 episodes at the
+/// study's own packet budget (150) and seed.
+pub(crate) fn qtable_faults_cells() -> Vec<Cell> {
+    let recipe = (intellinoc_rl_config(), 150, 1_000, QTABLE_SEED, 12);
+    let cell = |&qtable_flips: &f64| {
+        let workload = ParsecBenchmark::Canneal.workload(150);
+        let cfg = ExperimentConfig::new(Design::IntelliNoc, workload).with_seed(QTABLE_SEED);
+        let cfg = ExperimentConfig { qtable_flips, ..cfg };
+        (format!("qtable_faults/{qtable_flips}"), cfg, Some(recipe))
+    };
+    QTABLE_FLIPS.iter().map(cell).collect()
 }
 
 /// Future-work experiment (paper §6): soft errors in the per-router
@@ -433,19 +446,12 @@ pub(crate) fn qtable_faults_recipe() -> Pretraining {
 /// gracefully the learned policy degrades. `mode_swaps` is the router-steps
 /// spent outside the run's most common mode (the mode histogram's sum minus
 /// its largest bin), not a count of mode switches.
-pub(crate) fn qtable_faults(eval: &mut Evaluation, w: &mut dyn Write) -> io::Result<()> {
-    const FLIPS: [f64; 5] = [0.0, 0.1, 0.5, 2.0, 8.0];
-    let tables = eval.pretrained(qtable_faults_recipe())?;
-    let cells: Vec<(String, ExperimentConfig)> = FLIPS
-        .iter()
-        .map(|&qtable_flips| {
-            let workload = ParsecBenchmark::Canneal.workload(150);
-            let cfg = ExperimentConfig::new(Design::IntelliNoc, workload).with_seed(QTABLE_SEED);
-            let cfg = ExperimentConfig { pretrained: Some(tables.to_vec()), qtable_flips, ..cfg };
-            (format!("qtable_faults/{qtable_flips}"), cfg)
-        })
-        .collect();
-    let outcomes = eval.grid(&cells)?;
+pub(crate) fn qtable_faults(
+    _: &Campaign,
+    records: &[&Record],
+    w: &mut dyn Write,
+) -> io::Result<()> {
+    let outcomes = ok_outcomes(records)?;
     writeln!(w, "=== Q-table soft-error resilience (paper Section 6 future work) ===")?;
     writeln!(w, "`hit_rate` = expected bit flips per stored table entry per time step\n")?;
     writeln!(
@@ -453,7 +459,7 @@ pub(crate) fn qtable_faults(eval: &mut Evaluation, w: &mut dyn Write) -> io::Res
         "{:>10} {:>10} {:>10} {:>10} {:>10} {:>10}",
         "hit_rate", "exec_cyc", "latency", "power_mW", "retx", "mode_swaps"
     )?;
-    for (flips, o) in FLIPS.iter().zip(outcomes) {
+    for (flips, o) in QTABLE_FLIPS.iter().zip(outcomes) {
         let (r, hist) = (&o.report, o.mode_histogram);
         let off_mode = hist.iter().sum::<u64>() - hist.iter().max().copied().unwrap_or(0);
         writeln!(
@@ -482,7 +488,7 @@ const SCALING_SIDES: [(usize, Tweak); 3] = [
 
 /// The mesh-scaling grid: SECDED, then IntelliNoC, at each of
 /// [`SCALING_SIDES`] under uniform traffic.
-pub(crate) fn scaling_cells() -> Vec<(String, ExperimentConfig)> {
+pub(crate) fn scaling_cells() -> Vec<Cell> {
     [Design::Secded, Design::IntelliNoc]
         .into_iter()
         .flat_map(|design| {
@@ -490,7 +496,7 @@ pub(crate) fn scaling_cells() -> Vec<(String, ExperimentConfig)> {
                 let workload = WorkloadSpec::uniform(0.02, 40);
                 let mut cfg = ExperimentConfig::new(design, workload).with_seed(13);
                 cfg.tweak = Some(tweak);
-                (format!("scaling/{side}x{side}/{}", design.label()), cfg)
+                (format!("scaling/{side}x{side}/{}", design.label()), cfg, None)
             })
         })
         .collect()
@@ -499,15 +505,14 @@ pub(crate) fn scaling_cells() -> Vec<(String, ExperimentConfig)> {
 /// Mesh-size scaling study (beyond the paper's single 8×8 point): latency
 /// and power for the baseline and IntelliNoC at 4×4, 8×8, and 16×16 under
 /// uniform traffic.
-pub(crate) fn scaling(eval: &mut Evaluation, w: &mut dyn Write) -> io::Result<()> {
+pub(crate) fn scaling(_: &Campaign, records: &[&Record], w: &mut dyn Write) -> io::Result<()> {
     writeln!(w, "=== mesh scaling, uniform traffic @ 0.02 packets/node/cycle ===")?;
     writeln!(
         w,
         "{:>6} {:<11} {:>10} {:>12} {:>10}",
         "mesh", "design", "latency", "power_mW", "delivered"
     )?;
-    let outcomes = eval.grid(&scaling_cells())?;
-    for ((side, _), o) in SCALING_SIDES.iter().cycle().zip(&outcomes) {
+    for ((side, _), o) in SCALING_SIDES.iter().cycle().zip(ok_outcomes(records)?) {
         writeln!(
             w,
             "{side:>3}x{side:<2} {:<11} {:>10.1} {:>12.1} {:>10}",
@@ -521,27 +526,32 @@ pub(crate) fn scaling(eval: &mut Evaluation, w: &mut dyn Write) -> io::Result<()
     writeln!(w, "power grows with the router count.")
 }
 
+/// The load sweep's offered loads (packets/node/cycle).
+const LOAD_RATES: [f64; 8] = [0.005, 0.01, 0.02, 0.04, 0.06, 0.08, 0.10, 0.12];
+
+/// The load sweep's runs: every design at each rate, rate-major, every cell
+/// at seed 42.
+pub(crate) fn load_sweep_cells() -> Vec<Cell> {
+    let at_rate = |rate: f64| {
+        Design::ALL.map(|design| {
+            let workload = WorkloadSpec::uniform(rate, 60);
+            let cfg = ExperimentConfig::new(design, workload).with_seed(42);
+            (format!("load/r{rate}/{}", design.label()), cfg, None)
+        })
+    };
+    LOAD_RATES.into_iter().flat_map(at_rate).collect()
+}
+
 /// Load sweep: classic NoC latency-vs-offered-load curves for all five
 /// designs on uniform random traffic (not a paper figure, but the standard
 /// way to see where each design saturates and why the paper's benchmarks
-/// separate them). One 8 rates × 5 designs grid, every cell at seed 42.
-pub(crate) fn load_sweep(eval: &mut Evaluation, w: &mut dyn Write) -> io::Result<()> {
-    const RATES: [f64; 8] = [0.005, 0.01, 0.02, 0.04, 0.06, 0.08, 0.10, 0.12];
-    let cells: Vec<(String, ExperimentConfig)> = RATES
-        .iter()
-        .flat_map(|&rate| {
-            Design::ALL.map(|design| {
-                let workload = WorkloadSpec::uniform(rate, 60);
-                let cfg = ExperimentConfig::new(design, workload).with_seed(42);
-                (format!("load/r{rate}/{}", design.label()), cfg)
-            })
-        })
-        .collect();
-    let outcomes = eval.grid(&cells)?;
+/// separate them). One 8 rates × 5 designs table per metric.
+pub(crate) fn load_sweep(_: &Campaign, records: &[&Record], w: &mut dyn Write) -> io::Result<()> {
+    let outcomes = ok_outcomes(records)?;
     let mut table = |heading: &str, precision: usize, metric: fn(&RunReport) -> f64| {
         writeln!(w, "{heading}")?;
         design_columns(w, &format!("{:>8}", "rate"))?;
-        for (rate, row) in RATES.iter().zip(outcomes.chunks(Design::ALL.len())) {
+        for (rate, row) in LOAD_RATES.iter().zip(outcomes.chunks(Design::ALL.len())) {
             write!(w, "{rate:>8.3}")?;
             for o in row {
                 write!(w, "{:>12.precision$}", metric(&o.report))?;
@@ -556,18 +566,48 @@ pub(crate) fn load_sweep(eval: &mut Evaluation, w: &mut dyn Write) -> io::Result
     table("\np99 latency (cycles):", 0, |r| r.stats.latency_percentile(0.99))
 }
 
+/// The resilience study's two campaigns, each with its key prefix and the
+/// title of its table: the hard-fault campaign with fault-aware rerouting,
+/// then a cheaper one without.
+fn resilience_campaigns() -> [(&'static str, &'static str, CampaignConfig); 2] {
+    let on = CampaignConfig { ppn: 20, ..CampaignConfig::default() };
+    let off = CampaignConfig {
+        fault_aware_routing: false,
+        // XY traffic wedges against dead links; keep the cells cheap.
+        dead_links: vec![0, 1, 2],
+        router_fail_at: None,
+        flapping: 0,
+        ..on.clone()
+    };
+    [
+        ("resilience/on", "fault-aware rerouting ON (up*/down* detours):", on),
+        ("resilience/off", "fault-aware rerouting OFF (XY + drop/watchdog escalation):", off),
+    ]
+}
+
+/// Both campaigns' runs. A cell's seed derives from its `campaign/…` key,
+/// as `intellinoc campaign`'s does, before the key takes its prefix.
+pub(crate) fn resilience_cells() -> Vec<Cell> {
+    let cells = |(prefix, _, cfg): (&'static str, &str, CampaignConfig)| {
+        cfg.cells().into_iter().map(move |(key, cfg)| (format!("{prefix}/{key}"), cfg, None))
+    };
+    resilience_campaigns().into_iter().flat_map(cells).collect()
+}
+
 /// Resilience study: the deterministic hard-fault campaign across all five
 /// designs — growing dead-link counts, a mid-run router failure, and
 /// intermittently flapping links — with and without fault-aware rerouting.
 /// A cell the watchdog aborts is a result here (its `status` column), not
 /// an error.
-pub(crate) fn resilience(eval: &mut Evaluation, w: &mut dyn Write) -> io::Result<()> {
-    let rcfg = eval.runner();
-    let run = |cfg: &CampaignConfig| {
-        run_campaign_runner(cfg, &rcfg, &ChaosOptions::default(), UnitSinks::default())
-            .map_err(io::Error::other)
-    };
-    let mut print_grid = |title: &str, report: &CampaignRunReport| -> io::Result<()> {
+pub(crate) fn resilience(_: &Campaign, records: &[&Record], w: &mut dyn Write) -> io::Result<()> {
+    let mut records = records.iter().map(|&r| r.clone());
+    let [on, off] = resilience_campaigns().map(|(_, title, config)| {
+        let units = campaign_scenarios(&config).len() * Design::ALL.len();
+        let runner =
+            RunnerReport { records: records.by_ref().take(units).collect(), events: Vec::new() };
+        (title, CampaignRunReport { config, runner })
+    });
+    for (title, report) in [&on, &off] {
         writeln!(w, "{title}")?;
         writeln!(
             w,
@@ -602,28 +642,16 @@ pub(crate) fn resilience(eval: &mut Evaluation, w: &mut dyn Write) -> io::Result
                 rec.status.label()
             )?;
         }
-        writeln!(w)
-    };
-    let cfg = CampaignConfig { ppn: 20, ..CampaignConfig::default() };
-    let report = run(&cfg)?;
-    print_grid("fault-aware rerouting ON (up*/down* detours):", &report)?;
-    let no_reroute = CampaignConfig {
-        fault_aware_routing: false,
-        // XY traffic wedges against dead links; keep the cells cheap.
-        dead_links: vec![0, 1, 2],
-        router_fail_at: None,
-        flapping: 0,
-        ..cfg
-    };
-    print_grid("fault-aware rerouting OFF (XY + drop/watchdog escalation):", &run(&no_reroute)?)?;
-    writeln!(w, "minimum delivery rate with rerouting: {:.4}", report.min_delivery_rate())
+        writeln!(w)?;
+    }
+    writeln!(w, "minimum delivery rate with rerouting: {:.4}", on.1.min_delivery_rate())
 }
 
 /// Calibration probe: raw (un-normalized) campaign metrics for every design
 /// on four benchmarks, for checking that the result *shape* matches the
 /// paper before reading the normalized figures.
-pub(crate) fn probe(eval: &mut Evaluation, w: &mut dyn Write) -> io::Result<()> {
-    let results = eval.results()?;
+pub(crate) fn probe(_: &Campaign, records: &[&Record], w: &mut dyn Write) -> io::Result<()> {
+    let results = paper_campaign(records)?;
     for bench in [
         ParsecBenchmark::Swaptions,
         ParsecBenchmark::Canneal,
@@ -684,10 +712,8 @@ pub(crate) fn probe(eval: &mut Evaluation, w: &mut dyn Write) -> io::Result<()> 
 ///
 /// # Errors
 ///
-/// A failed campaign unit ([`Evaluation::results`]) or the writer's I/O
-/// error.
-pub fn print_headline(eval: &mut Evaluation, w: &mut dyn Write) -> io::Result<()> {
-    let results = eval.results()?;
+/// The writer's I/O error.
+pub fn print_headline(results: &CampaignResults, w: &mut dyn Write) -> io::Result<()> {
     writeln!(w, "\n=== headline comparison vs paper ===")?;
     writeln!(
         w,

@@ -5,7 +5,7 @@
 //! that deadlock, so it keeps passing once those rows finish.
 
 use intellinoc::{run_experiment, Design, ExperimentConfig, RewardKind};
-use intellinoc_bench::{Campaign, Evaluation, FIGURES};
+use intellinoc_bench::{evaluate, Campaign, FIGURES};
 use noc_ecc::EccScheme;
 use noc_sim::SimConfig;
 use noc_traffic::ParsecBenchmark;
@@ -27,8 +27,10 @@ fn ablations_prints_no_metrics_for_a_run_that_did_not_finish() {
         ("linear reward", None, RewardKind::Linear),
     ];
     let fig = FIGURES.iter().find(|f| f.name == "ablations").expect("ablations is a figure");
+    let campaign = Campaign::default();
+    let report = evaluate(&(fig.cells)(&campaign), 2).expect("engine");
     let mut table = Vec::new();
-    (fig.render)(&mut Evaluation::new(Campaign::default(), 2), &mut table).expect("renders");
+    fig.write(&campaign, &report, &mut table).expect("renders");
     let table = String::from_utf8(table).expect("utf8");
     for (tag, tweak, reward) in rows {
         let row = table

@@ -2,9 +2,9 @@
 
 use crate::args::Args;
 use intellinoc::{
-    compare_bench, dump_bundle, load_sweep_cells, render_inspect_report, run_experiment,
-    run_experiment_instrumented, run_grid, BenchBaseline, BenchSpec, BenchWorkload, CampaignConfig,
-    CampaignRunReport, ChaosKill, ChaosOptions, Daemon, Design, ExperimentConfig,
+    check_rate, compare_bench, dump_bundle, load_sweep_cells, render_inspect_report,
+    run_experiment, run_experiment_instrumented, run_grid, BenchBaseline, BenchSpec, BenchWorkload,
+    CampaignConfig, CampaignRunReport, ChaosKill, ChaosOptions, Daemon, Design, ExperimentConfig,
     ExperimentOutcome, GateOptions, RunnerConfig, RunnerReport, ServeConfig, TelemetryArtifacts,
     TelemetryOptions, UnitSinks,
 };
@@ -91,7 +91,7 @@ fn workload_from(args: &Args, ppn: u64) -> Result<WorkloadSpec, String> {
         }
         Ok(parse_benchmark(b)?.workload(ppn))
     } else if let Some(r) = args.get("rate") {
-        let rate: f64 = r.parse().map_err(|_| format!("invalid --rate: {r}"))?;
+        let rate = check_rate(r.parse().map_err(|_| format!("invalid --rate: {r}"))?)?;
         Ok(match reqreply {
             Some(rr) => WorkloadSpec::reqreply(rate, ppn, rr),
             None => WorkloadSpec::uniform(rate, ppn),
@@ -180,6 +180,15 @@ fn error_rate_from(args: &Args) -> Result<Option<f64>, String> {
     match r.parse::<f64>() {
         Ok(rate) if (0.0..=1.0).contains(&rate) => Ok(Some(rate)),
         _ => Err(format!("invalid --error-rate: {r} (need a probability in [0, 1])")),
+    }
+}
+
+/// Parses `--time-step` (default 1 000 cycles): at least one cycle, or the
+/// control loop would never advance.
+fn time_step_from(args: &Args) -> Result<u64, String> {
+    match args.get_or("time-step", 1_000u64)? {
+        0 => Err("invalid --time-step: 0 (need at least 1 cycle)".into()),
+        step => Ok(step),
     }
 }
 
@@ -391,7 +400,7 @@ pub fn run(args: &Args) -> CmdResult {
     let workload = workload_from(args, ppn)?;
     let mut cfg = ExperimentConfig::new(design, workload)
         .with_seed(args.get_or("seed", 1u64)?)
-        .with_time_step(args.get_or("time-step", 1_000u64)?);
+        .with_time_step(time_step_from(args)?);
     cfg.error_rate_override = error_rate_from(args)?;
     let out = OutDir::from(args, "run")?;
     cfg.telemetry = telemetry_from(args)?;
@@ -475,7 +484,7 @@ pub fn inspect(args: &Args) -> CmdResult {
     let workload = workload_from(args, ppn)?;
     let mut cfg = ExperimentConfig::new(design, workload)
         .with_seed(args.get_or("seed", 1u64)?)
-        .with_time_step(args.get_or("time-step", 1_000u64)?);
+        .with_time_step(time_step_from(args)?);
     cfg.error_rate_override = error_rate_from(args)?;
     let out = OutDir::from(args, "inspect")?;
     cfg.telemetry = telemetry_from(args)?;
@@ -513,7 +522,7 @@ pub fn sweep(args: &Args) -> CmdResult {
         .get("rates")
         .ok_or("need --rates r1,r2,...")?
         .split(',')
-        .map(|r| r.trim().parse().map_err(|_| format!("invalid rate: {r}")))
+        .map(|r| check_rate(r.trim().parse().map_err(|_| format!("invalid rate: {r}"))?))
         .collect::<Result<_, _>>()?;
     let cells = load_sweep_cells(
         design,
@@ -608,7 +617,7 @@ pub fn trace(args: &Args) -> CmdResult {
 /// `intellinoc campaign` — the deterministic fault-resilience campaign.
 pub fn campaign(args: &Args) -> CmdResult {
     let mut cfg = CampaignConfig {
-        rate: args.get_or("rate", 0.02f64)?,
+        rate: check_rate(args.get_or("rate", 0.02f64)?)?,
         ppn: args.get_or("ppn", 30u64)?,
         seed: args.get_or("seed", 1u64)?,
         fault_aware_routing: !args.has_flag("no-reroute"),

@@ -75,6 +75,38 @@ fn a_hostile_error_rate_exits_1_naming_the_flag() {
     }
 }
 
+/// A zero `--time-step` never advances the control loop (`run` and
+/// `inspect` used to hang on it): exit 1 naming the flag.
+#[test]
+fn a_zero_time_step_exits_1_naming_the_flag() {
+    for cmd in ["run --design secded", "inspect"] {
+        let line = format!("{cmd} --rate 0.02 --ppn 2 --time-step 0");
+        let (code, _, stderr) = intellinoc(&line);
+        assert_eq!(code, Some(1), "{line}: {stderr}");
+        assert!(stderr.contains("--time-step"), "{line}: {stderr}");
+    }
+}
+
+/// Every command that takes a rate holds it to `BenchSpec`'s one rule,
+/// finite in (0, 1]: a rate of 0 or `NaN` injects nothing, and its runs
+/// used to spin to their cycle budget (`sweep`, `campaign`) or report zero
+/// packets as a success (`run`, `inspect`).
+#[test]
+fn a_rate_outside_0_1_exits_1_with_the_rate_rule() {
+    for rate in ["0", "nan"] {
+        for cmd in [
+            format!("run --design secded --rate {rate} --ppn 2"),
+            format!("inspect --rate {rate} --ppn 2"),
+            format!("sweep --design secded --rates 0.01,{rate} --ppn 2"),
+            format!("campaign --rate {rate} --ppn 2"),
+        ] {
+            let (code, _, stderr) = intellinoc(&cmd);
+            assert_eq!(code, Some(1), "{cmd}: {stderr}");
+            assert!(stderr.contains("rate must be finite in (0, 1], got "), "{cmd}: {stderr}");
+        }
+    }
+}
+
 #[test]
 fn sweep_command_executes() {
     let args = Args::parse(

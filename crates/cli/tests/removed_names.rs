@@ -67,6 +67,7 @@ const CELL_LIST: &str = "every study is a cell list";
 const OUT_DIR: &str = "one `--out-dir` per command";
 const ONE_OUTPUT: &str = "one output per journey log";
 const ROUND_TWO: &str = "consumer audit, round two";
+const DECLARED_ONCE: &str = "`figures` declares its runs once";
 
 /// Everything but the benchmark, which keeps its own names.
 const SOURCES: &[&str] = &["crates", "tests", "examples"];
@@ -81,8 +82,11 @@ const GRID_RENDERERS: &[&str] = &[
 ];
 /// The evaluation's studies.
 const STUDIES: &[&str] = &["crates/bench/src/studies.rs"];
-/// The whole evaluation: the studies, `Evaluation` and the `figures` binary.
+/// The whole evaluation: the studies, the figure table and the `figures`
+/// binary.
 const EVALUATION: &[&str] = &["crates/bench/src"];
+/// The evaluation crate with its tests, and the workspace tests.
+const EVALUATION_AND_TESTS: &[&str] = &["crates/bench", "tests"];
 /// The CLI and the examples.
 const FRONT_ENDS: &[&str] = &["crates/cli/src", "examples"];
 
@@ -310,6 +314,16 @@ const REMOVED: &[Removed] = &[
     removed("evaluate_samples", ROUND_TWO, Text, SOURCES),
     removed("PacketLatency", ROUND_TWO, Word, SOURCES),
     removed("bypass_hops", ROUND_TWO, Word, SOURCES),
+    // `figures` declares its runs once: each figure's cells are its one
+    // declaration, `figures` trains and runs them all before the first
+    // render, and the studies only build cells and render — no lazy
+    // campaign cache, no recipe list, no grid of a study's own.
+    removed("Evaluation", DECLARED_ONCE, Word, EVALUATION_AND_TESTS),
+    removed("declared_recipes", DECLARED_ONCE, Word, SOURCES),
+    removed("run_grid(", DECLARED_ONCE, Text, STUDIES),
+    removed("run_campaign_runner(", DECLARED_ONCE, Text, STUDIES),
+    removed("pretrain_grid(", DECLARED_ONCE, Text, STUDIES),
+    removed(".outcomes(", DECLARED_ONCE, Text, STUDIES),
 ];
 
 fn is_ident(c: char) -> bool {

@@ -99,6 +99,21 @@ pub struct BenchSpec {
     pub reqreply: Option<ReqReplySpec>,
 }
 
+/// The one rule for an injection rate (packets/node/cycle), whichever
+/// command or grid takes it: finite in (0, 1]. A rate of 0 or `NaN` injects
+/// nothing, so its run only ends at the cycle budget.
+///
+/// # Errors
+///
+/// Names the rate it refuses.
+pub fn check_rate(rate: f64) -> Result<f64, String> {
+    if rate > 0.0 && rate <= 1.0 {
+        Ok(rate)
+    } else {
+        Err(format!("rate must be finite in (0, 1], got {rate}"))
+    }
+}
+
 impl BenchSpec {
     /// The committed-baseline grid: all five designs at the 0.1/0.3/0.5
     /// injection rates, five seeds per cell. The per-node packet budget
@@ -148,8 +163,8 @@ impl BenchSpec {
         }
         for &workload in &self.rates {
             match workload {
-                BenchWorkload::Rate(rate) if !(rate > 0.0 && rate <= 1.0) => {
-                    return Err(format!("rate must be finite in (0, 1], got {rate}"));
+                BenchWorkload::Rate(rate) => {
+                    check_rate(rate)?;
                 }
                 BenchWorkload::Parsec(bench) if self.reqreply.is_some() => {
                     return Err(format!("closed-loop traffic drives rates, not {bench}"));

@@ -487,6 +487,8 @@ fn feed_recorder(bb: &SharedRecorder, policy: &ControlPolicy, sample: &TimelineS
 pub fn run_experiment_instrumented(
     cfg: ExperimentConfig,
 ) -> (ExperimentOutcome, ControlPolicy, TelemetryArtifacts) {
+    // `run_cycles(0)` never advances the network, so the loop would spin.
+    assert!(cfg.time_step > 0, "time_step must be at least 1 cycle, got 0");
     let mut sim_cfg = cfg.design.sim_config();
     sim_cfg.seed = cfg.seed;
     sim_cfg.max_cycles = cfg.max_cycles;
@@ -812,6 +814,23 @@ mod tests {
         cfg.pretrained = Some(tables);
         let out = run_experiment(cfg);
         assert_eq!(out.report.stats.packets_delivered, 640);
+    }
+
+    /// A zero time step would never advance the control loop: the run
+    /// refuses it, so a grid unit fails by its key instead of spinning.
+    #[test]
+    fn a_zero_time_step_fails_its_unit_by_key() {
+        let cells = [("zero-step".to_owned(), small(Design::Secded, 0.02, 2).with_time_step(0))];
+        let report = run_grid(
+            &cells,
+            &RunnerConfig::serial(),
+            &ChaosOptions::default(),
+            UnitSinks::default(),
+        )
+        .expect("engine");
+        let err = report.clean_payloads().expect_err("a zero step cannot run");
+        assert!(err.contains("unit zero-step failed: "), "{err}");
+        assert!(err.contains("time_step must be at least 1 cycle"), "{err}");
     }
 
     /// A recipe grid trains what a direct `pretrain_intellinoc` call does, at

@@ -52,7 +52,7 @@ mod serve;
 mod sweeps;
 
 pub use bench::{
-    compare_bench, record_bench, BenchBaseline, BenchCell, BenchComparison, BenchSpec,
+    check_rate, compare_bench, record_bench, BenchBaseline, BenchCell, BenchComparison, BenchSpec,
     BenchWorkload, CompareRow, GateOptions, GateVerdict, MetricStats, BENCH_FORMAT_VERSION,
     GATED_METRICS, REL_EPSILON,
 };

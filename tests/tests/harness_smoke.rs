@@ -1,14 +1,21 @@
 //! Smoke tests for the figure harness: a miniature campaign produces
 //! well-formed, normalizable results for every figure's metric.
 
-use intellinoc::{geomean, Design, ExperimentOutcome, RunnerConfig};
-use intellinoc_bench::{Campaign, CampaignResults};
+use intellinoc::{geomean, Design, ExperimentOutcome};
+use intellinoc_bench::{run_cells, Campaign, CampaignResults};
 use noc_traffic::ParsecBenchmark;
 
+/// Two benchmarks at 8 packets per node, IntelliNoC not pre-trained.
 fn mini_campaign() -> CampaignResults {
-    Campaign { packets_per_node: 8, ..Campaign::default() }
-        .run(&[ParsecBenchmark::Swaptions, ParsecBenchmark::Dedup], None, &RunnerConfig::serial())
-        .expect("clean grid")
+    let benches = [ParsecBenchmark::Swaptions, ParsecBenchmark::Dedup];
+    let campaign = Campaign { packets_per_node: 8, ..Campaign::default() };
+    let cells: Vec<_> = campaign
+        .cells(&Design::ALL, &benches)
+        .into_iter()
+        .map(|(key, cfg, _)| (key, cfg, None))
+        .collect();
+    let report = run_cells(&cells, &[], 1).expect("engine");
+    CampaignResults::new(&benches, &report.records.iter().collect::<Vec<_>>()).expect("clean grid")
 }
 
 #[test]
