@@ -294,7 +294,7 @@ pub struct Figure {
     /// The runs it reads at a campaign, in the order its render takes them.
     pub cells: fn(&Campaign) -> Vec<Cell>,
     /// Writes the table(s) from the records of its cells, running nothing.
-    pub render: fn(&Campaign, &[&Record], &mut dyn Write) -> io::Result<()>,
+    pub render: fn(&[&Record], &mut dyn Write) -> io::Result<()>,
 }
 
 impl Figure {
@@ -302,7 +302,7 @@ impl Figure {
     /// names a cell that did not run, or did not finish `ok` where the
     /// figure has no status row for it, or is the writer's.
     pub fn write(&self, campaign: &Campaign, report: &Report, w: &mut dyn Write) -> io::Result<()> {
-        (self.render)(campaign, &records_of(report, &(self.cells)(campaign))?, w)
+        (self.render)(&records_of(report, &(self.cells)(campaign))?, w)
     }
 }
 
@@ -313,7 +313,7 @@ pub const FIGURES: &[Figure] = &[
         name: "fig09_speedup",
         about: "Fig. 9: speed-up of full execution time, normalized to SECDED",
         cells: Campaign::paper_cells,
-        render: |_, records, w| {
+        render: |records, w| {
             studies::metric_figure(
                 records,
                 w,
@@ -328,7 +328,7 @@ pub const FIGURES: &[Figure] = &[
         name: "fig10_latency",
         about: "Fig. 10: average end-to-end packet latency, normalized to SECDED",
         cells: Campaign::paper_cells,
-        render: |_, records, w| {
+        render: |records, w| {
             studies::metric_figure(
                 records,
                 w,
@@ -343,7 +343,7 @@ pub const FIGURES: &[Figure] = &[
         name: "fig11_static_power",
         about: "Fig. 11: static power, normalized to SECDED",
         cells: Campaign::paper_cells,
-        render: |_, records, w| {
+        render: |records, w| {
             studies::metric_figure(
                 records,
                 w,
@@ -358,7 +358,7 @@ pub const FIGURES: &[Figure] = &[
         name: "fig12_dynamic_power",
         about: "Fig. 12: dynamic power, normalized to SECDED",
         cells: Campaign::paper_cells,
-        render: |_, records, w| {
+        render: |records, w| {
             studies::metric_figure(
                 records,
                 w,
@@ -373,7 +373,7 @@ pub const FIGURES: &[Figure] = &[
         name: "fig13_energy_efficiency",
         about: "Fig. 13: energy-efficiency (Eq. 8), normalized to SECDED",
         cells: Campaign::paper_cells,
-        render: |_, records, w| {
+        render: |records, w| {
             studies::metric_figure(
                 records,
                 w,
@@ -400,7 +400,7 @@ pub const FIGURES: &[Figure] = &[
         name: "fig16_mttf",
         about: "Fig. 16: mean-time-to-failure, normalized to SECDED",
         cells: Campaign::paper_cells,
-        render: |_, records, w| {
+        render: |records, w| {
             studies::metric_figure(
                 records,
                 w,
@@ -427,7 +427,7 @@ pub const FIGURES: &[Figure] = &[
         name: "fig18a_gamma",
         about: "Fig. 18a: discount rate gamma vs EDP and re-transmissions (blackscholes, seed 7)",
         cells: |_| studies::hyper_cells(studies::fig18a_gamma, &studies::GAMMAS),
-        render: |_, records, w| {
+        render: |records, w| {
             studies::hyper_sweep(
                 records,
                 w,
@@ -442,7 +442,7 @@ pub const FIGURES: &[Figure] = &[
         name: "fig18b_epsilon",
         about: "Fig. 18b: exploration epsilon vs EDP and re-transmissions (blackscholes, seed 7)",
         cells: |_| studies::hyper_cells(studies::fig18b_epsilon, &studies::EPSILONS),
-        render: |_, records, w| {
+        render: |records, w| {
             studies::hyper_sweep(
                 records,
                 w,
@@ -792,7 +792,7 @@ mod tests {
                 cells[0].1.seed += 1;
                 cells
             },
-            render: |_, _, _| Ok(()),
+            render: |_, _| Ok(()),
         };
         let untrained = Figure {
             name: "untrained",

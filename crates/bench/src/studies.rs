@@ -42,7 +42,7 @@ fn paper_campaign(records: &[&Record]) -> io::Result<CampaignResults> {
 
 /// Fig. 14 — IntelliNoC operation-mode breakdown per benchmark (fraction of
 /// router-steps spent in each of the five modes).
-pub(crate) fn fig14(_: &Campaign, records: &[&Record], w: &mut dyn Write) -> io::Result<()> {
+pub(crate) fn fig14(records: &[&Record], w: &mut dyn Write) -> io::Result<()> {
     let results = paper_campaign(records)?;
     writeln!(w, "\n=== Fig. 14: IntelliNoC operation-mode breakdown ===")?;
     writeln!(
@@ -76,7 +76,7 @@ pub(crate) fn fig14(_: &Campaign, records: &[&Record], w: &mut dyn Write) -> io:
 /// Fig. 15 — re-transmitted flits, normalized, plus the absolute counts: at
 /// this reproduction's calibrated error rates the baseline's absolute count
 /// is small (see EXPERIMENTS.md).
-pub(crate) fn fig15(_: &Campaign, records: &[&Record], w: &mut dyn Write) -> io::Result<()> {
+pub(crate) fn fig15(records: &[&Record], w: &mut dyn Write) -> io::Result<()> {
     let results = paper_campaign(records)?;
     results.print_figure(
         w,
@@ -129,7 +129,7 @@ pub(crate) fn fig17a_cells(c: &Campaign) -> Vec<Cell> {
 
 /// Fig. 17a — impact of the RL control time step on IntelliNoC's
 /// system-level metrics, normalized to the SECDED baseline.
-pub(crate) fn fig17a(_: &Campaign, records: &[&Record], w: &mut dyn Write) -> io::Result<()> {
+pub(crate) fn fig17a(records: &[&Record], w: &mut dyn Write) -> io::Result<()> {
     let outcomes = ok_outcomes(records)?;
     let (baselines, runs) = outcomes.split_at(FIG17A_BENCHES.len());
     writeln!(w, "=== Fig. 17a: impact of RL time step (IntelliNoC vs baseline) ===")?;
@@ -165,7 +165,7 @@ pub(crate) fn fig17b_cells(c: &Campaign) -> Vec<Cell> {
 /// metrics vs the SECDED baseline. The paper sweeps average rates
 /// 1e-10..1e-7 per bit; this reproduction's calibrated operating point sits
 /// higher, so the sweep extends to 1e-4 (see EXPERIMENTS.md).
-pub(crate) fn fig17b(_: &Campaign, records: &[&Record], w: &mut dyn Write) -> io::Result<()> {
+pub(crate) fn fig17b(records: &[&Record], w: &mut dyn Write) -> io::Result<()> {
     let outcomes = ok_outcomes(records)?;
     writeln!(w, "=== Fig. 17b: impact of forced bit-error rate (IntelliNoC vs baseline) ===")?;
     writeln!(
@@ -262,7 +262,7 @@ pub(crate) fn hyper_sweep(
 }
 
 /// Table 2 — per-router area comparison across designs (µm² at 32 nm).
-pub(crate) fn table2(_: &Campaign, _: &[&Record], w: &mut dyn Write) -> io::Result<()> {
+pub(crate) fn table2(_: &[&Record], w: &mut dyn Write) -> io::Result<()> {
     let model = AreaModel::default();
     writeln!(w, "=== Table 2: router area comparison (um^2, 32 nm) ===")?;
     writeln!(
@@ -331,7 +331,7 @@ pub(crate) fn ablation_cells() -> Vec<Cell> {
 /// heuristic, is the CPD column of the main figures.) A variant that does
 /// not finish is a result here — its row says where it stopped — not an
 /// error.
-pub(crate) fn ablations(_: &Campaign, records: &[&Record], w: &mut dyn Write) -> io::Result<()> {
+pub(crate) fn ablations(records: &[&Record], w: &mut dyn Write) -> io::Result<()> {
     let packets = Design::IntelliNoc.sim_config().nodes() as u64 * ABLATION_PPN;
     writeln!(w, "=== Ablations (IntelliNoC on canneal; see DESIGN.md Section 6) ===")?;
     for ((heading, tag, ..), rec) in ABLATIONS.iter().zip(records) {
@@ -390,7 +390,7 @@ pub(crate) fn expert_vs_rl_cells() -> Vec<Cell> {
 /// the rules ... often result[s] in sub-optimal solutions". Both rows of a
 /// benchmark are the same experiment through the same control loop; only
 /// the policy (the cell's `expert`) differs.
-pub(crate) fn expert_vs_rl(_: &Campaign, records: &[&Record], w: &mut dyn Write) -> io::Result<()> {
+pub(crate) fn expert_vs_rl(records: &[&Record], w: &mut dyn Write) -> io::Result<()> {
     let outcomes = ok_outcomes(records)?;
     writeln!(w, "=== expert threshold rule vs Q-learning (IntelliNoC hardware) ===")?;
     writeln!(
@@ -446,11 +446,7 @@ pub(crate) fn qtable_faults_cells() -> Vec<Cell> {
 /// gracefully the learned policy degrades. `mode_swaps` is the router-steps
 /// spent outside the run's most common mode (the mode histogram's sum minus
 /// its largest bin), not a count of mode switches.
-pub(crate) fn qtable_faults(
-    _: &Campaign,
-    records: &[&Record],
-    w: &mut dyn Write,
-) -> io::Result<()> {
+pub(crate) fn qtable_faults(records: &[&Record], w: &mut dyn Write) -> io::Result<()> {
     let outcomes = ok_outcomes(records)?;
     writeln!(w, "=== Q-table soft-error resilience (paper Section 6 future work) ===")?;
     writeln!(w, "`hit_rate` = expected bit flips per stored table entry per time step\n")?;
@@ -505,7 +501,7 @@ pub(crate) fn scaling_cells() -> Vec<Cell> {
 /// Mesh-size scaling study (beyond the paper's single 8×8 point): latency
 /// and power for the baseline and IntelliNoC at 4×4, 8×8, and 16×16 under
 /// uniform traffic.
-pub(crate) fn scaling(_: &Campaign, records: &[&Record], w: &mut dyn Write) -> io::Result<()> {
+pub(crate) fn scaling(records: &[&Record], w: &mut dyn Write) -> io::Result<()> {
     writeln!(w, "=== mesh scaling, uniform traffic @ 0.02 packets/node/cycle ===")?;
     writeln!(
         w,
@@ -546,7 +542,7 @@ pub(crate) fn load_sweep_cells() -> Vec<Cell> {
 /// designs on uniform random traffic (not a paper figure, but the standard
 /// way to see where each design saturates and why the paper's benchmarks
 /// separate them). One 8 rates × 5 designs table per metric.
-pub(crate) fn load_sweep(_: &Campaign, records: &[&Record], w: &mut dyn Write) -> io::Result<()> {
+pub(crate) fn load_sweep(records: &[&Record], w: &mut dyn Write) -> io::Result<()> {
     let outcomes = ok_outcomes(records)?;
     let mut table = |heading: &str, precision: usize, metric: fn(&RunReport) -> f64| {
         writeln!(w, "{heading}")?;
@@ -599,12 +595,11 @@ pub(crate) fn resilience_cells() -> Vec<Cell> {
 /// intermittently flapping links — with and without fault-aware rerouting.
 /// A cell the watchdog aborts is a result here (its `status` column), not
 /// an error.
-pub(crate) fn resilience(_: &Campaign, records: &[&Record], w: &mut dyn Write) -> io::Result<()> {
+pub(crate) fn resilience(records: &[&Record], w: &mut dyn Write) -> io::Result<()> {
     let mut records = records.iter().map(|&r| r.clone());
     let [on, off] = resilience_campaigns().map(|(_, title, config)| {
         let units = campaign_scenarios(&config).len() * Design::ALL.len();
-        let runner =
-            RunnerReport { records: records.by_ref().take(units).collect(), events: Vec::new() };
+        let runner = RunnerReport { records: records.by_ref().take(units).collect() };
         (title, CampaignRunReport { config, runner })
     });
     for (title, report) in [&on, &off] {
@@ -650,7 +645,7 @@ pub(crate) fn resilience(_: &Campaign, records: &[&Record], w: &mut dyn Write) -
 /// Calibration probe: raw (un-normalized) campaign metrics for every design
 /// on four benchmarks, for checking that the result *shape* matches the
 /// paper before reading the normalized figures.
-pub(crate) fn probe(_: &Campaign, records: &[&Record], w: &mut dyn Write) -> io::Result<()> {
+pub(crate) fn probe(records: &[&Record], w: &mut dyn Write) -> io::Result<()> {
     let results = paper_campaign(records)?;
     for bench in [
         ParsecBenchmark::Swaptions,

@@ -2,16 +2,15 @@
 
 use crate::args::Args;
 use intellinoc::{
-    check_rate, compare_bench, dump_bundle, load_sweep_cells, render_inspect_report,
-    run_experiment, run_experiment_instrumented, run_grid, BenchBaseline, BenchSpec, BenchWorkload,
-    CampaignConfig, CampaignRunReport, ChaosKill, ChaosOptions, Daemon, Design, ExperimentConfig,
-    ExperimentOutcome, GateOptions, RunnerConfig, RunnerReport, ServeConfig, TelemetryArtifacts,
-    TelemetryOptions, UnitSinks,
+    check_fault_counts, check_ppn, check_rate, compare_bench, dump_bundle, load_sweep_cells,
+    render_inspect_report, run_experiment, run_experiment_instrumented, run_grid, BenchBaseline,
+    BenchSpec, BenchWorkload, CampaignConfig, CampaignRunReport, ChaosKill, ChaosOptions, Daemon,
+    Design, ExperimentConfig, ExperimentOutcome, GateOptions, RunnerConfig, RunnerReport,
+    ServeConfig, TelemetryArtifacts, TelemetryOptions, UnitSinks,
 };
 use noc_sim::{
-    parse_bundle, parse_rules, render_report, runner_events_jsonl, shared_recorder, AlertEdge,
-    BundleCause, EventKind, JourneyLog, Profiler, RunnerEvent, SpanTree, TraceFilter,
-    DEFAULT_BLACKBOX_CAPACITY,
+    parse_bundle, parse_rules, render_report, shared_recorder, AlertEdge, BundleCause, EventKind,
+    JourneyLog, Profiler, SpanTree, TraceFilter, DEFAULT_BLACKBOX_CAPACITY,
 };
 use noc_traffic::{
     capture_trace, read_trace, write_trace, ParsecBenchmark, ReqReplySpec, WorkloadSpec,
@@ -83,7 +82,15 @@ fn reqreply_from(args: &Args) -> Result<Option<ReqReplySpec>, String> {
     }
 }
 
-fn workload_from(args: &Args, ppn: u64) -> Result<WorkloadSpec, String> {
+/// Parses `--ppn` (default `default`) under [`check_ppn`].
+fn ppn_from(args: &Args, default: u64) -> Result<u64, String> {
+    check_ppn(args.get_or("ppn", default)?).map_err(|e| format!("invalid --ppn: {e}"))
+}
+
+/// The workload of a single run: `--benchmark` or `--rate` traffic, `--ppn`
+/// packets per node (default `default_ppn`).
+fn workload_from(args: &Args, default_ppn: u64) -> Result<WorkloadSpec, String> {
+    let ppn = ppn_from(args, default_ppn)?;
     let reqreply = reqreply_from(args)?;
     if let Some(b) = args.get("benchmark") {
         if reqreply.is_some() {
@@ -241,21 +248,23 @@ fn run_grid_command(
 impl GridEpilogue {
     /// The epilogue the grid commands share, once the command has rendered
     /// `report` (`bench`: before it folds, which fails on a unit not `ok`):
-    /// the lifecycle events (`runner.jsonl`, with a trailing profile health
+    /// the runner log (`runner.jsonl`, with a trailing profile health
     /// note when profiling ran), the profile files, the status summary line,
     /// and the exit code: partial unless every unit finished `ok`.
     fn finish(&self, report: &RunnerReport<ExperimentOutcome>) -> CmdResult {
         let &GridEpilogue { label, ref out, ref prof } = self;
         if let Some(out) = out {
-            let mut events = report.events.clone();
+            let mut log = report.runner_log();
             if let Some(p) = prof {
-                events.push(RunnerEvent::ProfileNote {
-                    key: label.to_owned(),
-                    span_truncations: p.span_tree().truncated_enters(),
-                    unbalanced_exits: p.span_tree().unbalanced_exits(),
-                });
+                let tree = p.span_tree();
+                log += &format!(
+                    "{{\"event\":\"profile-note\",\"key\":\"{label}\",\"span_truncations\":{},\
+                     \"unbalanced_exits\":{}}}\n",
+                    tree.truncated_enters(),
+                    tree.unbalanced_exits()
+                );
             }
-            out.write("runner.jsonl", runner_events_jsonl(&events))?;
+            out.write("runner.jsonl", log)?;
         }
         if let Some(p) = prof {
             emit_profile(out.as_ref(), &(p.table() + &report.wall_clock_table()), p.span_tree())?;
@@ -396,8 +405,7 @@ fn emit_telemetry(out: Option<&OutDir>, artifacts: &TelemetryArtifacts) -> Resul
 /// `intellinoc run`.
 pub fn run(args: &Args) -> CmdResult {
     let design = parse_design(args.get("design").ok_or("need --design")?)?;
-    let ppn = args.get_or("ppn", 150u64)?;
-    let workload = workload_from(args, ppn)?;
+    let workload = workload_from(args, 150)?;
     let mut cfg = ExperimentConfig::new(design, workload)
         .with_seed(args.get_or("seed", 1u64)?)
         .with_time_step(time_step_from(args)?);
@@ -480,8 +488,7 @@ pub fn inspect(args: &Args) -> CmdResult {
         Some(d) => parse_design(d)?,
         None => Design::IntelliNoc,
     };
-    let ppn = args.get_or("ppn", 50u64)?;
-    let workload = workload_from(args, ppn)?;
+    let workload = workload_from(args, 50)?;
     let mut cfg = ExperimentConfig::new(design, workload)
         .with_seed(args.get_or("seed", 1u64)?)
         .with_time_step(time_step_from(args)?);
@@ -527,7 +534,7 @@ pub fn sweep(args: &Args) -> CmdResult {
     let cells = load_sweep_cells(
         design,
         &rates,
-        args.get_or("ppn", 100u64)?,
+        ppn_from(args, 100)?,
         args.get_or("seed", 1u64)?,
         reqreply_from(args)?.as_ref(),
     );
@@ -568,8 +575,7 @@ pub fn trace(args: &Args) -> CmdResult {
     match args.positional.first().map(String::as_str) {
         Some("capture") => {
             let path = args.positional.get(1).ok_or("need an output path")?;
-            let ppn = args.get_or("ppn", 50u64)?;
-            let workload = workload_from(args, ppn)?;
+            let workload = workload_from(args, 50)?;
             let records = capture_trace(workload, 8, 8, args.get_or("seed", 1u64)?, 10_000_000);
             let f = File::create(path).map_err(|e| e.to_string())?;
             write_trace(BufWriter::new(f), &records).map_err(|e| e.to_string())?;
@@ -618,7 +624,7 @@ pub fn trace(args: &Args) -> CmdResult {
 pub fn campaign(args: &Args) -> CmdResult {
     let mut cfg = CampaignConfig {
         rate: check_rate(args.get_or("rate", 0.02f64)?)?,
-        ppn: args.get_or("ppn", 30u64)?,
+        ppn: ppn_from(args, 30)?,
         seed: args.get_or("seed", 1u64)?,
         fault_aware_routing: !args.has_flag("no-reroute"),
         max_cycles: args.get_or("max-cycles", 400_000u64)?,
@@ -636,6 +642,7 @@ pub fn campaign(args: &Args) -> CmdResult {
         None => cfg.router_fail_at,
     };
     cfg.flapping = args.get_or("flapping", cfg.flapping)?;
+    check_fault_counts(&cfg)?;
     cfg.reqreply = reqreply_from(args)?;
     let (runner, epilogue) = run_grid_command(args, "campaign", &cfg.cells())?;
     let report = CampaignRunReport { config: cfg, runner };
@@ -743,7 +750,7 @@ fn bench_spec_from(args: &Args) -> Result<BenchSpec, String> {
             .collect::<Result<_, _>>()?;
     }
     spec.seeds = args.get_or("seeds", spec.seeds)?;
-    spec.ppn = args.get_or("ppn", spec.ppn)?;
+    spec.ppn = ppn_from(args, spec.ppn)?;
     spec.master_seed = args.get_or("seed", spec.master_seed)?;
     if let Some(rr) = reqreply_from(args)? {
         spec.reqreply = Some(rr);

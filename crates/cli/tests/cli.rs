@@ -90,9 +90,11 @@ fn a_zero_time_step_exits_1_naming_the_flag() {
 /// Every command that takes a rate holds it to `BenchSpec`'s one rule,
 /// finite in (0, 1]: a rate of 0 or `NaN` injects nothing, and its runs
 /// used to spin to their cycle budget (`sweep`, `campaign`) or report zero
-/// packets as a success (`run`, `inspect`).
+/// packets as a success (`run`, `inspect`). A packet budget of 0 per node
+/// injects nothing either, and is refused by every command that takes one.
 #[test]
 fn a_rate_outside_0_1_exits_1_with_the_rate_rule() {
+    let mut cases = Vec::new();
     for rate in ["0", "nan"] {
         for cmd in [
             format!("run --design secded --rate {rate} --ppn 2"),
@@ -100,10 +102,40 @@ fn a_rate_outside_0_1_exits_1_with_the_rate_rule() {
             format!("sweep --design secded --rates 0.01,{rate} --ppn 2"),
             format!("campaign --rate {rate} --ppn 2"),
         ] {
-            let (code, _, stderr) = intellinoc(&cmd);
-            assert_eq!(code, Some(1), "{cmd}: {stderr}");
-            assert!(stderr.contains("rate must be finite in (0, 1], got "), "{cmd}: {stderr}");
+            cases.push((cmd, "rate must be finite in (0, 1], got "));
         }
+    }
+    let trace = std::env::temp_dir().join(format!("intellinoc-ppn0-{}.jsonl", std::process::id()));
+    for cmd in [
+        "run --design secded --rate 0.02 --ppn 0".to_owned(),
+        "inspect --rate 0.02 --ppn 0".to_owned(),
+        "sweep --design secded --rates 0.01 --ppn 0".to_owned(),
+        format!("trace capture {} --benchmark dedup --ppn 0", trace.display()),
+        "campaign --ppn 0".to_owned(),
+        "bench record --designs secded --rates 0.05 --seeds 1 --ppn 0".to_owned(),
+    ] {
+        cases.push((cmd, "invalid --ppn: packets per node must be at least 1, got 0"));
+    }
+    for (cmd, rule) in cases {
+        let (code, _, stderr) = intellinoc(&cmd);
+        assert_eq!(code, Some(1), "{cmd}: {stderr}");
+        assert!(stderr.contains(rule), "{cmd}: {stderr}");
+    }
+    assert!(!trace.exists(), "a refused capture writes no trace");
+}
+
+/// A campaign refuses a fault count above the 8×8 mesh's 112 links, which
+/// it used to run as every link faulty under the count it was asked for.
+#[test]
+fn a_fault_count_above_the_mesh_links_exits_1_naming_the_flag() {
+    for (flags, named) in [
+        ("--dead-links 0,113", "--dead-links entry 113 exceeds the 112 links of the 8x8 mesh"),
+        ("--flapping 500", "--flapping 500 exceeds the 112 links of the 8x8 mesh"),
+    ] {
+        let cmd = format!("campaign --ppn 2 {flags}");
+        let (code, _, stderr) = intellinoc(&cmd);
+        assert_eq!(code, Some(1), "{cmd}: {stderr}");
+        assert!(stderr.contains(named), "{cmd}: {stderr}");
     }
 }
 

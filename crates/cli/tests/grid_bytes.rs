@@ -61,15 +61,27 @@ const CAMPAIGN: &str = "campaign --ppn 4 --seed 3 --rate 0.01 --dead-links 0,1 -
 #[test]
 fn campaign_csv_table_and_keys_are_pinned() {
     let dir = scratch("campaign");
-    let (code, stdout) = intellinoc(&dir, &format!("{CAMPAIGN} --out-dir o"));
-    assert_eq!(code, 2, "a partial grid exits 2");
-    assert_eq!(read(&dir, "o/campaign.csv"), include_str!("fixtures/campaign.csv"));
-    assert_eq!(stdout, include_str!("fixtures/campaign.txt"));
-    // Serial lifecycle events name every key, in canonical order.
-    let (lifecycle, dumps) = runner_log(&dir.join("o"));
-    assert_eq!(lifecycle, include_str!("fixtures/campaign_runner_log.jsonl"));
-    let dumped = |key: &str, cause: &str| (format!("campaign/{key}/r0.01"), cause.to_owned());
-    assert_eq!(dumps, [dumped("fault-free/SECDED", "timeout"), dumped("dead-links-1/EB", "panic")]);
+    // The runner log is read off the records, so two workers write the
+    // serial run's log, byte for byte, into an out-dir of the same name.
+    let mut serial_log = None;
+    for jobs in ["", " --jobs 2"] {
+        let _ = std::fs::remove_dir_all(dir.join("o"));
+        let (code, stdout) = intellinoc(&dir, &format!("{CAMPAIGN}{jobs} --out-dir o"));
+        assert_eq!(code, 2, "a partial grid exits 2");
+        assert_eq!(read(&dir, "o/campaign.csv"), include_str!("fixtures/campaign.csv"));
+        assert_eq!(stdout, include_str!("fixtures/campaign.txt"));
+        // Lifecycle events name every key, in canonical order.
+        let (lifecycle, dumps) = runner_log(&dir.join("o"));
+        assert_eq!(lifecycle, include_str!("fixtures/campaign_runner_log.jsonl"), "{jobs}");
+        let dumped = |key: &str, cause: &str| (format!("campaign/{key}/r0.01"), cause.to_owned());
+        assert_eq!(
+            dumps,
+            [dumped("fault-free/SECDED", "timeout"), dumped("dead-links-1/EB", "panic")],
+            "{jobs}"
+        );
+        let log = read(&dir, "o/runner.jsonl");
+        assert_eq!(serial_log.get_or_insert_with(|| log.clone()), &log, "{jobs}");
+    }
     assert_eq!(derive_seed(3, "campaign/fault-free/SECDED/r0.01"), 0xb11a_d863_5ed2_8db6);
     assert_eq!(derive_seed(3, "campaign/dead-links-1/IntelliNoC/r0.01"), 0xa363_aafc_7b7a_f022);
     let _ = std::fs::remove_dir_all(&dir);

@@ -59,10 +59,24 @@ fn a_forced_timeout_exits_partial_and_its_journal_resumes_byte_for_byte() {
     let (code, _) = intellinoc(&dir, &format!("{grid} --jobs 2 --resume --out-dir resumed"));
     assert_eq!(code, 2, "the resumed grid is still partial");
     assert_eq!(read(&dir, "resumed/campaign.csv"), partial);
+    // The resumed log names each unit once, as resumed, with its CSV status.
+    let statuses: Vec<String> = partial
+        .lines()
+        .skip(1)
+        .map(|row| format!("\"status\":\"{}\"}}", row.rsplit(',').next().unwrap()))
+        .collect();
+    let log = read(&dir, "resumed/runner.jsonl");
+    let resumed: Vec<&str> = log.lines().collect();
+    assert_eq!(resumed.len(), statuses.len(), "{log}");
+    for (line, status) in resumed.iter().zip(&statuses) {
+        assert!(line.starts_with("{\"event\":\"unit-resumed\""), "{line}");
+        assert!(line.ends_with(status.as_str()), "{line} vs {status}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Without chaos the serial and the four-worker campaign CSVs are equal.
+/// Without chaos the serial and the four-worker campaigns write equal CSVs
+/// and equal runner logs.
 #[test]
 fn serial_and_parallel_campaign_csvs_are_equal() {
     let dir = scratch("campaign-jobs");
@@ -70,7 +84,9 @@ fn serial_and_parallel_campaign_csvs_are_equal() {
         let (code, _) = intellinoc(&dir, &format!("{CAMPAIGN} --jobs {jobs} --out-dir {out}"));
         assert_eq!(code, 0, "--jobs {jobs}");
     }
-    assert_eq!(read(&dir, "parallel/campaign.csv"), read(&dir, "serial/campaign.csv"));
+    for file in ["campaign.csv", "runner.jsonl"] {
+        assert_eq!(read(&dir, &format!("parallel/{file}")), read(&dir, &format!("serial/{file}")));
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

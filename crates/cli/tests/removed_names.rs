@@ -68,6 +68,7 @@ const OUT_DIR: &str = "one `--out-dir` per command";
 const ONE_OUTPUT: &str = "one output per journey log";
 const ROUND_TWO: &str = "consumer audit, round two";
 const DECLARED_ONCE: &str = "`figures` declares its runs once";
+const ONE_ACCOUNT: &str = "one account per grid";
 
 /// Everything but the benchmark, which keeps its own names.
 const SOURCES: &[&str] = &["crates", "tests", "examples"];
@@ -324,6 +325,10 @@ const REMOVED: &[Removed] = &[
     removed("run_campaign_runner(", DECLARED_ONCE, Text, STUDIES),
     removed("pretrain_grid(", DECLARED_ONCE, Text, STUDIES),
     removed(".outcomes(", DECLARED_ONCE, Text, STUDIES),
+    // The unit record is a grid's one account: the runner log is rendered
+    // from the records, not from a second list of lifecycle events.
+    removed("RunnerEvent", ONE_ACCOUNT, Word, SOURCES),
+    removed("runner_events_jsonl", ONE_ACCOUNT, Word, SOURCES),
 ];
 
 fn is_ident(c: char) -> bool {

@@ -114,6 +114,21 @@ pub fn check_rate(rate: f64) -> Result<f64, String> {
     }
 }
 
+/// The one rule for a packet budget per node, whichever command or grid
+/// takes it: at least one. A budget of 0 injects nothing, so its run would
+/// report an empty success.
+///
+/// # Errors
+///
+/// Names the budget it refuses.
+pub fn check_ppn(ppn: u64) -> Result<u64, String> {
+    if ppn >= 1 {
+        Ok(ppn)
+    } else {
+        Err(format!("packets per node must be at least 1, got {ppn}"))
+    }
+}
+
 impl BenchSpec {
     /// The committed-baseline grid: all five designs at the 0.1/0.3/0.5
     /// injection rates, five seeds per cell. The per-node packet budget
@@ -155,12 +170,11 @@ impl BenchSpec {
     pub fn validate(&self) -> Result<(), String> {
         let units = self.designs.len().saturating_mul(self.rates.len());
         let units = units.saturating_mul(self.seeds as usize);
-        if units == 0 || units > MAX_JOB_UNITS || self.ppn == 0 {
-            let ppn = self.ppn;
-            return Err(format!(
-                "grid of {units} units at ppn {ppn}: needs 1 to {MAX_JOB_UNITS} units, ppn >= 1"
-            ));
+        let refuse = |why: String| format!("grid of {units} units at ppn {}: {why}", self.ppn);
+        if units == 0 || units > MAX_JOB_UNITS {
+            return Err(refuse(format!("needs 1 to {MAX_JOB_UNITS} units")));
         }
+        check_ppn(self.ppn).map_err(refuse)?;
         for &workload in &self.rates {
             match workload {
                 BenchWorkload::Rate(rate) => {

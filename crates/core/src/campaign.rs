@@ -69,11 +69,14 @@ impl Default for CampaignConfig {
     }
 }
 
+/// The campaign mesh, 8×8, and its number of links.
+const W: usize = 8;
+const H: usize = 8;
+const LINKS: usize = (W - 1) * H + W * (H - 1);
+
 /// The seeded scenario family a [`CampaignConfig`] describes, as
 /// `(name, scenario)` pairs in a fixed order.
 pub fn campaign_scenarios(cfg: &CampaignConfig) -> Vec<(String, HardFaultScenario)> {
-    const W: usize = 8;
-    const H: usize = 8;
     let mut out = Vec::new();
     for &n in &cfg.dead_links {
         let name = if n == 0 { "fault-free".to_owned() } else { format!("dead-links-{n}") };
@@ -92,6 +95,25 @@ pub fn campaign_scenarios(cfg: &CampaignConfig) -> Vec<(String, HardFaultScenari
         ));
     }
     out
+}
+
+/// Refuses a fault count the campaign mesh cannot hold: a `--dead-links`
+/// entry or a `--flapping` count above its 112 links. The scenario builders
+/// clamp such a count to every link, while the scenario's name would still
+/// carry the count asked for.
+///
+/// # Errors
+///
+/// Names the flag and the count.
+pub fn check_fault_counts(cfg: &CampaignConfig) -> Result<(), String> {
+    let too_many = |flag: &str, n: usize| {
+        Err(format!("{flag} {n} exceeds the {LINKS} links of the {W}x{H} mesh"))
+    };
+    match cfg.dead_links.iter().find(|&&n| n > LINKS) {
+        Some(&n) => too_many("--dead-links entry", n),
+        None if cfg.flapping > LINKS => too_many("--flapping", cfg.flapping),
+        None => Ok(()),
+    }
 }
 
 /// The campaign grid's cell identities in canonical order — every scenario

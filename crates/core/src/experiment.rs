@@ -31,7 +31,6 @@ use noc_sim::{
 use noc_traffic::{ParsecBenchmark, ReqReplySpec, WorkloadSpec};
 use rand::{rngs::SmallRng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -331,21 +330,18 @@ pub(crate) fn run_grid_hooked(
     sinks: UnitSinks<'_>,
     before_unit: impl Fn() + Sync,
 ) -> Result<RunnerReport<ExperimentOutcome>, String> {
-    let keys: Vec<String> = cells.iter().map(|(key, _)| key.clone()).collect();
-    let by_key: HashMap<&str, &ExperimentConfig> =
-        cells.iter().map(|(key, cfg)| (key.as_str(), cfg)).collect();
     // The journal header pins the grid by its keys and this fold of every
     // cell's seed, so resuming under another master seed is refused.
     let grid_seed = cells.iter().fold(0, |h, (key, cfg)| derive_seed(h ^ cfg.seed, key));
     run_seeded_units(
         grid_seed,
-        &keys,
-        |key| by_key[key].seed,
+        cells.len(),
+        |i| (cells[i].0.as_str(), cells[i].1.seed),
         rcfg,
         chaos,
-        |ctx: &UnitCtx| {
+        |i, ctx| {
             before_unit();
-            sinks.run_unit(by_key[ctx.key].clone(), ctx)
+            sinks.run_unit(cells[i].1.clone(), ctx)
         },
     )
 }
@@ -381,17 +377,15 @@ pub fn pretrain_grid(
     chaos: &ChaosOptions,
 ) -> Result<RunnerReport<Vec<QTable>>, String> {
     let keys: Vec<String> = recipes.iter().map(pretraining_key).collect();
-    let by_key: HashMap<&str, &Pretraining> =
-        keys.iter().map(String::as_str).zip(recipes).collect();
     let grid_seed = keys.iter().zip(recipes).fold(0, |h, (key, r)| derive_seed(h ^ r.3, key));
     run_seeded_units(
         grid_seed,
-        &keys,
-        |key| by_key[key].3,
+        recipes.len(),
+        |i| (keys[i].as_str(), recipes[i].3),
         rcfg,
         chaos,
-        |ctx: &UnitCtx| {
-            let &(rl, ppn, ts, seed, episodes) = by_key[ctx.key];
+        |i, _| {
+            let (rl, ppn, ts, seed, episodes) = recipes[i];
             let tables = pretrain_intellinoc(rl, RewardKind::LogSpace, ppn, ts, seed, episodes);
             UnitVerdict::Ok(tables)
         },

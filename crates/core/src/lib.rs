@@ -52,11 +52,13 @@ mod serve;
 mod sweeps;
 
 pub use bench::{
-    check_rate, compare_bench, record_bench, BenchBaseline, BenchCell, BenchComparison, BenchSpec,
-    BenchWorkload, CompareRow, GateOptions, GateVerdict, MetricStats, BENCH_FORMAT_VERSION,
-    GATED_METRICS, REL_EPSILON,
+    check_ppn, check_rate, compare_bench, record_bench, BenchBaseline, BenchCell, BenchComparison,
+    BenchSpec, BenchWorkload, CompareRow, GateOptions, GateVerdict, MetricStats,
+    BENCH_FORMAT_VERSION, GATED_METRICS, REL_EPSILON,
 };
-pub use campaign::{campaign_scenarios, run_campaign_runner, CampaignConfig, CampaignRunReport};
+pub use campaign::{
+    campaign_scenarios, check_fault_counts, run_campaign_runner, CampaignConfig, CampaignRunReport,
+};
 pub use controller::{cpd_decide, intellinoc_rl_config, ControlPolicy, RewardKind, RlControl};
 pub use designs::Design;
 pub use experiment::{

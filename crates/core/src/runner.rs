@@ -26,10 +26,15 @@
 //! or completion order — and [`RunnerReport::records`] is returned in the
 //! canonical unit order, so serial, parallel, and resumed executions of the
 //! same grid produce byte-identical merged reports.
+//!
+//! The unit record is the grid's one account: the engine keeps one slot per
+//! unit, and the runner log (`runner.jsonl`) is
+//! [`RunnerReport::runner_log`] of the records, so it too is the same at
+//! any worker count.
 
 use noc_sim::{
-    bundle_file_name, shared_recorder, BundleCause, BundleHead, FlightRecorder, RunReport,
-    RunnerEvent, SharedRecorder, StallReport, DEFAULT_BLACKBOX_CAPACITY,
+    bundle_file_name, json_str, shared_recorder, BundleCause, BundleHead, FlightRecorder,
+    RunReport, SharedRecorder, StallReport, DEFAULT_BLACKBOX_CAPACITY,
 };
 use serde::{Content, Deserialize, Serialize};
 use std::collections::HashMap;
@@ -267,6 +272,10 @@ pub struct UnitRecord<T> {
     /// Whether this record was reloaded from the journal (not serialized).
     #[serde(skip)]
     pub from_journal: bool,
+    /// The cause and path of the post-mortem bundle this unit left when it
+    /// died, if the write succeeded (not serialized).
+    #[serde(skip)]
+    pub bundle: Option<(BundleCause, PathBuf)>,
 }
 
 /// Status tallies across a whole grid.
@@ -283,15 +292,11 @@ pub struct StatusCounts {
 }
 
 /// The merged result of one grid execution: every unit's record in
-/// canonical (input) order, plus the runner telemetry that goes with it.
+/// canonical (input) order.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RunnerReport<T> {
     /// One record per unit, in the order the unit keys were supplied.
     pub records: Vec<UnitRecord<T>>,
-    /// Runner lifecycle events in completion order (nondeterministic under
-    /// parallel execution; excluded from serialized reports).
-    #[serde(skip)]
-    pub events: Vec<RunnerEvent>,
 }
 
 impl<T> RunnerReport<T> {
@@ -372,6 +377,42 @@ impl<T> RunnerReport<T> {
         }
         out
     }
+
+    /// The runner log (`runner.jsonl`), read off the records in canonical
+    /// order: a `unit-resumed` line per journaled record, a `unit-skipped`
+    /// line per record past the unit cap, then per dispatched unit
+    /// `unit-started`, `postmortem-dumped` if it left a bundle, and
+    /// `unit-finished`. The same records render the same bytes whatever the
+    /// worker count.
+    #[must_use]
+    pub fn runner_log(&self) -> String {
+        let mut out = String::new();
+        let mut line = |event: &str, key: &str, rest: String| {
+            let _ = writeln!(out, "{{\"event\":\"{event}\",\"key\":{}{rest}}}", json_str(key));
+        };
+        let status = |r: &UnitRecord<T>| format!(",\"status\":\"{}\"", r.status.label());
+        let skipped = |r: &&UnitRecord<T>| !r.from_journal && r.status == RunStatus::Skipped;
+        for r in self.records.iter().filter(|r| r.from_journal) {
+            line("unit-resumed", &r.key, status(r));
+        }
+        for r in self.records.iter().filter(skipped) {
+            let reason = json_str(r.error.as_deref().unwrap_or_default());
+            line("unit-skipped", &r.key, format!(",\"reason\":{reason}"));
+        }
+        for r in self.records.iter().filter(|r| !r.from_journal && !skipped(r)) {
+            line("unit-started", &r.key, String::new());
+            if let Some((cause, path)) = &r.bundle {
+                let path = json_str(&path.display().to_string());
+                line(
+                    "postmortem-dumped",
+                    &r.key,
+                    format!(",\"cause\":\"{}\",\"path\":{path}", cause.label()),
+                );
+            }
+            line("unit-finished", &r.key, status(r));
+        }
+        out
+    }
 }
 
 /// Journal header line: identifies the journal format and pins the grid it
@@ -393,9 +434,9 @@ struct JournalHeader {
 /// grid payloads are whole `ExperimentOutcome`s, not per-kind row types.
 const JOURNAL_VERSION: u32 = 2;
 
-fn grid_fingerprint(keys: &[String]) -> u64 {
+fn grid_fingerprint<'k>(keys: impl Iterator<Item = &'k str>) -> u64 {
     // A separator after each key, so ["ab","c"] and ["a","bc"] differ.
-    fnv1a(&keys.iter().map(|key| format!("{key}\u{1f}")).collect::<String>())
+    fnv1a(&keys.map(|key| format!("{key}\u{1f}")).collect::<String>())
 }
 
 /// What [`scan_log`] recovers from an append-only JSONL log (one header
@@ -627,37 +668,26 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Shared mutable state of one grid execution (journal + event log +
-/// completed records), locked around short append operations only.
+/// Shared mutable state of one grid execution: the journal and one record
+/// slot per unit, locked around short writes only.
 struct Shared<T> {
     journal: Option<JournalWriter>,
-    events: Vec<RunnerEvent>,
-    done: Vec<(usize, UnitRecord<T>)>,
+    slots: Vec<Option<UnitRecord<T>>>,
     first_error: Option<String>,
 }
 
 /// Runs one unit to a terminal record: one attempt under `catch_unwind`,
 /// chaos injection, the post-mortem dump of a dying unit, wall-clock
 /// accounting.
-fn run_one<T, F>(
+fn run_one<T>(
     key: &str,
     seed: u64,
     cfg: &RunnerConfig,
     chaos: &ChaosOptions,
-    exec: &F,
-    shared: &Mutex<Shared<T>>,
-) -> UnitRecord<T>
-where
-    T: Serialize + Send,
-    F: Fn(&UnitCtx) -> UnitVerdict<T> + Sync,
-{
+    exec: impl FnOnce(&UnitCtx) -> UnitVerdict<T>,
+) -> UnitRecord<T> {
     let deadline = chaos.times_out(key).then_some(CHAOS_DEADLINE_CYCLES);
     let t0 = Instant::now();
-    shared
-        .lock()
-        .expect("runner state lock")
-        .events
-        .push(RunnerEvent::UnitStarted { key: key.to_owned() });
     // The recorder handle stays out here, across the unwind boundary.
     let recorder = cfg.blackbox.as_ref().map(|_| shared_recorder(DEFAULT_BLACKBOX_CAPACITY));
     let ctx = UnitCtx { key, seed, deadline_cycles: deadline, recorder: recorder.clone() };
@@ -666,23 +696,17 @@ where
         exec(&ctx)
     }));
     let dump = |cause: BundleCause, detail: &str, extras: &[(&str, String)]| {
-        let (Some(dir), Some(rec)) = (cfg.blackbox.as_ref(), recorder.as_ref()) else {
-            return;
-        };
+        let (dir, rec) = (cfg.blackbox.as_ref()?, recorder.as_ref()?);
         match dump_bundle(dir, rec, cause, key, seed, detail, extras) {
-            Ok(path) => {
-                let mut s = shared.lock().expect("runner state lock");
-                s.events.push(RunnerEvent::PostmortemDumped {
-                    key: key.to_owned(),
-                    cause: cause.label(),
-                    path: path.display().to_string(),
-                });
+            Ok(path) => Some((cause, path)),
+            Err(e) => {
+                eprintln!("blackbox: {e}");
+                None
             }
-            Err(e) => eprintln!("blackbox: {e}"),
         }
     };
-    let (status, payload, error, timeout) = match outcome {
-        Ok(UnitVerdict::Ok(payload)) => (RunStatus::Ok, Some(payload), None, None),
+    let (status, payload, error, timeout, bundle) = match outcome {
+        Ok(UnitVerdict::Ok(payload)) => (RunStatus::Ok, Some(payload), None, None, None),
         Ok(UnitVerdict::TimedOut { partial, report }) => {
             let cause =
                 if report.stall.is_some() { BundleCause::Stall } else { BundleCause::Timeout };
@@ -691,17 +715,17 @@ where
                 report.deadline_cycles, report.cycles_run, report.in_flight
             );
             let extras = [("timeout-report", serde_json::to_string(&report).unwrap_or_default())];
-            dump(cause, &detail, &extras);
-            (RunStatus::TimedOut, partial, None, Some(report))
+            let bundle = dump(cause, &detail, &extras);
+            (RunStatus::TimedOut, partial, None, Some(report), bundle)
         }
         Ok(UnitVerdict::Fatal(msg)) => {
-            dump(BundleCause::Fatal, &msg, &[]);
-            (RunStatus::Failed, None, Some(msg), None)
+            let bundle = dump(BundleCause::Fatal, &msg, &[]);
+            (RunStatus::Failed, None, Some(msg), None, bundle)
         }
         Err(panic) => {
             let msg = format!("panic: {}", panic_message(panic.as_ref()));
-            dump(BundleCause::Panic, &msg, &[]);
-            (RunStatus::Failed, None, Some(msg), None)
+            let bundle = dump(BundleCause::Panic, &msg, &[]);
+            (RunStatus::Failed, None, Some(msg), None, bundle)
         }
     };
     UnitRecord {
@@ -712,22 +736,8 @@ where
         timeout,
         wall_ms: t0.elapsed().as_secs_f64() * 1e3,
         from_journal: false,
+        bundle,
     }
-}
-
-fn finish_record<T: Serialize>(idx: usize, rec: UnitRecord<T>, shared: &Mutex<Shared<T>>) {
-    let mut s = shared.lock().expect("runner state lock");
-    s.events.push(RunnerEvent::UnitFinished { key: rec.key.clone(), status: rec.status.label() });
-    if let Some(journal) = s.journal.as_mut() {
-        if let Err(e) = journal.record(&rec) {
-            // Journal failures degrade the run (resume is lost) but never
-            // abort it; the first one is surfaced at the end.
-            if s.first_error.is_none() {
-                s.first_error = Some(e);
-            }
-        }
-    }
-    s.done.push((idx, rec));
 }
 
 /// Executes the grid described by `keys` through `exec` under the engine's
@@ -753,45 +763,54 @@ where
     T: Serialize + Deserialize + Send,
     F: Fn(&UnitCtx) -> UnitVerdict<T> + Sync,
 {
-    run_seeded_units(master_seed, keys, |key| derive_seed(master_seed, key), cfg, chaos, exec)
+    run_seeded_units(
+        master_seed,
+        keys.len(),
+        |i| (keys[i].as_str(), derive_seed(master_seed, &keys[i])),
+        cfg,
+        chaos,
+        |_, ctx| exec(ctx),
+    )
 }
 
-/// [`run_units`] for units that arrive with their seed: `seed_of(key)` is
-/// what the unit's [`UnitCtx`] and post-mortem bundle carry, and `grid_seed`
-/// only pins the journal header.
-pub(crate) fn run_seeded_units<T, F>(
+/// [`run_units`] over `units` units addressed by index: `unit(i)` is unit
+/// `i`'s key and seed — the seed its [`UnitCtx`] and post-mortem bundle
+/// carry — and `exec(i, ctx)` runs it; `grid_seed` only pins the journal
+/// header. Each unit's record lands in its own slot, filled from the
+/// journal (on resume), by the unit cap or by a worker, so the records come
+/// back in index order whatever order the units finished in.
+pub(crate) fn run_seeded_units<'k, T, F>(
     grid_seed: u64,
-    keys: &[String],
-    seed_of: impl Fn(&str) -> u64 + Sync,
+    units: usize,
+    unit: impl Fn(usize) -> (&'k str, u64) + Sync,
     cfg: &RunnerConfig,
     chaos: &ChaosOptions,
     exec: F,
 ) -> Result<RunnerReport<T>, String>
 where
     T: Serialize + Deserialize + Send,
-    F: Fn(&UnitCtx) -> UnitVerdict<T> + Sync,
+    F: Fn(usize, &UnitCtx) -> UnitVerdict<T> + Sync,
 {
-    {
-        let mut seen = std::collections::HashSet::new();
-        for key in keys {
-            if !seen.insert(key.as_str()) {
-                return Err(format!("duplicate run key: {key}"));
-            }
+    let mut index: HashMap<&str, usize> = HashMap::with_capacity(units);
+    for i in 0..units {
+        let key = unit(i).0;
+        if index.insert(key, i).is_some() {
+            return Err(format!("duplicate run key: {key}"));
         }
     }
     let header = JournalHeader {
         journal: "intellinoc-runner".to_owned(),
         version: JOURNAL_VERSION,
         master_seed: grid_seed,
-        fingerprint: grid_fingerprint(keys),
+        fingerprint: grid_fingerprint((0..units).map(|i| unit(i).0)),
     };
+    let mut slots: Vec<Option<UnitRecord<T>>> = (0..units).map(|_| None).collect();
 
     // Resume: reload terminal records for keys we already ran and append
     // after the journal's valid prefix. A missing journal, or one torn
     // during creation (empty file / partial header, the `kill -9` shapes),
     // yields no records and is recreated instead of being appended to
     // headerless.
-    let mut resumed: HashMap<String, UnitRecord<T>> = HashMap::new();
     let mut append_at = None;
     if cfg.resume {
         let path = cfg
@@ -803,7 +822,9 @@ where
         for mut rec in scan.records {
             rec.from_journal = true;
             // Last write wins (a record may be re-journaled by a later run).
-            resumed.insert(rec.key.clone(), rec);
+            if let Some(&i) = index.get(rec.key.as_str()) {
+                slots[i] = Some(rec);
+            }
         }
     }
 
@@ -813,84 +834,56 @@ where
         (None, _) => None,
     };
 
-    let mut events: Vec<RunnerEvent> = Vec::new();
-    for key in keys {
-        if let Some(rec) = resumed.get(key) {
-            events.push(RunnerEvent::UnitResumed { key: key.clone(), status: rec.status.label() });
-        }
-    }
-
     // Pending units in canonical order, truncated by the unit cap.
-    let pending: Vec<usize> =
-        (0..keys.len()).filter(|&i| !resumed.contains_key(&keys[i])).collect();
+    let mut dispatch: Vec<usize> = (0..units).filter(|&i| slots[i].is_none()).collect();
     let cap = cfg.max_units.unwrap_or(usize::MAX);
-    let (dispatch, capped) = pending.split_at(pending.len().min(cap));
-    for &i in capped {
-        events.push(RunnerEvent::UnitSkipped {
-            key: keys[i].clone(),
-            reason: format!("unit cap {cap} reached"),
+    for i in dispatch.split_off(dispatch.len().min(cap)) {
+        slots[i] = Some(UnitRecord {
+            key: unit(i).0.to_owned(),
+            status: RunStatus::Skipped,
+            payload: None,
+            error: Some(format!("unit cap {cap} reached")),
+            timeout: None,
+            wall_ms: 0.0,
+            from_journal: false,
+            bundle: None,
         });
     }
 
-    let shared = Mutex::new(Shared {
-        journal,
-        events,
-        done: Vec::with_capacity(dispatch.len()),
-        first_error: None,
-    });
-
+    let shared = Mutex::new(Shared { journal, slots, first_error: None });
+    let cursor = AtomicUsize::new(0);
+    let work = || {
+        while let Some(&i) = dispatch.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+            let (key, seed) = unit(i);
+            let rec = run_one(key, seed, cfg, chaos, |ctx| exec(i, ctx));
+            let mut s = shared.lock().expect("runner state lock");
+            if let Some(journal) = s.journal.as_mut() {
+                if let Err(e) = journal.record(&rec) {
+                    // Journal failures degrade the run (resume is lost) but
+                    // never abort it; the first one is surfaced at the end.
+                    s.first_error.get_or_insert(e);
+                }
+            }
+            s.slots[i] = Some(rec);
+        }
+    };
     let workers = cfg.jobs.max(1).min(dispatch.len().max(1));
     if workers <= 1 {
-        for &i in dispatch {
-            let rec = run_one(&keys[i], seed_of(&keys[i]), cfg, chaos, &exec, &shared);
-            finish_record(i, rec, &shared);
-        }
+        work();
     } else {
-        let cursor = AtomicUsize::new(0);
-        let cursor_ref = &cursor;
-        let exec_ref = &exec;
-        let shared_ref = &shared;
-        let keys_ref = keys;
-        let seed_of = &seed_of;
         std::thread::scope(|scope| {
             for _ in 0..workers {
-                scope.spawn(move || loop {
-                    let slot = cursor_ref.fetch_add(1, Ordering::Relaxed);
-                    let Some(&i) = dispatch.get(slot) else { break };
-                    let key = &keys_ref[i];
-                    let rec = run_one(key, seed_of(key), cfg, chaos, exec_ref, shared_ref);
-                    finish_record(i, rec, shared_ref);
-                });
+                scope.spawn(work);
             }
         });
     }
 
-    let mut state = shared.into_inner().expect("runner state lock");
-    if let Some(e) = state.first_error.take() {
+    let state = shared.into_inner().expect("runner state lock");
+    if let Some(e) = state.first_error {
         return Err(e);
     }
-
-    // Merge: executed + resumed + capped-skip records, in canonical order.
-    let mut by_idx: HashMap<usize, UnitRecord<T>> = state.done.drain(..).collect();
-    let mut records = Vec::with_capacity(keys.len());
-    for (i, key) in keys.iter().enumerate() {
-        if let Some(rec) = by_idx.remove(&i) {
-            records.push(rec);
-        } else if let Some(rec) = resumed.remove(key) {
-            records.push(rec);
-        } else {
-            records.push(UnitRecord {
-                key: key.clone(),
-                status: RunStatus::Skipped,
-                payload: None,
-                error: Some("not dispatched (unit cap)".to_owned()),
-                timeout: None,
-                wall_ms: 0.0,
-                from_journal: false,
-            });
-        }
-    }
-    Ok(RunnerReport { records, events: state.events })
+    let records = state.slots.into_iter().map(|rec| rec.expect("every unit has a record"));
+    Ok(RunnerReport { records: records.collect() })
 }
 
 #[cfg(test)]
@@ -1055,10 +1048,28 @@ mod tests {
         );
         let reused = resumed.records.iter().filter(|r| r.from_journal).count();
         assert_eq!(reused, 3);
-        let resumes =
-            resumed.events.iter().filter(|e| matches!(e, RunnerEvent::UnitResumed { .. })).count();
-        assert_eq!(resumes, 3);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_runner_log_reads_the_records_and_escapes_control_chars() {
+        let keys: Vec<String> = ["k", "a\u{1}b\nc"].map(String::from).into();
+        let cfg = RunnerConfig { max_units: Some(1), ..RunnerConfig::serial() };
+        let report = run_units(1, &keys, &cfg, &ChaosOptions::default(), ok_exec).unwrap();
+        let log = report.runner_log();
+        assert_eq!(
+            log,
+            "{\"event\":\"unit-skipped\",\"key\":\"a\\u0001b\\nc\",\"reason\":\"unit cap 1 reached\"}\n\
+             {\"event\":\"unit-started\",\"key\":\"k\"}\n\
+             {\"event\":\"unit-finished\",\"key\":\"k\",\"status\":\"ok\"}\n"
+        );
+        for line in log.lines() {
+            let v: Content = serde_json::from_str(line).expect("valid JSON");
+            assert!(v
+                .get("key")
+                .and_then(Content::as_str)
+                .is_some_and(|k| keys.contains(&k.into())));
+        }
     }
 
     #[test]

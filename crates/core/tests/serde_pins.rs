@@ -148,6 +148,7 @@ fn json_writers_are_pinned() {
         }),
         wall_ms: 12.5,
         from_journal: true,
+        bundle: None,
     };
     let lines = [
         serde_json::to_string(&rr),
@@ -185,7 +186,6 @@ fn json_writers_are_pinned() {
                 record("u/0", RunStatus::Ok, Some(1u64)),
                 record("u/1", RunStatus::Failed, None),
             ],
-            events: Vec::new(),
         }),
     ];
     let rendered: String = lines.into_iter().map(|l| l.expect("serializes") + "\n").collect();

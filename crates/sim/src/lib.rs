@@ -60,10 +60,10 @@ pub use noc_fault::{HardFault, HardFaultKind, HardFaultScenario, HardFaultTarget
 pub use noc_telemetry::{
     bundle_file_name, export_alert_metrics, journey_file_name, journey_sampled, json_str,
     link_stats_csv, parse_bundle, parse_exposition, parse_rules, percentile, render_exposition,
-    render_report, runner_events_jsonl, shared_recorder, AlertEdge, AlertEngine, AlertEvent,
-    AlertRule, AttributionArtifacts, BundleCause, BundleHead, ConvergenceSample, DecisionLog,
-    DecisionRecord, Event, EventKind, FlightRecorder, GateEdge, HttpRequest, HttpResponse,
-    HttpServer, JourneyCause, JourneyLog, LatencyComponents, MetricsHub, MetricsRegistry, Profiler,
-    RunTimeline, RunnerEvent, Sample, SharedRecorder, SpanTree, TimelineSample, TraceFilter,
-    Tracer, DEFAULT_BLACKBOX_CAPACITY, DEFAULT_TRACE_CAPACITY,
+    render_report, shared_recorder, AlertEdge, AlertEngine, AlertEvent, AlertRule,
+    AttributionArtifacts, BundleCause, BundleHead, ConvergenceSample, DecisionLog, DecisionRecord,
+    Event, EventKind, FlightRecorder, GateEdge, HttpRequest, HttpResponse, HttpServer,
+    JourneyCause, JourneyLog, LatencyComponents, MetricsHub, MetricsRegistry, Profiler,
+    RunTimeline, Sample, SharedRecorder, SpanTree, TimelineSample, TraceFilter, Tracer,
+    DEFAULT_BLACKBOX_CAPACITY, DEFAULT_TRACE_CAPACITY,
 };

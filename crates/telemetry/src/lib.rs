@@ -28,6 +28,10 @@
 //! `intellinoc serve`'s `GET /metrics` reads over the std-only
 //! [`HttpServer`] — serving only ever reads published snapshots, so it can
 //! never perturb simulation state.
+//!
+//! Everything here describes the simulated mesh or a run of it. The
+//! execution engine's runner log (`runner.jsonl`) is not a telemetry
+//! stream: the engine in `intellinoc` renders it from its unit records.
 
 #![forbid(unsafe_code)]
 
@@ -42,7 +46,6 @@ mod prof;
 #[cfg(test)]
 mod prof_reference;
 mod profiler;
-mod runner;
 mod serve;
 mod timeline;
 mod tracer;
@@ -75,7 +78,6 @@ pub use metrics::{
 };
 pub use prof::{SpanStats, SpanTree, MAX_SPAN_DEPTH};
 pub use profiler::{LeafSpan, Profiler};
-pub use runner::{runner_events_jsonl, RunnerEvent};
 pub use serve::{
     accept_backoff_ms, HttpHandler, HttpRequest, HttpResponse, HttpServer, MetricsHub,
     ACCEPT_BACKOFF_BASE_MS, ACCEPT_BACKOFF_CAP_MS,

@@ -11,8 +11,7 @@ use intellinoc::{
 };
 use noc_sim::{
     parse_bundle, parse_rules, render_report, AlertEdge, BundleCause, BundleHead, Event,
-    MetricsHub, Network, ProbeConfig, Profiler, RunnerEvent, SimConfig, StallReport, TraceFilter,
-    Tracer,
+    MetricsHub, Network, ProbeConfig, Profiler, SimConfig, StallReport, TraceFilter, Tracer,
 };
 use noc_traffic::{ParsecBenchmark, WorkloadSpec};
 use std::path::PathBuf;
@@ -103,14 +102,11 @@ fn dying_units_dump_bundles_for_every_cause() {
         ]
     );
 
-    // The runner narrates each dump with the cause that triggered it.
+    // Each dying unit's record carries the cause that triggered its dump.
     let mut dumped: Vec<(String, &str)> = report
-        .events
+        .records
         .iter()
-        .filter_map(|e| match e {
-            RunnerEvent::PostmortemDumped { key, cause, .. } => Some((key.clone(), *cause)),
-            _ => None,
-        })
+        .filter_map(|r| r.bundle.as_ref().map(|(cause, _)| (r.key.clone(), cause.label())))
         .collect();
     dumped.sort();
     assert_eq!(

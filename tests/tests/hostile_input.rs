@@ -146,6 +146,7 @@ fn journal_line() -> String {
             timeout: None,
             wall_ms: 0.0,
             from_journal: false,
+            bundle: None,
         };
         serde_json::to_string(&record).expect("serializes")
     })
