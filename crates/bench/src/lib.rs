@@ -3,8 +3,9 @@
 //! The paper's evaluation (§7) as one table. [`FIGURES`] lists every
 //! experiment — Figs. 9–18, Table 2 and the extension studies — by the name
 //! DESIGN.md §3 and EXPERIMENTS.md use, each with the runs it reads and the
-//! function that writes its table from them; the one binary, `figures`,
-//! looks names up here (`figures --list`, `figures <name>…`, `figures all`).
+//! function that writes its table from them. The crate is a library: the
+//! `intellinoc figures <name>… | all` command looks names up here, and
+//! `intellinoc list` prints them.
 //!
 //! A figure declares its runs once, as [`Cell`]s, and `figures` works in
 //! three steps: it collects the distinct cells of the selected figures
@@ -286,8 +287,8 @@ fn records_of<'r>(report: &'r Report, cells: &[Cell]) -> io::Result<Vec<&'r Reco
 /// study.
 #[derive(Debug, Clone, Copy)]
 pub struct Figure {
-    /// The key `figures <name>` takes; DESIGN.md §3 and EXPERIMENTS.md
-    /// refer to experiments by it.
+    /// The key `intellinoc figures <name>` takes; DESIGN.md §3 and
+    /// EXPERIMENTS.md refer to experiments by it.
     pub name: &'static str,
     /// One line on what it shows.
     pub about: &'static str,
@@ -547,14 +548,17 @@ mod tests {
         assert_eq!(unique.len(), names.len(), "duplicate figure name");
         assert!(FIGURES.iter().all(|f| !f.name.is_empty() && !f.about.is_empty()));
         // DESIGN.md §3 indexes every experiment in tables whose last column
-        // reads `figures <name>`: those rows and the rows here must agree.
+        // reads `intellinoc figures <name>`: those rows and the rows here
+        // must agree.
         let design = include_str!("../../../DESIGN.md");
         let start = design.find("## 3. Experiment index").expect("DESIGN.md section 3");
         let section = &design[start..];
         let section = &section[..section.find("\n## 4.").expect("DESIGN.md section 4")];
         let documented: BTreeSet<&str> = section
             .lines()
-            .filter_map(|line| line.strip_suffix("` |")?.rsplit_once("| `figures ").map(|c| c.1))
+            .filter_map(|line| {
+                line.strip_suffix("` |")?.rsplit_once("| `intellinoc figures ").map(|c| c.1)
+            })
             .collect();
         assert_eq!(documented, unique, "DESIGN.md section 3 and FIGURES disagree");
     }

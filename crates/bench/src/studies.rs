@@ -603,41 +603,7 @@ pub(crate) fn resilience(records: &[&Record], w: &mut dyn Write) -> io::Result<(
         (title, CampaignRunReport { config, runner })
     });
     for (title, report) in [&on, &off] {
-        writeln!(w, "{title}")?;
-        writeln!(
-            w,
-            "{:<11} {:<20} {:>8} {:>7} {:>9} {:>8} {:>8} {:>8} {:>7} {:>10}",
-            "design",
-            "scenario",
-            "deliver",
-            "drop",
-            "deliv%",
-            "avg_lat",
-            "p99_lat",
-            "reroute",
-            "stalled",
-            "status"
-        )?;
-        for (design, scenario, rec) in report.rows() {
-            let Some(o) = &rec.payload else {
-                writeln!(w, "{design:<11} {scenario:<20} {:>10}", rec.status.label())?;
-                continue;
-            };
-            let s = &o.report.stats;
-            writeln!(
-                w,
-                "{design:<11} {scenario:<20} {:>8} {:>7} {:>9.3} {:>8.1} {:>8.0} {:>8} {:>7} {:>10}",
-                s.packets_delivered,
-                s.packets_dropped,
-                100.0 * s.delivery_ratio(),
-                s.avg_latency(),
-                s.latency_percentile(0.99),
-                s.reroutes,
-                if o.report.stall.is_some() { "YES" } else { "-" },
-                rec.status.label()
-            )?;
-        }
-        writeln!(w)?;
+        writeln!(w, "{title}\n{}", report.table())?;
     }
     writeln!(w, "minimum delivery rate with rerouting: {:.4}", on.1.min_delivery_rate())
 }

@@ -8,6 +8,10 @@ use intellinoc::{
     Design, ExperimentConfig, ExperimentOutcome, GateOptions, RunnerConfig, RunnerReport,
     ServeConfig, TelemetryArtifacts, TelemetryOptions, UnitSinks,
 };
+use intellinoc_bench::{
+    evaluate, figure_cells, print_headline, write_campaign_csv, write_raw_csv, Campaign, Figure,
+    FIGURES,
+};
 use noc_sim::{
     parse_bundle, parse_rules, render_report, shared_recorder, AlertEdge, BundleCause, EventKind,
     JourneyLog, Profiler, SpanTree, TraceFilter, DEFAULT_BLACKBOX_CAPACITY,
@@ -15,10 +19,28 @@ use noc_sim::{
 use noc_traffic::{
     capture_trace, read_trace, write_trace, ParsecBenchmark, ReqReplySpec, WorkloadSpec,
 };
+use std::fmt;
 use std::fs::File;
-use std::io::{BufReader, BufWriter};
+use std::io::{self, BufReader, BufWriter, Write};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
+
+/// Standard output that a closed reader does not fail: a write that finds
+/// the pipe closed (`BrokenPipe`, as under `| head`) is dropped, so the
+/// command still finishes, its `--out-dir` files included, and exits with
+/// the status it would have had. Commands print with `write!(Stdout, …)`
+/// and `writeln!(Stdout, …)`, whose `Err` names any other write error.
+struct Stdout;
+
+impl Stdout {
+    /// What `write!` and `writeln!` call.
+    fn write_fmt(&mut self, args: fmt::Arguments<'_>) -> Result<(), String> {
+        match io::stdout().write_fmt(args) {
+            Err(e) if e.kind() != io::ErrorKind::BrokenPipe => Err(format!("writing stdout: {e}")),
+            _ => Ok(()),
+        }
+    }
+}
 
 /// Terminal disposition of a subcommand, mapped to a process exit code by
 /// `main`: `Done` → 0, `Partial` → 2 (and `Err` → 1).
@@ -204,7 +226,7 @@ fn time_step_from(args: &Args) -> Result<u64, String> {
 /// `--out-dir`; the table alone on stdout without it.
 fn emit_profile(out: Option<&OutDir>, table: &str, tree: &SpanTree) -> Result<(), String> {
     let Some(out) = out else {
-        print!("{table}");
+        write!(Stdout, "{table}")?;
         return Ok(());
     };
     out.write("profile.txt", table)?;
@@ -277,58 +299,65 @@ impl GridEpilogue {
 fn print_outcome(o: &ExperimentOutcome, json: bool) -> Result<(), String> {
     if json {
         let s = serde_json::to_string_pretty(o).map_err(|e| e.to_string())?;
-        println!("{s}");
+        writeln!(Stdout, "{s}")?;
         return Ok(());
     }
     let r = &o.report;
-    println!("design            : {}", o.design.label());
-    println!("workload          : {}", o.workload);
-    println!("execution time    : {} cycles", r.exec_cycles);
-    println!(
+    writeln!(Stdout, "design            : {}", o.design.label())?;
+    writeln!(Stdout, "workload          : {}", o.workload)?;
+    writeln!(Stdout, "execution time    : {} cycles", r.exec_cycles)?;
+    writeln!(
+        Stdout,
         "packets           : {} delivered / {} injected",
         r.stats.packets_delivered, r.stats.packets_injected
-    );
-    println!(
+    )?;
+    writeln!(
+        Stdout,
         "latency           : avg {:.1}  p50 {:.0}  p99 {:.0}  max {} cycles",
         r.avg_latency(),
         r.stats.latency_percentile(0.50),
         r.stats.latency_percentile(0.99),
         r.stats.latency_max
-    );
-    println!(
+    )?;
+    writeln!(
+        Stdout,
         "power             : {:.1} mW static + {:.1} mW dynamic",
         r.power.static_mw, r.power.dynamic_mw
-    );
-    println!("energy-efficiency : {:.4} 1/uJ (Eq. 8)", r.energy_efficiency() * 1e6);
-    println!(
+    )?;
+    writeln!(Stdout, "energy-efficiency : {:.4} 1/uJ (Eq. 8)", r.energy_efficiency() * 1e6)?;
+    writeln!(
+        Stdout,
         "reliability       : {} retx flits, {} corrected bits, {} corrupted pkts",
         r.stats.retransmitted_flits, r.stats.corrected_bits, r.stats.corrupted_packets
-    );
+    )?;
     if let Some(t) = &r.txn {
-        println!(
+        writeln!(
+            Stdout,
             "transactions      : {} issued = {} completed + {} failed + {} shed + {} in-flight",
             t.issued, t.completed, t.failed, t.shed, t.in_flight
-        );
-        println!(
+        )?;
+        writeln!(
+            Stdout,
             "txn protocol      : {} timeouts, {} retries, {} conservation violations",
             t.timeouts, t.retries, t.violations
-        );
+        )?;
         if !t.orphans.is_empty() {
-            println!("ORPHANED TXNS     : {:?}", t.orphans);
+            writeln!(Stdout, "ORPHANED TXNS     : {:?}", t.orphans)?;
         }
     }
-    println!("thermals          : mean {:.1} C, max {:.1} C", r.mean_temp_c, r.max_temp_c);
+    writeln!(Stdout, "thermals          : mean {:.1} C, max {:.1} C", r.mean_temp_c, r.max_temp_c)?;
     match r.mttf_hours {
-        Some(h) => println!("MTTF              : {h:.3e} hours"),
-        None => println!("MTTF              : n/a (no aging accumulated)"),
+        Some(h) => writeln!(Stdout, "MTTF              : {h:.3e} hours")?,
+        None => writeln!(Stdout, "MTTF              : n/a (no aging accumulated)")?,
     }
     if o.design.uses_rl() {
         let fr = o.mode_fractions();
-        println!(
+        writeln!(
+            Stdout,
             "operation modes   : relax {:.2} crc {:.2} secded {:.2} dected {:.2} relaxed-tx {:.2}",
             fr[0], fr[1], fr[2], fr[3], fr[4]
-        );
-        println!("Q-table entries   : {:.1} per router (cap 350)", o.mean_qtable_entries);
+        )?;
+        writeln!(Stdout, "Q-table entries   : {:.1} per router (cap 350)", o.mean_qtable_entries)?;
     }
     Ok(())
 }
@@ -501,7 +530,7 @@ pub fn inspect(args: &Args) -> CmdResult {
 
     let report = render_inspect_report(&outcome, &artifacts);
     match &out {
-        None => print!("{report}"),
+        None => write!(Stdout, "{report}")?,
         Some(out) => {
             out.write("report.md", report)?;
             if let Some(att) = &artifacts.attribution {
@@ -539,13 +568,15 @@ pub fn sweep(args: &Args) -> CmdResult {
         reqreply_from(args)?.as_ref(),
     );
     let (report, epilogue) = run_grid_command(args, "sweep", &cells)?;
-    println!(
+    writeln!(
+        Stdout,
         "{:>8} {:>10} {:>8} {:>8} {:>8} {:>10} {:>10}",
         "rate", "exec_cyc", "avg_lat", "p99_lat", "deliv%", "power_mW", "status"
-    );
+    )?;
     for (rate, rec) in rates.iter().zip(&report.records) {
         match rec.payload.as_ref().map(|o| &o.report) {
-            Some(r) => println!(
+            Some(r) => writeln!(
+                Stdout,
                 "{:>8.4} {:>10} {:>8.1} {:>8.0} {:>8.1} {:>10.1} {:>10}",
                 rate,
                 r.exec_cycles,
@@ -554,8 +585,9 @@ pub fn sweep(args: &Args) -> CmdResult {
                 100.0 * r.stats.delivery_ratio(),
                 r.power.total_mw(),
                 rec.status.label()
-            ),
-            None => println!(
+            )?,
+            None => writeln!(
+                Stdout,
                 "{:>8} {:>10} {:>8} {:>8} {:>8} {:>10} {:>10}",
                 rate,
                 "-",
@@ -564,7 +596,7 @@ pub fn sweep(args: &Args) -> CmdResult {
                 "-",
                 "-",
                 rec.status.label()
-            ),
+            )?,
         }
     }
     epilogue.finish(&report)
@@ -579,7 +611,7 @@ pub fn trace(args: &Args) -> CmdResult {
             let records = capture_trace(workload, 8, 8, args.get_or("seed", 1u64)?, 10_000_000);
             let f = File::create(path).map_err(|e| e.to_string())?;
             write_trace(BufWriter::new(f), &records).map_err(|e| e.to_string())?;
-            println!("captured {} records to {path}", records.len());
+            writeln!(Stdout, "captured {} records to {path}", records.len())?;
             Ok(CmdOutcome::Done)
         }
         Some("replay") => {
@@ -606,14 +638,15 @@ pub fn trace(args: &Args) -> CmdResult {
             let outcome = run_experiment(cfg);
             let finished = outcome.finished && late == 0;
             let r = &outcome.report;
-            println!(
+            writeln!(
+                Stdout,
                 "replayed {} packets on {}: exec={} cycles, avg latency {:.1}, {}",
                 r.stats.packets_delivered,
                 design.label(),
                 r.exec_cycles,
                 r.avg_latency(),
                 if finished { "complete" } else { "INCOMPLETE" }
-            );
+            )?;
             Ok(if finished { CmdOutcome::Done } else { CmdOutcome::Partial })
         }
         _ => Err("usage: intellinoc trace <capture|replay> <path> [options]".into()),
@@ -648,57 +681,9 @@ pub fn campaign(args: &Args) -> CmdResult {
     let report = CampaignRunReport { config: cfg, runner };
     if args.has_flag("json") {
         let s = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
-        println!("{s}");
+        writeln!(Stdout, "{s}")?;
     } else {
-        println!(
-            "{:<11} {:<20} {:>8} {:>8} {:>7} {:>9} {:>8} {:>8} {:>8} {:>7} {:>10}",
-            "design",
-            "scenario",
-            "injected",
-            "deliver",
-            "drop",
-            "deliv%",
-            "avg_lat",
-            "p99_lat",
-            "reroute",
-            "stalled",
-            "status"
-        );
-        for (design, scenario, rec) in report.rows() {
-            match &rec.payload {
-                Some(o) => {
-                    let s = &o.report.stats;
-                    println!(
-                        "{:<11} {:<20} {:>8} {:>8} {:>7} {:>9.3} {:>8.1} {:>8.0} {:>8} {:>7} {:>10}",
-                        design,
-                        scenario,
-                        s.packets_injected,
-                        s.packets_delivered,
-                        s.packets_dropped,
-                        100.0 * s.delivery_ratio(),
-                        s.avg_latency(),
-                        s.latency_percentile(0.99),
-                        s.reroutes,
-                        if o.report.stall.is_some() { "YES" } else { "-" },
-                        rec.status.label()
-                    );
-                }
-                None => println!(
-                    "{:<11} {:<20} {:>8} {:>8} {:>7} {:>9} {:>8} {:>8} {:>8} {:>7} {:>10}",
-                    design,
-                    scenario,
-                    "-",
-                    "-",
-                    "-",
-                    "-",
-                    "-",
-                    "-",
-                    "-",
-                    "-",
-                    rec.status.label()
-                ),
-            }
-        }
+        write!(Stdout, "{}", report.table())?;
     }
     if let Some(out) = &epilogue.out {
         out.write("campaign.csv", report.to_csv())?;
@@ -778,9 +763,14 @@ fn bench_record_cmd(args: &Args) -> CmdResult {
     let cwd = OutDir { dir: PathBuf::new(), label: "bench" };
     let out = epilogue.out.as_ref().unwrap_or(&cwd);
     out.write(&format!("BENCH_{name}.json"), baseline.to_json()?)?;
-    println!("{:<24} {:>12} {:>12} {:>14}", "cell", "avg_lat", "p99_lat", "energy_pJ/flit");
+    writeln!(
+        Stdout,
+        "{:<24} {:>12} {:>12} {:>14}",
+        "cell", "avg_lat", "p99_lat", "energy_pJ/flit"
+    )?;
     for c in &baseline.cells {
-        println!(
+        writeln!(
+            Stdout,
             "{:<24} {:>7.2}±{:<4.2} {:>7.2}±{:<4.2} {:>9.3}±{:<4.3}",
             c.id(),
             c.avg_latency.mean,
@@ -789,7 +779,7 @@ fn bench_record_cmd(args: &Args) -> CmdResult {
             c.p99_latency.ci95,
             c.energy_per_flit_pj.mean,
             c.energy_per_flit_pj.ci95,
-        );
+        )?;
     }
     Ok(CmdOutcome::Done)
 }
@@ -818,9 +808,9 @@ fn bench_compare_cmd(args: &Args) -> CmdResult {
     let cmp = compare_bench(&baseline, &fresh, &opts)?;
     if args.has_flag("json") {
         let s = serde_json::to_string_pretty(&cmp).map_err(|e| e.to_string())?;
-        println!("{s}");
+        writeln!(Stdout, "{s}")?;
     } else {
-        print!("{}", cmp.table());
+        write!(Stdout, "{}", cmp.table())?;
     }
     Ok(if cmp.has_regressions() { CmdOutcome::Partial } else { CmdOutcome::Done })
 }
@@ -847,7 +837,7 @@ pub fn postmortem(args: &Args) -> CmdResult {
     let report = render_report(&parse_bundle(&text)?);
     match OutDir::from(args, "postmortem")? {
         Some(out) => out.write("postmortem.md", report)?,
-        None => print!("{report}"),
+        None => write!(Stdout, "{report}")?,
     }
     Ok(CmdOutcome::Done)
 }
@@ -866,20 +856,74 @@ pub fn journeys(args: &Args) -> CmdResult {
     let report = log.tail_report(5);
     match OutDir::from(args, "journeys")? {
         Some(out) => out.write("tail-report.md", report)?,
-        None => print!("{report}"),
+        None => write!(Stdout, "{report}")?,
     }
     Ok(CmdOutcome::Done)
 }
 
 /// `intellinoc list`.
 pub fn list() -> CmdResult {
-    println!("designs:");
+    writeln!(Stdout, "designs:")?;
     for d in Design::ALL {
-        println!("  {}", d.label().to_ascii_lowercase());
+        writeln!(Stdout, "  {}", d.label().to_ascii_lowercase())?;
     }
-    println!("benchmarks (PARSEC test set + training):");
+    writeln!(Stdout, "benchmarks (PARSEC test set + training):")?;
     for b in ParsecBenchmark::TEST_SET.into_iter().chain([ParsecBenchmark::Blackscholes]) {
-        println!("  {} ({})", b.name(), b.label());
+        writeln!(Stdout, "  {} ({})", b.name(), b.label())?;
+    }
+    writeln!(Stdout, "figures (intellinoc figures <name>... | all):")?;
+    for f in FIGURES {
+        writeln!(Stdout, "  {:<24} {}", f.name, f.about)?;
+    }
+    Ok(CmdOutcome::Done)
+}
+
+/// `intellinoc figures <name>... | all` — the paper's evaluation: every run
+/// the named [`FIGURES`] entries read is declared, trained and run once
+/// (`--jobs N` workers, byte-identical output at any N), then each table is
+/// printed and, under `--out-dir`, written as `<name>.txt`. `all` is every
+/// entry in table order, closed by the headline comparison and, under
+/// `--out-dir`, the campaign CSVs.
+pub fn figures(args: &Args) -> CmdResult {
+    let all = args.positional == ["all"];
+    let selected: Vec<&Figure> = if all {
+        FIGURES.iter().collect()
+    } else {
+        let figure = |n: &String| {
+            let unknown = || format!("unknown figure `{n}` (try `intellinoc list`)");
+            FIGURES.iter().find(|f| f.name == n).ok_or_else(unknown)
+        };
+        args.positional.iter().map(figure).collect::<Result<_, _>>()?
+    };
+    if selected.is_empty() {
+        return Err("usage: intellinoc figures <name>... | all [--jobs N] [--out-dir DIR]".into());
+    }
+    let jobs = args.get_or("jobs", 1usize)?;
+    let out = OutDir::from(args, "figures")?;
+    let campaign = Campaign::default();
+    let report = evaluate(&figure_cells(&selected, &campaign)?, jobs)?;
+    for fig in selected {
+        // Rendered into memory first: a unit that fails leaves no
+        // half-written table, on stdout or on disk.
+        let mut table = Vec::new();
+        fig.write(&campaign, &report, &mut table).map_err(|e| format!("{}: {e}", fig.name))?;
+        write!(Stdout, "{}", String::from_utf8_lossy(&table))?;
+        if let Some(out) = &out {
+            out.write(&format!("{}.txt", fig.name), &table)?;
+        }
+    }
+    if all {
+        let results = campaign.results(&report).map_err(|e| format!("headline: {e}"))?;
+        let mut headline = Vec::new();
+        print_headline(&results, &mut headline).expect("in-memory write");
+        write!(Stdout, "{}", String::from_utf8_lossy(&headline))?;
+        if let Some(out) = &out {
+            let (mut normalized, mut raw) = (Vec::new(), Vec::new());
+            write_campaign_csv(&mut normalized, &results).expect("in-memory write");
+            write_raw_csv(&mut raw, &results).expect("in-memory write");
+            out.write("intellinoc-normalized.csv", normalized)?;
+            out.write("intellinoc-raw.csv", raw)?;
+        }
     }
     Ok(CmdOutcome::Done)
 }

@@ -14,6 +14,7 @@
 //!                     [--jobs N] [--chunk-units N] [--chaos-kill point:k]
 //! intellinoc postmortem <bundle.jsonl> [--out-dir DIR]
 //! intellinoc journeys <journeys.jsonl> [--out-dir DIR]
+//! intellinoc figures  <name>... | all [--jobs N] [--out-dir DIR]
 //! intellinoc list
 //! ```
 //!
@@ -23,8 +24,9 @@
 //! working directory).
 //!
 //! Grid commands (`campaign`, `sweep`) run on the `noc-runner` execution
-//! engine. The design comparison normalized to SECDED (the paper's figures
-//! and Table 2) is `intellinoc-bench`'s `figures` binary, not a command here.
+//! engine. `figures` renders the design comparison normalized to SECDED
+//! (the paper's figures and Table 2) from the `intellinoc-bench` library.
+//! A closed stdout drops the output, not the command.
 //! Exit codes: 0 clean, 1 usage/config error, 2 partial results.
 //! An option or flag the command never read (a typo, or a flag it does not
 //! take) draws a `warning:` line on stderr; the exit code does not change.
@@ -44,6 +46,7 @@ fn main() {
         Some("serve") => commands::serve(&args),
         Some("postmortem") => commands::postmortem(&args),
         Some("journeys") => commands::journeys(&args),
+        Some("figures") => commands::figures(&args),
         Some("list") => commands::list(),
         Some(other) => {
             eprintln!("unknown command: {other}\n");
@@ -114,7 +117,10 @@ fn usage() {
     eprintln!("           <bundle.jsonl> [--out-dir DIR]");
     eprintln!("  journeys analyze a recorded journey log: the tail-latency critical-path");
     eprintln!("           report <journeys.jsonl> [--out-dir DIR]");
-    eprintln!("  list     known designs and benchmarks");
+    eprintln!("  figures  the paper's evaluation, normalized to SECDED (Figs. 9-18, Table 2)");
+    eprintln!("           <name>... | all [--jobs N] [--out-dir DIR]");
+    eprintln!("           (all: every figure, then the headline comparison)");
+    eprintln!("  list     known designs, benchmarks and figures");
     eprintln!();
     eprintln!("OUTPUT (--out-dir DIR: one directory, fixed file names; DESIGN.md \u{a7}16):");
     eprintln!("  run/inspect   postmortem-<key>.jsonl (flight recorder: conservation /");
@@ -127,6 +133,7 @@ fn usage() {
     eprintln!("                journeys/ (--journeys-every N), the --profile files;");
     eprintln!("                campaign.csv, BENCH_<name>.json, fresh.json");
     eprintln!("  journeys      tail-report.md");
+    eprintln!("  figures       <name>.txt; all: + intellinoc-{{normalized,raw}}.csv");
     eprintln!("  postmortem    postmortem.md");
     eprintln!("  Without it: reports on stdout, nothing written (bench record writes");
     eprintln!("  BENCH_<name>.json in the working directory).");
@@ -158,9 +165,6 @@ fn usage() {
     eprintln!("  --force-panic M / --force-timeout M   chaos-test units whose key contains M");
     eprintln!("  --profile             fleet wall-clock + span profile (stdout, or the");
     eprintln!("                        profile files under --out-dir)");
-    eprintln!();
-    eprintln!("Design comparisons normalized to SECDED (Figs. 9-18, Table 2):");
-    eprintln!("  cargo run --release -p intellinoc-bench --bin figures -- --list");
     eprintln!();
     eprintln!("EXIT CODES: 0 clean, 1 usage/config error, 2 partial results");
     eprintln!("An option the command does not read draws a warning on stderr.");

@@ -69,6 +69,7 @@ const ONE_OUTPUT: &str = "one output per journey log";
 const ROUND_TWO: &str = "consumer audit, round two";
 const DECLARED_ONCE: &str = "`figures` declares its runs once";
 const ONE_ACCOUNT: &str = "one account per grid";
+const ONE_FRONT_END: &str = "one front end";
 
 /// Everything but the benchmark, which keeps its own names.
 const SOURCES: &[&str] = &["crates", "tests", "examples"];
@@ -83,8 +84,7 @@ const GRID_RENDERERS: &[&str] = &[
 ];
 /// The evaluation's studies.
 const STUDIES: &[&str] = &["crates/bench/src/studies.rs"];
-/// The whole evaluation: the studies, the figure table and the `figures`
-/// binary.
+/// The whole evaluation: the studies and the figure table.
 const EVALUATION: &[&str] = &["crates/bench/src"];
 /// The evaluation crate with its tests, and the workspace tests.
 const EVALUATION_AND_TESTS: &[&str] = &["crates/bench", "tests"];
@@ -329,6 +329,11 @@ const REMOVED: &[Removed] = &[
     // from the records, not from a second list of lifecycle events.
     removed("RunnerEvent", ONE_ACCOUNT, Word, SOURCES),
     removed("runner_events_jsonl", ONE_ACCOUNT, Word, SOURCES),
+    // One front end: the evaluation is `intellinoc figures`, and its names
+    // are in `intellinoc list`; there is no second binary and no `--list`.
+    removed("target/release/figures", ONE_FRONT_END, Text, SOURCES),
+    removed("--bin figures", ONE_FRONT_END, Text, SOURCES),
+    removed("figures --list", ONE_FRONT_END, Text, SOURCES),
 ];
 
 fn is_ident(c: char) -> bool {

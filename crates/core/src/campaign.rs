@@ -19,7 +19,7 @@
 use crate::designs::Design;
 use crate::experiment::{rate_workload, run_grid, ExperimentConfig, ExperimentOutcome, UnitSinks};
 use crate::runner::{derive_seed, ChaosOptions, RunnerConfig, RunnerReport, UnitRecord};
-use noc_sim::HardFaultScenario;
+use noc_sim::{HardFaultScenario, NetworkStats};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
@@ -164,18 +164,30 @@ pub struct CampaignRunReport {
 impl CampaignRunReport {
     /// Every cell as `(design label, scenario name, record)`. Identity
     /// comes from the record's position in [`CampaignConfig::cells`] order,
-    /// so a failed or skipped cell is as well named as a completed one.
+    /// so a failed or skipped cell is as well named as a completed one. A
+    /// run that ended before its scenario's first fault activated (a router
+    /// failure scheduled past the run's last cycle) fired none: its scenario
+    /// name says so with a `-never-fired` suffix.
     #[must_use]
     pub fn rows(&self) -> Vec<(&'static str, String, &UnitRecord<ExperimentOutcome>)> {
         cell_ids(&campaign_scenarios(&self.config))
             .zip(&self.runner.records)
-            .map(|((scenario, _, design), rec)| (design.label(), scenario.clone(), rec))
+            .map(|((name, scenario, design), rec)| {
+                // A run of `c` cycles simulated cycles `0..c`.
+                let unfired = rec.payload.as_ref().is_some_and(|o| {
+                    let c = o.report.stats.cycles;
+                    !scenario.is_empty() && scenario.faults.iter().all(|f| f.at >= c)
+                });
+                let name = if unfired { format!("{name}-never-fired") } else { name.clone() };
+                (design.label(), name, rec)
+            })
             .collect()
     }
 
-    /// Smallest delivery rate across cleanly completed cells.
+    /// Smallest delivery rate across cleanly completed cells that injected
+    /// something.
     pub fn min_delivery_rate(&self) -> f64 {
-        self.runner.ok_payloads().map(|o| o.report.stats.delivery_ratio()).fold(1.0, f64::min)
+        self.runner.ok_payloads().filter_map(|o| delivery_rate(&o.report.stats)).fold(1.0, f64::min)
     }
 
     /// `design/scenario` labels of cells whose conservation auditor found
@@ -194,9 +206,9 @@ impl CampaignRunReport {
     }
 
     /// Renders every cell as CSV: the classic campaign columns plus
-    /// `status`. Cells without a payload (failed, skipped)
-    /// render empty metric fields. Fixed float formatting keeps equal
-    /// campaigns byte-identical.
+    /// `status`. Cells without a payload (failed, skipped) render empty
+    /// metric fields, a run that injected nothing an empty delivery rate.
+    /// Fixed float formatting keeps equal campaigns byte-identical.
     #[must_use]
     pub fn to_csv(&self) -> String {
         let mut out = String::with_capacity(self.runner.records.len() * 112 + 160);
@@ -215,11 +227,11 @@ impl CampaignRunReport {
                     };
                     let _ = write!(
                         out,
-                        "{},{},{},{:.6},{:.3},{:.1},{},{},{},{},{},{},{},{},{}",
+                        "{},{},{},{},{:.3},{:.1},{},{},{},{},{},{},{},{},{}",
                         s.packets_injected,
                         s.packets_delivered,
                         s.packets_dropped,
-                        s.delivery_ratio(),
+                        delivery_rate(s).map_or_else(String::new, |d| format!("{d:.6}")),
                         s.avg_latency(),
                         s.latency_percentile(0.99),
                         s.reroutes,
@@ -239,6 +251,53 @@ impl CampaignRunReport {
         }
         out
     }
+
+    /// Renders every cell as the campaign table `intellinoc campaign` prints
+    /// and the resilience study writes: one aligned row per cell, dashes for
+    /// a cell without a payload (failed, skipped) and for the delivery rate
+    /// of a run that injected nothing.
+    #[must_use]
+    pub fn table(&self) -> String {
+        let mut out = String::new();
+        let mut line = |f: [&str; 11]| {
+            let _ = writeln!(
+                out,
+                "{:<11} {:<20} {:>8} {:>8} {:>7} {:>9} {:>8} {:>8} {:>8} {:>7} {:>10}",
+                f[0], f[1], f[2], f[3], f[4], f[5], f[6], f[7], f[8], f[9], f[10]
+            );
+        };
+        line([
+            "design", "scenario", "injected", "deliver", "drop", "deliv%", "avg_lat", "p99_lat",
+            "reroute", "stalled", "status",
+        ]);
+        for (design, scenario, rec) in self.rows() {
+            let metrics = rec.payload.as_ref().map(|o| {
+                let s = &o.report.stats;
+                [
+                    s.packets_injected.to_string(),
+                    s.packets_delivered.to_string(),
+                    s.packets_dropped.to_string(),
+                    delivery_rate(s).map_or_else(|| "-".into(), |d| format!("{:.3}", 100.0 * d)),
+                    format!("{:.1}", s.avg_latency()),
+                    format!("{:.0}", s.latency_percentile(0.99)),
+                    s.reroutes.to_string(),
+                    (if o.report.stall.is_some() { "YES" } else { "-" }).into(),
+                ]
+            });
+            let m = metrics.unwrap_or_else(|| std::array::from_fn(|_| "-".into()));
+            let status = rec.status.label();
+            line([
+                design, &scenario, &m[0], &m[1], &m[2], &m[3], &m[4], &m[5], &m[6], &m[7], status,
+            ]);
+        }
+        out
+    }
+}
+
+/// The run's delivery rate: `None` for a run that injected nothing, which
+/// has no rate to report.
+fn delivery_rate(s: &NetworkStats) -> Option<f64> {
+    (s.packets_injected > 0).then(|| s.delivery_ratio())
 }
 
 /// Runs the campaign's [`CampaignConfig::cells`] through [`run_grid`]: per
