@@ -1,16 +1,16 @@
 //! Subcommand implementations for the `intellinoc` CLI.
 
 use crate::args::Args;
+use intellinoc::figures::{
+    evaluate, figure_cells, print_headline, write_campaign_csv, write_raw_csv, Campaign, Figure,
+    FIGURES,
+};
 use intellinoc::{
     check_fault_counts, check_ppn, check_rate, compare_bench, dump_bundle, load_sweep_cells,
     render_inspect_report, run_experiment, run_experiment_instrumented, run_grid, BenchBaseline,
     BenchSpec, BenchWorkload, CampaignConfig, CampaignRunReport, ChaosKill, ChaosOptions, Daemon,
     Design, ExperimentConfig, ExperimentOutcome, GateOptions, RunnerConfig, RunnerReport,
     ServeConfig, TelemetryArtifacts, TelemetryOptions, UnitSinks,
-};
-use intellinoc_bench::{
-    evaluate, figure_cells, print_headline, write_campaign_csv, write_raw_csv, Campaign, Figure,
-    FIGURES,
 };
 use noc_sim::{
     parse_bundle, parse_rules, render_report, shared_recorder, AlertEdge, BundleCause, EventKind,
@@ -55,15 +55,6 @@ pub enum CmdOutcome {
 
 /// Result type of every subcommand.
 pub type CmdResult = Result<CmdOutcome, String>;
-
-/// Parses a design name as accepted on the command line.
-///
-/// # Errors
-///
-/// Returns a message naming the unknown design.
-pub fn parse_design(s: &str) -> Result<Design, String> {
-    Design::parse(s)
-}
 
 /// Parses a benchmark by full name or figure label.
 ///
@@ -433,7 +424,7 @@ fn emit_telemetry(out: Option<&OutDir>, artifacts: &TelemetryArtifacts) -> Resul
 
 /// `intellinoc run`.
 pub fn run(args: &Args) -> CmdResult {
-    let design = parse_design(args.get("design").ok_or("need --design")?)?;
+    let design = Design::parse(args.get("design").ok_or("need --design")?)?;
     let workload = workload_from(args, 150)?;
     let mut cfg = ExperimentConfig::new(design, workload)
         .with_seed(args.get_or("seed", 1u64)?)
@@ -514,7 +505,7 @@ fn run_recorded(
 /// log) and run's telemetry artifacts.
 pub fn inspect(args: &Args) -> CmdResult {
     let design = match args.get("design") {
-        Some(d) => parse_design(d)?,
+        Some(d) => Design::parse(d)?,
         None => Design::IntelliNoc,
     };
     let workload = workload_from(args, 50)?;
@@ -553,7 +544,7 @@ pub fn inspect(args: &Args) -> CmdResult {
 /// `intellinoc sweep` — one experiment unit per injection rate, executed by
 /// the `noc-runner` engine (`--jobs`, `--journal`/`--resume`, deadlines).
 pub fn sweep(args: &Args) -> CmdResult {
-    let design = parse_design(args.get("design").ok_or("need --design")?)?;
+    let design = Design::parse(args.get("design").ok_or("need --design")?)?;
     let rates: Vec<f64> = args
         .get("rates")
         .ok_or("need --rates r1,r2,...")?
@@ -616,7 +607,7 @@ pub fn trace(args: &Args) -> CmdResult {
         }
         Some("replay") => {
             let path = args.positional.get(1).ok_or("need an input path")?;
-            let design = parse_design(args.get("design").ok_or("need --design")?)?;
+            let design = Design::parse(args.get("design").ok_or("need --design")?)?;
             let f = File::open(path).map_err(|e| e.to_string())?;
             let mut records = read_trace(BufReader::new(f)).map_err(|e| e.to_string())?;
             let nodes = design.sim_config().nodes();
@@ -724,7 +715,7 @@ fn bench_spec_from(args: &Args) -> Result<BenchSpec, String> {
     };
     if let Some(designs) = args.get("designs") {
         spec.designs =
-            designs.split(',').map(|d| parse_design(d.trim())).collect::<Result<_, _>>()?;
+            designs.split(',').map(|d| Design::parse(d.trim())).collect::<Result<_, _>>()?;
     }
     if let Some(rates) = args.get("rates") {
         spec.rates = rates
@@ -964,4 +955,19 @@ pub fn serve(args: &Args) -> CmdResult {
     // the drain endpoint is the graceful path and the WAL covers the rest.
     while !daemon.wait_until_drained(std::time::Duration::from_secs(3600)) {}
     Ok(CmdOutcome::Done)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn benchmark_names_and_labels_roundtrip() {
+        for b in ParsecBenchmark::TEST_SET {
+            assert_eq!(parse_benchmark(b.name()).unwrap(), b);
+            assert_eq!(parse_benchmark(b.label()).unwrap(), b);
+        }
+        assert_eq!(parse_benchmark("blackscholes").unwrap(), ParsecBenchmark::Blackscholes);
+        assert!(parse_benchmark("spec2006").is_err());
+    }
 }

@@ -25,14 +25,19 @@
 //!
 //! Grid commands (`campaign`, `sweep`) run on the `noc-runner` execution
 //! engine. `figures` renders the design comparison normalized to SECDED
-//! (the paper's figures and Table 2) from the `intellinoc-bench` library.
+//! (the paper's figures and Table 2) from `intellinoc::figures`.
 //! A closed stdout drops the output, not the command.
 //! Exit codes: 0 clean, 1 usage/config error, 2 partial results.
 //! An option or flag the command never read (a typo, or a flag it does not
 //! take) draws a `warning:` line on stderr; the exit code does not change.
 
-use intellinoc_cli::args::Args;
-use intellinoc_cli::commands::{self, CmdOutcome};
+#![forbid(unsafe_code)]
+
+mod args;
+mod commands;
+
+use args::Args;
+use commands::CmdOutcome;
 
 fn main() {
     let args = Args::from_env();

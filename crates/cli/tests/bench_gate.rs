@@ -4,35 +4,15 @@
 //! zero, a hostile baseline is refused before any grid runs (exit 1), and
 //! `--out-dir` leaves a run's report byte-identical.
 
-use std::path::{Path, PathBuf};
-use std::process::Command;
+mod common;
 
-/// A fresh scratch directory for one test.
-fn scratch(tag: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("intellinoc-bench-gate-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
-
-/// Runs the `intellinoc` binary with `line` split on whitespace, in `cwd`:
-/// (exit code, stdout, stderr).
-fn intellinoc(cwd: &Path, line: &str) -> (i32, String, String) {
-    let out = Command::new(env!("CARGO_BIN_EXE_intellinoc"))
-        .args(line.split_whitespace())
-        .current_dir(cwd)
-        .output()
-        .expect("spawn intellinoc");
-    let text = |b: Vec<u8>| String::from_utf8(b).expect("UTF-8 output");
-    (out.status.code().expect("exit code"), text(out.stdout), text(out.stderr))
-}
+use common::{intellinoc, scratch};
 
 const COMMITTED: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_designs.json");
 
 #[test]
 fn ci_grid_self_compares_clean_and_the_forced_gate_fires() {
-    let dir = scratch("ci");
+    let dir = scratch("bench-gate-ci");
     let (code, _, err) = intellinoc(&dir, "bench record --grid ci --name ci --jobs 2");
     assert_eq!(code, 0, "{err}");
     let (code, out, err) = intellinoc(&dir, "bench compare --baseline BENCH_ci.json --jobs 2");
@@ -48,7 +28,7 @@ fn ci_grid_self_compares_clean_and_the_forced_gate_fires() {
 /// The committed baseline re-runs bit for bit: 90 rows, each delta +0.000.
 #[test]
 fn committed_baseline_compares_unchanged() {
-    let dir = scratch("designs");
+    let dir = scratch("bench-gate-designs");
     let (code, out, err) =
         intellinoc(&dir, &format!("bench compare --baseline {COMMITTED} --jobs 2"));
     assert_eq!(code, 0, "{err}");
@@ -66,7 +46,7 @@ fn committed_baseline_compares_unchanged() {
 /// closed-loop grid.
 #[test]
 fn a_hostile_baseline_spec_is_refused() {
-    let dir = scratch("hostile");
+    let dir = scratch("bench-gate-hostile");
     let committed = std::fs::read_to_string(COMMITTED).expect("committed baseline");
     let rates = "\"rates\": [\n      0.1";
     let cases: [(&[(&str, &str)], &str); 5] = [
@@ -106,7 +86,7 @@ fn a_hostile_baseline_spec_is_refused() {
 /// reports, and it writes no metrics exposition file.
 #[test]
 fn metrics_out_leaves_the_report_unchanged() {
-    let dir = scratch("metrics");
+    let dir = scratch("bench-gate-metrics");
     let run = "run --design intellinoc --rate 0.02 --ppn 10 --seed 3 --json";
     let (code, with, err) = intellinoc(&dir, &format!("{run} --out-dir out"));
     assert_eq!(code, 0, "{err}");

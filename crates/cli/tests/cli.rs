@@ -1,41 +1,21 @@
-//! Integration tests for the CLI plumbing.
+//! The CLI, driven through the binary: exit codes, the option rules and
+//! their messages, each command's artifacts, journals a parent build wrote,
+//! and the `serve` daemon through kill -9 and every chaos kill point.
 
+mod common;
+
+use common::{intellinoc, ok, read, scratch, BIN};
 use intellinoc::Design;
-use intellinoc_cli::args::Args;
-use intellinoc_cli::commands::{parse_benchmark, parse_design, CmdOutcome};
-use noc_traffic::ParsecBenchmark;
-
-#[test]
-fn design_names_roundtrip() {
-    for d in Design::ALL {
-        assert_eq!(parse_design(&d.label().to_ascii_lowercase()).unwrap(), d);
-    }
-    assert_eq!(parse_design("baseline").unwrap(), Design::Secded);
-    assert!(parse_design("tpu").is_err());
-}
-
-#[test]
-fn benchmark_names_and_labels_roundtrip() {
-    for b in ParsecBenchmark::TEST_SET {
-        assert_eq!(parse_benchmark(b.name()).unwrap(), b);
-        assert_eq!(parse_benchmark(b.label()).unwrap(), b);
-    }
-    assert_eq!(parse_benchmark("blackscholes").unwrap(), ParsecBenchmark::Blackscholes);
-    assert!(parse_benchmark("spec2006").is_err());
-}
 
 #[test]
 fn run_command_executes_end_to_end() {
-    let args = Args::parse(
-        "run --design eb --rate 0.02 --ppn 5 --seed 3 --json".split_whitespace().map(str::to_owned),
-    );
-    assert!(intellinoc_cli::commands::run(&args).is_ok());
+    ok(".", "run --design eb --rate 0.02 --ppn 5 --seed 3 --json");
 }
 
 #[test]
 fn run_command_rejects_missing_workload() {
-    let args = Args::parse("run --design eb".split_whitespace().map(str::to_owned));
-    let err = intellinoc_cli::commands::run(&args).unwrap_err();
+    let (code, _, err) = intellinoc(".", "run --design eb");
+    assert_eq!(code, 1, "{err}");
     assert!(err.contains("--benchmark"), "{err}");
 }
 
@@ -46,19 +26,16 @@ fn error_rate_must_be_a_probability() {
     for bad in ["NaN", "nan", "inf", "-inf", "-1", "2", "1e-4x"] {
         for cmd in ["run --design eb", "inspect"] {
             let line = format!("{cmd} --rate 0.02 --ppn 2 --seed 3 --error-rate {bad}");
-            let args = Args::parse(line.split_whitespace().map(str::to_owned));
-            let res = match args.command.as_deref() {
-                Some("run") => intellinoc_cli::commands::run(&args),
-                _ => intellinoc_cli::commands::inspect(&args),
-            };
-            let err = res.unwrap_err();
+            let (code, _, err) = intellinoc(".", &line);
+            assert_eq!(code, 1, "{line}: {err}");
             assert!(err.contains("--error-rate") && err.contains(bad), "{line}: {err}");
         }
     }
-    for ok in ["0", "1e-4", "1"] {
-        let line = format!("run --design eb --rate 0.02 --ppn 2 --seed 3 --json --error-rate {ok}");
-        let args = Args::parse(line.split_whitespace().map(str::to_owned));
-        assert!(intellinoc_cli::commands::run(&args).is_ok(), "{line}");
+    for rate in ["0", "1e-4", "1"] {
+        ok(
+            ".",
+            &format!("run --design eb --rate 0.02 --ppn 2 --seed 3 --json --error-rate {rate}"),
+        );
     }
 }
 
@@ -69,8 +46,8 @@ fn error_rate_must_be_a_probability() {
 fn a_hostile_error_rate_exits_1_naming_the_flag() {
     for rate in ["NaN", "inf", "-1", "2"] {
         let line = format!("run --design secded --rate 0.02 --ppn 4 --seed 3 --error-rate {rate}");
-        let (code, _, stderr) = intellinoc(&line);
-        assert_eq!(code, Some(1), "{line}: {stderr}");
+        let (code, _, stderr) = intellinoc(".", &line);
+        assert_eq!(code, 1, "{line}: {stderr}");
         assert!(stderr.contains("--error-rate"), "{line}: {stderr}");
     }
 }
@@ -81,8 +58,8 @@ fn a_hostile_error_rate_exits_1_naming_the_flag() {
 fn a_zero_time_step_exits_1_naming_the_flag() {
     for cmd in ["run --design secded", "inspect"] {
         let line = format!("{cmd} --rate 0.02 --ppn 2 --time-step 0");
-        let (code, _, stderr) = intellinoc(&line);
-        assert_eq!(code, Some(1), "{line}: {stderr}");
+        let (code, _, stderr) = intellinoc(".", &line);
+        assert_eq!(code, 1, "{line}: {stderr}");
         assert!(stderr.contains("--time-step"), "{line}: {stderr}");
     }
 }
@@ -117,8 +94,8 @@ fn a_rate_outside_0_1_exits_1_with_the_rate_rule() {
         cases.push((cmd, "invalid --ppn: packets per node must be at least 1, got 0"));
     }
     for (cmd, rule) in cases {
-        let (code, _, stderr) = intellinoc(&cmd);
-        assert_eq!(code, Some(1), "{cmd}: {stderr}");
+        let (code, _, stderr) = intellinoc(".", &cmd);
+        assert_eq!(code, 1, "{cmd}: {stderr}");
         assert!(stderr.contains(rule), "{cmd}: {stderr}");
     }
     assert!(!trace.exists(), "a refused capture writes no trace");
@@ -133,45 +110,23 @@ fn a_fault_count_above_the_mesh_links_exits_1_naming_the_flag() {
         ("--flapping 500", "--flapping 500 exceeds the 112 links of the 8x8 mesh"),
     ] {
         let cmd = format!("campaign --ppn 2 {flags}");
-        let (code, _, stderr) = intellinoc(&cmd);
-        assert_eq!(code, Some(1), "{cmd}: {stderr}");
+        let (code, _, stderr) = intellinoc(".", &cmd);
+        assert_eq!(code, 1, "{cmd}: {stderr}");
         assert!(stderr.contains(named), "{cmd}: {stderr}");
     }
 }
 
 #[test]
 fn sweep_command_executes() {
-    let args = Args::parse(
-        "sweep --design secded --rates 0.01,0.02 --ppn 5".split_whitespace().map(str::to_owned),
-    );
-    assert_eq!(intellinoc_cli::commands::sweep(&args).unwrap(), CmdOutcome::Done);
+    ok(".", "sweep --design secded --rates 0.01,0.02 --ppn 5");
 }
 
 #[test]
 fn sweep_accepts_runner_flags_and_rejects_bare_resume() {
-    let ok = Args::parse(
-        "sweep --design secded --rates 0.01,0.02 --ppn 4 --jobs 2"
-            .split_whitespace()
-            .map(str::to_owned),
-    );
-    assert_eq!(intellinoc_cli::commands::sweep(&ok).unwrap(), CmdOutcome::Done);
-
-    let bad = Args::parse(
-        "sweep --design secded --rates 0.01 --ppn 4 --resume".split_whitespace().map(str::to_owned),
-    );
-    let err = intellinoc_cli::commands::sweep(&bad).unwrap_err();
+    ok(".", "sweep --design secded --rates 0.01,0.02 --ppn 4 --jobs 2");
+    let (code, _, err) = intellinoc(".", "sweep --design secded --rates 0.01 --ppn 4 --resume");
+    assert_eq!(code, 1, "{err}");
     assert!(err.contains("--journal"), "{err}");
-}
-
-/// Runs the `intellinoc` binary on a whitespace-separated command line:
-/// (exit code, stdout, stderr).
-fn intellinoc(cmdline: &str) -> (Option<i32>, String, String) {
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_intellinoc"))
-        .args(cmdline.split_whitespace())
-        .output()
-        .expect("run intellinoc");
-    let text = |b: Vec<u8>| String::from_utf8(b).expect("UTF-8 output");
-    (out.status.code(), text(out.stdout), text(out.stderr))
 }
 
 /// An option no command reads — a removed flag, a typo — is named on
@@ -179,9 +134,10 @@ fn intellinoc(cmdline: &str) -> (Option<i32>, String, String) {
 #[test]
 fn unused_options_are_reported_not_silently_ignored() {
     let (code, _, stderr) = intellinoc(
+        ".",
         "run --design secded --rate 0.01 --ppn 2 --metrics-addr 127.0.0.1:0 --max-cycle 10",
     );
-    assert_eq!(code, Some(0), "{stderr}");
+    assert_eq!(code, 0, "{stderr}");
     for name in ["metrics-addr", "max-cycle"] {
         let line = format!("warning: --{name} was not used by run");
         assert!(stderr.contains(&line), "no `{line}` in:\n{stderr}");
@@ -196,9 +152,7 @@ fn unused_options_are_reported_not_silently_ignored() {
 fn a_parent_written_journal_resumes_to_the_fresh_report() {
     use intellinoc::{load_sweep_cells, run_grid, ChaosOptions, RunnerConfig, UnitSinks};
 
-    let dir =
-        std::env::temp_dir().join(format!("intellinoc-parent-journal-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = scratch("parent-journal");
     let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/parent_sweep_journal.jsonl");
     let journal = dir.join("j.jsonl");
     let cells = load_sweep_cells(Design::Secded, &[0.01, 0.02, 0.04], 2, 7, None);
@@ -215,11 +169,11 @@ fn a_parent_written_journal_resumes_to_the_fresh_report() {
 
     std::fs::copy(fixture, &journal).unwrap();
     let sweep = "sweep --design secded --rates 0.01,0.02,0.04 --ppn 2 --seed 7";
-    let (code, fresh, _) = intellinoc(sweep);
-    assert_eq!(code, Some(0));
+    let (code, fresh, _) = intellinoc(".", sweep);
+    assert_eq!(code, 0);
     let (code, resumed, stderr) =
-        intellinoc(&format!("{sweep} --journal {} --resume", journal.display()));
-    assert_eq!((code, resumed.as_str()), (Some(0), fresh.as_str()), "{stderr}");
+        intellinoc(".", &format!("{sweep} --journal {} --resume", journal.display()));
+    assert_eq!((code, resumed.as_str()), (0, fresh.as_str()), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -231,9 +185,7 @@ fn a_parent_written_journal_resumes_to_the_fresh_report() {
 fn a_parent_written_journal_resumed_twice_reuses_what_the_first_resume_appended() {
     use intellinoc::{load_sweep_cells, run_grid, ChaosOptions, RunnerConfig, UnitSinks};
 
-    let dir =
-        std::env::temp_dir().join(format!("intellinoc-parent-resume2-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = scratch("parent-resume2");
     let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/parent_sweep_journal.jsonl");
     let journal = dir.join("j.jsonl");
     let text = std::fs::read_to_string(fixture).unwrap();
@@ -261,18 +213,17 @@ fn a_parent_written_journal_resumed_twice_reuses_what_the_first_resume_appended(
 
 #[test]
 fn campaign_with_chaos_panic_reports_partial_outcome() {
-    let args = Args::parse(
+    let (code, _, err) = intellinoc(
+        ".",
         "campaign --rate 0.01 --ppn 4 --seed 3 --dead-links 0 --no-router-fail --flapping 0 \
-         --max-cycles 60000 --jobs 2 --force-panic fault-free/EB"
-            .split_whitespace()
-            .map(str::to_owned),
+         --max-cycles 60000 --jobs 2 --force-panic fault-free/EB",
     );
-    assert_eq!(intellinoc_cli::commands::campaign(&args).unwrap(), CmdOutcome::Partial);
+    assert_eq!(code, 2, "{err}");
 }
 
 #[test]
 fn area_and_list_always_succeed() {
-    assert!(intellinoc_cli::commands::list().is_ok());
+    ok(".", "list");
 }
 
 /// The conservation auditor reads the run's books: an orphaned transaction
@@ -281,33 +232,32 @@ fn area_and_list_always_succeed() {
 /// arms the same recorder); a clean closed-loop run dumps nothing.
 #[test]
 fn unbalanced_books_dump_a_conservation_bundle_and_clean_ones_none() {
-    let dir = std::env::temp_dir().join(format!("intellinoc-cli-auditor-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = scratch("cli-auditor");
     let run = "run --design secded --workload reqreply --rate 0.02 --ppn 4 --seed 3";
     let clean = dir.join("clean");
-    let (code, _, stderr) = intellinoc(&format!("{run} --out-dir {}", clean.display()));
-    assert_eq!(code, Some(0), "{stderr}");
+    let (code, _, stderr) = intellinoc(".", &format!("{run} --out-dir {}", clean.display()));
+    assert_eq!(code, 0, "{stderr}");
     assert!(!stderr.contains("auditor"), "{stderr}");
     assert!(!clean.join("postmortem-run_SECDED.jsonl").exists(), "a clean run writes no bundle");
 
     let bb = dir.join("orphan");
     let (code, _, stderr) =
-        intellinoc(&format!("{run} --chaos-orphan 0 --out-dir {}", bb.display()));
-    assert_eq!(code, Some(0), "{stderr}");
+        intellinoc(".", &format!("{run} --chaos-orphan 0 --out-dir {}", bb.display()));
+    assert_eq!(code, 0, "{stderr}");
     let line = "transaction-conservation auditor: 1 violations, orphaned txns [0]";
     assert!(stderr.contains(line), "no `{line}` in:\n{stderr}");
     let bundle = bb.join("postmortem-run_SECDED.jsonl");
     let text = std::fs::read_to_string(&bundle).expect("conservation bundle");
     let head = text.lines().next().unwrap();
     assert!(head.contains(r#""cause":"conservation""#), "{head}");
-    let (code, report, stderr) = intellinoc(&format!("postmortem {}", bundle.display()));
-    assert_eq!(code, Some(0), "{stderr}");
+    let (code, report, stderr) = intellinoc(".", &format!("postmortem {}", bundle.display()));
+    assert_eq!(code, 0, "{stderr}");
     assert!(report.contains("orphaned-txns"), "{report}");
 
     let inspected = dir.join("inspect");
     let line = format!("{run} --chaos-orphan 0 --out-dir {}", inspected.display());
-    let (code, _, stderr) = intellinoc(&line.replacen("run", "inspect", 1));
-    assert_eq!(code, Some(0), "{stderr}");
+    let (code, _, stderr) = intellinoc(".", &line.replacen("run", "inspect", 1));
+    assert_eq!(code, 0, "{stderr}");
     let text = std::fs::read_to_string(inspected.join("postmortem-inspect_SECDED.jsonl"))
         .expect("inspect's conservation bundle");
     let head = text.lines().next().unwrap();
@@ -317,28 +267,21 @@ fn unbalanced_books_dump_a_conservation_bundle_and_clean_ones_none() {
 
 #[test]
 fn inspect_command_writes_every_artifact() {
-    let dir = std::env::temp_dir().join("intellinoc-cli-inspect-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let d = dir.to_str().unwrap();
-    let args = Args::parse(
-        format!("inspect --rate 0.02 --ppn 5 --seed 9 --time-step 200 --out-dir {d}")
-            .split_whitespace()
-            .map(str::to_owned),
-    );
-    assert!(intellinoc_cli::commands::inspect(&args).is_ok());
-    let report = std::fs::read_to_string(dir.join("report.md")).unwrap();
+    let dir = scratch("cli-inspect-test");
+    ok(&dir, "inspect --rate 0.02 --ppn 5 --seed 9 --time-step 200 --out-dir .");
+    let report = read(&dir, "report.md");
     assert!(report.contains("## Latency attribution"));
     assert!(report.contains("## RL decisions"));
-    let links = std::fs::read_to_string(dir.join("heatmaps/links.csv")).unwrap();
+    let links = read(&dir, "heatmaps/links.csv");
     assert_eq!(links.lines().count(), 113, "header + 112 links");
     for grid in ["router_utilization", "router_retx", "router_gate_residency", "router_temperature"]
     {
-        let g = std::fs::read_to_string(dir.join(format!("heatmaps/{grid}.csv"))).unwrap();
+        let g = read(&dir, &format!("heatmaps/{grid}.csv"));
         assert_eq!(g.lines().count(), 8, "{grid} is an 8x8 grid");
     }
-    let decisions = std::fs::read_to_string(dir.join("decisions.jsonl")).unwrap();
+    let decisions = read(&dir, "decisions.jsonl");
     assert!(decisions.lines().count() >= 64, "at least one decision per router");
-    let conv = std::fs::read_to_string(dir.join("convergence.csv")).unwrap();
+    let conv = read(&dir, "convergence.csv");
     assert!(conv.starts_with("cycle,decisions,explorations,updates"));
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -347,13 +290,12 @@ fn inspect_command_writes_every_artifact() {
 /// convergence samples and heatmaps, byte for byte.
 #[test]
 fn inspect_artifacts_repeat_byte_for_byte() {
-    let dir = std::env::temp_dir().join(format!("intellinoc-cli-inspect-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = scratch("cli-inspect");
     let (a, b) = (dir.join("a"), dir.join("b"));
     for out in [&a, &b] {
         let line = format!("inspect --rate 0.02 --ppn 10 --seed 3 --out-dir {}", out.display());
-        let (code, _, stderr) = intellinoc(&line);
-        assert_eq!(code, Some(0), "{stderr}");
+        let (code, _, stderr) = intellinoc(".", &line);
+        assert_eq!(code, 0, "{stderr}");
     }
     let heatmaps: Vec<String> = std::fs::read_dir(a.join("heatmaps"))
         .expect("heatmaps written")
@@ -370,16 +312,9 @@ fn inspect_artifacts_repeat_byte_for_byte() {
 
 #[test]
 fn inspect_on_static_design_skips_rl_sections() {
-    let dir = std::env::temp_dir().join("intellinoc-cli-inspect-static");
-    std::fs::create_dir_all(&dir).unwrap();
-    let d = dir.to_str().unwrap();
-    let args = Args::parse(
-        format!("inspect --design secded --rate 0.02 --ppn 3 --seed 2 --out-dir {d}")
-            .split_whitespace()
-            .map(str::to_owned),
-    );
-    assert!(intellinoc_cli::commands::inspect(&args).is_ok());
-    let report = std::fs::read_to_string(dir.join("report.md")).unwrap();
+    let dir = scratch("cli-inspect-static");
+    ok(&dir, "inspect --design secded --rate 0.02 --ppn 3 --seed 2 --out-dir .");
+    let report = read(&dir, "report.md");
     assert!(report.contains("## Latency attribution"));
     assert!(!report.contains("## RL decisions"));
     let _ = std::fs::remove_dir_all(&dir);
@@ -391,18 +326,16 @@ fn inspect_on_static_design_skips_rl_sections() {
 /// one.
 #[test]
 fn profile_honours_the_closed_loop_workload() {
-    let dir = std::env::temp_dir().join("intellinoc-cli-profile-reqreply");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = scratch("cli-profile-reqreply");
     let table = |name: &str, workload: &str| {
-        let out = dir.join(name);
-        let line = format!(
-            "bench record --designs secded --rates 0.02 --seeds 1 --ppn 4 --seed 5 {workload} \
-             --profile --out-dir {}",
-            out.display()
+        ok(
+            &dir,
+            &format!(
+                "bench record --designs secded --rates 0.02 --seeds 1 --ppn 4 --seed 5 \
+                 {workload} --profile --out-dir {name}"
+            ),
         );
-        let args = Args::parse(line.split_whitespace().map(str::to_owned));
-        assert_eq!(intellinoc_cli::commands::bench(&args), Ok(CmdOutcome::Done), "{line}");
-        std::fs::read_to_string(out.join("spans.txt")).unwrap()
+        read(&dir, &format!("{name}/spans.txt"))
     };
     let open = table("open", "");
     let closed = table("closed", "--workload reqreply --reply-timeout 600");
@@ -417,17 +350,16 @@ fn profile_honours_the_closed_loop_workload() {
 /// not drain would print `INCOMPLETE` and exit 2.
 #[test]
 fn trace_capture_then_replay() {
-    let dir = std::env::temp_dir().join(format!("intellinoc-cli-test-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = scratch("cli-test");
     let path = dir.join("t.jsonl");
     let path = path.to_str().unwrap();
     let (code, _, stderr) =
-        intellinoc(&format!("trace capture {path} --benchmark ferret --ppn 60 --seed 77"));
-    assert_eq!(code, Some(0), "{stderr}");
+        intellinoc(".", &format!("trace capture {path} --benchmark ferret --ppn 60 --seed 77"));
+    assert_eq!(code, 0, "{stderr}");
     for design in ["secded", "eb", "cp", "cpd", "intellinoc"] {
         let (code, stdout, stderr) =
-            intellinoc(&format!("trace replay {path} --design {design} --seed 77"));
-        assert_eq!(code, Some(0), "{design}: {stderr}");
+            intellinoc(".", &format!("trace replay {path} --design {design} --seed 77"));
+        assert_eq!(code, 0, "{design}: {stderr}");
         assert!(stdout.trim_end().ends_with(", complete"), "{design}: {stdout}");
     }
     let _ = std::fs::remove_dir_all(&dir);
@@ -438,22 +370,21 @@ fn trace_capture_then_replay() {
 /// is pinned by `noc-traffic`'s `stream_bytes` test.
 #[test]
 fn trace_replay_prints_the_pinned_line_per_design() {
-    let dir =
-        std::env::temp_dir().join(format!("intellinoc-cli-replay-pin-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = scratch("cli-replay-pin");
     let path = dir.join("ferret.jsonl");
     let path = path.to_str().unwrap();
     let (code, stdout, stderr) =
-        intellinoc(&format!("trace capture {path} --benchmark ferret --ppn 20 --seed 4"));
-    assert_eq!(code, Some(0), "{stderr}");
+        intellinoc(".", &format!("trace capture {path} --benchmark ferret --ppn 20 --seed 4"));
+    assert_eq!(code, 0, "{stderr}");
     assert_eq!(stdout, format!("captured 1280 records to {path}\n"));
     for (design, want) in [
         ("secded", "replayed 1280 packets on SECDED: exec=1627 cycles, avg latency 61.9, complete"),
         ("eb", "replayed 1280 packets on EB: exec=1622 cycles, avg latency 31.2, complete"),
         ("cp", "replayed 1280 packets on CP: exec=1655 cycles, avg latency 44.1, complete"),
     ] {
-        let (code, stdout, stderr) = intellinoc(&format!("trace replay {path} --design {design}"));
-        assert_eq!(code, Some(0), "{design}: {stderr}");
+        let (code, stdout, stderr) =
+            intellinoc(".", &format!("trace replay {path} --design {design}"));
+        assert_eq!(code, 0, "{design}: {stderr}");
         assert_eq!(stdout, format!("{want}\n"), "{design}");
     }
     let _ = std::fs::remove_dir_all(&dir);
@@ -464,8 +395,8 @@ fn trace_replay_prints_the_pinned_line_per_design() {
 #[test]
 fn trace_replay_refuses_records_outside_the_mesh() {
     let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/hostile_trace.jsonl");
-    let (code, _, stderr) = intellinoc(&format!("trace replay {fixture} --design secded"));
-    assert_eq!(code, Some(1), "{stderr}");
+    let (code, _, stderr) = intellinoc(".", &format!("trace replay {fixture} --design secded"));
+    assert_eq!(code, 1, "{stderr}");
     let want = "record 1 is outside the mesh of 64 nodes: TraceRecord { cycle: 0, src: 0, dest: 64";
     assert!(stderr.contains(want), "no `{want}` in:\n{stderr}");
 }
@@ -475,8 +406,7 @@ fn trace_replay_refuses_records_outside_the_mesh() {
 /// replay as incomplete (exit 2) without simulating up to the budget.
 #[test]
 fn trace_replay_leaves_out_records_past_the_cycle_budget() {
-    let dir = std::env::temp_dir().join(format!("intellinoc-cli-late-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = scratch("cli-late");
     let path = dir.join("late.jsonl");
     std::fs::write(
         &path,
@@ -486,8 +416,8 @@ fn trace_replay_leaves_out_records_past_the_cycle_budget() {
     .unwrap();
     let start = std::time::Instant::now();
     let (code, stdout, stderr) =
-        intellinoc(&format!("trace replay {} --design secded", path.display()));
-    assert_eq!(code, Some(2), "{stderr}");
+        intellinoc(".", &format!("trace replay {} --design secded", path.display()));
+    assert_eq!(code, 2, "{stderr}");
     assert!(stdout.starts_with("replayed 1 packets on SECDED"), "{stdout}");
     assert!(stdout.trim_end().ends_with(", INCOMPLETE"), "{stdout}");
     let note = "left out 1 records at or past the 2000000-cycle budget";
@@ -514,7 +444,7 @@ fn spawn_serve(
     extra: &[&str],
 ) -> KillOnDrop {
     let log = std::fs::File::create(port_file.with_extension("log")).expect("create daemon log");
-    let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_intellinoc"));
+    let mut cmd = std::process::Command::new(BIN);
     cmd.arg("serve")
         .arg("--state-dir")
         .arg(state_dir)
@@ -560,9 +490,7 @@ fn wait_port_file(path: &std::path::Path) -> String {
 fn serve_survives_kill_nine_and_resumes_to_reference_report() {
     use intellinoc::{http_request, reference_report_csv, JobSpec, JobStatus, SubmitRequest};
 
-    let dir = std::env::temp_dir().join(format!("intellinoc-cli-serve-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = scratch("cli-serve");
     let state = dir.join("state");
     let port_file = dir.join("port");
 
@@ -685,8 +613,7 @@ fn submit_smoke_jobs(addr: &str) -> bool {
 fn serve_recovers_from_every_chaos_kill_point() {
     use intellinoc::{http_request, ChaosPoint, JobsSummary};
 
-    let root = std::env::temp_dir().join(format!("intellinoc-cli-chaos-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
+    let root = scratch("cli-chaos");
     for point in ChaosPoint::ALL {
         for after in [1, 2] {
             let kill = format!("{}:{after}", point.label());
@@ -750,9 +677,7 @@ fn serve_recovers_from_every_chaos_kill_point() {
 /// and exits 0, naming the option it did not read.
 #[test]
 fn serve_warns_about_a_removed_option_and_still_drains() {
-    let dir = std::env::temp_dir().join(format!("intellinoc-cli-quota-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = scratch("cli-quota");
     let port = dir.join("port");
     let mut child = spawn_serve(&dir.join("state"), &port, &["--tenant-quota", "1"]);
     let addr = wait_port_file(&port);

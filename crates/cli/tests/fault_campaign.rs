@@ -5,47 +5,25 @@
 //! cells; a row says when its fault never fired, and a run that injected
 //! nothing reports no delivery rate.
 
-use std::path::{Path, PathBuf};
-use std::process::Command;
+mod common;
 
-/// A fresh scratch directory for one test.
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("intellinoc-faults-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
+use common::{intellinoc, read, scratch};
+use std::path::Path;
 
-/// Runs `intellinoc campaign` with `flags` split on whitespace, in `cwd`:
-/// (exit code, stdout, stderr).
-fn run(cwd: &Path, flags: &str) -> (Option<i32>, String, String) {
-    let out = Command::new(env!("CARGO_BIN_EXE_intellinoc"))
-        .arg("campaign")
-        .args(flags.split_whitespace())
-        .current_dir(cwd)
-        .output()
-        .expect("spawn intellinoc");
-    let text = |b: Vec<u8>| String::from_utf8(b).expect("UTF-8 output");
-    (out.status.code(), text(out.stdout), text(out.stderr))
-}
-
-/// [`run`], requiring exit 0 (an `--assert-delivery` miss exits 1, a
-/// stalled or panicked cell 2); returns stderr.
+/// `intellinoc campaign` with `flags`, in `cwd`, requiring exit 0 (an
+/// `--assert-delivery` miss exits 1, a stalled or panicked cell 2); returns
+/// stderr.
 fn campaign(cwd: &Path, flags: &str) -> String {
-    let (code, _, err) = run(cwd, flags);
-    assert_eq!(code, Some(0), "campaign {flags}: {err}");
+    let (code, _, err) = intellinoc(cwd, &format!("campaign {flags}"));
+    assert_eq!(code, 0, "campaign {flags}: {err}");
     err
-}
-
-fn read(dir: &Path, name: &str) -> Vec<u8> {
-    std::fs::read(dir.join(name)).unwrap_or_else(|e| panic!("read {name}: {e}"))
 }
 
 /// Two dead links on the 8×8 mesh: every design keeps delivery at 100 %,
 /// and a second run with the same seed reproduces the CSV byte for byte.
 #[test]
 fn two_dead_links_deliver_everything_and_repeat() {
-    let dir = scratch("dead");
+    let dir = scratch("faults-dead");
     let grid = "--ppn 6 --seed 1 --dead-links 0,2 --no-router-fail --flapping 0 \
                 --assert-delivery 0.999";
     let err = campaign(&dir, &format!("{grid} --out-dir a"));
@@ -53,7 +31,7 @@ fn two_dead_links_deliver_everything_and_repeat() {
     campaign(&dir, &format!("{grid} --out-dir b"));
     let csv = read(&dir, "a/campaign.csv");
     assert_eq!(csv, read(&dir, "b/campaign.csv"), "same seed, different campaign CSV");
-    assert_eq!(String::from_utf8(csv).expect("UTF-8 CSV").lines().count(), 1 + 2 * 5);
+    assert_eq!(csv.lines().count(), 1 + 2 * 5);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -63,7 +41,7 @@ fn two_dead_links_deliver_everything_and_repeat() {
 /// its tail).
 #[test]
 fn flapping_links_lose_no_packet() {
-    let dir = scratch("flap");
+    let dir = scratch("faults-flap");
     let err =
         campaign(&dir, "--dead-links 0 --no-router-fail --flapping 2 --assert-delivery 0.999");
     assert!(err.contains("10 ok, 0 failed, 0 timed-out, 0 skipped"), "{err}");
@@ -73,7 +51,7 @@ fn flapping_links_lose_no_packet() {
 /// The default campaign, every scenario family: 35 cells, all `ok`.
 #[test]
 fn default_campaign_finishes_every_cell() {
-    let dir = scratch("default");
+    let dir = scratch("faults-default");
     let err = campaign(&dir, "");
     assert!(err.contains("35 ok, 0 failed, 0 timed-out, 0 skipped"), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
@@ -97,14 +75,15 @@ fn rows<'a>(table: &'a str, csv: &'a str, scenario: &str) -> [Vec<Vec<&'a str>>;
 /// router dies, keep their name.
 #[test]
 fn a_router_failure_past_the_end_of_the_run_is_named_as_never_fired() {
-    let dir = scratch("never-fired");
+    let dir = scratch("faults-never-fired");
     for (at, name) in
         [("999999999", "router-fail-at-999999999-never-fired"), ("100", "router-fail-at-100")]
     {
-        let flags = format!("--ppn 2 --dead-links 0 --router-fail {at} --flapping 0 --out-dir o");
-        let (code, table, err) = run(&dir, &flags);
-        assert_eq!(code, Some(0), "{err}");
-        let csv = String::from_utf8(read(&dir, "o/campaign.csv")).expect("UTF-8 CSV");
+        let line =
+            format!("campaign --ppn 2 --dead-links 0 --router-fail {at} --flapping 0 --out-dir o");
+        let (code, table, err) = intellinoc(&dir, &line);
+        assert_eq!(code, 0, "{err}");
+        let csv = read(&dir, "o/campaign.csv");
         for rows in rows(&table, &csv, "router-fail") {
             assert!(rows.iter().all(|f| f[1] == name), "{at}: {rows:?}");
         }
@@ -118,11 +97,12 @@ fn a_router_failure_past_the_end_of_the_run_is_named_as_never_fired() {
 /// the table shows a dash and the CSV an empty field, not 100 %.
 #[test]
 fn a_run_that_injected_nothing_reports_no_delivery_rate() {
-    let dir = scratch("empty");
-    let flags = "--ppn 2 --dead-links 0 --no-router-fail --flapping 0 --max-cycles 0 --out-dir o";
-    let (code, table, err) = run(&dir, flags);
-    assert_eq!(code, Some(2), "five timed-out runs are a partial grid: {err}");
-    let csv = String::from_utf8(read(&dir, "o/campaign.csv")).expect("UTF-8 CSV");
+    let dir = scratch("faults-empty");
+    let line =
+        "campaign --ppn 2 --dead-links 0 --no-router-fail --flapping 0 --max-cycles 0 --out-dir o";
+    let (code, table, err) = intellinoc(&dir, line);
+    assert_eq!(code, 2, "five timed-out runs are a partial grid: {err}");
+    let csv = read(&dir, "o/campaign.csv");
     let [table_rows, csv_rows] = rows(&table, &csv, "fault-free");
     for f in &table_rows {
         assert_eq!((f[2], f[5], f[10]), ("0", "-", "timed-out"), "{table}");

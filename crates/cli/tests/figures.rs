@@ -3,29 +3,11 @@
 //! `intellinoc list` names every figure, and a reader that closes stdout
 //! early costs the output, not the command.
 
-use intellinoc_bench::FIGURES;
-use std::path::{Path, PathBuf};
+mod common;
+
+use common::{intellinoc, read, scratch, BIN};
+use intellinoc::figures::FIGURES;
 use std::process::{Command, Stdio};
-
-/// A fresh scratch directory for one test.
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("intellinoc-figures-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
-
-/// Runs the `intellinoc` binary with `line` split on whitespace, in `cwd`:
-/// (exit code, stdout, stderr).
-fn intellinoc(cwd: &Path, line: &str) -> (Option<i32>, String, String) {
-    let out = Command::new(env!("CARGO_BIN_EXE_intellinoc"))
-        .args(line.split_whitespace())
-        .current_dir(cwd)
-        .output()
-        .expect("spawn intellinoc");
-    let text = |b: Vec<u8>| String::from_utf8(b).expect("UTF-8 output");
-    (out.status.code(), text(out.stdout), text(out.stderr))
-}
 
 /// The archived Table 2, which runs nothing.
 const TABLE2: &str = include_str!("../../../results/table2_area.txt");
@@ -34,19 +16,19 @@ const TABLE2: &str = include_str!("../../../results/table2_area.txt");
 /// `--out-dir` writes that one file and nothing else.
 #[test]
 fn table2_prints_the_archived_table_and_writes_only_its_file() {
-    let dir = scratch("table2");
+    let dir = scratch("figures-table2");
     let (code, stdout, stderr) = intellinoc(&dir, "figures table2_area");
-    assert_eq!(code, Some(0), "{stderr}");
+    assert_eq!(code, 0, "{stderr}");
     assert_eq!(stdout, TABLE2);
     let (code, stdout, stderr) = intellinoc(&dir, "figures table2_area --out-dir d");
-    assert_eq!(code, Some(0), "{stderr}");
+    assert_eq!(code, 0, "{stderr}");
     assert_eq!(stdout, TABLE2);
     let written: Vec<_> = std::fs::read_dir(dir.join("d"))
         .expect("read out-dir")
         .map(|e| e.expect("dir entry").file_name())
         .collect();
     assert_eq!(written, ["table2_area.txt"]);
-    assert_eq!(std::fs::read_to_string(dir.join("d/table2_area.txt")).unwrap(), TABLE2);
+    assert_eq!(read(&dir, "d/table2_area.txt"), TABLE2);
     assert!(stderr.contains("figures: wrote d/table2_area.txt"), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -54,13 +36,13 @@ fn table2_prints_the_archived_table_and_writes_only_its_file() {
 /// A name that is no figure exits 1 naming it, and runs nothing.
 #[test]
 fn an_unknown_figure_exits_1_naming_it() {
-    let dir = scratch("unknown");
+    let dir = scratch("figures-unknown");
     let (code, stdout, stderr) = intellinoc(&dir, "figures table2_area fig99_nothing");
-    assert_eq!(code, Some(1), "{stderr}");
+    assert_eq!(code, 1, "{stderr}");
     assert!(stdout.is_empty(), "{stdout}");
     assert!(stderr.contains("error: unknown figure `fig99_nothing`"), "{stderr}");
     let (code, _, stderr) = intellinoc(&dir, "figures");
-    assert_eq!(code, Some(1), "{stderr}");
+    assert_eq!(code, 1, "{stderr}");
     assert!(stderr.contains("usage: intellinoc figures"), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -69,9 +51,9 @@ fn an_unknown_figure_exits_1_naming_it() {
 /// benchmarks.
 #[test]
 fn list_names_every_figure() {
-    let dir = scratch("list");
+    let dir = scratch("figures-list");
     let (code, stdout, stderr) = intellinoc(&dir, "list");
-    assert_eq!(code, Some(0), "{stderr}");
+    assert_eq!(code, 0, "{stderr}");
     assert_eq!(FIGURES.len(), 20);
     let at = stdout.find("figures").expect("a figures section");
     assert!(at > stdout.find("benchmarks").expect("a benchmarks section"), "{stdout}");
@@ -87,14 +69,14 @@ fn list_names_every_figure() {
 /// without a panic.
 #[test]
 fn a_closed_stdout_is_not_a_crash() {
-    let dir = scratch("closed");
+    let dir = scratch("figures-closed");
     for line in [
         "list",
         "run --design secded --rate 0.01 --ppn 2 --json",
         "campaign --ppn 2 --dead-links 0 --no-router-fail --flapping 0 --out-dir c",
         "figures table2_area --out-dir d",
     ] {
-        let mut child = Command::new(env!("CARGO_BIN_EXE_intellinoc"))
+        let mut child = Command::new(BIN)
             .args(line.split_whitespace())
             .current_dir(&dir)
             .stdout(Stdio::piped())
@@ -108,6 +90,6 @@ fn a_closed_stdout_is_not_a_crash() {
         assert!(!stderr.contains("panicked"), "{line}: {stderr}");
     }
     assert!(dir.join("c/campaign.csv").exists());
-    assert_eq!(std::fs::read_to_string(dir.join("d/table2_area.txt")).unwrap(), TABLE2);
+    assert_eq!(read(&dir, "d/table2_area.txt"), TABLE2);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -8,33 +8,11 @@
 //! tests only if keys, seeds, column sets, float formats and row order all
 //! stayed where they were.
 
+mod common;
+
+use common::{intellinoc, read, scratch};
 use intellinoc::{derive_seed, reference_report_csv, JobSpec};
-use std::path::{Path, PathBuf};
-use std::process::Command;
-
-/// A fresh scratch directory for one test.
-fn scratch(tag: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("intellinoc-grid-bytes-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
-
-/// Runs the `intellinoc` binary with `line` split on whitespace, in `cwd`;
-/// returns its exit code and stdout.
-fn intellinoc(cwd: &Path, line: &str) -> (i32, String) {
-    let out = Command::new(env!("CARGO_BIN_EXE_intellinoc"))
-        .args(line.split_whitespace())
-        .current_dir(cwd)
-        .output()
-        .expect("spawn intellinoc");
-    (out.status.code().expect("exit code"), String::from_utf8(out.stdout).expect("utf8 stdout"))
-}
-
-fn read(dir: &Path, name: &str) -> String {
-    std::fs::read_to_string(dir.join(name)).unwrap_or_else(|e| panic!("reading {name}: {e}"))
-}
+use std::path::Path;
 
 /// The runner log under `dir` split in two: the lifecycle events, as lines,
 /// and the `(key, cause)` of each post-mortem dump (`--out-dir` arms the
@@ -60,13 +38,13 @@ const CAMPAIGN: &str = "campaign --ppn 4 --seed 3 --rate 0.01 --dead-links 0,1 -
 
 #[test]
 fn campaign_csv_table_and_keys_are_pinned() {
-    let dir = scratch("campaign");
+    let dir = scratch("grid-bytes-campaign");
     // The runner log is read off the records, so two workers write the
     // serial run's log, byte for byte, into an out-dir of the same name.
     let mut serial_log = None;
     for jobs in ["", " --jobs 2"] {
         let _ = std::fs::remove_dir_all(dir.join("o"));
-        let (code, stdout) = intellinoc(&dir, &format!("{CAMPAIGN}{jobs} --out-dir o"));
+        let (code, stdout, _) = intellinoc(&dir, &format!("{CAMPAIGN}{jobs} --out-dir o"));
         assert_eq!(code, 2, "a partial grid exits 2");
         assert_eq!(read(&dir, "o/campaign.csv"), include_str!("fixtures/campaign.csv"));
         assert_eq!(stdout, include_str!("fixtures/campaign.txt"));
@@ -89,8 +67,8 @@ fn campaign_csv_table_and_keys_are_pinned() {
 
 #[test]
 fn closed_loop_campaign_csv_is_pinned() {
-    let dir = scratch("closed");
-    let (code, _) = intellinoc(
+    let dir = scratch("grid-bytes-closed");
+    let (code, _, _) = intellinoc(
         &dir,
         &format!(
             "{CAMPAIGN} --workload reqreply --reply-timeout 400 --max-req-retries 2 --out-dir o"
@@ -103,8 +81,8 @@ fn closed_loop_campaign_csv_is_pinned() {
 
 #[test]
 fn sweep_table_and_keys_are_pinned() {
-    let dir = scratch("sweep");
-    let (code, stdout) = intellinoc(
+    let dir = scratch("grid-bytes-sweep");
+    let (code, stdout, _) = intellinoc(
         &dir,
         "sweep --design secded --rates 0.01,0.02,0.04,0.08 --ppn 8 --seed 5 \
          --force-timeout r0.02 --force-panic r0.04 --max-units 3 --out-dir o",
@@ -125,8 +103,8 @@ fn sweep_table_and_keys_are_pinned() {
 
 #[test]
 fn bench_baseline_and_keys_are_pinned() {
-    let dir = scratch("bench");
-    let (code, stdout) = intellinoc(
+    let dir = scratch("grid-bytes-bench");
+    let (code, stdout, _) = intellinoc(
         &dir,
         "bench record --designs secded,intellinoc --rates 0.05 --seeds 2 --ppn 8 --seed 11 \
          --name pin --out-dir o --journal j.jsonl",
@@ -137,8 +115,8 @@ fn bench_baseline_and_keys_are_pinned() {
     assert_eq!(
         stdout,
         "cell                          avg_lat      p99_lat energy_pJ/flit\n\
-         SECDED@0.05                49.83±3.91  138.52±26.21    63.685±0.796\n\
-         IntelliNoC@0.05            40.49±0.16   82.17±4.30    41.493±0.025\n"
+         SECDED@0.05                49.83±25.33  138.52±169.92    63.685±5.161\n\
+         IntelliNoC@0.05            40.49±1.04   82.17±27.88    41.493±0.163\n"
     );
     // The serial journal holds one line per unit after its header, in
     // canonical (design-major, rate, seed) order.
@@ -187,8 +165,8 @@ fn serve_reference_report_is_pinned() {
 /// and a clean auditor (exit 0).
 #[test]
 fn closed_loop_smoke_campaign_csv_is_pinned() {
-    let dir = scratch("closedloop-smoke");
-    let (code, _) = intellinoc(
+    let dir = scratch("grid-bytes-closedloop-smoke");
+    let (code, _, _) = intellinoc(
         &dir,
         "campaign --workload reqreply --rate 0.01 --ppn 3 --seed 3 --dead-links 0,1 \
          --router-fail 300 --flapping 1 --max-cycles 200000 --reply-timeout 400 \
@@ -206,11 +184,11 @@ fn closed_loop_smoke_campaign_csv_is_pinned() {
 /// left out). Arming the flight recorder changes neither.
 #[test]
 fn an_orphaned_run_reports_and_bundles_the_pinned_books() {
-    let dir = scratch("orphan");
+    let dir = scratch("grid-bytes-orphan");
     let run = "run --design secded --workload reqreply --rate 0.02 --ppn 4 --seed 3 \
                --chaos-orphan 0 --json";
     for line in [run.to_owned(), format!("{run} --out-dir bb")] {
-        let (code, stdout) = intellinoc(&dir, &line);
+        let (code, stdout, _) = intellinoc(&dir, &line);
         assert_eq!(code, 0, "{line}");
         assert_eq!(stdout, include_str!("fixtures/orphan_run.json"), "{line}");
     }

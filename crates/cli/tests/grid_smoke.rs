@@ -5,33 +5,11 @@
 //! units still reach the runner log. Exit codes: 0 clean, 1 a usage error, a
 //! tripped auditor or a bench grid that cannot fold, 2 partial results.
 
+mod common;
+
+use common::{intellinoc, read, scratch};
 use noc_sim::parse_bundle;
-use std::path::{Path, PathBuf};
-use std::process::Command;
-
-/// A fresh scratch directory for one test.
-fn scratch(tag: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("intellinoc-grid-smoke-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
-
-/// Runs the `intellinoc` binary with `line` split on whitespace, in `cwd`;
-/// returns its exit code and stdout.
-fn intellinoc(cwd: &Path, line: &str) -> (i32, String) {
-    let out = Command::new(env!("CARGO_BIN_EXE_intellinoc"))
-        .args(line.split_whitespace())
-        .current_dir(cwd)
-        .output()
-        .expect("spawn intellinoc");
-    (out.status.code().expect("exit code"), String::from_utf8(out.stdout).expect("utf8 stdout"))
-}
-
-fn read(dir: &Path, name: &str) -> String {
-    std::fs::read_to_string(dir.join(name)).unwrap_or_else(|e| panic!("reading {name}: {e}"))
-}
+use std::path::PathBuf;
 
 /// The open-loop fault campaign: 2 scenarios × 5 designs.
 const CAMPAIGN: &str = "campaign --ppn 4 --seed 3 --rate 0.01 --dead-links 0,1 \
@@ -50,13 +28,13 @@ const SWEEP: &str = "sweep --design secded --rates 0.01,0.02,0.04 --ppn 8";
 /// byte.
 #[test]
 fn a_forced_timeout_exits_partial_and_its_journal_resumes_byte_for_byte() {
-    let dir = scratch("resume");
+    let dir = scratch("grid-smoke-resume");
     let grid = format!("{CAMPAIGN} --force-timeout fault-free/SECDED --journal j.jsonl");
-    let (code, _) = intellinoc(&dir, &format!("{grid} --jobs 4 --out-dir partial"));
+    let (code, _, _) = intellinoc(&dir, &format!("{grid} --jobs 4 --out-dir partial"));
     assert_eq!(code, 2, "a partial grid exits 2");
     let partial = read(&dir, "partial/campaign.csv");
     assert!(partial.lines().any(|l| l.ends_with(",timed-out")), "{partial}");
-    let (code, _) = intellinoc(&dir, &format!("{grid} --jobs 2 --resume --out-dir resumed"));
+    let (code, _, _) = intellinoc(&dir, &format!("{grid} --jobs 2 --resume --out-dir resumed"));
     assert_eq!(code, 2, "the resumed grid is still partial");
     assert_eq!(read(&dir, "resumed/campaign.csv"), partial);
     // The resumed log names each unit once, as resumed, with its CSV status.
@@ -79,9 +57,9 @@ fn a_forced_timeout_exits_partial_and_its_journal_resumes_byte_for_byte() {
 /// and equal runner logs.
 #[test]
 fn serial_and_parallel_campaign_csvs_are_equal() {
-    let dir = scratch("campaign-jobs");
+    let dir = scratch("grid-smoke-campaign-jobs");
     for (jobs, out) in [(1, "serial"), (4, "parallel")] {
-        let (code, _) = intellinoc(&dir, &format!("{CAMPAIGN} --jobs {jobs} --out-dir {out}"));
+        let (code, _, _) = intellinoc(&dir, &format!("{CAMPAIGN} --jobs {jobs} --out-dir {out}"));
         assert_eq!(code, 0, "--jobs {jobs}");
     }
     for file in ["campaign.csv", "runner.jsonl"] {
@@ -94,13 +72,13 @@ fn serial_and_parallel_campaign_csvs_are_equal() {
 /// on one rate exits partial and that rate keeps its row.
 #[test]
 fn sweep_tables_match_across_workers_and_a_timeout_keeps_its_row() {
-    let dir = scratch("sweep");
-    let (code, one) = intellinoc(&dir, &format!("{SWEEP} --jobs 1"));
+    let dir = scratch("grid-smoke-sweep");
+    let (code, one, _) = intellinoc(&dir, &format!("{SWEEP} --jobs 1"));
     assert_eq!(code, 0);
-    let (code, two) = intellinoc(&dir, &format!("{SWEEP} --jobs 2"));
+    let (code, two, _) = intellinoc(&dir, &format!("{SWEEP} --jobs 2"));
     assert_eq!(code, 0);
     assert_eq!(two, one);
-    let (code, table) = intellinoc(&dir, &format!("{SWEEP} --force-timeout r0.02"));
+    let (code, table, _) = intellinoc(&dir, &format!("{SWEEP} --force-timeout r0.02"));
     assert_eq!(code, 2, "a partial sweep exits 2");
     let timed_out = |l: &str| l.trim_start().starts_with("0.0200 ") && l.ends_with(" timed-out");
     assert!(table.lines().any(timed_out), "{table}");
@@ -112,8 +90,8 @@ fn sweep_tables_match_across_workers_and_a_timeout_keeps_its_row() {
 /// pinned CSV, transaction columns included.
 #[test]
 fn parallel_closed_loop_campaign_matches_the_serial_fixture() {
-    let dir = scratch("closedloop-jobs");
-    let (code, _) = intellinoc(
+    let dir = scratch("grid-smoke-closedloop-jobs");
+    let (code, _, _) = intellinoc(
         &dir,
         "campaign --workload reqreply --rate 0.01 --ppn 3 --seed 3 --dead-links 0,1 \
          --router-fail 300 --flapping 1 --max-cycles 200000 --reply-timeout 400 \
@@ -128,9 +106,9 @@ fn parallel_closed_loop_campaign_matches_the_serial_fixture() {
 /// the CSV is still written, its cells `ok`.
 #[test]
 fn an_orphaning_closed_loop_campaign_exits_1_and_still_writes_its_csv() {
-    let dir = scratch("closedloop-orphan");
+    let dir = scratch("grid-smoke-closedloop-orphan");
     let line = format!("{CLOSED_LOOP} --max-cycles 200000 --chaos-orphan 0 --out-dir o");
-    let (code, _) = intellinoc(&dir, &line);
+    let (code, _, _) = intellinoc(&dir, &line);
     assert_eq!(code, 1, "the auditor trips");
     let csv = read(&dir, "o/campaign.csv");
     assert!(csv.lines().any(|l| l.ends_with(",ok")), "{csv}");
@@ -142,10 +120,10 @@ fn an_orphaning_closed_loop_campaign_exits_1_and_still_writes_its_csv() {
 /// post-mortem bundle, of cause `timeout`.
 #[test]
 fn a_closed_loop_forced_timeout_leaves_one_bundle() {
-    let dir = scratch("closedloop-timeout");
+    let dir = scratch("grid-smoke-closedloop-timeout");
     let line =
         format!("{CLOSED_LOOP} --max-cycles 60000 --force-timeout fault-free/SECDED --out-dir bb");
-    let (code, _) = intellinoc(&dir, &line);
+    let (code, _, _) = intellinoc(&dir, &line);
     assert_eq!(code, 2, "a partial grid exits 2");
     let bundles: Vec<PathBuf> = std::fs::read_dir(dir.join("bb"))
         .expect("bundle dir")
@@ -165,17 +143,18 @@ fn a_closed_loop_forced_timeout_leaves_one_bundle() {
 /// holds a `postmortem-dumped` line for each dying unit, naming its bundle.
 #[test]
 fn a_bench_grid_with_dying_units_exits_1_after_its_runner_log() {
-    let dir = scratch("bench-panic");
-    let (code, _) = intellinoc(&dir, "bench record --grid ci --name ci --out-dir base");
+    let dir = scratch("grid-smoke-bench-panic");
+    let (code, _, _) = intellinoc(&dir, "bench record --grid ci --name ci --out-dir base");
     assert_eq!(code, 0, "the clean baseline");
     for (out, line) in [
         ("record", "bench record --grid ci --name ci"),
         ("compare", "bench compare --baseline base/BENCH_ci.json"),
     ] {
-        let (code, _) = intellinoc(&dir, &format!("{line} --force-panic SECDED --out-dir {out}"));
+        let (code, _, _) =
+            intellinoc(&dir, &format!("{line} --force-panic SECDED --out-dir {out}"));
         assert_eq!(code, 1, "{line}: no baseline folds from a failed unit");
         let log = read(&dir, &format!("{out}/runner.jsonl"));
-        for seed in 0..2 {
+        for seed in 0..3 {
             let key = format!("bench/SECDED/r0.1/s{seed}");
             let dumped = format!(
                 "{{\"event\":\"postmortem-dumped\",\"key\":\"{key}\",\"cause\":\"panic\",\

@@ -7,40 +7,11 @@
 //! hostile log is refused naming its line. The last test keeps the
 //! simulator at one packet clock: one in-flight table, no second tracker.
 
+mod common;
+
+use common::{intellinoc, ok, read, scratch};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::process::Command;
-
-/// A fresh scratch directory for one test.
-fn scratch(tag: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("intellinoc-journeys-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
-
-/// Runs the `intellinoc` binary with `line` split on whitespace, in `cwd`:
-/// (exit code, stdout, stderr).
-fn intellinoc(cwd: &Path, line: &str) -> (i32, String, String) {
-    let out = Command::new(env!("CARGO_BIN_EXE_intellinoc"))
-        .args(line.split_whitespace())
-        .current_dir(cwd)
-        .output()
-        .expect("spawn intellinoc");
-    let text = |b: Vec<u8>| String::from_utf8(b).expect("UTF-8 output");
-    (out.status.code().expect("exit code"), text(out.stdout), text(out.stderr))
-}
-
-/// Runs `line` and requires exit 0.
-fn ok(cwd: &Path, line: &str) {
-    let (code, _, err) = intellinoc(cwd, line);
-    assert_eq!(code, 0, "{line}: {err}");
-}
-
-fn read(dir: &Path, name: &str) -> Vec<u8> {
-    std::fs::read(dir.join(name)).unwrap_or_else(|e| panic!("read {name}: {e}"))
-}
 
 /// Every file of `dir` by name.
 fn files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
@@ -60,7 +31,7 @@ const TRACED: &str = "run --design secded --rate 0.02 --ppn 10 --seed 3";
 /// writes one file.
 #[test]
 fn traced_run_is_deterministic_and_the_analyzer_reproduces_its_report() {
-    let dir = scratch("run");
+    let dir = scratch("journeys-run");
     let (code, untraced, err) = intellinoc(&dir, &format!("{TRACED} --out-dir off"));
     assert_eq!(code, 0, "{err}");
     for n in [1, 2] {
@@ -89,7 +60,7 @@ const INSPECTED: &str = "inspect --design secded --rate 0.02 --ppn 10 --seed 3";
 /// `run --json` still prints one JSON document.
 #[test]
 fn journey_tracing_needs_an_out_dir_and_leaves_stdout_alone() {
-    let dir = scratch("rule");
+    let dir = scratch("journeys-rule");
     for command in [TRACED, INSPECTED, "sweep --design secded --rates 0.01 --ppn 4"] {
         let (code, out, err) = intellinoc(&dir, &format!("{command} --journeys-every 1"));
         assert_eq!(code, 1, "{command}: {err}");
@@ -114,7 +85,7 @@ fn journey_tracing_needs_an_out_dir_and_leaves_stdout_alone() {
 
 #[test]
 fn campaign_journeys_perturb_nothing_and_match_across_workers() {
-    let dir = scratch("campaign");
+    let dir = scratch("journeys-campaign");
     let campaign = "campaign --ppn 4 --seed 3 --rate 0.01 --dead-links 0,1 --no-router-fail \
                     --flapping 0 --max-cycles 60000";
     ok(&dir, &format!("{campaign} --out-dir off"));
@@ -131,16 +102,16 @@ fn campaign_journeys_perturb_nothing_and_match_across_workers() {
 
 #[test]
 fn closed_loop_journeys_keep_their_transaction_legs() {
-    let dir = scratch("txn");
+    let dir = scratch("journeys-txn");
     ok(
         &dir,
         "run --design secded --workload reqreply --rate 0.02 --ppn 4 --seed 3 --journeys-every 1 \
          --out-dir run",
     );
-    let log = String::from_utf8(read(&dir, "run/journeys.jsonl")).expect("UTF-8 log");
+    let log = read(&dir, "run/journeys.jsonl");
     assert!(log.contains("\"txn\":"), "packets carry their transaction tags");
     ok(&dir, "journeys run/journeys.jsonl --out-dir txn");
-    let report = String::from_utf8(read(&dir, "txn/tail-report.md")).expect("UTF-8 report");
+    let report = read(&dir, "txn/tail-report.md");
     assert!(report.contains("transaction"), "{report}");
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -149,13 +120,13 @@ fn closed_loop_journeys_keep_their_transaction_legs() {
 /// them. The one latency engine writes the same journey bytes either way.
 #[test]
 fn run_and_inspect_write_the_same_journey_bytes() {
-    let dir = scratch("sinks");
+    let dir = scratch("journeys-sinks");
     let args = "--design secded --rate 0.02 --ppn 10 --seed 3 --error-rate 5e-4 --journeys-every 3";
     ok(&dir, &format!("run {args} --out-dir a"));
     ok(&dir, &format!("inspect {args} --out-dir b"));
     let a = read(&dir, "a/journeys.jsonl");
     assert_eq!(a, read(&dir, "b/journeys.jsonl"));
-    assert!(String::from_utf8(a).expect("UTF-8 log").contains("hop_retx"));
+    assert!(a.contains("hop_retx"));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -163,7 +134,7 @@ fn run_and_inspect_write_the_same_journey_bytes() {
 /// of overflowing the analyzer.
 #[test]
 fn hostile_journeys_file_is_refused_naming_its_line() {
-    let dir = scratch("hostile");
+    let dir = scratch("journeys-hostile");
     let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/hostile_journeys.jsonl");
     let (code, _, err) = intellinoc(&dir, &format!("journeys {fixture}"));
     assert_ne!(code, 0, "a hostile log must fail");

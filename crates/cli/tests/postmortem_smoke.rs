@@ -4,33 +4,9 @@
 //! pinned, `postmortem` renders it to the same bytes twice, and the flight
 //! recorder leaves the campaign's table as it was without it.
 
-use std::path::{Path, PathBuf};
-use std::process::Command;
+mod common;
 
-/// A fresh scratch directory for one test.
-fn scratch(tag: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("intellinoc-postmortem-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
-
-/// Runs the `intellinoc` binary with `line` split on whitespace, in `cwd`:
-/// (exit code, stdout, stderr).
-fn intellinoc(cwd: &Path, line: &str) -> (i32, String, String) {
-    let out = Command::new(env!("CARGO_BIN_EXE_intellinoc"))
-        .args(line.split_whitespace())
-        .current_dir(cwd)
-        .output()
-        .expect("spawn intellinoc");
-    let text = |b: Vec<u8>| String::from_utf8_lossy(&b).into_owned();
-    (out.status.code().expect("exit code"), text(out.stdout), text(out.stderr))
-}
-
-fn read(dir: &Path, name: &str) -> Vec<u8> {
-    std::fs::read(dir.join(name)).unwrap_or_else(|e| panic!("read {name}: {e}"))
-}
+use common::{intellinoc, read, scratch};
 
 /// FNV-1a, 64 bit.
 fn fnv1a(text: &str) -> u64 {
@@ -44,7 +20,7 @@ const CAMPAIGN: &str = "campaign --ppn 4 --seed 3 --rate 0.01 --dead-links 0,1 -
 
 #[test]
 fn a_timed_out_cell_leaves_a_pinned_bundle_that_renders_stably() {
-    let dir = scratch("timeout");
+    let dir = scratch("postmortem-timeout");
     let (code, table, err) = intellinoc(&dir, &format!("{CAMPAIGN} --out-dir bb"));
     assert_eq!(code, 2, "a partial grid exits 2: {err}");
     let mut bundles: Vec<String> = std::fs::read_dir(dir.join("bb"))
@@ -57,7 +33,7 @@ fn a_timed_out_cell_leaves_a_pinned_bundle_that_renders_stably() {
     let bundle = format!("bb/{}", bundles[0]);
 
     // The recorder's counters and the event tail it was handed.
-    let text = String::from_utf8(read(&dir, &bundle)).expect("UTF-8 bundle");
+    let text = read(&dir, &bundle);
     let section: String = text
         .lines()
         .filter(|l| {
@@ -75,7 +51,7 @@ fn a_timed_out_cell_leaves_a_pinned_bundle_that_renders_stably() {
     }
     let report = read(&dir, "pm1/postmortem.md");
     assert_eq!(report, read(&dir, "pm2/postmortem.md"), "two renders of one bundle differ");
-    assert!(report.starts_with(b"# Post-mortem: timeout"), "{}", String::from_utf8_lossy(&report));
+    assert!(report.starts_with("# Post-mortem: timeout"), "{report}");
 
     // The black box does not perturb the grid.
     let (code, plain, err) = intellinoc(&dir, CAMPAIGN);

@@ -6,32 +6,10 @@
 //! campaign byte and notes its span warnings in the runner log. The last
 //! test keeps every wall-clock read of the simulator behind the probe.
 
+mod common;
+
+use common::{ok, read, scratch};
 use std::path::{Path, PathBuf};
-use std::process::Command;
-
-/// A fresh scratch directory for one test.
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("intellinoc-profile-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
-
-/// Runs the `intellinoc` binary with `line` split on whitespace, in `cwd`,
-/// and requires exit 0.
-fn ok(cwd: &Path, line: &str) {
-    let out = Command::new(env!("CARGO_BIN_EXE_intellinoc"))
-        .args(line.split_whitespace())
-        .current_dir(cwd)
-        .output()
-        .expect("spawn intellinoc");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(0), "{line}: {err}");
-}
-
-fn read(dir: &Path, name: &str) -> Vec<u8> {
-    std::fs::read(dir.join(name)).unwrap_or_else(|e| panic!("read {name}: {e}"))
-}
 
 /// The `ci` grid, open and closed loop: each span table is the same on a
 /// second run, the two differ (the workload flag used to be parsed and
@@ -39,7 +17,7 @@ fn read(dir: &Path, name: &str) -> Vec<u8> {
 /// `frames weight` lines with at least eight `step_cycle` sub-spans.
 #[test]
 fn ci_grid_span_tables_repeat_and_the_flamegraph_parses() {
-    let dir = scratch("ci");
+    let dir = scratch("profile-ci");
     let grid = "bench record --grid ci --name ci --profile --jobs 2";
     ok(&dir, &format!("{grid} --out-dir a"));
     ok(&dir, &format!("{grid} --out-dir b"));
@@ -50,7 +28,7 @@ fn ci_grid_span_tables_repeat_and_the_flamegraph_parses() {
     assert_eq!(closed, read(&dir, "rr_b/spans.txt"), "closed-loop span table differs");
     assert_ne!(read(&dir, "a/spans.txt"), closed, "reqreply profiled open-loop traffic");
 
-    let flame = String::from_utf8(read(&dir, "a/flame.folded")).expect("UTF-8 flamegraph");
+    let flame = read(&dir, "a/flame.folded");
     assert!(!flame.is_empty(), "empty flamegraph");
     for line in flame.lines() {
         let (frames, weight) = line.rsplit_once(' ').unwrap_or_else(|| panic!("malformed: {line}"));
@@ -67,15 +45,15 @@ fn ci_grid_span_tables_repeat_and_the_flamegraph_parses() {
 /// baseline, byte for byte.
 #[test]
 fn designs_grid_writes_the_committed_span_table() {
-    let dir = scratch("designs");
+    let dir = scratch("profile-designs");
     ok(&dir, "bench record --grid designs --profile --jobs 2 --out-dir d");
     let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
     for (written, committed) in
         [("d/spans.txt", "PROFILE_designs.txt"), ("d/BENCH_designs.json", "BENCH_designs.json")]
     {
-        let want = std::fs::read(format!("{root}/{committed}")).expect("read the committed file");
+        let want = read(Path::new(root), committed);
         let got = read(&dir, written);
-        assert!(got == want, "{committed} moved:\n{}", String::from_utf8_lossy(&got));
+        assert!(got == want, "{committed} moved:\n{got}");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -85,14 +63,14 @@ fn designs_grid_writes_the_committed_span_table() {
 /// profiled one carries the profiler's span warnings.
 #[test]
 fn profiling_perturbs_no_campaign_byte() {
-    let dir = scratch("campaign");
+    let dir = scratch("profile-campaign");
     let campaign = "campaign --ppn 4 --seed 3 --rate 0.01 --dead-links 0,1 --no-router-fail \
                     --flapping 0 --max-cycles 60000";
     ok(&dir, &format!("{campaign} --out-dir plain"));
     ok(&dir, &format!("{campaign} --profile --out-dir prof"));
     let csv = read(&dir, "plain/campaign.csv");
     assert_eq!(csv, read(&dir, "prof/campaign.csv"), "profiling moved the campaign");
-    let log = String::from_utf8(read(&dir, "prof/runner.jsonl")).expect("UTF-8 runner log");
+    let log = read(&dir, "prof/runner.jsonl");
     assert!(log.contains(r#""event":"profile-note""#), "no profile-note in the runner log");
     let _ = std::fs::remove_dir_all(&dir);
 }

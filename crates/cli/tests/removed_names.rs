@@ -70,6 +70,7 @@ const ROUND_TWO: &str = "consumer audit, round two";
 const DECLARED_ONCE: &str = "`figures` declares its runs once";
 const ONE_ACCOUNT: &str = "one account per grid";
 const ONE_FRONT_END: &str = "one front end";
+const ONE_LIBRARY: &str = "one library, one binary";
 
 /// Everything but the benchmark, which keeps its own names.
 const SOURCES: &[&str] = &["crates", "tests", "examples"];
@@ -83,11 +84,16 @@ const GRID_RENDERERS: &[&str] = &[
     "crates/cli/src",
 ];
 /// The evaluation's studies.
-const STUDIES: &[&str] = &["crates/bench/src/studies.rs"];
+const STUDIES: &[&str] = &["crates/core/src/figures/studies.rs"];
 /// The whole evaluation: the studies and the figure table.
-const EVALUATION: &[&str] = &["crates/bench/src"];
-/// The evaluation crate with its tests, and the workspace tests.
-const EVALUATION_AND_TESTS: &[&str] = &["crates/bench", "tests"];
+const EVALUATION: &[&str] = &["crates/core/src/figures.rs", "crates/core/src/figures"];
+/// The evaluation with its test, and the workspace tests.
+const EVALUATION_AND_TESTS: &[&str] = &[
+    "crates/core/src/figures.rs",
+    "crates/core/src/figures",
+    "crates/core/tests/unfinished_runs.rs",
+    "tests",
+];
 /// The CLI and the examples.
 const FRONT_ENDS: &[&str] = &["crates/cli/src", "examples"];
 
@@ -334,6 +340,12 @@ const REMOVED: &[Removed] = &[
     removed("target/release/figures", ONE_FRONT_END, Text, SOURCES),
     removed("--bin figures", ONE_FRONT_END, Text, SOURCES),
     removed("figures --list", ONE_FRONT_END, Text, SOURCES),
+    // One library, one binary: the evaluation is `intellinoc::figures`, the
+    // CLI is a binary only, and its tests drive that binary.
+    removed("intellinoc_bench", ONE_LIBRARY, Word, SOURCES),
+    removed("intellinoc-bench", ONE_LIBRARY, Word, SOURCES),
+    removed("intellinoc_cli", ONE_LIBRARY, Word, SOURCES),
+    removed("parse_design", ONE_LIBRARY, Word, SOURCES),
 ];
 
 fn is_ident(c: char) -> bool {

@@ -198,6 +198,15 @@ mod tests {
     }
 
     #[test]
+    fn design_names_roundtrip() {
+        for d in Design::ALL {
+            assert_eq!(Design::parse(&d.label().to_ascii_lowercase()).unwrap(), d);
+        }
+        assert_eq!(Design::parse("baseline").unwrap(), Design::Secded);
+        assert!(Design::parse("tpu").is_err());
+    }
+
+    #[test]
     fn only_intellinoc_uses_rl() {
         assert!(Design::IntelliNoc.uses_rl());
         assert!(Design::ALL.iter().filter(|d| d.uses_rl()).count() == 1);

@@ -1,39 +1,32 @@
-//! # intellinoc-bench
-//!
 //! The paper's evaluation (§7) as one table. [`FIGURES`] lists every
-//! experiment — Figs. 9–18, Table 2 and the extension studies — by the name
-//! DESIGN.md §3 and EXPERIMENTS.md use, each with the runs it reads and the
-//! function that writes its table from them. The crate is a library: the
-//! `intellinoc figures <name>… | all` command looks names up here, and
-//! `intellinoc list` prints them.
+//! experiment — Figs. 9–18, Table 2, the ablations and the extension
+//! studies — by the name DESIGN.md §3 and EXPERIMENTS.md use, each with the
+//! runs it reads and the function that writes its table from them; the
+//! `intellinoc figures <name>… | all` command looks names up here.
 //!
 //! A figure declares its runs once, as [`Cell`]s, and `figures` works in
 //! three steps: it collects the distinct cells of the selected figures
 //! ([`figure_cells`]), trains their distinct recipes as one
-//! [`intellinoc::pretrain_grid`] grid and runs every cell as one
-//! [`intellinoc::run_grid`] grid ([`evaluate`]), then writes each figure
-//! from its own cells' records ([`Figure::write`]). `--jobs N` parallelizes
-//! both grids without moving a byte of output. The campaign behind Figs.
-//! 9–16 and the probe, and the runs of Figs. 17a/17b, are PARSEC cells of
-//! [`intellinoc::BenchSpec`] grids ([`Campaign::cells`]): every design of a
-//! benchmark runs the same seed, so Figs. 9–16 normalize each benchmark to
-//! SECDED on the *same* traffic. The other studies' cells run at the seeds
-//! their studies pin; a cell's policy (`expert`) and Q-table soft errors
-//! (`qtable_flips`) are cell data like its seed.
-
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+//! [`pretrain_grid`] grid and runs every cell as one [`run_grid`] grid
+//! ([`evaluate`]), then writes each figure from its own cells' records
+//! ([`Figure::write`]; the renders in `figures/studies.rs` run nothing).
+//! `--jobs N` parallelizes both grids without moving a byte of output. The
+//! campaign behind Figs. 9–16 and the probe, and the runs of Figs.
+//! 17a/17b, are PARSEC cells of [`BenchSpec`] grids ([`Campaign::cells`]):
+//! every design of a benchmark runs the same seed, so Figs. 9–16 normalize
+//! each benchmark to SECDED on the *same* traffic. A cell's policy
+//! (`expert`) and Q-table soft errors (`qtable_flips`) are cell data like
+//! its seed.
 
 mod csv;
 mod studies;
 
-pub use csv::{write_campaign_csv, write_raw_csv, METRIC_COLUMNS};
-pub use intellinoc::Pretraining;
+pub use csv::{write_campaign_csv, write_raw_csv};
 pub use studies::print_headline;
 
-use intellinoc::{
+use crate::{
     compare, pretrain_grid, pretraining_key, run_grid, BenchSpec, BenchWorkload, ChaosOptions,
-    ComparisonRow, Design, ExperimentConfig, ExperimentOutcome, NormalizedMetrics, RunStatus,
+    ComparisonRow, Design, ExperimentConfig, ExperimentOutcome, NormalizedMetrics, Pretraining,
     RunnerConfig, RunnerReport, UnitRecord, UnitSinks,
 };
 use noc_rl::{QLearningConfig, QTable};
@@ -72,9 +65,9 @@ impl Default for Campaign {
     fn default() -> Self {
         Campaign {
             packets_per_node: CAMPAIGN_PACKETS_PER_NODE,
-            time_step: intellinoc::DEFAULT_TIME_STEP,
+            time_step: crate::DEFAULT_TIME_STEP,
             seed: 2019,
-            rl: intellinoc::intellinoc_rl_config(),
+            rl: crate::intellinoc_rl_config(),
         }
     }
 }
@@ -101,7 +94,7 @@ impl Campaign {
             reqreply: None,
         };
         let step = match self.time_step {
-            intellinoc::DEFAULT_TIME_STEP => String::new(),
+            crate::DEFAULT_TIME_STEP => String::new(),
             step => format!("/ts{step}"),
         };
         let stamp = |(key, cfg): (String, ExperimentConfig)| {
@@ -144,20 +137,10 @@ fn design_columns(w: &mut dyn Write, lead: &str) -> io::Result<()> {
 }
 
 /// The outcomes of `records`, in order — the rule for a table read off
-/// runs, which needs them all — or the first unit that did not finish `ok`,
-/// named by its key.
+/// runs, which needs them all — or the first unit that did not finish `ok`
+/// ([`UnitRecord::ok_payload`]).
 fn ok_outcomes<'r>(records: &[&'r Record]) -> io::Result<Vec<&'r ExperimentOutcome>> {
-    let ok = |r: &&'r Record| match (r.status, &r.payload) {
-        (RunStatus::Ok, Some(outcome)) => Ok(outcome),
-        _ => Err(unit_error(r)),
-    };
-    records.iter().map(ok).collect()
-}
-
-/// The error naming a unit that did not finish `ok`.
-fn unit_error(r: &Record) -> io::Error {
-    let why = r.error.as_ref().map_or(String::new(), |e| format!(": {e}"));
-    io::Error::other(format!("unit {} {}{why}", r.key, r.status.label()))
+    records.iter().map(|r| r.ok_payload().map_err(io::Error::other)).collect()
 }
 
 impl CampaignResults {
@@ -205,7 +188,7 @@ impl CampaignResults {
 
     /// Geometric-mean value of a metric for one design across benchmarks.
     pub fn average(&self, design: Design, metric: fn(&NormalizedMetrics) -> f64) -> f64 {
-        intellinoc::geomean(&self.rows, design, metric)
+        crate::geomean(&self.rows, design, metric)
     }
 }
 
@@ -487,7 +470,7 @@ pub const FIGURES: &[Figure] = &[
     Figure {
         name: "load_sweep",
         about: "latency vs offered load, 8 rates x 5 designs on uniform traffic (seed 42)",
-        cells: |_| studies::load_sweep_cells(),
+        cells: |_| studies::load_cells(),
         render: studies::load_sweep,
     },
     Figure {
@@ -645,7 +628,7 @@ mod tests {
         let err = report.expect("engine").clean_payloads().expect_err("a panicked unit");
         assert!(err.contains("unit study/flips failed: "), "{err}");
         // A recipe unit is held to the same standard, by its `pretrain/…` key.
-        let recipe = (intellinoc::intellinoc_rl_config(), 4, 50, 2019, 1);
+        let recipe = (crate::intellinoc_rl_config(), 4, 50, 2019, 1);
         let chaos = ChaosOptions { panic_units: Some("pretrain/".into()), ..Default::default() };
         let report = pretrain_grid(&[recipe], &rcfg, &chaos);
         let err = report.expect("engine").clean_payloads().expect_err("a panicked unit");
@@ -667,7 +650,7 @@ mod tests {
         let outcomes = report.clean_payloads().expect("clean grid");
         for (side, o) in sides.iter().zip(&outcomes) {
             let routers = side * side;
-            let steps = (o.report.stats.cycles - 1) / intellinoc::DEFAULT_TIME_STEP;
+            let steps = (o.report.stats.cycles - 1) / crate::DEFAULT_TIME_STEP;
             assert!(steps > 0, "{side}x{side} ran {} cycles", o.report.stats.cycles);
             assert_eq!(o.mode_histogram.iter().sum::<u64>(), routers * steps, "{side}x{side}");
             assert_eq!(o.report.stats.packets_delivered, routers * 40, "{side}x{side}");
@@ -699,7 +682,7 @@ mod tests {
         let selected: Vec<&Figure> = entries.map(entry).to_vec();
         let cells = figure_cells(&selected, &campaign).expect("one run per key");
         let stand_in = vec![QTable::new(5, 350); 64];
-        let tables: Vec<_> = [intellinoc::DEFAULT_TIME_STEP, 200, 500, 10_000]
+        let tables: Vec<_> = [crate::DEFAULT_TIME_STEP, 200, 500, 10_000]
             .map(|time_step| {
                 (Campaign { time_step, ..campaign }.pretraining(), stand_in.as_slice())
             })

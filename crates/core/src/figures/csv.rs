@@ -2,12 +2,12 @@
 //! (gnuplot/matplotlib reproduce the paper's bar charts directly from
 //! these files).
 
-use crate::CampaignResults;
-use intellinoc::NormalizedMetrics;
+use super::CampaignResults;
+use crate::NormalizedMetrics;
 use std::io::{self, Write};
 
 /// The per-figure metric columns exported by [`write_campaign_csv`].
-pub const METRIC_COLUMNS: [&str; 8] = [
+const METRIC_COLUMNS: [&str; 8] = [
     "speedup",
     "latency",
     "static_power",
@@ -93,7 +93,7 @@ pub fn write_raw_csv<W: Write>(mut w: W, results: &CampaignResults) -> io::Resul
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tests::tiny_results as tiny;
+    use crate::figures::tests::tiny_results as tiny;
 
     #[test]
     fn normalized_csv_shape() {

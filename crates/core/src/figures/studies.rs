@@ -1,15 +1,14 @@
-//! The studies behind [`crate::FIGURES`]: each declares the cells it reads
-//! and writes its table(s) from their records, in the order it declared
-//! them; none runs anything. Seeds are the ones each study pins. A run that
-//! did not finish is an error naming its unit, or (`ablations`,
+//! The studies behind [`FIGURES`](super::FIGURES): each declares the cells
+//! it reads and writes its table(s) from their records, in the order it
+//! declared them; none runs anything. Seeds are the ones each study pins. A
+//! run that did not finish is an error naming its unit, or (`ablations`,
 //! `resilience`) a status row — never numbers.
 
-use crate::Pretraining;
-use crate::{design_columns, ok_outcomes, unit_error, Campaign, CampaignResults, Cell, Record};
-use intellinoc::RewardKind::{Linear, LogSpace};
-use intellinoc::{
+use super::{design_columns, ok_outcomes, Campaign, CampaignResults, Cell, Record};
+use crate::RewardKind::{Linear, LogSpace};
+use crate::{
     campaign_scenarios, intellinoc_rl_config, CampaignConfig, CampaignRunReport, Design,
-    ExperimentConfig, ExpertThresholds, NormalizedMetrics, RewardKind, RunnerReport,
+    ExperimentConfig, ExpertThresholds, NormalizedMetrics, Pretraining, RewardKind, RunnerReport,
 };
 use noc_ecc::EccScheme;
 use noc_power::{AreaBreakdown, AreaModel};
@@ -336,7 +335,9 @@ pub(crate) fn ablations(records: &[&Record], w: &mut dyn Write) -> io::Result<()
     writeln!(w, "=== Ablations (IntelliNoC on canneal; see DESIGN.md Section 6) ===")?;
     for ((heading, tag, ..), rec) in ABLATIONS.iter().zip(records) {
         write!(w, "{heading}")?;
-        let Some(o) = &rec.payload else { return Err(unit_error(rec)) };
+        // A run cut off with a payload is a row; one without is an error.
+        let o = rec.payload.as_ref().map_or_else(|| rec.ok_payload(), Ok);
+        let o = o.map_err(io::Error::other)?;
         let r = &o.report;
         match &rec.timeout {
             None => writeln!(
@@ -527,7 +528,7 @@ const LOAD_RATES: [f64; 8] = [0.005, 0.01, 0.02, 0.04, 0.06, 0.08, 0.10, 0.12];
 
 /// The load sweep's runs: every design at each rate, rate-major, every cell
 /// at seed 42.
-pub(crate) fn load_sweep_cells() -> Vec<Cell> {
+pub(crate) fn load_cells() -> Vec<Cell> {
     let at_rate = |rate: f64| {
         Design::ALL.map(|design| {
             let workload = WorkloadSpec::uniform(rate, 60);

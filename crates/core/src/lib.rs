@@ -20,8 +20,9 @@
 //!
 //! This crate is the *policy* layer: operation modes, the RL/heuristic
 //! controllers, the five comparison [`Design`]s (SECDED baseline, EB, CP,
-//! CPD, IntelliNoC), and the experiment façade. The cycle-accurate
-//! *mechanisms* live in [`noc_sim`] and the other substrate crates.
+//! CPD, IntelliNoC), the experiment façade and its grids, and the paper's
+//! evaluation ([`figures`]). The cycle-accurate *mechanisms* live in
+//! [`noc_sim`] and the other substrate crates.
 //!
 //! # Quickstart
 //!
@@ -44,6 +45,7 @@ mod controller;
 mod designs;
 mod experiment;
 mod expert;
+pub mod figures;
 mod inspect;
 mod metrics;
 mod modes;

@@ -278,6 +278,22 @@ pub struct UnitRecord<T> {
     pub bundle: Option<(BundleCause, PathBuf)>,
 }
 
+impl<T> UnitRecord<T> {
+    /// The payload of a unit that finished `ok`: the one rule for a result
+    /// that needs every run it reads (a baseline, a figure).
+    ///
+    /// # Errors
+    ///
+    /// Names the unit by key and status, with its error if it failed.
+    pub(crate) fn ok_payload(&self) -> Result<&T, String> {
+        if let (RunStatus::Ok, Some(payload)) = (self.status, &self.payload) {
+            return Ok(payload);
+        }
+        let why = self.error.as_ref().map_or(String::new(), |e| format!(": {e}"));
+        Err(format!("unit {} {}{why}", self.key, self.status.label()))
+    }
+}
+
 /// Status tallies across a whole grid.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StatusCounts {
@@ -322,23 +338,14 @@ impl<T> RunnerReport<T> {
     }
 
     /// Every unit's payload, in canonical order: the one rule for a result
-    /// folded over a whole grid (a baseline, a figure), which needs them all.
+    /// folded over a whole grid, which needs them all.
     ///
     /// # Errors
     ///
     /// Names the first unit that did not finish `ok`, with the summary.
     pub fn clean_payloads(&self) -> Result<Vec<&T>, String> {
-        let unclean = |r: &UnitRecord<T>| {
-            let why = r.error.as_ref().map_or(String::new(), |e| format!(": {e}"));
-            format!("unit {} {}{why} (grid not clean: {})", r.key, r.status.label(), self.summary())
-        };
-        self.records
-            .iter()
-            .map(|r| match (r.status, &r.payload) {
-                (RunStatus::Ok, Some(payload)) => Ok(payload),
-                _ => Err(unclean(r)),
-            })
-            .collect()
+        let unclean = |e| format!("{e} (grid not clean: {})", self.summary());
+        self.records.iter().map(|r| r.ok_payload().map_err(unclean)).collect()
     }
 
     /// Payloads of successfully completed units, in canonical order.

@@ -4,8 +4,8 @@
 //! 2`) as `exec=… power=…` rows; the test states the invariant rather than
 //! that deadlock, so it keeps passing once those rows finish.
 
+use intellinoc::figures::{evaluate, Campaign, FIGURES};
 use intellinoc::{run_experiment, Design, ExperimentConfig, RewardKind};
-use intellinoc_bench::{evaluate, Campaign, FIGURES};
 use noc_ecc::EccScheme;
 use noc_sim::SimConfig;
 use noc_traffic::ParsecBenchmark;

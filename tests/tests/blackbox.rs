@@ -1,8 +1,9 @@
 //! Integration tests for the `noc-blackbox` flight recorder: post-mortem
 //! bundle dumps from the execution engine for every death cause, render
 //! determinism, the recorder's zero-perturbation guarantee, and alert rules
-//! firing end-to-end (structured events, `noc_alert_*` metrics, and the
-//! CLI's critical-alert bundle dump).
+//! firing end-to-end (structured events and `noc_alert_*` metrics). The
+//! CLI's critical-alert bundle dump is tested through the binary, in
+//! `crates/cli/tests/blackbox.rs`.
 
 use intellinoc::{
     run_campaign_runner, run_experiment_instrumented, run_units, CampaignConfig, ChaosOptions,
@@ -337,48 +338,4 @@ fn alert_rules_fire_end_to_end_without_perturbing_the_run() {
         serde_json::to_string(&outcome.report).unwrap(),
         "alert evaluation changed the simulation outcome"
     );
-}
-
-/// The CLI `run` path: a critical rule breached mid-run triggers a
-/// flight-recorder bundle dump into `--out-dir`, and the bundle
-/// renders deterministically. A non-critical rule must not dump.
-#[test]
-fn cli_run_dumps_critical_alert_bundle() {
-    use intellinoc_cli::args::Args;
-    use intellinoc_cli::commands;
-
-    let dir = temp_dir("cli-critical");
-    let argv = |rules: &str, dir: &PathBuf| {
-        Args::parse(
-            [
-                "run",
-                "--design",
-                "secded",
-                "--rate",
-                "0.01",
-                "--ppn",
-                "4",
-                "--seed",
-                "3",
-                "--alert-rules",
-                rules,
-                "--out-dir",
-                dir.to_str().unwrap(),
-            ]
-            .map(String::from),
-        )
-    };
-    commands::run(&argv("noc_packets_total>10:critical", &dir)).unwrap();
-    let files = bundle_files(&dir);
-    assert_eq!(files, vec!["postmortem-run_SECDED.jsonl"], "critical alert must dump a bundle");
-    let text = std::fs::read_to_string(dir.join(&files[0])).unwrap();
-    let bundle = parse_bundle(&text).unwrap();
-    let r1 = render_report(&bundle);
-    assert_eq!(r1, render_report(&parse_bundle(&text).unwrap()));
-    assert!(r1.contains("alert"), "bundle cause must be the alert:\n{r1}");
-
-    // The same run with the rule downgraded to advisory leaves no bundle.
-    let quiet = temp_dir("cli-advisory");
-    commands::run(&argv("noc_packets_total>10", &quiet)).unwrap();
-    assert!(bundle_files(&quiet).is_empty(), "non-critical alerts must not dump bundles");
 }

@@ -1,8 +1,8 @@
 //! Smoke tests for the figure harness: a miniature campaign produces
 //! well-formed, normalizable results for every figure's metric.
 
+use intellinoc::figures::{run_cells, Campaign, CampaignResults};
 use intellinoc::{geomean, Design, ExperimentOutcome};
-use intellinoc_bench::{run_cells, Campaign, CampaignResults};
 use noc_traffic::ParsecBenchmark;
 
 /// Two benchmarks at 8 packets per node, IntelliNoC not pre-trained.
