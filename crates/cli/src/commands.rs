@@ -355,12 +355,12 @@ fn print_outcome(o: &ExperimentOutcome, json: bool) -> Result<(), String> {
 
 /// Builds the run's telemetry switches from the command line.
 ///
-/// Tracing turns on with `--trace` or `--trace-filter`, profiling with
-/// `--profile`, journey tracing with `--journeys-every N` (which needs
-/// `--out-dir`).
-fn telemetry_from(args: &Args) -> Result<TelemetryOptions, String> {
+/// Tracing turns on with `--trace` or `--trace-filter` (whose router ids
+/// must lie in `design`'s mesh), profiling with `--profile`, journey
+/// tracing with `--journeys-every N` (which needs `--out-dir`).
+fn telemetry_from(args: &Args, design: Design) -> Result<TelemetryOptions, String> {
     let trace_filter = match args.get("trace-filter") {
-        Some(spec) => TraceFilter::parse(spec)?,
+        Some(spec) => TraceFilter::parse(spec, design.sim_config().nodes() as u32)?,
         None => TraceFilter::default(),
     };
     Ok(TelemetryOptions {
@@ -431,7 +431,7 @@ pub fn run(args: &Args) -> CmdResult {
         .with_time_step(time_step_from(args)?);
     cfg.error_rate_override = error_rate_from(args)?;
     let out = OutDir::from(args, "run")?;
-    cfg.telemetry = telemetry_from(args)?;
+    cfg.telemetry = telemetry_from(args, design)?;
     let (outcome, artifacts) = run_recorded(cfg, out.as_ref())?;
     print_outcome(&outcome, args.has_flag("json"))?;
     emit_telemetry(out.as_ref(), &artifacts)?;
@@ -514,7 +514,7 @@ pub fn inspect(args: &Args) -> CmdResult {
         .with_time_step(time_step_from(args)?);
     cfg.error_rate_override = error_rate_from(args)?;
     let out = OutDir::from(args, "inspect")?;
-    cfg.telemetry = telemetry_from(args)?;
+    cfg.telemetry = telemetry_from(args, design)?;
     cfg.telemetry.attribution = true;
     cfg.telemetry.decisions = design.uses_rl();
     let (outcome, artifacts) = run_recorded(cfg, out.as_ref())?;
@@ -668,6 +668,12 @@ pub fn campaign(args: &Args) -> CmdResult {
     cfg.flapping = args.get_or("flapping", cfg.flapping)?;
     check_fault_counts(&cfg)?;
     cfg.reqreply = reqreply_from(args)?;
+    let assert_delivery = match args.get("assert-delivery") {
+        Some(t) => Some(t.parse().ok().filter(|v| (0.0..=1.0).contains(v)).ok_or_else(|| {
+            format!("--assert-delivery takes a delivery rate in [0, 1], got {t}")
+        })?),
+        None => None,
+    };
     let (runner, epilogue) = run_grid_command(args, "campaign", &cfg.cells())?;
     let report = CampaignRunReport { config: cfg, runner };
     if args.has_flag("json") {
@@ -693,9 +699,7 @@ pub fn campaign(args: &Args) -> CmdResult {
     if report.config.reqreply.is_some() {
         eprintln!("campaign: transaction-conservation auditor clean");
     }
-    if let Some(threshold) = args.get("assert-delivery") {
-        let threshold: f64 =
-            threshold.parse().map_err(|_| format!("invalid --assert-delivery: {threshold}"))?;
+    if let Some(threshold) = assert_delivery {
         let min = report.min_delivery_rate();
         if min < threshold {
             return Err(format!("delivery rate {min:.4} fell below the required {threshold:.4}"));

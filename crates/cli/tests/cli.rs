@@ -1,11 +1,10 @@
 //! The CLI, driven through the binary: exit codes, the option rules and
-//! their messages, each command's artifacts, journals a parent build wrote,
+//! their messages, each command's artifacts, journals written before seals,
 //! and the `serve` daemon through kill -9 and every chaos kill point.
 
 mod common;
 
 use common::{intellinoc, ok, read, scratch, BIN};
-use intellinoc::Design;
 
 #[test]
 fn run_command_executes_end_to_end() {
@@ -69,6 +68,8 @@ fn a_zero_time_step_exits_1_naming_the_flag() {
 /// used to spin to their cycle budget (`sweep`, `campaign`) or report zero
 /// packets as a success (`run`, `inspect`). A packet budget of 0 per node
 /// injects nothing either, and is refused by every command that takes one.
+/// So are a campaign's delivery threshold outside [0, 1], a trace filter
+/// naming a router outside the mesh and a bench baseline below 3 seeds.
 #[test]
 fn a_rate_outside_0_1_exits_1_with_the_rate_rule() {
     let mut cases = Vec::new();
@@ -93,12 +94,33 @@ fn a_rate_outside_0_1_exits_1_with_the_rate_rule() {
     ] {
         cases.push((cmd, "invalid --ppn: packets per node must be at least 1, got 0"));
     }
+    // A delivery threshold is checked before the grid runs: no unit runs,
+    // so the campaign's --out-dir gets no runner.jsonl.
+    let out = scratch("refused-threshold");
+    for bad in ["nan", "2", "abc"] {
+        cases.push((
+            format!("campaign --ppn 2 --out-dir {} --assert-delivery {bad}", out.display()),
+            "--assert-delivery takes a delivery rate in [0, 1], got ",
+        ));
+    }
+    for cmd in ["run --design secded", "inspect"] {
+        cases.push((
+            format!("{cmd} --rate 0.02 --ppn 2 --trace-filter router=9999"),
+            "trace filter router 9999 is outside the mesh of 64 routers",
+        ));
+    }
+    cases.push((
+        "bench record --designs secded --rates 0.05 --seeds 2 --ppn 2".to_owned(),
+        "a baseline needs at least 3 seeds per cell for its 95% interval, got 2",
+    ));
     for (cmd, rule) in cases {
         let (code, _, stderr) = intellinoc(".", &cmd);
         assert_eq!(code, 1, "{cmd}: {stderr}");
         assert!(stderr.contains(rule), "{cmd}: {stderr}");
     }
     assert!(!trace.exists(), "a refused capture writes no trace");
+    assert!(!out.join("runner.jsonl").exists(), "a refused campaign runs no unit");
+    let _ = std::fs::remove_dir_all(&out);
 }
 
 /// A campaign refuses a fault count above the 8×8 mesh's 112 links, which
@@ -145,69 +167,26 @@ fn unused_options_are_reported_not_silently_ignored() {
     assert_eq!(stderr.matches("warning:").count(), 2, "{stderr}");
 }
 
-/// A journal the parent build wrote (its records still carry `attempts`)
-/// resumes to the merged report of a fresh run, every unit reused from it:
-/// the serialized report and the rendered table are byte-identical.
+/// A journal written before lines were sealed is refused on `--resume` with
+/// an error that names the file and says to delete it; no unit runs.
 #[test]
-fn a_parent_written_journal_resumes_to_the_fresh_report() {
-    use intellinoc::{load_sweep_cells, run_grid, ChaosOptions, RunnerConfig, UnitSinks};
-
-    let dir = scratch("parent-journal");
-    let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/parent_sweep_journal.jsonl");
+fn an_unsealed_journal_is_refused_on_resume_naming_the_file() {
+    let dir = scratch("unsealed-journal");
     let journal = dir.join("j.jsonl");
-    let cells = load_sweep_cells(Design::Secded, &[0.01, 0.02, 0.04], 2, 7, None);
-    let grid = |rcfg: &RunnerConfig| {
-        run_grid(&cells, rcfg, &ChaosOptions::default(), UnitSinks::default()).unwrap()
-    };
-    std::fs::copy(fixture, &journal).unwrap();
-    let resume =
-        RunnerConfig { journal: Some(journal.clone()), resume: true, ..Default::default() };
-    let resumed = grid(&resume);
-    assert!(resumed.records.iter().all(|r| r.from_journal), "every unit comes from the journal");
-    let json = |r| serde_json::to_string(r).unwrap();
-    assert_eq!(json(&resumed), json(&grid(&RunnerConfig::serial())));
-
-    std::fs::copy(fixture, &journal).unwrap();
-    let sweep = "sweep --design secded --rates 0.01,0.02,0.04 --ppn 2 --seed 7";
-    let (code, fresh, _) = intellinoc(".", sweep);
-    assert_eq!(code, 0);
-    let (code, resumed, stderr) =
-        intellinoc(".", &format!("{sweep} --journal {} --resume", journal.display()));
-    assert_eq!((code, resumed.as_str()), (0, fresh.as_str()), "{stderr}");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// A parent-written journal missing two units resumes twice: the first
-/// resume runs them and appends sealed records to the unsealed log, the
-/// second reads both kinds back and reuses every unit. Both merged reports
-/// equal a fresh run's.
-#[test]
-fn a_parent_written_journal_resumed_twice_reuses_what_the_first_resume_appended() {
-    use intellinoc::{load_sweep_cells, run_grid, ChaosOptions, RunnerConfig, UnitSinks};
-
-    let dir = scratch("parent-resume2");
-    let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/parent_sweep_journal.jsonl");
-    let journal = dir.join("j.jsonl");
-    let text = std::fs::read_to_string(fixture).unwrap();
-    let kept: String = text.lines().take(2).map(|l| l.to_owned() + "\n").collect();
-    std::fs::write(&journal, kept).unwrap();
-
-    let cells = load_sweep_cells(Design::Secded, &[0.01, 0.02, 0.04], 2, 7, None);
-    let grid = |rcfg: &RunnerConfig| {
-        run_grid(&cells, rcfg, &ChaosOptions::default(), UnitSinks::default()).unwrap()
-    };
-    let fresh = grid(&RunnerConfig::serial());
-    let json = |r| serde_json::to_string(r).unwrap();
-    let fresh = json(&fresh);
-    let resume =
-        RunnerConfig { journal: Some(journal.clone()), resume: true, ..Default::default() };
-    let first = grid(&resume);
-    let reused: Vec<bool> = first.records.iter().map(|r| r.from_journal).collect();
-    assert_eq!(reused, [true, false, false]);
-    assert_eq!(json(&first), fresh);
-    let second = grid(&resume);
-    assert!(second.records.iter().all(|r| r.from_journal), "every unit comes from the journal");
-    assert_eq!(json(&second), fresh);
+    let sweep = format!(
+        "sweep --design secded --rates 0.01,0.02 --ppn 2 --seed 7 --journal {}",
+        journal.display()
+    );
+    ok(".", &sweep);
+    let sealed = std::fs::read_to_string(&journal).unwrap();
+    let unsealed: String =
+        sealed.lines().map(|l| format!("{}\n", l.rsplit_once('\t').unwrap().0)).collect();
+    std::fs::write(&journal, &unsealed).unwrap();
+    let (code, out, err) = intellinoc(".", &format!("{sweep} --resume"));
+    assert_eq!((code, out.as_str()), (1, ""), "{err}");
+    assert!(err.contains(&journal.display().to_string()), "{err}");
+    assert!(err.contains("before lines were sealed") && err.contains("delete it"), "{err}");
+    assert_eq!(std::fs::read_to_string(&journal).unwrap(), unsealed, "the log is left alone");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -331,7 +310,7 @@ fn profile_honours_the_closed_loop_workload() {
         ok(
             &dir,
             &format!(
-                "bench record --designs secded --rates 0.02 --seeds 1 --ppn 4 --seed 5 \
+                "bench record --designs secded --rates 0.02 --seeds 3 --ppn 4 --seed 5 \
                  {workload} --profile --out-dir {name}"
             ),
         );

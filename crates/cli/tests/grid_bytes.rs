@@ -106,7 +106,7 @@ fn bench_baseline_and_keys_are_pinned() {
     let dir = scratch("grid-bytes-bench");
     let (code, stdout, _) = intellinoc(
         &dir,
-        "bench record --designs secded,intellinoc --rates 0.05 --seeds 2 --ppn 8 --seed 11 \
+        "bench record --designs secded,intellinoc --rates 0.05 --seeds 3 --ppn 8 --seed 11 \
          --name pin --out-dir o --journal j.jsonl",
     );
     assert_eq!(code, 0);
@@ -115,8 +115,8 @@ fn bench_baseline_and_keys_are_pinned() {
     assert_eq!(
         stdout,
         "cell                          avg_lat      p99_lat energy_pJ/flit\n\
-         SECDED@0.05                49.83±25.33  138.52±169.92    63.685±5.161\n\
-         IntelliNoC@0.05            40.49±1.04   82.17±27.88    41.493±0.163\n"
+         SECDED@0.05                50.21±5.22  142.93±38.25    63.559±1.145\n\
+         IntelliNoC@0.05            40.05±1.91   81.21±6.85    41.344±0.639\n"
     );
     // The serial journal holds one line per unit after its header, in
     // canonical (design-major, rate, seed) order.
@@ -131,8 +131,10 @@ fn bench_baseline_and_keys_are_pinned() {
         [
             "bench/SECDED/r0.05/s0",
             "bench/SECDED/r0.05/s1",
+            "bench/SECDED/r0.05/s2",
             "bench/IntelliNoC/r0.05/s0",
             "bench/IntelliNoC/r0.05/s1",
+            "bench/IntelliNoC/r0.05/s2",
         ]
     );
     assert_eq!(derive_seed(11, "bench/SECDED/r0.05/s0"), 0x03ce_285b_6346_b316);

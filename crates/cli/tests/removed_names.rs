@@ -71,6 +71,7 @@ const DECLARED_ONCE: &str = "`figures` declares its runs once";
 const ONE_ACCOUNT: &str = "one account per grid";
 const ONE_FRONT_END: &str = "one front end";
 const ONE_LIBRARY: &str = "one library, one binary";
+const PRODUCTION_CALLER: &str = "every path has a production caller";
 
 /// Everything but the benchmark, which keeps its own names.
 const SOURCES: &[&str] = &["crates", "tests", "examples"];
@@ -328,7 +329,6 @@ const REMOVED: &[Removed] = &[
     removed("Evaluation", DECLARED_ONCE, Word, EVALUATION_AND_TESTS),
     removed("declared_recipes", DECLARED_ONCE, Word, SOURCES),
     removed("run_grid(", DECLARED_ONCE, Text, STUDIES),
-    removed("run_campaign_runner(", DECLARED_ONCE, Text, STUDIES),
     removed("pretrain_grid(", DECLARED_ONCE, Text, STUDIES),
     removed(".outcomes(", DECLARED_ONCE, Text, STUDIES),
     // The unit record is a grid's one account: the runner log is rendered
@@ -346,6 +346,18 @@ const REMOVED: &[Removed] = &[
     removed("intellinoc-bench", ONE_LIBRARY, Word, SOURCES),
     removed("intellinoc_cli", ONE_LIBRARY, Word, SOURCES),
     removed("parse_design", ONE_LIBRARY, Word, SOURCES),
+    // Every path has a production caller: the retransmission budget and the
+    // stall window are never 0 (`SimConfig::validate` refuses it), a log
+    // line without a seal is never read, no bundle is a chaos kill's, and
+    // a grid's tests run it through `run_grid` as the CLI does.
+    removed("max_retx == 0", PRODUCTION_CALLER, Text, &["crates/sim/src"]),
+    removed("max_retx > 0", PRODUCTION_CALLER, Text, &["crates/sim/src"]),
+    removed("window == 0", PRODUCTION_CALLER, Text, &["crates/sim/src"]),
+    removed("Ok(*line)", PRODUCTION_CALLER, Text, &["crates/core/src/runner.rs"]),
+    removed("BundleCause::Chaos", PRODUCTION_CALLER, End, SOURCES),
+    removed("record_bench", PRODUCTION_CALLER, Word, SOURCES),
+    removed("run_campaign_runner", PRODUCTION_CALLER, Word, SOURCES),
+    removed("parent_sweep_journal", PRODUCTION_CALLER, Text, SOURCES),
 ];
 
 fn is_ident(c: char) -> bool {

@@ -20,8 +20,8 @@
 //! throughput is `BENCHMARK.json`'s business, not a baseline's.
 
 use crate::designs::Design;
-use crate::experiment::{rate_workload, run_grid, ExperimentConfig, ExperimentOutcome, UnitSinks};
-use crate::runner::{derive_seed, ChaosOptions, RunnerConfig, RunnerReport};
+use crate::experiment::{rate_workload, ExperimentConfig, ExperimentOutcome};
+use crate::runner::{derive_seed, RunnerReport};
 use crate::serve::MAX_JOB_UNITS;
 use noc_sim::{RunReport, FLITS_PER_PACKET};
 use noc_traffic::{ParsecBenchmark, ReqReplySpec};
@@ -31,6 +31,23 @@ use std::fmt;
 /// Serialized baseline format version (bumped on incompatible changes;
 /// version 2 states `ci95` at Student's t width).
 pub const BENCH_FORMAT_VERSION: u32 = 2;
+
+/// Fewest seeds a baseline cell is recorded over: at 1 its 95% interval
+/// is 0 wide, at 2 Student's t (12.7) makes it wider than
+/// `--force-regress`'s +25%, so the gate could not fire.
+const MIN_BASELINE_SEEDS: u32 = 3;
+
+/// Refuses a baseline spec below [`MIN_BASELINE_SEEDS`] seeds per cell.
+fn check_baseline_seeds(spec: &BenchSpec) -> Result<(), String> {
+    if spec.seeds < MIN_BASELINE_SEEDS {
+        return Err(format!(
+            "a baseline needs at least {MIN_BASELINE_SEEDS} seeds per cell for its 95% \
+             interval, got {}",
+            spec.seeds
+        ));
+    }
+    Ok(())
+}
 
 /// Relative-delta floor below which a CI separation is attributed to float
 /// noise rather than a real shift (deterministic re-runs give exactly
@@ -366,8 +383,8 @@ impl BenchBaseline {
     ///
     /// # Errors
     ///
-    /// Returns an error for malformed JSON, a format-version mismatch or a
-    /// spec that fails [`BenchSpec::validate`].
+    /// Returns an error for malformed JSON, a format-version mismatch, a
+    /// spec that fails [`BenchSpec::validate`] or one of fewer than 3 seeds.
     pub fn from_json(json: &str) -> Result<Self, String> {
         let b: BenchBaseline =
             serde_json::from_str(json).map_err(|e| format!("malformed baseline: {e}"))?;
@@ -377,7 +394,10 @@ impl BenchBaseline {
                 b.format_version, BENCH_FORMAT_VERSION
             ));
         }
-        b.spec.validate().map_err(|e| format!("baseline spec: {e}"))?;
+        b.spec
+            .validate()
+            .and_then(|()| check_baseline_seeds(&b.spec))
+            .map_err(|e| format!("baseline spec: {e}"))?;
         Ok(b)
     }
 
@@ -386,13 +406,15 @@ impl BenchBaseline {
     ///
     /// # Errors
     ///
-    /// As [`BenchSpec::runs`]: a baseline is never recorded over an invalid
-    /// spec or over failed or timed-out cells.
+    /// A baseline is never recorded over fewer than 3 seeds, and, as
+    /// [`BenchSpec::runs`], never over an invalid spec or over failed or
+    /// timed-out cells.
     pub fn from_report(
         name: &str,
         spec: &BenchSpec,
         report: &RunnerReport<ExperimentOutcome>,
     ) -> Result<Self, String> {
+        check_baseline_seeds(spec)?;
         let cells = spec
             .runs(report)?
             .into_iter()
@@ -428,24 +450,6 @@ impl BenchBaseline {
             cells,
         })
     }
-}
-
-/// Runs the grid ([`BenchSpec::cells`] through [`run_grid`]) and folds it
-/// into a baseline; every unit feeds `sinks`, which never move the recorded
-/// (cycle-domain) metrics.
-///
-/// # Errors
-///
-/// Engine failures (duplicate keys, journal I/O), and as
-/// [`BenchBaseline::from_report`].
-pub fn record_bench(
-    name: &str,
-    spec: &BenchSpec,
-    rcfg: &RunnerConfig,
-    chaos: &ChaosOptions,
-    sinks: UnitSinks<'_>,
-) -> Result<BenchBaseline, String> {
-    BenchBaseline::from_report(name, spec, &run_grid(&spec.cells(), rcfg, chaos, sinks)?)
 }
 
 /// Gating switches for [`compare_bench`].
@@ -632,21 +636,25 @@ pub fn compare_bench(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::{run_grid, UnitSinks};
+    use crate::runner::{ChaosOptions, RunnerConfig};
 
     fn tiny_spec() -> BenchSpec {
         BenchSpec {
             designs: vec![Design::Secded],
             rates: vec![BenchWorkload::Rate(0.02)],
-            seeds: 2,
+            seeds: 3,
             ppn: 4,
             master_seed: 7,
             reqreply: None,
         }
     }
 
+    /// `spec`'s grid as `bench record` runs it, folded into a baseline.
     fn record(name: &str, spec: &BenchSpec) -> BenchBaseline {
         let (rcfg, chaos) = (RunnerConfig::serial(), ChaosOptions::default());
-        record_bench(name, spec, &rcfg, &chaos, UnitSinks::default()).unwrap()
+        let report = run_grid(&spec.cells(), &rcfg, &chaos, UnitSinks::default()).unwrap();
+        BenchBaseline::from_report(name, spec, &report).unwrap()
     }
 
     #[test]
@@ -753,8 +761,9 @@ mod tests {
     }
 
     /// A hostile baseline spec is refused when it is read, before any
-    /// grid is built: ppn 0, a rate outside (0, 1], a PARSEC profile on a
-    /// closed-loop grid, or more units than a serve job may have.
+    /// grid is built: ppn 0, fewer than 3 seeds, a rate outside (0, 1], a
+    /// PARSEC profile on a closed-loop grid, or more units than a serve job
+    /// may have.
     #[test]
     fn from_json_refuses_a_hostile_spec() {
         let json = record("tiny", &tiny_spec()).to_json().unwrap();
@@ -767,9 +776,10 @@ mod tests {
             }
             BenchBaseline::from_json(&edited)
         };
-        let cases: [(&[(&str, &str)], &str); 5] = [
+        let cases: [(&[(&str, &str)], &str); 6] = [
             (&[("\"ppn\": 4", "\"ppn\": 0")], "at ppn 0"),
-            (&[("\"seeds\": 2", "\"seeds\": 4294967295")], "grid of 4294967295 units"),
+            (&[("\"seeds\": 3", "\"seeds\": 2")], "at least 3 seeds per cell"),
+            (&[("\"seeds\": 3", "\"seeds\": 4294967295")], "grid of 4294967295 units"),
             (&[(rates, "\"rates\": [0")], "rate"),
             (&[(rates, "\"rates\": [1.5")], "rate"),
             (
@@ -858,10 +868,24 @@ mod tests {
         assert_eq!(by_position, keyed);
         assert_eq!(by_position.cells[1].id(), "EB@0.02");
 
-        let capped = RunnerConfig { max_units: Some(3), ..RunnerConfig::serial() };
+        let capped = RunnerConfig { max_units: Some(5), ..RunnerConfig::serial() };
         let partial = run_grid(&spec.cells(), &capped, &chaos, UnitSinks::default()).unwrap();
         let err = BenchBaseline::from_report("t", &spec, &partial).unwrap_err();
         assert!(err.contains("not clean") && err.contains("1 skipped"), "{err}");
+    }
+
+    /// At 1 seed a cell's interval is 0 wide and at 2 too wide to gate:
+    /// neither is folded into a baseline.
+    #[test]
+    fn from_report_refuses_fewer_than_three_seeds() {
+        let (rcfg, chaos) = (RunnerConfig::serial(), ChaosOptions::default());
+        for seeds in [1, 2] {
+            let spec = BenchSpec { seeds, ..tiny_spec() };
+            let report = run_grid(&spec.cells(), &rcfg, &chaos, UnitSinks::default()).unwrap();
+            let err = BenchBaseline::from_report("t", &spec, &report).unwrap_err();
+            assert!(err.contains("at least 3 seeds per cell"), "{err}");
+            assert!(err.ends_with(&format!("got {seeds}")), "{err}");
+        }
     }
 
     #[test]

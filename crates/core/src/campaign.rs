@@ -8,17 +8,18 @@
 //! whether the stall watchdog had to abort the run. Same seed → byte-identical
 //! report, so campaigns are directly diffable across code revisions.
 //!
-//! A campaign is one [`run_grid`] grid: [`CampaignConfig::cells`] builds
-//! each (scenario, design) cell with a stable run key and a key-derived
-//! seed, so the grid can run on `jobs` worker threads, survive panicking or
-//! hung cells, and resume from a journal — all while producing merged
-//! reports byte-identical to a serial run — and [`CampaignRunReport`]
+//! A campaign is one [`run_grid`](crate::run_grid) grid:
+//! [`CampaignConfig::cells`] builds each (scenario, design) cell with a
+//! stable run key and a key-derived seed, so the grid can run on `jobs`
+//! worker threads, survive panicking or hung cells, and resume from a
+//! journal — all while producing merged reports byte-identical to a serial
+//! run — and [`CampaignRunReport`] (the config beside the runner report)
 //! renders the outcomes that come back. Fleet profiling and per-cell
-//! journey logs are the [`UnitSinks`] argument, not separate entry points.
+//! journey logs are `run_grid`'s [`UnitSinks`](crate::UnitSinks) argument.
 
 use crate::designs::Design;
-use crate::experiment::{rate_workload, run_grid, ExperimentConfig, ExperimentOutcome, UnitSinks};
-use crate::runner::{derive_seed, ChaosOptions, RunnerConfig, RunnerReport, UnitRecord};
+use crate::experiment::{rate_workload, ExperimentConfig, ExperimentOutcome};
+use crate::runner::{derive_seed, RunnerReport, UnitRecord};
 use noc_sim::{HardFaultScenario, NetworkStats};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
@@ -300,29 +301,11 @@ fn delivery_rate(s: &NetworkStats) -> Option<f64> {
     (s.packets_injected > 0).then(|| s.delivery_ratio())
 }
 
-/// Runs the campaign's [`CampaignConfig::cells`] through [`run_grid`]: per
-/// `rcfg` (worker count, deadline, journal/resume), with `chaos`
-/// failure injection for robustness testing, every cell feeding `sinks`.
-/// Serial, parallel, and resumed executions produce byte-identical reports
-/// for the same campaign config, whatever the sinks.
-///
-/// # Errors
-///
-/// Propagates engine-level errors (journal mismatch or I/O); unit-level
-/// failures are contained in the report instead.
-pub fn run_campaign_runner(
-    cfg: &CampaignConfig,
-    rcfg: &RunnerConfig,
-    chaos: &ChaosOptions,
-    sinks: UnitSinks<'_>,
-) -> Result<CampaignRunReport, String> {
-    let runner = run_grid(&cfg.cells(), rcfg, chaos, sinks)?;
-    Ok(CampaignRunReport { config: cfg.clone(), runner })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::{run_grid, UnitSinks};
+    use crate::runner::{ChaosOptions, RunnerConfig};
 
     fn tiny() -> CampaignConfig {
         CampaignConfig {
@@ -359,9 +342,14 @@ mod tests {
         assert_eq!(scenarios[4].1.faults.len(), 8);
     }
 
+    /// `cfg`'s campaign as the CLI runs it: its cells through [`run_grid`].
+    fn run(cfg: &CampaignConfig, rcfg: &RunnerConfig, chaos: &ChaosOptions) -> CampaignRunReport {
+        let runner = run_grid(&cfg.cells(), rcfg, chaos, UnitSinks::default()).unwrap();
+        CampaignRunReport { config: cfg.clone(), runner }
+    }
+
     fn run_serial(cfg: &CampaignConfig) -> CampaignRunReport {
-        let (rcfg, chaos) = (RunnerConfig::serial(), ChaosOptions::default());
-        run_campaign_runner(cfg, &rcfg, &chaos, UnitSinks::default()).unwrap()
+        run(cfg, &RunnerConfig::serial(), &ChaosOptions::default())
     }
 
     #[test]
@@ -476,13 +464,8 @@ mod tests {
                 let o = rec.payload.as_ref().expect("every cell produces an outcome");
                 assert!(o.report.txn.is_some(), "closed-loop cells carry txn columns");
             }
-            let parallel = run_campaign_runner(
-                &cfg,
-                &RunnerConfig { jobs: 4, ..RunnerConfig::serial() },
-                &ChaosOptions::default(),
-                UnitSinks::default(),
-            )
-            .unwrap();
+            let parallel =
+                run(&cfg, &RunnerConfig::serial().with_jobs(4), &ChaosOptions::default());
             assert_eq!(
                 serial.to_csv(),
                 parallel.to_csv(),
@@ -495,9 +478,7 @@ mod tests {
     fn forced_panic_cell_renders_empty_metrics_with_named_columns() {
         let chaos =
             ChaosOptions { panic_units: Some("dead-links-1/EB".to_owned()), timeout_units: None };
-        let report =
-            run_campaign_runner(&tiny(), &RunnerConfig::serial(), &chaos, UnitSinks::default())
-                .unwrap();
+        let report = run(&tiny(), &RunnerConfig::serial(), &chaos);
         let csv = report.to_csv();
         let failed: Vec<&str> = csv.lines().filter(|l| l.ends_with(",failed")).collect();
         assert_eq!(failed.len(), 1);
@@ -513,8 +494,7 @@ mod tests {
         let chaos =
             ChaosOptions { panic_units: Some("fault-free/CP/".to_owned()), timeout_units: None };
         let capped = RunnerConfig { max_units: Some(9), ..RunnerConfig::serial() };
-        let mut report =
-            run_campaign_runner(&tiny(), &capped, &chaos, UnitSinks::default()).unwrap();
+        let mut report = run(&tiny(), &capped, &chaos);
         let keyed = report.to_csv();
         for rec in &mut report.runner.records {
             rec.key = "?".to_owned();

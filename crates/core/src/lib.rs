@@ -54,13 +54,11 @@ mod serve;
 mod sweeps;
 
 pub use bench::{
-    check_ppn, check_rate, compare_bench, record_bench, BenchBaseline, BenchCell, BenchComparison,
-    BenchSpec, BenchWorkload, CompareRow, GateOptions, GateVerdict, MetricStats,
-    BENCH_FORMAT_VERSION, GATED_METRICS, REL_EPSILON,
+    check_ppn, check_rate, compare_bench, BenchBaseline, BenchCell, BenchComparison, BenchSpec,
+    BenchWorkload, CompareRow, GateOptions, GateVerdict, MetricStats, BENCH_FORMAT_VERSION,
+    GATED_METRICS, REL_EPSILON,
 };
-pub use campaign::{
-    campaign_scenarios, check_fault_counts, run_campaign_runner, CampaignConfig, CampaignRunReport,
-};
+pub use campaign::{campaign_scenarios, check_fault_counts, CampaignConfig, CampaignRunReport};
 pub use controller::{cpd_decide, intellinoc_rl_config, ControlPolicy, RewardKind, RlControl};
 pub use designs::Design;
 pub use experiment::{

@@ -89,7 +89,7 @@ impl Default for RunnerConfig {
 }
 
 impl RunnerConfig {
-    /// A serial, journal-less configuration (the legacy execution mode).
+    /// A serial, journal-less configuration.
     #[must_use]
     pub fn serial() -> Self {
         RunnerConfig::default()
@@ -470,8 +470,7 @@ pub(crate) fn seal(text: &str) -> String {
 }
 
 /// A sealed line's text and whether its checksum matches; `None` for a line
-/// with no seal (a log written before lines were sealed, whose JSON never
-/// holds a raw tab).
+/// with no seal (JSON never holds a raw tab).
 fn unseal(line: &str) -> Option<(&str, bool)> {
     let (text, sum) = line.rsplit_once('\t')?;
     Some((text, sum == format!("{:016x}", fnv1a(text))))
@@ -493,9 +492,8 @@ fn fnv1a(text: &str) -> u64 {
 /// records onto one line. A broken header *followed by* records is a hard
 /// error (append-only writes cannot produce that shape). A record whose
 /// [`seal`] fails its checksum is corrupt (torn, if it is the last). A log
-/// whose header is sealed holds only sealed records; one written before
-/// lines were sealed is read as it was, plus the sealed records a resume
-/// appended to it.
+/// whose header carries no seal was written before lines were sealed and
+/// is refused.
 pub(crate) fn scan_log<H: Deserialize, R: Deserialize>(
     path: &Path,
     what: &str,
@@ -516,17 +514,17 @@ pub(crate) fn scan_log<H: Deserialize, R: Deserialize>(
     let mut lines = committed.split('\n');
     let header_line = lines.next().expect("split yields at least one item");
     let rest: Vec<&str> = lines.collect();
-    // `Some(intact)` for a sealed header, whose log holds only sealed records;
-    // `None` for an unsealed one, whose log may hold both kinds.
-    let (header_text, header_seal) = match unseal(header_line) {
-        Some((text, intact)) => (text, Some(intact)),
-        None => (header_line, None),
-    };
+    let header_seal = unseal(header_line);
+    let header_text = header_seal.map_or(header_line, |(text, _)| text);
     match serde_json::from_str::<H>(header_text) {
         Ok(header) => {
             check_header(&header)?;
-            if header_seal == Some(false) {
-                return Err(format!("{what} {path:?} line 1 fails its checksum"));
+            let refused = match header_seal {
+                Some((_, intact)) => (!intact).then_some("line 1 fails its checksum"),
+                None => Some("was written before lines were sealed and cannot be read; delete it"),
+            };
+            if let Some(why) = refused {
+                return Err(format!("{what} {path:?} {why}"));
             }
         }
         Err(e) => {
@@ -540,9 +538,8 @@ pub(crate) fn scan_log<H: Deserialize, R: Deserialize>(
     let mut valid_len = header_line.len() as u64 + 1;
     for (i, line) in rest.iter().enumerate() {
         if !line.trim().is_empty() {
-            let text = match (unseal(line), header_seal) {
-                (Some((text, true)), _) => Ok(text),
-                (None, None) => Ok(*line),
+            let text = match unseal(line) {
+                Some((text, true)) => Ok(text),
                 _ => Err("checksum fails".to_owned()),
             };
             match text.and_then(|t| serde_json::from_str(t).map_err(|e| e.to_string())) {
@@ -1156,6 +1153,33 @@ mod tests {
         let err =
             run_units::<u64, _>(5, &keys, &cfg, &ChaosOptions::default(), ok_exec).unwrap_err();
         assert!(err.contains("unreadable header"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_unsealed_journal_is_refused_naming_the_file() {
+        let dir = std::env::temp_dir().join("intellinoc-runner-unsealed-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let journal = dir.join("grid.jsonl");
+        let keys = keys(3);
+        let cfg = RunnerConfig {
+            journal: Some(journal.clone()),
+            max_units: Some(2),
+            ..RunnerConfig::serial()
+        };
+        run_units(5, &keys, &cfg, &ChaosOptions::default(), ok_exec).unwrap();
+        // The same log as it was written before lines were sealed.
+        let sealed = std::fs::read_to_string(&journal).unwrap();
+        let unsealed: String =
+            sealed.lines().map(|l| format!("{}\n", l.rsplit_once('\t').unwrap().0)).collect();
+        std::fs::write(&journal, unsealed).unwrap();
+
+        let cfg =
+            RunnerConfig { journal: Some(journal.clone()), resume: true, ..RunnerConfig::serial() };
+        let err =
+            run_units::<u64, _>(5, &keys, &cfg, &ChaosOptions::default(), ok_exec).unwrap_err();
+        assert!(err.contains(&format!("{journal:?}")), "{err}");
+        assert!(err.contains("before lines were sealed") && err.contains("delete it"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -65,11 +65,11 @@ pub struct SimConfig {
     pub default_scheme: EccScheme,
     /// Per-hop retransmission budget before escalating to end-to-end
     /// recovery, and the end-to-end generation bound before an accounted
-    /// drop. `0` means unbounded (the pre-resilience behaviour).
+    /// drop. At least 1.
     pub max_retx: u32,
     /// Stall-watchdog window: with packets in flight and zero completions
     /// or drops for this many cycles, the run aborts with a structured
-    /// [`crate::StallReport`]. `0` disables the watchdog.
+    /// [`crate::StallReport`]. At least 1.
     pub stall_window: u64,
     /// Consult the link/router health map and detour around dead links and
     /// routers on up*/down* route tables instead of routing strictly XY
@@ -150,6 +150,8 @@ impl SimConfig {
         );
         assert!(self.vc_depth >= 1, "VC depth must be nonzero");
         assert!(self.pipeline_latency >= 1, "pipeline must be at least 1 cycle");
+        assert!(self.max_retx >= 1, "retransmission budget must be at least 1");
+        assert!(self.stall_window >= 1, "stall window must be at least 1 cycle");
         let nodes = self.nodes() as u32;
         for f in &self.hard_faults.faults {
             match f.target {
@@ -231,6 +233,18 @@ mod tests {
     fn more_vcs_than_the_readiness_masks_index_are_rejected() {
         SimConfig { vcs: 12, ..SimConfig::default() }.validate();
         SimConfig { vcs: 13, ..SimConfig::default() }.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "retransmission budget must be at least 1")]
+    fn zero_retransmission_budget_rejected() {
+        SimConfig { max_retx: 0, ..SimConfig::default() }.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "stall window must be at least 1 cycle")]
+    fn zero_stall_window_rejected() {
+        SimConfig { stall_window: 0, ..SimConfig::default() }.validate();
     }
 
     #[test]

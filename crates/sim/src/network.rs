@@ -158,7 +158,7 @@ struct Cx<'a> {
 /// neither delivers nor drops one for a whole window has stalled.
 #[derive(Debug)]
 struct Watchdog {
-    /// Cycles without progress that make a stall; 0 disables the watchdog.
+    /// Cycles without progress that make a stall (at least 1).
     window: u64,
     /// Last cycle the watchdog observed forward progress.
     last_progress: Cycle,
@@ -171,9 +171,6 @@ impl Watchdog {
     /// made for a full window while packets are in flight. Progress exactly
     /// at the window edge wins: the score is checked first.
     fn stalled(&mut self, now: Cycle, stats: &NetworkStats) -> Option<u64> {
-        if self.window == 0 {
-            return None;
-        }
         let score = stats.packets_delivered + stats.packets_dropped;
         let in_flight = stats.packets_injected.saturating_sub(score);
         if score != self.last_score || in_flight == 0 {
@@ -965,14 +962,6 @@ mod tests {
         stats.packets_injected = 6;
         assert_eq!(dog.stalled(1_000_000 + 99, &stats), None);
         assert_eq!(dog.stalled(1_000_000 + 100, &stats), Some(1));
-    }
-
-    /// `stall_window == 0` disables the watchdog entirely.
-    #[test]
-    fn watchdog_disabled_with_zero_window() {
-        let mut dog = Watchdog { window: 0, last_progress: 0, last_score: 0 };
-        let stats = NetworkStats { packets_injected: 1, ..NetworkStats::default() };
-        assert_eq!(dog.stalled(10_000_000, &stats), None);
     }
 
     // ------------------------------------------------------------------

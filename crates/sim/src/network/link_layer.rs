@@ -289,7 +289,7 @@ impl Fabric {
     /// hop-retry budget the stored copy re-traverses the link; past it the
     /// head is escalated to end-to-end recovery (or an accounted drop).
     fn nack(&mut self, cx: &mut Cx, ci: usize, idx: usize, rx: Receiver, head: Flit) -> Hop {
-        if cx.cfg.max_retx > 0 && u32::from(head.retx) >= cx.cfg.max_retx {
+        if u32::from(head.retx) >= cx.cfg.max_retx {
             return Hop::Escalated(head);
         }
         let (u, v) = self.links.ends(ci);
@@ -409,7 +409,7 @@ mod tests {
                 // The corrupted copy is discarded with every flip on it.
                 assert!(decodes && flips_in > 0, "only a decoder facing flips refuses a flit");
                 assert_eq!(corrected, 0);
-                if max_retx > 0 && u32::from(retx) >= max_retx {
+                if u32::from(retx) >= max_retx {
                     // Out of hop budget: handed back for end-to-end recovery
                     // (`ni_layer`'s tests) with the stored copy untouched.
                     assert!(escalated);
@@ -527,7 +527,7 @@ mod tests {
         /// hop and generation budget.
         #[test]
         fn traverse_conserves_flips(
-            hop in (0usize..3, 0u32..4, 0u32..8, 0u64..1000),
+            hop in (0usize..3, 1u32..4, 0u32..8, 0u64..1000),
             flit in (0usize..5, 0usize..4, 0u16..4, 0u16..3, 0u16..4, 0u16..4),
             behind_another_packet in 0u8..2,
         ) {
@@ -541,7 +541,7 @@ mod tests {
         #[test]
         fn channels_follow_a_model_of_their_flits(
             capacity in 0usize..9,
-            max_retx in 0u32..4,
+            max_retx in 1u32..4,
             seed in 0u64..1000,
             ops in proptest::collection::vec((0u8..8, 0usize..9, 0usize..4, 0usize..60, 0u8..40), 1..80),
         ) {

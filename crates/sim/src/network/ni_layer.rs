@@ -272,8 +272,7 @@ impl Endpoints {
         at: usize,
         retx: u16,
     ) {
-        let max_retx = cx.cfg.max_retx;
-        let budget_ok = max_retx == 0 || u32::from(f.generation) < max_retx;
+        let budget_ok = u32::from(f.generation) < cx.cfg.max_retx;
         if budget_ok && !cx.health.fs_split(f.src as usize, f.dest as usize) {
             self.reinject(fabric, cx, f, at, retx);
         } else {

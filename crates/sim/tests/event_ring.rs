@@ -154,7 +154,7 @@ fn filtered_tracer_beside_the_recorder_is_pinned() {
     let mut net = Network::new(cfg, WorkloadSpec::uniform(0.05, 400), 3);
     net.set_error_rate_override(Some(2e-4));
     let recorder = shared_recorder(CAPACITY);
-    let retx = TraceFilter::parse("kind=retx").expect("valid filter");
+    let retx = TraceFilter::parse("kind=retx", 64).expect("valid filter");
     net.install_probe(ProbeConfig {
         tracer: Some(Tracer::new(DEFAULT_TRACE_CAPACITY, retx)),
         blackbox: Some(recorder.clone()),

@@ -242,21 +242,6 @@ fn extreme_error_rates_terminate_with_full_accounting() {
     }
 }
 
-/// `max_retx = 0` keeps the legacy unbounded-retry semantics: no drops,
-/// every packet eventually delivered even under heavy noise.
-#[test]
-fn unbounded_retx_never_drops() {
-    let mut cfg = quiet();
-    cfg.max_retx = 0;
-    cfg.seed = 13;
-    let mut net = Network::new(cfg, WorkloadSpec::uniform(0.01, 2), 13);
-    net.set_error_rate_override(Some(0.02));
-    assert!(net.run_cycles(5_000_000));
-    let s = net.stats();
-    assert_eq!(s.packets_dropped, 0);
-    assert_eq!(s.packets_delivered, s.packets_injected);
-}
-
 /// Hard-fault runs are deterministic: same seed and scenario, same stats.
 #[test]
 fn fault_runs_are_deterministic() {

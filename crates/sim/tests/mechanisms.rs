@@ -167,7 +167,7 @@ fn gate_wake_cycle_reaches_all_states() {
     cfg.reactive_gating = true;
     cfg.mfac = false;
     let mut net = Network::new(cfg, WorkloadSpec::uniform(0.01, 30), 8);
-    let gate_edges = TraceFilter::parse("kind=gate").expect("valid filter");
+    let gate_edges = TraceFilter::parse("kind=gate", 64).expect("valid filter");
     let tracer = Tracer::new(1 << 16, gate_edges);
     net.install_probe(ProbeConfig { tracer: Some(tracer), ..ProbeConfig::default() });
     assert!(net.run_cycles(2_000_000));
@@ -273,11 +273,12 @@ fn assert_pinned(
     assert_eq!(format!("{:?}", report.power), power);
 }
 
-/// Gated eject, light corruption, unbounded hop retries: the NI-side decode
-/// corrects most hits, NACKs the rest, and nothing is dropped.
+/// Gated eject, light corruption, the default hop budget (never reached):
+/// the NI-side decode corrects most hits, NACKs the rest, and nothing is
+/// dropped.
 #[test]
 fn gated_eject_decodes_corrects_and_nacks() {
-    let report = gated_receiver_run(EccScheme::Secded, 2e-3, 0, 6, 7);
+    let report = gated_receiver_run(EccScheme::Secded, 2e-3, 16, 6, 7);
     assert_pinned(
         &report,
         (400, 0, 327, 378, 47, 47, 0, 3, 4188),
@@ -317,7 +318,7 @@ fn gated_eject_unprotected_corruption_reaches_the_core() {
 /// powered router 7, together with that link's own flips.
 #[test]
 fn gated_transit_carries_flips_to_the_next_powered_decoder() {
-    let report = gated_receiver_run(EccScheme::Secded, 2e-3, 0, 5, 6);
+    let report = gated_receiver_run(EccScheme::Secded, 2e-3, 16, 5, 6);
     assert_pinned(
         &report,
         (400, 0, 526, 768, 148, 148, 0, 22, 6680),

@@ -75,8 +75,6 @@ pub enum BundleCause {
     /// A closed-loop run ended with its transaction books out of balance:
     /// on some node, issued ≠ completed + failed + shed + in flight.
     Conservation,
-    /// A chaos kill was recovered from (serve `--chaos` harness).
-    Chaos,
 }
 
 impl BundleCause {
@@ -90,7 +88,6 @@ impl BundleCause {
             BundleCause::Fatal => "fatal",
             BundleCause::Alert => "alert",
             BundleCause::Conservation => "conservation",
-            BundleCause::Chaos => "chaos",
         }
     }
 
@@ -104,7 +101,6 @@ impl BundleCause {
             "fatal" => BundleCause::Fatal,
             "alert" => BundleCause::Alert,
             "conservation" => BundleCause::Conservation,
-            "chaos" => BundleCause::Chaos,
             _ => return None,
         })
     }
@@ -827,7 +823,7 @@ mod tests {
         assert_eq!(c.dropped_total(), 3);
         // The event tail is EVENT_RING_FACTOR× larger, whatever the
         // stream's filter shows.
-        let mut ring = Tracer::new(1 << 8, crate::TraceFilter::parse("kind=mode").unwrap());
+        let mut ring = Tracer::new(1 << 8, crate::TraceFilter::parse("kind=mode", 64).unwrap());
         for i in 0..(2 * EVENT_RING_FACTOR + 3) as u64 {
             ring.record(injected(i));
         }
@@ -966,7 +962,6 @@ mod tests {
             BundleCause::Fatal,
             BundleCause::Alert,
             BundleCause::Conservation,
-            BundleCause::Chaos,
         ] {
             assert_eq!(BundleCause::parse(cause.label()), Some(cause));
         }

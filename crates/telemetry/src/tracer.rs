@@ -21,12 +21,14 @@ impl TraceFilter {
         TraceFilter::default()
     }
 
-    /// Parses `--trace-filter` syntax, e.g. `router=3,kind=retx,kind=mode`.
+    /// Parses `--trace-filter` syntax, e.g. `router=3,kind=retx,kind=mode`,
+    /// for a mesh of `routers` routers.
     ///
     /// # Errors
     ///
-    /// Returns a message naming the offending clause.
-    pub fn parse(spec: &str) -> Result<Self, String> {
+    /// Returns a message naming the offending clause, or the router id and
+    /// the router count for an id outside the mesh.
+    pub fn parse(spec: &str, routers: u32) -> Result<Self, String> {
         let mut filter = TraceFilter::default();
         for clause in spec.split(',').map(str::trim).filter(|c| !c.is_empty()) {
             let (key, value) = clause
@@ -38,6 +40,11 @@ impl TraceFilter {
                         .trim()
                         .parse::<u32>()
                         .map_err(|_| format!("bad router id `{value}` in trace filter"))?;
+                    if id >= routers {
+                        return Err(format!(
+                            "trace filter router {id} is outside the mesh of {routers} routers"
+                        ));
+                    }
                     filter.routers.push(id);
                 }
                 "kind" => {
@@ -185,7 +192,7 @@ mod tests {
 
     #[test]
     fn filter_router_and_kind() {
-        let f = TraceFilter::parse("router=1, kind=retx, kind=mode").unwrap();
+        let f = TraceFilter::parse("router=1, kind=retx, kind=mode", 4).unwrap();
         assert!(f.admits(1, EventKind::Retransmission));
         assert!(f.admits(1, EventKind::ModeSwitch));
         assert!(!f.admits(2, EventKind::ModeSwitch));
@@ -204,16 +211,19 @@ mod tests {
 
     #[test]
     fn filter_parse_errors() {
-        assert!(TraceFilter::parse("router=x").is_err());
-        assert!(TraceFilter::parse("kind=nope").is_err());
-        assert!(TraceFilter::parse("bogus=1").is_err());
-        assert!(TraceFilter::parse("rawvalue").is_err());
-        assert_eq!(TraceFilter::parse("").unwrap(), TraceFilter::all());
+        assert!(TraceFilter::parse("router=x", 64).is_err());
+        assert!(TraceFilter::parse("kind=nope", 64).is_err());
+        assert!(TraceFilter::parse("bogus=1", 64).is_err());
+        assert!(TraceFilter::parse("rawvalue", 64).is_err());
+        assert_eq!(TraceFilter::parse("", 64).unwrap(), TraceFilter::all());
+        assert!(TraceFilter::parse("router=63", 64).is_ok());
+        let err = TraceFilter::parse("router=3,router=64", 64).unwrap_err();
+        assert_eq!(err, "trace filter router 64 is outside the mesh of 64 routers");
     }
 
     #[test]
     fn unknown_kind_error_lists_every_valid_name() {
-        let err = TraceFilter::parse("kind=definitely-not-a-kind").unwrap_err();
+        let err = TraceFilter::parse("kind=definitely-not-a-kind", 64).unwrap_err();
         assert!(err.contains("definitely-not-a-kind"), "err: {err}");
         for kind in EventKind::ALL {
             assert!(err.contains(kind.name()), "error is missing `{}`: {err}", kind.name());
@@ -224,7 +234,7 @@ mod tests {
     fn every_canonical_name_parses_back() {
         for kind in EventKind::ALL {
             assert!(
-                TraceFilter::parse(&format!("kind={}", kind.name())).is_ok(),
+                TraceFilter::parse(&format!("kind={}", kind.name()), 64).is_ok(),
                 "canonical name `{}` must parse",
                 kind.name()
             );

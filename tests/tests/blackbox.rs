@@ -6,9 +6,9 @@
 //! `crates/cli/tests/blackbox.rs`.
 
 use intellinoc::{
-    run_campaign_runner, run_experiment_instrumented, run_units, CampaignConfig, ChaosOptions,
-    Design, ExperimentConfig, MetricsOptions, RunStatus, RunnerConfig, TelemetryOptions,
-    TimeoutReport, UnitCtx, UnitSinks, UnitVerdict,
+    run_experiment_instrumented, run_grid, run_units, CampaignConfig, CampaignRunReport,
+    ChaosOptions, Design, ExperimentConfig, MetricsOptions, RunStatus, RunnerConfig,
+    TelemetryOptions, TimeoutReport, UnitCtx, UnitSinks, UnitVerdict,
 };
 use noc_sim::{
     parse_bundle, parse_rules, render_report, AlertEdge, BundleCause, BundleHead, Event,
@@ -187,14 +187,17 @@ fn campaign_reports_identical_with_recorder_on_and_off() {
         max_cycles: 60_000,
         reqreply: None,
     };
-    let chaos = ChaosOptions::default();
-    let plain =
-        run_campaign_runner(&cfg, &RunnerConfig::serial(), &chaos, UnitSinks::default()).unwrap();
+    let campaign = |rcfg: &RunnerConfig| {
+        let runner =
+            run_grid(&cfg.cells(), rcfg, &ChaosOptions::default(), UnitSinks::default()).unwrap();
+        CampaignRunReport { config: cfg.clone(), runner }
+    };
+    let plain = campaign(&RunnerConfig::serial());
     assert!(plain.runner.is_clean());
 
     let dir = temp_dir("clean-campaign");
-    let with_bb = RunnerConfig { blackbox: Some(dir.clone()), ..RunnerConfig::serial() };
-    let recorded = run_campaign_runner(&cfg, &with_bb, &chaos, UnitSinks::default()).unwrap();
+    let recorded =
+        campaign(&RunnerConfig { blackbox: Some(dir.clone()), ..RunnerConfig::serial() });
     assert_eq!(
         serde_json::to_string(&plain).unwrap(),
         serde_json::to_string(&recorded).unwrap(),

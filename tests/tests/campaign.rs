@@ -2,7 +2,7 @@
 //! resilience acceptance and byte-level determinism of campaign reports.
 
 use intellinoc::{
-    run_campaign_runner, run_experiment, CampaignConfig, CampaignRunReport, ChaosOptions, Design,
+    run_experiment, run_grid, CampaignConfig, CampaignRunReport, ChaosOptions, Design,
     ExperimentConfig, RunnerConfig, UnitSinks,
 };
 use noc_sim::HardFaultScenario;
@@ -23,13 +23,10 @@ fn small_campaign(fault_aware: bool) -> CampaignConfig {
 }
 
 fn run_campaign(cfg: &CampaignConfig) -> CampaignRunReport {
-    run_campaign_runner(
-        cfg,
-        &RunnerConfig::serial(),
-        &ChaosOptions::default(),
-        UnitSinks::default(),
-    )
-    .expect("serial journal-less campaign cannot hit engine errors")
+    let (rcfg, chaos) = (RunnerConfig::serial(), ChaosOptions::default());
+    let runner = run_grid(&cfg.cells(), &rcfg, &chaos, UnitSinks::default())
+        .expect("serial journal-less campaign cannot hit engine errors");
+    CampaignRunReport { config: cfg.clone(), runner }
 }
 
 /// Same seed → byte-identical campaign reports, both JSON and CSV. This is

@@ -273,7 +273,7 @@ proptest! {
     fn trace_filter_never_panics(
         input in prop_oneof![token_soup(FILTER_TOKENS), flipped("router=3,kind=retx,kind=mode".to_owned())],
     ) {
-        let parsed = catch_unwind(|| TraceFilter::parse(&input));
+        let parsed = catch_unwind(|| TraceFilter::parse(&input, 64));
         prop_assert!(parsed.is_ok(), "panicked on {:?}", input);
         if let Ok(Ok(filter)) = parsed {
             prop_assert!(catch_unwind(|| EventKind::ALL.map(|k| filter.admits(3, k))).is_ok());

@@ -4,9 +4,9 @@
 //! record→compare pipeline gates regressions with CI-separated intervals.
 
 use intellinoc::{
-    compare_bench, record_bench, run_experiment, run_experiment_instrumented, BenchBaseline,
-    BenchSpec, BenchWorkload, ChaosOptions, Daemon, Design, ExperimentConfig, GateOptions,
-    GateVerdict, MetricsOptions, RunnerConfig, ServeConfig, TelemetryOptions, UnitSinks,
+    compare_bench, run_experiment, run_experiment_instrumented, run_grid, BenchBaseline, BenchSpec,
+    BenchWorkload, ChaosOptions, Daemon, Design, ExperimentConfig, GateOptions, GateVerdict,
+    MetricsOptions, RunnerConfig, ServeConfig, TelemetryOptions, UnitSinks,
 };
 use noc_telemetry::{parse_exposition, MetricsHub};
 use noc_traffic::ParsecBenchmark;
@@ -118,22 +118,25 @@ fn tiny_spec() -> BenchSpec {
     }
 }
 
+/// The tiny grid as `bench record` runs it, folded into a baseline.
+fn record() -> BenchBaseline {
+    let (spec, rcfg, chaos) = (tiny_spec(), RunnerConfig::default(), ChaosOptions::default());
+    let report = run_grid(&spec.cells(), &rcfg, &chaos, UnitSinks::default()).expect("run grid");
+    BenchBaseline::from_report("it", &spec, &report).expect("fold baseline")
+}
+
 /// Acceptance criterion: `bench record` then self-`compare` passes (exit 0
 /// semantics — deterministic seeds make the fresh means exactly equal), and
 /// the baseline JSON round-trips through its canonical file format.
 #[test]
 fn bench_record_then_self_compare_passes() {
-    let rcfg = RunnerConfig::default();
-    let chaos = ChaosOptions::default();
-    let base = record_bench("it", &tiny_spec(), &rcfg, &chaos, UnitSinks::default())
-        .expect("record baseline");
+    let base = record();
 
     let json = base.to_json().expect("serialize");
     let reread = BenchBaseline::from_json(&json).expect("parse baseline file");
     assert_eq!(reread.spec, base.spec);
 
-    let fresh = record_bench("it", &tiny_spec(), &rcfg, &chaos, UnitSinks::default())
-        .expect("record fresh");
+    let fresh = record();
     let cmp = compare_bench(&reread, &fresh, &GateOptions::default()).expect("compare");
     assert!(!cmp.has_regressions(), "self-compare must pass:\n{}", cmp.table());
     assert!(cmp.rows.iter().all(|r| r.verdict == GateVerdict::Pass));
@@ -144,12 +147,7 @@ fn bench_record_then_self_compare_passes() {
 /// (exit 2 semantics).
 #[test]
 fn bench_force_regress_flags_regressions() {
-    let rcfg = RunnerConfig::default();
-    let chaos = ChaosOptions::default();
-    let base = record_bench("it", &tiny_spec(), &rcfg, &chaos, UnitSinks::default())
-        .expect("record baseline");
-    let fresh = record_bench("it", &tiny_spec(), &rcfg, &chaos, UnitSinks::default())
-        .expect("record fresh");
+    let (base, fresh) = (record(), record());
 
     let opts = GateOptions { force_regress: true };
     let cmp = compare_bench(&base, &fresh, &opts).expect("compare");

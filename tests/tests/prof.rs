@@ -4,8 +4,8 @@
 //! into its pipeline sub-spans.
 
 use intellinoc::{
-    run_campaign_runner, run_experiment_instrumented, CampaignConfig, ChaosOptions, Design,
-    ExperimentConfig, RunnerConfig, TelemetryOptions, UnitSinks,
+    run_experiment_instrumented, run_grid, CampaignConfig, ChaosOptions, Design, ExperimentConfig,
+    RunnerConfig, TelemetryOptions, UnitSinks,
 };
 use noc_sim::Profiler;
 use noc_traffic::{ParsecBenchmark, WorkloadSpec};
@@ -35,15 +35,13 @@ fn tiny_campaign() -> CampaignConfig {
 /// reads cycle-domain state and wall clocks; it never feeds back.
 #[test]
 fn profiling_on_off_campaign_reports_are_byte_identical() {
-    let cfg = tiny_campaign();
+    let cells = tiny_campaign().cells();
     let rcfg = RunnerConfig::serial();
     let chaos = ChaosOptions::default();
 
-    let plain =
-        run_campaign_runner(&cfg, &rcfg, &chaos, UnitSinks::default()).expect("plain campaign");
+    let plain = run_grid(&cells, &rcfg, &chaos, UnitSinks::default()).expect("plain campaign");
     let sink = Mutex::new(Profiler::new());
-    let with_prof =
-        run_campaign_runner(&cfg, &rcfg, &chaos, profiled(&sink)).expect("profiled campaign");
+    let with_prof = run_grid(&cells, &rcfg, &chaos, profiled(&sink)).expect("profiled campaign");
 
     let a = serde_json::to_string(&plain).expect("report serializes");
     let b = serde_json::to_string(&with_prof).expect("report serializes");
@@ -58,16 +56,16 @@ fn profiling_on_off_campaign_reports_are_byte_identical() {
 /// merge their trees in nondeterministic completion order.
 #[test]
 fn parallel_profile_merge_matches_serial() {
-    let cfg = tiny_campaign();
+    let cells = tiny_campaign().cells();
     let chaos = ChaosOptions::default();
 
     let serial_sink = Mutex::new(Profiler::new());
-    run_campaign_runner(&cfg, &RunnerConfig::serial(), &chaos, profiled(&serial_sink))
+    run_grid(&cells, &RunnerConfig::serial(), &chaos, profiled(&serial_sink))
         .expect("serial campaign");
 
     let par_sink = Mutex::new(Profiler::new());
     let rcfg = RunnerConfig { jobs: 2, ..RunnerConfig::serial() };
-    run_campaign_runner(&cfg, &rcfg, &chaos, profiled(&par_sink)).expect("parallel campaign");
+    run_grid(&cells, &rcfg, &chaos, profiled(&par_sink)).expect("parallel campaign");
 
     let serial = serial_sink.into_inner().unwrap();
     let parallel = par_sink.into_inner().unwrap();

@@ -3,7 +3,7 @@
 //! containment, deadline classification, and journaled resume.
 
 use intellinoc::{
-    derive_seed, load_sweep_cells, run_campaign_runner, run_grid, CampaignConfig, ChaosOptions,
+    derive_seed, load_sweep_cells, run_grid, CampaignConfig, CampaignRunReport, ChaosOptions,
     Design, RunStatus, RunnerConfig, UnitSinks, CHAOS_DEADLINE_CYCLES,
 };
 use std::path::PathBuf;
@@ -22,6 +22,16 @@ fn tiny_campaign() -> CampaignConfig {
     }
 }
 
+/// `cfg`'s campaign as the CLI runs it: its cells through [`run_grid`].
+fn run_campaign(
+    cfg: &CampaignConfig,
+    rcfg: &RunnerConfig,
+    chaos: &ChaosOptions,
+) -> CampaignRunReport {
+    let runner = run_grid(&cfg.cells(), rcfg, chaos, UnitSinks::default()).unwrap();
+    CampaignRunReport { config: cfg.clone(), runner }
+}
+
 fn temp_journal(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("intellinoc-runner-integration");
     std::fs::create_dir_all(&dir).unwrap();
@@ -38,17 +48,10 @@ fn campaign_serial_parallel_and_resumed_reports_are_byte_identical() {
     let cfg = tiny_campaign();
     let chaos = ChaosOptions::default();
 
-    let serial =
-        run_campaign_runner(&cfg, &RunnerConfig::serial(), &chaos, UnitSinks::default()).unwrap();
+    let serial = run_campaign(&cfg, &RunnerConfig::serial(), &chaos);
     assert!(serial.runner.is_clean());
 
-    let parallel = run_campaign_runner(
-        &cfg,
-        &RunnerConfig::serial().with_jobs(4),
-        &chaos,
-        UnitSinks::default(),
-    )
-    .unwrap();
+    let parallel = run_campaign(&cfg, &RunnerConfig::serial().with_jobs(4), &chaos);
     assert_eq!(
         serde_json::to_string(&serial).unwrap(),
         serde_json::to_string(&parallel).unwrap(),
@@ -64,7 +67,7 @@ fn campaign_serial_parallel_and_resumed_reports_are_byte_identical() {
         max_units: Some(3),
         ..RunnerConfig::serial()
     };
-    let partial = run_campaign_runner(&cfg, &interrupted, &chaos, UnitSinks::default()).unwrap();
+    let partial = run_campaign(&cfg, &interrupted, &chaos);
     assert_eq!(partial.runner.counts().ok, 3);
     assert_eq!(partial.runner.counts().skipped, serial.runner.records.len() - 3);
 
@@ -74,7 +77,7 @@ fn campaign_serial_parallel_and_resumed_reports_are_byte_identical() {
         jobs: 4,
         ..RunnerConfig::serial()
     };
-    let resumed = run_campaign_runner(&cfg, &resume, &chaos, UnitSinks::default()).unwrap();
+    let resumed = run_campaign(&cfg, &resume, &chaos);
     assert_eq!(
         serde_json::to_string(&serial).unwrap(),
         serde_json::to_string(&resumed).unwrap(),
@@ -106,13 +109,7 @@ fn panicking_campaign_cell_is_contained() {
     let chaos =
         ChaosOptions { panic_units: Some("dead-links-1/CPD".to_owned()), timeout_units: None };
     for jobs in [1, 4] {
-        let report = run_campaign_runner(
-            &cfg,
-            &RunnerConfig::serial().with_jobs(jobs),
-            &chaos,
-            UnitSinks::default(),
-        )
-        .unwrap();
+        let report = run_campaign(&cfg, &RunnerConfig::serial().with_jobs(jobs), &chaos);
         let c = report.runner.counts();
         assert_eq!(c.failed, 1, "jobs={jobs}");
         assert_eq!(c.ok, 2 * Design::ALL.len() - 1, "jobs={jobs}");
@@ -136,8 +133,7 @@ fn deadline_exceeded_cell_reports_timed_out_with_diagnostics() {
     let cfg = tiny_campaign();
     let chaos =
         ChaosOptions { panic_units: None, timeout_units: Some("fault-free/SECDED".to_owned()) };
-    let report =
-        run_campaign_runner(&cfg, &RunnerConfig::serial(), &chaos, UnitSinks::default()).unwrap();
+    let report = run_campaign(&cfg, &RunnerConfig::serial(), &chaos);
     let c = report.runner.counts();
     assert_eq!(c.timed_out, 1);
     assert_eq!(c.ok, 2 * Design::ALL.len() - 1);
@@ -165,13 +161,7 @@ fn campaign_with_panic_and_timeout_completes_all_healthy_units() {
         panic_units: Some("fault-free/EB".to_owned()),
         timeout_units: Some("dead-links-1/CP/".to_owned()),
     };
-    let report = run_campaign_runner(
-        &cfg,
-        &RunnerConfig::serial().with_jobs(2),
-        &chaos,
-        UnitSinks::default(),
-    )
-    .unwrap();
+    let report = run_campaign(&cfg, &RunnerConfig::serial().with_jobs(2), &chaos);
     let c = report.runner.counts();
     assert_eq!(c.failed, 1);
     assert_eq!(c.timed_out, 1);

@@ -300,63 +300,3 @@ fn torn_wal_tail_survives_two_restarts() {
     assert!(daemon.shutdown(Duration::from_secs(10)));
     let _ = std::fs::remove_dir_all(&dir);
 }
-
-/// A state directory as a build before log lines were sealed wrote it
-/// (every WAL and journal line without its checksum), with one job still
-/// pending, survives two restarts: the first runs the pending job and
-/// appends sealed records to the unsealed WAL, the second reads both kinds
-/// back and every job keeps its reference report.
-#[test]
-fn an_unsealed_wal_with_a_pending_job_survives_two_restarts() {
-    let dir = tmp_dir("unsealed");
-    let start = || {
-        Daemon::start(ServeConfig { state_dir: dir.clone(), ..ServeConfig::default() })
-            .unwrap_or_else(|e| panic!("daemon start: {e}"))
-    };
-    let daemon = start();
-    let addr = daemon.local_addr().to_string();
-    for name in ["a", "b"] {
-        let (code, body) = submit(&addr, "alice", 0, false, tiny_spec(name));
-        assert_eq!(code, 202, "{body}");
-    }
-    wait_idle(&addr);
-    assert!(daemon.shutdown(Duration::from_secs(10)));
-
-    // Strip every seal, and forget that j-000002 ran.
-    let unsealed = |path: &Path, keep: &dyn Fn(&str) -> bool| {
-        let text = std::fs::read_to_string(path).unwrap();
-        let lines = text.lines().filter(|l| keep(l));
-        let out: String = lines
-            .map(|l| l.rsplit_once('\t').map_or(l, |(json, _)| json).to_owned() + "\n")
-            .collect();
-        assert!(!out.contains('\t'), "{out}");
-        std::fs::write(path, out).unwrap();
-    };
-    let b_done = r#""action":"terminal","id":"j-000002""#;
-    unsealed(&dir.join("wal.jsonl"), &|l| !l.contains(b_done));
-    unsealed(&dir.join("journals/j-000001.jsonl"), &|_| true);
-    std::fs::remove_file(dir.join("journals/j-000002.jsonl")).unwrap();
-    std::fs::remove_file(dir.join("reports/j-000002.csv")).unwrap();
-
-    let daemon = start();
-    let addr = daemon.local_addr().to_string();
-    let summary = wait_idle(&addr);
-    assert_eq!((summary.accepted, summary.done), (2, 2), "{summary:?}");
-    let (code, body) = submit(&addr, "alice", 0, false, tiny_spec("c"));
-    assert_eq!(code, 202, "{body}");
-    wait_idle(&addr);
-    assert!(daemon.shutdown(Duration::from_secs(10)));
-
-    let daemon = start();
-    let addr = daemon.local_addr().to_string();
-    let summary = wait_idle(&addr);
-    assert_eq!((summary.accepted, summary.done), (3, 3), "{summary:?}");
-    for job in &summary.jobs {
-        assert_eq!(
-            fetch_report(&addr, &job.id),
-            reference_report_csv(&tiny_spec(&job.name)).unwrap()
-        );
-    }
-    assert!(daemon.shutdown(Duration::from_secs(10)));
-    let _ = std::fs::remove_dir_all(&dir);
-}

@@ -77,7 +77,7 @@ fn trace_contains_expected_event_kinds() {
 #[test]
 fn trace_filter_restricts_router_and_kind() {
     let mut cfg = instrumented_cfg(9);
-    cfg.telemetry.trace_filter = TraceFilter::parse("router=5,kind=hop").expect("valid filter");
+    cfg.telemetry.trace_filter = TraceFilter::parse("router=5,kind=hop", 64).expect("valid filter");
     let (_, _, artifacts) = run_experiment_instrumented(cfg);
     let tracer = artifacts.tracer.expect("tracer installed");
     assert!(!tracer.is_empty(), "router 5 must see traffic");
